@@ -261,22 +261,28 @@ pub fn run_selfmon(
 mod tests {
     use super::*;
 
-    fn synthetic_report(build: impl FnOnce()) -> TimelineReport {
-        funnel_obs::reset();
-        funnel_obs::enable();
-        build();
-        let snapshot = funnel_obs::timeline_snapshot();
-        funnel_obs::disable();
-        snapshot
+    /// A snapshot holding exactly these `(name, minute, value)` counters.
+    /// Built by hand, not recorded: the obs registry is process-wide, and a
+    /// neighbouring test's telemetry landing in it while it is enabled
+    /// stretches the snapshot's range.
+    fn synthetic_report(
+        counters: impl IntoIterator<Item = (&'static str, MinuteBin, u64)>,
+    ) -> TimelineReport {
+        TimelineReport {
+            window_minutes: funnel_obs::timeline::WINDOW_MINUTES,
+            counters: counters
+                .into_iter()
+                .map(|(name, minute, value)| ((name, minute), value))
+                .collect(),
+            gauges: Default::default(),
+            histograms: Default::default(),
+            spans: Default::default(),
+        }
     }
 
     #[test]
     fn flat_series_is_healthy() {
-        let report = synthetic_report(|| {
-            for minute in 0..120 {
-                funnel_obs::timeline_counter_add(names::FRAMES_INGESTED, minute, 500);
-            }
-        });
+        let report = synthetic_report((0..120).map(|m| (names::FRAMES_INGESTED, m, 500)));
         let health = run_selfmon(&report, &SelfMonConfig::default()).unwrap();
         assert!(health.healthy(), "flat ingest must not alert: {health:?}");
         assert_eq!(health.series.len(), 3);
@@ -286,17 +292,11 @@ mod tests {
 
     #[test]
     fn ingest_collapse_raises_an_alert() {
-        let report = synthetic_report(|| {
-            for minute in 0..120 {
-                // A partition at minute 60 silences ingest entirely.
-                let rate = if minute < 60 { 500 } else { 0 };
-                if rate > 0 {
-                    funnel_obs::timeline_counter_add(names::FRAMES_INGESTED, minute, rate);
-                }
-                // Keep the snapshot range anchored past the silence.
-                funnel_obs::timeline_counter_add(names::STREAM_TICKS, minute, 1);
-            }
-        });
+        // A partition at minute 60 silences ingest entirely.
+        let ingest = (0..60).map(|m| (names::FRAMES_INGESTED, m, 500));
+        // Keep the snapshot range anchored past the silence.
+        let ticks = (0..120).map(|m| (names::STREAM_TICKS, m, 1));
+        let report = synthetic_report(ingest.chain(ticks));
         let health = run_selfmon(&report, &SelfMonConfig::default()).unwrap();
         let ingest = &health.series[0];
         assert_eq!(ingest.name, names::FRAMES_INGESTED);
@@ -318,10 +318,10 @@ mod tests {
 
     #[test]
     fn too_short_series_never_alerts() {
-        let report = synthetic_report(|| {
-            funnel_obs::timeline_counter_add(names::FRAMES_INGESTED, 3, 1);
-            funnel_obs::timeline_counter_add(names::FRAMES_INGESTED, 5, 900);
-        });
+        let report = synthetic_report([
+            (names::FRAMES_INGESTED, 3, 1),
+            (names::FRAMES_INGESTED, 5, 900),
+        ]);
         let health = run_selfmon(&report, &SelfMonConfig::default()).unwrap();
         assert!(health.healthy());
         assert_eq!(health.series[0].windows, 3);
@@ -329,11 +329,7 @@ mod tests {
 
     #[test]
     fn report_json_is_deterministic_and_versioned() {
-        let report = synthetic_report(|| {
-            for minute in 0..40 {
-                funnel_obs::timeline_counter_add(names::FRAMES_INGESTED, minute, 10);
-            }
-        });
+        let report = synthetic_report((0..40).map(|m| (names::FRAMES_INGESTED, m, 10)));
         let config = SelfMonConfig::default();
         let a = run_selfmon(&report, &config).unwrap().to_json();
         let b = run_selfmon(&report, &config).unwrap().to_json();

@@ -59,12 +59,13 @@ use crate::quality::{QualityIssue, QualityReport};
 use crate::source::KpiSource;
 use crate::supervise::splitmix64;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use funnel_detect::detector::PersistenceRun;
 use funnel_diag::DiagReport;
 use funnel_obs::names;
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::store::Measurement;
 use funnel_sim::wire::key_to_bytes;
-use funnel_sst::{FastSst, StreamingSst};
+use funnel_sst::{FastSst, SstWorkspace, StreamingSst};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::ring::{RingSeries, RingWrite};
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
@@ -263,22 +264,16 @@ struct KeyMonitor {
     /// Cleared when a backfill rewrites folded history: the next scoring
     /// pass resets the rolling window and re-primes from the ring.
     primed: bool,
-    run_len: usize,
-    run_start: MinuteBin,
-    run_peak: f64,
-    armed: bool,
+    run: PersistenceRun,
 }
 
 impl KeyMonitor {
-    fn new(scorer: FastSst, start: MinuteBin) -> Self {
+    fn new(scorer: FastSst, start: MinuteBin, persistence: usize) -> Self {
         Self {
             sst: StreamingSst::new(scorer),
             next_minute: start,
             primed: true,
-            run_len: 0,
-            run_start: 0,
-            run_peak: 0.0,
-            armed: true,
+            run: PersistenceRun::new(persistence),
         }
     }
 }
@@ -400,21 +395,20 @@ struct ScorePlan {
 
 /// Folds the planned ring minutes into one monitor, applying the
 /// threshold-persistence rule; returns the folds done and any declaration.
+/// Windows are scored through the worker's own `workspace`.
 /// Runs on scoring workers — must stay panic-free (hot path).
 fn score_key(
     monitor: &mut KeyMonitor,
     ring: &RingSeries,
     plan: &ScorePlan,
     threshold: f64,
-    persistence: usize,
+    workspace: &mut SstWorkspace,
     key: KpiKey,
 ) -> (u64, Vec<StreamDetection>) {
     let mut detections = Vec::new();
     if plan.reprime {
         monitor.sst.reset();
-        monitor.run_len = 0;
-        monitor.run_peak = 0.0;
-        monitor.armed = true;
+        monitor.run.miss();
     }
     let mut folds = 0u64;
     let mut minute = plan.lo;
@@ -426,28 +420,23 @@ fn score_key(
             continue;
         };
         folds += 1;
-        if let Some(score) = monitor.sst.fold(value) {
-            if score >= threshold {
-                if monitor.run_len == 0 {
-                    monitor.run_start = minute;
-                    monitor.run_peak = score;
-                } else {
-                    monitor.run_peak = monitor.run_peak.max(score);
-                }
-                monitor.run_len += 1;
-                if monitor.armed && monitor.run_len >= persistence {
-                    monitor.armed = false;
+        let reached = monitor.sst.fold_with(value, |scorer, window| {
+            scorer.score_reaching_in(workspace, window, threshold)
+        });
+        match reached {
+            Some(Some(score)) => {
+                if let Some(event) = monitor.run.hit(minute, score) {
                     detections.push(StreamDetection {
                         key,
-                        declared_at: minute,
-                        first_exceeded_at: monitor.run_start,
-                        peak_score: monitor.run_peak,
+                        declared_at: event.declared_at,
+                        first_exceeded_at: event.first_exceeded_at,
+                        peak_score: event.peak_score,
                     });
                 }
-            } else {
-                monitor.run_len = 0;
-                monitor.armed = true;
             }
+            Some(None) => monitor.run.miss(),
+            // Still warming up: no window, no evidence either way.
+            None => {}
         }
         minute += 1;
     }
@@ -717,6 +706,7 @@ impl StreamEngine {
     /// monitors). Pure bookkeeping; no scoring happens here.
     fn plan_scoring(&mut self, minute: MinuteBin) -> BTreeMap<KpiKey, ScorePlan> {
         let window = self.funnel.config().sst.window_len() as u64;
+        let persistence = self.funnel.config().persistence_minutes;
         let scorer = self.funnel.scorer().clone();
         let mut plans = BTreeMap::new();
         let mut clean = Vec::new();
@@ -728,7 +718,7 @@ impl StreamEngine {
             let monitor = self
                 .monitors
                 .entry(key)
-                .or_insert_with(|| KeyMonitor::new(scorer.clone(), ring.start()));
+                .or_insert_with(|| KeyMonitor::new(scorer.clone(), ring.start(), persistence));
             let to = ring.end().min(minute + 1);
             let (lo, reprime) = if monitor.primed {
                 (monitor.next_minute.max(ring.start()), false)
@@ -842,7 +832,7 @@ impl StreamEngine {
             return (0, Vec::new());
         }
         let threshold = self.funnel.config().sst_threshold;
-        let persistence = self.funnel.config().persistence_minutes;
+        let sst_config = &self.funnel.config().sst;
         let workers = self.config.workers.clamp(1, admitted.len());
         funnel_obs::timeline_histogram_record(
             names::STREAM_QUEUE_DEPTH,
@@ -868,10 +858,11 @@ impl StreamEngine {
         let mut folds = 0u64;
         let mut per_key: Vec<(usize, Vec<StreamDetection>)> = Vec::with_capacity(jobs.len());
         if workers == 1 {
+            let mut workspace = SstWorkspace::new(sst_config);
             for (idx, key, monitor, plan) in jobs {
                 let ring = rings.get(&key);
                 let Some(ring) = ring else { continue };
-                let (f, dets) = score_key(monitor, ring, plan, threshold, persistence, key);
+                let (f, dets) = score_key(monitor, ring, plan, threshold, &mut workspace, key);
                 folds += f;
                 per_key.push((idx, dets));
             }
@@ -888,12 +879,14 @@ impl StreamEngine {
                     let jobs_in = job_rx.clone();
                     let results = result_tx.clone();
                     scope.spawn(move || {
+                        // One workspace per worker, never per key.
+                        let mut workspace = SstWorkspace::new(sst_config);
                         while let Ok((idx, key, monitor, plan)) = jobs_in.recv() {
                             let Some(ring) = rings.get(&key) else {
                                 continue;
                             };
                             let (f, dets) =
-                                score_key(monitor, ring, plan, threshold, persistence, key);
+                                score_key(monitor, ring, plan, threshold, &mut workspace, key);
                             if results.send((idx, f, dets)).is_err() {
                                 break;
                             }

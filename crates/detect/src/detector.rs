@@ -23,6 +23,21 @@ pub trait WindowScorer {
 
     /// A short name for tables and logs.
     fn name(&self) -> &'static str;
+
+    /// `Some(score)` exactly when `score(window) >= threshold` — all the
+    /// driver asks of a score. A scorer that can bound its score cheaply
+    /// may answer `None` without computing it; the `Some` value is always
+    /// the full score's bits.
+    fn score_reaching(&self, window: &[f64], threshold: f64) -> Option<f64> {
+        let score = self.score(window);
+        (score >= threshold).then_some(score)
+    }
+
+    /// A [`WindowScorer::score_reaching`] for one detector run: the
+    /// returned closure may own scratch it reuses from window to window.
+    fn reaching_scorer(&self) -> impl FnMut(&[f64], f64) -> Option<f64> + '_ {
+        move |window, threshold| self.score_reaching(window, threshold)
+    }
 }
 
 /// A declared behaviour change.
@@ -36,6 +51,68 @@ pub struct ChangeEvent {
     pub first_exceeded_at: MinuteBin,
     /// Peak score observed during the persistent run.
     pub peak_score: f64,
+}
+
+/// The threshold → run-length → peak → declare → re-arm state machine, fed
+/// one scored window at a time. Batch runs and the streaming engine's
+/// per-key monitors both hold one, so the persistence rule is written once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PersistenceRun {
+    persistence: u32,
+    len: u32,
+    start: MinuteBin,
+    peak: f64,
+    armed: bool,
+}
+
+impl PersistenceRun {
+    /// An armed, empty run declaring after `persistence` consecutive hits
+    /// (clamped to at least 1).
+    pub fn new(persistence: usize) -> Self {
+        Self {
+            persistence: u32::try_from(persistence.max(1)).unwrap_or(u32::MAX),
+            len: 0,
+            start: 0,
+            peak: 0.0,
+            armed: true,
+        }
+    }
+
+    /// A window decided at `minute` scored `score`, at or above threshold.
+    /// Returns the declaration when this hit completes the persistence
+    /// requirement of an armed run — once per excursion.
+    pub fn hit(&mut self, minute: MinuteBin, score: f64) -> Option<ChangeEvent> {
+        if self.len == 0 {
+            self.start = minute;
+            self.peak = score;
+        } else {
+            self.peak = self.peak.max(score);
+        }
+        self.len = self.len.saturating_add(1);
+        if !self.armed || self.len < self.persistence {
+            return None;
+        }
+        self.armed = false;
+        Some(ChangeEvent {
+            declared_at: minute,
+            first_exceeded_at: self.start,
+            peak_score: self.peak,
+        })
+    }
+
+    /// A window scored below threshold: the run ends and the detector
+    /// re-arms.
+    pub fn miss(&mut self) {
+        self.len = 0;
+        self.armed = true;
+    }
+
+    /// A window that could not be scored (too little measured data): the
+    /// run is broken, but a declared event stays declared — a gap is not
+    /// evidence the shift ended, so no re-arm.
+    pub fn skip(&mut self) {
+        self.len = 0;
+    }
 }
 
 /// Result of a coverage-aware detector run ([`DetectorRunner::run_masked`]).
@@ -110,35 +187,7 @@ impl<S: WindowScorer> DetectorRunner<S> {
     /// below threshold, so a single long-lived shift yields a single event.
     pub fn run(&self, series: &TimeSeries) -> Vec<ChangeEvent> {
         let _span = funnel_obs::span!(funnel_obs::names::SPAN_DETECT);
-        let mut events = Vec::new();
-        let mut run_len = 0usize;
-        let mut run_start: MinuteBin = 0;
-        let mut run_peak = 0.0f64;
-        let mut armed = true;
-
-        for w in SlidingWindows::new(series, self.scorer.window_len()) {
-            let s = self.scorer.score(w.values);
-            if s >= self.threshold {
-                if run_len == 0 {
-                    run_start = w.decision_minute;
-                    run_peak = s;
-                } else {
-                    run_peak = run_peak.max(s);
-                }
-                run_len += 1;
-                if armed && run_len >= self.persistence {
-                    events.push(ChangeEvent {
-                        declared_at: w.decision_minute,
-                        first_exceeded_at: run_start,
-                        peak_score: run_peak,
-                    });
-                    armed = false;
-                }
-            } else {
-                run_len = 0;
-                armed = true;
-            }
-        }
+        let events: Vec<ChangeEvent> = self.declarations(series).collect();
         funnel_obs::counter_add(funnel_obs::names::DETECT_CHANGE_POINTS, events.len() as u64);
         events
     }
@@ -176,42 +225,21 @@ impl<S: WindowScorer> DetectorRunner<S> {
             total_windows: 0,
             suppressed_events: 0,
         };
-        let mut run_len = 0usize;
-        let mut run_start: MinuteBin = 0;
-        let mut run_peak = 0.0f64;
-        let mut armed = true;
+        let mut reaching = self.scorer.reaching_scorer();
+        let mut state = PersistenceRun::new(self.persistence);
 
         for w in SlidingWindows::new(series, width) {
             out.total_windows += 1;
             let first_minute = w.decision_minute + 1 - width as u64;
             if coverage_of(first_minute, w.decision_minute + 1) < min_coverage {
+                // Too much interpolation to score.
                 out.skipped_windows += 1;
-                // Too much interpolation to score; the persistence run is
-                // broken, but a declared event stays declared (no re-arm —
-                // a gap is not evidence the shift ended).
-                run_len = 0;
+                state.skip();
                 continue;
             }
-            let s = self.scorer.score(w.values);
-            if s >= self.threshold {
-                if run_len == 0 {
-                    run_start = w.decision_minute;
-                    run_peak = s;
-                } else {
-                    run_peak = run_peak.max(s);
-                }
-                run_len += 1;
-                if armed && run_len >= self.persistence {
-                    out.events.push(ChangeEvent {
-                        declared_at: w.decision_minute,
-                        first_exceeded_at: run_start,
-                        peak_score: run_peak,
-                    });
-                    armed = false;
-                }
-            } else {
-                run_len = 0;
-                armed = true;
+            match reaching(w.values, self.threshold) {
+                Some(score) => out.events.extend(state.hit(w.decision_minute, score)),
+                None => state.miss(),
             }
         }
         funnel_obs::counter_add(
@@ -270,31 +298,25 @@ impl<S: WindowScorer> DetectorRunner<S> {
     /// change, and if so the first event.
     pub fn first_change(&self, series: &TimeSeries) -> Option<ChangeEvent> {
         // Early-exit variant of `run` (stops at the first declaration).
-        let mut run_len = 0usize;
-        let mut run_start: MinuteBin = 0;
-        let mut run_peak = 0.0f64;
-        for w in SlidingWindows::new(series, self.scorer.window_len()) {
-            let s = self.scorer.score(w.values);
-            if s >= self.threshold {
-                if run_len == 0 {
-                    run_start = w.decision_minute;
-                    run_peak = s;
-                } else {
-                    run_peak = run_peak.max(s);
+        self.declarations(series).next()
+    }
+
+    /// The declarations over `series`, lazily, in window order.
+    fn declarations<'a>(
+        &'a self,
+        series: &'a TimeSeries,
+    ) -> impl Iterator<Item = ChangeEvent> + 'a {
+        let mut reaching = self.scorer.reaching_scorer();
+        let mut state = PersistenceRun::new(self.persistence);
+        SlidingWindows::new(series, self.scorer.window_len()).filter_map(move |w| {
+            match reaching(w.values, self.threshold) {
+                Some(score) => state.hit(w.decision_minute, score),
+                None => {
+                    state.miss();
+                    None
                 }
-                run_len += 1;
-                if run_len >= self.persistence {
-                    return Some(ChangeEvent {
-                        declared_at: w.decision_minute,
-                        first_exceeded_at: run_start,
-                        peak_score: run_peak,
-                    });
-                }
-            } else {
-                run_len = 0;
             }
-        }
-        None
+        })
     }
 }
 

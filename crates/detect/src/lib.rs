@@ -3,8 +3,8 @@
 //! baselines FUNNEL is evaluated against.
 //!
 //! * [`detector`] — [`WindowScorer`] (a pure window → score function),
-//!   [`DetectorRunner`] (threshold + persistence + re-arm logic), and
-//!   [`ChangeEvent`].
+//!   [`DetectorRunner`] (threshold + persistence + re-arm logic, one
+//!   [`PersistenceRun`] per pass), and [`ChangeEvent`].
 //! * [`sst_adapter`] — wraps the `funnel-sst` scorers as [`WindowScorer`]s.
 //! * [`cusum`] — the CUmulative SUM detector used by MERCURY
 //!   (SIGCOMM 2010), the paper's "long detection delay" baseline.
@@ -28,7 +28,7 @@ pub mod wow;
 
 pub use cusum::CusumDetector;
 pub use delay::{detection_delay, DelayOutcome};
-pub use detector::{ChangeEvent, DetectorRunner, MaskedRun, WindowScorer};
+pub use detector::{ChangeEvent, DetectorRunner, MaskedRun, PersistenceRun, WindowScorer};
 pub use mrls::{MrlsDetector, ScaleAggregation};
 pub use sst_adapter::SstDetector;
 pub use wow::WowDetector;

@@ -60,6 +60,14 @@ impl<S: SstScorer> WindowScorer for SstDetector<S> {
     fn name(&self) -> &'static str {
         self.name
     }
+
+    fn score_reaching(&self, window: &[f64], threshold: f64) -> Option<f64> {
+        self.inner.score_reaching(window, threshold)
+    }
+
+    fn reaching_scorer(&self) -> impl FnMut(&[f64], f64) -> Option<f64> + '_ {
+        self.inner.reaching_scorer()
+    }
 }
 
 #[cfg(test)]

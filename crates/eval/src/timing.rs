@@ -7,6 +7,7 @@
 
 use crate::methods::{Method, MethodRunner};
 use funnel_timeseries::generate::{KpiClass, KpiGenerator};
+use funnel_timeseries::series::TimeSeries;
 use std::time::Instant;
 
 /// Timing result for one method.
@@ -39,22 +40,27 @@ impl MethodTiming {
     }
 }
 
-/// Measures `method` on `windows` sliding windows of realistic mixed-class
-/// KPI data (deterministic), single-threaded.
-pub fn time_method(method: Method, windows: usize) -> MethodTiming {
-    let runner = MethodRunner::new(method);
-    let w = runner.window_len();
-    // One long series per class, scored round-robin, so the measurement
-    // covers seasonal, stationary and variable inputs alike.
-    let data: Vec<Vec<f64>> = KpiClass::ALL
+/// One long deterministic series per KPI class, `len` samples each, so a
+/// measurement covers seasonal, stationary and variable inputs alike.
+fn mixed_class_data(len: usize) -> Vec<Vec<f64>> {
+    KpiClass::ALL
         .iter()
         .map(|&c| {
             KpiGenerator::for_class(c, 500.0)
-                .generate(0, windows + w, 0xC0FFEE)
+                .generate(0, len, 0xC0FFEE)
                 .values()
                 .to_vec()
         })
-        .collect();
+        .collect()
+}
+
+/// Measures `method`'s full window score on `windows` sliding windows of
+/// realistic mixed-class KPI data (deterministic), single-threaded.
+pub fn time_method(method: Method, windows: usize) -> MethodTiming {
+    let runner = MethodRunner::new(method);
+    let w = runner.window_len();
+    // Scored round-robin across the classes.
+    let data = mixed_class_data(windows + w);
 
     // Warm-up pass (JIT-free in Rust, but touches caches/allocs).
     for d in &data {
@@ -75,6 +81,35 @@ pub fn time_method(method: Method, windows: usize) -> MethodTiming {
         method,
         seconds_per_window: elapsed / windows as f64,
         windows,
+    }
+}
+
+/// Measures what a window costs `method`'s *detector*: the calibrated
+/// [`MethodRunner::run`] (threshold, persistence, and whatever the scorer
+/// can skip once it knows the threshold) over the same mixed-class data,
+/// divided by the windows it slid over — about `windows` in total.
+pub fn time_detector(method: Method, windows: usize) -> MethodTiming {
+    let runner = MethodRunner::new(method);
+    let w = runner.window_len();
+    let series: Vec<TimeSeries> = mixed_class_data(windows / KpiClass::ALL.len() + w)
+        .into_iter()
+        .map(|values| TimeSeries::new(0, values))
+        .collect();
+    let slid: usize = series.iter().map(|s| s.len() + 1 - w).sum();
+
+    let _ = runner.run(&series[0]);
+    let start = Instant::now();
+    let mut events = 0usize;
+    for s in &series {
+        events += runner.run(s).len();
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+    assert!(events <= slid);
+
+    MethodTiming {
+        method,
+        seconds_per_window: elapsed / slid as f64,
+        windows: slid,
     }
 }
 

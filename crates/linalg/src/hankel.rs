@@ -3,7 +3,7 @@
 //! SST builds the `ω×δ` trajectory matrix `B(t) = [q(t−δ), …, q(t−1)]` with
 //! `q(τ) = [x(τ−ω+1), …, x(τ)]ᵀ` (paper Eq. 1). Because consecutive columns
 //! overlap, the whole matrix is determined by the `ω+δ−1` samples it covers:
-//! entry `(i, j)` is `signal[i + j]`. [`HankelMatrix`] stores only that
+//! entry `(i, j)` is `signal[i + j]`. [`HankelMatrix`] borrows only that
 //! signal slice and applies `B·v` / `Bᵀ·u` directly — `O(ωδ)` work and
 //! `O(ω+δ)` memory, never materializing the matrix. [`GramOperator`] exposes
 //! `C = BBᵀ` the same way, which is what Lanczos and the power iteration
@@ -12,15 +12,15 @@
 use crate::matrix::Mat;
 use crate::op::LinearOperator;
 
-/// An `ω×δ` Hankel matrix stored as its generating signal.
-#[derive(Debug, Clone)]
-pub struct HankelMatrix {
-    signal: Vec<f64>,
+/// An `ω×δ` Hankel matrix viewed over its generating signal.
+#[derive(Debug, Clone, Copy)]
+pub struct HankelMatrix<'a> {
+    signal: &'a [f64],
     omega: usize,
     delta: usize,
 }
 
-impl HankelMatrix {
+impl<'a> HankelMatrix<'a> {
     /// Builds the trajectory matrix with window length `omega` and `delta`
     /// lagged columns over `signal`, which must hold exactly
     /// `omega + delta − 1` samples: column `j` is
@@ -30,7 +30,7 @@ impl HankelMatrix {
     ///
     /// Panics when the signal length does not match or either dimension is
     /// zero.
-    pub fn new(signal: &[f64], omega: usize, delta: usize) -> Self {
+    pub fn new(signal: &'a [f64], omega: usize, delta: usize) -> Self {
         assert!(omega > 0 && delta > 0, "Hankel dimensions must be positive");
         assert_eq!(
             signal.len(),
@@ -38,7 +38,7 @@ impl HankelMatrix {
             "signal length must be omega + delta - 1"
         );
         Self {
-            signal: signal.to_vec(),
+            signal,
             omega,
             delta,
         }
@@ -65,28 +65,37 @@ impl HankelMatrix {
 
     /// `B · v` for `v ∈ R^δ`.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.omega];
+        self.matvec_into(v, &mut out);
+        out
+    }
+
+    /// `out = B · v` for `v ∈ R^δ`, `out ∈ R^ω`.
+    pub fn matvec_into(&self, v: &[f64], out: &mut [f64]) {
         assert_eq!(v.len(), self.delta, "Hankel matvec dimension mismatch");
-        (0..self.omega)
-            .map(|i| {
-                v.iter()
-                    .enumerate()
-                    .map(|(j, &vj)| self.signal[i + j] * vj)
-                    .sum()
-            })
-            .collect()
+        assert_eq!(out.len(), self.omega, "Hankel matvec dimension mismatch");
+        hankel_apply(self.signal, v, out);
     }
 
     /// `Bᵀ · u` for `u ∈ R^ω`.
     pub fn matvec_t(&self, u: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.delta];
+        self.matvec_t_into(u, &mut out);
+        out
+    }
+
+    /// `out = Bᵀ · u` for `u ∈ R^ω`, `out ∈ R^δ`.
+    pub fn matvec_t_into(&self, u: &[f64], out: &mut [f64]) {
         assert_eq!(u.len(), self.omega, "Hankel matvec_t dimension mismatch");
-        (0..self.delta)
-            .map(|j| {
-                u.iter()
-                    .enumerate()
-                    .map(|(i, &ui)| self.signal[i + j] * ui)
-                    .sum()
-            })
-            .collect()
+        assert_eq!(out.len(), self.delta, "Hankel matvec_t dimension mismatch");
+        hankel_apply(self.signal, u, out);
+    }
+
+    /// `out = BBᵀ · v` through the caller's `δ`-length `scratch` — the Gram
+    /// operator without an allocation.
+    pub fn gram_apply_into(&self, v: &[f64], scratch: &mut [f64], out: &mut [f64]) {
+        self.matvec_t_into(v, scratch);
+        self.matvec_into(scratch, out);
     }
 
     /// Materializes the dense matrix (tests and the exact SVD path).
@@ -106,10 +115,34 @@ impl HankelMatrix {
     }
 }
 
+/// `out[r] = Σ_c signal[r + c] · x[c]` — both Hankel products, since entry
+/// `(i, j)` depends only on `i + j`.
+///
+/// The loops run column-outer so the inner one is a dense multiply-add
+/// across outputs that the compiler vectorises. Every output still sums its
+/// own products in ascending `c`, seeded with the first product, which is
+/// bit for bit what `(0..).map(|c| signal[r + c] * x[c]).sum()` yields (the
+/// `f64` sum folds from `-0.0`, the additive identity).
+fn hankel_apply(signal: &[f64], x: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(signal.len() + 1, x.len() + out.len());
+    // Both Hankel dimensions are positive, so `x` is never empty.
+    let Some((&first, rest)) = x.split_first() else {
+        return;
+    };
+    for (o, &s) in out.iter_mut().zip(signal) {
+        *o = s * first;
+    }
+    for (c, &xc) in rest.iter().enumerate() {
+        for (o, &s) in out.iter_mut().zip(&signal[c + 1..]) {
+            *o += s * xc;
+        }
+    }
+}
+
 /// `C = BBᵀ ∈ R^{ω×ω}` applied implicitly: `C·v = B(Bᵀv)` in `O(ωδ)`.
 #[derive(Debug, Clone, Copy)]
 pub struct GramOperator<'a> {
-    hankel: &'a HankelMatrix,
+    hankel: &'a HankelMatrix<'a>,
 }
 
 impl LinearOperator for GramOperator<'_> {
@@ -118,9 +151,8 @@ impl LinearOperator for GramOperator<'_> {
     }
 
     fn apply(&self, v: &[f64], out: &mut [f64]) {
-        let bt_v = self.hankel.matvec_t(v);
-        let b_btv = self.hankel.matvec(&bt_v);
-        out.copy_from_slice(&b_btv);
+        let mut bt_v = vec![0.0; self.hankel.delta];
+        self.hankel.gram_apply_into(v, &mut bt_v, out);
     }
 }
 

@@ -38,52 +38,83 @@ impl LanczosResult {
 /// `start` vector yields an empty result.
 pub fn lanczos(op: &impl LinearOperator, start: &[f64], k: usize) -> LanczosResult {
     let n = op.dim();
-    assert_eq!(start.len(), n, "start vector dimension mismatch");
-    let mut q = start.to_vec();
-    if normalize(&mut q) == 0.0 || k == 0 {
-        return LanczosResult {
-            alpha: Vec::new(),
-            beta: Vec::new(),
-            basis: Vec::new(),
-        };
+    let (mut alpha, mut beta) = (vec![0.0; k], vec![0.0; k]);
+    let (mut basis, mut w) = (vec![0.0; k.max(1) * n], vec![0.0; n]);
+    let apply = |v: &[f64], out: &mut [f64]| op.apply(v, out);
+    let steps = lanczos_into(apply, start, &mut alpha, &mut beta, &mut basis, &mut w);
+    alpha.truncate(steps);
+    beta.truncate(steps.saturating_sub(1));
+    let rows = basis.chunks_exact(n.max(1)).take(steps);
+    LanczosResult {
+        alpha,
+        beta,
+        basis: rows.map(<[f64]>::to_vec).collect(),
+    }
+}
+
+/// [`lanczos`] into caller-owned buffers: `k = alpha.len()` steps of the
+/// operator `apply` (`out = A·v`) from `start ∈ R^n`.
+///
+/// Returns the steps taken, `s ≤ k`. On return `alpha[..s]` is the diagonal
+/// of `T_s`, `beta[..s−1]` its subdiagonal, and `basis[i·n..(i+1)·n]` the
+/// `i`-th Krylov vector for `i < s`. `beta` needs `k` slots (the last one
+/// stays free for the eigensolver's padding), `basis` at least `max(k, 1)·n`,
+/// and `w`, the residual scratch, `n`.
+pub fn lanczos_into(
+    mut apply: impl FnMut(&[f64], &mut [f64]),
+    start: &[f64],
+    alpha: &mut [f64],
+    beta: &mut [f64],
+    basis: &mut [f64],
+    w: &mut [f64],
+) -> usize {
+    let n = start.len();
+    let k = alpha.len();
+    assert_eq!(w.len(), n, "start vector dimension mismatch");
+    assert!(
+        beta.len() >= k && basis.len() >= k.max(1) * n,
+        "Lanczos buffers too small"
+    );
+    basis[..n].copy_from_slice(start);
+    if normalize(&mut basis[..n]) == 0.0 || k == 0 {
+        return 0;
     }
 
-    let mut alpha = Vec::with_capacity(k);
-    let mut beta: Vec<f64> = Vec::with_capacity(k.saturating_sub(1));
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(k);
-    basis.push(q.clone());
-
-    let mut w = vec![0.0; n];
+    let mut steps = 0;
     for step in 0..k {
-        op.apply(&basis[step], &mut w);
-        let a = dot(&basis[step], &w);
-        alpha.push(a);
-        if step + 1 == k {
+        let (done, next) = basis.split_at_mut((step + 1) * n);
+        let q = &done[step * n..];
+        apply(q, w);
+        let a = dot(q, w);
+        alpha[step] = a;
+        steps = step + 1;
+        if steps == k {
             break;
         }
         // w ← w − a·q_step − b_{step−1}·q_{step−1}
-        axpy(-a, &basis[step], &mut w);
+        axpy(-a, q, w);
         if step > 0 {
-            axpy(-beta[step - 1], &basis[step - 1], &mut w);
+            axpy(-beta[step - 1], &done[(step - 1) * n..step * n], w);
         }
         // Full reorthogonalization (twice is enough; k is tiny).
         for _ in 0..2 {
-            for qi in &basis {
-                let c = dot(qi, &w);
-                axpy(-c, qi, &mut w);
+            for qi in done.chunks_exact(n) {
+                let c = dot(qi, w);
+                axpy(-c, qi, w);
             }
         }
-        let b = normalize(&mut w);
+        let b = normalize(w);
         // Breakdown = invariant subspace found; T is exact at this size.
-        let scale = alpha.iter().fold(1e-300_f64, |m, a| m.max(a.abs()));
+        let scale = alpha[..steps]
+            .iter()
+            .fold(1e-300_f64, |m, a| m.max(a.abs()));
         if b <= f64::EPSILON * scale * 16.0 {
             break;
         }
-        beta.push(b);
-        basis.push(w.clone());
+        beta[step] = b;
+        next[..n].copy_from_slice(w);
     }
-
-    LanczosResult { alpha, beta, basis }
+    steps
 }
 
 #[cfg(test)]

@@ -24,8 +24,10 @@
 //! * [`power`] — power/deflated-subspace iteration for a few extreme
 //!   eigenpairs.
 //!
-//! Everything is `f64`, deterministic, and allocation-light; the per-window
-//! hot path of the fast SST allocates only a handful of `ω`-length vectors.
+//! Everything is `f64` and deterministic. The kernels the fast SST runs per
+//! window ([`lanczos_into`], [`tridiag_eig_into`], the Hankel `_into`
+//! products) write into caller-owned buffers and allocate nothing; the
+//! `Vec`-returning forms are thin wrappers over them.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,13 +42,13 @@ pub mod symeig;
 pub mod tridiag;
 
 pub use hankel::{GramOperator, HankelMatrix};
-pub use lanczos::{lanczos, LanczosResult};
+pub use lanczos::{lanczos, lanczos_into, LanczosResult};
 pub use matrix::Mat;
 pub use op::LinearOperator;
 pub use power::{dominant_eigenpair, top_eigenpairs};
 pub use svd::{svd, Svd};
 pub use symeig::{sym_eig, SymEig};
-pub use tridiag::{tridiag_eig, TridiagEig};
+pub use tridiag::{tridiag_eig, tridiag_eig_into, TridiagEig};
 
 /// Convergence tolerance used across iterative routines (relative).
 pub const EPS: f64 = 1e-12;

@@ -6,7 +6,7 @@
 //! capability, so the same solvers run against dense matrices (tests,
 //! baselines) and compressed Hankel operators (the fast path).
 
-use crate::matrix::Mat;
+use crate::matrix::{dot, Mat};
 
 /// A linear map `R^dim → R^dim` applied without materializing the matrix.
 pub trait LinearOperator {
@@ -57,7 +57,10 @@ impl LinearOperator for DenseOperator {
     }
 
     fn apply(&self, v: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(&self.mat.matvec(v));
+        assert_eq!(out.len(), self.mat.rows(), "operator dimension mismatch");
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = dot(self.mat.row(i), v);
+        }
     }
 }
 

@@ -42,20 +42,65 @@ pub fn tridiag_eig(diag: &[f64], subdiag: &[f64]) -> TridiagEig {
     assert_eq!(subdiag.len() + 1, n, "subdiagonal must have n-1 entries");
 
     let mut d = diag.to_vec();
-    // Working copy of the subdiagonal, padded so e[n-1] exists (always 0).
     let mut e = vec![0.0; n];
     e[..n - 1].copy_from_slice(subdiag);
-    let mut z = Mat::identity(n);
+    let mut z = vec![0.0; n * n];
+    let mut order = vec![0; n];
+    tridiag_eig_into(&mut d, &mut e, &mut z, &mut order);
+
+    let mut vectors = Mat::zeros(n, n);
+    for (dst, &src) in order.iter().enumerate() {
+        for i in 0..n {
+            vectors[(i, dst)] = z[i * n + src];
+        }
+    }
+    TridiagEig {
+        values: order.iter().map(|&src| d[src]).collect(),
+        vectors,
+    }
+}
+
+/// [`tridiag_eig`] in place, in caller-owned buffers.
+///
+/// On entry `d` holds the diagonal (`n` entries) and `e[..n−1]` the
+/// subdiagonal; `e[n−1]` is padding the solver overwrites, and `z` (`n×n`,
+/// row-major) and `order` (`n`) are pure outputs. On return `d[order[r]]`
+/// is the eigenvalue of descending rank `r` (ties in index order) and
+/// `z[i·n + order[r]]` the `i`-th component of its eigenvector.
+pub fn tridiag_eig_into(d: &mut [f64], e: &mut [f64], z: &mut [f64], order: &mut [usize]) {
+    let n = d.len();
+    assert!(
+        e.len() == n && z.len() == n * n && order.len() == n,
+        "tridiagonal buffers must match the diagonal"
+    );
+    if let Some(pad) = e.last_mut() {
+        *pad = 0.0;
+    }
+    z.fill(0.0);
+    z.iter_mut().step_by(n + 1).for_each(|x| *x = 1.0);
 
     // Garbage in, NaN out — but never a hang or a panic: the QL recurrence
     // cannot converge on non-finite entries, so poison the diagonal up
     // front and skip the iteration entirely.
     if d.iter().chain(e.iter()).any(|x| !x.is_finite()) {
         d.fill(f64::NAN);
-        return sorted_eig(&d, &z, n);
+    } else {
+        ql_implicit(d, e, z);
     }
 
-    'outer: for l in 0..n {
+    // Descending by value; the index tie-break makes the unstable
+    // (allocation-free) sort reproduce a stable one.
+    for (i, o) in order.iter_mut().enumerate() {
+        *o = i;
+    }
+    order.sort_unstable_by(|&i, &j| d[j].total_cmp(&d[i]).then(i.cmp(&j)));
+}
+
+/// The `tql2` sweep: on return `d` holds the eigenvalues (unsorted) and the
+/// columns of `z`, which must enter as the identity, the eigenvectors.
+fn ql_implicit(d: &mut [f64], e: &mut [f64], z: &mut [f64]) {
+    let n = d.len();
+    for l in 0..n {
         let mut iter = 0;
         loop {
             // Find the first negligible subdiagonal element at or after l.
@@ -76,7 +121,7 @@ pub fn tridiag_eig(diag: &[f64], subdiag: &[f64]) -> TridiagEig {
                 // this practically unreachable, but rounding pathologies
                 // exist): accept the current approximation rather than
                 // aborting the caller.
-                break 'outer;
+                return;
             }
 
             // Wilkinson shift.
@@ -109,10 +154,10 @@ pub fn tridiag_eig(diag: &[f64], subdiag: &[f64]) -> TridiagEig {
                 g = c * r - b;
 
                 // Accumulate the rotation into the eigenvector matrix.
-                for k in 0..n {
-                    f = z[(k, i + 1)];
-                    z[(k, i + 1)] = s * z[(k, i)] + c * f;
-                    z[(k, i)] = c * z[(k, i)] - s * f;
+                for row in z.chunks_exact_mut(n) {
+                    f = row[i + 1];
+                    row[i + 1] = s * row[i] + c * f;
+                    row[i] = c * row[i] - s * f;
                 }
             }
             if underflow {
@@ -123,23 +168,6 @@ pub fn tridiag_eig(diag: &[f64], subdiag: &[f64]) -> TridiagEig {
             e[m] = 0.0;
         }
     }
-
-    sorted_eig(&d, &z, n)
-}
-
-/// Sorts eigenvalues descending, carrying eigenvector columns along.
-fn sorted_eig(d: &[f64], z: &Mat, n: usize) -> TridiagEig {
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| d[j].total_cmp(&d[i]));
-    let mut values = Vec::with_capacity(n);
-    let mut vectors = Mat::zeros(n, n);
-    for (dst, &src) in order.iter().enumerate() {
-        values.push(d[src]);
-        for i in 0..n {
-            vectors[(i, dst)] = z[(i, src)];
-        }
-    }
-    TridiagEig { values, vectors }
 }
 
 #[cfg(test)]

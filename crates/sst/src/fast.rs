@@ -22,13 +22,130 @@
 //! against.
 
 use crate::config::{EigSelection, SstConfig};
-use crate::filter::apply_filter;
-use crate::layout::{split, standardize_by_past};
+use crate::filter::FilterFactors;
+use crate::layout::standardize_by_past_into;
 use crate::SstScorer;
 use funnel_linalg::hankel::HankelMatrix;
-use funnel_linalg::lanczos::lanczos;
+use funnel_linalg::lanczos::lanczos_into;
 use funnel_linalg::matrix::normalize;
-use funnel_linalg::tridiag::tridiag_eig;
+use funnel_linalg::tridiag::tridiag_eig_into;
+
+/// Every buffer one [`FastSst`] window score touches, sized once from the
+/// configuration so that scoring through it allocates nothing.
+///
+/// Ownership rule: one workspace per detector run or per stream worker,
+/// handed to [`FastSst::score_window_in`] / [`FastSst::score_reaching_in`]
+/// — never one per KPI key (resident per-key state must not grow with the
+/// kernel's scratch) and never hidden inside the scorer, which stays
+/// `Clone + Sync` without interior mutability.
+#[derive(Debug, Clone)]
+pub struct SstWorkspace {
+    /// The window as scored: standardized, or copied as is.
+    window: Vec<f64>,
+    /// Selection scratch of the order statistics (median, MAD).
+    select: Vec<f64>,
+    /// Deterministic full-support Lanczos start vector of the future run.
+    start: Vec<f64>,
+    krylov: Krylov,
+    /// The η future directions `β_i`, rows of `ω`, …
+    dirs: Vec<f64>,
+    /// … and their eigenvalues `λ_i`.
+    lambdas: Vec<f64>,
+}
+
+/// The buffers of one `Lanczos(BBᵀ, start, k)` + QL pass, shared by the
+/// future-direction run and the η `ϕ` runs of a window.
+#[derive(Debug, Clone)]
+struct Krylov {
+    /// `T_k`: diagonal, then eigenvalues in place.
+    alpha: Vec<f64>,
+    /// `T_k`: subdiagonal, one padding slot for the QL solver.
+    beta: Vec<f64>,
+    /// Krylov basis, `k` rows of `ω`.
+    basis: Vec<f64>,
+    /// Lanczos residual.
+    residual: Vec<f64>,
+    /// `Bᵀv` between the two Hankel products of one Gram application.
+    gram: Vec<f64>,
+    /// Eigenvectors of `T_k`, `k×k` row-major.
+    ritz: Vec<f64>,
+    /// Descending eigenvalue order of `T_k`.
+    order: Vec<usize>,
+}
+
+impl Krylov {
+    /// `k` Lanczos steps of `hankel`'s implicit Gram from `start`, then QL
+    /// on `T_k`. Returns the steps taken, `s` (0: empty Krylov space);
+    /// the eigenpair of descending rank `r < s` is `alpha[order[r]]` with
+    /// components `ritz[m·s + order[r]]` over `basis` row `m`.
+    fn decompose(&mut self, hankel: &HankelMatrix<'_>, start: &[f64], k: usize) -> usize {
+        let gram = &mut self.gram[..hankel.delta()];
+        let steps = lanczos_into(
+            |v, out| hankel.gram_apply_into(v, gram, out),
+            start,
+            &mut self.alpha[..k],
+            &mut self.beta[..k],
+            &mut self.basis,
+            &mut self.residual,
+        );
+        tridiag_eig_into(
+            &mut self.alpha[..steps],
+            &mut self.beta[..steps],
+            &mut self.ritz[..steps * steps],
+            &mut self.order[..steps],
+        );
+        steps
+    }
+}
+
+impl SstWorkspace {
+    /// Allocates the buffers `config` needs.
+    pub fn new(config: &SstConfig) -> Self {
+        let c = config;
+        // The future-direction run is the larger of the two Lanczos runs.
+        let k = future_krylov_dim(c);
+        Self {
+            window: vec![0.0; c.window_len()],
+            select: Vec::with_capacity(c.window_len()),
+            start: (0..c.omega)
+                .map(|i| 1.0 + (i as f64) / c.omega as f64)
+                .collect(),
+            krylov: Krylov {
+                alpha: vec![0.0; k],
+                beta: vec![0.0; k],
+                basis: vec![0.0; k * c.omega],
+                residual: vec![0.0; c.omega],
+                gram: vec![0.0; c.delta.max(c.gamma)],
+                ritz: vec![0.0; k * k],
+                order: vec![0; k],
+            },
+            dirs: vec![0.0; c.effective_eta() * c.omega],
+            lambdas: vec![0.0; c.effective_eta()],
+        }
+    }
+
+    /// Loads `window` for scoring under `c`: the robust-standardized copy,
+    /// or the samples as they are.
+    fn load(&mut self, c: &SstConfig, window: &[f64]) {
+        let w = c.window_len();
+        assert_eq!(window.len(), w, "window length does not match configured W");
+        assert_eq!(
+            (self.window.len(), self.start.len()),
+            (w, c.omega),
+            "workspace was built for another SST configuration"
+        );
+        if c.standardize {
+            standardize_by_past_into(window, c.past_len(), &mut self.select, &mut self.window);
+        } else {
+            self.window.copy_from_slice(window);
+        }
+    }
+}
+
+/// Krylov dimension of the future-direction run.
+fn future_krylov_dim(c: &SstConfig) -> usize {
+    c.krylov_dim().max(c.effective_eta()).min(c.omega)
+}
 
 /// The IKA-accelerated SST scorer FUNNEL deploys online.
 #[derive(Debug, Clone)]
@@ -64,87 +181,74 @@ impl FastSst {
     }
 
     /// Ritz approximations `(λ_i, β_i)` of the selected η future eigenpairs,
-    /// computed via Lanczos on the *implicit* future Gram.
-    fn future_directions(&self, future_sig: &[f64]) -> Vec<(f64, Vec<f64>)> {
+    /// computed via Lanczos on the *implicit* future Gram; leaves them in
+    /// `ws.lambdas` / `ws.dirs` and returns how many there are.
+    fn future_directions(&self, ws: &mut SstWorkspace) -> usize {
         let c = &self.config;
+        let future_sig = &ws.window[c.past_len() + c.rho..];
         let a = HankelMatrix::new(future_sig, c.omega, c.gamma);
-        let gram = a.gram_operator();
-        // Deterministic full-support start vector.
-        let start: Vec<f64> = (0..c.omega)
-            .map(|i| 1.0 + (i as f64) / c.omega as f64)
-            .collect();
-        let k = c.krylov_dim().max(c.effective_eta()).min(c.omega);
-        let lz = lanczos(&gram, &start, k);
-        if lz.steps() == 0 {
-            return Vec::new();
-        }
-        let eig = tridiag_eig(&lz.alpha, &lz.beta);
-        let steps = lz.steps();
+        let steps = ws.krylov.decompose(&a, &ws.start, future_krylov_dim(c));
         let eta = c.effective_eta().min(steps);
 
-        let pick = |rank_from_top: usize| -> (f64, Vec<f64>) {
-            let col = match c.eig_selection {
+        let kr = &ws.krylov;
+        let dirs = ws.dirs.chunks_exact_mut(c.omega);
+        for (rank_from_top, (v, lambda)) in dirs.zip(&mut ws.lambdas).take(eta).enumerate() {
+            let col = kr.order[match c.eig_selection {
                 EigSelection::Largest => rank_from_top,
                 EigSelection::Smallest => steps - 1 - rank_from_top,
-            };
+            }];
             // Map the Ritz vector back to R^ω through the Lanczos basis.
-            let mut v = vec![0.0; c.omega];
-            for (m, q) in lz.basis.iter().enumerate() {
-                let ym = eig.vectors[(m, col)];
+            v.fill(0.0);
+            for (m, q) in kr.basis.chunks_exact(c.omega).take(steps).enumerate() {
+                let ym = kr.ritz[m * steps + col];
                 for (vi, qi) in v.iter_mut().zip(q.iter()) {
                     *vi += ym * qi;
                 }
             }
-            normalize(&mut v);
-            (eig.values[col].max(0.0), v)
-        };
-        (0..eta).map(pick).collect()
+            normalize(v);
+            *lambda = kr.alpha[col].max(0.0);
+        }
+        eta
     }
 
-    /// Eq. 13: discordance of one future direction against the past signal
+    /// Eq. 13: discordance of future direction `i` against the past signal
     /// subspace, via `Lanczos(C, β_i, k)` and QL on `T_k`.
-    fn phi(&self, past_gram: &funnel_linalg::hankel::GramOperator<'_>, beta: &[f64]) -> f64 {
+    fn phi(&self, ws: &mut SstWorkspace, i: usize) -> f64 {
         let c = &self.config;
-        let k = c.krylov_dim().min(c.omega);
-        let lz = lanczos(past_gram, beta, k);
-        if lz.steps() == 0 {
+        let b = HankelMatrix::new(&ws.window[..c.past_len()], c.omega, c.delta);
+        let beta = &ws.dirs[i * c.omega..(i + 1) * c.omega];
+        let steps = ws.krylov.decompose(&b, beta, c.krylov_dim().min(c.omega));
+        if steps == 0 {
             return 0.0;
         }
-        let eig = tridiag_eig(&lz.alpha, &lz.beta);
-        let eta = c.effective_eta().min(lz.steps());
+        let eta = c.effective_eta().min(steps);
         // First components of the top-η eigenvectors of T_k approximate
         // β_i · u_j (the Lanczos basis starts at β_i).
-        let proj_sq: f64 = (0..eta).map(|j| eig.vectors[(0, j)].powi(2)).sum();
+        let kr = &ws.krylov;
+        let proj_sq: f64 = kr.order.iter().take(eta).map(|&j| kr.ritz[j].powi(2)).sum();
         (1.0 - proj_sq).clamp(0.0, 1.0)
     }
 
     /// The raw (unfiltered) Eq. 9 score; exposed for ablations and the
     /// robust-oracle comparison tests.
     pub fn raw_score(&self, window: &[f64]) -> f64 {
-        let c = &self.config;
-        let standardized;
-        let window = if c.standardize {
-            standardized = standardize_by_past(window, c.past_len());
-            &standardized[..]
-        } else {
-            window
-        };
-        self.raw_score_prepared(window)
+        let mut ws = SstWorkspace::new(&self.config);
+        ws.load(&self.config, window);
+        self.raw_score_loaded(&mut ws)
     }
 
-    fn raw_score_prepared(&self, window: &[f64]) -> f64 {
-        let c = &self.config;
-        let sw = split(c, window);
-        let b = HankelMatrix::new(sw.past, c.omega, c.delta);
-        let past_gram = b.gram_operator();
-        let dirs = self.future_directions(&sw.future[c.rho..]);
-        if dirs.is_empty() {
+    /// Eq. 9 over the window loaded in `ws`; in `[0, 1]`, or NaN on
+    /// non-finite data.
+    fn raw_score_loaded(&self, ws: &mut SstWorkspace) -> f64 {
+        let dirs = self.future_directions(ws);
+        if dirs == 0 {
             return 0.0;
         }
         let mut num = 0.0;
         let mut den = 0.0;
-        for (lambda, beta) in &dirs {
-            let phi = self.phi(&past_gram, beta);
+        for i in 0..dirs {
+            let lambda = ws.lambdas[i];
+            let phi = self.phi(ws, i);
             num += lambda * phi;
             den += lambda;
         }
@@ -154,6 +258,47 @@ impl FastSst {
             (num / den).clamp(0.0, 1.0)
         }
     }
+
+    /// Loads `window` into `ws` and returns the Eq. 11 multiplier of the
+    /// loaded window, `None` with the filter off.
+    fn load_filtered(&self, ws: &mut SstWorkspace, window: &[f64]) -> Option<f64> {
+        let c = &self.config;
+        ws.load(c, window);
+        c.median_mad_filter.then(|| {
+            let (past, future) = ws.window.split_at(c.past_len());
+            FilterFactors::from_segments_with(past, future, &mut ws.select).multiplier()
+        })
+    }
+
+    /// [`SstScorer::score_window`] through a held workspace: same bits, no
+    /// allocation.
+    pub fn score_window_in(&self, ws: &mut SstWorkspace, window: &[f64]) -> f64 {
+        let multiplier = self.load_filtered(ws, window);
+        let raw = self.raw_score_loaded(ws);
+        multiplier.map_or(raw, |m| raw * m)
+    }
+
+    /// [`SstScorer::score_reaching`] through a held workspace.
+    ///
+    /// Exact screening: the filtered score is `raw · m` with `raw ∈ [0, 1]`
+    /// (or NaN), so it cannot exceed the Eq. 11 multiplier `m` — six order
+    /// statistics, known before a single Lanczos step. When `m < threshold`
+    /// the window cannot reach the threshold and the Krylov work is skipped.
+    /// A NaN multiplier or a non-positive threshold screens nothing.
+    pub fn score_reaching_in(
+        &self,
+        ws: &mut SstWorkspace,
+        window: &[f64],
+        threshold: f64,
+    ) -> Option<f64> {
+        let multiplier = self.load_filtered(ws, window);
+        if multiplier.is_some_and(|m| m < threshold) {
+            return None;
+        }
+        let raw = self.raw_score_loaded(ws);
+        let score = multiplier.map_or(raw, |m| raw * m);
+        (score >= threshold).then_some(score)
+    }
 }
 
 impl SstScorer for FastSst {
@@ -162,20 +307,16 @@ impl SstScorer for FastSst {
     }
 
     fn score_window(&self, window: &[f64]) -> f64 {
-        let c = &self.config;
-        let standardized;
-        let window = if c.standardize {
-            standardized = standardize_by_past(window, c.past_len());
-            &standardized[..]
-        } else {
-            window
-        };
-        let raw = self.raw_score_prepared(window);
-        if !c.median_mad_filter {
-            return raw;
-        }
-        let sw = split(c, window);
-        apply_filter(raw, sw.past, sw.future)
+        self.score_window_in(&mut SstWorkspace::new(&self.config), window)
+    }
+
+    fn score_reaching(&self, window: &[f64], threshold: f64) -> Option<f64> {
+        self.score_reaching_in(&mut SstWorkspace::new(&self.config), window, threshold)
+    }
+
+    fn reaching_scorer(&self) -> impl FnMut(&[f64], f64) -> Option<f64> + '_ {
+        let mut ws = SstWorkspace::new(&self.config);
+        move |window, threshold| self.score_reaching_in(&mut ws, window, threshold)
     }
 }
 

@@ -28,8 +28,15 @@ pub struct FilterFactors {
 impl FilterFactors {
     /// Computes the factors from the past (`a`) and future (`b`) segments.
     pub fn from_segments(past: &[f64], future: &[f64]) -> Self {
-        let a = RobustSummary::of(past);
-        let b = RobustSummary::of(future);
+        let longest = past.len().max(future.len());
+        Self::from_segments_with(past, future, &mut Vec::with_capacity(longest))
+    }
+
+    /// [`FilterFactors::from_segments`] taking its order statistics inside
+    /// the caller's `scratch`.
+    pub fn from_segments_with(past: &[f64], future: &[f64], scratch: &mut Vec<f64>) -> Self {
+        let a = RobustSummary::of_with(past, scratch);
+        let b = RobustSummary::of_with(future, scratch);
         Self {
             median_shift: (a.median - b.median).abs(),
             mad_shift_sqrt: (a.mad - b.mad).abs().sqrt(),

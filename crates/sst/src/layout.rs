@@ -9,7 +9,7 @@
 //! filter compares.
 
 use crate::config::SstConfig;
-use funnel_timeseries::stats::{mad, median};
+use funnel_timeseries::stats::{mad, median, RobustSummary};
 
 /// A window split into its past and future segments.
 #[derive(Debug, Clone, Copy)]
@@ -57,14 +57,32 @@ pub fn standardize(window: &[f64]) -> Vec<f64> {
 /// back to whole-window statistics when the past segment is degenerate
 /// (near-zero MAD), so a perfectly flat past cannot blow the values up.
 pub fn standardize_by_past(window: &[f64], past_len: usize) -> Vec<f64> {
+    let mut out = vec![0.0; window.len()];
+    let mut scratch = Vec::with_capacity(window.len());
+    standardize_by_past_into(window, past_len, &mut scratch, &mut out);
+    out
+}
+
+/// [`standardize_by_past`] into `out` (`window.len()` slots), taking its
+/// order statistics inside the caller's `scratch`.
+pub fn standardize_by_past_into(
+    window: &[f64],
+    past_len: usize,
+    scratch: &mut Vec<f64>,
+    out: &mut [f64],
+) {
     let past = &window[..past_len.min(window.len())];
-    let m = median(past);
-    let mut s = mad(past);
+    let RobustSummary {
+        median: m,
+        mad: mut s,
+    } = RobustSummary::of_with(past, scratch);
     if s < 1e-9 {
-        s = mad(window);
+        s = RobustSummary::of_with(window, scratch).mad;
     }
     let s = s.max(1e-9);
-    window.iter().map(|x| (x - m) / s).collect()
+    for (o, x) in out.iter_mut().zip(window) {
+        *o = (x - m) / s;
+    }
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ pub mod stream;
 
 pub use classic::ClassicSst;
 pub use config::{EigSelection, SstConfig};
-pub use fast::FastSst;
+pub use fast::{FastSst, SstWorkspace};
 pub use robust::RobustSst;
 pub use stream::StreamingSst;
 
@@ -58,6 +58,22 @@ pub trait SstScorer {
     /// Implementations panic when `window.len()` differs from the
     /// configured window length; the sliding-window driver guarantees it.
     fn score_window(&self, window: &[f64]) -> f64;
+
+    /// `Some(score)` exactly when `score_window(window) >= threshold` — all
+    /// a threshold detector ever asks of a live score. A scorer that can
+    /// bound its score cheaply may answer `None` without computing it
+    /// ([`FastSst`] does); the `Some` value is always the full score's bits.
+    fn score_reaching(&self, window: &[f64], threshold: f64) -> Option<f64> {
+        let score = self.score_window(window);
+        (score >= threshold).then_some(score)
+    }
+
+    /// A [`SstScorer::score_reaching`] for one detector run or one stream
+    /// worker: the returned closure may own scratch that it reuses from
+    /// window to window.
+    fn reaching_scorer(&self) -> impl FnMut(&[f64], f64) -> Option<f64> + '_ {
+        move |window, threshold| self.score_reaching(window, threshold)
+    }
 
     /// Scores every sliding window of a series; `out[i]` is the score of the
     /// window ending at sample `i + window_len − 1`.

@@ -5,8 +5,13 @@
 //! re-slicing or the allocation. [`StreamingSst`] keeps the per-KPI window
 //! state resident between minutes: a rolling window of the last
 //! [`crate::SstConfig::window_len`] samples plus one reused contiguous scratch
-//! buffer, so folding in a new minute costs exactly one window score and
-//! zero allocations at steady state.
+//! buffer — and nothing else. The kernel's scratch is *not* per-key state:
+//! a [`crate::SstWorkspace`] lives with the caller, one per stream worker,
+//! and reaches the scorer through [`StreamingSst::fold_with`], so folding in
+//! a new minute costs exactly one window score and zero allocations at
+//! steady state (`tests/no_alloc.rs` counts them). The plain
+//! [`StreamingSst::fold`] has no workspace to borrow and builds a throw-away
+//! one per scored window.
 //!
 //! Scores are **byte-identical** to batch: [`StreamingSst::fold`] hands the
 //! wrapped scorer the same `window_len` samples, in the same order, as
@@ -73,6 +78,15 @@ impl<S: SstScorer> StreamingSst<S> {
     /// samples have accumulated, `None` during warm-up. Equal to what
     /// [`SstScorer::score_series`] reports for the same window.
     pub fn fold(&mut self, value: f64) -> Option<f64> {
+        self.fold_with(value, |scorer, window| scorer.score_window(window))
+    }
+
+    /// [`StreamingSst::fold`] with the scoring left to the caller: `score`
+    /// receives the wrapped scorer and the completed window and its answer
+    /// is passed through. This is how a stream worker scores through its
+    /// own [`crate::SstWorkspace`] and threshold
+    /// (`|s, w| s.score_reaching_in(&mut ws, w, threshold)`).
+    pub fn fold_with<R>(&mut self, value: f64, score: impl FnOnce(&S, &[f64]) -> R) -> Option<R> {
         let w = self.window_len();
         self.folded += 1;
         if self.window.len() == w {
@@ -85,7 +99,7 @@ impl<S: SstScorer> StreamingSst<S> {
         self.scratch.clear();
         self.scratch.extend(self.window.iter().copied());
         self.scored += 1;
-        Some(self.scorer.score_window(&self.scratch))
+        Some(score(&self.scorer, &self.scratch))
     }
 
     /// Discards the rolling window (e.g. after a backfill rewrote history

@@ -1,0 +1,129 @@
+//! Steady-state scoring allocates nothing.
+//!
+//! A counting `#[global_allocator]` (per thread, so the harness cannot
+//! disturb it) watches 1,000 `score_window_in` / `score_reaching_in` calls
+//! through one held [`SstWorkspace`], and 1,000 warm [`StreamingSst`] folds
+//! through the same workspace: after one warm-up call each, the count must
+//! stay at zero. The workspace-less convenience calls pay for one
+//! throw-away workspace and nothing per Lanczos step or order statistic.
+
+use funnel_sst::{FastSst, SstConfig, SstScorer, SstWorkspace, StreamingSst};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local counter bump
+// that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as received.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread performs while `work` runs.
+fn allocations_in(work: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    work();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// A noisy series with a level shift every 150 samples, so that both the
+/// screened and the surviving branch of `score_reaching_in` run.
+fn series(len: usize) -> Vec<f64> {
+    let mut state = 0x2015_u64;
+    (0..len)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let noise = (state >> 11) as f64 / (1u64 << 53) as f64;
+            50.0 + noise + if (i / 150) % 2 == 1 { 6.0 } else { 0.0 }
+        })
+        .collect()
+}
+
+#[test]
+fn steady_state_scoring_performs_zero_allocations() {
+    for config in [SstConfig::paper_default(), SstConfig::precise()] {
+        let w = config.window_len();
+        let values = series(1_000 + w);
+        let scorer = FastSst::new(config.clone());
+        let mut ws = SstWorkspace::new(&config);
+        let windows = || values.windows(w).skip(1).take(1_000);
+        assert_eq!(windows().count(), 1_000);
+
+        std::hint::black_box(scorer.score_window_in(&mut ws, &values[..w]));
+        let full = allocations_in(|| {
+            for win in windows() {
+                std::hint::black_box(scorer.score_window_in(&mut ws, win));
+            }
+        });
+        assert_eq!(full, 0, "score_window_in allocated (W = {w})");
+
+        let mut reached = 0;
+        let screened = allocations_in(|| {
+            for win in windows() {
+                reached += usize::from(scorer.score_reaching_in(&mut ws, win, 0.5).is_some());
+            }
+        });
+        assert_eq!(screened, 0, "score_reaching_in allocated (W = {w})");
+        assert!(
+            (1..1_000).contains(&reached),
+            "both branches must run, {reached} of 1000 reached"
+        );
+
+        let mut stream = StreamingSst::new(scorer.clone());
+        for &v in &values[..w] {
+            stream.fold_with(v, |s, win| s.score_reaching_in(&mut ws, win, 0.5));
+        }
+        assert!(stream.is_warm());
+        let folds = allocations_in(|| {
+            for &v in &values[w..] {
+                std::hint::black_box(
+                    stream.fold_with(v, |s, win| s.score_reaching_in(&mut ws, win, 0.5)),
+                );
+            }
+        });
+        assert_eq!(folds, 0, "warm StreamingSst folds allocated (W = {w})");
+
+        // Without a held workspace a call costs its throw-away workspace —
+        // a fixed dozen buffers — and nothing that scales with the work.
+        let one_workspace = allocations_in(|| drop(SstWorkspace::new(&config)));
+        let unheld = allocations_in(|| {
+            std::hint::black_box(scorer.score_window(&values[..w]));
+        });
+        assert_eq!(
+            unheld, one_workspace,
+            "score_window allocates beyond its workspace"
+        );
+        let unheld_fold = allocations_in(|| {
+            std::hint::black_box(stream.fold(values[0]));
+        });
+        assert_eq!(
+            unheld_fold, one_workspace,
+            "fold allocates beyond its workspace"
+        );
+    }
+}

@@ -56,19 +56,26 @@ pub fn population_std(xs: &[f64]) -> f64 {
 /// Median by partial sort; `0.0` for an empty slice. Even-length slices
 /// return the mean of the two central order statistics.
 pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
+    median_with(xs.iter().copied(), &mut Vec::with_capacity(xs.len()))
+}
+
+/// [`median`] of the values `xs` yields, selected inside `scratch` (cleared
+/// first) so a caller scoring many windows allocates once.
+pub fn median_with(xs: impl IntoIterator<Item = f64>, scratch: &mut Vec<f64>) -> f64 {
+    scratch.clear();
+    scratch.extend(xs);
+    let n = scratch.len();
+    if n == 0 {
         return 0.0;
     }
-    let mut v: Vec<f64> = xs.to_vec();
-    let n = v.len();
     let mid = n / 2;
-    let (_, m, _) = v.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
+    let (lower, m, _) = scratch.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
     let hi = *m;
     if n % 2 == 1 {
         hi
     } else {
         // Largest element of the lower half.
-        let lo = v[..mid].iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let lo = lower.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         (lo + hi) / 2.0
     }
 }
@@ -76,12 +83,13 @@ pub fn median(xs: &[f64]) -> f64 {
 /// Median absolute deviation around the median (paper Eq. 12), without the
 /// Gaussian consistency constant: `median(|x_i - median(x)|)`.
 pub fn mad(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = median(xs);
-    let devs: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
-    median(&devs)
+    RobustSummary::of(xs).mad
+}
+
+/// The MAD of `xs` around an already computed `median` — a caller that
+/// holds the median selects each segment twice, not three times.
+pub fn mad_around(xs: &[f64], median: f64, scratch: &mut Vec<f64>) -> f64 {
+    median_with(xs.iter().map(|x| (x - median).abs()), scratch)
 }
 
 /// Median and MAD of one window, computed together.
@@ -96,9 +104,15 @@ pub struct RobustSummary {
 impl RobustSummary {
     /// Summarizes `xs`. Empty input yields zeros.
     pub fn of(xs: &[f64]) -> Self {
+        Self::of_with(xs, &mut Vec::with_capacity(xs.len()))
+    }
+
+    /// [`RobustSummary::of`] selecting inside the caller's `scratch`.
+    pub fn of_with(xs: &[f64], scratch: &mut Vec<f64>) -> Self {
+        let median = median_with(xs.iter().copied(), scratch);
         Self {
-            median: median(xs),
-            mad: mad(xs),
+            median,
+            mad: mad_around(xs, median, scratch),
         }
     }
 }

@@ -257,3 +257,122 @@ fn store_backed_assessment_matches_world_backed() {
         assert_eq!(a.caused, b.caused);
     }
 }
+
+/// Verdict bytes are pinned **across commits**: a fixed-seed scenario (a
+/// dark launch carrying a real response-delay shift, then a harmless full
+/// launch) is assessed in batch and through the streaming engine over a
+/// feed with late measurements, and the rendered reports, the `Debug` of
+/// every item and every live declaration are compared with the files
+/// under `tests/golden/`. A kernel change that moves one low-order bit of
+/// one score moves these files. Re-record (and review the diff) with
+/// `FUNNEL_BLESS=1 cargo test --test end_to_end golden`.
+#[test]
+fn verdict_bytes_match_committed_golden() {
+    use funnel_suite::core::report::render;
+    use funnel_suite::core::{StreamConfig, StreamEngine};
+    use funnel_suite::sim::live::LiveFeed;
+    use std::fmt::Write as _;
+
+    const DURATION: u64 = 2 * 1440;
+    let mut b = WorldBuilder::new(SimConfig::days(2015, 2));
+    let dark_svc = b.add_service("gold.dark", 4).unwrap();
+    let full_svc = b.add_service("gold.full", 3).unwrap();
+    let minute = 1440 + 9 * 60;
+    let shift = ChangeEffect::none().with_level_shift(
+        KpiKind::PageViewResponseDelay,
+        EffectScope::TreatedInstances,
+        60.0,
+    );
+    let dark = b
+        .deploy_change(
+            ChangeKind::Upgrade,
+            dark_svc,
+            2,
+            minute,
+            shift,
+            "slow build",
+        )
+        .unwrap();
+    let full = b
+        .deploy_change(
+            ChangeKind::ConfigChange,
+            full_svc,
+            usize::MAX,
+            minute + 45,
+            ChangeEffect::none(),
+            "harmless",
+        )
+        .unwrap();
+    let world = b.build();
+
+    let mut config = FunnelConfig::paper_default();
+    config.history_days = 1;
+    let funnel = Funnel::new(config.clone());
+
+    let mut batch = String::new();
+    for id in [dark, full] {
+        let a = funnel.assess_change(&world, id).unwrap();
+        batch.push_str(&render(world.topology(), &a));
+        writeln!(batch, "{:#?}", a.items).unwrap();
+    }
+    check_golden("batch.txt", &batch);
+
+    let mut stream_cfg = StreamConfig::paired_with(&config);
+    stream_cfg.ring_capacity = StreamConfig::capacity_for(&config, DURATION);
+    let kinds = world
+        .topology()
+        .services()
+        .map(|(id, _)| (id, world.kinds_of_service(id).to_vec()))
+        .collect();
+    let mut engine = StreamEngine::new(config, stream_cfg, kinds);
+    for id in [dark, full] {
+        let record = world.change_log().get(id).unwrap().clone();
+        engine.track_change(world.topology(), record).unwrap();
+    }
+    let feed = LiveFeed::from_store(&world.materialize().unwrap()).with_late(2015, 10, 5);
+    let mut stream = String::new();
+    for (tick, batch) in feed.arrivals() {
+        for &m in batch {
+            engine.offer(m);
+        }
+        let report = engine.tick(tick);
+        for d in &report.detections {
+            writeln!(stream, "tick {tick}: {d:?}").unwrap();
+        }
+        for done in &report.completed {
+            writeln!(
+                stream,
+                "tick {tick}: change #{} completed, shed {:?}, stale {:?}, latency {:?}\n{:#?}",
+                done.change.0, done.shed, done.stale, done.detection_latency, done.items
+            )
+            .unwrap();
+        }
+    }
+    let stats = engine.stats();
+    writeln!(
+        stream,
+        "folds {}, detections {}, late_backfilled {}",
+        stats.folds, stats.detections, stats.late_backfilled
+    )
+    .unwrap();
+    check_golden("stream.txt", &stream);
+}
+
+/// Compares `got` with `tests/golden/<name>`, or rewrites the file when
+/// `FUNNEL_BLESS` is set.
+fn check_golden(name: &str, got: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("FUNNEL_BLESS").is_some() {
+        std::fs::write(&path, got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    assert!(
+        got == want,
+        "{} differs from the committed golden — a verdict byte moved",
+        path.display()
+    );
+}
