@@ -26,6 +26,7 @@ use crate::{fnv1a, ResilienceError};
 use funnel_core::reassess::{PendingItem, QueueState};
 use funnel_sim::collector::{CollectorState, MinuteAccs};
 use funnel_sim::kpi::{KpiKey, KpiKind};
+use funnel_sim::store::MetricStore;
 use funnel_sim::wire::{key_from_bytes, key_to_bytes, WireRecord};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::TimeSeries;
@@ -37,6 +38,9 @@ use std::path::{Path, PathBuf};
 
 /// File magic: "FNLCKPT" + format version 1.
 pub const MAGIC: [u8; 8] = *b"FNLCKPT1";
+
+/// Bytes before the payload: magic (8) + payload hash (8).
+const HEADER_LEN: usize = 16;
 
 /// One complete recovery point.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -83,14 +87,94 @@ fn put_accs(out: &mut Vec<u8>, accs: &MinuteAccs) {
     }
 }
 
-/// Encodes a checkpoint's payload (everything after magic + hash).
-fn encode_payload(checkpoint: &Checkpoint) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, checkpoint.wal_frames);
+/// Bytes of one store entry: key, series anchor and length, values, mask
+/// anchor and length, one byte per mask bit.
+fn entry_len(series: &TimeSeries, mask: &CoverageMask) -> usize {
+    6 + 16 + 8 * series.len() + 16 + mask.len()
+}
 
-    put_u64(&mut out, checkpoint.entries.len() as u64);
-    for (key, series, mask) in &checkpoint.entries {
-        put_key(&mut out, *key);
+fn put_state(out: &mut Vec<u8>, state: &CollectorState) {
+    put_u64(out, state.watermarks.len() as u64);
+    for wm in &state.watermarks {
+        match wm {
+            Some(minute) => {
+                out.push(1);
+                put_u64(out, *minute);
+            }
+            None => out.push(0),
+        }
+    }
+    put_u64(out, state.seen.len() as u64);
+    for seen in &state.seen {
+        put_u64(out, seen.len() as u64);
+        for &minute in seen {
+            put_u64(out, minute);
+        }
+    }
+    put_u64(out, state.pending.len() as u64);
+    for (&minute, (frames, accs)) in &state.pending {
+        put_u64(out, minute);
+        put_u64(out, *frames as u64);
+        put_accs(out, accs);
+    }
+    put_u64(out, state.backfill_stage.len() as u64);
+    for (&(agent, minute), records) in &state.backfill_stage {
+        put_u32(out, agent);
+        put_u64(out, minute);
+        put_u64(out, records.len() as u64);
+        for record in records {
+            put_key(out, record.key);
+            put_f64(out, record.value);
+        }
+    }
+    put_u64(out, state.partial.len() as u64);
+    for (&minute, accs) in &state.partial {
+        put_u64(out, minute);
+        put_accs(out, accs);
+    }
+}
+
+fn put_queue(out: &mut Vec<u8>, queue: &QueueState) {
+    put_u64(out, queue.pending.len() as u64);
+    for item in &queue.pending {
+        put_u32(out, item.change.0);
+        put_key(out, item.key);
+        put_u64(out, item.window.0);
+        put_u64(out, item.window.1);
+        put_f64(out, item.required_coverage);
+    }
+    put_u64(out, queue.applied.len() as u64);
+    for (change, key) in &queue.applied {
+        put_u32(out, change.0);
+        put_key(out, *key);
+    }
+}
+
+/// The one writer of the checkpoint format: header, then the payload
+/// written in place behind it, then the payload's hash patched into the
+/// header. `entries` is walked twice — once to size the buffer, so a
+/// store-sized checkpoint is one allocation and no copy.
+fn encode_parts<'a>(
+    wal_frames: u64,
+    entries: impl Iterator<Item = (KpiKey, &'a TimeSeries, &'a CoverageMask)> + Clone,
+    collector: &CollectorState,
+    queue: &QueueState,
+) -> Vec<u8> {
+    let (count, entry_bytes) = entries
+        .clone()
+        .fold((0u64, 0usize), |(n, bytes), (_, series, mask)| {
+            (n + 1, bytes + entry_len(series, mask))
+        });
+    // Collector state and queue are small next to the entries; they grow
+    // the buffer if they outrun the slack.
+    let mut out = Vec::with_capacity(HEADER_LEN + 16 + entry_bytes + 4096);
+    out.extend_from_slice(&MAGIC);
+    put_u64(&mut out, 0);
+    put_u64(&mut out, wal_frames);
+
+    put_u64(&mut out, count);
+    for (key, series, mask) in entries {
+        put_key(&mut out, key);
         put_u64(&mut out, series.start());
         put_u64(&mut out, series.len() as u64);
         for &v in series.values() {
@@ -101,71 +185,37 @@ fn encode_payload(checkpoint: &Checkpoint) -> Vec<u8> {
         put_u64(&mut out, bits.len() as u64);
         out.extend(bits.iter().map(|&b| u8::from(b)));
     }
+    put_state(&mut out, collector);
+    put_queue(&mut out, queue);
 
-    let state = &checkpoint.collector;
-    put_u64(&mut out, state.watermarks.len() as u64);
-    for wm in &state.watermarks {
-        match wm {
-            Some(minute) => {
-                out.push(1);
-                put_u64(&mut out, *minute);
-            }
-            None => out.push(0),
-        }
-    }
-    put_u64(&mut out, state.seen.len() as u64);
-    for seen in &state.seen {
-        put_u64(&mut out, seen.len() as u64);
-        for &minute in seen {
-            put_u64(&mut out, minute);
-        }
-    }
-    put_u64(&mut out, state.pending.len() as u64);
-    for (&minute, (frames, accs)) in &state.pending {
-        put_u64(&mut out, minute);
-        put_u64(&mut out, *frames as u64);
-        put_accs(&mut out, accs);
-    }
-    put_u64(&mut out, state.backfill_stage.len() as u64);
-    for (&(agent, minute), records) in &state.backfill_stage {
-        put_u32(&mut out, agent);
-        put_u64(&mut out, minute);
-        put_u64(&mut out, records.len() as u64);
-        for record in records {
-            put_key(&mut out, record.key);
-            put_f64(&mut out, record.value);
-        }
-    }
-    put_u64(&mut out, state.partial.len() as u64);
-    for (&minute, accs) in &state.partial {
-        put_u64(&mut out, minute);
-        put_accs(&mut out, accs);
-    }
-
-    put_u64(&mut out, checkpoint.queue.pending.len() as u64);
-    for item in &checkpoint.queue.pending {
-        put_u32(&mut out, item.change.0);
-        put_key(&mut out, item.key);
-        put_u64(&mut out, item.window.0);
-        put_u64(&mut out, item.window.1);
-        put_f64(&mut out, item.required_coverage);
-    }
-    put_u64(&mut out, checkpoint.queue.applied.len() as u64);
-    for (change, key) in &checkpoint.queue.applied {
-        put_u32(&mut out, change.0);
-        put_key(&mut out, *key);
+    let (header, payload) = out.split_at_mut(HEADER_LEN);
+    let hash = fnv1a(payload).to_le_bytes();
+    for (dst, src) in header.iter_mut().skip(MAGIC.len()).zip(hash) {
+        *dst = src;
     }
     out
 }
 
 /// Encodes a whole checkpoint file: magic, payload hash, payload.
 pub fn encode_checkpoint(checkpoint: &Checkpoint) -> Vec<u8> {
-    let payload = encode_payload(checkpoint);
-    let mut out = Vec::with_capacity(16 + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    encode_parts(
+        checkpoint.wal_frames,
+        checkpoint.entries.iter().map(|(k, s, m)| (*k, s, m)),
+        &checkpoint.collector,
+        &checkpoint.queue,
+    )
+}
+
+/// The bytes of [`encode_checkpoint`] for a [`Checkpoint`] whose entries
+/// are `store.export_entries()`, encoded straight from the store under one
+/// read lock instead of from a copy of it.
+pub fn encode_checkpoint_of(
+    wal_frames: u64,
+    store: &MetricStore,
+    collector: &CollectorState,
+    queue: &QueueState,
+) -> Vec<u8> {
+    encode_parts(wal_frames, store.view().entries(), collector, queue)
 }
 
 // ---------------------------------------------------------------- decode --
@@ -266,10 +316,10 @@ impl<'a> Reader<'a> {
 /// [`ResilienceError::Corrupt`] on bad magic, hash mismatch, truncation,
 /// impossible counts, or unknown tags — never a panic.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, ResilienceError> {
-    if bytes.len() < 16 {
+    if bytes.len() < HEADER_LEN {
         return Err(corrupt("checkpoint shorter than its header"));
     }
-    let (header, payload) = bytes.split_at(16);
+    let (header, payload) = bytes.split_at(HEADER_LEN);
     let (magic, stored) = header.split_at(8);
     if magic != MAGIC {
         return Err(corrupt("bad checkpoint magic"));
@@ -450,8 +500,18 @@ impl CheckpointStore {
     ///
     /// [`ResilienceError::Io`] on filesystem failure.
     pub fn write(&mut self, checkpoint: &Checkpoint) -> Result<PathBuf, ResilienceError> {
+        self.write_encoded(&encode_checkpoint(checkpoint))
+    }
+
+    /// [`CheckpointStore::write`] for a checkpoint already encoded (by
+    /// [`encode_checkpoint`] or [`encode_checkpoint_of`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ResilienceError::Io`] on filesystem failure.
+    pub fn write_encoded(&mut self, encoded: &[u8]) -> Result<PathBuf, ResilienceError> {
         let path = self.dir.join(checkpoint_name(self.next_seq));
-        fs::write(&path, encode_checkpoint(checkpoint))?;
+        fs::write(&path, encoded)?;
         self.next_seq += 1;
         let seqs = checkpoint_seqs(&self.dir)?;
         for &old in seqs.iter().rev().skip(2) {
@@ -460,19 +520,14 @@ impl CheckpointStore {
         Ok(path)
     }
 
-    /// Chaos-harness hook: writes only the first `keep` bytes of the
+    /// Chaos-harness hook: writes only the first `keep` bytes of an
     /// encoded checkpoint — the on-disk image of a crash mid-write. Does
     /// not prune, so the previous valid checkpoint survives as fallback.
     ///
     /// # Errors
     ///
     /// [`ResilienceError::Io`] on filesystem failure.
-    pub fn write_torn(
-        &mut self,
-        checkpoint: &Checkpoint,
-        keep: usize,
-    ) -> Result<(), ResilienceError> {
-        let encoded = encode_checkpoint(checkpoint);
+    pub fn write_torn(&mut self, encoded: &[u8], keep: usize) -> Result<(), ResilienceError> {
         let keep = keep.min(encoded.len());
         let path = self.dir.join(checkpoint_name(self.next_seq));
         fs::write(&path, &encoded[..keep])?;
@@ -547,6 +602,62 @@ mod tests {
         assert_eq!(checkpoint, decoded);
     }
 
+    /// The ingest path encodes straight from the store; the bytes must be
+    /// the ones [`encode_checkpoint`] gives for the store's exported
+    /// entries, whatever order the store met its keys in.
+    #[test]
+    fn encoding_from_the_store_matches_encoding_its_export() {
+        let Checkpoint {
+            wal_frames,
+            collector,
+            queue,
+            ..
+        } = sample_checkpoint();
+        assert!(!collector.pending.is_empty() && !collector.partial.is_empty());
+        assert!(!collector.backfill_stage.is_empty());
+        assert!(!queue.pending.is_empty() && !queue.applied.is_empty());
+
+        let store = MetricStore::new();
+        // Shuffled arrival: instances before servers, ids descending, one
+        // key emptied by a restore and then written again, gaps, backfills
+        // and a batch insert.
+        let mut keys = Vec::new();
+        for id in (0..9u32).rev() {
+            keys.push(KpiKey::new(
+                Entity::Instance(InstanceId(id)),
+                KpiKind::PageViewCount,
+            ));
+            keys.push(KpiKey::new(
+                Entity::Server(funnel_topology::model::ServerId(id % 4)),
+                KpiKind::SERVER_KINDS[id as usize % 4],
+            ));
+        }
+        store.append(keys[3], 0, 1.0);
+        store.restore_entries(Vec::new());
+        for (i, key) in keys.iter().enumerate() {
+            for minute in [2u64, 3, 9] {
+                store.append(*key, minute + i as u64 % 3, minute as f64 + i as f64 * 0.5);
+            }
+            store.backfill(*key, 6, -1.5);
+        }
+        store.insert(
+            KpiKey::new(Entity::Service(ServiceId(2)), KpiKind::AccessFailureCount),
+            TimeSeries::new(7, vec![0.25; 5]),
+        );
+
+        let from_export = encode_checkpoint(&Checkpoint {
+            wal_frames,
+            entries: store.export_entries(),
+            collector: collector.clone(),
+            queue: queue.clone(),
+        });
+        let from_store = encode_checkpoint_of(wal_frames, &store, &collector, &queue);
+        assert_eq!(from_store, from_export);
+        let decoded = decode_checkpoint(&from_store).unwrap();
+        assert_eq!(decoded.entries, store.export_entries());
+        assert_eq!(decoded.collector, collector);
+    }
+
     #[test]
     fn empty_checkpoint_roundtrips() {
         let checkpoint = Checkpoint::default();
@@ -576,7 +687,7 @@ mod tests {
         store.write(&good).unwrap();
         let mut newer = good.clone();
         newer.wal_frames = 99;
-        store.write_torn(&newer, 40).unwrap();
+        store.write_torn(&encode_checkpoint(&newer), 40).unwrap();
         let recovered = CheckpointStore::latest_valid(&dir).unwrap().unwrap();
         assert_eq!(recovered, good, "torn newest must fall back");
         let _ = fs::remove_dir_all(&dir);

@@ -3,10 +3,10 @@
 //! [`DurableHooks`] plugs into the collector's three-step ingest protocol
 //! ([`IngestHooks`]): every accepted frame is WAL-appended *before* the
 //! commit that mutates the store, and every `cadence` accepted frames a
-//! full [`Checkpoint`] is written at the post-commit boundary. Because
-//! the hook runs between classification and commit, the WAL is always at
-//! least as new as the store — recovery can only ever need to *replay*
-//! frames, never to un-commit them.
+//! full [`Checkpoint`](crate::checkpoint::Checkpoint) is written at the
+//! post-commit boundary. Because the hook runs between classification and
+//! commit, the WAL is always at least as new as the store — recovery can
+//! only ever need to *replay* frames, never to un-commit them.
 //!
 //! [`recover`] rebuilds the durable state after a crash: load the newest
 //! valid checkpoint (torn newest falls back to its predecessor), restore
@@ -24,7 +24,7 @@
 //! torn partial write followed by an ingest abort, which is exactly what
 //! `kill -9` at that instant leaves on disk.
 
-use crate::checkpoint::{Checkpoint, CheckpointStore};
+use crate::checkpoint::{encode_checkpoint_of, CheckpointStore};
 use crate::wal::{self, WalWriter};
 use crate::ResilienceError;
 use bytes::Bytes;
@@ -182,21 +182,21 @@ impl IngestHooks for DurableHooks {
         if self.cadence == 0 || self.frames == 0 || !self.frames.is_multiple_of(self.cadence) {
             return Ok(());
         }
-        let checkpoint = Checkpoint {
-            wal_frames: self.frames,
-            entries: collector.store().export_entries(),
-            collector: collector.state().clone(),
-            queue: self.queue.clone(),
-        };
+        let encoded = encode_checkpoint_of(
+            self.frames,
+            collector.store(),
+            collector.state(),
+            &self.queue,
+        );
         if let Kill::Checkpoint { index, keep } = self.kill {
             if self.checkpoints_written == index {
-                if let Err(e) = self.checkpoints.write_torn(&checkpoint, keep) {
+                if let Err(e) = self.checkpoints.write_torn(&encoded, keep) {
                     self.error = Some(e);
                 }
                 return Err(IngestAbort);
             }
         }
-        match self.checkpoints.write(&checkpoint) {
+        match self.checkpoints.write_encoded(&encoded) {
             Ok(_) => {
                 self.checkpoints_written += 1;
                 Ok(())
@@ -279,10 +279,11 @@ pub fn recover(
         None => (CollectorState::new(shards), QueueState::default(), 0, false),
     };
 
+    let frames_in_wal = scan.frames.len() as u64;
     let mut collector = Collector::resume(world, &store, shards, horizon, state);
     let mut frames_replayed = 0u64;
-    for payload in scan.frames.iter().skip(skip as usize) {
-        collector.ingest(&Bytes::from(payload.clone()));
+    for payload in scan.frames.into_iter().skip(skip as usize) {
+        collector.ingest(&Bytes::from(payload));
         frames_replayed += 1;
     }
     if scan.end_of_stream {
@@ -298,7 +299,7 @@ pub fn recover(
         queue,
         end_of_stream: scan.end_of_stream,
         torn_wal_tail: scan.torn_tail,
-        frames_in_wal: scan.frames.len() as u64,
+        frames_in_wal,
         frames_replayed,
         checkpoint_frames: skip,
         used_checkpoint,

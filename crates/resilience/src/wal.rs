@@ -37,12 +37,20 @@ pub const RECORD_HEADER: usize = 13;
 
 /// Encodes one WAL record: header + payload, self-validating.
 pub fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
+    let mut out = Vec::new();
+    encode_record_into(&mut out, kind, payload);
+    out
+}
+
+/// [`encode_record`] into a buffer the caller reuses: `out` is cleared
+/// first and holds exactly the record afterwards.
+fn encode_record_into(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+    out.clear();
+    out.reserve(RECORD_HEADER + payload.len());
     out.push(kind);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&fnv1a(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// One decoded WAL record.
@@ -149,6 +157,12 @@ pub struct WalWriter {
     /// channel interleaving, so `wal.*` timeline windows are only
     /// run-to-run stable at shards=1 (aggregate totals are always stable).
     last_minute: u64,
+    /// The current segment, opened for append by the first record written
+    /// to it and kept until the segment seals (or a torn write simulates
+    /// the process dying with it).
+    file: Option<fs::File>,
+    /// The record being written, reused across appends.
+    record: Vec<u8>,
 }
 
 impl WalWriter {
@@ -183,6 +197,8 @@ impl WalWriter {
             seq,
             written,
             last_minute: 0,
+            file: None,
+            record: Vec::new(),
         })
     }
 
@@ -190,13 +206,24 @@ impl WalWriter {
         self.dir.join(segment_name(self.seq))
     }
 
-    fn append_bytes(&mut self, bytes: &[u8]) -> Result<(), ResilienceError> {
-        let mut file = fs::OpenOptions::new()
+    fn open_segment(&self) -> Result<fs::File, ResilienceError> {
+        Ok(fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(self.current_path())?;
-        file.write_all(bytes)?;
-        self.written += bytes.len() as u64;
+            .open(self.current_path())?)
+    }
+
+    /// Appends one record with a single `write_all`, so what is on disk at
+    /// every record boundary — and what a crash can tear — is one whole
+    /// record at a time.
+    fn append_record(&mut self, kind: u8, payload: &[u8]) -> Result<(), ResilienceError> {
+        encode_record_into(&mut self.record, kind, payload);
+        let mut file = match self.file.take() {
+            Some(file) => file,
+            None => self.open_segment()?,
+        };
+        file.write_all(&self.record)?;
+        self.written += self.record.len() as u64;
         if self.written >= self.segment_limit {
             funnel_obs::timeline_histogram_record(
                 funnel_obs::names::WAL_SEGMENT_BYTES,
@@ -205,6 +232,8 @@ impl WalWriter {
             );
             self.seq += 1;
             self.written = 0;
+        } else {
+            self.file = Some(file);
         }
         Ok(())
     }
@@ -218,7 +247,7 @@ impl WalWriter {
         if let Some(minute) = funnel_sim::wire::peek_minute(raw) {
             self.last_minute = minute;
         }
-        self.append_bytes(&encode_record(FRAME_RECORD, raw.as_ref()))
+        self.append_record(FRAME_RECORD, raw.as_ref())
     }
 
     /// Appends the end-of-stream marker: recovery runs `finish()` (final
@@ -228,7 +257,7 @@ impl WalWriter {
     ///
     /// [`ResilienceError::Io`] on filesystem failure.
     pub fn append_end_of_stream(&mut self) -> Result<(), ResilienceError> {
-        self.append_bytes(&encode_record(EOS_RECORD, &[]))
+        self.append_record(EOS_RECORD, &[])
     }
 
     /// Chaos-harness hook: appends only the first `keep` bytes of the
@@ -240,13 +269,11 @@ impl WalWriter {
     ///
     /// [`ResilienceError::Io`] on filesystem failure.
     pub fn append_torn_frame(&mut self, raw: &Bytes, keep: usize) -> Result<(), ResilienceError> {
+        // The process this models dies here, and its handle with it.
+        self.file = None;
         let record = encode_record(FRAME_RECORD, raw.as_ref());
         let keep = keep.min(record.len());
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.current_path())?;
-        file.write_all(&record[..keep])?;
+        self.open_segment()?.write_all(&record[..keep])?;
         Ok(())
     }
 
@@ -375,6 +402,90 @@ mod tests {
         assert!(!scan2.torn_tail);
         assert_eq!(scan2.frames.len(), 2);
         assert_eq!(scan2.frames[1], vec![3u8; 40]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The writer keeps its segment open and reuses one record buffer; what
+    /// reaches disk must still be the concatenated [`encode_record`]
+    /// outputs, segment by segment, through roll-overs, a torn append, the
+    /// heal on reopen and further appends.
+    #[test]
+    fn segment_files_are_the_concatenated_records_byte_for_byte() {
+        const LIMIT: u64 = 200;
+        let dir = tmp_dir("bytes");
+        let payload = |i: u8| Bytes::from(vec![i; 10 + usize::from(i) * 7 % 90]);
+        // What each segment must hold, mirroring the roll-over rule.
+        let mut expected: Vec<Vec<u8>> = vec![Vec::new()];
+        fn expect(expected: &mut Vec<Vec<u8>>, record: Vec<u8>) {
+            let current = expected.last_mut().unwrap();
+            current.extend_from_slice(&record);
+            if current.len() as u64 >= LIMIT {
+                expected.push(Vec::new());
+            }
+        }
+
+        let mut wal = WalWriter::open(&dir, LIMIT).unwrap();
+        for i in 0..12u8 {
+            wal.append_frame(&payload(i)).unwrap();
+            expect(&mut expected, encode_record(FRAME_RECORD, &payload(i)));
+        }
+        assert!(wal.segment_seq() >= 3, "the stream must roll over");
+        // A crash mid-append: the torn bytes land after the last whole
+        // record of the current segment and are gone after the reopen.
+        wal.append_torn_frame(&payload(99), 9).unwrap();
+        let torn_seq = wal.segment_seq();
+        let torn_len = fs::metadata(dir.join(segment_name(torn_seq)))
+            .unwrap()
+            .len();
+        assert_eq!(torn_len, expected.last().unwrap().len() as u64 + 9);
+        drop(wal);
+
+        let mut wal = WalWriter::open(&dir, LIMIT).unwrap();
+        assert_eq!(wal.segment_seq(), torn_seq);
+        for i in 12..20u8 {
+            wal.append_frame(&payload(i)).unwrap();
+            expect(&mut expected, encode_record(FRAME_RECORD, &payload(i)));
+        }
+        wal.append_end_of_stream().unwrap();
+        expect(&mut expected, encode_record(EOS_RECORD, &[]));
+        drop(wal);
+
+        if expected.last().is_some_and(Vec::is_empty) {
+            // The last record sealed its segment; the next was never opened.
+            expected.pop();
+        }
+        assert_eq!(segment_seqs(&dir).unwrap().len(), expected.len());
+        for (seq, want) in expected.iter().enumerate() {
+            let got = fs::read(dir.join(segment_name(seq as u64))).unwrap();
+            assert_eq!(&got, want, "segment {seq}");
+        }
+        let scan = scan(&dir).unwrap();
+        assert!(scan.end_of_stream && !scan.torn_tail);
+        assert_eq!(scan.frames.len(), 20);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damage_no_crash_can_cause_is_corruption_not_a_tail() {
+        // A tear inside a sealed segment.
+        let dir = tmp_dir("midlog");
+        let mut wal = WalWriter::open(&dir, 32).unwrap();
+        for i in 0u8..3 {
+            wal.append_frame(&Bytes::from(vec![i; 20])).unwrap();
+        }
+        let first = dir.join(segment_name(0));
+        let sealed = fs::read(&first).unwrap();
+        fs::write(&first, &sealed[..sealed.len() - 4]).unwrap();
+        assert!(matches!(scan(&dir), Err(ResilienceError::Corrupt(_))));
+        let _ = fs::remove_dir_all(&dir);
+
+        // A record after the end-of-stream marker.
+        let dir = tmp_dir("after-eos");
+        let mut wal = WalWriter::open(&dir, 1 << 20).unwrap();
+        wal.append_frame(&Bytes::from(vec![1u8; 20])).unwrap();
+        wal.append_end_of_stream().unwrap();
+        wal.append_frame(&Bytes::from(vec![2u8; 20])).unwrap();
+        assert!(matches!(scan(&dir), Err(ResilienceError::Corrupt(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -22,7 +22,7 @@
 
 use crate::agent::ReplayStats;
 use crate::kpi::{Aggregation, KpiKey, KpiKind};
-use crate::store::MetricStore;
+use crate::store::{KeyId, MetricStore, StoreWriter};
 use crate::wire::{decode_frame, WireFrame, WireRecord};
 use crate::world::World;
 use bytes::Bytes;
@@ -202,11 +202,26 @@ pub struct Collector<'a> {
     service_sizes: HashMap<ServiceId, usize>,
     state: CollectorState,
     stats: ReplayStats,
-    /// Last live value accepted per key, for the counter-reset gate.
-    /// Deliberately *not* part of [`CollectorState`]: it is a plausibility
-    /// heuristic, not durable ingest state — a recovery re-arms it from
-    /// the replayed WAL tail, and checkpoints stay format-stable.
-    last_values: BTreeMap<KpiKey, f64>,
+    /// Last live value accepted per key, indexed by the store's [`KeyId`]
+    /// (NaN: none yet), for the counter-reset gate. Deliberately *not* part
+    /// of [`CollectorState`]: it is a plausibility heuristic, not durable
+    /// ingest state — a recovery re-arms it from the replayed WAL tail, and
+    /// checkpoints stay format-stable.
+    last_values: Vec<f64>,
+    /// Per agent, how its previous frame resolved, by record position.
+    /// Agents send the same keys in the same order every minute, so the
+    /// entry at a record's position is a guess at its id that one key
+    /// compare confirms; see [`Collector::resolve`].
+    layouts: Vec<Vec<Resolved>>,
+}
+
+/// One record's key as the collector last resolved it.
+#[derive(Debug, Clone, Copy)]
+struct Resolved {
+    key: KpiKey,
+    id: KeyId,
+    /// The service an instance key aggregates into.
+    service: Option<ServiceId>,
 }
 
 impl<'a> Collector<'a> {
@@ -247,7 +262,8 @@ impl<'a> Collector<'a> {
             service_sizes,
             state,
             stats: ReplayStats::default(),
-            last_values: BTreeMap::new(),
+            last_values: Vec::new(),
+            layouts: vec![Vec::new(); shards],
         }
     }
 
@@ -362,80 +378,134 @@ impl<'a> Collector<'a> {
                     .insert((frame.agent_id, frame.minute), frame.records);
             }
             Ingest::Live(frame) => {
-                let agent = frame.agent_id as usize;
-                if let Some(seen) = self.state.seen.get_mut(agent) {
-                    seen.insert(frame.minute);
-                }
-                self.stats.frames += 1;
+                // One write lock for the frame: its records, then whatever
+                // minutes it completes. Subscribers hear of all of it, in
+                // that order, once the lock is released.
+                let store = self.store;
+                store.write_batch(|w| {
+                    self.commit_live(w, &frame);
+                    self.finalize_ready(w);
+                });
+            }
+        }
+    }
+
+    /// The id and aggregation target of the record at `pos` of a frame:
+    /// the layout's entry at that position when it names this very key —
+    /// checked against the record's decoded key *and* the key the store
+    /// keeps in the slot, so a cached id is never trusted on its own — and
+    /// otherwise (reordered, missing, extra or foreign keys) a lookup in
+    /// the store's index, remembered at `pos` for the agent's next frame.
+    fn resolve(
+        w: &mut StoreWriter<'_>,
+        layout: &mut Vec<Resolved>,
+        instance_service: &HashMap<u32, ServiceId>,
+        pos: usize,
+        key: KpiKey,
+    ) -> Resolved {
+        if let Some(guess) = layout.get(pos) {
+            if guess.key == key && w.key_of(guess.id) == Some(key) {
+                return *guess;
+            }
+        }
+        let service = match key.entity {
+            Entity::Instance(i) => instance_service.get(&i.0).copied(),
+            _ => None,
+        };
+        let resolved = Resolved {
+            key,
+            id: w.id_of(key),
+            service,
+        };
+        match layout.get_mut(pos) {
+            Some(entry) => *entry = resolved,
+            None => layout.push(resolved),
+        }
+        resolved
+    }
+
+    /// A live frame's bookkeeping and records; minute finalization follows
+    /// under the same lock.
+    fn commit_live(&mut self, w: &mut StoreWriter<'_>, frame: &WireFrame) {
+        let agent = frame.agent_id as usize;
+        if let Some(seen) = self.state.seen.get_mut(agent) {
+            seen.insert(frame.minute);
+        }
+        self.stats.frames += 1;
+        funnel_obs::timeline_counter_add(funnel_obs::names::FRAMES_INGESTED, frame.minute, 1);
+        if let Some(wm) = self.state.watermarks.get_mut(agent) {
+            *wm = Some(wm.map_or(frame.minute, |x| x.max(frame.minute)));
+        }
+        let entry = self.state.pending.entry(frame.minute).or_default();
+        entry.0 += 1;
+        // `classify` only lets known agents through; a frame committed
+        // around it resolves every record through the index.
+        let mut unknown_agent = Vec::new();
+        let layout = self.layouts.get_mut(agent).unwrap_or(&mut unknown_agent);
+        for (pos, rec) in frame.records.iter().enumerate() {
+            // Resolved ahead of the gates so that positions stay aligned
+            // with the agent's next frame whatever this record's value.
+            let Resolved { id, service, .. } =
+                Self::resolve(w, layout, &self.instance_service, pos, rec.key);
+            // Plausibility gate, not just finiteness: corrupted
+            // bytes can decode to a perfectly valid f64 of magnitude
+            // ~1e300, which would dominate every sum, mean, and DiD
+            // estimate downstream. No KPI this pipeline measures
+            // (counts, millisecond delays, utilization percentages)
+            // comes within orders of magnitude of the bound, even
+            // glitch-amplified.
+            if !rec.value.is_finite() {
+                // NaN/±Inf would propagate through every sum, mean,
+                // and SST window it touches; own counter so a NaN
+                // storm is distinguishable from byte corruption.
+                self.stats.invalid_records += 1;
+                self.stats.nonfinite_records += 1;
                 funnel_obs::timeline_counter_add(
-                    funnel_obs::names::FRAMES_INGESTED,
+                    funnel_obs::names::RECORDS_NONFINITE,
                     frame.minute,
                     1,
                 );
-                if let Some(w) = self.state.watermarks.get_mut(agent) {
-                    *w = Some(w.map_or(frame.minute, |x| x.max(frame.minute)));
-                }
-                let entry = self.state.pending.entry(frame.minute).or_default();
-                entry.0 += 1;
-                for rec in &frame.records {
-                    // Plausibility gate, not just finiteness: corrupted
-                    // bytes can decode to a perfectly valid f64 of magnitude
-                    // ~1e300, which would dominate every sum, mean, and DiD
-                    // estimate downstream. No KPI this pipeline measures
-                    // (counts, millisecond delays, utilization percentages)
-                    // comes within orders of magnitude of the bound, even
-                    // glitch-amplified.
-                    if !rec.value.is_finite() {
-                        // NaN/±Inf would propagate through every sum, mean,
-                        // and SST window it touches; own counter so a NaN
-                        // storm is distinguishable from byte corruption.
-                        self.stats.invalid_records += 1;
-                        self.stats.nonfinite_records += 1;
-                        funnel_obs::timeline_counter_add(
-                            funnel_obs::names::RECORDS_NONFINITE,
-                            frame.minute,
-                            1,
-                        );
-                        continue;
-                    }
-                    if rec.value.abs() > MAX_PLAUSIBLE_VALUE {
-                        self.stats.invalid_records += 1;
-                        continue;
-                    }
-                    // Counter-reset gate: a one-minute drop beyond any
-                    // physically possible movement is a reset artifact.
-                    // Live path only — backfilled history arrives out of
-                    // order, so deltas there are meaningless.
-                    if self
-                        .last_values
-                        .get(&rec.key)
-                        .is_some_and(|prev| rec.value - prev < -MAX_COUNTER_RESET_DROP)
-                    {
-                        self.stats.invalid_records += 1;
-                        self.stats.counter_reset_records += 1;
-                        funnel_obs::timeline_counter_add(
-                            funnel_obs::names::RECORDS_COUNTER_RESET,
-                            frame.minute,
-                            1,
-                        );
-                        continue;
-                    }
-                    self.last_values.insert(rec.key, rec.value);
-                    self.stats.records += 1;
-                    self.store.append(rec.key, frame.minute, rec.value);
-                    if let Entity::Instance(i) = rec.key.entity {
-                        if let Some(&svc) = self.instance_service.get(&i.0) {
-                            entry
-                                .1
-                                .entry((svc, rec.key.kind))
-                                .or_default()
-                                .push((i.0, rec.value));
-                        }
-                    }
-                }
-                self.finalize_ready();
+                continue;
+            }
+            if rec.value.abs() > MAX_PLAUSIBLE_VALUE {
+                self.stats.invalid_records += 1;
+                continue;
+            }
+            // Counter-reset gate: a one-minute drop beyond any
+            // physically possible movement is a reset artifact.
+            // Live path only — backfilled history arrives out of
+            // order, so deltas there are meaningless.
+            if self.last_values.len() <= id.as_index() {
+                self.last_values.resize(w.interned(), f64::NAN);
+            }
+            // Every id the store hands out is below `interned()`; only the
+            // refusal of an exhausted id space is not.
+            let Some(last) = self.last_values.get_mut(id.as_index()) else {
+                continue;
+            };
+            // No previous value is NaN, and NaN compares false.
+            if rec.value - *last < -MAX_COUNTER_RESET_DROP {
+                self.stats.invalid_records += 1;
+                self.stats.counter_reset_records += 1;
+                funnel_obs::timeline_counter_add(
+                    funnel_obs::names::RECORDS_COUNTER_RESET,
+                    frame.minute,
+                    1,
+                );
+                continue;
+            }
+            *last = rec.value;
+            self.stats.records += 1;
+            w.append_id(id, frame.minute, rec.value);
+            if let (Entity::Instance(i), Some(svc)) = (rec.key.entity, service) {
+                entry
+                    .1
+                    .entry((svc, rec.key.kind))
+                    .or_default()
+                    .push((i.0, rec.value));
             }
         }
+        layout.truncate(frame.records.len());
     }
 
     /// [`Collector::classify`] + [`Collector::commit`] in one step — the
@@ -452,7 +522,7 @@ impl<'a> Collector<'a> {
     /// demonstrably moved past its reorder horizon (its own watermark is
     /// beyond minute + horizon) — exact under any thread scheduling, robust
     /// to loss, and safe under delay-induced reordering.
-    fn finalize_ready(&mut self) {
+    fn finalize_ready(&mut self, w: &mut StoreWriter<'_>) {
         while let Some((&minute, entry)) = self.state.pending.iter().next() {
             let complete = entry.0 >= self.shards;
             let all_past = self
@@ -464,12 +534,12 @@ impl<'a> Collector<'a> {
                 break;
             }
             if let Some((_, accs)) = self.state.pending.remove(&minute) {
-                self.finalize_minute(minute, accs);
+                self.finalize_minute(w, minute, accs);
             }
         }
     }
 
-    fn finalize_minute(&mut self, minute: u64, accs: MinuteAccs) {
+    fn finalize_minute(&mut self, w: &mut StoreWriter<'_>, minute: u64, accs: MinuteAccs) {
         for ((svc, kind), mut cells) in accs {
             if cells.is_empty() {
                 continue;
@@ -493,8 +563,8 @@ impl<'a> Collector<'a> {
                 Aggregation::Sum => sum,
                 Aggregation::Mean => sum / cells.len() as f64,
             };
-            self.store
-                .append(KpiKey::new(Entity::Service(svc), kind), minute, value);
+            let id = w.id_of(KpiKey::new(Entity::Service(svc), kind));
+            w.append_id(id, minute, value);
             self.stats.aggregates += 1;
         }
     }
@@ -505,85 +575,94 @@ impl<'a> Collector<'a> {
     /// completed. Drains the state; a checkpoint taken afterwards records a
     /// finished stream.
     pub fn finish(&mut self) {
-        for (minute, (_, accs)) in std::mem::take(&mut self.state.pending) {
-            self.finalize_minute(minute, accs);
-        }
+        let store = self.store;
+        store.write_batch(|w| {
+            for (minute, (_, accs)) in std::mem::take(&mut self.state.pending) {
+                self.finalize_minute(w, minute, accs);
+            }
+        });
         // Backfill flush: healed-span frames enter historical bins in
         // (agent, minute) order — deterministic regardless of how agent
         // threads interleaved during the replay. Each record passes the
         // same plausibility gate as live ingestion, and the store's own
         // duplicate suppression (first write wins per real bin) guards
-        // against re-delivery races.
-        for ((_, minute), records) in std::mem::take(&mut self.state.backfill_stage) {
-            for rec in records {
-                if !rec.value.is_finite() || rec.value.abs() > MAX_PLAUSIBLE_VALUE {
-                    self.stats.invalid_records += 1;
-                    if !rec.value.is_finite() {
-                        self.stats.nonfinite_records += 1;
-                        funnel_obs::timeline_counter_add(
-                            funnel_obs::names::RECORDS_NONFINITE,
-                            minute,
-                            1,
-                        );
-                    }
-                    self.store.note_backfill_rejected();
-                    funnel_obs::timeline_counter_add(
-                        funnel_obs::names::BACKFILL_REJECTED,
-                        minute,
-                        1,
-                    );
-                    continue;
-                }
-                if self.store.backfill(rec.key, minute, rec.value) {
-                    self.stats.backfilled_records += 1;
-                    funnel_obs::timeline_counter_add(
-                        funnel_obs::names::RECORDS_BACKFILLED,
-                        minute,
-                        1,
-                    );
-                } else {
-                    self.stats.backfill_rejected_records += 1;
-                    funnel_obs::timeline_counter_add(
-                        funnel_obs::names::BACKFILL_REJECTED,
-                        minute,
-                        1,
-                    );
-                }
-                if let Entity::Instance(i) = rec.key.entity {
-                    if let Some(&svc) = self.instance_service.get(&i.0) {
-                        self.state
-                            .partial
-                            .entry(minute)
-                            .or_default()
-                            .entry((svc, rec.key.kind))
-                            .or_default()
-                            .push((i.0, rec.value));
-                    }
-                }
-            }
+        // against re-delivery races. One write lock per staged frame, as
+        // for a live one.
+        for ((agent, minute), records) in std::mem::take(&mut self.state.backfill_stage) {
+            store.write_batch(|w| self.backfill_frame(w, agent as usize, minute, &records));
         }
         // Service aggregates the backfill completed, ascending minute then
         // (service, kind). Emitted through the backfill path too: their
         // minute is historical for the (forward-filled) aggregate series.
-        for (minute, accs) in std::mem::take(&mut self.state.partial) {
-            for ((svc, kind), mut cells) in accs {
-                if cells.len() != *self.service_sizes.get(&svc).unwrap_or(&0) || cells.is_empty() {
-                    continue;
-                }
-                cells.sort_by_key(|(id, _)| *id);
-                let sum: f64 = cells.iter().map(|(_, v)| v).sum();
-                let value = match kind.aggregation() {
-                    Aggregation::Sum => sum,
-                    Aggregation::Mean => sum / cells.len() as f64,
-                };
-                if self
-                    .store
-                    .backfill(KpiKey::new(Entity::Service(svc), kind), minute, value)
-                {
-                    self.stats.backfilled_aggregates += 1;
+        store.write_batch(|w| {
+            for (minute, accs) in std::mem::take(&mut self.state.partial) {
+                for ((svc, kind), mut cells) in accs {
+                    if cells.len() != *self.service_sizes.get(&svc).unwrap_or(&0)
+                        || cells.is_empty()
+                    {
+                        continue;
+                    }
+                    cells.sort_by_key(|(id, _)| *id);
+                    let sum: f64 = cells.iter().map(|(_, v)| v).sum();
+                    let value = match kind.aggregation() {
+                        Aggregation::Sum => sum,
+                        Aggregation::Mean => sum / cells.len() as f64,
+                    };
+                    let id = w.id_of(KpiKey::new(Entity::Service(svc), kind));
+                    if w.backfill_id(id, minute, value) {
+                        self.stats.backfilled_aggregates += 1;
+                    }
                 }
             }
+        });
+    }
+
+    /// One staged backfill frame into the store's historical bins and the
+    /// partial aggregates it may complete.
+    fn backfill_frame(
+        &mut self,
+        w: &mut StoreWriter<'_>,
+        agent: usize,
+        minute: u64,
+        records: &[WireRecord],
+    ) {
+        let mut unknown_agent = Vec::new();
+        let layout = self.layouts.get_mut(agent).unwrap_or(&mut unknown_agent);
+        for (pos, rec) in records.iter().enumerate() {
+            let Resolved { id, service, .. } =
+                Self::resolve(w, layout, &self.instance_service, pos, rec.key);
+            if !rec.value.is_finite() || rec.value.abs() > MAX_PLAUSIBLE_VALUE {
+                self.stats.invalid_records += 1;
+                if !rec.value.is_finite() {
+                    self.stats.nonfinite_records += 1;
+                    funnel_obs::timeline_counter_add(
+                        funnel_obs::names::RECORDS_NONFINITE,
+                        minute,
+                        1,
+                    );
+                }
+                self.store.note_backfill_rejected();
+                funnel_obs::timeline_counter_add(funnel_obs::names::BACKFILL_REJECTED, minute, 1);
+                continue;
+            }
+            if w.backfill_id(id, minute, rec.value) {
+                self.stats.backfilled_records += 1;
+                funnel_obs::timeline_counter_add(funnel_obs::names::RECORDS_BACKFILLED, minute, 1);
+            } else {
+                self.stats.backfill_rejected_records += 1;
+                funnel_obs::timeline_counter_add(funnel_obs::names::BACKFILL_REJECTED, minute, 1);
+            }
+            if let (Entity::Instance(i), Some(svc)) = (rec.key.entity, service) {
+                self.state
+                    .partial
+                    .entry(minute)
+                    .or_default()
+                    .entry((svc, rec.key.kind))
+                    .or_default()
+                    .push((i.0, rec.value));
+            }
         }
+        layout.truncate(records.len());
     }
 
     /// The current working state — what a checkpoint serializes.

@@ -3,22 +3,41 @@
 //! The paper's substrate is "a centralized Hadoop-based database … \[that\]
 //! provides a subscription tool for other systems, such as FUNNEL, to
 //! periodically receive the subscribed measurements" (§2.2). This in-memory
-//! reproduction keeps one dense [`TimeSeries`] per KPI key behind a
-//! read–write lock and fans out live appends to subscribers over bounded
+//! reproduction keeps every KPI key's dense [`TimeSeries`] and
+//! [`CoverageMask`] side by side in one slot of a slab behind a single
+//! read–write lock, and fans out accepted writes to subscribers over bounded
 //! crossbeam channels — the same push-within-a-second contract FUNNEL's
 //! online pipeline consumes.
 //!
+//! Slots are addressed by a dense `KeyId` handed out in arrival order, so
+//! a writer that already knows a key's id (the collector, one frame after it
+//! first saw the key) appends without walking a map. Arrival order must
+//! never reach a reader: ids are not serialised, not published and order
+//! nothing; everything a reader can enumerate (`keys()`, `export_entries()`,
+//! [`StoreView::entries`], checkpoints) walks the one key-ordered index.
+//!
 //! Degradation is first-class: the store records *which* minutes carried a
-//! real measurement (a [`CoverageMask`] per key — the dense series itself
-//! forward-fills gaps and cannot tell a fill from a measurement), counts
-//! per-subscription drops when a consumer lags, and exposes the whole
-//! bookkeeping as a [`StoreStats`] snapshot.
+//! real measurement (the mask — the dense series itself forward-fills gaps
+//! and cannot tell a fill from a measurement), counts per-subscription drops
+//! when a consumer lags, and exposes the whole bookkeeping as a
+//! [`StoreStats`] snapshot.
+//!
+//! # Subscriber contract
+//!
+//! Every accepted live append and every accepted backfill is published
+//! exactly once to each subscription whose filter matches; a late append
+//! the store ignores publishes nothing. One key's measurements arrive in
+//! the order they were written, and the writes of one collector frame
+//! arrive in frame order. Publication happens after the store lock is
+//! released, so a subscriber that reads the store on receipt finds the
+//! measurement there and never blocks ingestion. A store nobody subscribes
+//! to pays one atomic load per write batch.
 
 use crate::kpi::KpiKey;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -93,14 +112,178 @@ struct Subscriber {
     drops: Arc<AtomicU64>,
 }
 
+/// The dense handle of one interned key: its slot's position in the slab.
+///
+/// An id names the same key for the life of the store — slots are never
+/// freed or renumbered, [`MetricStore::restore_entries`] only empties the
+/// ones it does not restore — so a writer may index its own per-key state
+/// by it. Ids follow arrival order and therefore never leave the process.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KeyId(u32);
+
+impl KeyId {
+    /// Never handed to a slot: what [`Slab::intern`] answers once the id
+    /// space is exhausted, so further keys are refused instead of aliased.
+    const NONE: KeyId = KeyId(u32::MAX);
+
+    /// The id as an index into id-keyed side tables.
+    pub(crate) fn as_index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// What a slot holds once its key has data.
+#[derive(Debug, Clone)]
+struct Held {
+    series: TimeSeries,
+    mask: CoverageMask,
+}
+
+/// One key's storage: the series and the mask of which of its minutes were
+/// really measured, written together under the slab's one lock.
+#[derive(Debug, Clone)]
+struct Slot {
+    key: KpiKey,
+    /// `None` while the key is interned but not held: never written yet,
+    /// or dropped by [`MetricStore::restore_entries`]. Readers treat such
+    /// a key as unknown.
+    held: Option<Held>,
+}
+
+impl Slot {
+    /// The held data, created empty and anchored at `minute` on the first
+    /// write; an empty series (a placeholder inserted before any
+    /// measurement) re-anchors at its first real minute.
+    fn held_for_write(&mut self, minute: MinuteBin) -> &mut Held {
+        let held = self.held.get_or_insert_with(|| Held {
+            series: TimeSeries::empty(minute),
+            mask: CoverageMask::new(minute),
+        });
+        if held.series.is_empty() {
+            held.series = TimeSeries::empty(minute);
+        }
+        held
+    }
+
+    /// A live append: grows the series to `minute`, repeating the last
+    /// value across any gap, and marks only `minute` itself as measured.
+    /// Returns `false` for a late measurement of an already-filled minute
+    /// (first write wins, as in the real store), which changes nothing.
+    fn push_live(&mut self, minute: MinuteBin, value: f64) -> bool {
+        let held = self.held_for_write(minute);
+        if minute < held.series.end() {
+            return false;
+        }
+        extend_to(&mut held.series, minute, value);
+        held.mask.rebase(minute);
+        held.mask.mark(minute);
+        true
+    }
+
+    /// A late write into a historical bin: accepted iff the bin holds no
+    /// real measurement yet and does not predate the series anchor. The bin
+    /// and the forward-filled bins after it, up to the next real
+    /// measurement, take the value. Past the frontier it is a live append.
+    fn fill_late(&mut self, minute: MinuteBin, value: f64) -> bool {
+        let Held { series, mask } = self.held_for_write(minute);
+        mask.rebase(minute);
+        if minute >= series.end() {
+            extend_to(series, minute, value);
+        } else {
+            if minute < series.start() || mask.is_present(minute) {
+                return false;
+            }
+            series.set(minute, value);
+            let mut m = minute + 1;
+            while m < series.end() && !mask.is_present(m) {
+                series.set(m, value);
+                m += 1;
+            }
+        }
+        mask.mark(minute);
+        true
+    }
+}
+
+/// Pushes `value` at `minute >= series.end()`, forward-filling the gap with
+/// the last value (matching the upstream interpolation the paper's agents
+/// perform).
+fn extend_to(series: &mut TimeSeries, minute: MinuteBin, value: f64) {
+    let last = series.values().last().copied().unwrap_or(value);
+    let mut end = series.end();
+    while end < minute {
+        series.push(last);
+        end += 1;
+    }
+    series.push(value);
+}
+
+/// Every slot plus the one ordered index over their keys.
+#[derive(Debug, Clone, Default)]
+struct Slab {
+    slots: Vec<Slot>,
+    // BTreeMap, not HashMap: this index is the only source of enumeration
+    // order, and report and checkpoint bytes follow it.
+    index: BTreeMap<KpiKey, KeyId>,
+}
+
+impl Slab {
+    /// The id of `key`, assigning the next one on first sight. Interning
+    /// alone does not make a key visible to readers.
+    fn intern(&mut self, key: KpiKey) -> KeyId {
+        if let Some(&id) = self.index.get(&key) {
+            return id;
+        }
+        let id = match u32::try_from(self.slots.len()) {
+            Ok(n) if n != KeyId::NONE.0 => KeyId(n),
+            _ => return KeyId::NONE,
+        };
+        self.slots.push(Slot { key, held: None });
+        self.index.insert(key, id);
+        id
+    }
+
+    /// Replaces what each entry's key holds, interning new keys.
+    fn hold(&mut self, entries: impl IntoIterator<Item = (KpiKey, TimeSeries, CoverageMask)>) {
+        for (key, series, mask) in entries {
+            let id = self.intern(key);
+            if let Some(slot) = self.slots.get_mut(id.as_index()) {
+                slot.held = Some(Held { series, mask });
+            }
+        }
+    }
+
+    fn held(&self, key: &KpiKey) -> Option<&Held> {
+        let id = self.index.get(key)?;
+        self.slots.get(id.as_index())?.held.as_ref()
+    }
+
+    /// Every held key with its series and mask, in key order.
+    fn ordered(&self) -> impl Iterator<Item = (KpiKey, &TimeSeries, &CoverageMask)> + Clone {
+        self.index.values().filter_map(|id| {
+            let slot = self.slots.get(id.as_index())?;
+            let held = slot.held.as_ref()?;
+            Some((slot.key, &held.series, &held.mask))
+        })
+    }
+
+    fn held_keys(&self) -> Vec<KpiKey> {
+        self.ordered().map(|(key, _, _)| key).collect()
+    }
+
+    fn held_count(&self) -> usize {
+        self.slots.iter().filter(|s| s.held.is_some()).count()
+    }
+}
+
 /// The in-memory metric store.
 #[derive(Default)]
 pub struct MetricStore {
-    // BTreeMap, not HashMap: `keys()` and any future iteration must be
-    // deterministic — report and aggregation order reaches output bytes.
-    series: RwLock<BTreeMap<KpiKey, TimeSeries>>,
-    masks: RwLock<BTreeMap<KpiKey, CoverageMask>>,
+    slab: RwLock<Slab>,
     subscribers: RwLock<Vec<Subscriber>>,
+    /// `subscribers.len()`, readable without the lock: what lets a write
+    /// batch skip collecting publications nobody would receive.
+    subscriber_count: AtomicUsize,
     next_sub: AtomicU64,
     published: AtomicU64,
     dropped: AtomicU64,
@@ -116,10 +299,88 @@ pub struct MetricStore {
 impl std::fmt::Debug for MetricStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricStore")
-            .field("keys", &self.series.read().len())
+            .field("keys", &self.len())
             .field("subscribers", &self.subscribers.read().len())
             .field("stats", &self.stats())
             .finish()
+    }
+}
+
+/// Exclusive write access to the store for one batch of writes (a collector
+/// frame, or a single keyed call), handed out by [`MetricStore::write_batch`].
+/// Accepted writes are collected and published when the batch ends, after
+/// the lock is released.
+pub(crate) struct StoreWriter<'a> {
+    store: &'a MetricStore,
+    slab: RwLockWriteGuard<'a, Slab>,
+    /// `None` when nobody was subscribed as the batch began.
+    outbox: Option<Vec<Measurement>>,
+}
+
+impl StoreWriter<'_> {
+    /// The id of `key`, interning it on first sight.
+    pub(crate) fn id_of(&mut self, key: KpiKey) -> KeyId {
+        self.slab.intern(key)
+    }
+
+    /// How many keys are interned: every id handed out indexes below it.
+    pub(crate) fn interned(&self) -> usize {
+        self.slab.slots.len()
+    }
+
+    /// The key `id` names, if this store handed `id` out.
+    pub(crate) fn key_of(&self, id: KeyId) -> Option<KpiKey> {
+        self.slab.slots.get(id.as_index()).map(|slot| slot.key)
+    }
+
+    /// [`MetricStore::append`] by id. Returns whether the measurement was
+    /// accepted (`false`: late, ignored, not published).
+    pub(crate) fn append_id(&mut self, id: KeyId, minute: MinuteBin, value: f64) -> bool {
+        let Some(slot) = self.slab.slots.get_mut(id.as_index()) else {
+            return false;
+        };
+        let accepted = slot.push_live(minute, value);
+        if accepted {
+            let key = slot.key;
+            self.queue(key, minute, value);
+        }
+        accepted
+    }
+
+    /// [`MetricStore::backfill`] by id, counted in [`StoreStats`] the same.
+    pub(crate) fn backfill_id(&mut self, id: KeyId, minute: MinuteBin, value: f64) -> bool {
+        let written = self
+            .slab
+            .slots
+            .get_mut(id.as_index())
+            .and_then(|slot| slot.fill_late(minute, value).then_some(slot.key));
+        match written {
+            Some(key) => {
+                self.store.backfilled.fetch_add(1, Ordering::Relaxed);
+                self.queue(key, minute, value);
+            }
+            None => self.store.note_backfill_rejected(),
+        }
+        written.is_some()
+    }
+
+    fn queue(&mut self, key: KpiKey, minute: MinuteBin, value: f64) {
+        if let Some(outbox) = &mut self.outbox {
+            outbox.push(Measurement { key, minute, value });
+        }
+    }
+}
+
+/// Shared read access to everything the store holds, without copying it:
+/// what a checkpoint encodes from. Writers wait while a view is alive, and
+/// a thread holding one must not write to the same store.
+pub struct StoreView<'a>(RwLockReadGuard<'a, Slab>);
+
+impl StoreView<'_> {
+    /// Every key with its series and coverage mask, in sorted key order —
+    /// [`MetricStore::export_entries`] without the clones.
+    pub fn entries(&self) -> impl Iterator<Item = (KpiKey, &TimeSeries, &CoverageMask)> + Clone {
+        self.0.ordered()
     }
 }
 
@@ -135,49 +396,43 @@ impl MetricStore {
         Arc::new(Self::new())
     }
 
+    /// Runs one batch of writes under the store's write lock, then — the
+    /// lock released — publishes what the batch wrote, in write order.
+    pub(crate) fn write_batch<R>(&self, batch: impl FnOnce(&mut StoreWriter<'_>) -> R) -> R {
+        let subscribed = self.subscriber_count.load(Ordering::SeqCst) > 0;
+        let mut writer = StoreWriter {
+            store: self,
+            slab: self.slab.write(),
+            outbox: subscribed.then(Vec::new),
+        };
+        let result = batch(&mut writer);
+        let StoreWriter { slab, outbox, .. } = writer;
+        drop(slab);
+        if let Some(outbox) = outbox {
+            self.publish(&outbox);
+        }
+        result
+    }
+
     /// Replaces the entire series for `key` (used by batch materialization).
     /// Every minute of the series counts as measured.
     pub fn insert(&self, key: KpiKey, series: TimeSeries) {
         let mask = CoverageMask::all_present(series.start(), series.len());
-        self.series.write().insert(key, series);
-        self.masks.write().insert(key, mask);
+        self.slab.write().hold([(key, series, mask)]);
     }
 
     /// Appends one live measurement, growing the series (gaps are filled by
     /// repeating the last value, matching the upstream interpolation the
     /// paper's agents perform), and pushes it to matching subscribers. Only
     /// `minute` itself is marked as measured in the key's coverage mask —
-    /// the fill minutes stay visibly synthetic.
+    /// the fill minutes stay visibly synthetic. A late measurement for an
+    /// already-filled minute is ignored (first write wins, as in the real
+    /// store).
     pub fn append(&self, key: KpiKey, minute: MinuteBin, value: f64) {
-        {
-            let mut map = self.series.write();
-            let series = map.entry(key).or_insert_with(|| TimeSeries::empty(minute));
-            if series.is_empty() {
-                // Re-anchor an empty placeholder at the first real minute.
-                *series = TimeSeries::empty(minute);
-            }
-            let mut end = series.end();
-            if minute < end {
-                // Late measurement for an already-filled minute: ignore
-                // (first write wins, as in the real store).
-                return;
-            }
-            let last = series.values().last().copied().unwrap_or(value);
-            while end < minute {
-                series.push(last);
-                end += 1;
-            }
-            series.push(value);
-        }
-        {
-            let mut masks = self.masks.write();
-            let mask = masks
-                .entry(key)
-                .or_insert_with(|| CoverageMask::new(minute));
-            mask.rebase(minute);
-            mask.mark(minute);
-        }
-        self.publish(Measurement { key, minute, value });
+        self.write_batch(|w| {
+            let id = w.id_of(key);
+            w.append_id(id, minute, value);
+        });
     }
 
     /// Accepts a *late* measurement for a historical bin — the collector's
@@ -194,49 +449,10 @@ impl MetricStore {
     ///
     /// Returns whether the measurement was accepted.
     pub fn backfill(&self, key: KpiKey, minute: MinuteBin, value: f64) -> bool {
-        {
-            // Lock order matches `append`: series before masks. Both are
-            // held across the write so readers never observe a backfilled
-            // series whose mask still reports the bin as missing.
-            let mut map = self.series.write();
-            let mut masks = self.masks.write();
-            let series = map.entry(key).or_insert_with(|| TimeSeries::empty(minute));
-            if series.is_empty() {
-                *series = TimeSeries::empty(minute);
-            }
-            let mask = masks
-                .entry(key)
-                .or_insert_with(|| CoverageMask::new(minute));
-            mask.rebase(minute);
-            if minute >= series.end() {
-                // Beyond the frontier: behaves exactly like a live append.
-                let last = series.values().last().copied().unwrap_or(value);
-                let mut end = series.end();
-                while end < minute {
-                    series.push(last);
-                    end += 1;
-                }
-                series.push(value);
-            } else {
-                if minute < series.start() || mask.is_present(minute) {
-                    self.backfill_rejected.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-                series.set(minute, value);
-                // Bins after this one that were forward-filled from the
-                // pre-gap value now re-fill from the recovered measurement,
-                // up to the next real measurement.
-                let mut m = minute + 1;
-                while m < series.end() && !mask.is_present(m) {
-                    series.set(m, value);
-                    m += 1;
-                }
-            }
-            mask.mark(minute);
-            self.backfilled.fetch_add(1, Ordering::Relaxed);
-        }
-        self.publish(Measurement { key, minute, value });
-        true
+        self.write_batch(|w| {
+            let id = w.id_of(key);
+            w.backfill_id(id, minute, value)
+        })
     }
 
     /// Records one late measurement refused before reaching
@@ -245,39 +461,52 @@ impl MetricStore {
         self.backfill_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn publish(&self, m: Measurement) {
-        let mut dead = Vec::new();
+    /// Offers `batch`, in order, to every matching subscriber.
+    fn publish(&self, batch: &[Measurement]) {
+        let mut dead: Vec<u64> = Vec::new();
         {
             let subs = self.subscribers.read();
-            for s in subs.iter() {
-                let wants = s.filter.as_ref().is_none_or(|f| f.contains(&m.key));
-                if !wants {
-                    continue;
-                }
-                match s.sender.try_send(m) {
-                    Ok(()) => {
-                        self.published.fetch_add(1, Ordering::Relaxed);
+            for m in batch {
+                for s in subs.iter() {
+                    let wants = s.filter.as_ref().is_none_or(|f| f.contains(&m.key));
+                    if !wants || dead.contains(&s.id) {
+                        continue;
                     }
-                    Err(TrySendError::Full(_)) => {
-                        // Lagging subscriber: drop the measurement for it
-                        // rather than blocking ingestion (the store favours
-                        // liveness; FUNNEL re-reads history on demand).
-                        s.drops.fetch_add(1, Ordering::Relaxed);
-                        self.dropped.fetch_add(1, Ordering::Relaxed);
+                    match s.sender.try_send(*m) {
+                        Ok(()) => {
+                            self.published.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(TrySendError::Full(_)) => {
+                            // Lagging subscriber: drop the measurement for it
+                            // rather than blocking ingestion (the store favours
+                            // liveness; FUNNEL re-reads history on demand).
+                            s.drops.fetch_add(1, Ordering::Relaxed);
+                            self.dropped.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(TrySendError::Disconnected(_)) => dead.push(s.id),
                     }
-                    Err(TrySendError::Disconnected(_)) => dead.push(s.id),
                 }
             }
         }
         if !dead.is_empty() {
             self.reaped.fetch_add(dead.len() as u64, Ordering::Relaxed);
-            self.subscribers.write().retain(|s| !dead.contains(&s.id));
+            self.edit_subscribers(|subs| subs.retain(|s| !dead.contains(&s.id)));
         }
+    }
+
+    /// The one place the subscriber list changes, so the lock-free count
+    /// [`MetricStore::write_batch`] reads cannot drift from it.
+    fn edit_subscribers(&self, edit: impl FnOnce(&mut Vec<Subscriber>)) {
+        let mut subs = self.subscribers.write();
+        edit(&mut subs);
+        self.subscriber_count.store(subs.len(), Ordering::SeqCst);
     }
 
     /// Subscribes to live measurements; `filter = None` means everything.
     /// The channel holds up to `capacity` undelivered measurements (clamped
     /// by [`MetricStore::set_subscription_capacity_limit`] when one is set).
+    /// The subscription sees every write batch that begins after this call
+    /// returns (see the module docs for the full contract).
     pub fn subscribe(&self, filter: Option<Vec<KpiKey>>, capacity: usize) -> Subscription {
         let limit = self.max_sub_capacity.load(Ordering::Relaxed);
         let mut cap = capacity.max(1);
@@ -287,11 +516,13 @@ impl MetricStore {
         let (tx, rx) = bounded(cap);
         let id = self.next_sub.fetch_add(1, Ordering::Relaxed);
         let drops = Arc::new(AtomicU64::new(0));
-        self.subscribers.write().push(Subscriber {
-            id,
-            filter,
-            sender: tx,
-            drops: Arc::clone(&drops),
+        self.edit_subscribers(|subs| {
+            subs.push(Subscriber {
+                id,
+                filter,
+                sender: tx,
+                drops: Arc::clone(&drops),
+            });
         });
         Subscription {
             id,
@@ -330,7 +561,7 @@ impl MetricStore {
     /// Cancels a subscription explicitly (dropping the [`Subscription`]
     /// also works — the dead channel is reaped on the next publish).
     pub fn unsubscribe(&self, sub: &Subscription) {
-        self.subscribers.write().retain(|s| s.id != sub.id);
+        self.edit_subscribers(|subs| subs.retain(|s| s.id != sub.id));
     }
 
     /// Closes every live subscription: all receivers see end-of-stream
@@ -338,7 +569,7 @@ impl MetricStore {
     /// shutdown) so consumers holding their own `Arc<MetricStore>` can
     /// terminate instead of blocking on a feed that will never resume.
     pub fn close_subscriptions(&self) {
-        self.subscribers.write().clear();
+        self.edit_subscribers(Vec::clear);
     }
 
     /// An immutable point-in-time view of every series and coverage mask —
@@ -347,10 +578,10 @@ impl MetricStore {
     /// The snapshot pays one copy of the store's contents up front; after
     /// that every accessor is lock-free, so N assessment workers reading
     /// the same snapshot never contend with each other or with live
-    /// ingestion. Cloning a [`StoreSnapshot`] is O(1) (the maps sit behind
-    /// `Arc`s). Both locks are taken together, in the same order as
-    /// [`MetricStore::backfill`], so a snapshot never observes a backfilled
-    /// series whose mask still reports the bin as missing.
+    /// ingestion. Cloning a [`StoreSnapshot`] is O(1) (the copy sits behind
+    /// an `Arc`). A series and its mask share a slot and a lock, so a
+    /// snapshot never observes a written series whose mask still reports
+    /// the bin as missing.
     ///
     /// # Example
     ///
@@ -369,75 +600,61 @@ impl MetricStore {
     /// assert_eq!(store.get(&key).unwrap().len(), 2);
     /// ```
     pub fn snapshot(&self) -> StoreSnapshot {
-        let series = self.series.read();
-        let masks = self.masks.read();
         StoreSnapshot {
-            series: Arc::new(series.clone()),
-            masks: Arc::new(masks.clone()),
+            slab: Arc::new(self.slab.read().clone()),
         }
+    }
+
+    /// Read access to every held series and mask in place, under one lock.
+    pub fn view(&self) -> StoreView<'_> {
+        StoreView(self.slab.read())
     }
 
     /// A full copy of the series for `key`.
     pub fn get(&self, key: &KpiKey) -> Option<TimeSeries> {
-        self.series.read().get(key).cloned()
+        self.slab.read().held(key).map(|h| h.series.clone())
     }
 
     /// A copy of the coverage mask for `key`: which minutes hold real
     /// measurements rather than forward-fills.
     pub fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
-        self.masks.read().get(key).cloned()
+        self.slab.read().held(key).map(|h| h.mask.clone())
     }
 
     /// Fraction of `[from, to)` that holds real measurements for `key`
     /// (0 when the key is unknown).
     pub fn coverage(&self, key: &KpiKey, from: MinuteBin, to: MinuteBin) -> f64 {
-        self.masks
-            .read()
-            .get(key)
-            .map(|m| m.coverage(from, to))
-            .unwrap_or(0.0)
+        let slab = self.slab.read();
+        slab.held(key).map_or(0.0, |h| h.mask.coverage(from, to))
     }
 
     /// The values of `key` over `[from, to)` (clamped), if the key exists.
     pub fn range(&self, key: &KpiKey, from: MinuteBin, to: MinuteBin) -> Option<Vec<f64>> {
-        self.series
-            .read()
-            .get(key)
-            .map(|s| s.slice(from, to).to_vec())
+        let slab = self.slab.read();
+        slab.held(key).map(|h| h.series.slice(from, to).to_vec())
     }
 
     /// Number of keys held.
     pub fn len(&self) -> usize {
-        self.series.read().len()
+        self.slab.read().held_count()
     }
 
     /// Whether the store holds no series.
     pub fn is_empty(&self) -> bool {
-        self.series.read().is_empty()
+        self.len() == 0
     }
 
     /// All keys currently held, in sorted (deterministic) order.
     pub fn keys(&self) -> Vec<KpiKey> {
-        self.series.read().keys().copied().collect()
+        self.slab.read().held_keys()
     }
 
     /// Deterministic export of every key's series and coverage mask, sorted
-    /// by key — the store half of a recovery checkpoint. Keys without an
-    /// explicit mask (inserted via batch materialization before the mask map
-    /// learned about them) export an empty mask anchored at the series
-    /// start, matching what [`MetricStore::coverage`] would report.
+    /// by key — the store half of a recovery checkpoint.
     pub fn export_entries(&self) -> Vec<(KpiKey, TimeSeries, CoverageMask)> {
-        let series = self.series.read();
-        let masks = self.masks.read();
-        series
-            .iter()
-            .map(|(key, s)| {
-                let mask = masks
-                    .get(key)
-                    .cloned()
-                    .unwrap_or_else(|| CoverageMask::new(s.start()));
-                (*key, s.clone(), mask)
-            })
+        self.view()
+            .entries()
+            .map(|(key, series, mask)| (key, series.clone(), mask.clone()))
             .collect()
     }
 
@@ -450,14 +667,11 @@ impl MetricStore {
         &self,
         entries: impl IntoIterator<Item = (KpiKey, TimeSeries, CoverageMask)>,
     ) {
-        let mut series = self.series.write();
-        let mut masks = self.masks.write();
-        series.clear();
-        masks.clear();
-        for (key, s, mask) in entries {
-            series.insert(key, s);
-            masks.insert(key, mask);
+        let mut slab = self.slab.write();
+        for slot in &mut slab.slots {
+            slot.held = None;
         }
+        slab.hold(entries);
     }
 }
 
@@ -465,55 +679,55 @@ impl MetricStore {
 /// [`MetricStore::snapshot`].
 ///
 /// Accessors mirror the store's read API but never touch a lock: the
-/// snapshot owns frozen copies of the series and coverage-mask maps behind
-/// `Arc`s. This is the view the batch pipeline hands its worker threads —
-/// every worker reads the same bytes regardless of scheduling, which is one
-/// half of the byte-identical-reports guarantee (the other half is the
-/// deterministic merge in `funnel-core`).
+/// snapshot owns a frozen copy of the slab behind an `Arc`. This is the
+/// view the batch pipeline hands its worker threads — every worker reads
+/// the same bytes regardless of scheduling, which is one half of the
+/// byte-identical-reports guarantee (the other half is the deterministic
+/// merge in `funnel-core`).
 #[derive(Debug, Clone)]
 pub struct StoreSnapshot {
-    series: Arc<BTreeMap<KpiKey, TimeSeries>>,
-    masks: Arc<BTreeMap<KpiKey, CoverageMask>>,
+    slab: Arc<Slab>,
 }
 
 impl StoreSnapshot {
     /// A full copy of the series for `key`.
     pub fn get(&self, key: &KpiKey) -> Option<TimeSeries> {
-        self.series.get(key).cloned()
+        self.slab.held(key).map(|h| h.series.clone())
     }
 
     /// A copy of the coverage mask for `key`.
     pub fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
-        self.masks.get(key).cloned()
+        self.slab.held(key).map(|h| h.mask.clone())
     }
 
     /// Fraction of `[from, to)` that held real measurements for `key` at
     /// snapshot time (0 when the key is unknown).
     pub fn coverage(&self, key: &KpiKey, from: MinuteBin, to: MinuteBin) -> f64 {
-        self.masks
-            .get(key)
-            .map(|m| m.coverage(from, to))
-            .unwrap_or(0.0)
+        self.slab
+            .held(key)
+            .map_or(0.0, |h| h.mask.coverage(from, to))
     }
 
     /// The values of `key` over `[from, to)` (clamped), if the key exists.
     pub fn range(&self, key: &KpiKey, from: MinuteBin, to: MinuteBin) -> Option<Vec<f64>> {
-        self.series.get(key).map(|s| s.slice(from, to).to_vec())
+        self.slab
+            .held(key)
+            .map(|h| h.series.slice(from, to).to_vec())
     }
 
     /// Number of keys held.
     pub fn len(&self) -> usize {
-        self.series.len()
+        self.slab.held_count()
     }
 
     /// Whether the snapshot holds no series.
     pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
+        self.len() == 0
     }
 
     /// All keys held, in sorted (deterministic) order.
     pub fn keys(&self) -> Vec<KpiKey> {
-        self.series.keys().copied().collect()
+        self.slab.held_keys()
     }
 }
 
@@ -756,6 +970,35 @@ mod tests {
         // Clones share the frozen maps.
         let clone = snap.clone();
         assert_eq!(clone.len(), snap.len());
+    }
+
+    #[test]
+    fn ids_outlive_a_restore_and_interning_alone_shows_nothing() {
+        let store = MetricStore::new();
+        let (a, b) = store.write_batch(|w| (w.id_of(key(0)), w.id_of(key(1))));
+        assert_ne!(a, b);
+        assert!(store.is_empty() && store.keys().is_empty());
+        assert!(store.get(&key(0)).is_none() && store.snapshot().is_empty());
+        assert!(store.export_entries().is_empty());
+
+        store.append(key(1), 0, 1.0);
+        store.restore_entries([(
+            key(2),
+            TimeSeries::new(3, vec![9.0]),
+            CoverageMask::all_present(3, 1),
+        )]);
+        assert_eq!(store.keys(), vec![key(2)]);
+        store.write_batch(|w| {
+            assert_eq!((w.id_of(key(0)), w.id_of(key(1))), (a, b));
+            assert_eq!(w.key_of(b), Some(key(1)));
+            // The emptied slot starts over at its next write.
+            assert!(w.append_id(b, 5, 2.0));
+            assert!(!w.append_id(b, 4, 7.0));
+        });
+        let series = store.get(&key(1)).unwrap();
+        assert_eq!((series.start(), series.values()), (5, &[2.0][..]));
+        assert_eq!(store.keys(), vec![key(1), key(2)]);
+        assert_eq!(store.len(), 2);
     }
 
     #[test]

@@ -3,11 +3,16 @@
 //! deployment (§2.2: every server's agent pushes once a minute while FUNNEL
 //! and other systems subscribe).
 
+use funnel_sim::collector::Collector;
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::store::MetricStore;
+use funnel_sim::wire::{encode_frame, WireRecord};
+use funnel_sim::world::{SimConfig, WorldBuilder};
 use funnel_topology::impact::Entity;
-use funnel_topology::model::ServerId;
-use std::sync::Arc;
+use funnel_topology::model::{InstanceId, ServerId, ServiceId};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 fn key(n: u32) -> KpiKey {
     KpiKey::new(Entity::Server(ServerId(n)), KpiKind::CpuUtilization)
@@ -103,4 +108,128 @@ fn unsubscribe_during_publishing_is_safe() {
     }
     publisher.join().expect("publisher ok");
     assert_eq!(store.get(&key(2)).unwrap().len(), 2000);
+}
+
+/// A series and its mask live in one slot and change under one lock, a
+/// whole frame at a time. Readers racing the collector therefore never see
+/// a series whose newest minute its mask does not cover — neither through
+/// `get` then `mask` (two lock acquisitions; the mask only grows), nor in
+/// a snapshot, where the two must agree exactly — and a snapshot taken
+/// mid-race stays what it was.
+#[test]
+fn readers_racing_a_per_frame_writer_see_series_and_mask_agree() {
+    const MINUTES: u64 = 600;
+    let mut b = WorldBuilder::new(SimConfig {
+        seed: 2,
+        start: 0,
+        duration: MINUTES as usize,
+    });
+    b.add_service("prod.race", 2).unwrap();
+    let world = b.build();
+    let mut keys: Vec<KpiKey> = (0..2u32)
+        .flat_map(|n| {
+            [
+                KpiKey::new(Entity::Server(ServerId(n)), KpiKind::CpuUtilization),
+                KpiKey::new(Entity::Instance(InstanceId(n)), KpiKind::PageViewCount),
+            ]
+        })
+        .collect();
+    let sent = keys.clone();
+    // The aggregate the collector appends under the same lock as the frame.
+    keys.push(KpiKey::new(
+        Entity::Service(ServiceId(0)),
+        KpiKind::PageViewCount,
+    ));
+
+    let store = MetricStore::new();
+    let start = Barrier::new(3);
+    let done = AtomicBool::new(false);
+    let reads = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..2)
+            .map(|r| {
+                let (store, keys, start, done, reads) = (&store, &keys, &start, &done, &reads);
+                s.spawn(move || {
+                    let mut lengths = BTreeSet::new();
+                    let mut frozen = None;
+                    start.wait();
+                    while !done.load(Ordering::SeqCst) {
+                        for key in keys {
+                            let series = store.get(key);
+                            let mask = store.mask(key);
+                            if let (Some(series), Some(mask)) = (series, mask) {
+                                assert!(
+                                    mask.is_present(series.end() - 1),
+                                    "{key:?}: series ends at {} but its mask does not cover that minute",
+                                    series.end()
+                                );
+                                lengths.insert(series.len());
+                            }
+                        }
+                        let snap = store.snapshot();
+                        for key in keys {
+                            if let (Some(series), Some(mask)) = (snap.get(key), snap.mask(key)) {
+                                assert_eq!(series.end(), mask.end(), "{key:?} in a snapshot");
+                                assert!(mask.is_present(series.end() - 1), "{key:?} in a snapshot");
+                            }
+                        }
+                        if frozen.is_none() && snap.len() == keys.len() && r == 0 {
+                            let seen: Vec<usize> =
+                                keys.iter().map(|k| snap.get(k).map_or(0, |s| s.len())).collect();
+                            frozen = Some((snap, seen));
+                        }
+                        reads.fetch_add(1, Ordering::SeqCst);
+                    }
+                    (lengths, frozen)
+                })
+            })
+            .collect();
+
+        let mut collector = Collector::for_world(&world, &store, 1, 0);
+        start.wait();
+        let mut passes = 0;
+        'stream: for minute in 0..MINUTES {
+            // Paced by the readers, so the race lasts the whole stream: a
+            // frame goes in only once another pass over the store is done.
+            while reads.load(Ordering::SeqCst) == passes {
+                if readers.iter().any(|r| r.is_finished()) {
+                    // A reader's assertion failed; the join reports it.
+                    break 'stream;
+                }
+                std::thread::yield_now();
+            }
+            passes = reads.load(Ordering::SeqCst);
+            let records: Vec<WireRecord> = sent
+                .iter()
+                .map(|key| WireRecord {
+                    key: *key,
+                    value: minute as f64,
+                })
+                .collect();
+            assert!(collector.ingest(&encode_frame(minute, 0, &records)));
+        }
+        done.store(true, Ordering::SeqCst);
+
+        let mut distinct = BTreeSet::new();
+        for reader in readers {
+            let (lengths, frozen) = reader.join().expect("reader saw a torn slot");
+            distinct.extend(lengths);
+            if let Some((snap, seen)) = frozen {
+                let now: Vec<usize> = keys
+                    .iter()
+                    .map(|k| snap.get(k).map_or(0, |s| s.len()))
+                    .collect();
+                assert_eq!(now, seen, "a snapshot moved after it was taken");
+                assert!(seen.iter().all(|&len| len < MINUTES as usize));
+            }
+        }
+        assert!(
+            distinct.len() > 20,
+            "readers saw only {} store states: no race happened",
+            distinct.len()
+        );
+    });
+    for key in &keys {
+        assert_eq!(store.get(key).map(|s| s.len()), Some(MINUTES as usize));
+    }
 }

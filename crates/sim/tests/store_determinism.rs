@@ -3,8 +3,15 @@
 //! must not depend on insertion order (which, with a hash map underneath,
 //! would really mean hasher order — different on every run).
 
+use funnel_core::reassess::QueueState;
+use funnel_resilience::checkpoint::encode_checkpoint_of;
+use funnel_sim::collector::{Collector, CollectorState};
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::store::MetricStore;
+use funnel_sim::wire::{encode_frame, WireRecord};
+use funnel_sim::world::{SimConfig, WorldBuilder};
+use funnel_timeseries::mask::CoverageMask;
+use funnel_timeseries::series::TimeSeries;
 use funnel_topology::impact::Entity;
 use funnel_topology::model::{InstanceId, ServerId, ServiceId};
 
@@ -99,4 +106,134 @@ fn key_enumeration_is_sorted() {
     let mut sorted = keys.clone();
     sorted.sort();
     assert_eq!(keys, sorted, "keys() must be deterministic and sorted");
+}
+
+/// Slot ids follow arrival order; nothing a reader or a checkpoint can see
+/// may. The same measurements — live appends, gaps, backfills, a batch
+/// insert, a key emptied by a restore and written again — reach two stores
+/// in two key orders.
+#[test]
+fn interning_order_reaches_no_reader_and_no_checkpoint_byte() {
+    let keys = key_set();
+    let fill = |order: &[KpiKey]| {
+        let store = MetricStore::new();
+        // A restore that keeps nothing: every key of `order` is interned,
+        // in this order, and none is held.
+        for key in order {
+            store.append(*key, 0, 0.0);
+        }
+        store.restore_entries(Vec::new());
+        assert!(store.is_empty() && store.keys().is_empty());
+        for minute in [2u64, 3, 7, 8] {
+            for key in order {
+                store.append(*key, minute, value_for(key, minute));
+            }
+        }
+        for key in order {
+            assert!(store.backfill(*key, 5, value_for(key, 5)));
+        }
+        store
+    };
+    let forward = fill(&keys);
+    let mut shuffled = keys.clone();
+    shuffled.reverse();
+    shuffled.rotate_left(7);
+    let backward = fill(&shuffled);
+    // Batch materialisation joins late, at opposite ends of the id space.
+    let extra = KpiKey::new(Entity::Server(ServerId(3)), KpiKind::MemoryUtilization);
+    forward.insert(extra, TimeSeries::new(1, vec![4.0, 5.0]));
+    backward.insert(extra, TimeSeries::new(1, vec![4.0, 5.0]));
+
+    assert_eq!(forward.keys(), backward.keys());
+    assert_eq!(forward.len(), keys.len() + 1);
+    assert_eq!(forward.export_entries(), backward.export_entries());
+    assert_eq!(forward.snapshot().keys(), backward.keys());
+    let state = CollectorState::new(2);
+    let queue = QueueState::default();
+    assert_eq!(
+        encode_checkpoint_of(9, &forward, &state, &queue),
+        encode_checkpoint_of(9, &backward, &state, &queue),
+        "checkpoint bytes depend on interning order"
+    );
+}
+
+/// A collector keeps ids across frames. `restore_entries` under it drops
+/// keys, keeps others and brings in new ones; the collector's next frames
+/// must land in exactly the keys they name.
+#[test]
+fn a_collector_used_across_a_restore_writes_only_the_keys_it_is_sent() {
+    let mut b = WorldBuilder::new(SimConfig {
+        seed: 1,
+        start: 0,
+        duration: 16,
+    });
+    b.add_service("prod.one", 2).unwrap();
+    let world = b.build();
+    let sent: Vec<KpiKey> = (0..2u32)
+        .flat_map(|n| {
+            [
+                KpiKey::new(Entity::Server(ServerId(n)), KpiKind::CpuUtilization),
+                KpiKey::new(Entity::Instance(InstanceId(n)), KpiKind::PageViewCount),
+            ]
+        })
+        .collect();
+    let frame = |minute: u64| {
+        let records: Vec<WireRecord> = sent
+            .iter()
+            .map(|key| WireRecord {
+                key: *key,
+                value: value_for(key, minute),
+            })
+            .collect();
+        encode_frame(minute, 0, &records)
+    };
+
+    let store = MetricStore::new();
+    let mut collector = Collector::for_world(&world, &store, 1, 0);
+    for minute in 0..3 {
+        assert!(collector.ingest(&frame(minute)));
+    }
+    // Keep the second and fourth key as they are, drop the other two, and
+    // bring in a bystander; entries arrive in an order of their own.
+    let bystander = KpiKey::new(Entity::Server(ServerId(9)), KpiKind::NicThroughput);
+    let mut kept: Vec<_> = store
+        .export_entries()
+        .into_iter()
+        .filter(|(key, _, _)| *key == sent[1] || *key == sent[3])
+        .collect();
+    kept.push((
+        bystander,
+        TimeSeries::new(0, vec![7.0, 8.0]),
+        CoverageMask::all_present(0, 2),
+    ));
+    kept.reverse();
+    store.restore_entries(kept);
+    for minute in 3..6 {
+        assert!(collector.ingest(&frame(minute)));
+    }
+
+    let service = KpiKey::new(Entity::Service(ServiceId(0)), KpiKind::PageViewCount);
+    for key in &sent {
+        let series = store.get(key).expect("sent key held");
+        let mask = store.mask(key).expect("sent key has a mask");
+        // Kept keys carry all six minutes; dropped ones restart at 3.
+        let start = if *key == sent[1] || *key == sent[3] {
+            0
+        } else {
+            3
+        };
+        assert_eq!(series.start(), start, "{key:?}");
+        assert_eq!(mask.start(), start, "{key:?}");
+        let want: Vec<f64> = (start..6).map(|m| value_for(key, m)).collect();
+        assert_eq!(series.values(), &want[..], "{key:?}");
+        assert_eq!(mask.bits(), &vec![true; want.len()][..], "{key:?}");
+    }
+    assert_eq!(
+        store.get(&bystander).map(|s| s.values().to_vec()),
+        Some(vec![7.0, 8.0]),
+        "a write went through a stale id"
+    );
+    // The restore dropped the aggregate too; it restarts with the frames.
+    assert_eq!(store.get(&service).map(|s| s.start()), Some(3));
+    assert_eq!(store.len(), sent.len() + 2, "{:?}", store.keys());
 }
