@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn scope_filter_skips_tests_and_shims() {
-        assert!(analyzable("crates/core/src/online.rs"));
+        assert!(analyzable("crates/core/src/stream.rs"));
         assert!(analyzable("src/lib.rs"));
         assert!(!analyzable("crates/core/tests/properties.rs"));
         assert!(!analyzable("crates/shims/rand/src/lib.rs"));

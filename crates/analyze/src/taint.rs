@@ -40,10 +40,9 @@ use std::collections::BTreeMap;
 /// `(file, fn)` pairs; entries missing from the workspace are simply
 /// skipped, so fixture workspaces can exercise the pass with their own
 /// names.
-pub const ENTRY_POINTS: [(&str, &str); 22] = [
+pub const ENTRY_POINTS: [(&str, &str); 21] = [
     ("crates/core/src/pipeline.rs", "assess_change"),
     ("crates/core/src/pipeline.rs", "assess_change_with"),
-    ("crates/core/src/pipeline.rs", "assess_key"),
     ("crates/core/src/pipeline.rs", "assess_keys"),
     ("crates/core/src/parallel.rs", "assess_work_units"),
     ("crates/core/src/parallel.rs", "merge"),

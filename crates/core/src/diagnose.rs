@@ -81,7 +81,7 @@ pub(crate) fn diagnose_assessment(
     // Dark-launch control pools are shared by every item at one
     // (entity level, KPI kind), exactly as in the DiD contrast — memoize
     // the member fetch the same way.
-    let mut pools: ControlCache<(u8, KpiKind), Vec<ControlMember>> = ControlCache::new();
+    let pools: ControlCache<(u8, KpiKind), Vec<ControlMember>> = ControlCache::new();
 
     let selected = items.iter().filter(|item| {
         item.verdict.is_caused() || (cfg.include_inconclusive && item.verdict.is_inconclusive())
@@ -89,7 +89,7 @@ pub(crate) fn diagnose_assessment(
     let inputs: Vec<ItemInput> = selected
         .filter_map(|item| {
             build_item_input(
-                funnel, source, topology, change, impact_set, item, &mut pools, period,
+                funnel, source, topology, change, impact_set, item, &pools, period,
             )
         })
         .collect();
@@ -127,7 +127,7 @@ fn build_item_input(
     change: &SoftwareChange,
     impact_set: &ImpactSet,
     item: &ItemAssessment,
-    pools: &mut ControlCache<(u8, KpiKind), Vec<ControlMember>>,
+    pools: &ControlCache<(u8, KpiKind), Vec<ControlMember>>,
     period: u64,
 ) -> Option<ItemInput> {
     let key = item.key;

@@ -19,13 +19,16 @@
 //!
 //! Two driving modes are provided: [`pipeline::Funnel::assess_change`] runs
 //! the batch assessment the paper's evaluation uses, and
-//! [`online::OnlinePipeline`] consumes a live measurement subscription from
-//! the metric store, scoring every KPI minute by minute — the deployment
-//! mode of §5.
+//! [`stream::StreamEngine`] is the deployment mode of §5 — it is offered a
+//! live measurement feed (a metric-store subscription, say) and ticked
+//! minute by minute, scoring every KPI incrementally in bounded memory and
+//! completing each tracked change with the batch path's own verdicts.
 //!
-//! The batch mode fans its per-KPI work units across a configurable worker
-//! pool ([`config::AssessConfig`], [`parallel`]) with a deterministic
-//! merge: the delivered report is byte-identical for any worker count.
+//! Both modes — and the supervised and re-assessment entry points — fan
+//! their per-KPI work units across a configurable worker pool
+//! ([`config::AssessConfig`]) through the one engine in [`parallel`], with
+//! a deterministic merge: the delivered report is byte-identical for any
+//! worker count.
 //!
 //! # Quick start
 //!
@@ -45,8 +48,6 @@
 
 pub mod config;
 pub mod diagnose;
-pub mod online;
-pub mod online_assess;
 pub mod parallel;
 pub mod pipeline;
 pub mod quality;

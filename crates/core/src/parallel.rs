@@ -1,30 +1,42 @@
-//! The parallel assessment engine: fan out impact-set KPIs across a
-//! fixed-size worker pool, merge deterministically.
+//! The one fan-out every assessment path runs through, and the
+//! deterministic merge behind it.
 //!
 //! The paper's pitch is *rapid* assessment — hundreds of servers, instances
 //! and services × KPIs judged within minutes of a rollout. Each work unit
 //! (one impact-set KPI, enumerated by
 //! [`enumerate_work_units`](crate::pipeline::enumerate_work_units)) is
-//! independent of every other, so the batch pipeline is embarrassingly
-//! parallel. This module supplies the harness:
+//! independent of every other, so the work is embarrassingly parallel. This
+//! module supplies the harness, in two layers:
 //!
-//! * **Fan-out** — a fixed pool of `workers` threads
-//!   ([`AssessConfig::workers`](crate::config::AssessConfig)) pulls
-//!   `(index, key)` jobs from one crossbeam MPMC channel. No work stealing,
-//!   no runtime: plain scoped threads, per the workspace threading policy.
+//! * `fan_out` — the primitive. A fixed pool of scoped worker threads
+//!   claims jobs from one indexed list a batch of consecutive indices at a
+//!   time (one short lock a batch; no channel, no queue that can grow),
+//!   builds its per-worker state once, and hands the results back in job
+//!   order. No work stealing, no runtime. The streaming engine's per-tick
+//!   scoring calls it directly.
+//! * `assess_units` — the assessment form. The batch pipeline, the
+//!   re-assessment queue and the streaming completion path call it with
+//!   `Funnel::assess_item` as the per-unit function, the supervisor with
+//!   its retry/quarantine loop around the same function. It owns the
+//!   assessment's one control table, the worker spans and the error rule.
+//!
+//! What keeps the output independent of the worker count:
+//!
 //! * **Contention-free reads** — workers share a read-only
 //!   [`KpiSource`]. For live stores, callers pass a
 //!   [`StoreSnapshot`](funnel_sim::store::StoreSnapshot)
 //!   (`MetricStore::snapshot()`), so the hot loop never takes a lock.
-//! * **Worker-local caching** — each worker owns an `AssessCache`
-//!   memoizing the control-group window fetches every treated item of the
-//!   same (group level, KPI kind) shares; see [`funnel_did::cache`].
-//! * **Deterministic merge** — results arrive in scheduling order, which is
-//!   *not* deterministic; [`merge`] re-keys them by `(entity, kpi)` into a
-//!   `BTreeMap`, so the final item list is byte-identical for any worker
-//!   count (1, 2, 8, 16, …). Errors are deterministic too: if several
-//!   workers fail, the error reported is the one for the lowest work-unit
-//!   index, whatever order the failures arrived in.
+//! * **One control table per assessment** — every treated item of the same
+//!   (group level, KPI kind) contrasts against the same control-group
+//!   windows; the table builds each exactly once and shares it by `&`
+//!   across the workers (see [`funnel_did::cache`]), so even its hit and
+//!   miss counts are the same at any worker count and under any schedule.
+//! * **Deterministic merge** — which worker ran which unit is scheduling-
+//!   dependent; results are re-ordered by job index, and [`merge`] re-keys
+//!   items by `(entity, kpi)` into a `BTreeMap`, so the final item list is
+//!   byte-identical for any worker count (1, 2, 8, 16, …). Errors are
+//!   deterministic too: every unit runs, and the error reported is the one
+//!   for the lowest work-unit index.
 //!
 //! Nothing in this path reads the clock, iterates a hashed container, or
 //! panics — the `funnel-lint` determinism and no-panic lints gate this file
@@ -32,22 +44,23 @@
 
 use crate::pipeline::{Funnel, FunnelError, ItemAssessment};
 use crate::source::KpiSource;
-use crossbeam::channel;
 use funnel_did::cache::ControlCache;
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::TimeSeries;
 use funnel_topology::change::SoftwareChange;
 use funnel_topology::impact::{Entity, ImpactSet};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
-
-/// Cache key for one control-group fetch: which control pool the treated
-/// entity contrasts against (see [`control_level`]) and the KPI kind.
-pub(crate) type ControlCacheKey = (u8, KpiKind);
 
 /// One memoized control-group window: the fetched member series with their
 /// coverage masks, plus the group's mean coverage over the DiD periods.
 pub(crate) type ControlGroupWindow = (Vec<(TimeSeries, Option<CoverageMask>)>, f64);
+
+/// The control-group windows of one assessment, keyed by which control pool
+/// the treated entity contrasts against (see [`control_level`]) and the KPI
+/// kind. Shared by `&` across the workers; each window is built once.
+pub(crate) type ControlTable = ControlCache<(u8, KpiKind), ControlGroupWindow>;
 
 /// Which control pool a treated entity's DiD contrast draws from: `0` for
 /// server-level items (cservers), `1` for instance- and service-level items
@@ -59,33 +72,123 @@ pub(crate) fn control_level(entity: Entity) -> u8 {
     }
 }
 
-/// Worker-local assessment state. One per worker thread (or one total on
-/// the serial path); `&mut` access only, so workers never contend.
-#[derive(Debug, Default)]
-pub(crate) struct AssessCache {
-    /// Memoized control-group fetches, shared by every treated item whose
-    /// contrast uses the same (control pool, KPI kind).
-    pub(crate) control: ControlCache<ControlCacheKey, ControlGroupWindow>,
-}
+/// Claims a worker makes over an evenly loaded run: enough that one slow
+/// batch (a unit that went on to DiD) cannot leave the other workers idle
+/// for long, few enough that claiming stays a rounding error.
+const CLAIMS_PER_WORKER: usize = 8;
 
-impl AssessCache {
-    pub(crate) fn new() -> Self {
-        Self::default()
+/// Runs `run_job` over every job on `workers` scoped threads and returns
+/// the results in job order: when no call declines, position `i` holds job
+/// `i`'s result.
+///
+/// Workers claim a batch of consecutive indices under one short lock, so a
+/// tick of a thousand cheap folds costs a few dozen claims, not a thousand
+/// messages. Each worker builds its state with `worker_state` once and,
+/// when `worker_span` names one, runs inside that span (indexed by worker)
+/// and flushes its span buffer before the thread exits. `run_job`
+/// returning `None` is the caller's stop switch: that worker claims nothing
+/// further and the job yields no result, so a stopped run comes back short.
+///
+/// One worker (or at most one job) runs inline on the calling thread, with
+/// no span, through the same two closures — serial and parallel callers
+/// cannot drift apart.
+pub(crate) fn fan_out<J: Send, W, R: Send>(
+    jobs: Vec<J>,
+    workers: usize,
+    worker_span: Option<&'static str>,
+    worker_state: impl Fn() -> W + Sync,
+    run_job: impl Fn(&mut W, J) -> Option<R> + Sync,
+) -> Vec<R> {
+    let units = jobs.len();
+    let workers = workers.clamp(1, units.max(1));
+    if workers == 1 {
+        let mut state = worker_state();
+        return jobs
+            .into_iter()
+            .map_while(|job| run_job(&mut state, job))
+            .collect();
     }
+
+    let batch = units.div_ceil(workers * CLAIMS_PER_WORKER).max(1);
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let finished: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(units));
+    std::thread::scope(|scope| {
+        for worker_idx in 0..workers {
+            let (queue, finished, worker_state, run_job) =
+                (&queue, &finished, &worker_state, &run_job);
+            scope.spawn(move || {
+                let span = worker_span.map(|name| funnel_obs::span!(name, worker_idx));
+                let mut state = worker_state();
+                let mut results = Vec::new();
+                'claim: loop {
+                    let claimed: Vec<(usize, J)> = queue.lock().by_ref().take(batch).collect();
+                    if claimed.is_empty() {
+                        break;
+                    }
+                    for (index, job) in claimed {
+                        match run_job(&mut state, job) {
+                            Some(result) => results.push((index, result)),
+                            None => break 'claim,
+                        }
+                    }
+                }
+                finished.lock().append(&mut results);
+                // Merge this worker's span buffer before the scoped thread
+                // exits — commutative merge, so flush order is unobservable.
+                drop(span);
+                funnel_obs::flush_thread();
+            });
+        }
+    });
+    // Which worker ran which job is scheduling-dependent; the index erases it.
+    let mut finished = finished.into_inner();
+    finished.sort_unstable_by_key(|(index, _)| *index);
+    finished.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Folds one worker's (or the serial path's) control-cache hit/miss tallies
-/// into the global counters once its assessment loop finishes. Counter
-/// addition commutes, so the totals are independent of worker scheduling.
-pub(crate) fn record_cache_stats(cache: &AssessCache) {
-    let stats = cache.control.stats();
+/// Fans the work units of one assessment out through [`fan_out`] and
+/// returns `per_unit`'s results in work order. `per_unit` receives the
+/// assessment's one shared [`ControlTable`]; returning `None` stops the
+/// run early (the supervisor's abort switch), which callers detect by the
+/// result coming back shorter than `work`.
+///
+/// # Errors
+///
+/// Every unit runs even after one fails; the error returned is the one
+/// for the lowest work-unit index, whatever order the failures happened in.
+pub(crate) fn assess_units<T: Send>(
+    work: &[KpiKey],
+    workers: usize,
+    per_unit: impl Fn(KpiKey, &ControlTable) -> Option<Result<T, FunnelError>> + Sync,
+) -> Result<Vec<T>, FunnelError> {
+    let workers = workers.clamp(1, work.len().max(1));
     let window = funnel_obs::timeline::current_window();
+    funnel_obs::timeline_gauge_set(funnel_obs::names::WORKERS, window, workers as u64);
+    funnel_obs::timeline_histogram_record(
+        funnel_obs::names::WORK_QUEUE_DEPTH,
+        window,
+        work.len() as u64,
+    );
+    let table = ControlTable::new();
+    let results = fan_out(
+        work.to_vec(),
+        workers,
+        Some(funnel_obs::names::SPAN_ASSESS_WORKER),
+        || (),
+        |(), key| per_unit(key, &table),
+    );
+    // One table, read once on the calling thread after the workers joined:
+    // misses are the groups built and hits the other lookups, whatever the
+    // worker count or schedule.
+    let stats = table.stats();
     funnel_obs::timeline_counter_add(funnel_obs::names::CONTROL_CACHE_HITS, window, stats.hits);
     funnel_obs::timeline_counter_add(
         funnel_obs::names::CONTROL_CACHE_MISSES,
         window,
         stats.misses,
     );
+    // Results are in index order, so the first error is the lowest-index one.
+    results.into_iter().collect()
 }
 
 /// Deterministically merges per-item results into the final report order.
@@ -123,10 +226,6 @@ pub fn merge(results: impl IntoIterator<Item = ItemAssessment>) -> Vec<ItemAsses
 /// Assesses every work unit of `work` against `source`, fanning out across
 /// `workers` threads when more than one is requested, and returns the items
 /// in merged (key-sorted) order.
-///
-/// The serial path (`workers <= 1`, or a single work unit) runs the same
-/// enumerate → assess → [`merge`] sequence inline with one [`AssessCache`],
-/// so serial and parallel assessments cannot drift apart.
 pub(crate) fn assess_work_units<S: KpiSource + Sync>(
     funnel: &Funnel,
     source: &S,
@@ -135,79 +234,10 @@ pub(crate) fn assess_work_units<S: KpiSource + Sync>(
     work: &[KpiKey],
     workers: usize,
 ) -> Result<Vec<ItemAssessment>, FunnelError> {
-    let workers = workers.clamp(1, work.len().max(1));
-    let window = funnel_obs::timeline::current_window();
-    funnel_obs::timeline_gauge_set(funnel_obs::names::WORKERS, window, workers as u64);
-    funnel_obs::timeline_histogram_record(
-        funnel_obs::names::WORK_QUEUE_DEPTH,
-        window,
-        work.len() as u64,
-    );
-    if workers == 1 {
-        let mut cache = AssessCache::new();
-        let mut items = Vec::with_capacity(work.len());
-        for &key in work {
-            items.push(funnel.assess_item(source, change, impact_set, key, &mut cache)?);
-        }
-        record_cache_stats(&cache);
-        return Ok(merge(items));
-    }
-
-    // All jobs are enqueued up front on an unbounded MPMC channel; workers
-    // drain it and exit when it disconnects (sender dropped below).
-    let (job_tx, job_rx) = channel::unbounded::<(usize, KpiKey)>();
-    for unit in work.iter().copied().enumerate() {
-        // Cannot fail: both receiver clones below outlive the sends.
-        let _ = job_tx.send(unit);
-    }
-    drop(job_tx);
-
-    let (result_tx, result_rx) =
-        channel::unbounded::<(usize, Result<ItemAssessment, FunnelError>)>();
-    let mut items: Vec<ItemAssessment> = Vec::with_capacity(work.len());
-    let mut first_error: Option<(usize, FunnelError)> = None;
-    std::thread::scope(|scope| {
-        for worker_idx in 0..workers {
-            let jobs = job_rx.clone();
-            let results = result_tx.clone();
-            scope.spawn(move || {
-                let worker_span =
-                    funnel_obs::span!(funnel_obs::names::SPAN_ASSESS_WORKER, worker_idx);
-                let mut cache = AssessCache::new();
-                while let Ok((index, key)) = jobs.recv() {
-                    let outcome = funnel.assess_item(source, change, impact_set, key, &mut cache);
-                    if results.send((index, outcome)).is_err() {
-                        break; // collector gone; nothing left to report to
-                    }
-                }
-                record_cache_stats(&cache);
-                // Merge this worker's span buffer before the scoped thread
-                // exits — commutative merge, so flush order is unobservable.
-                drop(worker_span);
-                funnel_obs::flush_thread();
-            });
-        }
-        drop(result_tx);
-        drop(job_rx);
-        // Collect until every worker has dropped its sender. Which worker
-        // produced which item is scheduling-dependent; merge() erases that.
-        while let Ok((index, outcome)) = result_rx.recv() {
-            match outcome {
-                Ok(item) => items.push(item),
-                Err(e) => {
-                    let is_earlier = first_error.as_ref().is_none_or(|(i, _)| index < *i);
-                    if is_earlier {
-                        first_error = Some((index, e));
-                    }
-                }
-            }
-        }
-    });
-
-    match first_error {
-        Some((_, e)) => Err(e),
-        None => Ok(merge(items)),
-    }
+    assess_units(work, workers, |key, table| {
+        Some(funnel.assess_item(source, change, impact_set, key, table))
+    })
+    .map(merge)
 }
 
 #[cfg(test)]
@@ -237,6 +267,89 @@ mod tests {
         config.assess.workers = workers;
         let assessment = Funnel::new(config).assess_change(world, change).unwrap();
         format!("{assessment:?}")
+    }
+
+    /// The primitive alone: job `i` yields `i * 2`.
+    fn doubled(units: usize, workers: usize) -> Vec<usize> {
+        fan_out(
+            (0..units).collect(),
+            workers,
+            None,
+            || (),
+            |(), i| Some(i * 2),
+        )
+    }
+
+    #[test]
+    fn fan_out_results_are_complete_and_index_addressed() {
+        for workers in [1, 2, 3, 8, 64] {
+            let out = doubled(37, workers);
+            assert_eq!(out.len(), 37, "workers={workers}");
+            for (i, r) in out.iter().enumerate() {
+                assert_eq!(*r, i * 2, "workers={workers}: slot {i}");
+            }
+        }
+        // No units, and more workers than units.
+        assert!(doubled(0, 1).is_empty());
+        assert!(doubled(0, 8).is_empty());
+        assert_eq!(doubled(1, 8), vec![0]);
+        assert_eq!(doubled(3, 8), vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn lowest_index_error_wins_whatever_the_schedule() {
+        let work: Vec<KpiKey> = (0..40)
+            .map(|i| {
+                KpiKey::new(
+                    Entity::Server(funnel_topology::model::ServerId(i)),
+                    KpiKind::CpuUtilization,
+                )
+            })
+            .collect();
+        let server = |key: KpiKey| match key.entity {
+            Entity::Server(s) => s.0,
+            _ => unreachable!("server keys only"),
+        };
+        for workers in [1, 3, 8] {
+            // Units 7, 8 and 31 fail; every unit still runs.
+            let ran = std::sync::atomic::AtomicUsize::new(0);
+            let result = assess_units(&work, workers, |key, _| {
+                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Some(match server(key) {
+                    7 | 8 | 31 => Err(FunnelError::MissingSeries(key)),
+                    n => Ok(n),
+                })
+            });
+            assert_eq!(result, Err(FunnelError::MissingSeries(work[7])));
+            assert_eq!(ran.load(std::sync::atomic::Ordering::Relaxed), 40);
+            // And without failures the results come back in work order.
+            let clean = assess_units(&work, workers, |key, _| Some(Ok(server(key))));
+            assert_eq!(clean, Ok((0..40).collect()));
+        }
+    }
+
+    #[test]
+    fn a_panicking_unit_under_an_unwind_boundary_costs_one_result() {
+        // The supervisor's shape: each unit runs inside `catch_unwind`, so
+        // a poisoned unit yields its fallback and every other slot is
+        // untouched — at any worker count.
+        for workers in [1, 3, 8] {
+            let out = fan_out(
+                (0..20).collect::<Vec<i64>>(),
+                workers,
+                None,
+                || (),
+                |(), i| {
+                    let attempt = std::panic::catch_unwind(|| {
+                        assert!(i != 5, "injected poison");
+                        i * 2
+                    });
+                    Some(attempt.unwrap_or(-1))
+                },
+            );
+            let expected: Vec<i64> = (0..20).map(|i| if i == 5 { -1 } else { i * 2 }).collect();
+            assert_eq!(out, expected, "workers={workers}");
+        }
     }
 
     #[test]

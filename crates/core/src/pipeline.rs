@@ -7,8 +7,8 @@
 //! seasonal history for affected-service KPIs (which have no cinstances).
 
 use crate::config::FunnelConfig;
-use crate::parallel::{self, control_level, AssessCache};
-use crate::quality::{assess_quality, QualityConfig, QualityReport};
+use crate::parallel::{self, control_level, ControlTable};
+use crate::quality::{assess_quality, QualityConfig, QualityIssue, QualityReport};
 use crate::source::KpiSource;
 use funnel_detect::detector::{ChangeEvent, DetectorRunner, MaskedRun};
 use funnel_detect::sst_adapter::SstDetector;
@@ -37,7 +37,7 @@ pub enum AssessmentMode {
 /// Final per-item verdict, coverage-aware.
 ///
 /// Operator-facing definitions of every variant (and every
-/// [`QualityIssue`](crate::quality::QualityIssue) that can accompany one)
+/// [`QualityIssue`] that can accompany one)
 /// live in the glossary table of `OPERATORS.md` at the repository root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -394,29 +394,12 @@ impl Funnel {
         })
     }
 
-    /// Re-assesses a single impact-set KPI of `change` — the entry point
-    /// the re-assessment queue uses once a healed span's coverage crosses
-    /// the threshold, without re-running the whole impact set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates impact-set identification and missing-series failures.
-    pub fn assess_key(
-        &self,
-        source: &impl KpiSource,
-        topology: &Topology,
-        change: &SoftwareChange,
-        key: KpiKey,
-    ) -> Result<ItemAssessment, FunnelError> {
-        let impact_set = identify_impact_set(topology, change)?;
-        self.assess_item(source, change, &impact_set, key, &mut AssessCache::new())
-    }
-
-    /// Re-assesses a batch of impact-set KPIs of `change` through the same
-    /// fan-out/merge engine as [`Funnel::assess_change_with`] — the plural
-    /// form of [`Funnel::assess_key`], used by the re-assessment queue when
-    /// several items become ready in the same heal. Duplicates are
-    /// collapsed; the results come back in key-sorted order.
+    /// Re-assesses some impact-set KPIs of `change` — one, or a batch —
+    /// through the same fan-out/merge engine as
+    /// [`Funnel::assess_change_with`], without re-running the whole impact
+    /// set: the entry point the re-assessment queue uses once healed spans
+    /// cross their coverage threshold. Duplicates are collapsed; the
+    /// results come back in key-sorted order.
     ///
     /// # Errors
     ///
@@ -442,28 +425,64 @@ impl Funnel {
         )
     }
 
+    /// The `[from, to)` assessment window of `change`, before the clamp to
+    /// where a series starts: enough pre-change data to warm the detector
+    /// up, plus the post-change watch period.
+    fn assessment_window(&self, change: &SoftwareChange) -> (MinuteBin, MinuteBin) {
+        let lookback = self.config.sst.window_len() as u64 + self.config.warmup_minutes();
+        (
+            change.minute.saturating_sub(lookback),
+            change.minute + self.config.assessment_minutes + 1,
+        )
+    }
+
+    /// The synthesized verdict for a work unit that was never trustworthily
+    /// assessed — shed or stale in the streaming engine, quarantined by the
+    /// supervisor: `Inconclusive`, zero trusted coverage, flagged with the
+    /// `issue` that says why. The window comes from the change and config
+    /// alone, because the series was never read.
+    pub(crate) fn unassessed_item(
+        &self,
+        change: &SoftwareChange,
+        key: KpiKey,
+        issue: QualityIssue,
+    ) -> ItemAssessment {
+        funnel_obs::timeline_counter_add(funnel_obs::names::VERDICT_INCONCLUSIVE, change.minute, 1);
+        ItemAssessment {
+            key,
+            detection: None,
+            did: None,
+            mode: AssessmentMode::SeasonalHistory,
+            caused: false,
+            verdict: Verdict::Inconclusive {
+                awaiting_backfill: false,
+            },
+            quality: DataQuality {
+                coverage: 0.0,
+                report: QualityReport {
+                    issues: vec![issue],
+                },
+            },
+            window: self.assessment_window(change),
+        }
+    }
+
     /// Assesses one impact-set KPI: detection, then causality, both
-    /// tempered by how much of the window was really measured. `cache` is
-    /// the calling worker's memo state; it only ever holds values derived
-    /// from `source`, so any cache produces the same item.
+    /// tempered by how much of the window was really measured. `table` is
+    /// the assessment's shared control table; it only ever holds values
+    /// derived from `source`, so it never changes the item.
     pub(crate) fn assess_item(
         &self,
         source: &impl KpiSource,
         change: &SoftwareChange,
         impact_set: &ImpactSet,
         key: KpiKey,
-        cache: &mut AssessCache,
+        table: &ControlTable,
     ) -> Result<ItemAssessment, FunnelError> {
         let _span = funnel_obs::span!(funnel_obs::names::SPAN_ASSESS_ITEM);
         let series = source.series(&key).ok_or(FunnelError::MissingSeries(key))?;
 
-        // The assessment window: enough pre-change data to warm the
-        // detector up, plus the post-change watch period.
-        let w = self.config.sst.window_len() as u64;
-        let from = change
-            .minute
-            .saturating_sub(w + self.config.warmup_minutes());
-        let to = change.minute + self.config.assessment_minutes + 1;
+        let (from, to) = self.assessment_window(change);
         let lo = from.max(series.start());
         let window = TimeSeries::new(lo, series.slice(lo, to).to_vec());
 
@@ -519,7 +538,7 @@ impl Funnel {
                 },
             )
         } else if detection.is_some() {
-            match self.determine(source, change, impact_set, key, &series, mode, cache) {
+            match self.determine(source, change, impact_set, key, &series, mode, table) {
                 Ok((v, est)) => {
                     let verdict = if v.is_caused() {
                         Verdict::Caused
@@ -637,7 +656,7 @@ impl Funnel {
         key: KpiKey,
         series: &TimeSeries,
         mode: AssessmentMode,
-        cache: &mut AssessCache,
+        table: &ControlTable,
     ) -> Result<(DidVerdict, DidEstimate), DidError> {
         match mode {
             AssessmentMode::SeasonalHistory => {
@@ -653,31 +672,28 @@ impl Funnel {
                 // member whose measured fraction diverges across the change
                 // minute would bias the contrast and `assess_masked` drops
                 // it — and the group's mean coverage over the DiD periods
-                // are memoized in the worker-local cache.
+                // are built once in the assessment's shared table.
                 let period = self.config.did.period_minutes;
                 let did_from = change.minute.saturating_sub(period);
                 let did_to = change.minute + period + 1;
-                let group =
-                    cache
-                        .control
-                        .get_or_insert_with((control_level(key.entity), key.kind), || {
-                            let control_keys = control_keys_for(impact_set, key);
-                            let coverage = if control_keys.is_empty() {
-                                0.0
-                            } else {
-                                control_keys
-                                    .iter()
-                                    .map(|k| source.coverage(k, did_from, did_to))
-                                    // funnel-lint: allow(float-accumulation-order): Vec built in sorted impact-set order, no hashed container
-                                    .sum::<f64>()
-                                    / control_keys.len() as f64
-                            };
-                            let members: Vec<(TimeSeries, Option<CoverageMask>)> = control_keys
-                                .iter()
-                                .filter_map(|k| source.series(k).map(|s| (s, source.mask(k))))
-                                .collect();
-                            (members, coverage)
-                        });
+                let group = table.get_or_insert_with((control_level(key.entity), key.kind), || {
+                    let control_keys = control_keys_for(impact_set, key);
+                    let coverage = if control_keys.is_empty() {
+                        0.0
+                    } else {
+                        control_keys
+                            .iter()
+                            .map(|k| source.coverage(k, did_from, did_to))
+                            // funnel-lint: allow(float-accumulation-order): Vec built in sorted impact-set order, no hashed container
+                            .sum::<f64>()
+                            / control_keys.len() as f64
+                    };
+                    let members: Vec<(TimeSeries, Option<CoverageMask>)> = control_keys
+                        .iter()
+                        .filter_map(|k| source.series(k).map(|s| (s, source.mask(k))))
+                        .collect();
+                    (members, coverage)
+                });
                 let (control_members, ctl_coverage) = &*group;
                 // A contrast against a control group that was itself mostly
                 // gap-filled proves nothing: bail out (into the seasonal

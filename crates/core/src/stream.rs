@@ -12,12 +12,14 @@
 //!
 //! # Robustness contract
 //!
-//! * **Every inter-stage queue is bounded.** The scoring fan-out uses a
-//!   bounded job channel (the submitter blocks — explicit backpressure —
-//!   rather than queueing unboundedly) and the verdict output channel is
-//!   bounded drop-not-block (a slow consumer loses verdicts, counted in
-//!   [`StreamStats::verdicts_dropped`], and never stalls ingest — the same
-//!   discipline as the store's subscriber fan-out).
+//! * **Nothing queues without a bound.** The scoring fan-out has no queue
+//!   at all: workers claim index batches straight from the tick's admitted
+//!   list (`parallel::fan_out`), whose length the tick budget caps. The
+//!   verdict output channel is bounded drop-not-block (a slow consumer
+//!   loses verdicts, counted in [`StreamStats::verdicts_dropped`], and
+//!   never stalls ingest — the same discipline as the store's subscriber
+//!   fan-out). A completed change is forgotten the tick it completes, so
+//!   the tracked set holds only assessments still in flight.
 //! * **Deterministic load shedding.** When a tick's pending re-scores
 //!   exceed [`StreamConfig::tick_budget`], the lowest-priority keys are
 //!   dropped for that tick by a pure function of `(seed, tick, key)` —
@@ -25,7 +27,8 @@
 //!   schedule. Service-level KPIs outrank server KPIs outrank instance
 //!   KPIs (aggregates are few and answer for many). A work unit that was
 //!   shed inside its assessment window is *not* silently assessed from a
-//!   degraded monitor: it completes as [`Verdict::Inconclusive`] flagged
+//!   degraded monitor: it completes as
+//!   [`Verdict::Inconclusive`](crate::pipeline::Verdict) flagged
 //!   [`QualityIssue::LoadShed`].
 //! * **Staleness watermark.** A verdict is only computed from a window
 //!   whose newest data is at most [`StreamConfig::staleness_limit`]
@@ -52,19 +55,17 @@
 use crate::config::FunnelConfig;
 use crate::diagnose::diagnose_assessment;
 use crate::parallel;
-use crate::pipeline::{
-    enumerate_work_units, AssessmentMode, DataQuality, Funnel, FunnelError, ItemAssessment, Verdict,
-};
-use crate::quality::{QualityIssue, QualityReport};
+use crate::pipeline::{enumerate_work_units, Funnel, FunnelError, ItemAssessment};
+use crate::quality::QualityIssue;
 use crate::source::KpiSource;
-use crate::supervise::splitmix64;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use funnel_detect::detector::PersistenceRun;
 use funnel_diag::DiagReport;
 use funnel_obs::names;
 use funnel_sim::kpi::{KpiKey, KpiKind};
+use funnel_sim::splitmix64;
 use funnel_sim::store::Measurement;
-use funnel_sim::wire::key_to_bytes;
+use funnel_sim::wire::key_hash;
 use funnel_sst::{FastSst, SstWorkspace, StreamingSst};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::ring::{RingSeries, RingWrite};
@@ -95,9 +96,6 @@ pub struct StreamConfig {
     /// window a due verdict needs. Keys whose feed fell further behind are
     /// flagged [`QualityIssue::LoadShed`] instead of judged on stale data.
     pub staleness_limit: u64,
-    /// Capacity of the bounded scoring job queue. The tick's submitter
-    /// blocks when it fills — backpressure, not unbounded queueing.
-    pub queue_capacity: usize,
     /// Capacity of the bounded verdict output channel; when full, further
     /// verdicts are dropped (and counted), never allowed to stall a tick.
     pub verdict_capacity: usize,
@@ -115,7 +113,6 @@ impl StreamConfig {
             tick_budget: 0,
             shed_seed: 2015,
             staleness_limit: 60,
-            queue_capacity: 1024,
             verdict_capacity: 65_536,
             workers: 1,
         }
@@ -295,7 +292,6 @@ struct TrackedChange {
     shed: BTreeSet<KpiKey>,
     /// First streaming detection on any work key at/after the change.
     first_detection: Option<MinuteBin>,
-    done: bool,
 }
 
 /// A [`KpiSource`] view over the engine's rings, handed to the batch
@@ -339,49 +335,11 @@ fn shed_class(entity: Entity) -> u8 {
     }
 }
 
-/// Index-free LE packing of the 6 key bytes into the low 48 bits — the
-/// same key hash the supervisor's backoff schedule uses.
-fn key_hash(key: KpiKey) -> u64 {
-    key_to_bytes(key)
-        .iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, &b)| acc | (u64::from(b) << (8 * i)))
-}
-
 /// The shed rank of `key` at `tick`: a pure, recorded function of the seed
 /// — never a random draw, so a re-run with the same seed sheds the same
 /// set and the decision can be audited after the fact.
 fn shed_rank(seed: u64, tick: MinuteBin, key: KpiKey) -> u64 {
     splitmix64(seed ^ key_hash(key).rotate_left(17) ^ tick)
-}
-
-/// The synthesized verdict for a shed or stale work unit: `Inconclusive`,
-/// zero trusted coverage, flagged [`QualityIssue::LoadShed`]. Mirrors the
-/// supervisor's quarantine item — the window comes from the change and
-/// config alone, because the data was never trustworthily scored.
-fn shed_item(funnel: &Funnel, change: &SoftwareChange, key: KpiKey) -> ItemAssessment {
-    let config = funnel.config();
-    let lookback = config.sst.window_len() as u64 + config.warmup_minutes();
-    let from = change.minute.saturating_sub(lookback);
-    let to = change.minute + config.assessment_minutes + 1;
-    funnel_obs::timeline_counter_add(names::VERDICT_INCONCLUSIVE, change.minute, 1);
-    ItemAssessment {
-        key,
-        detection: None,
-        did: None,
-        mode: AssessmentMode::SeasonalHistory,
-        caused: false,
-        verdict: Verdict::Inconclusive {
-            awaiting_backfill: false,
-        },
-        quality: DataQuality {
-            coverage: 0.0,
-            report: QualityReport {
-                issues: vec![QualityIssue::LoadShed],
-            },
-        },
-        window: (from, to),
-    }
 }
 
 /// One scoring assignment: fold ring minutes `[lo, to)` into the monitor.
@@ -535,9 +493,10 @@ impl StreamEngine {
             .fold(0usize, usize::saturating_add)
     }
 
-    /// Changes tracked and not yet completed.
+    /// Changes tracked and not yet completed (a change is dropped from
+    /// the engine the tick it completes).
     pub fn pending_changes(&self) -> usize {
-        self.changes.iter().filter(|c| !c.done).count()
+        self.changes.len()
     }
 
     /// Registers a change for streaming assessment. The work units are
@@ -574,7 +533,6 @@ impl StreamEngine {
             due,
             shed: BTreeSet::new(),
             first_detection: None,
-            done: false,
         });
         Ok(id)
     }
@@ -682,7 +640,7 @@ impl StreamEngine {
         for d in &detections {
             self.stats.detections += 1;
             funnel_obs::timeline_counter_add(names::STREAM_DETECTIONS, minute, 1);
-            for change in self.changes.iter_mut().filter(|c| !c.done) {
+            for change in &mut self.changes {
                 if d.declared_at >= change.record.minute
                     && change.work.binary_search(&d.key).is_ok()
                 {
@@ -810,7 +768,7 @@ impl StreamEngine {
             self.stats.shed += 1;
             funnel_obs::timeline_counter_add(names::STREAM_SHED, minute, 1);
             self.shed_log.push((minute, key));
-            for change in self.changes.iter_mut().filter(|c| !c.done) {
+            for change in &mut self.changes {
                 if minute >= change.record.minute
                     && minute <= change.due
                     && change.work.binary_search(&key).is_ok()
@@ -821,8 +779,9 @@ impl StreamEngine {
         }
     }
 
-    /// Scores the admitted keys, serially or across the bounded-queue
-    /// worker pool; detections come back in key order either way.
+    /// Scores the admitted keys through the shared fan-out, one SST
+    /// workspace per worker; detections come back in key order at any
+    /// worker count.
     fn run_scoring(
         &mut self,
         minute: MinuteBin,
@@ -833,85 +792,31 @@ impl StreamEngine {
         }
         let threshold = self.funnel.config().sst_threshold;
         let sst_config = &self.funnel.config().sst;
-        let workers = self.config.workers.clamp(1, admitted.len());
         funnel_obs::timeline_histogram_record(
             names::STREAM_QUEUE_DEPTH,
             minute,
             admitted.len() as u64,
         );
 
-        let rings = &self.rings;
         // Disjoint `&mut` monitors for exactly the admitted keys, in key
-        // order (both maps iterate sorted).
-        let mut jobs: Vec<(usize, KpiKey, &mut KeyMonitor, &ScorePlan)> = Vec::new();
-        for (idx, (key, monitor)) in self
+        // order (the monitor map iterates sorted).
+        let rings = &self.rings;
+        let jobs: Vec<(KpiKey, &mut KeyMonitor, &ScorePlan, &RingSeries)> = self
             .monitors
             .iter_mut()
-            .filter(|(key, _)| admitted.contains_key(*key))
-            .enumerate()
-        {
-            if let Some(plan) = admitted.get(key) {
-                jobs.push((idx, *key, monitor, plan));
-            }
-        }
-
-        let mut folds = 0u64;
-        let mut per_key: Vec<(usize, Vec<StreamDetection>)> = Vec::with_capacity(jobs.len());
-        if workers == 1 {
-            let mut workspace = SstWorkspace::new(sst_config);
-            for (idx, key, monitor, plan) in jobs {
-                let ring = rings.get(&key);
-                let Some(ring) = ring else { continue };
-                let (f, dets) = score_key(monitor, ring, plan, threshold, &mut workspace, key);
-                folds += f;
-                per_key.push((idx, dets));
-            }
-        } else {
-            let queue = self.config.queue_capacity.max(1);
-            let (job_tx, job_rx) = bounded::<(usize, KpiKey, &mut KeyMonitor, &ScorePlan)>(queue);
-            // Sized so a result send can never block: at most one message
-            // per job. Bounded all the same — no queue in the engine is
-            // unbounded.
-            let (result_tx, result_rx) =
-                bounded::<(usize, u64, Vec<StreamDetection>)>(jobs.len().max(1));
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let jobs_in = job_rx.clone();
-                    let results = result_tx.clone();
-                    scope.spawn(move || {
-                        // One workspace per worker, never per key.
-                        let mut workspace = SstWorkspace::new(sst_config);
-                        while let Ok((idx, key, monitor, plan)) = jobs_in.recv() {
-                            let Some(ring) = rings.get(&key) else {
-                                continue;
-                            };
-                            let (f, dets) =
-                                score_key(monitor, ring, plan, threshold, &mut workspace, key);
-                            if results.send((idx, f, dets)).is_err() {
-                                break;
-                            }
-                        }
-                        funnel_obs::flush_thread();
-                    });
-                }
-                drop(result_tx);
-                drop(job_rx);
-                for job in jobs {
-                    // Blocking send on the bounded queue: backpressure on
-                    // the submitter, not unbounded buffering.
-                    if job_tx.send(job).is_err() {
-                        break;
-                    }
-                }
-                drop(job_tx);
-                while let Ok((idx, f, dets)) = result_rx.recv() {
-                    folds += f;
-                    per_key.push((idx, dets));
-                }
-            });
-        }
-        per_key.sort_unstable_by_key(|(idx, _)| *idx);
-        let detections = per_key.into_iter().flat_map(|(_, d)| d).collect();
+            .filter_map(|(key, monitor)| Some((*key, monitor, admitted.get(key)?, rings.get(key)?)))
+            .collect();
+        let scored = parallel::fan_out(
+            jobs,
+            self.config.workers,
+            None,
+            || SstWorkspace::new(sst_config),
+            |workspace, (key, monitor, plan, ring)| {
+                Some(score_key(monitor, ring, plan, threshold, workspace, key))
+            },
+        );
+        let folds = scored.iter().map(|(f, _)| f).sum();
+        let detections = scored.into_iter().flat_map(|(_, d)| d).collect();
         for key in admitted.keys() {
             let fully_folded = self
                 .monitors
@@ -930,17 +835,10 @@ impl StreamEngine {
     /// that were neither shed nor stale; the rest get `LoadShed` items.
     fn complete_due_changes(&mut self, minute: MinuteBin) -> Vec<StreamAssessment> {
         let mut completed = Vec::new();
-        let due: Vec<usize> = self
-            .changes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.done && minute >= c.due)
-            .map(|(i, _)| i)
-            .collect();
-        for index in due {
-            let Some(change) = self.changes.get(index) else {
-                continue;
-            };
+        // A change leaves the tracked set the tick it completes: nothing
+        // below (or in any later tick) reads it again.
+        let due: Vec<TrackedChange> = self.changes.extract_if(.., |c| minute >= c.due).collect();
+        for change in due {
             // The embedded batch assessment is attributed to the change's
             // own minute (like the batch path), not the tick that happened
             // to complete it; the cursor is restored before returning.
@@ -969,6 +867,9 @@ impl StreamEngine {
                 stale.len() as u64,
             );
 
+            let funnel = &self.funnel;
+            let load_shed =
+                |&key: &KpiKey| funnel.unassessed_item(&change.record, key, QualityIssue::LoadShed);
             let view = RingView { rings: &self.rings };
             let workers = self.funnel.config().assess.effective_workers();
             let mut items = match parallel::assess_work_units(
@@ -985,18 +886,10 @@ impl StreamEngine {
                     // stall the engine: degrade the whole change to
                     // LoadShed items and count it.
                     self.stats.assess_errors += 1;
-                    live.iter()
-                        .map(|&key| shed_item(&self.funnel, &change.record, key))
-                        .collect()
+                    live.iter().map(load_shed).collect()
                 }
             };
-            items.extend(
-                change
-                    .shed
-                    .iter()
-                    .chain(stale.iter())
-                    .map(|&key| shed_item(&self.funnel, &change.record, key)),
-            );
+            items.extend(change.shed.iter().chain(stale.iter()).map(load_shed));
             items.sort_by_key(|a| a.key);
 
             // The opt-in diagnosis stage: runs over the same ring view the
@@ -1044,12 +937,76 @@ impl StreamEngine {
                 }
             }
             completed.push(assessment);
-            if let Some(change) = self.changes.get_mut(index) {
-                change.done = true;
-            }
         }
         // Restore the tick window for whatever runs after this call.
         funnel_obs::timeline::set_window(minute);
         completed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use funnel_sim::effect::ChangeEffect;
+    use funnel_sim::live::LiveFeed;
+    use funnel_sim::world::{SimConfig, WorldBuilder};
+    use funnel_sst::SstConfig;
+    use funnel_topology::change::ChangeKind;
+
+    #[test]
+    fn a_completed_change_is_forgotten() {
+        // Five changes, forty minutes apart, each due an hour after it
+        // deploys: the tracked set shrinks as each completes and ends empty.
+        const CHANGES: usize = 5;
+        let mut b = WorldBuilder::new(SimConfig {
+            seed: 9,
+            start: 0,
+            duration: 420,
+        });
+        let svc = b.add_service("prod.forget", 3).unwrap();
+        let ids: Vec<ChangeId> = (0..CHANGES as u64)
+            .map(|i| {
+                let minute = 150 + 40 * i;
+                b.deploy_change(
+                    ChangeKind::Upgrade,
+                    svc,
+                    1,
+                    minute,
+                    ChangeEffect::none(),
+                    "c",
+                )
+                .unwrap()
+            })
+            .collect();
+        let world = b.build();
+
+        let mut config = FunnelConfig::paper_default();
+        config.sst = SstConfig::quick();
+        config.diagnose.enabled = true; // the path that also held a Topology
+        let stream_cfg = StreamConfig::paired_with(&config);
+        let kinds = world
+            .topology()
+            .services()
+            .map(|(id, _)| (id, world.kinds_of_service(id).to_vec()))
+            .collect();
+        let mut engine = StreamEngine::new(config, stream_cfg, kinds);
+        for id in &ids {
+            let record = world.change_log().get(*id).unwrap().clone();
+            engine.track_change(world.topology(), record).unwrap();
+        }
+        assert_eq!(engine.pending_changes(), CHANGES);
+
+        let feed = LiveFeed::from_store(&world.materialize().unwrap());
+        let mut completed = Vec::new();
+        for (minute, batch) in feed.arrivals() {
+            for &m in batch {
+                engine.offer(m);
+            }
+            completed.extend(engine.tick(minute).completed.into_iter().map(|a| a.change));
+            assert_eq!(engine.changes.len(), CHANGES - completed.len());
+        }
+        assert_eq!(completed, ids, "every change completes once, in due order");
+        assert!(engine.changes.is_empty());
+        assert_eq!(engine.pending_changes(), 0);
     }
 }

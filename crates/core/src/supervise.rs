@@ -5,8 +5,9 @@
 //! returns a clean [`FunnelError`]. Production ingest is less polite: a
 //! work unit can hit a transient source hiccup, stall past its deadline
 //! budget, or turn out to be *poisoned* — an input that makes the
-//! assessment code itself fall over, run after run. This module wraps the
-//! same worker-pool shape with a per-unit supervisor:
+//! assessment code itself fall over, run after run. This module runs the
+//! same fan-out (`parallel::assess_units`) with a per-unit supervisor as
+//! the function each unit goes through:
 //!
 //! * **Retry** — failed attempts are re-run up to
 //!   [`SupervisorConfig::max_retries`] times on a capped exponential
@@ -20,7 +21,8 @@
 //! * **Quarantine** — a unit still failing after the retry budget (or one
 //!   whose attempt *panicked* — every attempt runs under
 //!   [`std::panic::catch_unwind`]) is quarantined: the supervisor
-//!   synthesizes a [`Verdict::Inconclusive`] item carrying
+//!   synthesizes a [`Verdict::Inconclusive`](crate::pipeline::Verdict)
+//!   item carrying
 //!   [`QualityIssue::SupervisorQuarantined`] instead of aborting the whole
 //!   assessment. One poisoned `(entity, kpi)` costs exactly one verdict;
 //!   every other item is byte-identical to the fault-free run.
@@ -37,16 +39,14 @@
 //! and the counters are seeded at zero on every run so they appear in the
 //! report even when no fault fires — the CI `chaos-smoke` step greps them.
 
-use crate::parallel::{self, AssessCache};
-use crate::pipeline::{
-    AssessmentMode, ChangeAssessment, DataQuality, Funnel, FunnelError, ItemAssessment, Verdict,
-};
-use crate::quality::{QualityIssue, QualityReport};
+use crate::parallel::{self, ControlTable};
+use crate::pipeline::{ChangeAssessment, Funnel, FunnelError, ItemAssessment};
+use crate::quality::QualityIssue;
 use crate::source::KpiSource;
-use crossbeam::channel;
 use funnel_obs::names;
 use funnel_sim::kpi::{KpiKey, KpiKind};
-use funnel_sim::wire::key_to_bytes;
+use funnel_sim::splitmix64;
+use funnel_sim::wire::key_hash;
 use funnel_topology::change::SoftwareChange;
 use funnel_topology::impact::{identify_impact_set, ImpactSet};
 use funnel_topology::model::{ServiceId, Topology};
@@ -159,16 +159,6 @@ pub struct Supervised {
     pub report: SupervisorReport,
 }
 
-/// SplitMix64 — the workspace's standard seeded mixer; bit-identical across
-/// platforms, which keeps recorded backoff schedules (and the streaming
-/// engine's shed ranks) reproducible.
-pub(crate) fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The deterministic backoff for retry `attempt` (0-based) of `key`:
 /// capped exponential plus seeded jitter in `[0, base)`. Recorded into the
 /// report, never slept.
@@ -176,63 +166,18 @@ fn backoff_ms(config: &SupervisorConfig, key: KpiKey, attempt: u32) -> u64 {
     let exp = config
         .backoff_base_ms
         .saturating_mul(1u64 << attempt.min(16));
-    // Index-free LE packing of the 6 key bytes into the low 48 bits —
-    // identical to from_le_bytes([kb[0..6], 0, 0]) but structurally
-    // panic-proof for the reachability lint.
-    let key_hash = key_to_bytes(key)
-        .iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, &b)| acc | (u64::from(b) << (8 * i)));
     let jitter_span = config.backoff_base_ms.max(1);
     let jitter =
-        splitmix64(config.seed ^ key_hash.rotate_left(17) ^ u64::from(attempt)) % jitter_span;
+        splitmix64(config.seed ^ key_hash(key).rotate_left(17) ^ u64::from(attempt)) % jitter_span;
     exp.min(config.backoff_cap_ms) + jitter
 }
 
-/// The synthesized verdict for a quarantined work unit: `Inconclusive`,
-/// zero trusted coverage, flagged [`QualityIssue::SupervisorQuarantined`].
-/// The window is computed from the change and config alone (the series was
-/// never trustworthily read), mirroring the pipeline's window arithmetic
-/// without the store clamp.
-fn quarantined_item(funnel: &Funnel, change: &SoftwareChange, key: KpiKey) -> ItemAssessment {
-    let config = funnel.config();
-    let lookback = config.sst.window_len() as u64 + config.warmup_minutes();
-    let from = change.minute.saturating_sub(lookback);
-    let to = change.minute + config.assessment_minutes + 1;
-    funnel_obs::timeline_counter_add(names::VERDICT_INCONCLUSIVE, change.minute, 1);
-    ItemAssessment {
-        key,
-        detection: None,
-        did: None,
-        mode: AssessmentMode::SeasonalHistory,
-        caused: false,
-        verdict: Verdict::Inconclusive {
-            awaiting_backfill: false,
-        },
-        quality: DataQuality {
-            coverage: 0.0,
-            report: QualityReport {
-                issues: vec![QualityIssue::SupervisorQuarantined],
-            },
-        },
-        window: (from, to),
-    }
-}
-
-/// How one supervised work unit ended.
-enum UnitOutcome {
-    /// Clean (possibly after retries) assessment.
-    Done(ItemAssessment),
-    /// A genuine pipeline error — deterministic, not retried.
-    Failed(FunnelError),
-    /// Retry budget exhausted: synthesized quarantine verdict.
-    Quarantined(ItemAssessment),
-}
-
-/// One unit's full supervised history.
+/// One work unit's supervised history: the item it ended with (a clean
+/// assessment, possibly after retries, or the synthesized quarantine
+/// verdict once the retry budget ran out) and what it took to get there.
 struct UnitRun {
-    key: KpiKey,
-    outcome: UnitOutcome,
+    item: ItemAssessment,
+    quarantined: bool,
     retries: u64,
     restarts: u64,
     backoff_ms: Vec<u64>,
@@ -248,6 +193,11 @@ enum Attempt {
 /// Runs one work unit under supervision: probe → attempt → retry loop →
 /// quarantine. Panics from the attempt (poisoned unit, or a panicking test
 /// probe) are caught here and consume a retry like any other failure.
+///
+/// # Errors
+///
+/// A genuine pipeline error — deterministic, so returned at once instead
+/// of retried.
 #[allow(clippy::too_many_arguments)] // mirrors the pipeline's internal plumbing
 fn run_unit<S: KpiSource + Sync>(
     funnel: &Funnel,
@@ -255,43 +205,34 @@ fn run_unit<S: KpiSource + Sync>(
     change: &SoftwareChange,
     impact_set: &ImpactSet,
     key: KpiKey,
-    cache: &mut AssessCache,
+    table: &ControlTable,
     config: &SupervisorConfig,
     probe: &dyn FaultProbe,
-) -> UnitRun {
+) -> Result<UnitRun, FunnelError> {
     let mut retries = 0u64;
     let mut restarts = 0u64;
     let mut backoff = Vec::new();
     for attempt in 0..=config.max_retries {
         // The probe runs inside the unwind boundary so a panicking probe
         // models a poisoned input crashing the assessment code itself. A
-        // panic can leave the worker cache mid-update, but cached windows
-        // are pure functions of the read-only source, so a partial entry
-        // is at worst absent, never wrong.
+        // panic while a control window is being built leaves that window
+        // unbuilt in the shared table — the next unit to need it builds it
+        // — and built windows are pure functions of the read-only source,
+        // so an entry is at worst absent, never wrong.
         let attempt_result = catch_unwind(AssertUnwindSafe(|| match probe.fault(&key, attempt) {
             Some(InjectedFault::Transient) => Attempt::Transient,
             Some(InjectedFault::Stall) => Attempt::Stalled,
-            None => Attempt::Finished(funnel.assess_item(source, change, impact_set, key, cache)),
+            None => Attempt::Finished(funnel.assess_item(source, change, impact_set, key, table)),
         }));
         match attempt_result {
-            Ok(Attempt::Finished(Ok(item))) => {
-                return UnitRun {
-                    key,
-                    outcome: UnitOutcome::Done(item),
+            Ok(Attempt::Finished(outcome)) => {
+                return outcome.map(|item| UnitRun {
+                    item,
+                    quarantined: false,
                     retries,
                     restarts,
                     backoff_ms: backoff,
-                };
-            }
-            Ok(Attempt::Finished(Err(e))) => {
-                // Deterministic pipeline error: retrying cannot change it.
-                return UnitRun {
-                    key,
-                    outcome: UnitOutcome::Failed(e),
-                    retries,
-                    restarts,
-                    backoff_ms: backoff,
-                };
+                });
             }
             Ok(Attempt::Transient) => {}
             Ok(Attempt::Stalled) => restarts += 1,
@@ -302,13 +243,13 @@ fn run_unit<S: KpiSource + Sync>(
             backoff.push(backoff_ms(config, key, attempt));
         }
     }
-    UnitRun {
-        key,
-        outcome: UnitOutcome::Quarantined(quarantined_item(funnel, change, key)),
+    Ok(UnitRun {
+        item: funnel.unassessed_item(change, key, QualityIssue::SupervisorQuarantined),
+        quarantined: true,
         retries,
         restarts,
         backoff_ms: backoff,
-    }
+    })
 }
 
 /// Assesses one change under supervision: the same enumerate → fan out →
@@ -346,92 +287,42 @@ pub fn supervise_change<S: KpiSource + Sync>(
     let impact_set = identify_impact_set(topology, change)?;
     let work = crate::pipeline::enumerate_work_units(&impact_set, change, service_kinds);
     funnel_obs::timeline_gauge_set(names::WORK_UNITS_TOTAL, change.minute, work.len() as u64);
-    let workers = config.workers.clamp(1, work.len().max(1));
-    funnel_obs::timeline_gauge_set(names::WORKERS, change.minute, workers as u64);
-    funnel_obs::timeline_histogram_record(
-        names::WORK_QUEUE_DEPTH,
-        change.minute,
-        work.len() as u64,
-    );
 
+    // The same fan-out as the unsupervised engine, with the retry loop as
+    // the per-unit function. A unit that finds the kill switch thrown
+    // declines, which stops its worker and leaves the run short.
     let abort_limit = config.abort_after_units.unwrap_or(u64::MAX);
     let completed = AtomicU64::new(0);
-    let mut runs: Vec<(usize, UnitRun)> = Vec::with_capacity(work.len());
-
-    if workers == 1 {
-        let mut cache = AssessCache::new();
-        for (index, &key) in work.iter().enumerate() {
-            if completed.load(Ordering::Relaxed) >= abort_limit {
-                break;
-            }
-            let run = run_unit(
-                funnel,
-                source,
-                change,
-                &impact_set,
-                key,
-                &mut cache,
-                config,
-                probe,
-            );
-            completed.fetch_add(1, Ordering::Relaxed);
-            runs.push((index, run));
+    let runs = parallel::assess_units(&work, config.workers, |key, table| {
+        if completed.load(Ordering::Relaxed) >= abort_limit {
+            return None;
         }
-        parallel::record_cache_stats(&cache);
-    } else {
-        let (job_tx, job_rx) = channel::unbounded::<(usize, KpiKey)>();
-        for unit in work.iter().copied().enumerate() {
-            // Cannot fail: both receiver clones below outlive the sends.
-            let _ = job_tx.send(unit);
-        }
-        drop(job_tx);
-        let (result_tx, result_rx) = channel::unbounded::<(usize, UnitRun)>();
-        let completed = &completed;
-        std::thread::scope(|scope| {
-            for worker_idx in 0..workers {
-                let jobs = job_rx.clone();
-                let results = result_tx.clone();
-                let impact_set = &impact_set;
-                scope.spawn(move || {
-                    let worker_span = funnel_obs::span!(names::SPAN_ASSESS_WORKER, worker_idx);
-                    let mut cache = AssessCache::new();
-                    while let Ok((index, key)) = jobs.recv() {
-                        if completed.load(Ordering::Relaxed) >= abort_limit {
-                            break;
-                        }
-                        let run = run_unit(
-                            funnel, source, change, impact_set, key, &mut cache, config, probe,
-                        );
-                        completed.fetch_add(1, Ordering::Relaxed);
-                        if results.send((index, run)).is_err() {
-                            break; // collector gone; nothing left to report to
-                        }
-                    }
-                    parallel::record_cache_stats(&cache);
-                    drop(worker_span);
-                    funnel_obs::flush_thread();
-                });
-            }
-            drop(result_tx);
-            drop(job_rx);
-            while let Ok(run) = result_rx.recv() {
-                runs.push(run);
-            }
-        });
-    }
+        let run = run_unit(
+            funnel,
+            source,
+            change,
+            &impact_set,
+            key,
+            table,
+            config,
+            probe,
+        );
+        completed.fetch_add(1, Ordering::Relaxed);
+        Some(run)
+    })?;
 
-    let aborted = runs.len() < work.len();
+    let mut report = SupervisorReport {
+        aborted: runs.len() < work.len(),
+        ..SupervisorReport::default()
+    };
     let mut items: Vec<ItemAssessment> = Vec::with_capacity(runs.len());
-    let mut first_error: Option<(usize, FunnelError)> = None;
-    let mut report = SupervisorReport::default();
-    for (index, run) in runs {
+    for run in runs {
         report.retries += run.retries;
         report.restarts += run.restarts;
         if !run.backoff_ms.is_empty() {
             // One histogram sample per scheduled backoff sleep, attributed
             // to the change minute. Recorded here on the aggregation
-            // thread, in runs order — the histogram fold commutes, so the
-            // result is worker-schedule independent.
+            // thread, in work order.
             for &ms in &run.backoff_ms {
                 funnel_obs::timeline_histogram_record(
                     names::SUPERVISOR_BACKOFF_MS,
@@ -439,24 +330,13 @@ pub fn supervise_change<S: KpiSource + Sync>(
                     ms,
                 );
             }
-            report.backoff_ms.insert(run.key, run.backoff_ms);
+            report.backoff_ms.insert(run.item.key, run.backoff_ms);
         }
-        match run.outcome {
-            UnitOutcome::Done(item) => items.push(item),
-            UnitOutcome::Quarantined(item) => {
-                report.quarantined.push(item.key);
-                items.push(item);
-            }
-            UnitOutcome::Failed(e) => {
-                let is_earlier = first_error.as_ref().is_none_or(|(i, _)| index < *i);
-                if is_earlier {
-                    first_error = Some((index, e));
-                }
-            }
+        if run.quarantined {
+            report.quarantined.push(run.item.key);
         }
+        items.push(run.item);
     }
-    report.quarantined.sort_unstable();
-    report.aborted = aborted;
 
     funnel_obs::timeline_counter_add(names::SUPERVISOR_RETRIES, change.minute, report.retries);
     funnel_obs::timeline_counter_add(
@@ -467,24 +347,18 @@ pub fn supervise_change<S: KpiSource + Sync>(
     funnel_obs::timeline_counter_add(names::SUPERVISOR_RESTARTS, change.minute, report.restarts);
     drop(span);
 
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
-    let assessment = if aborted {
-        None
-    } else {
-        Some(ChangeAssessment {
-            change: change.id,
-            impact_set,
-            items: parallel::merge(items),
-        })
-    };
+    let assessment = (!report.aborted).then(|| ChangeAssessment {
+        change: change.id,
+        impact_set,
+        items: parallel::merge(items),
+    });
     Ok(Supervised { assessment, report })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Verdict;
     use funnel_sim::effect::{ChangeEffect, EffectScope};
     use funnel_sim::world::{SimConfig, World, WorldBuilder};
     use funnel_topology::change::{ChangeId, ChangeKind};

@@ -8,17 +8,21 @@
 //!   set — and every shed work unit completes as `Inconclusive` flagged
 //!   `LoadShed` instead of stalling or guessing.
 //! * The verdict channel drops (and counts) rather than blocking.
+//! * Fed from a store subscription behind the agent → collector path, the
+//!   engine declares an injected regression live, attributes it, and stays
+//!   quiet on a no-op change — with the batch pipeline's bytes both times.
 
 use funnel_core::quality::QualityIssue;
-use funnel_core::stream::StreamAssessment;
-use funnel_core::{FunnelConfig, StreamConfig, StreamEngine, Verdict};
+use funnel_core::stream::{StreamAssessment, StreamDetection};
+use funnel_core::{AssessmentMode, FunnelConfig, StreamConfig, StreamEngine, Verdict};
 use funnel_sim::effect::{ChangeEffect, EffectScope};
-use funnel_sim::kpi::KpiKind;
+use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::live::LiveFeed;
 use funnel_sim::store::{Measurement, MetricStore};
 use funnel_sim::world::{SimConfig, World, WorldBuilder};
 use funnel_sst::SstConfig;
 use funnel_topology::change::{ChangeId, ChangeKind};
+use funnel_topology::impact::Entity;
 use funnel_topology::model::ServiceId;
 use std::collections::BTreeMap;
 
@@ -323,4 +327,124 @@ fn overload_stays_bounded_and_makes_progress() {
         "window memory drifted from the accounting bound"
     );
     assert_eq!(stats.peak_window_bytes, engine.window_bytes());
+}
+
+/// A 400-minute world whose change dark-launches on 2 of 6 instances at
+/// minute 200, with (`delta > 0`) or without a latency regression.
+fn live_world(seed: u64, delta: f64) -> (World, ChangeId) {
+    let mut b = WorldBuilder::new(SimConfig {
+        seed,
+        start: 0,
+        duration: 400,
+    });
+    let svc = b.add_service("prod.live", 6).unwrap();
+    let effect = if delta > 0.0 {
+        ChangeEffect::none().with_level_shift(
+            KpiKind::PageViewResponseDelay,
+            EffectScope::TreatedInstances,
+            delta,
+        )
+    } else {
+        ChangeEffect::none()
+    };
+    let id = b
+        .deploy_change(ChangeKind::Upgrade, svc, 2, 200, effect, "live")
+        .unwrap();
+    (b.build(), id)
+}
+
+/// The deployed dataflow end to end: agents → wire → collector → a
+/// subscribed store, whose drained subscription drives the engine one
+/// minute per tick. Returns the completed assessment, every streaming
+/// detection, and the batch pipeline's items over the same store.
+fn stream_subscribed_replay(
+    world: &World,
+    change: ChangeId,
+) -> (StreamAssessment, Vec<StreamDetection>, String) {
+    let store = MetricStore::new();
+    let feed = store.subscribe(None, 1 << 20);
+    funnel_sim::agent::replay(world, &store, 2).unwrap();
+    store.close_subscriptions();
+    let mut by_minute: BTreeMap<u64, Vec<Measurement>> = BTreeMap::new();
+    while let Some(m) = feed.recv() {
+        by_minute.entry(m.minute).or_default().push(m);
+    }
+    assert_eq!(feed.dropped(), 0, "the subscription lost measurements");
+
+    let config = FunnelConfig::paper_default();
+    let stream_cfg = StreamConfig::paired_with(&config);
+    let record = world.change_log().get(change).unwrap().clone();
+    let kinds = service_kinds(world);
+    let mut engine = StreamEngine::new(config.clone(), stream_cfg, kinds.clone());
+    engine
+        .track_change(world.topology(), record.clone())
+        .unwrap();
+    let mut detections = Vec::new();
+    let mut completed = Vec::new();
+    for (minute, batch) in by_minute {
+        for m in batch {
+            engine.offer(m);
+        }
+        let report = engine.tick(minute);
+        detections.extend(report.detections);
+        completed.extend(report.completed);
+    }
+    assert_eq!(completed.len(), 1, "the tracked change completes once");
+    assert_eq!(engine.pending_changes(), 0);
+
+    let batch = funnel_core::Funnel::new(config)
+        .assess_change_with(&store.snapshot(), world.topology(), &record, &|svc| {
+            kinds.get(&svc).cloned().unwrap_or_default()
+        })
+        .unwrap();
+    (
+        completed.remove(0),
+        detections,
+        format!("{:?}", batch.items),
+    )
+}
+
+#[test]
+fn subscribed_replay_streams_to_the_batch_verdicts() {
+    // A real regression: streamed items are the batch items, the treated
+    // instances' delay is attributed against the dark-launch control group,
+    // and the live monitors declared it while the roll-out was young.
+    let (world, change) = live_world(5, 90.0);
+    let (got, detections, batch) = stream_subscribed_replay(&world, change);
+    assert!(got.shed.is_empty() && got.stale.is_empty());
+    assert_eq!(format!("{:?}", got.items), batch, "streaming != batch");
+    let is_instance_delay = |key: &KpiKey| {
+        key.kind == KpiKind::PageViewResponseDelay && matches!(key.entity, Entity::Instance(_))
+    };
+    let attributed: Vec<_> = got
+        .items
+        .iter()
+        .filter(|i| i.verdict == Verdict::Caused && is_instance_delay(&i.key))
+        .collect();
+    assert!(
+        !attributed.is_empty(),
+        "latency regression not attributed: {:?}",
+        got.items
+    );
+    for item in &attributed {
+        assert_eq!(item.mode, AssessmentMode::DarkLaunchControl);
+    }
+    assert!(
+        detections
+            .iter()
+            .any(|d| is_instance_delay(&d.key) && (200..=225).contains(&d.declared_at)),
+        "no live declaration within 25 minutes of the change: {detections:?}"
+    );
+    assert!(got.detection_latency.is_some_and(|m| m <= 25));
+
+    // A no-op change: still the batch items, and nothing attributed.
+    let (world, change) = live_world(6, 0.0);
+    let (got, _, batch) = stream_subscribed_replay(&world, change);
+    assert_eq!(format!("{:?}", got.items), batch, "streaming != batch");
+    let caused = got.items.iter().filter(|i| i.caused).count();
+    assert_eq!(
+        caused, 0,
+        "clean change wrongly attributed: {:?}",
+        got.items
+    );
 }

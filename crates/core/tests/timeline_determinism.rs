@@ -6,10 +6,10 @@
 //!   `obs_timeline.json` and `trace.json` documents, at every worker
 //!   count.
 //! * **Worker invariance** — the worker-invariant slice of the timeline
-//!   (verdict counters, work-unit totals, detect/DiD spans) is
-//!   byte-identical across 1, 3, and 8 workers. (The full document
-//!   cannot be: `assess.workers` and the cache hit/miss split genuinely
-//!   depend on the pool size.)
+//!   (verdict counters, work-unit totals, control-cache hits and misses,
+//!   detect/DiD spans) is byte-identical across 1, 3, and 8 workers. (The
+//!   full document cannot be: `assess.workers` and the per-worker spans
+//!   genuinely depend on the pool size.)
 //! * **Streaming vs. batch** — the per-window verdict counters agree
 //!   between the streaming engine and the batch pipeline on the same
 //!   feed: both attribute verdicts to the change's own minute.
@@ -45,12 +45,15 @@ use funnel_topology::change::{ChangeId, ChangeKind};
 use std::collections::BTreeMap;
 
 /// Timeline prefixes that must not depend on the worker count: per-window
-/// verdicts, work-unit totals and queue depth, the detection and DiD
-/// stages (their spans parent on `assess.item` in serial and parallel
-/// mode alike), and everything from the collector.
+/// verdicts, work-unit totals and queue depth, the control-cache counters
+/// (one shared table per assessment builds each group once at any pool
+/// size), the detection and DiD stages (their spans parent on
+/// `assess.item` in serial and parallel mode alike), and everything from
+/// the collector.
 const WORKER_INVARIANT: &[&str] = &[
     "collector.",
     "assess.verdict_",
+    "assess.control_cache_",
     "assess.work_units_total",
     "assess.work_queue_depth",
     "detect.",

@@ -1,4 +1,4 @@
-//! Per-worker memoization of control-group window fetches.
+//! One shared memo table of control-group window fetches per assessment.
 //!
 //! Every impact-set item at the same entity level shares one control group:
 //! all tserver items of a KPI kind contrast against the *same* cserver
@@ -7,20 +7,25 @@
 //! treated item — for a 100-server impact set that is 100× redundant work on
 //! the hot path.
 //!
-//! [`ControlCache`] removes that redundancy without introducing cross-worker
-//! contention: each assessment worker owns one cache (`&mut` access, no
-//! locks), keyed by whatever the caller derives from the item — the pipeline
-//! uses `(entity level, KPI kind)` — and stores the fetched window data
-//! behind an [`Arc`] so repeated lookups hand out cheap shared references.
+//! [`ControlCache`] removes that redundancy: one table per assessment,
+//! shared by `&` across every worker, keyed by whatever the caller derives
+//! from the item — the pipeline uses `(entity level, KPI kind)`. Each key's
+//! value is built exactly once, by whichever worker asks first; workers that
+//! ask for the same key meanwhile wait for that build instead of repeating
+//! it, and the lock around the key index is never held while a value is
+//! built. Values sit behind an [`Arc`], so lookups hand out cheap shared
+//! references.
 //!
-//! Determinism: the cache only ever stores values computed from the
+//! Determinism: the table only ever stores values computed from the
 //! assessment's read-only snapshot of the metric store, so a hit returns
-//! byte-identical data to a recomputation. Worker-local caches mean the hit
-//! pattern varies with scheduling, but the *values* never do — which is why
-//! the merged report stays bit-identical for any worker count.
+//! byte-identical data to a recomputation. And because a key is built once
+//! per table whatever the schedule, the counters are schedule-free too:
+//! misses equal the distinct keys built, hits equal lookups − misses, at
+//! any worker count.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Hit/miss counters for one cache (monotonic over its lifetime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,7 +48,10 @@ impl CacheStats {
     }
 }
 
-/// A worker-local memo table for control-group window data.
+/// One key's value, built at most once and shared from then on.
+type Slot<V> = Arc<OnceLock<Arc<V>>>;
+
+/// A shared memo table for control-group window data.
 ///
 /// `K` is the caller's cache key (the assessment pipeline uses
 /// `(entity level, KPI kind)`); `V` is the fetched window payload. A
@@ -55,18 +63,20 @@ impl CacheStats {
 /// ```
 /// use funnel_did::cache::ControlCache;
 ///
-/// let mut cache: ControlCache<u32, Vec<f64>> = ControlCache::new();
+/// let cache: ControlCache<u32, Vec<f64>> = ControlCache::new();
 /// let a = cache.get_or_insert_with(7, || vec![1.0, 2.0]);
 /// let b = cache.get_or_insert_with(7, || unreachable!("cached"));
 /// assert!(std::sync::Arc::ptr_eq(&a, &b));
 /// assert_eq!(cache.stats().hits, 1);
 /// assert_eq!(cache.stats().misses, 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ControlCache<K, V> {
-    entries: BTreeMap<K, Arc<V>>,
-    hits: u64,
-    misses: u64,
+    slots: Mutex<BTreeMap<K, Slot<V>>>,
+    /// Lookups that returned a value (a build that panicked returned none).
+    lookups: AtomicU64,
+    /// Values built: one per distinct key, whatever the schedule.
+    misses: AtomicU64,
 }
 
 impl<K: Ord, V> Default for ControlCache<K, V> {
@@ -79,42 +89,50 @@ impl<K: Ord, V> ControlCache<K, V> {
     /// An empty cache.
     pub fn new() -> Self {
         Self {
-            entries: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
+            slots: Mutex::new(BTreeMap::new()),
+            lookups: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
+    }
+
+    /// The key index. Held only to find or add a slot, never while a value
+    /// is built, so a panicking `build` cannot interrupt an update of it
+    /// and a poisoned guard still covers a valid map.
+    fn slots(&self) -> MutexGuard<'_, BTreeMap<K, Slot<V>>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Returns the cached value for `key`, building and storing it with
     /// `build` on first use. The value is shared (`Arc`), never cloned.
-    pub fn get_or_insert_with(&mut self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
-        match self.entries.entry(key) {
-            std::collections::btree_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                Arc::clone(e.get())
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                Arc::clone(e.insert(Arc::new(build())))
-            }
-        }
+    /// Concurrent callers for one key run one `build` between them; a
+    /// `build` that panics leaves the key unbuilt for the next caller.
+    pub fn get_or_insert_with(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
+        let slot = Arc::clone(self.slots().entry(key).or_default());
+        let value = Arc::clone(slot.get_or_init(|| {
+            let built = Arc::new(build());
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            built
+        }));
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        value
     }
 
     /// Number of distinct keys held.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots().values().filter(|s| s.get().is_some()).count()
     }
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// The hit/miss counters so far.
     pub fn stats(&self) -> CacheStats {
+        let misses = self.misses.load(Ordering::Relaxed);
         CacheStats {
-            hits: self.hits,
-            misses: self.misses,
+            hits: self.lookups.load(Ordering::Relaxed).saturating_sub(misses),
+            misses,
         }
     }
 }
@@ -125,7 +143,7 @@ mod tests {
 
     #[test]
     fn builds_once_and_shares() {
-        let mut cache: ControlCache<(u8, u8), Vec<f64>> = ControlCache::new();
+        let cache: ControlCache<(u8, u8), Vec<f64>> = ControlCache::new();
         let mut builds = 0;
         for _ in 0..5 {
             let v = cache.get_or_insert_with((1, 2), || {
@@ -144,7 +162,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_collide() {
-        let mut cache: ControlCache<u32, u32> = ControlCache::new();
+        let cache: ControlCache<u32, u32> = ControlCache::new();
         assert_eq!(*cache.get_or_insert_with(1, || 10), 10);
         assert_eq!(*cache.get_or_insert_with(2, || 20), 20);
         assert_eq!(*cache.get_or_insert_with(1, || 99), 10);
@@ -164,7 +182,7 @@ mod tests {
         // The cache is eviction-free by design: the key space is tiny
         // (entity level × KPI kind), so every insert stays resident and a
         // later lookup always returns the *same* allocation.
-        let mut cache: ControlCache<u32, u32> = ControlCache::new();
+        let cache: ControlCache<u32, u32> = ControlCache::new();
         let first: Vec<_> = (0..100)
             .map(|k| cache.get_or_insert_with(k, || k * 2))
             .collect();
@@ -179,8 +197,51 @@ mod tests {
     }
 
     #[test]
+    fn racing_workers_build_each_key_once() {
+        // Eight barrier-started threads ask for the same three keys: one
+        // build per key, and counters no schedule can move.
+        let cache: ControlCache<u32, u32> = ControlCache::new();
+        let builds = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    start.wait();
+                    for round in 0..30u32 {
+                        let key = round % 3;
+                        let v = cache.get_or_insert_with(key, || {
+                            builds.fetch_add(1, Ordering::Relaxed);
+                            key * 10
+                        });
+                        assert_eq!(*v, key * 10);
+                    }
+                });
+            }
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 3);
+        assert_eq!(cache.len(), 3);
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (3, 8 * 30 - 3));
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_key_for_the_next_caller() {
+        let cache: ControlCache<u32, u32> = ControlCache::new();
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_insert_with(1, || panic!("poisoned build"))
+        }));
+        assert!(crashed.is_err());
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats(), CacheStats::default());
+        assert_eq!(*cache.get_or_insert_with(1, || 11), 11);
+        assert_eq!(*cache.get_or_insert_with(1, || 99), 11);
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+    }
+
+    #[test]
     fn stats_accumulate_monotonically() {
-        let mut cache: ControlCache<u8, u8> = ControlCache::new();
+        let cache: ControlCache<u8, u8> = ControlCache::new();
         for i in 0..10u8 {
             cache.get_or_insert_with(i % 3, || i);
             let s = cache.stats();

@@ -37,9 +37,10 @@ pub const DETECT_CHANGE_POINTS: &str = "detect.change_points";
 /// Change points suppressed for bordering a partition-length coverage gap.
 pub const DETECT_GAP_SUPPRESSED: &str = "detect.gap_suppressed";
 
-/// Control-group window fetches answered from a worker's `ControlCache`.
+/// Control-group window fetches answered from the assessment's shared
+/// `ControlCache` (lookups − misses, at any worker count).
 pub const CONTROL_CACHE_HITS: &str = "assess.control_cache_hits";
-/// Control-group window fetches that had to build the window.
+/// Control-group windows built: one per distinct group an assessment used.
 pub const CONTROL_CACHE_MISSES: &str = "assess.control_cache_misses";
 
 /// Items assessed `Caused`.

@@ -15,6 +15,7 @@
 //! bit-identical decisions regardless of thread scheduling, and a schedule
 //! can be queried out of order or from several threads.
 
+use crate::splitmix64;
 use serde::{Deserialize, Serialize};
 
 /// Which slice of the agent fleet a [`PartitionWindow`] darkens.
@@ -129,10 +130,10 @@ impl PartitionWindow {
     ) -> Self {
         let lo = min_duration.max(1);
         let hi = max_duration.max(lo);
-        let h = splitmix(seed ^ 0x9A27_71E5_B6C0_4D13);
+        let h = splitmix64(seed ^ 0x9A27_71E5_B6C0_4D13);
         let duration = lo + h % (hi - lo + 1);
         let slack = span_len.saturating_sub(duration);
-        let start = span_start + if slack > 0 { splitmix(h) % slack } else { 0 };
+        let start = span_start + if slack > 0 { splitmix64(h) % slack } else { 0 };
         Self {
             scope,
             start,
@@ -292,13 +293,6 @@ pub struct FaultSchedule {
     plan: FaultPlan,
 }
 
-pub(crate) fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// Uniform `[0, 1)` from a hash.
 fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
@@ -312,11 +306,11 @@ impl FaultSchedule {
 
     /// Independent hash stream per (fault channel, shard, minute).
     fn hash(&self, channel: u64, shard: usize, minute: u64) -> u64 {
-        splitmix(
+        splitmix64(
             self.plan.seed
-                ^ splitmix(channel)
-                ^ splitmix(shard as u64 ^ 0xA5A5_5A5A)
-                ^ splitmix(minute),
+                ^ splitmix64(channel)
+                ^ splitmix64(shard as u64 ^ 0xA5A5_5A5A)
+                ^ splitmix64(minute),
         )
     }
 
@@ -332,7 +326,7 @@ impl FaultSchedule {
         if p.delay_prob > 0.0 && p.max_delay_minutes > 0 {
             let h = self.hash(2, shard, minute);
             if unit(h) < p.delay_prob {
-                fate.delay_minutes = 1 + splitmix(h) % p.max_delay_minutes;
+                fate.delay_minutes = 1 + splitmix64(h) % p.max_delay_minutes;
             }
         }
         if p.duplicate_prob > 0.0 && unit(self.hash(3, shard, minute)) < p.duplicate_prob {
@@ -341,14 +335,14 @@ impl FaultSchedule {
         if p.truncate_prob > 0.0 {
             let h = self.hash(4, shard, minute);
             if unit(h) < p.truncate_prob {
-                fate.truncate_frac = Some(unit(splitmix(h)));
+                fate.truncate_frac = Some(unit(splitmix64(h)));
             }
         }
         if p.corrupt_prob > 0.0 {
             let h = self.hash(5, shard, minute);
             if unit(h) < p.corrupt_prob {
-                let pos = unit(splitmix(h));
-                let mask = (splitmix(h ^ 0xC0DE) % 255) as u8 + 1; // never 0
+                let pos = unit(splitmix64(h));
+                let mask = (splitmix64(h ^ 0xC0DE) % 255) as u8 + 1; // never 0
                 fate.corrupt = Some((pos, mask));
             }
         }
@@ -362,7 +356,7 @@ impl FaultSchedule {
         if p.glitch_prob <= 0.0 {
             return None;
         }
-        let h = splitmix(self.hash(6, shard, minute) ^ splitmix(index as u64));
+        let h = splitmix64(self.hash(6, shard, minute) ^ splitmix64(index as u64));
         (unit(h) < p.glitch_prob).then_some(p.glitch_factor)
     }
 

@@ -19,7 +19,8 @@
 //!   subscription API (the "database + subscription tool" of §2.2).
 //! * [`agent`] — per-server agents that encode measurements into a compact
 //!   wire format ([`wire`]) and stream them to a collector thread, minute
-//!   by minute: the live ingestion path used by the online pipeline.
+//!   by minute: the live ingestion path a store subscriber (the streaming
+//!   engine in `funnel-core`) consumes.
 //! * [`collector`] — the collector as a resumable state machine: its
 //!   working state is a first-class value a checkpoint can serialize, and
 //!   the ingest path exposes durability seams ([`collector::IngestHooks`])
@@ -58,3 +59,14 @@ pub use kpi::{Aggregation, KpiKey, KpiKind};
 pub use live::LiveFeed;
 pub use store::{MetricStore, StoreSnapshot, StoreStats, Subscription};
 pub use world::{GroundTruthItem, SimConfig, World, WorldBuilder};
+
+/// SplitMix64 — the workspace's one seeded mixer. Bit-identical across
+/// platforms, which keeps every schedule drawn through it reproducible:
+/// world seeds, fault fates, late-arrival draws, the supervisor's recorded
+/// backoff and the streaming engine's shed ranks.
+pub fn splitmix64(state: u64) -> u64 {
+    let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

@@ -13,12 +13,12 @@
 //! of measurements and re-delivers them `delay` minutes later, exercising
 //! a consumer's late/out-of-order path without changing the final data:
 //! the *content* of the feed is identical, only arrival times move. All
-//! seeding goes through the workspace splitmix mixer — recorded, never
+//! seeding goes through the workspace [`splitmix64`] mixer — recorded, never
 //! random.
 
-use crate::faults::splitmix;
+use crate::splitmix64;
 use crate::store::{Measurement, MetricStore};
-use crate::wire::key_to_bytes;
+use crate::wire::key_hash;
 use funnel_timeseries::series::MinuteBin;
 use std::collections::BTreeMap;
 
@@ -71,12 +71,7 @@ impl LiveFeed {
         let mut frames = 0usize;
         for (arrival, batch) in self.arrivals {
             for m in batch {
-                let kb = key_to_bytes(m.key);
-                let kh = kb
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |acc, (i, &b)| acc | (u64::from(b) << (8 * i)));
-                let draw = splitmix(seed ^ kh.rotate_left(17) ^ m.minute) % 1000;
+                let draw = splitmix64(seed ^ key_hash(m.key).rotate_left(17) ^ m.minute) % 1000;
                 let when = if draw < permille.min(1000) {
                     arrival + delay
                 } else {

@@ -7,7 +7,7 @@
 //! [`CoverageMask`] side by side in one slot of a slab behind a single
 //! read–write lock, and fans out accepted writes to subscribers over bounded
 //! crossbeam channels — the same push-within-a-second contract FUNNEL's
-//! online pipeline consumes.
+//! streaming engine consumes.
 //!
 //! Slots are addressed by a dense `KeyId` handed out in arrival order, so
 //! a writer that already knows a key's id (the collector, one frame after it

@@ -87,6 +87,16 @@ pub fn key_to_bytes(key: KpiKey) -> [u8; 6] {
     [tag, id[0], id[1], id[2], id[3], key.kind.tag()]
 }
 
+/// Packs the six [`key_to_bytes`] bytes little-endian into the low 48 bits
+/// — the key's contribution to every seeded per-key draw. Index-free, so it
+/// cannot panic on the assessment hot path.
+pub fn key_hash(key: KpiKey) -> u64 {
+    key_to_bytes(key)
+        .iter()
+        .enumerate()
+        .fold(0u64, |acc, (i, &b)| acc | (u64::from(b) << (8 * i)))
+}
+
 /// Decodes a 6-byte record key written by [`key_to_bytes`].
 ///
 /// # Errors

@@ -12,6 +12,7 @@
 
 use crate::effect::{ChangeEffect, EffectScope, ExternalShock};
 use crate::kpi::{Aggregation, KpiKey, KpiKind};
+use crate::splitmix64;
 use crate::store::MetricStore;
 use funnel_timeseries::generate::KpiGenerator;
 use funnel_timeseries::inject::{ChangeShape, InjectedChange};
@@ -299,21 +300,13 @@ pub struct World {
     base_overrides: BTreeMap<(funnel_topology::model::ServerId, KpiKind), f64>,
 }
 
-/// splitmix64: deterministic seed derivation.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 fn entity_seed(master: u64, entity: Entity, kind: KpiKind) -> u64 {
     let tag = match entity {
         Entity::Server(s) => (1u64 << 40) | s.0 as u64,
         Entity::Instance(i) => (2u64 << 40) | i.0 as u64,
         Entity::Service(s) => (3u64 << 40) | s.0 as u64,
     };
-    mix(master ^ mix(tag) ^ mix(kind.tag() as u64))
+    splitmix64(master ^ splitmix64(tag) ^ splitmix64(kind.tag() as u64))
 }
 
 impl World {
@@ -339,7 +332,9 @@ impl World {
 
     /// The per-service level multiplier (services differ in scale).
     fn service_level_factor(&self, service: ServiceId) -> f64 {
-        0.7 + 0.6 * (mix(self.config.seed ^ mix(0xA11CE ^ service.0 as u64)) % 1000) as f64 / 1000.0
+        0.7 + 0.6
+            * (splitmix64(self.config.seed ^ splitmix64(0xA11CE ^ service.0 as u64)) % 1000) as f64
+            / 1000.0
     }
 
     /// The generator for one KPI key (base behaviour, no effects).

@@ -1,24 +1,26 @@
 //! FUNNEL online: agents → wire frames → central store → subscription →
-//! streaming SST, exactly the deployment dataflow of §5.
+//! streaming engine, exactly the deployment dataflow of §5.
 //!
 //! A world is replayed minute-by-minute through per-shard agent threads
 //! (binary wire frames over channels, decoded by a collector that also
-//! aggregates service KPIs), while the online pipeline consumes the store's
-//! subscription feed and declares KPI changes in real time.
+//! aggregates service KPIs) into a store. The store's subscription feed is
+//! offered to a [`StreamEngine`] and ticked one minute at a time: KPI
+//! changes are declared minutes after they begin, and the tracked change
+//! completes with the batch pipeline's own verdicts.
 //!
 //! ```bash
 //! cargo run --release --example online_streaming
 //! ```
 
-use funnel_suite::core::online::OnlinePipeline;
-use funnel_suite::core::FunnelConfig;
+use funnel_suite::core::{FunnelConfig, StreamConfig, StreamDetection, StreamEngine};
 use funnel_suite::sim::agent::replay;
 use funnel_suite::sim::effect::{ChangeEffect, EffectScope};
 use funnel_suite::sim::kpi::{KpiKey, KpiKind};
-use funnel_suite::sim::store::MetricStore;
+use funnel_suite::sim::store::{Measurement, MetricStore};
 use funnel_suite::sim::world::{SimConfig, WorldBuilder};
 use funnel_suite::topology::change::ChangeKind;
 use funnel_suite::topology::impact::Entity;
+use std::collections::BTreeMap;
 
 fn main() {
     // A service with a memory leak introduced at minute 240.
@@ -34,11 +36,12 @@ fn main() {
         25.0,
         40,
     );
-    b.deploy_change(ChangeKind::Upgrade, svc, 2, 240, effect, "leaky build")
+    let change = b
+        .deploy_change(ChangeKind::Upgrade, svc, 2, 240, effect, "leaky build")
         .expect("valid");
     let world = b.build();
 
-    // Watch the treated servers' memory KPIs.
+    // The treated servers' memory KPIs: the ones that must be flagged.
     let treated: Vec<KpiKey> = world
         .topology()
         .instances_of(svc)
@@ -47,26 +50,59 @@ fn main() {
         .map(|i| KpiKey::new(Entity::Server(i.server), KpiKind::MemoryUtilization))
         .collect();
 
-    let store = MetricStore::shared();
-    let pipeline =
-        OnlinePipeline::start(&store, Some(treated.clone()), FunnelConfig::paper_default());
+    let config = FunnelConfig::paper_default();
+    let stream_config = StreamConfig::paired_with(&config);
+    let kinds = world
+        .topology()
+        .services()
+        .map(|(id, _)| (id, world.kinds_of_service(id).to_vec()))
+        .collect();
+    let mut engine = StreamEngine::new(config, stream_config, kinds);
+    let record = world.change_log().get(change).expect("logged").clone();
+    engine
+        .track_change(world.topology(), record)
+        .expect("impact set");
 
-    // Replay the world through the agent → collector path (3 shards).
+    // Replay the world through the agent → collector path (3 shards) into a
+    // subscribed store. Agent shards run minutes apart, so the feed is in
+    // minute order per key but not across keys; the subscription (sized to
+    // hold the replay) buffers it and the engine is then driven the way a
+    // deployment's clock would drive it — one complete minute per tick.
+    let store = MetricStore::new();
+    let feed = store.subscribe(None, 65_536);
     let stats = replay(&world, &store, 3).expect("replay succeeds");
+    store.close_subscriptions();
     println!(
         "replayed {} minutes: {} wire frames, {} measurements, {} service aggregates",
         stats.minutes, stats.frames, stats.records, stats.aggregates
     );
+    let mut by_minute: BTreeMap<u64, Vec<Measurement>> = BTreeMap::new();
+    while let Some(m) = feed.recv() {
+        by_minute.entry(m.minute).or_default().push(m);
+    }
+    assert_eq!(feed.dropped(), 0, "the subscription held the whole replay");
 
-    // Shut the pipeline down, then drain: `finish` joins the worker first,
-    // so detections declared after our last look cannot be lost.
-    drop(store);
-    let (declared, online_stats) = pipeline.finish();
+    let mut declared: Vec<StreamDetection> = Vec::new();
+    let mut completed = Vec::new();
+    for (minute, batch) in by_minute {
+        for m in batch {
+            engine.offer(m);
+        }
+        let report = engine.tick(minute);
+        declared.extend(report.detections);
+        completed.extend(report.completed);
+    }
+
+    let engine_stats = engine.stats();
     println!(
-        "online pipeline scored {} windows, emitted {} detections",
-        online_stats.windows_scored, online_stats.detections
+        "stream engine: {} ticks, {} window folds, {} detections",
+        engine_stats.ticks, engine_stats.folds, engine_stats.detections
     );
-    for d in &declared {
+    let on_treated: Vec<&StreamDetection> = declared
+        .iter()
+        .filter(|d| treated.contains(&d.key))
+        .collect();
+    for d in &on_treated {
         println!(
             "  {:?} declared at minute {} (score ran from minute {}, peak {:.2})",
             d.key.entity, d.declared_at, d.first_exceeded_at, d.peak_score
@@ -75,13 +111,35 @@ fn main() {
 
     // The leak starts at 240 and ramps over 40 minutes; the stream must
     // catch it on both treated servers, within the ramp.
-    assert!(
-        declared
-            .iter()
-            .filter(|d| (240..320).contains(&d.declared_at))
-            .count()
-            >= 2,
-        "both leaking servers should be flagged during the ramp: {declared:?}"
+    for key in &treated {
+        assert!(
+            on_treated
+                .iter()
+                .any(|d| d.key == *key && (240..320).contains(&d.declared_at)),
+            "{key:?} should be flagged during the ramp: {on_treated:?}"
+        );
+    }
+
+    // An hour after the change its assessment window closes and the engine
+    // delivers the verdicts — the same bytes the batch pipeline would.
+    assert_eq!(completed.len(), 1, "the tracked change completes once");
+    assert_eq!(engine.pending_changes(), 0);
+    let assessment = &completed[0];
+    println!(
+        "change #{} completed at minute {}: {} items, {} attributed, first detection {} min after the change",
+        assessment.change.0,
+        assessment.emitted_at,
+        assessment.items.len(),
+        assessment.items.iter().filter(|i| i.caused).count(),
+        assessment.detection_latency.map_or(-1, |m| m as i64),
     );
-    println!("\nleak caught mid-ramp on the live stream.");
+    for key in &treated {
+        let item = assessment
+            .items
+            .iter()
+            .find(|i| i.key == *key)
+            .expect("treated server is a work unit");
+        assert!(item.caused, "leak on {key:?} not attributed: {item:?}");
+    }
+    println!("\nleak caught mid-ramp on the live stream and attributed to the change.");
 }
