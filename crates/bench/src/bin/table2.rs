@@ -8,8 +8,10 @@
 //! Two prices per method: the full window score (what the paper times), and
 //! the detector's effective cost per window — the calibrated runner over
 //! the same data, which for FUNNEL skips the Krylov work of every window
-//! whose Eq. 11 multiplier already rules out the threshold. The core
-//! projection stays on the full score, as in the paper: the worst case.
+//! whose Eq. 11 multiplier already rules out the threshold, and of every
+//! remaining window whose run of such candidates is too short for the
+//! persistence rule to declare on. The core projection stays on the full
+//! score, as in the paper: the worst case.
 //!
 //! Paper reference values (12-core Xeon E5645, C++): FUNNEL 401.8 µs,
 //! CUSUM 1.846 ms, MRLS 2.852 s ⇒ 7 / 31 / 47526 cores. Absolute numbers

@@ -8,7 +8,12 @@
 //! regardless of uptime), a dirty-set scheduler re-scores only the
 //! `(entity, kpi)` pairs whose window actually changed, and per-KPI SST
 //! state ([`StreamingSst`]) folds each new minute in incrementally instead
-//! of re-scoring the whole window history.
+//! of re-scoring the whole window history. Each completed window is asked
+//! only the scorer's cheap bound; the key's [`PersistenceRun`] holds the
+//! candidates unscored and has the kernel run — on windows re-read from the
+//! ring — only while a declaration can still rest on them, which leaves
+//! every declaration, and the tick it lands on, where scoring each fold
+//! would have put it (DESIGN.md §5).
 //!
 //! # Robustness contract
 //!
@@ -59,14 +64,16 @@ use crate::pipeline::{enumerate_work_units, Funnel, FunnelError, ItemAssessment}
 use crate::quality::QualityIssue;
 use crate::source::KpiSource;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use funnel_detect::detector::PersistenceRun;
+use funnel_detect::detector::{
+    PersistenceRun, ReachingScorer, ScoringPass, WindowSource, WindowTally,
+};
 use funnel_diag::DiagReport;
 use funnel_obs::names;
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::splitmix64;
 use funnel_sim::store::Measurement;
 use funnel_sim::wire::key_hash;
-use funnel_sst::{FastSst, SstWorkspace, StreamingSst};
+use funnel_sst::{FastSst, SstScorer, StreamingSst};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::ring::{RingSeries, RingWrite};
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
@@ -81,7 +88,11 @@ pub struct StreamConfig {
     /// Per-KPI ring capacity in one-minute bins: the resident window.
     /// Memory is bounded by `keys × ring_capacity × 9` bytes no matter how
     /// long the engine runs. Size with [`StreamConfig::capacity_for`] when
-    /// streaming verdicts must be byte-identical to batch.
+    /// streaming verdicts must be byte-identical to batch. Live detection
+    /// re-reads windows it held back unscored from the ring, so it needs
+    /// `window_len + persistence_minutes + 1` bins behind the frontier plus
+    /// whatever arrives between two ticks; a held window the ring no longer
+    /// retains counts as below threshold.
     pub ring_capacity: usize,
     /// Deadline budget per tick, measured in key-minute folds (the unit of
     /// scoring work — wall clocks are banned from the pipeline, and a work
@@ -253,7 +264,8 @@ pub struct StreamStats {
     pub peak_dirty: usize,
 }
 
-/// Per-key incremental monitor: rolling SST window + persistence counter.
+/// Per-key incremental monitor: rolling SST window + the persistence rule
+/// that plans which of its windows get scored.
 struct KeyMonitor {
     sst: StreamingSst<FastSst>,
     /// First minute not yet folded. Valid only while `primed`.
@@ -351,52 +363,64 @@ struct ScorePlan {
     cost: u64,
 }
 
-/// Folds the planned ring minutes into one monitor, applying the
-/// threshold-persistence rule; returns the folds done and any declaration.
-/// Windows are scored through the worker's own `workspace`.
+/// A monitor's held windows, re-read from its key's ring through the
+/// worker's one copy buffer. A backfill behind the monitor's frontier
+/// forces a re-prime, which drops what is held, so a window read back here
+/// holds the samples it completed with.
+struct RingWindows<'a> {
+    ring: &'a RingSeries,
+    width: u64,
+    buf: &'a mut Vec<f64>,
+}
+
+impl WindowSource for RingWindows<'_> {
+    fn window_at(&mut self, minute: MinuteBin) -> Option<&[f64]> {
+        let to = minute.checked_add(1)?;
+        let from = to.checked_sub(self.width)?;
+        self.ring
+            .copy_minutes_into(from, to, self.buf)
+            .then_some(self.buf.as_slice())
+    }
+}
+
+/// Folds the planned ring minutes into one monitor and offers each
+/// completed window to its persistence rule, which asks the bound of every
+/// window and the score only of those a declaration can rest on; returns
+/// the folds done and any declaration (the pass keeps the window tally).
 /// Runs on scoring workers — must stay panic-free (hot path).
 fn score_key(
     monitor: &mut KeyMonitor,
-    ring: &RingSeries,
     plan: &ScorePlan,
-    threshold: f64,
-    workspace: &mut SstWorkspace,
     key: KpiKey,
+    pass: &mut ScoringPass<'_, impl ReachingScorer, RingWindows<'_>>,
 ) -> (u64, Vec<StreamDetection>) {
     let mut detections = Vec::new();
     if plan.reprime {
         monitor.sst.reset();
-        monitor.run.miss();
+        monitor.run.break_run(&mut pass.tally);
     }
+    let ring = pass.held.ring;
+    let run = &mut monitor.run;
     let mut folds = 0u64;
-    let mut minute = plan.lo;
-    while minute < plan.to {
+    for minute in plan.lo..plan.to {
         let Some(value) = ring.at(minute) else {
             // Planned past the retained window (cannot happen by
             // construction; defensive skip keeps the path panic-free).
-            minute += 1;
             continue;
         };
         folds += 1;
-        let reached = monitor.sst.fold_with(value, |scorer, window| {
-            scorer.score_reaching_in(workspace, window, threshold)
-        });
-        match reached {
-            Some(Some(score)) => {
-                if let Some(event) = monitor.run.hit(minute, score) {
-                    detections.push(StreamDetection {
-                        key,
-                        declared_at: event.declared_at,
-                        first_exceeded_at: event.first_exceeded_at,
-                        peak_score: event.peak_score,
-                    });
-                }
-            }
-            Some(None) => monitor.run.miss(),
-            // Still warming up: no window, no evidence either way.
-            None => {}
+        // `None` while still warming up: no window, no evidence either way.
+        let declared = monitor
+            .sst
+            .fold_with(value, |_, window| run.offer_window(minute, window, pass));
+        if let Some(Some(event)) = declared {
+            detections.push(StreamDetection {
+                key,
+                declared_at: event.declared_at,
+                first_exceeded_at: event.first_exceeded_at,
+                peak_score: event.peak_score,
+            });
         }
-        minute += 1;
     }
     monitor.next_minute = plan.to;
     monitor.primed = true;
@@ -791,7 +815,8 @@ impl StreamEngine {
             return (0, Vec::new());
         }
         let threshold = self.funnel.config().sst_threshold;
-        let sst_config = &self.funnel.config().sst;
+        let width = self.funnel.config().sst.window_len();
+        let scorer = self.funnel.scorer();
         funnel_obs::timeline_histogram_record(
             names::STREAM_QUEUE_DEPTH,
             minute,
@@ -810,13 +835,32 @@ impl StreamEngine {
             jobs,
             self.config.workers,
             None,
-            || SstWorkspace::new(sst_config),
-            |workspace, (key, monitor, plan, ring)| {
-                Some(score_key(monitor, ring, plan, threshold, workspace, key))
+            // Per worker: the scorer's run handle (its SST workspace) and
+            // the buffer held windows are copied out of the rings through.
+            || (scorer.reaching_scorer(), Vec::with_capacity(width)),
+            |(scorer, buf), (key, monitor, plan, ring)| {
+                let mut pass = ScoringPass {
+                    scorer,
+                    threshold,
+                    held: RingWindows {
+                        ring,
+                        width: width as u64,
+                        buf,
+                    },
+                    tally: WindowTally::default(),
+                };
+                let (folds, detections) = score_key(monitor, plan, key, &mut pass);
+                Some((folds, detections, pass.tally))
             },
         );
-        let folds = scored.iter().map(|(f, _)| f).sum();
-        let detections = scored.into_iter().flat_map(|(_, d)| d).collect();
+        let (mut folds, mut detections) = (0, Vec::new());
+        let mut tally = WindowTally::default();
+        for (key_folds, key_detections, key_tally) in scored {
+            folds += key_folds;
+            detections.extend(key_detections);
+            tally += key_tally;
+        }
+        tally.emit_counters();
         for key in admitted.keys() {
             let fully_folded = self
                 .monitors

@@ -8,9 +8,17 @@
 //!   set — and every shed work unit completes as `Inconclusive` flagged
 //!   `LoadShed` instead of stalling or guessing.
 //! * The verdict channel drops (and counts) rather than blocking.
+//! * Live declarations are, tick by tick and bit for bit, those of the
+//!   frozen eager monitors that scored every window as it completed — on a
+//!   feed whose late measurements force re-primes.
 //! * Fed from a store subscription behind the agent → collector path, the
 //!   engine declares an injected regression live, attributes it, and stays
 //!   quiet on a no-op change — with the batch pipeline's bytes both times.
+
+#[path = "../../detect/tests/eager_reference/mod.rs"]
+mod eager_reference;
+
+mod eager_monitors;
 
 use funnel_core::quality::QualityIssue;
 use funnel_core::stream::{StreamAssessment, StreamDetection};
@@ -20,7 +28,7 @@ use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::live::LiveFeed;
 use funnel_sim::store::{Measurement, MetricStore};
 use funnel_sim::world::{SimConfig, World, WorldBuilder};
-use funnel_sst::SstConfig;
+use funnel_sst::{FastSst, SstConfig};
 use funnel_topology::change::{ChangeId, ChangeKind};
 use funnel_topology::impact::Entity;
 use funnel_topology::model::ServiceId;
@@ -195,6 +203,61 @@ fn late_frames_heal_through_backfill() {
         reference,
         "backfilled stream diverged from batch"
     );
+}
+
+#[test]
+fn live_detections_match_the_eager_monitors_tick_by_tick() {
+    let (world, change) = shifted_world();
+    // 3% of the measurements arrive four minutes late: each lands behind
+    // its monitor's frontier and forces a re-prime, often with candidates
+    // held unscored.
+    let feed = LiveFeed::from_store(&world.materialize().unwrap()).with_late(11, 30, 4);
+    let bits = |detections: &[StreamDetection]| -> Vec<(KpiKey, u64, u64, u64)> {
+        detections
+            .iter()
+            .map(|d| {
+                (
+                    d.key,
+                    d.declared_at,
+                    d.first_exceeded_at,
+                    d.peak_score.to_bits(),
+                )
+            })
+            .collect()
+    };
+    for (persistence, workers) in [(7, 1), (7, 3), (2, 1), (1, 2)] {
+        let mut funnel_cfg = test_config(workers);
+        funnel_cfg.persistence_minutes = persistence;
+        let mut stream_cfg = stream_config(&funnel_cfg);
+        stream_cfg.workers = workers;
+        let mut reference = eager_monitors::EagerMonitors::new(
+            FastSst::new(funnel_cfg.sst.clone()),
+            funnel_cfg.sst_threshold,
+            persistence,
+            stream_cfg.ring_capacity,
+        );
+        let record = world.change_log().get(change).unwrap().clone();
+        let mut engine = StreamEngine::new(funnel_cfg, stream_cfg, service_kinds(&world));
+        engine.track_change(world.topology(), record).unwrap();
+
+        let mut declared = 0;
+        for (minute, batch) in feed.arrivals() {
+            for &m in batch {
+                engine.offer(m);
+                reference.offer(m);
+            }
+            let got = engine.tick(minute).detections;
+            assert_eq!(
+                bits(&got),
+                bits(&reference.tick(minute)),
+                "tick {minute}, persistence {persistence}, workers {workers}"
+            );
+            declared += got.len();
+        }
+        assert!(declared > 0, "persistence {persistence}: nothing declared");
+        assert!(reference.reprimes > 0, "no late measurement re-primed");
+        assert!(engine.stats().late_backfilled > 0);
+    }
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //!   count.
 //! * **Worker invariance** — the worker-invariant slice of the timeline
 //!   (verdict counters, work-unit totals, control-cache hits and misses,
-//!   detect/DiD spans) is byte-identical across 1, 3, and 8 workers. (The
+//!   detect/DiD spans, the detector's screened/scored/dropped window
+//!   counts) is byte-identical across 1, 3, and 8 workers. (The
 //!   full document cannot be: `assess.workers` and the per-worker spans
 //!   genuinely depend on the pool size.)
 //! * **Streaming vs. batch** — the per-window verdict counters agree
@@ -48,8 +49,9 @@ use std::collections::BTreeMap;
 /// verdicts, work-unit totals and queue depth, the control-cache counters
 /// (one shared table per assessment builds each group once at any pool
 /// size), the detection and DiD stages (their spans parent on
-/// `assess.item` in serial and parallel mode alike), and everything from
-/// the collector.
+/// `assess.item` in serial and parallel mode alike; which windows a
+/// detector run screens, scores and drops is a function of the item's data
+/// alone), and everything from the collector.
 const WORKER_INVARIANT: &[&str] = &[
     "collector.",
     "assess.verdict_",
@@ -203,6 +205,7 @@ fn timeline_and_trace_are_deterministic_and_selfmon_sees_faults() {
     // ── Recording on: byte identity per config, invariance across them.
     funnel_obs::enable();
     let mut restricted = Vec::new();
+    let mut window_counts = Vec::new();
     for workers in [1usize, 3, 8] {
         let first = assessed_timeline(&world, change, workers);
         let second = assessed_timeline(&world, change, workers);
@@ -222,8 +225,27 @@ fn timeline_and_trace_are_deterministic_and_selfmon_sees_faults() {
             !slice.is_empty(),
             "workers={workers}: invariant slice is empty"
         );
+        window_counts.push([
+            slice.counter_series(funnel_obs::names::DETECT_WINDOWS_SCREENED),
+            slice.counter_series(funnel_obs::names::DETECT_WINDOWS_SCORED),
+            slice.counter_series(funnel_obs::names::DETECT_WINDOWS_DROPPED),
+        ]);
         restricted.push((workers, slice.to_json(), chrome_trace_json(&slice)));
     }
+    // The deferred detector's tally, written once per run: present, doing
+    // its job (most windows never reach the kernel), equal at 1/3/8.
+    let total = |series: &[(u64, u64)]| series.iter().map(|&(_, n)| n).sum::<u64>();
+    let [screened, scored, dropped] = window_counts[0].each_ref().map(|s| total(s));
+    assert!(
+        scored > 0 && screened + dropped > scored,
+        "window tally: {screened} screened, {scored} scored, {dropped} dropped"
+    );
+    assert!(
+        window_counts
+            .iter()
+            .all(|counts| counts == &window_counts[0]),
+        "detect.windows.* moved with the worker count: {window_counts:?}"
+    );
     for (workers, timeline, trace) in &restricted[1..] {
         assert_eq!(
             &restricted[0].1, timeline,

@@ -6,10 +6,22 @@
 //! the operational policy: a declaration threshold, the 7-minute persistence
 //! rule that separates level shifts and ramps from one-off events, and
 //! re-arming so that one behaviour change produces one event.
+//!
+//! The persistence rule is also what decides *which windows are scored*. A
+//! declaration needs `persistence` consecutive hits, so a window whose run
+//! of neighbours that may reach the threshold is shorter than that can never
+//! carry one, whatever it scores. [`PersistenceRun`] therefore asks every
+//! window only the scorer's cheap exact bound
+//! ([`ReachingScorer::may_reach`]), holds the candidates unscored, and runs
+//! the kernel — oldest held window first — only while a declaration is still
+//! reachable. Events, counts and peaks are those of scoring every window.
 
+use funnel_sst::Unscreened;
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use funnel_timeseries::window::SlidingWindows;
+
+pub use funnel_sst::ReachingScorer;
 
 /// A pure window → change-score function.
 pub trait WindowScorer {
@@ -24,19 +36,16 @@ pub trait WindowScorer {
     /// A short name for tables and logs.
     fn name(&self) -> &'static str;
 
-    /// `Some(score)` exactly when `score(window) >= threshold` — all the
-    /// driver asks of a score. A scorer that can bound its score cheaply
-    /// may answer `None` without computing it; the `Some` value is always
-    /// the full score's bits.
-    fn score_reaching(&self, window: &[f64], threshold: f64) -> Option<f64> {
-        let score = self.score(window);
-        (score >= threshold).then_some(score)
-    }
-
-    /// A [`WindowScorer::score_reaching`] for one detector run: the
-    /// returned closure may own scratch it reuses from window to window.
-    fn reaching_scorer(&self) -> impl FnMut(&[f64], f64) -> Option<f64> + '_ {
-        move |window, threshold| self.score_reaching(window, threshold)
+    /// This scorer's [`ReachingScorer`] for one detector run — all the
+    /// driver asks of it: whether a window may reach the threshold, and its
+    /// score when it does. The handle may own scratch it reuses from window
+    /// to window. A scorer with no cheap bound keeps this default: every
+    /// window is a candidate, decided by score-then-compare.
+    fn reaching_scorer(&self) -> impl ReachingScorer + '_ {
+        Unscreened(move |window: &[f64], threshold| {
+            let score = self.score(window);
+            (score >= threshold).then_some(score)
+        })
     }
 }
 
@@ -53,9 +62,100 @@ pub struct ChangeEvent {
     pub peak_score: f64,
 }
 
-/// The threshold → run-length → peak → declare → re-arm state machine, fed
-/// one scored window at a time. Batch runs and the streaming engine's
-/// per-key monitors both hold one, so the persistence rule is written once.
+/// Where a [`PersistenceRun`] re-reads a window it held back unscored.
+pub trait WindowSource {
+    /// The samples of the window decided at `minute`, oldest first, or
+    /// `None` when they are no longer retained.
+    fn window_at(&mut self, minute: MinuteBin) -> Option<&[f64]>;
+}
+
+/// The windows of a dense series, addressed by decision minute.
+struct SeriesWindows<'a> {
+    series: &'a TimeSeries,
+    width: usize,
+}
+
+impl WindowSource for SeriesWindows<'_> {
+    fn window_at(&mut self, minute: MinuteBin) -> Option<&[f64]> {
+        let to = minute.checked_add(1)?;
+        let from = to.checked_sub(self.width as u64)?;
+        let window = self.series.slice(from, to);
+        (window.len() == self.width).then_some(window)
+    }
+}
+
+/// What became of the windows offered to a [`PersistenceRun`]: every window
+/// that was not skipped for coverage is screened, scored, dropped or still
+/// held.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WindowTally {
+    /// Definite misses: the bound alone ruled the window out.
+    pub screened: u64,
+    /// Candidates the full score was computed for.
+    pub scored: u64,
+    /// Candidates let go unscored because no declaration could rest on them.
+    pub dropped: u64,
+}
+
+impl WindowTally {
+    /// Adds the three counts to the `detect.windows.*` counters, in the
+    /// current timeline window — once per detector run or stream tick, never
+    /// per window.
+    pub fn emit_counters(&self) {
+        let window = funnel_obs::timeline::current_window();
+        for (name, n) in [
+            (funnel_obs::names::DETECT_WINDOWS_SCREENED, self.screened),
+            (funnel_obs::names::DETECT_WINDOWS_SCORED, self.scored),
+            (funnel_obs::names::DETECT_WINDOWS_DROPPED, self.dropped),
+        ] {
+            funnel_obs::timeline_counter_add(name, window, n);
+        }
+    }
+}
+
+impl std::ops::AddAssign for WindowTally {
+    fn add_assign(&mut self, other: Self) {
+        self.screened += other.screened;
+        self.scored += other.scored;
+        self.dropped += other.dropped;
+    }
+}
+
+/// What a [`PersistenceRun`] scores with: the run's (or stream worker's)
+/// scorer handle, the declaration threshold, where held windows are re-read
+/// from, and the tally of what became of each window.
+pub struct ScoringPass<'a, R, H> {
+    /// Answers the bound and the score.
+    pub scorer: &'a mut R,
+    /// The declaration threshold.
+    pub threshold: f64,
+    /// Re-reads the windows held back unscored.
+    pub held: H,
+    /// Counts screened, scored and dropped windows.
+    pub tally: WindowTally,
+}
+
+/// The threshold → run-length → peak → declare → re-arm state machine, and
+/// the planner of its own scoring. Batch runs and the streaming engine's
+/// per-key monitors both hold one, so the persistence rule — and the rule
+/// for which windows it needs scored — is written once.
+///
+/// Each offered window is first asked the scorer's bound. A definite miss
+/// ends the run at once. A candidate is *held*: its score is computed —
+/// oldest held window first, re-checking after each result — only while a
+/// declaration is still reachable:
+///
+/// * armed, a run of `len` hits followed by `pending` held candidates can
+///   declare iff `len + pending ≥ persistence`;
+/// * disarmed (a declaration stands, no miss since), only a miss followed
+///   by a full run can: `pending ≥ persistence + 1`.
+///
+/// Whatever is held when a definite miss, a re-prime or the end of the
+/// series arrives is dropped unscored: no declaration was reachable among
+/// those windows, and the state after them is "no run, armed" either way.
+/// So the declarations — minute, start and peak bits — are exactly those of
+/// scoring every window, and a declaration still lands on the window that
+/// completes its run: reachability first holds when that window is offered.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PersistenceRun {
     persistence: u32,
@@ -63,6 +163,10 @@ pub struct PersistenceRun {
     start: MinuteBin,
     peak: f64,
     armed: bool,
+    /// Candidates held unscored: the windows decided at the `pending`
+    /// consecutive minutes ending at `newest`.
+    pending: u32,
+    newest: MinuteBin,
 }
 
 impl PersistenceRun {
@@ -75,13 +179,103 @@ impl PersistenceRun {
             start: 0,
             peak: 0.0,
             armed: true,
+            pending: 0,
+            newest: 0,
+        }
+    }
+
+    /// The next window, decided at `minute` — one minute after the previous
+    /// window unless the run was broken in between. Returns the declaration
+    /// when this window completes the persistence requirement of an armed
+    /// run — once per excursion.
+    pub fn offer_window<R: ReachingScorer, H: WindowSource>(
+        &mut self,
+        minute: MinuteBin,
+        window: &[f64],
+        pass: &mut ScoringPass<'_, R, H>,
+    ) -> Option<ChangeEvent> {
+        if !pass.scorer.may_reach(window, pass.threshold) {
+            pass.tally.screened += 1;
+            self.break_run(&mut pass.tally);
+            return None;
+        }
+        self.pending = self.pending.saturating_add(1);
+        self.newest = minute;
+        let mut declared = None;
+        while self.declaration_reachable() {
+            declared = self.score_oldest(pass).or(declared);
+        }
+        declared
+    }
+
+    /// A window that could not be scored (too little measured data): the
+    /// run is broken, but a declared event stays declared — a gap is not
+    /// evidence the shift ended, so no re-arm. Held candidates of a
+    /// disarmed run are resolved first: a miss hidden among them would have
+    /// re-armed it.
+    pub fn skip_window<R: ReachingScorer, H: WindowSource>(
+        &mut self,
+        pass: &mut ScoringPass<'_, R, H>,
+    ) {
+        while !self.armed && self.pending > 0 {
+            self.score_oldest(pass);
+        }
+        self.drop_pending(&mut pass.tally);
+        self.len = 0;
+    }
+
+    /// The run ends and the detector re-arms — a window below threshold, or
+    /// history rewritten under a streaming monitor. Held candidates are
+    /// dropped: none of them could have carried a declaration.
+    pub fn break_run(&mut self, tally: &mut WindowTally) {
+        self.drop_pending(tally);
+        self.len = 0;
+        self.armed = true;
+    }
+
+    /// Lets go of whatever is held — also the end of a finite series, where
+    /// the held windows can never be joined by those a declaration needs.
+    fn drop_pending(&mut self, tally: &mut WindowTally) {
+        tally.dropped += u64::from(self.pending);
+        self.pending = 0;
+    }
+
+    /// Whether the held candidates, all scoring as hits, could still
+    /// complete a declaration.
+    fn declaration_reachable(&self) -> bool {
+        if self.armed {
+            // `len < persistence` while armed, so this implies `pending > 0`.
+            self.len.saturating_add(self.pending) >= self.persistence
+        } else {
+            self.pending > self.persistence
+        }
+    }
+
+    /// Scores the oldest held candidate and feeds the result to the run. A
+    /// window its source no longer retains counts as a miss.
+    fn score_oldest<R: ReachingScorer, H: WindowSource>(
+        &mut self,
+        pass: &mut ScoringPass<'_, R, H>,
+    ) -> Option<ChangeEvent> {
+        self.pending = self.pending.saturating_sub(1);
+        let minute = self.newest.saturating_sub(u64::from(self.pending));
+        pass.tally.scored += 1;
+        let reached = pass
+            .held
+            .window_at(minute)
+            .and_then(|window| pass.scorer.score_reaching(window, pass.threshold));
+        match reached {
+            Some(score) => self.hit(minute, score),
+            None => {
+                self.len = 0;
+                self.armed = true;
+                None
+            }
         }
     }
 
     /// A window decided at `minute` scored `score`, at or above threshold.
-    /// Returns the declaration when this hit completes the persistence
-    /// requirement of an armed run — once per excursion.
-    pub fn hit(&mut self, minute: MinuteBin, score: f64) -> Option<ChangeEvent> {
+    fn hit(&mut self, minute: MinuteBin, score: f64) -> Option<ChangeEvent> {
         if self.len == 0 {
             self.start = minute;
             self.peak = score;
@@ -98,20 +292,6 @@ impl PersistenceRun {
             first_exceeded_at: self.start,
             peak_score: self.peak,
         })
-    }
-
-    /// A window scored below threshold: the run ends and the detector
-    /// re-arms.
-    pub fn miss(&mut self) {
-        self.len = 0;
-        self.armed = true;
-    }
-
-    /// A window that could not be scored (too little measured data): the
-    /// run is broken, but a declared event stays declared — a gap is not
-    /// evidence the shift ended, so no re-arm.
-    pub fn skip(&mut self) {
-        self.len = 0;
     }
 }
 
@@ -136,8 +316,11 @@ pub struct MaskedRun {
 }
 
 impl MaskedRun {
-    /// Fraction of windows that were scoreable (1.0 = nothing skipped,
-    /// 0.0 when the series yielded no windows at all).
+    /// Fraction of windows with enough measured data to be judged (1.0 =
+    /// nothing skipped, 0.0 when the series yielded no windows at all). Of
+    /// these, only the windows a declaration could rest on are actually
+    /// scored; the rest are ruled out by the scorer's bound or by the
+    /// persistence rule.
     pub fn scored_fraction(&self) -> f64 {
         if self.total_windows == 0 {
             0.0
@@ -186,15 +369,12 @@ impl<S: WindowScorer> DetectorRunner<S> {
     /// change. After a declaration the runner re-arms once the score falls
     /// below threshold, so a single long-lived shift yields a single event.
     pub fn run(&self, series: &TimeSeries) -> Vec<ChangeEvent> {
-        let _span = funnel_obs::span!(funnel_obs::names::SPAN_DETECT);
-        let events: Vec<ChangeEvent> = self.declarations(series).collect();
-        funnel_obs::counter_add(funnel_obs::names::DETECT_CHANGE_POINTS, events.len() as u64);
-        events
+        self.run_observed(series, |_| false).events
     }
 
     /// Coverage-aware [`DetectorRunner::run`]: windows whose fraction of
     /// truly measured minutes (per `mask`) falls below `min_coverage` are
-    /// skipped instead of scored — forward-filled gaps carry no evidence,
+    /// skipped instead of judged — forward-filled gaps carry no evidence,
     /// and scoring them manufactures both false positives (a fill plateau
     /// looks like a level shift ending) and false negatives (a real shift
     /// hidden inside a gap). Skipping a window also resets the persistence
@@ -207,8 +387,7 @@ impl<S: WindowScorer> DetectorRunner<S> {
         mask: &CoverageMask,
         min_coverage: f64,
     ) -> MaskedRun {
-        let _span = funnel_obs::span!(funnel_obs::names::SPAN_DETECT);
-        let width = self.scorer.window_len();
+        let width = self.scorer.window_len() as u64;
         // O(1) per-window coverage via prefix sums over the mask.
         let pfx = mask.prefix_counts();
         let coverage_of = |from: MinuteBin, to: MinuteBin| -> f64 {
@@ -218,30 +397,22 @@ impl<S: WindowScorer> DetectorRunner<S> {
             let present = pfx[(hi - mask.start()) as usize] - pfx[(lo - mask.start()) as usize];
             f64::from(present) / (to - from) as f64
         };
+        // Too much interpolation to judge.
+        self.run_observed(series, |decision_minute| {
+            coverage_of(decision_minute + 1 - width, decision_minute + 1) < min_coverage
+        })
+    }
 
-        let mut out = MaskedRun {
-            events: Vec::new(),
-            skipped_windows: 0,
-            total_windows: 0,
-            suppressed_events: 0,
-        };
-        let mut reaching = self.scorer.reaching_scorer();
-        let mut state = PersistenceRun::new(self.persistence);
-
-        for w in SlidingWindows::new(series, width) {
-            out.total_windows += 1;
-            let first_minute = w.decision_minute + 1 - width as u64;
-            if coverage_of(first_minute, w.decision_minute + 1) < min_coverage {
-                // Too much interpolation to score.
-                out.skipped_windows += 1;
-                state.skip();
-                continue;
-            }
-            match reaching(w.values, self.threshold) {
-                Some(score) => out.events.extend(state.hit(w.decision_minute, score)),
-                None => state.miss(),
-            }
-        }
+    /// [`DetectorRunner::drive_windows`] to the end of the series, under the
+    /// detection span, with the run's counters written once.
+    fn run_observed(
+        &self,
+        series: &TimeSeries,
+        unmeasured: impl FnMut(MinuteBin) -> bool,
+    ) -> MaskedRun {
+        let _span = funnel_obs::span!(funnel_obs::names::SPAN_DETECT);
+        let (out, tally) = self.drive_windows(series, unmeasured, false);
+        tally.emit_counters();
         funnel_obs::counter_add(
             funnel_obs::names::DETECT_CHANGE_POINTS,
             out.events.len() as u64,
@@ -297,26 +468,54 @@ impl<S: WindowScorer> DetectorRunner<S> {
     /// Convenience: whether the series contains at least one declared
     /// change, and if so the first event.
     pub fn first_change(&self, series: &TimeSeries) -> Option<ChangeEvent> {
-        // Early-exit variant of `run` (stops at the first declaration).
-        self.declarations(series).next()
+        // `run` stopped at the first declaration.
+        self.drive_windows(series, |_| false, true)
+            .0
+            .events
+            .first()
+            .copied()
     }
 
-    /// The declarations over `series`, lazily, in window order.
-    fn declarations<'a>(
-        &'a self,
-        series: &'a TimeSeries,
-    ) -> impl Iterator<Item = ChangeEvent> + 'a {
-        let mut reaching = self.scorer.reaching_scorer();
+    /// The one scoring loop: every window of `series`, in order, is either
+    /// skipped (`unmeasured` says its decision minute lacks coverage) or
+    /// offered to the persistence rule, which decides what gets scored.
+    /// `first_only` stops at the first declaration.
+    fn drive_windows(
+        &self,
+        series: &TimeSeries,
+        mut unmeasured: impl FnMut(MinuteBin) -> bool,
+        first_only: bool,
+    ) -> (MaskedRun, WindowTally) {
+        let width = self.scorer.window_len();
+        let mut out = MaskedRun {
+            events: Vec::new(),
+            skipped_windows: 0,
+            total_windows: 0,
+            suppressed_events: 0,
+        };
+        let mut scorer = self.scorer.reaching_scorer();
+        let mut pass = ScoringPass {
+            scorer: &mut scorer,
+            threshold: self.threshold,
+            held: SeriesWindows { series, width },
+            tally: WindowTally::default(),
+        };
         let mut state = PersistenceRun::new(self.persistence);
-        SlidingWindows::new(series, self.scorer.window_len()).filter_map(move |w| {
-            match reaching(w.values, self.threshold) {
-                Some(score) => state.hit(w.decision_minute, score),
-                None => {
-                    state.miss();
-                    None
-                }
+        for w in SlidingWindows::new(series, width) {
+            out.total_windows += 1;
+            if unmeasured(w.decision_minute) {
+                out.skipped_windows += 1;
+                state.skip_window(&mut pass);
+                continue;
             }
-        })
+            let declared = state.offer_window(w.decision_minute, w.values, &mut pass);
+            out.events.extend(declared);
+            if first_only && declared.is_some() {
+                break;
+            }
+        }
+        state.drop_pending(&mut pass.tally);
+        (out, pass.tally)
     }
 }
 
@@ -403,6 +602,12 @@ mod tests {
         assert_eq!(r.first_change(&series), r.run(&series).first().copied());
         let quiet = TimeSeries::new(0, vec![0.0; 30]);
         assert_eq!(r.first_change(&quiet), None);
+    }
+
+    #[test]
+    fn held_windows_cost_the_run_two_integers() {
+        // Per-key stream state: a count and a minute, never the samples.
+        assert!(std::mem::size_of::<PersistenceRun>() <= 40);
     }
 
     #[test]

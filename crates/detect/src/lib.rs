@@ -4,7 +4,8 @@
 //!
 //! * [`detector`] — [`WindowScorer`] (a pure window → score function),
 //!   [`DetectorRunner`] (threshold + persistence + re-arm logic, one
-//!   [`PersistenceRun`] per pass), and [`ChangeEvent`].
+//!   [`PersistenceRun`] per pass, which also plans which windows the scorer
+//!   is run on), and [`ChangeEvent`].
 //! * [`sst_adapter`] — wraps the `funnel-sst` scorers as [`WindowScorer`]s.
 //! * [`cusum`] — the CUmulative SUM detector used by MERCURY
 //!   (SIGCOMM 2010), the paper's "long detection delay" baseline.
@@ -28,7 +29,10 @@ pub mod wow;
 
 pub use cusum::CusumDetector;
 pub use delay::{detection_delay, DelayOutcome};
-pub use detector::{ChangeEvent, DetectorRunner, MaskedRun, PersistenceRun, WindowScorer};
+pub use detector::{
+    ChangeEvent, DetectorRunner, MaskedRun, PersistenceRun, ReachingScorer, ScoringPass,
+    WindowScorer, WindowSource, WindowTally,
+};
 pub use mrls::{MrlsDetector, ScaleAggregation};
 pub use sst_adapter::SstDetector;
 pub use wow::WowDetector;

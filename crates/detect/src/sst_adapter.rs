@@ -1,6 +1,6 @@
 //! Adapters exposing the `funnel-sst` scorers as [`WindowScorer`]s.
 
-use crate::detector::WindowScorer;
+use crate::detector::{ReachingScorer, WindowScorer};
 use funnel_sst::{ClassicSst, FastSst, RobustSst, SstScorer};
 
 /// Newtype adapter: any SST scorer as a [`WindowScorer`].
@@ -61,11 +61,7 @@ impl<S: SstScorer> WindowScorer for SstDetector<S> {
         self.name
     }
 
-    fn score_reaching(&self, window: &[f64], threshold: f64) -> Option<f64> {
-        self.inner.score_reaching(window, threshold)
-    }
-
-    fn reaching_scorer(&self) -> impl FnMut(&[f64], f64) -> Option<f64> + '_ {
+    fn reaching_scorer(&self) -> impl ReachingScorer + '_ {
         self.inner.reaching_scorer()
     }
 }

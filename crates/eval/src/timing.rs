@@ -86,8 +86,9 @@ pub fn time_method(method: Method, windows: usize) -> MethodTiming {
 
 /// Measures what a window costs `method`'s *detector*: the calibrated
 /// [`MethodRunner::run`] (threshold, persistence, and whatever the scorer
-/// can skip once it knows the threshold) over the same mixed-class data,
-/// divided by the windows it slid over — about `windows` in total.
+/// and the persistence rule can skip once they know the threshold) over the
+/// same mixed-class data, divided by the windows it slid over — about
+/// `windows` in total.
 pub fn time_detector(method: Method, windows: usize) -> MethodTiming {
     let runner = MethodRunner::new(method);
     let w = runner.window_len();

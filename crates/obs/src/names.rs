@@ -36,6 +36,14 @@ pub const FRAMES_CLOCK_SKEWED: &str = "collector.frames_clock_skewed";
 pub const DETECT_CHANGE_POINTS: &str = "detect.change_points";
 /// Change points suppressed for bordering a partition-length coverage gap.
 pub const DETECT_GAP_SUPPRESSED: &str = "detect.gap_suppressed";
+/// Windows the scorer's exact bound ruled out: definite misses, no kernel.
+pub const DETECT_WINDOWS_SCREENED: &str = "detect.windows.screened";
+/// Candidate windows the kernel scored because a declaration could still
+/// rest on them.
+pub const DETECT_WINDOWS_SCORED: &str = "detect.windows.scored";
+/// Candidate windows never scored: their run of candidates was too short
+/// for the persistence rule, whatever they would have scored.
+pub const DETECT_WINDOWS_DROPPED: &str = "detect.windows.dropped";
 
 /// Control-group window fetches answered from the assessment's shared
 /// `ControlCache` (lookups − misses, at any worker count).
@@ -201,6 +209,9 @@ mod tests {
             super::FRAMES_CLOCK_SKEWED,
             super::DETECT_CHANGE_POINTS,
             super::DETECT_GAP_SUPPRESSED,
+            super::DETECT_WINDOWS_SCREENED,
+            super::DETECT_WINDOWS_SCORED,
+            super::DETECT_WINDOWS_DROPPED,
             super::CONTROL_CACHE_HITS,
             super::CONTROL_CACHE_MISSES,
             super::VERDICT_CAUSED,

@@ -37,7 +37,7 @@ use crate::kpi::KpiKey;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -279,7 +279,9 @@ impl Slab {
 /// The in-memory metric store.
 #[derive(Default)]
 pub struct MetricStore {
-    slab: RwLock<Slab>,
+    /// Shared with every live [`StoreSnapshot`]; a writer that finds it
+    /// shared copies it first (`Arc::make_mut`), once per write batch.
+    slab: RwLock<Arc<Slab>>,
     subscribers: RwLock<Vec<Subscriber>>,
     /// `subscribers.len()`, readable without the lock: what lets a write
     /// batch skip collecting publications nobody would receive.
@@ -312,7 +314,7 @@ impl std::fmt::Debug for MetricStore {
 /// the lock is released.
 pub(crate) struct StoreWriter<'a> {
     store: &'a MetricStore,
-    slab: RwLockWriteGuard<'a, Slab>,
+    slab: &'a mut Slab,
     /// `None` when nobody was subscribed as the batch began.
     outbox: Option<Vec<Measurement>>,
 }
@@ -374,7 +376,7 @@ impl StoreWriter<'_> {
 /// Shared read access to everything the store holds, without copying it:
 /// what a checkpoint encodes from. Writers wait while a view is alive, and
 /// a thread holding one must not write to the same store.
-pub struct StoreView<'a>(RwLockReadGuard<'a, Slab>);
+pub struct StoreView<'a>(RwLockReadGuard<'a, Arc<Slab>>);
 
 impl StoreView<'_> {
     /// Every key with its series and coverage mask, in sorted key order —
@@ -400,25 +402,33 @@ impl MetricStore {
     /// lock released — publishes what the batch wrote, in write order.
     pub(crate) fn write_batch<R>(&self, batch: impl FnOnce(&mut StoreWriter<'_>) -> R) -> R {
         let subscribed = self.subscriber_count.load(Ordering::SeqCst) > 0;
-        let mut writer = StoreWriter {
-            store: self,
-            slab: self.slab.write(),
-            outbox: subscribed.then(Vec::new),
-        };
-        let result = batch(&mut writer);
-        let StoreWriter { slab, outbox, .. } = writer;
-        drop(slab);
+        let (result, outbox) = self.with_unshared_slab(|slab| {
+            let mut writer = StoreWriter {
+                store: self,
+                slab,
+                outbox: subscribed.then(Vec::new),
+            };
+            (batch(&mut writer), writer.outbox)
+        });
         if let Some(outbox) = outbox {
             self.publish(&outbox);
         }
         result
     }
 
+    /// Runs `mutate` on the slab under the write lock, unshared: the first
+    /// write after a snapshot that is still alive copies the slab here, and
+    /// the snapshot keeps the old one. With no snapshot alive this is the
+    /// lock alone.
+    fn with_unshared_slab<R>(&self, mutate: impl FnOnce(&mut Slab) -> R) -> R {
+        mutate(Arc::make_mut(&mut self.slab.write()))
+    }
+
     /// Replaces the entire series for `key` (used by batch materialization).
     /// Every minute of the series counts as measured.
     pub fn insert(&self, key: KpiKey, series: TimeSeries) {
         let mask = CoverageMask::all_present(series.start(), series.len());
-        self.slab.write().hold([(key, series, mask)]);
+        self.with_unshared_slab(|slab| slab.hold([(key, series, mask)]));
     }
 
     /// Appends one live measurement, growing the series (gaps are filled by
@@ -575,11 +585,13 @@ impl MetricStore {
     /// An immutable point-in-time view of every series and coverage mask —
     /// the read handle the parallel assessment engine fans out over.
     ///
-    /// The snapshot pays one copy of the store's contents up front; after
-    /// that every accessor is lock-free, so N assessment workers reading
-    /// the same snapshot never contend with each other or with live
-    /// ingestion. Cloning a [`StoreSnapshot`] is O(1) (the copy sits behind
-    /// an `Arc`). A series and its mask share a slot and a lock, so a
+    /// Taking one is O(1): the snapshot shares the store's slab, and the
+    /// copy is paid by the first write batch that arrives while a snapshot
+    /// is still alive — never when nobody writes, and once however many
+    /// snapshots were taken in between. Every accessor is lock-free, so N
+    /// assessment workers reading the same snapshot never contend with each
+    /// other or with live ingestion. Cloning a [`StoreSnapshot`] is O(1)
+    /// too. A series and its mask share a slot and a lock, so a
     /// snapshot never observes a written series whose mask still reports
     /// the bin as missing.
     ///
@@ -601,7 +613,7 @@ impl MetricStore {
     /// ```
     pub fn snapshot(&self) -> StoreSnapshot {
         StoreSnapshot {
-            slab: Arc::new(self.slab.read().clone()),
+            slab: Arc::clone(&self.slab.read()),
         }
     }
 
@@ -667,11 +679,12 @@ impl MetricStore {
         &self,
         entries: impl IntoIterator<Item = (KpiKey, TimeSeries, CoverageMask)>,
     ) {
-        let mut slab = self.slab.write();
-        for slot in &mut slab.slots {
-            slot.held = None;
-        }
-        slab.hold(entries);
+        self.with_unshared_slab(|slab| {
+            for slot in &mut slab.slots {
+                slot.held = None;
+            }
+            slab.hold(entries);
+        });
     }
 }
 
@@ -679,7 +692,8 @@ impl MetricStore {
 /// [`MetricStore::snapshot`].
 ///
 /// Accessors mirror the store's read API but never touch a lock: the
-/// snapshot owns a frozen copy of the slab behind an `Arc`. This is the
+/// snapshot holds the slab as it was behind an `Arc`, and a later writer
+/// copies the slab before touching it. This is the
 /// view the batch pipeline hands its worker threads — every worker reads
 /// the same bytes regardless of scheduling, which is one half of the
 /// byte-identical-reports guarantee (the other half is the deterministic
@@ -946,6 +960,31 @@ mod tests {
         assert_eq!(snap.range(&key(0), 1, 3), Some(vec![1.0, 1.0]));
         assert_eq!(snap.keys(), vec![key(0)]);
         assert!(!snap.is_empty());
+    }
+
+    #[test]
+    fn snapshots_share_the_slab_until_someone_writes() {
+        let store = MetricStore::new();
+        store.append(key(0), 0, 1.0);
+        let (a, b) = (store.snapshot(), store.snapshot());
+        assert!(Arc::ptr_eq(&a.slab, &b.slab), "no write between: one slab");
+
+        // The first write with a snapshot alive copies; the snapshots keep
+        // the old slab, the next snapshot sees the new one.
+        store.append(key(0), 1, 2.0);
+        let c = store.snapshot();
+        assert!(!Arc::ptr_eq(&a.slab, &c.slab));
+        assert_eq!(a.get(&key(0)).unwrap().len(), 1);
+        assert_eq!(c.get(&key(0)).unwrap().len(), 2);
+
+        // With no snapshot alive a write copies nothing: same allocation.
+        let before = Arc::as_ptr(&c.slab);
+        drop((a, b, c));
+        store.append(key(0), 2, 3.0);
+        assert!(store.backfill(key(1), 0, 5.0));
+        let d = store.snapshot();
+        assert_eq!(Arc::as_ptr(&d.slab), before);
+        assert_eq!(d.get(&key(0)).unwrap().len(), 3);
     }
 
     #[test]

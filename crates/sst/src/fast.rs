@@ -24,7 +24,7 @@
 use crate::config::{EigSelection, SstConfig};
 use crate::filter::FilterFactors;
 use crate::layout::standardize_by_past_into;
-use crate::SstScorer;
+use crate::{ReachingScorer, SstScorer};
 use funnel_linalg::hankel::HankelMatrix;
 use funnel_linalg::lanczos::lanczos_into;
 use funnel_linalg::matrix::normalize;
@@ -34,9 +34,10 @@ use funnel_linalg::tridiag::tridiag_eig_into;
 /// configuration so that scoring through it allocates nothing.
 ///
 /// Ownership rule: one workspace per detector run or per stream worker,
-/// handed to [`FastSst::score_window_in`] / [`FastSst::score_reaching_in`]
-/// — never one per KPI key (resident per-key state must not grow with the
-/// kernel's scratch) and never hidden inside the scorer, which stays
+/// handed to [`FastSst::score_window_in`] / [`FastSst::may_reach_in`] /
+/// [`FastSst::score_reaching_in`] — never one per KPI key (resident per-key
+/// state must not grow with the kernel's scratch) and never hidden inside
+/// the scorer, which stays
 /// `Clone + Sync` without interior mutability.
 #[derive(Debug, Clone)]
 pub struct SstWorkspace {
@@ -278,13 +279,24 @@ impl FastSst {
         multiplier.map_or(raw, |m| raw * m)
     }
 
-    /// [`SstScorer::score_reaching`] through a held workspace.
+    /// The exact bound on its own, through a held workspace: `false` only
+    /// when [`FastSst::score_window_in`] cannot reach `threshold`.
     ///
-    /// Exact screening: the filtered score is `raw · m` with `raw ∈ [0, 1]`
-    /// (or NaN), so it cannot exceed the Eq. 11 multiplier `m` — six order
-    /// statistics, known before a single Lanczos step. When `m < threshold`
-    /// the window cannot reach the threshold and the Krylov work is skipped.
-    /// A NaN multiplier or a non-positive threshold screens nothing.
+    /// The filtered score is `raw · m` with `raw ∈ [0, 1]` (or NaN), so it
+    /// cannot exceed the Eq. 11 multiplier `m` — six order statistics, known
+    /// before a single Lanczos step. A NaN multiplier, a non-positive
+    /// threshold or the filter switched off screens nothing.
+    pub fn may_reach_in(&self, ws: &mut SstWorkspace, window: &[f64], threshold: f64) -> bool {
+        if !self.config.median_mad_filter {
+            return true;
+        }
+        !self
+            .load_filtered(ws, window)
+            .is_some_and(|m| m < threshold)
+    }
+
+    /// [`SstScorer::score_reaching`] through a held workspace: the Krylov
+    /// work runs only when [`FastSst::may_reach_in`] would answer `true`.
     pub fn score_reaching_in(
         &self,
         ws: &mut SstWorkspace,
@@ -314,9 +326,30 @@ impl SstScorer for FastSst {
         self.score_reaching_in(&mut SstWorkspace::new(&self.config), window, threshold)
     }
 
-    fn reaching_scorer(&self) -> impl FnMut(&[f64], f64) -> Option<f64> + '_ {
-        let mut ws = SstWorkspace::new(&self.config);
-        move |window, threshold| self.score_reaching_in(&mut ws, window, threshold)
+    fn reaching_scorer(&self) -> impl ReachingScorer + '_ {
+        HeldWorkspace {
+            scorer: self,
+            workspace: SstWorkspace::new(&self.config),
+        }
+    }
+}
+
+/// [`FastSst`]'s run handle: the scorer plus the one workspace every bound
+/// and every score of the run goes through.
+struct HeldWorkspace<'a> {
+    scorer: &'a FastSst,
+    workspace: SstWorkspace,
+}
+
+impl ReachingScorer for HeldWorkspace<'_> {
+    fn may_reach(&mut self, window: &[f64], threshold: f64) -> bool {
+        self.scorer
+            .may_reach_in(&mut self.workspace, window, threshold)
+    }
+
+    fn score_reaching(&mut self, window: &[f64], threshold: f64) -> Option<f64> {
+        self.scorer
+            .score_reaching_in(&mut self.workspace, window, threshold)
     }
 }
 

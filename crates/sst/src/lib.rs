@@ -46,6 +46,39 @@ pub use fast::{FastSst, SstWorkspace};
 pub use robust::RobustSst;
 pub use stream::StreamingSst;
 
+/// One detector run's, or one stream worker's, handle on a scorer: the two
+/// questions a threshold detector asks of a window, answered through scratch
+/// the handle may own and reuse from window to window.
+///
+/// The split is what lets a persistence rule *plan* its scoring: the bound
+/// is asked of every window, the score only of the windows a declaration
+/// can still rest on.
+pub trait ReachingScorer {
+    /// `false` only when the window's score provably cannot reach
+    /// `threshold` — an exact bound, decided without the scoring kernel.
+    /// `true` promises nothing: the window is a *candidate*.
+    fn may_reach(&mut self, window: &[f64], threshold: f64) -> bool;
+
+    /// `Some(score)` exactly when the window's full score is at or above
+    /// `threshold`; the value is always the full score's bits.
+    fn score_reaching(&mut self, window: &[f64], threshold: f64) -> Option<f64>;
+}
+
+/// The [`ReachingScorer`] of a scorer with no bound: every window is a
+/// candidate, and the wrapped `score_reaching` function decides it.
+#[derive(Debug, Clone)]
+pub struct Unscreened<F>(pub F);
+
+impl<F: FnMut(&[f64], f64) -> Option<f64>> ReachingScorer for Unscreened<F> {
+    fn may_reach(&mut self, _window: &[f64], _threshold: f64) -> bool {
+        true
+    }
+
+    fn score_reaching(&mut self, window: &[f64], threshold: f64) -> Option<f64> {
+        (self.0)(window, threshold)
+    }
+}
+
 /// A change-point scorer over fixed-width windows.
 pub trait SstScorer {
     /// The configuration in effect.
@@ -68,11 +101,11 @@ pub trait SstScorer {
         (score >= threshold).then_some(score)
     }
 
-    /// A [`SstScorer::score_reaching`] for one detector run or one stream
-    /// worker: the returned closure may own scratch that it reuses from
-    /// window to window.
-    fn reaching_scorer(&self) -> impl FnMut(&[f64], f64) -> Option<f64> + '_ {
-        move |window, threshold| self.score_reaching(window, threshold)
+    /// This scorer's [`ReachingScorer`] for one detector run or one stream
+    /// worker. Without a cheap bound every window is a candidate and
+    /// [`SstScorer::score_reaching`] decides it.
+    fn reaching_scorer(&self) -> impl ReachingScorer + '_ {
+        Unscreened(move |window: &[f64], threshold| self.score_reaching(window, threshold))
     }
 
     /// Scores every sliding window of a series; `out[i]` is the score of the

@@ -8,8 +8,10 @@
 //! buffer — and nothing else. The kernel's scratch is *not* per-key state:
 //! a [`crate::SstWorkspace`] lives with the caller, one per stream worker,
 //! and reaches the scorer through [`StreamingSst::fold_with`], so folding in
-//! a new minute costs exactly one window score and zero allocations at
-//! steady state (`tests/no_alloc.rs` counts them). The plain
+//! a new minute costs at most one window score — the stream engine asks
+//! only the bound there and scores later, if its persistence rule still
+//! needs the window — and zero allocations at steady state
+//! (`tests/no_alloc.rs` counts them). The plain
 //! [`StreamingSst::fold`] has no workspace to borrow and builds a throw-away
 //! one per scored window.
 //!
@@ -83,9 +85,10 @@ impl<S: SstScorer> StreamingSst<S> {
 
     /// [`StreamingSst::fold`] with the scoring left to the caller: `score`
     /// receives the wrapped scorer and the completed window and its answer
-    /// is passed through. This is how a stream worker scores through its
-    /// own [`crate::SstWorkspace`] and threshold
-    /// (`|s, w| s.score_reaching_in(&mut ws, w, threshold)`).
+    /// is passed through. This is how a stream worker asks only the bound of
+    /// the completed window, through its own [`crate::SstWorkspace`] and
+    /// threshold (`|s, w| s.may_reach_in(&mut ws, w, threshold)`), and leaves
+    /// the score to its persistence rule.
     pub fn fold_with<R>(&mut self, value: f64, score: impl FnOnce(&S, &[f64]) -> R) -> Option<R> {
         let w = self.window_len();
         self.folded += 1;

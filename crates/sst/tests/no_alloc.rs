@@ -1,13 +1,16 @@
 //! Steady-state scoring allocates nothing.
 //!
 //! A counting `#[global_allocator]` (per thread, so the harness cannot
-//! disturb it) watches 1,000 `score_window_in` / `score_reaching_in` calls
-//! through one held [`SstWorkspace`], and 1,000 warm [`StreamingSst`] folds
-//! through the same workspace: after one warm-up call each, the count must
-//! stay at zero. The workspace-less convenience calls pay for one
-//! throw-away workspace and nothing per Lanczos step or order statistic.
+//! disturb it) watches 1,000 `score_window_in` / `may_reach_in` /
+//! `score_reaching_in` calls through one held [`SstWorkspace`], 1,000 warm
+//! [`StreamingSst`] folds through the same workspace, and a deferred batch
+//! of folds through a scorer's run handle (the bound at each fold, the
+//! held candidates scored afterwards): after one warm-up call each, the
+//! count must stay at zero. The workspace-less convenience calls pay for
+//! one throw-away workspace and nothing per Lanczos step or order
+//! statistic.
 
-use funnel_sst::{FastSst, SstConfig, SstScorer, SstWorkspace, StreamingSst};
+use funnel_sst::{FastSst, ReachingScorer, SstConfig, SstScorer, SstWorkspace, StreamingSst};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -93,6 +96,42 @@ fn steady_state_scoring_performs_zero_allocations() {
             (1..1_000).contains(&reached),
             "both branches must run, {reached} of 1000 reached"
         );
+
+        let mut candidates = 0;
+        let bounded = allocations_in(|| {
+            for win in windows() {
+                candidates += usize::from(scorer.may_reach_in(&mut ws, win, 0.5));
+            }
+        });
+        assert_eq!(bounded, 0, "may_reach_in allocated (W = {w})");
+        assert!(
+            (reached..1_000).contains(&candidates),
+            "the bound must rule some windows out and keep every hit, \
+             {candidates} candidates for {reached} hits"
+        );
+
+        // What a deferring monitor does: ask the bound as each window
+        // completes, score the held candidates later from their samples.
+        let mut deferred = StreamingSst::new(scorer.clone());
+        let mut handle = scorer.reaching_scorer();
+        let mut held = Vec::with_capacity(values.len());
+        let mut later = 0;
+        let deferred_folds = allocations_in(|| {
+            for (end, &v) in values.iter().enumerate() {
+                if deferred.fold_with(v, |_, win| handle.may_reach(win, 0.5)) == Some(true) {
+                    held.push(end + 1 - w);
+                }
+            }
+            for &from in &held {
+                later += usize::from(
+                    handle
+                        .score_reaching(&values[from..from + w], 0.5)
+                        .is_some(),
+                );
+            }
+        });
+        assert_eq!(deferred_folds, 0, "deferred folds allocated (W = {w})");
+        assert!(later >= reached && held.len() > later);
 
         let mut stream = StreamingSst::new(scorer.clone());
         for &v in &values[..w] {

@@ -111,6 +111,21 @@ impl RingSeries {
         self.values.get((bin - self.start) as usize).copied()
     }
 
+    /// Copies the values of minutes `[from, to)` into `out` (cleared first),
+    /// oldest first. `false`, with `out` left empty, unless the whole range
+    /// is retained — how a stream monitor re-reads a window it decided not
+    /// to score when the window completed.
+    pub fn copy_minutes_into(&self, from: MinuteBin, to: MinuteBin, out: &mut Vec<f64>) -> bool {
+        out.clear();
+        if !self.anchored || from < self.start || to > self.end() || from > to {
+            return false;
+        }
+        let lo = (from - self.start) as usize;
+        let hi = (to - self.start) as usize;
+        out.extend(self.values.range(lo..hi));
+        true
+    }
+
     /// Whether `minute` holds a real measurement (false for fills, evicted
     /// history, and bins beyond the frontier).
     pub fn is_present(&self, minute: MinuteBin) -> bool {
@@ -276,6 +291,22 @@ mod tests {
         assert!(!r.is_present(7) && !r.is_present(8));
         assert_eq!(r.push(6, 99.0), RingWrite::Duplicate);
         assert_eq!(r.at(6), Some(2.0));
+    }
+
+    #[test]
+    fn copies_only_fully_retained_ranges() {
+        let mut r = RingSeries::new(4);
+        let mut out = vec![9.0];
+        assert!(!r.copy_minutes_into(0, 1, &mut out), "unanchored");
+        for m in 10..16 {
+            r.push(m, m as f64);
+        }
+        assert_eq!((r.start(), r.end()), (12, 16));
+        assert!(r.copy_minutes_into(13, 16, &mut out));
+        assert_eq!(out, [13.0, 14.0, 15.0]);
+        assert!(!r.copy_minutes_into(11, 14, &mut out), "front evicted");
+        assert!(out.is_empty());
+        assert!(!r.copy_minutes_into(14, 17, &mut out), "past the frontier");
     }
 
     #[test]

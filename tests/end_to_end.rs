@@ -1,14 +1,17 @@
 //! Cross-crate integration tests: the full FUNNEL pipeline over simulated
 //! worlds, exercising every crate together.
 
+#[path = "../crates/detect/tests/eager_reference/mod.rs"]
+mod eager_reference;
+
 use funnel_suite::core::pipeline::{AssessmentMode, Funnel};
 use funnel_suite::core::FunnelConfig;
 use funnel_suite::detect::delay::{detection_delay, DelayOutcome};
 use funnel_suite::sim::effect::{ChangeEffect, EffectScope, ExternalShock};
 use funnel_suite::sim::kpi::KpiKind;
-use funnel_suite::sim::world::{SimConfig, WorldBuilder};
+use funnel_suite::sim::world::{SimConfig, World, WorldBuilder};
 use funnel_suite::timeseries::inject::ChangeShape;
-use funnel_suite::topology::change::{ChangeKind, LaunchMode};
+use funnel_suite::topology::change::{ChangeId, ChangeKind, LaunchMode};
 use funnel_suite::topology::impact::Entity;
 
 /// A dark launch with a real regression: detected, attributed, and the
@@ -258,22 +261,11 @@ fn store_backed_assessment_matches_world_backed() {
     }
 }
 
-/// Verdict bytes are pinned **across commits**: a fixed-seed scenario (a
-/// dark launch carrying a real response-delay shift, then a harmless full
-/// launch) is assessed in batch and through the streaming engine over a
-/// feed with late measurements, and the rendered reports, the `Debug` of
-/// every item and every live declaration are compared with the files
-/// under `tests/golden/`. A kernel change that moves one low-order bit of
-/// one score moves these files. Re-record (and review the diff) with
-/// `FUNNEL_BLESS=1 cargo test --test end_to_end golden`.
-#[test]
-fn verdict_bytes_match_committed_golden() {
-    use funnel_suite::core::report::render;
-    use funnel_suite::core::{StreamConfig, StreamEngine};
-    use funnel_suite::sim::live::LiveFeed;
-    use std::fmt::Write as _;
+const GOLDEN_DURATION: u64 = 2 * 1440;
 
-    const DURATION: u64 = 2 * 1440;
+/// The fixed-seed scenario behind `tests/golden/`: a dark launch carrying a
+/// real response-delay shift, then a harmless full launch, two days long.
+fn golden_scenario() -> (World, [ChangeId; 2], FunnelConfig) {
     let mut b = WorldBuilder::new(SimConfig::days(2015, 2));
     let dark_svc = b.add_service("gold.dark", 4).unwrap();
     let full_svc = b.add_service("gold.full", 3).unwrap();
@@ -303,10 +295,27 @@ fn verdict_bytes_match_committed_golden() {
             "harmless",
         )
         .unwrap();
-    let world = b.build();
-
     let mut config = FunnelConfig::paper_default();
     config.history_days = 1;
+    (b.build(), [dark, full], config)
+}
+
+/// Verdict bytes are pinned **across commits**: a fixed-seed scenario (a
+/// dark launch carrying a real response-delay shift, then a harmless full
+/// launch) is assessed in batch and through the streaming engine over a
+/// feed with late measurements, and the rendered reports, the `Debug` of
+/// every item and every live declaration are compared with the files
+/// under `tests/golden/`. A kernel change that moves one low-order bit of
+/// one score moves these files. Re-record (and review the diff) with
+/// `FUNNEL_BLESS=1 cargo test --test end_to_end golden`.
+#[test]
+fn verdict_bytes_match_committed_golden() {
+    use funnel_suite::core::report::render;
+    use funnel_suite::core::{StreamConfig, StreamEngine};
+    use funnel_suite::sim::live::LiveFeed;
+    use std::fmt::Write as _;
+
+    let (world, [dark, full], config) = golden_scenario();
     let funnel = Funnel::new(config.clone());
 
     let mut batch = String::new();
@@ -318,7 +327,7 @@ fn verdict_bytes_match_committed_golden() {
     check_golden("batch.txt", &batch);
 
     let mut stream_cfg = StreamConfig::paired_with(&config);
-    stream_cfg.ring_capacity = StreamConfig::capacity_for(&config, DURATION);
+    stream_cfg.ring_capacity = StreamConfig::capacity_for(&config, GOLDEN_DURATION);
     let kinds = world
         .topology()
         .services()
@@ -356,6 +365,120 @@ fn verdict_bytes_match_committed_golden() {
     )
     .unwrap();
     check_golden("stream.txt", &stream);
+}
+
+/// The shipped detector plans its scoring — the bound on every window, the
+/// kernel only on windows a declaration can rest on — and must declare
+/// exactly what scoring every window declared. Every item of the golden
+/// scenario is re-detected here by the frozen eager loop
+/// (`detect/tests/eager_reference`) over plain `score_window`, from the
+/// world (the unmasked path) and from a store fed out of order (the
+/// coverage- and gap-aware path), and compared with the detection the
+/// pipeline put in the item and with the shipped runner's full output.
+#[test]
+fn shipped_detector_matches_the_eager_reference_on_the_golden_scenario() {
+    use eager_reference::{event_bits, masked_bits, EagerRunner};
+    use funnel_suite::core::source::KpiSource;
+    use funnel_suite::detect::detector::DetectorRunner;
+    use funnel_suite::detect::sst_adapter::SstDetector;
+    use funnel_suite::sim::live::LiveFeed;
+    use funnel_suite::sim::store::MetricStore;
+    use funnel_suite::sst::{FastSst, SstScorer};
+    use funnel_suite::timeseries::series::TimeSeries;
+
+    let (world, changes, config) = golden_scenario();
+    let funnel = Funnel::new(config.clone());
+    let fast = FastSst::new(config.sst.clone());
+    let shipped = DetectorRunner::new(
+        SstDetector::fast(fast.clone()),
+        config.sst_threshold,
+        config.persistence_minutes,
+    );
+    let mut eager = EagerRunner {
+        reaching: |window: &[f64], threshold: f64| {
+            let score = fast.score_window(window);
+            (score >= threshold).then_some(score)
+        },
+        width: config.sst.window_len(),
+        threshold: config.sst_threshold,
+        persistence: config.persistence_minutes,
+    };
+
+    // 5% of the feed arrives twenty minutes late and is refused by the
+    // live append, and the response-delay KPIs go dark for a quarter of an
+    // hour twenty minutes into the first change: the masks carry scattered
+    // holes and one partition-length gap.
+    let store = MetricStore::new();
+    let feed = LiveFeed::from_store(&world.materialize().unwrap()).with_late(2015, 50, 20);
+    let dark_at = world.change_log().get(changes[0]).unwrap().minute + 20;
+    for (_, batch) in feed.arrivals() {
+        for m in batch {
+            let dark = m.key.kind == KpiKind::PageViewResponseDelay
+                && (dark_at..dark_at + 15).contains(&m.minute);
+            if !dark {
+                store.append(m.key, m.minute, m.value);
+            }
+        }
+    }
+    let snapshot = store.snapshot();
+
+    let (mut items, mut detected, mut skipped, mut suppressed) = (0, 0, 0, 0);
+    for id in changes {
+        let record = world.change_log().get(id).unwrap();
+        let from_world = funnel.assess_change(&world, id).unwrap();
+        let from_store = funnel
+            .assess_change_with(&snapshot, world.topology(), record, &|s| {
+                world.kinds_of_service(s).to_vec()
+            })
+            .unwrap();
+        for item in &from_world.items {
+            let series = KpiSource::series(&world, &item.key).unwrap();
+            let (lo, to) = item.window;
+            let window = TimeSeries::new(lo, series.slice(lo, to).to_vec());
+            let want = eager.run(&window);
+            assert_eq!(event_bits(&shipped.run(&window)), event_bits(&want));
+            let first = want.into_iter().find(|e| e.declared_at >= record.minute);
+            assert_eq!(
+                event_bits(item.detection.as_slice()),
+                event_bits(first.as_slice()),
+                "world-backed {:?}",
+                item.key
+            );
+            items += 1;
+            detected += usize::from(first.is_some());
+        }
+        for item in &from_store.items {
+            let series = snapshot.get(&item.key).unwrap();
+            let mask = snapshot.mask(&item.key).unwrap();
+            let (lo, to) = item.window;
+            let window = TimeSeries::new(lo, series.slice(lo, to).to_vec());
+            let (min_coverage, min_gap) = (config.min_coverage, config.min_partition_gap);
+            let want = eager.run_masked_gap_aware(&window, &mask, min_coverage, min_gap);
+            assert_eq!(
+                masked_bits(&shipped.run_masked_gap_aware(&window, &mask, min_coverage, min_gap)),
+                masked_bits(&want)
+            );
+            skipped += want.skipped_windows;
+            suppressed += want.suppressed_events;
+            let first = want
+                .events
+                .into_iter()
+                .find(|e| e.declared_at >= record.minute);
+            assert_eq!(
+                event_bits(item.detection.as_slice()),
+                event_bits(first.as_slice()),
+                "store-backed {:?}",
+                item.key
+            );
+            items += 1;
+            detected += usize::from(first.is_some());
+        }
+    }
+    assert!(
+        items > 40 && detected > 0 && skipped > 0 && suppressed > 0,
+        "{items} items, {detected} detections, {skipped} skipped windows, \
+         {suppressed} suppressed events: too little was compared"
+    );
 }
 
 /// Compares `got` with `tests/golden/<name>`, or rewrites the file when
