@@ -1,6 +1,9 @@
-//! Shared helpers for the table/figure regenerator binaries.
+//! Shared helpers for the table/figure regenerator binaries, and the
+//! [`grid`] runner behind the `sweep` binary.
 
 #![forbid(unsafe_code)]
+
+pub mod grid;
 
 use funnel_eval::confusion::ConfusionMatrix;
 
@@ -44,138 +47,6 @@ pub fn change_budget() -> usize {
         .unwrap_or(144)
 }
 
-/// Whether `FUNNEL_SMOKE` requests the CI-sized subset of a sweep.
-///
-/// Truthy means *set to a non-empty value other than `"0"`* — the same
-/// convention as `FUNNEL_OBS`. The sweeps previously tested `.is_ok()`,
-/// which silently treated `FUNNEL_SMOKE=0` (and even `FUNNEL_SMOKE=`) as
-/// smoke mode, contradicting the EXPERIMENTS.md docs; this helper is the
-/// single shared decision point.
-pub fn smoke() -> bool {
-    smoke_value(std::env::var("FUNNEL_SMOKE").ok().as_deref())
-}
-
-/// [`smoke`] on an explicit value, for tests: `None` (unset), empty, and
-/// `"0"` are full-sweep; anything else is smoke.
-pub fn smoke_value(value: Option<&str>) -> bool {
-    matches!(value, Some(v) if !v.is_empty() && v != "0")
-}
-
-pub mod report {
-    //! Shared machine-readable bench output: every sweep emits
-    //! `results/BENCH_<name>.json` through [`BenchReport`], so the envelope
-    //! (schema version, seed, smoke flag, field order) is identical across
-    //! benches and downstream tooling parses one shape.
-
-    use std::fmt::Write as _;
-    use std::path::PathBuf;
-
-    /// Envelope schema version stamped into every `BENCH_<name>.json`.
-    pub const SCHEMA_VERSION: u32 = 1;
-
-    /// Builder for one bench report. Fields and rows are emitted in
-    /// insertion order, after the fixed `schema_version`/`bench`/`seed`/
-    /// `smoke` preamble; values are raw JSON fragments so callers keep
-    /// full control of number formatting.
-    #[derive(Debug, Clone)]
-    pub struct BenchReport {
-        bench: String,
-        seed: u64,
-        smoke: bool,
-        fields: Vec<(String, String)>,
-        rows: Vec<String>,
-    }
-
-    impl BenchReport {
-        /// Starts a report for the bench called `bench`
-        /// (→ `results/BENCH_<bench>.json`).
-        pub fn new(bench: &str, seed: u64, smoke: bool) -> Self {
-            Self {
-                bench: bench.to_string(),
-                seed,
-                smoke,
-                fields: Vec::new(),
-                rows: Vec::new(),
-            }
-        }
-
-        /// Adds a top-level field; `raw_json` is emitted verbatim (pass
-        /// `"true"`, `"3.5"`, `"[1, 3, 8]"`, `"\"text\""`, …).
-        #[must_use]
-        pub fn field(mut self, key: &str, raw_json: impl Into<String>) -> Self {
-            self.fields.push((key.to_string(), raw_json.into()));
-            self
-        }
-
-        /// Appends one row (a raw JSON object) to the `rows` array.
-        pub fn push_row(&mut self, raw_json_object: impl Into<String>) {
-            self.rows.push(raw_json_object.into());
-        }
-
-        /// Serializes the envelope. Deterministic: fixed preamble, then
-        /// fields and rows in insertion order.
-        pub fn to_json(&self) -> String {
-            let mut out = String::from("{\n");
-            let _ = write!(
-                out,
-                "  \"schema_version\": {SCHEMA_VERSION},\n  \"bench\": \"{}\",\n  \
-                 \"seed\": {},\n  \"smoke\": {}",
-                self.bench, self.seed, self.smoke
-            );
-            for (key, value) in &self.fields {
-                let _ = write!(out, ",\n  \"{key}\": {value}");
-            }
-            out.push_str(",\n  \"rows\": [");
-            for (i, row) in self.rows.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\n    {row}");
-            }
-            out.push_str(if self.rows.is_empty() {
-                "]\n}\n"
-            } else {
-                "\n  ]\n}\n"
-            });
-            out
-        }
-
-        /// Writes `results/BENCH_<bench>.json`, creating `results/`.
-        ///
-        /// # Errors
-        ///
-        /// Propagates filesystem failures.
-        pub fn write(&self) -> std::io::Result<PathBuf> {
-            let path = PathBuf::from(format!("results/BENCH_{}.json", self.bench));
-            std::fs::create_dir_all("results")?;
-            std::fs::write(&path, self.to_json())?;
-            Ok(path)
-        }
-    }
-
-    /// Writes `results/<name>.csv` from a header line and row lines,
-    /// creating `results/`. Returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn write_csv(
-        name: &str,
-        header: &str,
-        rows: impl IntoIterator<Item = String>,
-    ) -> std::io::Result<PathBuf> {
-        let csv: String = std::iter::once(header.to_string())
-            .chain(rows)
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        let path = PathBuf::from(format!("results/{name}.csv"));
-        std::fs::create_dir_all("results")?;
-        std::fs::write(&path, csv)?;
-        Ok(path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,50 +60,5 @@ mod tests {
     #[test]
     fn clean_scale_matches_paper() {
         assert!((CLEAN_SCALE - 86.02).abs() < 0.1);
-    }
-
-    #[test]
-    fn smoke_value_requires_truthy() {
-        assert!(!smoke_value(None), "unset must mean full sweep");
-        assert!(!smoke_value(Some("")), "empty must mean full sweep");
-        assert!(!smoke_value(Some("0")), "explicit 0 must mean full sweep");
-        assert!(smoke_value(Some("1")));
-        assert!(smoke_value(Some("yes")));
-    }
-
-    #[test]
-    fn bench_report_envelope_parses_with_fixed_preamble() {
-        let mut r = report::BenchReport::new("demo", 2015, true)
-            .field("available_parallelism", "4")
-            .field("gate_checked", "false");
-        r.push_row("{\"rate\": 0.05, \"items\": 12}".to_string());
-        r.push_row("{\"rate\": 0.10, \"items\": 11}".to_string());
-        let json = r.to_json();
-        assert_eq!(json, r.to_json(), "serialization must be byte-stable");
-        let value: serde::Value = serde_json::from_str(&json).expect("envelope parses");
-        let serde::Value::Object(top) = &value else {
-            panic!("top level must be an object");
-        };
-        let keys: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "schema_version",
-                "bench",
-                "seed",
-                "smoke",
-                "available_parallelism",
-                "gate_checked",
-                "rows"
-            ]
-        );
-        let rows = top.iter().find(|(k, _)| k == "rows").map(|(_, v)| v);
-        assert!(matches!(rows, Some(serde::Value::Array(a)) if a.len() == 2));
-    }
-
-    #[test]
-    fn empty_bench_report_parses() {
-        let json = report::BenchReport::new("empty", 1, false).to_json();
-        let _: serde::Value = serde_json::from_str(&json).expect("empty envelope parses");
     }
 }

@@ -89,14 +89,18 @@ fn ingest_kill_points_recover_to_byte_identical_reports() {
     replay_with_faults(&world, &golden_store, SHARDS, plan.clone()).unwrap();
     let golden = assess(&world, &golden_store, change, 1);
 
+    // Each kill with how recovery must get back: before the first
+    // checkpoint there is only the WAL; later a checkpoint carries most of
+    // the frames; a torn checkpoint falls back to the older valid file.
     let kills = [
-        ("frame-early", Kill::Frame { index: 40, keep: 7 }),
+        ("frame-early", Kill::Frame { index: 40, keep: 7 }, false),
         (
             "frame-late",
             Kill::Frame {
                 index: 9000,
                 keep: 0,
             },
+            true,
         ),
         (
             "checkpoint",
@@ -104,9 +108,10 @@ fn ingest_kill_points_recover_to_byte_identical_reports() {
                 index: 1,
                 keep: 120,
             },
+            true,
         ),
     ];
-    for (tag, kill) in kills {
+    for (tag, kill, from_checkpoint) in kills {
         let base = tmp_base(tag);
         let mut options = DurableOptions::at(&base);
         options.cadence = 2048;
@@ -130,6 +135,24 @@ fn ingest_kill_points_recover_to_byte_identical_reports() {
         options.kill = Kill::None;
         let recovered = recover(&world, SHARDS, 0, &options).unwrap();
         assert!(!recovered.end_of_stream, "{tag}: stream ended before kill");
+        assert_eq!(
+            (recovered.used_checkpoint, recovered.checkpoint_frames > 0),
+            (from_checkpoint, from_checkpoint),
+            "{tag}: recovered from the wrong durable state"
+        );
+        // The checkpoint used is strictly older than the crash (for the torn
+        // one: the previous valid file) and the WAL tail supplies the rest.
+        assert!(
+            recovered.checkpoint_frames < recovered.frames_in_wal,
+            "{tag}: checkpoint at {} of {} WAL frames",
+            recovered.checkpoint_frames,
+            recovered.frames_in_wal
+        );
+        assert_eq!(
+            recovered.checkpoint_frames + recovered.frames_replayed,
+            recovered.frames_in_wal,
+            "{tag}: checkpoint plus replayed tail must cover the journal"
+        );
         let mut hooks = DurableHooks::resume(&options, recovered.frames_in_wal).unwrap();
         let resumed = replay_durable(
             &world,

@@ -76,7 +76,12 @@ fn diag_report_is_byte_identical_across_worker_counts() {
     replay_with_faults(&world, &store, 4, FaultPlan::lossy(2026, 0.10)).unwrap();
 
     let (_, baseline) = assess_and_diagnose(&funnel_with(1, true), &store, &world, change);
-    let baseline = baseline.unwrap().to_json();
+    let baseline = baseline.unwrap();
+    assert!(
+        !baseline.items.is_empty(),
+        "nothing diagnosed: identical empty reports prove nothing"
+    );
+    let baseline = baseline.to_json();
     assert!(baseline.contains("\"schema_version\": 1"));
     for workers in [3usize, 8] {
         let (_, again) = assess_and_diagnose(&funnel_with(workers, true), &store, &world, change);

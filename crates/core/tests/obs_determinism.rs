@@ -98,6 +98,16 @@ fn recording_never_changes_assessment_bytes() {
             items,
             "obs on ({workers} workers): item span count"
         );
+        // What recording costs is a count before it is a time: the windowed
+        // write path runs this many times for this world's 17 work units,
+        // at any worker count. A change that moves it changed the telemetry
+        // bill (`obs.trace_overhead_pct` in the ledger prices it); re-record
+        // on purpose.
+        assert_eq!(
+            (items, report.counters[funnel_obs::names::TIMELINE_RECORDS]),
+            (17, 73),
+            "obs on ({workers} workers): windowed telemetry writes per assessment"
+        );
     }
 
     // The supervised engine honours the same invariant — and carries its

@@ -17,7 +17,7 @@
 //! off, then with it on — asserts the assessment and rendered report are
 //! byte-identical either way (observability is write-only), and writes
 //! `results/obs_report.json` plus a stage-timing summary. This is the CI
-//! `obs-smoke` vehicle.
+//! `Obs example` step.
 
 use funnel_suite::core::pipeline::{ChangeAssessment, Funnel};
 use funnel_suite::core::report;

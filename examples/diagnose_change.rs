@@ -26,7 +26,8 @@
 //! cargo run --release --example diagnose_change
 //! ```
 //!
-//! This is the worked example behind `OPERATORS.md` and the CI diag smoke.
+//! This is the worked example behind `OPERATORS.md` and the CI
+//! `Diag example` step.
 
 use std::collections::BTreeMap;
 

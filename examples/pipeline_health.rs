@@ -94,6 +94,12 @@ fn main() {
     // ── Act 1: a healthy day.
     println!("── healthy day ──");
     let timeline = instrumented_run(&world, change, FaultPlan::none());
+    // What the artifacts are for: per-minute counter series to watch, and
+    // span time per window (the trace's complete "X" events).
+    assert!(
+        !timeline.counters.is_empty() && !timeline.spans.is_empty(),
+        "instrumented run recorded no counter series or no spans"
+    );
     timeline
         .write_json(DEFAULT_TIMELINE_PATH)
         .expect("write timeline");
@@ -129,14 +135,14 @@ fn main() {
     });
     let incident_timeline = instrumented_run(&world, change, plan);
     let incident = run_selfmon(&incident_timeline, &selfmon).expect("valid selfmon config");
-    incident
-        .write_json(DEFAULT_HEALTH_PATH)
-        .expect("write health report");
-    println!("  wrote {DEFAULT_HEALTH_PATH}");
     assert!(
         !incident.healthy(),
         "the partition went undetected: {incident:?}"
     );
+    incident
+        .write_json(DEFAULT_HEALTH_PATH)
+        .expect("write health report");
+    println!("  wrote {DEFAULT_HEALTH_PATH}");
     let ingest = incident
         .series
         .iter()
