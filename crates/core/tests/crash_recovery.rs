@@ -15,7 +15,7 @@ use funnel_core::quality::QualityIssue;
 use funnel_core::report::render;
 use funnel_core::supervise::{supervise_change, FaultProbe, InjectedFault, SupervisorConfig};
 use funnel_core::{FunnelConfig, NoFaults, ReassessmentQueue};
-use funnel_resilience::checkpoint::{Checkpoint, CheckpointStore};
+use funnel_resilience::checkpoint::{decode_segment, Checkpoint, CheckpointStore};
 use funnel_resilience::recover::{recover, DurableHooks, DurableOptions, Kill};
 use funnel_sim::agent::{replay_durable, replay_prefix, replay_with_faults};
 use funnel_sim::collector::CollectorState;
@@ -76,53 +76,63 @@ fn assess(world: &World, store: &MetricStore, change: ChangeId, workers: usize) 
     report_of(world, &assessment)
 }
 
-/// Kill points: mid-frame (torn WAL append, early and late) and
-/// mid-checkpoint (torn checkpoint file). After recovery + resumed
-/// ingestion, the final report must match the uninterrupted run at every
-/// worker count.
-#[test]
-fn ingest_kill_points_recover_to_byte_identical_reports() {
-    let (world, change, plan) = crash_world(23);
-    let duration = 8 * 1440;
+/// The crash world replayed on `shards` agent shards, with the report an
+/// uninterrupted run delivers.
+struct KillRun {
+    world: World,
+    change: ChangeId,
+    plan: FaultPlan,
+    shards: usize,
+    golden: String,
+}
 
-    let golden_store = MetricStore::new();
-    replay_with_faults(&world, &golden_store, SHARDS, plan.clone()).unwrap();
-    let golden = assess(&world, &golden_store, change, 1);
+impl KillRun {
+    fn new(shards: usize) -> Self {
+        let (world, change, plan) = crash_world(23);
+        let golden_store = MetricStore::new();
+        replay_with_faults(&world, &golden_store, shards, plan.clone()).unwrap();
+        let golden = assess(&world, &golden_store, change, 1);
+        Self {
+            world,
+            change,
+            plan,
+            shards,
+            golden,
+        }
+    }
 
-    // Each kill with how recovery must get back: before the first
-    // checkpoint there is only the WAL; later a checkpoint carries most of
-    // the frames; a torn checkpoint falls back to the older valid file.
-    let kills = [
-        ("frame-early", Kill::Frame { index: 40, keep: 7 }, false),
-        (
-            "frame-late",
-            Kill::Frame {
-                index: 9000,
-                keep: 0,
-            },
-            true,
-        ),
-        (
-            "checkpoint",
-            Kill::Checkpoint {
-                index: 1,
-                keep: 120,
-            },
-            true,
-        ),
-    ];
-    for (tag, kill, from_checkpoint) in kills {
+    /// One seeded kill: the crashed durable run, `on_disk` over what it
+    /// left behind, recovery (checked against `expect`: whether a
+    /// checkpoint was used and, if so, the frame cursor it must carry), the
+    /// resumed run, and the final report at every worker count against the
+    /// uninterrupted one.
+    fn kill(
+        &self,
+        tag: &str,
+        kill: Kill,
+        expect: Option<u64>,
+        on_disk: impl FnOnce(&DurableOptions),
+    ) {
+        let Self {
+            world,
+            change,
+            plan,
+            shards,
+            golden,
+        } = self;
+        let (change, shards) = (*change, *shards);
+        let duration = 8 * 1440;
         let base = tmp_base(tag);
         let mut options = DurableOptions::at(&base);
-        options.cadence = 2048;
+        options.cadence = CADENCE;
         options.kill = kill;
 
         let crashed_store = MetricStore::new();
         let mut hooks = DurableHooks::create(&options).unwrap();
         let outcome = replay_durable(
-            &world,
+            world,
             &crashed_store,
-            SHARDS,
+            shards,
             plan.clone(),
             duration,
             None,
@@ -130,18 +140,22 @@ fn ingest_kill_points_recover_to_byte_identical_reports() {
         )
         .unwrap();
         assert!(outcome.aborted, "{tag}: kill point never fired");
+        assert!(hooks.error().is_none(), "{tag}: {:?}", hooks.error());
         drop(crashed_store); // the crash loses everything in memory
+        on_disk(&options);
 
         options.kill = Kill::None;
-        let recovered = recover(&world, SHARDS, 0, &options).unwrap();
+        let recovered = recover(world, shards, 0, &options).unwrap();
         assert!(!recovered.end_of_stream, "{tag}: stream ended before kill");
         assert_eq!(
-            (recovered.used_checkpoint, recovered.checkpoint_frames > 0),
-            (from_checkpoint, from_checkpoint),
+            recovered
+                .used_checkpoint
+                .then_some(recovered.checkpoint_frames),
+            expect,
             "{tag}: recovered from the wrong durable state"
         );
-        // The checkpoint used is strictly older than the crash (for the torn
-        // one: the previous valid file) and the WAL tail supplies the rest.
+        // The checkpoint used is strictly older than the crash (for a torn
+        // cut: the previous manifest) and the WAL tail supplies the rest.
         assert!(
             recovered.checkpoint_frames < recovered.frames_in_wal,
             "{tag}: checkpoint at {} of {} WAL frames",
@@ -155,9 +169,9 @@ fn ingest_kill_points_recover_to_byte_identical_reports() {
         );
         let mut hooks = DurableHooks::resume(&options, recovered.frames_in_wal).unwrap();
         let resumed = replay_durable(
-            &world,
+            world,
             &recovered.store,
-            SHARDS,
+            shards,
             plan.clone(),
             duration,
             Some(recovered.state),
@@ -168,13 +182,210 @@ fn ingest_kill_points_recover_to_byte_identical_reports() {
 
         for workers in [1, 3, 8] {
             assert_eq!(
-                golden,
-                assess(&world, &recovered.store, change, workers),
+                *golden,
+                assess(world, &recovered.store, change, workers),
                 "{tag}: report diverged at {workers} workers"
             );
         }
         let _ = fs::remove_dir_all(&base);
     }
+}
+
+/// Frames between checkpoint cuts in the kill-point tests.
+const CADENCE: u64 = 2048;
+
+/// Kill points: mid-frame (torn WAL append, early and late) and
+/// mid-checkpoint (a cut torn inside its delta segment). After recovery +
+/// resumed ingestion, the final report must match the uninterrupted run at
+/// every worker count.
+#[test]
+fn ingest_kill_points_recover_to_byte_identical_reports() {
+    let run = KillRun::new(SHARDS);
+
+    // Each kill with how recovery must get back: before the first cut there
+    // is only the WAL; later a checkpoint carries most of the frames; a cut
+    // torn in its segment falls back to the previous manifest.
+    let kills = [
+        ("frame-early", Kill::Frame { index: 40, keep: 7 }, None),
+        (
+            "frame-late",
+            Kill::Frame {
+                index: 9000,
+                keep: 0,
+            },
+            Some(4 * CADENCE),
+        ),
+        (
+            "checkpoint",
+            Kill::Checkpoint {
+                index: 1,
+                keep: 120,
+            },
+            Some(CADENCE),
+        ),
+    ];
+    for (tag, kill, expect) in kills {
+        run.kill(tag, kill, expect, |_| {});
+    }
+}
+
+/// A cut is two writes, segment then manifest, and `Kill::Checkpoint`
+/// counts `keep` across both: the process can die inside the manifest, or
+/// with the segment whole and the manifest never started. Either way the
+/// cut names nothing recovery may use, and the previous manifest — which
+/// rests on none of the torn cut's files — carries the restart. One agent
+/// shard, so that the frames reach the collector in one order and the two
+/// lengths learnt from a first run are the lengths of every run.
+#[test]
+fn a_cut_torn_in_its_manifest_or_between_its_files_recovers_from_the_previous_one() {
+    let run = KillRun::new(1);
+
+    let files_of_cut_1 = |options: &DurableOptions| {
+        let len = |name: &str| {
+            fs::metadata(options.checkpoint_dir.join(name))
+                .map(|m| m.len() as usize)
+                .ok()
+        };
+        (len("seg-00000001.bin"), len("ckpt-00000001.bin"))
+    };
+    // A first run learns the two lengths: a kill that keeps everything
+    // still aborts ingestion, with both files of cut 1 whole on disk.
+    let (segment, manifest) = {
+        let base = tmp_base("cut-whole");
+        let mut options = DurableOptions::at(&base);
+        options.cadence = CADENCE;
+        options.kill = Kill::Checkpoint {
+            index: 1,
+            keep: usize::MAX,
+        };
+        let mut hooks = DurableHooks::create(&options).unwrap();
+        let store = MetricStore::new();
+        let outcome = replay_durable(
+            &run.world,
+            &store,
+            1,
+            run.plan.clone(),
+            8 * 1440,
+            None,
+            &mut hooks,
+        )
+        .unwrap();
+        assert!(outcome.aborted && hooks.error().is_none());
+        let lengths = files_of_cut_1(&options);
+        let _ = fs::remove_dir_all(&base);
+        match lengths {
+            (Some(segment), Some(manifest)) => (segment, manifest),
+            other => panic!("cut 1 left {other:?}"),
+        }
+    };
+    assert!(segment > 120 && manifest > 2);
+
+    run.kill(
+        "cut-in-manifest",
+        Kill::Checkpoint {
+            index: 1,
+            keep: segment + manifest / 2,
+        },
+        Some(CADENCE),
+        |options| assert_eq!(files_of_cut_1(options), (Some(segment), Some(manifest / 2))),
+    );
+    run.kill(
+        "cut-at-segment-end",
+        Kill::Checkpoint {
+            index: 1,
+            keep: segment,
+        },
+        Some(CADENCE),
+        |options| assert_eq!(files_of_cut_1(options), (Some(segment), None)),
+    );
+}
+
+/// A cut taken after a partition heal rewrote history. The first pass
+/// loses a partition's minutes for good (the agents drop what they could
+/// not send), so the store forward-fills the gap and is cut with its
+/// frontier at the end of the stream. Then the buffered minutes are
+/// delivered after all — the same stream replayed with a staggered
+/// catch-up heal: every live frame is old news the store refuses, every
+/// healed one that trails its agent's watermark is backfilled far below
+/// the frontier. The next cut is a delta whose
+/// records start in the gap, not at the series end; recovery must put the
+/// rewritten bins back bit for bit and deliver the uncrashed report.
+#[test]
+fn a_cut_after_a_heal_backfilled_history_recovers_the_rewritten_bins() {
+    let (world, change, _) = crash_world(41);
+    let gap_start = 7 * 1440 + 150;
+    let partition = |heal| {
+        FaultPlan::none().with_partition(PartitionWindow {
+            scope: PartitionScope::Collector,
+            start: gap_start,
+            duration: 40,
+            heal,
+        })
+    };
+    let base = tmp_base("heal-cut");
+    let options = DurableOptions::at(&base);
+    let state = CollectorState::new(SHARDS);
+    let queue = ReassessmentQueue::new().export_state();
+    let segment_of = |seq: u64| {
+        let name = format!("seg-{seq:08}.bin");
+        fs::read(options.checkpoint_dir.join(name)).unwrap()
+    };
+
+    let store = MetricStore::new();
+    let mut checkpoints = CheckpointStore::open(&options.checkpoint_dir).unwrap();
+    replay_with_faults(&world, &store, SHARDS, partition(HealMode::SilentDrop)).unwrap();
+    checkpoints.cut(0, &store, &state, &queue, None).unwrap();
+    let gapped = assess(&world, &store, change, 1);
+
+    let healed = replay_with_faults(
+        &world,
+        &store,
+        SHARDS,
+        partition(HealMode::StaggeredCatchUp {
+            queue: 64,
+            per_minute: 2,
+        }),
+    )
+    .unwrap();
+    assert!(healed.backfilled_frames > 0 && store.stats().backfilled > 0);
+    checkpoints.cut(0, &store, &state, &queue, None).unwrap();
+    let golden = assess(&world, &store, change, 1);
+    assert_ne!(
+        gapped, golden,
+        "the heal changed nothing an assessment sees"
+    );
+
+    // The second cut continued the chain, and only with the rewritten
+    // suffixes (a ninth of the eight days): every record starts inside the
+    // gap.
+    let delta = decode_segment(&segment_of(1)).unwrap();
+    assert!(segment_of(1).len() * 5 < segment_of(0).len());
+    assert!(!delta.is_empty());
+    for record in &delta {
+        assert!(
+            (gap_start..gap_start + 40).contains(&record.from),
+            "{:?} rewritten from {}",
+            record.key,
+            record.from
+        );
+    }
+    let uncrashed = store.export_entries();
+    drop((store, checkpoints)); // the crash
+
+    let recovered = recover(&world, SHARDS, 0, &options).unwrap();
+    assert!(recovered.used_checkpoint);
+    assert!(
+        recovered.store.export_entries() == uncrashed,
+        "recovered store differs from the uncrashed one"
+    );
+    for workers in [1, 3, 8] {
+        assert_eq!(
+            golden,
+            assess(&world, &recovered.store, change, workers),
+            "report diverged at {workers} workers"
+        );
+    }
+    let _ = fs::remove_dir_all(&base);
 }
 
 /// Mid-work-unit kill: the supervisor's kill switch aborts the

@@ -12,32 +12,64 @@
 //! * the WAL frame count the snapshot covers, so recovery replays only
 //!   the WAL tail past it.
 //!
-//! Files are written as `ckpt-<seq>.bin`: an 8-byte magic, a 64-bit
-//! FNV-1a hash of the payload, then the payload — a hand-rolled
-//! little-endian encoding (keys reuse the 6-byte wire layout via
-//! [`key_to_bytes`]). The hash is validated *before* any parsing, and the
-//! parser bounds-checks every read and caps every allocation by the bytes
-//! actually remaining, so a torn or bit-flipped checkpoint is detected
-//! cleanly, never a panic or an allocation bomb. The store keeps the two
-//! newest files: a crash mid-checkpoint-write tears only the newest, and
-//! [`CheckpointStore::latest_valid`] falls back to its predecessor.
+//! On disk a recovery point is a **chain**, so that a cut costs what was
+//! written since the last one rather than a copy of the store. Every cut
+//! writes two files under one sequence number, in this order:
+//!
+//! * `seg-<seq>.bin`, a *segment*: for each key written since the previous
+//!   cut, in key order, the key, the lowest minute that was (re)written,
+//!   and the series values and mask bits from that minute to the end
+//!   ([`KeyDelta`]). The first segment of a chain, its *base*, holds every
+//!   key from minute 0.
+//! * `ckpt-<seq>.bin`, a *manifest*: the WAL frame count, the ordered
+//!   `(seq, length, hash)` list of the segments it rests on, the collector
+//!   state and the queue ([`Manifest`]).
+//!
+//! Both are an 8-byte magic, a 64-bit hash of the payload
+//! ([`fnv1a_words`]: FNV-1a a word at a step, since a segment is hashed
+//! whole at every cut and every recovery), then the payload — a hand-rolled
+//! little-endian encoding (keys reuse the 6-byte
+//! wire layout via [`key_to_bytes`]). The hash is validated *before* any
+//! parsing, and the parser bounds-checks every read and caps every
+//! allocation by the bytes actually remaining, so a torn or bit-flipped
+//! file is detected cleanly, never a panic or an allocation bomb.
+//!
+//! A manifest is usable when it and every segment it names validate.
+//! What its chain adds up to is what applying the segments in order gives
+//! — a key's record truncating the key at its first minute, then
+//! appending; [`CheckpointStore::latest_valid`] assembles it newest segment
+//! first, so that every bin is allocated and copied once, and falls back
+//! to the next older manifest when the newest is not usable. A crash
+//! mid-cut can tear only the files of that cut, which no older manifest
+//! names. One rule bounds the chain: a cut whose segment would bring the
+//! chain past twice the size of the whole store writes a base instead and
+//! starts a new chain, so recovery never reads more than 2× the store. The
+//! directory keeps what the two newest usable manifests name and nothing
+//! else.
 
-use crate::{fnv1a, ResilienceError};
+use crate::{fnv1a_words, numbered_files, ResilienceError};
 use funnel_core::reassess::{PendingItem, QueueState};
 use funnel_sim::collector::{CollectorState, MinuteAccs};
 use funnel_sim::kpi::{KpiKey, KpiKind};
-use funnel_sim::store::MetricStore;
+use funnel_sim::store::{CutId, MetricStore};
 use funnel_sim::wire::{key_from_bytes, key_to_bytes, WireRecord};
 use funnel_timeseries::mask::CoverageMask;
-use funnel_timeseries::series::TimeSeries;
+use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use funnel_topology::change::ChangeId;
 use funnel_topology::model::ServiceId;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
+use std::io::{ErrorKind, Read};
 use std::path::{Path, PathBuf};
 
-/// File magic: "FNLCKPT" + format version 1.
-pub const MAGIC: [u8; 8] = *b"FNLCKPT1";
+/// Manifest magic: "FNLCKPT" + format version 2. Version 1 was a single
+/// file holding the whole store; such a file fails this check and is
+/// skipped like any other unusable manifest, never misread.
+pub const MAGIC: [u8; 8] = *b"FNLCKPT2";
+
+/// Segment magic.
+pub const SEGMENT_MAGIC: [u8; 8] = *b"FNLCSEG2";
 
 /// Bytes before the payload: magic (8) + payload hash (8).
 const HEADER_LEN: usize = 16;
@@ -48,11 +80,56 @@ pub struct Checkpoint {
     /// How many WAL frames this snapshot covers: recovery replays the WAL
     /// from this index on.
     pub wal_frames: u64,
-    /// The metric-store entries at the snapshot boundary.
+    /// The metric-store entries at the snapshot boundary, in key order as
+    /// [`MetricStore::export_entries`] gives them.
     pub entries: Vec<(KpiKey, TimeSeries, CoverageMask)>,
     /// The collector's in-flight state at the same boundary.
     pub collector: CollectorState,
     /// The re-assessment queue (empty during pure ingestion).
+    pub queue: QueueState,
+}
+
+/// One key's record in a segment: what a cut adds to the chain for it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyDelta {
+    /// Which KPI.
+    pub key: KpiKey,
+    /// The lowest minute this record (re)writes. Bins below it stay as the
+    /// chain holds them; at or below the series (or mask) anchor the record
+    /// replaces that half whole, anchor included.
+    pub from: MinuteBin,
+    /// The series anchor.
+    pub series_start: MinuteBin,
+    /// The series values from `max(from, series_start)` to the series end.
+    pub values: Vec<f64>,
+    /// The coverage-mask anchor.
+    pub mask_start: MinuteBin,
+    /// The mask bits from `max(from, mask_start)` to the mask end.
+    pub bits: Vec<bool>,
+}
+
+/// One link of a chain, as the manifests resting on it name it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentRef {
+    /// The segment's sequence number (`seg-<seq>.bin`).
+    pub seq: u64,
+    /// The file's length in bytes.
+    pub len: u64,
+    /// The payload hash in the file's header.
+    pub hash: u64,
+}
+
+/// A decoded manifest: a recovery point minus the store entries, which are
+/// what its segments add up to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Manifest {
+    /// How many WAL frames the recovery point covers.
+    pub wal_frames: u64,
+    /// The chain, base first.
+    pub segments: Vec<SegmentRef>,
+    /// The collector's in-flight state.
+    pub collector: CollectorState,
+    /// The re-assessment queue.
     pub queue: QueueState,
 }
 
@@ -70,6 +147,16 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// A run of values as one block copy rather than a push per value.
+fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    let at = out.len();
+    out.resize(at + 8 * values.len(), 0);
+    let (chunks, _) = out.get_mut(at..).unwrap_or_default().as_chunks_mut::<8>();
+    for (chunk, v) in chunks.iter_mut().zip(values) {
+        *chunk = v.to_le_bytes();
+    }
+}
+
 fn put_key(out: &mut Vec<u8>, key: KpiKey) {
     out.extend_from_slice(&key_to_bytes(key));
 }
@@ -85,12 +172,6 @@ fn put_accs(out: &mut Vec<u8>, accs: &MinuteAccs) {
             put_f64(out, value);
         }
     }
-}
-
-/// Bytes of one store entry: key, series anchor and length, values, mask
-/// anchor and length, one byte per mask bit.
-fn entry_len(series: &TimeSeries, mask: &CoverageMask) -> usize {
-    6 + 16 + 8 * series.len() + 16 + mask.len()
 }
 
 fn put_state(out: &mut Vec<u8>, state: &CollectorState) {
@@ -150,72 +231,116 @@ fn put_queue(out: &mut Vec<u8>, queue: &QueueState) {
     }
 }
 
-/// The one writer of the checkpoint format: header, then the payload
-/// written in place behind it, then the payload's hash patched into the
-/// header. `entries` is walked twice — once to size the buffer, so a
-/// store-sized checkpoint is one allocation and no copy.
-fn encode_parts<'a>(
-    wal_frames: u64,
-    entries: impl Iterator<Item = (KpiKey, &'a TimeSeries, &'a CoverageMask)> + Clone,
-    collector: &CollectorState,
-    queue: &QueueState,
-) -> Vec<u8> {
-    let (count, entry_bytes) = entries
-        .clone()
-        .fold((0u64, 0usize), |(n, bytes), (_, series, mask)| {
-            (n + 1, bytes + entry_len(series, mask))
-        });
-    // Collector state and queue are small next to the entries; they grow
-    // the buffer if they outrun the slack.
-    let mut out = Vec::with_capacity(HEADER_LEN + 16 + entry_bytes + 4096);
-    out.extend_from_slice(&MAGIC);
-    put_u64(&mut out, 0);
-    put_u64(&mut out, wal_frames);
-
-    put_u64(&mut out, count);
-    for (key, series, mask) in entries {
-        put_key(&mut out, key);
-        put_u64(&mut out, series.start());
-        put_u64(&mut out, series.len() as u64);
-        for &v in series.values() {
-            put_f64(&mut out, v);
-        }
-        put_u64(&mut out, mask.start());
-        let bits = mask.bits();
-        put_u64(&mut out, bits.len() as u64);
-        out.extend(bits.iter().map(|&b| u8::from(b)));
-    }
-    put_state(&mut out, collector);
-    put_queue(&mut out, queue);
-
-    let (header, payload) = out.split_at_mut(HEADER_LEN);
-    let hash = fnv1a(payload).to_le_bytes();
-    for (dst, src) in header.iter_mut().skip(MAGIC.len()).zip(hash) {
-        *dst = src;
-    }
-    out
+/// Starts a framed file at the end of `out`: the magic, then room for the
+/// hash [`seal`] patches in once the payload is written behind it.
+fn begin_frame(out: &mut Vec<u8>, magic: [u8; 8]) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&magic);
+    put_u64(out, 0);
+    at
 }
 
-/// Encodes a whole checkpoint file: magic, payload hash, payload.
-pub fn encode_checkpoint(checkpoint: &Checkpoint) -> Vec<u8> {
-    encode_parts(
-        checkpoint.wal_frames,
-        checkpoint.entries.iter().map(|(k, s, m)| (*k, s, m)),
-        &checkpoint.collector,
-        &checkpoint.queue,
+/// Hashes the payload of the frame begun at `at`, which runs to the end of
+/// `out`, into its header.
+fn seal(out: &mut [u8], at: usize) -> u64 {
+    let Some((header, payload)) = out
+        .get_mut(at..)
+        .and_then(|frame| frame.split_at_mut_checked(HEADER_LEN))
+    else {
+        return 0;
+    };
+    let hash = fnv1a_words(payload);
+    for (dst, src) in header.iter_mut().skip(MAGIC.len()).zip(hash.to_le_bytes()) {
+        *dst = src;
+    }
+    hash
+}
+
+/// A key as a cut hands it over: the lowest (re)written minute, then the
+/// series and the mask whole.
+type Written<'a> = (KpiKey, MinuteBin, &'a TimeSeries, &'a CoverageMask);
+
+/// How many leading bins of a series (or mask) anchored at `start` a record
+/// that rewrites from `from` leaves alone.
+fn kept(from: MinuteBin, start: MinuteBin) -> usize {
+    usize::try_from(from.saturating_sub(start)).unwrap_or(usize::MAX)
+}
+
+/// The values and mask bits a record of `(from, series, mask)` carries.
+fn tails<'a>(
+    from: MinuteBin,
+    series: &'a TimeSeries,
+    mask: &'a CoverageMask,
+) -> (&'a [f64], &'a [bool]) {
+    let values = series.values().get(kept(from, series.start())..);
+    let bits = mask.bits().get(kept(from, mask.start())..);
+    (values.unwrap_or_default(), bits.unwrap_or_default())
+}
+
+/// Bytes of a [`KeyDelta`] before its values and bits: key, `from`, two
+/// anchors, two counts.
+const RECORD_FIXED: usize = 6 + 5 * 8;
+
+/// The sizing pass: how many records a segment of `records` holds and how
+/// long its file is.
+fn measure<'a>(records: impl Iterator<Item = Written<'a>>) -> (u64, usize) {
+    records.fold(
+        (0, HEADER_LEN + 8),
+        |(count, bytes), (_, from, series, mask)| {
+            let (values, bits) = tails(from, series, mask);
+            (
+                count + 1,
+                bytes + RECORD_FIXED + 8 * values.len() + bits.len(),
+            )
+        },
     )
 }
 
-/// The bytes of [`encode_checkpoint`] for a [`Checkpoint`] whose entries
-/// are `store.export_entries()`, encoded straight from the store under one
-/// read lock instead of from a copy of it.
-pub fn encode_checkpoint_of(
+/// The one writer of the segment format: appends a whole segment file of
+/// `records` — as [`measure`] counted and sized them — to `out` and returns
+/// its payload hash.
+fn put_segment<'a>(
+    out: &mut Vec<u8>,
+    (count, len): (u64, usize),
+    records: impl Iterator<Item = Written<'a>>,
+) -> u64 {
+    out.reserve(len);
+    let at = begin_frame(out, SEGMENT_MAGIC);
+    put_u64(out, count);
+    for (key, from, series, mask) in records {
+        let (values, bits) = tails(from, series, mask);
+        put_key(out, key);
+        put_u64(out, from);
+        put_u64(out, series.start());
+        put_u64(out, values.len() as u64);
+        put_f64s(out, values);
+        put_u64(out, mask.start());
+        put_u64(out, bits.len() as u64);
+        out.extend(bits.iter().map(|&b| u8::from(b)));
+    }
+    seal(out, at)
+}
+
+/// The one writer of the manifest format: appends a whole manifest file to
+/// `out`.
+fn put_manifest(
+    out: &mut Vec<u8>,
     wal_frames: u64,
-    store: &MetricStore,
+    chain: &[SegmentRef],
     collector: &CollectorState,
     queue: &QueueState,
-) -> Vec<u8> {
-    encode_parts(wal_frames, store.view().entries(), collector, queue)
+) {
+    let at = begin_frame(out, MAGIC);
+    put_u64(out, wal_frames);
+    put_u64(out, chain.len() as u64);
+    for segment in chain {
+        put_u64(out, segment.seq);
+        put_u64(out, segment.len);
+        put_u64(out, segment.hash);
+    }
+    put_state(out, collector);
+    put_queue(out, queue);
+    seal(out, at);
 }
 
 // ---------------------------------------------------------------- decode --
@@ -232,7 +357,28 @@ fn le_bytes(b: &[u8]) -> u64 {
         .fold(0u64, |acc, &x| (acc << 8) | u64::from(x))
 }
 
-/// Bounds-checked little-endian reader over a checkpoint payload.
+/// The payload of a framed file and the hash its header stores, after the
+/// magic matched and the payload hashed to it.
+fn unframe<'a>(
+    bytes: &'a [u8],
+    magic: [u8; 8],
+    what: &str,
+) -> Result<(u64, &'a [u8]), ResilienceError> {
+    let Some((header, payload)) = bytes.split_at_checked(HEADER_LEN) else {
+        return Err(corrupt(format!("{what} shorter than its header")));
+    };
+    let (found, stored) = header.split_at(magic.len());
+    if found != magic {
+        return Err(corrupt(format!("bad {what} magic")));
+    }
+    let stored = le_bytes(stored);
+    if fnv1a_words(payload) != stored {
+        return Err(corrupt(format!("{what} hash mismatch")));
+    }
+    Ok((stored, payload))
+}
+
+/// Bounds-checked little-endian reader over a validated payload.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -245,8 +391,9 @@ impl<'a> Reader<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], ResilienceError> {
         let slice = self
-            .buf
-            .get(self.pos..self.pos + n)
+            .pos
+            .checked_add(n)
+            .and_then(|end| self.buf.get(self.pos..end))
             .ok_or_else(|| corrupt("checkpoint payload truncated"))?;
         self.pos += n;
         Ok(slice)
@@ -272,11 +419,38 @@ impl<'a> Reader<'a> {
     /// must fit in the bytes remaining, so a corrupted count can neither
     /// drive a giant allocation nor a long parse loop.
     fn count(&mut self, min_elem_size: usize) -> Result<usize, ResilienceError> {
-        let count = self.u64()? as usize;
-        if count > self.remaining() / min_elem_size.max(1) {
-            return Err(corrupt("checkpoint count exceeds remaining bytes"));
+        let count = self.u64()?;
+        match usize::try_from(count) {
+            Ok(count) if count <= self.remaining() / min_elem_size.max(1) => Ok(count),
+            _ => Err(corrupt("checkpoint count exceeds remaining bytes")),
         }
-        Ok(count)
+    }
+
+    /// One key's record, its values and bits left where they lie.
+    fn delta(&mut self) -> Result<RawDelta<'a>, ResilienceError> {
+        let key = self.key()?;
+        let from = self.u64()?;
+        let series_start = self.u64()?;
+        let count = self.count(8)?;
+        let (values, _) = self.take(8 * count)?.as_chunks::<8>();
+        let mask_start = self.u64()?;
+        let count = self.count(1)?;
+        let bits = self.take(count)?;
+        Ok(RawDelta {
+            key,
+            from,
+            series_start,
+            values,
+            mask_start,
+            bits,
+        })
+    }
+
+    fn finish(self, what: &str) -> Result<(), ResilienceError> {
+        if self.remaining() != 0 {
+            return Err(corrupt(format!("trailing bytes after {what} payload")));
+        }
+        Ok(())
     }
 
     fn key(&mut self) -> Result<KpiKey, ResilienceError> {
@@ -309,53 +483,84 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes a checkpoint file written by [`encode_checkpoint`].
+/// A [`KeyDelta`] as it lies in a validated payload: values and bits still
+/// bytes, so that recovery copies each into place once.
+struct RawDelta<'a> {
+    key: KpiKey,
+    from: MinuteBin,
+    series_start: MinuteBin,
+    values: &'a [[u8; 8]],
+    mask_start: MinuteBin,
+    bits: &'a [u8],
+}
+
+fn value_of(bytes: &[u8; 8]) -> f64 {
+    f64::from_le_bytes(*bytes)
+}
+
+fn bit_of(byte: &u8) -> bool {
+    *byte != 0
+}
+
+/// The one reader of the segment format: hands `visit` every record of a
+/// payload whose hash was already checked.
+fn each_record<'a>(
+    payload: &'a [u8],
+    mut visit: impl FnMut(RawDelta<'a>) -> Result<(), ResilienceError>,
+) -> Result<(), ResilienceError> {
+    let mut r = Reader {
+        buf: payload,
+        pos: 0,
+    };
+    for _ in 0..r.count(RECORD_FIXED)? {
+        visit(r.delta()?)?;
+    }
+    r.finish("segment")
+}
+
+/// Decodes a segment file.
 ///
 /// # Errors
 ///
 /// [`ResilienceError::Corrupt`] on bad magic, hash mismatch, truncation,
 /// impossible counts, or unknown tags — never a panic.
-pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, ResilienceError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(corrupt("checkpoint shorter than its header"));
-    }
-    let (header, payload) = bytes.split_at(HEADER_LEN);
-    let (magic, stored) = header.split_at(8);
-    if magic != MAGIC {
-        return Err(corrupt("bad checkpoint magic"));
-    }
-    let stored_hash = le_bytes(stored);
-    if fnv1a(payload) != stored_hash {
-        return Err(corrupt("checkpoint hash mismatch"));
-    }
+pub fn decode_segment(bytes: &[u8]) -> Result<Vec<KeyDelta>, ResilienceError> {
+    let (_, payload) = unframe(bytes, SEGMENT_MAGIC, "segment")?;
+    let mut records = Vec::new();
+    each_record(payload, |raw| {
+        records.push(KeyDelta {
+            key: raw.key,
+            from: raw.from,
+            series_start: raw.series_start,
+            values: raw.values.iter().map(value_of).collect(),
+            mask_start: raw.mask_start,
+            bits: raw.bits.iter().map(bit_of).collect(),
+        });
+        Ok(())
+    })?;
+    Ok(records)
+}
 
+/// Decodes a manifest file.
+///
+/// # Errors
+///
+/// As [`decode_segment`].
+pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, ResilienceError> {
+    let (_, payload) = unframe(bytes, MAGIC, "manifest")?;
     let mut r = Reader {
         buf: payload,
         pos: 0,
     };
     let wal_frames = r.u64()?;
-
-    let entry_count = r.count(30)?;
-    let mut entries = Vec::with_capacity(entry_count);
-    for _ in 0..entry_count {
-        let key = r.key()?;
-        let start = r.u64()?;
-        let len = r.count(8)?;
-        let mut values = Vec::with_capacity(len);
-        for _ in 0..len {
-            values.push(r.f64()?);
-        }
-        let mask_start = r.u64()?;
-        let bit_count = r.count(1)?;
-        let mut bits = Vec::with_capacity(bit_count);
-        for _ in 0..bit_count {
-            bits.push(r.u8()? != 0);
-        }
-        entries.push((
-            key,
-            TimeSeries::new(start, values),
-            CoverageMask::from_bits(mask_start, bits),
-        ));
+    let segment_count = r.count(24)?;
+    let mut segments = Vec::with_capacity(segment_count);
+    for _ in 0..segment_count {
+        segments.push(SegmentRef {
+            seq: r.u64()?,
+            len: r.u64()?,
+            hash: r.u64()?,
+        });
     }
 
     let mut collector = CollectorState::new(0);
@@ -433,48 +638,223 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, ResilienceError> {
         queue.applied.push((change, key));
     }
 
-    if r.remaining() != 0 {
-        return Err(corrupt("trailing bytes after checkpoint payload"));
-    }
-    Ok(Checkpoint {
+    r.finish("manifest")?;
+    Ok(Manifest {
         wal_frames,
-        entries,
+        segments,
         collector,
         queue,
     })
 }
 
+/// A series (or mask) being put back together from a chain, newest segment
+/// first: allocated at its final length by the newest record that names
+/// the key, its leading bins filled in by older ones. What comes out is
+/// what applying the segments oldest first would give — each record
+/// truncating the key at its first minute, then appending — but every bin
+/// is allocated and copied once, and bins a newer segment rewrote are never
+/// decoded.
+struct Half<T> {
+    start: MinuteBin,
+    bins: Vec<T>,
+    /// The leading bins no segment has supplied yet.
+    missing: usize,
+}
+
+impl<T: Copy + Default> Half<T> {
+    /// The half as the newest record naming its key leaves it: its first
+    /// `keep` bins still to come from older segments, then `tail`. Those
+    /// segments hold at most `older` bins, which caps the allocation.
+    fn ending_in<B>(
+        start: MinuteBin,
+        keep: usize,
+        tail: &[B],
+        decode: fn(&B) -> T,
+        older: usize,
+    ) -> Result<Self, ResilienceError> {
+        if keep > older {
+            return Err(corrupt("segment continues more bins than its chain holds"));
+        }
+        let mut half = Self {
+            start,
+            bins: vec![T::default(); keep + tail.len()],
+            missing: keep,
+        };
+        half.fill(keep, tail, decode);
+        Ok(half)
+    }
+
+    fn fill<B>(&mut self, at: usize, tail: &[B], decode: fn(&B) -> T) {
+        let bins = self.bins.get_mut(at..).unwrap_or_default();
+        for (bin, raw) in bins.iter_mut().zip(tail) {
+            *bin = decode(raw);
+        }
+    }
+
+    /// Takes from an older record — `tail`, following its first `keep`
+    /// bins — whatever of the missing bins it holds.
+    fn reach_back<B>(
+        &mut self,
+        start: MinuteBin,
+        keep: usize,
+        tail: &[B],
+        decode: fn(&B) -> T,
+    ) -> Result<(), ResilienceError> {
+        if keep >= self.missing {
+            // All this record wrote was rewritten since.
+            return Ok(());
+        }
+        let wanted = tail.get(..self.missing - keep);
+        match wanted {
+            Some(wanted) if start == self.start => {
+                self.fill(keep, wanted, decode);
+                self.missing = keep;
+                Ok(())
+            }
+            _ => Err(corrupt("segment continues bins its chain does not hold")),
+        }
+    }
+}
+
+/// The store entries a chain adds up to, assembled newest segment first.
+#[derive(Default)]
+struct Restored(BTreeMap<KpiKey, (Half<f64>, Half<bool>)>);
+
+impl Restored {
+    /// Takes in the next older segment of the chain, `older_bytes` of
+    /// segments still to come after it.
+    fn reach_back(&mut self, payload: &[u8], older_bytes: usize) -> Result<(), ResilienceError> {
+        each_record(payload, |raw| {
+            let keep = (
+                kept(raw.from, raw.series_start),
+                kept(raw.from, raw.mask_start),
+            );
+            match self.0.entry(raw.key) {
+                Entry::Occupied(held) => {
+                    let (series, mask) = held.into_mut();
+                    series.reach_back(raw.series_start, keep.0, raw.values, value_of)?;
+                    mask.reach_back(raw.mask_start, keep.1, raw.bits, bit_of)?;
+                }
+                Entry::Vacant(unseen) => {
+                    let older = (older_bytes / 8, older_bytes);
+                    unseen.insert((
+                        Half::ending_in(raw.series_start, keep.0, raw.values, value_of, older.0)?,
+                        Half::ending_in(raw.mask_start, keep.1, raw.bits, bit_of, older.1)?,
+                    ));
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// The entries, once the whole chain was taken in.
+    fn into_entries(self) -> Result<Vec<(KpiKey, TimeSeries, CoverageMask)>, ResilienceError> {
+        if self.0.values().any(|(s, m)| s.missing + m.missing > 0) {
+            return Err(corrupt("chain ends before the bins its segments continue"));
+        }
+        let entries = self.0.into_iter().map(|(key, (series, mask))| {
+            (
+                key,
+                TimeSeries::new(series.start, series.bins),
+                CoverageMask::from_bits(mask.start, mask.bins),
+            )
+        });
+        Ok(entries.collect())
+    }
+}
+
 // ------------------------------------------------------------------ store --
 
-/// Numbered checkpoint files on disk, newest-wins with torn-file
-/// fallback. Keeps the two newest files: a crash mid-write can tear only
-/// the newest, leaving its predecessor as a valid (older) recovery point.
+fn manifest_name(seq: u64) -> String {
+    format!("ckpt-{seq:08}.bin")
+}
+
+fn segment_name(seq: u64) -> String {
+    format!("seg-{seq:08}.bin")
+}
+
+fn manifest_seqs(dir: &Path) -> Result<Vec<u64>, ResilienceError> {
+    numbered_files(dir, "ckpt-", ".bin")
+}
+
+/// Reads a file into `buf`, replacing what it held; `false` when the file
+/// does not exist.
+fn read_if_present(path: &Path, buf: &mut Vec<u8>) -> Result<bool, ResilienceError> {
+    buf.clear();
+    match fs::File::open(path).and_then(|mut file| file.read_to_end(buf)) {
+        Ok(_) => Ok(true),
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Reads manifest `seq` and walks its chain, newest segment first, handing
+/// `visit` the payload of each — once its length and hash match what the
+/// manifest names — and the bytes of the segments still to come. `None`
+/// when the manifest or any segment is missing or fails validation, or
+/// `visit` finds a segment corrupt: the manifest is unusable.
+fn walk_chain(
+    dir: &Path,
+    seq: u64,
+    mut visit: impl FnMut(&[u8], usize) -> Result<(), ResilienceError>,
+) -> Result<Option<Manifest>, ResilienceError> {
+    // One read buffer for the manifest and every segment in turn.
+    let mut bytes = Vec::new();
+    if !read_if_present(&dir.join(manifest_name(seq)), &mut bytes)? {
+        return Ok(None);
+    }
+    let Ok(manifest) = decode_manifest(&bytes) else {
+        return Ok(None);
+    };
+    // What is really on disk, not what the manifest claims, is what caps
+    // the allocations below.
+    let mut older_bytes = 0usize;
+    for segment in &manifest.segments {
+        match fs::metadata(dir.join(segment_name(segment.seq))) {
+            Ok(file) if file.len() == segment.len => {
+                older_bytes = older_bytes.saturating_add(file.len() as usize);
+            }
+            Ok(_) => return Ok(None),
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        }
+    }
+    for segment in manifest.segments.iter().rev() {
+        if !read_if_present(&dir.join(segment_name(segment.seq)), &mut bytes)? {
+            return Ok(None);
+        }
+        let payload = match unframe(&bytes, SEGMENT_MAGIC, "segment") {
+            Ok((hash, payload)) if hash == segment.hash && bytes.len() as u64 == segment.len => {
+                payload
+            }
+            _ => return Ok(None),
+        };
+        older_bytes = older_bytes.saturating_sub(bytes.len());
+        match visit(payload, older_bytes) {
+            Ok(()) => {}
+            Err(ResilienceError::Corrupt(_)) => return Ok(None),
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(Some(manifest))
+}
+
+/// A manifest on disk and the chain it rests on.
+type Link = (u64, Vec<SegmentRef>);
+
+/// Numbered chain files on disk, newest-wins with fallback past anything
+/// torn.
 #[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
     next_seq: u64,
-}
-
-fn checkpoint_name(seq: u64) -> String {
-    format!("ckpt-{seq:08}.bin")
-}
-
-fn checkpoint_seqs(dir: &Path) -> Result<Vec<u64>, ResilienceError> {
-    let mut seqs = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(num) = name
-            .strip_prefix("ckpt-")
-            .and_then(|rest| rest.strip_suffix(".bin"))
-        {
-            if let Ok(seq) = num.parse::<u64>() {
-                seqs.push(seq);
-            }
-        }
-    }
-    seqs.sort_unstable();
-    Ok(seqs)
+    /// The newest manifest this process wrote.
+    newest: Option<Link>,
+    /// The store cut the newest manifest's last segment holds: what the
+    /// next cut continues. `None` when it must start a new chain.
+    head: Option<CutId>,
+    /// Segment, then manifest, of the cut being written; reused.
+    buf: Vec<u8>,
 }
 
 impl CheckpointStore {
@@ -486,58 +866,180 @@ impl CheckpointStore {
     /// [`ResilienceError::Io`] on filesystem failure.
     pub fn open(dir: &Path) -> Result<Self, ResilienceError> {
         fs::create_dir_all(dir)?;
-        let next_seq = checkpoint_seqs(dir)?.last().map_or(0, |&s| s + 1);
+        let newest_on_disk = manifest_seqs(dir)?
+            .into_iter()
+            .chain(numbered_files(dir, "seg-", ".bin")?)
+            .max();
         Ok(Self {
             dir: dir.to_path_buf(),
-            next_seq,
+            next_seq: newest_on_disk.map_or(0, |s| s + 1),
+            newest: None,
+            head: None,
+            buf: Vec::new(),
         })
     }
 
-    /// Writes `checkpoint` as the newest file and prunes to the two
-    /// newest, returning the written path.
+    /// Writes `checkpoint` as a chain of its own — one base segment, one
+    /// manifest — and prunes, returning the manifest's path.
     ///
     /// # Errors
     ///
     /// [`ResilienceError::Io`] on filesystem failure.
     pub fn write(&mut self, checkpoint: &Checkpoint) -> Result<PathBuf, ResilienceError> {
-        self.write_encoded(&encode_checkpoint(checkpoint))
+        let records = checkpoint.entries.iter().map(|(k, s, m)| (*k, 0, s, m));
+        self.buf.clear();
+        let hash = put_segment(&mut self.buf, measure(records.clone()), records);
+        self.finish_cut(
+            true,
+            hash,
+            checkpoint.wal_frames,
+            &checkpoint.collector,
+            &checkpoint.queue,
+            None,
+        )
     }
 
-    /// [`CheckpointStore::write`] for a checkpoint already encoded (by
-    /// [`encode_checkpoint`] or [`encode_checkpoint_of`]).
+    /// One cut of `store` at a commit boundary: a segment of what was
+    /// written since this writer's last cut — or a base, when there is no
+    /// such cut to continue or the chain would outgrow twice the store —
+    /// then the manifest, then pruning. The store is read and marked clean
+    /// under one lock hold ([`MetricStore::cut_since`]).
+    ///
+    /// `tear` is the chaos harness's hook: only the first `tear` bytes of
+    /// segment-then-manifest reach disk, in write order — the on-disk image
+    /// of a crash mid-cut — and nothing is pruned, so the previous manifest
+    /// survives as fallback.
     ///
     /// # Errors
     ///
     /// [`ResilienceError::Io`] on filesystem failure.
-    pub fn write_encoded(&mut self, encoded: &[u8]) -> Result<PathBuf, ResilienceError> {
-        let path = self.dir.join(checkpoint_name(self.next_seq));
-        fs::write(&path, encoded)?;
-        self.next_seq += 1;
-        let seqs = checkpoint_seqs(&self.dir)?;
-        for &old in seqs.iter().rev().skip(2) {
-            fs::remove_file(self.dir.join(checkpoint_name(old)))?;
+    pub fn cut(
+        &mut self,
+        wal_frames: u64,
+        store: &MetricStore,
+        collector: &CollectorState,
+        queue: &QueueState,
+        tear: Option<usize>,
+    ) -> Result<PathBuf, ResilienceError> {
+        let chain_bytes: u64 = self
+            .newest
+            .iter()
+            .flat_map(|(_, chain)| chain)
+            .map(|s| s.len)
+            .sum();
+        let buf = &mut self.buf;
+        buf.clear();
+        let (head, (base, hash)) = store.cut_since(self.head, |cut| {
+            let whole = cut.entries().map(|(k, s, m)| (k, 0, s, m));
+            let full = measure(whole.clone());
+            let delta = measure(cut.written_since_cut());
+            if cut.is_whole() || chain_bytes + delta.1 as u64 > 2 * full.1 as u64 {
+                (true, put_segment(buf, full, whole))
+            } else {
+                (false, put_segment(buf, delta, cut.written_since_cut()))
+            }
+        });
+        let path = self.finish_cut(base, hash, wal_frames, collector, queue, tear)?;
+        if tear.is_none() {
+            self.head = Some(head);
         }
         Ok(path)
     }
 
-    /// Chaos-harness hook: writes only the first `keep` bytes of an
-    /// encoded checkpoint — the on-disk image of a crash mid-write. Does
-    /// not prune, so the previous valid checkpoint survives as fallback.
-    ///
-    /// # Errors
-    ///
-    /// [`ResilienceError::Io`] on filesystem failure.
-    pub fn write_torn(&mut self, encoded: &[u8], keep: usize) -> Result<(), ResilienceError> {
-        let keep = keep.min(encoded.len());
-        let path = self.dir.join(checkpoint_name(self.next_seq));
-        fs::write(&path, &encoded[..keep])?;
+    /// Numbers the segment `self.buf` holds (a base, or the next link of
+    /// the newest chain), encodes the manifest behind it, writes both and
+    /// prunes. Leaves the chain without a head to continue.
+    fn finish_cut(
+        &mut self,
+        base: bool,
+        hash: u64,
+        wal_frames: u64,
+        collector: &CollectorState,
+        queue: &QueueState,
+        tear: Option<usize>,
+    ) -> Result<PathBuf, ResilienceError> {
+        let seq = self.next_seq;
         self.next_seq += 1;
+        self.head = None;
+        let segment_len = self.buf.len();
+        let mut chain = match &self.newest {
+            Some((_, chain)) if !base => chain.clone(),
+            _ => Vec::new(),
+        };
+        chain.push(SegmentRef {
+            seq,
+            len: segment_len as u64,
+            hash,
+        });
+        put_manifest(&mut self.buf, wal_frames, &chain, collector, queue);
+        let (segment, manifest) = self
+            .buf
+            .split_at_checked(segment_len)
+            .unwrap_or((&self.buf, &[]));
+        let segment_path = self.dir.join(segment_name(seq));
+        let manifest_path = self.dir.join(manifest_name(seq));
+
+        if let Some(keep) = tear {
+            fs::write(&segment_path, segment.get(..keep).unwrap_or(segment))?;
+            if let Some(rest) = keep.checked_sub(segment.len()).filter(|&rest| rest > 0) {
+                fs::write(&manifest_path, manifest.get(..rest).unwrap_or(manifest))?;
+            }
+            return Ok(manifest_path);
+        }
+        fs::write(&segment_path, segment)?;
+        fs::write(&manifest_path, manifest)?;
+        if base {
+            // Store-sized, and the deltas that follow are not.
+            self.buf = Vec::new();
+        }
+        let previous = self.newest.replace((seq, chain));
+        self.prune(previous)?;
+        Ok(manifest_path)
+    }
+
+    /// Deletes every chain file but those the newest manifest and one
+    /// fallback name: `previous`, the manifest this process wrote before,
+    /// or else the newest older one on disk that validates — so a torn or
+    /// stale file found at start-up is never counted as one of the two.
+    fn prune(&self, previous: Option<Link>) -> Result<(), ResilienceError> {
+        let Some(newest) = &self.newest else {
+            return Ok(());
+        };
+        let mut fallback = previous;
+        if fallback.is_none() {
+            for &seq in manifest_seqs(&self.dir)?.iter().rev() {
+                if seq < newest.0 {
+                    if let Some(manifest) = walk_chain(&self.dir, seq, |_, _| Ok(()))? {
+                        fallback = Some((seq, manifest.segments));
+                        break;
+                    }
+                }
+            }
+        }
+        let keep: BTreeSet<String> = [Some(newest), fallback.as_ref()]
+            .into_iter()
+            .flatten()
+            .flat_map(|(seq, chain)| {
+                let segments = chain.iter().map(|s| segment_name(s.seq));
+                segments.chain([manifest_name(*seq)])
+            })
+            .collect();
+        for entry in fs::read_dir(&self.dir)? {
+            let name = entry?.file_name();
+            let Some(name) = name.to_str() else { continue };
+            let ours =
+                (name.starts_with("ckpt-") || name.starts_with("seg-")) && name.ends_with(".bin");
+            if ours && !keep.contains(name) {
+                fs::remove_file(self.dir.join(name))?;
+            }
+        }
         Ok(())
     }
 
-    /// Loads the newest checkpoint that validates, skipping torn or
-    /// corrupt files (newest first). `None` when no valid checkpoint
-    /// exists — including when the directory itself is missing.
+    /// Loads the newest recovery point that validates, skipping manifests
+    /// that are torn or corrupt or rest on a segment that is (newest
+    /// first). `None` when no usable manifest exists — including when the
+    /// directory itself is missing.
     ///
     /// # Errors
     ///
@@ -546,10 +1048,18 @@ impl CheckpointStore {
         if !dir.exists() {
             return Ok(None);
         }
-        for &seq in checkpoint_seqs(dir)?.iter().rev() {
-            let bytes = fs::read(dir.join(checkpoint_name(seq)))?;
-            if let Ok(checkpoint) = decode_checkpoint(&bytes) {
-                return Ok(Some(checkpoint));
+        for &seq in manifest_seqs(dir)?.iter().rev() {
+            let mut restored = Restored::default();
+            let usable = walk_chain(dir, seq, |payload, older_bytes| {
+                restored.reach_back(payload, older_bytes)
+            })?;
+            if let (Some(manifest), Ok(entries)) = (usable, restored.into_entries()) {
+                return Ok(Some(Checkpoint {
+                    wal_frames: manifest.wal_frames,
+                    entries,
+                    collector: manifest.collector,
+                    queue: manifest.queue,
+                }));
             }
         }
         Ok(None)
@@ -561,6 +1071,12 @@ mod tests {
     use super::*;
     use funnel_topology::impact::Entity;
     use funnel_topology::model::InstanceId;
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("funnel-ckpt-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
 
     fn sample_checkpoint() -> Checkpoint {
         let key = KpiKey::new(Entity::Instance(InstanceId(7)), KpiKind::PageViewCount);
@@ -595,120 +1111,404 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrip_is_lossless() {
-        let checkpoint = sample_checkpoint();
-        let decoded = decode_checkpoint(&encode_checkpoint(&checkpoint)).unwrap();
-        assert_eq!(checkpoint, decoded);
+    /// The files a directory holds, by name.
+    fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_str().unwrap().to_string();
+                (name, fs::read(&path).unwrap())
+            })
+            .collect()
     }
 
-    /// The ingest path encodes straight from the store; the bytes must be
-    /// the ones [`encode_checkpoint`] gives for the store's exported
-    /// entries, whatever order the store met its keys in.
     #[test]
-    fn encoding_from_the_store_matches_encoding_its_export() {
-        let Checkpoint {
-            wal_frames,
-            collector,
-            queue,
-            ..
-        } = sample_checkpoint();
-        assert!(!collector.pending.is_empty() && !collector.partial.is_empty());
-        assert!(!collector.backfill_stage.is_empty());
-        assert!(!queue.pending.is_empty() && !queue.applied.is_empty());
+    fn roundtrip_through_the_directory_is_lossless() {
+        for (tag, checkpoint) in [
+            ("sample", sample_checkpoint()),
+            ("empty", Checkpoint::default()),
+        ] {
+            let dir = tmp_dir(tag);
+            let mut store = CheckpointStore::open(&dir).unwrap();
+            store.write(&checkpoint).unwrap();
+            let names: Vec<String> = files(&dir).into_keys().collect();
+            assert_eq!(names, ["ckpt-00000000.bin", "seg-00000000.bin"]);
+            let recovered = CheckpointStore::latest_valid(&dir).unwrap().unwrap();
+            assert_eq!(recovered, checkpoint);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
 
+    #[test]
+    fn any_flipped_header_bit_is_rejected_in_both_file_kinds() {
+        let dir = tmp_dir("header");
+        CheckpointStore::open(&dir)
+            .unwrap()
+            .write(&sample_checkpoint())
+            .unwrap();
+        let files = files(&dir);
+        let manifest = &files["ckpt-00000000.bin"];
+        let segment = &files["seg-00000000.bin"];
+        assert!(decode_manifest(manifest).is_ok() && decode_segment(segment).is_ok());
+        // Neither kind passes for the other.
+        assert!(decode_manifest(segment).is_err() && decode_segment(manifest).is_err());
+        for byte in 0..HEADER_LEN {
+            let flip = |bytes: &[u8]| {
+                let mut bad = bytes.to_vec();
+                bad[byte] ^= 0x01;
+                bad
+            };
+            assert!(decode_manifest(&flip(manifest)).is_err(), "manifest {byte}");
+            assert!(decode_segment(&flip(segment)).is_err(), "segment {byte}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A whole-store file of format version 1 is not a manifest: its magic
+    /// fails before anything is parsed, so recovery goes on to an older
+    /// manifest or to whole-WAL replay instead of misreading it.
+    #[test]
+    fn a_version_1_file_is_rejected_not_misread() {
+        let mut old = b"FNLCKPT1".to_vec();
+        let payload = [0u8; 64];
+        old.extend_from_slice(&crate::fnv1a(&payload).to_le_bytes());
+        old.extend_from_slice(&payload);
+        assert!(matches!(
+            decode_manifest(&old),
+            Err(ResilienceError::Corrupt(why)) if why.contains("magic")
+        ));
+        let dir = tmp_dir("v1");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(manifest_name(3)), &old).unwrap();
+        assert!(CheckpointStore::latest_valid(&dir).unwrap().is_none());
+        // The numbering still moves past it.
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        let path = store.write(&sample_checkpoint()).unwrap();
+        assert_eq!(path, dir.join(manifest_name(4)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn key(n: u32) -> KpiKey {
+        KpiKey::new(Entity::Instance(InstanceId(n)), KpiKind::PageViewCount)
+    }
+
+    fn cut(
+        checkpoints: &mut CheckpointStore,
+        store: &MetricStore,
+        frames: u64,
+        tear: Option<usize>,
+    ) {
+        let state = CollectorState::new(1);
+        checkpoints
+            .cut(frames, store, &state, &QueueState::default(), tear)
+            .unwrap();
+    }
+
+    /// What recovery must hand back after a clean cut of `store`.
+    fn point(store: &MetricStore, frames: u64) -> Checkpoint {
+        Checkpoint {
+            wal_frames: frames,
+            entries: store.export_entries(),
+            collector: CollectorState::new(1),
+            queue: QueueState::default(),
+        }
+    }
+
+    #[test]
+    fn cuts_write_deltas_and_recovery_adds_them_up() {
+        let dir = tmp_dir("deltas");
+        let mut checkpoints = CheckpointStore::open(&dir).unwrap();
         let store = MetricStore::new();
-        // Shuffled arrival: instances before servers, ids descending, one
-        // key emptied by a restore and then written again, gaps, backfills
-        // and a batch insert.
-        let mut keys = Vec::new();
-        for id in (0..9u32).rev() {
-            keys.push(KpiKey::new(
-                Entity::Instance(InstanceId(id)),
-                KpiKind::PageViewCount,
-            ));
-            keys.push(KpiKey::new(
-                Entity::Server(funnel_topology::model::ServerId(id % 4)),
-                KpiKind::SERVER_KINDS[id as usize % 4],
-            ));
+        for minute in 0..50 {
+            store.append(key(0), minute, minute as f64);
+            store.append(key(1), minute, -(minute as f64));
         }
-        store.append(keys[3], 0, 1.0);
-        store.restore_entries(Vec::new());
-        for (i, key) in keys.iter().enumerate() {
-            for minute in [2u64, 3, 9] {
-                store.append(*key, minute + i as u64 % 3, minute as f64 + i as f64 * 0.5);
-            }
-            store.backfill(*key, 6, -1.5);
-        }
-        store.insert(
-            KpiKey::new(Entity::Service(ServiceId(2)), KpiKind::AccessFailureCount),
-            TimeSeries::new(7, vec![0.25; 5]),
+        cut(&mut checkpoints, &store, 1, None);
+        let base_len = files(&dir)["seg-00000000.bin"].len();
+
+        // A frontier append with a gap, a backfill into it, a new key and
+        // an untouched one.
+        store.append(key(0), 53, 7.0);
+        assert!(store.backfill(key(0), 51, 6.0));
+        store.append(key(2), 52, 1.0);
+        cut(&mut checkpoints, &store, 2, None);
+        let delta = decode_segment(&files(&dir)["seg-00000001.bin"]).unwrap();
+        let written: Vec<(KpiKey, u64, usize)> = delta
+            .iter()
+            .map(|d| (d.key, d.from, d.values.len()))
+            .collect();
+        assert_eq!(written, [(key(0), 50, 4), (key(2), 52, 1)]);
+        assert!(files(&dir)["seg-00000001.bin"].len() < base_len / 4);
+        assert_eq!(
+            CheckpointStore::latest_valid(&dir).unwrap().unwrap(),
+            point(&store, 2)
         );
 
-        let from_export = encode_checkpoint(&Checkpoint {
-            wal_frames,
-            entries: store.export_entries(),
-            collector: collector.clone(),
-            queue: queue.clone(),
-        });
-        let from_store = encode_checkpoint_of(wal_frames, &store, &collector, &queue);
-        assert_eq!(from_store, from_export);
-        let decoded = decode_checkpoint(&from_store).unwrap();
-        assert_eq!(decoded.entries, store.export_entries());
-        assert_eq!(decoded.collector, collector);
+        // A backfill below the last cut's frontier rewrites from there.
+        store.append(key(1), 60, 3.0);
+        cut(&mut checkpoints, &store, 3, None);
+        assert!(store.backfill(key(1), 55, 4.0));
+        cut(&mut checkpoints, &store, 4, None);
+        let delta = decode_segment(&files(&dir)["seg-00000003.bin"]).unwrap();
+        assert_eq!(delta.len(), 1);
+        assert_eq!((delta[0].from, delta[0].values.len()), (55, 6));
+        assert_eq!(
+            CheckpointStore::latest_valid(&dir).unwrap().unwrap(),
+            point(&store, 4)
+        );
+        let manifest = decode_manifest(&files(&dir)["ckpt-00000003.bin"]).unwrap();
+        let chain: Vec<u64> = manifest.segments.iter().map(|s| s.seq).collect();
+        assert_eq!(chain, [0, 1, 2, 3]);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn empty_checkpoint_roundtrips() {
-        let checkpoint = Checkpoint::default();
-        let decoded = decode_checkpoint(&encode_checkpoint(&checkpoint)).unwrap();
-        assert_eq!(checkpoint, decoded);
+    fn a_torn_cut_falls_back_to_the_previous_manifest_wherever_it_tears() {
+        let dir = tmp_dir("torn");
+        // One good cut, then a write the next cut will carry.
+        let one_cut_in = || {
+            let _ = fs::remove_dir_all(&dir);
+            let store = MetricStore::new();
+            store.append(key(0), 0, 1.0);
+            let mut checkpoints = CheckpointStore::open(&dir).unwrap();
+            cut(&mut checkpoints, &store, 1, None);
+            let good = point(&store, 1);
+            store.append(key(0), 1, 2.0);
+            (store, checkpoints, good)
+        };
+
+        // Learn the two lengths from a tear past the end: a whole cut.
+        let (store, mut checkpoints, _) = one_cut_in();
+        cut(&mut checkpoints, &store, 2, Some(usize::MAX));
+        let whole = files(&dir);
+        let (segment, manifest) = (&whole["seg-00000001.bin"], &whole["ckpt-00000001.bin"]);
+        assert_eq!(
+            CheckpointStore::latest_valid(&dir).unwrap().unwrap(),
+            point(&store, 2)
+        );
+        for keep in 0..segment.len() + manifest.len() {
+            let (store, mut checkpoints, good) = one_cut_in();
+            cut(&mut checkpoints, &store, 2, Some(keep));
+            let now = files(&dir);
+            assert_eq!(
+                now["seg-00000001.bin"],
+                segment[..keep.min(segment.len())],
+                "{keep}"
+            );
+            match keep.checked_sub(segment.len()) {
+                None | Some(0) => assert!(!now.contains_key("ckpt-00000001.bin"), "{keep}"),
+                Some(rest) => assert_eq!(now["ckpt-00000001.bin"], manifest[..rest], "{keep}"),
+            }
+            let recovered = CheckpointStore::latest_valid(&dir).unwrap().unwrap();
+            assert_eq!(recovered, good, "torn at {keep} must fall back");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn any_flipped_header_bit_is_rejected() {
-        let encoded = encode_checkpoint(&sample_checkpoint());
-        for byte in 0..16 {
-            let mut bad = encoded.clone();
-            bad[byte] ^= 0x01;
-            assert!(
-                decode_checkpoint(&bad).is_err(),
-                "flipped header byte {byte} accepted"
+    fn a_missing_segment_falls_back_and_two_bad_manifests_leave_nothing() {
+        let dir = tmp_dir("missing");
+        let store = MetricStore::new();
+        let mut checkpoints = CheckpointStore::open(&dir).unwrap();
+        store.append(key(0), 0, 1.0);
+        cut(&mut checkpoints, &store, 1, None);
+        let first = point(&store, 1);
+        store.append(key(0), 1, 2.0);
+        cut(&mut checkpoints, &store, 2, None);
+        fs::remove_file(dir.join(segment_name(1))).unwrap();
+        assert_eq!(CheckpointStore::latest_valid(&dir).unwrap().unwrap(), first);
+        // The base both manifests rest on.
+        fs::remove_file(dir.join(segment_name(0))).unwrap();
+        assert!(CheckpointStore::latest_valid(&dir).unwrap().is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The directory keeps what the two newest *usable* manifests name. A
+    /// torn cut left behind by a crashed process is neither: the first cut
+    /// after it removes the torn files and keeps the manifest recovery
+    /// used.
+    #[test]
+    fn pruning_counts_only_manifests_that_validate() {
+        let dir = tmp_dir("prune");
+        let store = MetricStore::new();
+        let mut checkpoints = CheckpointStore::open(&dir).unwrap();
+        // Enough history that one-minute deltas stay far from the 2× rule.
+        store.insert(key(0), TimeSeries::new(0, vec![0.0; 500]));
+        for frames in 0..5 {
+            store.append(key(0), 500 + frames, 1.0);
+            cut(&mut checkpoints, &store, frames, None);
+        }
+        let names: Vec<String> = files(&dir).into_keys().collect();
+        assert_eq!(
+            names,
+            [
+                "ckpt-00000003.bin",
+                "ckpt-00000004.bin",
+                "seg-00000000.bin",
+                "seg-00000001.bin",
+                "seg-00000002.bin",
+                "seg-00000003.bin",
+                "seg-00000004.bin",
+            ]
+        );
+        // The process dies inside cut 5, once in the segment, and — after a
+        // restart that also dies — once in the manifest.
+        store.append(key(0), 505, 1.0);
+        cut(&mut checkpoints, &store, 5, Some(30));
+        let mut checkpoints = CheckpointStore::open(&dir).unwrap();
+        let segment_len = {
+            cut(&mut checkpoints, &store, 5, Some(usize::MAX));
+            files(&dir)["seg-00000006.bin"].len()
+        };
+        fs::write(dir.join(manifest_name(6)), [1, 2, 3]).unwrap();
+        assert_eq!(files(&dir).len(), 7 + 3);
+        assert_eq!(
+            CheckpointStore::latest_valid(&dir)
+                .unwrap()
+                .unwrap()
+                .wal_frames,
+            4
+        );
+
+        let mut checkpoints = CheckpointStore::open(&dir).unwrap();
+        cut(&mut checkpoints, &store, 6, None);
+        let names: Vec<String> = files(&dir).into_keys().collect();
+        assert_eq!(
+            names,
+            [
+                "ckpt-00000004.bin",
+                "ckpt-00000007.bin",
+                "seg-00000000.bin",
+                "seg-00000001.bin",
+                "seg-00000002.bin",
+                "seg-00000003.bin",
+                "seg-00000004.bin",
+                "seg-00000007.bin",
+            ],
+            "torn cuts 5 and 6 gone, manifest 4 kept as the fallback"
+        );
+        // A fresh process starts a fresh chain: its first cut is a base.
+        assert!(files(&dir)["seg-00000007.bin"].len() >= segment_len);
+        store.append(key(0), 506, 1.0);
+        cut(&mut checkpoints, &store, 7, None);
+        let names: Vec<String> = files(&dir).into_keys().collect();
+        assert_eq!(
+            names,
+            [
+                "ckpt-00000007.bin",
+                "ckpt-00000008.bin",
+                "seg-00000007.bin",
+                "seg-00000008.bin",
+            ]
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The one rule that bounds a chain: a cut that would bring it past
+    /// twice the whole store writes a base instead.
+    #[test]
+    fn a_chain_never_outgrows_twice_the_store() {
+        let dir = tmp_dir("rebase");
+        let store = MetricStore::new();
+        let mut checkpoints = CheckpointStore::open(&dir).unwrap();
+        let rewrite = |round: u64| {
+            for k in 0..4 {
+                store.insert(key(k), TimeSeries::new(0, vec![round as f64; 40]));
+            }
+        };
+        let mut chains = Vec::new();
+        for round in 0..6 {
+            rewrite(round);
+            cut(&mut checkpoints, &store, round, None);
+            let newest = manifest_name(round);
+            let manifest = decode_manifest(&files(&dir)[&newest]).unwrap();
+            let full = manifest.segments[0].len;
+            let chain: u64 = manifest.segments.iter().map(|s| s.len).sum();
+            assert!(chain <= 2 * full, "round {round}: {chain} > 2 × {full}");
+            chains.push(manifest.segments.len());
+            assert_eq!(
+                CheckpointStore::latest_valid(&dir).unwrap().unwrap(),
+                point(&store, round)
             );
         }
+        // Every cut rewrites the whole store: base, one delta, base, …
+        assert_eq!(chains, [1, 2, 1, 2, 1, 2]);
+        // Two manifests on one chain: one base, one delta, nothing else.
+        let names: Vec<String> = files(&dir).into_keys().collect();
+        assert_eq!(
+            names,
+            [
+                "ckpt-00000004.bin",
+                "ckpt-00000005.bin",
+                "seg-00000004.bin",
+                "seg-00000005.bin",
+            ]
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A chain is only continued from the cut it ends in: a restore, a cut
+    /// taken by another writer, or a stand-alone [`CheckpointStore::write`]
+    /// in between all make the next cut a base.
     #[test]
-    fn torn_write_falls_back_to_previous_checkpoint() {
-        let dir = std::env::temp_dir().join(format!("funnel-ckpt-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut store = CheckpointStore::open(&dir).unwrap();
-        let good = sample_checkpoint();
-        store.write(&good).unwrap();
-        let mut newer = good.clone();
-        newer.wal_frames = 99;
-        store.write_torn(&encode_checkpoint(&newer), 40).unwrap();
-        let recovered = CheckpointStore::latest_valid(&dir).unwrap().unwrap();
-        assert_eq!(recovered, good, "torn newest must fall back");
-        let _ = fs::remove_dir_all(&dir);
-    }
+    fn a_cut_that_cannot_continue_the_chain_starts_a_new_one() {
+        let dir = tmp_dir("heads");
+        let other_dir = tmp_dir("heads-other");
+        let store = MetricStore::new();
+        let mut checkpoints = CheckpointStore::open(&dir).unwrap();
+        let mut other = CheckpointStore::open(&other_dir).unwrap();
+        let chain_len = |dir: &Path, seq: u64| {
+            decode_manifest(&files(dir)[&manifest_name(seq)])
+                .unwrap()
+                .segments
+                .len()
+        };
+        store.append(key(0), 0, 1.0);
+        cut(&mut checkpoints, &store, 0, None);
+        store.append(key(0), 1, 1.0);
+        cut(&mut checkpoints, &store, 1, None);
+        assert_eq!(chain_len(&dir, 1), 2);
 
-    #[test]
-    fn pruning_keeps_two_newest() {
-        let dir = std::env::temp_dir().join(format!("funnel-ckpt-prune-{}", std::process::id()));
+        // Another writer cuts the same store: the marks now count from its
+        // cut, so ours cannot be continued.
+        store.append(key(0), 2, 1.0);
+        cut(&mut other, &store, 0, None);
+        store.append(key(0), 3, 1.0);
+        cut(&mut checkpoints, &store, 2, None);
+        assert_eq!(chain_len(&dir, 2), 1);
+        assert_eq!(
+            CheckpointStore::latest_valid(&dir).unwrap().unwrap(),
+            point(&store, 2)
+        );
+
+        // A restore drops keys no mark remembers.
+        store.append(key(1), 0, 5.0);
+        cut(&mut checkpoints, &store, 3, None);
+        assert_eq!(chain_len(&dir, 3), 2);
+        store.restore_entries(vec![(
+            key(2),
+            TimeSeries::new(0, vec![1.0]),
+            CoverageMask::all_present(0, 1),
+        )]);
+        cut(&mut checkpoints, &store, 4, None);
+        assert_eq!(chain_len(&dir, 4), 1);
+        assert_eq!(
+            CheckpointStore::latest_valid(&dir).unwrap().unwrap(),
+            point(&store, 4)
+        );
+
+        // A stand-alone checkpoint is a chain of its own.
+        store.append(key(2), 1, 2.0);
+        checkpoints.write(&sample_checkpoint()).unwrap();
+        cut(&mut checkpoints, &store, 6, None);
+        assert_eq!(chain_len(&dir, 6), 1);
+        assert_eq!(
+            CheckpointStore::latest_valid(&dir).unwrap().unwrap(),
+            point(&store, 6)
+        );
         let _ = fs::remove_dir_all(&dir);
-        let mut store = CheckpointStore::open(&dir).unwrap();
-        for wal_frames in 0..5 {
-            let c = Checkpoint {
-                wal_frames,
-                ..Checkpoint::default()
-            };
-            store.write(&c).unwrap();
-        }
-        assert_eq!(checkpoint_seqs(&dir).unwrap().len(), 2);
-        let latest = CheckpointStore::latest_valid(&dir).unwrap().unwrap();
-        assert_eq!(latest.wal_frames, 4);
-        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&other_dir);
     }
 
     #[test]

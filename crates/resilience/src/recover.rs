@@ -2,15 +2,17 @@
 //!
 //! [`DurableHooks`] plugs into the collector's three-step ingest protocol
 //! ([`IngestHooks`]): every accepted frame is WAL-appended *before* the
-//! commit that mutates the store, and every `cadence` accepted frames a
-//! full [`Checkpoint`](crate::checkpoint::Checkpoint) is written at the
-//! post-commit boundary. Because the hook runs between classification and
-//! commit, the WAL is always at least as new as the store — recovery can
-//! only ever need to *replay* frames, never to un-commit them.
+//! commit that mutates the store, and every `cadence` accepted frames the
+//! store is cut at the post-commit boundary: one delta segment and one
+//! manifest join the checkpoint chain ([`CheckpointStore::cut`]). Because
+//! the hook runs between classification and commit, the WAL is always at
+//! least as new as the store — recovery can only ever need to *replay*
+//! frames, never to un-commit them.
 //!
 //! [`recover`] rebuilds the durable state after a crash: load the newest
-//! valid checkpoint (torn newest falls back to its predecessor), restore
-//! the store entries and collector state from it, then re-ingest the WAL
+//! usable checkpoint manifest (one torn, or resting on a torn segment,
+//! falls back to its predecessor), restore the store entries its chain
+//! adds up to and the collector state it carries, then re-ingest the WAL
 //! tail past the checkpoint's frame cursor through the very same
 //! classify/commit path live ingestion uses. If the WAL carries the
 //! end-of-stream marker the collector's `finish()` runs too; otherwise
@@ -24,7 +26,7 @@
 //! torn partial write followed by an ingest abort, which is exactly what
 //! `kill -9` at that instant leaves on disk.
 
-use crate::checkpoint::{encode_checkpoint_of, CheckpointStore};
+use crate::checkpoint::CheckpointStore;
 use crate::wal::{self, WalWriter};
 use crate::ResilienceError;
 use bytes::Bytes;
@@ -79,12 +81,13 @@ pub enum Kill {
         /// Bytes of the record that reach disk before the kill.
         keep: usize,
     },
-    /// Tear checkpoint number `index` (0-based), keeping only the first
-    /// `keep` bytes of the file.
+    /// Tear checkpoint cut number `index` (0-based, counted per process),
+    /// keeping only the first `keep` bytes of what it writes.
     Checkpoint {
         /// Which periodic checkpoint dies mid-write.
         index: u64,
-        /// Bytes of the file that reach disk before the kill.
+        /// Bytes that reach disk before the kill, counted across the
+        /// delta segment and then the manifest, in write order.
         keep: usize,
     },
 }
@@ -118,8 +121,10 @@ impl DurableHooks {
 
     /// Opens the durable state continuing after recovery:
     /// `frames_so_far` is [`Recovered::frames_in_wal`], so the frame
-    /// numbering (and with it the checkpoint cadence and any [`Kill`]
-    /// index) continues where the crashed process stopped.
+    /// numbering (and with it the checkpoint cadence and any
+    /// [`Kill::Frame`] index) continues where the crashed process stopped.
+    /// Checkpoint cuts are counted per process: a [`Kill::Checkpoint`]
+    /// index starts over at 0 here.
     ///
     /// # Errors
     ///
@@ -182,25 +187,23 @@ impl IngestHooks for DurableHooks {
         if self.cadence == 0 || self.frames == 0 || !self.frames.is_multiple_of(self.cadence) {
             return Ok(());
         }
-        let encoded = encode_checkpoint_of(
+        let tear = match self.kill {
+            Kill::Checkpoint { index, keep } if self.checkpoints_written == index => Some(keep),
+            _ => None,
+        };
+        let cut = self.checkpoints.cut(
             self.frames,
             collector.store(),
             collector.state(),
             &self.queue,
+            tear,
         );
-        if let Kill::Checkpoint { index, keep } = self.kill {
-            if self.checkpoints_written == index {
-                if let Err(e) = self.checkpoints.write_torn(&encoded, keep) {
-                    self.error = Some(e);
-                }
-                return Err(IngestAbort);
-            }
-        }
-        match self.checkpoints.write_encoded(&encoded) {
-            Ok(_) => {
+        match cut {
+            Ok(_) if tear.is_none() => {
                 self.checkpoints_written += 1;
                 Ok(())
             }
+            Ok(_) => Err(IngestAbort),
             Err(e) => {
                 self.error = Some(e);
                 Err(IngestAbort)
@@ -261,30 +264,27 @@ pub fn recover(
 ) -> Result<Recovered, ResilienceError> {
     let span = funnel_obs::span!(funnel_obs::names::SPAN_RECOVER_REPLAY);
     let checkpoint = CheckpointStore::latest_valid(&options.checkpoint_dir)?;
-    let scan = wal::scan(&options.wal_dir)?;
+    let skip = checkpoint.as_ref().map_or(0, |c| c.wal_frames);
+    let scan = wal::scan(&options.wal_dir, skip)?;
+    if skip > scan.frame_count {
+        return Err(ResilienceError::Corrupt(format!(
+            "checkpoint covers {skip} frames but the WAL holds {}",
+            scan.frame_count
+        )));
+    }
 
     let store = MetricStore::new();
-    let (state, queue, skip, used_checkpoint) = match checkpoint {
+    let (state, queue, used_checkpoint) = match checkpoint {
         Some(c) => {
-            if c.wal_frames as usize > scan.frames.len() {
-                return Err(ResilienceError::Corrupt(format!(
-                    "checkpoint covers {} frames but the WAL holds {}",
-                    c.wal_frames,
-                    scan.frames.len()
-                )));
-            }
             store.restore_entries(c.entries);
-            (c.collector, c.queue, c.wal_frames, true)
+            (c.collector, c.queue, true)
         }
-        None => (CollectorState::new(shards), QueueState::default(), 0, false),
+        None => (CollectorState::new(shards), QueueState::default(), false),
     };
 
-    let frames_in_wal = scan.frames.len() as u64;
     let mut collector = Collector::resume(world, &store, shards, horizon, state);
-    let mut frames_replayed = 0u64;
-    for payload in scan.frames.into_iter().skip(skip as usize) {
-        collector.ingest(&Bytes::from(payload));
-        frames_replayed += 1;
+    for payload in &scan.frames {
+        collector.ingest(payload);
     }
     if scan.end_of_stream {
         collector.finish();
@@ -299,8 +299,8 @@ pub fn recover(
         queue,
         end_of_stream: scan.end_of_stream,
         torn_wal_tail: scan.torn_tail,
-        frames_in_wal,
-        frames_replayed,
+        frames_in_wal: scan.frame_count,
+        frames_replayed: scan.frames.len() as u64,
         checkpoint_frames: skip,
         used_checkpoint,
     })

@@ -19,12 +19,14 @@
 //!
 //! [`encode_record`] / [`decode_records`] are pure functions over byte
 //! slices — the property tests drive them with arbitrary frame sequences
-//! and arbitrary truncation points.
+//! and arbitrary truncation points. Decoding copies nothing: a record says
+//! where in the buffer its payload lies.
 
-use crate::{fnv1a, ResilienceError};
+use crate::{fnv1a, numbered_files, ResilienceError};
 use bytes::Bytes;
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Record kind tag: the payload is one encoded wire frame.
@@ -58,8 +60,9 @@ fn encode_record_into(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
 pub struct WalRecord {
     /// [`FRAME_RECORD`] or [`EOS_RECORD`].
     pub kind: u8,
-    /// The record payload (an encoded wire frame for frame records).
-    pub payload: Vec<u8>,
+    /// Where in the decoded buffer the record payload lies (an encoded
+    /// wire frame for frame records).
+    pub payload: Range<usize>,
 }
 
 /// The result of decoding one segment's bytes.
@@ -103,11 +106,12 @@ pub fn decode_records(buf: &[u8]) -> DecodedSegment {
         if fnv1a(payload) != stored_hash {
             break;
         }
+        let start = pos + RECORD_HEADER;
+        pos = start + len;
         records.push(WalRecord {
             kind,
-            payload: payload.to_vec(),
+            payload: start..pos,
         });
-        pos += RECORD_HEADER + len;
     }
     DecodedSegment {
         records,
@@ -122,21 +126,7 @@ fn segment_name(seq: u64) -> String {
 
 /// The sorted sequence numbers of the segments present in `dir`.
 fn segment_seqs(dir: &Path) -> Result<Vec<u64>, ResilienceError> {
-    let mut seqs = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(num) = name
-            .strip_prefix("wal-")
-            .and_then(|rest| rest.strip_suffix(".seg"))
-        {
-            if let Ok(seq) = num.parse::<u64>() {
-                seqs.push(seq);
-            }
-        }
-    }
-    seqs.sort_unstable();
-    Ok(seqs)
+    numbered_files(dir, "wal-", ".seg")
 }
 
 /// Appends records to the WAL, rolling segments at a byte threshold.
@@ -180,8 +170,7 @@ impl WalWriter {
         let (seq, written) = match seqs.last() {
             Some(&seq) => {
                 let path = dir.join(segment_name(seq));
-                let bytes = fs::read(&path)?;
-                let decoded = decode_records(&bytes);
+                let decoded = decode_records(&fs::read(&path)?);
                 if decoded.torn {
                     // Crash artifact: truncate to the valid prefix.
                     let file = fs::OpenOptions::new().write(true).open(&path)?;
@@ -287,8 +276,12 @@ impl WalWriter {
 /// Everything a recovery scan learned from the WAL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalScan {
-    /// Every validated frame payload, in append order across segments.
-    pub frames: Vec<Vec<u8>>,
+    /// The validated frame payloads past the first `skip`, in append order
+    /// across segments: slices of the segment buffers read from disk,
+    /// never copies.
+    pub frames: Vec<Bytes>,
+    /// How many frames validated, skipped ones included.
+    pub frame_count: u64,
     /// Whether the end-of-stream marker is present (it is always last).
     pub end_of_stream: bool,
     /// Whether the newest segment ended in a torn record (crash artifact,
@@ -298,7 +291,10 @@ pub struct WalScan {
     pub segments: u64,
 }
 
-/// Scans the whole WAL at `dir`, validating every record.
+/// Scans the whole WAL at `dir`, validating every record, and keeps the
+/// frames past the first `skip` (the ones a checkpoint does not cover).
+/// Segments read into one buffer until a frame of one is kept; only from
+/// there on does the scan hold what it read.
 ///
 /// A torn tail is tolerated only on the *newest* segment — that is the
 /// crash signature. A torn record in any sealed (non-final) segment, or
@@ -310,23 +306,25 @@ pub struct WalScan {
 /// [`ResilienceError::Io`] on filesystem failure,
 /// [`ResilienceError::Corrupt`] on mid-log damage. A missing directory is
 /// an empty WAL, not an error.
-pub fn scan(dir: &Path) -> Result<WalScan, ResilienceError> {
+pub fn scan(dir: &Path, skip: u64) -> Result<WalScan, ResilienceError> {
+    let mut scan = WalScan {
+        frames: Vec::new(),
+        frame_count: 0,
+        end_of_stream: false,
+        torn_tail: false,
+        segments: 0,
+    };
     if !dir.exists() {
-        return Ok(WalScan {
-            frames: Vec::new(),
-            end_of_stream: false,
-            torn_tail: false,
-            segments: 0,
-        });
+        return Ok(scan);
     }
     let seqs = segment_seqs(dir)?;
-    let mut frames = Vec::new();
-    let mut end_of_stream = false;
-    let mut torn_tail = false;
+    scan.segments = seqs.len() as u64;
+    let mut buf = Vec::new();
     for (i, &seq) in seqs.iter().enumerate() {
-        let bytes = fs::read(dir.join(segment_name(seq)))?;
-        funnel_obs::histogram_record(funnel_obs::names::WAL_SEGMENT_BYTES, bytes.len() as u64);
-        let decoded = decode_records(&bytes);
+        buf.clear();
+        fs::File::open(dir.join(segment_name(seq)))?.read_to_end(&mut buf)?;
+        funnel_obs::histogram_record(funnel_obs::names::WAL_SEGMENT_BYTES, buf.len() as u64);
+        let decoded = decode_records(&buf);
         let is_last = i + 1 == seqs.len();
         if decoded.torn {
             if !is_last {
@@ -334,26 +332,28 @@ pub fn scan(dir: &Path) -> Result<WalScan, ResilienceError> {
                     "torn record inside sealed WAL segment {seq}"
                 )));
             }
-            torn_tail = true;
+            scan.torn_tail = true;
         }
+        // The buffer, shared once the first frame of it is kept.
+        let mut kept: Option<Bytes> = None;
         for record in decoded.records {
-            if end_of_stream {
+            if scan.end_of_stream {
                 return Err(ResilienceError::Corrupt(
                     "WAL record after end-of-stream marker".into(),
                 ));
             }
-            match record.kind {
-                EOS_RECORD => end_of_stream = true,
-                _ => frames.push(record.payload),
+            if record.kind == EOS_RECORD {
+                scan.end_of_stream = true;
+                continue;
             }
+            if scan.frame_count >= skip {
+                let segment = kept.get_or_insert_with(|| Bytes::from(std::mem::take(&mut buf)));
+                scan.frames.push(segment.slice(record.payload));
+            }
+            scan.frame_count += 1;
         }
     }
-    Ok(WalScan {
-        frames,
-        end_of_stream,
-        torn_tail,
-        segments: seqs.len() as u64,
-    })
+    Ok(scan)
 }
 
 #[cfg(test)]
@@ -376,12 +376,18 @@ mod tests {
             wal.append_frame(f).unwrap();
         }
         wal.append_end_of_stream().unwrap();
-        let scan = scan(&dir).unwrap();
-        assert!(scan.end_of_stream);
-        assert!(!scan.torn_tail);
-        assert!(scan.segments > 1, "tiny limit must rotate");
-        let got: Vec<Vec<u8>> = frames.iter().map(|b| b.to_vec()).collect();
-        assert_eq!(scan.frames, got);
+        let all = scan(&dir, 0).unwrap();
+        assert!(all.end_of_stream);
+        assert!(!all.torn_tail);
+        assert!(all.segments > 1, "tiny limit must rotate");
+        assert_eq!(all.frames, frames);
+        assert_eq!(all.frame_count, 5);
+        // Skipped frames are validated and counted, not kept.
+        for skip in 0..7 {
+            let tail = scan(&dir, skip).unwrap();
+            assert_eq!(tail.frames, frames[(skip as usize).min(5)..], "{skip}");
+            assert_eq!((tail.frame_count, tail.end_of_stream), (5, true));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -392,16 +398,16 @@ mod tests {
         wal.append_frame(&Bytes::from(vec![1u8; 40])).unwrap();
         wal.append_torn_frame(&Bytes::from(vec![2u8; 40]), 17)
             .unwrap();
-        let scan1 = scan(&dir).unwrap();
+        let scan1 = scan(&dir, 0).unwrap();
         assert!(scan1.torn_tail);
         assert_eq!(scan1.frames.len(), 1);
         // Reopen heals; the next append lands cleanly after the survivor.
         let mut wal = WalWriter::open(&dir, 1 << 20).unwrap();
         wal.append_frame(&Bytes::from(vec![3u8; 40])).unwrap();
-        let scan2 = scan(&dir).unwrap();
+        let scan2 = scan(&dir, 0).unwrap();
         assert!(!scan2.torn_tail);
         assert_eq!(scan2.frames.len(), 2);
-        assert_eq!(scan2.frames[1], vec![3u8; 40]);
+        assert_eq!(scan2.frames[1], Bytes::from(vec![3u8; 40]));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -459,7 +465,7 @@ mod tests {
             let got = fs::read(dir.join(segment_name(seq as u64))).unwrap();
             assert_eq!(&got, want, "segment {seq}");
         }
-        let scan = scan(&dir).unwrap();
+        let scan = scan(&dir, 0).unwrap();
         assert!(scan.end_of_stream && !scan.torn_tail);
         assert_eq!(scan.frames.len(), 20);
         let _ = fs::remove_dir_all(&dir);
@@ -476,7 +482,9 @@ mod tests {
         let first = dir.join(segment_name(0));
         let sealed = fs::read(&first).unwrap();
         fs::write(&first, &sealed[..sealed.len() - 4]).unwrap();
-        assert!(matches!(scan(&dir), Err(ResilienceError::Corrupt(_))));
+        assert!(matches!(scan(&dir, 0), Err(ResilienceError::Corrupt(_))));
+        // Damage in a frame the caller skips is damage all the same.
+        assert!(matches!(scan(&dir, 3), Err(ResilienceError::Corrupt(_))));
         let _ = fs::remove_dir_all(&dir);
 
         // A record after the end-of-stream marker.
@@ -485,13 +493,13 @@ mod tests {
         wal.append_frame(&Bytes::from(vec![1u8; 20])).unwrap();
         wal.append_end_of_stream().unwrap();
         wal.append_frame(&Bytes::from(vec![2u8; 20])).unwrap();
-        assert!(matches!(scan(&dir), Err(ResilienceError::Corrupt(_))));
+        assert!(matches!(scan(&dir, 0), Err(ResilienceError::Corrupt(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_dir_is_an_empty_wal() {
-        let scan = scan(Path::new("/nonexistent/funnel-wal")).unwrap();
+        let scan = scan(Path::new("/nonexistent/funnel-wal"), 0).unwrap();
         assert!(scan.frames.is_empty());
         assert_eq!(scan.segments, 0);
     }

@@ -1,21 +1,32 @@
 //! Property tests for the durable formats.
 //!
-//! Both on-disk formats are trust boundaries crossed on every recovery:
-//! whatever a crash (or bit rot) left behind, decoding must be *total* —
-//! return the valid data or a clean error, never panic, never fabricate
-//! records, never allocate from a corrupted count. And for clean bytes
-//! the round trip must be lossless: recovery's correctness proof leans on
+//! The on-disk formats — WAL records, checkpoint segments, checkpoint
+//! manifests — are trust boundaries crossed on every recovery: whatever a
+//! crash (or bit rot) left behind, decoding must be *total* — return the
+//! valid data or a clean error, never panic, never fabricate records,
+//! never allocate from a corrupted count. And for clean bytes the round
+//! trip must be lossless: recovery's correctness proof leans on
 //! `decode(encode(x)) == x` for the WAL and the checkpoint alike.
 //!
+//! The checkpoint chain has a contract of its own, held here against
+//! random store scripts: whatever was appended, backfilled, inserted or
+//! restored between cuts, the directory recovers to exactly what the store
+//! exported at the last cut — or, with the last cut torn anywhere, at the
+//! one before.
+//!
 //! The vendored proptest shim drives scalars and `Vec`s of scalars, so
-//! structured inputs (checkpoint entries, collector state, queue items)
-//! are derived deterministically from flat fuzz vectors.
+//! structured inputs (checkpoint entries, collector state, queue items,
+//! store scripts) are derived deterministically from flat fuzz vectors.
 
 use funnel_core::reassess::{PendingItem, QueueState};
-use funnel_resilience::checkpoint::{decode_checkpoint, encode_checkpoint, Checkpoint};
+use funnel_resilience::checkpoint::{
+    decode_manifest, decode_segment, Checkpoint, CheckpointStore, Manifest, MAGIC, SEGMENT_MAGIC,
+};
+use funnel_resilience::fnv1a_words;
 use funnel_resilience::wal::{decode_records, encode_record, EOS_RECORD, FRAME_RECORD};
 use funnel_sim::collector::{CollectorState, MinuteAccs};
 use funnel_sim::kpi::{KpiKey, KpiKind};
+use funnel_sim::store::MetricStore;
 use funnel_sim::wire::WireRecord;
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::TimeSeries;
@@ -23,7 +34,10 @@ use funnel_topology::change::ChangeId;
 use funnel_topology::impact::Entity;
 use funnel_topology::model::{InstanceId, ServerId, ServiceId};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const KINDS: [KpiKind; 8] = [
     KpiKind::CpuUtilization,
@@ -54,7 +68,7 @@ fn checkpoint_from(
     pend: &[u64],
     queue_items: &[u32],
 ) -> Checkpoint {
-    let entries = entry_sels
+    let mut entries: Vec<(KpiKey, TimeSeries, CoverageMask)> = entry_sels
         .iter()
         .enumerate()
         .map(|(i, &sel)| {
@@ -68,6 +82,8 @@ fn checkpoint_from(
             )
         })
         .collect();
+    // As a store exports them, and as recovery hands them back.
+    entries.sort_by_key(|(key, _, _)| *key);
     let mut collector = CollectorState::new(watermarks.len());
     collector.watermarks = watermarks
         .iter()
@@ -136,6 +152,44 @@ fn checkpoint_from(
     }
 }
 
+/// A directory of this test's own under the system temp dir, removed on
+/// drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "funnel-prop-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        Self(dir)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Writes `checkpoint` as a chain of its own into `dir` and returns the
+/// bytes of its segment and of its manifest.
+fn written_files(dir: &Scratch, checkpoint: &Checkpoint) -> (Vec<u8>, Vec<u8>) {
+    let manifest = CheckpointStore::open(dir.path())
+        .unwrap()
+        .write(checkpoint)
+        .unwrap();
+    let segment = manifest.with_file_name("seg-00000000.bin");
+    (fs::read(segment).unwrap(), fs::read(manifest).unwrap())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -159,15 +213,15 @@ proptest! {
         let decoded = decode_records(&log);
         prop_assert!(!decoded.torn);
         prop_assert_eq!(decoded.valid_len, log.len());
-        let frames: Vec<&Vec<u8>> = decoded
+        let frames: Vec<&[u8]> = decoded
             .records
             .iter()
             .filter(|r| r.kind == FRAME_RECORD)
-            .map(|r| &r.payload)
+            .map(|r| &log[r.payload.clone()])
             .collect();
         prop_assert_eq!(frames.len(), payloads.len());
         for (got, want) in frames.iter().zip(&payloads) {
-            prop_assert_eq!(*got, want);
+            prop_assert_eq!(*got, want.as_slice());
         }
         prop_assert_eq!(
             decoded.records.iter().any(|r| r.kind == EOS_RECORD),
@@ -188,8 +242,7 @@ proptest! {
             boundaries.push(log.len());
         }
         let cut = ((cut_frac * log.len() as f64) as usize).min(log.len());
-        let truncated = &log[..cut];
-        let decoded = decode_records(truncated);
+        let decoded = decode_records(&log[..cut]);
         // The valid prefix always ends on a record boundary at or before
         // the cut, and the tail past it is flagged torn.
         prop_assert!(boundaries.contains(&decoded.valid_len));
@@ -217,45 +270,266 @@ proptest! {
     ) {
         let checkpoint =
             checkpoint_from(wal_frames, &entry_sels, &watermarks, &seen, &pend, &queue_items);
-        let encoded = encode_checkpoint(&checkpoint);
-        let decoded = decode_checkpoint(&encoded);
-        prop_assert!(decoded.is_ok());
-        prop_assert_eq!(decoded.unwrap(), checkpoint);
+        let dir = Scratch::new();
+        let (segment, manifest) = written_files(&dir, &checkpoint);
+        prop_assert!(decode_segment(&segment).is_ok());
+        prop_assert!(decode_manifest(&manifest).is_ok());
+        let recovered = CheckpointStore::latest_valid(dir.path()).unwrap();
+        prop_assert_eq!(recovered, Some(checkpoint));
     }
 
     #[test]
-    fn truncated_checkpoint_is_rejected_never_panics(
+    fn truncated_checkpoint_files_are_rejected_never_panic(
         entry_sels in prop::collection::vec(any::<u8>(), 1..6),
         pend in prop::collection::vec(any::<u64>(), 0..4),
         cut_frac in 0.0..1.0f64,
     ) {
         let checkpoint = checkpoint_from(7, &entry_sels, &[3, 4], &[1, 2], &pend, &[]);
-        let encoded = encode_checkpoint(&checkpoint);
-        let cut = ((cut_frac * encoded.len() as f64) as usize).min(encoded.len() - 1);
+        let (segment, manifest) = written_files(&Scratch::new(), &checkpoint);
         // Strictly shorter than the original: must be cleanly rejected
         // (the payload hash no longer covers what the header promised).
-        prop_assert!(decode_checkpoint(&encoded[..cut]).is_err());
+        let cut = |bytes: &[u8]| ((cut_frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
+        prop_assert!(decode_segment(&segment[..cut(&segment)]).is_err());
+        prop_assert!(decode_manifest(&manifest[..cut(&manifest)]).is_err());
     }
 
     #[test]
-    fn mutated_checkpoint_never_panics(
+    fn mutated_checkpoint_files_are_rejected_never_panic(
         entry_sels in prop::collection::vec(any::<u8>(), 0..5),
         flip_frac in 0.0..1.0f64,
         mask in 1u8..255,
     ) {
         let checkpoint = checkpoint_from(3, &entry_sels, &[1], &[4], &[], &[]);
-        let mut bytes = encode_checkpoint(&checkpoint);
-        let idx = ((flip_frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
-        bytes[idx] ^= mask;
-        // Totality is the property; the hash makes rejection overwhelmingly
-        // likely, but either way decoding must return, not panic.
-        let _ = decode_checkpoint(&bytes);
+        let (segment, manifest) = written_files(&Scratch::new(), &checkpoint);
+        let flip = |bytes: &[u8]| {
+            let mut bytes = bytes.to_vec();
+            let idx = ((flip_frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
+            bytes[idx] ^= mask;
+            bytes
+        };
+        // One changed byte always changes an FNV-1a hash (every step is a
+        // bijection of the state), so the header check refuses the file
+        // before anything is parsed.
+        prop_assert!(decode_segment(&flip(&segment)).is_err());
+        prop_assert!(decode_manifest(&flip(&manifest)).is_err());
     }
 
     #[test]
     fn arbitrary_checkpoint_bytes_never_panic(
         bytes in prop::collection::vec(any::<u8>(), 0..400),
     ) {
-        let _ = decode_checkpoint(&bytes);
+        let _ = decode_segment(&bytes);
+        let _ = decode_manifest(&bytes);
+        // The same bytes behind a header that validates, so the parsers —
+        // not the hash check — are what has to be total.
+        for magic in [SEGMENT_MAGIC, MAGIC] {
+            let mut framed = magic.to_vec();
+            framed.extend_from_slice(&fnv1a_words(&bytes).to_le_bytes());
+            framed.extend_from_slice(&bytes);
+            let _ = decode_segment(&framed);
+            let _ = decode_manifest(&framed);
+        }
+    }
+}
+
+// ------------------------------------------------------------ the chain --
+
+/// What a script does to the store between cuts.
+fn run_op(store: &MetricStore, word: u64) {
+    let k = key(0, (word >> 8) as u32 % 5, 0);
+    let arg = (word >> 16) % 1000;
+    let value = arg as f64 * 0.25 - 7.0;
+    let held = store.get(&k);
+    let (start, end) = held.as_ref().map_or((0, 0), |s| (s.start(), s.end()));
+    match word % 12 {
+        // Live appends at the frontier, some across a gap.
+        0..=4 => store.append(k, end + arg % 3, value),
+        // Backfills below the frontier (refused when the bin is measured
+        // or the series is empty: a script may ask for those too).
+        5 | 6 => {
+            store.backfill(k, start + arg % (end - start).max(1), value);
+        }
+        // A backfill past the frontier is a live append.
+        7 => {
+            store.backfill(k, end + arg % 4, value);
+        }
+        // Batch inserts: a shorter series, then a longer one, re-anchored.
+        8 => store.insert(
+            k,
+            TimeSeries::new(start + arg % 3, vec![value; (arg % 4) as usize]),
+        ),
+        9 => {
+            let len = (end - start) as usize + 1 + (arg % 5) as usize;
+            store.insert(
+                k,
+                TimeSeries::new(start.saturating_sub(arg % 2), vec![value; len]),
+            );
+        }
+        // A restore that drops a key, keeps the rest and brings one in
+        // whose mask is shorter or longer than its series, or anchored
+        // apart from it: nothing the collector writes, but nothing the
+        // store refuses either.
+        10 => {
+            let mut entries = store.export_entries();
+            if !entries.is_empty() {
+                entries.remove(arg as usize % entries.len());
+            }
+            let extra = key(0, arg as u32 % 5, 0);
+            if entries.iter().all(|(held, _, _)| *held != extra) {
+                entries.push((
+                    extra,
+                    TimeSeries::new(arg, vec![value; (arg % 3) as usize]),
+                    CoverageMask::from_bits(arg + arg % 2, vec![arg % 5 < 3; (arg % 4) as usize]),
+                ));
+                entries.sort_by_key(|(key, _, _)| *key);
+            }
+            store.restore_entries(entries);
+        }
+        // An empty placeholder, as batch materialisation leaves one.
+        _ => {
+            if held.is_none() {
+                store.insert(k, TimeSeries::empty(arg));
+            }
+        }
+    }
+}
+
+/// Every chain file a directory holds, by name.
+fn chain_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            (name, fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+/// The manifests of a directory, oldest first, and the names of every file
+/// they and their chains account for.
+fn manifests_of(files: &BTreeMap<String, Vec<u8>>) -> (Vec<(String, Manifest)>, BTreeSet<String>) {
+    let manifests: Vec<(String, Manifest)> = files
+        .iter()
+        .filter(|(name, _)| name.starts_with("ckpt-"))
+        .map(|(name, bytes)| (name.clone(), decode_manifest(bytes).unwrap()))
+        .collect();
+    let named = manifests
+        .iter()
+        .flat_map(|(name, manifest)| {
+            let segments = manifest
+                .segments
+                .iter()
+                .map(|s| format!("seg-{:08}.bin", s.seq));
+            segments.chain([name.clone()])
+        })
+        .collect();
+    (manifests, named)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random scripts of appends, backfills, inserts and restores, cut at
+    /// random points.
+    #[test]
+    fn a_chain_recovers_what_the_store_held_at_the_cut(
+        words in prop::collection::vec(any::<u64>(), 1..60),
+        flip_frac in 0.0..1.0f64,
+        mask in 1u8..255,
+    ) {
+        let dir = Scratch::new();
+        let store = MetricStore::new();
+        let mut checkpoints = CheckpointStore::open(dir.path()).unwrap();
+        // The recovery point of every cut so far, as the uncrashed process
+        // knows it.
+        let mut points: Vec<Checkpoint> = Vec::new();
+        let mut cut = |store: &MetricStore, points: &mut Vec<Checkpoint>, word: u64| {
+            let frames = points.len() as u64 + 1;
+            let point = Checkpoint {
+                entries: store.export_entries(),
+                ..checkpoint_from(frames, &[], &[word % 50, word % 7], &[word % 90], &[word], &[])
+            };
+            checkpoints
+                .cut(frames, store, &point.collector, &point.queue, None)
+                .unwrap();
+            points.push(point);
+        };
+        for &word in &words {
+            if word % 16 < 12 {
+                run_op(&store, word / 16);
+            } else {
+                cut(&store, &mut points, word);
+                // (i) at every cut, not only the last.
+                let recovered = CheckpointStore::latest_valid(dir.path()).unwrap();
+                prop_assert_eq!(recovered.as_ref(), points.last());
+            }
+        }
+        cut(&store, &mut points, 0);
+        let last = points.last().cloned();
+        let previous = points.len().checked_sub(2).map(|i| points[i].clone());
+        prop_assert_eq!(CheckpointStore::latest_valid(dir.path()).unwrap(), last.clone());
+
+        // The directory holds what the two newest manifests name, all of
+        // it and nothing else, and no chain is longer than twice the store
+        // it adds up to, written whole.
+        let files = chain_files(dir.path());
+        let (manifests, named) = manifests_of(&files);
+        prop_assert_eq!(manifests.len(), points.len().min(2));
+        prop_assert_eq!(named, files.keys().cloned().collect::<BTreeSet<_>>());
+        for ((name, manifest), point) in manifests.iter().rev().zip(points.iter().rev()) {
+            let chain: usize = manifest.segments.iter().map(|s| s.len as usize).sum();
+            let whole = written_files(&Scratch::new(), point).0.len();
+            prop_assert!(chain <= 2 * whole, "{name}: {chain} > 2 × {whole}");
+        }
+
+        // (ii) the last cut torn at every length of segment ‖ manifest.
+        let (newest, newest_manifest) = manifests.last().unwrap();
+        let segment_name = newest.replace("ckpt-", "seg-");
+        let (segment, manifest) = (&files[&segment_name], &files[newest]);
+        for keep in 0..segment.len() + manifest.len() {
+            fs::write(dir.path().join(&segment_name), &segment[..keep.min(segment.len())]).unwrap();
+            match keep.checked_sub(segment.len()) {
+                None | Some(0) => {
+                    let _ = fs::remove_file(dir.path().join(newest));
+                }
+                Some(rest) => fs::write(dir.path().join(newest), &manifest[..rest]).unwrap(),
+            }
+            let recovered = CheckpointStore::latest_valid(dir.path()).unwrap();
+            prop_assert_eq!(&recovered, &previous, "torn at {} of {}", keep, segment.len());
+        }
+        fs::write(dir.path().join(&segment_name), segment).unwrap();
+        fs::write(dir.path().join(newest), manifest).unwrap();
+
+        // (iii) one flipped byte anywhere: the file is refused by its
+        // header, and recovery rests on whatever does not name it.
+        for (name, bytes) in &files {
+            for idx in 0..bytes.len() {
+                let mut bad = bytes.clone();
+                bad[idx] ^= mask;
+                let refused = if name.starts_with("seg-") {
+                    decode_segment(&bad).is_err()
+                } else {
+                    decode_manifest(&bad).is_err()
+                };
+                prop_assert!(refused, "{name} byte {idx}");
+            }
+        }
+        let victim = files.keys().nth((flip_frac * files.len() as f64) as usize % files.len()).unwrap();
+        let mut bad = files[victim].clone();
+        let idx = ((flip_frac * 7919.0) as usize) % bad.len();
+        bad[idx] ^= mask;
+        fs::write(dir.path().join(victim), &bad).unwrap();
+        let rests_on = |manifest: &Manifest, name: &String| {
+            manifest.segments.iter().any(|s| format!("seg-{:08}.bin", s.seq) == *name)
+        };
+        let expected = if victim != newest && !rests_on(newest_manifest, victim) {
+            last
+        } else if manifests.len() == 2 && *victim != manifests[0].0 && !rests_on(&manifests[0].1, victim) {
+            previous
+        } else {
+            None
+        };
+        prop_assert_eq!(CheckpointStore::latest_valid(dir.path()).unwrap(), expected, "{} flipped", victim);
     }
 }

@@ -14,7 +14,7 @@
 //! first saw the key) appends without walking a map. Arrival order must
 //! never reach a reader: ids are not serialised, not published and order
 //! nothing; everything a reader can enumerate (`keys()`, `export_entries()`,
-//! [`StoreView::entries`], checkpoints) walks the one key-ordered index.
+//! [`StoreCut`], checkpoints) walks the one key-ordered index.
 //!
 //! Degradation is first-class: the store records *which* minutes carried a
 //! real measurement (the mask — the dense series itself forward-fills gaps
@@ -37,7 +37,7 @@ use crate::kpi::KpiKey;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
-use parking_lot::{RwLock, RwLockReadGuard};
+use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -148,34 +148,49 @@ struct Slot {
     /// or dropped by [`MetricStore::restore_entries`]. Readers treat such
     /// a key as unknown.
     held: Option<Held>,
+    /// The lowest minute written since the last cut
+    /// ([`MetricStore::cut_since`]): below it the series and the mask are
+    /// what that cut saw. [`CLEAN`] when nothing was written since.
+    dirty_from: MinuteBin,
+}
+
+/// [`Slot::dirty_from`] of a slot no write has touched since the last cut.
+const CLEAN: MinuteBin = MinuteBin::MAX;
+
+/// The held data of a slot about to be written at `minute`, created empty
+/// and anchored there on the first write; an empty series (a placeholder
+/// inserted before any measurement) re-anchors at its first real minute.
+fn held_for_write(held: &mut Option<Held>, minute: MinuteBin) -> &mut Held {
+    let held = held.get_or_insert_with(|| Held {
+        series: TimeSeries::empty(minute),
+        mask: CoverageMask::new(minute),
+    });
+    if held.series.is_empty() {
+        held.series = TimeSeries::empty(minute);
+    }
+    held
 }
 
 impl Slot {
-    /// The held data, created empty and anchored at `minute` on the first
-    /// write; an empty series (a placeholder inserted before any
-    /// measurement) re-anchors at its first real minute.
-    fn held_for_write(&mut self, minute: MinuteBin) -> &mut Held {
-        let held = self.held.get_or_insert_with(|| Held {
-            series: TimeSeries::empty(minute),
-            mask: CoverageMask::new(minute),
-        });
-        if held.series.is_empty() {
-            held.series = TimeSeries::empty(minute);
-        }
-        held
-    }
-
     /// A live append: grows the series to `minute`, repeating the last
     /// value across any gap, and marks only `minute` itself as measured.
     /// Returns `false` for a late measurement of an already-filled minute
     /// (first write wins, as in the real store), which changes nothing.
     fn push_live(&mut self, minute: MinuteBin, value: f64) -> bool {
-        let held = self.held_for_write(minute);
-        if minute < held.series.end() {
+        let held = held_for_write(&mut self.held, minute);
+        let end = held.series.end();
+        if minute < end {
             return false;
         }
-        extend_to(&mut held.series, minute, value);
         held.mask.rebase(minute);
+        // The gap fill, the value and the mask bits all land at or past
+        // where series and mask ended; after the first append since a cut
+        // this compare is all the dirty mark costs.
+        let from = end.min(held.mask.end());
+        if from < self.dirty_from {
+            self.dirty_from = from;
+        }
+        extend_to(&mut held.series, minute, value);
         held.mask.mark(minute);
         true
     }
@@ -185,8 +200,15 @@ impl Slot {
     /// and the forward-filled bins after it, up to the next real
     /// measurement, take the value. Past the frontier it is a live append.
     fn fill_late(&mut self, minute: MinuteBin, value: f64) -> bool {
-        let Held { series, mask } = self.held_for_write(minute);
+        let Held { series, mask } = held_for_write(&mut self.held, minute);
         mask.rebase(minute);
+        // Lowered before the write is judged: a refused write may still
+        // have re-anchored an empty mask.
+        self.dirty_from = self
+            .dirty_from
+            .min(minute)
+            .min(series.end())
+            .min(mask.end());
         if minute >= series.end() {
             extend_to(series, minute, value);
         } else {
@@ -225,6 +247,10 @@ struct Slab {
     // BTreeMap, not HashMap: this index is the only source of enumeration
     // order, and report and checkpoint bytes follow it.
     index: BTreeMap<KpiKey, KeyId>,
+    /// The cut the slots' dirty marks count from; `None` before the first
+    /// cut and after [`MetricStore::restore_entries`], which drops keys no
+    /// mark remembers.
+    last_cut: Option<CutId>,
 }
 
 impl Slab {
@@ -238,7 +264,11 @@ impl Slab {
             Ok(n) if n != KeyId::NONE.0 => KeyId(n),
             _ => return KeyId::NONE,
         };
-        self.slots.push(Slot { key, held: None });
+        self.slots.push(Slot {
+            key,
+            held: None,
+            dirty_from: CLEAN,
+        });
         self.index.insert(key, id);
         id
     }
@@ -249,6 +279,7 @@ impl Slab {
             let id = self.intern(key);
             if let Some(slot) = self.slots.get_mut(id.as_index()) {
                 slot.held = Some(Held { series, mask });
+                slot.dirty_from = 0;
             }
         }
     }
@@ -373,16 +404,55 @@ impl StoreWriter<'_> {
     }
 }
 
-/// Shared read access to everything the store holds, without copying it:
-/// what a checkpoint encodes from. Writers wait while a view is alive, and
-/// a thread holding one must not write to the same store.
-pub struct StoreView<'a>(RwLockReadGuard<'a, Arc<Slab>>);
+/// Names one cut of one store ([`MetricStore::cut_since`]). Unique within
+/// the process and never serialised: it only lets whoever keeps a chain of
+/// cuts prove that its newest link is the cut the store last marked clean
+/// at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CutId(u64);
 
-impl StoreView<'_> {
+static NEXT_CUT: AtomicU64 = AtomicU64::new(0);
+
+/// What a cut reads, in place and without copying: the store as it stands
+/// and the part of it written since the cut it continues. Every other
+/// reader and writer waits while one is alive, and the thread holding it
+/// must not touch the same store.
+pub struct StoreCut<'a> {
+    slab: &'a Slab,
+    whole: bool,
+}
+
+impl StoreCut<'_> {
+    /// Whether this cut continues no earlier one, so that
+    /// [`StoreCut::written_since_cut`] is the whole store: the first cut,
+    /// the first after a restore, or one whose caller named another cut
+    /// than the store's last.
+    pub fn is_whole(&self) -> bool {
+        self.whole
+    }
+
     /// Every key with its series and coverage mask, in sorted key order —
     /// [`MetricStore::export_entries`] without the clones.
     pub fn entries(&self) -> impl Iterator<Item = (KpiKey, &TimeSeries, &CoverageMask)> + Clone {
-        self.0.ordered()
+        self.slab.ordered()
+    }
+
+    /// Every key written since the cut this one continues, in sorted key
+    /// order, each with the lowest minute that was (re)written: below it
+    /// the series and the mask are what that cut saw, so the values and
+    /// mask bits from there on are all a reader of both cuts is missing.
+    /// Frontier appends leave that minute where the series ended; a
+    /// backfill lowers it into history; a batch insert lowers it to 0.
+    pub fn written_since_cut(
+        &self,
+    ) -> impl Iterator<Item = (KpiKey, MinuteBin, &TimeSeries, &CoverageMask)> + Clone {
+        let whole = self.whole;
+        self.slab.index.values().filter_map(move |id| {
+            let slot = self.slab.slots.get(id.as_index())?;
+            let held = slot.held.as_ref()?;
+            let from = if whole { 0 } else { slot.dirty_from };
+            (from != CLEAN).then_some((slot.key, from, &held.series, &held.mask))
+        })
     }
 }
 
@@ -617,9 +687,30 @@ impl MetricStore {
         }
     }
 
-    /// Read access to every held series and mask in place, under one lock.
-    pub fn view(&self) -> StoreView<'_> {
-        StoreView(self.slab.read())
+    /// One checkpoint cut: runs `encode` over the store as it stands, then
+    /// marks every key clean, under a single hold of the write lock — no
+    /// write can land between what `encode` saw and the mark, so the next
+    /// cut's [`StoreCut::written_since_cut`] misses nothing and repeats
+    /// nothing. `since` is the [`CutId`] this call returned for the cut the
+    /// caller's chain ends in; when it is not the store's last cut (or
+    /// there is none) the cut is whole ([`StoreCut::is_whole`]). Marking is
+    /// a write: a snapshot alive at the cut costs the slab copy any write
+    /// after it would.
+    pub fn cut_since<R>(
+        &self,
+        since: Option<CutId>,
+        encode: impl FnOnce(&StoreCut<'_>) -> R,
+    ) -> (CutId, R) {
+        self.with_unshared_slab(|slab| {
+            let whole = since.is_none() || since != slab.last_cut;
+            let result = encode(&StoreCut { slab, whole });
+            for slot in &mut slab.slots {
+                slot.dirty_from = CLEAN;
+            }
+            let id = CutId(NEXT_CUT.fetch_add(1, Ordering::Relaxed));
+            slab.last_cut = Some(id);
+            (id, result)
+        })
     }
 
     /// A full copy of the series for `key`.
@@ -664,8 +755,9 @@ impl MetricStore {
     /// Deterministic export of every key's series and coverage mask, sorted
     /// by key — the store half of a recovery checkpoint.
     pub fn export_entries(&self) -> Vec<(KpiKey, TimeSeries, CoverageMask)> {
-        self.view()
-            .entries()
+        self.slab
+            .read()
+            .ordered()
             .map(|(key, series, mask)| (key, series.clone(), mask.clone()))
             .collect()
     }
@@ -683,6 +775,7 @@ impl MetricStore {
             for slot in &mut slab.slots {
                 slot.held = None;
             }
+            slab.last_cut = None;
             slab.hold(entries);
         });
     }

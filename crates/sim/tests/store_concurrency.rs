@@ -3,7 +3,9 @@
 //! deployment (§2.2: every server's agent pushes once a minute while FUNNEL
 //! and other systems subscribe).
 
-use funnel_sim::collector::Collector;
+use funnel_core::reassess::QueueState;
+use funnel_resilience::checkpoint::{decode_manifest, CheckpointStore};
+use funnel_sim::collector::{Collector, CollectorState};
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::store::MetricStore;
 use funnel_sim::wire::{encode_frame, WireRecord};
@@ -232,4 +234,92 @@ fn readers_racing_a_per_frame_writer_see_series_and_mask_agree() {
     for key in &keys {
         assert_eq!(store.get(key).map(|s| s.len()), Some(MINUTES as usize));
     }
+}
+
+/// A cut encodes what was written since the last one and marks the store
+/// clean under one hold of the write lock. Were the two apart, a write
+/// landing between them would be in no segment and marked clean all the
+/// same: the chain would miss a minute for good. A writer appends and
+/// backfills as fast as it can while the main thread cuts; the chain must
+/// add up to the store once the writer stops.
+#[test]
+fn a_writer_racing_cuts_loses_no_write_between_encode_and_mark_clean() {
+    const KEYS: u32 = 6;
+    const MID_RACE_CUTS: u64 = 200;
+    let dir = std::env::temp_dir().join(format!("funnel-cut-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = MetricStore::new();
+    // History enough that the race's deltas stay small beside it and the
+    // chain is mostly continued, rarely restarted.
+    for k in 0..KEYS {
+        for minute in 0..2_000 {
+            store.append(key(k), minute, minute as f64);
+        }
+    }
+    let state = CollectorState::new(1);
+    let queue = QueueState::default();
+    let start = Barrier::new(2);
+    let cuts = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    let (last_cut, deltas) = std::thread::scope(|s| {
+        let writer = {
+            let (store, start, cuts, done) = (&store, &start, &cuts, &done);
+            s.spawn(move || {
+                start.wait();
+                let mut minute = 2_000u64;
+                // Paced by the cutter, so the race lasts for every cut
+                // counted: writing stops only once enough were taken.
+                while cuts.load(Ordering::SeqCst) < MID_RACE_CUTS {
+                    for k in 0..KEYS {
+                        // Every fifth minute is skipped, then backfilled.
+                        if minute % 5 != u64::from(k) % 5 {
+                            store.append(key(k), minute, minute as f64 + f64::from(k));
+                        }
+                    }
+                    if minute.is_multiple_of(3) {
+                        let k = (minute / 3) as u32 % KEYS;
+                        let late = minute - 5 + (u64::from(k) + 5 - minute % 5) % 5;
+                        store.backfill(key(k), late, -(late as f64));
+                    }
+                    minute += 1;
+                }
+                done.store(true, Ordering::SeqCst);
+            })
+        };
+        let mut checkpoints = CheckpointStore::open(&dir).unwrap();
+        let mut deltas = 0;
+        let mut cut = |frames: u64| {
+            let manifest = checkpoints
+                .cut(frames, &store, &state, &queue, None)
+                .unwrap();
+            let manifest = decode_manifest(&std::fs::read(manifest).unwrap()).unwrap();
+            deltas += u64::from(manifest.segments.len() > 1);
+        };
+        start.wait();
+        while !done.load(Ordering::SeqCst) && !writer.is_finished() {
+            cut(cuts.load(Ordering::SeqCst));
+            cuts.fetch_add(1, Ordering::SeqCst);
+        }
+        writer.join().expect("writer ok");
+        // One more with the writer gone.
+        let last_cut = cuts.load(Ordering::SeqCst);
+        cut(last_cut);
+        (last_cut, deltas)
+    });
+    assert!(
+        deltas >= MID_RACE_CUTS / 2,
+        "only {deltas} cuts continued a chain: no race on a delta happened"
+    );
+    let recovered = CheckpointStore::latest_valid(&dir)
+        .unwrap()
+        .expect("a usable manifest");
+    assert_eq!(
+        recovered.wal_frames, last_cut,
+        "the newest chain does not add up: recovery fell back"
+    );
+    assert!(
+        recovered.entries == store.export_entries(),
+        "a write fell between a cut's encode and its mark-clean"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@
 //! would really mean hasher order — different on every run).
 
 use funnel_core::reassess::QueueState;
-use funnel_resilience::checkpoint::encode_checkpoint_of;
+use funnel_resilience::checkpoint::CheckpointStore;
 use funnel_sim::collector::{Collector, CollectorState};
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::store::MetricStore;
@@ -14,6 +14,9 @@ use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::TimeSeries;
 use funnel_topology::impact::Entity;
 use funnel_topology::model::{InstanceId, ServerId, ServiceId};
+use std::collections::BTreeMap;
+use std::fs;
+use std::path::Path;
 
 /// A spread of keys across entity levels and KPI kinds.
 fn key_set() -> Vec<KpiKey> {
@@ -108,15 +111,41 @@ fn key_enumeration_is_sorted() {
     assert_eq!(keys, sorted, "keys() must be deterministic and sorted");
 }
 
+/// Every file of a checkpoint directory, by name.
+fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            (name, fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
 /// Slot ids follow arrival order; nothing a reader or a checkpoint can see
 /// may. The same measurements — live appends, gaps, backfills, a batch
 /// insert, a key emptied by a restore and written again — reach two stores
-/// in two key orders.
+/// in two key orders, and both are cut at the same points: a base, a delta
+/// of frontier appends, a delta that rewrites history. The two checkpoint
+/// directories must hold the same files with the same bytes.
 #[test]
 fn interning_order_reaches_no_reader_and_no_checkpoint_byte() {
     let keys = key_set();
-    let fill = |order: &[KpiKey]| {
+    let base = std::env::temp_dir().join(format!("funnel-interning-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    let state = CollectorState::new(2);
+    let queue = QueueState::default();
+    let extra = KpiKey::new(Entity::Server(ServerId(3)), KpiKind::MemoryUtilization);
+
+    let fill = |tag: &str, order: &[KpiKey]| {
         let store = MetricStore::new();
+        let mut checkpoints = CheckpointStore::open(&base.join(tag)).unwrap();
+        let mut cut = |store: &MetricStore, frames: u64| {
+            checkpoints
+                .cut(frames, store, &state, &queue, None)
+                .unwrap();
+        };
         // A restore that keeps nothing: every key of `order` is interned,
         // in this order, and none is held.
         for key in order {
@@ -124,37 +153,61 @@ fn interning_order_reaches_no_reader_and_no_checkpoint_byte() {
         }
         store.restore_entries(Vec::new());
         assert!(store.is_empty() && store.keys().is_empty());
-        for minute in [2u64, 3, 7, 8] {
+        // Forty minutes with a gap every ninth, so the deltas below stay
+        // far smaller than the base and the 2× rule never fires.
+        for minute in (2..40u64).filter(|m| m % 9 != 4) {
             for key in order {
                 store.append(*key, minute, value_for(key, minute));
             }
         }
+        cut(&store, 1);
         for key in order {
-            assert!(store.backfill(*key, 5, value_for(key, 5)));
+            store.append(*key, 41, value_for(key, 41));
         }
+        cut(&store, 2);
+        for key in order {
+            assert!(store.backfill(*key, 31, value_for(key, 31)));
+        }
+        // Batch materialisation joins late, at opposite ends of the id space.
+        store.insert(extra, TimeSeries::new(1, vec![4.0, 5.0]));
+        cut(&store, 3);
         store
     };
-    let forward = fill(&keys);
+    let forward = fill("forward", &keys);
     let mut shuffled = keys.clone();
     shuffled.reverse();
     shuffled.rotate_left(7);
-    let backward = fill(&shuffled);
-    // Batch materialisation joins late, at opposite ends of the id space.
-    let extra = KpiKey::new(Entity::Server(ServerId(3)), KpiKind::MemoryUtilization);
-    forward.insert(extra, TimeSeries::new(1, vec![4.0, 5.0]));
-    backward.insert(extra, TimeSeries::new(1, vec![4.0, 5.0]));
+    let backward = fill("backward", &shuffled);
 
     assert_eq!(forward.keys(), backward.keys());
     assert_eq!(forward.len(), keys.len() + 1);
     assert_eq!(forward.export_entries(), backward.export_entries());
     assert_eq!(forward.snapshot().keys(), backward.keys());
-    let state = CollectorState::new(2);
-    let queue = QueueState::default();
+    let (forward_dir, backward_dir) = (
+        dir_bytes(&base.join("forward")),
+        dir_bytes(&base.join("backward")),
+    );
+    // The two newest manifests and the whole chain under them.
+    let names: Vec<&str> = forward_dir.keys().map(String::as_str).collect();
     assert_eq!(
-        encode_checkpoint_of(9, &forward, &state, &queue),
-        encode_checkpoint_of(9, &backward, &state, &queue),
+        names,
+        [
+            "ckpt-00000001.bin",
+            "ckpt-00000002.bin",
+            "seg-00000000.bin",
+            "seg-00000001.bin",
+            "seg-00000002.bin",
+        ]
+    );
+    assert!(
+        forward_dir == backward_dir,
         "checkpoint bytes depend on interning order"
     );
+    let recovered = CheckpointStore::latest_valid(&base.join("backward"))
+        .unwrap()
+        .expect("a usable manifest");
+    assert_eq!(recovered.entries, forward.export_entries());
+    let _ = fs::remove_dir_all(&base);
 }
 
 /// A collector keeps ids across frames. `restore_entries` under it drops
