@@ -9,9 +9,9 @@
 //! workspace candidate), **unresolved** (several workspace fns could be the
 //! callee and we refuse to guess), or **external** (no workspace fn of that
 //! name; `std` and shims land here). Unresolved edges are first-class: they
-//! are counted in `--stats`, ratcheted in CI via `max_unresolved_bp` in the
-//! baseline, and rendered in the graph dump, so resolver regressions are
-//! visible instead of silent.
+//! are counted in the CLI's summary line and rendered in the graph dump
+//! (`??`), so a chain the resolver cannot follow is visible instead of
+//! silent.
 //!
 //! Resolution is deliberately shallow (the whole crate's bargain — see
 //! [`crate::lints`]): method calls resolve through the receiver only when
@@ -132,6 +132,8 @@ pub struct FnNode {
     pub in_test: bool,
     /// Whether the fn is `pub` (any visibility qualifier counts).
     pub is_pub: bool,
+    /// Whether the fn carries a `// funnel-lint: root` marker (L7 roots).
+    pub is_root: bool,
 }
 
 impl FnNode {
@@ -145,7 +147,7 @@ impl FnNode {
     }
 }
 
-/// Aggregate resolution counts for `--stats` and the CI ratchet.
+/// Aggregate resolution counts, printed in the CLI's summary line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphStats {
     /// Number of `fn` nodes.
@@ -158,19 +160,6 @@ pub struct GraphStats {
     pub unresolved: usize,
     /// Call sites with no workspace candidate (std, shims).
     pub external: usize,
-}
-
-impl GraphStats {
-    /// Unresolved share of workspace-plausible calls, in basis points
-    /// (0‱–10000‱). External calls are excluded from the denominator: the
-    /// ratchet tracks resolver quality on calls that *could* resolve.
-    pub fn unresolved_ratio_bp(&self) -> u32 {
-        let denom = self.resolved + self.unresolved;
-        if denom == 0 {
-            return 0;
-        }
-        ((self.unresolved as u64 * 10_000) / denom as u64) as u32
-    }
 }
 
 /// The workspace call graph.
@@ -199,8 +188,7 @@ impl CallGraph {
         out
     }
 
-    /// Index of the node for `(file, name)` when unique — test helper and
-    /// entry-point lookup.
+    /// Index of the node for `(file, name)` when unique (test helper).
     pub fn find(&self, file: &str, name: &str) -> Option<usize> {
         let mut hits = self
             .nodes
@@ -220,21 +208,21 @@ impl CallGraph {
     pub fn dump(&self) -> String {
         let mut out = String::from("# funnel-lint call graph v1\n");
         out.push_str(&format!(
-            "# nodes={} calls={} resolved={} unresolved={} external={} unresolved_bp={}\n",
+            "# nodes={} calls={} resolved={} unresolved={} external={}\n",
             self.stats.nodes,
             self.stats.calls,
             self.stats.resolved,
             self.stats.unresolved,
             self.stats.external,
-            self.stats.unresolved_ratio_bp(),
         ));
         for (i, n) in self.nodes.iter().enumerate() {
             out.push_str(&format!(
-                "fn {} @{}-{}{}\n",
+                "fn {} @{}-{}{}{}\n",
                 n.qualified(),
                 n.start_line,
                 n.end_line,
-                if n.in_test { " [test]" } else { "" }
+                if n.in_test { " [test]" } else { "" },
+                if n.is_root { " [root]" } else { "" }
             ));
             for c in &n.calls {
                 let (mark, target) = match c.resolution {
@@ -371,6 +359,7 @@ pub fn build(files: &[(String, FileScan)]) -> CallGraph {
                 mentions_hooks: false,
                 in_test: scan.in_test(f.start_line),
                 is_pub: fn_is_pub(scan, f),
+                is_root: f.is_root,
             });
         }
     }
@@ -831,17 +820,7 @@ fn fn_is_pub(scan: &FileScan, f: &FnSpan) -> bool {
         if t.is_ident("pub") {
             return true;
         }
-        let qualifier = t.is_ident("const")
-            || t.is_ident("async")
-            || t.is_ident("unsafe")
-            || t.is_ident("extern")
-            || t.is_ident("crate")
-            || t.is_ident("super")
-            || t.is_ident("in")
-            || t.is_punct('(')
-            || t.is_punct(')')
-            || t.kind == crate::lexer::TokenKind::Str;
-        if !qualifier {
+        if !crate::scan::is_fn_qualifier(t) {
             return false;
         }
     }

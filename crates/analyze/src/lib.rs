@@ -2,25 +2,25 @@
 //!
 //! PR 1 made verdicts bit-for-bit replayable under injected faults; this
 //! crate makes the invariants behind that claim mechanical instead of
-//! tribal. Six lints cover the ways the pipeline could silently drift or
+//! tribal. The lints cover the ways the pipeline could silently drift or
 //! die — wall-clock reads, hasher-ordered iteration, panics on the
 //! ingestion path, missing `#![forbid(unsafe_code)]`, order-sensitive f64
-//! folds, and unwrapped filesystem I/O on the crash-recovery paths — with
-//! a checked-in baseline that grandfathers pre-existing
-//! findings and may only shrink. Everything is hand-rolled over a small
-//! Rust lexer: no `syn`, no rustc plugin, no registry access required.
+//! folds, unwrapped filesystem I/O on the crash-recovery paths, and their
+//! interprocedural forms over a workspace call graph. It is a gate and
+//! keeps no ledger: any finding fails. Everything is hand-rolled over a
+//! small Rust lexer: no `syn`, no rustc plugin, no registry access
+//! required.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod graph;
 pub mod lexer;
 pub mod lints;
 pub mod scan;
 pub mod taint;
 
-use lints::{Diagnostic, Severity};
+use lints::Diagnostic;
 use scan::FileScan;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 ///
 /// Overlays replace (or add) a file's contents without touching disk —
 /// integration tests use them to prove that an injected violation trips
-/// the gate against the *real* checked-in workspace and baseline.
+/// the gate against the *real* checked-in workspace.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Filesystem root (the directory holding the top-level `Cargo.toml`).
@@ -103,55 +103,8 @@ fn walk(root: &Path, dir: &Path, files: &mut BTreeMap<String, String>) -> std::i
     Ok(())
 }
 
-/// Effective severity configuration from CLI `--allow` / `--deny` flags.
-#[derive(Debug, Clone, Default)]
-pub struct SeverityOverrides {
-    /// Lints silenced entirely.
-    pub allow: Vec<String>,
-    /// Lints promoted to [`Severity::Deny`].
-    pub deny: Vec<String>,
-}
-
-impl SeverityOverrides {
-    fn apply(&self, d: &mut Diagnostic) -> bool {
-        if self.allow.iter().any(|l| l == d.lint) {
-            return false;
-        }
-        if self.deny.iter().any(|l| l == d.lint) {
-            d.severity = Severity::Deny;
-        }
-        true
-    }
-}
-
-/// Applies the `--deny-new` gate: current deny-severity findings are
-/// compared against the baseline entries of gate-active lints (deny by
-/// default, or promoted via [`SeverityOverrides::deny`]; allowed lints
-/// never gate). Baseline entries for non-gated lints are ignored rather
-/// than read as stale, so one committed baseline serves both default and
-/// strict runs. Empty result = gate passes.
-pub fn gate(
-    findings: &[Diagnostic],
-    baseline: &baseline::Baseline,
-    overrides: &SeverityOverrides,
-) -> Vec<baseline::GateViolation> {
-    let gated: Vec<Diagnostic> = findings
-        .iter()
-        .filter(|d| d.severity == Severity::Deny)
-        .cloned()
-        .collect();
-    let gate_active = |lint: &str| {
-        lints::lint_info(lint).is_some_and(|info| {
-            !overrides.allow.iter().any(|l| l == lint)
-                && (info.default_severity == Severity::Deny
-                    || overrides.deny.iter().any(|l| l == lint))
-        })
-    };
-    baseline.restricted_to(gate_active).check(&gated)
-}
-
 /// A full workspace analysis: findings plus the call graph they were
-/// computed over (kept for `--dump-graph` and the stats/ratchet plumbing).
+/// computed over (kept for `--dump-graph` and the summary line).
 #[derive(Debug)]
 pub struct Analysis {
     /// All findings, sorted by `(file, line, lint)`.
@@ -161,8 +114,8 @@ pub struct Analysis {
 }
 
 /// Runs every lint over every file of `ws`.
-pub fn analyze(ws: &Workspace, overrides: &SeverityOverrides) -> std::io::Result<Analysis> {
-    Ok(analyze_sources(&ws.collect_files()?, overrides))
+pub fn analyze(ws: &Workspace) -> std::io::Result<Analysis> {
+    Ok(analyze_sources(&ws.collect_files()?))
 }
 
 /// Runs the full analysis — per-file lints, the workspace call graph, and
@@ -170,7 +123,7 @@ pub fn analyze(ws: &Workspace, overrides: &SeverityOverrides) -> std::io::Result
 /// Files are sorted (and deduped, last wins) internally, so the result is
 /// byte-identical for any input ordering; the determinism tests feed this
 /// shuffled inputs to prove it.
-pub fn analyze_sources(files: &[(String, String)], overrides: &SeverityOverrides) -> Analysis {
+pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
     let sorted: BTreeMap<&str, &str> = files
         .iter()
         .map(|(p, c)| (p.as_str(), c.as_str()))
@@ -183,10 +136,8 @@ pub fn analyze_sources(files: &[(String, String)], overrides: &SeverityOverrides
     for (rel, scan) in &scans {
         out.extend(lints::run_lints(rel, scan));
     }
-    out.extend(lints::lint_obs_names(&scans));
     let graph = graph::build(&scans);
     out.extend(taint::run_graph_lints(&graph, &scans));
-    out.retain_mut(|d| overrides.apply(d));
     out.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
     Analysis {
         diagnostics: out,
@@ -197,15 +148,8 @@ pub fn analyze_sources(files: &[(String, String)], overrides: &SeverityOverrides
 /// Runs every lint over one file given as `(relative path, contents)` —
 /// the path decides which lints are in scope, so golden tests can analyze
 /// fixture snippets *as if* they lived anywhere in the workspace.
-pub fn analyze_file(
-    rel_path: &str,
-    contents: &str,
-    overrides: &SeverityOverrides,
-) -> Vec<Diagnostic> {
-    let scan = FileScan::of(contents);
-    let mut diags = lints::run_lints(rel_path, &scan);
-    diags.retain_mut(|d| overrides.apply(d));
-    diags
+pub fn analyze_file(rel_path: &str, contents: &str) -> Vec<Diagnostic> {
+    lints::run_lints(rel_path, &FileScan::of(contents))
 }
 
 /// Renders findings as a JSON array (stable field order, sorted input).
@@ -214,9 +158,8 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
     let mut out = String::from("[\n");
     for (i, d) in diags.iter().enumerate() {
         out.push_str(&format!(
-            "  {{\"lint\":{},\"severity\":{},\"file\":{},\"line\":{},\"context\":{},\"message\":{}}}{}\n",
+            "  {{\"lint\":{},\"file\":{},\"line\":{},\"context\":{},\"message\":{}}}{}\n",
             json_str(d.lint),
-            json_str(d.severity.as_str()),
             json_str(&d.file),
             d.line,
             json_str(&d.context),
@@ -250,67 +193,11 @@ pub fn render_human(diags: &[Diagnostic]) -> String {
     let mut out = String::new();
     for d in diags {
         out.push_str(&format!(
-            "{}: [{}] {}:{} (in {}) — {}\n",
-            d.severity.as_str(),
-            d.lint,
-            d.file,
-            d.line,
-            d.context,
-            d.message
+            "[{}] {}:{} (in {}) — {}\n",
+            d.lint, d.file, d.line, d.context, d.message
         ));
     }
     out
-}
-
-/// Per-lint, per-crate violation counts plus call-graph resolution
-/// figures (`--stats`). Deterministic order.
-pub fn render_stats(diags: &[Diagnostic], gstats: &graph::GraphStats) -> String {
-    let mut per: BTreeMap<(&'static str, String), u32> = BTreeMap::new();
-    for d in diags {
-        *per.entry((d.lint, crate_of(&d.file))).or_insert(0) += 1;
-    }
-    let mut out = String::from("# funnel-lint --stats: violations per lint per crate\n");
-    let mut total = 0u32;
-    for info in &lints::REGISTRY {
-        let rows: Vec<_> = per.iter().filter(|((l, _), _)| *l == info.id).collect();
-        let lint_total: u32 = rows.iter().map(|(_, n)| **n).sum();
-        total += lint_total;
-        out.push_str(&format!("{:<26} {:>5}\n", info.id, lint_total));
-        for ((_, krate), n) in rows {
-            out.push_str(&format!("    {krate:<22} {n:>5}\n"));
-        }
-    }
-    out.push_str(&format!("{:<26} {:>5}\n", "total", total));
-    out.push_str("# call graph\n");
-    out.push_str(&format!("{:<26} {:>5}\n", "graph.nodes", gstats.nodes));
-    out.push_str(&format!("{:<26} {:>5}\n", "graph.calls", gstats.calls));
-    out.push_str(&format!(
-        "{:<26} {:>5}\n",
-        "graph.resolved", gstats.resolved
-    ));
-    out.push_str(&format!(
-        "{:<26} {:>5}\n",
-        "graph.unresolved", gstats.unresolved
-    ));
-    out.push_str(&format!(
-        "{:<26} {:>5}\n",
-        "graph.external", gstats.external
-    ));
-    out.push_str(&format!(
-        "{:<26} {:>5}\n",
-        "graph.unresolved_bp",
-        gstats.unresolved_ratio_bp()
-    ));
-    out
-}
-
-fn crate_of(rel: &str) -> String {
-    let mut parts = rel.split('/');
-    match parts.next() {
-        Some("crates") => parts.next().unwrap_or("?").to_string(),
-        Some(top) => format!("<{top}>"),
-        None => "?".to_string(),
-    }
 }
 
 #[cfg(test)]

@@ -5,143 +5,91 @@
 //! [`FileScan`] structure — because a lint that needs full type inference
 //! would need rustc, and the point of `funnel-lint` is to run in any
 //! environment the workspace itself builds in. Shallow means heuristic:
-//! false positives are expected and handled by the baseline file and by
-//! inline `// funnel-lint: allow(<lint>)` suppressions, never by weakening
+//! false positives are expected and handled by inline
+//! `// funnel-lint: allow(<lint>)` suppressions, never by weakening
 //! the pass.
 
 use crate::scan::FileScan;
 use std::collections::BTreeSet;
 
-/// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Reported, counted in the baseline, but does not gate on its own.
-    Warn,
-    /// New findings fail `--deny-new`.
-    Deny,
-}
-
-impl Severity {
-    /// Lowercase name used in diagnostics.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Warn => "warn",
-            Severity::Deny => "deny",
-        }
-    }
-}
-
 /// Static description of one lint.
 #[derive(Debug, Clone, Copy)]
 pub struct LintInfo {
-    /// Stable kebab-case identifier (used in baselines and suppressions).
+    /// Stable kebab-case identifier (used in suppressions).
     pub id: &'static str,
-    /// Default severity (CLI `--allow`/`--deny` flags override).
-    pub default_severity: Severity,
     /// One-line description for `--help` and reports.
     pub description: &'static str,
 }
 
-/// L1–L11, in order.
-pub const REGISTRY: [LintInfo; 11] = [
+/// L1–L9 and L11, in order. There is no L10: the obs vocabulary is closed
+/// by the type `funnel_obs::names::Name`, not by a lint.
+pub const REGISTRY: [LintInfo; 10] = [
     LintInfo {
         id: "nondeterministic-time",
-        default_severity: Severity::Deny,
         description: "Instant::now()/SystemTime in scoring paths breaks bit-for-bit replay; \
                       only crates/bench and crates/eval/src/timing.rs may read the clock",
     },
     LintInfo {
         id: "unordered-iteration",
-        default_severity: Severity::Deny,
         description: "iterating HashMap/HashSet in code feeding scores or reports makes \
                       output depend on hasher state; use BTreeMap or sort first",
     },
     LintInfo {
         id: "panic-in-hot-path",
-        default_severity: Severity::Deny,
         description: "unwrap()/expect()/panic! on the ingestion-to-verdict path can kill the \
                       collector on one bad frame; quarantine or skip instead",
     },
     LintInfo {
         id: "missing-forbid-unsafe",
-        default_severity: Severity::Deny,
         description: "every non-shim crate root must carry #![forbid(unsafe_code)]",
     },
     LintInfo {
         id: "float-accumulation-order",
-        default_severity: Severity::Warn,
         description: "f64 sums over containers must fold in a documented stable order \
                       (sort first, or suppress with a note explaining why order is fixed)",
     },
     LintInfo {
         id: "fs-io-unwrap",
-        default_severity: Severity::Deny,
         description: "unwrap()/expect() on a filesystem I/O result turns a full disk, missing \
                       path, or permission error into a crash; propagate the io::Error with `?`",
     },
     LintInfo {
         id: "panic-reachability",
-        default_severity: Severity::Deny,
-        description: "a hot-path entry point can transitively reach unwrap()/expect()/panic!/\
-                      indexing through the call graph; make the chain fallible or suppress the \
-                      source with a note",
+        description: "a fn marked `// funnel-lint: root` can transitively reach unwrap()/\
+                      expect()/panic!/indexing through the call graph; make the chain fallible \
+                      or suppress the source with a note (a marker no fn follows is a finding too)",
     },
     LintInfo {
         id: "determinism-taint",
-        default_severity: Severity::Deny,
         description: "a nondeterminism source (clock, hash iteration, thread identity, \
                       unseeded RNG) flows along call edges into a report/serialization sink \
                       without passing a sanctioned sanitizer",
     },
     LintInfo {
         id: "journal-before-commit",
-        default_severity: Severity::Deny,
         description: "in collector ingest paths the WAL journal hook must run — and be error-\
                       checked — before the store commit, or a crash loses accepted frames",
     },
     LintInfo {
-        id: "undeclared-obs-name",
-        default_severity: Severity::Warn,
-        description: "every dotted name at a span!/counter/gauge/histogram call site must be a \
-                      constant declared in crates/obs/src/names.rs",
-    },
-    LintInfo {
         id: "suppression-missing-note",
-        default_severity: Severity::Deny,
         description: "every inline `funnel-lint: allow(...)` must carry a note explaining why \
                       the finding is safe to silence",
     },
 ];
-
-/// Looks up a lint by id.
-pub fn lint_info(id: &str) -> Option<&'static LintInfo> {
-    REGISTRY.iter().find(|l| l.id == id)
-}
 
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Which lint fired (an id from [`REGISTRY`]).
     pub lint: &'static str,
-    /// Effective severity.
-    pub severity: Severity,
     /// Workspace-relative path, forward slashes.
     pub file: String,
     /// 1-based line of the finding.
     pub line: u32,
-    /// Enclosing function name (or `<file>`): the line-drift-stable part
-    /// of the baseline key.
+    /// Enclosing function name (or `<file>`).
     pub context: String,
     /// Human-readable explanation.
     pub message: String,
-}
-
-impl Diagnostic {
-    /// The baseline key: stable across line-number drift, churns only when
-    /// the enclosing function is renamed or the file moves.
-    pub fn baseline_key(&self) -> String {
-        format!("{}:{}:{}", self.lint, self.file, self.context)
-    }
 }
 
 // ---------------------------------------------------------------- scopes --
@@ -164,9 +112,17 @@ fn feeds_scoring(path: &str) -> bool {
 }
 
 /// The ingestion-to-verdict hot path (L3 scope): everything in L2 plus the
-/// collector and wire decoding.
+/// agent replay loops, wire decoding, the collector, and the WAL/checkpoint
+/// path every accepted frame pays for.
 fn hot_path(path: &str) -> bool {
-    feeds_scoring(path) || path == "crates/sim/src/agent.rs" || path == "crates/sim/src/wire.rs"
+    feeds_scoring(path)
+        || path.starts_with("crates/resilience/src/")
+        || [
+            "crates/sim/src/agent.rs",
+            "crates/sim/src/wire.rs",
+            "crates/sim/src/collector.rs",
+        ]
+        .contains(&path)
 }
 
 /// Aggregation code where float fold order shapes results (L5 scope).
@@ -221,19 +177,19 @@ fn emit(
     if scan.in_test(line) || scan.suppressed(line, id) {
         return;
     }
-    let info = lint_info(id).expect("lint id registered");
-    let context = scan
-        .enclosing_fn(line)
-        .map(|f| f.name.clone())
-        .unwrap_or_else(|| "<file>".to_string());
     out.push(Diagnostic {
         lint: id,
-        severity: info.default_severity,
         file: path.to_string(),
         line,
-        context,
+        context: context_of(scan, line),
         message,
     });
+}
+
+/// The name of the fn enclosing `line`, or `<file>`.
+fn context_of(scan: &FileScan, line: u32) -> String {
+    scan.enclosing_fn(line)
+        .map_or_else(|| "<file>".to_string(), |f| f.name.clone())
 }
 
 /// L1: `Instant::now()` / any `SystemTime` use outside the clock-exempt
@@ -291,7 +247,7 @@ pub(crate) const ITER_METHODS: [&str; 9] = [
 /// (let bindings, struct fields, fn params — found by walking back from
 /// each type-name token to the nearest `name:` or `name =` in the same
 /// statement). Heuristic by design: shadowing across scopes is not
-/// tracked, which is exactly what the baseline and suppressions absorb.
+/// tracked, which is exactly what suppressions absorb.
 pub(crate) fn container_bindings(scan: &FileScan, type_names: &[&str]) -> BTreeSet<String> {
     let code = &scan.code;
     let mut names = BTreeSet::new();
@@ -622,17 +578,11 @@ fn lint_suppression_note(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>)
         if site.has_note || scan.in_test(site.line) {
             continue;
         }
-        let info = lint_info("suppression-missing-note").expect("lint id registered");
-        let context = scan
-            .enclosing_fn(site.line)
-            .map(|f| f.name.clone())
-            .unwrap_or_else(|| "<file>".to_string());
         out.push(Diagnostic {
             lint: "suppression-missing-note",
-            severity: info.default_severity,
             file: path.to_string(),
             line: site.line,
-            context,
+            context: context_of(scan, site.line),
             message: format!(
                 "`funnel-lint: allow({})` has no note; append `: <why this is safe>`",
                 site.lints.join(", ")
@@ -641,160 +591,11 @@ fn lint_suppression_note(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>)
     }
 }
 
-/// The obs metric/span registration functions whose first argument is a
-/// dotted vocabulary name (L10 scope). The `timeline_*` variants take the
-/// same name-first signature as their aggregate twins.
-const OBS_CALLS: [&str; 7] = [
-    "counter_add",
-    "gauge_set",
-    "histogram_record",
-    "span",
-    "timeline_counter_add",
-    "timeline_gauge_set",
-    "timeline_histogram_record",
-];
-
-/// L10: workspace-level pass replacing the CI obs-vocabulary grep. Parses
-/// the declared constants out of `crates/obs/src/names.rs` (idents and
-/// string values), then checks every `span!` / counter / gauge / histogram
-/// call site: `names::IDENT` must be a declared constant, and any ad-hoc
-/// dotted string literal must match a declared value. Returns nothing when
-/// the workspace has no names.rs (single-file fixture runs).
-pub fn lint_obs_names(files: &[(String, FileScan)]) -> Vec<Diagnostic> {
-    let Some((_, names_scan)) = files.iter().find(|(p, _)| p.ends_with("obs/src/names.rs")) else {
-        return Vec::new();
-    };
-    let (declared_idents, declared_values) = declared_obs_names(names_scan);
-    let mut out = Vec::new();
-    for (path, scan) in files {
-        if path.ends_with("obs/src/names.rs") {
-            continue;
-        }
-        let code = &scan.code;
-        for i in 0..code.len() {
-            let t = &code[i];
-            if !OBS_CALLS.iter().any(|c| t.is_ident(c)) {
-                continue;
-            }
-            // `span` is a macro (`span!(...)`); the metric fns are plain
-            // calls. Find the argument-list `(` either way.
-            let open = if code.get(i + 1).is_some_and(|p| p.is_punct('(')) {
-                i + 1
-            } else if t.is_ident("span")
-                && code.get(i + 1).is_some_and(|p| p.is_punct('!'))
-                && code.get(i + 2).is_some_and(|p| p.is_punct('('))
-            {
-                i + 2
-            } else {
-                continue;
-            };
-            let close = paren_close(code, open);
-            for j in (open + 1)..close.min(code.len()) {
-                let a = &code[j];
-                if a.kind == crate::lexer::TokenKind::Str {
-                    let value = unquote(&a.text);
-                    if value.contains('.') && !declared_values.contains(value) {
-                        emit(
-                            &mut out,
-                            scan,
-                            "undeclared-obs-name",
-                            path,
-                            a.line,
-                            format!(
-                                "obs name {:?} is not declared in crates/obs/src/names.rs; \
-                                 add a constant there and use it",
-                                value
-                            ),
-                        );
-                    }
-                } else if a.is_ident("names")
-                    && code.get(j + 1).is_some_and(|p| p.is_punct(':'))
-                    && code.get(j + 2).is_some_and(|p| p.is_punct(':'))
-                    && code
-                        .get(j + 3)
-                        .is_some_and(|p| p.kind == crate::lexer::TokenKind::Ident)
-                    && !declared_idents.contains(&code[j + 3].text)
-                {
-                    emit(
-                        &mut out,
-                        scan,
-                        "undeclared-obs-name",
-                        path,
-                        a.line,
-                        format!(
-                            "`names::{}` is not declared in crates/obs/src/names.rs",
-                            code[j + 3].text
-                        ),
-                    );
-                }
-            }
-        }
-    }
-    out.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
-    out
-}
-
-/// `pub const IDENT: &str = "value";` pairs from the names registry.
-fn declared_obs_names(scan: &FileScan) -> (BTreeSet<String>, BTreeSet<String>) {
-    let code = &scan.code;
-    let mut idents = BTreeSet::new();
-    let mut values = BTreeSet::new();
-    for i in 0..code.len() {
-        if !code[i].is_ident("const") {
-            continue;
-        }
-        let Some(name) = code
-            .get(i + 1)
-            .filter(|t| t.kind == crate::lexer::TokenKind::Ident)
-        else {
-            continue;
-        };
-        // Walk to the `;`, grabbing the initializer string literal.
-        let mut j = i + 2;
-        while j < code.len() && !code[j].is_punct(';') {
-            if code[j].kind == crate::lexer::TokenKind::Str {
-                idents.insert(name.text.clone());
-                values.insert(unquote(&code[j].text).to_string());
-                break;
-            }
-            j += 1;
-        }
-    }
-    (idents, values)
-}
-
-/// Index of the `)` matching the `(` at `open` (or `code.len()`).
-fn paren_close(code: &[crate::lexer::Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (i, t) in code.iter().enumerate().skip(open) {
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-    }
-    code.len()
-}
-
-/// Strips the quotes (and any raw-string fence) off a string literal's
-/// source text.
-fn unquote(lit: &str) -> &str {
-    let s = lit
-        .trim_start_matches(['b', 'r'])
-        .trim_start_matches('#')
-        .trim_start_matches('#');
-    let s = s.strip_prefix('"').unwrap_or(s);
-    s.trim_end_matches('#').strip_suffix('"').unwrap_or(s)
-}
-
 /// Walks the expression backwards from the `.` at `dot_idx` until a
 /// statement boundary (`;`, `{`, `}`, `=`) and returns the first ident in
 /// [`FS_NAMES`] — i.e. whether this `.unwrap()`/`.expect()` consumes a
 /// filesystem call's result. Bounded and shallow like every other pass;
-/// false positives go to the baseline or inline suppressions.
+/// false positives go to inline suppressions.
 fn fs_chain_root(code: &[crate::lexer::Token], dot_idx: usize) -> Option<String> {
     let mut j = dot_idx;
     let mut steps = 0;

@@ -1,52 +1,35 @@
 //! The `funnel-lint` CLI.
 //!
 //! ```text
-//! cargo run -p funnel-analyze -- [--root DIR] [--format human|json]
-//!     [--deny-new] [--write-baseline] [--stats] [--dump-graph]
-//!     [--allow LINT]... [--deny LINT]...
+//! cargo run -p funnel-analyze -- [--root DIR] [--dump-graph]
 //! ```
 //!
-//! Exit codes: 0 = clean (or informational run), 1 = usage or I/O error,
-//! 2 = `--deny-new` gate failure (new deny-severity findings, or a stale
-//! baseline that must be shrunk).
+//! Exit codes: 0 = no finding, 1 = usage or I/O error, 2 = at least one
+//! finding.
 
 #![forbid(unsafe_code)]
 
-use funnel_analyze::baseline::{Baseline, GateViolation};
-use funnel_analyze::lints::{Severity, REGISTRY};
-use funnel_analyze::{
-    analyze, render_human, render_json, render_stats, SeverityOverrides, Workspace,
-};
+use funnel_analyze::lints::REGISTRY;
+use funnel_analyze::{analyze, render_human, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const BASELINE_FILE: &str = "lint-baseline.toml";
-
 struct Args {
     root: PathBuf,
-    json: bool,
-    deny_new: bool,
-    write_baseline: bool,
-    stats: bool,
     dump_graph: bool,
-    overrides: SeverityOverrides,
 }
 
 fn usage() -> String {
     let mut s = String::from(
         "funnel-lint — FUNNEL's determinism/no-panic static analysis\n\n\
-         USAGE: funnel-lint [--root DIR] [--format human|json] [--deny-new]\n\
-                [--write-baseline] [--stats] [--dump-graph]\n\
-                [--allow LINT]... [--deny LINT]...\n\n\
+         USAGE: funnel-lint [--root DIR] [--dump-graph]\n\n\
+         Prints every finding and exits 2 if there is one. --dump-graph prints the\n\
+         call graph the interprocedural lints ran over instead ([root] marks the fns\n\
+         carrying `// funnel-lint: root`).\n\n\
          LINTS:\n",
     );
     for l in &REGISTRY {
-        s.push_str(&format!(
-            "  {:<26} [{}] {}\n",
-            l.id,
-            l.default_severity.as_str(),
-            l.description
-        ));
+        s.push_str(&format!("  {:<26} {}\n", l.id, l.description));
     }
     s
 }
@@ -54,36 +37,13 @@ fn usage() -> String {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        json: false,
-        deny_new: false,
-        write_baseline: false,
-        stats: false,
         dump_graph: false,
-        overrides: SeverityOverrides::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--root" => args.root = PathBuf::from(it.next().ok_or("--root needs a value")?),
-            "--format" => match it.next().as_deref() {
-                Some("human") => args.json = false,
-                Some("json") => args.json = true,
-                other => return Err(format!("--format human|json, got {other:?}")),
-            },
-            "--deny-new" => args.deny_new = true,
-            "--write-baseline" => args.write_baseline = true,
-            "--stats" => args.stats = true,
             "--dump-graph" => args.dump_graph = true,
-            "--allow" => {
-                args.overrides
-                    .allow
-                    .push(known_lint(it.next().ok_or("--allow needs a lint id")?)?);
-            }
-            "--deny" => {
-                args.overrides
-                    .deny
-                    .push(known_lint(it.next().ok_or("--deny needs a lint id")?)?);
-            }
             "--help" | "-h" => {
                 print!("{}", usage());
                 std::process::exit(0);
@@ -92,14 +52,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn known_lint(id: String) -> Result<String, String> {
-    if REGISTRY.iter().any(|l| l.id == id) {
-        Ok(id)
-    } else {
-        Err(format!("unknown lint {id} (see --help for the registry)"))
-    }
 }
 
 fn main() -> ExitCode {
@@ -111,8 +63,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let ws = Workspace::at(&args.root);
-    let analysis = match analyze(&ws, &args.overrides) {
+    let analysis = match analyze(&Workspace::at(&args.root)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!(
@@ -122,120 +73,25 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    let findings = &analysis.diagnostics;
 
     if args.dump_graph {
         print!("{}", analysis.graph.dump());
         return ExitCode::SUCCESS;
     }
 
-    let baseline_path = args.root.join(BASELINE_FILE);
-    if args.write_baseline {
-        let mut baseline = Baseline::from_findings(findings);
-        baseline.max_unresolved_bp = Some(analysis.graph.stats.unresolved_ratio_bp());
-        if let Err(e) = std::fs::write(&baseline_path, baseline.render()) {
-            eprintln!("error: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(1);
-        }
-        println!(
-            "wrote {} ({} grandfathered finding(s), max_unresolved_bp {})",
-            baseline_path.display(),
-            baseline.total(),
-            analysis.graph.stats.unresolved_ratio_bp()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if args.stats {
-        print!("{}", render_stats(findings, &analysis.graph.stats));
-        return ExitCode::SUCCESS;
-    }
-
-    if args.json {
-        println!("{}", render_json(findings));
-    } else if !findings.is_empty() {
-        print!("{}", render_human(findings));
-    }
-
-    if !args.deny_new {
-        if !args.json {
-            println!(
-                "{} finding(s) (informational; gate with --deny-new)",
-                findings.len()
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // Gate mode: only deny-severity findings participate (warn-severity
-    // lints still appear in reports, the baseline, and --stats, but
-    // cannot fail CI unless promoted with --deny). Baseline entries for
-    // lints outside the gated set are ignored, not treated as stale, so
-    // the same committed baseline serves both strict and default runs.
-    let deny_count = findings
-        .iter()
-        .filter(|d| d.severity == Severity::Deny)
-        .count();
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: malformed {}: {e}", baseline_path.display());
-                return ExitCode::from(1);
-            }
-        },
-        Err(_) => {
-            eprintln!(
-                "note: no {} found — gating against an empty baseline",
-                baseline_path.display()
-            );
-            Baseline::default()
-        }
-    };
-    let violations = funnel_analyze::gate(findings, &baseline, &args.overrides);
-    let current_bp = analysis.graph.stats.unresolved_ratio_bp();
-    let ratio_regressed = baseline
-        .max_unresolved_bp
-        .is_some_and(|ceiling| current_bp > ceiling);
-    if violations.is_empty() && !ratio_regressed {
-        println!(
-            "funnel-lint: gate clean — {} deny finding(s), all grandfathered ({} baselined), \
-             unresolved-call ratio {current_bp}‱ within ceiling",
-            deny_count,
-            baseline.total()
-        );
-        return ExitCode::SUCCESS;
-    }
-    for v in &violations {
-        match v {
-            GateViolation::New {
-                key,
-                baselined,
-                current,
-            } => eprintln!(
-                "DENY new finding(s): {key} — baseline allows {baselined}, found {current}"
-            ),
-            GateViolation::Stale {
-                key,
-                baselined,
-                current,
-            } => eprintln!(
-                "STALE baseline: {key} — baseline says {baselined}, found {current}; the \
-                 ratchet only goes down: run --write-baseline and commit the shrunk file"
-            ),
-        }
-    }
-    if ratio_regressed {
-        eprintln!(
-            "RESOLVER regression: unresolved-call ratio {current_bp}\u{2031} exceeds the recorded \
-             ceiling {}\u{2031}; fix the new unresolvable call shapes or consciously re-baseline \
-             with --write-baseline",
-            baseline.max_unresolved_bp.unwrap_or(0)
-        );
-    }
-    eprintln!(
-        "funnel-lint: gate FAILED with {} violation(s)",
-        violations.len() + usize::from(ratio_regressed)
+    let findings = &analysis.diagnostics;
+    let stats = &analysis.graph.stats;
+    print!("{}", render_human(findings));
+    println!(
+        "funnel-lint: {} finding(s); call graph: {} fns, {} calls resolved, {} unresolved",
+        findings.len(),
+        stats.nodes,
+        stats.resolved,
+        stats.unresolved
     );
-    ExitCode::from(2)
+    if findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(2)
+    }
 }

@@ -2,10 +2,11 @@
 //!
 //! Lints need just enough structure to be precise: which lines belong to
 //! `#[cfg(test)]` items or `#[test]` functions (panics there are fine),
-//! which function encloses a finding (baseline keys are stable across line
-//! drift because they use the function name, not the line), whether the
-//! crate root carries `#![forbid(unsafe_code)]`, and which lines carry an
-//! inline `funnel-lint: allow(...)` suppression. The call-graph builder
+//! which function encloses a finding, whether the crate root carries
+//! `#![forbid(unsafe_code)]`, which lines carry an inline
+//! `funnel-lint: allow(...)` suppression, and which fns a
+//! `// funnel-lint: root` marker makes panic-reachability roots. The
+//! call-graph builder
 //! ([`crate::graph`]) additionally needs token-index spans per `fn`, the
 //! `impl`/`trait` block each method belongs to, and the token ranges
 //! covered by attributes (so `#[cfg(feature = "x")]` never reads as a call
@@ -34,6 +35,9 @@ pub struct FnSpan {
     pub body_open: usize,
     /// Index of the body's closing `}` (or `code.len()` when unbalanced).
     pub body_close: usize,
+    /// Whether a `// funnel-lint: root` marker sits on this fn: L7 checks
+    /// that nothing it can reach panics.
+    pub is_root: bool,
 }
 
 /// One inline `funnel-lint: allow(...)` comment, with whatever explanatory
@@ -65,6 +69,8 @@ pub struct FileScan {
     /// Every `funnel-lint: allow` comment with its note status, in source
     /// order.
     pub suppression_sites: Vec<SuppressionSite>,
+    /// Lines of `// funnel-lint: root` markers that no `fn` item follows.
+    pub dangling_roots: Vec<u32>,
     /// Whether the file carries an inner `#![forbid(unsafe_code)]`.
     pub has_forbid_unsafe: bool,
     /// Inclusive token-index ranges covered by `#[…]` / `#![…]` attributes
@@ -111,22 +117,30 @@ impl FileScan {
 fn build(all: Vec<Token>) -> FileScan {
     let mut suppressions: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
     let mut suppression_sites = Vec::new();
+    // `(line, index of the next code token)` per root marker.
+    let mut root_markers: Vec<(u32, usize)> = Vec::new();
+    let mut code_seen = 0usize;
     for t in &all {
-        if matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
-            let Some(site) = parse_suppression(t.line, &t.text) else {
-                continue;
-            };
-            for lint in &site.lints {
-                // A suppression covers its own line and the next one, so it
-                // works both inline and as a standalone comment above.
-                suppressions.entry(t.line).or_default().insert(lint.clone());
-                suppressions
-                    .entry(t.line + 1)
-                    .or_default()
-                    .insert(lint.clone());
-            }
-            suppression_sites.push(site);
+        if !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
+            code_seen += 1;
+            continue;
         }
+        if is_root_marker(&t.text) {
+            root_markers.push((t.line, code_seen));
+        }
+        let Some(site) = parse_suppression(t.line, &t.text) else {
+            continue;
+        };
+        for lint in &site.lints {
+            // A suppression covers its own line and the next one, so it
+            // works both inline and as a standalone comment above.
+            suppressions.entry(t.line).or_default().insert(lint.clone());
+            suppressions
+                .entry(t.line + 1)
+                .or_default()
+                .insert(lint.clone());
+        }
+        suppression_sites.push(site);
     }
 
     let code: Vec<Token> = all
@@ -139,15 +153,54 @@ fn build(all: Vec<Token>) -> FileScan {
     let fns = scan_fns(&code);
     let test_regions = scan_test_regions(&code);
 
-    FileScan {
+    let mut scan = FileScan {
         code,
         fns,
         test_regions,
         suppressions,
         suppression_sites,
+        dangling_roots: Vec::new(),
         has_forbid_unsafe,
         attr_ranges,
+    };
+    // A marker binds to the item whose attributes and qualifiers it sits
+    // above, when that item is a `fn` with a body.
+    for (line, next) in root_markers {
+        let fn_tok = (next..scan.code.len())
+            .find(|&i| !scan.in_attr(i) && !is_fn_qualifier(&scan.code[i]))
+            .filter(|&i| scan.code[i].is_ident("fn"));
+        match scan.fns.iter_mut().find(|f| Some(f.fn_tok) == fn_tok) {
+            Some(f) => f.is_root = true,
+            None => scan.dangling_roots.push(line),
+        }
     }
+    scan
+}
+
+/// A plain line comment reading `// funnel-lint: root` (a note may follow).
+/// Doc comments never match, so prose may quote the marker.
+fn is_root_marker(comment: &str) -> bool {
+    comment
+        .strip_prefix("//")
+        .map(str::trim_start)
+        .and_then(|c| c.strip_prefix("funnel-lint:"))
+        .map(str::trim_start)
+        .and_then(|c| c.strip_prefix("root"))
+        .is_some_and(|tail| !tail.starts_with(|c: char| c.is_alphanumeric() || c == '_'))
+}
+
+/// Whether `t` may sit between an item's first token and its `fn` keyword:
+/// `pub`, `pub(crate)`, `pub(in …)`, `const`, `async`, `unsafe`,
+/// `extern "C"`.
+pub(crate) fn is_fn_qualifier(t: &Token) -> bool {
+    t.kind == TokenKind::Str
+        || t.is_punct('(')
+        || t.is_punct(')')
+        || (t.kind == TokenKind::Ident
+            && matches!(
+                t.text.as_str(),
+                "pub" | "const" | "async" | "unsafe" | "extern" | "crate" | "super" | "in"
+            ))
 }
 
 /// `funnel-lint: allow(a, b)` anywhere inside a comment, plus whether a
@@ -385,6 +438,7 @@ fn scan_fns(code: &[Token]) -> Vec<FnSpan> {
             fn_tok: i,
             body_open: open,
             body_close: close,
+            is_root: false,
         });
     }
     fns
@@ -540,6 +594,25 @@ fn free() {}\n";
         assert!(!s.suppression_sites[1].has_note);
         assert!(s.suppression_sites[2].has_note);
         assert_eq!(s.suppression_sites[1].line, 2);
+    }
+
+    #[test]
+    fn root_markers_bind_to_the_next_fn_or_dangle() {
+        let src = "\
+// funnel-lint: root\n#[inline]\npub(crate) fn a() {}\n\
+/// Quoting `// funnel-lint: root` in docs marks nothing.\nfn b() {}\n\
+// funnel-lint: root\nstruct S;\n\
+// funnel-lint: rooted\nfn c() {}\n\
+trait T {\n  // funnel-lint: root\n  fn d();\n}\n";
+        let s = FileScan::of(src);
+        let roots: Vec<&str> = s
+            .fns
+            .iter()
+            .filter(|f| f.is_root)
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(roots, ["a"]);
+        assert_eq!(s.dangling_roots, [6, 11]);
     }
 
     #[test]

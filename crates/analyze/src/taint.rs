@@ -5,9 +5,12 @@
 //!
 //! * **L7 `panic-reachability`** — a function *reaches a panic* if its own
 //!   body has a panic source ([`FnNode::panic_sources`]) or any resolved,
-//!   non-`catch_unwind` callee reaches one. Hot-path entry points
-//!   ([`ENTRY_POINTS`]) that reach a panic are flagged, with the shortest
-//!   offending call chain in the message so the fix site is obvious.
+//!   non-`catch_unwind` callee reaches one. The roots are the fns that
+//!   carry a `// funnel-lint: root` marker ([`FnNode::is_root`]): the
+//!   entry points whose panic-freedom the paper's robustness story rests
+//!   on. A root that reaches a panic is flagged, with the shortest
+//!   offending call chain in the message so the fix site is obvious; so is
+//!   a marker that no `fn` follows, because it guards nothing.
 //! * **L8 `determinism-taint`** — a function is *tainted* if it has a
 //!   nondeterminism source ([`FnNode::taint_sources`]) or calls a tainted
 //!   function, unless it is a sanctioned sanitizer (the `obs::Clock` choke
@@ -26,43 +29,9 @@
 //! across runs and input file orderings.
 
 use crate::graph::{CallGraph, FnNode, Resolution};
-use crate::lints::{lint_info, Diagnostic};
+use crate::lints::Diagnostic;
 use crate::scan::FileScan;
 use std::collections::BTreeMap;
-
-/// The hot-path entry points whose panic-freedom the paper's robustness
-/// story depends on: assessment pipeline, parallel engine, supervisor,
-/// collector accept/backfill, streaming engine, crash recovery, and the
-/// diagnosis stage (it runs inside the streaming completion path, so a
-/// panic there stalls the engine exactly like an assessment panic would),
-/// and the self-monitor (its health verdict is only trustworthy if
-/// reading the pipeline's own telemetry can never panic).
-/// `(file, fn)` pairs; entries missing from the workspace are simply
-/// skipped, so fixture workspaces can exercise the pass with their own
-/// names.
-pub const ENTRY_POINTS: [(&str, &str); 21] = [
-    ("crates/core/src/pipeline.rs", "assess_change"),
-    ("crates/core/src/pipeline.rs", "assess_change_with"),
-    ("crates/core/src/pipeline.rs", "assess_keys"),
-    ("crates/core/src/parallel.rs", "assess_work_units"),
-    ("crates/core/src/parallel.rs", "merge"),
-    ("crates/core/src/supervise.rs", "supervise_change"),
-    ("crates/sim/src/collector.rs", "classify"),
-    ("crates/sim/src/collector.rs", "commit"),
-    ("crates/sim/src/collector.rs", "ingest"),
-    ("crates/sim/src/collector.rs", "finish"),
-    ("crates/sim/src/store.rs", "backfill"),
-    ("crates/sim/src/agent.rs", "replay_durable"),
-    ("crates/resilience/src/recover.rs", "recover"),
-    ("crates/core/src/stream.rs", "offer"),
-    ("crates/core/src/stream.rs", "tick"),
-    ("crates/core/src/stream.rs", "track_change"),
-    ("crates/timeseries/src/ring.rs", "push"),
-    ("crates/core/src/diagnose.rs", "diagnose_assessment"),
-    ("crates/diag/src/lib.rs", "diagnose_change"),
-    ("crates/core/src/selfmon.rs", "run_selfmon"),
-    ("crates/core/src/selfmon.rs", "timeline_series"),
-];
 
 /// Runs L7, L8, and L9 over the graph. `scans` must cover every file the
 /// graph was built from (for suppression/test filtering at finding sites).
@@ -92,10 +61,8 @@ fn emit_at(
             return;
         }
     }
-    let info = lint_info(id).expect("lint id registered");
     out.push(Diagnostic {
         lint: id,
-        severity: info.default_severity,
         file: file.to_string(),
         line,
         context: context.to_string(),
@@ -205,37 +172,50 @@ fn lint_panic_reachability(
         |n| n.in_test,
         propagating_callees,
     );
-    for (file, name) in ENTRY_POINTS {
-        for (i, n) in g.nodes.iter().enumerate() {
-            if n.file != file || n.name != name || !reaches[i] {
-                continue;
-            }
-            let Some(chain) = shortest_chain(
-                g,
-                i,
-                |j| !g.nodes[j].panic_sources.is_empty(),
-                propagating_callees,
-            ) else {
-                continue;
-            };
-            let last = &g.nodes[*chain.last().expect("chain non-empty")];
-            let src = &last.panic_sources[0];
+    for (i, n) in g.nodes.iter().enumerate() {
+        if !n.is_root || !reaches[i] {
+            continue;
+        }
+        let Some(chain) = shortest_chain(
+            g,
+            i,
+            |j| !g.nodes[j].panic_sources.is_empty(),
+            propagating_callees,
+        ) else {
+            continue;
+        };
+        let last = &g.nodes[*chain.last().expect("chain non-empty")];
+        let src = &last.panic_sources[0];
+        emit_at(
+            out,
+            by_file,
+            "panic-reachability",
+            &n.file,
+            n.start_line,
+            &n.name,
+            format!(
+                "hot-path entry `{}` can transitively panic: {} — {} at {}:{}; make the \
+                 chain fallible or suppress the source with a note",
+                n.name,
+                chain_names(g, &chain),
+                src.what,
+                last.file,
+                src.line
+            ),
+        );
+    }
+    for (file, scan) in by_file {
+        for &line in &scan.dangling_roots {
             emit_at(
                 out,
                 by_file,
                 "panic-reachability",
                 file,
-                n.start_line,
-                &n.name,
-                format!(
-                    "hot-path entry `{}` can transitively panic: {} — {} at {}:{}; make the \
-                     chain fallible or suppress the source with a note",
-                    n.name,
-                    chain_names(g, &chain),
-                    src.what,
-                    last.file,
-                    src.line
-                ),
+                line,
+                "<file>",
+                "`funnel-lint: root` is not followed by a `fn` item, so it marks no \
+                 panic-reachability root; put it directly above the fn it is meant for"
+                    .into(),
             );
         }
     }
@@ -478,7 +458,8 @@ mod tests {
         let (g, scans) = graph_of(&[
             (
                 "crates/core/src/pipeline.rs",
-                "pub fn assess_change() { step_one(); }\nfn step_one() { step_two(); }\n",
+                "// funnel-lint: root\npub fn assess_change() { step_one(); }\n\
+                 fn step_one() { step_two(); }\n",
             ),
             (
                 "crates/core/src/deep.rs",
@@ -506,7 +487,8 @@ mod tests {
     fn catch_unwind_is_a_panic_barrier() {
         let (g, scans) = graph_of(&[(
             "crates/core/src/supervise.rs",
-            "pub fn supervise_change() { let _ = catch_unwind(|| risky()); }\n\
+            "// funnel-lint: root\n\
+             pub fn supervise_change() { let _ = catch_unwind(|| risky()); }\n\
              fn risky(v: Vec<u8>) { v.first().unwrap(); }\n",
         )]);
         let diags = run_graph_lints(&g, &scans);

@@ -1,8 +1,9 @@
 //@file crates/core/src/pipeline.rs
+// funnel-lint: root
 pub fn assess_change() -> u32 {
     read_frame()
 }
-//@file crates/resilience/src/frame.rs
+//@file crates/topology/src/frame.rs
 pub fn read_frame() -> u32 {
     decode().unwrap()
 }

@@ -4,8 +4,8 @@
 //! checked-in `<name>.expected.json` byte for byte. Fixtures whose first
 //! line is `//@file crates/...` are multi-file bundles: each `//@file`
 //! directive starts a new virtual file, and the bundle goes through the
-//! full `analyze_sources` path (call graph, interprocedural lints,
-//! obs-name vocabulary) instead of the single-file lint set. The lexer
+//! full `analyze_sources` path (call graph, interprocedural lints)
+//! instead of the single-file lint set. The lexer
 //! edge-case fixture additionally has a full token dump golden
 //! (`lexer_edges.tokens.txt`).
 //!
@@ -14,7 +14,8 @@
 //! and review the diff like any other code change.
 
 use funnel_analyze::lexer::lex;
-use funnel_analyze::{analyze_file, analyze_sources, render_json, SeverityOverrides};
+use funnel_analyze::lints::REGISTRY;
+use funnel_analyze::{analyze_file, analyze_sources, render_json};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -72,7 +73,7 @@ fn fixtures_match_expected_json() {
         .collect();
     fixtures.sort();
     assert!(
-        fixtures.len() >= 22,
+        fixtures.len() >= 2 * REGISTRY.len(),
         "expected the full fixture set (fire + clean per lint), found {}",
         fixtures.len()
     );
@@ -83,7 +84,7 @@ fn fixtures_match_expected_json() {
         let src = fs::read_to_string(fixture).expect("fixture readable");
         let first = src.lines().next().unwrap_or("");
         let diags = if first.starts_with("//@file ") {
-            analyze_sources(&split_bundle(&src), &SeverityOverrides::default()).diagnostics
+            analyze_sources(&split_bundle(&src)).diagnostics
         } else {
             let vpath = first
                 .strip_prefix("//@path ")
@@ -95,7 +96,7 @@ fn fixtures_match_expected_json() {
                 })
                 .trim()
                 .to_string();
-            analyze_file(&vpath, &src, &SeverityOverrides::default())
+            analyze_file(&vpath, &src)
         };
         let got = render_json(&diags);
         let golden = fixture.with_extension("expected.json");
@@ -108,8 +109,8 @@ fn fixtures_match_expected_json() {
     }
     // Every lint has both a firing and a non-firing fixture; if this
     // drifts the fixture set lost a case.
-    assert!(firing >= 11, "only {firing} firing fixtures");
-    assert!(clean >= 10, "only {clean} clean fixtures");
+    assert!(firing >= REGISTRY.len(), "only {firing} firing fixtures");
+    assert!(clean >= REGISTRY.len(), "only {clean} clean fixtures");
 }
 
 /// Each lint id must appear in at least one firing fixture's expected
@@ -124,7 +125,7 @@ fn every_lint_has_a_firing_fixture() {
             all.push_str(&fs::read_to_string(&p).expect("expected json readable"));
         }
     }
-    for lint in &funnel_analyze::lints::REGISTRY {
+    for lint in &REGISTRY {
         assert!(
             all.contains(&format!("\"lint\":\"{}\"", lint.id)),
             "no firing fixture covers {}",

@@ -1,11 +1,10 @@
-//! The gate, end to end against the real workspace: the checked-in
-//! baseline must hold, and a deliberately injected violation must flip
-//! the gate to failing. Overlays let these tests analyze the actual repo
-//! with one file's contents swapped, without touching disk.
+//! The gate, end to end against the real workspace: HEAD must have no
+//! finding, and a deliberately injected violation must produce one.
+//! Overlays let these tests analyze the actual repo with one file's
+//! contents swapped, without touching disk.
 
-use funnel_analyze::baseline::{Baseline, GateViolation};
 use funnel_analyze::lints::Diagnostic;
-use funnel_analyze::{analyze, gate, SeverityOverrides, Workspace};
+use funnel_analyze::{analyze, Workspace};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -17,28 +16,22 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-fn read_baseline() -> Baseline {
-    let path = repo_root().join("lint-baseline.toml");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("checked-in baseline at {}: {e}", path.display()));
-    Baseline::parse(&text).expect("baseline parses")
+fn findings(ws: &Workspace) -> Vec<Diagnostic> {
+    analyze(ws).expect("workspace readable").diagnostics
 }
 
-fn findings(ws: &Workspace) -> Vec<Diagnostic> {
-    analyze(ws, &SeverityOverrides::default())
-        .expect("workspace readable")
-        .diagnostics
+/// Whether `found` holds a finding of `lint` in `file` whose enclosing fn
+/// (or `<file>`) is `context`.
+fn fires(found: &[Diagnostic], lint: &str, file: &str, context: &str) -> bool {
+    found
+        .iter()
+        .any(|d| d.lint == lint && d.file == file && d.context == context)
 }
 
 #[test]
-fn workspace_passes_the_gate_with_checked_in_baseline() {
+fn workspace_has_no_finding() {
     let all = findings(&Workspace::at(repo_root()));
-    let violations = gate(&all, &read_baseline(), &SeverityOverrides::default());
-    assert!(
-        violations.is_empty(),
-        "gate must be clean at HEAD (run --write-baseline after intentional changes): \
-         {violations:#?}"
-    );
+    assert!(all.is_empty(), "HEAD must be clean: {all:#?}");
 }
 
 #[test]
@@ -52,17 +45,10 @@ fn injected_instant_now_in_did_fails_the_gate() {
             "{orig}\nfn _lint_canary() -> std::time::Instant {{ std::time::Instant::now() }}\n"
         ),
     );
-    let violations = gate(
-        &findings(&ws),
-        &read_baseline(),
-        &SeverityOverrides::default(),
-    );
+    let found = findings(&ws);
     assert!(
-        violations.iter().any(|v| matches!(
-            v,
-            GateViolation::New { key, .. } if key.starts_with("nondeterministic-time:crates/did/src/lib.rs")
-        )),
-        "Instant::now() in crates/did must trip the gate: {violations:#?}"
+        fires(&found, "nondeterministic-time", target, "_lint_canary"),
+        "Instant::now() in crates/did must trip the gate: {found:#?}"
     );
 }
 
@@ -79,17 +65,10 @@ fn injected_hashmap_iteration_in_report_fails_the_gate() {
                     \x20   out\n\
                     }\n";
     let ws = Workspace::at(&root).overlay(target, &format!("{orig}{injected}"));
-    let violations = gate(
-        &findings(&ws),
-        &read_baseline(),
-        &SeverityOverrides::default(),
-    );
+    let found = findings(&ws);
     assert!(
-        violations.iter().any(|v| matches!(
-            v,
-            GateViolation::New { key, .. } if key.starts_with("unordered-iteration:crates/core/src/report.rs")
-        )),
-        "HashMap iteration in report.rs must trip the gate: {violations:#?}"
+        fires(&found, "unordered-iteration", target, "_order_leak"),
+        "HashMap iteration in report.rs must trip the gate: {found:#?}"
     );
 }
 
@@ -105,17 +84,10 @@ fn injected_unwrap_in_parallel_engine_fails_the_gate() {
         target,
         &format!("{orig}\nfn _lint_canary(v: Option<u32>) -> u32 {{ v.unwrap() }}\n"),
     );
-    let violations = gate(
-        &findings(&ws),
-        &read_baseline(),
-        &SeverityOverrides::default(),
-    );
+    let found = findings(&ws);
     assert!(
-        violations.iter().any(|v| matches!(
-            v,
-            GateViolation::New { key, .. } if key.starts_with("panic-in-hot-path:crates/core/src/parallel.rs")
-        )),
-        "unwrap() in the parallel engine must trip the gate: {violations:#?}"
+        fires(&found, "panic-in-hot-path", target, "_lint_canary"),
+        "unwrap() in the parallel engine must trip the gate: {found:#?}"
     );
 }
 
@@ -130,30 +102,52 @@ fn inject_into_fn(orig: &str, sig: &str, stmt: &str) -> String {
 #[test]
 fn injected_panic_chain_from_recover_fails_the_gate() {
     // L7 is interprocedural: the panic source lives in a helper, and only
-    // the call edge from the `recover` entry point makes it a finding.
+    // the call edge from the `recover` root makes it a finding.
     let root = repo_root();
     let target = "crates/resilience/src/recover.rs";
     let orig = std::fs::read_to_string(root.join(target)).expect("recover module exists");
     let body = inject_into_fn(&orig, "pub fn recover(", "_lint_canary_chain();");
+    let injected = format!(
+        "{body}\nfn _lint_canary_chain() {{ _lint_canary_panics(None); }}\n\
+         fn _lint_canary_panics(v: Option<u32>) {{ let _ = v.unwrap(); }}\n"
+    );
+    let found = findings(&Workspace::at(&root).overlay(target, &injected));
+    assert!(
+        fires(&found, "panic-reachability", target, "recover"),
+        "unwrap two calls below `recover` must trip L7: {found:#?}"
+    );
+
+    // The marker is what makes `recover` a root: without it the same chain
+    // is nobody's finding (the unwrap itself still trips L3).
+    let marked = "// funnel-lint: root\npub fn recover(";
+    assert!(injected.contains(marked), "recover carries the root marker");
+    let unmarked = injected.replace(marked, "pub fn recover(");
+    let found = findings(&Workspace::at(&root).overlay(target, &unmarked));
+    assert!(
+        !found.iter().any(|d| d.lint == "panic-reachability"),
+        "an unmarked fn is not a root: {found:#?}"
+    );
+    assert!(fires(
+        &found,
+        "panic-in-hot-path",
+        target,
+        "_lint_canary_panics"
+    ));
+}
+
+#[test]
+fn root_marker_without_a_fn_fails_the_gate() {
+    let root = repo_root();
+    let target = "crates/core/src/parallel.rs";
+    let orig = std::fs::read_to_string(root.join(target)).expect("parallel engine exists");
     let ws = Workspace::at(&root).overlay(
         target,
-        &format!(
-            "{body}\nfn _lint_canary_chain() {{ _lint_canary_panics(None); }}\n\
-             fn _lint_canary_panics(v: Option<u32>) {{ let _ = v.unwrap(); }}\n"
-        ),
+        &format!("{orig}\n// funnel-lint: root\nconst _LINT_CANARY: u32 = 0;\n"),
     );
-    let violations = gate(
-        &findings(&ws),
-        &read_baseline(),
-        &SeverityOverrides::default(),
-    );
+    let found = findings(&ws);
     assert!(
-        violations.iter().any(|v| matches!(
-            v,
-            GateViolation::New { key, .. }
-                if key.starts_with("panic-reachability:crates/resilience/src/recover.rs:recover")
-        )),
-        "unwrap two calls below `recover` must trip L7: {violations:#?}"
+        fires(&found, "panic-reachability", target, "<file>"),
+        "a marker that marks nothing must be a finding: {found:#?}"
     );
 }
 
@@ -173,18 +167,10 @@ fn injected_taint_into_report_sink_fails_the_gate() {
                     \x20   String::new()\n\
                     }\n";
     let ws = Workspace::at(&root).overlay(target, &format!("{orig}{injected}"));
-    let violations = gate(
-        &findings(&ws),
-        &read_baseline(),
-        &SeverityOverrides::default(),
-    );
+    let found = findings(&ws);
     assert!(
-        violations.iter().any(|v| matches!(
-            v,
-            GateViolation::New { key, .. }
-                if key.starts_with("determinism-taint:crates/core/src/report.rs:render_lint_canary")
-        )),
-        "clock taint reaching a render sink must trip L8: {violations:#?}"
+        fires(&found, "determinism-taint", target, "render_lint_canary"),
+        "clock taint reaching a render sink must trip L8: {found:#?}"
     );
 }
 
@@ -200,34 +186,30 @@ fn injected_commit_without_journal_fails_the_gate() {
                     \x20   let _ = hooks.on_accepted_frame();\n\
                     }\n";
     let ws = Workspace::at(&root).overlay(target, &format!("{orig}{injected}"));
-    let violations = gate(
-        &findings(&ws),
-        &read_baseline(),
-        &SeverityOverrides::default(),
-    );
+    let found = findings(&ws);
     assert!(
-        violations.iter().any(|v| matches!(
-            v,
-            GateViolation::New { key, .. }
-                if key.starts_with("journal-before-commit:crates/sim/src/collector.rs:_lint_canary_ingest")
-        )),
-        "commit before journal must trip L9: {violations:#?}"
+        fires(
+            &found,
+            "journal-before-commit",
+            target,
+            "_lint_canary_ingest"
+        ),
+        "commit before journal must trip L9: {found:#?}"
     );
 }
 
-/// The actual binary, exactly as CI invokes it: `funnel-lint --deny-new`
-/// must exit 0 at HEAD, and exit 2 when gating a root whose baseline
-/// admits nothing but whose tree has findings.
+/// The actual binary, exactly as CI invokes it: flagless `funnel-lint`
+/// must exit 0 at HEAD and 2 on a tree with a finding.
 #[test]
-fn binary_deny_new_exit_codes() {
+fn binary_exit_codes() {
     let root = repo_root();
     let status = Command::new(env!("CARGO_BIN_EXE_funnel-lint"))
-        .args(["--root", root.to_str().expect("utf8 root"), "--deny-new"])
+        .args(["--root", root.to_str().expect("utf8 root")])
         .status()
         .expect("funnel-lint binary runs");
     assert!(status.success(), "gate must pass at HEAD: {status:?}");
 
-    // A scratch mini-workspace with a deny finding and no baseline file.
+    // A scratch mini-workspace with one finding.
     let scratch = std::env::temp_dir().join(format!(
         "funnel-lint-gate-{}-{}",
         std::process::id(),
@@ -241,13 +223,9 @@ fn binary_deny_new_exit_codes() {
     )
     .expect("scratch file");
     let status = Command::new(env!("CARGO_BIN_EXE_funnel-lint"))
-        .args([
-            "--root",
-            scratch.to_str().expect("utf8 scratch"),
-            "--deny-new",
-        ])
+        .args(["--root", scratch.to_str().expect("utf8 scratch")])
         .status()
         .expect("funnel-lint binary runs");
-    assert_eq!(status.code(), Some(2), "new finding must exit 2");
+    assert_eq!(status.code(), Some(2), "a finding must exit 2");
     std::fs::remove_dir_all(&scratch).ok();
 }

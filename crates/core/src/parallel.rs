@@ -95,7 +95,7 @@ const CLAIMS_PER_WORKER: usize = 8;
 pub(crate) fn fan_out<J: Send, W, R: Send>(
     jobs: Vec<J>,
     workers: usize,
-    worker_span: Option<&'static str>,
+    worker_span: Option<funnel_obs::names::Name>,
     worker_state: impl Fn() -> W + Sync,
     run_job: impl Fn(&mut W, J) -> Option<R> + Sync,
 ) -> Vec<R> {
@@ -217,6 +217,7 @@ pub(crate) fn assess_units<T: Send>(
 /// let keys: Vec<_> = merge(reversed).iter().map(|i| i.key).collect();
 /// assert_eq!(keys, items.iter().map(|i| i.key).collect::<Vec<_>>());
 /// ```
+// funnel-lint: root
 pub fn merge(results: impl IntoIterator<Item = ItemAssessment>) -> Vec<ItemAssessment> {
     let by_key: BTreeMap<KpiKey, ItemAssessment> =
         results.into_iter().map(|item| (item.key, item)).collect();
@@ -226,6 +227,7 @@ pub fn merge(results: impl IntoIterator<Item = ItemAssessment>) -> Vec<ItemAsses
 /// Assesses every work unit of `work` against `source`, fanning out across
 /// `workers` threads when more than one is requested, and returns the items
 /// in merged (key-sorted) order.
+// funnel-lint: root
 pub(crate) fn assess_work_units<S: KpiSource + Sync>(
     funnel: &Funnel,
     source: &S,

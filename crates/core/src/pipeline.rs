@@ -333,6 +333,7 @@ impl Funnel {
     /// assert!(!assessment.items.is_empty());
     /// assert!(assessment.has_impact());
     /// ```
+    // funnel-lint: root
     pub fn assess_change(
         &self,
         world: &World,
@@ -360,6 +361,7 @@ impl Funnel {
     ///
     /// Propagates impact-set and missing-series failures; KPIs whose series
     /// exist are always assessed.
+    // funnel-lint: root
     pub fn assess_change_with(
         &self,
         source: &(impl KpiSource + Sync),
@@ -404,6 +406,7 @@ impl Funnel {
     /// # Errors
     ///
     /// Propagates impact-set identification and missing-series failures.
+    // funnel-lint: root
     pub fn assess_keys(
         &self,
         source: &(impl KpiSource + Sync),

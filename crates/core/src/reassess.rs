@@ -133,20 +133,6 @@ impl ReassessmentQueue {
             });
             added += 1;
         }
-        // Attributed to the window cursor: absorb runs right after the
-        // assessment that produced these items, so the cursor still holds
-        // that change's minute.
-        let window = funnel_obs::timeline::current_window();
-        funnel_obs::timeline_counter_add(
-            funnel_obs::names::REASSESS_ABSORBED,
-            window,
-            added as u64,
-        );
-        funnel_obs::timeline_gauge_set(
-            funnel_obs::names::REASSESS_QUEUE_DEPTH,
-            window,
-            self.pending.len() as u64,
-        );
         added
     }
 
@@ -193,11 +179,6 @@ impl ReassessmentQueue {
         if ready_keys.is_empty() {
             return Ok(Vec::new());
         }
-        funnel_obs::timeline_counter_add(
-            funnel_obs::names::REASSESS_READY,
-            change.minute,
-            ready_keys.len() as u64,
-        );
 
         // Re-run everything first: an error must not half-drain the queue.
         let upgrades = funnel.assess_keys(source, topology, change, &ready_keys)?;
@@ -207,21 +188,11 @@ impl ReassessmentQueue {
             .filter(|item| !item.verdict.awaiting_backfill())
             .map(|item| item.key)
             .collect();
-        funnel_obs::timeline_counter_add(
-            funnel_obs::names::REASSESS_UPGRADED,
-            change.minute,
-            firm.len() as u64,
-        );
         for key in &firm {
             self.applied.insert((change.id, *key));
         }
         self.pending
             .retain(|p| !(p.change == change.id && firm.contains(&p.key)));
-        funnel_obs::timeline_gauge_set(
-            funnel_obs::names::REASSESS_QUEUE_DEPTH,
-            change.minute,
-            self.pending.len() as u64,
-        );
         Ok(upgrades)
     }
 }

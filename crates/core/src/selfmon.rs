@@ -72,9 +72,9 @@ impl Default for SelfMonConfig {
     fn default() -> Self {
         Self {
             series: vec![
-                names::FRAMES_INGESTED.to_string(),
-                names::FRAMES_QUARANTINED.to_string(),
-                names::STREAM_SHED.to_string(),
+                names::FRAMES_INGESTED.as_str().to_string(),
+                names::FRAMES_QUARANTINED.as_str().to_string(),
+                names::STREAM_SHED.as_str().to_string(),
             ],
             sst: SstConfig::paper_default(),
             threshold: 0.5,
@@ -175,6 +175,7 @@ impl PipelineHealthReport {
 /// pipeline kept running" reads as a drop to zero rather than a shorter
 /// series. Returns an empty series when the snapshot has no windows at
 /// all.
+// funnel-lint: root
 pub fn timeline_series(report: &TimelineReport, name: &str) -> TimeSeries {
     let Some((start, end)) = snapshot_range(report) else {
         return TimeSeries::empty(0);
@@ -207,22 +208,19 @@ fn snapshot_range(report: &TimelineReport) -> Option<(MinuteBin, MinuteBin)> {
 /// Runs the self-monitor: every configured series is adapted with
 /// [`timeline_series`], min–max normalized (as the paper normalizes its
 /// KPI plots), and scored by SST + persistence. A series shorter than one
-/// SST window scores no alerts — too little telemetry to judge.
-///
-/// Emits its own telemetry while running (`selfmon.run` span,
-/// `selfmon.series_checked` / `selfmon.alerts` counters) — aggregate-only,
-/// so analyzing a snapshot never perturbs windowed timelines.
+/// SST window scores no alerts — too little telemetry to judge. Records
+/// nothing itself, so analyzing a snapshot never perturbs a timeline.
 ///
 /// # Errors
 ///
 /// Returns the validation message when `config.sst` is not a usable SST
 /// layout — the self-monitor never panics, because it runs inside the
 /// pipeline it is judging.
+// funnel-lint: root
 pub fn run_selfmon(
     report: &TimelineReport,
     config: &SelfMonConfig,
 ) -> Result<PipelineHealthReport, String> {
-    let _span = funnel_obs::span!(names::SPAN_SELFMON);
     let runner = DetectorRunner::new(
         SstDetector::fast(FastSst::try_new(config.sst.clone())?),
         config.threshold,
@@ -230,7 +228,6 @@ pub fn run_selfmon(
     );
     let mut series_out = Vec::with_capacity(config.series.len());
     for name in &config.series {
-        funnel_obs::counter_add(names::SELFMON_SERIES, 1);
         let series = timeline_series(report, name);
         let total: u64 = report.counter_series(name).iter().map(|(_, v)| v).sum();
         let alerts: Vec<HealthAlert> = if series.len() >= config.sst.window_len() {
@@ -246,7 +243,6 @@ pub fn run_selfmon(
         } else {
             Vec::new()
         };
-        funnel_obs::counter_add(names::SELFMON_ALERTS, alerts.len() as u64);
         series_out.push(SeriesHealth {
             name: name.clone(),
             windows: series.len() as u64,
@@ -282,7 +278,7 @@ mod tests {
 
     #[test]
     fn flat_series_is_healthy() {
-        let report = synthetic_report((0..120).map(|m| (names::FRAMES_INGESTED, m, 500)));
+        let report = synthetic_report((0..120).map(|m| (names::FRAMES_INGESTED.as_str(), m, 500)));
         let health = run_selfmon(&report, &SelfMonConfig::default()).unwrap();
         assert!(health.healthy(), "flat ingest must not alert: {health:?}");
         assert_eq!(health.series.len(), 3);
@@ -293,13 +289,13 @@ mod tests {
     #[test]
     fn ingest_collapse_raises_an_alert() {
         // A partition at minute 60 silences ingest entirely.
-        let ingest = (0..60).map(|m| (names::FRAMES_INGESTED, m, 500));
+        let ingest = (0..60).map(|m| (names::FRAMES_INGESTED.as_str(), m, 500));
         // Keep the snapshot range anchored past the silence.
-        let ticks = (0..120).map(|m| (names::STREAM_TICKS, m, 1));
+        let ticks = (0..120).map(|m| (names::STREAM_TICKS.as_str(), m, 1));
         let report = synthetic_report(ingest.chain(ticks));
         let health = run_selfmon(&report, &SelfMonConfig::default()).unwrap();
         let ingest = &health.series[0];
-        assert_eq!(ingest.name, names::FRAMES_INGESTED);
+        assert_eq!(ingest.name, names::FRAMES_INGESTED.as_str());
         assert_eq!(
             ingest.windows, 120,
             "zero-fill must extend to the snapshot's full range"
@@ -319,8 +315,8 @@ mod tests {
     #[test]
     fn too_short_series_never_alerts() {
         let report = synthetic_report([
-            (names::FRAMES_INGESTED, 3, 1),
-            (names::FRAMES_INGESTED, 5, 900),
+            (names::FRAMES_INGESTED.as_str(), 3, 1),
+            (names::FRAMES_INGESTED.as_str(), 5, 900),
         ]);
         let health = run_selfmon(&report, &SelfMonConfig::default()).unwrap();
         assert!(health.healthy());
@@ -329,7 +325,7 @@ mod tests {
 
     #[test]
     fn report_json_is_deterministic_and_versioned() {
-        let report = synthetic_report((0..40).map(|m| (names::FRAMES_INGESTED, m, 10)));
+        let report = synthetic_report((0..40).map(|m| (names::FRAMES_INGESTED.as_str(), m, 10)));
         let config = SelfMonConfig::default();
         let a = run_selfmon(&report, &config).unwrap().to_json();
         let b = run_selfmon(&report, &config).unwrap().to_json();

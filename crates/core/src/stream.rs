@@ -531,6 +531,7 @@ impl StreamEngine {
     /// # Errors
     ///
     /// Propagates impact-set identification failures.
+    // funnel-lint: root
     pub fn track_change(
         &mut self,
         topology: &Topology,
@@ -565,6 +566,7 @@ impl StreamEngine {
     /// append to the key's ring (evicting the oldest bin when full), late
     /// frames behind the tick watermark take the backfill path, and either
     /// way an accepted write marks the key dirty for the next tick.
+    // funnel-lint: root
     pub fn offer(&mut self, m: Measurement) -> StreamIngest {
         if !m.value.is_finite() {
             // The collector quarantines non-finite values before the store;
@@ -593,12 +595,10 @@ impl StreamEngine {
                 }
                 RingWrite::Duplicate => {
                     self.stats.late_rejected += 1;
-                    funnel_obs::timeline_counter_add(names::STREAM_LATE_REJECTED, m.minute, 1);
                     StreamIngest::Duplicate
                 }
                 RingWrite::Evicted => {
                     self.stats.late_rejected += 1;
-                    funnel_obs::timeline_counter_add(names::STREAM_LATE_REJECTED, m.minute, 1);
                     StreamIngest::Evicted
                 }
             }
@@ -621,6 +621,7 @@ impl StreamEngine {
     /// across the worker pool, then complete every change whose assessment
     /// window closed. Never blocks on a slow consumer and never panics;
     /// overload degrades to recorded sheds, not stalls.
+    // funnel-lint: root
     pub fn tick(&mut self, minute: MinuteBin) -> TickReport {
         // The tick minute is the stream's timeline window: pinned at this
         // single-threaded choke point before the span opens, so every
@@ -638,11 +639,6 @@ impl StreamEngine {
             ..TickReport::default()
         };
         self.stats.peak_dirty = self.stats.peak_dirty.max(self.dirty.len());
-        funnel_obs::timeline_histogram_record(
-            names::STREAM_DIRTY_DEPTH,
-            minute,
-            self.dirty.len() as u64,
-        );
 
         let plans = self.plan_scoring(minute);
         let lag = plans
@@ -663,7 +659,6 @@ impl StreamEngine {
         funnel_obs::timeline_counter_add(names::STREAM_SCORES, minute, folds);
         for d in &detections {
             self.stats.detections += 1;
-            funnel_obs::timeline_counter_add(names::STREAM_DETECTIONS, minute, 1);
             for change in &mut self.changes {
                 if d.declared_at >= change.record.minute
                     && change.work.binary_search(&d.key).is_ok()
@@ -677,7 +672,6 @@ impl StreamEngine {
 
         report.completed = self.complete_due_changes(minute);
 
-        funnel_obs::timeline_gauge_set(names::STREAM_KEYS, minute, self.rings.len() as u64);
         let window_bytes = self.window_bytes();
         self.stats.peak_window_bytes = self.stats.peak_window_bytes.max(window_bytes);
         funnel_obs::timeline_gauge_set(names::STREAM_WINDOW_BYTES, minute, window_bytes as u64);
@@ -887,7 +881,6 @@ impl StreamEngine {
             // own minute (like the batch path), not the tick that happened
             // to complete it; the cursor is restored before returning.
             funnel_obs::timeline::set_window(change.record.minute);
-            let _span = funnel_obs::span!(names::SPAN_STREAM_ASSESS);
             let to = change.record.minute + self.funnel.config().assessment_minutes + 1;
             let mut live = Vec::new();
             let mut stale = Vec::new();
@@ -905,11 +898,6 @@ impl StreamEngine {
                 }
             }
             self.stats.stale += stale.len() as u64;
-            funnel_obs::timeline_counter_add(
-                names::STREAM_STALE,
-                change.record.minute,
-                stale.len() as u64,
-            );
 
             let funnel = &self.funnel;
             let load_shed =
@@ -976,7 +964,6 @@ impl StreamEngine {
                     }
                     Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
                         self.stats.verdicts_dropped += 1;
-                        funnel_obs::timeline_counter_add(names::STREAM_VERDICTS_DROPPED, minute, 1);
                     }
                 }
             }

@@ -36,8 +36,7 @@
 //! ([`SUPERVISOR_RETRIES`](funnel_obs::names::SUPERVISOR_RETRIES),
 //! [`SUPERVISOR_RESTARTS`](funnel_obs::names::SUPERVISOR_RESTARTS),
 //! [`SUPERVISOR_QUARANTINED`](funnel_obs::names::SUPERVISOR_QUARANTINED)),
-//! and the counters are seeded at zero on every run so they appear in the
-//! report even when no fault fires — the CI `chaos-smoke` step greps them.
+//! once per run, so all three appear in the report even when no fault fires.
 
 use crate::parallel::{self, ControlTable};
 use crate::pipeline::{ChangeAssessment, Funnel, FunnelError, ItemAssessment};
@@ -265,6 +264,7 @@ fn run_unit<S: KpiSource + Sync>(
 /// do depend on scheduling, which is exactly why the assessment is
 /// withheld (`None`) — the chaos harness discards everything but
 /// `aborted` from a killed run.
+// funnel-lint: root
 pub fn supervise_change<S: KpiSource + Sync>(
     funnel: &Funnel,
     source: &S,
@@ -278,12 +278,6 @@ pub fn supervise_change<S: KpiSource + Sync>(
     // (same choke-point discipline as the unsupervised entry).
     funnel_obs::timeline::set_window(change.minute);
     let span = funnel_obs::span!(names::SPAN_ASSESS_CHANGE);
-    // Seed the supervisor counters so they appear in every obs report,
-    // fault or no fault — the CI chaos-smoke step greps for them.
-    funnel_obs::counter_add(names::SUPERVISOR_RETRIES, 0);
-    funnel_obs::counter_add(names::SUPERVISOR_QUARANTINED, 0);
-    funnel_obs::counter_add(names::SUPERVISOR_RESTARTS, 0);
-
     let impact_set = identify_impact_set(topology, change)?;
     let work = crate::pipeline::enumerate_work_units(&impact_set, change, service_kinds);
     funnel_obs::timeline_gauge_set(names::WORK_UNITS_TOTAL, change.minute, work.len() as u64);
@@ -320,16 +314,6 @@ pub fn supervise_change<S: KpiSource + Sync>(
         report.retries += run.retries;
         report.restarts += run.restarts;
         if !run.backoff_ms.is_empty() {
-            // One histogram sample per scheduled backoff sleep, attributed
-            // to the change minute. Recorded here on the aggregation
-            // thread, in work order.
-            for &ms in &run.backoff_ms {
-                funnel_obs::timeline_histogram_record(
-                    names::SUPERVISOR_BACKOFF_MS,
-                    change.minute,
-                    ms,
-                );
-            }
             report.backoff_ms.insert(run.item.key, run.backoff_ms);
         }
         if run.quarantined {

@@ -71,8 +71,8 @@ fn cache_on_and_cache_off_agree_bit_for_bit() {
         runs.push((
             workers,
             batched,
-            counter(funnel_obs::names::CONTROL_CACHE_HITS),
-            counter(funnel_obs::names::CONTROL_CACHE_MISSES),
+            counter(funnel_obs::names::CONTROL_CACHE_HITS.as_str()),
+            counter(funnel_obs::names::CONTROL_CACHE_MISSES.as_str()),
         ));
     }
 

@@ -78,23 +78,23 @@ fn recording_never_changes_assessment_bytes() {
         // call counts are the same at every worker count.
         let report = funnel_obs::snapshot();
         assert_eq!(
-            report.counters[funnel_obs::names::VERDICT_CAUSED]
-                + report.counters[funnel_obs::names::VERDICT_NOT_CAUSED]
+            report.counters[funnel_obs::names::VERDICT_CAUSED.as_str()]
+                + report.counters[funnel_obs::names::VERDICT_NOT_CAUSED.as_str()]
                 + report
                     .counters
-                    .get(funnel_obs::names::VERDICT_INCONCLUSIVE)
+                    .get(funnel_obs::names::VERDICT_INCONCLUSIVE.as_str())
                     .copied()
                     .unwrap_or(0),
             items,
             "obs on ({workers} workers): verdict counters must cover every item"
         );
         assert_eq!(
-            report.gauges[funnel_obs::names::WORK_UNITS_TOTAL],
+            report.gauges[funnel_obs::names::WORK_UNITS_TOTAL.as_str()],
             items,
             "obs on ({workers} workers): work-unit gauge"
         );
         assert_eq!(
-            report.spans[funnel_obs::names::SPAN_ASSESS_ITEM].count,
+            report.spans[funnel_obs::names::SPAN_ASSESS_ITEM.as_str()].count,
             items,
             "obs on ({workers} workers): item span count"
         );
@@ -104,7 +104,10 @@ fn recording_never_changes_assessment_bytes() {
         // bill (`obs.trace_overhead_pct` in the ledger prices it); re-record
         // on purpose.
         assert_eq!(
-            (items, report.counters[funnel_obs::names::TIMELINE_RECORDS]),
+            (
+                items,
+                report.counters[funnel_obs::names::TIMELINE_RECORDS.as_str()]
+            ),
             (17, 73),
             "obs on ({workers} workers): windowed telemetry writes per assessment"
         );
@@ -160,22 +163,22 @@ fn recording_never_changes_assessment_bytes() {
             fingerprint(&world, &sup.assessment.expect("run aborted")),
             "obs on: supervised run diverged at {workers} workers"
         );
-        // Supervisor counters are seeded and order-insensitive: one
-        // retried unit, nothing restarted, nothing quarantined — the same
-        // aggregate at every worker count.
+        // Supervisor counters are written once per run and are
+        // order-insensitive: one retried unit, nothing restarted, nothing
+        // quarantined — the same aggregate at every worker count.
         let report = funnel_obs::snapshot();
         assert_eq!(
-            report.counters[funnel_obs::names::SUPERVISOR_RETRIES],
+            report.counters[funnel_obs::names::SUPERVISOR_RETRIES.as_str()],
             1,
             "obs on ({workers} workers): retry counter"
         );
         assert_eq!(
-            report.counters[funnel_obs::names::SUPERVISOR_RESTARTS],
+            report.counters[funnel_obs::names::SUPERVISOR_RESTARTS.as_str()],
             0,
             "obs on ({workers} workers): restart counter"
         );
         assert_eq!(
-            report.counters[funnel_obs::names::SUPERVISOR_QUARANTINED],
+            report.counters[funnel_obs::names::SUPERVISOR_QUARANTINED.as_str()],
             0,
             "obs on ({workers} workers): quarantine counter"
         );
@@ -210,20 +213,20 @@ fn recording_never_changes_assessment_bytes() {
         // order-insensitive: tick/fold counters don't depend on workers.
         let report = funnel_obs::snapshot();
         assert_eq!(
-            report.counters[funnel_obs::names::STREAM_TICKS],
+            report.counters[funnel_obs::names::STREAM_TICKS.as_str()],
             feed.arrivals().count() as u64,
             "obs on ({workers} workers): tick counter"
         );
         assert!(
-            report.counters[funnel_obs::names::STREAM_SCORES] > 0,
+            report.counters[funnel_obs::names::STREAM_SCORES.as_str()] > 0,
             "obs on ({workers} workers): no folds recorded"
         );
         assert!(
-            report.counters[funnel_obs::names::STREAM_VERDICTS] > 0,
+            report.counters[funnel_obs::names::STREAM_VERDICTS.as_str()] > 0,
             "obs on ({workers} workers): no verdicts recorded"
         );
         assert_eq!(
-            report.spans[funnel_obs::names::SPAN_STREAM_TICK].count,
+            report.spans[funnel_obs::names::SPAN_STREAM_TICK.as_str()].count,
             feed.arrivals().count() as u64,
             "obs on ({workers} workers): tick span count"
         );

@@ -226,9 +226,9 @@ fn timeline_and_trace_are_deterministic_and_selfmon_sees_faults() {
             "workers={workers}: invariant slice is empty"
         );
         window_counts.push([
-            slice.counter_series(funnel_obs::names::DETECT_WINDOWS_SCREENED),
-            slice.counter_series(funnel_obs::names::DETECT_WINDOWS_SCORED),
-            slice.counter_series(funnel_obs::names::DETECT_WINDOWS_DROPPED),
+            slice.counter_series(funnel_obs::names::DETECT_WINDOWS_SCREENED.as_str()),
+            slice.counter_series(funnel_obs::names::DETECT_WINDOWS_SCORED.as_str()),
+            slice.counter_series(funnel_obs::names::DETECT_WINDOWS_DROPPED.as_str()),
         ]);
         restricted.push((workers, slice.to_json(), chrome_trace_json(&slice)));
     }
@@ -309,7 +309,7 @@ fn timeline_and_trace_are_deterministic_and_selfmon_sees_faults() {
     let ingest = faulted_health
         .series
         .iter()
-        .find(|s| s.name == funnel_obs::names::FRAMES_INGESTED)
+        .find(|s| s.name == funnel_obs::names::FRAMES_INGESTED.as_str())
         .unwrap();
     assert!(
         !ingest.alerts.is_empty(),

@@ -458,10 +458,6 @@ impl<S: WindowScorer> DetectorRunner<S> {
             })
         });
         out.suppressed_events = before - out.events.len();
-        funnel_obs::counter_add(
-            funnel_obs::names::DETECT_GAP_SUPPRESSED,
-            out.suppressed_events as u64,
-        );
         out
     }
 

@@ -32,7 +32,8 @@ pub struct DiagConfig {
     /// Half-width, in minutes, of the SST score trace captured around the
     /// detection point for the evidence dossier. The trace re-scores only
     /// `2·trace_radius + 1` windows, which is what keeps the whole pass
-    /// cheap relative to assessment (the `diag_sweep` bench gates it).
+    /// cheap relative to assessment (the ledger row `diag.ms_per_change`
+    /// beside `core.assess.ms_per_change` prices it).
     pub trace_radius: u64,
     /// Zone count for the contribution ranking's shard/zone dimension
     /// (servers are striped `server_id % zones`, matching the simulator's

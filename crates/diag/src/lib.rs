@@ -46,6 +46,7 @@ pub use report::{DiagReport, Evidence, ItemDiagnosis, DEFAULT_PATH, SCHEMA_VERSI
 /// order, all aggregation goes through ordered containers and Neumaier
 /// sums, and no input — empty pools, constant series, non-finite
 /// statistics — can fault the pass (it is a `funnel-lint` L7 entry point).
+// funnel-lint: root
 pub fn diagnose_change(config: &DiagConfig, input: &ChangeInput) -> DiagReport {
     let items = input
         .items

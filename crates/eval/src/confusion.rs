@@ -6,11 +6,9 @@
 //! a false positive is a claimed impact where there was none (or it was not
 //! software-caused); a false negative is a missed real impact.
 
-use serde::{Deserialize, Serialize};
-
 /// Raw outcome counts. Counts are `f64` so the §4.2.1 extrapolation (clean
 /// changes scaled by 86 = 6194/72) composes exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ConfusionMatrix {
     /// True positives.
     pub tp: f64,
@@ -23,7 +21,7 @@ pub struct ConfusionMatrix {
 }
 
 /// Derived rates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rates {
     /// TP / (TP + FP); 1.0 when no positives were claimed.
     pub precision: f64,

@@ -42,6 +42,7 @@ pub mod timeline;
 pub mod trace;
 
 use metrics::{Histogram, Registry, StageStat};
+use names::Name;
 use parking_lot::Mutex;
 use report::ObsReport;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,6 +50,9 @@ use std::sync::OnceLock;
 use timeline::TimelineReport;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+
+/// The counter every windowed write bumps: the timeline's own cost meter.
+const TIMELINE_RECORDS: &str = names::TIMELINE_RECORDS.as_str();
 
 fn registry() -> &'static Mutex<Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
@@ -116,27 +120,27 @@ pub fn recorder() -> Recorder {
 impl Recorder {
     /// Adds `n` to the counter `name`.
     #[inline]
-    pub fn add(self, name: &'static str, n: u64) {
+    pub fn add(self, name: Name, n: u64) {
         if let Recorder::Active(reg) = self {
-            *reg.lock().counters.entry(name).or_insert(0) += n;
+            *reg.lock().counters.entry(name.as_str()).or_insert(0) += n;
         }
     }
 
     /// Sets the gauge `name` to `v` (last write wins).
     #[inline]
-    pub fn gauge(self, name: &'static str, v: u64) {
+    pub fn gauge(self, name: Name, v: u64) {
         if let Recorder::Active(reg) = self {
-            reg.lock().gauges.insert(name, v);
+            reg.lock().gauges.insert(name.as_str(), v);
         }
     }
 
     /// Records `v` into the log2-bucket histogram `name`.
     #[inline]
-    pub fn observe(self, name: &'static str, v: u64) {
+    pub fn observe(self, name: Name, v: u64) {
         if let Recorder::Active(reg) = self {
             reg.lock()
                 .histograms
-                .entry(name)
+                .entry(name.as_str())
                 .or_insert_with(Histogram::new)
                 .record(v);
         }
@@ -145,12 +149,13 @@ impl Recorder {
     /// Adds `n` to the counter `name` in timeline window `window`, and to
     /// the plain (aggregate) counter — one lock for both.
     #[inline]
-    pub fn add_windowed(self, name: &'static str, window: u64, n: u64) {
+    pub fn add_windowed(self, name: Name, window: u64, n: u64) {
         if let Recorder::Active(reg) = self {
+            let name = name.as_str();
             let mut reg = reg.lock();
             *reg.counters.entry(name).or_insert(0) += n;
             *reg.timeline.counters.entry((name, window)).or_insert(0) += n;
-            *reg.counters.entry(names::TIMELINE_RECORDS).or_insert(0) += 1;
+            *reg.counters.entry(TIMELINE_RECORDS).or_insert(0) += 1;
         }
     }
 
@@ -158,21 +163,23 @@ impl Recorder {
     /// window — a last-write rule would leak thread scheduling into the
     /// bytes) and last-write-wins into the plain gauge.
     #[inline]
-    pub fn gauge_windowed(self, name: &'static str, window: u64, v: u64) {
+    pub fn gauge_windowed(self, name: Name, window: u64, v: u64) {
         if let Recorder::Active(reg) = self {
+            let name = name.as_str();
             let mut reg = reg.lock();
             reg.gauges.insert(name, v);
             let slot = reg.timeline.gauges.entry((name, window)).or_insert(0);
             *slot = (*slot).max(v);
-            *reg.counters.entry(names::TIMELINE_RECORDS).or_insert(0) += 1;
+            *reg.counters.entry(TIMELINE_RECORDS).or_insert(0) += 1;
         }
     }
 
     /// Records `v` into the histogram `name` for window `window` and into
     /// the plain histogram.
     #[inline]
-    pub fn observe_windowed(self, name: &'static str, window: u64, v: u64) {
+    pub fn observe_windowed(self, name: Name, window: u64, v: u64) {
         if let Recorder::Active(reg) = self {
+            let name = name.as_str();
             let mut reg = reg.lock();
             reg.histograms
                 .entry(name)
@@ -183,26 +190,26 @@ impl Recorder {
                 .entry((name, window))
                 .or_insert_with(Histogram::new)
                 .record(v);
-            *reg.counters.entry(names::TIMELINE_RECORDS).or_insert(0) += 1;
+            *reg.counters.entry(TIMELINE_RECORDS).or_insert(0) += 1;
         }
     }
 }
 
 /// Adds `n` to the counter `name` (no-op while disabled).
 #[inline]
-pub fn counter_add(name: &'static str, n: u64) {
+pub fn counter_add(name: Name, n: u64) {
     recorder().add(name, n);
 }
 
 /// Sets the gauge `name` to `v` (no-op while disabled).
 #[inline]
-pub fn gauge_set(name: &'static str, v: u64) {
+pub fn gauge_set(name: Name, v: u64) {
     recorder().gauge(name, v);
 }
 
 /// Records `v` into the histogram `name` (no-op while disabled).
 #[inline]
-pub fn histogram_record(name: &'static str, v: u64) {
+pub fn histogram_record(name: Name, v: u64) {
     recorder().observe(name, v);
 }
 
@@ -211,21 +218,21 @@ pub fn histogram_record(name: &'static str, v: u64) {
 /// decoded frame minute, the change minute, the tick minute — so
 /// attribution is independent of thread interleaving.
 #[inline]
-pub fn timeline_counter_add(name: &'static str, window: u64, n: u64) {
+pub fn timeline_counter_add(name: Name, window: u64, n: u64) {
     recorder().add_windowed(name, window, n);
 }
 
 /// Sets the gauge `name` for timeline window `window` (max-wins within the
 /// window) and in aggregate (no-op while disabled).
 #[inline]
-pub fn timeline_gauge_set(name: &'static str, window: u64, v: u64) {
+pub fn timeline_gauge_set(name: Name, window: u64, v: u64) {
     recorder().gauge_windowed(name, window, v);
 }
 
 /// Records `v` into the histogram `name` both in aggregate and in timeline
 /// window `window` (no-op while disabled).
 #[inline]
-pub fn timeline_histogram_record(name: &'static str, window: u64, v: u64) {
+pub fn timeline_histogram_record(name: Name, window: u64, v: u64) {
     recorder().observe_windowed(name, window, v);
 }
 
@@ -315,10 +322,13 @@ mod tests {
             clock::SimClock::advance_ns(750);
         }
         let report = snapshot();
-        assert_eq!(report.counters[names::FRAMES_INGESTED], 5);
-        assert_eq!(report.gauges[names::WORK_UNITS_TOTAL], 7);
-        assert_eq!(report.histograms[names::DID_CONTROL_POOL_SIZE].count, 1);
-        let stat = &report.spans[names::SPAN_ASSESS_ITEM];
+        assert_eq!(report.counters[names::FRAMES_INGESTED.as_str()], 5);
+        assert_eq!(report.gauges[names::WORK_UNITS_TOTAL.as_str()], 7);
+        assert_eq!(
+            report.histograms[names::DID_CONTROL_POOL_SIZE.as_str()].count,
+            1
+        );
+        let stat = &report.spans[names::SPAN_ASSESS_ITEM.as_str()];
         assert_eq!(stat.count, 2);
         assert_eq!(stat.total_ns, 1000);
         assert_eq!(stat.min_ns, 250);
@@ -347,7 +357,7 @@ mod tests {
             }
         });
         let report = snapshot();
-        let stat = &report.spans[names::SPAN_ASSESS_WORKER];
+        let stat = &report.spans[names::SPAN_ASSESS_WORKER.as_str()];
         assert_eq!(stat.count, 12);
         assert_eq!(stat.min_index, 0, "merge keeps the lowest worker index");
         reset();

@@ -108,8 +108,8 @@ impl ObsReport {
         out
     }
 
-    /// A human-readable stage-timing and counter summary (what the CI
-    /// `obs-smoke` step prints into the log).
+    /// A human-readable stage-timing and counter summary (what
+    /// `FUNNEL_OBS=1 chaos_assessment` prints).
     pub fn human_summary(&self) -> String {
         let mut out = String::from("observability report\n");
         if !self.spans.is_empty() {
@@ -205,21 +205,21 @@ mod tests {
 
     fn sample_report() -> ObsReport {
         let mut counters = BTreeMap::new();
-        counters.insert(crate::names::FRAMES_INGESTED, 42u64);
-        counters.insert(crate::names::VERDICT_CAUSED, 3u64);
+        counters.insert(crate::names::FRAMES_INGESTED.as_str(), 42u64);
+        counters.insert(crate::names::VERDICT_CAUSED.as_str(), 3u64);
         let mut gauges = BTreeMap::new();
-        gauges.insert(crate::names::WORK_UNITS_TOTAL, 115u64);
+        gauges.insert(crate::names::WORK_UNITS_TOTAL.as_str(), 115u64);
         let mut h = Histogram::new();
         h.record(4);
         h.record(4);
         h.record(0);
         let mut histograms = BTreeMap::new();
-        histograms.insert(crate::names::DID_CONTROL_POOL_SIZE, h);
+        histograms.insert(crate::names::DID_CONTROL_POOL_SIZE.as_str(), h);
         let mut s = StageStat::empty();
         s.observe(1500, 0);
         s.observe(500, 2);
         let mut spans = BTreeMap::new();
-        spans.insert(crate::names::SPAN_ASSESS_ITEM, s);
+        spans.insert(crate::names::SPAN_ASSESS_ITEM.as_str(), s);
         ObsReport {
             counters,
             gauges,
@@ -255,8 +255,12 @@ mod tests {
     #[test]
     fn counters_serialize_in_name_order() {
         let json = sample_report().to_json();
-        let caused = json.find(crate::names::VERDICT_CAUSED).expect("caused");
-        let frames = json.find(crate::names::FRAMES_INGESTED).expect("frames");
+        let caused = json
+            .find(crate::names::VERDICT_CAUSED.as_str())
+            .expect("caused");
+        let frames = json
+            .find(crate::names::FRAMES_INGESTED.as_str())
+            .expect("frames");
         assert!(
             caused < frames,
             "BTreeMap order: assess.* before collector.*"
@@ -281,10 +285,16 @@ mod tests {
         let mut report = sample_report();
         let mut fast = StageStat::empty();
         fast.observe(10, u64::MAX);
-        report.spans.insert(crate::names::SPAN_DETECT, fast);
+        report
+            .spans
+            .insert(crate::names::SPAN_DETECT.as_str(), fast);
         let summary = report.human_summary();
-        let item = summary.find(crate::names::SPAN_ASSESS_ITEM).expect("item");
-        let detect = summary.find(crate::names::SPAN_DETECT).expect("detect");
+        let item = summary
+            .find(crate::names::SPAN_ASSESS_ITEM.as_str())
+            .expect("item");
+        let detect = summary
+            .find(crate::names::SPAN_DETECT.as_str())
+            .expect("detect");
         assert!(item < detect, "heavier stage must print first");
     }
 }

@@ -19,6 +19,7 @@
 
 use crate::clock;
 use crate::metrics::{Registry, StageStat};
+use crate::names::Name;
 use crate::timeline;
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -93,7 +94,8 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// Starts a span (called by the [`crate::span!`] macro).
-    pub fn start(path: &'static str, index: u64) -> Self {
+    pub fn start(path: Name, index: u64) -> Self {
+        let path = path.as_str();
         let active = crate::enabled();
         let (parent, window, start_ns) = if active {
             let parent = LOCAL.with(|local| {
@@ -182,17 +184,27 @@ mod tests {
             SimClock::advance_ns(5);
         }
         let report = crate::snapshot();
-        assert_eq!(report.spans[crate::names::SPAN_ASSESS_CHANGE].total_ns, 45);
-        assert_eq!(report.spans[crate::names::SPAN_DETECT].total_ns, 30);
+        assert_eq!(
+            report.spans[crate::names::SPAN_ASSESS_CHANGE.as_str()].total_ns,
+            45
+        );
+        assert_eq!(
+            report.spans[crate::names::SPAN_DETECT.as_str()].total_ns,
+            30
+        );
 
         let tl = crate::timeline_snapshot();
         let inner = tl.spans[&(
-            crate::names::SPAN_DETECT,
-            crate::names::SPAN_ASSESS_CHANGE,
+            crate::names::SPAN_DETECT.as_str(),
+            crate::names::SPAN_ASSESS_CHANGE.as_str(),
             42,
         )];
         assert_eq!(inner.total_ns, 30);
-        let outer = tl.spans[&(crate::names::SPAN_ASSESS_CHANGE, timeline::ROOT, 42)];
+        let outer = tl.spans[&(
+            crate::names::SPAN_ASSESS_CHANGE.as_str(),
+            timeline::ROOT,
+            42,
+        )];
         assert_eq!(outer.total_ns, 45);
         let edges = tl.edges();
         assert_eq!(edges[&("assess.change>detect.sst".to_string(), 42)], 1);

@@ -364,26 +364,30 @@ mod tests {
 
     fn sample() -> TimelineReport {
         let mut data = TimelineData::default();
-        data.counters.insert((crate::names::FRAMES_INGESTED, 3), 6);
-        data.counters.insert((crate::names::FRAMES_INGESTED, 1), 6);
-        data.counters.insert((crate::names::STREAM_SHED, 2), 1);
-        data.gauges.insert((crate::names::STREAM_KEYS, 2), 9);
+        data.counters
+            .insert((crate::names::FRAMES_INGESTED.as_str(), 3), 6);
+        data.counters
+            .insert((crate::names::FRAMES_INGESTED.as_str(), 1), 6);
+        data.counters
+            .insert((crate::names::STREAM_SHED.as_str(), 2), 1);
+        data.gauges
+            .insert((crate::names::STREAM_WINDOW_BYTES.as_str(), 2), 9);
         let mut h = Histogram::new();
         h.record(900);
         data.histograms
-            .insert((crate::names::STREAM_DIRTY_DEPTH, 2), h);
+            .insert((crate::names::STREAM_QUEUE_DEPTH.as_str(), 2), h);
         let mut s = StageStat::empty();
         s.observe(1000, 3);
         data.spans.insert(
             (
-                crate::names::SPAN_ASSESS_ITEM,
-                crate::names::SPAN_ASSESS_CHANGE,
+                crate::names::SPAN_ASSESS_ITEM.as_str(),
+                crate::names::SPAN_ASSESS_CHANGE.as_str(),
                 5,
             ),
             s,
         );
         data.spans
-            .insert((crate::names::SPAN_ASSESS_CHANGE, ROOT, 5), s);
+            .insert((crate::names::SPAN_ASSESS_CHANGE.as_str(), ROOT, 5), s);
         TimelineReport::from_data(&data)
     }
 
@@ -421,7 +425,7 @@ mod tests {
     fn counter_series_is_window_sorted() {
         let report = sample();
         assert_eq!(
-            report.counter_series(crate::names::FRAMES_INGESTED),
+            report.counter_series(crate::names::FRAMES_INGESTED.as_str()),
             vec![(1, 6), (3, 6)]
         );
         assert_eq!(report.windows(), 4);

@@ -149,15 +149,16 @@ mod tests {
     #[test]
     fn trace_parses_and_places_events_in_data_time() {
         let mut data = TimelineData::default();
-        data.counters.insert((crate::names::FRAMES_INGESTED, 2), 5);
+        data.counters
+            .insert((crate::names::FRAMES_INGESTED.as_str(), 2), 5);
         let mut s = StageStat::empty();
         s.observe(2_000, u64::MAX);
         data.spans
-            .insert((crate::names::SPAN_ASSESS_CHANGE, ROOT, 3), s);
+            .insert((crate::names::SPAN_ASSESS_CHANGE.as_str(), ROOT, 3), s);
         data.spans.insert(
             (
-                crate::names::SPAN_ASSESS_ITEM,
-                crate::names::SPAN_ASSESS_CHANGE,
+                crate::names::SPAN_ASSESS_ITEM.as_str(),
+                crate::names::SPAN_ASSESS_CHANGE.as_str(),
                 3,
             ),
             s,

@@ -162,6 +162,7 @@ impl DurableHooks {
 }
 
 impl IngestHooks for DurableHooks {
+    // funnel-lint: root
     fn on_accepted_frame(&mut self, raw: &Bytes) -> Result<(), IngestAbort> {
         if let Kill::Frame { index, keep } = self.kill {
             if self.frames == index {
@@ -183,6 +184,7 @@ impl IngestHooks for DurableHooks {
         }
     }
 
+    // funnel-lint: root
     fn after_commit(&mut self, collector: &Collector<'_>) -> Result<(), IngestAbort> {
         if self.cadence == 0 || self.frames == 0 || !self.frames.is_multiple_of(self.cadence) {
             return Ok(());
@@ -211,6 +213,7 @@ impl IngestHooks for DurableHooks {
         }
     }
 
+    // funnel-lint: root
     fn on_end_of_stream(&mut self, _collector: &Collector<'_>) -> Result<(), IngestAbort> {
         match self.wal.append_end_of_stream() {
             Ok(()) => Ok(()),
@@ -256,6 +259,7 @@ pub struct Recovered {
 /// [`ResilienceError::Corrupt`] when the WAL is damaged in a way no crash
 /// produces (mid-log tears, records after end-of-stream, a checkpoint
 /// cursor beyond the WAL).
+// funnel-lint: root
 pub fn recover(
     world: &World,
     shards: usize,

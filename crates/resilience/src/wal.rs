@@ -261,8 +261,9 @@ impl WalWriter {
         // The process this models dies here, and its handle with it.
         self.file = None;
         let record = encode_record(FRAME_RECORD, raw.as_ref());
-        let keep = keep.min(record.len());
-        self.open_segment()?.write_all(&record[..keep])?;
+        // A `keep` past the record's end tears nothing.
+        let torn = record.get(..keep).unwrap_or(&record);
+        self.open_segment()?.write_all(torn)?;
         Ok(())
     }
 
@@ -408,6 +409,11 @@ mod tests {
         assert!(!scan2.torn_tail);
         assert_eq!(scan2.frames.len(), 2);
         assert_eq!(scan2.frames[1], Bytes::from(vec![3u8; 40]));
+        // A `keep` past the record's end writes the whole record.
+        wal.append_torn_frame(&Bytes::from(vec![4u8; 40]), usize::MAX)
+            .unwrap();
+        let scan3 = scan(&dir, 0).unwrap();
+        assert_eq!((scan3.torn_tail, scan3.frames.len()), (false, 3));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -184,6 +184,7 @@ pub struct ReplayOutcome {
 ///
 /// Propagates series-generation errors (cannot occur for a well-formed
 /// world).
+// funnel-lint: root
 pub fn replay_durable(
     world: &World,
     store: &MetricStore,

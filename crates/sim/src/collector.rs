@@ -111,8 +111,8 @@ pub enum Ingest {
     /// agent's own watermark by more than the reorder horizon): staged for
     /// the deterministic end-of-stream backfill flush.
     Backfill(WireFrame),
-    /// A re-delivery of a minute this agent already sent: suppressed. The
-    /// re-delivered minute rides along for timeline attribution.
+    /// A re-delivery of a minute this agent already sent: suppressed.
+    /// Carries the re-delivered minute.
     Duplicate(MinuteBin),
     /// Undecodable bytes or a header claiming an unknown agent: counted and
     /// discarded, never a panic. Carries the claimed frame minute when the
@@ -270,6 +270,7 @@ impl<'a> Collector<'a> {
     /// Decides a raw frame's fate without mutating anything. Pure with
     /// respect to the collector: calling it twice on the same frame gives
     /// the same answer, and discarding the result leaves no trace.
+    // funnel-lint: root
     pub fn classify(&self, raw: &Bytes) -> Ingest {
         let decoded = match decode_frame(raw.clone()) {
             Ok(d) => d,
@@ -323,6 +324,7 @@ impl<'a> Collector<'a> {
     /// Applies a classified frame: counters for rejected fates, store
     /// appends + watermark advance + minute finalization for live frames,
     /// staging for backfill frames.
+    // funnel-lint: root
     pub fn commit(&mut self, ingest: Ingest) {
         match ingest {
             Ingest::Quarantined(minute) => {
@@ -347,16 +349,8 @@ impl<'a> Collector<'a> {
                 self.stats.clock_skewed_frames += 1;
                 self.store.note_quarantined_frame();
                 funnel_obs::timeline_counter_add(funnel_obs::names::FRAMES_QUARANTINED, minute, 1);
-                funnel_obs::timeline_counter_add(funnel_obs::names::FRAMES_CLOCK_SKEWED, minute, 1);
             }
-            Ingest::Duplicate(minute) => {
-                self.stats.duplicate_frames += 1;
-                funnel_obs::timeline_counter_add(
-                    funnel_obs::names::FRAMES_DUP_SUPPRESSED,
-                    minute,
-                    1,
-                );
-            }
+            Ingest::Duplicate(_) => self.stats.duplicate_frames += 1,
             Ingest::Backfill(frame) => {
                 if let Some(seen) = self.state.seen.get_mut(frame.agent_id as usize) {
                     seen.insert(frame.minute);
@@ -460,11 +454,6 @@ impl<'a> Collector<'a> {
                 // storm is distinguishable from byte corruption.
                 self.stats.invalid_records += 1;
                 self.stats.nonfinite_records += 1;
-                funnel_obs::timeline_counter_add(
-                    funnel_obs::names::RECORDS_NONFINITE,
-                    frame.minute,
-                    1,
-                );
                 continue;
             }
             if rec.value.abs() > MAX_PLAUSIBLE_VALUE {
@@ -487,11 +476,6 @@ impl<'a> Collector<'a> {
             if rec.value - *last < -MAX_COUNTER_RESET_DROP {
                 self.stats.invalid_records += 1;
                 self.stats.counter_reset_records += 1;
-                funnel_obs::timeline_counter_add(
-                    funnel_obs::names::RECORDS_COUNTER_RESET,
-                    frame.minute,
-                    1,
-                );
                 continue;
             }
             *last = rec.value;
@@ -511,6 +495,7 @@ impl<'a> Collector<'a> {
     /// [`Collector::classify`] + [`Collector::commit`] in one step — the
     /// shape recovery replay uses, where the durability seam is behind us.
     /// Returns whether the frame was accepted.
+    // funnel-lint: root
     pub fn ingest(&mut self, raw: &Bytes) -> bool {
         let ingest = self.classify(raw);
         let accepted = ingest.accepted();
@@ -574,6 +559,7 @@ impl<'a> Collector<'a> {
     /// (agent, minute) order, and emit the service aggregates the backfill
     /// completed. Drains the state; a checkpoint taken afterwards records a
     /// finished stream.
+    // funnel-lint: root
     pub fn finish(&mut self) {
         let store = self.store;
         store.write_batch(|w| {
@@ -635,22 +621,14 @@ impl<'a> Collector<'a> {
                 self.stats.invalid_records += 1;
                 if !rec.value.is_finite() {
                     self.stats.nonfinite_records += 1;
-                    funnel_obs::timeline_counter_add(
-                        funnel_obs::names::RECORDS_NONFINITE,
-                        minute,
-                        1,
-                    );
                 }
                 self.store.note_backfill_rejected();
-                funnel_obs::timeline_counter_add(funnel_obs::names::BACKFILL_REJECTED, minute, 1);
                 continue;
             }
             if w.backfill_id(id, minute, rec.value) {
                 self.stats.backfilled_records += 1;
-                funnel_obs::timeline_counter_add(funnel_obs::names::RECORDS_BACKFILLED, minute, 1);
             } else {
                 self.stats.backfill_rejected_records += 1;
-                funnel_obs::timeline_counter_add(funnel_obs::names::BACKFILL_REJECTED, minute, 1);
             }
             if let (Entity::Instance(i), Some(svc)) = (rec.key.entity, service) {
                 self.state

@@ -528,6 +528,7 @@ impl MetricStore {
     /// [`StoreStats::dropped`] instead of silently truncating.
     ///
     /// Returns whether the measurement was accepted.
+    // funnel-lint: root
     pub fn backfill(&self, key: KpiKey, minute: MinuteBin, value: f64) -> bool {
         self.write_batch(|w| {
             let id = w.id_of(key);

@@ -132,12 +132,7 @@ pub fn encode_frame(minute: MinuteBin, agent_id: u32, records: &[WireRecord]) ->
 /// observers (WAL sealing, timeline attribution) that need the frame's
 /// data minute but must not pay a full decode.
 pub fn peek_minute(raw: &Bytes) -> Option<MinuteBin> {
-    let bytes = raw.as_ref();
-    if bytes.len() < 8 {
-        return None;
-    }
-    let mut header = [0u8; 8];
-    header.copy_from_slice(&bytes[..8]);
+    let header: [u8; 8] = raw.as_ref().get(..8)?.try_into().ok()?;
     Some(u64::from_le_bytes(header))
 }
 

@@ -146,7 +146,7 @@ fn main() {
     let ingest = incident
         .series
         .iter()
-        .find(|s| s.name == funnel_suite::obs::names::FRAMES_INGESTED)
+        .find(|s| s.name == funnel_suite::obs::names::FRAMES_INGESTED.as_str())
         .expect("watched series");
     assert!(!ingest.alerts.is_empty(), "ingest series must alert");
     for a in &ingest.alerts {
