@@ -17,6 +17,8 @@ use funnel_core::supervise::{supervise_change, FaultProbe, InjectedFault, Superv
 use funnel_core::{FunnelConfig, NoFaults, ReassessmentQueue};
 use funnel_resilience::checkpoint::{decode_segment, Checkpoint, CheckpointStore};
 use funnel_resilience::recover::{recover, DurableHooks, DurableOptions, Kill};
+use funnel_resilience::wal::{decode_records, WalCursor, FRAME_RECORD, RECORD_HEADER};
+use funnel_resilience::ResilienceError;
 use funnel_sim::agent::{replay_durable, replay_prefix, replay_with_faults};
 use funnel_sim::collector::CollectorState;
 use funnel_sim::effect::{ChangeEffect, EffectScope};
@@ -76,6 +78,38 @@ fn assess(world: &World, store: &MetricStore, change: ChangeId, workers: usize) 
     report_of(world, &assessment)
 }
 
+/// Removes the directory a [`KillRun::crash`] left its files under.
+fn discard(options: &DurableOptions) {
+    let _ = fs::remove_dir_all(options.wal_dir.parent().expect("base/wal"));
+}
+
+fn wal_segment(options: &DurableOptions, segment: u64) -> PathBuf {
+    options.wal_dir.join(format!("wal-{segment:08}.seg"))
+}
+
+/// Where frame `n` of the WAL starts, found by walking the whole log record
+/// by record: what the cursor of a cut that covers `n` frames must say.
+fn position_of_frame(options: &DurableOptions, n: u64) -> WalCursor {
+    let mut frames = 0;
+    for segment in 0.. {
+        let bytes = fs::read(wal_segment(options, segment)).expect("the WAL ends before frame n");
+        for record in decode_records(&bytes).records {
+            if record.kind != FRAME_RECORD {
+                continue;
+            }
+            if frames == n {
+                return WalCursor {
+                    frames,
+                    segment,
+                    offset: (record.payload.start - RECORD_HEADER) as u64,
+                };
+            }
+            frames += 1;
+        }
+    }
+    unreachable!()
+}
+
 /// The crash world replayed on `shards` agent shards, with the report an
 /// uninterrupted run delivers.
 struct KillRun {
@@ -101,11 +135,38 @@ impl KillRun {
         }
     }
 
+    /// The durable run of one seeded kill, up to the crash: where it left
+    /// its files, the kill switch disarmed for what follows.
+    fn crash(&self, tag: &str, kill: Kill) -> DurableOptions {
+        let mut options = DurableOptions::at(&tmp_base(tag));
+        options.cadence = CADENCE;
+        options.kill = kill;
+
+        let crashed_store = MetricStore::new();
+        let mut hooks = DurableHooks::create(&options).unwrap();
+        let outcome = replay_durable(
+            &self.world,
+            &crashed_store,
+            self.shards,
+            self.plan.clone(),
+            DURATION,
+            None,
+            &mut hooks,
+        )
+        .unwrap();
+        assert!(outcome.aborted, "{tag}: kill point never fired");
+        assert!(hooks.error().is_none(), "{tag}: {:?}", hooks.error());
+        // The crash loses everything in memory: `crashed_store` drops here.
+        options.kill = Kill::None;
+        options
+    }
+
     /// One seeded kill: the crashed durable run, `on_disk` over what it
     /// left behind, recovery (checked against `expect`: whether a
-    /// checkpoint was used and, if so, the frame cursor it must carry), the
-    /// resumed run, and the final report at every worker count against the
-    /// uninterrupted one.
+    /// checkpoint was used and, if so, how many frames it covers — its
+    /// cursor must then name where that frame starts in the WAL as the
+    /// crash left it), the resumed run, and the final report at every
+    /// worker count against the uninterrupted one.
     fn kill(
         &self,
         tag: &str,
@@ -121,49 +182,28 @@ impl KillRun {
             golden,
         } = self;
         let (change, shards) = (*change, *shards);
-        let duration = 8 * 1440;
-        let base = tmp_base(tag);
-        let mut options = DurableOptions::at(&base);
-        options.cadence = CADENCE;
-        options.kill = kill;
-
-        let crashed_store = MetricStore::new();
-        let mut hooks = DurableHooks::create(&options).unwrap();
-        let outcome = replay_durable(
-            world,
-            &crashed_store,
-            shards,
-            plan.clone(),
-            duration,
-            None,
-            &mut hooks,
-        )
-        .unwrap();
-        assert!(outcome.aborted, "{tag}: kill point never fired");
-        assert!(hooks.error().is_none(), "{tag}: {:?}", hooks.error());
-        drop(crashed_store); // the crash loses everything in memory
+        let options = self.crash(tag, kill);
+        let expect = expect.map(|frames| position_of_frame(&options, frames));
         on_disk(&options);
 
-        options.kill = Kill::None;
         let recovered = recover(world, shards, 0, &options).unwrap();
         assert!(!recovered.end_of_stream, "{tag}: stream ended before kill");
         assert_eq!(
-            recovered
-                .used_checkpoint
-                .then_some(recovered.checkpoint_frames),
+            recovered.used_checkpoint.then_some(recovered.checkpoint),
             expect,
             "{tag}: recovered from the wrong durable state"
         );
+        assert!(recovered.used_checkpoint || recovered.checkpoint == WalCursor::START);
         // The checkpoint used is strictly older than the crash (for a torn
         // cut: the previous manifest) and the WAL tail supplies the rest.
         assert!(
-            recovered.checkpoint_frames < recovered.frames_in_wal,
+            recovered.checkpoint.frames < recovered.frames_in_wal,
             "{tag}: checkpoint at {} of {} WAL frames",
-            recovered.checkpoint_frames,
+            recovered.checkpoint.frames,
             recovered.frames_in_wal
         );
         assert_eq!(
-            recovered.checkpoint_frames + recovered.frames_replayed,
+            recovered.checkpoint.frames + recovered.frames_replayed,
             recovered.frames_in_wal,
             "{tag}: checkpoint plus replayed tail must cover the journal"
         );
@@ -173,7 +213,7 @@ impl KillRun {
             &recovered.store,
             shards,
             plan.clone(),
-            duration,
+            DURATION,
             Some(recovered.state),
             &mut hooks,
         )
@@ -187,12 +227,15 @@ impl KillRun {
                 "{tag}: report diverged at {workers} workers"
             );
         }
-        let _ = fs::remove_dir_all(&base);
+        discard(&options);
     }
 }
 
 /// Frames between checkpoint cuts in the kill-point tests.
 const CADENCE: u64 = 2048;
+
+/// Minutes the crash world's agents replay.
+const DURATION: usize = 8 * 1440;
 
 /// Kill points: mid-frame (torn WAL append, early and late) and
 /// mid-checkpoint (a cut torn inside its delta segment). After recovery +
@@ -229,6 +272,54 @@ fn ingest_kill_points_recover_to_byte_identical_reports() {
     }
 }
 
+/// Recovery reads the WAL from the checkpoint's cursor on and nothing
+/// before it. Damage the checkpoint covers — a garbled segment, a deleted
+/// one — therefore costs nothing: the report is the uninterrupted run's.
+/// Damage past the cursor in a sealed segment is still what it always was,
+/// a log no crash can leave: recovery refuses it, it does not replay a
+/// shorter tail.
+#[test]
+fn wal_damage_is_not_read_below_the_cursor_and_refused_past_it() {
+    let run = KillRun::new(SHARDS);
+    let late = Kill::Frame {
+        index: 9000,
+        keep: 0,
+    };
+    let garble = |path: PathBuf, at: usize| {
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[at] ^= 0x40;
+        fs::write(&path, bytes).unwrap();
+    };
+
+    run.kill("wal-covered", late, Some(4 * CADENCE), |options| {
+        let cursor = position_of_frame(options, 4 * CADENCE);
+        assert!(
+            cursor.segment >= 2,
+            "{cursor:?} covers too little to damage"
+        );
+        garble(wal_segment(options, 0), 100);
+        fs::remove_file(wal_segment(options, 1)).unwrap();
+    });
+
+    let options = run.crash("wal-uncovered", late);
+    let cursor = position_of_frame(&options, 4 * CADENCE);
+    assert!(
+        wal_segment(&options, cursor.segment + 1).exists(),
+        "the tail past {cursor:?} never leaves its segment"
+    );
+    // The last byte of the cursor's segment: past the cursor, and sealed.
+    let sealed = wal_segment(&options, cursor.segment);
+    let last = fs::metadata(&sealed).unwrap().len() as usize - 1;
+    assert!(last as u64 >= cursor.offset);
+    garble(sealed, last);
+    let refused = recover(&run.world, SHARDS, 0, &options);
+    assert!(
+        matches!(refused, Err(ResilienceError::Corrupt(_))),
+        "{refused:?}"
+    );
+    discard(&options);
+}
+
 /// A cut is two writes, segment then manifest, and `Kill::Checkpoint`
 /// counts `keep` across both: the process can die inside the manifest, or
 /// with the segment whole and the manifest never started. Either way the
@@ -251,28 +342,13 @@ fn a_cut_torn_in_its_manifest_or_between_its_files_recovers_from_the_previous_on
     // A first run learns the two lengths: a kill that keeps everything
     // still aborts ingestion, with both files of cut 1 whole on disk.
     let (segment, manifest) = {
-        let base = tmp_base("cut-whole");
-        let mut options = DurableOptions::at(&base);
-        options.cadence = CADENCE;
-        options.kill = Kill::Checkpoint {
+        let whole = Kill::Checkpoint {
             index: 1,
             keep: usize::MAX,
         };
-        let mut hooks = DurableHooks::create(&options).unwrap();
-        let store = MetricStore::new();
-        let outcome = replay_durable(
-            &run.world,
-            &store,
-            1,
-            run.plan.clone(),
-            8 * 1440,
-            None,
-            &mut hooks,
-        )
-        .unwrap();
-        assert!(outcome.aborted && hooks.error().is_none());
+        let options = run.crash("cut-whole", whole);
         let lengths = files_of_cut_1(&options);
-        let _ = fs::remove_dir_all(&base);
+        discard(&options);
         match lengths {
             (Some(segment), Some(manifest)) => (segment, manifest),
             other => panic!("cut 1 left {other:?}"),
@@ -334,7 +410,9 @@ fn a_cut_after_a_heal_backfilled_history_recovers_the_rewritten_bins() {
     let store = MetricStore::new();
     let mut checkpoints = CheckpointStore::open(&options.checkpoint_dir).unwrap();
     replay_with_faults(&world, &store, SHARDS, partition(HealMode::SilentDrop)).unwrap();
-    checkpoints.cut(0, &store, &state, &queue, None).unwrap();
+    checkpoints
+        .cut(WalCursor::START, &store, &state, &queue, None)
+        .unwrap();
     let gapped = assess(&world, &store, change, 1);
 
     let healed = replay_with_faults(
@@ -348,7 +426,9 @@ fn a_cut_after_a_heal_backfilled_history_recovers_the_rewritten_bins() {
     )
     .unwrap();
     assert!(healed.backfilled_frames > 0 && store.stats().backfilled > 0);
-    checkpoints.cut(0, &store, &state, &queue, None).unwrap();
+    checkpoints
+        .cut(WalCursor::START, &store, &state, &queue, None)
+        .unwrap();
     let golden = assess(&world, &store, change, 1);
     assert_ne!(
         gapped, golden,
@@ -617,7 +697,7 @@ fn mid_reassessment_kill_resumes_the_queue_from_the_checkpoint() {
         let mut checkpoints = CheckpointStore::open(&options.checkpoint_dir).unwrap();
         checkpoints
             .write(&Checkpoint {
-                wal_frames: 0,
+                wal: WalCursor::START,
                 entries: interim_store.export_entries(),
                 collector: CollectorState::new(SHARDS),
                 queue: queue.export_state(),

@@ -9,8 +9,9 @@
 //!   watermarks, dedup memory, pending minutes, backfill stage, partial
 //!   aggregates),
 //! * the re-assessment queue ([`QueueState`]), and
-//! * the WAL frame count the snapshot covers, so recovery replays only
-//!   the WAL tail past it.
+//! * the WAL position of the snapshot ([`WalCursor`]: the frames it
+//!   covers and the segment and offset the next one starts at), so
+//!   recovery reads and replays only the WAL tail past it.
 //!
 //! On disk a recovery point is a **chain**, so that a cut costs what was
 //! written since the last one rather than a copy of the store. Every cut
@@ -21,18 +22,17 @@
 //!   and the series values and mask bits from that minute to the end
 //!   ([`KeyDelta`]). The first segment of a chain, its *base*, holds every
 //!   key from minute 0.
-//! * `ckpt-<seq>.bin`, a *manifest*: the WAL frame count, the ordered
+//! * `ckpt-<seq>.bin`, a *manifest*: the WAL cursor, the ordered
 //!   `(seq, length, hash)` list of the segments it rests on, the collector
 //!   state and the queue ([`Manifest`]).
 //!
 //! Both are an 8-byte magic, a 64-bit hash of the payload
-//! ([`fnv1a_words`]: FNV-1a a word at a step, since a segment is hashed
-//! whole at every cut and every recovery), then the payload — a hand-rolled
-//! little-endian encoding (keys reuse the 6-byte
-//! wire layout via [`key_to_bytes`]). The hash is validated *before* any
-//! parsing, and the parser bounds-checks every read and caps every
-//! allocation by the bytes actually remaining, so a torn or bit-flipped
-//! file is detected cleanly, never a panic or an allocation bomb.
+//! ([`fnv1a_words`], the hash of every durable byte), then the payload — a
+//! hand-rolled little-endian encoding (keys reuse the 6-byte wire layout
+//! via [`key_to_bytes`]). The hash is validated *before* any parsing, and
+//! the parser bounds-checks every read and caps every allocation by the
+//! bytes actually remaining, so a torn or bit-flipped file is detected
+//! cleanly, never a panic or an allocation bomb.
 //!
 //! A manifest is usable when it and every segment it names validate.
 //! What its chain adds up to is what applying the segments in order gives
@@ -47,6 +47,7 @@
 //! directory keeps what the two newest usable manifests name and nothing
 //! else.
 
+use crate::wal::WalCursor;
 use crate::{fnv1a_words, numbered_files, ResilienceError};
 use funnel_core::reassess::{PendingItem, QueueState};
 use funnel_sim::collector::{CollectorState, MinuteAccs};
@@ -63,10 +64,11 @@ use std::fs;
 use std::io::{ErrorKind, Read};
 use std::path::{Path, PathBuf};
 
-/// Manifest magic: "FNLCKPT" + format version 2. Version 1 was a single
-/// file holding the whole store; such a file fails this check and is
-/// skipped like any other unusable manifest, never misread.
-pub const MAGIC: [u8; 8] = *b"FNLCKPT2";
+/// Manifest magic: "FNLCKPT" + format version 3. Version 1 was a single
+/// file holding the whole store, version 2 a manifest that opened with a
+/// bare frame count where this one has a [`WalCursor`]; either fails this
+/// check and is skipped like any other unusable manifest, never misread.
+pub const MAGIC: [u8; 8] = *b"FNLCKPT3";
 
 /// Segment magic.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"FNLCSEG2";
@@ -77,9 +79,9 @@ const HEADER_LEN: usize = 16;
 /// One complete recovery point.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Checkpoint {
-    /// How many WAL frames this snapshot covers: recovery replays the WAL
-    /// from this index on.
-    pub wal_frames: u64,
+    /// Where in the WAL this snapshot was taken: recovery replays the WAL
+    /// from this position on.
+    pub wal: WalCursor,
     /// The metric-store entries at the snapshot boundary, in key order as
     /// [`MetricStore::export_entries`] gives them.
     pub entries: Vec<(KpiKey, TimeSeries, CoverageMask)>,
@@ -123,8 +125,8 @@ pub struct SegmentRef {
 /// what its segments add up to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
-    /// How many WAL frames the recovery point covers.
-    pub wal_frames: u64,
+    /// The WAL position of the recovery point.
+    pub wal: WalCursor,
     /// The chain, base first.
     pub segments: Vec<SegmentRef>,
     /// The collector's in-flight state.
@@ -325,13 +327,15 @@ fn put_segment<'a>(
 /// `out`.
 fn put_manifest(
     out: &mut Vec<u8>,
-    wal_frames: u64,
+    wal: WalCursor,
     chain: &[SegmentRef],
     collector: &CollectorState,
     queue: &QueueState,
 ) {
     let at = begin_frame(out, MAGIC);
-    put_u64(out, wal_frames);
+    put_u64(out, wal.frames);
+    put_u64(out, wal.segment);
+    put_u64(out, wal.offset);
     put_u64(out, chain.len() as u64);
     for segment in chain {
         put_u64(out, segment.seq);
@@ -552,7 +556,11 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, ResilienceError> {
         buf: payload,
         pos: 0,
     };
-    let wal_frames = r.u64()?;
+    let wal = WalCursor {
+        frames: r.u64()?,
+        segment: r.u64()?,
+        offset: r.u64()?,
+    };
     let segment_count = r.count(24)?;
     let mut segments = Vec::with_capacity(segment_count);
     for _ in 0..segment_count {
@@ -640,7 +648,7 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, ResilienceError> {
 
     r.finish("manifest")?;
     Ok(Manifest {
-        wal_frames,
+        wal,
         segments,
         collector,
         queue,
@@ -664,7 +672,11 @@ struct Half<T> {
 impl<T: Copy + Default> Half<T> {
     /// The half as the newest record naming its key leaves it: its first
     /// `keep` bins still to come from older segments, then `tail`. Those
-    /// segments hold at most `older` bins, which caps the allocation.
+    /// segments hold at most `older` bins, which caps the allocation — at
+    /// the next power of two, the capacity a series grown a push at a time
+    /// has at this length, so that the first minute ingested after a
+    /// recovery appends to the restored buffers as it would to the live
+    /// ones instead of reallocating every one of them.
     fn ending_in<B>(
         start: MinuteBin,
         keep: usize,
@@ -675,9 +687,12 @@ impl<T: Copy + Default> Half<T> {
         if keep > older {
             return Err(corrupt("segment continues more bins than its chain holds"));
         }
+        let len = keep + tail.len();
+        let mut bins = Vec::with_capacity(len.checked_next_power_of_two().unwrap_or(len));
+        bins.resize(len, T::default());
         let mut half = Self {
             start,
-            bins: vec![T::default(); keep + tail.len()],
+            bins,
             missing: keep,
         };
         half.fill(keep, tail, decode);
@@ -892,7 +907,7 @@ impl CheckpointStore {
         self.finish_cut(
             true,
             hash,
-            checkpoint.wal_frames,
+            checkpoint.wal,
             &checkpoint.collector,
             &checkpoint.queue,
             None,
@@ -903,7 +918,10 @@ impl CheckpointStore {
     /// written since this writer's last cut — or a base, when there is no
     /// such cut to continue or the chain would outgrow twice the store —
     /// then the manifest, then pruning. The store is read and marked clean
-    /// under one lock hold ([`MetricStore::cut_since`]).
+    /// under one lock hold ([`MetricStore::cut_since`]). `wal` is where the
+    /// WAL writer stands at that boundary
+    /// ([`WalWriter::cursor`](crate::wal::WalWriter::cursor)); the manifest
+    /// records it and recovery reads the WAL from there.
     ///
     /// `tear` is the chaos harness's hook: only the first `tear` bytes of
     /// segment-then-manifest reach disk, in write order — the on-disk image
@@ -915,7 +933,7 @@ impl CheckpointStore {
     /// [`ResilienceError::Io`] on filesystem failure.
     pub fn cut(
         &mut self,
-        wal_frames: u64,
+        wal: WalCursor,
         store: &MetricStore,
         collector: &CollectorState,
         queue: &QueueState,
@@ -939,7 +957,7 @@ impl CheckpointStore {
                 (false, put_segment(buf, delta, cut.written_since_cut()))
             }
         });
-        let path = self.finish_cut(base, hash, wal_frames, collector, queue, tear)?;
+        let path = self.finish_cut(base, hash, wal, collector, queue, tear)?;
         if tear.is_none() {
             self.head = Some(head);
         }
@@ -953,7 +971,7 @@ impl CheckpointStore {
         &mut self,
         base: bool,
         hash: u64,
-        wal_frames: u64,
+        wal: WalCursor,
         collector: &CollectorState,
         queue: &QueueState,
         tear: Option<usize>,
@@ -971,7 +989,7 @@ impl CheckpointStore {
             len: segment_len as u64,
             hash,
         });
-        put_manifest(&mut self.buf, wal_frames, &chain, collector, queue);
+        put_manifest(&mut self.buf, wal, &chain, collector, queue);
         let (segment, manifest) = self
             .buf
             .split_at_checked(segment_len)
@@ -1055,7 +1073,7 @@ impl CheckpointStore {
             })?;
             if let (Some(manifest), Ok(entries)) = (usable, restored.into_entries()) {
                 return Ok(Some(Checkpoint {
-                    wal_frames: manifest.wal_frames,
+                    wal: manifest.wal,
                     entries,
                     collector: manifest.collector,
                     queue: manifest.queue,
@@ -1100,7 +1118,11 @@ mod tests {
             applied: vec![(ChangeId(2), key)],
         };
         Checkpoint {
-            wal_frames: 42,
+            wal: WalCursor {
+                frames: 42,
+                segment: 3,
+                offset: 1017,
+            },
             entries: vec![(
                 key,
                 TimeSeries::new(40, vec![1.0, 2.0, 3.0]),
@@ -1165,22 +1187,18 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A whole-store file of format version 1 is not a manifest: its magic
-    /// fails before anything is parsed, so recovery goes on to an older
-    /// manifest or to whole-WAL replay instead of misreading it.
-    #[test]
-    fn a_version_1_file_is_rejected_not_misread() {
-        let mut old = b"FNLCKPT1".to_vec();
-        let payload = [0u8; 64];
-        old.extend_from_slice(&crate::fnv1a(&payload).to_le_bytes());
-        old.extend_from_slice(&payload);
+    /// A file of an older format version, whole and with a hash that
+    /// validates, is not a manifest: its magic fails before anything is
+    /// parsed, so recovery goes on to an older manifest or to whole-WAL
+    /// replay instead of misreading it.
+    fn rejected_by_its_magic(tag: &str, old: &[u8]) {
         assert!(matches!(
-            decode_manifest(&old),
+            decode_manifest(old),
             Err(ResilienceError::Corrupt(why)) if why.contains("magic")
         ));
-        let dir = tmp_dir("v1");
+        let dir = tmp_dir(tag);
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(manifest_name(3)), &old).unwrap();
+        fs::write(dir.join(manifest_name(3)), old).unwrap();
         assert!(CheckpointStore::latest_valid(&dir).unwrap().is_none());
         // The numbering still moves past it.
         let mut store = CheckpointStore::open(&dir).unwrap();
@@ -1189,8 +1207,46 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Version 1: one file holding the whole store, under the byte-serial
+    /// FNV-1a the crate no longer has (the literal is what it gave for 64
+    /// zero bytes).
+    #[test]
+    fn a_version_1_file_is_rejected_not_misread() {
+        let mut old = b"FNLCKPT1".to_vec();
+        old.extend_from_slice(&0xcec0_7f3a_46fd_0825_u64.to_le_bytes());
+        old.extend_from_slice(&[0u8; 64]);
+        rejected_by_its_magic("v1", &old);
+    }
+
+    /// Version 2: today's manifest but for a bare frame count where the
+    /// cursor is, so its hash validates and only the magic tells it apart.
+    #[test]
+    fn a_version_2_manifest_is_rejected_not_misread() {
+        let dir = tmp_dir("v2-source");
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        let now = fs::read(store.write(&sample_checkpoint()).unwrap()).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        // The same manifest as version 2 wrote it.
+        let (frames, rest) = now[HEADER_LEN..].split_at(8);
+        let payload = [frames, &rest[16..]].concat();
+        let mut old = b"FNLCKPT2".to_vec();
+        old.extend_from_slice(&fnv1a_words(&payload).to_le_bytes());
+        old.extend_from_slice(&payload);
+        rejected_by_its_magic("v2", &old);
+    }
+
     fn key(n: u32) -> KpiKey {
         KpiKey::new(Entity::Instance(InstanceId(n)), KpiKind::PageViewCount)
+    }
+
+    /// A cursor told apart by its frame count, as these tests tell cuts
+    /// apart; the other two fields derived from it so they round-trip too.
+    fn at(frames: u64) -> WalCursor {
+        WalCursor {
+            frames,
+            segment: frames / 3,
+            offset: frames * 33,
+        }
     }
 
     fn cut(
@@ -1201,14 +1257,14 @@ mod tests {
     ) {
         let state = CollectorState::new(1);
         checkpoints
-            .cut(frames, store, &state, &QueueState::default(), tear)
+            .cut(at(frames), store, &state, &QueueState::default(), tear)
             .unwrap();
     }
 
     /// What recovery must hand back after a clean cut of `store`.
     fn point(store: &MetricStore, frames: u64) -> Checkpoint {
         Checkpoint {
-            wal_frames: frames,
+            wal: at(frames),
             entries: store.export_entries(),
             collector: CollectorState::new(1),
             queue: QueueState::default(),
@@ -1260,6 +1316,40 @@ mod tests {
         let manifest = decode_manifest(&files(&dir)["ckpt-00000003.bin"]).unwrap();
         let chain: Vec<u64> = manifest.segments.iter().map(|s| s.seq).collect();
         assert_eq!(chain, [0, 1, 2, 3]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A restored series and mask have the room a live-grown one has at
+    /// their length, so the first minute ingested after a recovery appends
+    /// in place — and to the same store — instead of moving every buffer.
+    #[test]
+    fn a_recovered_entry_takes_the_next_minute_without_moving() {
+        let dir = tmp_dir("capacity");
+        let store = MetricStore::new();
+        let mut checkpoints = CheckpointStore::open(&dir).unwrap();
+        // 70 bins, put together from a base and a delta.
+        for minute in 0..70 {
+            if minute == 50 {
+                cut(&mut checkpoints, &store, 1, None);
+            }
+            store.append(key(0), minute, minute as f64);
+        }
+        cut(&mut checkpoints, &store, 2, None);
+        let recovered = || CheckpointStore::latest_valid(&dir).unwrap().unwrap();
+
+        let (_, mut series, mut mask) = recovered().entries.remove(0);
+        assert_eq!((series.len(), mask.len()), (70, 70));
+        let held = (series.values().as_ptr(), mask.bits().as_ptr());
+        series.push(70.0);
+        mask.mark(70);
+        assert_eq!((series.values().as_ptr(), mask.bits().as_ptr()), held);
+
+        let restored = MetricStore::new();
+        restored.restore_entries(recovered().entries);
+        for live in [&store, &restored] {
+            live.append(key(0), 70, 70.0);
+        }
+        assert_eq!(restored.export_entries(), store.export_entries());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1364,11 +1454,8 @@ mod tests {
         fs::write(dir.join(manifest_name(6)), [1, 2, 3]).unwrap();
         assert_eq!(files(&dir).len(), 7 + 3);
         assert_eq!(
-            CheckpointStore::latest_valid(&dir)
-                .unwrap()
-                .unwrap()
-                .wal_frames,
-            4
+            CheckpointStore::latest_valid(&dir).unwrap().unwrap().wal,
+            at(4)
         );
 
         let mut checkpoints = CheckpointStore::open(&dir).unwrap();

@@ -12,7 +12,7 @@
 //!
 //! * [`wal`] — a segmented, content-hashed ingest write-ahead log. Every
 //!   frame the collector accepts is appended as a length-prefixed,
-//!   FNV-hashed record *before* it is committed to the store, so a crash
+//!   hashed record *before* it is committed to the store, so a crash
 //!   can lose at most the torn tail record the crash interrupted — which
 //!   the agent-side replay protocol re-sends anyway. The format is
 //!   fsync-free and deterministic: identical ingest runs produce
@@ -22,9 +22,11 @@
 //!   pending minutes, backfill stage), and the re-assessment queue. On
 //!   disk it is a chain — a base segment plus one delta segment per cut,
 //!   each holding what was written since the cut before, under a small
-//!   manifest — so a cut costs what changed, not what is stored.
-//!   Recovery loads the newest usable manifest, adds its segments up, and
-//!   replays only the WAL tail past it, instead of the whole log.
+//!   manifest — so a cut costs what changed, not what is stored. Every
+//!   manifest carries the WAL position of its cut ([`WalCursor`]), so
+//!   recovery loads the newest usable manifest, adds its segments up, and
+//!   reads and replays only the WAL tail past it: what a recovery costs is
+//!   what the cut does not cover, not the log.
 //! * [`mod@recover`] — the [`IngestHooks`](funnel_sim::IngestHooks)
 //!   implementation that writes both during live ingestion
 //!   ([`recover::DurableHooks`]), the seeded kill switch the chaos
@@ -32,11 +34,13 @@
 //!   [`recover::recover`] itself: checkpoint restore + WAL-tail replay
 //!   under the `recover.replay` span.
 //!
-//! Every durability decision is observable through `funnel-obs` (WAL
-//! segment sizes, the recovery span, and — downstream — the supervisor
-//! counters), and every decode path treats corruption as data, not as a
-//! panic: torn tails, bad hashes, and impossible counts all surface as
-//! [`ResilienceError::Corrupt`].
+//! Every durable byte — WAL record, checkpoint segment, manifest — is
+//! under one content hash, [`fnv1a_words`], checked before the bytes it
+//! covers are parsed. Every durability decision is observable through
+//! `funnel-obs` (WAL segment sizes, the recovery span, and — downstream —
+//! the supervisor counters), and every decode path treats corruption as
+//! data, not as a panic: torn tails, bad hashes, and impossible counts all
+//! surface as [`ResilienceError::Corrupt`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -47,7 +51,7 @@ pub mod wal;
 
 pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use recover::{recover, DurableHooks, DurableOptions, Kill, Recovered};
-pub use wal::{WalScan, WalWriter};
+pub use wal::{WalCursor, WalScan, WalWriter};
 
 /// Errors from the durability layer.
 #[derive(Debug)]
@@ -101,28 +105,18 @@ fn numbered_files(
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1_0000_0000_01b3;
 
-/// FNV-1a 64-bit — the workspace's standard content hash for durable
-/// bytes: dependency-free, bit-identical everywhere, and fast enough to
-/// hash every record on the ingest path.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// [`fnv1a`] taken eight bytes at a step, for payloads the size of a store:
-/// each little-endian word is folded in with one xor and one multiply, the
-/// state's high half is folded onto its low half (the multiply only ever
-/// carries upwards), and the last `len % 8` bytes go in one at a time as in
-/// [`fnv1a`]. The multiply chain is what a byte-serial hash waits on, so
-/// this one runs at several times its speed. Like it, every step is a
+/// The content hash of every durable byte: FNV-1a 64-bit taken eight bytes
+/// at a step. Each little-endian word is folded in with one xor and one
+/// multiply, the state's high half is folded onto its low half (the
+/// multiply only ever carries upwards), and the last `len % 8` bytes go in
+/// one at a time, as the byte-serial FNV-1a folds every byte. The multiply
+/// chain is what a byte-serial hash waits on, so this one runs at several
+/// times its speed: it is cheap enough to hash every record on the ingest
+/// path and every store-sized checkpoint segment alike. Every step is a
 /// bijection of the state and injective in what it folds in, so two inputs
-/// of one length that differ in a single byte never hash alike — what the
-/// checkpoint files' torn-write and bit-flip detection rests on — and the
-/// value depends on no platform property.
+/// of one length that differ in a single byte never hash alike — what
+/// torn-write and bit-flip detection rests on — and the value depends on no
+/// platform property and on no dependency.
 pub fn fnv1a_words(bytes: &[u8]) -> u64 {
     let (words, tail) = bytes.as_chunks::<8>();
     let mut hash = FNV_OFFSET;
@@ -140,10 +134,11 @@ pub fn fnv1a_words(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
-    /// The word-wise hash is part of the checkpoint format: these values
+    /// The word-wise hash is part of every durable format: these values
     /// (worked out by a second implementation outside this crate, with the
     /// workspace's own multiplier, 2^48 + 0x1b3) must never move, on any
-    /// platform.
+    /// platform. Shorter than a word it is the byte-serial FNV-1a, so
+    /// `b"funnel"` reads what that hash gave.
     #[test]
     fn fnv1a_words_known_answers() {
         let counting: Vec<u8> = (0..67).collect();
@@ -159,8 +154,6 @@ mod tests {
         for (bytes, want) in cases {
             assert_eq!(fnv1a_words(bytes), want, "{bytes:?}");
         }
-        // Shorter than a word it is the byte-serial hash.
-        assert_eq!(fnv1a_words(b"funnel"), fnv1a(b"funnel"));
     }
 
     /// Any single changed byte changes the hash, wherever it sits: in a

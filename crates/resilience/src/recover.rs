@@ -4,20 +4,21 @@
 //! ([`IngestHooks`]): every accepted frame is WAL-appended *before* the
 //! commit that mutates the store, and every `cadence` accepted frames the
 //! store is cut at the post-commit boundary: one delta segment and one
-//! manifest join the checkpoint chain ([`CheckpointStore::cut`]). Because
-//! the hook runs between classification and commit, the WAL is always at
-//! least as new as the store — recovery can only ever need to *replay*
-//! frames, never to un-commit them.
+//! manifest, which records where the WAL writer stands (the cut's
+//! [`WalCursor`]), join the checkpoint chain ([`CheckpointStore::cut`]).
+//! Because the hook runs between classification and commit, the WAL is
+//! always at least as new as the store — recovery can only ever need to
+//! *replay* frames, never to un-commit them.
 //!
 //! [`recover`] rebuilds the durable state after a crash: load the newest
 //! usable checkpoint manifest (one torn, or resting on a torn segment,
 //! falls back to its predecessor), restore the store entries its chain
-//! adds up to and the collector state it carries, then re-ingest the WAL
-//! tail past the checkpoint's frame cursor through the very same
-//! classify/commit path live ingestion uses. If the WAL carries the
-//! end-of-stream marker the collector's `finish()` runs too; otherwise
-//! the caller resumes live ingestion from the returned
-//! [`CollectorState`] via
+//! adds up to and the collector state it carries, then read the WAL from
+//! that manifest's cursor on — the segments before it are never opened —
+//! and re-ingest that tail through the very same classify/commit path live
+//! ingestion uses. If the WAL carries the end-of-stream marker the
+//! collector's `finish()` runs too; otherwise the caller resumes live
+//! ingestion from the returned [`CollectorState`] via
 //! [`replay_durable`](funnel_sim::agent::replay_durable), whose per-agent
 //! replay cursor fast-forwards past everything already durable.
 //!
@@ -27,7 +28,7 @@
 //! `kill -9` at that instant leaves on disk.
 
 use crate::checkpoint::CheckpointStore;
-use crate::wal::{self, WalWriter};
+use crate::wal::{self, WalCursor, WalWriter};
 use crate::ResilienceError;
 use bytes::Bytes;
 use funnel_core::reassess::QueueState;
@@ -194,7 +195,7 @@ impl IngestHooks for DurableHooks {
             _ => None,
         };
         let cut = self.checkpoints.cut(
-            self.frames,
+            self.wal.cursor(self.frames),
             collector.store(),
             collector.state(),
             &self.queue,
@@ -239,12 +240,15 @@ pub struct Recovered {
     pub end_of_stream: bool,
     /// Whether a torn WAL tail was detected (and discarded).
     pub torn_wal_tail: bool,
-    /// Total validated frames in the WAL.
+    /// Frames in the WAL: the checkpoint cursor's count plus the validated
+    /// frames read past it. What [`DurableHooks::resume`] continues the
+    /// numbering from.
     pub frames_in_wal: u64,
     /// Frames re-ingested past the checkpoint cursor.
     pub frames_replayed: u64,
-    /// The checkpoint's frame cursor (0 when no checkpoint was usable).
-    pub checkpoint_frames: u64,
+    /// The WAL position recovery read from: the cursor of the checkpoint it
+    /// restored, [`WalCursor::START`] when none was usable.
+    pub checkpoint: WalCursor,
     /// Whether a checkpoint was restored (vs. whole-WAL replay).
     pub used_checkpoint: bool,
 }
@@ -256,9 +260,10 @@ pub struct Recovered {
 /// # Errors
 ///
 /// [`ResilienceError::Io`] on filesystem failure,
-/// [`ResilienceError::Corrupt`] when the WAL is damaged in a way no crash
-/// produces (mid-log tears, records after end-of-stream, a checkpoint
-/// cursor beyond the WAL).
+/// [`ResilienceError::Corrupt`] when the WAL past the checkpoint is damaged
+/// in a way no crash produces (mid-log tears, records after end-of-stream,
+/// a checkpoint cursor the WAL cannot honour). WAL bytes the checkpoint
+/// covers are not read, so damage there is not seen.
 // funnel-lint: root
 pub fn recover(
     world: &World,
@@ -268,14 +273,8 @@ pub fn recover(
 ) -> Result<Recovered, ResilienceError> {
     let span = funnel_obs::span!(funnel_obs::names::SPAN_RECOVER_REPLAY);
     let checkpoint = CheckpointStore::latest_valid(&options.checkpoint_dir)?;
-    let skip = checkpoint.as_ref().map_or(0, |c| c.wal_frames);
-    let scan = wal::scan(&options.wal_dir, skip)?;
-    if skip > scan.frame_count {
-        return Err(ResilienceError::Corrupt(format!(
-            "checkpoint covers {skip} frames but the WAL holds {}",
-            scan.frame_count
-        )));
-    }
+    let cursor = checkpoint.as_ref().map_or(WalCursor::START, |c| c.wal);
+    let scan = wal::scan(&options.wal_dir, cursor)?;
 
     let store = MetricStore::new();
     let (state, queue, used_checkpoint) = match checkpoint {
@@ -305,7 +304,7 @@ pub fn recover(
         torn_wal_tail: scan.torn_tail,
         frames_in_wal: scan.frame_count,
         frames_replayed: scan.frames.len() as u64,
-        checkpoint_frames: skip,
+        checkpoint: cursor,
         used_checkpoint,
     })
 }
@@ -419,6 +418,90 @@ mod tests {
             );
             let _ = fs::remove_dir_all(&base);
         }
+    }
+
+    /// A cut that lands exactly on a WAL roll-over records `(next, 0)`, a
+    /// segment that does not exist yet. A process that dies there, recovers
+    /// and resumes must put its next frame *there*: were it to continue the
+    /// full segment, that frame would lie before the cursor of the manifest
+    /// a second crash falls back on, and never be replayed.
+    #[test]
+    fn a_cut_on_a_roll_over_loses_no_frame_across_two_crashes() {
+        const CADENCE: u64 = 50;
+        let world = test_world(17);
+        // One shard: one arrival order, so the bytes learnt are the bytes
+        // of every run.
+        let golden = MetricStore::new();
+        replay_with_faults(&world, &golden, 1, FaultPlan::none()).unwrap();
+        let base = tmp_base("rollover");
+        let mut options = DurableOptions::at(&base);
+        type Resume = Option<(u64, CollectorState)>;
+        let run = |options: &DurableOptions, store: &MetricStore, from: Resume| {
+            let (frames, state) = from.unzip();
+            let mut hooks = DurableHooks::resume(options, frames.unwrap_or(0)).unwrap();
+            let plan = FaultPlan::none();
+            let outcome = replay_durable(&world, store, 1, plan, 180, state, &mut hooks).unwrap();
+            assert!(hooks.error().is_none());
+            outcome.aborted
+        };
+
+        // The bytes of the first CADENCE records: a segment limit of exactly
+        // that seals segment 0 on the frame the first cut follows.
+        options.cadence = 0;
+        assert!(!run(&options, &MetricStore::new(), None));
+        let whole = wal::scan(&options.wal_dir, WalCursor::START).unwrap();
+        options.segment_limit = whole
+            .frames
+            .iter()
+            .take(CADENCE as usize)
+            .map(|f| (wal::RECORD_HEADER + f.len()) as u64)
+            .sum();
+        let _ = fs::remove_dir_all(&base);
+
+        // First crash: inside the first cut, once both its files are whole.
+        options.cadence = CADENCE;
+        options.kill = Kill::Checkpoint {
+            index: 0,
+            keep: usize::MAX,
+        };
+        assert!(run(&options, &MetricStore::new(), None));
+        let rolled = WalCursor {
+            frames: CADENCE,
+            segment: 1,
+            offset: 0,
+        };
+        let recovered = recover(&world, 1, 0, &options).unwrap();
+        assert_eq!(recovered.checkpoint, rolled);
+        assert_eq!(
+            (recovered.frames_replayed, recovered.frames_in_wal),
+            (0, CADENCE)
+        );
+        assert!(!options.wal_dir.join("wal-00000001.seg").exists());
+
+        // Second crash: 20 frames on, before the resumed process's first
+        // cut, so recovery rests on the same manifest again.
+        options.kill = Kill::Frame {
+            index: CADENCE + 20,
+            keep: 5,
+        };
+        let resume = Some((recovered.frames_in_wal, recovered.state));
+        assert!(run(&options, &recovered.store, resume));
+        let recovered = recover(&world, 1, 0, &options).unwrap();
+        assert_eq!(recovered.checkpoint, rolled);
+        assert_eq!(
+            (recovered.frames_replayed, recovered.frames_in_wal),
+            (20, CADENCE + 20)
+        );
+        assert!(recovered.torn_wal_tail);
+
+        options.kill = Kill::None;
+        let resume = Some((recovered.frames_in_wal, recovered.state));
+        assert!(!run(&options, &recovered.store, resume));
+        assert_eq!(
+            store_fingerprint(&world, &golden),
+            store_fingerprint(&world, &recovered.store),
+        );
+        let _ = fs::remove_dir_all(&base);
     }
 
     #[test]

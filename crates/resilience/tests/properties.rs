@@ -14,16 +14,27 @@
 //! exported at the last cut — or, with the last cut torn anywhere, at the
 //! one before.
 //!
+//! So has the WAL cursor a cut records: for random frame sequences, segment
+//! limits, reopen points and cut points, a scan from the cursor is the
+//! suffix of the scan of the whole log; damage below the cursor is not
+//! read; damage at or past it is corruption in a sealed segment and a torn
+//! tail in the newest, never a wrong replay; and a cursor that names no
+//! position of the log is an error, never a panic.
+//!
 //! The vendored proptest shim drives scalars and `Vec`s of scalars, so
 //! structured inputs (checkpoint entries, collector state, queue items,
 //! store scripts) are derived deterministically from flat fuzz vectors.
 
+use bytes::Bytes;
 use funnel_core::reassess::{PendingItem, QueueState};
 use funnel_resilience::checkpoint::{
     decode_manifest, decode_segment, Checkpoint, CheckpointStore, Manifest, MAGIC, SEGMENT_MAGIC,
 };
 use funnel_resilience::fnv1a_words;
-use funnel_resilience::wal::{decode_records, encode_record, EOS_RECORD, FRAME_RECORD};
+use funnel_resilience::wal::{
+    decode_records, encode_record, scan, WalCursor, WalWriter, EOS_RECORD, FRAME_RECORD,
+};
+use funnel_resilience::ResilienceError;
 use funnel_sim::collector::{CollectorState, MinuteAccs};
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::store::MetricStore;
@@ -59,9 +70,17 @@ fn key(entity_sel: u8, id: u32, kind_sel: usize) -> KpiKey {
     KpiKey::new(entity, KINDS[kind_sel % KINDS.len()])
 }
 
+/// A cursor told apart by its frame count alone.
+fn at(frames: u64) -> WalCursor {
+    WalCursor {
+        frames,
+        ..WalCursor::START
+    }
+}
+
 /// Builds a structurally valid checkpoint from flat fuzz vectors.
 fn checkpoint_from(
-    wal_frames: u64,
+    wal: WalCursor,
     entry_sels: &[u8],
     watermarks: &[u64],
     seen: &[u64],
@@ -145,7 +164,7 @@ fn checkpoint_from(
             .collect(),
     };
     Checkpoint {
-        wal_frames,
+        wal,
         entries,
         collector,
         queue,
@@ -262,14 +281,21 @@ proptest! {
     #[test]
     fn checkpoint_roundtrip_is_lossless(
         wal_frames in 0u64..1_000_000,
+        wal_segment in 0u64..1_000,
+        wal_offset in any::<u64>(),
         entry_sels in prop::collection::vec(any::<u8>(), 0..8),
         watermarks in prop::collection::vec(0u64..10_000, 0..6),
         seen in prop::collection::vec(0u64..10_000, 0..10),
         pend in prop::collection::vec(any::<u64>(), 0..6),
         queue_items in prop::collection::vec(any::<u32>(), 0..6),
     ) {
+        let wal = WalCursor {
+            frames: wal_frames,
+            segment: wal_segment,
+            offset: wal_offset,
+        };
         let checkpoint =
-            checkpoint_from(wal_frames, &entry_sels, &watermarks, &seen, &pend, &queue_items);
+            checkpoint_from(wal, &entry_sels, &watermarks, &seen, &pend, &queue_items);
         let dir = Scratch::new();
         let (segment, manifest) = written_files(&dir, &checkpoint);
         prop_assert!(decode_segment(&segment).is_ok());
@@ -284,7 +310,7 @@ proptest! {
         pend in prop::collection::vec(any::<u64>(), 0..4),
         cut_frac in 0.0..1.0f64,
     ) {
-        let checkpoint = checkpoint_from(7, &entry_sels, &[3, 4], &[1, 2], &pend, &[]);
+        let checkpoint = checkpoint_from(at(7), &entry_sels, &[3, 4], &[1, 2], &pend, &[]);
         let (segment, manifest) = written_files(&Scratch::new(), &checkpoint);
         // Strictly shorter than the original: must be cleanly rejected
         // (the payload hash no longer covers what the header promised).
@@ -299,7 +325,7 @@ proptest! {
         flip_frac in 0.0..1.0f64,
         mask in 1u8..255,
     ) {
-        let checkpoint = checkpoint_from(3, &entry_sels, &[1], &[4], &[], &[]);
+        let checkpoint = checkpoint_from(at(3), &entry_sels, &[1], &[4], &[], &[]);
         let (segment, manifest) = written_files(&Scratch::new(), &checkpoint);
         let flip = |bytes: &[u8]| {
             let mut bytes = bytes.to_vec();
@@ -328,6 +354,250 @@ proptest! {
             framed.extend_from_slice(&bytes);
             let _ = decode_segment(&framed);
             let _ = decode_manifest(&framed);
+        }
+    }
+}
+
+// ----------------------------------------------------------- the cursor --
+
+/// A WAL written through [`WalWriter`], with the writer dropped and the log
+/// reopened once on the way.
+struct Log {
+    dir: Scratch,
+    /// The frames appended, in order.
+    frames: Vec<Bytes>,
+    /// Where the writer stood after each frame count: `cursors[i]` lies
+    /// after `i` frames.
+    cursors: Vec<WalCursor>,
+}
+
+impl Log {
+    fn write(limit: u64, payload_lens: &[usize], reopen_at: usize) -> (Self, WalWriter) {
+        let dir = Scratch::new();
+        let mut wal = WalWriter::open(dir.path(), limit).unwrap();
+        let mut cursors = vec![wal.cursor(0)];
+        let mut frames = Vec::new();
+        for (i, &len) in payload_lens.iter().enumerate() {
+            if i == reopen_at {
+                wal = WalWriter::open(dir.path(), limit).unwrap();
+                assert_eq!(
+                    wal.cursor(i as u64),
+                    cursors[i],
+                    "a reopen moved the writer"
+                );
+            }
+            let payload: Vec<u8> = (0..len).map(|j| ((i * 17 + j * 3) % 251) as u8).collect();
+            let payload = Bytes::from(payload);
+            wal.append_frame(&payload).unwrap();
+            frames.push(payload);
+            cursors.push(wal.cursor(i as u64 + 1));
+        }
+        let log = Self {
+            dir,
+            frames,
+            cursors,
+        };
+        (log, wal)
+    }
+
+    fn path(&self, segment: u64) -> PathBuf {
+        self.dir.path().join(format!("wal-{segment:08}.seg"))
+    }
+
+    /// What every segment file holds, oldest first.
+    fn segments(&self) -> Vec<Vec<u8>> {
+        (0..)
+            .map_while(|segment| fs::read(self.path(segment)).ok())
+            .collect()
+    }
+
+    fn scan(&self, from: WalCursor) -> Result<funnel_resilience::WalScan, ResilienceError> {
+        scan(self.dir.path(), from)
+    }
+}
+
+/// The `nth` byte (modulo how many there are) of `segments` that lies below
+/// `cursor` (`past == false`) or at or past it, as `(segment, offset)`.
+fn pick_byte(
+    segments: &[Vec<u8>],
+    cursor: WalCursor,
+    past: bool,
+    nth: usize,
+) -> Option<(u64, usize)> {
+    let side: Vec<(u64, usize)> = segments
+        .iter()
+        .enumerate()
+        .flat_map(|(segment, bytes)| (0..bytes.len()).map(move |offset| (segment as u64, offset)))
+        .filter(|&(segment, offset)| {
+            ((segment, offset as u64) >= (cursor.segment, cursor.offset)) == past
+        })
+        .collect();
+    (!side.is_empty()).then(|| side[nth % side.len()])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// From every position the writer ever stood at — through roll-overs, a
+    /// reopen, a clean end or a torn one — the scan is the suffix of the
+    /// whole log's, and the cursor's count plus the tail is the log's.
+    #[test]
+    fn a_scan_from_a_cursor_is_the_suffix_of_the_whole_scan(
+        payload_lens in prop::collection::vec(0usize..80, 0..25),
+        limit in 1u64..400,
+        reopen_at in 0usize..25,
+        // 0: end-of-stream marker; 1: neither; else a torn append of so
+        // many bytes.
+        ending in 0usize..14,
+    ) {
+        let (log, mut wal) = Log::write(limit, &payload_lens, reopen_at);
+        match ending {
+            0 => wal.append_end_of_stream().unwrap(),
+            1 => {}
+            keep => wal.append_torn_frame(&vec![9u8; 30].into(), keep - 1).unwrap(),
+        }
+        let whole = log.scan(WalCursor::START).unwrap();
+        prop_assert_eq!(&whole.frames, &log.frames);
+        prop_assert_eq!(whole.frame_count, log.frames.len() as u64);
+        prop_assert_eq!((whole.end_of_stream, whole.torn_tail), (ending == 0, ending > 1));
+        let files = log.segments().len() as u64;
+        prop_assert_eq!(whole.segments, files);
+        for (i, &cursor) in log.cursors.iter().enumerate() {
+            prop_assert_eq!(cursor.frames, i as u64);
+            let tail = log.scan(cursor).unwrap();
+            prop_assert_eq!(&tail.frames[..], &whole.frames[i..], "from {:?}", cursor);
+            prop_assert_eq!(cursor.frames + tail.frames.len() as u64, whole.frame_count);
+            prop_assert_eq!(tail.frame_count, whole.frame_count);
+            prop_assert_eq!(
+                (tail.end_of_stream, tail.torn_tail),
+                (whole.end_of_stream, whole.torn_tail)
+            );
+            // Nothing below the cursor's segment was opened.
+            prop_assert_eq!(tail.segments, files.saturating_sub(cursor.segment));
+        }
+    }
+
+    /// What a cursor covers is not read, so no damage there can change a
+    /// scan; what it does not cover is validated byte for byte, so damage
+    /// there is never replayed. (`mask` leaves bit 0 alone: the kind tag is
+    /// the one byte of a record its hash does not cover, and that bit turns
+    /// one valid tag into the other.)
+    #[test]
+    fn damage_below_a_cursor_is_not_read_and_past_it_never_replayed(
+        payload_lens in prop::collection::vec(1usize..80, 1..25),
+        limit in 1u64..400,
+        cut_frac in 0.0..1.0f64,
+        nth in any::<u32>(),
+        mask in 2u8..255,
+    ) {
+        let (log, _) = Log::write(limit, &payload_lens, usize::MAX);
+        let cursor = log.cursors[(cut_frac * log.cursors.len() as f64) as usize];
+        let clean = log.scan(cursor).unwrap();
+        let segments = log.segments();
+        let flipped = |(segment, offset): (u64, usize)| {
+            let mut bad = segments[segment as usize].clone();
+            bad[offset] ^= mask;
+            fs::write(log.path(segment), bad).unwrap();
+        };
+        let restore = |segment: u64| {
+            fs::write(log.path(segment), &segments[segment as usize]).unwrap();
+        };
+
+        // Below: any byte flipped, any segment gone.
+        if let Some(at) = pick_byte(&segments, cursor, false, nth as usize) {
+            flipped(at);
+            prop_assert_eq!(log.scan(cursor).unwrap(), clean.clone(), "flip at {:?}", at);
+            restore(at.0);
+        }
+        if cursor.segment > 0 {
+            let gone = u64::from(nth) % cursor.segment;
+            fs::remove_file(log.path(gone)).unwrap();
+            prop_assert_eq!(log.scan(cursor).unwrap(), clean.clone(), "segment {} gone", gone);
+            restore(gone);
+        }
+
+        // At or past: corruption in a sealed segment; in the newest, a torn
+        // tail that keeps exactly the records before the damaged one.
+        if let Some(at) = pick_byte(&segments, cursor, true, nth as usize) {
+            flipped(at);
+            let damaged = log.scan(cursor);
+            if at.0 + 1 < segments.len() as u64 {
+                prop_assert!(
+                    matches!(damaged, Err(ResilienceError::Corrupt(_))),
+                    "flip at {:?}: {:?}", at, damaged
+                );
+            } else {
+                let damaged = damaged.unwrap();
+                let newest = &segments[at.0 as usize];
+                let lost = decode_records(newest)
+                    .records
+                    .iter()
+                    .filter(|r| r.payload.end > at.1)
+                    .count();
+                prop_assert!(damaged.torn_tail && lost > 0);
+                prop_assert_eq!(&damaged.frames[..], &clean.frames[..clean.frames.len() - lost]);
+                prop_assert_eq!(damaged.frame_count, clean.frame_count - lost as u64);
+            }
+        }
+    }
+
+    /// A cursor that names no position of the log — past the end of its
+    /// segment, inside a record, in a segment that is not there — is an
+    /// error or an empty tail, as the log's own bytes decide: never a
+    /// panic, and never more frames than the bytes past it hold.
+    #[test]
+    fn arbitrary_cursors_are_refused_or_read_never_a_panic(
+        payload_lens in prop::collection::vec(0usize..60, 0..15),
+        limit in 1u64..300,
+        frames in any::<u64>(),
+        segment in 0u64..20,
+        offset_sel in any::<u64>(),
+    ) {
+        let (log, _) = Log::write(limit, &payload_lens, usize::MAX);
+        let segments = log.segments();
+        let held = segments.get(segment as usize);
+        // Mostly in or just past the segment, sometimes far out.
+        let offset = match offset_sel % 8 {
+            0 => u64::MAX - offset_sel % 1000,
+            _ => offset_sel / 8 % (held.map_or(0, Vec::len) as u64 + 3),
+        };
+        let got = log.scan(WalCursor { frames, segment, offset });
+        let corrupt = matches!(got, Err(ResilienceError::Corrupt(_)));
+        let Some(held) = held else {
+            // Not begun yet, or nowhere.
+            if offset == 0 {
+                prop_assert!(got.unwrap().frames.is_empty());
+            } else {
+                prop_assert!(corrupt, "{:?}", got);
+            }
+            return Ok(());
+        };
+        if offset > held.len() as u64 {
+            prop_assert!(corrupt, "{:?}", got);
+            return Ok(());
+        }
+        let records = decode_records(held).records;
+        let boundary = offset == 0
+            || offset == held.len() as u64
+            || records.iter().any(|r| r.payload.end as u64 == offset);
+        let sealed = segment + 1 < segments.len() as u64;
+        if boundary {
+            // Every frame from there on, counted from the cursor's word.
+            let before: usize = segments[..segment as usize]
+                .iter()
+                .map(|s| decode_records(s).records.len())
+                .sum::<usize>()
+                + records.iter().filter(|r| r.payload.end as u64 <= offset).count();
+            let got = got.unwrap();
+            prop_assert_eq!(&got.frames[..], &log.frames[before..]);
+            prop_assert_eq!(got.frame_count, frames.saturating_add(got.frames.len() as u64));
+        } else if sealed {
+            prop_assert!(corrupt, "{:?}", got);
+        } else {
+            // Inside a record of the newest segment: what a torn append
+            // looks like, and nothing after it is trusted.
+            let got = got.unwrap();
+            prop_assert!(got.torn_tail && got.frames.is_empty());
         }
     }
 }
@@ -448,10 +718,10 @@ proptest! {
             let frames = points.len() as u64 + 1;
             let point = Checkpoint {
                 entries: store.export_entries(),
-                ..checkpoint_from(frames, &[], &[word % 50, word % 7], &[word % 90], &[word], &[])
+                ..checkpoint_from(at(frames), &[], &[word % 50, word % 7], &[word % 90], &[word], &[])
             };
             checkpoints
-                .cut(frames, store, &point.collector, &point.queue, None)
+                .cut(point.wal, store, &point.collector, &point.queue, None)
                 .unwrap();
             points.push(point);
         };

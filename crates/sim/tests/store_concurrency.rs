@@ -5,6 +5,7 @@
 
 use funnel_core::reassess::QueueState;
 use funnel_resilience::checkpoint::{decode_manifest, CheckpointStore};
+use funnel_resilience::WalCursor;
 use funnel_sim::collector::{Collector, CollectorState};
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::store::MetricStore;
@@ -289,9 +290,11 @@ fn a_writer_racing_cuts_loses_no_write_between_encode_and_mark_clean() {
         let mut checkpoints = CheckpointStore::open(&dir).unwrap();
         let mut deltas = 0;
         let mut cut = |frames: u64| {
-            let manifest = checkpoints
-                .cut(frames, &store, &state, &queue, None)
-                .unwrap();
+            let wal = WalCursor {
+                frames,
+                ..WalCursor::START
+            };
+            let manifest = checkpoints.cut(wal, &store, &state, &queue, None).unwrap();
             let manifest = decode_manifest(&std::fs::read(manifest).unwrap()).unwrap();
             deltas += u64::from(manifest.segments.len() > 1);
         };
@@ -314,7 +317,7 @@ fn a_writer_racing_cuts_loses_no_write_between_encode_and_mark_clean() {
         .unwrap()
         .expect("a usable manifest");
     assert_eq!(
-        recovered.wal_frames, last_cut,
+        recovered.wal.frames, last_cut,
         "the newest chain does not add up: recovery fell back"
     );
     assert!(

@@ -5,6 +5,7 @@
 
 use funnel_core::reassess::QueueState;
 use funnel_resilience::checkpoint::CheckpointStore;
+use funnel_resilience::WalCursor;
 use funnel_sim::collector::{Collector, CollectorState};
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::store::MetricStore;
@@ -142,9 +143,11 @@ fn interning_order_reaches_no_reader_and_no_checkpoint_byte() {
         let store = MetricStore::new();
         let mut checkpoints = CheckpointStore::open(&base.join(tag)).unwrap();
         let mut cut = |store: &MetricStore, frames: u64| {
-            checkpoints
-                .cut(frames, store, &state, &queue, None)
-                .unwrap();
+            let wal = WalCursor {
+                frames,
+                ..WalCursor::START
+            };
+            checkpoints.cut(wal, store, &state, &queue, None).unwrap();
         };
         // A restore that keeps nothing: every key of `order` is interned,
         // in this order, and none is held.
