@@ -3,12 +3,12 @@
 
 use funnel_core::pipeline::{ChangeAssessment, Funnel, Verdict};
 use funnel_eval::confusion::ConfusionMatrix;
+use funnel_eval::truth::GroundTruth;
 use funnel_sim::effect::{ChangeEffect, EffectScope};
-use funnel_sim::kpi::{KpiKey, KpiKind};
-use funnel_sim::world::{GroundTruthItem, SimConfig, World, WorldBuilder};
+use funnel_sim::kpi::KpiKind;
+use funnel_sim::world::{SimConfig, World, WorldBuilder};
 use funnel_sim::MetricStore;
 use funnel_topology::change::{ChangeId, ChangeKind};
-use std::collections::HashMap;
 
 /// Agent shards for every cohort replay.
 pub const SHARDS: usize = 4;
@@ -22,7 +22,7 @@ pub struct Cohort {
     pub world: World,
     pub funnel: Funnel,
     changes: Vec<ChangeId>,
-    truth: HashMap<(ChangeId, KpiKey), GroundTruthItem>,
+    truth: GroundTruth,
 }
 
 impl Cohort {
@@ -61,11 +61,7 @@ impl Cohort {
             changes.push(id.expect("valid"));
         }
         let world = b.build();
-        let truth = world
-            .ground_truth()
-            .into_iter()
-            .map(|g| ((g.change, g.key), g))
-            .collect();
+        let truth = GroundTruth::of(&world);
         Self {
             world,
             funnel: Funnel::paper_default(),
@@ -97,10 +93,8 @@ impl Cohort {
         let mut tally = Tally::default();
         for assessment in assessments {
             for item in &assessment.items {
-                let actual = match self.truth.get(&(assessment.change, item.key)) {
-                    Some(g) if g.is_prominent() => true,
-                    Some(_) => continue,
-                    None => false,
+                let Some(actual) = self.truth.label(assessment.change, item.key) else {
+                    continue;
                 };
                 tally.items += 1;
                 tally.coverage_sum += item.quality.coverage;

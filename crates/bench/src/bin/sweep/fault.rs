@@ -57,13 +57,8 @@ impl Grid for FaultGrid {
     type Cell = f64;
     type Row = FaultRow;
 
-    fn name(&self) -> &'static str {
-        "fault"
-    }
-
-    fn title(&self) -> &'static str {
-        "Fault sweep: verdict quality vs telemetry fault rate"
-    }
+    const NAME: &'static str = "fault";
+    const TITLE: &'static str = "Fault sweep: verdict quality vs telemetry fault rate";
 
     fn columns(&self) -> Vec<Column<FaultRow>> {
         vec![

@@ -139,13 +139,9 @@ impl Grid for PartitionGrid {
     type Cell = PartitionCell;
     type Row = PartitionRow;
 
-    fn name(&self) -> &'static str {
-        "partition"
-    }
-
-    fn title(&self) -> &'static str {
-        "Partition sweep: verdict recovery vs partition length and heal mode"
-    }
+    const NAME: &'static str = "partition";
+    const TITLE: &'static str =
+        "Partition sweep: verdict recovery vs partition length and heal mode";
 
     fn columns(&self) -> Vec<Column<PartitionRow>> {
         vec![

@@ -267,13 +267,8 @@ impl Grid for StreamGrid {
     type Cell = StreamCell;
     type Row = StreamRow;
 
-    fn name(&self) -> &'static str {
-        "stream"
-    }
-
-    fn title(&self) -> &'static str {
-        "Stream sweep: folds, shedding and window memory vs overload"
-    }
+    const NAME: &'static str = "stream";
+    const TITLE: &'static str = "Stream sweep: folds, shedding and window memory vs overload";
 
     fn columns(&self) -> Vec<Column<StreamRow>> {
         vec![

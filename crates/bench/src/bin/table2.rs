@@ -1,5 +1,10 @@
 //! Table 2 — comparison of computational time.
 //!
+//! The one paper table that *is* a clock reading: it prints and commits no
+//! file (every other table is a grid of `sweep`, a pure function of its
+//! seed). At fleet size the same two quantities are the benchmark ledger's
+//! `sst.score_window.ns` and `detect.run.us_per_item`.
+//!
 //! Measures each method's single-thread per-window cost on mixed-class KPI
 //! windows and projects the number of cores needed to score one million
 //! KPIs once per minute (the paper's scalability argument: FUNNEL fits on
@@ -19,7 +24,7 @@
 //! are the reproduced shape.
 
 use funnel_eval::methods::Method;
-use funnel_eval::timing::{time_detector, time_method};
+use funnel_eval::timing::{cores_for_million_kpis, per_window_display, time_detector, time_method};
 
 fn main() {
     println!("Table 2: computational time per sliding window (single thread)\n");
@@ -33,33 +38,17 @@ fn main() {
         _ => 5000,           // µs-scale windows
     };
 
-    let mut rows = Vec::new();
     for method in [Method::Funnel, Method::Cusum, Method::Mrls] {
         let score = time_method(method, budget(method));
         let detector = time_detector(method, budget(method));
         println!(
             "{:<14} {:>16} {:>16} {:>24}",
             method.name(),
-            score.per_window_display(),
-            detector.per_window_display(),
-            score.cores_for_million_kpis()
+            per_window_display(score),
+            per_window_display(detector),
+            cores_for_million_kpis(score)
         );
-        rows.push((
-            method.name(),
-            score.seconds_per_window,
-            detector.seconds_per_window,
-            score.cores_for_million_kpis(),
-        ));
     }
 
     println!("\npaper: FUNNEL 401.8 µs / 7 cores; CUSUM 1.846 ms / 31; MRLS 2.852 s / 47526");
-    let json: Vec<String> = rows
-        .iter()
-        .map(|(n, s, d, c)| {
-            format!(
-                "{{\"method\":\"{n}\",\"sec_per_window\":{s},\"detector_sec_per_window\":{d},\"cores\":{c}}}"
-            )
-        })
-        .collect();
-    println!("\nJSON: [{}]", json.join(","));
 }

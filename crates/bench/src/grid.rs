@@ -1,6 +1,7 @@
-//! One runner for every contract sweep.
+//! One runner for every committed table: the paper's tables and figures
+//! and the contract sweeps alike.
 //!
-//! A sweep is a [`Grid`]: `cells()` lists the points, `run(cell)` turns one
+//! A table is a [`Grid`]: `cells()` lists the points, `run(cell)` turns one
 //! point into a typed row (asserting whatever must hold inside that cell),
 //! and `contract(rows)` asserts what only holds *across* rows and returns
 //! the envelope fields those checks established. [`run_grid`] does the rest:
@@ -23,7 +24,8 @@ const SCHEMA_VERSION: u32 = 1;
 pub struct Value(String);
 
 impl Value {
-    /// An integer (or anything whose `Display` is a JSON number).
+    /// An integer (or anything else whose `Display` is a JSON literal: a
+    /// `bool`, say).
     pub fn int(n: impl Display) -> Self {
         Self(n.to_string())
     }
@@ -42,18 +44,27 @@ impl Value {
 /// One output column: its JSON key (also the table header) and how to read
 /// it off a row.
 pub struct Column<R> {
-    key: &'static str,
-    value: fn(&R) -> Value,
+    key: String,
+    value: Box<dyn Fn(&R) -> Value>,
 }
 
-impl<R> Column<R> {
+impl<R: 'static> Column<R> {
     /// A column headed `key` whose cells are `value(row)`.
     pub fn new(key: &'static str, value: fn(&R) -> Value) -> Self {
-        Self { key, value }
+        Self::computed(key.to_string(), value)
+    }
+
+    /// [`Column::new`] for a column a grid derives from a list: its key is
+    /// built, and its reader captures what it was built from.
+    pub fn computed(key: String, value: impl Fn(&R) -> Value + 'static) -> Self {
+        Self {
+            key,
+            value: Box::new(value),
+        }
     }
 }
 
-/// A contract sweep. See the module docs.
+/// One committed table. See the module docs.
 pub trait Grid {
     /// One point of the grid.
     type Cell;
@@ -61,9 +72,12 @@ pub trait Grid {
     type Row;
 
     /// Bench name: `results/BENCH_<name>.json`, `sweep -- <name>`.
-    fn name(&self) -> &'static str;
+    const NAME: &'static str;
     /// One-line table caption.
-    fn title(&self) -> &'static str;
+    const TITLE: &'static str;
+    /// The seed stamped into the envelope: the one every row is a function
+    /// of, or the first of them when a column says which.
+    const SEED: u64 = crate::SEED;
     /// The single column list both renderings derive from.
     fn columns(&self) -> Vec<Column<Self::Row>>;
     /// The grid's points, in output order.
@@ -140,8 +154,25 @@ fn render_envelope(
     out
 }
 
-/// Runs every cell, checks the cross-row contract, prints the table and
-/// writes `results/BENCH_<name>.json`.
+/// Runs every cell, then the cross-row contract; writes nothing. Returns
+/// the typed rows and the envelope fields the contract established.
+///
+/// # Panics
+///
+/// When a cell or the cross-row contract is violated; that is the point.
+pub fn check<G: Grid>(grid: &G) -> (Vec<G::Row>, Vec<(&'static str, String)>) {
+    let cells = grid.cells();
+    let mut rows = Vec::with_capacity(cells.len());
+    for (i, cell) in cells.iter().enumerate() {
+        rows.push(grid.run(cell));
+        eprintln!("{}: cell {}/{}", G::NAME, i + 1, cells.len());
+    }
+    let fields = grid.contract(&rows);
+    (rows, fields)
+}
+
+/// [`check`]s the grid, prints the table and writes
+/// `results/BENCH_<name>.json`.
 ///
 /// # Errors
 ///
@@ -149,29 +180,23 @@ fn render_envelope(
 ///
 /// # Panics
 ///
-/// When a cell or the cross-row contract is violated; that is the point.
-pub fn run_grid<G: Grid>(grid: &G, seed: u64) -> std::io::Result<()> {
+/// As [`check`] does.
+pub fn run_grid<G: Grid>(grid: &G) -> std::io::Result<()> {
     let columns = grid.columns();
-    let keys: Vec<&str> = columns.iter().map(|c| c.key).collect();
-    let cells = grid.cells();
-    let mut typed = Vec::with_capacity(cells.len());
-    for (i, cell) in cells.iter().enumerate() {
-        typed.push(grid.run(cell));
-        eprintln!("{}: cell {}/{}", grid.name(), i + 1, cells.len());
-    }
-    let fields = grid.contract(&typed);
+    let keys: Vec<&str> = columns.iter().map(|c| c.key.as_str()).collect();
+    let (typed, fields) = check(grid);
     let rows: Vec<Vec<Value>> = typed
         .iter()
         .map(|row| columns.iter().map(|c| (c.value)(row)).collect())
         .collect();
 
-    println!("{}\n", grid.title());
+    println!("{}\n", G::TITLE);
     print!("{}", render_table(&keys, &rows));
-    let path = PathBuf::from(format!("results/BENCH_{}.json", grid.name()));
+    let path = PathBuf::from(format!("results/BENCH_{}.json", G::NAME));
     std::fs::create_dir_all("results")?;
     std::fs::write(
         &path,
-        render_envelope(grid.name(), seed, &fields, &keys, &rows),
+        render_envelope(G::NAME, G::SEED, &fields, &keys, &rows),
     )?;
     println!("\nwrote {}; every contract held.\n", path.display());
     Ok(())

@@ -8,12 +8,13 @@
 //! independent of every other, so the work is embarrassingly parallel. This
 //! module supplies the harness, in two layers:
 //!
-//! * `fan_out` — the primitive. A fixed pool of scoped worker threads
+//! * [`fan_out`] — the primitive. A fixed pool of scoped worker threads
 //!   claims jobs from one indexed list a batch of consecutive indices at a
 //!   time (one short lock a batch; no channel, no queue that can grow),
 //!   builds its per-worker state once, and hands the results back in job
 //!   order. No work stealing, no runtime. The streaming engine's per-tick
-//!   scoring calls it directly.
+//!   scoring calls it directly, and so do the evaluation harness's
+//!   per-change cohort pass and the deployment week's per-day one.
 //! * `assess_units` — the assessment form. The batch pipeline, the
 //!   re-assessment queue and the streaming completion path call it with
 //!   `Funnel::assess_item` as the per-unit function, the supervisor with
@@ -92,7 +93,7 @@ const CLAIMS_PER_WORKER: usize = 8;
 /// One worker (or at most one job) runs inline on the calling thread, with
 /// no span, through the same two closures — serial and parallel callers
 /// cannot drift apart.
-pub(crate) fn fan_out<J: Send, W, R: Send>(
+pub fn fan_out<J: Send, W, R: Send>(
     jobs: Vec<J>,
     workers: usize,
     worker_span: Option<funnel_obs::names::Name>,

@@ -5,28 +5,34 @@
 //! is "equally beneficial to FUNNEL, CUSUM and MRLS, and is not biased
 //! towards FUNNEL"), each method is given the sliding windows around the
 //! change, and each item outcome is scored against the world's ground
-//! truth. Items whose injected effect is below the 3σ prominence bar are
-//! skipped as ambiguous (the paper's operators only labelled clear behaviour
-//! changes). The clean-change cohort's counts can be scaled by 86 = 6194/72
-//! per §4.2.1.
+//! truth ([`crate::truth`]; ambiguous items are skipped). The result is one
+//! flat list of [`ItemOutcome`]s, in cohort order whatever the worker
+//! count; Table 1 ([`confusion`]), Fig. 5 ([`delays`]) and per-seed rows
+//! are folds over it.
 
 use crate::confusion::ConfusionMatrix;
 use crate::methods::{Method, MethodRunner};
+use crate::truth::GroundTruth;
+use funnel_core::parallel::fan_out;
 use funnel_core::pipeline::Funnel;
 use funnel_core::FunnelConfig;
 use funnel_sim::kpi::KpiKey;
 use funnel_sim::scenario::CohortMeta;
-use funnel_sim::world::{GroundTruthItem, World};
+use funnel_sim::world::World;
 use funnel_timeseries::generate::KpiClass;
 use funnel_timeseries::series::TimeSeries;
 use funnel_topology::change::ChangeId;
-use std::collections::HashMap;
 
 /// One evaluated item for one method.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ItemOutcome {
+    /// The method judging.
+    pub method: Method,
     /// The change being assessed.
     pub change: ChangeId,
+    /// Whether the change belongs to the effecting half of the cohort; the
+    /// clean half is what §4.2.1 scales by 86.
+    pub effecting: bool,
     /// The KPI.
     pub key: KpiKey,
     /// The KPI's character class (Table 1 grouping).
@@ -35,233 +41,120 @@ pub struct ItemOutcome {
     pub actual: bool,
     /// The method's claim.
     pub predicted: bool,
-    /// Detection delay in minutes (true positives only).
+    /// Minutes from the true onset (the deploy minute for a clean item) to
+    /// the declaration of the method's detector, when it made one. FUNNEL's
+    /// DiD step decides `predicted`, never the delay.
     pub delay: Option<u64>,
 }
 
-/// Per-method aggregation.
-#[derive(Debug, Clone, Default)]
-pub struct MethodResult {
-    /// Confusion matrices for effecting changes, by class.
-    pub effecting: HashMap<KpiClass, ConfusionMatrix>,
-    /// Confusion matrices for clean (no-effect) changes, by class.
-    pub clean: HashMap<KpiClass, ConfusionMatrix>,
-    /// Detection delays of true positives.
-    pub delays: Vec<u64>,
-}
-
-impl MethodResult {
-    /// The Table-1 matrix for `class`: effecting + clean × `scale`.
-    pub fn scaled(&self, class: KpiClass, scale: f64) -> ConfusionMatrix {
-        let mut m = self.effecting.get(&class).copied().unwrap_or_default();
-        if let Some(c) = self.clean.get(&class) {
-            m.add_scaled(c, scale);
-        }
-        m
-    }
-
-    /// All classes merged (scaled).
-    pub fn scaled_overall(&self, scale: f64) -> ConfusionMatrix {
-        let mut m = ConfusionMatrix::new();
-        for class in KpiClass::ALL {
-            m.add_scaled(&self.scaled(class, scale), 1.0);
-        }
-        m
+impl ItemOutcome {
+    /// A false positive on a clean change: what §4.2.1 multiplies by 86.
+    pub fn is_clean_fp(&self) -> bool {
+        !self.effecting && self.predicted && !self.actual
     }
 }
 
-/// Options for [`evaluate_cohort`].
-#[derive(Debug, Clone)]
-pub struct CohortOptions {
-    /// Methods to evaluate.
-    pub methods: Vec<Method>,
-    /// Worker threads.
-    pub threads: usize,
-    /// Seasonal-history days available to FUNNEL's DiD.
-    pub history_days: u32,
-}
+/// Evaluates `methods` on every change of the cohort, `workers` changes at
+/// a time. Deterministic given the world: the list is the same at any
+/// worker count.
+pub fn evaluate_cohort(
+    world: &World,
+    meta: &CohortMeta,
+    methods: &[Method],
+    workers: usize,
+) -> Vec<ItemOutcome> {
+    let truth = GroundTruth::of(world);
+    let mut config = FunnelConfig::paper_default();
+    config.history_days = meta.history_days;
+    let assessment_minutes = config.assessment_minutes;
+    let funnel = Funnel::new(config);
 
-impl Default for CohortOptions {
-    fn default() -> Self {
-        Self {
-            methods: Method::ALL.to_vec(),
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            history_days: 6,
-        }
-    }
-}
-
-/// The full cohort result.
-#[derive(Debug, Clone)]
-pub struct CohortResult {
-    /// Per-method aggregations, in the order requested.
-    pub per_method: Vec<(Method, MethodResult)>,
-    /// Total items evaluated (per method).
-    pub items_total: usize,
-    /// Items skipped as ambiguous (injected effect below prominence).
-    pub items_skipped: usize,
-}
-
-impl CohortResult {
-    /// The result for one method.
-    pub fn method(&self, m: Method) -> Option<&MethodResult> {
-        self.per_method
-            .iter()
-            .find(|(mm, _)| *mm == m)
-            .map(|(_, r)| r)
-    }
-}
-
-/// Evaluates the cohort. Deterministic given the world and options.
-pub fn evaluate_cohort(world: &World, meta: &CohortMeta, opts: &CohortOptions) -> CohortResult {
-    // Ground-truth index.
-    let gt: HashMap<(ChangeId, KpiKey), GroundTruthItem> = world
-        .ground_truth()
-        .into_iter()
-        .map(|g| ((g.change, g.key), g))
-        .collect();
-
-    let mut funnel_config = FunnelConfig::paper_default();
-    funnel_config.history_days = opts.history_days;
-    let funnel = Funnel::new(funnel_config.clone());
-    let assessment_minutes = funnel_config.assessment_minutes;
-
-    let changes: Vec<(ChangeId, bool)> = meta.changes.clone();
-    let threads = opts.threads.max(1).min(changes.len().max(1));
-    let chunks: Vec<&[(ChangeId, bool)]> =
-        changes.chunks(changes.len().div_ceil(threads)).collect();
-
-    // Each worker returns (per-method result, items, skipped).
-    type WorkerOut = (Vec<(Method, MethodResult)>, usize, usize);
-    let worker_out: Vec<WorkerOut> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| {
-                let gt = &gt;
-                let funnel = &funnel;
-                let methods = &opts.methods;
-                s.spawn(move || {
-                    let runners: Vec<(Method, MethodRunner)> =
-                        methods.iter().map(|&m| (m, MethodRunner::new(m))).collect();
-                    let mut results: Vec<(Method, MethodResult)> = methods
-                        .iter()
-                        .map(|&m| (m, MethodResult::default()))
-                        .collect();
-                    let mut items = 0usize;
-                    let mut skipped = 0usize;
-
-                    for &(change_id, has_effect) in chunk.iter() {
-                        let assessment = funnel
-                            .assess_change(world, change_id)
-                            .expect("cohort changes assess cleanly");
-                        let change_minute =
-                            world.change_log().get(change_id).expect("exists").minute;
-
-                        for item in &assessment.items {
-                            let gt_item = gt.get(&(change_id, item.key));
-                            let actual = match gt_item {
-                                Some(g) if g.is_prominent() => true,
-                                Some(_) => {
-                                    skipped += 1;
-                                    continue; // ambiguous: sub-prominence effect
-                                }
-                                None => false,
-                            };
-                            items += 1;
-                            let class = item.key.kind.class();
-                            let onset = gt_item.map_or(change_minute, |g| g.onset);
-
-                            // Detector input: warmup + assessment span.
-                            let series = funnel_core::source::KpiSource::series(&world, &item.key)
-                                .expect("series exists");
-
-                            for ((method, runner), (_, result)) in
-                                runners.iter().zip(results.iter_mut())
-                            {
-                                let (predicted, delay) = match method {
-                                    Method::Funnel => {
-                                        let d = item
-                                            .detection
-                                            .as_ref()
-                                            .map(|e| e.declared_at.saturating_sub(onset));
-                                        (item.caused, d)
-                                    }
-                                    // Improved SST = FUNNEL's detector
-                                    // without the DiD step: reuse the
-                                    // pipeline's detection verbatim.
-                                    Method::ImprovedSst => {
-                                        let d = item
-                                            .detection
-                                            .as_ref()
-                                            .map(|e| e.declared_at.saturating_sub(onset));
-                                        (item.detection.is_some(), d)
-                                    }
-                                    _ => {
-                                        let w = runner.window_len() as u64;
-                                        let from =
-                                            change_minute.saturating_sub(2 * w).max(series.start());
-                                        let to = change_minute + assessment_minutes + 1;
-                                        let slice =
-                                            TimeSeries::new(from, series.slice(from, to).to_vec());
-                                        match runner.first_event_after(&slice, change_minute) {
-                                            Some(e) => {
-                                                (true, Some(e.declared_at.saturating_sub(onset)))
-                                            }
-                                            None => (false, None),
-                                        }
-                                    }
-                                };
-                                let bucket = if has_effect {
-                                    result.effecting.entry(class).or_default()
-                                } else {
-                                    result.clean.entry(class).or_default()
-                                };
-                                bucket.record(actual, predicted);
-                                if actual && predicted {
-                                    if let Some(d) = delay {
-                                        result.delays.push(d);
-                                    }
-                                }
-                            }
+    let per_change = fan_out(
+        meta.changes.clone(),
+        workers,
+        None,
+        || -> Vec<MethodRunner> { methods.iter().map(|&m| MethodRunner::new(m)).collect() },
+        |runners, (change, effecting)| {
+            let assessment = funnel
+                .assess_change(world, change)
+                .expect("cohort changes assess cleanly");
+            let change_minute = world.change_log().get(change).expect("logged").minute;
+            let mut outcomes = Vec::new();
+            for item in &assessment.items {
+                let Some(actual) = truth.label(change, item.key) else {
+                    continue;
+                };
+                let onset = truth.onset(change, item.key).unwrap_or(change_minute);
+                let series = world.series(&item.key).expect("series exists");
+                for (&method, runner) in methods.iter().zip(runners.iter()) {
+                    let declared_at = match method {
+                        // Improved SST = FUNNEL's detector without the DiD
+                        // step: both reuse the pipeline's detection verbatim.
+                        Method::Funnel | Method::ImprovedSst => {
+                            item.detection.map(|e| e.declared_at)
                         }
-                    }
-                    (results, items, skipped)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker ok"))
-            .collect()
-    });
-
-    // Merge workers.
-    let mut per_method: Vec<(Method, MethodResult)> = opts
-        .methods
-        .iter()
-        .map(|&m| (m, MethodResult::default()))
-        .collect();
-    let mut items_total = 0;
-    let mut items_skipped = 0;
-    for (partial, items, skipped) in worker_out {
-        items_total += items;
-        items_skipped += skipped;
-        for ((_, dst), (_, src)) in per_method.iter_mut().zip(partial) {
-            for (class, m) in src.effecting {
-                dst.effecting.entry(class).or_default().add_scaled(&m, 1.0);
+                        // Detector input: warm-up + assessment span.
+                        Method::Cusum | Method::Mrls => {
+                            let w = runner.window_len() as u64;
+                            let from = change_minute.saturating_sub(2 * w).max(series.start());
+                            let to = change_minute + assessment_minutes + 1;
+                            let span = TimeSeries::new(from, series.slice(from, to).to_vec());
+                            let declared = runner.run(&span).into_iter();
+                            declared
+                                .map(|e| e.declared_at)
+                                .find(|&at| at >= change_minute)
+                        }
+                    };
+                    outcomes.push(ItemOutcome {
+                        method,
+                        change,
+                        effecting,
+                        key: item.key,
+                        class: item.key.kind.class(),
+                        actual,
+                        predicted: if method == Method::Funnel {
+                            item.caused
+                        } else {
+                            declared_at.is_some()
+                        },
+                        delay: declared_at.map(|at| at.saturating_sub(onset)),
+                    });
+                }
             }
-            for (class, m) in src.clean {
-                dst.clean.entry(class).or_default().add_scaled(&m, 1.0);
-            }
-            dst.delays.extend(src.delays);
-        }
-    }
+            Some(outcomes)
+        },
+    );
+    per_change.into_iter().flatten().collect()
+}
 
-    CohortResult {
-        per_method,
-        items_total,
-        items_skipped,
+/// The Table-1 matrix of `outcomes`: items of effecting changes once, items
+/// of clean changes `clean_scale` times (§4.2.1; pass 1.0 for raw counts).
+pub fn confusion<'a>(
+    outcomes: impl IntoIterator<Item = &'a ItemOutcome>,
+    clean_scale: f64,
+) -> ConfusionMatrix {
+    let mut effecting = ConfusionMatrix::new();
+    let mut clean = ConfusionMatrix::new();
+    for o in outcomes {
+        let half = if o.effecting {
+            &mut effecting
+        } else {
+            &mut clean
+        };
+        half.record(o.actual, o.predicted);
     }
+    effecting.add_scaled(&clean, clean_scale);
+    effecting
+}
+
+/// The Fig. 5 sample of `outcomes`: detection delays of the true positives,
+/// in minutes.
+pub fn delays<'a>(outcomes: impl IntoIterator<Item = &'a ItemOutcome>) -> Vec<f64> {
+    outcomes
+        .into_iter()
+        .filter(|o| o.actual && o.predicted)
+        .filter_map(|o| o.delay.map(|minutes| minutes as f64))
+        .collect()
 }
 
 #[cfg(test)]
@@ -269,33 +162,57 @@ mod tests {
     use super::*;
     use funnel_sim::scenario::evaluation_world;
 
-    /// Smoke test on a trimmed cohort: FUNNEL must beat the raw detectors
-    /// on accuracy, and every method must see the same item universe.
-    #[test]
-    fn trimmed_cohort_ranks_funnel_first() {
-        let (world, meta) = evaluation_world(3);
-        // Keep the runtime modest: first 24 changes (12 effecting).
-        let mut small = meta.clone();
-        small.changes.truncate(24);
-        let opts = CohortOptions {
-            methods: vec![Method::Funnel, Method::ImprovedSst],
-            threads: 8,
-            history_days: 6,
-        };
-        let res = evaluate_cohort(&world, &small, &opts);
-        assert!(res.items_total > 100, "items {}", res.items_total);
-        let f = res.method(Method::Funnel).unwrap().scaled_overall(1.0);
-        let s = res.method(Method::ImprovedSst).unwrap().scaled_overall(1.0);
-        assert_eq!(f.total(), s.total(), "methods saw different item counts");
-        let fr = f.rates();
-        let sr = s.rates();
-        // DiD must not hurt accuracy, and must strictly improve precision
-        // whenever the raw detector has any false positives.
-        assert!(fr.accuracy >= sr.accuracy - 1e-9, "{fr:?} vs {sr:?}");
-        if s.fp > 0.0 {
-            assert!(fr.precision > sr.precision, "{fr:?} vs {sr:?}");
+    fn outcome(effecting: bool, actual: bool, predicted: bool, delay: Option<u64>) -> ItemOutcome {
+        use funnel_sim::kpi::KpiKind;
+        use funnel_topology::impact::Entity;
+        use funnel_topology::model::ServiceId;
+        let key = KpiKey::new(Entity::Service(ServiceId(0)), KpiKind::PageViewCount);
+        ItemOutcome {
+            method: Method::Funnel,
+            change: ChangeId(0),
+            effecting,
+            key,
+            class: key.kind.class(),
+            actual,
+            predicted,
+            delay,
         }
-        // FUNNEL recall should be high on prominent effects.
-        assert!(fr.recall > 0.7, "recall {}", fr.recall);
+    }
+
+    #[test]
+    fn clean_half_is_what_the_scale_multiplies() {
+        let outcomes = [
+            outcome(true, true, true, Some(9)),
+            outcome(true, false, true, Some(4)), // 1 FP among effecting changes
+            outcome(false, false, false, None),
+            outcome(false, false, true, Some(2)), // 1 FP among clean changes
+        ];
+        let raw = confusion(&outcomes, 1.0);
+        assert_eq!((raw.tp, raw.fp, raw.tn, raw.total()), (1.0, 2.0, 1.0, 4.0));
+        let scaled = confusion(&outcomes, 86.0);
+        assert_eq!((scaled.tp, scaled.fp, scaled.tn), (1.0, 87.0, 86.0));
+        // Scaling clean counts can only lower precision, never raise it.
+        assert!(scaled.rates().precision < raw.rates().precision);
+        // Only true positives have a detection delay.
+        assert_eq!(delays(&outcomes), [9.0]);
+        // No items: the empty matrix, which reads as perfect.
+        assert_eq!(confusion(&[], 86.0).rates().accuracy, 1.0);
+    }
+
+    /// A trimmed cohort, once serially and once on three workers: the same
+    /// list, and every method sees the same item universe. (What the list
+    /// says of the methods is the table1 grid's contract, in `funnel-bench`.)
+    #[test]
+    fn trimmed_cohort_is_worker_invariant() {
+        let (world, mut meta) = evaluation_world(3);
+        meta.changes.truncate(12); // 6 effecting
+        let methods = [Method::Funnel, Method::ImprovedSst];
+        let serial = evaluate_cohort(&world, &meta, &methods, 1);
+        assert_eq!(serial, evaluate_cohort(&world, &meta, &methods, 3));
+        assert!(serial.len() > 200, "outcomes {}", serial.len());
+        let of = |m: Method| serial.iter().filter(move |o| o.method == m);
+        assert!(of(Method::Funnel)
+            .map(|o| (o.change, o.key, o.actual))
+            .eq(of(Method::ImprovedSst).map(|o| (o.change, o.key, o.actual))));
     }
 }

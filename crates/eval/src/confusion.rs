@@ -77,12 +77,6 @@ impl ConfusionMatrix {
     }
 }
 
-impl std::ops::AddAssign for ConfusionMatrix {
-    fn add_assign(&mut self, rhs: Self) {
-        self.add_scaled(&rhs, 1.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,16 +118,5 @@ mod tests {
         assert_eq!(total.fp, 86.0);
         assert_eq!(total.tp, 1.0);
         assert_eq!(total.total(), 173.0);
-    }
-
-    #[test]
-    fn add_assign_sums() {
-        let mut a = ConfusionMatrix::new();
-        a.record(true, true);
-        let mut b = ConfusionMatrix::new();
-        b.record(false, false);
-        a += b;
-        assert_eq!(a.tp, 1.0);
-        assert_eq!(a.tn, 1.0);
     }
 }

@@ -5,25 +5,21 @@
 //! * [`methods`] — the four compared methods (FUNNEL, improved SST without
 //!   DiD, CUSUM, MRLS) behind one interface, with per-method calibrated
 //!   thresholds.
-//! * [`cohort`] — runs a whole evaluation cohort against every method in
-//!   parallel, scoring each (change, entity, KPI) *item* against the
-//!   world's ground truth; produces Table 1 and the Fig. 5 delay samples.
-//! * [`ccdf`] — complementary CDFs and medians for detection delays.
+//! * [`truth`] — the one join between an assessed item and the world's
+//!   ground truth: a real KPI change, none, or too faint to label.
+//! * [`cohort`] — runs a whole evaluation cohort against every method,
+//!   changes fanned out through `funnel_core::parallel::fan_out`, and
+//!   returns one flat list of item outcomes; Table 1 and the Fig. 5 delay
+//!   samples are folds over it (their median and CCDF are
+//!   `funnel_timeseries::stats` and a count).
 //! * [`timing`] — single-thread per-window wall-clock measurement and the
 //!   "cores for one million KPIs" projection of Table 2.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ccdf;
 pub mod cohort;
 pub mod confusion;
 pub mod methods;
-pub mod roc;
 pub mod timing;
-
-pub use ccdf::{ccdf_points, median_delay};
-pub use cohort::{evaluate_cohort, CohortResult, ItemOutcome};
-pub use confusion::{ConfusionMatrix, Rates};
-pub use methods::Method;
-pub use roc::{auc_by_ranks, roc_curve, RocCurve, RocPoint, ScoredItem};
+pub mod truth;

@@ -4,7 +4,8 @@
 //! value (`W_FUNNEL = 34`, `W_MRLS = 32`, `W_CUSUM = 60`) and sets "the
 //! values of other parameters … to the best for the corresponding
 //! algorithm's accuracy"; the thresholds below were calibrated the same way
-//! on a held-out cohort seed (see the `ablations` bench for the sweeps).
+//! on a held-out cohort seed (`sweep -- ablations` holds the sweeps, and
+//! asserts that every shipped threshold is a row of its own).
 //! FUNNEL = improved SST + persistence + DiD; "Improved SST" is the same
 //! detector *without* the DiD causality step — the Table 1 row that shows
 //! why DiD matters.
@@ -13,9 +14,8 @@ use funnel_detect::cusum::CusumDetector;
 use funnel_detect::detector::{ChangeEvent, DetectorRunner};
 use funnel_detect::mrls::MrlsDetector;
 use funnel_detect::sst_adapter::SstDetector;
-use funnel_detect::{W_CUSUM, W_MRLS};
 use funnel_sst::{FastSst, SstConfig};
-use funnel_timeseries::series::{MinuteBin, TimeSeries};
+use funnel_timeseries::series::TimeSeries;
 
 /// The methods compared throughout §4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,15 +46,6 @@ impl Method {
             Method::ImprovedSst => "Improved SST",
             Method::Cusum => "CUSUM",
             Method::Mrls => "MRLS",
-        }
-    }
-
-    /// The method's sliding-window width (§4.1).
-    pub fn window_len(&self) -> usize {
-        match self {
-            Method::Funnel | Method::ImprovedSst => SstConfig::paper_default().window_len(),
-            Method::Cusum => W_CUSUM,
-            Method::Mrls => W_MRLS,
         }
     }
 
@@ -114,27 +105,6 @@ impl MethodRunner {
         }
     }
 
-    /// Runner with an explicit threshold (for calibration sweeps).
-    pub fn with_threshold(method: Method, threshold: f64) -> Self {
-        match method {
-            Method::Funnel | Method::ImprovedSst => MethodRunner::Sst(DetectorRunner::new(
-                SstDetector::fast(FastSst::new(SstConfig::paper_default())),
-                threshold,
-                method.persistence(),
-            )),
-            Method::Cusum => MethodRunner::Cusum(DetectorRunner::new(
-                CusumDetector::paper_default(),
-                threshold,
-                method.persistence(),
-            )),
-            Method::Mrls => MethodRunner::Mrls(DetectorRunner::new(
-                MrlsDetector::paper_default(),
-                threshold,
-                method.persistence(),
-            )),
-        }
-    }
-
     /// The underlying window width.
     pub fn window_len(&self) -> usize {
         match self {
@@ -162,13 +132,6 @@ impl MethodRunner {
             MethodRunner::Mrls(r) => r.scorer().score(window),
         }
     }
-
-    /// First event declared at or after `minute`, over the detection span.
-    pub fn first_event_after(&self, series: &TimeSeries, minute: MinuteBin) -> Option<ChangeEvent> {
-        self.run(series)
-            .into_iter()
-            .find(|e| e.declared_at >= minute)
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +143,7 @@ mod tests {
         assert_eq!(MethodRunner::new(Method::Funnel).window_len(), 34);
         assert_eq!(MethodRunner::new(Method::Cusum).window_len(), 60);
         assert_eq!(MethodRunner::new(Method::Mrls).window_len(), 32);
-        assert_eq!(Method::ImprovedSst.window_len(), 34);
+        assert_eq!(MethodRunner::new(Method::ImprovedSst).window_len(), 34);
     }
 
     #[test]
@@ -194,8 +157,8 @@ mod tests {
         let series = TimeSeries::new(0, v);
         for m in Method::ALL {
             let runner = MethodRunner::new(m);
-            let ev = runner.first_event_after(&series, 120);
-            assert!(ev.is_some(), "{} missed a 50-unit shift", m.name());
+            let declared = runner.run(&series).iter().any(|e| e.declared_at >= 120);
+            assert!(declared, "{} missed a 50-unit shift", m.name());
         }
     }
 

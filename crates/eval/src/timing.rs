@@ -10,33 +10,20 @@ use funnel_timeseries::generate::{KpiClass, KpiGenerator};
 use funnel_timeseries::series::TimeSeries;
 use std::time::Instant;
 
-/// Timing result for one method.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MethodTiming {
-    /// The method measured.
-    pub method: Method,
-    /// Mean wall-clock seconds per window (single thread).
-    pub seconds_per_window: f64,
-    /// Windows evaluated.
-    pub windows: usize,
+/// Cores needed to score one million KPIs once a minute at `seconds` of
+/// wall clock per window.
+pub fn cores_for_million_kpis(seconds: f64) -> u64 {
+    (1_000_000.0 * seconds / 60.0).ceil() as u64
 }
 
-impl MethodTiming {
-    /// Cores needed to score one million KPIs once a minute.
-    pub fn cores_for_million_kpis(&self) -> u64 {
-        (1_000_000.0 * self.seconds_per_window / 60.0).ceil() as u64
-    }
-
-    /// Human-friendly per-window time.
-    pub fn per_window_display(&self) -> String {
-        let s = self.seconds_per_window;
-        if s >= 1.0 {
-            format!("{s:.3} s")
-        } else if s >= 1e-3 {
-            format!("{:.3} ms", s * 1e3)
-        } else {
-            format!("{:.1} µs", s * 1e6)
-        }
+/// Human-friendly per-window time.
+pub fn per_window_display(seconds: f64) -> String {
+    if seconds >= 1.0 {
+        format!("{seconds:.3} s")
+    } else if seconds >= 1e-3 {
+        format!("{:.3} ms", seconds * 1e3)
+    } else {
+        format!("{:.1} µs", seconds * 1e6)
     }
 }
 
@@ -54,9 +41,10 @@ fn mixed_class_data(len: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Measures `method`'s full window score on `windows` sliding windows of
-/// realistic mixed-class KPI data (deterministic), single-threaded.
-pub fn time_method(method: Method, windows: usize) -> MethodTiming {
+/// Mean wall-clock seconds of `method`'s full window score over `windows`
+/// sliding windows of realistic mixed-class KPI data (deterministic),
+/// single-threaded.
+pub fn time_method(method: Method, windows: usize) -> f64 {
     let runner = MethodRunner::new(method);
     let w = runner.window_len();
     // Scored round-robin across the classes.
@@ -77,19 +65,15 @@ pub fn time_method(method: Method, windows: usize) -> MethodTiming {
     // Keep the optimizer honest.
     assert!(sink.is_finite());
 
-    MethodTiming {
-        method,
-        seconds_per_window: elapsed / windows as f64,
-        windows,
-    }
+    elapsed / windows as f64
 }
 
-/// Measures what a window costs `method`'s *detector*: the calibrated
+/// Mean wall-clock seconds a window costs `method`'s *detector*: the calibrated
 /// [`MethodRunner::run`] (threshold, persistence, and whatever the scorer
 /// and the persistence rule can skip once they know the threshold) over the
 /// same mixed-class data, divided by the windows it slid over — about
 /// `windows` in total.
-pub fn time_detector(method: Method, windows: usize) -> MethodTiming {
+pub fn time_detector(method: Method, windows: usize) -> f64 {
     let runner = MethodRunner::new(method);
     let w = runner.window_len();
     let series: Vec<TimeSeries> = mixed_class_data(windows / KpiClass::ALL.len() + w)
@@ -107,11 +91,7 @@ pub fn time_detector(method: Method, windows: usize) -> MethodTiming {
     let elapsed = start.elapsed().as_secs_f64();
     assert!(events <= slid);
 
-    MethodTiming {
-        method,
-        seconds_per_window: elapsed / slid as f64,
-        windows: slid,
-    }
+    elapsed / slid as f64
 }
 
 #[cfg(test)]
@@ -120,30 +100,15 @@ mod tests {
 
     #[test]
     fn cores_projection_math() {
-        let t = MethodTiming {
-            method: Method::Funnel,
-            seconds_per_window: 401.8e-6,
-            windows: 1,
-        };
-        assert_eq!(t.cores_for_million_kpis(), 7); // the paper's own row
-        let t = MethodTiming {
-            method: Method::Mrls,
-            seconds_per_window: 2.852,
-            windows: 1,
-        };
-        assert_eq!(t.cores_for_million_kpis(), 47_534); // ⌈2.852e6/60⌉
+        assert_eq!(cores_for_million_kpis(401.8e-6), 7); // the paper's own row
+        assert_eq!(cores_for_million_kpis(2.852), 47_534); // ⌈2.852e6/60⌉
     }
 
     #[test]
     fn display_units() {
-        let mk = |s| MethodTiming {
-            method: Method::Funnel,
-            seconds_per_window: s,
-            windows: 1,
-        };
-        assert!(mk(2.0).per_window_display().ends_with('s'));
-        assert!(mk(2e-3).per_window_display().contains("ms"));
-        assert!(mk(2e-6).per_window_display().contains("µs"));
+        assert!(per_window_display(2.0).ends_with('s'));
+        assert!(per_window_display(2e-3).contains("ms"));
+        assert!(per_window_display(2e-6).contains("µs"));
     }
 
     #[test]
@@ -152,12 +117,7 @@ mod tests {
         // larger ones.
         let funnel = time_method(Method::Funnel, 40);
         let mrls = time_method(Method::Mrls, 10);
-        assert!(funnel.seconds_per_window > 0.0);
-        assert!(
-            mrls.seconds_per_window > funnel.seconds_per_window,
-            "MRLS {} vs FUNNEL {}",
-            mrls.seconds_per_window,
-            funnel.seconds_per_window
-        );
+        assert!(funnel > 0.0);
+        assert!(mrls > funnel, "MRLS {} vs FUNNEL {}", mrls, funnel);
     }
 }

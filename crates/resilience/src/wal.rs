@@ -85,9 +85,10 @@ pub struct DecodedSegment {
 }
 
 /// Decodes a segment's bytes into its valid record prefix. Never panics:
-/// a truncated header, an impossible length, an unknown kind tag, or a
-/// hash mismatch all simply end the valid prefix and mark the segment
-/// torn.
+/// a truncated header, an impossible length, an unknown kind tag, a tag
+/// that disagrees with the length (only the end-of-stream marker is
+/// empty), or a hash mismatch all simply end the valid prefix and mark
+/// the segment torn.
 pub fn decode_records(buf: &[u8]) -> DecodedSegment {
     let mut records = Vec::new();
     let mut pos = 0usize;
@@ -106,6 +107,11 @@ pub fn decode_records(buf: &[u8]) -> DecodedSegment {
                 .fold(0u64, |acc, &x| (acc << 8) | u64::from(x))
         };
         let len = rest.get(1..5).map_or(0, &le) as usize;
+        // The hash covers the payload only, so the length vouches for the
+        // tag: a wire frame is never empty and the marker always is.
+        if (kind == EOS_RECORD) != (len == 0) {
+            break;
+        }
         let stored_hash = rest.get(5..RECORD_HEADER).map_or(0, &le);
         let Some(payload) = rest.get(RECORD_HEADER..RECORD_HEADER + len) else {
             break;
@@ -269,7 +275,9 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Appends one accepted frame's raw bytes as a frame record.
+    /// Appends one accepted frame's raw bytes as a frame record. An accepted
+    /// frame decoded, so it is never empty; an empty frame record would read
+    /// back as damage (only the end-of-stream marker has no payload).
     ///
     /// # Errors
     ///
@@ -443,6 +451,21 @@ mod tests {
 
     fn corrupt(scan: Result<WalScan, ResilienceError>) -> bool {
         matches!(scan, Err(ResilienceError::Corrupt(_)))
+    }
+
+    #[test]
+    fn a_kind_tag_that_disagrees_with_the_length_ends_the_valid_prefix() {
+        // Bit 0 of the tag turns one valid kind into the other, and no hash
+        // covers it.
+        let frame = encode_record(FRAME_RECORD, &[7u8; 20]);
+        let marker = encode_record(EOS_RECORD, &[]);
+        for damaged in [&frame, &marker] {
+            let mut log = [frame.as_slice(), damaged.as_slice()].concat();
+            log[frame.len()] ^= 1;
+            let decoded = decode_records(&log);
+            assert_eq!(decoded.records.len(), 1);
+            assert_eq!((decoded.torn, decoded.valid_len), (true, frame.len()));
+        }
     }
 
     #[test]

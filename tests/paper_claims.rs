@@ -1,80 +1,15 @@
-//! Integration tests pinning the paper's qualitative claims on small,
-//! fast cohorts — the claims Table 1 / Fig. 5 make at full scale, checked
-//! here in miniature on every `cargo test` run.
+//! The paper's qualitative claims no committed table can say: marginal
+//! behaviour of a detector on one crafted series, and the consistency of the
+//! evaluation world itself. What Table 1 and Fig. 5 claim is asserted at
+//! full size by their grids' contracts (`sweep -- table1`, `sweep -- fig5`;
+//! CI regenerates and diffs them), not here in miniature.
 
 use funnel_suite::detect::delay::detection_delay;
-use funnel_suite::eval::cohort::{evaluate_cohort, CohortOptions};
 use funnel_suite::eval::methods::{Method, MethodRunner};
 use funnel_suite::sim::scenario::evaluation_world;
 use funnel_suite::timeseries::generate::{KpiClass, KpiGenerator};
 use funnel_suite::timeseries::inject::InjectedChange;
 use funnel_suite::timeseries::series::TimeSeries;
-
-/// Claim (§1, Table 1): DiD lifts precision over the raw improved SST
-/// without sacrificing accuracy.
-#[test]
-fn did_lifts_precision_over_raw_detector() {
-    let (world, mut meta) = evaluation_world(9);
-    meta.changes.truncate(16);
-    let opts = CohortOptions {
-        methods: vec![Method::Funnel, Method::ImprovedSst],
-        threads: 4,
-        history_days: 6,
-    };
-    let res = evaluate_cohort(&world, &meta, &opts);
-    let f = res.method(Method::Funnel).unwrap().scaled_overall(1.0);
-    let s = res.method(Method::ImprovedSst).unwrap().scaled_overall(1.0);
-    let fr = f.rates();
-    let sr = s.rates();
-    assert!(fr.accuracy >= sr.accuracy - 1e-9);
-    assert!(
-        f.fp < s.fp || s.fp == 0.0,
-        "DiD should remove false positives: {} vs {}",
-        f.fp,
-        s.fp
-    );
-}
-
-/// Claim (§4.4): CUSUM's accumulation needs more post-change samples than
-/// SST before it can declare, i.e. a longer detection delay on the same
-/// moderate shift.
-#[test]
-fn cusum_slower_than_funnel_on_moderate_shift() {
-    let gen = KpiGenerator::for_class(KpiClass::Stationary, 200.0);
-    let onset = 500u64;
-    let sigma = gen.noise_frac * gen.base_level / (1.0 - gen.ar_coeff * gen.ar_coeff).sqrt();
-    let mut funnel_delays = Vec::new();
-    let mut cusum_delays = Vec::new();
-    for seed in 0..6 {
-        let mut s = gen.generate(300, 400, seed);
-        InjectedChange::level_shift(onset, 4.0 * sigma).apply(&mut s, true);
-        for (method, delays) in [
-            (Method::Funnel, &mut funnel_delays),
-            (Method::Cusum, &mut cusum_delays),
-        ] {
-            let runner = MethodRunner::new(method);
-            let events = runner.run(&s);
-            if let Some(minutes) = detection_delay(&events, onset).minutes() {
-                delays.push(minutes);
-            }
-        }
-    }
-    assert!(!funnel_delays.is_empty(), "FUNNEL missed everything");
-    // Compare medians, like Fig. 5 (an occasional late FUNNEL re-detection
-    // skews averages; medians are the paper's own summary statistic).
-    let med = |v: &[u64]| {
-        let mut v = v.to_vec();
-        v.sort_unstable();
-        v[v.len() / 2] as f64
-    };
-    // CUSUM either misses some or has a larger median delay.
-    let cusum_ok =
-        cusum_delays.len() < funnel_delays.len() || med(&cusum_delays) > med(&funnel_delays);
-    assert!(
-        cusum_ok,
-        "CUSUM should trail FUNNEL: funnel {funnel_delays:?} cusum {cusum_delays:?}"
-    );
-}
 
 /// Claim (§4.2.1): MRLS is sensitive to one-off spikes; FUNNEL's 7-minute
 /// persistence rule is not. Measured as *marginal* sensitivity: adding a
