@@ -18,13 +18,19 @@
 //! persistence rule to declare on. The core projection stays on the full
 //! score, as in the paper: the worst case.
 //!
+//! Below the table, what the detector pays on *every* window: FUNNEL's
+//! Eq. 11 bound, sliding (series order), rebuilt (no window a successor, as
+//! on a stream worker) and by the selections it replaced.
+//!
 //! Paper reference values (12-core Xeon E5645, C++): FUNNEL 401.8 µs,
 //! CUSUM 1.846 ms, MRLS 2.852 s ⇒ 7 / 31 / 47526 cores. Absolute numbers
 //! differ on other hardware; the ordering and the orders-of-magnitude gaps
 //! are the reproduced shape.
 
 use funnel_eval::methods::Method;
-use funnel_eval::timing::{cores_for_million_kpis, per_window_display, time_detector, time_method};
+use funnel_eval::timing::{
+    cores_for_million_kpis, per_window_display, time_bound, time_detector, time_method,
+};
 
 fn main() {
     println!("Table 2: computational time per sliding window (single thread)\n");
@@ -49,6 +55,15 @@ fn main() {
             cores_for_million_kpis(score)
         );
     }
+
+    let bound = time_bound(300_000);
+    println!(
+        "\nFUNNEL's Eq. 11 bound, asked of every window: {:.0} ns sliding, {:.0} ns rebuilt \
+         (by selection, as before the segments slid: {:.0} ns)",
+        bound.sliding * 1e9,
+        bound.rebuilt * 1e9,
+        bound.selected * 1e9
+    );
 
     println!("\npaper: FUNNEL 401.8 µs / 7 cores; CUSUM 1.846 ms / 31; MRLS 2.852 s / 47526");
 }

@@ -6,6 +6,9 @@
 //! window needs `⌈10⁶·t / 60⌉` cores to keep up.
 
 use crate::methods::{Method, MethodRunner};
+use funnel_sst::filter::FilterFactors;
+use funnel_sst::layout::standardize_by_past_into;
+use funnel_sst::{FastSst, SstConfig, SstWorkspace};
 use funnel_timeseries::generate::{KpiClass, KpiGenerator};
 use funnel_timeseries::series::TimeSeries;
 use std::time::Instant;
@@ -94,6 +97,69 @@ pub fn time_detector(method: Method, windows: usize) -> f64 {
     elapsed / slid as f64
 }
 
+/// Mean wall-clock seconds FUNNEL's Eq. 11 bound costs a window, three ways
+/// over the same mixed-class windows.
+#[derive(Debug, Clone, Copy)]
+pub struct BoundCost {
+    /// Each window the one-minute successor of the last: one sample out of
+    /// each sorted segment, one in.
+    pub sliding: f64,
+    /// No window a successor (the series alternate, as keys do on a stream
+    /// worker): both segments sorted afresh.
+    pub rebuilt: f64,
+    /// The path the sorted segments replaced, still shipped for non-finite
+    /// data: six selections over a freshly standardized copy.
+    pub selected: f64,
+}
+
+/// Times [`FastSst::may_reach_in`] at FUNNEL's threshold over about
+/// `windows` sliding windows, in series order and round-robin, and the
+/// selections it used to be.
+pub fn time_bound(windows: usize) -> BoundCost {
+    let config = SstConfig::paper_default();
+    let (w, p) = (config.window_len(), config.past_len());
+    let threshold = Method::Funnel.threshold();
+    let scorer = FastSst::new(config.clone());
+    let mut ws = SstWorkspace::new(&config);
+    let data = mixed_class_data(windows / KpiClass::ALL.len() + w);
+    let per_series = data[0].len() + 1 - w;
+    let total = (per_series * data.len()) as f64;
+    let round_robin = || (0..per_series).flat_map(|i| data.iter().map(move |d| &d[i..i + w]));
+
+    let mut screened = [0usize; 3];
+    let start = Instant::now();
+    for d in &data {
+        for win in d.windows(w) {
+            screened[0] += usize::from(!scorer.may_reach_in(&mut ws, win, threshold));
+        }
+    }
+    let sliding = start.elapsed().as_secs_f64() / total;
+
+    let start = Instant::now();
+    for win in round_robin() {
+        screened[1] += usize::from(!scorer.may_reach_in(&mut ws, win, threshold));
+    }
+    let rebuilt = start.elapsed().as_secs_f64() / total;
+
+    let (mut loaded, mut scratch) = (vec![0.0; w], Vec::with_capacity(w));
+    let start = Instant::now();
+    for win in round_robin() {
+        standardize_by_past_into(win, p, &mut scratch, &mut loaded);
+        let (past, future) = loaded.split_at(p);
+        let m = FilterFactors::from_segments_with(past, future, &mut scratch).multiplier();
+        screened[2] += usize::from(m < threshold);
+    }
+    let selected = start.elapsed().as_secs_f64() / total;
+    // One bound, three spellings: each screens the same windows.
+    assert!(screened[0] == screened[1] && screened[1] == screened[2]);
+
+    BoundCost {
+        sliding,
+        rebuilt,
+        selected,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,5 +185,7 @@ mod tests {
         let mrls = time_method(Method::Mrls, 10);
         assert!(funnel > 0.0);
         assert!(mrls > funnel, "MRLS {} vs FUNNEL {}", mrls, funnel);
+        let bound = time_bound(60);
+        assert!(bound.sliding > 0.0 && bound.rebuilt > 0.0 && bound.selected > 0.0);
     }
 }

@@ -29,9 +29,18 @@ use funnel_linalg::hankel::HankelMatrix;
 use funnel_linalg::lanczos::lanczos_into;
 use funnel_linalg::matrix::normalize;
 use funnel_linalg::tridiag::tridiag_eig_into;
+use funnel_timeseries::stats::RobustSummary;
 
 /// Every buffer one [`FastSst`] window score touches, sized once from the
 /// configuration so that scoring through it allocates nothing.
+///
+/// All of it is scratch, rewritten by each call, except one thing carried
+/// from window to window: the last window [`FastSst::may_reach_in`] was asked
+/// about, with its past and future segments sorted (`2W` floats and its
+/// multiplier). When the next window is that one's one-minute successor, or
+/// that window again, the bound costs no selection. Nothing else is
+/// remembered, and a window that is neither costs a sort of both segments,
+/// never a wrong answer.
 ///
 /// Ownership rule: one workspace per detector run or per stream worker,
 /// handed to [`FastSst::score_window_in`] / [`FastSst::may_reach_in`] /
@@ -43,8 +52,11 @@ use funnel_linalg::tridiag::tridiag_eig_into;
 pub struct SstWorkspace {
     /// The window as scored: standardized, or copied as is.
     window: Vec<f64>,
-    /// Selection scratch of the order statistics (median, MAD).
+    /// Selection scratch of the order statistics (median, MAD), and where
+    /// the bound merges its two sorted segments when the past is flat.
     select: Vec<f64>,
+    /// What the Eq. 11 bound keeps from one window to the next.
+    segments: SlidingSegments,
     /// Deterministic full-support Lanczos start vector of the future run.
     start: Vec<f64>,
     krylov: Krylov,
@@ -99,6 +111,155 @@ impl Krylov {
     }
 }
 
+/// The two segments of the last window the Eq. 11 bound was asked about,
+/// raw and sorted, so that its one-minute successor costs one sample out
+/// and one in per segment instead of six selections over a fresh copy.
+///
+/// The state belongs to the workspace, not to a KPI: a worker offers it
+/// windows of many keys, a held older window may be scored between two
+/// bounds, and late data rewrites samples behind the frontier. So nothing is
+/// assumed about the next window. It is the successor only if every one of
+/// its `W − 1` overlapping samples has the bits of the held window's;
+/// anything else sorts both segments afresh.
+#[derive(Debug, Clone)]
+struct SlidingSegments {
+    /// The window the sorted segments describe; empty before the first.
+    window: Vec<f64>,
+    /// Its past segment, ascending by `total_cmp`.
+    past: Vec<f64>,
+    /// Its future segment (gap included), likewise.
+    future: Vec<f64>,
+    /// Its Eq. 11 multiplier.
+    multiplier: f64,
+}
+
+impl SlidingSegments {
+    fn new(c: &SstConfig) -> Self {
+        Self {
+            window: Vec::with_capacity(c.window_len()),
+            past: vec![0.0; c.past_len()],
+            future: vec![0.0; c.future_len()],
+            multiplier: f64::NAN,
+        }
+    }
+
+    /// Whether `window` is, bit for bit, the one the state describes.
+    fn holds(&self, window: &[f64]) -> bool {
+        same_bits(&self.window, window)
+    }
+
+    /// Brings the sorted segments to `window` (of the configured length).
+    fn advance(&mut self, window: &[f64]) {
+        let (p, last) = (self.past.len(), window.len() - 1);
+        let slid = self.window.len() == window.len()
+            && same_bits(&self.window[1..], &window[..last])
+            && replace_sorted(&mut self.past, self.window[0], self.window[p])
+            && replace_sorted(&mut self.future, self.window[p], window[last]);
+        if !slid {
+            self.past.copy_from_slice(&window[..p]);
+            self.past.sort_unstable_by(f64::total_cmp);
+            self.future.copy_from_slice(&window[p..]);
+            self.future.sort_unstable_by(f64::total_cmp);
+        }
+        self.window.clear();
+        self.window.extend_from_slice(window);
+    }
+
+    /// The Eq. 11 multiplier read off the sorted segments: the bits the
+    /// selections over the standardized copy give, or `None` where that
+    /// cannot be promised.
+    ///
+    /// With every sample finite, and `m`, `s` finite, `x ↦ fl((x − m)/s)` is
+    /// non-decreasing (in `total_cmp` order, signed zeros included), so the
+    /// standardized order statistics are the standardized raw ones, and
+    /// `|z − median|` grows outward from the centre of each sorted segment.
+    /// One non-finite value anywhere (`inf − inf`, `inf/inf` are NaN) breaks
+    /// the order: `None`, and the caller selects.
+    fn multiplier_by_order(&self, standardize: bool, merged: &mut Vec<f64>) -> Option<f64> {
+        let (past, future) = (&self.past[..], &self.future[..]);
+        let ends = [past.first(), past.last(), future.first(), future.last()];
+        if !ends.into_iter().flatten().all(|x| x.is_finite()) {
+            return None;
+        }
+        let (a, b) = if standardize {
+            // `standardize_by_past_into`'s centre and scale.
+            let raw = RobustSummary::of_sorted_by(past, |x| x);
+            let m = raw.median;
+            let mut s = raw.mad;
+            if s < 1e-9 {
+                merge_sorted(past, future, merged);
+                s = RobustSummary::of_sorted_by(merged, |x| x).mad;
+            }
+            let s = s.max(1e-9);
+            if !(m.is_finite() && s.is_finite()) {
+                return None;
+            }
+            let z = |x: f64| (x - m) / s;
+            let a = if past.len() % 2 == 1 {
+                // The median is a sample: it maps to `fl((m − m)/s)`, and the
+                // deviations from it are the raw ones over `s`.
+                RobustSummary {
+                    median: z(m),
+                    mad: raw.mad / s,
+                }
+            } else {
+                RobustSummary::of_sorted_by(past, z)
+            };
+            (a, RobustSummary::of_sorted_by(future, z))
+        } else {
+            (
+                RobustSummary::of_sorted_by(past, |x| x),
+                RobustSummary::of_sorted_by(future, |x| x),
+            )
+        };
+        [a.median, a.mad, b.median, b.mad]
+            .into_iter()
+            .all(f64::is_finite)
+            .then(|| FilterFactors::from_summaries(a, b).multiplier())
+    }
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Replaces one `out` in `sorted` (ascending by `total_cmp`) with
+/// `inn`, keeping the order: what a sliding window does to the sorted copy
+/// of a segment when one sample leaves and one enters. `false`, and nothing
+/// moved, when no element has `out`'s bits.
+fn replace_sorted(sorted: &mut [f64], out: f64, inn: f64) -> bool {
+    let at = sorted.partition_point(|x| x.total_cmp(&out).is_lt());
+    if sorted.get(at).map(|x| x.to_bits()) != Some(out.to_bits()) {
+        return false;
+    }
+    let to = sorted.partition_point(|x| x.total_cmp(&inn).is_lt());
+    if to > at {
+        sorted.copy_within(at + 1..to, at);
+        sorted[to - 1] = inn;
+    } else {
+        sorted.copy_within(to..at, to + 1);
+        sorted[to] = inn;
+    }
+    true
+}
+
+/// Merges two slices ascending by `total_cmp` into `out` (cleared first).
+fn merge_sorted(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if b[j].total_cmp(&a[i]).is_lt() {
+            out.push(b[j]);
+            j += 1;
+        } else {
+            out.push(a[i]);
+            i += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
 impl SstWorkspace {
     /// Allocates the buffers `config` needs.
     pub fn new(config: &SstConfig) -> Self {
@@ -108,6 +269,7 @@ impl SstWorkspace {
         Self {
             window: vec![0.0; c.window_len()],
             select: Vec::with_capacity(c.window_len()),
+            segments: SlidingSegments::new(c),
             start: (0..c.omega)
                 .map(|i| 1.0 + (i as f64) / c.omega as f64)
                 .collect(),
@@ -125,16 +287,25 @@ impl SstWorkspace {
         }
     }
 
-    /// Loads `window` for scoring under `c`: the robust-standardized copy,
-    /// or the samples as they are.
-    fn load(&mut self, c: &SstConfig, window: &[f64]) {
+    /// Panics unless `window` and this workspace both have `c`'s shape.
+    fn check(&self, c: &SstConfig, window: &[f64]) {
         let w = c.window_len();
         assert_eq!(window.len(), w, "window length does not match configured W");
         assert_eq!(
-            (self.window.len(), self.start.len()),
-            (w, c.omega),
+            (
+                self.window.len(),
+                self.start.len(),
+                self.segments.past.len()
+            ),
+            (w, c.omega, c.past_len()),
             "workspace was built for another SST configuration"
         );
+    }
+
+    /// Loads `window` for scoring under `c`: the robust-standardized copy,
+    /// or the samples as they are.
+    fn load(&mut self, c: &SstConfig, window: &[f64]) {
+        self.check(c, window);
         if c.standardize {
             standardize_by_past_into(window, c.past_len(), &mut self.select, &mut self.window);
         } else {
@@ -260,15 +431,49 @@ impl FastSst {
         }
     }
 
-    /// Loads `window` into `ws` and returns the Eq. 11 multiplier of the
-    /// loaded window, `None` with the filter off.
-    fn load_filtered(&self, ws: &mut SstWorkspace, window: &[f64]) -> Option<f64> {
+    /// The Eq. 11 multiplier of `window`: the one place it is computed.
+    ///
+    /// A window the bound was just asked about answers from what the bound
+    /// left. Otherwise `slide` says who asks. The bound (`true`) brings the
+    /// sorted segments to `window` and reads the multiplier off them,
+    /// selecting over the standardized copy only where the order argument is
+    /// void. A score (`false`) of some other window, typically an older one
+    /// a persistence rule held back, has loaded `window` already: it selects
+    /// over that copy and leaves the segments where the bound left them, so
+    /// the bound's next window is still a successor.
+    fn multiplier(&self, ws: &mut SstWorkspace, window: &[f64], slide: bool) -> f64 {
         let c = &self.config;
-        ws.load(c, window);
-        c.median_mad_filter.then(|| {
-            let (past, future) = ws.window.split_at(c.past_len());
-            FilterFactors::from_segments_with(past, future, &mut ws.select).multiplier()
-        })
+        if ws.segments.holds(window) {
+            return ws.segments.multiplier;
+        }
+        if slide {
+            ws.check(c, window);
+            ws.segments.advance(window);
+            let by_order = ws
+                .segments
+                .multiplier_by_order(c.standardize, &mut ws.select);
+            ws.segments.multiplier = by_order.unwrap_or_else(|| {
+                ws.load(c, window);
+                Self::multiplier_by_selection(c, ws)
+            });
+            return ws.segments.multiplier;
+        }
+        Self::multiplier_by_selection(c, ws)
+    }
+
+    /// Eq. 11 by selection over the two halves of the window loaded in `ws`.
+    fn multiplier_by_selection(c: &SstConfig, ws: &mut SstWorkspace) -> f64 {
+        let (past, future) = ws.window.split_at(c.past_len());
+        FilterFactors::from_segments_with(past, future, &mut ws.select).multiplier()
+    }
+
+    /// Loads `window` into `ws` and returns its Eq. 11 multiplier, `None`
+    /// with the filter off.
+    fn load_filtered(&self, ws: &mut SstWorkspace, window: &[f64]) -> Option<f64> {
+        ws.load(&self.config, window);
+        self.config
+            .median_mad_filter
+            .then(|| self.multiplier(ws, window, false))
     }
 
     /// [`SstScorer::score_window`] through a held workspace: same bits, no
@@ -284,15 +489,19 @@ impl FastSst {
     ///
     /// The filtered score is `raw · m` with `raw ∈ [0, 1]` (or NaN), so it
     /// cannot exceed the Eq. 11 multiplier `m` — six order statistics, known
-    /// before a single Lanczos step. A NaN multiplier, a non-positive
-    /// threshold or the filter switched off screens nothing.
+    /// before a single Lanczos step, and read off `ws`'s sorted segments
+    /// when `window` follows the last one asked about. A NaN multiplier, a
+    /// non-positive threshold or the filter switched off screens nothing.
     pub fn may_reach_in(&self, ws: &mut SstWorkspace, window: &[f64], threshold: f64) -> bool {
-        if !self.config.median_mad_filter {
-            return true;
-        }
-        !self
-            .load_filtered(ws, window)
-            .is_some_and(|m| m < threshold)
+        !self.bound_in(ws, window).is_some_and(|m| m < threshold)
+    }
+
+    /// What [`FastSst::may_reach_in`] compares with its threshold: the
+    /// Eq. 11 multiplier of `window`, `None` with the filter off.
+    pub fn bound_in(&self, ws: &mut SstWorkspace, window: &[f64]) -> Option<f64> {
+        self.config
+            .median_mad_filter
+            .then(|| self.multiplier(ws, window, true))
     }
 
     /// [`SstScorer::score_reaching`] through a held workspace: the Krylov
@@ -402,6 +611,21 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    #[test]
+    fn replace_sorted_slides_one_sample() {
+        let mut s = [-1.0, -0.0, 0.0, 2.0, 2.0, 5.0];
+        assert!(replace_sorted(&mut s, 2.0, 7.0), "to the right end");
+        assert_eq!(s, [-1.0, -0.0, 0.0, 2.0, 5.0, 7.0]);
+        assert!(replace_sorted(&mut s, 7.0, -3.0), "to the left end");
+        assert_eq!(s, [-3.0, -1.0, -0.0, 0.0, 2.0, 5.0]);
+        assert!(replace_sorted(&mut s, 0.0, 1.0), "in place");
+        assert!(replace_sorted(&mut s, -0.0, 1.0), "beside its equal");
+        assert_eq!(s, [-3.0, -1.0, 1.0, 1.0, 2.0, 5.0]);
+        assert!(!replace_sorted(&mut s, 0.0, 9.0), "no such bits");
+        assert!(!replace_sorted(&mut s, 6.0, 9.0));
+        assert_eq!(s, [-3.0, -1.0, 1.0, 1.0, 2.0, 5.0]);
     }
 
     #[test]

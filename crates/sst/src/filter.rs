@@ -13,6 +13,13 @@
 //! matching medians and MADs, so both factors collapse toward zero and
 //! spurious subspace rotation is suppressed; a level shift moves the median
 //! factor, a variance change moves the MAD factor.
+//!
+//! The four statistics come from selections over the two segments
+//! ([`FilterFactors::from_segments`]: what `RobustSst` runs, and `FastSst`
+//! on non-finite data or on a window its bound was not brought to), or from
+//! segments a caller keeps sorted ([`FilterFactors::from_summaries`]:
+//! `FastSst`'s bound, which slides them from one window to the next). Same
+//! bits either way.
 
 use funnel_timeseries::stats::RobustSummary;
 
@@ -35,8 +42,16 @@ impl FilterFactors {
     /// [`FilterFactors::from_segments`] taking its order statistics inside
     /// the caller's `scratch`.
     pub fn from_segments_with(past: &[f64], future: &[f64], scratch: &mut Vec<f64>) -> Self {
-        let a = RobustSummary::of_with(past, scratch);
-        let b = RobustSummary::of_with(future, scratch);
+        Self::from_summaries(
+            RobustSummary::of_with(past, scratch),
+            RobustSummary::of_with(future, scratch),
+        )
+    }
+
+    /// The factors from the two segments' summaries, however those were
+    /// obtained: by selection over the samples ([`RobustSummary::of_with`])
+    /// or read off segments kept sorted ([`RobustSummary::of_sorted_by`]).
+    pub fn from_summaries(a: RobustSummary, b: RobustSummary) -> Self {
         Self {
             median_shift: (a.median - b.median).abs(),
             mad_shift_sqrt: (a.mad - b.mad).abs().sqrt(),

@@ -9,7 +9,7 @@
 //! filter compares.
 
 use crate::config::SstConfig;
-use funnel_timeseries::stats::{mad, median, RobustSummary};
+use funnel_timeseries::stats::RobustSummary;
 
 /// A window split into its past and future segments.
 #[derive(Debug, Clone, Copy)]
@@ -38,15 +38,6 @@ pub fn split<'a>(config: &SstConfig, window: &'a [f64]) -> SplitWindow<'a> {
         past: &window[..p],
         future: &window[p..],
     }
-}
-
-/// Robust-standardizes a window copy: subtracts the window median and divides
-/// by the window MAD (floored at `1e-9`), so trajectory matrices and filter
-/// factors are in comparable units regardless of the KPI's magnitude.
-pub fn standardize(window: &[f64]) -> Vec<f64> {
-    let m = median(window);
-    let s = mad(window).max(1e-9);
-    window.iter().map(|x| (x - m) / s).collect()
 }
 
 /// Robust-standardizes a window by the statistics of its **past segment**
@@ -106,20 +97,5 @@ mod tests {
         let c = SstConfig::paper_default();
         let w = vec![0.0; 33];
         let _ = split(&c, &w);
-    }
-
-    #[test]
-    fn standardize_centers_and_scales() {
-        let w = vec![10.0, 12.0, 14.0, 16.0, 18.0];
-        let s = standardize(&w);
-        // median 14, MAD 2 ⇒ [-2,-1,0,1,2].
-        assert_eq!(s, vec![-2.0, -1.0, 0.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn standardize_constant_window_is_finite() {
-        let s = standardize(&[5.0; 8]);
-        assert!(s.iter().all(|x| x.is_finite()));
-        assert!(s.iter().all(|&x| x == 0.0));
     }
 }

@@ -50,6 +50,13 @@ pub use stream::StreamingSst;
 /// questions a threshold detector asks of a window, answered through scratch
 /// the handle may own and reuse from window to window.
 ///
+/// A handle may also remember the last window `may_reach` saw, to answer
+/// faster when the next one overlaps it ([`FastSst`]'s keeps that window's
+/// two segments sorted and slides them). That is an economy, never a
+/// contract: any window may follow any other, of any series, and a held
+/// older window may be scored between two bounds; the answers are those of
+/// a fresh handle.
+///
 /// The split is what lets a persistence rule *plan* its scoring: the bound
 /// is asked of every window, the score only of the windows a declaration
 /// can still rest on.

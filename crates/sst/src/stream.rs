@@ -11,7 +11,11 @@
 //! a new minute costs at most one window score — the stream engine asks
 //! only the bound there and scores later, if its persistence rule still
 //! needs the window — and zero allocations at steady state
-//! (`tests/no_alloc.rs` counts them). The plain
+//! (`tests/no_alloc.rs` counts them). The workspace also holds what the
+//! bound slides from, the last window it saw, and that too is the worker's,
+//! not the key's: a tick folds one sample into one key after another, so
+//! each bound there meets a stranger and sorts its two segments afresh, and
+//! only a re-prime (one key, window after window) slides. The plain
 //! [`StreamingSst::fold`] has no workspace to borrow and builds a throw-away
 //! one per scored window.
 //!

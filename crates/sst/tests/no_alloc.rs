@@ -2,7 +2,10 @@
 //!
 //! A counting `#[global_allocator]` (per thread, so the harness cannot
 //! disturb it) watches 1,000 `score_window_in` / `may_reach_in` /
-//! `score_reaching_in` calls through one held [`SstWorkspace`], 1,000 warm
+//! `score_reaching_in` calls through one held [`SstWorkspace`] (the bounds
+//! slide their sorted segments from window to window), 1,000 more bounds
+//! that cannot slide (no window the successor of the last, a non-finite
+//! sample in some), 1,000 warm
 //! [`StreamingSst`] folds through the same workspace, and a deferred batch
 //! of folds through a scorer's run handle (the bound at each fold, the
 //! held candidates scored afterwards): after one warm-up call each, the
@@ -108,6 +111,30 @@ fn steady_state_scoring_performs_zero_allocations() {
             (reached..1_000).contains(&candidates),
             "the bound must rule some windows out and keep every hit, \
              {candidates} candidates for {reached} hits"
+        );
+
+        // A window that is no successor sorts both segments afresh, and a
+        // non-finite sample sends the bound back to its selections.
+        let mut poisoned = values.clone();
+        for (i, x) in poisoned.iter_mut().enumerate().skip(5).step_by(200) {
+            *x = [f64::NAN, f64::INFINITY][i % 2];
+        }
+        let mut fell_back = 0;
+        let rebuilt = allocations_in(|| {
+            for (i, win) in windows().enumerate() {
+                let backwards = &poisoned[1_000 - i..][..w];
+                fell_back += usize::from(backwards.iter().any(|x| !x.is_finite()));
+                std::hint::black_box(scorer.may_reach_in(&mut ws, backwards, 0.5));
+                std::hint::black_box(scorer.may_reach_in(&mut ws, win, 0.5));
+            }
+        });
+        assert_eq!(
+            rebuilt, 0,
+            "a rebuilt or selected bound allocated (W = {w})"
+        );
+        assert!(
+            fell_back >= 100,
+            "only {fell_back} windows held a non-finite sample"
         );
 
         // What a deferring monitor does: ask the bound as each window

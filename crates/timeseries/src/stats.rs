@@ -115,6 +115,65 @@ impl RobustSummary {
             mad: mad_around(xs, median, scratch),
         }
     }
+
+    /// The summary of `map(x)` over `sorted`, read off the order instead of
+    /// selected: the bits [`RobustSummary::of`] returns for the mapped
+    /// values, whenever they are finite.
+    ///
+    /// `sorted` ascends by [`f64::total_cmp`] and `map` is non-decreasing
+    /// over it in the same order, so the mapped order statistics are the
+    /// maps of the raw ones and the median comes from the one or two central
+    /// elements. The deviations from it then grow outward on either side of
+    /// the centre, and the MAD is the middle of the merge of those two runs:
+    /// `len / 2 + 1` steps, `map` applied to about half the elements. A NaN
+    /// or an infinity (in `sorted`, or made by `map`: `inf − inf`) voids the
+    /// ordering argument; the walk then still ends, on a value the caller
+    /// must not use. It cannot tell, so it must check: whenever the median
+    /// and MAD returned are both finite and `sorted`'s two ends are, they are
+    /// the selected ones.
+    pub fn of_sorted_by(sorted: &[f64], map: impl Fn(f64) -> f64) -> Self {
+        let n = sorted.len();
+        if n == 0 {
+            return Self {
+                median: 0.0,
+                mad: 0.0,
+            };
+        }
+        let mid = n / 2;
+        let odd = n % 2 == 1;
+        let upper = map(sorted[mid]);
+        let median = if odd {
+            upper
+        } else {
+            (map(sorted[mid - 1]) + upper) / 2.0
+        };
+        let deviation = |i: usize| (map(sorted[i]) - median).abs();
+        // The next unmerged element on each side, and its deviation.
+        let (mut below, mut above) = (mid, mid);
+        let mut left = if mid > 0 { deviation(mid - 1) } else { 0.0 };
+        let mut right = (upper - median).abs();
+        let (mut lo, mut hi) = (0.0, 0.0);
+        for _ in 0..=mid {
+            lo = hi;
+            if below > 0 && (above == n || left < right) {
+                hi = left;
+                below -= 1;
+                if below > 0 {
+                    left = deviation(below - 1);
+                }
+            } else {
+                hi = right;
+                above += 1;
+                if above < n {
+                    right = deviation(above);
+                }
+            }
+        }
+        Self {
+            median,
+            mad: if odd { hi } else { (lo + hi) / 2.0 },
+        }
+    }
 }
 
 /// Robust z-score of `x` against a window summary: `(x - median) / MAD`,
@@ -181,6 +240,28 @@ mod tests {
         assert_eq!(s.mad, 0.0);
         assert!(robust_zscore(2.0, s).is_finite());
         assert!(robust_zscore(2.0, s) > 1e6);
+    }
+
+    #[test]
+    fn sorted_summary_matches_selection() {
+        let odd = [9.0, 1.0, 4.0, 4.0, 2.0, -0.0, 0.0];
+        let even = [9.0, 1.0, 4.0, 4.0, 2.0, 7.5];
+        for xs in [&odd[..], &even[..], &[3.0][..], &[][..]] {
+            let mut sorted = xs.to_vec();
+            sorted.sort_unstable_by(f64::total_cmp);
+            assert_eq!(
+                RobustSummary::of_sorted_by(&sorted, |x| x),
+                RobustSummary::of(xs)
+            );
+            let map = |x: f64| (x - 4.0) / 0.3;
+            let mapped: Vec<f64> = xs.iter().copied().map(map).collect();
+            let (got, want) = (
+                RobustSummary::of_sorted_by(&sorted, map),
+                RobustSummary::of(&mapped),
+            );
+            assert_eq!(got.median.to_bits(), want.median.to_bits());
+            assert_eq!(got.mad.to_bits(), want.mad.to_bits());
+        }
     }
 
     #[test]
