@@ -11,6 +11,7 @@ use crate::parallel::{self, control_level, ControlTable};
 use crate::quality::{assess_quality, QualityConfig, QualityIssue, QualityReport};
 use crate::source::KpiSource;
 use funnel_detect::detector::{ChangeEvent, DetectorRunner, MaskedRun};
+use funnel_detect::outcomes::Outcomes;
 use funnel_detect::sst_adapter::SstDetector;
 use funnel_did::estimator::{DidError, DidEstimate};
 use funnel_did::groups::{DidAssessor, DidVerdict};
@@ -439,6 +440,16 @@ impl Funnel {
         )
     }
 
+    /// How many windows the detector is offered over one full assessment
+    /// window: what a streaming monitor keeps outcomes for, so that a
+    /// completing change finds every window it asks about.
+    pub(crate) fn windows_per_assessment(&self) -> usize {
+        // `assessment_window` spans `window_len + warmup + assessment + 1`
+        // minutes, and `n` minutes make `n − window_len + 1` windows.
+        let windows = self.config.warmup_minutes() + self.config.assessment_minutes + 2;
+        usize::try_from(windows).unwrap_or(usize::MAX)
+    }
+
     /// The synthesized verdict for a work unit that was never trustworthily
     /// assessed — shed or stale in the streaming engine, quarantined by the
     /// supervisor: `Inconclusive`, zero trusted coverage, flagged with the
@@ -503,9 +514,10 @@ impl Funnel {
         // indistinguishable from the fill plateau's edge until the span
         // heals).
         let mask = source.mask(&key);
+        let outcomes = source.outcomes(&key);
         let (detection, suppressed, partition_gapped) = match &mask {
             Some(mask) => {
-                let run = self.detect_masked(&window, mask);
+                let run = self.detect_masked(&window, mask, outcomes);
                 let gapped = mask.longest_gap(lo, to) >= self.config.min_partition_gap;
                 let event = run
                     .events
@@ -513,7 +525,7 @@ impl Funnel {
                     .find(|e| e.declared_at >= change.minute);
                 (event, run.suppressed_events, gapped)
             }
-            None => (self.detect(&window, change.minute), 0, false),
+            None => (self.detect(&window, change.minute, outcomes), 0, false),
         };
 
         let is_affected_service = matches!(key.entity, Entity::Service(s)
@@ -622,8 +634,13 @@ impl Funnel {
 
     /// Steps 2–3: SST + persistence over the (pre-sliced) assessment
     /// window.
-    fn detect(&self, window: &TimeSeries, change_minute: MinuteBin) -> Option<ChangeEvent> {
-        self.runner()
+    fn detect(
+        &self,
+        window: &TimeSeries,
+        change_minute: MinuteBin,
+        outcomes: impl Outcomes,
+    ) -> Option<ChangeEvent> {
+        self.runner(outcomes)
             .run(window)
             .into_iter()
             .find(|e| e.declared_at >= change_minute)
@@ -632,8 +649,13 @@ impl Funnel {
     /// Coverage- and gap-aware detection for sources that track which bins
     /// were really measured: low-coverage windows are skipped and change
     /// points bordering a partition-length gap are suppressed.
-    fn detect_masked(&self, window: &TimeSeries, mask: &CoverageMask) -> MaskedRun {
-        self.runner().run_masked_gap_aware(
+    fn detect_masked(
+        &self,
+        window: &TimeSeries,
+        mask: &CoverageMask,
+        outcomes: impl Outcomes,
+    ) -> MaskedRun {
+        self.runner(outcomes).run_masked_gap_aware(
             window,
             mask,
             self.config.min_coverage,
@@ -641,12 +663,15 @@ impl Funnel {
         )
     }
 
-    fn runner(&self) -> DetectorRunner<SstDetector<FastSst>> {
+    /// The detector, recalling from `outcomes` what the source has already
+    /// put to this scorer at this threshold.
+    fn runner<O: Outcomes>(&self, outcomes: O) -> DetectorRunner<SstDetector<FastSst>, O> {
         DetectorRunner::new(
             SstDetector::fast(self.sst.clone()),
             self.config.sst_threshold,
             self.config.persistence_minutes,
         )
+        .recalling(outcomes)
     }
 
     /// Steps 4–11: DiD against the appropriate control group.
@@ -806,6 +831,27 @@ mod tests {
         let funnel = Funnel::paper_default();
         let a = funnel.assess_change(&world, change).unwrap();
         assert!(!a.has_impact(), "false attribution");
+    }
+
+    #[test]
+    fn windows_per_assessment_counts_the_assessment_window() {
+        let (world, change) = dark_world(0.0);
+        let record = world.change_log().get(change).unwrap();
+        for config in [FunnelConfig::paper_default(), {
+            let mut quick = FunnelConfig::paper_default();
+            quick.sst = funnel_sst::SstConfig::quick();
+            quick.assessment_minutes = 45;
+            quick
+        }] {
+            let funnel = Funnel::new(config);
+            let (from, to) = funnel.assessment_window(record);
+            let width = funnel.config().sst.window_len() as u64;
+            assert_eq!(
+                funnel.windows_per_assessment() as u64,
+                (to - from) - width + 1
+            );
+        }
+        assert_eq!(Funnel::paper_default().windows_per_assessment(), 96);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! same instant of the store without ever touching its locks. All expose
 //! the same contract: a dense one-minute series per KPI key.
 
+use funnel_detect::outcomes::Outcomes;
 use funnel_sim::kpi::KpiKey;
 use funnel_sim::store::{MetricStore, StoreSnapshot};
 use funnel_sim::world::World;
@@ -37,6 +38,17 @@ pub trait KpiSource {
     fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
         let _ = key;
         None
+    }
+
+    /// What the source already knows of the SST windows of `key`, decided
+    /// minute by minute over the very samples [`KpiSource::series`] returns,
+    /// by this pipeline's scorer at its threshold. The detector recalls from
+    /// it instead of asking the scorer again. Stores and worlds score
+    /// nothing as they ingest and keep the default, `()`, which knows
+    /// nothing and compiles away; the streaming engine's ring view hands out
+    /// what the key's live monitor recorded.
+    fn outcomes(&self, key: &KpiKey) -> impl Outcomes + '_ {
+        let _ = key;
     }
 }
 
@@ -85,6 +97,10 @@ impl<T: KpiSource + ?Sized> KpiSource for &T {
 
     fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
         (**self).mask(key)
+    }
+
+    fn outcomes(&self, key: &KpiKey) -> impl Outcomes + '_ {
+        (**self).outcomes(key)
     }
 }
 

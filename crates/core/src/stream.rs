@@ -13,7 +13,9 @@
 //! candidates unscored and has the kernel run — on windows re-read from the
 //! ring — only while a declaration can still rest on them, which leaves
 //! every declaration, and the tick it lands on, where scoring each fold
-//! would have put it (DESIGN.md §5).
+//! would have put it (DESIGN.md §5). What the scorer answered — screened,
+//! candidate, below, reached with which score — is remembered per key for
+//! the windows of the latest minutes ([`WindowOutcomes`]).
 //!
 //! # Robustness contract
 //!
@@ -41,8 +43,10 @@
 //!   flagged `LoadShed` instead of being judged on stale data.
 //! * **Late frames** behind the tick watermark route through
 //!   [`RingSeries::backfill`] (the store's backfill semantics), mark the
-//!   key dirty, and force the key's SST monitor to re-prime — the cheap
-//!   incremental fold is only valid while history is immutable.
+//!   key dirty, force the key's SST monitor to re-prime — the cheap
+//!   incremental fold is only valid while history is immutable — and make
+//!   it forget every window outcome decided at or after the rewritten
+//!   minute.
 //!
 //! # Streaming ≡ batch
 //!
@@ -53,9 +57,23 @@
 //! the ring content is byte-identical to the unbounded store's series —
 //! proven by the `ring_model` property tests — so streaming verdicts are
 //! byte-identical to `assess_change_with` on a snapshot, at any worker
-//! count. The incremental SST monitors only drive *detection latency*
-//! reporting and dirty-set bookkeeping; they never replace the
-//! assessment-window scoring.
+//! count.
+//!
+//! That run is still batch's — a fresh [`PersistenceRun`] from the start of
+//! the assessment window, with its own coverage skips, gap suppression and
+//! DiD, deciding for itself which windows are offered, held, scored or
+//! dropped. What it does not do is put to the scorer a question the key's
+//! live monitor already put to it: the ring view hands the monitor's
+//! [`WindowOutcomes`] to the detector ([`KpiSource::outcomes`]), which
+//! recalls a bound or a score when the memory has it and computes it as
+//! before when it does not. An answer is a pure function of the window's
+//! samples, the scorer and the threshold, all fixed for an engine's life
+//! but for the samples a backfill rewrites, and those are forgotten the
+//! moment they change; so a recalled answer is the bits a fresh call would
+//! return (DESIGN.md §5 has the argument and the designs it rules out).
+//! The monitors' own declarations still drive only *detection latency*
+//! reporting; they are never taken for the verdict's detection.
+//! [`StreamStats::completion_reused`] counts what was recalled.
 
 use crate::config::FunnelConfig;
 use crate::diagnose::diagnose_assessment;
@@ -67,6 +85,7 @@ use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use funnel_detect::detector::{
     PersistenceRun, ReachingScorer, ScoringPass, WindowSource, WindowTally,
 };
+use funnel_detect::outcomes::{Outcome, Outcomes, WindowOutcomes};
 use funnel_diag::DiagReport;
 use funnel_obs::names;
 use funnel_sim::kpi::{KpiKey, KpiKind};
@@ -80,14 +99,19 @@ use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use funnel_topology::change::{ChangeId, SoftwareChange};
 use funnel_topology::impact::{identify_impact_set, Entity, ImpactSet};
 use funnel_topology::model::{ServiceId, Topology};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Tuning for one [`StreamEngine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Per-KPI ring capacity in one-minute bins: the resident window.
-    /// Memory is bounded by `keys × ring_capacity × 9` bytes no matter how
-    /// long the engine runs. Size with [`StreamConfig::capacity_for`] when
+    /// Window memory is bounded by `keys × ring_capacity × 9` bytes no
+    /// matter how long the engine runs ([`StreamEngine::window_bytes`]);
+    /// beside it each key's monitor remembers what its scorer said of the
+    /// latest windows, a fixed few hundred bytes more that this setting
+    /// does not move ([`StreamEngine::outcome_bytes`]: 384 a key at the
+    /// paper's configuration). Size with [`StreamConfig::capacity_for`] when
     /// streaming verdicts must be byte-identical to batch. Live detection
     /// re-reads windows it held back unscored from the ring, so it needs
     /// `window_len + persistence_minutes + 1` bins behind the frontier plus
@@ -262,10 +286,18 @@ pub struct StreamStats {
     pub peak_window_bytes: usize,
     /// Peak dirty-set depth observed at the top of a tick.
     pub peak_dirty: usize,
+    /// Answers the completed changes' detector runs needed: a bound for
+    /// every window offered, a score for every candidate a declaration
+    /// could rest on.
+    pub completion_answers: u64,
+    /// Of those, the answers recalled from what the keys' live monitors had
+    /// recorded instead of computed again.
+    pub completion_reused: u64,
 }
 
-/// Per-key incremental monitor: rolling SST window + the persistence rule
-/// that plans which of its windows get scored.
+/// Per-key incremental monitor: rolling SST window, the persistence rule
+/// that plans which of its windows get scored, and what the scorer said of
+/// each.
 struct KeyMonitor {
     sst: StreamingSst<FastSst>,
     /// First minute not yet folded. Valid only while `primed`.
@@ -274,15 +306,22 @@ struct KeyMonitor {
     /// pass resets the rolling window and re-primes from the ring.
     primed: bool,
     run: PersistenceRun,
+    /// The scorer's answers for the windows `run` decided at the latest
+    /// minutes, each over the `window_len` ring samples ending at its
+    /// minute. Written by `run` alone; a completing change's own run reads
+    /// it (see the module docs). `offer` forgets from the minute a backfill
+    /// rewrites, so what is remembered is true of the ring as it stands.
+    outcomes: WindowOutcomes,
 }
 
 impl KeyMonitor {
-    fn new(scorer: FastSst, start: MinuteBin, persistence: usize) -> Self {
+    fn new(scorer: FastSst, start: MinuteBin, persistence: usize, retention: usize) -> Self {
         Self {
             sst: StreamingSst::new(scorer),
             next_minute: start,
             primed: true,
             run: PersistenceRun::new(persistence),
+            outcomes: WindowOutcomes::new(retention),
         }
     }
 }
@@ -311,6 +350,28 @@ struct TrackedChange {
 /// views are byte-identical to the unbounded store's series and masks.
 struct RingView<'a> {
     rings: &'a BTreeMap<KpiKey, RingSeries>,
+    monitors: &'a BTreeMap<KpiKey, KeyMonitor>,
+    /// The summed tallies of the detector runs made over this view.
+    runs: Mutex<WindowTally>,
+}
+
+/// What one key's monitor remembers, as a completing change's run reads it.
+struct Remembered<'a> {
+    outcomes: Option<&'a WindowOutcomes>,
+    runs: &'a Mutex<WindowTally>,
+}
+
+impl Outcomes for Remembered<'_> {
+    fn recall(&self, minute: MinuteBin) -> Outcome {
+        self.outcomes
+            .map_or(Outcome::Unknown, |outcomes| outcomes.recall(minute))
+    }
+
+    fn record(&mut self, _minute: MinuteBin, _outcome: Outcome) {}
+
+    fn run_ended(&self, tally: WindowTally) {
+        *self.runs.lock() += tally;
+    }
 }
 
 impl KpiSource for RingView<'_> {
@@ -334,6 +395,13 @@ impl KpiSource for RingView<'_> {
             return None;
         }
         Some(ring.to_mask())
+    }
+
+    fn outcomes(&self, key: &KpiKey) -> impl Outcomes + '_ {
+        Remembered {
+            outcomes: self.monitors.get(key).map(|monitor| &monitor.outcomes),
+            runs: &self.runs,
+        }
     }
 }
 
@@ -385,22 +453,43 @@ impl WindowSource for RingWindows<'_> {
 
 /// Folds the planned ring minutes into one monitor and offers each
 /// completed window to its persistence rule, which asks the bound of every
-/// window and the score only of those a declaration can rest on; returns
-/// the folds done and any declaration (the pass keeps the window tally).
+/// window and the score only of those a declaration can rest on, and
+/// records each answer in the monitor's memory; returns the folds done, any
+/// declaration, and what became of the windows. `worker` is the scoring
+/// worker's scorer handle and the buffer held windows are copied through.
 /// Runs on scoring workers — must stay panic-free (hot path).
 fn score_key(
     monitor: &mut KeyMonitor,
     plan: &ScorePlan,
     key: KpiKey,
-    pass: &mut ScoringPass<'_, impl ReachingScorer, RingWindows<'_>>,
-) -> (u64, Vec<StreamDetection>) {
+    ring: &RingSeries,
+    worker: &mut (impl ReachingScorer, Vec<f64>),
+    threshold: f64,
+) -> (u64, Vec<StreamDetection>, WindowTally) {
+    let KeyMonitor {
+        sst,
+        next_minute,
+        primed,
+        run,
+        outcomes,
+    } = monitor;
+    let (scorer, buf) = worker;
+    let mut pass = ScoringPass {
+        scorer,
+        threshold,
+        held: RingWindows {
+            ring,
+            width: sst.window_len() as u64,
+            buf,
+        },
+        outcomes,
+        tally: WindowTally::default(),
+    };
     let mut detections = Vec::new();
     if plan.reprime {
-        monitor.sst.reset();
-        monitor.run.break_run(&mut pass.tally);
+        sst.reset();
+        run.break_run(&mut pass.tally);
     }
-    let ring = pass.held.ring;
-    let run = &mut monitor.run;
     let mut folds = 0u64;
     for minute in plan.lo..plan.to {
         let Some(value) = ring.at(minute) else {
@@ -410,9 +499,9 @@ fn score_key(
         };
         folds += 1;
         // `None` while still warming up: no window, no evidence either way.
-        let declared = monitor
-            .sst
-            .fold_with(value, |_, window| run.offer_window(minute, window, pass));
+        let declared = sst.fold_with(value, |_, window| {
+            run.offer_window(minute, window, &mut pass)
+        });
         if let Some(Some(event)) = declared {
             detections.push(StreamDetection {
                 key,
@@ -422,9 +511,9 @@ fn score_key(
             });
         }
     }
-    monitor.next_minute = plan.to;
-    monitor.primed = true;
-    (folds, detections)
+    *next_minute = plan.to;
+    *primed = true;
+    (folds, detections, pass.tally)
 }
 
 /// The streaming assessment engine. Single-threaded at the API surface
@@ -517,6 +606,18 @@ impl StreamEngine {
             .fold(0usize, usize::saturating_add)
     }
 
+    /// Bytes the monitors' memories of window outcomes hold at most, on top
+    /// of [`StreamEngine::window_bytes`]: per monitor, one tag byte for each
+    /// retained minute and a capped list of scores — the same kind of
+    /// deterministic bound, sized by the configuration alone.
+    pub fn outcome_bytes(&self) -> usize {
+        self.monitors
+            .len()
+            .saturating_mul(WindowOutcomes::bytes_for(
+                self.funnel.windows_per_assessment(),
+            ))
+    }
+
     /// Changes tracked and not yet completed (a change is dropped from
     /// the engine the tick it completes).
     pub fn pending_changes(&self) -> usize {
@@ -587,6 +688,11 @@ impl StreamEngine {
                     funnel_obs::timeline_counter_add(names::STREAM_LATE_BACKFILLED, m.minute, 1);
                     self.dirty.insert(m.key);
                     if let Some(monitor) = self.monitors.get_mut(&m.key) {
+                        // The only way a retained sample changes: bin
+                        // `m.minute` and the fill run behind it. Every
+                        // window that can hold one was decided at or after
+                        // `m.minute`.
+                        monitor.outcomes.forget_from(m.minute);
                         if m.minute < monitor.next_minute {
                             monitor.primed = false;
                         }
@@ -683,6 +789,7 @@ impl StreamEngine {
     fn plan_scoring(&mut self, minute: MinuteBin) -> BTreeMap<KpiKey, ScorePlan> {
         let window = self.funnel.config().sst.window_len() as u64;
         let persistence = self.funnel.config().persistence_minutes;
+        let retention = self.funnel.windows_per_assessment();
         let scorer = self.funnel.scorer().clone();
         let mut plans = BTreeMap::new();
         let mut clean = Vec::new();
@@ -691,10 +798,9 @@ impl StreamEngine {
                 clean.push(key);
                 continue;
             };
-            let monitor = self
-                .monitors
-                .entry(key)
-                .or_insert_with(|| KeyMonitor::new(scorer.clone(), ring.start(), persistence));
+            let monitor = self.monitors.entry(key).or_insert_with(|| {
+                KeyMonitor::new(scorer.clone(), ring.start(), persistence, retention)
+            });
             let to = ring.end().min(minute + 1);
             let (lo, reprime) = if monitor.primed {
                 (monitor.next_minute.max(ring.start()), false)
@@ -832,19 +938,8 @@ impl StreamEngine {
             // Per worker: the scorer's run handle (its SST workspace) and
             // the buffer held windows are copied out of the rings through.
             || (scorer.reaching_scorer(), Vec::with_capacity(width)),
-            |(scorer, buf), (key, monitor, plan, ring)| {
-                let mut pass = ScoringPass {
-                    scorer,
-                    threshold,
-                    held: RingWindows {
-                        ring,
-                        width: width as u64,
-                        buf,
-                    },
-                    tally: WindowTally::default(),
-                };
-                let (folds, detections) = score_key(monitor, plan, key, &mut pass);
-                Some((folds, detections, pass.tally))
+            |worker, (key, monitor, plan, ring)| {
+                Some(score_key(monitor, plan, key, ring, worker, threshold))
             },
         );
         let (mut folds, mut detections) = (0, Vec::new());
@@ -902,7 +997,11 @@ impl StreamEngine {
             let funnel = &self.funnel;
             let load_shed =
                 |&key: &KpiKey| funnel.unassessed_item(&change.record, key, QualityIssue::LoadShed);
-            let view = RingView { rings: &self.rings };
+            let view = RingView {
+                rings: &self.rings,
+                monitors: &self.monitors,
+                runs: Mutex::new(WindowTally::default()),
+            };
             let workers = self.funnel.config().assess.effective_workers();
             let mut items = match parallel::assess_work_units(
                 &self.funnel,
@@ -923,6 +1022,9 @@ impl StreamEngine {
             };
             items.extend(change.shed.iter().chain(stale.iter()).map(load_shed));
             items.sort_by_key(|a| a.key);
+            let runs = *view.runs.lock();
+            self.stats.completion_answers += runs.asked;
+            self.stats.completion_reused += runs.reused;
 
             // The opt-in diagnosis stage: runs over the same ring view the
             // assessment just read, after the items are final — it can
@@ -983,6 +1085,37 @@ mod tests {
     use funnel_sim::world::{SimConfig, WorldBuilder};
     use funnel_sst::SstConfig;
     use funnel_topology::change::ChangeKind;
+
+    #[test]
+    fn outcome_bytes_is_the_configurations_bound_per_monitor() {
+        let mut b = WorldBuilder::new(SimConfig {
+            seed: 9,
+            start: 0,
+            duration: 12,
+        });
+        b.add_service("prod.bytes", 2).unwrap();
+        let world = b.build();
+        let config = FunnelConfig::paper_default();
+        let stream_cfg = StreamConfig::paired_with(&config);
+        let mut engine = StreamEngine::new(config, stream_cfg, BTreeMap::new());
+        assert_eq!(engine.outcome_bytes(), 0, "no monitor yet");
+        let feed = LiveFeed::from_store(&world.materialize().unwrap());
+        for (minute, batch) in feed.arrivals() {
+            for &m in batch {
+                engine.offer(m);
+            }
+            engine.tick(minute);
+        }
+        // 96 windows an assessment: 128 tag bytes and 16 scores of 16 bytes,
+        // whatever the monitors have seen so far.
+        assert!(engine.key_count() > 0);
+        assert_eq!(engine.outcome_bytes(), engine.key_count() * 384);
+        assert_eq!(
+            engine.window_bytes(),
+            engine.key_count() * engine.config().ring_capacity * 9,
+            "the rings' bound is its own figure"
+        );
+    }
 
     #[test]
     fn a_completed_change_is_forgotten() {

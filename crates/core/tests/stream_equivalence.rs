@@ -3,7 +3,10 @@
 //! * Streaming verdicts are **byte-identical** to the batch pipeline on
 //!   every key that was neither shed nor stale, at every worker count.
 //! * Late frames heal through the backfill path and still converge on the
-//!   batch verdicts.
+//!   batch verdicts — also when they land inside the assessment span, on
+//!   windows the live monitors had already decided and remembered for the
+//!   completing change to recall (DESIGN.md §5): what a backfill rewrites
+//!   is forgotten, and a feed with nothing late is recalled almost whole.
 //! * Load shedding is a pure function of the seed — two runs shed the same
 //!   set — and every shed work unit completes as `Inconclusive` flagged
 //!   `LoadShed` instead of stalling or guessing.
@@ -114,17 +117,33 @@ fn run_engine(
     stream_cfg: StreamConfig,
     feed: &LiveFeed,
 ) -> (StreamEngine, Vec<StreamAssessment>) {
+    let (engine, _, completed) =
+        run_arrivals(world, change, funnel_cfg, stream_cfg, feed.arrivals());
+    (engine, completed)
+}
+
+/// Delivers `arrivals` minute by minute into a fresh engine tracking
+/// `change`; returns it with every live detection and completed assessment.
+fn run_arrivals<'a>(
+    world: &World,
+    change: ChangeId,
+    funnel_cfg: FunnelConfig,
+    stream_cfg: StreamConfig,
+    arrivals: impl Iterator<Item = (u64, &'a [Measurement])>,
+) -> (StreamEngine, Vec<StreamDetection>, Vec<StreamAssessment>) {
     let record = world.change_log().get(change).unwrap().clone();
     let mut engine = StreamEngine::new(funnel_cfg, stream_cfg, service_kinds(world));
     engine.track_change(world.topology(), record).unwrap();
-    let mut completed = Vec::new();
-    for (minute, batch) in feed.arrivals() {
+    let (mut detections, mut completed) = (Vec::new(), Vec::new());
+    for (minute, batch) in arrivals {
         for &m in batch {
             engine.offer(m);
         }
-        completed.extend(engine.tick(minute).completed);
+        let report = engine.tick(minute);
+        detections.extend(report.detections);
+        completed.extend(report.completed);
     }
-    (engine, completed)
+    (engine, detections, completed)
 }
 
 #[test]
@@ -202,6 +221,135 @@ fn late_frames_heal_through_backfill() {
         format!("{:?}", got.items),
         reference,
         "backfilled stream diverged from batch"
+    );
+}
+
+/// The mutation this test exists for: `StreamEngine::offer` not forgetting
+/// the outcomes decided at or after a backfilled minute. Every other test
+/// of this file passes under it; this one must not. (Forgetting only when
+/// the minute is behind the monitor's frontier is the same program: nothing
+/// is ever remembered at or past the frontier. Remembering an unretained
+/// held window as below needs a ring shallower than batch equality allows,
+/// and is caught by `funnel-detect`'s `remembered_outcomes`.)
+#[test]
+fn late_data_inside_the_assessment_span_streams_to_the_batch_bytes() {
+    let (world, change) = shifted_world();
+    let feed = LiveFeed::from_store(&world.materialize().unwrap());
+    let reference = batch_items(&world, change, &feed, 1);
+
+    let config = test_config(1);
+    let width = config.sst.window_len() as u64;
+    let span = CHANGE_MINUTE - width - config.warmup_minutes()..CHANGE_MINUTE + 60;
+    let due = CHANGE_MINUTE + config.assessment_minutes;
+    let record = world.change_log().get(change).unwrap().clone();
+    let kinds = service_kinds(&world);
+    let work: Vec<KpiKey> = funnel_core::Funnel::new(config.clone())
+        .assess_change_with(
+            &replay_feed(&feed).snapshot(),
+            world.topology(),
+            &record,
+            &|svc| kinds.get(&svc).cloned().unwrap_or_default(),
+        )
+        .unwrap()
+        .items
+        .iter()
+        .map(|item| item.key)
+        .collect();
+    let shifted = |key: &KpiKey| {
+        key.kind == KpiKind::PageViewResponseDelay && matches!(key.entity, Entity::Instance(_))
+    };
+
+    // One work-key measurement in eight inside the span arrives 1–10
+    // minutes late, and every other minute of the shifted KPI's first
+    // quarter hour after the change: the windows its monitors declare on.
+    let mut arrivals: BTreeMap<u64, Vec<Measurement>> = BTreeMap::new();
+    let mut late = Vec::new();
+    for (minute, batch) in feed.arrivals() {
+        for &m in batch {
+            let draw = funnel_sim::splitmix64(funnel_sim::wire::key_hash(m.key) ^ m.minute);
+            let on_the_shift = shifted(&m.key)
+                && (CHANGE_MINUTE..CHANGE_MINUTE + 16).contains(&m.minute)
+                && m.minute.is_multiple_of(2);
+            let delayed = work.binary_search(&m.key).is_ok()
+                && span.contains(&m.minute)
+                && (draw.is_multiple_of(8) || on_the_shift);
+            let when = if delayed {
+                (minute + 1 + (draw >> 8) % 10).min(due)
+            } else {
+                minute
+            };
+            if when > minute {
+                late.push((m.key, m.minute, when));
+            }
+            arrivals.entry(when).or_default().push(m);
+        }
+    }
+    assert!(late.iter().any(|&(_, minute, when)| when == minute + 1));
+    assert!(late.iter().any(|&(_, minute, when)| when == minute + 10));
+
+    let mut reused = Vec::new();
+    for workers in [1usize, 2, 3] {
+        let funnel_cfg = test_config(workers);
+        let mut stream_cfg = stream_config(&funnel_cfg);
+        stream_cfg.workers = workers;
+        let (engine, detections, completed) = run_arrivals(
+            &world,
+            change,
+            funnel_cfg,
+            stream_cfg,
+            arrivals
+                .iter()
+                .map(|(&minute, batch)| (minute, batch.as_slice())),
+        );
+        assert_eq!(engine.stats().late_backfilled, late.len() as u64);
+        assert_eq!(completed.len(), 1, "workers={workers}");
+        let got = completed.first().unwrap();
+        assert!(got.shed.is_empty() && got.stale.is_empty());
+        assert_eq!(
+            format!("{:?}", got.items),
+            reference,
+            "late data inside the span: streaming != batch at workers={workers}"
+        );
+        // A late measurement landed in a window a monitor had already
+        // scored as a hit: the window that completed a live declaration
+        // holds its minute and was decided before it arrived.
+        assert!(
+            late.iter()
+                .any(|&(key, minute, when)| detections.iter().any(|d| {
+                    d.key == key
+                        && d.declared_at < when
+                        && (minute..minute + width).contains(&d.declared_at)
+                })),
+            "no late measurement fell inside a declared run: {detections:?}"
+        );
+        let stats = engine.stats();
+        reused.push((stats.completion_answers, stats.completion_reused));
+    }
+    // What is recalled does not depend on the worker count; some of it was
+    // forgotten behind the backfills, most of it was not.
+    assert!(
+        reused.iter().all(|&counts| counts == reused[0]),
+        "{reused:?}"
+    );
+    let (answers, recalled) = reused[0];
+    assert!(recalled < answers && recalled * 2 > answers, "{reused:?}");
+
+    // With nothing late, nine answers in ten and more are recalled.
+    let (engine, completed) = run_engine(
+        &world,
+        change,
+        config.clone(),
+        stream_config(&config),
+        &feed,
+    );
+    assert_eq!(format!("{:?}", completed.first().unwrap().items), reference);
+    let stats = engine.stats();
+    assert!(stats.completion_answers > 0);
+    assert!(
+        stats.completion_reused * 10 >= stats.completion_answers * 9,
+        "recalled {} of {} answers",
+        stats.completion_reused,
+        stats.completion_answers
     );
 }
 

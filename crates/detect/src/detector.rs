@@ -15,7 +15,11 @@
 //! ([`ReachingScorer::may_reach`]), holds the candidates unscored, and runs
 //! the kernel — oldest held window first — only while a declaration is still
 //! reachable. Events, counts and peaks are those of scoring every window.
+//! Before either question goes to the scorer the pass's memory
+//! ([`crate::outcomes`]) is asked whether an earlier run over the same
+//! samples already put it; the answer is the same bits either way.
 
+use crate::outcomes::{Outcome, Outcomes};
 use funnel_sst::Unscreened;
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
@@ -85,16 +89,22 @@ impl WindowSource for SeriesWindows<'_> {
 }
 
 /// What became of the windows offered to a [`PersistenceRun`]: every window
-/// that was not skipped for coverage is screened, scored, dropped or still
-/// held.
+/// that was not skipped for coverage is screened, scored (by the kernel or
+/// from the pass's memory), dropped or still held.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WindowTally {
     /// Definite misses: the bound alone ruled the window out.
     pub screened: u64,
-    /// Candidates the full score was computed for.
+    /// Candidates the scoring kernel was run for.
     pub scored: u64,
     /// Candidates let go unscored because no declaration could rest on them.
     pub dropped: u64,
+    /// Answers the run needed: a bound for every offered window, a score
+    /// for every candidate a declaration could still rest on.
+    pub asked: u64,
+    /// Of those, the answers recalled from the pass's
+    /// [`Outcomes`] instead of asked of the scorer.
+    pub reused: u64,
 }
 
 impl WindowTally {
@@ -118,20 +128,27 @@ impl std::ops::AddAssign for WindowTally {
         self.screened += other.screened;
         self.scored += other.scored;
         self.dropped += other.dropped;
+        self.asked += other.asked;
+        self.reused += other.reused;
     }
 }
 
 /// What a [`PersistenceRun`] scores with: the run's (or stream worker's)
 /// scorer handle, the declaration threshold, where held windows are re-read
-/// from, and the tally of what became of each window.
-pub struct ScoringPass<'a, R, H> {
+/// from, the memory of answers already given, and the tally of what became
+/// of each window.
+pub struct ScoringPass<'a, R, H, O> {
     /// Answers the bound and the score.
     pub scorer: &'a mut R,
     /// The declaration threshold.
     pub threshold: f64,
     /// Re-reads the windows held back unscored.
     pub held: H,
-    /// Counts screened, scored and dropped windows.
+    /// Asked before the scorer; told what the scorer answers. `()` knows
+    /// and keeps nothing.
+    pub outcomes: O,
+    /// Counts what became of the windows, and how many answers were
+    /// recalled rather than asked.
     pub tally: WindowTally,
 }
 
@@ -188,13 +205,30 @@ impl PersistenceRun {
     /// window unless the run was broken in between. Returns the declaration
     /// when this window completes the persistence requirement of an armed
     /// run — once per excursion.
-    pub fn offer_window<R: ReachingScorer, H: WindowSource>(
+    pub fn offer_window<R: ReachingScorer, H: WindowSource, O: Outcomes>(
         &mut self,
         minute: MinuteBin,
         window: &[f64],
-        pass: &mut ScoringPass<'_, R, H>,
+        pass: &mut ScoringPass<'_, R, H, O>,
     ) -> Option<ChangeEvent> {
-        if !pass.scorer.may_reach(window, pass.threshold) {
+        pass.tally.asked += 1;
+        let may_reach = match pass.outcomes.recall(minute) {
+            Outcome::Unknown => {
+                let may_reach = pass.scorer.may_reach(window, pass.threshold);
+                let outcome = if may_reach {
+                    Outcome::Candidate
+                } else {
+                    Outcome::Screened
+                };
+                pass.outcomes.record(minute, outcome);
+                may_reach
+            }
+            known => {
+                pass.tally.reused += 1;
+                known != Outcome::Screened
+            }
+        };
+        if !may_reach {
             pass.tally.screened += 1;
             self.break_run(&mut pass.tally);
             return None;
@@ -213,9 +247,9 @@ impl PersistenceRun {
     /// evidence the shift ended, so no re-arm. Held candidates of a
     /// disarmed run are resolved first: a miss hidden among them would have
     /// re-armed it.
-    pub fn skip_window<R: ReachingScorer, H: WindowSource>(
+    pub fn skip_window<R: ReachingScorer, H: WindowSource, O: Outcomes>(
         &mut self,
-        pass: &mut ScoringPass<'_, R, H>,
+        pass: &mut ScoringPass<'_, R, H, O>,
     ) {
         while !self.armed && self.pending > 0 {
             self.score_oldest(pass);
@@ -252,18 +286,34 @@ impl PersistenceRun {
     }
 
     /// Scores the oldest held candidate and feeds the result to the run. A
-    /// window its source no longer retains counts as a miss.
-    fn score_oldest<R: ReachingScorer, H: WindowSource>(
+    /// window its source no longer retains counts as a miss, but is not
+    /// remembered as one: nothing was learnt about its samples.
+    fn score_oldest<R: ReachingScorer, H: WindowSource, O: Outcomes>(
         &mut self,
-        pass: &mut ScoringPass<'_, R, H>,
+        pass: &mut ScoringPass<'_, R, H, O>,
     ) -> Option<ChangeEvent> {
         self.pending = self.pending.saturating_sub(1);
         let minute = self.newest.saturating_sub(u64::from(self.pending));
-        pass.tally.scored += 1;
-        let reached = pass
-            .held
-            .window_at(minute)
-            .and_then(|window| pass.scorer.score_reaching(window, pass.threshold));
+        pass.tally.asked += 1;
+        let reached = match pass.outcomes.recall(minute) {
+            Outcome::Reached(score) => {
+                pass.tally.reused += 1;
+                Some(score)
+            }
+            Outcome::Below => {
+                pass.tally.reused += 1;
+                None
+            }
+            _ => {
+                pass.tally.scored += 1;
+                pass.held.window_at(minute).and_then(|window| {
+                    let reached = pass.scorer.score_reaching(window, pass.threshold);
+                    pass.outcomes
+                        .record(minute, reached.map_or(Outcome::Below, Outcome::Reached));
+                    reached
+                })
+            }
+        };
         match reached {
             Some(score) => self.hit(minute, score),
             None => {
@@ -330,12 +380,14 @@ impl MaskedRun {
     }
 }
 
-/// Threshold + persistence + re-arm driver around a [`WindowScorer`].
+/// Threshold + persistence + re-arm driver around a [`WindowScorer`], with
+/// the memory its runs recall answers from (`()`: none).
 #[derive(Debug, Clone)]
-pub struct DetectorRunner<S> {
+pub struct DetectorRunner<S, O = ()> {
     scorer: S,
     threshold: f64,
     persistence: usize,
+    outcomes: O,
 }
 
 impl<S: WindowScorer> DetectorRunner<S> {
@@ -347,9 +399,24 @@ impl<S: WindowScorer> DetectorRunner<S> {
             scorer,
             threshold,
             persistence: persistence.max(1),
+            outcomes: (),
         }
     }
 
+    /// This runner, recalling from `outcomes` what an earlier run — same
+    /// scorer, same threshold, the same samples minute for minute — already
+    /// asked. Its runs read the memory and never write it.
+    pub fn recalling<O: Outcomes>(self, outcomes: O) -> DetectorRunner<S, O> {
+        DetectorRunner {
+            scorer: self.scorer,
+            threshold: self.threshold,
+            persistence: self.persistence,
+            outcomes,
+        }
+    }
+}
+
+impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
     /// The wrapped scorer.
     pub fn scorer(&self) -> &S {
         &self.scorer
@@ -413,6 +480,7 @@ impl<S: WindowScorer> DetectorRunner<S> {
         let _span = funnel_obs::span!(funnel_obs::names::SPAN_DETECT);
         let (out, tally) = self.drive_windows(series, unmeasured, false);
         tally.emit_counters();
+        self.outcomes.run_ended(tally);
         funnel_obs::counter_add(
             funnel_obs::names::DETECT_CHANGE_POINTS,
             out.events.len() as u64,
@@ -474,7 +542,8 @@ impl<S: WindowScorer> DetectorRunner<S> {
 
     /// The one scoring loop: every window of `series`, in order, is either
     /// skipped (`unmeasured` says its decision minute lacks coverage) or
-    /// offered to the persistence rule, which decides what gets scored.
+    /// offered to the persistence rule, which decides what gets scored — and
+    /// takes from the runner's memory the answers it holds.
     /// `first_only` stops at the first declaration.
     fn drive_windows(
         &self,
@@ -494,6 +563,7 @@ impl<S: WindowScorer> DetectorRunner<S> {
             scorer: &mut scorer,
             threshold: self.threshold,
             held: SeriesWindows { series, width },
+            outcomes: &self.outcomes,
             tally: WindowTally::default(),
         };
         let mut state = PersistenceRun::new(self.persistence);

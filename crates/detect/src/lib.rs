@@ -6,6 +6,9 @@
 //!   [`DetectorRunner`] (threshold + persistence + re-arm logic, one
 //!   [`PersistenceRun`] per pass, which also plans which windows the scorer
 //!   is run on), and [`ChangeEvent`].
+//! * [`outcomes`] — [`WindowOutcomes`], the memory one run records its
+//!   scorer's answers in and a later run over the same samples recalls them
+//!   from instead of asking again.
 //! * [`sst_adapter`] — wraps the `funnel-sst` scorers as [`WindowScorer`]s.
 //! * [`cusum`] — the CUmulative SUM detector used by MERCURY
 //!   (SIGCOMM 2010), the paper's "long detection delay" baseline.
@@ -24,6 +27,7 @@ pub mod cusum;
 pub mod delay;
 pub mod detector;
 pub mod mrls;
+pub mod outcomes;
 pub mod sst_adapter;
 pub mod wow;
 
@@ -34,6 +38,7 @@ pub use detector::{
     WindowScorer, WindowSource, WindowTally,
 };
 pub use mrls::{MrlsDetector, ScaleAggregation};
+pub use outcomes::{Outcome, Outcomes, WindowOutcomes};
 pub use sst_adapter::SstDetector;
 pub use wow::WowDetector;
 
