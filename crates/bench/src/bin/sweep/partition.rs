@@ -99,7 +99,7 @@ impl PartitionGrid {
         let mut assessments = self.0.assess(&interim_store);
         let mut queue = ReassessmentQueue::new();
         for assessment in &assessments {
-            queue.absorb(assessment, funnel.config());
+            queue.absorb(assessment);
         }
         let interim_queued = queue.len();
 

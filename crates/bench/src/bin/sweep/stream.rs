@@ -17,8 +17,8 @@
 //!   counterpart.
 //! * **Bounded memory**: resident window bytes never exceed the configured
 //!   rings × capacity bound; nothing grows with backlog.
-//! * **Deterministic shedding**: re-running an overloaded cell with the
-//!   same seed sheds the identical (minute, key) log.
+//! * **Deterministic shedding**: re-running an overloaded cell sheds the
+//!   identical (minute, key) list, collected from each tick's report.
 //! * **No stall under faults**: a feed replayed through the lossy
 //!   fault-injection transport (drops, corruption, delays, duplicates)
 //!   still completes its assessment at 10× overload, twice, identically.
@@ -29,11 +29,12 @@ use funnel_core::{FunnelConfig, StreamConfig, StreamEngine};
 use funnel_sim::agent::replay_with_faults;
 use funnel_sim::effect::{ChangeEffect, EffectScope};
 use funnel_sim::faults::FaultPlan;
-use funnel_sim::kpi::KpiKind;
+use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::live::LiveFeed;
 use funnel_sim::store::MetricStore;
 use funnel_sim::world::{SimConfig, World, WorldBuilder};
 use funnel_sst::SstConfig;
+use funnel_timeseries::series::MinuteBin;
 use funnel_topology::change::{ChangeId, ChangeKind};
 use funnel_topology::model::ServiceId;
 use std::cell::OnceCell;
@@ -175,10 +176,12 @@ impl Fleet {
             .track_change(self.world.topology(), record.clone())
             .expect("tracked");
         let mut completed = Vec::new();
+        let mut shed = Vec::new();
         let mut scored_key_ticks = 0u64;
         let mut tick = |engine: &mut StreamEngine, minute| {
             let report = engine.tick(minute);
             scored_key_ticks += report.scored_keys as u64;
+            shed.extend(report.shed.into_iter().map(|key| (minute, key)));
             completed.extend(report.completed);
         };
         let mut pending = 0u64;
@@ -200,6 +203,7 @@ impl Fleet {
         StreamRun {
             engine,
             completed,
+            shed,
             scored_key_ticks,
         }
     }
@@ -209,6 +213,8 @@ impl Fleet {
 struct StreamRun {
     engine: StreamEngine,
     completed: Vec<StreamAssessment>,
+    /// Every `(tick, key)` the shedding policy dropped, in decision order.
+    shed: Vec<(MinuteBin, KpiKey)>,
     scored_key_ticks: u64,
 }
 
@@ -360,12 +366,12 @@ impl Grid for StreamGrid {
             }
             if rate >= 10 {
                 assert!(stats.shed > 0, "{cell}: 10x overload never shed");
-                // Deterministic shedding: the same seed sheds the same
-                // (minute, key) log on a fresh engine.
+                // Deterministic shedding: a fresh engine sheds the same
+                // (minute, key) list.
                 assert_eq!(
-                    run.engine.shed_log(),
-                    fleet.stream(budget, 1, rate).engine.shed_log(),
-                    "{cell}: shed log not deterministic"
+                    run.shed,
+                    fleet.stream(budget, 1, rate).shed,
+                    "{cell}: sheds not deterministic"
                 );
             }
         }
@@ -438,11 +444,7 @@ impl Grid for StreamGrid {
             0,
             "fault leg: assess error"
         );
-        assert_eq!(
-            fa.engine.shed_log(),
-            fb.engine.shed_log(),
-            "fault leg: shed log not deterministic"
-        );
+        assert_eq!(fa.shed, fb.shed, "fault leg: sheds not deterministic");
         assert_eq!(
             format!("{:?}", fa.completed),
             format!("{:?}", fb.completed),

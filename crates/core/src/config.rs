@@ -50,7 +50,30 @@ impl Default for AssessConfig {
     }
 }
 
-/// All knobs of the deployed tool, with the paper's defaults.
+/// Minimum fraction of truly measured minutes an assessment window needs
+/// before its verdict is trusted. Below it the item is reported
+/// `Inconclusive` rather than attributed (or cleared) on interpolated data,
+/// and a dark-launch control group that falls below it is abandoned for the
+/// seasonal history.
+pub const MIN_COVERAGE: f64 = 0.8;
+
+/// Shortest contiguous coverage gap (in minutes) treated as a network
+/// partition rather than scattered frame loss. A gap this long both
+/// suppresses change points bordering it (a forward-fill plateau ends in a
+/// step artifact exactly where the heal lands) and marks the item's
+/// `Inconclusive` verdict as `awaiting_backfill` for automatic
+/// re-assessment. The persistence length: the shortest gap that could
+/// single-handedly fake the 7-minute rule.
+pub const MIN_PARTITION_GAP: u64 = funnel_detect::PERSISTENCE_MINUTES as u64;
+
+/// Coverage fraction a previously partition-gapped assessment window must
+/// reach, via collector backfill, before the re-assessment queue re-runs
+/// the item for a firm verdict.
+pub const REASSESS_COVERAGE: f64 = 0.8;
+
+/// What the deployed tool leaves to set, with the paper's defaults: the
+/// settings some caller gives a second value. The coverage and
+/// partition-gap thresholds nobody varies are the constants above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunnelConfig {
     /// SST configuration (`ω = 9` ⇒ sliding window `W = 34` in the paper's
@@ -71,24 +94,6 @@ pub struct FunnelConfig {
     /// How long after the deployment FUNNEL watches for KPI changes
     /// ("the operators think that 1 hour is enough", §4.1).
     pub assessment_minutes: u64,
-    /// Minimum fraction of truly measured minutes an assessment window
-    /// needs before its verdict is trusted. Below it the item is reported
-    /// `Inconclusive` rather than attributed (or cleared) on interpolated
-    /// data, and a dark-launch control group that falls below it is
-    /// abandoned for the seasonal history.
-    pub min_coverage: f64,
-    /// Shortest contiguous coverage gap (in minutes) treated as a network
-    /// partition rather than scattered frame loss. A gap this long both
-    /// suppresses change points bordering it (a forward-fill plateau ends
-    /// in a step artifact exactly where the heal lands) and marks the
-    /// item's `Inconclusive` verdict as `awaiting_backfill` for automatic
-    /// re-assessment. Defaults to the persistence length: the shortest gap
-    /// that could single-handedly fake the 7-minute rule.
-    pub min_partition_gap: u64,
-    /// Coverage fraction a previously partition-gapped assessment window
-    /// must reach — via collector backfill — before the re-assessment
-    /// queue re-runs the item for a firm verdict.
-    pub reassess_coverage: f64,
     /// How the batch pipeline fans assessment work units across threads.
     pub assess: AssessConfig,
     /// The opt-in diagnosis stage ([`crate::diagnose`]): off by default so
@@ -114,9 +119,6 @@ impl FunnelConfig {
             did: DidConfig::default(),
             history_days: 30,
             assessment_minutes: 60,
-            min_coverage: 0.8,
-            min_partition_gap: funnel_detect::PERSISTENCE_MINUTES as u64,
-            reassess_coverage: 0.8,
             assess: AssessConfig::default(),
             diagnose: DiagConfig::default(),
         }
@@ -147,9 +149,7 @@ mod tests {
         assert_eq!(c.did.period_minutes, 60);
         assert_eq!(c.assessment_minutes, 60);
         assert_eq!(c.warmup_minutes(), 34);
-        assert_eq!(c.min_coverage, 0.8);
-        assert_eq!(c.min_partition_gap, 7);
-        assert_eq!(c.reassess_coverage, 0.8);
+        assert_eq!(MIN_PARTITION_GAP, 7);
         assert_eq!(c.assess.workers, 1);
         assert_eq!(c.assess.effective_workers(), 1);
         // Diagnosis is opt-in: the paper default must not enable it.

@@ -105,14 +105,7 @@ pub(crate) fn diagnose_assessment(
         description: change.description.clone(),
         items: inputs,
     };
-    let report = diagnose_change(cfg, &input);
-    funnel_obs::counter_add(funnel_obs::names::DIAG_REPORTS, 1);
-    funnel_obs::counter_add(funnel_obs::names::DIAG_ITEMS, report.items.len() as u64);
-    funnel_obs::counter_add(
-        funnel_obs::names::DIAG_POPULATION_MISMATCH,
-        report.mismatch_count() as u64,
-    );
-    report
+    diagnose_change(cfg, &input)
 }
 
 /// Converts one assessed item into the diagnosis layer's input: identity,

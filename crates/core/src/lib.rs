@@ -65,11 +65,10 @@ pub use pipeline::{
     ItemAssessment, Verdict,
 };
 pub use reassess::{PendingItem, QueueState, ReassessmentQueue};
-pub use selfmon::{run_selfmon, PipelineHealthReport, SelfMonConfig, SeriesHealth};
+pub use selfmon::{run_selfmon, PipelineHealthReport, SeriesHealth};
 pub use source::KpiSource;
 pub use stream::{
-    StreamAssessment, StreamConfig, StreamDetection, StreamEngine, StreamIngest, StreamStats,
-    StreamVerdict, TickReport,
+    StreamAssessment, StreamConfig, StreamDetection, StreamEngine, StreamStats, TickReport,
 };
 pub use supervise::{
     FaultProbe, InjectedFault, NoFaults, Supervised, SupervisorConfig, SupervisorReport,

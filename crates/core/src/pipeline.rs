@@ -6,9 +6,9 @@
 //! they exist, the 30-day seasonal history otherwise, and always the
 //! seasonal history for affected-service KPIs (which have no cinstances).
 
-use crate::config::FunnelConfig;
+use crate::config::{FunnelConfig, MIN_COVERAGE, MIN_PARTITION_GAP};
 use crate::parallel::{self, control_level, ControlTable};
-use crate::quality::{assess_quality, QualityConfig, QualityIssue, QualityReport};
+use crate::quality::{assess_quality, QualityIssue, QualityReport};
 use crate::source::KpiSource;
 use funnel_detect::detector::{ChangeEvent, DetectorRunner, MaskedRun};
 use funnel_detect::outcomes::Outcomes;
@@ -51,7 +51,7 @@ pub enum Verdict {
     /// handed to the operations team unresolved instead of asserting either.
     Inconclusive {
         /// `true` when the shortfall looks like an *unhealed partition* —
-        /// one contiguous gap at least `min_partition_gap` minutes long, or
+        /// one contiguous gap at least [`MIN_PARTITION_GAP`] minutes long, or
         /// a change point the gap-aware detector refused because it bordered
         /// such a gap. Those items are repairable: once the collector
         /// backfills the dark span, a re-assessment (see
@@ -503,12 +503,12 @@ impl Funnel {
         let coverage = source.coverage(&key, lo, to);
         let quality = DataQuality {
             coverage,
-            report: assess_quality(&window, &QualityConfig::default()),
+            report: assess_quality(&window),
         };
-        let adequate = coverage >= self.config.min_coverage;
+        let adequate = coverage >= MIN_COVERAGE;
 
         // Steps 2–3, partition-aware when the source tracks coverage: a
-        // contiguous gap of at least `min_partition_gap` minutes marks the
+        // contiguous gap of at least `MIN_PARTITION_GAP` minutes marks the
         // window as repairable-by-backfill, and any change point bordering
         // such a gap is suppressed rather than scored (it is
         // indistinguishable from the fill plateau's edge until the span
@@ -518,7 +518,7 @@ impl Funnel {
         let (detection, suppressed, partition_gapped) = match &mask {
             Some(mask) => {
                 let run = self.detect_masked(&window, mask, outcomes);
-                let gapped = mask.longest_gap(lo, to) >= self.config.min_partition_gap;
+                let gapped = mask.longest_gap(lo, to) >= MIN_PARTITION_GAP;
                 let event = run
                     .events
                     .into_iter()
@@ -592,33 +592,13 @@ impl Funnel {
         // Verdicts attribute to the change's own minute — workers inherit
         // the cursor pinned by the single-threaded assessment entry, so
         // every thread writes the same window.
+        let verdict_counter = match verdict {
+            Verdict::Caused => funnel_obs::names::VERDICT_CAUSED,
+            Verdict::NotCaused => funnel_obs::names::VERDICT_NOT_CAUSED,
+            Verdict::Inconclusive { .. } => funnel_obs::names::VERDICT_INCONCLUSIVE,
+        };
         let tl_window = funnel_obs::timeline::current_window();
-        match verdict {
-            Verdict::Caused => {
-                funnel_obs::timeline_counter_add(funnel_obs::names::VERDICT_CAUSED, tl_window, 1);
-            }
-            Verdict::NotCaused => {
-                funnel_obs::timeline_counter_add(
-                    funnel_obs::names::VERDICT_NOT_CAUSED,
-                    tl_window,
-                    1,
-                );
-            }
-            Verdict::Inconclusive { awaiting_backfill } => {
-                funnel_obs::timeline_counter_add(
-                    funnel_obs::names::VERDICT_INCONCLUSIVE,
-                    tl_window,
-                    1,
-                );
-                if awaiting_backfill {
-                    funnel_obs::timeline_counter_add(
-                        funnel_obs::names::VERDICT_AWAITING_BACKFILL,
-                        tl_window,
-                        1,
-                    );
-                }
-            }
-        }
+        funnel_obs::timeline_counter_add(verdict_counter, tl_window, 1);
 
         Ok(ItemAssessment {
             key,
@@ -655,12 +635,8 @@ impl Funnel {
         mask: &CoverageMask,
         outcomes: impl Outcomes,
     ) -> MaskedRun {
-        self.runner(outcomes).run_masked_gap_aware(
-            window,
-            mask,
-            self.config.min_coverage,
-            self.config.min_partition_gap,
-        )
+        self.runner(outcomes)
+            .run_masked_gap_aware(window, mask, MIN_COVERAGE, MIN_PARTITION_GAP)
     }
 
     /// The detector, recalling from `outcomes` what the source has already
@@ -726,10 +702,10 @@ impl Funnel {
                 // A contrast against a control group that was itself mostly
                 // gap-filled proves nothing: bail out (into the seasonal
                 // fallback below) when its coverage falls short.
-                if *ctl_coverage < self.config.min_coverage {
+                if *ctl_coverage < MIN_COVERAGE {
                     Err(DidError::InsufficientCoverage {
                         group: "control",
-                        required_pct: (self.config.min_coverage * 100.0).round() as u8,
+                        required_pct: (MIN_COVERAGE * 100.0).round() as u8,
                         got_pct: (ctl_coverage * 100.0).round().clamp(0.0, 100.0) as u8,
                     })
                 } else {
@@ -888,10 +864,9 @@ mod tests {
 
         // Hard guarantee: no attribution rests on a window below the
         // coverage threshold — those items are Inconclusive instead.
-        let min_cov = funnel.config().min_coverage;
         for item in &a.items {
             assert!(
-                !(item.caused && item.quality.coverage < min_cov),
+                !(item.caused && item.quality.coverage < MIN_COVERAGE),
                 "{:?} attributed on {:.0}% coverage",
                 item.key,
                 item.quality.coverage * 100.0

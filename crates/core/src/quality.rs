@@ -55,35 +55,23 @@ impl QualityReport {
     }
 }
 
-/// Screening thresholds (tuned loose — the goal is annotating clearly bad
-/// data, not judging marginal data).
-#[derive(Debug, Clone, PartialEq)]
-pub struct QualityConfig {
-    /// Flag when the robust coefficient of variation (MAD / |median|) is
-    /// below this and the absolute MAD is negligible.
-    pub constant_rel_mad: f64,
-    /// Flag when more than this fraction of bins is exactly zero.
-    pub zero_fraction: f64,
-    /// Flag when fewer than this many distinct values occur (and the series
-    /// is long enough for that to be suspicious).
-    pub min_distinct: usize,
-    /// Flag when any point deviates more than this many robust sigmas.
-    pub glitch_sigmas: f64,
-}
+// Screening thresholds, tuned loose: the goal is annotating clearly bad
+// data, not judging marginal data.
 
-impl Default for QualityConfig {
-    fn default() -> Self {
-        Self {
-            constant_rel_mad: 1e-6,
-            zero_fraction: 0.5,
-            min_distinct: 4,
-            glitch_sigmas: 50.0,
-        }
-    }
-}
+/// Flag `Constant` when the robust coefficient of variation (MAD /
+/// |median|) is below this and the absolute MAD is negligible.
+const CONSTANT_REL_MAD: f64 = 1e-6;
+/// Flag `MostlyZero` when more than this fraction of bins is exactly zero.
+const ZERO_FRACTION: f64 = 0.5;
+/// Flag `Quantized` when fewer than this many distinct values occur (and the
+/// series is long enough for that to be suspicious).
+const MIN_DISTINCT: usize = 4;
+/// Flag `GlitchOutliers` when any point deviates more than this many robust
+/// sigmas.
+const GLITCH_SIGMAS: f64 = 50.0;
 
 /// Screens one KPI series.
-pub fn assess_quality(series: &TimeSeries, config: &QualityConfig) -> QualityReport {
+pub fn assess_quality(series: &TimeSeries) -> QualityReport {
     let xs = series.values();
     let mut issues = Vec::new();
     if xs.is_empty() {
@@ -95,27 +83,27 @@ pub fn assess_quality(series: &TimeSeries, config: &QualityConfig) -> QualityRep
     let med = median(xs);
     let m = mad(xs);
 
-    if m <= config.constant_rel_mad * med.abs().max(1.0) {
+    if m <= CONSTANT_REL_MAD * med.abs().max(1.0) {
         issues.push(QualityIssue::Constant);
     }
 
     let zeros = xs.iter().filter(|&&x| x == 0.0).count();
-    if zeros as f64 > config.zero_fraction * xs.len() as f64 {
+    if zeros as f64 > ZERO_FRACTION * xs.len() as f64 {
         issues.push(QualityIssue::MostlyZero);
     }
 
-    if xs.len() >= 4 * config.min_distinct {
+    if xs.len() >= 4 * MIN_DISTINCT {
         let mut distinct: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
         distinct.sort_unstable();
         distinct.dedup();
-        if distinct.len() < config.min_distinct && !issues.contains(&QualityIssue::Constant) {
+        if distinct.len() < MIN_DISTINCT && !issues.contains(&QualityIssue::Constant) {
             issues.push(QualityIssue::Quantized);
         }
     }
 
     if m > 0.0 {
         let worst = xs.iter().map(|x| (x - med).abs()).fold(0.0, f64::max);
-        if worst > config.glitch_sigmas * m {
+        if worst > GLITCH_SIGMAS * m {
             issues.push(QualityIssue::GlitchOutliers);
         }
     }
@@ -132,7 +120,7 @@ mod tests {
     }
 
     fn check(values: Vec<f64>) -> QualityReport {
-        assess_quality(&series(values), &QualityConfig::default())
+        assess_quality(&series(values))
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! the repairable items of an interim assessment, poll
 //! [`ready`](ReassessmentQueue::ready) as backfill lands, and
 //! [`reassess`](ReassessmentQueue::reassess) once a window's healed coverage
-//! crosses [`FunnelConfig::reassess_coverage`] — feeding the firm verdicts
+//! crosses [`REASSESS_COVERAGE`] — feeding the firm verdicts
 //! back into the delivered report via
 //! [`ChangeAssessment::apply_upgrades`](crate::pipeline::ChangeAssessment::apply_upgrades).
 //!
@@ -20,7 +20,7 @@
 //! a reason backfill cannot repair — leaves the queue, so the loop always
 //! terminates.
 
-use crate::config::FunnelConfig;
+use crate::config::REASSESS_COVERAGE;
 use crate::pipeline::{ChangeAssessment, Funnel, FunnelError, ItemAssessment};
 use crate::source::KpiSource;
 use funnel_sim::kpi::KpiKey;
@@ -40,7 +40,8 @@ pub struct PendingItem {
     /// The `[from, to)` assessment window that must heal.
     pub window: (MinuteBin, MinuteBin),
     /// Coverage the window must reach before the re-run fires
-    /// ([`FunnelConfig::reassess_coverage`] at absorb time).
+    /// ([`REASSESS_COVERAGE`] at absorb time; a field because the
+    /// checkpoint format carries it).
     pub required_coverage: f64,
 }
 
@@ -108,13 +109,13 @@ impl ReassessmentQueue {
     }
 
     /// Enqueues every `awaiting_backfill` item of an interim assessment,
-    /// with the configuration's re-assessment threshold as the trigger.
+    /// with [`REASSESS_COVERAGE`] as the trigger.
     /// Items already queued for the same (change, KPI) — or already
     /// upgraded to a firm verdict by an earlier
     /// [`ReassessmentQueue::reassess`] run (possibly before a crash, via
     /// the checkpointed applied memory) — are not (re-)added. Returns how
     /// many items were added.
-    pub fn absorb(&mut self, assessment: &ChangeAssessment, config: &FunnelConfig) -> usize {
+    pub fn absorb(&mut self, assessment: &ChangeAssessment) -> usize {
         let mut added = 0;
         for item in assessment.awaiting_backfill_items() {
             let dup = self
@@ -129,7 +130,7 @@ impl ReassessmentQueue {
                 change: assessment.change,
                 key: item.key,
                 window: item.window,
-                required_coverage: config.reassess_coverage,
+                required_coverage: REASSESS_COVERAGE,
             });
             added += 1;
         }
@@ -265,10 +266,10 @@ mod tests {
         assert!(awaiting > 0, "open partition produced no repairable items");
 
         let mut queue = ReassessmentQueue::new();
-        let absorbed = queue.absorb(&interim, funnel.config());
+        let absorbed = queue.absorb(&interim);
         assert_eq!(absorbed, awaiting);
         // Absorbing twice must not duplicate.
-        assert_eq!(queue.absorb(&interim, funnel.config()), 0);
+        assert_eq!(queue.absorb(&interim), 0);
 
         // Against the still-dark store nothing is ready.
         assert!(queue.ready(&interim_store).is_empty());
@@ -327,7 +328,7 @@ mod tests {
             .assess_change_with(&interim_store, world.topology(), &record, &kinds)
             .unwrap();
         let mut queue = ReassessmentQueue::new();
-        let absorbed = queue.absorb(&interim, funnel.config());
+        let absorbed = queue.absorb(&interim);
         assert!(absorbed > 0);
 
         // Crash #1: right after absorb, before anything healed. The
@@ -349,7 +350,7 @@ mod tests {
         // applied memory must keep the already-firmed items from
         // resurfacing and being upgraded twice.
         let mut queue = ReassessmentQueue::from_state(queue.export_state());
-        assert_eq!(queue.absorb(&interim, funnel.config()), 0);
+        assert_eq!(queue.absorb(&interim), 0);
         assert!(queue.is_empty());
         let again = queue
             .reassess(&funnel, &healed_store, world.topology(), &record)
@@ -373,7 +374,7 @@ mod tests {
             .assess_change_with(&store, world.topology(), &record, &kinds)
             .unwrap();
         let mut queue = ReassessmentQueue::new();
-        queue.absorb(&interim, funnel.config());
+        queue.absorb(&interim);
         let before = queue.len();
         assert!(before > 0);
 
@@ -400,7 +401,7 @@ mod tests {
             .assess_change_with(&store, world.topology(), &record, &kinds)
             .unwrap();
         let mut queue = ReassessmentQueue::new();
-        assert_eq!(queue.absorb(&assessment, funnel.config()), 0);
+        assert_eq!(queue.absorb(&assessment), 0);
         assert!(queue.is_empty());
     }
 }

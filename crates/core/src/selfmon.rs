@@ -17,26 +17,27 @@
 //! construction), the adaptation is a dense zero-fill over the snapshot's
 //! own window range, and the detector is the deterministic batch runner —
 //! so [`PipelineHealthReport::to_json`] is byte-identical across runs and
-//! worker counts for any worker-invariant series selection.
+//! worker counts (the three watched counters are worker-invariant).
 //!
 //! ```
-//! use funnel_core::selfmon::{run_selfmon, SelfMonConfig};
+//! use funnel_core::selfmon::run_selfmon;
 //!
 //! funnel_obs::reset();
 //! funnel_obs::enable();
 //! for minute in 0..60 {
 //!     funnel_obs::timeline_counter_add(funnel_obs::names::FRAMES_INGESTED, minute, 100);
 //! }
-//! let report = run_selfmon(&funnel_obs::timeline_snapshot(), &SelfMonConfig::default()).unwrap();
+//! let report = run_selfmon(&funnel_obs::timeline_snapshot());
 //! assert!(report.healthy()); // a flat ingest rate raises no alert
 //! funnel_obs::disable();
 //! ```
 
 use funnel_detect::detector::DetectorRunner;
 use funnel_detect::sst_adapter::SstDetector;
+use funnel_detect::PERSISTENCE_MINUTES;
 use funnel_obs::names;
 use funnel_obs::timeline::TimelineReport;
-use funnel_sst::{FastSst, SstConfig};
+use funnel_sst::{FastSst, SstScorer};
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
 
 /// Schema version of the [`PipelineHealthReport`] JSON document.
@@ -45,43 +46,18 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// Default artifact path for [`PipelineHealthReport::write_json`].
 pub const DEFAULT_HEALTH_PATH: &str = "results/pipeline_health.json";
 
-/// Which timeline counters the self-monitor watches and how it scores
-/// them. The defaults watch the three series whose behaviour changes map
-/// onto the pipeline's failure modes: a collector partition dents
-/// `collector.frames_ingested`, a decode/agent fault spikes
-/// `collector.frames_quarantined`, and overload shows up as sustained
-/// `stream.shed`.
-#[derive(Debug, Clone)]
-pub struct SelfMonConfig {
-    /// Timeline counter names to watch (each becomes one SST run).
-    pub series: Vec<String>,
-    /// SST layout for the health detector. Defaults to
-    /// [`SstConfig::paper_default`] (ω = 9, W = 34) — the *same* layout the
-    /// pipeline applies to customer KPIs, and wide enough that a clean
-    /// level shift keeps its score elevated across the whole persistence
-    /// run (the narrower `quick` preset spikes for only ~2 windows and
-    /// never satisfies the 7-minute rule).
-    pub sst: SstConfig,
-    /// Declaration threshold on the min–max-normalized series.
-    pub threshold: f64,
-    /// Persistence rule in minutes (windows), as in the main pipeline.
-    pub persistence: usize,
-}
-
-impl Default for SelfMonConfig {
-    fn default() -> Self {
-        Self {
-            series: vec![
-                names::FRAMES_INGESTED.as_str().to_string(),
-                names::FRAMES_QUARANTINED.as_str().to_string(),
-                names::STREAM_SHED.as_str().to_string(),
-            ],
-            sst: SstConfig::paper_default(),
-            threshold: 0.5,
-            persistence: 7,
-        }
-    }
-}
+/// The timeline counters the self-monitor watches, each one SST run: the
+/// three whose behaviour changes map onto the pipeline's failure modes. A
+/// collector partition dents `collector.frames_ingested`, a decode/agent
+/// fault spikes `collector.frames_quarantined`, and overload shows up as
+/// sustained `stream.shed`.
+const WATCHED: [names::Name; 3] = [
+    names::FRAMES_INGESTED,
+    names::FRAMES_QUARANTINED,
+    names::STREAM_SHED,
+];
+/// Declaration threshold on the min–max-normalized series.
+const THRESHOLD: f64 = 0.5;
 
 /// One declared behaviour change in a watched pipeline series.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +88,7 @@ pub struct SeriesHealth {
 /// pipeline telemetry series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineHealthReport {
-    /// Per-series verdicts, in the order configured.
+    /// Per-series verdicts, in the order watched.
     pub series: Vec<SeriesHealth>,
 }
 
@@ -205,52 +181,49 @@ fn snapshot_range(report: &TimelineReport) -> Option<(MinuteBin, MinuteBin)> {
     range
 }
 
-/// Runs the self-monitor: every configured series is adapted with
+/// Runs the self-monitor: every watched series is adapted with
 /// [`timeline_series`], min–max normalized (as the paper normalizes its
-/// KPI plots), and scored by SST + persistence. A series shorter than one
-/// SST window scores no alerts — too little telemetry to judge. Records
-/// nothing itself, so analyzing a snapshot never perturbs a timeline.
-///
-/// # Errors
-///
-/// Returns the validation message when `config.sst` is not a usable SST
-/// layout — the self-monitor never panics, because it runs inside the
-/// pipeline it is judging.
+/// KPI plots), and scored by SST + persistence: the *same* layout
+/// ([`FastSst::paper_default`], ω = 9, W = 34) and 7-minute rule the
+/// pipeline applies to customer KPIs, wide enough that a clean level shift
+/// keeps its score elevated across the whole persistence run (the narrower
+/// `quick` preset spikes for only ~2 windows and never satisfies the rule).
+/// A series shorter than one SST window scores no alerts: too little
+/// telemetry to judge. Records nothing itself, so analyzing a snapshot never
+/// perturbs a timeline.
 // funnel-lint: root
-pub fn run_selfmon(
-    report: &TimelineReport,
-    config: &SelfMonConfig,
-) -> Result<PipelineHealthReport, String> {
-    let runner = DetectorRunner::new(
-        SstDetector::fast(FastSst::try_new(config.sst.clone())?),
-        config.threshold,
-        config.persistence,
-    );
-    let mut series_out = Vec::with_capacity(config.series.len());
-    for name in &config.series {
-        let series = timeline_series(report, name);
-        let total: u64 = report.counter_series(name).iter().map(|(_, v)| v).sum();
-        let alerts: Vec<HealthAlert> = if series.len() >= config.sst.window_len() {
-            runner
-                .run(&series.normalized())
-                .into_iter()
-                .map(|e| HealthAlert {
-                    declared_at: e.declared_at,
-                    first_exceeded_at: e.first_exceeded_at,
-                    peak_score: e.peak_score,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        series_out.push(SeriesHealth {
-            name: name.clone(),
-            windows: series.len() as u64,
-            total,
-            alerts,
-        });
-    }
-    Ok(PipelineHealthReport { series: series_out })
+pub fn run_selfmon(report: &TimelineReport) -> PipelineHealthReport {
+    let scorer = FastSst::paper_default();
+    let window_len = scorer.config().window_len();
+    let runner = DetectorRunner::new(SstDetector::fast(scorer), THRESHOLD, PERSISTENCE_MINUTES);
+    let series = WATCHED
+        .iter()
+        .map(|name| {
+            let name = name.as_str();
+            let series = timeline_series(report, name);
+            let total: u64 = report.counter_series(name).iter().map(|(_, v)| v).sum();
+            let alerts: Vec<HealthAlert> = if series.len() >= window_len {
+                runner
+                    .run(&series.normalized())
+                    .into_iter()
+                    .map(|e| HealthAlert {
+                        declared_at: e.declared_at,
+                        first_exceeded_at: e.first_exceeded_at,
+                        peak_score: e.peak_score,
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            SeriesHealth {
+                name: name.to_string(),
+                windows: series.len() as u64,
+                total,
+                alerts,
+            }
+        })
+        .collect();
+    PipelineHealthReport { series }
 }
 
 #[cfg(test)]
@@ -279,7 +252,7 @@ mod tests {
     #[test]
     fn flat_series_is_healthy() {
         let report = synthetic_report((0..120).map(|m| (names::FRAMES_INGESTED.as_str(), m, 500)));
-        let health = run_selfmon(&report, &SelfMonConfig::default()).unwrap();
+        let health = run_selfmon(&report);
         assert!(health.healthy(), "flat ingest must not alert: {health:?}");
         assert_eq!(health.series.len(), 3);
         assert_eq!(health.series[0].windows, 120);
@@ -293,7 +266,7 @@ mod tests {
         // Keep the snapshot range anchored past the silence.
         let ticks = (0..120).map(|m| (names::STREAM_TICKS.as_str(), m, 1));
         let report = synthetic_report(ingest.chain(ticks));
-        let health = run_selfmon(&report, &SelfMonConfig::default()).unwrap();
+        let health = run_selfmon(&report);
         let ingest = &health.series[0];
         assert_eq!(ingest.name, names::FRAMES_INGESTED.as_str());
         assert_eq!(
@@ -318,7 +291,7 @@ mod tests {
             (names::FRAMES_INGESTED.as_str(), 3, 1),
             (names::FRAMES_INGESTED.as_str(), 5, 900),
         ]);
-        let health = run_selfmon(&report, &SelfMonConfig::default()).unwrap();
+        let health = run_selfmon(&report);
         assert!(health.healthy());
         assert_eq!(health.series[0].windows, 3);
     }
@@ -326,9 +299,8 @@ mod tests {
     #[test]
     fn report_json_is_deterministic_and_versioned() {
         let report = synthetic_report((0..40).map(|m| (names::FRAMES_INGESTED.as_str(), m, 10)));
-        let config = SelfMonConfig::default();
-        let a = run_selfmon(&report, &config).unwrap().to_json();
-        let b = run_selfmon(&report, &config).unwrap().to_json();
+        let a = run_selfmon(&report).to_json();
+        let b = run_selfmon(&report).to_json();
         assert_eq!(a, b);
         assert!(a.starts_with("{\n  \"schema_version\": 1,"));
         assert!(a.contains("\"healthy\": true"));

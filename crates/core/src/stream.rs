@@ -19,28 +19,27 @@
 //!
 //! # Robustness contract
 //!
-//! * **Nothing queues without a bound.** The scoring fan-out has no queue
-//!   at all: workers claim index batches straight from the tick's admitted
-//!   list (`parallel::fan_out`), whose length the tick budget caps. The
-//!   verdict output channel is bounded drop-not-block (a slow consumer
-//!   loses verdicts, counted in [`StreamStats::verdicts_dropped`], and
-//!   never stalls ingest — the same discipline as the store's subscriber
-//!   fan-out). A completed change is forgotten the tick it completes, so
-//!   the tracked set holds only assessments still in flight.
+//! * **Nothing queues, nothing grows with uptime.** The scoring fan-out
+//!   has no queue at all: workers claim index batches straight from the
+//!   tick's admitted list (`parallel::fan_out`), whose length the tick
+//!   budget caps. A tick's outputs (detections, sheds, completed
+//!   assessments) are returned in its [`TickReport`], by value, and the
+//!   engine keeps none of them: what it holds is one fixed-size record a
+//!   key and the changes still in flight (a completed change is forgotten
+//!   the tick it completes).
 //! * **Deterministic load shedding.** When a tick's pending re-scores
 //!   exceed [`StreamConfig::tick_budget`], the lowest-priority keys are
-//!   dropped for that tick by a pure function of `(seed, tick, key)` —
-//!   recorded, never randomized, exactly like the supervisor's backoff
-//!   schedule. Service-level KPIs outrank server KPIs outrank instance
-//!   KPIs (aggregates are few and answer for many). A work unit that was
-//!   shed inside its assessment window is *not* silently assessed from a
-//!   degraded monitor: it completes as
-//!   [`Verdict::Inconclusive`](crate::pipeline::Verdict) flagged
-//!   [`QualityIssue::LoadShed`].
+//!   dropped for that tick by a pure function of `(tick, key)`, never a
+//!   random draw, and named in [`TickReport::shed`]. Service-level KPIs
+//!   outrank server KPIs outrank instance KPIs (aggregates are few and
+//!   answer for many). A work unit that was shed inside its assessment
+//!   window is *not* silently assessed from a degraded monitor: it
+//!   completes as [`Verdict::Inconclusive`](crate::pipeline::Verdict)
+//!   flagged [`QualityIssue::LoadShed`].
 //! * **Staleness watermark.** A verdict is only computed from a window
-//!   whose newest data is at most [`StreamConfig::staleness_limit`]
-//!   minutes older than the window it needs; keys whose feed died are
-//!   flagged `LoadShed` instead of being judged on stale data.
+//!   whose newest data is at most an hour (`STALENESS_LIMIT` minutes)
+//!   older than the window it needs; keys whose feed died are flagged
+//!   `LoadShed` instead of being judged on stale data.
 //! * **Late frames** behind the tick watermark route through
 //!   [`RingSeries::backfill`] (the store's backfill semantics), mark the
 //!   key dirty, force the key's SST monitor to re-prime — the cheap
@@ -81,7 +80,6 @@ use crate::parallel;
 use crate::pipeline::{enumerate_work_units, Funnel, FunnelError, ItemAssessment};
 use crate::quality::QualityIssue;
 use crate::source::KpiSource;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use funnel_detect::detector::{
     PersistenceRun, ReachingScorer, ScoringPass, WindowSource, WindowTally,
 };
@@ -100,7 +98,16 @@ use funnel_topology::change::{ChangeId, SoftwareChange};
 use funnel_topology::impact::{identify_impact_set, Entity, ImpactSet};
 use funnel_topology::model::{ServiceId, Topology};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
+
+/// Seed of the shed-rank mixer. Same tick + same keys → the same shed set,
+/// on every machine, at every worker count.
+const SHED_SEED: u64 = 2015;
+
+/// Maximum age, in minutes, of a window's newest data relative to the
+/// window a due verdict needs. Keys whose feed fell further behind are
+/// flagged [`QualityIssue::LoadShed`] instead of judged on stale data.
+const STALENESS_LIMIT: u64 = 60;
 
 /// Tuning for one [`StreamEngine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,16 +131,6 @@ pub struct StreamConfig {
     /// never shed. When a tick's pending folds exceed the budget, the
     /// shedding policy drops the lowest-priority keys for this tick.
     pub tick_budget: u64,
-    /// Seed for the shed-rank mixer. Same seed + same tick + same keys →
-    /// the same shed set, on every machine, at every worker count.
-    pub shed_seed: u64,
-    /// Maximum age, in minutes, of a window's newest data relative to the
-    /// window a due verdict needs. Keys whose feed fell further behind are
-    /// flagged [`QualityIssue::LoadShed`] instead of judged on stale data.
-    pub staleness_limit: u64,
-    /// Capacity of the bounded verdict output channel; when full, further
-    /// verdicts are dropped (and counted), never allowed to stall a tick.
-    pub verdict_capacity: usize,
     /// Worker threads for the per-tick scoring fan-out (the due-change
     /// final assessments use the [`FunnelConfig::assess`] worker count).
     pub workers: usize,
@@ -141,14 +138,11 @@ pub struct StreamConfig {
 
 impl StreamConfig {
     /// Defaults paired with `funnel`: ring sized for a 7-day horizon, no
-    /// tick budget (never shed), a 60-minute staleness watermark.
+    /// tick budget (never shed), one scoring worker.
     pub fn paired_with(funnel: &FunnelConfig) -> Self {
         Self {
             ring_capacity: Self::capacity_for(funnel, 7 * 1440),
             tick_budget: 0,
-            shed_seed: 2015,
-            staleness_limit: 60,
-            verdict_capacity: 65_536,
             workers: 1,
         }
     }
@@ -169,20 +163,6 @@ impl StreamConfig {
     }
 }
 
-/// How [`StreamEngine::offer`] routed one measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamIngest {
-    /// Appended at (or ahead of) the frontier — the live path.
-    Live,
-    /// Behind the watermark but inside the retained window: backfilled,
-    /// key re-marked dirty, monitor scheduled for a re-prime.
-    Late,
-    /// The bin already held a real measurement; first write wins.
-    Duplicate,
-    /// Behind the retained window — the bin was already evicted.
-    Evicted,
-}
-
 /// A live change declaration from a streaming monitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamDetection {
@@ -194,21 +174,6 @@ pub struct StreamDetection {
     pub first_exceeded_at: MinuteBin,
     /// Peak filtered SST score in the run.
     pub peak_score: f64,
-}
-
-/// One item verdict on the streaming output channel.
-#[derive(Debug, Clone)]
-pub struct StreamVerdict {
-    /// The change the verdict belongs to.
-    pub change: ChangeId,
-    /// The item, byte-identical to the batch pipeline's unless flagged
-    /// [`QualityIssue::LoadShed`].
-    pub item: ItemAssessment,
-    /// The tick minute the verdict was emitted.
-    pub emitted_at: MinuteBin,
-    /// Minutes from the change to the first streaming detection on any of
-    /// the change's work keys, when one fired before emission.
-    pub detection_latency: Option<u64>,
 }
 
 /// A completed change assessment returned from [`StreamEngine::tick`].
@@ -248,8 +213,10 @@ pub struct TickReport {
     pub scored_keys: usize,
     /// Key-minute folds performed this tick.
     pub folds: u64,
-    /// Keys dropped by the shedding policy this tick.
-    pub shed_keys: usize,
+    /// Keys dropped by the shedding policy this tick (sorted): the audit
+    /// trail of a shed, the caller's to keep. They stay dirty and are
+    /// retried next tick.
+    pub shed: Vec<KpiKey>,
     /// Change declarations fired this tick, in work-order.
     pub detections: Vec<StreamDetection>,
     /// Changes whose assessment window completed this tick.
@@ -265,20 +232,13 @@ pub struct StreamStats {
     pub folds: u64,
     /// Key re-scores dropped by the shedding policy.
     pub shed: u64,
-    /// Work keys flagged stale at assessment time.
-    pub stale: u64,
     /// Streaming change declarations.
     pub detections: u64,
-    /// Verdicts delivered on the output channel.
-    pub verdicts: u64,
-    /// Verdicts dropped because the output channel was full.
-    pub verdicts_dropped: u64,
     /// Late frames folded in via ring backfill.
     pub late_backfilled: u64,
-    /// Late frames refused (duplicate bin or evicted window).
-    pub late_rejected: u64,
-    /// Live frames refused as duplicates.
-    pub duplicates: u64,
+    /// Measurements refused: a bin that already held a real measurement,
+    /// a bin the ring had evicted, or a non-finite value.
+    pub refused: u64,
     /// Due-change assessments that failed internally and were degraded to
     /// `LoadShed` items instead of stalling the engine.
     pub assess_errors: u64,
@@ -326,6 +286,16 @@ impl KeyMonitor {
     }
 }
 
+/// Everything the engine holds for one key, created by the key's first
+/// measurement: a fixed size for the engine's life.
+struct KeyState {
+    ring: RingSeries,
+    monitor: KeyMonitor,
+    /// The ring holds minutes the monitor has not folded (or has to fold
+    /// again after a backfill): the next tick plans this key.
+    dirty: bool,
+}
+
 /// A change under streaming assessment.
 struct TrackedChange {
     record: SoftwareChange,
@@ -349,8 +319,7 @@ struct TrackedChange {
 /// assessment code at due time. While nothing relevant was evicted the
 /// views are byte-identical to the unbounded store's series and masks.
 struct RingView<'a> {
-    rings: &'a BTreeMap<KpiKey, RingSeries>,
-    monitors: &'a BTreeMap<KpiKey, KeyMonitor>,
+    keys: &'a BTreeMap<KpiKey, KeyState>,
     /// The summed tallies of the detector runs made over this view.
     runs: Mutex<WindowTally>,
 }
@@ -375,31 +344,25 @@ impl Outcomes for Remembered<'_> {
 }
 
 impl KpiSource for RingView<'_> {
+    // A key's first measurement creates its record, so a ring in the map
+    // is never empty.
     fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
-        let ring = self.rings.get(key)?;
-        if ring.is_empty() {
-            return None;
-        }
-        Some(ring.to_series())
+        Some(self.keys.get(key)?.ring.to_series())
     }
 
     fn coverage(&self, key: &KpiKey, from: MinuteBin, to: MinuteBin) -> f64 {
-        self.rings
+        self.keys
             .get(key)
-            .map_or(0.0, |ring| ring.coverage(from, to))
+            .map_or(0.0, |state| state.ring.coverage(from, to))
     }
 
     fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
-        let ring = self.rings.get(key)?;
-        if ring.is_empty() {
-            return None;
-        }
-        Some(ring.to_mask())
+        Some(self.keys.get(key)?.ring.to_mask())
     }
 
     fn outcomes(&self, key: &KpiKey) -> impl Outcomes + '_ {
         Remembered {
-            outcomes: self.monitors.get(key).map(|monitor| &monitor.outcomes),
+            outcomes: self.keys.get(key).map(|state| &state.monitor.outcomes),
             runs: &self.runs,
         }
     }
@@ -415,11 +378,11 @@ fn shed_class(entity: Entity) -> u8 {
     }
 }
 
-/// The shed rank of `key` at `tick`: a pure, recorded function of the seed
-/// — never a random draw, so a re-run with the same seed sheds the same
-/// set and the decision can be audited after the fact.
-fn shed_rank(seed: u64, tick: MinuteBin, key: KpiKey) -> u64 {
-    splitmix64(seed ^ key_hash(key).rotate_left(17) ^ tick)
+/// The shed rank of `key` at `tick`: a pure function of the two, never a
+/// random draw, so a re-run sheds the same set and the decision can be
+/// audited after the fact.
+fn shed_rank(tick: MinuteBin, key: KpiKey) -> u64 {
+    splitmix64(SHED_SEED ^ key_hash(key).rotate_left(17) ^ tick)
 }
 
 /// One scoring assignment: fold ring minutes `[lo, to)` into the monitor.
@@ -523,14 +486,9 @@ pub struct StreamEngine {
     funnel: Funnel,
     config: StreamConfig,
     service_kinds: BTreeMap<ServiceId, Vec<KpiKind>>,
-    rings: BTreeMap<KpiKey, RingSeries>,
-    monitors: BTreeMap<KpiKey, KeyMonitor>,
-    dirty: BTreeSet<KpiKey>,
+    keys: BTreeMap<KpiKey, KeyState>,
     watermark: Option<MinuteBin>,
     changes: Vec<TrackedChange>,
-    shed_log: Vec<(MinuteBin, KpiKey)>,
-    verdict_tx: Sender<StreamVerdict>,
-    verdict_rx: Receiver<StreamVerdict>,
     stats: StreamStats,
 }
 
@@ -543,19 +501,13 @@ impl StreamEngine {
         config: StreamConfig,
         service_kinds: BTreeMap<ServiceId, Vec<KpiKind>>,
     ) -> Self {
-        let (verdict_tx, verdict_rx) = bounded(config.verdict_capacity.max(1));
         Self {
             funnel: Funnel::new(funnel),
             config,
             service_kinds,
-            rings: BTreeMap::new(),
-            monitors: BTreeMap::new(),
-            dirty: BTreeSet::new(),
+            keys: BTreeMap::new(),
             watermark: None,
             changes: Vec::new(),
-            shed_log: Vec::new(),
-            verdict_tx,
-            verdict_rx,
             stats: StreamStats::default(),
         }
     }
@@ -575,17 +527,6 @@ impl StreamEngine {
         self.stats
     }
 
-    /// The bounded verdict output channel (drop-not-block on overflow).
-    pub fn verdicts(&self) -> &Receiver<StreamVerdict> {
-        &self.verdict_rx
-    }
-
-    /// Every `(tick, key)` the shedding policy dropped, in decision order
-    /// — the audit trail proving sheds are recorded, never random.
-    pub fn shed_log(&self) -> &[(MinuteBin, KpiKey)] {
-        &self.shed_log
-    }
-
     /// The last tick minute processed.
     pub fn watermark(&self) -> Option<MinuteBin> {
         self.watermark
@@ -593,16 +534,16 @@ impl StreamEngine {
 
     /// KPI keys with resident ring state.
     pub fn key_count(&self) -> usize {
-        self.rings.len()
+        self.keys.len()
     }
 
     /// Total resident window memory across all rings, in accounted bytes
     /// (capacity × bin size — the deterministic bound, not an allocator
     /// measurement).
     pub fn window_bytes(&self) -> usize {
-        self.rings
+        self.keys
             .values()
-            .map(RingSeries::window_bytes)
+            .map(|state| state.ring.window_bytes())
             .fold(0usize, usize::saturating_add)
     }
 
@@ -611,11 +552,9 @@ impl StreamEngine {
     /// retained minute and a capped list of scores — the same kind of
     /// deterministic bound, sized by the configuration alone.
     pub fn outcome_bytes(&self) -> usize {
-        self.monitors
-            .len()
-            .saturating_mul(WindowOutcomes::bytes_for(
-                self.funnel.windows_per_assessment(),
-            ))
+        self.keys.len().saturating_mul(WindowOutcomes::bytes_for(
+            self.funnel.windows_per_assessment(),
+        ))
     }
 
     /// Changes tracked and not yet completed (a change is dropped from
@@ -666,58 +605,50 @@ impl StreamEngine {
     /// Ingests one measurement. Never blocks, never panics: live frames
     /// append to the key's ring (evicting the oldest bin when full), late
     /// frames behind the tick watermark take the backfill path, and either
-    /// way an accepted write marks the key dirty for the next tick.
+    /// way an accepted write marks the key dirty for the next tick. A
+    /// refused one is counted in [`StreamStats::refused`].
     // funnel-lint: root
-    pub fn offer(&mut self, m: Measurement) -> StreamIngest {
+    pub fn offer(&mut self, m: Measurement) {
         if !m.value.is_finite() {
             // The collector quarantines non-finite values before the store;
             // a directly-driven engine applies the same plausibility gate.
-            self.stats.late_rejected += 1;
-            return StreamIngest::Duplicate;
+            self.stats.refused += 1;
+            return;
         }
+        let state = match self.keys.entry(m.key) {
+            Entry::Occupied(state) => state.into_mut(),
+            Entry::Vacant(slot) => slot.insert(KeyState {
+                ring: RingSeries::new(self.config.ring_capacity),
+                // Folds start at the ring's anchor: this first minute.
+                monitor: KeyMonitor::new(
+                    self.funnel.scorer().clone(),
+                    m.minute,
+                    self.funnel.config().persistence_minutes,
+                    self.funnel.windows_per_assessment(),
+                ),
+                dirty: false,
+            }),
+        };
         let late = self.watermark.is_some_and(|w| m.minute <= w);
-        let capacity = self.config.ring_capacity;
-        let ring = self
-            .rings
-            .entry(m.key)
-            .or_insert_with(|| RingSeries::new(capacity));
-        if late {
-            match ring.backfill(m.minute, m.value) {
-                RingWrite::Accepted => {
-                    self.stats.late_backfilled += 1;
-                    funnel_obs::timeline_counter_add(names::STREAM_LATE_BACKFILLED, m.minute, 1);
-                    self.dirty.insert(m.key);
-                    if let Some(monitor) = self.monitors.get_mut(&m.key) {
-                        // The only way a retained sample changes: bin
-                        // `m.minute` and the fill run behind it. Every
-                        // window that can hold one was decided at or after
-                        // `m.minute`.
-                        monitor.outcomes.forget_from(m.minute);
-                        if m.minute < monitor.next_minute {
-                            monitor.primed = false;
-                        }
-                    }
-                    StreamIngest::Late
-                }
-                RingWrite::Duplicate => {
-                    self.stats.late_rejected += 1;
-                    StreamIngest::Duplicate
-                }
-                RingWrite::Evicted => {
-                    self.stats.late_rejected += 1;
-                    StreamIngest::Evicted
-                }
-            }
+        let write = if late {
+            state.ring.backfill(m.minute, m.value)
         } else {
-            match ring.push(m.minute, m.value) {
-                RingWrite::Accepted => {
-                    self.dirty.insert(m.key);
-                    StreamIngest::Live
-                }
-                _ => {
-                    self.stats.duplicates += 1;
-                    StreamIngest::Duplicate
-                }
+            state.ring.push(m.minute, m.value)
+        };
+        if write != RingWrite::Accepted {
+            self.stats.refused += 1;
+            return;
+        }
+        state.dirty = true;
+        if late {
+            self.stats.late_backfilled += 1;
+            funnel_obs::timeline_counter_add(names::STREAM_LATE_BACKFILLED, m.minute, 1);
+            // The only way a retained sample changes: bin `m.minute` and
+            // the fill run behind it. Every window that can hold one was
+            // decided at or after `m.minute`.
+            state.monitor.outcomes.forget_from(m.minute);
+            if m.minute < state.monitor.next_minute {
+                state.monitor.primed = false;
             }
         }
     }
@@ -725,8 +656,8 @@ impl StreamEngine {
     /// Processes one tick: advance the watermark to `minute`, shed if the
     /// pending work exceeds the budget, re-score the surviving dirty keys
     /// across the worker pool, then complete every change whose assessment
-    /// window closed. Never blocks on a slow consumer and never panics;
-    /// overload degrades to recorded sheds, not stalls.
+    /// window closed. Never blocks and never panics; overload degrades to
+    /// sheds the report names, not stalls.
     // funnel-lint: root
     pub fn tick(&mut self, minute: MinuteBin) -> TickReport {
         // The tick minute is the stream's timeline window: pinned at this
@@ -739,14 +670,8 @@ impl StreamEngine {
         self.stats.ticks += 1;
         funnel_obs::timeline_counter_add(names::STREAM_TICKS, minute, 1);
 
-        let mut report = TickReport {
-            minute,
-            dirty: self.dirty.len(),
-            ..TickReport::default()
-        };
-        self.stats.peak_dirty = self.stats.peak_dirty.max(self.dirty.len());
-
-        let plans = self.plan_scoring(minute);
+        let (dirty, plans) = self.plan_scoring(minute);
+        self.stats.peak_dirty = self.stats.peak_dirty.max(dirty);
         let lag = plans
             .values()
             .map(|p| (minute + 1).saturating_sub(p.lo))
@@ -755,14 +680,10 @@ impl StreamEngine {
         funnel_obs::timeline_histogram_record(names::STREAM_WATERMARK_LAG, minute, lag);
 
         let (admitted, shed) = self.shed_policy(minute, plans);
-        report.shed_keys = shed.len();
-        self.apply_sheds(minute, shed);
+        self.apply_sheds(minute, &shed);
 
         let (folds, detections) = self.run_scoring(minute, &admitted);
-        report.scored_keys = admitted.len();
-        report.folds = folds;
         self.stats.folds += folds;
-        funnel_obs::timeline_counter_add(names::STREAM_SCORES, minute, folds);
         for d in &detections {
             self.stats.detections += 1;
             for change in &mut self.changes {
@@ -774,33 +695,35 @@ impl StreamEngine {
                 }
             }
         }
-        report.detections = detections;
-
-        report.completed = self.complete_due_changes(minute);
+        let completed = self.complete_due_changes(minute);
 
         let window_bytes = self.window_bytes();
         self.stats.peak_window_bytes = self.stats.peak_window_bytes.max(window_bytes);
         funnel_obs::timeline_gauge_set(names::STREAM_WINDOW_BYTES, minute, window_bytes as u64);
-        report
+        TickReport {
+            minute,
+            dirty,
+            scored_keys: admitted.len(),
+            folds,
+            shed,
+            detections,
+            completed,
+        }
     }
 
-    /// Plans the fold range for every dirty key (and creates missing
-    /// monitors). Pure bookkeeping; no scoring happens here.
-    fn plan_scoring(&mut self, minute: MinuteBin) -> BTreeMap<KpiKey, ScorePlan> {
+    /// Plans the fold range for every dirty key and counts them. Pure
+    /// bookkeeping; no scoring happens here.
+    fn plan_scoring(&mut self, minute: MinuteBin) -> (usize, BTreeMap<KpiKey, ScorePlan>) {
         let window = self.funnel.config().sst.window_len() as u64;
-        let persistence = self.funnel.config().persistence_minutes;
-        let retention = self.funnel.windows_per_assessment();
-        let scorer = self.funnel.scorer().clone();
+        let mut dirty = 0;
         let mut plans = BTreeMap::new();
-        let mut clean = Vec::new();
-        for &key in &self.dirty {
-            let Some(ring) = self.rings.get(&key) else {
-                clean.push(key);
-                continue;
-            };
-            let monitor = self.monitors.entry(key).or_insert_with(|| {
-                KeyMonitor::new(scorer.clone(), ring.start(), persistence, retention)
-            });
+        for (&key, state) in self.keys.iter_mut().filter(|(_, state)| state.dirty) {
+            dirty += 1;
+            let KeyState {
+                ring,
+                monitor,
+                dirty: still_dirty,
+            } = state;
             let to = ring.end().min(minute + 1);
             let (lo, reprime) = if monitor.primed {
                 (monitor.next_minute.max(ring.start()), false)
@@ -816,9 +739,9 @@ impl StreamEngine {
                 (lo, true)
             };
             if to <= lo {
-                if ring.end() <= minute + 1 {
-                    clean.push(key);
-                }
+                // Nothing to fold: clean, unless what is unfolded lies past
+                // this tick.
+                *still_dirty = ring.end() > minute + 1;
                 continue;
             }
             plans.insert(
@@ -831,10 +754,7 @@ impl StreamEngine {
                 },
             );
         }
-        for key in clean {
-            self.dirty.remove(&key);
-        }
-        plans
+        (dirty, plans)
     }
 
     /// Applies the deterministic shedding policy: admit plans in priority
@@ -852,13 +772,7 @@ impl StreamEngine {
         }
         let mut ranked: Vec<(u8, u64, KpiKey)> = plans
             .keys()
-            .map(|&key| {
-                (
-                    shed_class(key.entity),
-                    shed_rank(self.config.shed_seed, minute, key),
-                    key,
-                )
-            })
+            .map(|&key| (shed_class(key.entity), shed_rank(minute, key), key))
             .collect();
         ranked.sort_unstable();
         let mut admitted = BTreeMap::new();
@@ -884,20 +798,19 @@ impl StreamEngine {
         (admitted, shed)
     }
 
-    /// Records this tick's sheds: counters, the audit log, and the shed
-    /// set of every change whose assessment window covers the tick. Shed
-    /// keys stay dirty — they are retried next tick.
-    fn apply_sheds(&mut self, minute: MinuteBin, shed: Vec<KpiKey>) {
+    /// Records this tick's sheds: the counters, and the shed set of every
+    /// change whose assessment window covers the tick. Shed keys stay
+    /// dirty: they are retried next tick.
+    fn apply_sheds(&mut self, minute: MinuteBin, shed: &[KpiKey]) {
         for key in shed {
             self.stats.shed += 1;
             funnel_obs::timeline_counter_add(names::STREAM_SHED, minute, 1);
-            self.shed_log.push((minute, key));
             for change in &mut self.changes {
                 if minute >= change.record.minute
                     && minute <= change.due
-                    && change.work.binary_search(&key).is_ok()
+                    && change.work.binary_search(key).is_ok()
                 {
-                    change.shed.insert(key);
+                    change.shed.insert(*key);
                 }
             }
         }
@@ -923,13 +836,18 @@ impl StreamEngine {
             admitted.len() as u64,
         );
 
-        // Disjoint `&mut` monitors for exactly the admitted keys, in key
-        // order (the monitor map iterates sorted).
-        let rings = &self.rings;
+        // Each admitted key's record split into its ring and its monitor,
+        // disjoint and in key order (the map iterates sorted).
         let jobs: Vec<(KpiKey, &mut KeyMonitor, &ScorePlan, &RingSeries)> = self
-            .monitors
+            .keys
             .iter_mut()
-            .filter_map(|(key, monitor)| Some((*key, monitor, admitted.get(key)?, rings.get(key)?)))
+            .filter_map(|(key, state)| {
+                let plan = admitted.get(key)?;
+                // Clean once this plan is folded, unless the ring already
+                // holds minutes past the tick.
+                state.dirty = plan.to < state.ring.end();
+                Some((*key, &mut state.monitor, plan, &state.ring))
+            })
             .collect();
         let scored = parallel::fan_out(
             jobs,
@@ -950,16 +868,6 @@ impl StreamEngine {
             tally += key_tally;
         }
         tally.emit_counters();
-        for key in admitted.keys() {
-            let fully_folded = self
-                .monitors
-                .get(key)
-                .zip(self.rings.get(key))
-                .is_some_and(|(m, r)| m.primed && m.next_minute >= r.end());
-            if fully_folded {
-                self.dirty.remove(key);
-            }
-        }
         (folds, detections)
     }
 
@@ -983,23 +891,21 @@ impl StreamEngine {
                 if change.shed.contains(&key) {
                     continue;
                 }
-                let fresh = self.rings.get(&key).is_some_and(|ring| {
-                    !ring.is_empty() && ring.end().saturating_add(self.config.staleness_limit) >= to
-                });
+                let fresh = self
+                    .keys
+                    .get(&key)
+                    .is_some_and(|state| state.ring.end().saturating_add(STALENESS_LIMIT) >= to);
                 if fresh {
                     live.push(key);
                 } else {
                     stale.push(key);
                 }
             }
-            self.stats.stale += stale.len() as u64;
-
             let funnel = &self.funnel;
             let load_shed =
                 |&key: &KpiKey| funnel.unassessed_item(&change.record, key, QualityIssue::LoadShed);
             let view = RingView {
-                rings: &self.rings,
-                monitors: &self.monitors,
+                keys: &self.keys,
                 runs: Mutex::new(WindowTally::default()),
             };
             let workers = self.funnel.config().assess.effective_workers();
@@ -1040,36 +946,17 @@ impl StreamEngine {
                 )
             });
 
-            let detection_latency = change
-                .first_detection
-                .map(|d| d.saturating_sub(change.record.minute));
-            let assessment = StreamAssessment {
+            completed.push(StreamAssessment {
                 change: change.record.id,
                 items,
                 shed: change.shed.iter().copied().collect(),
                 stale,
                 emitted_at: minute,
-                detection_latency,
+                detection_latency: change
+                    .first_detection
+                    .map(|d| d.saturating_sub(change.record.minute)),
                 diagnosis,
-            };
-            for item in &assessment.items {
-                let verdict = StreamVerdict {
-                    change: assessment.change,
-                    item: item.clone(),
-                    emitted_at: minute,
-                    detection_latency,
-                };
-                match self.verdict_tx.try_send(verdict) {
-                    Ok(()) => {
-                        self.stats.verdicts += 1;
-                        funnel_obs::timeline_counter_add(names::STREAM_VERDICTS, minute, 1);
-                    }
-                    Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                        self.stats.verdicts_dropped += 1;
-                    }
-                }
-            }
-            completed.push(assessment);
+            });
         }
         // Restore the tick window for whatever runs after this call.
         funnel_obs::timeline::set_window(minute);
@@ -1115,6 +1002,30 @@ mod tests {
             engine.key_count() * engine.config().ring_capacity * 9,
             "the rings' bound is its own figure"
         );
+    }
+
+    #[test]
+    fn refused_counts_every_write_a_ring_did_not_take() {
+        let config = FunnelConfig::paper_default();
+        let mut stream_cfg = StreamConfig::paired_with(&config);
+        stream_cfg.ring_capacity = 4;
+        let mut engine = StreamEngine::new(config, stream_cfg, BTreeMap::new());
+        let key = KpiKey::new(Entity::Service(ServiceId(0)), KpiKind::PageViewCount);
+        let offer = |engine: &mut StreamEngine, minute, value| {
+            engine.offer(Measurement { key, minute, value });
+            engine.stats().refused
+        };
+        assert_eq!(offer(&mut engine, 10, f64::NAN), 1, "non-finite");
+        assert_eq!(engine.key_count(), 0, "and it created no record");
+        assert_eq!(offer(&mut engine, 10, 1.0), 1);
+        assert_eq!(offer(&mut engine, 10, 2.0), 2, "live duplicate");
+        assert_eq!(offer(&mut engine, 12, 3.0), 2);
+        engine.tick(12);
+        assert_eq!(offer(&mut engine, 11, 4.0), 2, "a late fill is taken");
+        assert_eq!(offer(&mut engine, 11, 5.0), 3, "late duplicate");
+        assert_eq!(offer(&mut engine, 18, 6.0), 3);
+        assert_eq!(offer(&mut engine, 10, 7.0), 4, "evicted bin");
+        assert_eq!(engine.stats().late_backfilled, 1);
     }
 
     #[test]

@@ -10,11 +10,8 @@
 //! the function each unit goes through:
 //!
 //! * **Retry** — failed attempts are re-run up to
-//!   [`SupervisorConfig::max_retries`] times on a capped exponential
-//!   backoff schedule. The schedule is *seeded and recorded, never slept*:
-//!   the jitter is a pure function of `(seed, key, attempt)`, so a crashed
-//!   and recovered run reproduces the exact same schedule and the
-//!   simulation never reads a clock.
+//!   [`SupervisorConfig::max_retries`] times, at once: the pipeline never
+//!   reads a clock, so there is no wait between attempts to schedule.
 //! * **Restart** — a unit that blows its per-attempt deadline budget (a
 //!   stall, surfaced by the [`FaultProbe`] in this deterministic setting)
 //!   is torn down and restarted, counted separately from plain retries.
@@ -44,12 +41,9 @@ use crate::quality::QualityIssue;
 use crate::source::KpiSource;
 use funnel_obs::names;
 use funnel_sim::kpi::{KpiKey, KpiKind};
-use funnel_sim::splitmix64;
-use funnel_sim::wire::key_hash;
 use funnel_topology::change::SoftwareChange;
 use funnel_topology::impact::{identify_impact_set, ImpactSet};
 use funnel_topology::model::{ServiceId, Topology};
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -62,19 +56,6 @@ pub struct SupervisorConfig {
     /// Re-run budget per work unit *after* the first attempt. `0` means
     /// any failure quarantines immediately.
     pub max_retries: u32,
-    /// First backoff step in milliseconds; attempt `n` waits
-    /// `base * 2^n` (capped), plus seeded jitter.
-    pub backoff_base_ms: u64,
-    /// Ceiling for the exponential portion of the backoff.
-    pub backoff_cap_ms: u64,
-    /// Seed for the backoff jitter. Recorded schedules are a pure function
-    /// of `(seed, key, attempt)`.
-    pub seed: u64,
-    /// Per-attempt wall-budget in milliseconds, advisory: the deterministic
-    /// harness never reads a clock (the workspace `funnel-lint` determinism
-    /// rule forbids it), so overruns are surfaced by the [`FaultProbe`]
-    /// as [`InjectedFault::Stall`] rather than by timing the attempt.
-    pub deadline_ms: u64,
     /// Kill switch for the chaos harness: abort the run (assessment
     /// withheld, [`SupervisorReport::aborted`] set) once this many work
     /// units have completed. `None` disables it.
@@ -86,10 +67,6 @@ impl Default for SupervisorConfig {
         Self {
             workers: 1,
             max_retries: 3,
-            backoff_base_ms: 50,
-            backoff_cap_ms: 2_000,
-            seed: 2015,
-            deadline_ms: 30_000,
             abort_after_units: None,
         }
     }
@@ -140,9 +117,6 @@ pub struct SupervisorReport {
     /// Work units downgraded to `Inconclusive` after exhausting the retry
     /// budget, in key order.
     pub quarantined: Vec<KpiKey>,
-    /// The recorded (never slept) backoff schedule per retried key, in
-    /// milliseconds, one entry per retry in attempt order.
-    pub backoff_ms: BTreeMap<KpiKey, Vec<u64>>,
     /// Whether the run was killed by
     /// [`SupervisorConfig::abort_after_units`] before finishing.
     pub aborted: bool,
@@ -158,19 +132,6 @@ pub struct Supervised {
     pub report: SupervisorReport,
 }
 
-/// The deterministic backoff for retry `attempt` (0-based) of `key`:
-/// capped exponential plus seeded jitter in `[0, base)`. Recorded into the
-/// report, never slept.
-fn backoff_ms(config: &SupervisorConfig, key: KpiKey, attempt: u32) -> u64 {
-    let exp = config
-        .backoff_base_ms
-        .saturating_mul(1u64 << attempt.min(16));
-    let jitter_span = config.backoff_base_ms.max(1);
-    let jitter =
-        splitmix64(config.seed ^ key_hash(key).rotate_left(17) ^ u64::from(attempt)) % jitter_span;
-    exp.min(config.backoff_cap_ms) + jitter
-}
-
 /// One work unit's supervised history: the item it ended with (a clean
 /// assessment, possibly after retries, or the synthesized quarantine
 /// verdict once the retry budget ran out) and what it took to get there.
@@ -179,7 +140,6 @@ struct UnitRun {
     quarantined: bool,
     retries: u64,
     restarts: u64,
-    backoff_ms: Vec<u64>,
 }
 
 /// What a single attempt produced, from inside the unwind boundary.
@@ -210,7 +170,6 @@ fn run_unit<S: KpiSource + Sync>(
 ) -> Result<UnitRun, FunnelError> {
     let mut retries = 0u64;
     let mut restarts = 0u64;
-    let mut backoff = Vec::new();
     for attempt in 0..=config.max_retries {
         // The probe runs inside the unwind boundary so a panicking probe
         // models a poisoned input crashing the assessment code itself. A
@@ -230,7 +189,6 @@ fn run_unit<S: KpiSource + Sync>(
                     quarantined: false,
                     retries,
                     restarts,
-                    backoff_ms: backoff,
                 });
             }
             Ok(Attempt::Transient) => {}
@@ -239,7 +197,6 @@ fn run_unit<S: KpiSource + Sync>(
         }
         if attempt < config.max_retries {
             retries += 1;
-            backoff.push(backoff_ms(config, key, attempt));
         }
     }
     Ok(UnitRun {
@@ -247,7 +204,6 @@ fn run_unit<S: KpiSource + Sync>(
         quarantined: true,
         retries,
         restarts,
-        backoff_ms: backoff,
     })
 }
 
@@ -259,8 +215,7 @@ fn run_unit<S: KpiSource + Sync>(
 /// Determinism: for a fixed `(config, probe)` the returned assessment and
 /// report are byte-identical for any worker count — results merge through
 /// the same key-sorted [`parallel::merge`], quarantine lists come out
-/// key-sorted, counter addition commutes, and backoff schedules are pure
-/// functions of `(seed, key, attempt)`. An *aborted* run's partial tallies
+/// key-sorted, and counter addition commutes. An *aborted* run's partial tallies
 /// do depend on scheduling, which is exactly why the assessment is
 /// withheld (`None`) — the chaos harness discards everything but
 /// `aborted` from a killed run.
@@ -313,9 +268,6 @@ pub fn supervise_change<S: KpiSource + Sync>(
     for run in runs {
         report.retries += run.retries;
         report.restarts += run.restarts;
-        if !run.backoff_ms.is_empty() {
-            report.backoff_ms.insert(run.item.key, run.backoff_ms);
-        }
         if run.quarantined {
             report.quarantined.push(run.item.key);
         }
@@ -467,7 +419,7 @@ mod tests {
     }
 
     #[test]
-    fn transient_faults_retry_to_the_clean_verdict_with_recorded_backoff() {
+    fn transient_faults_retry_to_the_clean_verdict() {
         let (world, change) = shifted_world(80.0);
         let clean = clean_assessment(&world, change);
         let flaky = clean.items[0].key;
@@ -487,13 +439,6 @@ mod tests {
         assert_eq!(format!("{clean:?}"), format!("{assessment:?}"));
         assert_eq!(sup.report.retries, 2);
         assert!(sup.report.quarantined.is_empty());
-        let schedule = &sup.report.backoff_ms[&flaky];
-        assert_eq!(schedule.len(), 2);
-        // The schedule is deterministic and matches the pure function.
-        let expected: Vec<u64> = (0..2).map(|a| backoff_ms(&config, flaky, a)).collect();
-        assert_eq!(schedule, &expected);
-        // Exponential growth below the cap (jitter < base can't mask 2x).
-        assert!(schedule[1] > schedule[0]);
     }
 
     #[test]
@@ -545,7 +490,6 @@ mod tests {
         let sup = supervise(&world, change, &config, &probe);
         assert_eq!(sup.report.quarantined, vec![doomed]);
         assert_eq!(sup.report.retries, 2);
-        assert_eq!(sup.report.backoff_ms[&doomed].len(), 2);
         let assessment = sup.assessment.expect("not aborted");
         let item = assessment.items.iter().find(|i| i.key == doomed).unwrap();
         assert!(item.verdict.is_inconclusive());

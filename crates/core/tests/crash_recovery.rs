@@ -675,7 +675,7 @@ fn mid_reassessment_kill_resumes_the_queue_from_the_checkpoint() {
         let interim_store = MetricStore::new();
         let mut interim = run_interim(&interim_store);
         let mut queue = ReassessmentQueue::new();
-        assert!(queue.absorb(&interim, funnel.config()) > 0);
+        assert!(queue.absorb(&interim) > 0);
         let healed = MetricStore::new();
         replay_with_faults(&world, &healed, SHARDS, plan.clone()).unwrap();
         let upgrades = queue
@@ -693,7 +693,7 @@ fn mid_reassessment_kill_resumes_the_queue_from_the_checkpoint() {
         let interim_store = MetricStore::new();
         let interim = run_interim(&interim_store);
         let mut queue = ReassessmentQueue::new();
-        queue.absorb(&interim, funnel.config());
+        queue.absorb(&interim);
         let mut checkpoints = CheckpointStore::open(&options.checkpoint_dir).unwrap();
         checkpoints
             .write(&Checkpoint {
@@ -716,7 +716,7 @@ fn mid_reassessment_kill_resumes_the_queue_from_the_checkpoint() {
     let mut interim = funnel
         .assess_change_with(&recovered.store, world.topology(), &record, &kinds)
         .unwrap();
-    assert_eq!(queue.absorb(&interim, funnel.config()), 0);
+    assert_eq!(queue.absorb(&interim), 0);
 
     // The heal completes after recovery; the resumed loop finishes.
     let healed = MetricStore::new();

@@ -102,7 +102,11 @@ fn recording_never_changes_assessment_bytes() {
         // write path runs this many times for this world's 17 work units,
         // at any worker count. A change that moves it changed the telemetry
         // bill (`obs.trace_overhead_pct` in the ledger prices it); re-record
-        // on purpose.
+        // on purpose. Re-pinned by ISSUE 24 with a delta of 0: of the six
+        // names it deleted, only `assess.verdict_awaiting_backfill` was a
+        // windowed write on this path, one per repairable item, and this
+        // clean world has none (a partitioned one now writes that many
+        // fewer).
         assert_eq!(
             (
                 items,
@@ -210,20 +214,13 @@ fn recording_never_changes_assessment_bytes() {
             "obs on: streaming diverged at {workers} workers"
         );
         // Streaming instrumentation genuinely ran, and its aggregate is
-        // order-insensitive: tick/fold counters don't depend on workers.
+        // order-insensitive: the tick counter and the tick span's call
+        // count don't depend on workers.
         let report = funnel_obs::snapshot();
         assert_eq!(
             report.counters[funnel_obs::names::STREAM_TICKS.as_str()],
             feed.arrivals().count() as u64,
             "obs on ({workers} workers): tick counter"
-        );
-        assert!(
-            report.counters[funnel_obs::names::STREAM_SCORES.as_str()] > 0,
-            "obs on ({workers} workers): no folds recorded"
-        );
-        assert!(
-            report.counters[funnel_obs::names::STREAM_VERDICTS.as_str()] > 0,
-            "obs on ({workers} workers): no verdicts recorded"
         );
         assert_eq!(
             report.spans[funnel_obs::names::SPAN_STREAM_TICK.as_str()].count,

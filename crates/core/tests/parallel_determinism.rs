@@ -81,7 +81,7 @@ fn run_story(world: &World, change: ChangeId, plan: &FaultPlan, workers: usize) 
         .unwrap();
     let interim_fp = fingerprint(world, &assessment);
     let mut queue = ReassessmentQueue::new();
-    assert!(queue.absorb(&assessment, funnel.config()) > 0);
+    assert!(queue.absorb(&assessment) > 0);
 
     // Heal: full replay backfills the dark span; the queue re-runs every
     // healed window through the same engine.

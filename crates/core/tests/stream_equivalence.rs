@@ -7,10 +7,12 @@
 //!   windows the live monitors had already decided and remembered for the
 //!   completing change to recall (DESIGN.md §5): what a backfill rewrites
 //!   is forgotten, and a feed with nothing late is recalled almost whole.
-//! * Load shedding is a pure function of the seed — two runs shed the same
-//!   set — and every shed work unit completes as `Inconclusive` flagged
-//!   `LoadShed` instead of stalling or guessing.
-//! * The verdict channel drops (and counts) rather than blocking.
+//! * Load shedding is a pure function of the tick and the key — two runs
+//!   hand back the same sheds — and every shed work unit completes as
+//!   `Inconclusive` flagged `LoadShed` instead of stalling or guessing.
+//! * A work key whose feed died more than an hour before its window's end
+//!   is listed stale and flagged the same way; one minute inside the
+//!   watermark it is assessed, to the batch bytes.
 //! * Live declarations are, tick by tick and bit for bit, those of the
 //!   frozen eager monitors that scored every window as it completed — on a
 //!   feed whose late measurements force re-primes.
@@ -25,7 +27,9 @@ mod eager_monitors;
 
 use funnel_core::quality::QualityIssue;
 use funnel_core::stream::{StreamAssessment, StreamDetection};
-use funnel_core::{AssessmentMode, FunnelConfig, StreamConfig, StreamEngine, Verdict};
+use funnel_core::{
+    AssessmentMode, FunnelConfig, ItemAssessment, StreamConfig, StreamEngine, Verdict,
+};
 use funnel_sim::effect::{ChangeEffect, EffectScope};
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::live::LiveFeed;
@@ -98,16 +102,43 @@ fn replay_feed(feed: &LiveFeed) -> MetricStore {
     store
 }
 
-fn batch_items(world: &World, change: ChangeId, feed: &LiveFeed, workers: usize) -> String {
+/// The batch pipeline's items on a store replayed from `feed`, in key order.
+fn batch_assess(
+    world: &World,
+    change: ChangeId,
+    feed: &LiveFeed,
+    workers: usize,
+) -> Vec<ItemAssessment> {
     let record = world.change_log().get(change).unwrap().clone();
     let kinds = service_kinds(world);
     let snapshot = replay_feed(feed).snapshot();
-    let batch = funnel_core::Funnel::new(test_config(workers))
+    funnel_core::Funnel::new(test_config(workers))
         .assess_change_with(&snapshot, world.topology(), &record, &|svc| {
             kinds.get(&svc).cloned().unwrap_or_default()
         })
-        .unwrap();
-    format!("{:?}", batch.items)
+        .unwrap()
+        .items
+}
+
+fn batch_items(world: &World, change: ChangeId, feed: &LiveFeed, workers: usize) -> String {
+    format!("{:?}", batch_assess(world, change, feed, workers))
+}
+
+/// [`batch_assess`] at one worker, as `Debug` bytes by key.
+fn batch_by_key(world: &World, change: ChangeId, feed: &LiveFeed) -> BTreeMap<KpiKey, String> {
+    batch_assess(world, change, feed, 1)
+        .into_iter()
+        .map(|item| (item.key, format!("{item:?}")))
+        .collect()
+}
+
+/// What one engine run handed back, tick by tick.
+struct Streamed {
+    engine: StreamEngine,
+    detections: Vec<StreamDetection>,
+    /// Every `(tick, key)` the shedding policy dropped, in decision order.
+    shed: Vec<(u64, KpiKey)>,
+    completed: Vec<StreamAssessment>,
 }
 
 fn run_engine(
@@ -117,33 +148,39 @@ fn run_engine(
     stream_cfg: StreamConfig,
     feed: &LiveFeed,
 ) -> (StreamEngine, Vec<StreamAssessment>) {
-    let (engine, _, completed) =
-        run_arrivals(world, change, funnel_cfg, stream_cfg, feed.arrivals());
-    (engine, completed)
+    let run = run_arrivals(world, change, funnel_cfg, stream_cfg, feed.arrivals());
+    (run.engine, run.completed)
 }
 
 /// Delivers `arrivals` minute by minute into a fresh engine tracking
-/// `change`; returns it with every live detection and completed assessment.
+/// `change`; returns it with every live detection, shed and completed
+/// assessment.
 fn run_arrivals<'a>(
     world: &World,
     change: ChangeId,
     funnel_cfg: FunnelConfig,
     stream_cfg: StreamConfig,
     arrivals: impl Iterator<Item = (u64, &'a [Measurement])>,
-) -> (StreamEngine, Vec<StreamDetection>, Vec<StreamAssessment>) {
+) -> Streamed {
     let record = world.change_log().get(change).unwrap().clone();
     let mut engine = StreamEngine::new(funnel_cfg, stream_cfg, service_kinds(world));
     engine.track_change(world.topology(), record).unwrap();
-    let (mut detections, mut completed) = (Vec::new(), Vec::new());
+    let (mut detections, mut shed, mut completed) = (Vec::new(), Vec::new(), Vec::new());
     for (minute, batch) in arrivals {
         for &m in batch {
             engine.offer(m);
         }
         let report = engine.tick(minute);
         detections.extend(report.detections);
+        shed.extend(report.shed.into_iter().map(|key| (minute, key)));
         completed.extend(report.completed);
     }
-    (engine, detections, completed)
+    Streamed {
+        engine,
+        detections,
+        shed,
+        completed,
+    }
 }
 
 #[test]
@@ -241,20 +278,7 @@ fn late_data_inside_the_assessment_span_streams_to_the_batch_bytes() {
     let width = config.sst.window_len() as u64;
     let span = CHANGE_MINUTE - width - config.warmup_minutes()..CHANGE_MINUTE + 60;
     let due = CHANGE_MINUTE + config.assessment_minutes;
-    let record = world.change_log().get(change).unwrap().clone();
-    let kinds = service_kinds(&world);
-    let work: Vec<KpiKey> = funnel_core::Funnel::new(config.clone())
-        .assess_change_with(
-            &replay_feed(&feed).snapshot(),
-            world.topology(),
-            &record,
-            &|svc| kinds.get(&svc).cloned().unwrap_or_default(),
-        )
-        .unwrap()
-        .items
-        .iter()
-        .map(|item| item.key)
-        .collect();
+    let work: Vec<KpiKey> = batch_by_key(&world, change, &feed).into_keys().collect();
     let shifted = |key: &KpiKey| {
         key.kind == KpiKind::PageViewResponseDelay && matches!(key.entity, Entity::Instance(_))
     };
@@ -292,7 +316,12 @@ fn late_data_inside_the_assessment_span_streams_to_the_batch_bytes() {
         let funnel_cfg = test_config(workers);
         let mut stream_cfg = stream_config(&funnel_cfg);
         stream_cfg.workers = workers;
-        let (engine, detections, completed) = run_arrivals(
+        let Streamed {
+            engine,
+            detections,
+            completed,
+            ..
+        } = run_arrivals(
             &world,
             change,
             funnel_cfg,
@@ -412,27 +441,24 @@ fn live_detections_match_the_eager_monitors_tick_by_tick() {
 fn shedding_is_deterministic_and_flagged() {
     let (world, change) = shifted_world();
     let feed = LiveFeed::from_store(&world.materialize().unwrap());
-    let reference = batch_items(&world, change, &feed, 1);
 
     let run = || {
         let funnel_cfg = test_config(1);
         let mut stream_cfg = stream_config(&funnel_cfg);
         stream_cfg.tick_budget = 10; // far fewer folds than keys per tick
-        stream_cfg.shed_seed = 77;
-        run_engine(&world, change, funnel_cfg, stream_cfg, &feed)
+        run_arrivals(&world, change, funnel_cfg, stream_cfg, feed.arrivals())
     };
-    let (engine_a, completed_a) = run();
-    let (engine_b, _) = run();
+    let (a, b) = (run(), run());
 
-    assert!(engine_a.stats().shed > 0, "budget never triggered shedding");
+    assert!(a.engine.stats().shed > 0, "budget never triggered shedding");
+    assert_eq!(a.shed.len() as u64, a.engine.stats().shed);
     assert_eq!(
-        engine_a.shed_log(),
-        engine_b.shed_log(),
-        "same seed must shed the same set"
+        a.shed, b.shed,
+        "two runs must shed the same (tick, key) list"
     );
 
-    assert_eq!(completed_a.len(), 1);
-    let got = completed_a.first().unwrap();
+    assert_eq!(a.completed.len(), 1);
+    let got = a.completed.first().unwrap();
     assert!(!got.shed.is_empty(), "no work key was shed in-window");
     for item in &got.items {
         if got.shed.contains(&item.key) {
@@ -452,20 +478,7 @@ fn shedding_is_deterministic_and_flagged() {
         }
     }
     // Non-shed, non-stale keys still match the batch items byte-for-byte.
-    let batch_by_key: BTreeMap<String, String> = {
-        let record = world.change_log().get(change).unwrap().clone();
-        let kinds = service_kinds(&world);
-        let snapshot = replay_feed(&feed).snapshot();
-        funnel_core::Funnel::new(test_config(1))
-            .assess_change_with(&snapshot, world.topology(), &record, &|svc| {
-                kinds.get(&svc).cloned().unwrap_or_default()
-            })
-            .unwrap()
-            .items
-            .into_iter()
-            .map(|i| (format!("{:?}", i.key), format!("{i:?}")))
-            .collect()
-    };
+    let batch = batch_by_key(&world, change, &feed);
     let mut survivors = 0;
     for item in &got.items {
         if got.shed.contains(&item.key) || got.stale.contains(&item.key) {
@@ -473,30 +486,79 @@ fn shedding_is_deterministic_and_flagged() {
         }
         survivors += 1;
         assert_eq!(
-            batch_by_key.get(&format!("{:?}", item.key)),
+            batch.get(&item.key),
             Some(&format!("{item:?}")),
             "surviving key diverged from batch"
         );
     }
     assert!(survivors > 0, "everything was shed — budget too small");
-    let _ = reference;
 }
 
+/// The staleness watermark of the module's robustness contract: a ring is
+/// fresh while `ring.end() + 60 >= to`, `to` the window's exclusive end.
 #[test]
-fn verdict_channel_drops_instead_of_blocking() {
+fn a_key_silent_past_the_watermark_is_listed_stale_and_one_inside_it_is_assessed() {
     let (world, change) = shifted_world();
-    let feed = LiveFeed::from_store(&world.materialize().unwrap());
-    let funnel_cfg = test_config(1);
-    let mut stream_cfg = stream_config(&funnel_cfg);
-    stream_cfg.verdict_capacity = 2; // nobody drains it in this test
-    let (engine, completed) = run_engine(&world, change, funnel_cfg, stream_cfg, &feed);
-    assert_eq!(completed.len(), 1, "engine stalled on a full channel");
-    let items = completed.first().unwrap().items.len();
-    assert!(items > 2);
-    let stats = engine.stats();
-    assert_eq!(stats.verdicts, 2);
-    assert_eq!(stats.verdicts_dropped as usize, items - 2);
-    assert_eq!(engine.verdicts().len(), 2);
+    let full = LiveFeed::from_store(&world.materialize().unwrap());
+    let to = CHANGE_MINUTE + test_config(1).assessment_minutes + 1;
+    // The last minute a key may have spoken and still be fresh.
+    let last_fresh = to - 60 - 1;
+    let mut instances = batch_by_key(&world, change, &full)
+        .into_keys()
+        .filter(|key| matches!(key.entity, Entity::Instance(_)));
+    let (inside, past) = (instances.next().unwrap(), instances.next().unwrap());
+
+    // Two work keys fall silent one minute apart, on either side of it.
+    let truncated = MetricStore::new();
+    for (_, batch) in full.arrivals() {
+        for m in batch {
+            let silent = (m.key == inside && m.minute > last_fresh)
+                || (m.key == past && m.minute > last_fresh - 1);
+            if !silent {
+                truncated.append(m.key, m.minute, m.value);
+            }
+        }
+    }
+    let feed = LiveFeed::from_store(&truncated);
+    let batch = batch_by_key(&world, change, &feed);
+
+    let mut bytes = Vec::new();
+    for workers in [1usize, 2, 3] {
+        let funnel_cfg = test_config(workers);
+        let mut stream_cfg = stream_config(&funnel_cfg);
+        stream_cfg.workers = workers;
+        let (_, completed) = run_engine(&world, change, funnel_cfg, stream_cfg, &feed);
+        assert_eq!(completed.len(), 1, "workers={workers}");
+        let got = completed.first().unwrap();
+        assert!(got.shed.is_empty());
+        assert_eq!(got.stale, vec![past], "workers={workers}");
+        assert_eq!(got.items.len(), batch.len());
+        for item in &got.items {
+            if item.key == past {
+                assert_eq!(
+                    item.verdict,
+                    Verdict::Inconclusive {
+                        awaiting_backfill: false
+                    }
+                );
+                assert_eq!(item.quality.report.issues, vec![QualityIssue::LoadShed]);
+            } else {
+                // Every other key, the one a minute inside the watermark
+                // included, is the batch item on the same truncated feed.
+                assert_eq!(
+                    batch.get(&item.key),
+                    Some(&format!("{item:?}")),
+                    "workers={workers}: {:?} diverged from batch",
+                    item.key
+                );
+            }
+        }
+        bytes.push(format!("{completed:?}"));
+    }
+    assert!(
+        bytes.iter().all(|b| *b == bytes[0]),
+        "worker count moved bytes"
+    );
 }
 
 #[test]

@@ -29,7 +29,7 @@
 //! window cursor, and sim clock are process-global.
 
 use funnel_core::pipeline::Funnel;
-use funnel_core::selfmon::{run_selfmon, SelfMonConfig};
+use funnel_core::selfmon::run_selfmon;
 use funnel_core::{FunnelConfig, StreamConfig, StreamEngine};
 use funnel_obs::clock::SimClock;
 use funnel_obs::timeline::TimelineReport;
@@ -293,15 +293,14 @@ fn timeline_and_trace_are_deterministic_and_selfmon_sees_faults() {
 
     // ── FUNNEL watches FUNNEL: the clean replay is healthy, the
     // partitioned replay's ingest collapse is declared near the fault.
-    let selfmon = SelfMonConfig::default();
-    let clean_health = run_selfmon(&clean, &selfmon).unwrap();
+    let clean_health = run_selfmon(&clean);
     assert!(
         clean_health.healthy(),
         "false positive on a clean replay: {clean_health:?}"
     );
 
     let faulted = replayed_timeline(&fleet, 3, partition_plan());
-    let faulted_health = run_selfmon(&faulted, &selfmon).unwrap();
+    let faulted_health = run_selfmon(&faulted);
     assert!(
         !faulted_health.healthy(),
         "partition went undetected: {faulted_health:?}"
@@ -324,9 +323,7 @@ fn timeline_and_trace_are_deterministic_and_selfmon_sees_faults() {
     // And the verdict is reproducible down to the byte.
     assert_eq!(
         faulted_health.to_json(),
-        run_selfmon(&replayed_timeline(&fleet, 3, partition_plan()), &selfmon)
-            .unwrap()
-            .to_json(),
+        run_selfmon(&replayed_timeline(&fleet, 3, partition_plan())).to_json(),
         "self-monitor verdict moved between identical faulted replays"
     );
 

@@ -37,7 +37,7 @@ pub use detector::{
     ChangeEvent, DetectorRunner, MaskedRun, PersistenceRun, ReachingScorer, ScoringPass,
     WindowScorer, WindowSource, WindowTally,
 };
-pub use mrls::{MrlsDetector, ScaleAggregation};
+pub use mrls::MrlsDetector;
 pub use outcomes::{Outcome, Outcomes, WindowOutcomes};
 pub use sst_adapter::SstDetector;
 pub use wow::WowDetector;

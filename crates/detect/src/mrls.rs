@@ -15,30 +15,15 @@
 //!
 //! * **cost** — `iterations × scales` dense SVDs per window;
 //! * **spike sensitivity** — the newest column's residual spikes on any
-//!   outlier, and the multiscale max keeps it ("MRLS was sensitive to
-//!   spikes, and it was hardly feasible to modify MRLS to detect level
-//!   shifts or ramp up/downs only", §4.2.1).
+//!   outlier at every scale at once, so the multiscale mean keeps it
+//!   ("MRLS was sensitive to spikes, and it was hardly feasible to modify
+//!   MRLS to detect level shifts or ramp up/downs only", §4.2.1).
 
 use crate::detector::WindowScorer;
 use funnel_linalg::hankel::HankelMatrix;
 use funnel_linalg::matrix::Mat;
 use funnel_linalg::svd::svd;
 use funnel_timeseries::stats::{mad, median};
-
-/// How the per-scale residual scores combine into the final score.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleAggregation {
-    /// Largest scale score: most sensitive, fires the instant any scale
-    /// sees the newest column as anomalous.
-    Max,
-    /// Mean across scales: PRISM's composite behaviour — coarse scales need
-    /// several post-change samples before their residual builds, so level
-    /// shifts are declared only once established, while a sharp spike still
-    /// registers at every scale simultaneously.
-    Mean,
-    /// Smallest scale score: strict cross-scale agreement.
-    Min,
-}
 
 /// The MRLS detector.
 #[derive(Debug, Clone)]
@@ -50,8 +35,6 @@ pub struct MrlsDetector {
     rank: usize,
     /// IRLS iterations (each one is an SVD per scale).
     iterations: usize,
-    /// Cross-scale combination.
-    aggregation: ScaleAggregation,
 }
 
 impl MrlsDetector {
@@ -74,14 +57,7 @@ impl MrlsDetector {
             scales,
             rank: 2,
             iterations: 10,
-            aggregation: ScaleAggregation::Mean,
         }
-    }
-
-    /// Overrides the cross-scale aggregation.
-    pub fn with_aggregation(mut self, aggregation: ScaleAggregation) -> Self {
-        self.aggregation = aggregation;
-        self
     }
 
     /// The paper's evaluation configuration (`W = 32`).
@@ -117,7 +93,6 @@ impl MrlsDetector {
             scales,
             rank,
             iterations,
-            aggregation: ScaleAggregation::Mean,
         }
     }
 
@@ -204,15 +179,13 @@ impl WindowScorer for MrlsDetector {
             .scales
             .iter()
             .map(|&omega| self.scale_score(&std_window, omega));
-        match self.aggregation {
-            ScaleAggregation::Max => scores.fold(0.0, f64::max),
-            ScaleAggregation::Min => scores.fold(f64::INFINITY, f64::min),
-            ScaleAggregation::Mean => {
-                let n = self.scales.len().max(1) as f64;
-                // Compensated, so the mean is insensitive to scale order.
-                funnel_timeseries::stats::stable_sum(scores) / n
-            }
-        }
+        // The mean across scales is PRISM's composite behaviour: coarse
+        // scales need several post-change samples before their residual
+        // builds, so level shifts are declared only once established, while
+        // a sharp spike still registers at every scale simultaneously.
+        // Compensated, so the mean is insensitive to scale order.
+        let n = self.scales.len().max(1) as f64;
+        funnel_timeseries::stats::stable_sum(scores) / n
     }
 
     fn name(&self) -> &'static str {

@@ -68,12 +68,9 @@ names! {
     VERDICT_NOT_CAUSED = "assess.verdict_not_caused";
     /// Items assessed `Inconclusive` (either flavour).
     VERDICT_INCONCLUSIVE = "assess.verdict_inconclusive";
-    /// Inconclusive items flagged repairable by backfill.
-    VERDICT_AWAITING_BACKFILL = "assess.verdict_awaiting_backfill";
 
     /// Work-unit attempts the supervisor re-ran after a transient failure or a
-    /// caught panic (each retry follows one step of the seeded backoff
-    /// schedule).
+    /// caught panic.
     SUPERVISOR_RETRIES = "supervisor.retries";
     /// Work units quarantined after exhausting their retry budget: their
     /// verdict is downgraded to `Inconclusive` instead of aborting the run.
@@ -83,21 +80,10 @@ names! {
 
     /// Ticks the streaming engine processed.
     STREAM_TICKS = "stream.ticks";
-    /// Window scores folded by the dirty-set scheduler (one per key-minute).
-    STREAM_SCORES = "stream.scores";
     /// Re-scores dropped by the deterministic shedding policy under overload.
     STREAM_SHED = "stream.shed";
-    /// Item verdicts emitted on the streaming output channel.
-    STREAM_VERDICTS = "stream.verdicts";
     /// Late frames folded into a retained ring window via backfill.
     STREAM_LATE_BACKFILLED = "stream.late_backfilled";
-
-    /// Diagnosis reports produced (one per diagnosed change).
-    DIAG_REPORTS = "diag.reports";
-    /// Items diagnosed (bias-checked and dossiered) across all reports.
-    DIAG_ITEMS = "diag.items";
-    /// Items whose bias check flagged a control-pool population mismatch.
-    DIAG_POPULATION_MISMATCH = "diag.population_mismatch";
 
     /// Windowed data points written into the telemetry timeline (the
     /// timeline's own cost meter, pinned per assessment by

@@ -62,8 +62,8 @@ pub use world::{GroundTruthItem, SimConfig, World, WorldBuilder};
 
 /// SplitMix64 — the workspace's one seeded mixer. Bit-identical across
 /// platforms, which keeps every schedule drawn through it reproducible:
-/// world seeds, fault fates, late-arrival draws, the supervisor's recorded
-/// backoff and the streaming engine's shed ranks.
+/// world seeds, fault fates, late-arrival draws and the streaming engine's
+/// shed ranks.
 pub fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -36,15 +36,6 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// One simulated day starting at minute 0.
-    pub fn one_day(seed: u64) -> Self {
-        Self {
-            seed,
-            start: 0,
-            duration: funnel_timeseries::MINUTES_PER_DAY,
-        }
-    }
-
     /// `days` simulated days starting at minute 0.
     pub fn days(seed: u64, days: usize) -> Self {
         Self {
@@ -323,11 +314,6 @@ impl World {
     /// The change log.
     pub fn change_log(&self) -> &ChangeLog {
         &self.change_log
-    }
-
-    /// The declared effect of a change (empty if none was registered).
-    pub fn effect_of(&self, change: ChangeId) -> ChangeEffect {
-        self.effects.get(&change).cloned().unwrap_or_default()
     }
 
     /// The per-service level multiplier (services differ in scale).

@@ -130,16 +130,6 @@ impl InjectedChange {
             }
         }
     }
-
-    /// The additive perturbation this change contributes at absolute minute
-    /// `bin` (zero before onset).
-    pub fn offset_at_bin(&self, bin: MinuteBin) -> f64 {
-        if bin < self.onset {
-            0.0
-        } else {
-            self.shape.offset_at(bin - self.onset)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@
 //! `results/obs_report.json` plus a stage-timing summary. This is the CI
 //! `Obs example` step.
 
+use funnel_suite::core::config::MIN_COVERAGE;
 use funnel_suite::core::pipeline::{ChangeAssessment, Funnel};
 use funnel_suite::core::report;
 use funnel_suite::sim::agent::{replay_with_faults, ReplayStats};
@@ -95,11 +96,10 @@ fn main() {
 
     // The guarantees this example demonstrates:
     // 1. nothing was attributed on inadequate data,
-    let min_cov = funnel.config().min_coverage;
     assert!(
         assessment
             .caused_items()
-            .all(|i| i.quality.coverage >= min_cov),
+            .all(|i| i.quality.coverage >= MIN_COVERAGE),
         "an attribution rests on sub-threshold coverage"
     );
     // 2. every verdict carries its provenance,
@@ -113,7 +113,7 @@ fn main() {
 
     println!(
         "\nall attributions rest on >= {:.0}% measured data.",
-        min_cov * 100.0
+        MIN_COVERAGE * 100.0
     );
 
     if obs_requested {

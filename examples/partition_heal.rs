@@ -23,6 +23,7 @@
 //! cargo run --release --example partition_heal
 //! ```
 
+use funnel_suite::core::config::MIN_COVERAGE;
 use funnel_suite::core::pipeline::Funnel;
 use funnel_suite::core::reassess::ReassessmentQueue;
 use funnel_suite::core::report;
@@ -84,7 +85,7 @@ fn main() {
     println!("{}", report::render(world.topology(), &assessment));
 
     let mut queue = ReassessmentQueue::new();
-    let absorbed = queue.absorb(&assessment, funnel.config());
+    let absorbed = queue.absorb(&assessment);
     println!(
         "{} item(s) blocked by the unhealed gap queued for re-assessment; \
          {} attributed so far",
@@ -135,10 +136,9 @@ fn main() {
         .any(|i| i.key.kind == KpiKind::PageViewResponseDelay);
     assert!(delay_attributed, "the regression was never attributed");
     // 3. and every attribution rests on adequate, healed coverage.
-    let min_cov = funnel.config().min_coverage;
     assert!(assessment
         .caused_items()
-        .all(|i| i.quality.coverage >= min_cov));
+        .all(|i| i.quality.coverage >= MIN_COVERAGE));
 
     println!(
         "the +90ms regression was invisible during the outage, queued instead of \

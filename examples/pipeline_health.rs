@@ -22,7 +22,7 @@
 //! ```
 
 use funnel_suite::core::pipeline::Funnel;
-use funnel_suite::core::selfmon::{run_selfmon, SelfMonConfig, DEFAULT_HEALTH_PATH};
+use funnel_suite::core::selfmon::{run_selfmon, DEFAULT_HEALTH_PATH};
 use funnel_suite::obs::timeline::DEFAULT_TIMELINE_PATH;
 use funnel_suite::obs::trace::{write_chrome_trace, DEFAULT_TRACE_PATH};
 use funnel_suite::sim::agent::replay_with_faults;
@@ -89,7 +89,6 @@ fn main() {
     funnel_suite::obs::init_from_env();
     funnel_suite::obs::enable();
     let (world, change) = build_world();
-    let selfmon = SelfMonConfig::default();
 
     // ── Act 1: a healthy day.
     println!("── healthy day ──");
@@ -110,7 +109,7 @@ fn main() {
         timeline.windows()
     );
     println!("  wrote {DEFAULT_TIMELINE_PATH} and {DEFAULT_TRACE_PATH}");
-    let healthy = run_selfmon(&timeline, &selfmon).expect("valid selfmon config");
+    let healthy = run_selfmon(&timeline);
     for s in &healthy.series {
         println!(
             "  {}: {} windows, {} alert(s)",
@@ -134,7 +133,7 @@ fn main() {
         heal: HealMode::SilentDrop,
     });
     let incident_timeline = instrumented_run(&world, change, plan);
-    let incident = run_selfmon(&incident_timeline, &selfmon).expect("valid selfmon config");
+    let incident = run_selfmon(&incident_timeline);
     assert!(
         !incident.healthy(),
         "the partition went undetected: {incident:?}"

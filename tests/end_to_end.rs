@@ -4,6 +4,7 @@
 #[path = "../crates/detect/tests/eager_reference/mod.rs"]
 mod eager_reference;
 
+use funnel_suite::core::config::{MIN_COVERAGE, MIN_PARTITION_GAP};
 use funnel_suite::core::pipeline::{AssessmentMode, Funnel};
 use funnel_suite::core::FunnelConfig;
 use funnel_suite::detect::delay::{detection_delay, DelayOutcome};
@@ -452,7 +453,7 @@ fn shipped_detector_matches_the_eager_reference_on_the_golden_scenario() {
             let mask = snapshot.mask(&item.key).unwrap();
             let (lo, to) = item.window;
             let window = TimeSeries::new(lo, series.slice(lo, to).to_vec());
-            let (min_coverage, min_gap) = (config.min_coverage, config.min_partition_gap);
+            let (min_coverage, min_gap) = (MIN_COVERAGE, MIN_PARTITION_GAP);
             let want = eager.run_masked_gap_aware(&window, &mask, min_coverage, min_gap);
             assert_eq!(
                 masked_bits(&shipped.run_masked_gap_aware(&window, &mask, min_coverage, min_gap)),
