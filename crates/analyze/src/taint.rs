@@ -486,9 +486,9 @@ mod tests {
     #[test]
     fn catch_unwind_is_a_panic_barrier() {
         let (g, scans) = graph_of(&[(
-            "crates/core/src/supervise.rs",
+            "crates/core/src/parallel.rs",
             "// funnel-lint: root\n\
-             pub fn supervise_change() { let _ = catch_unwind(|| risky()); }\n\
+             pub fn assess_work_units() { let _ = catch_unwind(|| risky()); }\n\
              fn risky(v: Vec<u8>) { v.first().unwrap(); }\n",
         )]);
         let diags = run_graph_lints(&g, &scans);

@@ -148,12 +148,10 @@ impl AblationGrid {
             workers,
             None,
             scorers,
-            |scorers, (actual, change_at, values)| {
-                Some(ScoredItem {
-                    actual,
-                    change_at,
-                    scores: scorers.iter().map(|score| score(&values)).collect(),
-                })
+            |scorers, (actual, change_at, values)| ScoredItem {
+                actual,
+                change_at,
+                scores: scorers.iter().map(|score| score(&values)).collect(),
             },
         ))
     }

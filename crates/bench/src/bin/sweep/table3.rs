@@ -74,7 +74,7 @@ pub fn assess_week(world: &World, meta: &DeploymentMeta, workers: usize) -> Vec<
                         .record(truth.label(id, item.key) == Some(true), true);
                 }
             }
-            Some(day)
+            day
         },
     )
 }

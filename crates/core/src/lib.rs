@@ -24,11 +24,12 @@
 //! minute by minute, scoring every KPI incrementally in bounded memory and
 //! completing each tracked change with the batch path's own verdicts.
 //!
-//! Both modes — and the supervised and re-assessment entry points — fan
-//! their per-KPI work units across a configurable worker pool
-//! ([`config::AssessConfig`]) through the one engine in [`parallel`], with
-//! a deterministic merge: the delivered report is byte-identical for any
-//! worker count.
+//! Both modes — and the re-assessment queue — fan their per-KPI work units
+//! across a configurable worker pool ([`config::AssessConfig`]) through the
+//! one engine in [`parallel`], with a deterministic merge: the delivered
+//! report is byte-identical for any worker count, and a unit whose
+//! assessment panics costs its own verdict (`Inconclusive`, quarantined)
+//! and nothing else.
 //!
 //! # Quick start
 //!
@@ -56,7 +57,6 @@ pub mod report;
 pub mod selfmon;
 pub mod source;
 pub mod stream;
-pub mod supervise;
 
 pub use config::{AssessConfig, FunnelConfig};
 pub use funnel_diag::{DiagConfig, DiagReport};
@@ -69,7 +69,4 @@ pub use selfmon::{run_selfmon, PipelineHealthReport, SeriesHealth};
 pub use source::KpiSource;
 pub use stream::{
     StreamAssessment, StreamConfig, StreamDetection, StreamEngine, StreamStats, TickReport,
-};
-pub use supervise::{
-    FaultProbe, InjectedFault, NoFaults, Supervised, SupervisorConfig, SupervisorReport,
 };

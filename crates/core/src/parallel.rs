@@ -15,11 +15,13 @@
 //!   order. No work stealing, no runtime. The streaming engine's per-tick
 //!   scoring calls it directly, and so do the evaluation harness's
 //!   per-change cohort pass and the deployment week's per-day one.
-//! * `assess_units` — the assessment form. The batch pipeline, the
-//!   re-assessment queue and the streaming completion path call it with
-//!   `Funnel::assess_item` as the per-unit function, the supervisor with
-//!   its retry/quarantine loop around the same function. It owns the
-//!   assessment's one control table, the worker spans and the error rule.
+//! * `assess_work_units` — the assessment form, which the batch pipeline,
+//!   the re-assessment queue and the streaming completion path all call.
+//!   It runs `Funnel::assess_item` per unit and owns the assessment's one
+//!   control table, the worker spans, the error rule and the quarantine: a
+//!   unit whose assessment panics is caught and delivered `Inconclusive`
+//!   with [`QualityIssue::Quarantined`], so one poisoned KPI costs one
+//!   verdict and every other item is what a clean run delivers.
 //!
 //! What keeps the output independent of the worker count:
 //!
@@ -41,9 +43,12 @@
 //!
 //! Nothing in this path reads the clock, iterates a hashed container, or
 //! panics — the `funnel-lint` determinism and no-panic lints gate this file
-//! as part of the ingestion-to-verdict hot path.
+//! as part of the ingestion-to-verdict hot path, and `Funnel::assess_item`
+//! is a root of its own, so the quarantine is a last resort rather than a
+//! licence.
 
 use crate::pipeline::{Funnel, FunnelError, ItemAssessment};
+use crate::quality::QualityIssue;
 use crate::source::KpiSource;
 use funnel_did::cache::ControlCache;
 use funnel_sim::kpi::{KpiKey, KpiKind};
@@ -53,6 +58,7 @@ use funnel_topology::change::SoftwareChange;
 use funnel_topology::impact::{Entity, ImpactSet};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One memoized control-group window: the fetched member series with their
 /// coverage masks, plus the group's mean coverage over the DiD periods.
@@ -79,16 +85,13 @@ pub(crate) fn control_level(entity: Entity) -> u8 {
 const CLAIMS_PER_WORKER: usize = 8;
 
 /// Runs `run_job` over every job on `workers` scoped threads and returns
-/// the results in job order: when no call declines, position `i` holds job
-/// `i`'s result.
+/// the results in job order: position `i` holds job `i`'s result.
 ///
 /// Workers claim a batch of consecutive indices under one short lock, so a
 /// tick of a thousand cheap folds costs a few dozen claims, not a thousand
 /// messages. Each worker builds its state with `worker_state` once and,
 /// when `worker_span` names one, runs inside that span (indexed by worker)
-/// and flushes its span buffer before the thread exits. `run_job`
-/// returning `None` is the caller's stop switch: that worker claims nothing
-/// further and the job yields no result, so a stopped run comes back short.
+/// and flushes its span buffer before the thread exits.
 ///
 /// One worker (or at most one job) runs inline on the calling thread, with
 /// no span, through the same two closures — serial and parallel callers
@@ -98,7 +101,7 @@ pub fn fan_out<J: Send, W, R: Send>(
     workers: usize,
     worker_span: Option<funnel_obs::names::Name>,
     worker_state: impl Fn() -> W + Sync,
-    run_job: impl Fn(&mut W, J) -> Option<R> + Sync,
+    run_job: impl Fn(&mut W, J) -> R + Sync,
 ) -> Vec<R> {
     let units = jobs.len();
     let workers = workers.clamp(1, units.max(1));
@@ -106,7 +109,7 @@ pub fn fan_out<J: Send, W, R: Send>(
         let mut state = worker_state();
         return jobs
             .into_iter()
-            .map_while(|job| run_job(&mut state, job))
+            .map(|job| run_job(&mut state, job))
             .collect();
     }
 
@@ -121,16 +124,13 @@ pub fn fan_out<J: Send, W, R: Send>(
                 let span = worker_span.map(|name| funnel_obs::span!(name, worker_idx));
                 let mut state = worker_state();
                 let mut results = Vec::new();
-                'claim: loop {
+                loop {
                     let claimed: Vec<(usize, J)> = queue.lock().by_ref().take(batch).collect();
                     if claimed.is_empty() {
                         break;
                     }
                     for (index, job) in claimed {
-                        match run_job(&mut state, job) {
-                            Some(result) => results.push((index, result)),
-                            None => break 'claim,
-                        }
+                        results.push((index, run_job(&mut state, job)));
                     }
                 }
                 finished.lock().append(&mut results);
@@ -145,51 +145,6 @@ pub fn fan_out<J: Send, W, R: Send>(
     let mut finished = finished.into_inner();
     finished.sort_unstable_by_key(|(index, _)| *index);
     finished.into_iter().map(|(_, result)| result).collect()
-}
-
-/// Fans the work units of one assessment out through [`fan_out`] and
-/// returns `per_unit`'s results in work order. `per_unit` receives the
-/// assessment's one shared [`ControlTable`]; returning `None` stops the
-/// run early (the supervisor's abort switch), which callers detect by the
-/// result coming back shorter than `work`.
-///
-/// # Errors
-///
-/// Every unit runs even after one fails; the error returned is the one
-/// for the lowest work-unit index, whatever order the failures happened in.
-pub(crate) fn assess_units<T: Send>(
-    work: &[KpiKey],
-    workers: usize,
-    per_unit: impl Fn(KpiKey, &ControlTable) -> Option<Result<T, FunnelError>> + Sync,
-) -> Result<Vec<T>, FunnelError> {
-    let workers = workers.clamp(1, work.len().max(1));
-    let window = funnel_obs::timeline::current_window();
-    funnel_obs::timeline_gauge_set(funnel_obs::names::WORKERS, window, workers as u64);
-    funnel_obs::timeline_histogram_record(
-        funnel_obs::names::WORK_QUEUE_DEPTH,
-        window,
-        work.len() as u64,
-    );
-    let table = ControlTable::new();
-    let results = fan_out(
-        work.to_vec(),
-        workers,
-        Some(funnel_obs::names::SPAN_ASSESS_WORKER),
-        || (),
-        |(), key| per_unit(key, &table),
-    );
-    // One table, read once on the calling thread after the workers joined:
-    // misses are the groups built and hits the other lookups, whatever the
-    // worker count or schedule.
-    let stats = table.stats();
-    funnel_obs::timeline_counter_add(funnel_obs::names::CONTROL_CACHE_HITS, window, stats.hits);
-    funnel_obs::timeline_counter_add(
-        funnel_obs::names::CONTROL_CACHE_MISSES,
-        window,
-        stats.misses,
-    );
-    // Results are in index order, so the first error is the lowest-index one.
-    results.into_iter().collect()
 }
 
 /// Deterministically merges per-item results into the final report order.
@@ -225,9 +180,21 @@ pub fn merge(results: impl IntoIterator<Item = ItemAssessment>) -> Vec<ItemAsses
     by_key.into_values().collect()
 }
 
-/// Assesses every work unit of `work` against `source`, fanning out across
-/// `workers` threads when more than one is requested, and returns the items
-/// in merged (key-sorted) order.
+/// Assesses every work unit of `work` against `source` through [`fan_out`],
+/// across `workers` threads when more than one is requested, and returns
+/// the items in merged (key-sorted) order.
+///
+/// Each unit runs under [`catch_unwind`]: a unit whose assessment panics
+/// is delivered as [`QualityIssue::Quarantined`] and the others are
+/// untouched. A panic while a control window is being built leaves that
+/// window unbuilt in the shared table (the next unit to need it builds it),
+/// and built windows are pure functions of the read-only source, so an
+/// entry is at worst absent, never wrong.
+///
+/// # Errors
+///
+/// Every unit runs even after one fails; the error returned is the one
+/// for the lowest work-unit index, whatever order the failures happened in.
 // funnel-lint: root
 pub(crate) fn assess_work_units<S: KpiSource + Sync>(
     funnel: &Funnel,
@@ -237,10 +204,42 @@ pub(crate) fn assess_work_units<S: KpiSource + Sync>(
     work: &[KpiKey],
     workers: usize,
 ) -> Result<Vec<ItemAssessment>, FunnelError> {
-    assess_units(work, workers, |key, table| {
-        Some(funnel.assess_item(source, change, impact_set, key, table))
-    })
-    .map(merge)
+    let workers = workers.clamp(1, work.len().max(1));
+    let window = funnel_obs::timeline::current_window();
+    funnel_obs::timeline_gauge_set(funnel_obs::names::WORKERS, window, workers as u64);
+    funnel_obs::timeline_histogram_record(
+        funnel_obs::names::WORK_QUEUE_DEPTH,
+        window,
+        work.len() as u64,
+    );
+    let table = ControlTable::new();
+    let results = fan_out(
+        work.to_vec(),
+        workers,
+        Some(funnel_obs::names::SPAN_ASSESS_WORKER),
+        || (),
+        |(), key| {
+            catch_unwind(AssertUnwindSafe(|| {
+                funnel.assess_item(source, change, impact_set, key, &table)
+            }))
+            .unwrap_or_else(|_| Ok(funnel.unassessed_item(change, key, QualityIssue::Quarantined)))
+        },
+    );
+    // One table, read once on the calling thread after the workers joined:
+    // misses are the groups built and hits the other lookups, whatever the
+    // worker count or schedule.
+    let stats = table.stats();
+    funnel_obs::timeline_counter_add(funnel_obs::names::CONTROL_CACHE_HITS, window, stats.hits);
+    funnel_obs::timeline_counter_add(
+        funnel_obs::names::CONTROL_CACHE_MISSES,
+        window,
+        stats.misses,
+    );
+    // Results are in index order, so the first error is the lowest-index one.
+    results
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map(merge)
 }
 
 #[cfg(test)]
@@ -250,6 +249,7 @@ mod tests {
     use funnel_sim::effect::{ChangeEffect, EffectScope};
     use funnel_sim::world::{SimConfig, World, WorldBuilder};
     use funnel_topology::change::{ChangeId, ChangeKind};
+    use std::collections::BTreeSet;
 
     fn shifted_world(delta: f64) -> (World, ChangeId) {
         let mut b = WorldBuilder::new(SimConfig::days(11, 8));
@@ -274,13 +274,7 @@ mod tests {
 
     /// The primitive alone: job `i` yields `i * 2`.
     fn doubled(units: usize, workers: usize) -> Vec<usize> {
-        fan_out(
-            (0..units).collect(),
-            workers,
-            None,
-            || (),
-            |(), i| Some(i * 2),
-        )
+        fan_out((0..units).collect(), workers, None, || (), |(), i| i * 2)
     }
 
     #[test]
@@ -297,62 +291,6 @@ mod tests {
         assert!(doubled(0, 8).is_empty());
         assert_eq!(doubled(1, 8), vec![0]);
         assert_eq!(doubled(3, 8), vec![0, 2, 4]);
-    }
-
-    #[test]
-    fn lowest_index_error_wins_whatever_the_schedule() {
-        let work: Vec<KpiKey> = (0..40)
-            .map(|i| {
-                KpiKey::new(
-                    Entity::Server(funnel_topology::model::ServerId(i)),
-                    KpiKind::CpuUtilization,
-                )
-            })
-            .collect();
-        let server = |key: KpiKey| match key.entity {
-            Entity::Server(s) => s.0,
-            _ => unreachable!("server keys only"),
-        };
-        for workers in [1, 3, 8] {
-            // Units 7, 8 and 31 fail; every unit still runs.
-            let ran = std::sync::atomic::AtomicUsize::new(0);
-            let result = assess_units(&work, workers, |key, _| {
-                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                Some(match server(key) {
-                    7 | 8 | 31 => Err(FunnelError::MissingSeries(key)),
-                    n => Ok(n),
-                })
-            });
-            assert_eq!(result, Err(FunnelError::MissingSeries(work[7])));
-            assert_eq!(ran.load(std::sync::atomic::Ordering::Relaxed), 40);
-            // And without failures the results come back in work order.
-            let clean = assess_units(&work, workers, |key, _| Some(Ok(server(key))));
-            assert_eq!(clean, Ok((0..40).collect()));
-        }
-    }
-
-    #[test]
-    fn a_panicking_unit_under_an_unwind_boundary_costs_one_result() {
-        // The supervisor's shape: each unit runs inside `catch_unwind`, so
-        // a poisoned unit yields its fallback and every other slot is
-        // untouched — at any worker count.
-        for workers in [1, 3, 8] {
-            let out = fan_out(
-                (0..20).collect::<Vec<i64>>(),
-                workers,
-                None,
-                || (),
-                |(), i| {
-                    let attempt = std::panic::catch_unwind(|| {
-                        assert!(i != 5, "injected poison");
-                        i * 2
-                    });
-                    Some(attempt.unwrap_or(-1))
-                },
-            );
-            let expected: Vec<i64> = (0..20).map(|i| if i == 5 { -1 } else { i * 2 }).collect();
-            assert_eq!(out, expected, "workers={workers}");
-        }
     }
 
     #[test]
@@ -391,25 +329,68 @@ mod tests {
         assert!(!a.has_impact());
     }
 
+    /// The world with some keys missing, remembering every key it is asked
+    /// for.
+    struct Missing<'a> {
+        world: &'a World,
+        missing: Vec<KpiKey>,
+        asked: Mutex<BTreeSet<KpiKey>>,
+    }
+
+    impl KpiSource for Missing<'_> {
+        fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
+            self.asked.lock().insert(*key);
+            if self.missing.contains(key) {
+                return None;
+            }
+            KpiSource::series(self.world, key)
+        }
+    }
+
     #[test]
     fn parallel_errors_are_deterministic() {
-        // A store that knows none of the impact-set keys: every work unit
-        // fails with MissingSeries; the reported key must be the lowest
-        // work-unit index regardless of worker count.
+        // Two sources: a store that knows none of the impact-set keys, so
+        // every unit fails, and the world missing three keys, so units 3, 4
+        // and the last fail. Whatever the worker count the error names the
+        // lowest failing work-unit index, and every unit still runs.
         let (world, change) = shifted_world(0.0);
         let empty = funnel_sim::MetricStore::new();
         let record = world.change_log().get(change).unwrap();
         let kinds = |svc| world.kinds_of_service(svc).to_vec();
-        let mut errs = Vec::new();
-        for workers in [1, 2, 8] {
+        let impact_set = funnel_topology::impact::identify_impact_set(world.topology(), record);
+        let work = crate::pipeline::enumerate_work_units(&impact_set.unwrap(), record, &kinds);
+        let last = work[work.len() - 1];
+        for workers in [1, 3, 8] {
             let mut config = FunnelConfig::paper_default();
             config.assess.workers = workers;
-            let err = Funnel::new(config)
+            let funnel = Funnel::new(config);
+            let err = funnel
                 .assess_change_with(&empty, world.topology(), record, &kinds)
                 .unwrap_err();
-            errs.push(format!("{err:?}"));
+            assert_eq!(
+                err,
+                FunnelError::MissingSeries(work[0]),
+                "workers={workers}"
+            );
+
+            let source = Missing {
+                world: &world,
+                missing: vec![work[3], work[4], last],
+                asked: Mutex::default(),
+            };
+            let err = funnel
+                .assess_change_with(&source, world.topology(), record, &kinds)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                FunnelError::MissingSeries(work[3]),
+                "workers={workers}"
+            );
+            let asked = source.asked.into_inner();
+            assert!(
+                work.iter().all(|key| asked.contains(key)),
+                "workers={workers}: a unit never ran"
+            );
         }
-        assert_eq!(errs[0], errs[1]);
-        assert_eq!(errs[1], errs[2]);
     }
 }

@@ -451,10 +451,11 @@ impl Funnel {
     }
 
     /// The synthesized verdict for a work unit that was never trustworthily
-    /// assessed — shed or stale in the streaming engine, quarantined by the
-    /// supervisor: `Inconclusive`, zero trusted coverage, flagged with the
-    /// `issue` that says why. The window comes from the change and config
-    /// alone, because the series was never read.
+    /// assessed — shed or stale in the streaming engine, or quarantined by
+    /// the fan-out after its assessment panicked: `Inconclusive`, zero
+    /// trusted coverage, flagged with the `issue` that says why. The window
+    /// comes from the change and config alone, because the series was never
+    /// read (or never read to the end).
     pub(crate) fn unassessed_item(
         &self,
         change: &SoftwareChange,
@@ -485,6 +486,7 @@ impl Funnel {
     /// tempered by how much of the window was really measured. `table` is
     /// the assessment's shared control table; it only ever holds values
     /// derived from `source`, so it never changes the item.
+    // funnel-lint: root
     pub(crate) fn assess_item(
         &self,
         source: &impl KpiSource,

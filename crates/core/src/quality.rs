@@ -27,11 +27,10 @@ pub enum QualityIssue {
     /// Extreme outliers dominate the series (max deviation over 50 robust
     /// sigmas) — telemetry glitches that will dominate any matrix method.
     GlitchOutliers,
-    /// The supervised assessment engine exhausted its retry budget on this
-    /// work unit (repeated crashes, stalls, or a poisoned input) and
-    /// refused to guess: the data was never fully assessed. Set by
-    /// [`crate::supervise`], not by screening.
-    SupervisorQuarantined,
+    /// This work unit's assessment panicked (a poisoned input) and the
+    /// fan-out caught it rather than lose the whole change: the data was
+    /// never fully assessed. Set by [`crate::parallel`], not by screening.
+    Quarantined,
     /// The streaming engine's load-shedding policy dropped this work unit's
     /// re-scores while it was under assessment (tick budget exhausted, or
     /// its window went stale past the watermark), so no trustworthy verdict

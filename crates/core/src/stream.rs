@@ -857,7 +857,7 @@ impl StreamEngine {
             // the buffer held windows are copied out of the rings through.
             || (scorer.reaching_scorer(), Vec::with_capacity(width)),
             |worker, (key, monitor, plan, ring)| {
-                Some(score_key(monitor, plan, key, ring, worker, threshold))
+                score_key(monitor, plan, key, ring, worker, threshold)
             },
         );
         let (mut folds, mut detections) = (0, Vec::new());

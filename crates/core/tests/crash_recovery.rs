@@ -2,19 +2,17 @@
 //!
 //! The robustness claim this suite enforces: **a crash at any seeded kill
 //! point costs nothing but time**. Whatever instant the process dies —
-//! mid-frame-append, mid-checkpoint-write, mid-work-unit, or
-//! mid-reassessment — recovering from the durable state (checkpoint +
-//! WAL tail) and resuming must deliver the *byte-identical* final report
-//! an uninterrupted run would have produced, at any worker count. The
-//! one sanctioned divergence is a poisoned work unit: the supervisor
-//! downgrades exactly that `(entity, kpi)` to `Inconclusive` and every
-//! other verdict still matches the clean run bit for bit.
+//! mid-frame-append, mid-checkpoint-write, or mid-reassessment —
+//! recovering from the durable state (checkpoint + WAL tail) and resuming
+//! must deliver the *byte-identical* final report an uninterrupted run
+//! would have produced, at any worker count. (An assessment killed midway
+//! leaves nothing durable behind; a fresh one over the recovered store is
+//! what every `assess(…, workers)` loop below checks. The one sanctioned
+//! divergence, a poisoned work unit, is `quarantine.rs`'s.)
 
-use funnel_core::pipeline::{ChangeAssessment, Funnel, Verdict};
-use funnel_core::quality::QualityIssue;
+use funnel_core::pipeline::{ChangeAssessment, Funnel};
 use funnel_core::report::render;
-use funnel_core::supervise::{supervise_change, FaultProbe, InjectedFault, SupervisorConfig};
-use funnel_core::{FunnelConfig, NoFaults, ReassessmentQueue};
+use funnel_core::{FunnelConfig, ReassessmentQueue};
 use funnel_resilience::checkpoint::{decode_segment, Checkpoint, CheckpointStore};
 use funnel_resilience::recover::{recover, DurableHooks, DurableOptions, Kill};
 use funnel_resilience::wal::{decode_records, WalCursor, FRAME_RECORD, RECORD_HEADER};
@@ -23,7 +21,7 @@ use funnel_sim::agent::{replay_durable, replay_prefix, replay_with_faults};
 use funnel_sim::collector::CollectorState;
 use funnel_sim::effect::{ChangeEffect, EffectScope};
 use funnel_sim::faults::{FaultPlan, HealMode, PartitionScope, PartitionWindow};
-use funnel_sim::kpi::{KpiKey, KpiKind};
+use funnel_sim::kpi::KpiKind;
 use funnel_sim::store::MetricStore;
 use funnel_sim::world::{SimConfig, World, WorldBuilder};
 use funnel_topology::change::{ChangeId, ChangeKind};
@@ -466,162 +464,6 @@ fn a_cut_after_a_heal_backfilled_history_recovers_the_rewritten_bins() {
         );
     }
     let _ = fs::remove_dir_all(&base);
-}
-
-/// Mid-work-unit kill: the supervisor's kill switch aborts the
-/// assessment partway through the work queue. The aborted run withholds
-/// its report; the recovered run (same durable store, fresh assessment)
-/// matches the golden supervised run byte for byte at every worker count.
-#[test]
-fn mid_work_unit_kill_withholds_then_recovers_the_report() {
-    let (world, change, plan) = crash_world(29);
-    let store = MetricStore::new();
-    replay_with_faults(&world, &store, SHARDS, plan).unwrap();
-    let funnel = Funnel::paper_default();
-    let record = world.change_log().get(change).unwrap();
-    let kinds = |svc| world.kinds_of_service(svc).to_vec();
-
-    let golden = {
-        let config = SupervisorConfig::default();
-        let sup = supervise_change(
-            &funnel,
-            &store,
-            world.topology(),
-            record,
-            &kinds,
-            &config,
-            &NoFaults,
-        )
-        .unwrap();
-        report_of(&world, &sup.assessment.expect("golden run aborted"))
-    };
-    // The supervised engine and the plain engine deliver the same report.
-    assert_eq!(golden, assess(&world, &store, change, 1));
-
-    for workers in [1, 3, 8] {
-        let crashed_config = SupervisorConfig {
-            workers,
-            abort_after_units: Some(4),
-            ..SupervisorConfig::default()
-        };
-        let crashed = supervise_change(
-            &funnel,
-            &store,
-            world.topology(),
-            record,
-            &kinds,
-            &crashed_config,
-            &NoFaults,
-        )
-        .unwrap();
-        assert!(crashed.report.aborted, "kill switch never fired");
-        assert!(
-            crashed.assessment.is_none(),
-            "an aborted run must withhold its report"
-        );
-
-        let recovered_config = SupervisorConfig {
-            workers,
-            ..SupervisorConfig::default()
-        };
-        let recovered = supervise_change(
-            &funnel,
-            &store,
-            world.topology(),
-            record,
-            &kinds,
-            &recovered_config,
-            &NoFaults,
-        )
-        .unwrap();
-        assert_eq!(
-            golden,
-            report_of(
-                &world,
-                &recovered.assessment.expect("recovered run aborted")
-            ),
-            "recovered supervised report diverged at {workers} workers"
-        );
-    }
-}
-
-/// A probe whose injected "fault" is a panic: the poisoned-input model —
-/// the assessment code itself falls over on this key, every attempt.
-struct PanicOn(KpiKey);
-
-impl FaultProbe for PanicOn {
-    fn fault(&self, key: &KpiKey, _attempt: u32) -> Option<InjectedFault> {
-        assert!(*key != self.0, "poisoned work unit");
-        None
-    }
-}
-
-/// A poisoned work unit costs exactly one verdict: the offending key is
-/// downgraded to `Inconclusive` with a `SupervisorQuarantined` quality
-/// issue, and every other item matches the clean run bit for bit — at
-/// every worker count.
-#[test]
-fn poisoned_unit_degrades_one_verdict_and_nothing_else() {
-    let (world, change, plan) = crash_world(31);
-    let store = MetricStore::new();
-    replay_with_faults(&world, &store, SHARDS, plan).unwrap();
-    let funnel = Funnel::paper_default();
-    let record = world.change_log().get(change).unwrap();
-    let kinds = |svc| world.kinds_of_service(svc).to_vec();
-
-    let clean = funnel
-        .assess_change_with(&store, world.topology(), record, &kinds)
-        .unwrap();
-    // Poison a key that the clean run attributed, so the downgrade is
-    // visible (a caused verdict becomes inconclusive).
-    let poisoned = clean
-        .caused_items()
-        .next()
-        .expect("crash world produced no caused item")
-        .key;
-
-    for workers in [1, 3, 8] {
-        let config = SupervisorConfig {
-            workers,
-            max_retries: 2,
-            ..SupervisorConfig::default()
-        };
-        let sup = supervise_change(
-            &funnel,
-            &store,
-            world.topology(),
-            record,
-            &kinds,
-            &config,
-            &PanicOn(poisoned),
-        )
-        .unwrap();
-        assert_eq!(sup.report.quarantined, vec![poisoned]);
-        let assessment = sup.assessment.expect("poisoned run must still deliver");
-        assert_eq!(assessment.items.len(), clean.items.len());
-        for (got, want) in assessment.items.iter().zip(&clean.items) {
-            assert_eq!(got.key, want.key);
-            if got.key == poisoned {
-                assert_eq!(
-                    got.verdict,
-                    Verdict::Inconclusive {
-                        awaiting_backfill: false
-                    }
-                );
-                assert!(got
-                    .quality
-                    .report
-                    .issues
-                    .contains(&QualityIssue::SupervisorQuarantined));
-            } else {
-                assert_eq!(
-                    format!("{got:?}"),
-                    format!("{want:?}"),
-                    "non-poisoned item diverged at {workers} workers"
-                );
-            }
-        }
-    }
 }
 
 /// Mid-reassessment kill: the process dies after interim verdicts were

@@ -8,16 +8,18 @@
 //! process-global; splitting it across tests would race under the parallel
 //! test runner.
 
+mod poisoned;
+
 use funnel_core::pipeline::{ChangeAssessment, Funnel};
 use funnel_core::report::render;
-use funnel_core::supervise::{supervise_change, FaultProbe, InjectedFault, SupervisorConfig};
 use funnel_core::{FunnelConfig, StreamConfig, StreamEngine};
 use funnel_sim::effect::{ChangeEffect, EffectScope};
-use funnel_sim::kpi::{KpiKey, KpiKind};
+use funnel_sim::kpi::KpiKind;
 use funnel_sim::live::LiveFeed;
 use funnel_sim::world::{SimConfig, World, WorldBuilder};
 use funnel_sst::SstConfig;
 use funnel_topology::change::{ChangeId, ChangeKind};
+use poisoned::Poisoned;
 
 fn shifted_world() -> (World, ChangeId) {
     let mut b = WorldBuilder::new(SimConfig::days(17, 8));
@@ -117,74 +119,57 @@ fn recording_never_changes_assessment_bytes() {
         );
     }
 
-    // The supervised engine honours the same invariant — and carries its
-    // own vocabulary. A probe that injects one transient fault on an
-    // attributed key makes the retry machinery genuinely run without
-    // changing a byte of the delivered assessment.
-    let funnel = Funnel::paper_default();
-    let record = world.change_log().get(change).unwrap().clone();
+    // A poisoned unit honours the same invariant: over a source whose one
+    // treated-server series panics, the fan-out quarantines that unit, and
+    // the delivery it makes is one fingerprint at {off, on} × {1, 3, 8}.
+    // The quarantined item is counted where every `Inconclusive` is.
+    let record = world.change_log().get(change).unwrap();
     let kinds = |svc| world.kinds_of_service(svc).to_vec();
-    let target = baseline_assessment
-        .caused_items()
-        .next()
-        .expect("shifted world produced no caused item")
-        .key;
-    let supervised = |workers: usize, probe: &dyn FaultProbe| {
-        let config = SupervisorConfig {
-            workers,
-            ..SupervisorConfig::default()
-        };
-        supervise_change(
-            &funnel,
-            &world,
-            world.topology(),
-            &record,
-            &kinds,
-            &config,
-            probe,
-        )
-        .unwrap()
+    let source = Poisoned {
+        inner: &world,
+        key: poisoned::server_key(&baseline_assessment.items),
+    };
+    let poisoned_run = |workers: usize| {
+        let mut config = FunnelConfig::paper_default();
+        config.assess.workers = workers;
+        let assessment = Funnel::new(config)
+            .assess_change_with(&source, world.topology(), record, &kinds)
+            .unwrap();
+        fingerprint(&world, &assessment)
     };
 
     funnel_obs::disable();
     funnel_obs::reset();
-    for workers in [1, 3, 8] {
-        let sup = supervised(workers, &TransientOnce(target));
-        assert_eq!(sup.report.retries, 1, "probe must have fired");
+    let poisoned_baseline = poisoned_run(1);
+    assert_ne!(baseline, poisoned_baseline, "the poison never fired");
+    for workers in [3, 8] {
         assert_eq!(
-            baseline,
-            fingerprint(&world, &sup.assessment.expect("run aborted")),
-            "obs off: supervised run diverged at {workers} workers"
+            poisoned_baseline,
+            poisoned_run(workers),
+            "obs off: poisoned run diverged at {workers} workers"
         );
     }
 
     funnel_obs::enable();
     for workers in [1, 3, 8] {
         funnel_obs::reset();
-        let sup = supervised(workers, &TransientOnce(target));
         assert_eq!(
-            baseline,
-            fingerprint(&world, &sup.assessment.expect("run aborted")),
-            "obs on: supervised run diverged at {workers} workers"
+            poisoned_baseline,
+            poisoned_run(workers),
+            "obs on: poisoned run diverged at {workers} workers"
         );
-        // Supervisor counters are written once per run and are
-        // order-insensitive: one retried unit, nothing restarted, nothing
-        // quarantined — the same aggregate at every worker count.
         let report = funnel_obs::snapshot();
+        let verdicts: u64 = [
+            funnel_obs::names::VERDICT_CAUSED,
+            funnel_obs::names::VERDICT_NOT_CAUSED,
+            funnel_obs::names::VERDICT_INCONCLUSIVE,
+        ]
+        .iter()
+        .map(|name| report.counters.get(name.as_str()).copied().unwrap_or(0))
+        .sum();
         assert_eq!(
-            report.counters[funnel_obs::names::SUPERVISOR_RETRIES.as_str()],
-            1,
-            "obs on ({workers} workers): retry counter"
-        );
-        assert_eq!(
-            report.counters[funnel_obs::names::SUPERVISOR_RESTARTS.as_str()],
-            0,
-            "obs on ({workers} workers): restart counter"
-        );
-        assert_eq!(
-            report.counters[funnel_obs::names::SUPERVISOR_QUARANTINED.as_str()],
-            0,
-            "obs on ({workers} workers): quarantine counter"
+            verdicts, items,
+            "obs on ({workers} workers): the quarantined item must be counted once"
         );
     }
 
@@ -276,13 +261,4 @@ fn stream_fingerprint(world: &World, change: ChangeId, feed: &LiveFeed, workers:
         completed.extend(engine.tick(minute).completed);
     }
     format!("{completed:?}\n{:?}", engine.stats())
-}
-
-/// Injects one transient fault on the target key's first attempt.
-struct TransientOnce(KpiKey);
-
-impl FaultProbe for TransientOnce {
-    fn fault(&self, key: &KpiKey, attempt: u32) -> Option<InjectedFault> {
-        (*key == self.0 && attempt == 0).then_some(InjectedFault::Transient)
-    }
 }

@@ -1,0 +1,139 @@
+//! A panic in one work unit costs that unit's verdict and nothing else.
+//!
+//! The fan-out every assessment path shares runs each unit under
+//! `catch_unwind`; a unit whose assessment panics is delivered
+//! `Inconclusive` with `QualityIssue::Quarantined`. Both tests poison one
+//! treated server's series (see `poisoned/mod.rs`) and hold the rest of the
+//! delivery to the clean run's bytes at 1, 3 and 8 workers: once through
+//! the batch entry, once through the re-assessment queue. Without the
+//! `catch_unwind` the panic escapes and both fail.
+
+mod poisoned;
+
+use funnel_core::pipeline::{Funnel, ItemAssessment, Verdict};
+use funnel_core::quality::QualityIssue;
+use funnel_core::{FunnelConfig, ReassessmentQueue};
+use funnel_sim::agent::{replay_prefix, replay_with_faults};
+use funnel_sim::effect::{ChangeEffect, EffectScope};
+use funnel_sim::faults::{FaultPlan, HealMode, PartitionScope, PartitionWindow};
+use funnel_sim::kpi::{KpiKey, KpiKind};
+use funnel_sim::store::MetricStore;
+use funnel_sim::world::{SimConfig, World, WorldBuilder};
+use funnel_topology::change::{ChangeKind, SoftwareChange};
+use poisoned::Poisoned;
+
+const SHARDS: usize = 3;
+
+/// An 8-day world with one impactful upgrade on day 7, and a collector
+/// partition across the change minute that heals by staggered catch-up.
+fn partitioned_world() -> (World, SoftwareChange, FaultPlan) {
+    let mut b = WorldBuilder::new(SimConfig::days(37, 8));
+    let svc = b.add_service("prod.quarantine", 6).unwrap();
+    let minute = 7 * 1440 + 300;
+    let effect = ChangeEffect::none().with_level_shift(
+        KpiKind::PageViewResponseDelay,
+        EffectScope::TreatedInstances,
+        90.0,
+    );
+    let id = b
+        .deploy_change(ChangeKind::Upgrade, svc, 2, minute, effect, "t")
+        .unwrap();
+    let world = b.build();
+    let record = world.change_log().get(id).unwrap().clone();
+    let plan = FaultPlan::none().with_partition(PartitionWindow {
+        scope: PartitionScope::Collector,
+        start: minute - 20,
+        duration: 45,
+        heal: HealMode::StaggeredCatchUp {
+            queue: 64,
+            per_minute: 1,
+        },
+    });
+    (world, record, plan)
+}
+
+fn funnel(workers: usize) -> Funnel {
+    let mut config = FunnelConfig::paper_default();
+    config.assess.workers = workers;
+    Funnel::new(config)
+}
+
+/// `got` is `clean` with exactly `poisoned` quarantined.
+fn only_quarantined(clean: &[ItemAssessment], got: &[ItemAssessment], poisoned: KpiKey) {
+    assert_eq!(got.len(), clean.len());
+    for (got, want) in got.iter().zip(clean) {
+        assert_eq!(got.key, want.key);
+        if got.key == poisoned {
+            assert_eq!(
+                got.verdict,
+                Verdict::Inconclusive {
+                    awaiting_backfill: false
+                }
+            );
+            assert!(!got.caused);
+            assert_eq!(got.quality.report.issues, vec![QualityIssue::Quarantined]);
+        } else {
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
+    }
+}
+
+#[test]
+fn a_panicking_unit_costs_its_own_batch_verdict_and_nothing_else() {
+    let (world, record, _) = partitioned_world();
+    let kinds = |svc| world.kinds_of_service(svc).to_vec();
+    let clean = funnel(1)
+        .assess_change_with(&world, world.topology(), &record, &kinds)
+        .unwrap();
+    let source = Poisoned {
+        inner: &world,
+        key: poisoned::server_key(&clean.items),
+    };
+    for workers in [1, 3, 8] {
+        let got = funnel(workers)
+            .assess_change_with(&source, world.topology(), &record, &kinds)
+            .unwrap();
+        assert_eq!(got.impact_set, clean.impact_set);
+        only_quarantined(&clean.items, &got.items, source.key);
+    }
+}
+
+#[test]
+fn a_panicking_unit_leaves_the_reassessment_queue_as_firm() {
+    let (world, record, plan) = partitioned_world();
+    let kinds = |svc| world.kinds_of_service(svc).to_vec();
+    let interim_store = MetricStore::new();
+    let open = record.minute as usize + 15;
+    replay_prefix(&world, &interim_store, SHARDS, plan.clone(), open).unwrap();
+    let interim = funnel(1)
+        .assess_change_with(&interim_store, world.topology(), &record, &kinds)
+        .unwrap();
+    let mut queue = ReassessmentQueue::new();
+    assert!(queue.absorb(&interim) > 0);
+    let healed = MetricStore::new();
+    replay_with_faults(&world, &healed, SHARDS, plan).unwrap();
+
+    let mut clean_queue = queue.clone();
+    let clean = clean_queue
+        .reassess(&funnel(1), &healed, world.topology(), &record)
+        .unwrap();
+    assert_eq!(clean.len(), queue.len(), "the heal left an item unready");
+    let source = Poisoned {
+        inner: &healed,
+        key: poisoned::server_key(&clean),
+    };
+    for workers in [1, 3, 8] {
+        let mut queue = queue.clone();
+        let got = queue
+            .reassess(&funnel(workers), &source, world.topology(), &record)
+            .unwrap();
+        only_quarantined(&clean, &got, source.key);
+        // Quarantined is firm: the item leaves the queue as the clean run's
+        // upgrade did, so the loop has nothing left to re-run.
+        assert_eq!(queue.export_state(), clean_queue.export_state());
+        assert!(queue
+            .reassess(&funnel(workers), &source, world.topology(), &record)
+            .unwrap()
+            .is_empty());
+    }
+}

@@ -121,7 +121,7 @@ pub fn evaluate_cohort(
                     });
                 }
             }
-            Some(outcomes)
+            outcomes
         },
     );
     per_change.into_iter().flatten().collect()

@@ -4,8 +4,8 @@
 //! made here, so the full vocabulary of `obs_report.json` is enumerable at
 //! compile time, greppable, and documented in one place (mirrored in
 //! DESIGN.md §9). Naming convention: `<stage>.<what>` with the stage
-//! prefixes `collector`, `detect`, `did`, `assess`, `supervisor`, `wal`,
-//! `recover`, `reassess`, `stream`, `diag`, `collect`, and `timeline`.
+//! prefixes `collector`, `detect`, `did`, `assess`, `wal`, `recover`,
+//! `reassess`, `stream`, `diag`, `collect`, and `timeline`.
 
 /// A declared metric or span name: what [`crate::span!`],
 /// [`crate::counter_add`], [`crate::gauge_set`],
@@ -68,15 +68,6 @@ names! {
     VERDICT_NOT_CAUSED = "assess.verdict_not_caused";
     /// Items assessed `Inconclusive` (either flavour).
     VERDICT_INCONCLUSIVE = "assess.verdict_inconclusive";
-
-    /// Work-unit attempts the supervisor re-ran after a transient failure or a
-    /// caught panic.
-    SUPERVISOR_RETRIES = "supervisor.retries";
-    /// Work units quarantined after exhausting their retry budget: their
-    /// verdict is downgraded to `Inconclusive` instead of aborting the run.
-    SUPERVISOR_QUARANTINED = "supervisor.quarantined";
-    /// Work-unit attempts restarted after blowing their deadline budget.
-    SUPERVISOR_RESTARTS = "supervisor.restarts";
 
     /// Ticks the streaming engine processed.
     STREAM_TICKS = "stream.ticks";

@@ -37,10 +37,10 @@
 //! Every durable byte — WAL record, checkpoint segment, manifest — is
 //! under one content hash, [`fnv1a_words`], checked before the bytes it
 //! covers are parsed. Every durability decision is observable through
-//! `funnel-obs` (WAL segment sizes, the recovery span, and — downstream —
-//! the supervisor counters), and every decode path treats corruption as
-//! data, not as a panic: torn tails, bad hashes, and impossible counts all
-//! surface as [`ResilienceError::Corrupt`].
+//! `funnel-obs` (WAL segment sizes and the recovery span), and every
+//! decode path treats corruption as data, not as a panic: torn tails, bad
+//! hashes, and impossible counts all surface as
+//! [`ResilienceError::Corrupt`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -200,9 +200,6 @@ pub fn replay_durable(
     let shards = shards.max(1);
     let duration = world.config().duration.min(minutes);
     let start = world.config().start;
-    if faults.subscriber_capacity.is_some() {
-        store.set_subscription_capacity_limit(faults.subscriber_capacity);
-    }
     let schedule = faults.schedule();
     let horizon = schedule.reorder_horizon();
 

@@ -2,11 +2,10 @@
 //!
 //! Production telemetry pipelines degrade in well-known ways: agents reboot
 //! and lose minutes, the transport delays/reorders/duplicates frames, bytes
-//! get truncated or flipped in flight, sensors glitch, and slow consumers
-//! fall behind the subscription feed. The paper's FUNNEL runs on exactly
-//! such a substrate ("there might exist some KPIs of dubious quality",
-//! §2.2), so a faithful reproduction must be assessed under those faults —
-//! reproducibly.
+//! get truncated or flipped in flight, and sensors glitch. The paper's
+//! FUNNEL runs on exactly such a substrate ("there might exist some KPIs of
+//! dubious quality", §2.2), so a faithful reproduction must be assessed
+//! under those faults — reproducibly.
 //!
 //! A [`FaultPlan`] declares fault *rates*; a [`FaultSchedule`] derives from
 //! it every concrete per-frame and per-record decision as a pure function
@@ -186,11 +185,6 @@ pub struct FaultPlan {
     /// classic stuck-exponent spike). Ignored while `glitch_prob` is zero.
     #[serde(default)]
     pub glitch_factor: f64,
-    /// When set, caps the channel capacity of every store subscription
-    /// created while the plan is active — a deterministic stand-in for a
-    /// consumer that cannot keep up (the store drops, never blocks).
-    #[serde(default)]
-    pub subscriber_capacity: Option<usize>,
     /// Correlated outage windows (shard / zone / whole-collector scope).
     /// Orthogonal to the per-frame channels above: a frame is taken by a
     /// partition before any per-frame fate is rolled.
@@ -210,7 +204,6 @@ impl Default for FaultPlan {
             corrupt_prob: 0.0,
             glitch_prob: 0.0,
             glitch_factor: 0.0,
-            subscriber_capacity: None,
             partitions: Vec::new(),
         }
     }
@@ -247,7 +240,6 @@ impl FaultPlan {
             && self.truncate_prob <= 0.0
             && self.corrupt_prob <= 0.0
             && self.glitch_prob <= 0.0
-            && self.subscriber_capacity.is_none()
             && self.partitions.is_empty()
     }
 
@@ -427,7 +419,6 @@ mod tests {
             corrupt_prob: 0.05,
             glitch_prob: 0.01,
             glitch_factor: 100.0,
-            subscriber_capacity: Some(8),
             partitions: vec![PartitionWindow {
                 scope: PartitionScope::Zone { zone: 1, zones: 2 },
                 start: 100,
@@ -623,6 +614,6 @@ mod tests {
         assert_eq!(sparse.seed, 5);
         assert_eq!(sparse.drop_frame_prob, 0.25);
         assert_eq!(sparse.max_delay_minutes, 0);
-        assert_eq!(sparse.subscriber_capacity, None);
+        assert!(sparse.partitions.is_empty());
     }
 }

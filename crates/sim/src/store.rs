@@ -324,9 +324,6 @@ pub struct MetricStore {
     quarantined: AtomicU64,
     backfilled: AtomicU64,
     backfill_rejected: AtomicU64,
-    /// 0 = uncapped; otherwise every new subscription's channel capacity is
-    /// clamped to this (fault injection for slow consumers).
-    max_sub_capacity: AtomicUsize,
 }
 
 impl std::fmt::Debug for MetricStore {
@@ -584,17 +581,11 @@ impl MetricStore {
     }
 
     /// Subscribes to live measurements; `filter = None` means everything.
-    /// The channel holds up to `capacity` undelivered measurements (clamped
-    /// by [`MetricStore::set_subscription_capacity_limit`] when one is set).
-    /// The subscription sees every write batch that begins after this call
-    /// returns (see the module docs for the full contract).
+    /// The channel holds up to `capacity` undelivered measurements (at least
+    /// one). The subscription sees every write batch that begins after this
+    /// call returns (see the module docs for the full contract).
     pub fn subscribe(&self, filter: Option<Vec<KpiKey>>, capacity: usize) -> Subscription {
-        let limit = self.max_sub_capacity.load(Ordering::Relaxed);
-        let mut cap = capacity.max(1);
-        if limit > 0 {
-            cap = cap.min(limit);
-        }
-        let (tx, rx) = bounded(cap);
+        let (tx, rx) = bounded(capacity.max(1));
         let id = self.next_sub.fetch_add(1, Ordering::Relaxed);
         let drops = Arc::new(AtomicU64::new(0));
         self.edit_subscribers(|subs| {
@@ -610,15 +601,6 @@ impl MetricStore {
             receiver: rx,
             drops,
         }
-    }
-
-    /// Caps the channel capacity of subscriptions created from now on
-    /// (`None` lifts the cap). Fault injection for consumers that cannot
-    /// keep up: with a tiny cap the store drops instead of blocking, and
-    /// the per-subscription drop counters record exactly how much was lost.
-    pub fn set_subscription_capacity_limit(&self, limit: Option<usize>) {
-        self.max_sub_capacity
-            .store(limit.unwrap_or(0), Ordering::Relaxed);
     }
 
     /// Records one quarantined (undecodable) ingestion frame. Called by the
@@ -932,23 +914,6 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.dropped, 8);
         assert_eq!(stats.published, 2);
-    }
-
-    #[test]
-    fn capacity_limit_throttles_new_subscriptions() {
-        let store = MetricStore::new();
-        store.set_subscription_capacity_limit(Some(1));
-        let sub = store.subscribe(None, 1024); // asked big, clamped to 1
-        for m in 0..5 {
-            store.append(key(0), m, 0.0);
-        }
-        assert_eq!(sub.dropped(), 4);
-        store.set_subscription_capacity_limit(None);
-        let free = store.subscribe(None, 16);
-        for m in 5..10 {
-            store.append(key(0), m, 0.0);
-        }
-        assert_eq!(free.dropped(), 0);
     }
 
     #[test]
