@@ -25,9 +25,9 @@
 //!   eigenpairs.
 //!
 //! Everything is `f64` and deterministic. The kernels the fast SST runs per
-//! window ([`lanczos_into`], [`tridiag_eig_into`], the Hankel `_into`
-//! products) write into caller-owned buffers and allocate nothing; the
-//! `Vec`-returning forms are thin wrappers over them.
+//! window ([`lanczos_into`], [`tridiag_eig_into`], [`tridiag_eig_lockstep`],
+//! the Hankel `_into` products) write into caller-owned buffers and
+//! allocate nothing; the `Vec`-returning forms are thin wrappers over them.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -48,7 +48,7 @@ pub use op::LinearOperator;
 pub use power::{dominant_eigenpair, top_eigenpairs};
 pub use svd::{svd, Svd};
 pub use symeig::{sym_eig, SymEig};
-pub use tridiag::{tridiag_eig, tridiag_eig_into, TridiagEig};
+pub use tridiag::{tridiag_eig, tridiag_eig_into, tridiag_eig_lockstep, TridiagEig, Tridiagonal};
 
 /// Convergence tolerance used across iterative routines (relative).
 pub const EPS: f64 = 1e-12;

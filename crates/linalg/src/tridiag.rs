@@ -5,6 +5,12 @@
 //! `η = 3`), "the eigenvectors of the tridiagonal matrix T_k can be
 //! calculated extremely fast" by QL with implicit Wilkinson shifts — the
 //! classic `tql2` algorithm.
+//!
+//! `tql2` here is a stepper (one seek or one Givens rotation a step), so
+//! [`tridiag_eig_lockstep`] can step independent problems round-robin and
+//! hide each one's `hypot` latency behind the others'. Each problem runs the
+//! same operations in the same order as alone, and a rotation acts on each
+//! row of `z` on its own, so a solve that keeps fewer rows keeps their bits.
 
 use crate::matrix::Mat;
 
@@ -60,51 +66,160 @@ pub fn tridiag_eig(diag: &[f64], subdiag: &[f64]) -> TridiagEig {
     }
 }
 
-/// [`tridiag_eig`] in place, in caller-owned buffers.
+/// [`tridiag_eig`] in place, in caller-owned buffers: the one-problem case
+/// of [`tridiag_eig_lockstep`], its steps run back to back.
 ///
 /// On entry `d` holds the diagonal (`n` entries) and `e[..n−1]` the
-/// subdiagonal; `e[n−1]` is padding the solver overwrites, and `z` (`n×n`,
-/// row-major) and `order` (`n`) are pure outputs. On return `d[order[r]]`
-/// is the eigenvalue of descending rank `r` (ties in index order) and
-/// `z[i·n + order[r]]` the `i`-th component of its eigenvector.
+/// subdiagonal; `e[n−1]` is padding the solver overwrites, and `z` and
+/// `order` (`n`) are pure outputs. `z` holds `rows × n` entries for some
+/// `rows ≤ n`: the first `rows` rows of the eigenvector matrix, row-major,
+/// and only those are accumulated. On return `d[order[r]]` is the
+/// eigenvalue of descending rank `r` (ties in index order) and
+/// `z[i·n + order[r]]` the `i`-th component of its eigenvector (`i < rows`).
 pub fn tridiag_eig_into(d: &mut [f64], e: &mut [f64], z: &mut [f64], order: &mut [usize]) {
-    let n = d.len();
-    assert!(
-        e.len() == n && z.len() == n * n && order.len() == n,
-        "tridiagonal buffers must match the diagonal"
-    );
-    if let Some(pad) = e.last_mut() {
-        *pad = 0.0;
-    }
-    z.fill(0.0);
-    z.iter_mut().step_by(n + 1).for_each(|x| *x = 1.0);
+    let mut ql = Ql::start(d, e, z, order);
+    while ql.step(d, e, z) {}
+    rank(d, order);
+}
 
-    // Garbage in, NaN out — but never a hang or a panic: the QL recurrence
-    // cannot converge on non-finite entries, so poison the diagonal up
-    // front and skip the iteration entirely.
-    if d.iter().chain(e.iter()).any(|x| !x.is_finite()) {
-        d.fill(f64::NAN);
-    } else {
-        ql_implicit(d, e, z);
-    }
+/// One problem of [`tridiag_eig_lockstep`]: the four buffers of
+/// [`tridiag_eig_into`], owned, so that a workspace can hold several. Their
+/// lengths are the shapes it asks for: `d`, `e` and `order` of `n`, `z` of
+/// `rows × n` with `rows ≤ n`.
+#[derive(Debug, Clone)]
+pub struct Tridiagonal {
+    /// The diagonal on entry; the eigenvalues, unsorted, on return.
+    pub d: Vec<f64>,
+    /// The subdiagonal in `e[..n−1]`, then the solver's padding slot.
+    pub e: Vec<f64>,
+    /// On return, the first `rows` rows of the eigenvectors, row-major.
+    pub z: Vec<f64>,
+    /// On return, the eigenvalues' descending order.
+    pub order: Vec<usize>,
+    /// Where the solve stands between two rounds of a lockstep.
+    ql: Ql,
+}
 
-    // Descending by value; the index tie-break makes the unstable
-    // (allocation-free) sort reproduce a stable one.
+impl Tridiagonal {
+    /// A problem over the given buffers, shaped as the type says.
+    pub fn new(d: Vec<f64>, e: Vec<f64>, z: Vec<f64>, order: Vec<usize>) -> Self {
+        Self {
+            d,
+            e,
+            z,
+            order,
+            ql: Ql::default(),
+        }
+    }
+}
+
+/// [`tridiag_eig_into`] on each of several independent problems, their
+/// steps taken round-robin: one seek or one Givens rotation of each
+/// unfinished problem a round. A step of one problem never waits on
+/// another's, so the latency of one problem's `hypot` chain hides behind
+/// the others'.
+///
+/// Each problem's bits are those it gets alone: it runs the same
+/// operations in the same order on state of its own. Returns the rounds
+/// taken, which is the step count of the longest problem, not their sum.
+pub fn tridiag_eig_lockstep(problems: &mut [Tridiagonal]) -> usize {
+    for t in problems.iter_mut() {
+        t.ql = Ql::start(&mut t.d, &mut t.e, &mut t.z, &t.order);
+    }
+    let mut rounds = 0;
+    loop {
+        let mut stepped = false;
+        for t in problems.iter_mut() {
+            stepped |= t.ql.step(&mut t.d, &mut t.e, &mut t.z);
+        }
+        if !stepped {
+            break;
+        }
+        rounds += 1;
+    }
+    for t in problems {
+        rank(&t.d, &mut t.order);
+    }
+    rounds
+}
+
+/// Descending by value; the index tie-break makes the unstable
+/// (allocation-free) sort reproduce a stable one.
+fn rank(d: &[f64], order: &mut [usize]) {
     for (i, o) in order.iter_mut().enumerate() {
         *o = i;
     }
     order.sort_unstable_by(|&i, &j| d[j].total_cmp(&d[i]).then(i.cmp(&j)));
 }
 
-/// The `tql2` sweep: on return `d` holds the eigenvalues (unsorted) and the
-/// columns of `z`, which must enter as the identity, the eigenvectors.
-fn ql_implicit(d: &mut [f64], e: &mut [f64], z: &mut [f64]) {
-    let n = d.len();
-    for l in 0..n {
-        let mut iter = 0;
+/// Where one `tql2` solve stands between two steps. A step is one seek (to
+/// the next eigenvalue not yet converged, and the Wilkinson shift of the
+/// sweep that will converge it) or one Givens rotation of that sweep.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ql {
+    /// The eigenvalue being converged; `n` once the solve is over.
+    l: usize,
+    /// Sweeps spent on `l`.
+    iter: usize,
+    /// The end of the unreduced block the sweep works on.
+    m: usize,
+    /// The next rotation acts on rows `next − 1` and `next`; `l` between
+    /// sweeps, where the next step is a seek.
+    next: usize,
+    /// What one rotation hands the next.
+    g: f64,
+    s: f64,
+    c: f64,
+    p: f64,
+}
+
+impl Ql {
+    /// Checks the buffers' shapes, sets `z` to the identity's first rows
+    /// and returns the state before the first seek.
+    fn start(d: &mut [f64], e: &mut [f64], z: &mut [f64], order: &[usize]) -> Self {
+        let n = d.len();
+        assert!(
+            e.len() == n && order.len() == n && z.len() <= n * n && z.len().is_multiple_of(n),
+            "tridiagonal buffers must match the diagonal"
+        );
+        if let Some(pad) = e.last_mut() {
+            *pad = 0.0;
+        }
+        z.fill(0.0);
+        z.iter_mut().step_by(n + 1).for_each(|x| *x = 1.0);
+
+        // Garbage in, NaN out — but never a hang or a panic: the QL recurrence
+        // cannot converge on non-finite entries, so poison the diagonal up
+        // front and skip the iteration entirely.
+        let mut ql = Self::default();
+        if d.iter().chain(e.iter()).any(|x| !x.is_finite()) {
+            d.fill(f64::NAN);
+            ql.l = n;
+        }
+        ql
+    }
+
+    /// Takes the solve's next step; `false`, and nothing done, once it is
+    /// over. When it is, `d` holds the eigenvalues (unsorted) and the
+    /// columns of `z` the eigenvectors.
+    fn step(&mut self, d: &mut [f64], e: &mut [f64], z: &mut [f64]) -> bool {
+        let n = d.len();
+        if self.l >= n {
+            return false;
+        }
+        if self.next == self.l {
+            self.seek(d, e);
+        } else {
+            self.rotate(d, e, z);
+        }
+        true
+    }
+
+    fn seek(&mut self, d: &[f64], e: &[f64]) {
+        let n = d.len();
         loop {
             // Find the first negligible subdiagonal element at or after l.
-            let mut m = l;
+            let mut m = self.l;
             while m + 1 < n {
                 let dd = d[m].abs() + d[m + 1].abs();
                 if e[m].abs() <= f64::EPSILON * dd {
@@ -112,59 +227,70 @@ fn ql_implicit(d: &mut [f64], e: &mut [f64], z: &mut [f64]) {
                 }
                 m += 1;
             }
-            if m == l {
-                break; // d[l] has converged.
+            if m > self.l {
+                self.m = m;
+                break;
             }
-            iter += 1;
-            if iter > MAX_ITER {
-                // LAPACK-style iteration cap exceeded (finite input makes
-                // this practically unreachable, but rounding pathologies
-                // exist): accept the current approximation rather than
-                // aborting the caller.
+            // d[l] has converged.
+            self.l += 1;
+            self.next = self.l;
+            self.iter = 0;
+            if self.l == n {
                 return;
             }
+        }
+        self.iter += 1;
+        if self.iter > MAX_ITER {
+            // LAPACK-style iteration cap exceeded (finite input gets here
+            // only through overflow, or a rounding pathology): accept the
+            // current approximation rather than aborting the caller.
+            self.l = n;
+            return;
+        }
 
-            // Wilkinson shift.
-            let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = g.hypot(1.0);
-            let sign_r = if g >= 0.0 { r } else { -r };
-            g = d[m] - d[l] + e[l] / (g + sign_r);
-            let (mut s, mut c) = (1.0_f64, 1.0_f64);
-            let mut p = 0.0_f64;
+        // Wilkinson shift.
+        let (l, m) = (self.l, self.m);
+        let g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+        let r = g.hypot(1.0);
+        let sign_r = if g >= 0.0 { r } else { -r };
+        self.g = d[m] - d[l] + e[l] / (g + sign_r);
+        (self.s, self.c, self.p) = (1.0, 1.0, 0.0);
+        self.next = m;
+    }
 
-            let mut underflow = false;
-            for i in (l..m).rev() {
-                let mut f = s * e[i];
-                let b = c * e[i];
-                r = f.hypot(g);
-                e[i + 1] = r;
-                if r == 0.0 {
-                    // Deflate: rescue the eigenvalue and restart this l.
-                    d[i + 1] -= p;
-                    e[m] = 0.0;
-                    underflow = true;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                g = d[i + 1] - p;
-                r = (d[i] - g) * s + 2.0 * c * b;
-                p = s * r;
-                d[i + 1] = g + p;
-                g = c * r - b;
+    fn rotate(&mut self, d: &mut [f64], e: &mut [f64], z: &mut [f64]) {
+        let (n, l, m, i) = (d.len(), self.l, self.m, self.next - 1);
+        let mut f = self.s * e[i];
+        let b = self.c * e[i];
+        let mut r = f.hypot(self.g);
+        e[i + 1] = r;
+        if r == 0.0 {
+            // Deflate: rescue the eigenvalue and seek this l again.
+            d[i + 1] -= self.p;
+            e[m] = 0.0;
+            self.next = l;
+            return;
+        }
+        let s = f / r;
+        let c = self.g / r;
+        let g = d[i + 1] - self.p;
+        r = (d[i] - g) * s + 2.0 * c * b;
+        self.p = s * r;
+        d[i + 1] = g + self.p;
+        (self.g, self.s, self.c) = (c * r - b, s, c);
 
-                // Accumulate the rotation into the eigenvector matrix.
-                for row in z.chunks_exact_mut(n) {
-                    f = row[i + 1];
-                    row[i + 1] = s * row[i] + c * f;
-                    row[i] = c * row[i] - s * f;
-                }
-            }
-            if underflow {
-                continue;
-            }
-            d[l] -= p;
-            e[l] = g;
+        // Accumulate the rotation into the rows of `z` there are: each row
+        // is rotated on its own, so fewer rows leave these rows' bits alone.
+        for row in z.chunks_exact_mut(n) {
+            f = row[i + 1];
+            row[i + 1] = s * row[i] + c * f;
+            row[i] = c * row[i] - s * f;
+        }
+        self.next = i;
+        if i == l {
+            // The sweep is done.
+            d[l] -= self.p;
+            e[l] = self.g;
             e[m] = 0.0;
         }
     }
@@ -265,6 +391,16 @@ mod tests {
         let sub = [1e290, 1e150, 1e-290, 1e300];
         let e = tridiag_eig(&diag, &sub);
         assert_eq!(e.values.len(), 5);
+
+        // Here the Wilkinson shift overflows, the sweep turns NaN and never
+        // converges: the solve stops at the cap.
+        let diag = [8e307, -8e307, 1e-300, 0.0, 1e300];
+        let sub = [8e307, 1e150, 1e-290, 1e290];
+        let mut e = sub.to_vec();
+        e.push(0.0);
+        let mut t = Tridiagonal::new(diag.to_vec(), e, vec![0.0; 25], vec![0; 5]);
+        assert!(tridiag_eig_lockstep(std::slice::from_mut(&mut t)) > MAX_ITER);
+        assert_eq!(tridiag_eig(&diag, &sub).values.len(), 5);
     }
 
     #[test]

@@ -7,11 +7,65 @@
 
 use funnel_linalg::matrix::{dot, Mat};
 use funnel_linalg::op::DenseOperator;
-use funnel_linalg::{lanczos, svd, sym_eig, tridiag_eig, HankelMatrix, LinearOperator};
+use funnel_linalg::{
+    lanczos, svd, sym_eig, tridiag_eig, tridiag_eig_into, tridiag_eig_lockstep, HankelMatrix,
+    LinearOperator, Tridiagonal,
+};
 use proptest::prelude::*;
+use proptest::sample::Index;
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0..100.0f64, len)
+}
+
+/// A tridiagonal's diagonal and subdiagonal, `n ≤ 6` rows, drawn from
+/// `values` (11 entries) and `cuts` (5) as `kind` says: random entries with
+/// a zero subdiagonal wherever a cut is 0, splitting it into blocks (kinds
+/// 0 to 3); the same with one entry, picked by `bad`, non-finite (4); or
+/// the leading 2 to 5 rows of the capped case of `tridiag`'s
+/// `extreme_finite_magnitudes_do_not_panic`, on which QL stops at
+/// `MAX_ITER` (5).
+fn tridiagonal(
+    kind: usize,
+    n: usize,
+    values: &[f64],
+    cuts: &[u8],
+    bad: Index,
+) -> (Vec<f64>, Vec<f64>) {
+    if kind == 5 {
+        // Capped after 101, 150, 199 or 248 steps.
+        let n = n.clamp(2, 5);
+        let d = [8e307, -8e307, 1e-300, 0.0, 1e300];
+        let e = [8e307, 1e150, 1e-290, 1e290];
+        return (d[..n].to_vec(), e[..n - 1].to_vec());
+    }
+    let mut d = values[..n].to_vec();
+    let sub = values[6..6 + n.saturating_sub(1)].iter().zip(cuts);
+    let mut e: Vec<f64> = sub
+        .map(|(&x, &cut)| if cut == 0 { 0.0 } else { x })
+        .collect();
+    if kind == 4 && n > 0 {
+        let at = bad.index(2 * n - 1);
+        let x = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][at % 3];
+        if at < n {
+            d[at] = x;
+        } else {
+            e[at - n] = x;
+        }
+    }
+    (d, e)
+}
+
+/// A problem of `d`/`e` whose `z` keeps `rows` rows.
+fn problem(d: &[f64], e: &[f64], rows: usize) -> Tridiagonal {
+    let n = d.len();
+    let mut padded = e.to_vec();
+    padded.resize(n, 0.0);
+    Tridiagonal::new(d.to_vec(), padded, vec![0.0; rows * n], vec![0; n])
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
@@ -157,6 +211,59 @@ proptest! {
                 let want = if i == j { 1.0 } else { 0.0 };
                 prop_assert!((d - want).abs() < 1e-7);
             }
+        }
+    }
+
+    /// Problems solved in lockstep get the bits each gets alone, and a `z`
+    /// of `r` rows holds the first `r` rows of the full `z`. Checked to fail
+    /// when, in `tridiag_eig_lockstep` or `Ql`, one of `s`, `c`, `p` or `g`
+    /// is shared between two problems (a problem steps with the value the
+    /// previous one left); when a problem that hits `MAX_ITER` ends the
+    /// rounds for all; and when a round steps only the first unfinished
+    /// problem, which solves them one after another (same bits, but as many
+    /// rounds as all their steps).
+    #[test]
+    fn lockstep_gives_each_problem_its_bits_alone(
+        count in 1usize..5,
+        kinds in prop::collection::vec(0usize..6, 4),
+        sizes in prop::collection::vec(0usize..7, 4),
+        rows in prop::collection::vec(any::<Index>(), 4),
+        values in finite_vec(4 * 11),
+        cuts in prop::collection::vec(0u8..4, 4 * 5),
+        bad in prop::collection::vec(any::<Index>(), 4),
+    ) {
+        let problems: Vec<_> = (0..count)
+            .map(|p| {
+                let (d, e) = tridiagonal(
+                    kinds[p],
+                    sizes[p],
+                    &values[p * 11..],
+                    &cuts[p * 5..],
+                    bad[p],
+                );
+                let keep = rows[p].index(d.len() + 1);
+                (d, e, keep)
+            })
+            .collect();
+        let mut alone = Vec::new();
+        let mut longest = 0;
+        for (d, e, rows) in &problems {
+            let mut full = problem(d, e, d.len());
+            tridiag_eig_into(&mut full.d, &mut full.e, &mut full.z, &mut full.order);
+            let mut one = problem(d, e, *rows);
+            longest = longest.max(tridiag_eig_lockstep(std::slice::from_mut(&mut one)));
+            prop_assert_eq!(bits(&one.d), bits(&full.d));
+            prop_assert_eq!(&one.order, &full.order);
+            prop_assert_eq!(bits(&one.z), bits(&full.z[..one.z.len()]));
+            alone.push(full);
+        }
+        let mut together: Vec<Tridiagonal> =
+            problems.iter().map(|(d, e, rows)| problem(d, e, *rows)).collect();
+        prop_assert_eq!(tridiag_eig_lockstep(&mut together), longest);
+        for (t, full) in together.iter().zip(&alone) {
+            prop_assert_eq!(bits(&t.d), bits(&full.d));
+            prop_assert_eq!(&t.order, &full.order);
+            prop_assert_eq!(bits(&t.z), bits(&full.z[..t.z.len()]));
         }
     }
 }

@@ -13,7 +13,8 @@
 //!   solver. Because the first Lanczos basis vector *is* `β_i`, the first
 //!   component of `T_k`'s `j`-th eigenvector approximates `β_i · u_j`, so
 //!   Eq. 13 reads off the discordance directly:
-//!   `ϕ_i ≈ 1 − Σ_{j≤η} x_j(1)²`.
+//!   `ϕ_i ≈ 1 − Σ_{j≤η} x_j(1)²`. The η `ϕ` solves of a window are
+//!   stepped together (`tridiag_eig_lockstep`) and keep row 0 only.
 //!
 //! The future directions `β_i` are themselves obtained by a small Lanczos
 //! run on the future Gram — still implicit, still `O(k·ω²)` per window.
@@ -28,11 +29,14 @@ use crate::{ReachingScorer, SstScorer};
 use funnel_linalg::hankel::HankelMatrix;
 use funnel_linalg::lanczos::lanczos_into;
 use funnel_linalg::matrix::normalize;
-use funnel_linalg::tridiag::tridiag_eig_into;
+use funnel_linalg::tridiag::{tridiag_eig_into, tridiag_eig_lockstep, Tridiagonal};
 use funnel_timeseries::stats::RobustSummary;
 
 /// Every buffer one [`FastSst`] window score touches, sized once from the
-/// configuration so that scoring through it allocates nothing.
+/// configuration so that scoring through it allocates nothing: the
+/// standardized window, selection scratch, the Lanczos scratch, the future
+/// run's `T_k`, the η directions and the η `ϕ` tridiagonals, which a score
+/// builds one after another and then solves together.
 ///
 /// All of it is scratch, rewritten by each call, except one thing carried
 /// from window to window: the last window [`FastSst::may_reach_in`] was asked
@@ -60,53 +64,73 @@ pub struct SstWorkspace {
     /// Deterministic full-support Lanczos start vector of the future run.
     start: Vec<f64>,
     krylov: Krylov,
+    /// The future run's `T_k`, solved with every row of its eigenvectors.
+    future: Tridiagonal,
     /// The η future directions `β_i`, rows of `ω`, …
     dirs: Vec<f64>,
     /// … and their eigenvalues `λ_i`.
     lambdas: Vec<f64>,
+    /// The η `ϕ` runs' `T_k`, one a direction, all built before any is
+    /// solved and then solved together; each keeps row 0 of its
+    /// eigenvectors, the one row `ϕ` reads.
+    phis: Vec<Tridiagonal>,
 }
 
-/// The buffers of one `Lanczos(BBᵀ, start, k)` + QL pass, shared by the
+/// The scratch of a `Lanczos(BBᵀ, start, k)` run, shared by the
 /// future-direction run and the η `ϕ` runs of a window.
 #[derive(Debug, Clone)]
 struct Krylov {
-    /// `T_k`: diagonal, then eigenvalues in place.
-    alpha: Vec<f64>,
-    /// `T_k`: subdiagonal, one padding slot for the QL solver.
-    beta: Vec<f64>,
     /// Krylov basis, `k` rows of `ω`.
     basis: Vec<f64>,
     /// Lanczos residual.
     residual: Vec<f64>,
     /// `Bᵀv` between the two Hankel products of one Gram application.
     gram: Vec<f64>,
-    /// Eigenvectors of `T_k`, `k×k` row-major.
-    ritz: Vec<f64>,
-    /// Descending eigenvalue order of `T_k`.
-    order: Vec<usize>,
 }
 
 impl Krylov {
-    /// `k` Lanczos steps of `hankel`'s implicit Gram from `start`, then QL
-    /// on `T_k`. Returns the steps taken, `s` (0: empty Krylov space);
-    /// the eigenpair of descending rank `r < s` is `alpha[order[r]]` with
-    /// components `ritz[m·s + order[r]]` over `basis` row `m`.
-    fn decompose(&mut self, hankel: &HankelMatrix<'_>, start: &[f64], k: usize) -> usize {
+    /// `k` Lanczos steps of `hankel`'s implicit Gram from `start`, leaving
+    /// `T_s` in `t` with room for `rows` rows of its eigenvectors (all `s`
+    /// if that is fewer). Returns the steps taken, `s` (0: empty Krylov
+    /// space).
+    fn tridiagonalize(
+        &mut self,
+        hankel: &HankelMatrix<'_>,
+        start: &[f64],
+        k: usize,
+        rows: usize,
+        t: &mut Tridiagonal,
+    ) -> usize {
+        t.d.resize(k, 0.0);
+        t.e.resize(k, 0.0);
         let gram = &mut self.gram[..hankel.delta()];
         let steps = lanczos_into(
             |v, out| hankel.gram_apply_into(v, gram, out),
             start,
-            &mut self.alpha[..k],
-            &mut self.beta[..k],
+            &mut t.d,
+            &mut t.e,
             &mut self.basis,
             &mut self.residual,
         );
-        tridiag_eig_into(
-            &mut self.alpha[..steps],
-            &mut self.beta[..steps],
-            &mut self.ritz[..steps * steps],
-            &mut self.order[..steps],
-        );
+        t.d.truncate(steps);
+        t.e.truncate(steps);
+        t.z.resize(rows.min(steps) * steps, 0.0);
+        t.order.resize(steps, 0);
+        steps
+    }
+
+    /// [`Krylov::tridiagonalize`] with every row, then QL on `T_s`. Returns
+    /// `s`; the eigenpair of descending rank `r < s` is `t.d[t.order[r]]`
+    /// with components `t.z[m·s + t.order[r]]` over `basis` row `m`.
+    fn decompose(
+        &mut self,
+        hankel: &HankelMatrix<'_>,
+        start: &[f64],
+        k: usize,
+        t: &mut Tridiagonal,
+    ) -> usize {
+        let steps = self.tridiagonalize(hankel, start, k, k, t);
+        tridiag_eig_into(&mut t.d, &mut t.e, &mut t.z, &mut t.order);
         steps
     }
 }
@@ -266,6 +290,9 @@ impl SstWorkspace {
         let c = config;
         // The future-direction run is the larger of the two Lanczos runs.
         let k = future_krylov_dim(c);
+        let tridiagonal = |k: usize, rows: usize| {
+            Tridiagonal::new(vec![0.0; k], vec![0.0; k], vec![0.0; rows * k], vec![0; k])
+        };
         Self {
             window: vec![0.0; c.window_len()],
             select: Vec::with_capacity(c.window_len()),
@@ -274,16 +301,14 @@ impl SstWorkspace {
                 .map(|i| 1.0 + (i as f64) / c.omega as f64)
                 .collect(),
             krylov: Krylov {
-                alpha: vec![0.0; k],
-                beta: vec![0.0; k],
                 basis: vec![0.0; k * c.omega],
                 residual: vec![0.0; c.omega],
                 gram: vec![0.0; c.delta.max(c.gamma)],
-                ritz: vec![0.0; k * k],
-                order: vec![0; k],
             },
+            future: tridiagonal(k, k),
             dirs: vec![0.0; c.effective_eta() * c.omega],
             lambdas: vec![0.0; c.effective_eta()],
+            phis: vec![tridiagonal(phi_krylov_dim(c), 1); c.effective_eta()],
         }
     }
 
@@ -317,6 +342,11 @@ impl SstWorkspace {
 /// Krylov dimension of the future-direction run.
 fn future_krylov_dim(c: &SstConfig) -> usize {
     c.krylov_dim().max(c.effective_eta()).min(c.omega)
+}
+
+/// Krylov dimension of a `ϕ` run.
+fn phi_krylov_dim(c: &SstConfig) -> usize {
+    c.krylov_dim().min(c.omega)
 }
 
 /// The IKA-accelerated SST scorer FUNNEL deploys online.
@@ -359,46 +389,29 @@ impl FastSst {
         let c = &self.config;
         let future_sig = &ws.window[c.past_len() + c.rho..];
         let a = HankelMatrix::new(future_sig, c.omega, c.gamma);
-        let steps = ws.krylov.decompose(&a, &ws.start, future_krylov_dim(c));
+        let t = &mut ws.future;
+        let steps = ws.krylov.decompose(&a, &ws.start, future_krylov_dim(c), t);
         let eta = c.effective_eta().min(steps);
 
-        let kr = &ws.krylov;
+        let basis = &ws.krylov.basis;
         let dirs = ws.dirs.chunks_exact_mut(c.omega);
         for (rank_from_top, (v, lambda)) in dirs.zip(&mut ws.lambdas).take(eta).enumerate() {
-            let col = kr.order[match c.eig_selection {
+            let col = t.order[match c.eig_selection {
                 EigSelection::Largest => rank_from_top,
                 EigSelection::Smallest => steps - 1 - rank_from_top,
             }];
             // Map the Ritz vector back to R^ω through the Lanczos basis.
             v.fill(0.0);
-            for (m, q) in kr.basis.chunks_exact(c.omega).take(steps).enumerate() {
-                let ym = kr.ritz[m * steps + col];
+            for (m, q) in basis.chunks_exact(c.omega).take(steps).enumerate() {
+                let ym = t.z[m * steps + col];
                 for (vi, qi) in v.iter_mut().zip(q.iter()) {
                     *vi += ym * qi;
                 }
             }
             normalize(v);
-            *lambda = kr.alpha[col].max(0.0);
+            *lambda = t.d[col].max(0.0);
         }
         eta
-    }
-
-    /// Eq. 13: discordance of future direction `i` against the past signal
-    /// subspace, via `Lanczos(C, β_i, k)` and QL on `T_k`.
-    fn phi(&self, ws: &mut SstWorkspace, i: usize) -> f64 {
-        let c = &self.config;
-        let b = HankelMatrix::new(&ws.window[..c.past_len()], c.omega, c.delta);
-        let beta = &ws.dirs[i * c.omega..(i + 1) * c.omega];
-        let steps = ws.krylov.decompose(&b, beta, c.krylov_dim().min(c.omega));
-        if steps == 0 {
-            return 0.0;
-        }
-        let eta = c.effective_eta().min(steps);
-        // First components of the top-η eigenvectors of T_k approximate
-        // β_i · u_j (the Lanczos basis starts at β_i).
-        let kr = &ws.krylov;
-        let proj_sq: f64 = kr.order.iter().take(eta).map(|&j| kr.ritz[j].powi(2)).sum();
-        (1.0 - proj_sq).clamp(0.0, 1.0)
     }
 
     /// The raw (unfiltered) Eq. 9 score; exposed for ablations and the
@@ -412,15 +425,31 @@ impl FastSst {
     /// Eq. 9 over the window loaded in `ws`; in `[0, 1]`, or NaN on
     /// non-finite data.
     fn raw_score_loaded(&self, ws: &mut SstWorkspace) -> f64 {
+        let c = &self.config;
         let dirs = self.future_directions(ws);
         if dirs == 0 {
             return 0.0;
         }
+        // Eq. 13 for each direction: `Lanczos(C, β_i, k)` into its own
+        // `T_k`, then QL on all of them together.
+        let b = HankelMatrix::new(&ws.window[..c.past_len()], c.omega, c.delta);
+        let phis = &mut ws.phis[..dirs];
+        for (t, beta) in phis.iter_mut().zip(ws.dirs.chunks_exact(c.omega)) {
+            ws.krylov.tridiagonalize(&b, beta, phi_krylov_dim(c), 1, t);
+        }
+        tridiag_eig_lockstep(phis);
+        let eta = c.effective_eta();
         let mut num = 0.0;
         let mut den = 0.0;
-        for i in 0..dirs {
-            let lambda = ws.lambdas[i];
-            let phi = self.phi(ws, i);
+        for (t, &lambda) in phis.iter().zip(&ws.lambdas) {
+            // The first components of the top-η eigenvectors of `T_k`
+            // approximate `β_i · u_j` (the Lanczos basis starts at `β_i`).
+            let proj_sq: f64 = t.order.iter().take(eta).map(|&j| t.z[j].powi(2)).sum();
+            let phi = if t.d.is_empty() {
+                0.0
+            } else {
+                (1.0 - proj_sq).clamp(0.0, 1.0)
+            };
             num += lambda * phi;
             den += lambda;
         }

@@ -9,9 +9,11 @@
 //! [`StreamingSst`] folds through the same workspace, and a deferred batch
 //! of folds through a scorer's run handle (the bound at each fold, the
 //! held candidates scored afterwards): after one warm-up call each, the
-//! count must stay at zero. The workspace-less convenience calls pay for
-//! one throw-away workspace and nothing per Lanczos step or order
-//! statistic.
+//! count must stay at zero. The workspace also holds the η `ϕ`
+//! tridiagonals a full score builds and then solves together, resized in
+//! place each window: still nothing allocated per window. The
+//! workspace-less convenience calls pay for one throw-away workspace and
+//! nothing per Lanczos step, QL solve or order statistic.
 
 use funnel_sst::{FastSst, ReachingScorer, SstConfig, SstScorer, SstWorkspace, StreamingSst};
 use std::alloc::{GlobalAlloc, Layout, System};
