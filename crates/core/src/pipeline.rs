@@ -10,8 +10,7 @@ use crate::config::{FunnelConfig, MIN_COVERAGE, MIN_PARTITION_GAP};
 use crate::parallel::{self, control_level, ControlTable};
 use crate::quality::{assess_quality, QualityIssue, QualityReport};
 use crate::source::KpiSource;
-use funnel_detect::detector::{ChangeEvent, DetectorRunner, MaskedRun};
-use funnel_detect::outcomes::Outcomes;
+use funnel_detect::detector::{ChangeEvent, Coverage, Decision, DetectorRunner};
 use funnel_detect::sst_adapter::SstDetector;
 use funnel_did::estimator::{DidError, DidEstimate};
 use funnel_did::groups::{DidAssessor, DidVerdict};
@@ -514,21 +513,27 @@ impl Funnel {
         // window as repairable-by-backfill, and any change point bordering
         // such a gap is suppressed rather than scored (it is
         // indistinguishable from the fill plateau's edge until the span
-        // heals).
+        // heals). A source without a mask measured every minute. The
+        // detector asks only the windows this verdict rests on.
         let mask = source.mask(&key);
-        let outcomes = source.outcomes(&key);
-        let (detection, suppressed, partition_gapped) = match &mask {
-            Some(mask) => {
-                let run = self.detect_masked(&window, mask, outcomes);
-                let gapped = mask.longest_gap(lo, to) >= MIN_PARTITION_GAP;
-                let event = run
-                    .events
-                    .into_iter()
-                    .find(|e| e.declared_at >= change.minute);
-                (event, run.suppressed_events, gapped)
-            }
-            None => (self.detect(&window, change.minute, outcomes), 0, false),
-        };
+        let partition_gapped = mask
+            .as_ref()
+            .is_some_and(|mask| mask.longest_gap(lo, to) >= MIN_PARTITION_GAP);
+        let coverage = mask.as_ref().map(|mask| Coverage {
+            mask,
+            min_coverage: MIN_COVERAGE,
+            min_gap: MIN_PARTITION_GAP,
+        });
+        let Decision {
+            event: detection,
+            refused,
+        } = DetectorRunner::new(
+            SstDetector::fast(self.sst.clone()),
+            self.config.sst_threshold,
+            self.config.persistence_minutes,
+        )
+        .recalling(source.outcomes(&key))
+        .decide(&window, coverage, change.minute);
 
         let is_affected_service = matches!(key.entity, Entity::Service(s)
             if s != change.service && impact_set.affected_services.contains(&s));
@@ -577,7 +582,7 @@ impl Funnel {
                 // per the paper's deliver-everything stance on dubious data.
                 Err(_) => (None, Verdict::Caused),
             }
-        } else if suppressed > 0 {
+        } else if refused {
             // A change point exists but borders an unhealed gap: neither
             // "caused" (it may be a fill artifact) nor "not caused" (it may
             // be real) — queue it for the post-heal re-run.
@@ -612,44 +617,6 @@ impl Funnel {
             quality,
             window: (lo, to),
         })
-    }
-
-    /// Steps 2–3: SST + persistence over the (pre-sliced) assessment
-    /// window.
-    fn detect(
-        &self,
-        window: &TimeSeries,
-        change_minute: MinuteBin,
-        outcomes: impl Outcomes,
-    ) -> Option<ChangeEvent> {
-        self.runner(outcomes)
-            .run(window)
-            .into_iter()
-            .find(|e| e.declared_at >= change_minute)
-    }
-
-    /// Coverage- and gap-aware detection for sources that track which bins
-    /// were really measured: low-coverage windows are skipped and change
-    /// points bordering a partition-length gap are suppressed.
-    fn detect_masked(
-        &self,
-        window: &TimeSeries,
-        mask: &CoverageMask,
-        outcomes: impl Outcomes,
-    ) -> MaskedRun {
-        self.runner(outcomes)
-            .run_masked_gap_aware(window, mask, MIN_COVERAGE, MIN_PARTITION_GAP)
-    }
-
-    /// The detector, recalling from `outcomes` what the source has already
-    /// put to this scorer at this threshold.
-    fn runner<O: Outcomes>(&self, outcomes: O) -> DetectorRunner<SstDetector<FastSst>, O> {
-        DetectorRunner::new(
-            SstDetector::fast(self.sst.clone()),
-            self.config.sst_threshold,
-            self.config.persistence_minutes,
-        )
-        .recalling(outcomes)
     }
 
     /// Steps 4–11: DiD against the appropriate control group.

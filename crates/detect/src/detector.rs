@@ -18,12 +18,18 @@
 //! Before either question goes to the scorer the pass's memory
 //! ([`crate::outcomes`]) is asked whether an earlier run over the same
 //! samples already put it; the answer is the same bits either way.
+//!
+//! A verdict needs one declaration, not every one, so
+//! [`DetectorRunner::decide`] asks only the windows it rests on: a definite
+//! miss leaves the rule "no run, armed" whatever came before it, so the
+//! loop starts after the last one before the windows the verdict can read,
+//! and stops at the declaration it takes.
 
 use crate::outcomes::{Outcome, Outcomes};
 use funnel_sst::Unscreened;
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
-use funnel_timeseries::window::SlidingWindows;
+use std::ops::Range;
 
 pub use funnel_sst::ReachingScorer;
 
@@ -74,17 +80,33 @@ pub trait WindowSource {
 }
 
 /// The windows of a dense series, addressed by decision minute.
+#[derive(Clone, Copy)]
 struct SeriesWindows<'a> {
     series: &'a TimeSeries,
     width: usize,
 }
 
-impl WindowSource for SeriesWindows<'_> {
-    fn window_at(&mut self, minute: MinuteBin) -> Option<&[f64]> {
+impl<'a> SeriesWindows<'a> {
+    fn get(&self, minute: MinuteBin) -> Option<&'a [f64]> {
         let to = minute.checked_add(1)?;
         let from = to.checked_sub(self.width as u64)?;
         let window = self.series.slice(from, to);
         (window.len() == self.width).then_some(window)
+    }
+
+    /// The decision minutes of the first and the last window, `None` when
+    /// the series yields none.
+    fn decided(&self) -> Option<(MinuteBin, MinuteBin)> {
+        let width = self.width as u64;
+        let len = self.series.len() as u64;
+        (width > 0 && len >= width)
+            .then(|| (self.series.start() + width - 1, self.series.end() - 1))
+    }
+}
+
+impl WindowSource for SeriesWindows<'_> {
+    fn window_at(&mut self, minute: MinuteBin) -> Option<&[f64]> {
+        self.get(minute)
     }
 }
 
@@ -152,6 +174,30 @@ pub struct ScoringPass<'a, R, H, O> {
     pub tally: WindowTally,
 }
 
+impl<R: ReachingScorer, H, O: Outcomes> ScoringPass<'_, R, H, O> {
+    /// What is known of the window decided at `minute` before any score:
+    /// the memory's answer, or else the bound's (`Screened` or `Candidate`,
+    /// recorded).
+    fn ask_bound(&mut self, minute: MinuteBin, window: &[f64]) -> Outcome {
+        self.tally.asked += 1;
+        match self.outcomes.recall(minute) {
+            Outcome::Unknown => {
+                let outcome = if self.scorer.may_reach(window, self.threshold) {
+                    Outcome::Candidate
+                } else {
+                    Outcome::Screened
+                };
+                self.outcomes.record(minute, outcome);
+                outcome
+            }
+            known => {
+                self.tally.reused += 1;
+                known
+            }
+        }
+    }
+}
+
 /// The threshold → run-length → peak → declare → re-arm state machine, and
 /// the planner of its own scoring. Batch runs and the streaming engine's
 /// per-key monitors both hold one, so the persistence rule — and the rule
@@ -211,24 +257,7 @@ impl PersistenceRun {
         window: &[f64],
         pass: &mut ScoringPass<'_, R, H, O>,
     ) -> Option<ChangeEvent> {
-        pass.tally.asked += 1;
-        let may_reach = match pass.outcomes.recall(minute) {
-            Outcome::Unknown => {
-                let may_reach = pass.scorer.may_reach(window, pass.threshold);
-                let outcome = if may_reach {
-                    Outcome::Candidate
-                } else {
-                    Outcome::Screened
-                };
-                pass.outcomes.record(minute, outcome);
-                may_reach
-            }
-            known => {
-                pass.tally.reused += 1;
-                known != Outcome::Screened
-            }
-        };
-        if !may_reach {
+        if pass.ask_bound(minute, window) == Outcome::Screened {
             pass.tally.screened += 1;
             self.break_run(&mut pass.tally);
             return None;
@@ -365,19 +394,29 @@ pub struct MaskedRun {
     pub suppressed_events: usize,
 }
 
-impl MaskedRun {
-    /// Fraction of windows with enough measured data to be judged (1.0 =
-    /// nothing skipped, 0.0 when the series yielded no windows at all). Of
-    /// these, only the windows a declaration could rest on are actually
-    /// scored; the rest are ruled out by the scorer's bound or by the
-    /// persistence rule.
-    pub fn scored_fraction(&self) -> f64 {
-        if self.total_windows == 0 {
-            0.0
-        } else {
-            1.0 - self.skipped_windows as f64 / self.total_windows as f64
-        }
-    }
+/// Which minutes of a series were really measured, and the two rules
+/// [`DetectorRunner::run_masked_gap_aware`] draws from that: a window under
+/// `min_coverage` is skipped, and a change point near a gap of at least
+/// `min_gap` minutes is refused.
+#[derive(Debug, Clone, Copy)]
+pub struct Coverage<'a> {
+    /// The measured minutes.
+    pub mask: &'a CoverageMask,
+    /// The fraction of measured minutes a window needs to be judged.
+    pub min_coverage: f64,
+    /// The shortest gap whose neighbourhood refuses a change point.
+    pub min_gap: u64,
+}
+
+/// What [`DetectorRunner::decide`] found.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decision {
+    /// The first declaration at or after the verdict's minute that the gap
+    /// rule lets stand.
+    pub event: Option<ChangeEvent>,
+    /// Whether the gap rule refused a declaration made before it — any
+    /// declaration of the run, when there is no `event`.
+    pub refused: bool,
 }
 
 /// Threshold + persistence + re-arm driver around a [`WindowScorer`], with
@@ -436,7 +475,7 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
     /// change. After a declaration the runner re-arms once the score falls
     /// below threshold, so a single long-lived shift yields a single event.
     pub fn run(&self, series: &TimeSeries) -> Vec<ChangeEvent> {
-        self.run_observed(series, |_| false).events
+        self.run_observed(series, |_| false, 0, |_| false).events
     }
 
     /// Coverage-aware [`DetectorRunner::run`]: windows whose fraction of
@@ -454,31 +493,21 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
         mask: &CoverageMask,
         min_coverage: f64,
     ) -> MaskedRun {
-        let width = self.scorer.window_len() as u64;
-        // O(1) per-window coverage via prefix sums over the mask.
-        let pfx = mask.prefix_counts();
-        let coverage_of = |from: MinuteBin, to: MinuteBin| -> f64 {
-            debug_assert!(from < to);
-            let lo = from.clamp(mask.start(), mask.end());
-            let hi = to.clamp(mask.start(), mask.end());
-            let present = pfx[(hi - mask.start()) as usize] - pfx[(lo - mask.start()) as usize];
-            f64::from(present) / (to - from) as f64
-        };
-        // Too much interpolation to judge.
-        self.run_observed(series, |decision_minute| {
-            coverage_of(decision_minute + 1 - width, decision_minute + 1) < min_coverage
-        })
+        let unmeasured = self.unmeasured(series, Some(mask), min_coverage);
+        self.run_observed(series, unmeasured, 0, |_| false)
     }
 
-    /// [`DetectorRunner::drive_windows`] to the end of the series, under the
-    /// detection span, with the run's counters written once.
+    /// [`DetectorRunner::drive_windows`] under the detection span, with the
+    /// run's counters written once.
     fn run_observed(
         &self,
         series: &TimeSeries,
         unmeasured: impl FnMut(MinuteBin) -> bool,
+        reset_before: MinuteBin,
+        stop: impl FnMut(&ChangeEvent) -> bool,
     ) -> MaskedRun {
         let _span = funnel_obs::span!(funnel_obs::names::SPAN_DETECT);
-        let (out, tally) = self.drive_windows(series, unmeasured, false);
+        let (out, tally) = self.drive_windows(series, unmeasured, reset_before, stop);
         tally.emit_counters();
         self.outcomes.run_ended(tally);
         funnel_obs::counter_add(
@@ -486,6 +515,54 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
             out.events.len() as u64,
         );
         out
+    }
+
+    /// Whether the window decided at a minute of `series` has too little
+    /// measured data to be judged: under `min_coverage` of its minutes
+    /// measured, per `mask`. Without a mask every window is measured.
+    fn unmeasured(
+        &self,
+        series: &TimeSeries,
+        mask: Option<&CoverageMask>,
+        min_coverage: f64,
+    ) -> impl Fn(MinuteBin) -> bool {
+        let width = self.scorer.window_len();
+        let start = series.start();
+        // O(1) per window: `measured[i]` counts the measured minutes among
+        // the first `i` of the series.
+        let measured: Option<Vec<u32>> = mask.map(|mask| {
+            let mut count = 0;
+            std::iter::once(0)
+                .chain((start..series.end()).map(|minute| {
+                    count += u32::from(mask.is_present(minute));
+                    count
+                }))
+                .collect()
+        });
+        move |decision_minute| {
+            measured.as_ref().is_some_and(|measured| {
+                let to = (decision_minute + 1 - start) as usize;
+                let present = measured[to] - measured[to - width];
+                f64::from(present) / (width as f64) < min_coverage
+            })
+        }
+    }
+
+    /// Where a change point must not start for its declaration to stand:
+    /// within one window length of a gap in `mask` of at least `min_gap`
+    /// minutes (clamped to 1) over the span of `series`, in ascending order.
+    fn refusal_zones(
+        &self,
+        series: &TimeSeries,
+        mask: &CoverageMask,
+        min_gap: u64,
+    ) -> Vec<Range<MinuteBin>> {
+        let guard = self.scorer.window_len() as u64;
+        mask.gaps_in(series.start(), series.end())
+            .into_iter()
+            .filter(|&(s, e)| e - s >= min_gap.max(1))
+            .map(|(s, e)| s.saturating_sub(guard)..e + guard)
+            .collect()
     }
 
     /// [`DetectorRunner::run_masked`] hardened against *correlated*
@@ -510,48 +587,90 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
         min_gap: u64,
     ) -> MaskedRun {
         let mut out = self.run_masked(series, mask, min_coverage);
-        let guard = self.scorer.window_len() as u64;
-        let gaps: Vec<(MinuteBin, MinuteBin)> = mask
-            .gaps_in(series.start(), series.end())
-            .into_iter()
-            .filter(|&(s, e)| e - s >= min_gap.max(1))
-            .collect();
-        if gaps.is_empty() {
-            return out;
-        }
+        let zones = self.refusal_zones(series, mask, min_gap);
         let before = out.events.len();
-        out.events.retain(|ev| {
-            !gaps.iter().any(|&(s, e)| {
-                ev.first_exceeded_at + guard >= s && ev.first_exceeded_at < e + guard
-            })
+        out.events.retain(|event| {
+            !zones
+                .iter()
+                .any(|zone| zone.contains(&event.first_exceeded_at))
         });
         out.suppressed_events = before - out.events.len();
         out
     }
 
+    /// The declaration a verdict at minute `from` rests on: what
+    /// [`DetectorRunner::run_masked_gap_aware`] (or, with no `coverage`,
+    /// [`DetectorRunner::run`]) would return as its first event declared at
+    /// or after `from`, and whether it refused one before that — asking
+    /// only the windows those two answers rest on.
+    ///
+    /// A definite miss leaves the persistence rule "no run, armed" whatever
+    /// came before it, and a coverage skip is no reset (it keeps `armed`),
+    /// so every declaration after a miss is a function of the windows after
+    /// it. The loop therefore starts after the last definite miss decided
+    /// before `limit = min(from, gap_start − W)` over every refusing gap —
+    /// earlier declarations started before `limit`, outside every refusal
+    /// zone, and before `from` — and stops at the declaration it returns.
+    pub fn decide(
+        &self,
+        series: &TimeSeries,
+        coverage: Option<Coverage<'_>>,
+        from: MinuteBin,
+    ) -> Decision {
+        let zones =
+            coverage.map_or_else(Vec::new, |c| self.refusal_zones(series, c.mask, c.min_gap));
+        let refused = |event: &ChangeEvent| {
+            zones
+                .iter()
+                .any(|zone| zone.contains(&event.first_exceeded_at))
+        };
+        let decisive = |event: &ChangeEvent| event.declared_at >= from && !refused(event);
+        let limit = zones
+            .iter()
+            .map(|zone| zone.start)
+            .fold(from, MinuteBin::min);
+        let unmeasured = self.unmeasured(
+            series,
+            coverage.map(|c| c.mask),
+            coverage.map_or(0.0, |c| c.min_coverage),
+        );
+        let out = self.run_observed(series, unmeasured, limit, decisive);
+        Decision {
+            event: out.events.last().copied().filter(decisive),
+            refused: out.events.iter().any(refused),
+        }
+    }
+
     /// Convenience: whether the series contains at least one declared
     /// change, and if so the first event.
     pub fn first_change(&self, series: &TimeSeries) -> Option<ChangeEvent> {
-        // `run` stopped at the first declaration.
-        self.drive_windows(series, |_| false, true)
+        self.drive_windows(series, |_| false, 0, |_| true)
             .0
             .events
             .first()
             .copied()
     }
 
-    /// The one scoring loop: every window of `series`, in order, is either
-    /// skipped (`unmeasured` says its decision minute lacks coverage) or
-    /// offered to the persistence rule, which decides what gets scored — and
-    /// takes from the runner's memory the answers it holds.
-    /// `first_only` stops at the first declaration.
+    /// The one scoring loop. It starts after the last definite miss decided
+    /// before `reset_before` (at the first window when there is none, or
+    /// when `reset_before` is 0); from there every window, in order, is
+    /// either skipped (`unmeasured` says its decision minute lacks coverage)
+    /// or offered to the persistence rule, which decides what gets scored —
+    /// and takes from the runner's memory, and from the walk back to the
+    /// start, the answers they hold. It stops after the first declaration
+    /// `stop` accepts. The counts of the returned run cover the windows
+    /// from the start on.
     fn drive_windows(
         &self,
         series: &TimeSeries,
         mut unmeasured: impl FnMut(MinuteBin) -> bool,
-        first_only: bool,
+        reset_before: MinuteBin,
+        mut stop: impl FnMut(&ChangeEvent) -> bool,
     ) -> (MaskedRun, WindowTally) {
-        let width = self.scorer.window_len();
+        let windows = SeriesWindows {
+            series,
+            width: self.scorer.window_len(),
+        };
         let mut out = MaskedRun {
             events: Vec::new(),
             skipped_windows: 0,
@@ -562,26 +681,96 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
         let mut pass = ScoringPass {
             scorer: &mut scorer,
             threshold: self.threshold,
-            held: SeriesWindows { series, width },
-            outcomes: &self.outcomes,
+            held: windows,
+            outcomes: Scanned {
+                memory: &self.outcomes,
+                candidates: 0..0,
+            },
             tally: WindowTally::default(),
         };
+        let Some((first, last)) = windows.decided() else {
+            return (out, pass.tally);
+        };
+        let start = after_last_miss(&mut pass, first, last, reset_before, &mut unmeasured);
+        pass.outcomes.candidates = start..reset_before.min(last + 1);
         let mut state = PersistenceRun::new(self.persistence);
-        for w in SlidingWindows::new(series, width) {
+        for minute in start..=last {
             out.total_windows += 1;
-            if unmeasured(w.decision_minute) {
+            if unmeasured(minute) {
                 out.skipped_windows += 1;
                 state.skip_window(&mut pass);
                 continue;
             }
-            let declared = state.offer_window(w.decision_minute, w.values, &mut pass);
-            out.events.extend(declared);
-            if first_only && declared.is_some() {
+            let Some(window) = windows.get(minute) else {
                 break;
+            };
+            if let Some(event) = state.offer_window(minute, window, &mut pass) {
+                out.events.push(event);
+                if stop(&event) {
+                    break;
+                }
             }
         }
         state.drop_pending(&mut pass.tally);
         (out, pass.tally)
+    }
+}
+
+/// The decision minute a run starts at that needs only the declarations
+/// after the windows decided before `before`: the one after the latest
+/// definite miss decided before `before`, or `first`. Walking back from the
+/// window decided at `before − 1` (or `last`), an unmeasured window is
+/// passed over, and every other is asked the memory first and the bound
+/// second; a recalled `Below` or a `Screened` ends the walk, a candidate
+/// (whose score is unknown) does not.
+fn after_last_miss<R: ReachingScorer, O: Outcomes>(
+    pass: &mut ScoringPass<'_, R, SeriesWindows<'_>, O>,
+    first: MinuteBin,
+    last: MinuteBin,
+    before: MinuteBin,
+    unmeasured: &mut impl FnMut(MinuteBin) -> bool,
+) -> MinuteBin {
+    let windows = pass.held;
+    let mut minute = before.min(last + 1);
+    while minute > first {
+        minute -= 1;
+        if unmeasured(minute) {
+            continue;
+        }
+        let Some(window) = windows.get(minute) else {
+            break;
+        };
+        match pass.ask_bound(minute, window) {
+            Outcome::Screened => {
+                pass.tally.screened += 1;
+                return minute + 1;
+            }
+            Outcome::Below => return minute + 1,
+            _ => {}
+        }
+    }
+    first
+}
+
+/// A run's memory, and what its walk back learnt: no measured window decided
+/// in `candidates` is a definite miss. The forward pass offered one the
+/// memory does not know is told `Candidate`, which is what the bound said
+/// when the walk asked it, so no window's bound is asked twice in one run.
+struct Scanned<O> {
+    memory: O,
+    candidates: Range<MinuteBin>,
+}
+
+impl<O: Outcomes> Outcomes for Scanned<O> {
+    fn recall(&self, minute: MinuteBin) -> Outcome {
+        match self.memory.recall(minute) {
+            Outcome::Unknown if self.candidates.contains(&minute) => Outcome::Candidate,
+            known => known,
+        }
+    }
+
+    fn record(&mut self, minute: MinuteBin, outcome: Outcome) {
+        self.memory.record(minute, outcome);
     }
 }
 
@@ -690,7 +879,6 @@ mod tests {
         let masked = r.run_masked(&series, &mask, 0.8);
         assert_eq!(masked.events, r.run(&series));
         assert_eq!(masked.skipped_windows, 0);
-        assert_eq!(masked.scored_fraction(), 1.0);
     }
 
     #[test]
@@ -703,7 +891,6 @@ mod tests {
         let masked = r.run_masked(&series, &mask, 0.8);
         assert!(masked.events.is_empty());
         assert_eq!(masked.skipped_windows, masked.total_windows);
-        assert_eq!(masked.scored_fraction(), 0.0);
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub mod wow;
 pub use cusum::CusumDetector;
 pub use delay::{detection_delay, DelayOutcome};
 pub use detector::{
-    ChangeEvent, DetectorRunner, MaskedRun, PersistenceRun, ReachingScorer, ScoringPass,
-    WindowScorer, WindowSource, WindowTally,
+    ChangeEvent, Coverage, Decision, DetectorRunner, MaskedRun, PersistenceRun, ReachingScorer,
+    ScoringPass, WindowScorer, WindowSource, WindowTally,
 };
 pub use mrls::MrlsDetector;
 pub use outcomes::{Outcome, Outcomes, WindowOutcomes};

@@ -45,9 +45,15 @@ names! {
     /// Late frames routed to the backfill stage instead of live ingestion.
     FRAMES_BACKFILLED = "collector.frames_backfilled";
 
-    /// Change points declared by the detector runner (before gap suppression).
+    /// Change points the detector runner declared (before gap suppression)
+    /// over the windows it asked: an item's run asks only the windows its
+    /// verdict rests on, so declarations before the last definite miss
+    /// ahead of the deploy minute, or after the one the verdict takes, are
+    /// not counted.
     DETECT_CHANGE_POINTS = "detect.change_points";
-    /// Windows the scorer's exact bound ruled out: definite misses, no kernel.
+    /// Windows the scorer's exact bound ruled out: definite misses, no
+    /// kernel. Like the two below, it counts what a run asked, not every
+    /// window of the assessment span.
     DETECT_WINDOWS_SCREENED = "detect.windows.screened";
     /// Candidate windows the kernel scored because a declaration could still
     /// rest on them.

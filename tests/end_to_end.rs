@@ -424,6 +424,7 @@ fn shipped_detector_matches_the_eager_reference_on_the_golden_scenario() {
     let snapshot = store.snapshot();
 
     let (mut items, mut detected, mut skipped, mut suppressed) = (0, 0, 0, 0);
+    let mut refused_only = 0;
     for id in changes {
         let record = world.change_log().get(id).unwrap();
         let from_world = funnel.assess_change(&world, id).unwrap();
@@ -461,6 +462,7 @@ fn shipped_detector_matches_the_eager_reference_on_the_golden_scenario() {
             );
             skipped += want.skipped_windows;
             suppressed += want.suppressed_events;
+            let refused = want.suppressed_events > 0;
             let first = want
                 .events
                 .into_iter()
@@ -471,14 +473,27 @@ fn shipped_detector_matches_the_eager_reference_on_the_golden_scenario() {
                 "store-backed {:?}",
                 item.key
             );
+            // With enough coverage and nothing retained, the verdict waits
+            // for a backfill exactly when the gap rule refused a change
+            // point anywhere in the window, before the deploy minute too.
+            if item.quality.coverage >= MIN_COVERAGE && first.is_none() {
+                assert_eq!(
+                    item.verdict.awaiting_backfill(),
+                    refused,
+                    "store-backed {:?}",
+                    item.key
+                );
+                refused_only += usize::from(refused);
+            }
             items += 1;
             detected += usize::from(first.is_some());
         }
     }
     assert!(
-        items > 40 && detected > 0 && skipped > 0 && suppressed > 0,
+        items > 40 && detected > 0 && skipped > 0 && suppressed > 0 && refused_only > 0,
         "{items} items, {detected} detections, {skipped} skipped windows, \
-         {suppressed} suppressed events: too little was compared"
+         {suppressed} suppressed events, {refused_only} items whose verdict rests on a \
+         refused change point: too little was compared"
     );
 }
 
