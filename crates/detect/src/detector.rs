@@ -374,30 +374,24 @@ impl PersistenceRun {
     }
 }
 
-/// Result of a coverage-aware detector run ([`DetectorRunner::run_masked`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MaskedRun {
-    /// Declared changes (only from windows with adequate coverage).
-    pub events: Vec<ChangeEvent>,
-    /// Windows skipped because their measured-minute coverage fell below
-    /// the threshold. A skipped window breaks any persistence run in
-    /// progress: interpolated data must not count toward the 7-minute rule.
-    pub skipped_windows: usize,
-    /// Total windows the series yielded.
-    pub total_windows: usize,
-    /// Events refused by [`DetectorRunner::run_masked_gap_aware`] because
-    /// their change point fell inside — or within one window-length of —
-    /// a contiguous coverage gap at least `min_gap` minutes long. Nonzero
-    /// means "a change may be hiding behind an unhealed partition": the
-    /// caller should report `Inconclusive` and re-assess after backfill,
-    /// not declare the item clean.
-    pub suppressed_events: usize,
-}
-
 /// Which minutes of a series were really measured, and the two rules
-/// [`DetectorRunner::run_masked_gap_aware`] draws from that: a window under
-/// `min_coverage` is skipped, and a change point near a gap of at least
-/// `min_gap` minutes is refused.
+/// [`DetectorRunner::decide`] draws from them.
+///
+/// * A window with under `min_coverage` of its minutes measured is skipped,
+///   not judged: forward-filled data carries no evidence, and scoring it
+///   makes false positives (a fill plateau ending looks like a level shift)
+///   and false negatives (a shift hidden inside a gap). A skip breaks the
+///   persistence run in progress, so a declaration rests on `persistence`
+///   consecutive *measured* windows, but does not re-arm: a gap is no
+///   evidence that a declared shift ended.
+/// * A declaration whose change point ([`ChangeEvent::first_exceeded_at`])
+///   lies inside, or within one window length of, a gap of at least
+///   `min_gap` minutes (clamped to 1) is refused. Scattered loss is the
+///   first rule's job; a partition leaves one long gap whose fill plateau
+///   ends in a step exactly where the heal lands, and a change point
+///   bordering it cannot be told from that step until backfill restores the
+///   span. The persistence length is the gap to use: the shortest whose
+///   plateau could fake the persistence rule.
 #[derive(Debug, Clone, Copy)]
 pub struct Coverage<'a> {
     /// The measured minutes.
@@ -431,13 +425,12 @@ pub struct DetectorRunner<S, O = ()> {
 
 impl<S: WindowScorer> DetectorRunner<S> {
     /// Creates a runner declaring a change after `persistence` consecutive
-    /// windows score at or above `threshold`. `persistence` is clamped to a
-    /// minimum of 1.
+    /// windows score at or above `threshold` (0 declares as 1 does).
     pub fn new(scorer: S, threshold: f64, persistence: usize) -> Self {
         Self {
             scorer,
             threshold,
-            persistence: persistence.max(1),
+            persistence,
             outcomes: (),
         }
     }
@@ -461,40 +454,11 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
         &self.scorer
     }
 
-    /// The declaration threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// The persistence requirement in windows (= minutes at 1-min bins).
-    pub fn persistence(&self) -> usize {
-        self.persistence
-    }
-
     /// Runs the detector over a whole series, returning every declared
     /// change. After a declaration the runner re-arms once the score falls
     /// below threshold, so a single long-lived shift yields a single event.
     pub fn run(&self, series: &TimeSeries) -> Vec<ChangeEvent> {
-        self.run_observed(series, |_| false, 0, |_| false).events
-    }
-
-    /// Coverage-aware [`DetectorRunner::run`]: windows whose fraction of
-    /// truly measured minutes (per `mask`) falls below `min_coverage` are
-    /// skipped instead of judged — forward-filled gaps carry no evidence,
-    /// and scoring them manufactures both false positives (a fill plateau
-    /// looks like a level shift ending) and false negatives (a real shift
-    /// hidden inside a gap). Skipping a window also resets the persistence
-    /// run, so a declaration always rests on `persistence` consecutive
-    /// *measured* windows. With a fully-present mask the events are
-    /// identical to [`DetectorRunner::run`].
-    pub fn run_masked(
-        &self,
-        series: &TimeSeries,
-        mask: &CoverageMask,
-        min_coverage: f64,
-    ) -> MaskedRun {
-        let unmeasured = self.unmeasured(series, Some(mask), min_coverage);
-        self.run_observed(series, unmeasured, 0, |_| false)
+        self.run_observed(series, |_| false, 0, |_| false)
     }
 
     /// [`DetectorRunner::drive_windows`] under the detection span, with the
@@ -505,36 +469,33 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
         unmeasured: impl FnMut(MinuteBin) -> bool,
         reset_before: MinuteBin,
         stop: impl FnMut(&ChangeEvent) -> bool,
-    ) -> MaskedRun {
+    ) -> Vec<ChangeEvent> {
         let _span = funnel_obs::span!(funnel_obs::names::SPAN_DETECT);
-        let (out, tally) = self.drive_windows(series, unmeasured, reset_before, stop);
+        let (events, tally) = self.drive_windows(series, unmeasured, reset_before, stop);
         tally.emit_counters();
         self.outcomes.run_ended(tally);
-        funnel_obs::counter_add(
-            funnel_obs::names::DETECT_CHANGE_POINTS,
-            out.events.len() as u64,
-        );
-        out
+        funnel_obs::counter_add(funnel_obs::names::DETECT_CHANGE_POINTS, events.len() as u64);
+        events
     }
 
     /// Whether the window decided at a minute of `series` has too little
     /// measured data to be judged: under `min_coverage` of its minutes
-    /// measured, per `mask`. Without a mask every window is measured.
+    /// measured. Without `coverage` every window is measured.
     fn unmeasured(
         &self,
         series: &TimeSeries,
-        mask: Option<&CoverageMask>,
-        min_coverage: f64,
+        coverage: Option<Coverage<'_>>,
     ) -> impl Fn(MinuteBin) -> bool {
         let width = self.scorer.window_len();
         let start = series.start();
         // O(1) per window: `measured[i]` counts the measured minutes among
         // the first `i` of the series.
-        let measured: Option<Vec<u32>> = mask.map(|mask| {
+        let min_coverage = coverage.map_or(0.0, |c| c.min_coverage);
+        let measured: Option<Vec<u32>> = coverage.map(|c| {
             let mut count = 0;
             std::iter::once(0)
                 .chain((start..series.end()).map(|minute| {
-                    count += u32::from(mask.is_present(minute));
+                    count += u32::from(c.mask.is_present(minute));
                     count
                 }))
                 .collect()
@@ -549,76 +510,41 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
     }
 
     /// Where a change point must not start for its declaration to stand:
-    /// within one window length of a gap in `mask` of at least `min_gap`
-    /// minutes (clamped to 1) over the span of `series`, in ascending order.
-    fn refusal_zones(
-        &self,
-        series: &TimeSeries,
-        mask: &CoverageMask,
-        min_gap: u64,
-    ) -> Vec<Range<MinuteBin>> {
+    /// within one window length of a gap of at least `min_gap` minutes
+    /// (clamped to 1) over the span of `series`, in ascending order.
+    fn refusal_zones(&self, series: &TimeSeries, coverage: Coverage<'_>) -> Vec<Range<MinuteBin>> {
         let guard = self.scorer.window_len() as u64;
-        mask.gaps_in(series.start(), series.end())
+        coverage
+            .mask
+            .gaps_in(series.start(), series.end())
             .into_iter()
-            .filter(|&(s, e)| e - s >= min_gap.max(1))
+            .filter(|&(s, e)| e - s >= coverage.min_gap.max(1))
             .map(|(s, e)| s.saturating_sub(guard)..e + guard)
             .collect()
     }
 
-    /// [`DetectorRunner::run_masked`] hardened against *correlated*
-    /// outages: any declared change whose change point
-    /// ([`ChangeEvent::first_exceeded_at`]) falls inside — or within one
-    /// window-length of — a contiguous coverage gap of at least `min_gap`
-    /// minutes is refused and counted in
-    /// [`MaskedRun::suppressed_events`] instead of returned.
+    /// The declaration a verdict at minute `from` rests on. The windows of
+    /// `series` go to the persistence rule in order, each skipped or judged
+    /// and each declaration refused or let stand as `coverage` says (with
+    /// none, every window is judged and nothing is refused). `event` is the
+    /// first declaration at or after `from` that stands; `refused` is
+    /// whether one declared before it was refused.
     ///
-    /// Per-window coverage thresholds already handle scattered per-frame
-    /// loss, but a partition leaves one long gap whose forward-filled
-    /// plateau ends in a step artifact exactly where the heal lands; a
-    /// change point bordering such a gap is indistinguishable from that
-    /// artifact until backfill restores the span. `min_gap` distinguishes
-    /// the two regimes (use the persistence length: a gap long enough to
-    /// fake the persistence rule). `min_gap` is clamped to a minimum of 1.
-    pub fn run_masked_gap_aware(
-        &self,
-        series: &TimeSeries,
-        mask: &CoverageMask,
-        min_coverage: f64,
-        min_gap: u64,
-    ) -> MaskedRun {
-        let mut out = self.run_masked(series, mask, min_coverage);
-        let zones = self.refusal_zones(series, mask, min_gap);
-        let before = out.events.len();
-        out.events.retain(|event| {
-            !zones
-                .iter()
-                .any(|zone| zone.contains(&event.first_exceeded_at))
-        });
-        out.suppressed_events = before - out.events.len();
-        out
-    }
-
-    /// The declaration a verdict at minute `from` rests on: what
-    /// [`DetectorRunner::run_masked_gap_aware`] (or, with no `coverage`,
-    /// [`DetectorRunner::run`]) would return as its first event declared at
-    /// or after `from`, and whether it refused one before that — asking
-    /// only the windows those two answers rest on.
-    ///
-    /// A definite miss leaves the persistence rule "no run, armed" whatever
-    /// came before it, and a coverage skip is no reset (it keeps `armed`),
-    /// so every declaration after a miss is a function of the windows after
-    /// it. The loop therefore starts after the last definite miss decided
-    /// before `limit = min(from, gap_start − W)` over every refusing gap —
-    /// earlier declarations started before `limit`, outside every refusal
-    /// zone, and before `from` — and stops at the declaration it returns.
+    /// Only the windows those two answers rest on are asked. A definite miss
+    /// leaves the persistence rule "no run, armed" whatever came before it,
+    /// and a coverage skip is no reset (it keeps `armed`), so every
+    /// declaration after a miss is a function of the windows after it. The
+    /// loop therefore starts after the last definite miss decided before
+    /// `limit = min(from, gap_start − W)` over every refusing gap — earlier
+    /// declarations started before `limit`, outside every refusal zone, and
+    /// before `from` — and stops at the declaration it returns.
     pub fn decide(
         &self,
         series: &TimeSeries,
         coverage: Option<Coverage<'_>>,
         from: MinuteBin,
     ) -> Decision {
-        let zones =
-            coverage.map_or_else(Vec::new, |c| self.refusal_zones(series, c.mask, c.min_gap));
+        let zones = coverage.map_or_else(Vec::new, |c| self.refusal_zones(series, c));
         let refused = |event: &ChangeEvent| {
             zones
                 .iter()
@@ -629,26 +555,12 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
             .iter()
             .map(|zone| zone.start)
             .fold(from, MinuteBin::min);
-        let unmeasured = self.unmeasured(
-            series,
-            coverage.map(|c| c.mask),
-            coverage.map_or(0.0, |c| c.min_coverage),
-        );
-        let out = self.run_observed(series, unmeasured, limit, decisive);
+        let unmeasured = self.unmeasured(series, coverage);
+        let events = self.run_observed(series, unmeasured, limit, decisive);
         Decision {
-            event: out.events.last().copied().filter(decisive),
-            refused: out.events.iter().any(refused),
+            event: events.last().copied().filter(decisive),
+            refused: events.iter().any(refused),
         }
-    }
-
-    /// Convenience: whether the series contains at least one declared
-    /// change, and if so the first event.
-    pub fn first_change(&self, series: &TimeSeries) -> Option<ChangeEvent> {
-        self.drive_windows(series, |_| false, 0, |_| true)
-            .0
-            .events
-            .first()
-            .copied()
     }
 
     /// The one scoring loop. It starts after the last definite miss decided
@@ -658,25 +570,20 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
     /// or offered to the persistence rule, which decides what gets scored —
     /// and takes from the runner's memory, and from the walk back to the
     /// start, the answers they hold. It stops after the first declaration
-    /// `stop` accepts. The counts of the returned run cover the windows
-    /// from the start on.
+    /// `stop` accepts, and returns the declarations and the tally of the
+    /// windows from the start on.
     fn drive_windows(
         &self,
         series: &TimeSeries,
         mut unmeasured: impl FnMut(MinuteBin) -> bool,
         reset_before: MinuteBin,
         mut stop: impl FnMut(&ChangeEvent) -> bool,
-    ) -> (MaskedRun, WindowTally) {
+    ) -> (Vec<ChangeEvent>, WindowTally) {
         let windows = SeriesWindows {
             series,
             width: self.scorer.window_len(),
         };
-        let mut out = MaskedRun {
-            events: Vec::new(),
-            skipped_windows: 0,
-            total_windows: 0,
-            suppressed_events: 0,
-        };
+        let mut events = Vec::new();
         let mut scorer = self.scorer.reaching_scorer();
         let mut pass = ScoringPass {
             scorer: &mut scorer,
@@ -689,15 +596,13 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
             tally: WindowTally::default(),
         };
         let Some((first, last)) = windows.decided() else {
-            return (out, pass.tally);
+            return (events, pass.tally);
         };
         let start = after_last_miss(&mut pass, first, last, reset_before, &mut unmeasured);
         pass.outcomes.candidates = start..reset_before.min(last + 1);
         let mut state = PersistenceRun::new(self.persistence);
         for minute in start..=last {
-            out.total_windows += 1;
             if unmeasured(minute) {
-                out.skipped_windows += 1;
                 state.skip_window(&mut pass);
                 continue;
             }
@@ -705,14 +610,14 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
                 break;
             };
             if let Some(event) = state.offer_window(minute, window, &mut pass) {
-                out.events.push(event);
+                events.push(event);
                 if stop(&event) {
                     break;
                 }
             }
         }
         state.drop_pending(&mut pass.tally);
-        (out, pass.tally)
+        (events, pass.tally)
     }
 }
 
@@ -851,46 +756,64 @@ mod tests {
     }
 
     #[test]
-    fn first_change_matches_run() {
-        let series = step_series(10, 20);
-        let r = DetectorRunner::new(MeanScorer, 0.5, 7);
-        assert_eq!(r.first_change(&series), r.run(&series).first().copied());
-        let quiet = TimeSeries::new(0, vec![0.0; 30]);
-        assert_eq!(r.first_change(&quiet), None);
-    }
-
-    #[test]
     fn held_windows_cost_the_run_two_integers() {
         // Per-key stream state: a count and a minute, never the samples.
         assert!(std::mem::size_of::<PersistenceRun>() <= 40);
     }
 
     #[test]
-    fn persistence_clamped_to_one() {
-        let r = DetectorRunner::new(MeanScorer, 0.5, 0);
-        assert_eq!(r.persistence(), 1);
+    fn persistence_zero_declares_as_one_does() {
+        let mut v = vec![0.0; 10];
+        v.extend(vec![10.0; 4]);
+        v.extend(vec![0.0; 10]);
+        v.extend(vec![10.0; 20]);
+        let series = TimeSeries::new(0, v);
+        let zero = DetectorRunner::new(MeanScorer, 0.5, 0);
+        let one = DetectorRunner::new(MeanScorer, 0.5, 1);
+        assert_eq!(zero.run(&series).len(), 2);
+        assert_eq!(zero.run(&series), one.run(&series));
+        assert_eq!(
+            zero.decide(&series, None, 20),
+            one.decide(&series, None, 20)
+        );
+    }
+
+    /// Every minute of `0..len` measured but those in `hole`.
+    fn mask_without(len: usize, hole: Range<MinuteBin>) -> CoverageMask {
+        let mut mask = CoverageMask::new(0);
+        for minute in (0..len as u64).filter(|m| !hole.contains(m)) {
+            mask.mark(minute);
+        }
+        mask
+    }
+
+    fn coverage(mask: &CoverageMask, min_coverage: f64, min_gap: u64) -> Option<Coverage<'_>> {
+        Some(Coverage {
+            mask,
+            min_coverage,
+            min_gap,
+        })
     }
 
     #[test]
-    fn full_mask_matches_unmasked_run() {
+    fn full_mask_decides_as_no_mask() {
         let series = step_series(10, 20);
         let mask = CoverageMask::all_present(0, series.len());
         let r = DetectorRunner::new(MeanScorer, 0.5, 7);
-        let masked = r.run_masked(&series, &mask, 0.8);
-        assert_eq!(masked.events, r.run(&series));
-        assert_eq!(masked.skipped_windows, 0);
+        let unmasked = r.decide(&series, None, 0);
+        assert!(unmasked.event.is_some());
+        assert_eq!(r.decide(&series, coverage(&mask, 0.8, 7), 0), unmasked);
     }
 
     #[test]
     fn low_coverage_windows_are_skipped_not_scored() {
-        let series = step_series(10, 20);
         // Nothing was really measured: every window must be skipped and no
         // change declared, even though the (filled) values contain a step.
+        let series = step_series(10, 20);
         let mask = CoverageMask::new(0);
         let r = DetectorRunner::new(MeanScorer, 0.5, 7);
-        let masked = r.run_masked(&series, &mask, 0.8);
-        assert!(masked.events.is_empty());
-        assert_eq!(masked.skipped_windows, masked.total_windows);
+        let decision = r.decide(&series, coverage(&mask, 0.8, 7), 0);
+        assert_eq!((decision.event, decision.refused), (None, false));
     }
 
     #[test]
@@ -899,19 +822,12 @@ mod tests {
         // it (20..30): the step's change point borders the gap, so it is
         // indistinguishable from the fill plateau ending — refused.
         let series = step_series(30, 30);
-        let mut mask = CoverageMask::new(0);
-        for minute in 0..series.len() as u64 {
-            if !(20..30).contains(&minute) {
-                mask.mark(minute);
-            }
-        }
+        let mask = mask_without(series.len(), 20..30);
         let r = DetectorRunner::new(MeanScorer, 0.5, 7);
-        let plain = r.run_masked(&series, &mask, 0.5);
-        assert_eq!(plain.events.len(), 1);
-        assert_eq!(plain.suppressed_events, 0);
-        let aware = r.run_masked_gap_aware(&series, &mask, 0.5, 7);
-        assert!(aware.events.is_empty());
-        assert_eq!(aware.suppressed_events, 1);
+        let plain = r.decide(&series, coverage(&mask, 0.5, u64::MAX), 0);
+        assert!(plain.event.is_some() && !plain.refused);
+        let aware = r.decide(&series, coverage(&mask, 0.5, 7), 0);
+        assert_eq!((aware.event, aware.refused), (None, true));
     }
 
     #[test]
@@ -919,17 +835,11 @@ mod tests {
         // Gap at 5..15, step at minute 40: window-length guard (4) does not
         // reach the change point, so the event stands.
         let series = step_series(40, 30);
-        let mut mask = CoverageMask::new(0);
-        for minute in 0..series.len() as u64 {
-            if !(5..15).contains(&minute) {
-                mask.mark(minute);
-            }
-        }
+        let mask = mask_without(series.len(), 5..15);
         let r = DetectorRunner::new(MeanScorer, 0.5, 7);
-        let aware = r.run_masked_gap_aware(&series, &mask, 0.5, 7);
-        assert_eq!(aware.events.len(), 1);
-        assert_eq!(aware.suppressed_events, 0);
-        assert_eq!(aware.events, r.run_masked(&series, &mask, 0.5).events);
+        let aware = r.decide(&series, coverage(&mask, 0.5, 7), 0);
+        assert!(aware.event.is_some() && !aware.refused);
+        assert_eq!(aware, r.decide(&series, coverage(&mask, 0.5, u64::MAX), 0));
     }
 
     #[test]
@@ -937,27 +847,10 @@ mod tests {
         // A 2-minute hole right before the step is ordinary frame loss, not
         // a partition: below min_gap, the event stands.
         let series = step_series(30, 30);
-        let mut mask = CoverageMask::new(0);
-        for minute in 0..series.len() as u64 {
-            if !(27..29).contains(&minute) {
-                mask.mark(minute);
-            }
-        }
+        let mask = mask_without(series.len(), 27..29);
         let r = DetectorRunner::new(MeanScorer, 0.5, 7);
-        let aware = r.run_masked_gap_aware(&series, &mask, 0.5, 7);
-        assert_eq!(aware.events.len(), 1);
-        assert_eq!(aware.suppressed_events, 0);
-    }
-
-    #[test]
-    fn full_mask_gap_aware_matches_run_masked() {
-        let series = step_series(10, 20);
-        let mask = CoverageMask::all_present(0, series.len());
-        let r = DetectorRunner::new(MeanScorer, 0.5, 7);
-        assert_eq!(
-            r.run_masked_gap_aware(&series, &mask, 0.8, 7),
-            r.run_masked(&series, &mask, 0.8)
-        );
+        let aware = r.decide(&series, coverage(&mask, 0.5, 7), 0);
+        assert!(aware.event.is_some() && !aware.refused);
     }
 
     #[test]
@@ -968,23 +861,21 @@ mod tests {
         // a full mask (the run restarts after the gap).
         let series = step_series(10, 30);
         let full = CoverageMask::all_present(0, series.len());
-        let mut holed = CoverageMask::new(0);
-        for minute in 0..series.len() as u64 {
-            if !(16..=17).contains(&minute) {
-                holed.mark(minute);
-            }
-        }
+        let holed = mask_without(series.len(), 16..18);
         let r = DetectorRunner::new(MeanScorer, 0.5, 7);
-        let clean = r.run_masked(&series, &full, 0.95);
-        let degraded = r.run_masked(&series, &holed, 0.95);
-        assert_eq!(clean.events.len(), 1);
-        assert_eq!(degraded.events.len(), 1);
-        assert!(degraded.skipped_windows > 0);
+        let clean = r
+            .decide(&series, coverage(&full, 0.95, 7), 0)
+            .event
+            .unwrap();
+        let degraded = r
+            .decide(&series, coverage(&holed, 0.95, 7), 0)
+            .event
+            .unwrap();
         assert!(
-            degraded.events[0].declared_at > clean.events[0].declared_at,
+            degraded.declared_at > clean.declared_at,
             "gap must delay the declaration ({} vs {})",
-            degraded.events[0].declared_at,
-            clean.events[0].declared_at
+            degraded.declared_at,
+            clean.declared_at
         );
     }
 }

@@ -5,7 +5,10 @@
 //! * [`detector`] — [`WindowScorer`] (a pure window → score function),
 //!   [`DetectorRunner`] (threshold + persistence + re-arm logic, one
 //!   [`PersistenceRun`] per pass, which also plans which windows the scorer
-//!   is run on), and [`ChangeEvent`].
+//!   is run on), and [`ChangeEvent`]. A runner does two things:
+//!   [`DetectorRunner::run`] declares every change in a series, and
+//!   [`DetectorRunner::decide`] finds the one declaration a verdict rests
+//!   on, under the [`Coverage`] rules, asking only the windows it needs.
 //! * [`outcomes`] — [`WindowOutcomes`], the memory one run records its
 //!   scorer's answers in and a later run over the same samples recalls them
 //!   from instead of asking again.
@@ -34,8 +37,8 @@ pub mod wow;
 pub use cusum::CusumDetector;
 pub use delay::{detection_delay, DelayOutcome};
 pub use detector::{
-    ChangeEvent, Coverage, Decision, DetectorRunner, MaskedRun, PersistenceRun, ReachingScorer,
-    ScoringPass, WindowScorer, WindowSource, WindowTally,
+    ChangeEvent, Coverage, Decision, DetectorRunner, PersistenceRun, ReachingScorer, ScoringPass,
+    WindowScorer, WindowSource, WindowTally,
 };
 pub use mrls::MrlsDetector;
 pub use outcomes::{Outcome, Outcomes, WindowOutcomes};

@@ -9,15 +9,29 @@
 //! `FnMut(&[f64], f64) -> Option<f64>` — what `reaching_scorer()` used to
 //! return. Do not "fix" or modernise this file: it is the oracle the
 //! deferred driver is compared with, bit for bit. Included by path from
-//! `detect/tests/deferred_equivalence.rs`,
+//! `detect/tests/detector_equivalence.rs`,
 //! `core/tests/stream_equivalence.rs` and the root `tests/end_to_end.rs`.
 
 #![allow(dead_code)]
 
-use funnel_detect::detector::{ChangeEvent, MaskedRun};
+use funnel_detect::detector::ChangeEvent;
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use funnel_timeseries::window::SlidingWindows;
+
+/// What a coverage-aware eager run returned (the shipped struct of the
+/// same name at that commit).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MaskedRun {
+    /// Declared changes, from windows with adequate coverage only.
+    pub events: Vec<ChangeEvent>,
+    /// Windows skipped for coverage.
+    pub skipped_windows: usize,
+    /// Windows the series yielded.
+    pub total_windows: usize,
+    /// Events refused by the gap rule.
+    pub suppressed_events: usize,
+}
 
 /// The threshold → run-length → peak → declare → re-arm state machine, fed
 /// one scored window at a time.

@@ -375,12 +375,13 @@ fn verdict_bytes_match_committed_golden() {
 /// (`detect/tests/eager_reference`) over plain `score_window`, from the
 /// world (the unmasked path) and from a store fed out of order (the
 /// coverage- and gap-aware path), and compared with the detection the
-/// pipeline put in the item and with the shipped runner's full output.
+/// pipeline put in the item, with the shipped runner's `run` and with its
+/// `decide` at the deploy minute.
 #[test]
 fn shipped_detector_matches_the_eager_reference_on_the_golden_scenario() {
-    use eager_reference::{event_bits, masked_bits, EagerRunner};
+    use eager_reference::{event_bits, EagerRunner};
     use funnel_suite::core::source::KpiSource;
-    use funnel_suite::detect::detector::DetectorRunner;
+    use funnel_suite::detect::detector::{ChangeEvent, Coverage, DetectorRunner};
     use funnel_suite::detect::sst_adapter::SstDetector;
     use funnel_suite::sim::live::LiveFeed;
     use funnel_suite::sim::store::MetricStore;
@@ -440,6 +441,13 @@ fn shipped_detector_matches_the_eager_reference_on_the_golden_scenario() {
             let want = eager.run(&window);
             assert_eq!(event_bits(&shipped.run(&window)), event_bits(&want));
             let first = want.into_iter().find(|e| e.declared_at >= record.minute);
+            let decision = shipped.decide(&window, None, record.minute);
+            assert_eq!(
+                (event_bits(decision.event.as_slice()), decision.refused),
+                (event_bits(first.as_slice()), false),
+                "world-backed {:?}",
+                item.key
+            );
             assert_eq!(
                 event_bits(item.detection.as_slice()),
                 event_bits(first.as_slice()),
@@ -455,18 +463,37 @@ fn shipped_detector_matches_the_eager_reference_on_the_golden_scenario() {
             let (lo, to) = item.window;
             let window = TimeSeries::new(lo, series.slice(lo, to).to_vec());
             let (min_coverage, min_gap) = (MIN_COVERAGE, MIN_PARTITION_GAP);
+            let all = eager.run_masked(&window, &mask, min_coverage).events;
             let want = eager.run_masked_gap_aware(&window, &mask, min_coverage, min_gap);
-            assert_eq!(
-                masked_bits(&shipped.run_masked_gap_aware(&window, &mask, min_coverage, min_gap)),
-                masked_bits(&want)
-            );
             skipped += want.skipped_windows;
             suppressed += want.suppressed_events;
             let refused = want.suppressed_events > 0;
             let first = want
                 .events
-                .into_iter()
+                .iter()
+                .copied()
                 .find(|e| e.declared_at >= record.minute);
+            // The decision by its definition: that event, and whether the
+            // gap rule refused one declared before it.
+            let cut = first.map_or(u64::MAX, |e| e.declared_at);
+            let before =
+                |events: &[ChangeEvent]| events.iter().filter(|e| e.declared_at < cut).count();
+            let defined = (
+                event_bits(first.as_slice()),
+                before(&all) > before(&want.events),
+            );
+            let coverage = Coverage {
+                mask: &mask,
+                min_coverage,
+                min_gap,
+            };
+            let decision = shipped.decide(&window, Some(coverage), record.minute);
+            assert_eq!(
+                (event_bits(decision.event.as_slice()), decision.refused),
+                defined,
+                "store-backed {:?}",
+                item.key
+            );
             assert_eq!(
                 event_bits(item.detection.as_slice()),
                 event_bits(first.as_slice()),
