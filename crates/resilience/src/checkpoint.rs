@@ -34,18 +34,21 @@
 //! bytes actually remaining, so a torn or bit-flipped file is detected
 //! cleanly, never a panic or an allocation bomb.
 //!
-//! A manifest is usable when it and every segment it names validate.
-//! What its chain adds up to is what applying the segments in order gives
-//! — a key's record truncating the key at its first minute, then
-//! appending; [`CheckpointStore::latest_valid`] assembles it newest segment
-//! first, so that every bin is allocated and copied once, and falls back
-//! to the next older manifest when the newest is not usable. A crash
-//! mid-cut can tear only the files of that cut, which no older manifest
-//! names. One rule bounds the chain: a cut whose segment would bring the
-//! chain past twice the size of the whole store writes a base instead and
-//! starts a new chain, so recovery never reads more than 2× the store. The
-//! directory keeps what the two newest usable manifests name and nothing
-//! else.
+//! A manifest is usable when it and every segment it names validate, a
+//! segment's length checked against the manifest before its bytes are
+//! read. [`CheckpointStore::latest_valid`] applies the chain in order,
+//! base first: a key's record that rewrites from at or below its anchor
+//! replaces the key's series (or mask), anchor and bins; any other must
+//! continue what the chain holds — same anchor, at least as many bins as
+//! it keeps — and truncates there, then appends. Anything else makes the
+//! chain unusable, and recovery falls back to the next older manifest. A
+//! restored buffer gets the capacity a live-grown one has at its length,
+//! the next power of two, reserved as it grows. A crash mid-cut can tear
+//! only the files of that cut, which no older manifest names. One rule
+//! bounds the chain: a cut whose segment would bring the chain past twice
+//! the size of the whole store writes a base instead and starts a new
+//! chain, so recovery never reads more than 2× the store. The directory
+//! keeps what the two newest usable manifests name and nothing else.
 
 use crate::wal::WalCursor;
 use crate::{fnv1a_words, numbered_files, ResilienceError};
@@ -58,7 +61,6 @@ use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use funnel_topology::change::ChangeId;
 use funnel_topology::model::ServiceId;
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{ErrorKind, Read};
@@ -655,118 +657,72 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, ResilienceError> {
     })
 }
 
-/// A series (or mask) being put back together from a chain, newest segment
-/// first: allocated at its final length by the newest record that names
-/// the key, its leading bins filled in by older ones. What comes out is
-/// what applying the segments oldest first would give — each record
-/// truncating the key at its first minute, then appending — but every bin
-/// is allocated and copied once, and bins a newer segment rewrote are never
-/// decoded.
+/// A series (or mask) as the segments of a chain applied so far leave it.
 struct Half<T> {
     start: MinuteBin,
     bins: Vec<T>,
-    /// The leading bins no segment has supplied yet.
-    missing: usize,
 }
 
-impl<T: Copy + Default> Half<T> {
-    /// The half as the newest record naming its key leaves it: its first
-    /// `keep` bins still to come from older segments, then `tail`. Those
-    /// segments hold at most `older` bins, which caps the allocation — at
-    /// the next power of two, the capacity a series grown a push at a time
-    /// has at this length, so that the first minute ingested after a
-    /// recovery appends to the restored buffers as it would to the live
-    /// ones instead of reallocating every one of them.
-    fn ending_in<B>(
-        start: MinuteBin,
-        keep: usize,
-        tail: &[B],
-        decode: fn(&B) -> T,
-        older: usize,
-    ) -> Result<Self, ResilienceError> {
-        if keep > older {
-            return Err(corrupt("segment continues more bins than its chain holds"));
-        }
-        let len = keep + tail.len();
-        let mut bins = Vec::with_capacity(len.checked_next_power_of_two().unwrap_or(len));
-        bins.resize(len, T::default());
-        let mut half = Self {
+impl<T> Half<T> {
+    fn empty(start: MinuteBin) -> Self {
+        Self {
             start,
-            bins,
-            missing: keep,
-        };
-        half.fill(keep, tail, decode);
-        Ok(half)
-    }
-
-    fn fill<B>(&mut self, at: usize, tail: &[B], decode: fn(&B) -> T) {
-        let bins = self.bins.get_mut(at..).unwrap_or_default();
-        for (bin, raw) in bins.iter_mut().zip(tail) {
-            *bin = decode(raw);
+            bins: Vec::new(),
         }
     }
 
-    /// Takes from an older record — `tail`, following its first `keep`
-    /// bins — whatever of the missing bins it holds.
-    fn reach_back<B>(
+    /// Applies a record that rewrites the half from minute `from` on, with
+    /// anchor `start` and `tail` the bins from there. A record that keeps
+    /// no bins (`from` at or below its anchor) replaces the half, anchor
+    /// included; any other must continue it — same anchor, at least the
+    /// `keep` bins it keeps held — and truncates it at `keep` before
+    /// appending. The room reserved as the half grows is the next power of
+    /// two, the capacity a buffer grown a push at a time has at this
+    /// length, so that the first minute ingested after a recovery appends
+    /// to the restored buffers as it would to the live ones instead of
+    /// reallocating every one of them.
+    fn apply<B>(
         &mut self,
+        from: MinuteBin,
         start: MinuteBin,
-        keep: usize,
         tail: &[B],
         decode: fn(&B) -> T,
     ) -> Result<(), ResilienceError> {
-        if keep >= self.missing {
-            // All this record wrote was rewritten since.
-            return Ok(());
+        let keep = kept(from, start);
+        if keep == 0 {
+            *self = Self::empty(start);
+        } else if start != self.start || keep > self.bins.len() {
+            return Err(corrupt("segment continues bins its chain does not hold"));
         }
-        let wanted = tail.get(..self.missing - keep);
-        match wanted {
-            Some(wanted) if start == self.start => {
-                self.fill(keep, wanted, decode);
-                self.missing = keep;
-                Ok(())
-            }
-            _ => Err(corrupt("segment continues bins its chain does not hold")),
-        }
+        self.bins.truncate(keep);
+        let len = keep + tail.len();
+        let room = len.checked_next_power_of_two().unwrap_or(len);
+        self.bins.reserve_exact(room - keep);
+        self.bins.extend(tail.iter().map(decode));
+        Ok(())
     }
 }
 
-/// The store entries a chain adds up to, assembled newest segment first.
+/// The store entries a chain adds up to, its segments applied oldest first.
 #[derive(Default)]
 struct Restored(BTreeMap<KpiKey, (Half<f64>, Half<bool>)>);
 
 impl Restored {
-    /// Takes in the next older segment of the chain, `older_bytes` of
-    /// segments still to come after it.
-    fn reach_back(&mut self, payload: &[u8], older_bytes: usize) -> Result<(), ResilienceError> {
+    /// Applies the next segment of the chain. A key no earlier segment
+    /// named starts as an empty half at the record's anchors, which only a
+    /// record that replaces it can extend.
+    fn apply(&mut self, payload: &[u8]) -> Result<(), ResilienceError> {
         each_record(payload, |raw| {
-            let keep = (
-                kept(raw.from, raw.series_start),
-                kept(raw.from, raw.mask_start),
-            );
-            match self.0.entry(raw.key) {
-                Entry::Occupied(held) => {
-                    let (series, mask) = held.into_mut();
-                    series.reach_back(raw.series_start, keep.0, raw.values, value_of)?;
-                    mask.reach_back(raw.mask_start, keep.1, raw.bits, bit_of)?;
-                }
-                Entry::Vacant(unseen) => {
-                    let older = (older_bytes / 8, older_bytes);
-                    unseen.insert((
-                        Half::ending_in(raw.series_start, keep.0, raw.values, value_of, older.0)?,
-                        Half::ending_in(raw.mask_start, keep.1, raw.bits, bit_of, older.1)?,
-                    ));
-                }
-            }
-            Ok(())
+            let (series, mask) = self
+                .0
+                .entry(raw.key)
+                .or_insert_with(|| (Half::empty(raw.series_start), Half::empty(raw.mask_start)));
+            series.apply(raw.from, raw.series_start, raw.values, value_of)?;
+            mask.apply(raw.from, raw.mask_start, raw.bits, bit_of)
         })
     }
 
-    /// The entries, once the whole chain was taken in.
-    fn into_entries(self) -> Result<Vec<(KpiKey, TimeSeries, CoverageMask)>, ResilienceError> {
-        if self.0.values().any(|(s, m)| s.missing + m.missing > 0) {
-            return Err(corrupt("chain ends before the bins its segments continue"));
-        }
+    fn into_entries(self) -> Vec<(KpiKey, TimeSeries, CoverageMask)> {
         let entries = self.0.into_iter().map(|(key, (series, mask))| {
             (
                 key,
@@ -774,7 +730,7 @@ impl Restored {
                 CoverageMask::from_bits(mask.start, mask.bins),
             )
         });
-        Ok(entries.collect())
+        entries.collect()
     }
 }
 
@@ -793,59 +749,56 @@ fn manifest_seqs(dir: &Path) -> Result<Vec<u64>, ResilienceError> {
 }
 
 /// Reads a file into `buf`, replacing what it held; `false` when the file
-/// does not exist.
-fn read_if_present(path: &Path, buf: &mut Vec<u8>) -> Result<bool, ResilienceError> {
+/// does not exist, or is not `len` bytes long when `len` is given — found
+/// before a byte is read, so a replaced file cannot drive a larger read.
+fn read_if_present(
+    path: &Path,
+    len: Option<u64>,
+    buf: &mut Vec<u8>,
+) -> Result<bool, ResilienceError> {
     buf.clear();
-    match fs::File::open(path).and_then(|mut file| file.read_to_end(buf)) {
-        Ok(_) => Ok(true),
-        Err(e) if e.kind() == ErrorKind::NotFound => Ok(false),
-        Err(e) => Err(e.into()),
+    let mut file = match fs::File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(false),
+        Err(e) => return Err(e.into()),
+    };
+    if let Some(len) = len {
+        if file.metadata()?.len() != len {
+            return Ok(false);
+        }
     }
+    file.read_to_end(buf)?;
+    Ok(true)
 }
 
-/// Reads manifest `seq` and walks its chain, newest segment first, handing
-/// `visit` the payload of each — once its length and hash match what the
-/// manifest names — and the bytes of the segments still to come. `None`
-/// when the manifest or any segment is missing or fails validation, or
-/// `visit` finds a segment corrupt: the manifest is unusable.
+/// Reads manifest `seq` and walks its chain in order, base first, handing
+/// `visit` the payload of each segment once its length and hash match what
+/// the manifest names. `None` when the manifest or any segment is missing
+/// or fails validation, or `visit` finds a segment corrupt: the manifest is
+/// unusable.
 fn walk_chain(
     dir: &Path,
     seq: u64,
-    mut visit: impl FnMut(&[u8], usize) -> Result<(), ResilienceError>,
+    mut visit: impl FnMut(&[u8]) -> Result<(), ResilienceError>,
 ) -> Result<Option<Manifest>, ResilienceError> {
     // One read buffer for the manifest and every segment in turn.
     let mut bytes = Vec::new();
-    if !read_if_present(&dir.join(manifest_name(seq)), &mut bytes)? {
+    if !read_if_present(&dir.join(manifest_name(seq)), None, &mut bytes)? {
         return Ok(None);
     }
     let Ok(manifest) = decode_manifest(&bytes) else {
         return Ok(None);
     };
-    // What is really on disk, not what the manifest claims, is what caps
-    // the allocations below.
-    let mut older_bytes = 0usize;
     for segment in &manifest.segments {
-        match fs::metadata(dir.join(segment_name(segment.seq))) {
-            Ok(file) if file.len() == segment.len => {
-                older_bytes = older_bytes.saturating_add(file.len() as usize);
-            }
-            Ok(_) => return Ok(None),
-            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        }
-    }
-    for segment in manifest.segments.iter().rev() {
-        if !read_if_present(&dir.join(segment_name(segment.seq)), &mut bytes)? {
+        let path = dir.join(segment_name(segment.seq));
+        if !read_if_present(&path, Some(segment.len), &mut bytes)? {
             return Ok(None);
         }
         let payload = match unframe(&bytes, SEGMENT_MAGIC, "segment") {
-            Ok((hash, payload)) if hash == segment.hash && bytes.len() as u64 == segment.len => {
-                payload
-            }
+            Ok((hash, payload)) if hash == segment.hash => payload,
             _ => return Ok(None),
         };
-        older_bytes = older_bytes.saturating_sub(bytes.len());
-        match visit(payload, older_bytes) {
+        match visit(payload) {
             Ok(()) => {}
             Err(ResilienceError::Corrupt(_)) => return Ok(None),
             Err(e) => return Err(e),
@@ -1027,7 +980,7 @@ impl CheckpointStore {
         if fallback.is_none() {
             for &seq in manifest_seqs(&self.dir)?.iter().rev() {
                 if seq < newest.0 {
-                    if let Some(manifest) = walk_chain(&self.dir, seq, |_, _| Ok(()))? {
+                    if let Some(manifest) = walk_chain(&self.dir, seq, |_| Ok(()))? {
                         fallback = Some((seq, manifest.segments));
                         break;
                     }
@@ -1055,9 +1008,9 @@ impl CheckpointStore {
     }
 
     /// Loads the newest recovery point that validates, skipping manifests
-    /// that are torn or corrupt or rest on a segment that is (newest
-    /// first). `None` when no usable manifest exists — including when the
-    /// directory itself is missing.
+    /// that are torn or corrupt or rest on a segment that is, or on a chain
+    /// that does not apply (newest first). `None` when no usable manifest
+    /// exists — including when the directory itself is missing.
     ///
     /// # Errors
     ///
@@ -1068,13 +1021,10 @@ impl CheckpointStore {
         }
         for &seq in manifest_seqs(dir)?.iter().rev() {
             let mut restored = Restored::default();
-            let usable = walk_chain(dir, seq, |payload, older_bytes| {
-                restored.reach_back(payload, older_bytes)
-            })?;
-            if let (Some(manifest), Ok(entries)) = (usable, restored.into_entries()) {
+            if let Some(manifest) = walk_chain(dir, seq, |payload| restored.apply(payload))? {
                 return Ok(Some(Checkpoint {
                     wal: manifest.wal,
-                    entries,
+                    entries: restored.into_entries(),
                     collector: manifest.collector,
                     queue: manifest.queue,
                 }));
@@ -1327,9 +1277,10 @@ mod tests {
         let dir = tmp_dir("capacity");
         let store = MetricStore::new();
         let mut checkpoints = CheckpointStore::open(&dir).unwrap();
-        // 70 bins, put together from a base and a delta.
+        // 70 bins, put together from a base of 30 and a delta of 40: more
+        // than doubled, so that only the reserve leaves room past 70.
         for minute in 0..70 {
-            if minute == 50 {
+            if minute == 30 {
                 cut(&mut checkpoints, &store, 1, None);
             }
             store.append(key(0), minute, minute as f64);
@@ -1406,12 +1357,90 @@ mod tests {
         let first = point(&store, 1);
         store.append(key(0), 1, 2.0);
         cut(&mut checkpoints, &store, 2, None);
+        // One byte longer than the manifest names: refused before it is read.
+        let longer = [fs::read(dir.join(segment_name(1))).unwrap(), vec![0]].concat();
+        fs::write(dir.join(segment_name(1)), longer).unwrap();
+        assert_eq!(CheckpointStore::latest_valid(&dir).unwrap().unwrap(), first);
         fs::remove_file(dir.join(segment_name(1))).unwrap();
         assert_eq!(CheckpointStore::latest_valid(&dir).unwrap().unwrap(), first);
         // The base both manifests rest on.
         fs::remove_file(dir.join(segment_name(0))).unwrap();
         assert!(CheckpointStore::latest_valid(&dir).unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Writes `records` as segment `seq` through the one segment writer and
+    /// names it as a manifest does.
+    fn put_segment_file(dir: &Path, seq: u64, records: &[Written<'_>]) -> SegmentRef {
+        let mut bytes = Vec::new();
+        let records = records.iter().copied();
+        let hash = put_segment(&mut bytes, measure(records.clone()), records);
+        fs::write(dir.join(segment_name(seq)), &bytes).unwrap();
+        SegmentRef {
+            seq,
+            len: bytes.len() as u64,
+            hash,
+        }
+    }
+
+    fn put_manifest_file(dir: &Path, seq: u64, chain: &[SegmentRef]) {
+        let mut bytes = Vec::new();
+        let state = CollectorState::new(1);
+        put_manifest(&mut bytes, at(seq), chain, &state, &QueueState::default());
+        fs::write(dir.join(manifest_name(seq)), bytes).unwrap();
+    }
+
+    /// Chains whose every file validates but which the writer never
+    /// produces: a delta continuing bins no older link holds. Each leaves
+    /// its manifest unusable — recovery takes the one before, or nothing
+    /// when it stands alone — and none panics. A delta that does continue
+    /// the chain is the control.
+    #[test]
+    fn a_hash_valid_chain_that_does_not_apply_falls_back() {
+        let series = |start, len| TimeSeries::new(start, (0..len).map(|v| v as f64).collect());
+        let mask = CoverageMask::all_present;
+        let (held_series, held_mask) = (series(10, 4), mask(10, 4));
+        let (long_series, long_mask) = (series(10, 6), mask(10, 6));
+        let (moved_series, moved_mask) = (series(11, 5), mask(11, 5));
+        let (far_series, far_mask) = (series(10, 12), mask(10, 12));
+        let point_of = |frames, series: &TimeSeries, mask: &CoverageMask| Checkpoint {
+            wal: at(frames),
+            entries: vec![(key(0), series.clone(), mask.clone())],
+            collector: CollectorState::new(1),
+            queue: QueueState::default(),
+        };
+        let chain_of = |tag: &str, delta: Written<'_>| {
+            let dir = tmp_dir(tag);
+            fs::create_dir_all(&dir).unwrap();
+            let base = put_segment_file(&dir, 0, &[(key(0), 0, &held_series, &held_mask)]);
+            put_manifest_file(&dir, 0, &[base]);
+            let delta = put_segment_file(&dir, 1, &[delta]);
+            put_manifest_file(&dir, 1, &[base, delta]);
+            dir
+        };
+
+        // Keeps the 2 bins it names under the anchor the chain holds.
+        let dir = chain_of("applies", (key(0), 12, &long_series, &long_mask));
+        let recovered = CheckpointStore::latest_valid(&dir).unwrap();
+        assert_eq!(recovered, Some(point_of(1, &long_series, &long_mask)));
+        let _ = fs::remove_dir_all(&dir);
+
+        for (tag, delta) in [
+            ("unheld-key", (key(1), 12, &long_series, &long_mask)),
+            ("other-anchor", (key(0), 12, &moved_series, &moved_mask)),
+            ("past-the-end", (key(0), 20, &far_series, &far_mask)),
+        ] {
+            let dir = chain_of(tag, delta);
+            let recovered = CheckpointStore::latest_valid(&dir).unwrap();
+            assert_eq!(
+                recovered,
+                Some(point_of(0, &held_series, &held_mask)),
+                "{tag}"
+            );
+            fs::remove_file(dir.join(manifest_name(0))).unwrap();
+            assert_eq!(CheckpointStore::latest_valid(&dir).unwrap(), None, "{tag}");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     /// The directory keeps what the two newest *usable* manifests name. A

@@ -106,7 +106,6 @@ pub struct DurableHooks {
     kill: Kill,
     frames: u64,
     checkpoints_written: u64,
-    queue: QueueState,
     error: Option<ResilienceError>,
 }
 
@@ -138,15 +137,8 @@ impl DurableHooks {
             kill: options.kill,
             frames: frames_so_far,
             checkpoints_written: 0,
-            queue: QueueState::default(),
             error: None,
         })
-    }
-
-    /// Sets the re-assessment queue state stamped into subsequent
-    /// checkpoints (defaults to empty — pure ingestion has no queue).
-    pub fn set_queue_state(&mut self, queue: QueueState) {
-        self.queue = queue;
     }
 
     /// The first I/O error the hooks hit, if any — the reason an aborted
@@ -198,7 +190,7 @@ impl IngestHooks for DurableHooks {
             self.wal.cursor(self.frames),
             collector.store(),
             collector.state(),
-            &self.queue,
+            &QueueState::default(),
             tear,
         );
         match cut {
