@@ -206,8 +206,8 @@ pub(crate) fn assess_work_units<S: KpiSource + Sync>(
 ) -> Result<Vec<ItemAssessment>, FunnelError> {
     let workers = workers.clamp(1, work.len().max(1));
     let window = funnel_obs::timeline::current_window();
-    funnel_obs::timeline_gauge_set(funnel_obs::names::WORKERS, window, workers as u64);
-    funnel_obs::timeline_histogram_record(
+    funnel_obs::gauge_set(funnel_obs::names::WORKERS, window, workers as u64);
+    funnel_obs::histogram_record(
         funnel_obs::names::WORK_QUEUE_DEPTH,
         window,
         work.len() as u64,
@@ -229,8 +229,8 @@ pub(crate) fn assess_work_units<S: KpiSource + Sync>(
     // misses are the groups built and hits the other lookups, whatever the
     // worker count or schedule.
     let stats = table.stats();
-    funnel_obs::timeline_counter_add(funnel_obs::names::CONTROL_CACHE_HITS, window, stats.hits);
-    funnel_obs::timeline_counter_add(
+    funnel_obs::counter_add(funnel_obs::names::CONTROL_CACHE_HITS, window, stats.hits);
+    funnel_obs::counter_add(
         funnel_obs::names::CONTROL_CACHE_MISSES,
         window,
         stats.misses,

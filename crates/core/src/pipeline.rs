@@ -376,7 +376,7 @@ impl Funnel {
         let _span = funnel_obs::span!(funnel_obs::names::SPAN_ASSESS_CHANGE);
         let impact_set = identify_impact_set(topology, change)?;
         let work = enumerate_work_units(&impact_set, change, service_kinds);
-        funnel_obs::timeline_gauge_set(
+        funnel_obs::gauge_set(
             funnel_obs::names::WORK_UNITS_TOTAL,
             change.minute,
             work.len() as u64,
@@ -461,7 +461,7 @@ impl Funnel {
         key: KpiKey,
         issue: QualityIssue,
     ) -> ItemAssessment {
-        funnel_obs::timeline_counter_add(funnel_obs::names::VERDICT_INCONCLUSIVE, change.minute, 1);
+        funnel_obs::counter_add(funnel_obs::names::VERDICT_INCONCLUSIVE, change.minute, 1);
         ItemAssessment {
             key,
             detection: None,
@@ -605,7 +605,7 @@ impl Funnel {
             Verdict::Inconclusive { .. } => funnel_obs::names::VERDICT_INCONCLUSIVE,
         };
         let tl_window = funnel_obs::timeline::current_window();
-        funnel_obs::timeline_counter_add(verdict_counter, tl_window, 1);
+        funnel_obs::counter_add(verdict_counter, tl_window, 1);
 
         Ok(ItemAssessment {
             key,

@@ -25,7 +25,7 @@
 //! funnel_obs::reset();
 //! funnel_obs::enable();
 //! for minute in 0..60 {
-//!     funnel_obs::timeline_counter_add(funnel_obs::names::FRAMES_INGESTED, minute, 100);
+//!     funnel_obs::counter_add(funnel_obs::names::FRAMES_INGESTED, minute, 100);
 //! }
 //! let report = run_selfmon(&funnel_obs::timeline_snapshot());
 //! assert!(report.healthy()); // a flat ingest rate raises no alert
@@ -238,14 +238,11 @@ mod tests {
         counters: impl IntoIterator<Item = (&'static str, MinuteBin, u64)>,
     ) -> TimelineReport {
         TimelineReport {
-            window_minutes: funnel_obs::timeline::WINDOW_MINUTES,
             counters: counters
                 .into_iter()
                 .map(|(name, minute, value)| ((name, minute), value))
                 .collect(),
-            gauges: Default::default(),
-            histograms: Default::default(),
-            spans: Default::default(),
+            ..Default::default()
         }
     }
 

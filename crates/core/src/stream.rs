@@ -642,7 +642,7 @@ impl StreamEngine {
         state.dirty = true;
         if late {
             self.stats.late_backfilled += 1;
-            funnel_obs::timeline_counter_add(names::STREAM_LATE_BACKFILLED, m.minute, 1);
+            funnel_obs::counter_add(names::STREAM_LATE_BACKFILLED, m.minute, 1);
             // The only way a retained sample changes: bin `m.minute` and
             // the fill run behind it. Every window that can hold one was
             // decided at or after `m.minute`.
@@ -668,7 +668,7 @@ impl StreamEngine {
         let _span = funnel_obs::span!(names::SPAN_STREAM_TICK);
         self.watermark = Some(self.watermark.map_or(minute, |w| w.max(minute)));
         self.stats.ticks += 1;
-        funnel_obs::timeline_counter_add(names::STREAM_TICKS, minute, 1);
+        funnel_obs::counter_add(names::STREAM_TICKS, minute, 1);
 
         let (dirty, plans) = self.plan_scoring(minute);
         self.stats.peak_dirty = self.stats.peak_dirty.max(dirty);
@@ -677,7 +677,7 @@ impl StreamEngine {
             .map(|p| (minute + 1).saturating_sub(p.lo))
             .max()
             .unwrap_or(0);
-        funnel_obs::timeline_histogram_record(names::STREAM_WATERMARK_LAG, minute, lag);
+        funnel_obs::histogram_record(names::STREAM_WATERMARK_LAG, minute, lag);
 
         let (admitted, shed) = self.shed_policy(minute, plans);
         self.apply_sheds(minute, &shed);
@@ -699,7 +699,7 @@ impl StreamEngine {
 
         let window_bytes = self.window_bytes();
         self.stats.peak_window_bytes = self.stats.peak_window_bytes.max(window_bytes);
-        funnel_obs::timeline_gauge_set(names::STREAM_WINDOW_BYTES, minute, window_bytes as u64);
+        funnel_obs::gauge_set(names::STREAM_WINDOW_BYTES, minute, window_bytes as u64);
         TickReport {
             minute,
             dirty,
@@ -804,7 +804,7 @@ impl StreamEngine {
     fn apply_sheds(&mut self, minute: MinuteBin, shed: &[KpiKey]) {
         for key in shed {
             self.stats.shed += 1;
-            funnel_obs::timeline_counter_add(names::STREAM_SHED, minute, 1);
+            funnel_obs::counter_add(names::STREAM_SHED, minute, 1);
             for change in &mut self.changes {
                 if minute >= change.record.minute
                     && minute <= change.due
@@ -830,11 +830,7 @@ impl StreamEngine {
         let threshold = self.funnel.config().sst_threshold;
         let width = self.funnel.config().sst.window_len();
         let scorer = self.funnel.scorer();
-        funnel_obs::timeline_histogram_record(
-            names::STREAM_QUEUE_DEPTH,
-            minute,
-            admitted.len() as u64,
-        );
+        funnel_obs::histogram_record(names::STREAM_QUEUE_DEPTH, minute, admitted.len() as u64);
 
         // Each admitted key's record split into its ring and its monitor,
         // disjoint and in key order (the map iterates sorted).

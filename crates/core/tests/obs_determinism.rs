@@ -100,22 +100,21 @@ fn recording_never_changes_assessment_bytes() {
             items,
             "obs on ({workers} workers): item span count"
         );
-        // What recording costs is a count before it is a time: the windowed
-        // write path runs this many times for this world's 17 work units,
-        // at any worker count. A change that moves it changed the telemetry
-        // bill (`obs.trace_overhead_pct` in the ledger prices it); re-record
-        // on purpose. Re-pinned by ISSUE 24 with a delta of 0: of the six
-        // names it deleted, only `assess.verdict_awaiting_backfill` was a
-        // windowed write on this path, one per repairable item, and this
-        // clean world has none (a partitioned one now writes that many
-        // fewer).
+        // What recording costs is a count before it is a time: the write
+        // path runs this many times for this world's 17 work units, at any
+        // worker count. A change that moves it changed the telemetry bill
+        // (`obs.trace_overhead_pct` in the ledger prices it); re-record on
+        // purpose. 73 → 95 (+22) when every write came to name a window:
+        // the two writes that had been aggregate-only now count, one
+        // `detect.change_points` per detector run (17) and one
+        // `did.control_pool_size` per DiD contrast (5).
         assert_eq!(
             (
                 items,
                 report.counters[funnel_obs::names::TIMELINE_RECORDS.as_str()]
             ),
-            (17, 73),
-            "obs on ({workers} workers): windowed telemetry writes per assessment"
+            (17, 95),
+            "obs on ({workers} workers): telemetry writes per assessment"
         );
     }
 

@@ -7,8 +7,9 @@
 //!   count.
 //! * **Worker invariance** — the worker-invariant slice of the timeline
 //!   (verdict counters, work-unit totals, control-cache hits and misses,
-//!   detect/DiD spans, the detector's screened/scored/dropped window
-//!   counts) is byte-identical across 1, 3, and 8 workers. (The
+//!   detect/DiD spans, the detector's change points and screened/scored/
+//!   dropped window counts, DiD pool sizes) is byte-identical across 1, 3,
+//!   and 8 workers. (The
 //!   full document cannot be: `assess.workers` and the per-worker spans
 //!   genuinely depend on the pool size.)
 //! * **Streaming vs. batch** — the per-window verdict counters agree
@@ -224,6 +225,18 @@ fn timeline_and_trace_are_deterministic_and_selfmon_sees_faults() {
         assert!(
             !slice.is_empty(),
             "workers={workers}: invariant slice is empty"
+        );
+        // Change points (the cursor's window) and DiD pool sizes (the
+        // change minute) ride in the slice compared across worker counts.
+        assert!(
+            !slice
+                .counter_series(funnel_obs::names::DETECT_CHANGE_POINTS.as_str())
+                .is_empty()
+                && slice
+                    .histograms
+                    .keys()
+                    .any(|(name, _)| *name == funnel_obs::names::DID_CONTROL_POOL_SIZE.as_str()),
+            "workers={workers}: detect.change_points or did.control_pool_size missing"
         );
         window_counts.push([
             slice.counter_series(funnel_obs::names::DETECT_WINDOWS_SCREENED.as_str()),

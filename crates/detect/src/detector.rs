@@ -140,7 +140,7 @@ impl WindowTally {
             (funnel_obs::names::DETECT_WINDOWS_SCORED, self.scored),
             (funnel_obs::names::DETECT_WINDOWS_DROPPED, self.dropped),
         ] {
-            funnel_obs::timeline_counter_add(name, window, n);
+            funnel_obs::counter_add(name, window, n);
         }
     }
 }
@@ -474,7 +474,11 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
         let (events, tally) = self.drive_windows(series, unmeasured, reset_before, stop);
         tally.emit_counters();
         self.outcomes.run_ended(tally);
-        funnel_obs::counter_add(funnel_obs::names::DETECT_CHANGE_POINTS, events.len() as u64);
+        funnel_obs::counter_add(
+            funnel_obs::names::DETECT_CHANGE_POINTS,
+            funnel_obs::timeline::current_window(),
+            events.len() as u64,
+        );
         events
     }
 

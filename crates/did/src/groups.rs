@@ -113,6 +113,7 @@ impl DidAssessor {
         let _span = funnel_obs::span!(funnel_obs::names::SPAN_DID);
         funnel_obs::histogram_record(
             funnel_obs::names::DID_CONTROL_POOL_SIZE,
+            change_minute,
             (treated.len() + control.len()) as u64,
         );
         let w = self.config.period_minutes;

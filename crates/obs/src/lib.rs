@@ -9,27 +9,28 @@
 //! compromising the determinism contract:
 //!
 //! * **Spans** — [`span!`] guards record hierarchical stage timings into
-//!   per-thread buffers. Buffers merge into one global `BTreeMap` keyed by
-//!   span path with commutative ops only (sums, min/max, lowest-index-wins
-//!   on ties — the same discipline as `funnel_core::parallel::merge`), so
-//!   the aggregate never depends on thread scheduling.
+//!   per-thread buffers. Buffers merge into the global registry, keyed by
+//!   `(path, parent, window)`, with commutative ops only (sums, min/max,
+//!   lowest-index-wins on ties — the same discipline as
+//!   `funnel_core::parallel::merge`), so the aggregate never depends on
+//!   thread scheduling.
 //! * **Metrics** — named counters, gauges, and fixed log2-bucket
-//!   [`Histogram`]s in a [`names`] registry. Snapshots
-//!   serialize with byte-stable key ordering.
+//!   [`Histogram`]s, every write filed under a one-minute window of the
+//!   [`timeline`], the one store. Snapshots serialize with byte-stable key
+//!   ordering.
 //! * **Clock** — a [`Clock`](clock::Clock) trait with a deterministic
 //!   [`SimClock`](clock::SimClock) for tests and a monotonic
 //!   [`WallClock`](clock::WallClock) behind the workspace's single
 //!   lint-suppressed `Instant::now` choke point.
-//! * **Reports** — [`ObsReport`]: sorted JSON plus a
-//!   human summary, opt-in via the `FUNNEL_OBS` env var
+//! * **Reports** — [`ObsReport`]: the timeline summed over windows, as
+//!   sorted JSON plus a human summary, opt-in via the `FUNNEL_OBS` env var
 //!   ([`init_from_env`]).
 //!
 //! Instrumentation is **write-only and zero-cost when disabled**: every
-//! entry point consults one relaxed atomic and the no-op arm of the
-//! [`Recorder`] enum returns immediately. Nothing recorded here is ever read
-//! back by the pipeline, so verdicts stay byte-identical with observability
-//! on or off, at any worker count (proved by
-//! `crates/core/tests/obs_determinism.rs`).
+//! entry point consults one relaxed atomic and returns at once while it
+//! reads false. Nothing recorded here is ever read back by the pipeline,
+//! so verdicts stay byte-identical with observability on or off, at any
+//! worker count (proved by `crates/core/tests/obs_determinism.rs`).
 
 #![forbid(unsafe_code)]
 
@@ -41,22 +42,20 @@ pub mod span;
 pub mod timeline;
 pub mod trace;
 
-use metrics::{Histogram, Registry, StageStat};
+use metrics::Histogram;
 use names::Name;
 use parking_lot::Mutex;
 use report::ObsReport;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use timeline::TimelineReport;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// The counter every windowed write bumps: the timeline's own cost meter.
-const TIMELINE_RECORDS: &str = names::TIMELINE_RECORDS.as_str();
-
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+pub(crate) fn registry() -> &'static Mutex<TimelineReport> {
+    static REGISTRY: OnceLock<Mutex<TimelineReport>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(TimelineReport::default()))
 }
 
 /// Whether recording is currently on. One relaxed load — this is the whole
@@ -77,12 +76,11 @@ pub fn disable() {
 }
 
 /// Clears everything recorded so far (including the calling thread's span
-/// buffer, the timeline, and the window cursor). The enabled flag is left
-/// as-is.
+/// buffer and the window cursor). The enabled flag is left as-is.
 pub fn reset() {
     span::clear_thread();
     timeline::reset_window();
-    *registry().lock() = Registry::default();
+    *registry().lock() = TimelineReport::default();
 }
 
 /// Enables recording iff the `FUNNEL_OBS` env var is set to a truthy value
@@ -96,179 +94,82 @@ pub fn init_from_env() -> bool {
     on
 }
 
-/// The enum-dispatch recorder: the `Noop` arm is what instrumentation costs
-/// when observability is off. Obtain one per call site via [`recorder`].
-#[derive(Clone, Copy)]
-pub enum Recorder {
-    /// Recording off: every method returns immediately.
-    Noop,
-    /// Recording on: methods write into the global registry.
-    Active(&'static Mutex<Registry>),
-}
-
-/// Returns the live recorder ([`Recorder::Active`]) when enabled, the no-op
-/// otherwise.
+/// Applies one write to the registry under one lock, and counts it in
+/// `timeline.records` in the same window: the timeline's own cost meter.
 #[inline]
-pub fn recorder() -> Recorder {
-    if enabled() {
-        Recorder::Active(registry())
-    } else {
-        Recorder::Noop
+fn record(window: u64, write: impl FnOnce(&mut TimelineReport)) {
+    if !enabled() {
+        return;
     }
+    let mut reg = registry().lock();
+    write(&mut reg);
+    *reg.counters
+        .entry((names::TIMELINE_RECORDS.as_str(), window))
+        .or_insert(0) += 1;
 }
 
-impl Recorder {
-    /// Adds `n` to the counter `name`.
-    #[inline]
-    pub fn add(self, name: Name, n: u64) {
-        if let Recorder::Active(reg) = self {
-            *reg.lock().counters.entry(name.as_str()).or_insert(0) += n;
-        }
-    }
-
-    /// Sets the gauge `name` to `v` (last write wins).
-    #[inline]
-    pub fn gauge(self, name: Name, v: u64) {
-        if let Recorder::Active(reg) = self {
-            reg.lock().gauges.insert(name.as_str(), v);
-        }
-    }
-
-    /// Records `v` into the log2-bucket histogram `name`.
-    #[inline]
-    pub fn observe(self, name: Name, v: u64) {
-        if let Recorder::Active(reg) = self {
-            reg.lock()
-                .histograms
-                .entry(name.as_str())
-                .or_insert_with(Histogram::new)
-                .record(v);
-        }
-    }
-
-    /// Adds `n` to the counter `name` in timeline window `window`, and to
-    /// the plain (aggregate) counter — one lock for both.
-    #[inline]
-    pub fn add_windowed(self, name: Name, window: u64, n: u64) {
-        if let Recorder::Active(reg) = self {
-            let name = name.as_str();
-            let mut reg = reg.lock();
-            *reg.counters.entry(name).or_insert(0) += n;
-            *reg.timeline.counters.entry((name, window)).or_insert(0) += n;
-            *reg.counters.entry(TIMELINE_RECORDS).or_insert(0) += 1;
-        }
-    }
-
-    /// Sets the gauge `name` for window `window` (max-wins within the
-    /// window — a last-write rule would leak thread scheduling into the
-    /// bytes) and last-write-wins into the plain gauge.
-    #[inline]
-    pub fn gauge_windowed(self, name: Name, window: u64, v: u64) {
-        if let Recorder::Active(reg) = self {
-            let name = name.as_str();
-            let mut reg = reg.lock();
-            reg.gauges.insert(name, v);
-            let slot = reg.timeline.gauges.entry((name, window)).or_insert(0);
-            *slot = (*slot).max(v);
-            *reg.counters.entry(TIMELINE_RECORDS).or_insert(0) += 1;
-        }
-    }
-
-    /// Records `v` into the histogram `name` for window `window` and into
-    /// the plain histogram.
-    #[inline]
-    pub fn observe_windowed(self, name: Name, window: u64, v: u64) {
-        if let Recorder::Active(reg) = self {
-            let name = name.as_str();
-            let mut reg = reg.lock();
-            reg.histograms
-                .entry(name)
-                .or_insert_with(Histogram::new)
-                .record(v);
-            reg.timeline
-                .histograms
-                .entry((name, window))
-                .or_insert_with(Histogram::new)
-                .record(v);
-            *reg.counters.entry(TIMELINE_RECORDS).or_insert(0) += 1;
-        }
-    }
-}
-
-/// Adds `n` to the counter `name` (no-op while disabled).
+/// Adds `n` to the counter `name` in window `window` (no-op while
+/// disabled). Pass the event's own data minute — the decoded frame minute,
+/// the change minute, the tick minute — so attribution is independent of
+/// thread interleaving; [`timeline::current_window`] where it has none.
 #[inline]
-pub fn counter_add(name: Name, n: u64) {
-    recorder().add(name, n);
+pub fn counter_add(name: Name, window: u64, n: u64) {
+    record(window, |reg| {
+        *reg.counters.entry((name.as_str(), window)).or_insert(0) += n;
+    });
 }
 
-/// Sets the gauge `name` to `v` (no-op while disabled).
+/// Sets the gauge `name` for window `window` (no-op while disabled).
+/// Max-wins within a window: a last-write rule would leak thread
+/// scheduling into the bytes.
 #[inline]
-pub fn gauge_set(name: Name, v: u64) {
-    recorder().gauge(name, v);
+pub fn gauge_set(name: Name, window: u64, v: u64) {
+    record(window, |reg| {
+        let slot = reg.gauges.entry((name.as_str(), window)).or_insert(0);
+        *slot = (*slot).max(v);
+    });
 }
 
-/// Records `v` into the histogram `name` (no-op while disabled).
+/// Records `v` into the histogram `name` for window `window` (no-op while
+/// disabled).
 #[inline]
-pub fn histogram_record(name: Name, v: u64) {
-    recorder().observe(name, v);
-}
-
-/// Adds `n` to the counter `name` both in aggregate and in timeline window
-/// `window` (no-op while disabled). Pass the event's own data minute — the
-/// decoded frame minute, the change minute, the tick minute — so
-/// attribution is independent of thread interleaving.
-#[inline]
-pub fn timeline_counter_add(name: Name, window: u64, n: u64) {
-    recorder().add_windowed(name, window, n);
-}
-
-/// Sets the gauge `name` for timeline window `window` (max-wins within the
-/// window) and in aggregate (no-op while disabled).
-#[inline]
-pub fn timeline_gauge_set(name: Name, window: u64, v: u64) {
-    recorder().gauge_windowed(name, window, v);
-}
-
-/// Records `v` into the histogram `name` both in aggregate and in timeline
-/// window `window` (no-op while disabled).
-#[inline]
-pub fn timeline_histogram_record(name: Name, window: u64, v: u64) {
-    recorder().observe_windowed(name, window, v);
+pub fn histogram_record(name: Name, window: u64, v: u64) {
+    record(window, |reg| {
+        reg.histograms
+            .entry((name.as_str(), window))
+            .or_insert_with(Histogram::new)
+            .record(v);
+    });
 }
 
 /// Merges the calling thread's span buffer into the global registry. Worker
 /// threads call this before exiting (the thread-local destructor is the
 /// fallback); [`snapshot`] calls it for the current thread.
 pub fn flush_thread() {
-    span::flush_thread_into(registry());
+    span::flush_thread();
 }
 
-pub(crate) fn merge_spans(
-    spans: &std::collections::BTreeMap<&'static str, StageStat>,
-    windowed: &std::collections::BTreeMap<(&'static str, &'static str, u64), StageStat>,
-) {
-    let mut reg = registry().lock();
-    for (path, stat) in spans {
-        reg.spans
-            .entry(path)
-            .or_insert_with(StageStat::empty)
-            .merge(stat);
-    }
-    reg.timeline.merge_spans(windowed);
-}
-
-/// Freezes everything recorded so far into an [`ObsReport`] (flushing the
-/// calling thread's span buffer first).
+/// Freezes everything recorded so far into an [`ObsReport`], the timeline
+/// summed over windows (flushing the calling thread's span buffer first).
 pub fn snapshot() -> ObsReport {
     flush_thread();
-    ObsReport::from_registry(&registry().lock())
+    ObsReport::fold(&registry().lock())
 }
 
-/// Freezes the telemetry timeline recorded so far into a
-/// [`TimelineReport`] (flushing the calling thread's span buffer first).
+/// Freezes the telemetry timeline recorded so far (flushing the calling
+/// thread's span buffer first).
 pub fn timeline_snapshot() -> TimelineReport {
     flush_thread();
-    TimelineReport::from_data(&registry().lock().timeline)
+    registry().lock().clone()
+}
+
+/// Writes `contents` to `path`, creating its parent directories first: the
+/// one file writer behind every obs artefact.
+pub(crate) fn write_file(path: &Path, contents: &str) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    std::fs::write(path, contents)
 }
 
 // The registry and clock mode are process-wide; tests that touch them
@@ -283,6 +184,7 @@ pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::StageStat;
     use crate::test_guard as global_guard;
 
     #[test]
@@ -290,9 +192,9 @@ mod tests {
         let _g = global_guard();
         disable();
         reset();
-        counter_add(names::FRAMES_INGESTED, 5);
-        histogram_record(names::DID_CONTROL_POOL_SIZE, 4);
-        gauge_set(names::WORK_UNITS_TOTAL, 9);
+        counter_add(names::FRAMES_INGESTED, 1, 5);
+        histogram_record(names::DID_CONTROL_POOL_SIZE, 1, 4);
+        gauge_set(names::WORK_UNITS_TOTAL, 1, 9);
         {
             let _span = span!(names::SPAN_ASSESS_ITEM);
         }
@@ -309,10 +211,10 @@ mod tests {
         reset();
         enable();
         clock::SimClock::install();
-        counter_add(names::FRAMES_INGESTED, 2);
-        counter_add(names::FRAMES_INGESTED, 3);
-        gauge_set(names::WORK_UNITS_TOTAL, 7);
-        histogram_record(names::DID_CONTROL_POOL_SIZE, 3);
+        counter_add(names::FRAMES_INGESTED, 1, 2);
+        counter_add(names::FRAMES_INGESTED, 1, 3);
+        gauge_set(names::WORK_UNITS_TOTAL, 1, 7);
+        histogram_record(names::DID_CONTROL_POOL_SIZE, 1, 3);
         {
             let _span = span!(names::SPAN_ASSESS_ITEM, 4);
             clock::SimClock::advance_ns(250);
@@ -363,5 +265,93 @@ mod tests {
         reset();
         disable();
         clock::SimClock::uninstall();
+    }
+
+    #[test]
+    fn snapshot_is_the_timeline_folded() {
+        let _g = global_guard();
+        reset();
+        enable();
+        clock::SimClock::install();
+        // Windows are visited highest first, so the last gauge write lands
+        // in the lowest window: only the highest-window rule reads 122.
+        let windows = [12u64, 11, 10];
+        for window in windows {
+            timeline::set_window(window);
+            std::thread::scope(|scope| {
+                for worker in 0..3u64 {
+                    scope.spawn(move || {
+                        counter_add(names::FRAMES_INGESTED, window, worker + window);
+                        histogram_record(
+                            names::DID_CONTROL_POOL_SIZE,
+                            window,
+                            100 * worker + window,
+                        );
+                        gauge_set(names::WORK_UNITS_TOTAL, window, 10 * window + worker);
+                        {
+                            let _outer = span!(names::SPAN_ASSESS_WORKER, worker + window);
+                            let _inner = span!(names::SPAN_ASSESS_ITEM, worker + window);
+                        }
+                        drop(span!(names::SPAN_ASSESS_ITEM, 100 + worker + window));
+                        // A scope may return before a thread's TLS destructor runs.
+                        flush_thread();
+                    });
+                }
+            });
+        }
+        let timeline = timeline_snapshot();
+        assert_eq!(
+            timeline.spans.len(),
+            9,
+            "3 windows × (worker, item under worker, item)"
+        );
+
+        let mut expected = ObsReport::default();
+        let mut pool = Histogram::new();
+        let mut workers = StageStat::empty();
+        let mut items = StageStat::empty();
+        for window in windows {
+            for worker in 0..3 {
+                *expected
+                    .counters
+                    .entry(names::FRAMES_INGESTED.as_str())
+                    .or_insert(0) += worker + window;
+                pool.record(100 * worker + window);
+                workers.observe(0, worker + window);
+                items.observe(0, worker + window);
+                items.observe(0, 100 + worker + window);
+            }
+        }
+        expected
+            .counters
+            .insert(names::TIMELINE_RECORDS.as_str(), 27);
+        expected
+            .gauges
+            .insert(names::WORK_UNITS_TOTAL.as_str(), 122);
+        expected
+            .histograms
+            .insert(names::DID_CONTROL_POOL_SIZE.as_str(), pool);
+        expected
+            .spans
+            .insert(names::SPAN_ASSESS_WORKER.as_str(), workers);
+        expected
+            .spans
+            .insert(names::SPAN_ASSESS_ITEM.as_str(), items);
+        assert_eq!(items.min_index, 10, "lowest window, under a parent");
+        assert_eq!(snapshot(), expected);
+        assert_eq!(ObsReport::fold(&timeline), expected);
+        reset();
+        disable();
+        clock::SimClock::uninstall();
+    }
+
+    #[test]
+    fn write_file_creates_missing_parents() {
+        let dir = std::env::temp_dir().join(format!("funnel-obs-write-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("a").join("b").join("report.json");
+        write_file(&path, "{}\n").expect("write into a fresh nested directory");
+        assert_eq!(std::fs::read_to_string(&path).expect("read back"), "{}\n");
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 }

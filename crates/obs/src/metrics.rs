@@ -1,13 +1,9 @@
-//! The metrics registry: counters, gauges, fixed log2-bucket histograms,
-//! and merged span statistics.
+//! The value types the registry stores: fixed log2-bucket histograms and
+//! merged span statistics.
 //!
-//! Everything here is keyed by `&'static str` names from [`crate::names`]
-//! and stored in `BTreeMap`s, so any snapshot serializes with byte-stable
-//! key ordering. Aggregation uses commutative, associative ops only (sums,
-//! min/max, lowest-index-wins) — the order per-thread buffers merge in can
-//! never change the aggregate.
-
-use std::collections::BTreeMap;
+//! Aggregation uses commutative, associative ops only (sums, min/max,
+//! lowest-index-wins) — the order per-thread buffers merge in can never
+//! change the aggregate.
 
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `k` (1–64)
 /// holds values in `[2^(k-1), 2^k)`. Fixed at compile time so two runs —
@@ -181,22 +177,6 @@ impl StageStat {
             self.total_ns as f64 / self.count as f64
         }
     }
-}
-
-/// The global registry behind [`crate::recorder`]: every map is a
-/// `BTreeMap` so snapshots iterate in byte-stable name order.
-#[derive(Debug, Default)]
-pub struct Registry {
-    /// Monotonic counters.
-    pub counters: BTreeMap<&'static str, u64>,
-    /// Last-write-wins gauges.
-    pub gauges: BTreeMap<&'static str, u64>,
-    /// Log2-bucket histograms.
-    pub histograms: BTreeMap<&'static str, Histogram>,
-    /// Merged span timings by span path.
-    pub spans: BTreeMap<&'static str, StageStat>,
-    /// Window-bucketed metrics (the telemetry timeline).
-    pub timeline: crate::timeline::TimelineData,
 }
 
 #[cfg(test)]

@@ -2,18 +2,18 @@
 //!
 //! Every instrumentation site takes a [`Name`], and a `Name` can only be
 //! made here, so the full vocabulary of `obs_report.json` is enumerable at
-//! compile time, greppable, and documented in one place (mirrored in
-//! DESIGN.md §9). Naming convention: `<stage>.<what>` with the stage
+//! compile time, greppable, and documented in one place. Naming
+//! convention: `<stage>.<what>` with the stage
 //! prefixes `collector`, `detect`, `did`, `assess`, `wal`, `recover`,
 //! `reassess`, `stream`, `diag`, `collect`, and `timeline`.
 
 /// A declared metric or span name: what [`crate::span!`],
-/// [`crate::counter_add`], [`crate::gauge_set`],
-/// [`crate::histogram_record`] and the three `timeline_*` calls take. The
-/// field is private, so an ad-hoc string at a call site does not compile:
+/// [`crate::counter_add`], [`crate::gauge_set`] and
+/// [`crate::histogram_record`] take. The field is private, so an ad-hoc
+/// string at a call site does not compile:
 ///
 /// ```compile_fail
-/// funnel_obs::counter_add("x.y", 1);
+/// funnel_obs::counter_add("x.y", 0, 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Name(&'static str);
@@ -82,7 +82,7 @@ names! {
     /// Late frames folded into a retained ring window via backfill.
     STREAM_LATE_BACKFILLED = "stream.late_backfilled";
 
-    /// Windowed data points written into the telemetry timeline (the
+    /// Writes into the registry, counted in each write's own window (the
     /// timeline's own cost meter, pinned per assessment by
     /// `obs_determinism`).
     TIMELINE_RECORDS = "timeline.records";
@@ -95,9 +95,6 @@ names! {
     WORKERS = "assess.workers";
     /// Total resident window memory across all rings, in accounted bytes.
     STREAM_WINDOW_BYTES = "stream.window_bytes";
-    /// The timeline window cursor's most recent value (the data minute the
-    /// pipeline is currently attributing work to).
-    TIMELINE_WINDOW = "timeline.window";
 
     // ----------------------------------------------------------- histograms --
 

@@ -1,5 +1,5 @@
-//! The observability report: a frozen snapshot serialized as sorted JSON
-//! plus a human-readable stage summary.
+//! The observability report: the timeline summed over windows, serialized
+//! as sorted JSON plus a human-readable stage summary.
 //!
 //! The JSON printer is hand-rolled over `BTreeMap` iteration, so two
 //! snapshots with the same recorded data are byte-identical regardless of
@@ -8,7 +8,8 @@
 //! deterministic under the [`SimClock`](crate::clock::SimClock); counters
 //! and histograms of deterministic quantities are byte-stable outright.
 
-use crate::metrics::{Histogram, Registry, StageStat};
+use crate::metrics::{Histogram, StageStat};
+use crate::timeline::TimelineReport;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -19,12 +20,12 @@ pub const DEFAULT_PATH: &str = "results/obs_report.json";
 /// Schema version stamped into every report.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// A frozen copy of everything recorded: obtain via [`crate::snapshot`].
-#[derive(Debug, Clone, PartialEq)]
+/// Everything recorded, summed over windows: obtain via [`crate::snapshot`].
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct ObsReport {
     /// Monotonic counters by name.
     pub counters: BTreeMap<&'static str, u64>,
-    /// Gauges by name.
+    /// Gauges by name: each one's value in the highest window it was set.
     pub gauges: BTreeMap<&'static str, u64>,
     /// Histograms by name.
     pub histograms: BTreeMap<&'static str, Histogram>,
@@ -33,13 +34,33 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    pub(crate) fn from_registry(reg: &Registry) -> Self {
-        Self {
-            counters: reg.counters.clone(),
-            gauges: reg.gauges.clone(),
-            histograms: reg.histograms.clone(),
-            spans: reg.spans.clone(),
+    /// Folds `timeline` over its windows: counters sum, histograms and
+    /// span stats merge (spans over every parent too, `min_index`
+    /// included), and a gauge keeps its value in its highest window.
+    pub(crate) fn fold(timeline: &TimelineReport) -> Self {
+        let mut report = Self::default();
+        for (&(name, _), n) in &timeline.counters {
+            *report.counters.entry(name).or_insert(0) += n;
         }
+        // Keys ascend by window within a name, so the last insert wins.
+        for (&(name, _), &v) in &timeline.gauges {
+            report.gauges.insert(name, v);
+        }
+        for (&(name, _), h) in &timeline.histograms {
+            report
+                .histograms
+                .entry(name)
+                .or_insert_with(Histogram::new)
+                .merge(h);
+        }
+        for (&(path, _, _), stat) in &timeline.spans {
+            report
+                .spans
+                .entry(path)
+                .or_insert_with(StageStat::empty)
+                .merge(stat);
+        }
+        report
     }
 
     /// Serializes the report as JSON with byte-stable key ordering: fixed
@@ -162,13 +183,7 @@ impl ObsReport {
     ///
     /// Propagates filesystem failures.
     pub fn write_json(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
+        crate::write_file(path.as_ref(), &self.to_json())
     }
 }
 
@@ -269,12 +284,7 @@ mod tests {
 
     #[test]
     fn empty_report_serializes_cleanly() {
-        let report = ObsReport {
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            spans: BTreeMap::new(),
-        };
+        let report = ObsReport::default();
         let json = report.to_json();
         let _: serde::Value = serde_json::from_str(&json).expect("empty report parses");
         assert!(report.human_summary().starts_with("observability report"));

@@ -1,45 +1,44 @@
 //! Span guards and per-thread span buffers.
 //!
 //! A [`crate::span!`] call starts a timing span for a static path like
-//! `"detect.sst"`; dropping the guard records the elapsed clock into the
-//! calling thread's private buffer — no locks, no cross-thread traffic on
-//! the hot path. Buffers merge into the global registry when a worker
-//! flushes ([`crate::flush_thread`]) or exits (the thread-local destructor),
-//! and the merge uses only the commutative ops of
+//! `"detect.sst"`. At start it captures the current window cursor
+//! ([`crate::timeline::current_window`]) and the innermost span already
+//! open on the same thread (its *parent*); dropping the guard records the
+//! elapsed clock under `(path, parent, window)` in the calling thread's
+//! private buffer — no locks, no cross-thread traffic on the hot path. The
+//! parent stack is purely thread-local and guards drop in LIFO scope order,
+//! so causality capture costs one `Vec` push/pop and never synchronizes.
+//!
+//! Buffers merge into the global registry when a worker flushes
+//! ([`crate::flush_thread`]) or exits (the thread-local destructor), and
+//! the merge uses only the commutative ops of
 //! [`StageStat::merge`](crate::metrics::StageStat::merge), so flush order —
 //! i.e. thread scheduling — is unobservable in the aggregate.
-//!
-//! Each span additionally records into the telemetry timeline: at start it
-//! captures the current window cursor
-//! ([`crate::timeline::current_window`]) and the innermost span already
-//! open on the same thread (its *parent*), and on drop lands a second
-//! `StageStat` under `(path, parent, window)`. The parent stack is purely
-//! thread-local and guards drop in LIFO scope order, so causality capture
-//! costs one `Vec` push/pop and never synchronizes.
 
 use crate::clock;
-use crate::metrics::{Registry, StageStat};
+use crate::metrics::StageStat;
 use crate::names::Name;
 use crate::timeline;
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// The calling thread's span buffer. Dropping it (thread exit) flushes any
-/// remaining spans into the global registry so scoped workers cannot lose
-/// measurements even if they never flush explicitly.
+/// remaining spans into the global registry, so a worker that never
+/// flushes still lands them — though possibly after a `thread::scope`
+/// around it has returned: a snapshot that must see them needs
+/// [`crate::flush_thread`] first.
 #[derive(Default)]
 struct LocalSpans {
-    map: BTreeMap<&'static str, StageStat>,
-    windowed: BTreeMap<(&'static str, &'static str, u64), StageStat>,
+    /// Completed spans by `(path, parent, window)`.
+    map: BTreeMap<(&'static str, &'static str, u64), StageStat>,
     /// Paths of spans currently open on this thread, innermost last.
     stack: Vec<&'static str>,
 }
 
 impl Drop for LocalSpans {
     fn drop(&mut self) {
-        if !self.map.is_empty() || !self.windowed.is_empty() {
-            crate::merge_spans(&self.map, &self.windowed);
+        if !self.map.is_empty() {
+            crate::registry().lock().merge_spans(&self.map);
         }
     }
 }
@@ -48,23 +47,15 @@ thread_local! {
     static LOCAL: RefCell<LocalSpans> = RefCell::new(LocalSpans::default());
 }
 
-/// Merges and clears the calling thread's buffer into `registry`.
-pub(crate) fn flush_thread_into(registry: &Mutex<Registry>) {
+/// Merges and clears the calling thread's buffer into the global registry.
+pub(crate) fn flush_thread() {
     LOCAL.with(|local| {
         let mut local = local.borrow_mut();
-        if local.map.is_empty() && local.windowed.is_empty() {
+        if local.map.is_empty() {
             return;
         }
-        let mut reg = registry.lock();
-        for (path, stat) in &local.map {
-            reg.spans
-                .entry(path)
-                .or_insert_with(StageStat::empty)
-                .merge(stat);
-        }
-        reg.timeline.merge_spans(&local.windowed);
+        crate::registry().lock().merge_spans(&local.map);
         local.map.clear();
-        local.windowed.clear();
     });
 }
 
@@ -72,11 +63,7 @@ pub(crate) fn flush_thread_into(registry: &Mutex<Registry>) {
 /// [`crate::reset`]). Leaves the parent stack alone: any guards still
 /// in-flight will pop their own entries on drop.
 pub(crate) fn clear_thread() {
-    LOCAL.with(|local| {
-        let mut local = local.borrow_mut();
-        local.map.clear();
-        local.windowed.clear();
-    });
+    LOCAL.with(|local| local.borrow_mut().map.clear());
 }
 
 /// An in-flight timing span; created by [`crate::span!`], recorded on drop.
@@ -130,11 +117,6 @@ impl Drop for SpanGuard {
             local.stack.pop();
             local
                 .map
-                .entry(self.path)
-                .or_insert_with(StageStat::empty)
-                .observe(elapsed, self.index);
-            local
-                .windowed
                 .entry((self.path, self.parent, self.window))
                 .or_insert_with(StageStat::empty)
                 .observe(elapsed, self.index);

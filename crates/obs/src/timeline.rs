@@ -1,24 +1,22 @@
 //! The telemetry timeline: every metric, bucketed into fixed one-minute
-//! windows.
+//! windows — the one store the obs registry keeps.
 //!
-//! The end-of-run [`ObsReport`](crate::report::ObsReport) answers *how
-//! much* — total frames, total sheds, total span time. It cannot answer
-//! *when*: when ingest degraded, when shedding kicked in, when a worker
-//! stalled. The timeline is the when-axis: a second registry keyed by
-//! `(name, window)` where a window is an absolute data minute (the frame's
+//! Every write names its window: an absolute data minute (the frame's
 //! minute for collector counters, the change minute for assessment
-//! counters, the tick minute for streaming counters).
+//! counters, the tick minute for streaming counters). The end-of-run
+//! [`ObsReport`](crate::report::ObsReport) is this timeline summed over
+//! windows, so *how much* is derived from *when*.
 //!
-//! Two attribution modes, chosen per call site:
+//! Two ways a write finds its window, chosen per call site:
 //!
-//! * **Explicit window** — [`crate::timeline_counter_add`] and friends take
-//!   the window as an argument. Used wherever the instrumented event
-//!   carries its own data minute (a decoded frame, a tick, a change).
-//!   Because windowed merges are commutative sums / max-wins / histogram
-//!   folds over `BTreeMap`s, attribution is byte-deterministic no matter
-//!   how shard or worker threads interleave.
+//! * **Explicit window** — the event carries its own data minute (a decoded
+//!   frame, a tick, a change) and passes it to [`crate::counter_add`] and
+//!   friends. Because windowed merges are commutative sums / max-wins /
+//!   histogram folds over `BTreeMap`s, attribution is byte-deterministic no
+//!   matter how shard or worker threads interleave.
 //! * **Window cursor** — [`set_window`] pins a process-wide current window
 //!   (the change minute at batch fan-out, the tick minute in streaming);
+//!   sites with no minute of their own pass [`current_window`], and
 //!   [`crate::span!`] guards capture it at start so span timings land in
 //!   the window whose work they measure. The cursor is only written at
 //!   single-threaded choke points (tick top, assessment entry), never from
@@ -59,7 +57,6 @@ static WINDOW: AtomicU64 = AtomicU64::new(0);
 /// attributes to the same window.
 pub fn set_window(minute: u64) {
     WINDOW.store(minute, Ordering::Relaxed);
-    crate::gauge_set(crate::names::TIMELINE_WINDOW, minute);
 }
 
 /// The current window cursor (0 until anyone calls [`set_window`]).
@@ -73,13 +70,14 @@ pub(crate) fn reset_window() {
     WINDOW.store(0, Ordering::Relaxed);
 }
 
-/// Window-keyed metric storage inside the global registry. All maps are
-/// `BTreeMap`s over `(name, window)` (spans add the parent path), merged
-/// with commutative ops only — sums for counters, max-wins for gauges,
+/// Window-keyed metric storage: the global registry, and a frozen copy of
+/// it (obtain via [`crate::timeline_snapshot`]). All maps are `BTreeMap`s
+/// over `(name, window)` (spans add the parent path), merged with
+/// commutative ops only — sums for counters, max-wins for gauges,
 /// histogram folds, [`StageStat::merge`] for spans — so thread
 /// interleaving is unobservable in the aggregate.
-#[derive(Debug, Default, Clone)]
-pub struct TimelineData {
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct TimelineReport {
     /// Windowed monotonic counters.
     pub counters: BTreeMap<(&'static str, u64), u64>,
     /// Windowed gauges. Max-wins within a window (a last-write rule would
@@ -93,7 +91,7 @@ pub struct TimelineData {
     pub spans: BTreeMap<(&'static str, &'static str, u64), StageStat>,
 }
 
-impl TimelineData {
+impl TimelineReport {
     pub(crate) fn merge_spans(
         &mut self,
         other: &BTreeMap<(&'static str, &'static str, u64), StageStat>,
@@ -103,33 +101,6 @@ impl TimelineData {
                 .entry(*key)
                 .or_insert_with(StageStat::empty)
                 .merge(stat);
-        }
-    }
-}
-
-/// A frozen timeline: obtain via [`crate::timeline_snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineReport {
-    /// Window width in minutes (always [`WINDOW_MINUTES`] today).
-    pub window_minutes: u64,
-    /// Windowed counters.
-    pub counters: BTreeMap<(&'static str, u64), u64>,
-    /// Windowed max-wins gauges.
-    pub gauges: BTreeMap<(&'static str, u64), u64>,
-    /// Windowed histograms.
-    pub histograms: BTreeMap<(&'static str, u64), Histogram>,
-    /// Windowed span stats keyed `(path, parent, window)`.
-    pub spans: BTreeMap<(&'static str, &'static str, u64), StageStat>,
-}
-
-impl TimelineReport {
-    pub(crate) fn from_data(data: &TimelineData) -> Self {
-        Self {
-            window_minutes: WINDOW_MINUTES,
-            counters: data.counters.clone(),
-            gauges: data.gauges.clone(),
-            histograms: data.histograms.clone(),
-            spans: data.spans.clone(),
         }
     }
 
@@ -164,7 +135,6 @@ impl TimelineReport {
     pub fn restrict_to(&self, prefixes: &[&str]) -> TimelineReport {
         let keep = |name: &str| prefixes.iter().any(|p| name.starts_with(p));
         TimelineReport {
-            window_minutes: self.window_minutes,
             counters: self
                 .counters
                 .iter()
@@ -233,7 +203,7 @@ impl TimelineReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema_version\": ");
         let _ = write!(out, "{SCHEMA_VERSION}");
-        let _ = write!(out, ",\n  \"window_minutes\": {}", self.window_minutes);
+        let _ = write!(out, ",\n  \"window_minutes\": {WINDOW_MINUTES}");
 
         out.push_str(",\n  \"counters\": {");
         write_windowed_u64(&mut out, self.counters.iter().map(|(k, v)| (*k, *v)));
@@ -294,13 +264,7 @@ impl TimelineReport {
     ///
     /// Propagates filesystem failures.
     pub fn write_json(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
+        crate::write_file(path.as_ref(), &self.to_json())
     }
 }
 
@@ -363,7 +327,7 @@ mod tests {
     use super::*;
 
     fn sample() -> TimelineReport {
-        let mut data = TimelineData::default();
+        let mut data = TimelineReport::default();
         data.counters
             .insert((crate::names::FRAMES_INGESTED.as_str(), 3), 6);
         data.counters
@@ -388,7 +352,7 @@ mod tests {
         );
         data.spans
             .insert((crate::names::SPAN_ASSESS_CHANGE.as_str(), ROOT, 5), s);
-        TimelineReport::from_data(&data)
+        data
     }
 
     #[test]
@@ -452,7 +416,7 @@ mod tests {
 
     #[test]
     fn empty_report_serializes_cleanly() {
-        let report = TimelineReport::from_data(&TimelineData::default());
+        let report = TimelineReport::default();
         assert!(report.is_empty());
         let _: serde::Value = serde_json::from_str(&report.to_json()).expect("empty parses");
     }

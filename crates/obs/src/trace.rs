@@ -131,31 +131,27 @@ pub fn chrome_trace_json(report: &TimelineReport) -> String {
 ///
 /// Propagates filesystem failures.
 pub fn write_chrome_trace(report: &TimelineReport, path: impl AsRef<Path>) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, chrome_trace_json(report))
+    crate::write_file(path.as_ref(), &chrome_trace_json(report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::StageStat;
-    use crate::timeline::{TimelineData, TimelineReport, ROOT};
+    use crate::timeline::{TimelineReport, ROOT};
 
     #[test]
     fn trace_parses_and_places_events_in_data_time() {
-        let mut data = TimelineData::default();
-        data.counters
+        let mut report = TimelineReport::default();
+        report
+            .counters
             .insert((crate::names::FRAMES_INGESTED.as_str(), 2), 5);
         let mut s = StageStat::empty();
         s.observe(2_000, u64::MAX);
-        data.spans
+        report
+            .spans
             .insert((crate::names::SPAN_ASSESS_CHANGE.as_str(), ROOT, 3), s);
-        data.spans.insert(
+        report.spans.insert(
             (
                 crate::names::SPAN_ASSESS_ITEM.as_str(),
                 crate::names::SPAN_ASSESS_CHANGE.as_str(),
@@ -163,7 +159,6 @@ mod tests {
             ),
             s,
         );
-        let report = TimelineReport::from_data(&data);
         let json = chrome_trace_json(&report);
         assert_eq!(json, chrome_trace_json(&report), "trace bytes stable");
 

@@ -262,7 +262,7 @@ impl WalWriter {
         file.write_all(&self.record)?;
         self.written += self.record.len() as u64;
         if self.written >= self.segment_limit {
-            funnel_obs::timeline_histogram_record(
+            funnel_obs::histogram_record(
                 funnel_obs::names::WAL_SEGMENT_BYTES,
                 self.last_minute,
                 self.written,
@@ -406,7 +406,11 @@ pub fn scan(dir: &Path, from: WalCursor) -> Result<WalScan, ResilienceError> {
         skip = 0;
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
-        funnel_obs::histogram_record(funnel_obs::names::WAL_SEGMENT_BYTES, len);
+        funnel_obs::histogram_record(
+            funnel_obs::names::WAL_SEGMENT_BYTES,
+            funnel_obs::timeline::current_window(),
+            len,
+        );
         let decoded = decode_records(&buf);
         if decoded.torn {
             if seqs.last() != Some(&seq) {

@@ -331,24 +331,18 @@ impl<'a> Collector<'a> {
                 self.stats.quarantined_frames += 1;
                 self.store.note_quarantined_frame();
                 // The frame's claimed minute attributes the quarantine to a
-                // timeline window; torn-beyond-the-header frames have no
-                // trustworthy minute and stay aggregate-only.
-                match minute {
-                    Some(m) => {
-                        funnel_obs::timeline_counter_add(
-                            funnel_obs::names::FRAMES_QUARANTINED,
-                            m,
-                            1,
-                        );
-                    }
-                    None => funnel_obs::counter_add(funnel_obs::names::FRAMES_QUARANTINED, 1),
+                // timeline window. A frame torn beyond the header has no
+                // trustworthy minute and is not written: `quarantined_frames`
+                // above and the store's count already hold it.
+                if let Some(m) = minute {
+                    funnel_obs::counter_add(funnel_obs::names::FRAMES_QUARANTINED, m, 1);
                 }
             }
             Ingest::ClockSkewed(minute) => {
                 self.stats.quarantined_frames += 1;
                 self.stats.clock_skewed_frames += 1;
                 self.store.note_quarantined_frame();
-                funnel_obs::timeline_counter_add(funnel_obs::names::FRAMES_QUARANTINED, minute, 1);
+                funnel_obs::counter_add(funnel_obs::names::FRAMES_QUARANTINED, minute, 1);
             }
             Ingest::Duplicate(_) => self.stats.duplicate_frames += 1,
             Ingest::Backfill(frame) => {
@@ -356,17 +350,9 @@ impl<'a> Collector<'a> {
                     seen.insert(frame.minute);
                 }
                 self.stats.frames += 1;
-                funnel_obs::timeline_counter_add(
-                    funnel_obs::names::FRAMES_INGESTED,
-                    frame.minute,
-                    1,
-                );
+                funnel_obs::counter_add(funnel_obs::names::FRAMES_INGESTED, frame.minute, 1);
                 self.stats.backfilled_frames += 1;
-                funnel_obs::timeline_counter_add(
-                    funnel_obs::names::FRAMES_BACKFILLED,
-                    frame.minute,
-                    1,
-                );
+                funnel_obs::counter_add(funnel_obs::names::FRAMES_BACKFILLED, frame.minute, 1);
                 self.state
                     .backfill_stage
                     .insert((frame.agent_id, frame.minute), frame.records);
@@ -426,7 +412,7 @@ impl<'a> Collector<'a> {
             seen.insert(frame.minute);
         }
         self.stats.frames += 1;
-        funnel_obs::timeline_counter_add(funnel_obs::names::FRAMES_INGESTED, frame.minute, 1);
+        funnel_obs::counter_add(funnel_obs::names::FRAMES_INGESTED, frame.minute, 1);
         if let Some(wm) = self.state.watermarks.get_mut(agent) {
             *wm = Some(wm.map_or(frame.minute, |x| x.max(frame.minute)));
         }
