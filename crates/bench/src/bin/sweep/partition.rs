@@ -6,13 +6,13 @@
 //!
 //! 1. **Interim**: the replay is cut off mid-partition and every change is
 //!    assessed against the degraded store. Items blocked by the unhealed
-//!    gap come back `Inconclusive { awaiting_backfill: true }` and are
-//!    absorbed into a [`ReassessmentQueue`].
+//!    gap come back `Inconclusive { awaiting_backfill: true }`.
 //! 2. **Post-heal**: the same schedule replayed to completion (the heal
 //!    mode decides whether the dark span is lost, burst-flushed, or
-//!    trickled back and collector-backfilled), then the queue re-runs every
-//!    item whose window healed past the coverage trigger and the firm
-//!    verdicts replace the interim ones.
+//!    trickled back and collector-backfilled), then
+//!    [`Funnel::reassess`](funnel_core::Funnel::reassess) re-runs every
+//!    awaiting item whose window healed past the coverage trigger, and the
+//!    re-run verdicts replace the interim ones.
 //!
 //! The contract: buffered heal modes plus re-assessment recover at least
 //! 0.9× the fault-free TPR for partitions up to 60 minutes, **no** heal
@@ -22,8 +22,8 @@
 
 use crate::cohort::{Cohort, Tally, SHARDS, T0};
 use funnel_bench::grid::{Column, Grid, Value};
-use funnel_core::reassess::ReassessmentQueue;
 use funnel_core::report::render;
+use funnel_core::ChangeAssessment;
 use funnel_sim::agent::{replay_prefix, replay_with_faults};
 use funnel_sim::faults::{FaultPlan, HealMode, PartitionScope, PartitionWindow};
 use funnel_sim::MetricStore;
@@ -97,11 +97,11 @@ impl PartitionGrid {
         let interim_store = MetricStore::new();
         replay_prefix(world, &interim_store, shards, plan(), cutoff).expect("interim replay");
         let mut assessments = self.0.assess(&interim_store);
-        let mut queue = ReassessmentQueue::new();
-        for assessment in &assessments {
-            queue.absorb(assessment);
-        }
-        let interim_queued = queue.len();
+        let awaiting = |assessments: &[ChangeAssessment]| -> usize {
+            let each = assessments.iter();
+            each.map(|a| a.awaiting_backfill_items().count()).sum()
+        };
+        let interim_queued = awaiting(&assessments);
 
         // Phase 2: the same schedule to completion (the heal mode decides
         // what comes back), then re-assess every window that healed.
@@ -111,10 +111,9 @@ impl PartitionGrid {
         let mut upgraded = 0usize;
         for assessment in &mut assessments {
             let record = world.change_log().get(assessment.change).expect("logged");
-            let upgrades = queue
-                .reassess(funnel, &healed_store, world.topology(), record)
+            upgraded += funnel
+                .reassess(assessment, &healed_store, world.topology(), record)
                 .expect("re-assessment");
-            upgraded += assessment.apply_upgrades(upgrades);
         }
 
         let reports = assessments
@@ -127,7 +126,7 @@ impl PartitionGrid {
             tally: self.0.score(&assessments),
             interim_queued,
             upgraded,
-            still_pending: queue.len(),
+            still_pending: awaiting(&assessments),
             backfilled_records: stats.backfilled_records,
             partition_lost_frames: stats.partition_lost_frames,
         };

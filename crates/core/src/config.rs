@@ -67,8 +67,9 @@ pub const MIN_COVERAGE: f64 = 0.8;
 pub const MIN_PARTITION_GAP: u64 = funnel_detect::PERSISTENCE_MINUTES as u64;
 
 /// Coverage fraction a previously partition-gapped assessment window must
-/// reach, via collector backfill, before the re-assessment queue re-runs
-/// the item for a firm verdict.
+/// reach, via collector backfill, before
+/// [`Funnel::reassess`](crate::pipeline::Funnel::reassess) re-runs the item
+/// for a firm verdict.
 pub const REASSESS_COVERAGE: f64 = 0.8;
 
 /// What the deployed tool leaves to set, with the paper's defaults: the

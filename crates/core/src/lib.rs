@@ -24,7 +24,9 @@
 //! minute by minute, scoring every KPI incrementally in bounded memory and
 //! completing each tracked change with the batch path's own verdicts.
 //!
-//! Both modes — and the re-assessment queue — fan their per-KPI work units
+//! Both modes — and [`pipeline::Funnel::reassess`], which re-runs the items
+//! a partition left awaiting backfill once their windows heal — fan their
+//! per-KPI work units
 //! across a configurable worker pool ([`config::AssessConfig`]) through the
 //! one engine in [`parallel`], with a deterministic merge: the delivered
 //! report is byte-identical for any worker count, and a unit whose
@@ -64,7 +66,6 @@ pub use pipeline::{
     enumerate_work_units, AssessmentMode, ChangeAssessment, DataQuality, Funnel, FunnelError,
     ItemAssessment, Verdict,
 };
-pub use reassess::{PendingItem, QueueState, ReassessmentQueue};
 pub use selfmon::{run_selfmon, PipelineHealthReport, SeriesHealth};
 pub use source::KpiSource;
 pub use stream::{

@@ -16,7 +16,7 @@
 //!   scoring calls it directly, and so do the evaluation harness's
 //!   per-change cohort pass and the deployment week's per-day one.
 //! * `assess_work_units` — the assessment form, which the batch pipeline,
-//!   the re-assessment queue and the streaming completion path all call.
+//!   re-assessment and the streaming completion path all call.
 //!   It runs `Funnel::assess_item` per unit and owns the assessment's one
 //!   control table, the worker spans, the error rule and the quarantine: a
 //!   unit whose assessment panics is caught and delivered `Inconclusive`

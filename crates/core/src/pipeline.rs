@@ -53,9 +53,8 @@ pub enum Verdict {
         /// one contiguous gap at least [`MIN_PARTITION_GAP`] minutes long, or
         /// a change point the gap-aware detector refused because it bordered
         /// such a gap. Those items are repairable: once the collector
-        /// backfills the dark span, a re-assessment (see
-        /// [`crate::reassess::ReassessmentQueue`]) can upgrade them to a
-        /// firm verdict. `false` means scattered per-frame loss no backfill
+        /// backfills the dark span, a re-assessment ([`Funnel::reassess`])
+        /// can upgrade them to a firm verdict. `false` means scattered per-frame loss no backfill
         /// will heal — the operators must adjudicate on what exists.
         awaiting_backfill: bool,
     },
@@ -73,7 +72,7 @@ impl Verdict {
     }
 
     /// Whether the item is inconclusive *and* a healed partition span could
-    /// still upgrade it — the re-assessment queue's admission test.
+    /// still upgrade it — which items [`Funnel::reassess`] considers.
     pub fn awaiting_backfill(self) -> bool {
         matches!(
             self,
@@ -149,24 +148,9 @@ impl ChangeAssessment {
     }
 
     /// Items a healed partition span could still upgrade — the candidates
-    /// for [`crate::reassess::ReassessmentQueue::absorb`].
+    /// [`Funnel::reassess`] re-runs once their windows heal.
     pub fn awaiting_backfill_items(&self) -> impl Iterator<Item = &ItemAssessment> {
         self.items.iter().filter(|i| i.verdict.awaiting_backfill())
-    }
-
-    /// Replaces items in place with re-assessed versions (matched by KPI
-    /// key), upgrading interim `Inconclusive { awaiting_backfill }` verdicts
-    /// to the firm ones a post-heal re-run produced. Returns how many items
-    /// were replaced; upgrades for keys not in the assessment are ignored.
-    pub fn apply_upgrades(&mut self, upgrades: Vec<ItemAssessment>) -> usize {
-        let mut applied = 0;
-        for upgrade in upgrades {
-            if let Some(slot) = self.items.iter_mut().find(|i| i.key == upgrade.key) {
-                *slot = upgrade;
-                applied += 1;
-            }
-        }
-        applied
     }
 }
 
@@ -399,8 +383,8 @@ impl Funnel {
     /// Re-assesses some impact-set KPIs of `change` — one, or a batch —
     /// through the same fan-out/merge engine as
     /// [`Funnel::assess_change_with`], without re-running the whole impact
-    /// set: the entry point the re-assessment queue uses once healed spans
-    /// cross their coverage threshold. Duplicates are collapsed; the
+    /// set: what [`Funnel::reassess`] runs once healed spans cross their
+    /// coverage threshold. Duplicates are collapsed; the
     /// results come back in key-sorted order.
     ///
     /// # Errors

@@ -77,8 +77,8 @@ pub fn render(topology: &Topology, assessment: &ChangeAssessment) -> String {
             notes.push_str(&format!(" quality:{:?}", item.quality.report.issues));
         }
         if item.verdict.awaiting_backfill() {
-            // Repairable: a partition gap blocks the verdict; the item sits
-            // in the re-assessment queue until the collector backfills it.
+            // Repairable: a partition gap blocks the verdict until the
+            // collector backfills it and a re-assessment re-runs the item.
             notes.push_str(" awaiting-backfill");
         }
         out.push_str(&format!(

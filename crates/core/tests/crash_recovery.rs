@@ -2,7 +2,8 @@
 //!
 //! The robustness claim this suite enforces: **a crash at any seeded kill
 //! point costs nothing but time**. Whatever instant the process dies —
-//! mid-frame-append, mid-checkpoint-write, or mid-reassessment —
+//! mid-frame-append, mid-checkpoint-write, or between an interim
+//! assessment and its re-assessment —
 //! recovering from the durable state (checkpoint + WAL tail) and resuming
 //! must deliver the *byte-identical* final report an uninterrupted run
 //! would have produced, at any worker count. (An assessment killed midway
@@ -12,8 +13,8 @@
 
 use funnel_core::pipeline::{ChangeAssessment, Funnel};
 use funnel_core::report::render;
-use funnel_core::{FunnelConfig, ReassessmentQueue};
-use funnel_resilience::checkpoint::{decode_segment, Checkpoint, CheckpointStore};
+use funnel_core::FunnelConfig;
+use funnel_resilience::checkpoint::{decode_segment, CheckpointStore};
 use funnel_resilience::recover::{recover, DurableHooks, DurableOptions, Kill};
 use funnel_resilience::wal::{decode_records, WalCursor, FRAME_RECORD, RECORD_HEADER};
 use funnel_resilience::ResilienceError;
@@ -399,7 +400,6 @@ fn a_cut_after_a_heal_backfilled_history_recovers_the_rewritten_bins() {
     let base = tmp_base("heal-cut");
     let options = DurableOptions::at(&base);
     let state = CollectorState::new(SHARDS);
-    let queue = ReassessmentQueue::new().export_state();
     let segment_of = |seq: u64| {
         let name = format!("seg-{seq:08}.bin");
         fs::read(options.checkpoint_dir.join(name)).unwrap()
@@ -409,7 +409,7 @@ fn a_cut_after_a_heal_backfilled_history_recovers_the_rewritten_bins() {
     let mut checkpoints = CheckpointStore::open(&options.checkpoint_dir).unwrap();
     replay_with_faults(&world, &store, SHARDS, partition(HealMode::SilentDrop)).unwrap();
     checkpoints
-        .cut(WalCursor::START, &store, &state, &queue, None)
+        .cut(WalCursor::START, &store, &state, None)
         .unwrap();
     let gapped = assess(&world, &store, change, 1);
 
@@ -425,7 +425,7 @@ fn a_cut_after_a_heal_backfilled_history_recovers_the_rewritten_bins() {
     .unwrap();
     assert!(healed.backfilled_frames > 0 && store.stats().backfilled > 0);
     checkpoints
-        .cut(WalCursor::START, &store, &state, &queue, None)
+        .cut(WalCursor::START, &store, &state, None)
         .unwrap();
     let golden = assess(&world, &store, change, 1);
     assert_ne!(
@@ -466,13 +466,14 @@ fn a_cut_after_a_heal_backfilled_history_recovers_the_rewritten_bins() {
     let _ = fs::remove_dir_all(&base);
 }
 
-/// Mid-reassessment kill: the process dies after interim verdicts were
-/// absorbed into the re-assessment queue but before the partition healed.
-/// The checkpointed queue state survives; recovery restores it, the heal
-/// completes, and the re-assessed final report matches the uninterrupted
-/// run — without double-upgrading anything.
+/// A kill between the interim assessment and the heal. Nothing of the
+/// assessment is durable, and nothing needs to be: the interim store is cut,
+/// the process dies, and recovery gives the store back, over which the
+/// interim assessment comes out as it did before the crash. Re-assessing it
+/// once the heal completes delivers the uninterrupted run's final report,
+/// and a second call has nothing left to re-run.
 #[test]
-fn mid_reassessment_kill_resumes_the_queue_from_the_checkpoint() {
+fn a_kill_before_the_heal_reassesses_from_the_recovered_store() {
     let mut b = WorldBuilder::new(SimConfig::days(37, 8));
     let svc = b.add_service("prod.reheal", 6).unwrap();
     let minute = 7 * 1440 + 300;
@@ -503,77 +504,46 @@ fn mid_reassessment_kill_resumes_the_queue_from_the_checkpoint() {
     let funnel = Funnel::paper_default();
     let record = world.change_log().get(change).unwrap().clone();
     let kinds = |svc| world.kinds_of_service(svc).to_vec();
-
-    let interim_at = minute as usize + 15;
-    let run_interim = |store: &MetricStore| {
-        replay_prefix(&world, store, SHARDS, plan.clone(), interim_at).unwrap();
+    let assess_interim = |store: &MetricStore| {
         funnel
             .assess_change_with(store, world.topology(), &record, &kinds)
             .unwrap()
     };
+    let healed = MetricStore::new();
+    replay_with_faults(&world, &healed, SHARDS, plan.clone()).unwrap();
 
-    // Golden, uninterrupted: interim → absorb → heal → reassess → final.
+    // Uninterrupted: interim → heal → re-assess → final.
+    let interim_store = MetricStore::new();
+    replay_prefix(&world, &interim_store, SHARDS, plan, minute as usize + 15).unwrap();
+    let interim = assess_interim(&interim_store);
+    assert!(interim.awaiting_backfill_items().count() > 0);
     let golden = {
-        let interim_store = MetricStore::new();
-        let mut interim = run_interim(&interim_store);
-        let mut queue = ReassessmentQueue::new();
-        assert!(queue.absorb(&interim) > 0);
-        let healed = MetricStore::new();
-        replay_with_faults(&world, &healed, SHARDS, plan.clone()).unwrap();
-        let upgrades = queue
-            .reassess(&funnel, &healed, world.topology(), &record)
-            .unwrap();
-        assert!(interim.apply_upgrades(upgrades) > 0);
-        report_of(&world, &interim)
+        let mut assessment = interim.clone();
+        let replaced = funnel.reassess(&mut assessment, &healed, world.topology(), &record);
+        assert!(replaced.unwrap() > 0);
+        report_of(&world, &assessment)
     };
 
-    // Crashed: the queue state reaches a checkpoint, then the process
-    // dies. Only the checkpoint directory survives.
+    // Crashed: the interim store reaches a cut, then the process dies.
     let base = tmp_base("reassess");
     let options = DurableOptions::at(&base);
-    {
-        let interim_store = MetricStore::new();
-        let interim = run_interim(&interim_store);
-        let mut queue = ReassessmentQueue::new();
-        queue.absorb(&interim);
-        let mut checkpoints = CheckpointStore::open(&options.checkpoint_dir).unwrap();
-        checkpoints
-            .write(&Checkpoint {
-                wal: WalCursor::START,
-                entries: interim_store.export_entries(),
-                collector: CollectorState::new(SHARDS),
-                queue: queue.export_state(),
-            })
-            .unwrap();
-        // Crash: `interim`, `queue`, and the store all drop here.
-    }
+    let mut checkpoints = CheckpointStore::open(&options.checkpoint_dir).unwrap();
+    let state = CollectorState::new(SHARDS);
+    checkpoints
+        .cut(WalCursor::START, &interim_store, &state, None)
+        .unwrap();
+    drop((interim_store, checkpoints));
 
     let recovered = recover(&world, SHARDS, 0, &options).unwrap();
     assert!(recovered.used_checkpoint);
-    let mut queue = ReassessmentQueue::from_state(recovered.queue);
-    assert!(!queue.is_empty(), "queue state lost in the crash");
+    let mut assessment = assess_interim(&recovered.store);
+    assert_eq!(report_of(&world, &assessment), report_of(&world, &interim));
 
-    // Recovery re-derives the interim assessment from the restored store;
-    // re-absorbing must not duplicate the checkpointed items.
-    let mut interim = funnel
-        .assess_change_with(&recovered.store, world.topology(), &record, &kinds)
-        .unwrap();
-    assert_eq!(queue.absorb(&interim), 0);
-
-    // The heal completes after recovery; the resumed loop finishes.
-    let healed = MetricStore::new();
-    replay_with_faults(&world, &healed, SHARDS, plan).unwrap();
-    let upgrades = queue
-        .reassess(&funnel, &healed, world.topology(), &record)
-        .unwrap();
-    assert!(interim.apply_upgrades(upgrades) > 0);
-    assert!(queue.is_empty());
-    assert_eq!(golden, report_of(&world, &interim));
-
-    // Nothing left to double-upgrade on the next loop iteration.
-    let again = queue
-        .reassess(&funnel, &healed, world.topology(), &record)
-        .unwrap();
-    assert!(again.is_empty());
+    // The heal completes after recovery; re-assessment finishes the job.
+    let replaced = funnel.reassess(&mut assessment, &healed, world.topology(), &record);
+    assert!(replaced.unwrap() > 0);
+    assert_eq!(golden, report_of(&world, &assessment));
+    let again = funnel.reassess(&mut assessment, &healed, world.topology(), &record);
+    assert_eq!(again, Ok(0), "items were re-run twice");
     let _ = fs::remove_dir_all(&base);
 }

@@ -2,14 +2,13 @@
 //!
 //! The contract under test: the parallel engine is a latency knob, never a
 //! results knob. A full partition-heal story — interim assessment against a
-//! degraded store, collector backfill, queued re-assessment — must produce
+//! degraded store, collector backfill, re-assessment — must produce
 //! byte-identical serialized output at 1, 3, and 8 workers, and the
 //! deterministic merge must erase any arrival order a scheduler could
 //! produce.
 
 use funnel_core::parallel::merge;
 use funnel_core::pipeline::{ChangeAssessment, Funnel, ItemAssessment};
-use funnel_core::reassess::ReassessmentQueue;
 use funnel_core::report::render;
 use funnel_core::FunnelConfig;
 use funnel_sim::agent::{replay_prefix, replay_with_faults};
@@ -60,13 +59,14 @@ fn fingerprint(world: &World, assessment: &ChangeAssessment) -> String {
 }
 
 /// The full partition-heal story at one worker count, returning the
-/// serialized interim report, upgrade batch, and final report.
+/// serialized interim report, how many items the re-assessment replaced,
+/// and the final report.
 fn run_story(world: &World, change: ChangeId, plan: &FaultPlan, workers: usize) -> [String; 3] {
     let record = world.change_log().get(change).unwrap().clone();
     let funnel = funnel_with(workers);
     let kinds = |svc| world.kinds_of_service(svc).to_vec();
 
-    // Interim: cut off mid-partition; repairable items join the queue.
+    // Interim: cut off mid-partition; repairable items await backfill.
     let interim_store = MetricStore::new();
     replay_prefix(
         world,
@@ -80,21 +80,23 @@ fn run_story(world: &World, change: ChangeId, plan: &FaultPlan, workers: usize) 
         .assess_change_with(&interim_store, world.topology(), &record, &kinds)
         .unwrap();
     let interim_fp = fingerprint(world, &assessment);
-    let mut queue = ReassessmentQueue::new();
-    assert!(queue.absorb(&assessment) > 0);
+    let awaiting = assessment.awaiting_backfill_items().count();
+    assert!(awaiting > 0);
 
-    // Heal: full replay backfills the dark span; the queue re-runs every
-    // healed window through the same engine.
+    // Heal: full replay backfills the dark span; the re-assessment re-runs
+    // every healed window through the same engine.
     let healed_store = MetricStore::new();
     replay_with_faults(world, &healed_store, 3, plan.clone()).unwrap();
-    let upgrades = queue
-        .reassess(&funnel, &healed_store, world.topology(), &record)
+    let replaced = funnel
+        .reassess(&mut assessment, &healed_store, world.topology(), &record)
         .unwrap();
-    assert!(!upgrades.is_empty());
-    assert!(queue.is_empty());
-    let upgrades_fp = format!("{upgrades:?}");
-    assessment.apply_upgrades(upgrades);
-    [interim_fp, upgrades_fp, fingerprint(world, &assessment)]
+    assert_eq!(replaced, awaiting);
+    assert_eq!(assessment.awaiting_backfill_items().count(), 0);
+    [
+        interim_fp,
+        replaced.to_string(),
+        fingerprint(world, &assessment),
+    ]
 }
 
 #[test]
@@ -103,7 +105,7 @@ fn partition_heal_story_is_byte_identical_across_worker_counts() {
     let serial = run_story(&world, change, &plan, 1);
     for workers in [3, 8] {
         let parallel = run_story(&world, change, &plan, workers);
-        for (stage, (a, b)) in ["interim", "upgrades", "final"]
+        for (stage, (a, b)) in ["interim", "replaced", "final"]
             .iter()
             .zip(serial.iter().zip(&parallel))
         {

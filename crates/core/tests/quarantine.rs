@@ -5,14 +5,14 @@
 //! `Inconclusive` with `QualityIssue::Quarantined`. Both tests poison one
 //! treated server's series (see `poisoned/mod.rs`) and hold the rest of the
 //! delivery to the clean run's bytes at 1, 3 and 8 workers: once through
-//! the batch entry, once through the re-assessment queue. Without the
+//! the batch entry, once through `Funnel::reassess`. Without the
 //! `catch_unwind` the panic escapes and both fail.
 
 mod poisoned;
 
 use funnel_core::pipeline::{Funnel, ItemAssessment, Verdict};
 use funnel_core::quality::QualityIssue;
-use funnel_core::{FunnelConfig, ReassessmentQueue};
+use funnel_core::FunnelConfig;
 use funnel_sim::agent::{replay_prefix, replay_with_faults};
 use funnel_sim::effect::{ChangeEffect, EffectScope};
 use funnel_sim::faults::{FaultPlan, HealMode, PartitionScope, PartitionWindow};
@@ -108,32 +108,27 @@ fn a_panicking_unit_leaves_the_reassessment_queue_as_firm() {
     let interim = funnel(1)
         .assess_change_with(&interim_store, world.topology(), &record, &kinds)
         .unwrap();
-    let mut queue = ReassessmentQueue::new();
-    assert!(queue.absorb(&interim) > 0);
+    let awaiting = interim.awaiting_backfill_items().count();
+    assert!(awaiting > 0);
     let healed = MetricStore::new();
     replay_with_faults(&world, &healed, SHARDS, plan).unwrap();
 
-    let mut clean_queue = queue.clone();
-    let clean = clean_queue
-        .reassess(&funnel(1), &healed, world.topology(), &record)
-        .unwrap();
-    assert_eq!(clean.len(), queue.len(), "the heal left an item unready");
+    let mut clean = interim.clone();
+    let replaced = funnel(1).reassess(&mut clean, &healed, world.topology(), &record);
+    assert_eq!(replaced, Ok(awaiting), "the heal left an item unready");
     let source = Poisoned {
         inner: &healed,
-        key: poisoned::server_key(&clean),
+        key: poisoned::server_key(interim.awaiting_backfill_items()),
     };
     for workers in [1, 3, 8] {
-        let mut queue = queue.clone();
-        let got = queue
-            .reassess(&funnel(workers), &source, world.topology(), &record)
-            .unwrap();
-        only_quarantined(&clean, &got, source.key);
-        // Quarantined is firm: the item leaves the queue as the clean run's
-        // upgrade did, so the loop has nothing left to re-run.
-        assert_eq!(queue.export_state(), clean_queue.export_state());
-        assert!(queue
-            .reassess(&funnel(workers), &source, world.topology(), &record)
-            .unwrap()
-            .is_empty());
+        let mut got = interim.clone();
+        let funnel = funnel(workers);
+        let replaced = funnel.reassess(&mut got, &source, world.topology(), &record);
+        assert_eq!(replaced, Ok(awaiting));
+        only_quarantined(&clean.items, &got.items, source.key);
+        // Quarantined is firm, as the clean run's upgrade is: a second
+        // call has nothing left to re-run.
+        let again = funnel.reassess(&mut got, &source, world.topology(), &record);
+        assert_eq!(again, Ok(0));
     }
 }

@@ -1,14 +1,13 @@
 //! Store checkpoints: the periodic snapshot half of crash recovery.
 //!
-//! A checkpoint captures one *recovery point* — everything the collector
-//! and assessment loop would need to continue as if the process had never
-//! died, taken at a single commit boundary:
+//! A checkpoint captures one *recovery point* — everything ingestion would
+//! need to continue as if the process had never died, taken at a single
+//! commit boundary:
 //!
 //! * the metric-store entries (per-KPI series + coverage masks),
 //! * the collector's in-flight state ([`CollectorState`]: per-agent
 //!   watermarks, dedup memory, pending minutes, backfill stage, partial
-//!   aggregates),
-//! * the re-assessment queue ([`QueueState`]), and
+//!   aggregates), and
 //! * the WAL position of the snapshot ([`WalCursor`]: the frames it
 //!   covers and the segment and offset the next one starts at), so
 //!   recovery reads and replays only the WAL tail past it.
@@ -23,8 +22,8 @@
 //!   ([`KeyDelta`]). The first segment of a chain, its *base*, holds every
 //!   key from minute 0.
 //! * `ckpt-<seq>.bin`, a *manifest*: the WAL cursor, the ordered
-//!   `(seq, length, hash)` list of the segments it rests on, the collector
-//!   state and the queue ([`Manifest`]).
+//!   `(seq, length, hash)` list of the segments it rests on and the
+//!   collector state ([`Manifest`]).
 //!
 //! Both are an 8-byte magic, a 64-bit hash of the payload
 //! ([`fnv1a_words`], the hash of every durable byte), then the payload — a
@@ -52,25 +51,24 @@
 
 use crate::wal::WalCursor;
 use crate::{fnv1a_words, numbered_files, ResilienceError};
-use funnel_core::reassess::{PendingItem, QueueState};
 use funnel_sim::collector::{CollectorState, MinuteAccs};
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::store::{CutId, MetricStore};
 use funnel_sim::wire::{key_from_bytes, key_to_bytes, WireRecord};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
-use funnel_topology::change::ChangeId;
 use funnel_topology::model::ServiceId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{ErrorKind, Read};
 use std::path::{Path, PathBuf};
 
-/// Manifest magic: "FNLCKPT" + format version 3. Version 1 was a single
+/// Manifest magic: "FNLCKPT" + format version 4. Version 1 was a single
 /// file holding the whole store, version 2 a manifest that opened with a
-/// bare frame count where this one has a [`WalCursor`]; either fails this
-/// check and is skipped like any other unusable manifest, never misread.
-pub const MAGIC: [u8; 8] = *b"FNLCKPT3";
+/// bare frame count where this one has a [`WalCursor`], version 3 this
+/// manifest followed by a re-assessment queue; each fails this check and is
+/// skipped like any other unusable manifest, never misread.
+pub const MAGIC: [u8; 8] = *b"FNLCKPT4";
 
 /// Segment magic.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"FNLCSEG2";
@@ -89,8 +87,6 @@ pub struct Checkpoint {
     pub entries: Vec<(KpiKey, TimeSeries, CoverageMask)>,
     /// The collector's in-flight state at the same boundary.
     pub collector: CollectorState,
-    /// The re-assessment queue (empty during pure ingestion).
-    pub queue: QueueState,
 }
 
 /// One key's record in a segment: what a cut adds to the chain for it.
@@ -133,8 +129,6 @@ pub struct Manifest {
     pub segments: Vec<SegmentRef>,
     /// The collector's in-flight state.
     pub collector: CollectorState,
-    /// The re-assessment queue.
-    pub queue: QueueState,
 }
 
 // ---------------------------------------------------------------- encode --
@@ -216,22 +210,6 @@ fn put_state(out: &mut Vec<u8>, state: &CollectorState) {
     for (&minute, accs) in &state.partial {
         put_u64(out, minute);
         put_accs(out, accs);
-    }
-}
-
-fn put_queue(out: &mut Vec<u8>, queue: &QueueState) {
-    put_u64(out, queue.pending.len() as u64);
-    for item in &queue.pending {
-        put_u32(out, item.change.0);
-        put_key(out, item.key);
-        put_u64(out, item.window.0);
-        put_u64(out, item.window.1);
-        put_f64(out, item.required_coverage);
-    }
-    put_u64(out, queue.applied.len() as u64);
-    for (change, key) in &queue.applied {
-        put_u32(out, change.0);
-        put_key(out, *key);
     }
 }
 
@@ -332,7 +310,6 @@ fn put_manifest(
     wal: WalCursor,
     chain: &[SegmentRef],
     collector: &CollectorState,
-    queue: &QueueState,
 ) {
     let at = begin_frame(out, MAGIC);
     put_u64(out, wal.frames);
@@ -345,7 +322,6 @@ fn put_manifest(
         put_u64(out, segment.hash);
     }
     put_state(out, collector);
-    put_queue(out, queue);
     seal(out, at);
 }
 
@@ -622,38 +598,11 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, ResilienceError> {
         collector.partial.insert(minute, accs);
     }
 
-    let pending_items = r.count(34)?;
-    let mut queue = QueueState {
-        pending: Vec::with_capacity(pending_items),
-        applied: Vec::new(),
-    };
-    for _ in 0..pending_items {
-        let change = ChangeId(r.u32()?);
-        let key = r.key()?;
-        let from = r.u64()?;
-        let to = r.u64()?;
-        let required_coverage = r.f64()?;
-        queue.pending.push(PendingItem {
-            change,
-            key,
-            window: (from, to),
-            required_coverage,
-        });
-    }
-    let applied_count = r.count(10)?;
-    queue.applied = Vec::with_capacity(applied_count);
-    for _ in 0..applied_count {
-        let change = ChangeId(r.u32()?);
-        let key = r.key()?;
-        queue.applied.push((change, key));
-    }
-
     r.finish("manifest")?;
     Ok(Manifest {
         wal,
         segments,
         collector,
-        queue,
     })
 }
 
@@ -857,14 +806,7 @@ impl CheckpointStore {
         let records = checkpoint.entries.iter().map(|(k, s, m)| (*k, 0, s, m));
         self.buf.clear();
         let hash = put_segment(&mut self.buf, measure(records.clone()), records);
-        self.finish_cut(
-            true,
-            hash,
-            checkpoint.wal,
-            &checkpoint.collector,
-            &checkpoint.queue,
-            None,
-        )
+        self.finish_cut(true, hash, checkpoint.wal, &checkpoint.collector, None)
     }
 
     /// One cut of `store` at a commit boundary: a segment of what was
@@ -889,7 +831,6 @@ impl CheckpointStore {
         wal: WalCursor,
         store: &MetricStore,
         collector: &CollectorState,
-        queue: &QueueState,
         tear: Option<usize>,
     ) -> Result<PathBuf, ResilienceError> {
         let chain_bytes: u64 = self
@@ -910,7 +851,7 @@ impl CheckpointStore {
                 (false, put_segment(buf, delta, cut.written_since_cut()))
             }
         });
-        let path = self.finish_cut(base, hash, wal, collector, queue, tear)?;
+        let path = self.finish_cut(base, hash, wal, collector, tear)?;
         if tear.is_none() {
             self.head = Some(head);
         }
@@ -926,7 +867,6 @@ impl CheckpointStore {
         hash: u64,
         wal: WalCursor,
         collector: &CollectorState,
-        queue: &QueueState,
         tear: Option<usize>,
     ) -> Result<PathBuf, ResilienceError> {
         let seq = self.next_seq;
@@ -942,7 +882,7 @@ impl CheckpointStore {
             len: segment_len as u64,
             hash,
         });
-        put_manifest(&mut self.buf, wal, &chain, collector, queue);
+        put_manifest(&mut self.buf, wal, &chain, collector);
         let (segment, manifest) = self
             .buf
             .split_at_checked(segment_len)
@@ -1026,7 +966,6 @@ impl CheckpointStore {
                     wal: manifest.wal,
                     entries: restored.into_entries(),
                     collector: manifest.collector,
-                    queue: manifest.queue,
                 }));
             }
         }
@@ -1058,15 +997,6 @@ mod tests {
         collector
             .backfill_stage
             .insert((1, 30), vec![WireRecord { key, value: 9.5 }]);
-        let queue = QueueState {
-            pending: vec![PendingItem {
-                change: ChangeId(3),
-                key,
-                window: (100, 200),
-                required_coverage: 0.8,
-            }],
-            applied: vec![(ChangeId(2), key)],
-        };
         Checkpoint {
             wal: WalCursor {
                 frames: 42,
@@ -1079,7 +1009,6 @@ mod tests {
                 CoverageMask::from_bits(40, vec![true, false, true]),
             )],
             collector,
-            queue,
         }
     }
 
@@ -1169,7 +1098,9 @@ mod tests {
     }
 
     /// Version 2: today's manifest but for a bare frame count where the
-    /// cursor is, so its hash validates and only the magic tells it apart.
+    /// cursor is, and an empty re-assessment queue (two zero counts) after
+    /// the collector state, so its hash validates and only the magic tells
+    /// it apart.
     #[test]
     fn a_version_2_manifest_is_rejected_not_misread() {
         let dir = tmp_dir("v2-source");
@@ -1178,7 +1109,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         // The same manifest as version 2 wrote it.
         let (frames, rest) = now[HEADER_LEN..].split_at(8);
-        let payload = [frames, &rest[16..]].concat();
+        let payload = [frames, &rest[16..], &[0; 16]].concat();
         let mut old = b"FNLCKPT2".to_vec();
         old.extend_from_slice(&fnv1a_words(&payload).to_le_bytes());
         old.extend_from_slice(&payload);
@@ -1206,9 +1137,7 @@ mod tests {
         tear: Option<usize>,
     ) {
         let state = CollectorState::new(1);
-        checkpoints
-            .cut(at(frames), store, &state, &QueueState::default(), tear)
-            .unwrap();
+        checkpoints.cut(at(frames), store, &state, tear).unwrap();
     }
 
     /// What recovery must hand back after a clean cut of `store`.
@@ -1217,7 +1146,6 @@ mod tests {
             wal: at(frames),
             entries: store.export_entries(),
             collector: CollectorState::new(1),
-            queue: QueueState::default(),
         }
     }
 
@@ -1386,7 +1314,7 @@ mod tests {
     fn put_manifest_file(dir: &Path, seq: u64, chain: &[SegmentRef]) {
         let mut bytes = Vec::new();
         let state = CollectorState::new(1);
-        put_manifest(&mut bytes, at(seq), chain, &state, &QueueState::default());
+        put_manifest(&mut bytes, at(seq), chain, &state);
         fs::write(dir.join(manifest_name(seq)), bytes).unwrap();
     }
 
@@ -1407,7 +1335,6 @@ mod tests {
             wal: at(frames),
             entries: vec![(key(0), series.clone(), mask.clone())],
             collector: CollectorState::new(1),
-            queue: QueueState::default(),
         };
         let chain_of = |tag: &str, delta: Written<'_>| {
             let dir = tmp_dir(tag);

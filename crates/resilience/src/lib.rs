@@ -8,7 +8,10 @@
 //! delivered report as ground truth, so a recovered FUNNEL has to produce
 //! the *byte-identical* report an uninterrupted run would have delivered.
 //!
-//! This crate supplies the durable half of that guarantee:
+//! This crate supplies the durable half of that guarantee, and it is
+//! ingestion only: recovery gives back the store bit for bit, and an
+//! assessment — interim, or re-assessed after a heal — is a pure function
+//! of the store, so nothing of one is journalled.
 //!
 //! * [`wal`] — a segmented, content-hashed ingest write-ahead log. Every
 //!   frame the collector accepts is appended as a length-prefixed,
@@ -18,8 +21,8 @@
 //!   fsync-free and deterministic: identical ingest runs produce
 //!   byte-identical segments.
 //! * [`checkpoint`] — the periodic recovery point: the metric-store
-//!   entries, the collector's in-flight state (watermarks, dedup memory,
-//!   pending minutes, backfill stage), and the re-assessment queue. On
+//!   entries and the collector's in-flight state (watermarks, dedup memory,
+//!   pending minutes, backfill stage). On
 //!   disk it is a chain — a base segment plus one delta segment per cut,
 //!   each holding what was written since the cut before, under a small
 //!   manifest — so a cut costs what changed, not what is stored. Every

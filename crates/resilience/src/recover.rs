@@ -31,7 +31,6 @@ use crate::checkpoint::CheckpointStore;
 use crate::wal::{self, WalCursor, WalWriter};
 use crate::ResilienceError;
 use bytes::Bytes;
-use funnel_core::reassess::QueueState;
 use funnel_sim::collector::{Collector, CollectorState, IngestAbort, IngestHooks};
 use funnel_sim::store::MetricStore;
 use funnel_sim::world::World;
@@ -190,7 +189,6 @@ impl IngestHooks for DurableHooks {
             self.wal.cursor(self.frames),
             collector.store(),
             collector.state(),
-            &QueueState::default(),
             tear,
         );
         match cut {
@@ -225,8 +223,6 @@ pub struct Recovered {
     pub store: MetricStore,
     /// The collector state to resume live ingestion from.
     pub state: CollectorState,
-    /// The re-assessment queue from the checkpoint.
-    pub queue: QueueState,
     /// Whether the WAL ended with the end-of-stream marker (in which case
     /// `finish()` already ran and the store is final).
     pub end_of_stream: bool,
@@ -269,12 +265,12 @@ pub fn recover(
     let scan = wal::scan(&options.wal_dir, cursor)?;
 
     let store = MetricStore::new();
-    let (state, queue, used_checkpoint) = match checkpoint {
+    let (state, used_checkpoint) = match checkpoint {
         Some(c) => {
             store.restore_entries(c.entries);
-            (c.collector, c.queue, true)
+            (c.collector, true)
         }
-        None => (CollectorState::new(shards), QueueState::default(), false),
+        None => (CollectorState::new(shards), false),
     };
 
     let mut collector = Collector::resume(world, &store, shards, horizon, state);
@@ -291,7 +287,6 @@ pub fn recover(
     Ok(Recovered {
         store,
         state,
-        queue,
         end_of_stream: scan.end_of_stream,
         torn_wal_tail: scan.torn_tail,
         frames_in_wal: scan.frame_count,
@@ -558,6 +553,63 @@ mod tests {
         let recovered = recover(&world, shards, 0, &options).unwrap();
         assert!(!recovered.used_checkpoint);
         assert_eq!(recovered.frames_replayed, recovered.frames_in_wal);
+        assert_eq!(
+            store_fingerprint(&world, &golden),
+            store_fingerprint(&world, &recovered.store),
+        );
+        let _ = fs::remove_dir_all(&base);
+    }
+
+    /// `manifest` as format 3 wrote it: the same payload followed by an
+    /// empty re-assessment queue (two zero counts), hash-valid under its own
+    /// magic.
+    fn as_version_3(manifest: &[u8]) -> Vec<u8> {
+        // Past the magic and the payload hash.
+        let payload = [&manifest[16..], &[0; 16]].concat();
+        let mut old = b"FNLCKPT3".to_vec();
+        old.extend_from_slice(&crate::fnv1a_words(&payload).to_le_bytes());
+        old.extend_from_slice(&payload);
+        old
+    }
+
+    /// A version-3 manifest is skipped, never misread: beside an older
+    /// version-4 one, recovery rests on that one; alone, it leaves no
+    /// checkpoint and recovery replays the whole WAL.
+    #[test]
+    fn a_version_3_manifest_is_skipped_and_recovery_falls_back() {
+        use crate::checkpoint::decode_manifest;
+        let world = test_world(19);
+        let shards = 2;
+        let golden = MetricStore::new();
+        replay_with_faults(&world, &golden, shards, FaultPlan::none()).unwrap();
+
+        let base = tmp_base("v3");
+        let mut options = DurableOptions::at(&base);
+        options.cadence = 50;
+        let mut hooks = DurableHooks::create(&options).unwrap();
+        let live = MetricStore::new();
+        let plan = FaultPlan::none();
+        replay_durable(&world, &live, shards, plan, 180, None, &mut hooks).unwrap();
+
+        let dir = &options.checkpoint_dir;
+        let manifest = |seq: u64| dir.join(format!("ckpt-{seq:08}.bin"));
+        let v4 = crate::numbered_files(dir, "ckpt-", ".bin").unwrap();
+        let newest = *v4.last().expect("a cadence-50 run cuts");
+        let bytes = fs::read(manifest(newest)).unwrap();
+        let cursor = decode_manifest(&bytes).unwrap().wal;
+        fs::write(manifest(newest + 1), as_version_3(&bytes)).unwrap();
+        let found = CheckpointStore::latest_valid(dir).unwrap().unwrap();
+        assert_eq!(found.wal, cursor);
+
+        for seq in v4 {
+            fs::remove_file(manifest(seq)).unwrap();
+        }
+        assert!(CheckpointStore::latest_valid(dir).unwrap().is_none());
+        let recovered = recover(&world, shards, 0, &options).unwrap();
+        assert!(!recovered.used_checkpoint);
+        assert_eq!(recovered.checkpoint, WalCursor::START);
+        assert_eq!(recovered.frames_replayed, recovered.frames_in_wal);
+        assert!(recovered.end_of_stream);
         assert_eq!(
             store_fingerprint(&world, &golden),
             store_fingerprint(&world, &recovered.store),

@@ -22,11 +22,9 @@
 //! position of the log is an error, never a panic.
 //!
 //! The vendored proptest shim drives scalars and `Vec`s of scalars, so
-//! structured inputs (checkpoint entries, collector state, queue items,
-//! store scripts) are derived deterministically from flat fuzz vectors.
+//! structured inputs (checkpoint entries, collector state, store scripts) are derived deterministically from flat fuzz vectors.
 
 use bytes::Bytes;
-use funnel_core::reassess::{PendingItem, QueueState};
 use funnel_resilience::checkpoint::{
     decode_manifest, decode_segment, Checkpoint, CheckpointStore, Manifest, MAGIC, SEGMENT_MAGIC,
 };
@@ -41,7 +39,6 @@ use funnel_sim::store::MetricStore;
 use funnel_sim::wire::WireRecord;
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::TimeSeries;
-use funnel_topology::change::ChangeId;
 use funnel_topology::impact::Entity;
 use funnel_topology::model::{InstanceId, ServerId, ServiceId};
 use proptest::prelude::*;
@@ -85,7 +82,6 @@ fn checkpoint_from(
     watermarks: &[u64],
     seen: &[u64],
     pend: &[u64],
-    queue_items: &[u32],
 ) -> Checkpoint {
     let mut entries: Vec<(KpiKey, TimeSeries, CoverageMask)> = entry_sels
         .iter()
@@ -139,35 +135,10 @@ fn checkpoint_from(
             }],
         );
     }
-    let queue = QueueState {
-        pending: queue_items
-            .iter()
-            .map(|&item| PendingItem {
-                change: ChangeId(item % 32),
-                key: key(item as u8, item, item as usize),
-                window: (u64::from(item) * 3, u64::from(item) * 3 + 60),
-                required_coverage: 0.8,
-            })
-            .collect(),
-        applied: queue_items
-            .iter()
-            .map(|&item| {
-                (
-                    ChangeId(item % 32),
-                    key(
-                        item.wrapping_add(1) as u8,
-                        item.wrapping_add(9),
-                        item as usize,
-                    ),
-                )
-            })
-            .collect(),
-    };
     Checkpoint {
         wal,
         entries,
         collector,
-        queue,
     }
 }
 
@@ -287,15 +258,13 @@ proptest! {
         watermarks in prop::collection::vec(0u64..10_000, 0..6),
         seen in prop::collection::vec(0u64..10_000, 0..10),
         pend in prop::collection::vec(any::<u64>(), 0..6),
-        queue_items in prop::collection::vec(any::<u32>(), 0..6),
     ) {
         let wal = WalCursor {
             frames: wal_frames,
             segment: wal_segment,
             offset: wal_offset,
         };
-        let checkpoint =
-            checkpoint_from(wal, &entry_sels, &watermarks, &seen, &pend, &queue_items);
+        let checkpoint = checkpoint_from(wal, &entry_sels, &watermarks, &seen, &pend);
         let dir = Scratch::new();
         let (segment, manifest) = written_files(&dir, &checkpoint);
         prop_assert!(decode_segment(&segment).is_ok());
@@ -310,7 +279,7 @@ proptest! {
         pend in prop::collection::vec(any::<u64>(), 0..4),
         cut_frac in 0.0..1.0f64,
     ) {
-        let checkpoint = checkpoint_from(at(7), &entry_sels, &[3, 4], &[1, 2], &pend, &[]);
+        let checkpoint = checkpoint_from(at(7), &entry_sels, &[3, 4], &[1, 2], &pend);
         let (segment, manifest) = written_files(&Scratch::new(), &checkpoint);
         // Strictly shorter than the original: must be cleanly rejected
         // (the payload hash no longer covers what the header promised).
@@ -325,7 +294,7 @@ proptest! {
         flip_frac in 0.0..1.0f64,
         mask in 1u8..255,
     ) {
-        let checkpoint = checkpoint_from(at(3), &entry_sels, &[1], &[4], &[], &[]);
+        let checkpoint = checkpoint_from(at(3), &entry_sels, &[1], &[4], &[]);
         let (segment, manifest) = written_files(&Scratch::new(), &checkpoint);
         let flip = |bytes: &[u8]| {
             let mut bytes = bytes.to_vec();
@@ -716,10 +685,10 @@ proptest! {
             let frames = points.len() as u64 + 1;
             let point = Checkpoint {
                 entries: store.export_entries(),
-                ..checkpoint_from(at(frames), &[], &[word % 50, word % 7], &[word % 90], &[word], &[])
+                ..checkpoint_from(at(frames), &[], &[word % 50, word % 7], &[word % 90], &[word])
             };
             checkpoints
-                .cut(point.wal, store, &point.collector, &point.queue, None)
+                .cut(point.wal, store, &point.collector, None)
                 .unwrap();
             points.push(point);
         };

@@ -3,7 +3,6 @@
 //! deployment (§2.2: every server's agent pushes once a minute while FUNNEL
 //! and other systems subscribe).
 
-use funnel_core::reassess::QueueState;
 use funnel_resilience::checkpoint::{decode_manifest, CheckpointStore};
 use funnel_resilience::WalCursor;
 use funnel_sim::collector::{Collector, CollectorState};
@@ -258,7 +257,6 @@ fn a_writer_racing_cuts_loses_no_write_between_encode_and_mark_clean() {
         }
     }
     let state = CollectorState::new(1);
-    let queue = QueueState::default();
     let start = Barrier::new(2);
     let cuts = AtomicU64::new(0);
     let done = AtomicBool::new(false);
@@ -294,7 +292,7 @@ fn a_writer_racing_cuts_loses_no_write_between_encode_and_mark_clean() {
                 frames,
                 ..WalCursor::START
             };
-            let manifest = checkpoints.cut(wal, &store, &state, &queue, None).unwrap();
+            let manifest = checkpoints.cut(wal, &store, &state, None).unwrap();
             let manifest = decode_manifest(&std::fs::read(manifest).unwrap()).unwrap();
             deltas += u64::from(manifest.segments.len() > 1);
         };

@@ -3,7 +3,6 @@
 //! must not depend on insertion order (which, with a hash map underneath,
 //! would really mean hasher order — different on every run).
 
-use funnel_core::reassess::QueueState;
 use funnel_resilience::checkpoint::CheckpointStore;
 use funnel_resilience::WalCursor;
 use funnel_sim::collector::{Collector, CollectorState};
@@ -136,7 +135,6 @@ fn interning_order_reaches_no_reader_and_no_checkpoint_byte() {
     let base = std::env::temp_dir().join(format!("funnel-interning-{}", std::process::id()));
     let _ = fs::remove_dir_all(&base);
     let state = CollectorState::new(2);
-    let queue = QueueState::default();
     let extra = KpiKey::new(Entity::Server(ServerId(3)), KpiKind::MemoryUtilization);
 
     let fill = |tag: &str, order: &[KpiKey]| {
@@ -147,7 +145,7 @@ fn interning_order_reaches_no_reader_and_no_checkpoint_byte() {
                 frames,
                 ..WalCursor::START
             };
-            checkpoints.cut(wal, store, &state, &queue, None).unwrap();
+            checkpoints.cut(wal, store, &state, None).unwrap();
         };
         // A restore that keeps nothing: every key of `order` is interned,
         // in this order, and none is held.

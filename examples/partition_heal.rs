@@ -9,15 +9,16 @@
 //!    long contiguous gap, the gap-aware detector refuses change points
 //!    bordering it, and the blocked items come back
 //!    `Inconclusive { awaiting_backfill: true }` — flagged for repair, not
-//!    guessed at. They are absorbed into a re-assessment queue.
+//!    guessed at.
 //! 2. **The partition heals.** The dark zone's agents kept a bounded
 //!    backlog and trickle it back (staggered catch-up); frames landing
 //!    behind the collector's frontier ride the backfill path into their
 //!    original historical minutes.
-//! 3. **Re-assessment.** Every queued window's coverage crosses the
-//!    configured threshold, the queue re-runs the items against the healed
-//!    store, and the interim `INCONCL.` lines upgrade to firm verdicts —
-//!    the regression, invisible during the outage, is now attributed.
+//! 3. **Re-assessment.** Every awaiting window's coverage crosses the
+//!    configured threshold, `Funnel::reassess` re-runs the items against
+//!    the healed store, and the interim `INCONCL.` lines upgrade to firm
+//!    verdicts — the regression, invisible during the outage, is now
+//!    attributed.
 //!
 //! ```bash
 //! cargo run --release --example partition_heal
@@ -25,7 +26,6 @@
 
 use funnel_suite::core::config::MIN_COVERAGE;
 use funnel_suite::core::pipeline::Funnel;
-use funnel_suite::core::reassess::ReassessmentQueue;
 use funnel_suite::core::report;
 use funnel_suite::sim::agent::{replay_prefix, replay_with_faults};
 use funnel_suite::sim::effect::{ChangeEffect, EffectScope};
@@ -84,20 +84,20 @@ fn main() {
     println!("── interim report (partition open, minute {cutoff}) ──\n");
     println!("{}", report::render(world.topology(), &assessment));
 
-    let mut queue = ReassessmentQueue::new();
-    let absorbed = queue.absorb(&assessment);
+    let awaiting = assessment.awaiting_backfill_items().count();
     println!(
-        "{} item(s) blocked by the unhealed gap queued for re-assessment; \
+        "{awaiting} item(s) blocked by the unhealed gap await re-assessment; \
          {} attributed so far",
-        absorbed,
         assessment.caused_items().count()
     );
     // The outage must not be guessed at: awaiting items exist and none of
     // them was attributed or cleared.
-    assert!(absorbed > 0, "the open partition blocked nothing?");
+    assert!(awaiting > 0, "the open partition blocked nothing?");
     assert!(assessment.awaiting_backfill_items().all(|i| !i.caused));
-    // And against the still-dark store, nothing is ready to re-run.
-    assert!(queue.ready(&interim_store).is_empty());
+    // And against the still-dark store, nothing has healed to re-run.
+    let topology = world.topology();
+    let rerun = funnel.reassess(&mut assessment, &interim_store, topology, record);
+    assert_eq!(rerun, Ok(0));
 
     // ── Act 2: the same schedule to completion — the zone heals and the
     // collector backfills the dark span into its historical minutes.
@@ -111,24 +111,18 @@ fn main() {
     );
     assert_eq!(stats.partition_lost_frames, 0, "bounded queue overflowed");
 
-    // ── Act 3: every queued window healed past the coverage trigger; the
+    // ── Act 3: every awaiting window healed past the coverage trigger; the
     // re-run upgrades the interim verdicts in place.
-    let ready = queue.ready(&healed_store).len();
-    println!(
-        "{ready} of {} queued item(s) ready for re-assessment",
-        queue.len()
-    );
-    let upgrades = queue
-        .reassess(&funnel, &healed_store, world.topology(), record)
+    let upgraded = funnel
+        .reassess(&mut assessment, &healed_store, topology, record)
         .expect("re-assessment");
-    let upgraded = assessment.apply_upgrades(upgrades);
 
     println!("\n── final report (after re-assessment, {upgraded} upgraded) ──\n");
     println!("{}", report::render(world.topology(), &assessment));
 
     // The guarantees this example demonstrates:
-    // 1. the heal resolved every queued item — nothing left in limbo,
-    assert!(queue.is_empty(), "items still queued after a full heal");
+    // 1. the heal resolved every awaiting item — nothing left in limbo,
+    assert_eq!(upgraded, awaiting);
     assert_eq!(assessment.awaiting_backfill_items().count(), 0);
     // 2. the regression hidden behind the outage is now attributed,
     let delay_attributed = assessment
@@ -141,7 +135,7 @@ fn main() {
         .all(|i| i.quality.coverage >= MIN_COVERAGE));
 
     println!(
-        "the +90ms regression was invisible during the outage, queued instead of \
+        "the +90ms regression was invisible during the outage, held back instead of \
          guessed, and attributed after the heal."
     );
 }
