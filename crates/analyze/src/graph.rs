@@ -26,7 +26,7 @@
 //! or blame an innocent entry point.
 
 use crate::scan::{FileScan, FnSpan};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How a call site was written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -734,6 +734,42 @@ fn panic_sources(
     out
 }
 
+/// Iteration-observing method names on hash containers.
+const ITER_METHODS: [&str; 9] = [
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "into_iter",
+    "into_keys",
+    "into_values",
+    "drain",
+];
+
+/// Walks a receiver chain backwards from the `.` at `dot_idx` (idents,
+/// `.`, `(`, `)`, `&`, `self`) and says whether an ident of the chain is in
+/// `names` — i.e. whether this method call is rooted at a hash container.
+fn chain_mentions(names: &BTreeSet<String>, code: &[crate::lexer::Token], dot_idx: usize) -> bool {
+    let mut j = dot_idx;
+    let mut steps = 0;
+    while j > 0 && steps < 16 {
+        j -= 1;
+        steps += 1;
+        let t = &code[j];
+        if t.kind == crate::lexer::TokenKind::Ident {
+            if names.contains(&t.text) {
+                return true;
+            }
+            continue;
+        }
+        if !(t.is_punct('.') || t.is_punct('(') || t.is_punct(')') || t.is_punct('&')) {
+            return false;
+        }
+    }
+    false
+}
+
 /// Local nondeterminism sources in `f`'s body (L8). Clock-exempt files
 /// (bench, eval timing) are skipped — measuring wall time is their job.
 fn taint_sources(
@@ -778,11 +814,11 @@ fn taint_sources(
         {
             push(t.line, "thread identity".into());
         } else if !hash_names.is_empty()
-            && crate::lints::ITER_METHODS.iter().any(|im| t.is_ident(im))
+            && ITER_METHODS.iter().any(|im| t.is_ident(im))
             && i > 0
             && code[i - 1].is_punct('.')
             && code.get(i + 1).is_some_and(|p| p.is_punct('('))
-            && crate::lints::chain_mentions(&hash_names, code, i - 1).is_some()
+            && chain_mentions(&hash_names, code, i - 1)
         {
             push(t.line, format!("hash-iteration .{}()", t.text));
         }
@@ -791,9 +827,10 @@ fn taint_sources(
 }
 
 /// Whether `f` is a sanctioned L8 sanitizer: the `obs::Clock` choke point
-/// (the one place wall time is allowed to enter, already L1-suppressed with
-/// a note), or a body that pins ordering by sorting or converting through a
-/// BTree collection before anything escapes.
+/// (where wall time enters, its read carrying clippy's
+/// `#[expect(clippy::disallowed_methods, reason = …)]`), or a body that
+/// pins ordering by sorting or converting through a BTree collection
+/// before anything escapes.
 fn is_sanitizer(path: &str, scan: &FileScan, f: &FnSpan) -> bool {
     if path == "crates/obs/src/clock.rs" {
         return true;

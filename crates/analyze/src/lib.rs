@@ -1,15 +1,16 @@
 //! `funnel-lint`: workspace-native static analysis for FUNNEL.
 //!
-//! PR 1 made verdicts bit-for-bit replayable under injected faults; this
-//! crate makes the invariants behind that claim mechanical instead of
-//! tribal. The lints cover the ways the pipeline could silently drift or
-//! die — wall-clock reads, hasher-ordered iteration, panics on the
+//! FUNNEL's verdicts are bit-for-bit replayable under injected faults, and
+//! the invariants behind that claim are mechanical, not tribal. Clippy
+//! holds what it can say (`clippy.toml` bans the wall clock and the hashed
+//! collections; the hot path's `#![deny(clippy::unwrap_used, …)]` line bans
+//! panicking calls). This crate holds the rest: map indexing on the
 //! ingestion path, missing `#![forbid(unsafe_code)]`, order-sensitive f64
-//! folds, unwrapped filesystem I/O on the crash-recovery paths, and their
-//! interprocedural forms over a workspace call graph. It is a gate and
-//! keeps no ledger: any finding fails. Everything is hand-rolled over a
-//! small Rust lexer: no `syn`, no rustc plugin, no registry access
-//! required.
+//! folds, unwrapped filesystem I/O on the crash-recovery paths, notes on
+//! suppressions, and the interprocedural rules over a workspace call graph.
+//! It is a gate and keeps no ledger: any finding fails. Everything is
+//! hand-rolled over a small Rust lexer: no `syn`, no rustc plugin, no
+//! registry access required.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

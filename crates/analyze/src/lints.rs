@@ -1,11 +1,14 @@
-//! The lint registry and the six FUNNEL domain lints.
+//! The lint registry and the per-file FUNNEL domain lints.
 //!
-//! Each lint encodes one invariant that PR 1's bit-replayable verdicts
-//! depend on. The passes are deliberately shallow — token patterns plus the
-//! [`FileScan`] structure — because a lint that needs full type inference
-//! would need rustc, and the point of `funnel-lint` is to run in any
-//! environment the workspace itself builds in. Shallow means heuristic:
-//! false positives are expected and handled by inline
+//! What clippy can say, clippy holds (DESIGN.md §7): `clippy.toml` bans the
+//! wall clock and the hashed collections, and the hot path's
+//! `#![deny(clippy::unwrap_used, …)]` line bans the panicking calls. The
+//! per-file rules here are the ones it cannot say: map indexing on the hot
+//! path, `#![forbid(unsafe_code)]` on every crate root, float fold order,
+//! unwrapped filesystem I/O, and notes on suppressions. The passes are
+//! deliberately shallow — token patterns plus the [`FileScan`] structure —
+//! so `funnel-lint` runs wherever the workspace builds. Shallow means
+//! heuristic: false positives are expected and handled by inline
 //! `// funnel-lint: allow(<lint>)` suppressions, never by weakening
 //! the pass.
 
@@ -21,23 +24,15 @@ pub struct LintInfo {
     pub description: &'static str,
 }
 
-/// L1–L9 and L11, in order. There is no L10: the obs vocabulary is closed
-/// by the type `funnel_obs::names::Name`, not by a lint.
-pub const REGISTRY: [LintInfo; 10] = [
-    LintInfo {
-        id: "nondeterministic-time",
-        description: "Instant::now()/SystemTime in scoring paths breaks bit-for-bit replay; \
-                      only crates/bench and crates/eval/src/timing.rs may read the clock",
-    },
-    LintInfo {
-        id: "unordered-iteration",
-        description: "iterating HashMap/HashSet in code feeding scores or reports makes \
-                      output depend on hasher state; use BTreeMap or sort first",
-    },
+/// L3–L9 and L11, in order. L1 (wall clock) and L2 (hashed collections) are
+/// `clippy.toml`'s, and L3's panicking calls are the hot-path `deny` line's;
+/// there is no L10: the obs vocabulary is closed by the type
+/// `funnel_obs::names::Name`, not by a lint.
+pub const REGISTRY: [LintInfo; 8] = [
     LintInfo {
         id: "panic-in-hot-path",
-        description: "unwrap()/expect()/panic! on the ingestion-to-verdict path can kill the \
-                      collector on one bad frame; quarantine or skip instead",
+        description: "indexing a map (`m[&k]`) on the ingestion-to-verdict path panics on a \
+                      missing key, and clippy's indexing_slicing does not see it; use .get()",
     },
     LintInfo {
         id: "missing-forbid-unsafe",
@@ -98,32 +93,20 @@ fn in_any(path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p))
 }
 
-/// Files allowed to read the wall clock.
-fn clock_exempt(path: &str) -> bool {
-    path.starts_with("crates/bench/") || path == "crates/eval/src/timing.rs"
-}
-
-/// Crates/files that feed scoring or operator reports (L2 scope).
-fn feeds_scoring(path: &str) -> bool {
-    in_any(
-        path,
-        &["crates/core/src/", "crates/did/src/", "crates/detect/src/"],
-    ) || path == "crates/sim/src/store.rs"
-}
-
-/// The ingestion-to-verdict hot path (L3 scope): everything in L2 plus the
-/// agent replay loops, wire decoding, the collector, and the WAL/checkpoint
-/// path every accepted frame pays for.
-fn hot_path(path: &str) -> bool {
-    feeds_scoring(path)
-        || path.starts_with("crates/resilience/src/")
-        || [
-            "crates/sim/src/agent.rs",
-            "crates/sim/src/wire.rs",
-            "crates/sim/src/collector.rs",
-        ]
-        .contains(&path)
-}
+/// The ingestion-to-verdict hot path (L3 scope): four crates whole, and the
+/// agent replay loop, wire decoding, the collector and the store of
+/// `funnel-sim`. The same eight places carry the
+/// `#![deny(clippy::unwrap_used, …)]` line (a crate's `lib.rs`, or the file).
+pub const HOT_PATH: [&str; 8] = [
+    "crates/core/src/",
+    "crates/did/src/",
+    "crates/detect/src/",
+    "crates/resilience/src/",
+    "crates/sim/src/agent.rs",
+    "crates/sim/src/wire.rs",
+    "crates/sim/src/collector.rs",
+    "crates/sim/src/store.rs",
+];
 
 /// Aggregation code where float fold order shapes results (L5 scope).
 fn aggregation_code(path: &str) -> bool {
@@ -154,9 +137,7 @@ pub fn is_guarded_crate_root(path: &str) -> bool {
 /// slashes; it drives the per-lint scoping above.
 pub fn run_lints(path: &str, scan: &FileScan) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    lint_nondeterministic_time(path, scan, &mut out);
-    lint_unordered_iteration(path, scan, &mut out);
-    lint_panic_in_hot_path(path, scan, &mut out);
+    lint_map_index(path, scan, &mut out);
     lint_missing_forbid_unsafe(path, scan, &mut out);
     lint_float_accumulation_order(path, scan, &mut out);
     lint_fs_io_unwrap(path, scan, &mut out);
@@ -191,57 +172,6 @@ fn context_of(scan: &FileScan, line: u32) -> String {
     scan.enclosing_fn(line)
         .map_or_else(|| "<file>".to_string(), |f| f.name.clone())
 }
-
-/// L1: `Instant::now()` / any `SystemTime` use outside the clock-exempt
-/// files. Wall-clock reads in a scoring path make two replays of the same
-/// fault plan disagree.
-fn lint_nondeterministic_time(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    if clock_exempt(path) {
-        return;
-    }
-    let code = &scan.code;
-    for i in 0..code.len() {
-        let t = &code[i];
-        if t.is_ident("SystemTime") {
-            emit(
-                out,
-                scan,
-                "nondeterministic-time",
-                path,
-                t.line,
-                "SystemTime is wall-clock state; thread a simulated clock instead".into(),
-            );
-        } else if t.is_ident("Instant")
-            && code.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && code.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && code.get(i + 3).is_some_and(|t| t.is_ident("now"))
-        {
-            emit(
-                out,
-                scan,
-                "nondeterministic-time",
-                path,
-                t.line,
-                "Instant::now() makes this path nondeterministic; only bench/timing code may \
-                 read the clock"
-                    .into(),
-            );
-        }
-    }
-}
-
-/// Iteration-observing method names on hash containers.
-pub(crate) const ITER_METHODS: [&str; 9] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-];
 
 /// Names in this file bound to types mentioning any of `type_names`
 /// (let bindings, struct fields, fn params — found by walking back from
@@ -280,130 +210,16 @@ pub(crate) fn container_bindings(scan: &FileScan, type_names: &[&str]) -> BTreeS
     names
 }
 
-/// L2: iterating a `HashMap`/`HashSet` binding in code whose output
-/// reaches scores or reports. Hasher seeds differ run to run, so any
-/// fold or render over that order is nondeterministic.
-fn lint_unordered_iteration(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    if !feeds_scoring(path) {
-        return;
-    }
-    let hash_names = container_bindings(scan, &["HashMap", "HashSet"]);
-    if hash_names.is_empty() {
-        return;
-    }
-    let code = &scan.code;
-    for i in 0..code.len() {
-        let t = &code[i];
-        // `recv.iter()` and friends, where the receiver chain (method
-        // calls, field accesses, lock guards) mentions a hash binding:
-        // catches both `map.keys()` and `self.map.read().keys()`.
-        if ITER_METHODS.iter().any(|im| t.is_ident(im))
-            && i > 0
-            && code[i - 1].is_punct('.')
-            && code.get(i + 1).is_some_and(|p| p.is_punct('('))
-        {
-            if let Some(name) = chain_mentions(&hash_names, code, i - 1) {
-                emit(
-                    out,
-                    scan,
-                    "unordered-iteration",
-                    path,
-                    t.line,
-                    format!(
-                        "`{name}…{}()` iterates a hash container in hasher order; use \
-                         BTreeMap/BTreeSet or collect-and-sort before folding",
-                        t.text
-                    ),
-                );
-            }
-        }
-        if t.kind != crate::lexer::TokenKind::Ident || !hash_names.contains(&t.text) {
-            continue;
-        }
-        // `for pat in [&mut] name { … }` — direct iteration.
-        if code.get(i + 1).is_some_and(|p| p.is_punct('{')) {
-            let mut j = i;
-            let mut saw_in = false;
-            for _ in 0..8 {
-                if j == 0 {
-                    break;
-                }
-                j -= 1;
-                if code[j].is_ident("in") {
-                    saw_in = true;
-                    break;
-                }
-                if !(code[j].is_punct('&') || code[j].is_ident("mut")) {
-                    break;
-                }
-            }
-            if saw_in {
-                emit(
-                    out,
-                    scan,
-                    "unordered-iteration",
-                    path,
-                    t.line,
-                    format!(
-                        "`for … in {}` iterates a hash container in hasher order; use \
-                         BTreeMap/BTreeSet or sort first",
-                        t.text
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// L3: panicking constructs on the ingestion-to-verdict path. One poisoned
-/// frame must degrade coverage, not kill the collector thread.
-fn lint_panic_in_hot_path(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    if !hot_path(path) {
+/// L3: indexing a map binding on the ingestion-to-verdict path. `m[&k]`
+/// panics on a missing key; one poisoned frame must degrade coverage, not
+/// kill the collector thread.
+fn lint_map_index(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
+    if !in_any(path, &HOT_PATH) {
         return;
     }
     let map_names = container_bindings(scan, &["HashMap", "BTreeMap"]);
     let code = &scan.code;
-    for i in 0..code.len() {
-        let t = &code[i];
-        // `.unwrap()` / `.expect(`
-        if (t.is_ident("unwrap") || t.is_ident("expect"))
-            && i > 0
-            && code[i - 1].is_punct('.')
-            && code.get(i + 1).is_some_and(|p| p.is_punct('('))
-        {
-            emit(
-                out,
-                scan,
-                "panic-in-hot-path",
-                path,
-                t.line,
-                format!(
-                    "`.{}()` can panic the hot path; propagate with `?`, match, or \
-                     quarantine-and-skip",
-                    t.text
-                ),
-            );
-        }
-        // `panic!` / `unreachable!` / `todo!` / `unimplemented!`
-        if matches!(
-            t.text.as_str(),
-            "panic" | "unreachable" | "todo" | "unimplemented"
-        ) && t.kind == crate::lexer::TokenKind::Ident
-            && code.get(i + 1).is_some_and(|p| p.is_punct('!'))
-        {
-            emit(
-                out,
-                scan,
-                "panic-in-hot-path",
-                path,
-                t.line,
-                format!(
-                    "`{}!` aborts the hot path; degrade gracefully instead",
-                    t.text
-                ),
-            );
-        }
-        // Indexing into a map binding: `m[k]` panics on a missing key.
+    for (i, t) in code.iter().enumerate() {
         if t.kind == crate::lexer::TokenKind::Ident
             && map_names.contains(&t.text)
             && code.get(i + 1).is_some_and(|p| p.is_punct('['))
@@ -613,33 +429,6 @@ fn fs_chain_root(code: &[crate::lexer::Token], dot_idx: usize) -> Option<String>
     None
 }
 
-/// Walks a receiver chain backwards from the `.` at `dot_idx` (idents,
-/// `.`, `(`, `)`, `&`, `self`) and returns the first chain ident found in
-/// `names` — i.e. whether this method call is rooted at a hash container.
-pub(crate) fn chain_mentions(
-    names: &BTreeSet<String>,
-    code: &[crate::lexer::Token],
-    dot_idx: usize,
-) -> Option<String> {
-    let mut j = dot_idx;
-    let mut steps = 0;
-    while j > 0 && steps < 16 {
-        j -= 1;
-        steps += 1;
-        let t = &code[j];
-        if t.kind == crate::lexer::TokenKind::Ident {
-            if names.contains(&t.text) {
-                return Some(t.text.clone());
-            }
-            continue;
-        }
-        if !(t.is_punct('.') || t.is_punct('(') || t.is_punct(')') || t.is_punct('&')) {
-            return None;
-        }
-    }
-    None
-}
-
 /// If the `for` at `for_idx` iterates one of `names`, returns the iterated
 /// name's index and the body's `{` index.
 fn for_over(
@@ -668,8 +457,8 @@ fn for_over(
     if code.get(j).is_none_or(|t| !names.contains(&t.text)) {
         return None;
     }
-    // The iterated expression must be the bare name (optionally a method
-    // chain is handled by the method-call pattern in L2 instead).
+    // The iterated expression must be the bare name; a method chain over
+    // it is not followed.
     j += 1;
     if code.get(j).is_some_and(|t| t.is_punct('{')) {
         return Some((name_idx, j));

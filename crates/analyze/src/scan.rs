@@ -534,13 +534,13 @@ mod tests {
 
     #[test]
     fn suppression_comment_covers_its_line_and_the_next() {
-        let src = "// funnel-lint: allow(panic-in-hot-path, unordered-iteration)\nlet x = m.unwrap();\nlet y = 2;\n";
+        let src = "// funnel-lint: allow(panic-in-hot-path, determinism-taint)\nlet x = m[&k];\nlet y = 2;\n";
         let s = FileScan::of(src);
         assert!(s.suppressed(1, "panic-in-hot-path"));
         assert!(s.suppressed(2, "panic-in-hot-path"));
-        assert!(s.suppressed(2, "unordered-iteration"));
+        assert!(s.suppressed(2, "determinism-taint"));
         assert!(!s.suppressed(3, "panic-in-hot-path"));
-        assert!(!s.suppressed(2, "nondeterministic-time"));
+        assert!(!s.suppressed(2, "fs-io-unwrap"));
     }
 
     #[test]
@@ -586,7 +586,7 @@ fn free() {}\n";
     fn suppression_notes_are_detected() {
         let src = "\
 // funnel-lint: allow(panic-in-hot-path): bound checked above\n\
-// funnel-lint: allow(unordered-iteration)\n\
+// funnel-lint: allow(determinism-taint)\n\
 // funnel-lint: allow(fs-io-unwrap) note: scratch dir always exists\n";
         let s = FileScan::of(src);
         assert_eq!(s.suppression_sites.len(), 3);

@@ -1,27 +1,21 @@
 //@path crates/sim/src/agent.rs
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-fn ingest(frames: &[u8], index: &HashMap<u32, u32>) -> Option<u32> {
-    // Fallible handling: quarantine-or-skip, never panic.
-    let first = frames.first()?;
-    let decoded = decode(*first)?;
-    // funnel-lint: allow(panic-in-hot-path): bound is checked two lines up
-    let cell = index.get(&(decoded as u32)).copied().unwrap_or(0);
-    Some(cell)
-}
-
-fn decode(b: u8) -> Option<u8> {
-    Some(b)
+fn ingest(frames: &[u8], index: &mut BTreeMap<u32, u32>) -> Option<u32> {
+    // A missing key degrades to None, never a panic.
+    let decoded = u32::from(*frames.first()?);
+    let cell = index.get(&decoded).copied();
+    index.insert(decoded + 1, 0);
+    // funnel-lint: allow(panic-in-hot-path): the key was inserted one line up
+    let next = index[&(decoded + 1)];
+    cell.map(|c| c + next)
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn tests_may_panic() {
-        let v: Vec<u8> = vec![1];
-        assert_eq!(*v.first().unwrap(), 1);
-        if v.len() > 1 {
-            panic!("impossible");
-        }
+    fn tests_may_index() {
+        let m: std::collections::BTreeMap<u32, u32> = [(1, 2)].into();
+        assert_eq!(m[&1], 2);
     }
 }

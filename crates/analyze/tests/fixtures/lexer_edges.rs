@@ -1,12 +1,12 @@
 //@path crates/core/src/quality.rs
-//! Lexer stress: panic-looking text hidden inside literals and comments
+//! Lexer stress: finding-looking text hidden inside literals and comments
 //! must produce no findings; the one real call after them must be found
 //! on the right line.
 
-/* outer /* nested .unwrap() panic!("x") */ still comment Instant::now() */
+/* outer /* nested fs::read(p).unwrap() panic!("x") */ still comment Instant::now() */
 fn docs() -> &'static str {
-    // .unwrap() in a line comment is inert; so is SystemTime.
-    let plain = "calls .unwrap() and panic!(\"quoted\") inside a string";
+    // fs::read(p).unwrap() in a line comment is inert; so is SystemTime.
+    let plain = "calls fs::read(p).unwrap() and panic!(\"quoted\") inside a string";
     let raw = r#"raw string with .expect("x") and "quotes" and Instant::now()"#;
     let fenced = r##"fence two: "# still inside "## ;
     let ch = '"';
@@ -17,6 +17,6 @@ fn docs() -> &'static str {
     "ok"
 }
 
-fn real_finding(opt: Option<u32>) -> u32 {
-    opt.unwrap()
+fn real_finding(p: &str) -> Vec<u8> {
+    std::fs::read(p).unwrap()
 }

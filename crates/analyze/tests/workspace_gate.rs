@@ -2,11 +2,25 @@
 //! finding, and a deliberately injected violation must produce one.
 //! Overlays let these tests analyze the actual repo with one file's
 //! contents swapped, without touching disk.
+//!
+//! The rules clippy holds are checked here too. Each canary under
+//! `tests/clippy/` (the wall clock, hashed collections and panicking calls)
+//! goes through `clippy-driver` under the root `clippy.toml` and the
+//! hot-path deny line: a line ending in `//~ <lint>` must raise that lint,
+//! and nothing else may be raised. The eight hot-path roots must carry the
+//! deny line.
 
-use funnel_analyze::lints::Diagnostic;
+use funnel_analyze::lints::{Diagnostic, HOT_PATH};
 use funnel_analyze::{analyze, Workspace};
+use std::collections::BTreeSet;
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
+
+/// The hot path's panic ban. `rustfmt` lays it out over several lines in
+/// the source; the comparison ignores whitespace.
+const DENY_LINE: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, \
+                         clippy::unreachable, clippy::todo, clippy::unimplemented)]";
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -32,63 +46,6 @@ fn fires(found: &[Diagnostic], lint: &str, file: &str, context: &str) -> bool {
 fn workspace_has_no_finding() {
     let all = findings(&Workspace::at(repo_root()));
     assert!(all.is_empty(), "HEAD must be clean: {all:#?}");
-}
-
-#[test]
-fn injected_instant_now_in_did_fails_the_gate() {
-    let root = repo_root();
-    let target = "crates/did/src/lib.rs";
-    let orig = std::fs::read_to_string(root.join(target)).expect("did crate root exists");
-    let ws = Workspace::at(&root).overlay(
-        target,
-        &format!(
-            "{orig}\nfn _lint_canary() -> std::time::Instant {{ std::time::Instant::now() }}\n"
-        ),
-    );
-    let found = findings(&ws);
-    assert!(
-        fires(&found, "nondeterministic-time", target, "_lint_canary"),
-        "Instant::now() in crates/did must trip the gate: {found:#?}"
-    );
-}
-
-#[test]
-fn injected_hashmap_iteration_in_report_fails_the_gate() {
-    let root = repo_root();
-    let target = "crates/core/src/report.rs";
-    let orig = std::fs::read_to_string(root.join(target)).expect("report module exists");
-    let injected = "\nfn _order_leak(m: &std::collections::HashMap<u32, f64>) -> String {\n\
-                    \x20   let mut out = String::new();\n\
-                    \x20   for (k, v) in m {\n\
-                    \x20       out.push_str(&format!(\"{k}={v}\\n\"));\n\
-                    \x20   }\n\
-                    \x20   out\n\
-                    }\n";
-    let ws = Workspace::at(&root).overlay(target, &format!("{orig}{injected}"));
-    let found = findings(&ws);
-    assert!(
-        fires(&found, "unordered-iteration", target, "_order_leak"),
-        "HashMap iteration in report.rs must trip the gate: {found:#?}"
-    );
-}
-
-#[test]
-fn injected_unwrap_in_parallel_engine_fails_the_gate() {
-    // The parallel engine sits on the ingestion-to-verdict hot path: a
-    // worker that panics takes its whole assessment down, so the deny-level
-    // no-panic lint must cover crates/core/src/parallel.rs.
-    let root = repo_root();
-    let target = "crates/core/src/parallel.rs";
-    let orig = std::fs::read_to_string(root.join(target)).expect("parallel engine exists");
-    let ws = Workspace::at(&root).overlay(
-        target,
-        &format!("{orig}\nfn _lint_canary(v: Option<u32>) -> u32 {{ v.unwrap() }}\n"),
-    );
-    let found = findings(&ws);
-    assert!(
-        fires(&found, "panic-in-hot-path", target, "_lint_canary"),
-        "unwrap() in the parallel engine must trip the gate: {found:#?}"
-    );
 }
 
 /// Inserts `stmt` at the top of the body of the fn whose signature starts
@@ -118,7 +75,7 @@ fn injected_panic_chain_from_recover_fails_the_gate() {
     );
 
     // The marker is what makes `recover` a root: without it the same chain
-    // is nobody's finding (the unwrap itself still trips L3).
+    // is nobody's finding (the unwrap itself is clippy's `unwrap_used`).
     let marked = "// funnel-lint: root\npub fn recover(";
     assert!(injected.contains(marked), "recover carries the root marker");
     let unmarked = injected.replace(marked, "pub fn recover(");
@@ -127,12 +84,6 @@ fn injected_panic_chain_from_recover_fails_the_gate() {
         !found.iter().any(|d| d.lint == "panic-reachability"),
         "an unmarked fn is not a root: {found:#?}"
     );
-    assert!(fires(
-        &found,
-        "panic-in-hot-path",
-        target,
-        "_lint_canary_panics"
-    ));
 }
 
 #[test]
@@ -209,23 +160,100 @@ fn binary_exit_codes() {
         .expect("funnel-lint binary runs");
     assert!(status.success(), "gate must pass at HEAD: {status:?}");
 
-    // A scratch mini-workspace with one finding.
-    let scratch = std::env::temp_dir().join(format!(
-        "funnel-lint-gate-{}-{}",
-        std::process::id(),
-        line!()
-    ));
+    // A scratch mini-workspace with one finding: a crate root without
+    // `#![forbid(unsafe_code)]`.
+    let scratch = scratch_dir(line!());
     let src_dir = scratch.join("crates/did/src");
     std::fs::create_dir_all(&src_dir).expect("scratch tree");
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        "#![forbid(unsafe_code)]\nfn t() -> u128 {\n    std::time::SystemTime::now()\n        .duration_since(std::time::UNIX_EPOCH)\n        .map(|d| d.as_millis())\n        .unwrap_or(0)\n}\n",
-    )
-    .expect("scratch file");
+    std::fs::write(src_dir.join("lib.rs"), "fn t() {}\n").expect("scratch file");
     let status = Command::new(env!("CARGO_BIN_EXE_funnel-lint"))
         .args(["--root", scratch.to_str().expect("utf8 scratch")])
         .status()
         .expect("funnel-lint binary runs");
     assert_eq!(status.code(), Some(2), "a finding must exit 2");
     std::fs::remove_dir_all(&scratch).ok();
+}
+
+fn scratch_dir(line: u32) -> PathBuf {
+    std::env::temp_dir().join(format!("funnel-lint-gate-{}-{line}", std::process::id()))
+}
+
+fn squash(s: &str) -> String {
+    s.split_whitespace().collect()
+}
+
+#[test]
+fn every_hot_path_root_carries_the_deny_line() {
+    let root = repo_root();
+    for scope in HOT_PATH {
+        // A crate on the hot path carries the line on its root; a file, at
+        // its head.
+        let file = match scope.strip_suffix('/') {
+            Some(dir) => format!("{dir}/lib.rs"),
+            None => scope.to_string(),
+        };
+        let src = std::fs::read_to_string(root.join(&file)).expect("hot-path root exists");
+        assert!(
+            squash(&src).contains(&squash(DENY_LINE)),
+            "{file} must carry `{DENY_LINE}`"
+        );
+    }
+}
+
+/// `(line, lint)` of every diagnostic with a lint name in rustc's JSON
+/// output: one object a line, whose first `"line_start"` is its primary
+/// span's.
+fn raised(json: &str) -> BTreeSet<(u32, String)> {
+    json.lines()
+        .filter_map(|l| {
+            let lint = l.split_once(r#""code":{"code":""#)?.1.split('"').next()?;
+            let line = l.split_once(r#""line_start":"#)?.1;
+            let line = line[..line.find(|c: char| !c.is_ascii_digit())?]
+                .parse()
+                .ok()?;
+            Some((line, lint.to_string()))
+        })
+        .collect()
+}
+
+#[test]
+fn retired_fixtures_fire_under_clippy() {
+    let root = repo_root();
+    let driver = Path::new(env!("CARGO"))
+        .with_file_name(format!("clippy-driver{}", std::env::consts::EXE_SUFFIX));
+    let out_dir = scratch_dir(line!());
+    std::fs::create_dir_all(&out_dir).expect("scratch dir");
+    let canaries = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/clippy");
+    for name in ["l1_time_fire.rs", "l2_iter_fire.rs", "l3_panic_fire.rs"] {
+        let src = format!(
+            "{DENY_LINE}\n{}",
+            std::fs::read_to_string(canaries.join(name)).expect("canary readable")
+        );
+        let expected: BTreeSet<(u32, String)> = (1..)
+            .zip(src.lines())
+            .filter_map(|(n, l)| Some((n, l.split_once("//~ ")?.1.trim().to_string())))
+            .collect();
+        assert!(!expected.is_empty(), "{name} marks no line");
+        let mut child = Command::new(&driver)
+            .args(["-", "--edition", "2021", "--test", "--crate-name", "canary"])
+            .args(["--emit=metadata", "--error-format=json", "-D", "warnings"])
+            .arg("--out-dir")
+            .arg(&out_dir)
+            .env("CLIPPY_CONF_DIR", &root)
+            .stdin(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap_or_else(|e| panic!("{} runs: {e}", driver.display()));
+        child
+            .stdin
+            .take()
+            .expect("stdin piped")
+            .write_all(src.as_bytes())
+            .expect("canary written");
+        let out = child.wait_with_output().expect("clippy-driver finishes");
+        let json = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{name} must fail clippy:\n{json}");
+        assert_eq!(raised(&json), expected, "{name}:\n{json}");
+    }
+    std::fs::remove_dir_all(&out_dir).ok();
 }

@@ -113,7 +113,10 @@ pub(crate) fn diagnose_assessment(
 /// SST score trace, and the treated/control pre-window samples the bias
 /// check compares. Items whose series vanished from the source (a pruned
 /// store) are skipped rather than guessed at.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "an item plus its assessment's source, topology, change, impact set, pools and period"
+)]
 fn build_item_input(
     funnel: &Funnel,
     source: &impl KpiSource,

@@ -42,7 +42,7 @@
 //!   for the lowest work-unit index.
 //!
 //! Nothing in this path reads the clock, iterates a hashed container, or
-//! panics — the `funnel-lint` determinism and no-panic lints gate this file
+//! panics — `clippy.toml` and the hot-path `deny` line gate this file
 //! as part of the ingestion-to-verdict hot path, and `Funnel::assess_item`
 //! is a root of its own, so the quarantine is a last resort rather than a
 //! licence.

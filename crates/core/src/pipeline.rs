@@ -604,7 +604,10 @@ impl Funnel {
     }
 
     /// Steps 4–11: DiD against the appropriate control group.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "DiD needs the item (key, series, mode) and its assessment's change, impact set and controls"
+    )]
     fn determine(
         &self,
         source: &impl KpiSource,

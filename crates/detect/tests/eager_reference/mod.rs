@@ -12,7 +12,10 @@
 //! `detect/tests/detector_equivalence.rs`,
 //! `core/tests/stream_equivalence.rs` and the root `tests/end_to_end.rs`.
 
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "three test crates include this oracle and each calls a different part of it"
+)]
 
 use funnel_detect::detector::ChangeEvent;
 use funnel_timeseries::mask::CoverageMask;

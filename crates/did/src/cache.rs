@@ -188,7 +188,7 @@ mod tests {
             .collect();
         assert_eq!(cache.len(), 100);
         for (k, original) in first.iter().enumerate() {
-            let again = cache.get_or_insert_with(k as u32, || unreachable!("cached"));
+            let again = cache.get_or_insert_with(k as u32, || panic!("key {k} was rebuilt"));
             assert!(Arc::ptr_eq(original, &again), "key {k} was evicted");
         }
         assert_eq!(cache.len(), 100, "re-lookups must not grow the cache");

@@ -5,6 +5,11 @@
 //! one window per KPI per minute, a method that needs `t` seconds per
 //! window needs `⌈10⁶·t / 60⌉` cores to keep up.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "Table 2 is a clock reading: this module and obs's Clock own the wall clock"
+)]
+
 use crate::methods::{Method, MethodRunner};
 use funnel_sst::filter::FilterFactors;
 use funnel_sst::layout::standardize_by_past_into;

@@ -1,9 +1,8 @@
 //! The profiling clock: deterministic sim time for tests, monotonic wall
-//! time for real profiling — behind the workspace's single lint-suppressed
-//! clock choke point.
+//! time for real profiling — behind the pipeline's one clock choke point.
 //!
-//! `funnel-lint`'s `nondeterministic-time` rule denies `Instant::now()`
-//! everywhere outside `crates/bench/` and `crates/eval/src/timing.rs`, so a
+//! `clippy.toml` disallows `Instant::now()` everywhere that does not say
+//! why with an `#[expect]` (eval's Table 2 timing is the other owner), so a
 //! timing facility for the pipeline itself needs exactly one sanctioned
 //! reading site. The private `wall_ns` is that site: every span measurement
 //! funnels
@@ -81,14 +80,16 @@ pub fn now_ns() -> u64 {
     }
 }
 
-/// Nanoseconds since the first reading — the workspace's only wall-clock
-/// read outside the bench/eval timing exemptions. Keeping it to one line
-/// keeps the `nondeterministic-time` suppression surface to one entry, and
-/// nothing computed from it ever flows back into assessment verdicts (the
-/// obs registry is write-only from the pipeline's point of view).
+/// Nanoseconds since the first reading — one of the workspace's two
+/// wall-clock owners (the other is eval's Table 2 timing). Nothing computed
+/// from it ever flows back into assessment verdicts (the obs registry is
+/// write-only from the pipeline's point of view).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the documented Clock choke point: profiling only, never read by scoring"
+)]
 fn wall_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    // funnel-lint: allow(nondeterministic-time): the documented Clock choke point — profiling only, never read by scoring
     let epoch = EPOCH.get_or_init(Instant::now);
     epoch.elapsed().as_nanos() as u64
 }

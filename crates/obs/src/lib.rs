@@ -1,12 +1,12 @@
 //! Observability for the FUNNEL pipeline: spans, metrics, profiling hooks.
 //!
-//! The assessment pipeline is gated by `funnel-lint` to be bit-deterministic
-//! — no wall clock, no hashed iteration, no panics on the ingestion-to-
-//! verdict path. That makes it trustworthy and *opaque*: nothing says where
-//! wall-clock goes between ingest, detection, DiD, and merge, how often the
-//! control cache hits, or how many frames each fault path quarantines. This
-//! crate is the write-only side channel that answers those questions without
-//! compromising the determinism contract:
+//! The assessment pipeline is gated by clippy and `funnel-lint` to be
+//! bit-deterministic — no wall clock, no hashed iteration, no panics on the
+//! ingestion-to-verdict path. That makes it trustworthy and *opaque*:
+//! nothing says where wall-clock goes between ingest, detection, DiD, and
+//! merge, how often the control cache hits, or how many frames each fault
+//! path quarantines. This crate is the write-only side channel that answers
+//! those questions without compromising the determinism contract:
 //!
 //! * **Spans** — [`span!`] guards record hierarchical stage timings into
 //!   per-thread buffers. Buffers merge into the global registry, keyed by

@@ -9,6 +9,10 @@
 //! See `crates/shims/README.md` for why external crates are vendored.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "serde's API serializes HashMap; the workspace's ban is on its own code"
+)]
 
 // Lets the derive-generated `::serde::...` paths resolve inside this
 // crate's own tests.

@@ -20,6 +20,19 @@
 //! existing replay entry points drive it with [`NoHooks`] and are
 //! behaviourally unchanged.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "point lookups only (instance -> service, service sizes); nothing iterates them"
+)]
+
 use crate::agent::ReplayStats;
 use crate::kpi::{Aggregation, KpiKey, KpiKind};
 use crate::store::{KeyId, MetricStore, StoreWriter};

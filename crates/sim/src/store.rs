@@ -33,6 +33,15 @@
 //! measurement there and never blocks ingestion. A store nobody subscribes
 //! to pays one atomic load per write batch.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::kpi::KpiKey;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use funnel_timeseries::mask::CoverageMask;

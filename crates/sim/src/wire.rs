@@ -12,6 +12,15 @@
 //!
 //! `entity_tag`: 0 = server, 1 = instance, 2 = service.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::kpi::{KpiKey, KpiKind};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use funnel_timeseries::series::MinuteBin;

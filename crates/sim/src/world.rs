@@ -210,7 +210,6 @@ impl WorldBuilder {
     ///
     /// [`SimError::ScopeKindMismatch`] when an effect's scope and kind
     /// disagree.
-    #[allow(clippy::too_many_arguments)]
     pub fn deploy_change(
         &mut self,
         kind: ChangeKind,

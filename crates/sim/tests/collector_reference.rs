@@ -14,6 +14,11 @@
 //! counters, collector state and subscriber stream the fast path has to
 //! reproduce.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a frozen copy of the keyed collector, HashMap lookups included"
+)]
+
 use bytes::Bytes;
 use funnel_sim::agent::ReplayStats;
 use funnel_sim::collector::Collector;

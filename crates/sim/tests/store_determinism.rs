@@ -1,7 +1,7 @@
-//! Regression tests for funnel-lint's `unordered-iteration` sweep: the
-//! store's key enumeration and the collector's per-minute aggregation
-//! must not depend on insertion order (which, with a hash map underneath,
-//! would really mean hasher order — different on every run).
+//! Regression tests for ordered iteration: the store's key enumeration
+//! and the collector's per-minute aggregation must not depend on insertion
+//! order (which, with a hash map underneath, would really mean hasher
+//! order — different on every run).
 
 use funnel_resilience::checkpoint::CheckpointStore;
 use funnel_resilience::WalCursor;

@@ -72,7 +72,6 @@ impl ChangeLog {
     }
 
     /// Records a change, assigning its id.
-    #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
         kind: ChangeKind,
