@@ -20,7 +20,7 @@
 //! Two driving modes are provided: [`pipeline::Funnel::assess_change`] runs
 //! the batch assessment the paper's evaluation uses, and
 //! [`stream::StreamEngine`] is the deployment mode of §5 — it is offered a
-//! live measurement feed (a metric-store subscription, say) and ticked
+//! live measurement feed (a metric store's `LiveFeed`, say) and ticked
 //! minute by minute, scoring every KPI incrementally in bounded memory and
 //! completing each tracked change with the batch path's own verdicts.
 //!

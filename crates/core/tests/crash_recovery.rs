@@ -423,7 +423,7 @@ fn a_cut_after_a_heal_backfilled_history_recovers_the_rewritten_bins() {
         }),
     )
     .unwrap();
-    assert!(healed.backfilled_frames > 0 && store.stats().backfilled > 0);
+    assert!(healed.backfilled_frames > 0 && healed.backfilled_records > 0);
     checkpoints
         .cut(WalCursor::START, &store, &state, None)
         .unwrap();

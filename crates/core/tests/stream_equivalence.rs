@@ -16,7 +16,7 @@
 //! * Live declarations are, tick by tick and bit for bit, those of the
 //!   frozen eager monitors that scored every window as it completed — on a
 //!   feed whose late measurements force re-primes.
-//! * Fed from a store subscription behind the agent → collector path, the
+//! * Fed from the store the agent → collector path filled, the
 //!   engine declares an injected regression live, attributes it, and stays
 //!   quiet on a no-op change — with the batch pipeline's bytes both times.
 
@@ -626,23 +626,17 @@ fn live_world(seed: u64, delta: f64) -> (World, ChangeId) {
     (b.build(), id)
 }
 
-/// The deployed dataflow end to end: agents → wire → collector → a
-/// subscribed store, whose drained subscription drives the engine one
-/// minute per tick. Returns the completed assessment, every streaming
-/// detection, and the batch pipeline's items over the same store.
-fn stream_subscribed_replay(
+/// The deployed dataflow end to end: agents → wire → collector → store,
+/// whose [`LiveFeed`] drives the engine one minute per tick. Returns the
+/// completed assessment, every streaming detection, and the batch
+/// pipeline's items over the same store.
+fn stream_replayed_store(
     world: &World,
     change: ChangeId,
 ) -> (StreamAssessment, Vec<StreamDetection>, String) {
     let store = MetricStore::new();
-    let feed = store.subscribe(None, 1 << 20);
     funnel_sim::agent::replay(world, &store, 2).unwrap();
-    store.close_subscriptions();
-    let mut by_minute: BTreeMap<u64, Vec<Measurement>> = BTreeMap::new();
-    while let Some(m) = feed.recv() {
-        by_minute.entry(m.minute).or_default().push(m);
-    }
-    assert_eq!(feed.dropped(), 0, "the subscription lost measurements");
+    let feed = LiveFeed::from_store(&store);
 
     let config = FunnelConfig::paper_default();
     let stream_cfg = StreamConfig::paired_with(&config);
@@ -654,8 +648,8 @@ fn stream_subscribed_replay(
         .unwrap();
     let mut detections = Vec::new();
     let mut completed = Vec::new();
-    for (minute, batch) in by_minute {
-        for m in batch {
+    for (minute, batch) in feed.arrivals() {
+        for &m in batch {
             engine.offer(m);
         }
         let report = engine.tick(minute);
@@ -678,12 +672,12 @@ fn stream_subscribed_replay(
 }
 
 #[test]
-fn subscribed_replay_streams_to_the_batch_verdicts() {
+fn replayed_store_streams_to_the_batch_verdicts() {
     // A real regression: streamed items are the batch items, the treated
     // instances' delay is attributed against the dark-launch control group,
     // and the live monitors declared it while the roll-out was young.
     let (world, change) = live_world(5, 90.0);
-    let (got, detections, batch) = stream_subscribed_replay(&world, change);
+    let (got, detections, batch) = stream_replayed_store(&world, change);
     assert!(got.shed.is_empty() && got.stale.is_empty());
     assert_eq!(format!("{:?}", got.items), batch, "streaming != batch");
     let is_instance_delay = |key: &KpiKey| {
@@ -712,7 +706,7 @@ fn subscribed_replay_streams_to_the_batch_verdicts() {
 
     // A no-op change: still the batch items, and nothing attributed.
     let (world, change) = live_world(6, 0.0);
-    let (got, _, batch) = stream_subscribed_replay(&world, change);
+    let (got, _, batch) = stream_replayed_store(&world, change);
     assert_eq!(format!("{:?}", got.items), batch, "streaming != batch");
     let caused = got.items.iter().filter(|i| i.caused).count();
     assert_eq!(

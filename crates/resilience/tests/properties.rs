@@ -28,12 +28,12 @@ use bytes::Bytes;
 use funnel_resilience::checkpoint::{
     decode_manifest, decode_segment, Checkpoint, CheckpointStore, Manifest, MAGIC, SEGMENT_MAGIC,
 };
-use funnel_resilience::fnv1a_words;
 use funnel_resilience::wal::{
     decode_records, encode_record, scan, WalCursor, WalWriter, EOS_RECORD, FRAME_RECORD,
 };
 use funnel_resilience::ResilienceError;
 use funnel_sim::collector::{CollectorState, MinuteAccs};
+use funnel_sim::fnv1a_words;
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::store::MetricStore;
 use funnel_sim::wire::WireRecord;

@@ -2,7 +2,7 @@
 //!
 //! Implements the subset of the real API this workspace uses: cheaply
 //! clonable immutable [`Bytes`], a growable [`BytesMut`] builder, and the
-//! [`Buf`]/[`BufMut`] cursor traits with little-endian accessors. The
+//! [`BufMut`] cursor trait with little-endian putters. The
 //! container has no network access, so external crates are replaced by
 //! small vendored equivalents; see `crates/shims/README.md`.
 
@@ -20,11 +20,6 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::from(Vec::new())
-    }
-
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.end - self.start
@@ -66,12 +61,6 @@ impl Bytes {
     /// Copies the contents into a fresh `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
-    }
-}
-
-impl Default for Bytes {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -138,89 +127,15 @@ impl BytesMut {
         }
     }
 
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Freezes into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
-    }
-
-    /// Appends raw bytes.
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
         &self.data
-    }
-}
-
-/// Read cursor over a byte buffer; all multi-byte accessors advance.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-
-    /// The unread bytes.
-    fn chunk(&self) -> &[u8];
-
-    /// Advances the cursor by `n` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when fewer than `n` bytes remain.
-    fn advance(&mut self, n: usize);
-
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8 {
-        let b = self.chunk()[0];
-        self.advance(1);
-        b
-    }
-
-    /// Reads a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.chunk()[..4]);
-        self.advance(4);
-        u32::from_le_bytes(raw)
-    }
-
-    /// Reads a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.chunk()[..8]);
-        self.advance(8);
-        u64::from_le_bytes(raw)
-    }
-
-    /// Reads a little-endian `f64`.
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self.as_ref()
-    }
-
-    fn advance(&mut self, n: usize) {
-        assert!(n <= self.len(), "advance past end");
-        self.start += n;
     }
 }
 
@@ -267,13 +182,15 @@ mod tests {
         b.put_u32_le(5);
         b.put_u8(3);
         b.put_f64_le(1.5);
-        let mut frozen = b.freeze();
+        let frozen = b.freeze();
         assert_eq!(frozen.len(), 21);
-        assert_eq!(frozen.get_u64_le(), 77);
-        assert_eq!(frozen.get_u32_le(), 5);
-        assert_eq!(frozen.get_u8(), 3);
-        assert_eq!(frozen.get_f64_le(), 1.5);
-        assert_eq!(frozen.remaining(), 0);
+        let (word, rest) = frozen.split_first_chunk::<8>().unwrap();
+        assert_eq!(u64::from_le_bytes(*word), 77);
+        let (word, rest) = rest.split_first_chunk::<4>().unwrap();
+        assert_eq!(u32::from_le_bytes(*word), 5);
+        let (byte, rest) = rest.split_first().unwrap();
+        assert_eq!(*byte, 3);
+        assert_eq!(f64::from_le_bytes(rest.try_into().unwrap()), 1.5);
     }
 
     #[test]

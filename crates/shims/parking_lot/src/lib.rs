@@ -6,23 +6,13 @@
 
 #![forbid(unsafe_code)]
 
-/// Read guard, identical to the std guard.
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-/// Write guard, identical to the std guard.
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-/// Mutex guard, identical to the std guard.
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
+use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// A reader–writer lock whose guards ignore poisoning.
 #[derive(Debug, Default)]
 pub struct RwLock<T>(std::sync::RwLock<T>);
 
 impl<T> RwLock<T> {
-    /// Wraps `value`.
-    pub fn new(value: T) -> Self {
-        Self(std::sync::RwLock::new(value))
-    }
-
     /// Acquires a shared read guard.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         self.0.read().unwrap_or_else(|e| e.into_inner())
@@ -31,11 +21,6 @@ impl<T> RwLock<T> {
     /// Acquires an exclusive write guard.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -66,11 +51,10 @@ mod tests {
 
     #[test]
     fn rwlock_basic() {
-        let l = RwLock::new(1);
-        assert_eq!(*l.read(), 1);
-        *l.write() += 1;
+        let l = RwLock::<i32>::default();
+        assert_eq!(*l.read(), 0);
+        *l.write() += 2;
         assert_eq!(*l.read(), 2);
-        assert_eq!(l.into_inner(), 2);
     }
 
     #[test]

@@ -415,7 +415,7 @@ pub mod prop {
 pub mod prelude {
     //! The usual glob import.
 
-    pub use crate::arbitrary::{any, Arbitrary};
+    pub use crate::arbitrary::any;
     pub use crate::prop;
     pub use crate::strategy::Strategy;
     pub use crate::test_runner::ProptestConfig;

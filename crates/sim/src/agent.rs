@@ -9,11 +9,10 @@
 //! [`replay`] reproduces that dataflow over a frozen [`World`]: agent
 //! threads (one per shard of servers) walk the timeline minute by minute,
 //! encode each server's measurements into a [`crate::wire`] frame, and send
-//! the frames over a crossbeam channel to a collector thread. The collector
-//! decodes, appends server/instance measurements to the [`MetricStore`]
-//! (which pushes to subscribers), and — once every shard has reported a
-//! minute — computes and appends the service-level aggregates for that
-//! minute.
+//! the frames over a bounded channel to a collector thread. The collector
+//! decodes, appends server/instance measurements to the [`MetricStore`],
+//! and — once every shard has reported a minute — computes and appends the
+//! service-level aggregates for that minute.
 //!
 //! [`replay_with_faults`] runs the same dataflow through a deterministic
 //! [`crate::faults::FaultSchedule`]: agents skip dropped frames, glitch sensor readings,
@@ -41,7 +40,6 @@ use crate::store::MetricStore;
 use crate::wire::{encode_frame, WireRecord};
 use crate::world::{SimError, World};
 use bytes::Bytes;
-use crossbeam::channel::bounded;
 use funnel_timeseries::series::TimeSeries;
 use funnel_topology::impact::Entity;
 use funnel_topology::model::ServerId;
@@ -266,7 +264,7 @@ pub fn replay_durable(
         }
     }
 
-    let (tx, rx) = bounded::<Bytes>(shards * 4);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Bytes>(shards * 4);
     let mut collector = match resume {
         Some(state) => Collector::resume(world, store, shards, horizon, state),
         None => Collector::for_world(world, store, shards, horizon),
@@ -546,24 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn subscribers_see_live_measurements() {
-        let world = test_world();
-        let store = MetricStore::new();
-        let svc = world.topology().services().next().unwrap().0;
-        let key = KpiKey::new(Entity::Service(svc), KpiKind::PageViewCount);
-        let sub = store.subscribe(Some(vec![key]), 256);
-        replay(&world, &store, 3).unwrap();
-        // All 120 service aggregates should have been pushed in order.
-        let mut minutes = Vec::new();
-        while let Ok(m) = sub.receiver().try_recv() {
-            minutes.push(m.minute);
-        }
-        assert_eq!(minutes.len(), 120);
-        assert!(minutes.windows(2).all(|w| w[0] < w[1]), "out of order");
-        assert_eq!(sub.dropped(), 0);
-    }
-
-    #[test]
     fn single_shard_replay_works() {
         let world = test_world();
         let store = MetricStore::new();
@@ -688,10 +668,6 @@ mod tests {
         assert!(
             stats.quarantined_frames > 0,
             "corruption channel never fired"
-        );
-        assert_eq!(
-            store.stats().quarantined_frames as usize,
-            stats.quarantined_frames
         );
         // Whatever survived decoding is finite (non-finite corrupted values
         // are rejected at the collector).

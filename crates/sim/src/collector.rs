@@ -35,7 +35,7 @@
 
 use crate::agent::ReplayStats;
 use crate::kpi::{Aggregation, KpiKey, KpiKind};
-use crate::store::{KeyId, MetricStore, StoreWriter};
+use crate::store::{KeyId, MetricStore, Slab};
 use crate::wire::{decode_frame, WireFrame, WireRecord};
 use crate::world::World;
 use bytes::Bytes;
@@ -64,11 +64,11 @@ pub const MAX_COUNTER_RESET_DROP: f64 = 1e9;
 pub const MAX_CLOCK_SKEW_MINUTES: u64 = 10_080;
 
 /// Per (service, kind): the (instance id, value) pairs seen so far for one
-/// minute. Summation happens in instance-id order at finalize time, so the
-/// aggregate is bit-identical no matter how frames interleave. A BTreeMap
-/// (not HashMap) fixes the order in which a finalized minute's aggregates
-/// are appended and published to subscribers — hasher order would leak into
-/// the subscriber-visible stream.
+/// minute. Summation happens in instance-id order at finalize time
+/// (`aggregate`), so the aggregate is bit-identical no matter how frames
+/// interleave. A BTreeMap (not HashMap) fixes the order in which a
+/// finalized minute's aggregates are written, so that checkpoint and
+/// report bytes never follow hasher order.
 pub type MinuteAccs = BTreeMap<(ServiceId, KpiKind), Vec<(u32, f64)>>;
 
 /// The collector's complete mutable working state — everything a resumed
@@ -129,9 +129,10 @@ pub enum Ingest {
     Duplicate(MinuteBin),
     /// Undecodable bytes or a header claiming an unknown agent: counted and
     /// discarded, never a panic. Carries the claimed frame minute when the
-    /// header decoded (unknown agent); `None` when the bytes were torn too
-    /// badly to trust even the header, in which case the quarantine shows
-    /// up only in the aggregate counter, never on the timeline.
+    /// frame decoded (unknown agent); `None` when it did not (torn, or a
+    /// checksum mismatch), so its header is not trusted either, and the
+    /// quarantine shows up only in the aggregate counter, never on the
+    /// timeline.
     Quarantined(Option<MinuteBin>),
     /// A frame whose minute stamp runs further ahead of its own agent's
     /// watermark than [`MAX_CLOCK_SKEW_MINUTES`] plus the reorder horizon:
@@ -203,6 +204,18 @@ pub trait IngestHooks {
 pub struct NoHooks;
 
 impl IngestHooks for NoHooks {}
+
+/// A service's value for one minute from its instances' cells: summed in
+/// instance-id order, so that the bits do not depend on how frames
+/// interleaved, and divided by the cell count for mean-aggregated kinds.
+fn aggregate(kind: KpiKind, cells: &mut [(u32, f64)]) -> f64 {
+    cells.sort_by_key(|(id, _)| *id);
+    let sum: f64 = cells.iter().map(|(_, v)| v).sum();
+    match kind.aggregation() {
+        Aggregation::Sum => sum,
+        Aggregation::Mean => sum / cells.len() as f64,
+    }
+}
 
 /// The collector state machine: owns a [`CollectorState`], borrows the
 /// [`MetricStore`] it appends into, and carries the world-derived lookup
@@ -342,11 +355,10 @@ impl<'a> Collector<'a> {
         match ingest {
             Ingest::Quarantined(minute) => {
                 self.stats.quarantined_frames += 1;
-                self.store.note_quarantined_frame();
                 // The frame's claimed minute attributes the quarantine to a
-                // timeline window. A frame torn beyond the header has no
+                // timeline window. A frame that failed to decode has no
                 // trustworthy minute and is not written: `quarantined_frames`
-                // above and the store's count already hold it.
+                // above already holds it.
                 if let Some(m) = minute {
                     funnel_obs::counter_add(funnel_obs::names::FRAMES_QUARANTINED, m, 1);
                 }
@@ -354,7 +366,6 @@ impl<'a> Collector<'a> {
             Ingest::ClockSkewed(minute) => {
                 self.stats.quarantined_frames += 1;
                 self.stats.clock_skewed_frames += 1;
-                self.store.note_quarantined_frame();
                 funnel_obs::counter_add(funnel_obs::names::FRAMES_QUARANTINED, minute, 1);
             }
             Ingest::Duplicate(_) => self.stats.duplicate_frames += 1,
@@ -372,8 +383,7 @@ impl<'a> Collector<'a> {
             }
             Ingest::Live(frame) => {
                 // One write lock for the frame: its records, then whatever
-                // minutes it completes. Subscribers hear of all of it, in
-                // that order, once the lock is released.
+                // minutes it completes.
                 let store = self.store;
                 store.write_batch(|w| {
                     self.commit_live(w, &frame);
@@ -390,7 +400,7 @@ impl<'a> Collector<'a> {
     /// otherwise (reordered, missing, extra or foreign keys) a lookup in
     /// the store's index, remembered at `pos` for the agent's next frame.
     fn resolve(
-        w: &mut StoreWriter<'_>,
+        w: &mut Slab,
         layout: &mut Vec<Resolved>,
         instance_service: &HashMap<u32, ServiceId>,
         pos: usize,
@@ -419,7 +429,7 @@ impl<'a> Collector<'a> {
 
     /// A live frame's bookkeeping and records; minute finalization follows
     /// under the same lock.
-    fn commit_live(&mut self, w: &mut StoreWriter<'_>, frame: &WireFrame) {
+    fn commit_live(&mut self, w: &mut Slab, frame: &WireFrame) {
         let agent = frame.agent_id as usize;
         if let Some(seen) = self.state.seen.get_mut(agent) {
             seen.insert(frame.minute);
@@ -506,7 +516,7 @@ impl<'a> Collector<'a> {
     /// demonstrably moved past its reorder horizon (its own watermark is
     /// beyond minute + horizon) — exact under any thread scheduling, robust
     /// to loss, and safe under delay-induced reordering.
-    fn finalize_ready(&mut self, w: &mut StoreWriter<'_>) {
+    fn finalize_ready(&mut self, w: &mut Slab) {
         while let Some((&minute, entry)) = self.state.pending.iter().next() {
             let complete = entry.0 >= self.shards;
             let all_past = self
@@ -523,7 +533,7 @@ impl<'a> Collector<'a> {
         }
     }
 
-    fn finalize_minute(&mut self, w: &mut StoreWriter<'_>, minute: u64, accs: MinuteAccs) {
+    fn finalize_minute(&mut self, w: &mut Slab, minute: u64, accs: MinuteAccs) {
         for ((svc, kind), mut cells) in accs {
             if cells.is_empty() {
                 continue;
@@ -541,12 +551,7 @@ impl<'a> Collector<'a> {
                     .append(&mut cells);
                 continue;
             }
-            cells.sort_by_key(|(id, _)| *id);
-            let sum: f64 = cells.iter().map(|(_, v)| v).sum();
-            let value = match kind.aggregation() {
-                Aggregation::Sum => sum,
-                Aggregation::Mean => sum / cells.len() as f64,
-            };
+            let value = aggregate(kind, &mut cells);
             let id = w.id_of(KpiKey::new(Entity::Service(svc), kind));
             w.append_id(id, minute, value);
             self.stats.aggregates += 1;
@@ -587,12 +592,7 @@ impl<'a> Collector<'a> {
                     {
                         continue;
                     }
-                    cells.sort_by_key(|(id, _)| *id);
-                    let sum: f64 = cells.iter().map(|(_, v)| v).sum();
-                    let value = match kind.aggregation() {
-                        Aggregation::Sum => sum,
-                        Aggregation::Mean => sum / cells.len() as f64,
-                    };
+                    let value = aggregate(kind, &mut cells);
                     let id = w.id_of(KpiKey::new(Entity::Service(svc), kind));
                     if w.backfill_id(id, minute, value) {
                         self.stats.backfilled_aggregates += 1;
@@ -604,13 +604,7 @@ impl<'a> Collector<'a> {
 
     /// One staged backfill frame into the store's historical bins and the
     /// partial aggregates it may complete.
-    fn backfill_frame(
-        &mut self,
-        w: &mut StoreWriter<'_>,
-        agent: usize,
-        minute: u64,
-        records: &[WireRecord],
-    ) {
+    fn backfill_frame(&mut self, w: &mut Slab, agent: usize, minute: u64, records: &[WireRecord]) {
         let mut unknown_agent = Vec::new();
         let layout = self.layouts.get_mut(agent).unwrap_or(&mut unknown_agent);
         for (pos, rec) in records.iter().enumerate() {
@@ -621,7 +615,6 @@ impl<'a> Collector<'a> {
                 if !rec.value.is_finite() {
                     self.stats.nonfinite_records += 1;
                 }
-                self.store.note_backfill_rejected();
                 continue;
             }
             if w.backfill_id(id, minute, rec.value) {

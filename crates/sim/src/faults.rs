@@ -172,9 +172,8 @@ pub struct FaultPlan {
     #[serde(default)]
     pub truncate_prob: f64,
     /// Probability (per surviving frame) that one payload byte is
-    /// corrupted (XORed with a nonzero mask). Corruption hits the record
-    /// region, which either breaks decoding (quarantine) or silently
-    /// alters a record.
+    /// corrupted (XORed with a nonzero mask). The frame's checksum no
+    /// longer matches, so the collector quarantines it whole.
     #[serde(default)]
     pub corrupt_prob: f64,
     /// Probability (per record) that the sensor glitches, scaling the
@@ -381,10 +380,8 @@ impl FaultSchedule {
 
     /// Applies [`FrameFate::truncate_frac`] / [`FrameFate::corrupt`] to an
     /// encoded frame, returning the (possibly mangled) bytes. Corruption is
-    /// confined to offsets `>= 12` (record count + records): the minute and
-    /// agent-id header stays intact so a mangled frame cannot poison the
-    /// collector's watermark bookkeeping — mirroring transports that
-    /// checksum routing headers but not payloads.
+    /// confined to offsets `>= 12` (record count, records, checksum), and
+    /// the wire checksum refuses every frame it touches.
     pub fn mangle(&self, fate: &FrameFate, bytes: &[u8]) -> Vec<u8> {
         let mut out = bytes.to_vec();
         if let Some((pos_frac, mask)) = fate.corrupt {

@@ -1,37 +1,27 @@
-//! The central metric store with a subscription API.
+//! The central metric store.
 //!
 //! The paper's substrate is "a centralized Hadoop-based database … \[that\]
-//! provides a subscription tool for other systems, such as FUNNEL, to
-//! periodically receive the subscribed measurements" (§2.2). This in-memory
-//! reproduction keeps every KPI key's dense [`TimeSeries`] and
-//! [`CoverageMask`] side by side in one slot of a slab behind a single
-//! read–write lock, and fans out accepted writes to subscribers over bounded
-//! crossbeam channels — the same push-within-a-second contract FUNNEL's
-//! streaming engine consumes.
+//! provides a subscription tool for other systems, such as FUNNEL" (§2.2).
+//! This in-memory reproduction keeps the database half: every KPI key's
+//! dense [`TimeSeries`] and [`CoverageMask`] side by side in one slot of a
+//! slab behind a single read–write lock. The push half is not reproduced:
+//! a channel that drops on a full buffer would make what a consumer sees
+//! depend on thread scheduling, so FUNNEL's streaming engine is offered
+//! measurements by its caller instead (`StreamEngine::offer`, fed from a
+//! [`crate::LiveFeed`]), and batch assessment reads a [`StoreSnapshot`].
 //!
 //! Slots are addressed by a dense `KeyId` handed out in arrival order, so
 //! a writer that already knows a key's id (the collector, one frame after it
 //! first saw the key) appends without walking a map. Arrival order must
-//! never reach a reader: ids are not serialised, not published and order
-//! nothing; everything a reader can enumerate (`keys()`, `export_entries()`,
+//! never reach a reader: ids are not serialised and order nothing;
+//! everything a reader can enumerate (`keys()`, `export_entries()`,
 //! [`StoreCut`], checkpoints) walks the one key-ordered index.
 //!
 //! Degradation is first-class: the store records *which* minutes carried a
 //! real measurement (the mask — the dense series itself forward-fills gaps
-//! and cannot tell a fill from a measurement), counts per-subscription drops
-//! when a consumer lags, and exposes the whole bookkeeping as a
-//! [`StoreStats`] snapshot.
-//!
-//! # Subscriber contract
-//!
-//! Every accepted live append and every accepted backfill is published
-//! exactly once to each subscription whose filter matches; a late append
-//! the store ignores publishes nothing. One key's measurements arrive in
-//! the order they were written, and the writes of one collector frame
-//! arrive in frame order. Publication happens after the store lock is
-//! released, so a subscriber that reads the store on receipt finds the
-//! measurement there and never blocks ingestion. A store nobody subscribes
-//! to pays one atomic load per write batch.
+//! and cannot tell a fill from a measurement). What was refused or
+//! quarantined on the way in is counted once, by the collector
+//! ([`crate::agent::ReplayStats`]).
 
 #![deny(
     clippy::unwrap_used,
@@ -43,15 +33,15 @@
 )]
 
 use crate::kpi::KpiKey;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One live measurement pushed to subscribers.
+/// One measurement of one key: what a [`crate::LiveFeed`] delivers and
+/// `StreamEngine::offer` takes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
     /// Which KPI.
@@ -60,65 +50,6 @@ pub struct Measurement {
     pub minute: MinuteBin,
     /// The measured value.
     pub value: f64,
-}
-
-/// Counters describing the store's delivery health. All counters are
-/// monotonic over the store's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreStats {
-    /// Measurements successfully handed to a subscriber channel.
-    pub published: u64,
-    /// Measurements dropped because a subscriber's channel was full
-    /// (summed over all subscriptions; per-subscription counts live on
-    /// [`Subscription::dropped`]).
-    pub dropped: u64,
-    /// Subscribers reaped after their receiver was dropped.
-    pub reaped_subscribers: u64,
-    /// Undecodable wire frames the ingestion path quarantined (reported by
-    /// the collector via [`MetricStore::note_quarantined_frame`]).
-    pub quarantined_frames: u64,
-    /// Historical bins filled in after a healed partition
-    /// ([`MetricStore::backfill`] accepted the late measurement).
-    pub backfilled: u64,
-    /// Late measurements refused by [`MetricStore::backfill`]: the bin
-    /// already held a real measurement (duplicate suppression), the minute
-    /// predates the series anchor, or the collector's plausibility gate
-    /// rejected the record ([`MetricStore::note_backfill_rejected`]).
-    pub backfill_rejected: u64,
-}
-
-/// A live subscription handle; drop it to unsubscribe.
-#[derive(Debug)]
-pub struct Subscription {
-    id: u64,
-    receiver: Receiver<Measurement>,
-    drops: Arc<AtomicU64>,
-}
-
-impl Subscription {
-    /// The receiving end of the measurement stream.
-    pub fn receiver(&self) -> &Receiver<Measurement> {
-        &self.receiver
-    }
-
-    /// Blocking receive of the next measurement (None when the store shuts
-    /// down or this subscription lags so far it was dropped).
-    pub fn recv(&self) -> Option<Measurement> {
-        self.receiver.recv().ok()
-    }
-
-    /// How many measurements the store dropped for *this* subscription
-    /// because its channel was full.
-    pub fn dropped(&self) -> u64 {
-        self.drops.load(Ordering::Relaxed)
-    }
-}
-
-struct Subscriber {
-    id: u64,
-    filter: Option<Vec<KpiKey>>,
-    sender: Sender<Measurement>,
-    drops: Arc<AtomicU64>,
 }
 
 /// The dense handle of one interned key: its slot's position in the slab.
@@ -131,7 +62,7 @@ struct Subscriber {
 pub(crate) struct KeyId(u32);
 
 impl KeyId {
-    /// Never handed to a slot: what [`Slab::intern`] answers once the id
+    /// Never handed to a slot: what [`Slab::id_of`] answers once the id
     /// space is exhausted, so further keys are refused instead of aliased.
     const NONE: KeyId = KeyId(u32::MAX);
 
@@ -249,9 +180,11 @@ fn extend_to(series: &mut TimeSeries, minute: MinuteBin, value: f64) {
     series.push(value);
 }
 
-/// Every slot plus the one ordered index over their keys.
+/// Every slot plus the one ordered index over their keys. A write batch
+/// ([`MetricStore::write_batch`]) holds it exclusively: a collector frame,
+/// or a single keyed call.
 #[derive(Debug, Clone, Default)]
-struct Slab {
+pub(crate) struct Slab {
     slots: Vec<Slot>,
     // BTreeMap, not HashMap: this index is the only source of enumeration
     // order, and report and checkpoint bytes follow it.
@@ -265,7 +198,7 @@ struct Slab {
 impl Slab {
     /// The id of `key`, assigning the next one on first sight. Interning
     /// alone does not make a key visible to readers.
-    fn intern(&mut self, key: KpiKey) -> KeyId {
+    pub(crate) fn id_of(&mut self, key: KpiKey) -> KeyId {
         if let Some(&id) = self.index.get(&key) {
             return id;
         }
@@ -285,12 +218,37 @@ impl Slab {
     /// Replaces what each entry's key holds, interning new keys.
     fn hold(&mut self, entries: impl IntoIterator<Item = (KpiKey, TimeSeries, CoverageMask)>) {
         for (key, series, mask) in entries {
-            let id = self.intern(key);
+            let id = self.id_of(key);
             if let Some(slot) = self.slots.get_mut(id.as_index()) {
                 slot.held = Some(Held { series, mask });
                 slot.dirty_from = 0;
             }
         }
+    }
+
+    /// How many keys are interned: every id handed out indexes below it.
+    pub(crate) fn interned(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The key `id` names, if this store handed `id` out.
+    pub(crate) fn key_of(&self, id: KeyId) -> Option<KpiKey> {
+        self.slots.get(id.as_index()).map(|slot| slot.key)
+    }
+
+    /// [`MetricStore::append`] by id. Returns whether the measurement was
+    /// accepted (`false`: late, ignored).
+    pub(crate) fn append_id(&mut self, id: KeyId, minute: MinuteBin, value: f64) -> bool {
+        self.slots
+            .get_mut(id.as_index())
+            .is_some_and(|slot| slot.push_live(minute, value))
+    }
+
+    /// [`MetricStore::backfill`] by id.
+    pub(crate) fn backfill_id(&mut self, id: KeyId, minute: MinuteBin, value: f64) -> bool {
+        self.slots
+            .get_mut(id.as_index())
+            .is_some_and(|slot| slot.fill_late(minute, value))
     }
 
     fn held(&self, key: &KpiKey) -> Option<&Held> {
@@ -322,91 +280,13 @@ pub struct MetricStore {
     /// Shared with every live [`StoreSnapshot`]; a writer that finds it
     /// shared copies it first (`Arc::make_mut`), once per write batch.
     slab: RwLock<Arc<Slab>>,
-    subscribers: RwLock<Vec<Subscriber>>,
-    /// `subscribers.len()`, readable without the lock: what lets a write
-    /// batch skip collecting publications nobody would receive.
-    subscriber_count: AtomicUsize,
-    next_sub: AtomicU64,
-    published: AtomicU64,
-    dropped: AtomicU64,
-    reaped: AtomicU64,
-    quarantined: AtomicU64,
-    backfilled: AtomicU64,
-    backfill_rejected: AtomicU64,
 }
 
 impl std::fmt::Debug for MetricStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricStore")
             .field("keys", &self.len())
-            .field("subscribers", &self.subscribers.read().len())
-            .field("stats", &self.stats())
             .finish()
-    }
-}
-
-/// Exclusive write access to the store for one batch of writes (a collector
-/// frame, or a single keyed call), handed out by [`MetricStore::write_batch`].
-/// Accepted writes are collected and published when the batch ends, after
-/// the lock is released.
-pub(crate) struct StoreWriter<'a> {
-    store: &'a MetricStore,
-    slab: &'a mut Slab,
-    /// `None` when nobody was subscribed as the batch began.
-    outbox: Option<Vec<Measurement>>,
-}
-
-impl StoreWriter<'_> {
-    /// The id of `key`, interning it on first sight.
-    pub(crate) fn id_of(&mut self, key: KpiKey) -> KeyId {
-        self.slab.intern(key)
-    }
-
-    /// How many keys are interned: every id handed out indexes below it.
-    pub(crate) fn interned(&self) -> usize {
-        self.slab.slots.len()
-    }
-
-    /// The key `id` names, if this store handed `id` out.
-    pub(crate) fn key_of(&self, id: KeyId) -> Option<KpiKey> {
-        self.slab.slots.get(id.as_index()).map(|slot| slot.key)
-    }
-
-    /// [`MetricStore::append`] by id. Returns whether the measurement was
-    /// accepted (`false`: late, ignored, not published).
-    pub(crate) fn append_id(&mut self, id: KeyId, minute: MinuteBin, value: f64) -> bool {
-        let Some(slot) = self.slab.slots.get_mut(id.as_index()) else {
-            return false;
-        };
-        let accepted = slot.push_live(minute, value);
-        if accepted {
-            let key = slot.key;
-            self.queue(key, minute, value);
-        }
-        accepted
-    }
-
-    /// [`MetricStore::backfill`] by id, counted in [`StoreStats`] the same.
-    pub(crate) fn backfill_id(&mut self, id: KeyId, minute: MinuteBin, value: f64) -> bool {
-        let written = self
-            .slab
-            .slots
-            .get_mut(id.as_index())
-            .and_then(|slot| slot.fill_late(minute, value).then_some(slot.key));
-        match written {
-            Some(key) => {
-                self.store.backfilled.fetch_add(1, Ordering::Relaxed);
-                self.queue(key, minute, value);
-            }
-            None => self.store.note_backfill_rejected(),
-        }
-        written.is_some()
-    }
-
-    fn queue(&mut self, key: KpiKey, minute: MinuteBin, value: f64) {
-        if let Some(outbox) = &mut self.outbox {
-            outbox.push(Measurement { key, minute, value });
-        }
     }
 }
 
@@ -468,48 +348,24 @@ impl MetricStore {
         Self::default()
     }
 
-    /// Shared-ownership constructor (the usual deployment: one store, many
-    /// agent/collector/pipeline threads).
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Self::new())
-    }
-
-    /// Runs one batch of writes under the store's write lock, then — the
-    /// lock released — publishes what the batch wrote, in write order.
-    pub(crate) fn write_batch<R>(&self, batch: impl FnOnce(&mut StoreWriter<'_>) -> R) -> R {
-        let subscribed = self.subscriber_count.load(Ordering::SeqCst) > 0;
-        let (result, outbox) = self.with_unshared_slab(|slab| {
-            let mut writer = StoreWriter {
-                store: self,
-                slab,
-                outbox: subscribed.then(Vec::new),
-            };
-            (batch(&mut writer), writer.outbox)
-        });
-        if let Some(outbox) = outbox {
-            self.publish(&outbox);
-        }
-        result
-    }
-
-    /// Runs `mutate` on the slab under the write lock, unshared: the first
-    /// write after a snapshot that is still alive copies the slab here, and
-    /// the snapshot keeps the old one. With no snapshot alive this is the
-    /// lock alone.
-    fn with_unshared_slab<R>(&self, mutate: impl FnOnce(&mut Slab) -> R) -> R {
-        mutate(Arc::make_mut(&mut self.slab.write()))
+    /// Runs one batch of writes under the store's write lock, on the slab
+    /// unshared: the first write after a snapshot that is still alive
+    /// copies the slab here, and the snapshot keeps the old one. With no
+    /// snapshot alive this is the lock alone.
+    pub(crate) fn write_batch<R>(&self, batch: impl FnOnce(&mut Slab) -> R) -> R {
+        batch(Arc::make_mut(&mut self.slab.write()))
     }
 
     /// Replaces the entire series for `key` (used by batch materialization).
     /// Every minute of the series counts as measured.
     pub fn insert(&self, key: KpiKey, series: TimeSeries) {
         let mask = CoverageMask::all_present(series.start(), series.len());
-        self.with_unshared_slab(|slab| slab.hold([(key, series, mask)]));
+        self.write_batch(|slab| slab.hold([(key, series, mask)]));
     }
 
     /// Appends one live measurement, growing the series (gaps are filled by
     /// repeating the last value, matching the upstream interpolation the
-    /// paper's agents perform), and pushes it to matching subscribers. Only
+    /// paper's agents perform). Only
     /// `minute` itself is marked as measured in the key's coverage mask —
     /// the fill minutes stay visibly synthetic. A late measurement for an
     /// already-filled minute is ignored (first write wins, as in the real
@@ -527,11 +383,7 @@ impl MetricStore {
     /// still wins; forward-fills do not count as writes) and the minute is
     /// not before the series anchor. On acceptance the bin — and any
     /// forward-filled bins after it up to the next real measurement — takes
-    /// the late value, the coverage mask gains the minute, and the
-    /// measurement is published to subscribers through the same accounted
-    /// path as live appends, so a heal burst that overruns a subscriber
-    /// channel increments [`Subscription::dropped`] and
-    /// [`StoreStats::dropped`] instead of silently truncating.
+    /// the late value and the coverage mask gains the minute.
     ///
     /// Returns whether the measurement was accepted.
     // funnel-lint: root
@@ -540,108 +392,6 @@ impl MetricStore {
             let id = w.id_of(key);
             w.backfill_id(id, minute, value)
         })
-    }
-
-    /// Records one late measurement refused before reaching
-    /// [`MetricStore::backfill`] (e.g. the collector's plausibility gate).
-    pub fn note_backfill_rejected(&self) {
-        self.backfill_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Offers `batch`, in order, to every matching subscriber.
-    fn publish(&self, batch: &[Measurement]) {
-        let mut dead: Vec<u64> = Vec::new();
-        {
-            let subs = self.subscribers.read();
-            for m in batch {
-                for s in subs.iter() {
-                    let wants = s.filter.as_ref().is_none_or(|f| f.contains(&m.key));
-                    if !wants || dead.contains(&s.id) {
-                        continue;
-                    }
-                    match s.sender.try_send(*m) {
-                        Ok(()) => {
-                            self.published.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(TrySendError::Full(_)) => {
-                            // Lagging subscriber: drop the measurement for it
-                            // rather than blocking ingestion (the store favours
-                            // liveness; FUNNEL re-reads history on demand).
-                            s.drops.fetch_add(1, Ordering::Relaxed);
-                            self.dropped.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(TrySendError::Disconnected(_)) => dead.push(s.id),
-                    }
-                }
-            }
-        }
-        if !dead.is_empty() {
-            self.reaped.fetch_add(dead.len() as u64, Ordering::Relaxed);
-            self.edit_subscribers(|subs| subs.retain(|s| !dead.contains(&s.id)));
-        }
-    }
-
-    /// The one place the subscriber list changes, so the lock-free count
-    /// [`MetricStore::write_batch`] reads cannot drift from it.
-    fn edit_subscribers(&self, edit: impl FnOnce(&mut Vec<Subscriber>)) {
-        let mut subs = self.subscribers.write();
-        edit(&mut subs);
-        self.subscriber_count.store(subs.len(), Ordering::SeqCst);
-    }
-
-    /// Subscribes to live measurements; `filter = None` means everything.
-    /// The channel holds up to `capacity` undelivered measurements (at least
-    /// one). The subscription sees every write batch that begins after this
-    /// call returns (see the module docs for the full contract).
-    pub fn subscribe(&self, filter: Option<Vec<KpiKey>>, capacity: usize) -> Subscription {
-        let (tx, rx) = bounded(capacity.max(1));
-        let id = self.next_sub.fetch_add(1, Ordering::Relaxed);
-        let drops = Arc::new(AtomicU64::new(0));
-        self.edit_subscribers(|subs| {
-            subs.push(Subscriber {
-                id,
-                filter,
-                sender: tx,
-                drops: Arc::clone(&drops),
-            });
-        });
-        Subscription {
-            id,
-            receiver: rx,
-            drops,
-        }
-    }
-
-    /// Records one quarantined (undecodable) ingestion frame. Called by the
-    /// collector so operators see transport corruption in [`StoreStats`].
-    pub fn note_quarantined_frame(&self) {
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A snapshot of the delivery counters.
-    pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            published: self.published.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            reaped_subscribers: self.reaped.load(Ordering::Relaxed),
-            quarantined_frames: self.quarantined.load(Ordering::Relaxed),
-            backfilled: self.backfilled.load(Ordering::Relaxed),
-            backfill_rejected: self.backfill_rejected.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Cancels a subscription explicitly (dropping the [`Subscription`]
-    /// also works — the dead channel is reaped on the next publish).
-    pub fn unsubscribe(&self, sub: &Subscription) {
-        self.edit_subscribers(|subs| subs.retain(|s| s.id != sub.id));
-    }
-
-    /// Closes every live subscription: all receivers see end-of-stream
-    /// after draining. Call when ingestion is finished (end of a replay,
-    /// shutdown) so consumers holding their own `Arc<MetricStore>` can
-    /// terminate instead of blocking on a feed that will never resume.
-    pub fn close_subscriptions(&self) {
-        self.edit_subscribers(Vec::clear);
     }
 
     /// An immutable point-in-time view of every series and coverage mask —
@@ -693,7 +443,7 @@ impl MetricStore {
         since: Option<CutId>,
         encode: impl FnOnce(&StoreCut<'_>) -> R,
     ) -> (CutId, R) {
-        self.with_unshared_slab(|slab| {
+        self.write_batch(|slab| {
             let whole = since.is_none() || since != slab.last_cut;
             let result = encode(&StoreCut { slab, whole });
             for slot in &mut slab.slots {
@@ -723,12 +473,6 @@ impl MetricStore {
         slab.held(key).map_or(0.0, |h| h.mask.coverage(from, to))
     }
 
-    /// The values of `key` over `[from, to)` (clamped), if the key exists.
-    pub fn range(&self, key: &KpiKey, from: MinuteBin, to: MinuteBin) -> Option<Vec<f64>> {
-        let slab = self.slab.read();
-        slab.held(key).map(|h| h.series.slice(from, to).to_vec())
-    }
-
     /// Number of keys held.
     pub fn len(&self) -> usize {
         self.slab.read().held_count()
@@ -755,15 +499,12 @@ impl MetricStore {
     }
 
     /// Replaces the store's contents with previously exported entries — the
-    /// restore half of a recovery checkpoint. Unlike [`MetricStore::append`]
-    /// nothing is published to subscribers: recovery rebuilds state, it does
-    /// not re-measure, so a subscriber attached across a restore sees no
-    /// phantom replays.
+    /// restore half of a recovery checkpoint.
     pub fn restore_entries(
         &self,
         entries: impl IntoIterator<Item = (KpiKey, TimeSeries, CoverageMask)>,
     ) {
-        self.with_unshared_slab(|slab| {
+        self.write_batch(|slab| {
             for slot in &mut slab.slots {
                 slot.held = None;
             }
@@ -807,13 +548,6 @@ impl StoreSnapshot {
             .map_or(0.0, |h| h.mask.coverage(from, to))
     }
 
-    /// The values of `key` over `[from, to)` (clamped), if the key exists.
-    pub fn range(&self, key: &KpiKey, from: MinuteBin, to: MinuteBin) -> Option<Vec<f64>> {
-        self.slab
-            .held(key)
-            .map(|h| h.series.slice(from, to).to_vec())
-    }
-
     /// Number of keys held.
     pub fn len(&self) -> usize {
         self.slab.held_count()
@@ -845,8 +579,9 @@ mod tests {
     fn insert_and_range() {
         let store = MetricStore::new();
         store.insert(key(0), TimeSeries::new(10, vec![1.0, 2.0, 3.0]));
-        assert_eq!(store.range(&key(0), 11, 13), Some(vec![2.0, 3.0]));
-        assert_eq!(store.range(&key(1), 0, 5), None);
+        let series = store.get(&key(0)).unwrap();
+        assert_eq!(series.slice(11, 13), &[2.0, 3.0]);
+        assert_eq!(store.get(&key(1)), None);
         assert_eq!(store.len(), 1);
         // Batch inserts count as fully measured.
         assert_eq!(store.coverage(&key(0), 10, 13), 1.0);
@@ -884,61 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn subscription_receives_matching_only() {
-        let store = MetricStore::new();
-        let sub = store.subscribe(Some(vec![key(1)]), 16);
-        store.append(key(0), 0, 1.0);
-        store.append(key(1), 0, 2.0);
-        let m = sub.recv().unwrap();
-        assert_eq!(m.key, key(1));
-        assert_eq!(m.value, 2.0);
-        assert!(sub.receiver().try_recv().is_err());
-    }
-
-    #[test]
-    fn unfiltered_subscription_sees_everything() {
-        let store = MetricStore::new();
-        let sub = store.subscribe(None, 16);
-        store.append(key(0), 0, 1.0);
-        store.append(key(7), 0, 2.0);
-        assert_eq!(sub.recv().unwrap().key, key(0));
-        assert_eq!(sub.recv().unwrap().key, key(7));
-    }
-
-    #[test]
-    fn lagging_subscriber_drops_not_blocks() {
-        let store = MetricStore::new();
-        let sub = store.subscribe(None, 2);
-        for m in 0..10 {
-            store.append(key(0), m, m as f64);
-        }
-        // Only the first two made it; ingestion never blocked.
-        assert_eq!(sub.recv().unwrap().minute, 0);
-        assert_eq!(sub.recv().unwrap().minute, 1);
-        assert!(sub.receiver().try_recv().is_err());
-        // Store itself has all ten.
-        assert_eq!(store.get(&key(0)).unwrap().len(), 10);
-        // Drop accounting: 8 lost for this subscription, visible both ways.
-        assert_eq!(sub.dropped(), 8);
-        let stats = store.stats();
-        assert_eq!(stats.dropped, 8);
-        assert_eq!(stats.published, 2);
-    }
-
-    #[test]
-    fn dropped_subscription_is_reaped() {
-        let store = MetricStore::new();
-        let sub = store.subscribe(None, 4);
-        drop(sub);
-        store.append(key(0), 0, 1.0); // triggers reap, must not panic
-        let sub2 = store.subscribe(None, 4);
-        store.unsubscribe(&sub2);
-        store.append(key(0), 1, 1.0);
-        assert!(sub2.receiver().try_recv().is_err());
-        assert_eq!(store.stats().reaped_subscribers, 1);
-    }
-
-    #[test]
     fn backfill_fills_historical_gap_and_refreshes_fills() {
         let store = MetricStore::new();
         store.append(key(0), 5, 1.0);
@@ -951,9 +631,6 @@ mod tests {
         assert!(mask.is_present(7));
         assert!(!mask.is_present(6));
         assert!(!mask.is_present(8));
-        let stats = store.stats();
-        assert_eq!(stats.backfilled, 1);
-        assert_eq!(stats.backfill_rejected, 0);
     }
 
     #[test]
@@ -967,11 +644,6 @@ mod tests {
         // Before the series anchor: nowhere to put it.
         assert!(!store.backfill(key(0), 2, 99.0));
         assert_eq!(store.get(&key(0)).unwrap().values(), &[1.0, 1.0, 1.0, 2.0]);
-        assert_eq!(store.stats().backfill_rejected, 3);
-        assert_eq!(store.stats().backfilled, 0);
-        // Collector-side plausibility rejections share the counter.
-        store.note_backfill_rejected();
-        assert_eq!(store.stats().backfill_rejected, 4);
     }
 
     #[test]
@@ -982,29 +654,6 @@ mod tests {
         let s = store.get(&key(0)).unwrap();
         assert_eq!(s.values(), &[1.0, 1.0, 1.0, 5.0]);
         assert!(store.mask(&key(0)).unwrap().is_present(3));
-    }
-
-    #[test]
-    fn heal_burst_overrun_counts_drops_per_subscription() {
-        // Regression: a healed partition replaying a buffered burst through
-        // backfill must account channel overruns exactly like live appends —
-        // dropped() and StoreStats::dropped increment; nothing silently
-        // truncates at the channel capacity.
-        let store = MetricStore::new();
-        store.append(key(0), 0, 1.0);
-        store.append(key(0), 100, 2.0); // 1..100 forward-filled
-        let sub = store.subscribe(None, 2);
-        for minute in 10..20 {
-            assert!(store.backfill(key(0), minute, minute as f64));
-        }
-        assert_eq!(sub.recv().unwrap().minute, 10);
-        assert_eq!(sub.recv().unwrap().minute, 11);
-        assert!(sub.receiver().try_recv().is_err());
-        assert_eq!(sub.dropped(), 8);
-        let stats = store.stats();
-        assert_eq!(stats.dropped, 8);
-        assert_eq!(stats.published, 2);
-        assert_eq!(stats.backfilled, 10);
     }
 
     #[test]
@@ -1025,7 +674,6 @@ mod tests {
         assert!(mask.is_present(0) && mask.is_present(3));
         assert!(!mask.is_present(1) && !mask.is_present(2));
         assert_eq!(snap.coverage(&key(0), 0, 4), 0.5);
-        assert_eq!(snap.range(&key(0), 1, 3), Some(vec![1.0, 1.0]));
         assert_eq!(snap.keys(), vec![key(0)]);
         assert!(!snap.is_empty());
     }
@@ -1106,13 +754,5 @@ mod tests {
         assert_eq!((series.start(), series.values()), (5, &[2.0][..]));
         assert_eq!(store.keys(), vec![key(1), key(2)]);
         assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn quarantine_counter_snapshots() {
-        let store = MetricStore::new();
-        store.note_quarantined_frame();
-        store.note_quarantined_frame();
-        assert_eq!(store.stats().quarantined_frames, 2);
     }
 }

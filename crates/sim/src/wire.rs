@@ -6,11 +6,15 @@
 //! (§2.2). Layout (all little-endian):
 //!
 //! ```text
-//! frame   := u64 minute, u32 agent_id, u32 count, record*
+//! frame   := u64 minute, u32 agent_id, u32 count, record*, u64 checksum
 //! record  := u8 entity_tag, u32 entity_id, u8 kpi_tag, f64 value
 //! ```
 //!
-//! `entity_tag`: 0 = server, 1 = instance, 2 = service.
+//! `entity_tag`: 0 = server, 1 = instance, 2 = service. `checksum` is
+//! [`fnv1a_words`] of every byte before it, and [`decode_frame`] checks it
+//! (and that the length is exactly what `count` declares) before it parses
+//! anything: a frame damaged in flight is refused whole, so it cannot write
+//! a wrong value, or a key its agent does not own, into the store.
 
 #![deny(
     clippy::unwrap_used,
@@ -21,11 +25,13 @@
     clippy::unimplemented
 )]
 
+use crate::fnv1a_words;
 use crate::kpi::{KpiKey, KpiKind};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use funnel_timeseries::series::MinuteBin;
 use funnel_topology::impact::Entity;
 use funnel_topology::model::{InstanceId, ServerId, ServiceId};
+use std::cmp::Ordering;
 
 /// One decoded measurement record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,11 +53,24 @@ pub struct WireFrame {
     pub records: Vec<WireRecord>,
 }
 
+/// Bytes of the `minute, agent_id, count` header.
+const HEADER_LEN: usize = 16;
+/// Bytes of one record.
+const RECORD_LEN: usize = 14;
+/// Bytes of the checksum trailer.
+const TRAILER_LEN: usize = 8;
+
 /// Decoding errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
-    /// The frame ended before the declared record count was read.
+    /// The frame is shorter than its header, its declared records and the
+    /// checksum need.
     Truncated,
+    /// The frame is longer than its header, its declared records and the
+    /// checksum need.
+    TrailingBytes,
+    /// The checksum trailer does not match the bytes before it.
+    BadChecksum,
     /// An unknown entity tag was encountered.
     BadEntityTag(u8),
     /// An unknown KPI tag was encountered.
@@ -62,6 +81,8 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::Truncated => write!(f, "truncated wire frame"),
+            WireError::TrailingBytes => write!(f, "trailing bytes after a wire frame"),
+            WireError::BadChecksum => write!(f, "wire frame checksum mismatch"),
             WireError::BadEntityTag(t) => write!(f, "unknown entity tag {t}"),
             WireError::BadKpiTag(t) => write!(f, "unknown KPI tag {t}"),
         }
@@ -120,9 +141,9 @@ pub fn key_from_bytes(bytes: [u8; 6]) -> Result<KpiKey, WireError> {
     Ok(KpiKey::new(entity, kind))
 }
 
-/// Encodes one frame.
+/// Encodes one frame, checksum trailer included.
 pub fn encode_frame(minute: MinuteBin, agent_id: u32, records: &[WireRecord]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + records.len() * 14);
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + records.len() * RECORD_LEN + TRAILER_LEN);
     buf.put_u64_le(minute);
     buf.put_u32_le(agent_id);
     buf.put_u32_le(records.len() as u32);
@@ -133,6 +154,8 @@ pub fn encode_frame(minute: MinuteBin, agent_id: u32, records: &[WireRecord]) ->
         buf.put_u8(r.key.kind.tag());
         buf.put_f64_le(r.value);
     }
+    let checksum = fnv1a_words(buf.as_ref());
+    buf.put_u64_le(checksum);
     buf.freeze()
 }
 
@@ -145,36 +168,56 @@ pub fn peek_minute(raw: &Bytes) -> Option<MinuteBin> {
     Some(u64::from_le_bytes(header))
 }
 
-/// Decodes one frame.
+/// The `minute, agent_id, count` header, if `raw` is long enough to hold it.
+fn header(raw: &[u8]) -> Option<(MinuteBin, u32, u32)> {
+    let (minute, rest) = raw.split_first_chunk::<8>()?;
+    let (agent_id, rest) = rest.split_first_chunk::<4>()?;
+    let (count, _) = rest.split_first_chunk::<4>()?;
+    Some((
+        u64::from_le_bytes(*minute),
+        u32::from_le_bytes(*agent_id),
+        u32::from_le_bytes(*count),
+    ))
+}
+
+/// Decodes one frame. The length the header declares and the checksum are
+/// checked before any record is parsed, so a frame that decodes is the
+/// frame that was encoded.
 ///
 /// # Errors
 ///
-/// [`WireError`] on truncation or unknown tags.
-pub fn decode_frame(mut buf: Bytes) -> Result<WireFrame, WireError> {
-    if buf.remaining() < 16 {
-        return Err(WireError::Truncated);
+/// [`WireError`] on a length that does not match the declared count, a
+/// checksum mismatch, or unknown tags.
+pub fn decode_frame(raw: Bytes) -> Result<WireFrame, WireError> {
+    let raw: &[u8] = &raw;
+    let (minute, agent_id, count) = header(raw).ok_or(WireError::Truncated)?;
+    // A corrupted count is refused here, before it can drive allocation.
+    let frame_len = (count as usize)
+        .saturating_mul(RECORD_LEN)
+        .saturating_add(HEADER_LEN + TRAILER_LEN);
+    match raw.len().cmp(&frame_len) {
+        Ordering::Less => return Err(WireError::Truncated),
+        Ordering::Greater => return Err(WireError::TrailingBytes),
+        Ordering::Equal => {}
     }
-    let minute = buf.get_u64_le();
-    let agent_id = buf.get_u32_le();
-    let count = buf.get_u32_le() as usize;
-    // A corrupted count must not drive allocation: cap the reserve by what
-    // the remaining bytes could actually hold (14 bytes per record). The
-    // loop below still walks the declared count and reports `Truncated`
-    // when the bytes run out.
-    let mut records = Vec::with_capacity(count.min(buf.remaining() / 14));
-    for _ in 0..count {
-        if buf.remaining() < 14 {
-            return Err(WireError::Truncated);
-        }
-        let etag = buf.get_u8();
-        let id = buf.get_u32_le();
-        let ktag = buf.get_u8();
-        let value = buf.get_f64_le();
-        let entity = entity_from(etag, id)?;
+    let (body, checksum) = raw
+        .split_last_chunk::<TRAILER_LEN>()
+        .ok_or(WireError::Truncated)?;
+    if fnv1a_words(body) != u64::from_le_bytes(*checksum) {
+        return Err(WireError::BadChecksum);
+    }
+    let (chunks, _) = body
+        .get(HEADER_LEN..)
+        .unwrap_or_default()
+        .as_chunks::<RECORD_LEN>();
+    let mut records = Vec::with_capacity(chunks.len());
+    for chunk in chunks {
+        let [etag, i0, i1, i2, i3, ktag, value @ ..] = *chunk;
+        let entity = entity_from(etag, u32::from_le_bytes([i0, i1, i2, i3]))?;
         let kind = KpiKind::from_tag(ktag).ok_or(WireError::BadKpiTag(ktag))?;
         records.push(WireRecord {
             key: KpiKey::new(entity, kind),
-            value,
+            value: f64::from_le_bytes(value),
         });
     }
     Ok(WireFrame {
@@ -279,6 +322,36 @@ mod tests {
         assert_eq!(decode_frame(buf.freeze()), Err(WireError::Truncated));
     }
 
+    /// `buf` with the checksum trailer [`encode_frame`] would append.
+    fn sealed(mut buf: BytesMut) -> Bytes {
+        let checksum = fnv1a_words(buf.as_ref());
+        buf.put_u64_le(checksum);
+        buf.freeze()
+    }
+
+    #[test]
+    fn checksum_and_length_are_checked_before_parsing() {
+        let frame = encode_frame(777, 3, &sample_records());
+        let mut flipped = frame.to_vec();
+        flipped[20] ^= 0x01;
+        assert_eq!(
+            decode_frame(Bytes::from(flipped)),
+            Err(WireError::BadChecksum)
+        );
+        let mut longer = frame.to_vec();
+        longer.push(0);
+        assert_eq!(
+            decode_frame(Bytes::from(longer)),
+            Err(WireError::TrailingBytes)
+        );
+        // A hand-built frame sealed the same way decodes.
+        let mut buf = BytesMut::new();
+        buf.put_u64_le(0);
+        buf.put_u32_le(0);
+        buf.put_u32_le(0);
+        assert_eq!(decode_frame(sealed(buf)).map(|f| f.records.len()), Ok(0));
+    }
+
     #[test]
     fn bad_tags_rejected() {
         let mut buf = BytesMut::new();
@@ -289,7 +362,7 @@ mod tests {
         buf.put_u32_le(0);
         buf.put_u8(0);
         buf.put_f64_le(0.0);
-        assert_eq!(decode_frame(buf.freeze()), Err(WireError::BadEntityTag(9)));
+        assert_eq!(decode_frame(sealed(buf)), Err(WireError::BadEntityTag(9)));
 
         let mut buf = BytesMut::new();
         buf.put_u64_le(0);
@@ -299,6 +372,6 @@ mod tests {
         buf.put_u32_le(0);
         buf.put_u8(99); // bad kpi tag
         buf.put_f64_le(0.0);
-        assert_eq!(decode_frame(buf.freeze()), Err(WireError::BadKpiTag(99)));
+        assert_eq!(decode_frame(sealed(buf)), Err(WireError::BadKpiTag(99)));
     }
 }

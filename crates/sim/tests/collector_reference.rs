@@ -7,11 +7,11 @@
 //! `sim/src/store.rs::{append, backfill, export_entries}` and
 //! `sim/src/collector.rs::{classify, commit, finalize_ready,
 //! finalize_minute, finish}` at the commit before this file was added, with
-//! three mechanical edits: the `RwLock` wrappers are gone (the reference
-//! runs on one thread), `publish` appends to a log instead of offering to
-//! channels, and the write-only `funnel_obs` calls are dropped. It must
-//! never be "fixed" or tuned: it is the definition of the store contents,
-//! counters, collector state and subscriber stream the fast path has to
+//! mechanical edits only: the `RwLock` wrappers are gone (the reference
+//! runs on one thread), and so are the write-only `funnel_obs` calls and
+//! the store's publication log and counters, which the store no longer
+//! has. It must never be "fixed" or tuned: it is the definition of the
+//! store contents, counters and collector state the fast path has to
 //! reproduce.
 
 #![expect(
@@ -23,7 +23,7 @@ use bytes::Bytes;
 use funnel_sim::agent::ReplayStats;
 use funnel_sim::collector::Collector;
 use funnel_sim::kpi::{KpiKey, KpiKind};
-use funnel_sim::store::{Measurement, MetricStore};
+use funnel_sim::store::MetricStore;
 use funnel_sim::wire::{encode_frame, WireRecord};
 use funnel_sim::world::{SimConfig, World, WorldBuilder};
 use funnel_timeseries::mask::CoverageMask;
@@ -40,7 +40,6 @@ mod shipped {
         MAX_PLAUSIBLE_VALUE,
     };
     use funnel_sim::kpi::{Aggregation, KpiKey};
-    use funnel_sim::store::Measurement;
     use funnel_sim::wire::decode_frame;
     use funnel_sim::world::World;
     use funnel_timeseries::mask::CoverageMask;
@@ -55,11 +54,6 @@ mod shipped {
     pub struct Store {
         series: BTreeMap<KpiKey, TimeSeries>,
         masks: BTreeMap<KpiKey, CoverageMask>,
-        /// What `publish` was called with, in call order.
-        pub published: Vec<Measurement>,
-        pub quarantined: u64,
-        pub backfilled: u64,
-        pub backfill_rejected: u64,
     }
 
     impl Store {
@@ -92,7 +86,6 @@ mod shipped {
                 mask.rebase(minute);
                 mask.mark(minute);
             }
-            self.publish(Measurement { key, minute, value });
         }
 
         pub fn backfill(&mut self, key: KpiKey, minute: MinuteBin, value: f64) -> bool {
@@ -118,7 +111,6 @@ mod shipped {
                     series.push(value);
                 } else {
                     if minute < series.start() || mask.is_present(minute) {
-                        self.backfill_rejected += 1;
                         return false;
                     }
                     series.set(minute, value);
@@ -132,22 +124,8 @@ mod shipped {
                     }
                 }
                 mask.mark(minute);
-                self.backfilled += 1;
             }
-            self.publish(Measurement { key, minute, value });
             true
-        }
-
-        pub fn note_backfill_rejected(&mut self) {
-            self.backfill_rejected += 1;
-        }
-
-        pub fn note_quarantined_frame(&mut self) {
-            self.quarantined += 1;
-        }
-
-        fn publish(&mut self, m: Measurement) {
-            self.published.push(m);
         }
 
         pub fn export_entries(&self) -> Vec<(KpiKey, TimeSeries, CoverageMask)> {
@@ -262,12 +240,10 @@ mod shipped {
             match ingest {
                 Ingest::Quarantined(_) => {
                     self.stats.quarantined_frames += 1;
-                    self.store.note_quarantined_frame();
                 }
                 Ingest::ClockSkewed(_) => {
                     self.stats.quarantined_frames += 1;
                     self.stats.clock_skewed_frames += 1;
-                    self.store.note_quarantined_frame();
                 }
                 Ingest::Duplicate(_) => {
                     self.stats.duplicate_frames += 1;
@@ -392,7 +368,6 @@ mod shipped {
                         if !rec.value.is_finite() {
                             self.stats.nonfinite_records += 1;
                         }
-                        self.store.note_backfill_rejected();
                         continue;
                     }
                     if self.store.backfill(rec.key, minute, rec.value) {
@@ -627,51 +602,25 @@ fn bitwise(entries: Vec<(KpiKey, TimeSeries, CoverageMask)>) -> Entries {
         .collect()
 }
 
-fn stream_bits(stream: &[Measurement]) -> Vec<(KpiKey, u64, u64)> {
-    stream
-        .iter()
-        .map(|m| (m.key, m.minute, m.value.to_bits()))
-        .collect()
-}
-
 struct Outcome {
     entries: Entries,
     stats: ReplayStats,
     /// `Debug` of the state: floats print shortest-round-trip, so equal
     /// strings are equal bits.
     state: String,
-    stream: Vec<(KpiKey, u64, u64)>,
-    counters: (u64, u64, u64),
 }
 
 fn assert_same(fast: &Outcome, reference: &Outcome, when: &str) {
     assert_eq!(fast.stats, reference.stats, "ReplayStats {when}");
     assert_eq!(fast.state, reference.state, "CollectorState {when}");
     assert_eq!(fast.entries, reference.entries, "export_entries {when}");
-    assert_eq!(fast.stream, reference.stream, "subscriber stream {when}");
-    assert_eq!(
-        fast.counters, reference.counters,
-        "quarantined/backfilled/backfill_rejected {when}"
-    );
 }
 
-fn fast_outcome(
-    store: &MetricStore,
-    collector: &Collector<'_>,
-    stream: &mut Vec<Measurement>,
-    sub: &funnel_sim::store::Subscription,
-) -> Outcome {
-    while let Ok(m) = sub.receiver().try_recv() {
-        stream.push(m);
-    }
-    assert_eq!(sub.dropped(), 0, "test subscription overran");
-    let s = store.stats();
+fn fast_outcome(store: &MetricStore, collector: &Collector<'_>) -> Outcome {
     Outcome {
         entries: bitwise(store.export_entries()),
         stats: *collector.stats(),
         state: format!("{:?}", collector.state()),
-        stream: stream_bits(stream),
-        counters: (s.quarantined_frames, s.backfilled, s.backfill_rejected),
     }
 }
 
@@ -680,12 +629,6 @@ fn reference_outcome(c: &shipped::Collector) -> Outcome {
         entries: bitwise(c.store.export_entries()),
         stats: c.stats,
         state: format!("{:?}", c.state),
-        stream: stream_bits(&c.store.published),
-        counters: (
-            c.store.quarantined,
-            c.store.backfilled,
-            c.store.backfill_rejected,
-        ),
     }
 }
 
@@ -695,8 +638,6 @@ fn reference_outcome(c: &shipped::Collector) -> Outcome {
 fn run_case(raw: &[Bytes], horizon: u64, restore_at: Option<usize>) {
     let world = world();
     let store = MetricStore::new();
-    let sub = store.subscribe(None, 1 << 20);
-    let mut stream = Vec::new();
     let mut fast = Collector::for_world(&world, &store, AGENTS, horizon);
     let mut reference = shipped::Collector::for_world(&world, AGENTS, horizon);
 
@@ -728,14 +669,14 @@ fn run_case(raw: &[Bytes], horizon: u64, restore_at: Option<usize>) {
         );
     }
     assert_same(
-        &fast_outcome(&store, &fast, &mut stream, &sub),
+        &fast_outcome(&store, &fast),
         &reference_outcome(&reference),
         "at end of stream",
     );
     fast.finish();
     reference.finish();
     assert_same(
-        &fast_outcome(&store, &fast, &mut stream, &sub),
+        &fast_outcome(&store, &fast),
         &reference_outcome(&reference),
         "after finish",
     );

@@ -4,7 +4,8 @@
 //! bit-flipped frames on purpose, so `decode_frame` is a trust boundary:
 //! for *any* input bytes it must return `Ok` with a well-formed frame or a
 //! `WireError` — never panic, never over-allocate, never fabricate records
-//! the bytes cannot hold.
+//! the bytes cannot hold — and a frame changed in any one byte never
+//! decodes at all.
 
 use bytes::Bytes;
 use funnel_sim::collector::{MAX_CLOCK_SKEW_MINUTES, MAX_COUNTER_RESET_DROP};
@@ -43,9 +44,9 @@ fn record(entity_sel: u8, id: u32, kind_sel: usize, value: f64) -> WireRecord {
 fn assert_total(bytes: Vec<u8>) {
     let len = bytes.len();
     if let Ok(frame) = decode_frame(Bytes::from(bytes)) {
-        // 16-byte header + 14 bytes per record: Ok implies the bytes were
-        // long enough for every record it reports.
-        assert!(len >= 16 + frame.records.len() * 14);
+        // 16-byte header + 14 bytes per record + 8-byte checksum: Ok
+        // implies the bytes held exactly the records it reports.
+        assert_eq!(len, 16 + frame.records.len() * 14 + 8);
     }
 }
 
@@ -103,6 +104,35 @@ proptest! {
         let idx = ((flip_frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
         bytes[idx] ^= mask;
         assert_total(bytes);
+    }
+
+    /// The checksum covers every byte before it and is itself compared, and
+    /// the count is checked against the length: whichever byte a flip
+    /// lands on, and whatever its mask, the frame is refused.
+    #[test]
+    fn every_single_byte_xor_fails_to_decode(
+        minute in 0u64..100_000,
+        agent in 0u32..64,
+        entity_sels in prop::collection::vec(any::<u8>(), 0..12),
+    ) {
+        let records: Vec<WireRecord> = entity_sels
+            .iter()
+            .enumerate()
+            .map(|(i, &sel)| record(sel, i as u32, sel as usize, 0.5 * i as f64))
+            .collect();
+        let frame = encode_frame(minute, agent, &records).to_vec();
+        for at in 0..frame.len() {
+            for mask in 1..=255u8 {
+                let mut bytes = frame.clone();
+                bytes[at] ^= mask;
+                prop_assert!(
+                    decode_frame(Bytes::from(bytes)).is_err(),
+                    "byte {} ^ {:#x} decoded",
+                    at,
+                    mask
+                );
+            }
+        }
     }
 
     #[test]

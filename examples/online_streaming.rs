@@ -1,12 +1,12 @@
-//! FUNNEL online: agents → wire frames → central store → subscription →
-//! streaming engine, exactly the deployment dataflow of §5.
+//! FUNNEL online: agents → wire frames → central store → live feed →
+//! streaming engine, the deployment dataflow of §5.
 //!
 //! A world is replayed minute-by-minute through per-shard agent threads
 //! (binary wire frames over channels, decoded by a collector that also
-//! aggregates service KPIs) into a store. The store's subscription feed is
-//! offered to a [`StreamEngine`] and ticked one minute at a time: KPI
-//! changes are declared minutes after they begin, and the tracked change
-//! completes with the batch pipeline's own verdicts.
+//! aggregates service KPIs) into a store. The store's measurements, as a
+//! [`LiveFeed`], are offered to a [`StreamEngine`] and ticked one minute at
+//! a time: KPI changes are declared minutes after they begin, and the
+//! tracked change completes with the batch pipeline's own verdicts.
 //!
 //! ```bash
 //! cargo run --release --example online_streaming
@@ -16,11 +16,11 @@ use funnel_suite::core::{FunnelConfig, StreamConfig, StreamDetection, StreamEngi
 use funnel_suite::sim::agent::replay;
 use funnel_suite::sim::effect::{ChangeEffect, EffectScope};
 use funnel_suite::sim::kpi::{KpiKey, KpiKind};
-use funnel_suite::sim::store::{Measurement, MetricStore};
+use funnel_suite::sim::store::MetricStore;
 use funnel_suite::sim::world::{SimConfig, WorldBuilder};
+use funnel_suite::sim::LiveFeed;
 use funnel_suite::topology::change::ChangeKind;
 use funnel_suite::topology::impact::Entity;
-use std::collections::BTreeMap;
 
 fn main() {
     // A service with a memory leak introduced at minute 240.
@@ -64,28 +64,21 @@ fn main() {
         .expect("impact set");
 
     // Replay the world through the agent → collector path (3 shards) into a
-    // subscribed store. Agent shards run minutes apart, so the feed is in
-    // minute order per key but not across keys; the subscription (sized to
-    // hold the replay) buffers it and the engine is then driven the way a
-    // deployment's clock would drive it — one complete minute per tick.
+    // store. Agent shards run minutes apart, so the store fills in minute
+    // order per key but not across keys; its live feed hands the engine one
+    // complete minute per tick, the way a deployment's clock would drive it.
     let store = MetricStore::new();
-    let feed = store.subscribe(None, 65_536);
     let stats = replay(&world, &store, 3).expect("replay succeeds");
-    store.close_subscriptions();
     println!(
         "replayed {} minutes: {} wire frames, {} measurements, {} service aggregates",
         stats.minutes, stats.frames, stats.records, stats.aggregates
     );
-    let mut by_minute: BTreeMap<u64, Vec<Measurement>> = BTreeMap::new();
-    while let Some(m) = feed.recv() {
-        by_minute.entry(m.minute).or_default().push(m);
-    }
-    assert_eq!(feed.dropped(), 0, "the subscription held the whole replay");
+    let feed = LiveFeed::from_store(&store);
 
     let mut declared: Vec<StreamDetection> = Vec::new();
     let mut completed = Vec::new();
-    for (minute, batch) in by_minute {
-        for m in batch {
+    for (minute, batch) in feed.arrivals() {
+        for &m in batch {
             engine.offer(m);
         }
         let report = engine.tick(minute);
