@@ -19,8 +19,9 @@
 //! score, as in the paper: the worst case.
 //!
 //! Below the table, what the detector pays on *every* window: FUNNEL's
-//! Eq. 11 bound, sliding (series order), rebuilt (no window a successor, as
-//! on a stream worker) and by the selections it replaced.
+//! Eq. 11 bound, sliding (series order), rebuilt (no window a successor:
+//! series alternating through one sliding state) and by the selections it
+//! replaced.
 //!
 //! Paper reference values (12-core Xeon E5645, C++): FUNNEL 401.8 µs,
 //! CUSUM 1.846 ms, MRLS 2.852 s ⇒ 7 / 31 / 47526 cores. Absolute numbers

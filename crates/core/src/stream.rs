@@ -80,9 +80,7 @@ use crate::parallel;
 use crate::pipeline::{enumerate_work_units, Funnel, FunnelError, ItemAssessment};
 use crate::quality::QualityIssue;
 use crate::source::KpiSource;
-use funnel_detect::detector::{
-    PersistenceRun, ReachingScorer, ScoringPass, WindowSource, WindowTally,
-};
+use funnel_detect::detector::{PersistenceRun, ScoringPass, WindowSource, WindowTally};
 use funnel_detect::outcomes::{Outcome, Outcomes, WindowOutcomes};
 use funnel_diag::DiagReport;
 use funnel_obs::names;
@@ -90,7 +88,7 @@ use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::splitmix64;
 use funnel_sim::store::Measurement;
 use funnel_sim::wire::key_hash;
-use funnel_sst::{FastSst, SstScorer, StreamingSst};
+use funnel_sst::{FastSst, SlidingSegments, SstScorer, SstWorkspace, StreamingSst};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::ring::{RingSeries, RingWrite};
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
@@ -114,12 +112,15 @@ const STALENESS_LIMIT: u64 = 60;
 pub struct StreamConfig {
     /// Per-KPI ring capacity in one-minute bins: the resident window.
     /// Window memory is bounded by `keys × ring_capacity × 9` bytes no
-    /// matter how long the engine runs ([`StreamEngine::window_bytes`]);
-    /// beside it each key's monitor remembers what its scorer said of the
-    /// latest windows, a fixed few hundred bytes more that this setting
-    /// does not move ([`StreamEngine::outcome_bytes`]: 384 a key at the
-    /// paper's configuration). Size with [`StreamConfig::capacity_for`] when
-    /// streaming verdicts must be byte-identical to batch. Live detection
+    /// matter how long the engine runs ([`StreamEngine::window_bytes`]:
+    /// 91,890 a key for the default 7-day horizon at the paper's
+    /// configuration). Beside it each key's monitor holds a fixed few
+    /// hundred bytes more that this setting does not move: what its scorer
+    /// said of the latest windows ([`StreamEngine::outcome_bytes`], 384 a
+    /// key) and the sorted segments its bound slides
+    /// ([`SlidingSegments::bytes_for`], 552). Size with
+    /// [`StreamConfig::capacity_for`] when streaming verdicts must be
+    /// byte-identical to batch. Live detection
     /// re-reads windows it held back unscored from the ring, so it needs
     /// `window_len + persistence_minutes + 1` bins behind the frontier plus
     /// whatever arrives between two ticks; a held window the ring no longer
@@ -255,11 +256,15 @@ pub struct StreamStats {
     pub completion_reused: u64,
 }
 
-/// Per-key incremental monitor: rolling SST window, the persistence rule
-/// that plans which of its windows get scored, and what the scorer said of
-/// each.
+/// Per-key incremental monitor: rolling SST window, the sorted segments the
+/// bound slides, the persistence rule that plans which of its windows get
+/// scored, and what the scorer said of each.
 struct KeyMonitor {
     sst: StreamingSst<FastSst>,
+    /// What the Eq. 11 bound left of the key's last bounded window: the next
+    /// minute's window is its successor, so the bound slides rather than
+    /// sorts. A window that is not (a re-prime after a backfill) sorts afresh.
+    segments: SlidingSegments,
     /// First minute not yet folded. Valid only while `primed`.
     next_minute: MinuteBin,
     /// Cleared when a backfill rewrites folded history: the next scoring
@@ -277,6 +282,7 @@ struct KeyMonitor {
 impl KeyMonitor {
     fn new(scorer: FastSst, start: MinuteBin, persistence: usize, retention: usize) -> Self {
         Self {
+            segments: SlidingSegments::new(scorer.config()),
             sst: StreamingSst::new(scorer),
             next_minute: start,
             primed: true,
@@ -385,6 +391,61 @@ fn shed_rank(tick: MinuteBin, key: KpiKey) -> u64 {
     splitmix64(SHED_SEED ^ key_hash(key).rotate_left(17) ^ tick)
 }
 
+/// Applies the deterministic shedding policy to a tick's key-ordered plans:
+/// when their cost exceeds `budget` (`0`: unbounded), rank them by class,
+/// then by [`shed_rank`], and admit the longest prefix of that order the
+/// budget pays for. The first key is always admitted so sustained overload
+/// still makes progress (no livelock). Both lists come back in key order.
+fn shed_policy(
+    budget: u64,
+    minute: MinuteBin,
+    plans: Vec<(KpiKey, ScorePlan)>,
+) -> (Vec<(KpiKey, ScorePlan)>, Vec<KpiKey>) {
+    let total: u64 = plans.iter().map(|(_, p)| p.cost).sum();
+    if budget == 0 || total <= budget {
+        return (plans, Vec::new());
+    }
+    // Equal ranks fall back to the plan index: key order.
+    let mut ranked: Vec<(u8, u64, usize, u64)> = plans
+        .iter()
+        .enumerate()
+        .map(|(i, (key, plan))| {
+            (
+                shed_class(key.entity),
+                shed_rank(minute, *key),
+                i,
+                plan.cost,
+            )
+        })
+        .collect();
+    ranked.sort_unstable();
+    let mut spent = 0u64;
+    let paid = ranked
+        .iter()
+        .position(|&(_, _, _, cost)| {
+            spent = spent.saturating_add(cost);
+            spent > budget
+        })
+        .unwrap_or(ranked.len())
+        .max(1);
+    let mut admit = vec![false; plans.len()];
+    for &(_, _, i, _) in ranked.iter().take(paid) {
+        if let Some(slot) = admit.get_mut(i) {
+            *slot = true;
+        }
+    }
+    let mut admitted = Vec::with_capacity(paid);
+    let mut shed = Vec::with_capacity(plans.len() - paid);
+    for ((key, plan), admit) in plans.into_iter().zip(admit) {
+        if admit {
+            admitted.push((key, plan));
+        } else {
+            shed.push(key);
+        }
+    }
+    (admitted, shed)
+}
+
 /// One scoring assignment: fold ring minutes `[lo, to)` into the monitor.
 struct ScorePlan {
     lo: MinuteBin,
@@ -419,26 +480,30 @@ impl WindowSource for RingWindows<'_> {
 /// window and the score only of those a declaration can rest on, and
 /// records each answer in the monitor's memory; returns the folds done, any
 /// declaration, and what became of the windows. `worker` is the scoring
-/// worker's scorer handle and the buffer held windows are copied through.
+/// worker's SST workspace and the buffer held windows are copied through;
+/// the bound slides the monitor's own segments.
 /// Runs on scoring workers — must stay panic-free (hot path).
 fn score_key(
     monitor: &mut KeyMonitor,
     plan: &ScorePlan,
     key: KpiKey,
     ring: &RingSeries,
-    worker: &mut (impl ReachingScorer, Vec<f64>),
+    worker: &mut (SstWorkspace, Vec<f64>),
+    scorer: &FastSst,
     threshold: f64,
 ) -> (u64, Vec<StreamDetection>, WindowTally) {
     let KeyMonitor {
         sst,
+        segments,
         next_minute,
         primed,
         run,
         outcomes,
     } = monitor;
-    let (scorer, buf) = worker;
+    let (workspace, buf) = worker;
+    let mut scorer = scorer.sliding(workspace, segments);
     let mut pass = ScoringPass {
-        scorer,
+        scorer: &mut scorer,
         threshold,
         held: RingWindows {
             ring,
@@ -538,13 +603,12 @@ impl StreamEngine {
     }
 
     /// Total resident window memory across all rings, in accounted bytes
-    /// (capacity × bin size — the deterministic bound, not an allocator
-    /// measurement).
+    /// (keys × capacity × bin size — the deterministic bound, not an
+    /// allocator measurement; every ring has the configured capacity).
     pub fn window_bytes(&self) -> usize {
         self.keys
-            .values()
-            .map(|state| state.ring.window_bytes())
-            .fold(0usize, usize::saturating_add)
+            .len()
+            .saturating_mul(RingSeries::bytes_for(self.config.ring_capacity))
     }
 
     /// Bytes the monitors' memories of window outcomes hold at most, on top
@@ -673,13 +737,13 @@ impl StreamEngine {
         let (dirty, plans) = self.plan_scoring(minute);
         self.stats.peak_dirty = self.stats.peak_dirty.max(dirty);
         let lag = plans
-            .values()
-            .map(|p| (minute + 1).saturating_sub(p.lo))
+            .iter()
+            .map(|(_, p)| (minute + 1).saturating_sub(p.lo))
             .max()
             .unwrap_or(0);
         funnel_obs::histogram_record(names::STREAM_WATERMARK_LAG, minute, lag);
 
-        let (admitted, shed) = self.shed_policy(minute, plans);
+        let (admitted, shed) = shed_policy(self.config.tick_budget, minute, plans);
         self.apply_sheds(minute, &shed);
 
         let (folds, detections) = self.run_scoring(minute, &admitted);
@@ -711,12 +775,12 @@ impl StreamEngine {
         }
     }
 
-    /// Plans the fold range for every dirty key and counts them. Pure
-    /// bookkeeping; no scoring happens here.
-    fn plan_scoring(&mut self, minute: MinuteBin) -> (usize, BTreeMap<KpiKey, ScorePlan>) {
+    /// Plans the fold range for every dirty key and counts them; the plans
+    /// come out in key order. Pure bookkeeping; no scoring happens here.
+    fn plan_scoring(&mut self, minute: MinuteBin) -> (usize, Vec<(KpiKey, ScorePlan)>) {
         let window = self.funnel.config().sst.window_len() as u64;
         let mut dirty = 0;
-        let mut plans = BTreeMap::new();
+        let mut plans = Vec::new();
         for (&key, state) in self.keys.iter_mut().filter(|(_, state)| state.dirty) {
             dirty += 1;
             let KeyState {
@@ -744,7 +808,7 @@ impl StreamEngine {
                 *still_dirty = ring.end() > minute + 1;
                 continue;
             }
-            plans.insert(
+            plans.push((
                 key,
                 ScorePlan {
                     lo,
@@ -752,50 +816,9 @@ impl StreamEngine {
                     reprime,
                     cost: to - lo,
                 },
-            );
+            ));
         }
         (dirty, plans)
-    }
-
-    /// Applies the deterministic shedding policy: admit plans in priority
-    /// order until the tick budget is spent. The first key is always
-    /// admitted so sustained overload still makes progress (no livelock).
-    fn shed_policy(
-        &self,
-        minute: MinuteBin,
-        plans: BTreeMap<KpiKey, ScorePlan>,
-    ) -> (BTreeMap<KpiKey, ScorePlan>, Vec<KpiKey>) {
-        let budget = self.config.tick_budget;
-        let total: u64 = plans.values().map(|p| p.cost).sum();
-        if budget == 0 || total <= budget {
-            return (plans, Vec::new());
-        }
-        let mut ranked: Vec<(u8, u64, KpiKey)> = plans
-            .keys()
-            .map(|&key| (shed_class(key.entity), shed_rank(minute, key), key))
-            .collect();
-        ranked.sort_unstable();
-        let mut admitted = BTreeMap::new();
-        let mut shed = Vec::new();
-        let mut spent = 0u64;
-        let mut open = true;
-        let mut plans = plans;
-        for (_, _, key) in ranked {
-            let Some(plan) = plans.remove(&key) else {
-                continue;
-            };
-            let fits = spent.saturating_add(plan.cost) <= budget;
-            if open && (fits || admitted.is_empty()) {
-                spent = spent.saturating_add(plan.cost);
-                admitted.insert(key, plan);
-                open = fits || admitted.len() == 1;
-            } else {
-                open = false;
-                shed.push(key);
-            }
-        }
-        shed.sort_unstable();
-        (admitted, shed)
     }
 
     /// Records this tick's sheds: the counters, and the shed set of every
@@ -816,29 +839,32 @@ impl StreamEngine {
         }
     }
 
-    /// Scores the admitted keys through the shared fan-out, one SST
-    /// workspace per worker; detections come back in key order at any
-    /// worker count.
+    /// Scores the admitted keys (in key order) through the shared fan-out,
+    /// one SST workspace per worker; detections come back in key order at
+    /// any worker count.
     fn run_scoring(
         &mut self,
         minute: MinuteBin,
-        admitted: &BTreeMap<KpiKey, ScorePlan>,
+        admitted: &[(KpiKey, ScorePlan)],
     ) -> (u64, Vec<StreamDetection>) {
         if admitted.is_empty() {
             return (0, Vec::new());
         }
         let threshold = self.funnel.config().sst_threshold;
-        let width = self.funnel.config().sst.window_len();
+        let scorer_config = &self.funnel.config().sst;
+        let width = scorer_config.window_len();
         let scorer = self.funnel.scorer();
         funnel_obs::histogram_record(names::STREAM_QUEUE_DEPTH, minute, admitted.len() as u64);
 
         // Each admitted key's record split into its ring and its monitor,
-        // disjoint and in key order (the map iterates sorted).
+        // disjoint and in key order: the map iterates sorted, and the plans
+        // are walked beside it.
+        let mut plans = admitted.iter().peekable();
         let jobs: Vec<(KpiKey, &mut KeyMonitor, &ScorePlan, &RingSeries)> = self
             .keys
             .iter_mut()
             .filter_map(|(key, state)| {
-                let plan = admitted.get(key)?;
+                let (_, plan) = plans.next_if(|(planned, _)| planned == key)?;
                 // Clean once this plan is folded, unless the ring already
                 // holds minutes past the tick.
                 state.dirty = plan.to < state.ring.end();
@@ -849,11 +875,11 @@ impl StreamEngine {
             jobs,
             self.config.workers,
             None,
-            // Per worker: the scorer's run handle (its SST workspace) and
-            // the buffer held windows are copied out of the rings through.
-            || (scorer.reaching_scorer(), Vec::with_capacity(width)),
+            // Per worker: the SST workspace, and the buffer held windows are
+            // copied out of the rings through.
+            || (SstWorkspace::new(scorer_config), Vec::with_capacity(width)),
             |worker, (key, monitor, plan, ring)| {
-                score_key(monitor, plan, key, ring, worker, threshold)
+                score_key(monitor, plan, key, ring, worker, scorer, threshold)
             },
         );
         let (mut folds, mut detections) = (0, Vec::new());
@@ -998,6 +1024,81 @@ mod tests {
             engine.key_count() * engine.config().ring_capacity * 9,
             "the rings' bound is its own figure"
         );
+        // The 7-day ring and the bound's sorted segments, as the
+        // configuration's docs state them: the last window, its two
+        // segments and the multiplier, 2 × 34 + 1 floats.
+        assert_eq!(engine.config().ring_capacity * 9, 91_890);
+        assert_eq!(
+            SlidingSegments::bytes_for(&engine.funnel().config().sst),
+            552
+        );
+    }
+
+    #[test]
+    fn shed_policy_admits_by_class_then_rank_and_returns_key_order() {
+        use funnel_topology::model::{InstanceId, ServerId};
+        const MINUTE: MinuteBin = 90;
+        let plan = |cost| ScorePlan {
+            lo: 0,
+            to: cost,
+            reprime: false,
+            cost,
+        };
+        let kpi = KpiKind::PageViewCount;
+        // Key order puts servers first and services last; the classes keep
+        // services longest.
+        let services = [ServiceId(4), ServiceId(1)].map(|s| KpiKey::new(Entity::Service(s), kpi));
+        let servers = [7, 2, 5].map(|s| KpiKey::new(Entity::Server(ServerId(s)), kpi));
+        let instances = [3, 8].map(|i| KpiKey::new(Entity::Instance(InstanceId(i)), kpi));
+        let mut plans: Vec<(KpiKey, ScorePlan)> = services
+            .iter()
+            .map(|&k| (k, plan(3)))
+            .chain(servers.iter().chain(&instances).map(|&k| (k, plan(1))))
+            .collect();
+        plans.sort_unstable_by_key(|(key, _)| *key);
+        let all: Vec<KpiKey> = plans.iter().map(|(key, _)| *key).collect();
+        let by_rank = |keys: &[KpiKey]| {
+            let mut keys = keys.to_vec();
+            keys.sort_unstable_by_key(|&key| shed_rank(MINUTE, key));
+            keys
+        };
+        let run = |budget| {
+            let plans = plans.iter().map(|(key, p)| (*key, plan(p.cost))).collect();
+            let (admitted, shed) = shed_policy(budget, MINUTE, plans);
+            let admitted: Vec<KpiKey> = admitted.into_iter().map(|(key, _)| key).collect();
+            assert!(admitted.is_sorted(), "admitted in key order");
+            assert!(shed.is_sorted(), "shed sorted");
+            let mut both = [admitted.clone(), shed.clone()].concat();
+            both.sort_unstable();
+            assert_eq!(both, all, "every plan is admitted or shed, once");
+            (admitted, shed)
+        };
+        let sorted = |mut keys: Vec<KpiKey>| {
+            keys.sort_unstable();
+            keys
+        };
+
+        // Unbounded, or within budget (11 folds in all): nothing ranked.
+        for budget in [0, 11, 12] {
+            assert_eq!(run(budget), (all.clone(), Vec::new()), "budget {budget}");
+        }
+        // Both services, then the servers in rank order while they fit.
+        let servers_ranked = by_rank(&servers);
+        for (budget, servers_in) in [(6, 0), (7, 1), (8, 2), (9, 3)] {
+            let want = sorted([&services[..], &servers_ranked[..servers_in]].concat());
+            assert_eq!(run(budget).0, want, "budget {budget}");
+        }
+        // Instances last, in rank order.
+        let want = sorted([&services[..], &servers[..], &by_rank(&instances)[..1]].concat());
+        assert_eq!(run(10).0, want);
+        // The first key in rank order is admitted even when it alone
+        // overruns the budget (1, 2). The first that does not fit ends the
+        // admissions: a cheaper server is not let in behind the second
+        // service (3 to 5).
+        let first = by_rank(&services)[0];
+        for budget in 1..=5 {
+            assert_eq!(run(budget).0, vec![first], "budget {budget}");
+        }
     }
 
     #[test]

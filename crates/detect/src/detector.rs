@@ -155,7 +155,7 @@ impl std::ops::AddAssign for WindowTally {
     }
 }
 
-/// What a [`PersistenceRun`] scores with: the run's (or stream worker's)
+/// What a [`PersistenceRun`] scores with: the run's (or stream key's)
 /// scorer handle, the declaration threshold, where held windows are re-read
 /// from, the memory of answers already given, and the tally of what became
 /// of each window.

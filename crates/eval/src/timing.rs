@@ -13,7 +13,7 @@
 use crate::methods::{Method, MethodRunner};
 use funnel_sst::filter::FilterFactors;
 use funnel_sst::layout::standardize_by_past_into;
-use funnel_sst::{FastSst, SstConfig, SstWorkspace};
+use funnel_sst::{FastSst, SlidingSegments, SstConfig, SstWorkspace};
 use funnel_timeseries::generate::{KpiClass, KpiGenerator};
 use funnel_timeseries::series::TimeSeries;
 use std::time::Instant;
@@ -109,8 +109,8 @@ pub struct BoundCost {
     /// Each window the one-minute successor of the last: one sample out of
     /// each sorted segment, one in.
     pub sliding: f64,
-    /// No window a successor (the series alternate, as keys do on a stream
-    /// worker): both segments sorted afresh.
+    /// No window a successor (the series alternate through one sliding
+    /// state): both segments sorted afresh.
     pub rebuilt: f64,
     /// The path the sorted segments replaced, still shipped for non-finite
     /// data: six selections over a freshly standardized copy.
@@ -126,6 +126,7 @@ pub fn time_bound(windows: usize) -> BoundCost {
     let threshold = Method::Funnel.threshold();
     let scorer = FastSst::new(config.clone());
     let mut ws = SstWorkspace::new(&config);
+    let mut segments = SlidingSegments::new(&config);
     let data = mixed_class_data(windows / KpiClass::ALL.len() + w);
     let per_series = data[0].len() + 1 - w;
     let total = (per_series * data.len()) as f64;
@@ -135,14 +136,15 @@ pub fn time_bound(windows: usize) -> BoundCost {
     let start = Instant::now();
     for d in &data {
         for win in d.windows(w) {
-            screened[0] += usize::from(!scorer.may_reach_in(&mut ws, win, threshold));
+            screened[0] +=
+                usize::from(!scorer.may_reach_in(&mut ws, &mut segments, win, threshold));
         }
     }
     let sliding = start.elapsed().as_secs_f64() / total;
 
     let start = Instant::now();
     for win in round_robin() {
-        screened[1] += usize::from(!scorer.may_reach_in(&mut ws, win, threshold));
+        screened[1] += usize::from(!scorer.may_reach_in(&mut ws, &mut segments, win, threshold));
     }
     let rebuilt = start.elapsed().as_secs_f64() / total;
 

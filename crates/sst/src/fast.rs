@@ -38,13 +38,9 @@ use funnel_timeseries::stats::RobustSummary;
 /// run's `T_k`, the η directions and the η `ϕ` tridiagonals, which a score
 /// builds one after another and then solves together.
 ///
-/// All of it is scratch, rewritten by each call, except one thing carried
-/// from window to window: the last window [`FastSst::may_reach_in`] was asked
-/// about, with its past and future segments sorted (`2W` floats and its
-/// multiplier). When the next window is that one's one-minute successor, or
-/// that window again, the bound costs no selection. Nothing else is
-/// remembered, and a window that is neither costs a sort of both segments,
-/// never a wrong answer.
+/// All of it is scratch, rewritten by each call: nothing is carried from one
+/// window to the next. What the Eq. 11 bound slides from belongs to the
+/// series, not to the scratch ([`SlidingSegments`]).
 ///
 /// Ownership rule: one workspace per detector run or per stream worker,
 /// handed to [`FastSst::score_window_in`] / [`FastSst::may_reach_in`] /
@@ -59,8 +55,6 @@ pub struct SstWorkspace {
     /// Selection scratch of the order statistics (median, MAD), and where
     /// the bound merges its two sorted segments when the past is flat.
     select: Vec<f64>,
-    /// What the Eq. 11 bound keeps from one window to the next.
-    segments: SlidingSegments,
     /// Deterministic full-support Lanczos start vector of the future run.
     start: Vec<f64>,
     krylov: Krylov,
@@ -139,14 +133,17 @@ impl Krylov {
 /// raw and sorted, so that its one-minute successor costs one sample out
 /// and one in per segment instead of six selections over a fresh copy.
 ///
-/// The state belongs to the workspace, not to a KPI: a worker offers it
-/// windows of many keys, a held older window may be scored between two
-/// bounds, and late data rewrites samples behind the frontier. So nothing is
-/// assumed about the next window. It is the successor only if every one of
-/// its `W − 1` overlapping samples has the bits of the held window's;
-/// anything else sorts both segments afresh.
+/// The state belongs to whatever walks one series window by window: a
+/// detector run's handle ([`SstScorer::reaching_scorer`]), or a stream
+/// key's monitor, beside its rolling window. Sliding is still an economy,
+/// never a contract: a held older window may be scored between two bounds,
+/// late data rewrites samples behind the frontier, and a caller may hand it
+/// any window at all. So nothing is assumed about the next window. It is
+/// the successor only if every one of its `W − 1` overlapping samples has
+/// the bits of the held window's; anything else sorts both segments afresh.
+/// At most `2W` floats and the multiplier ([`SlidingSegments::bytes_for`]).
 #[derive(Debug, Clone)]
-struct SlidingSegments {
+pub struct SlidingSegments {
     /// The window the sorted segments describe; empty before the first.
     window: Vec<f64>,
     /// Its past segment, ascending by `total_cmp`.
@@ -158,13 +155,22 @@ struct SlidingSegments {
 }
 
 impl SlidingSegments {
-    fn new(c: &SstConfig) -> Self {
+    /// Empty state for series scored under `config`: the first bound sorts.
+    pub fn new(config: &SstConfig) -> Self {
+        let c = config;
         Self {
             window: Vec::with_capacity(c.window_len()),
             past: vec![0.0; c.past_len()],
             future: vec![0.0; c.future_len()],
             multiplier: f64::NAN,
         }
+    }
+
+    /// The bytes the state holds under `config`, an accounted figure like
+    /// [`funnel_timeseries::ring::RingSeries::bytes_for`]: the last window,
+    /// its two sorted segments and the multiplier (552 at `W = 34`).
+    pub fn bytes_for(config: &SstConfig) -> usize {
+        (2 * config.window_len() + 1) * std::mem::size_of::<f64>()
     }
 
     /// Whether `window` is, bit for bit, the one the state describes.
@@ -296,7 +302,6 @@ impl SstWorkspace {
         Self {
             window: vec![0.0; c.window_len()],
             select: Vec::with_capacity(c.window_len()),
-            segments: SlidingSegments::new(c),
             start: (0..c.omega)
                 .map(|i| 1.0 + (i as f64) / c.omega as f64)
                 .collect(),
@@ -317,12 +322,8 @@ impl SstWorkspace {
         let w = c.window_len();
         assert_eq!(window.len(), w, "window length does not match configured W");
         assert_eq!(
-            (
-                self.window.len(),
-                self.start.len(),
-                self.segments.past.len()
-            ),
-            (w, c.omega, c.past_len()),
+            (self.window.len(), self.start.len()),
+            (w, c.omega),
             "workspace was built for another SST configuration"
         );
     }
@@ -460,34 +461,37 @@ impl FastSst {
         }
     }
 
-    /// The Eq. 11 multiplier of `window`: the one place it is computed.
+    /// The Eq. 11 multiplier of `window` as the bound sees it: the one place
+    /// the sorted segments move.
     ///
     /// A window the bound was just asked about answers from what the bound
-    /// left. Otherwise `slide` says who asks. The bound (`true`) brings the
-    /// sorted segments to `window` and reads the multiplier off them,
-    /// selecting over the standardized copy only where the order argument is
-    /// void. A score (`false`) of some other window, typically an older one
-    /// a persistence rule held back, has loaded `window` already: it selects
-    /// over that copy and leaves the segments where the bound left them, so
-    /// the bound's next window is still a successor.
-    fn multiplier(&self, ws: &mut SstWorkspace, window: &[f64], slide: bool) -> f64 {
+    /// left. Otherwise the segments slide (or sort afresh) to `window` and the
+    /// multiplier is read off them, selecting over the standardized copy only
+    /// where the order argument is void.
+    fn slide_multiplier(
+        &self,
+        ws: &mut SstWorkspace,
+        segments: &mut SlidingSegments,
+        window: &[f64],
+    ) -> f64 {
         let c = &self.config;
-        if ws.segments.holds(window) {
-            return ws.segments.multiplier;
+        if segments.holds(window) {
+            return segments.multiplier;
         }
-        if slide {
-            ws.check(c, window);
-            ws.segments.advance(window);
-            let by_order = ws
-                .segments
-                .multiplier_by_order(c.standardize, &mut ws.select);
-            ws.segments.multiplier = by_order.unwrap_or_else(|| {
+        ws.check(c, window);
+        assert_eq!(
+            (segments.past.len(), segments.future.len()),
+            (c.past_len(), c.future_len()),
+            "sliding segments were built for another SST configuration"
+        );
+        segments.advance(window);
+        segments.multiplier = segments
+            .multiplier_by_order(c.standardize, &mut ws.select)
+            .unwrap_or_else(|| {
                 ws.load(c, window);
                 Self::multiplier_by_selection(c, ws)
             });
-            return ws.segments.multiplier;
-        }
-        Self::multiplier_by_selection(c, ws)
+        segments.multiplier
     }
 
     /// Eq. 11 by selection over the two halves of the window loaded in `ws`.
@@ -497,57 +501,128 @@ impl FastSst {
     }
 
     /// Loads `window` into `ws` and returns its Eq. 11 multiplier, `None`
-    /// with the filter off.
-    fn load_filtered(&self, ws: &mut SstWorkspace, window: &[f64]) -> Option<f64> {
+    /// with the filter off. A score, typically of an older window a
+    /// persistence rule held back, only reads `held`: the multiplier the
+    /// bound left when it describes `window`, a selection over the loaded
+    /// copy otherwise, so the bound's next window is still a successor.
+    fn load_filtered(
+        &self,
+        ws: &mut SstWorkspace,
+        held: Option<&SlidingSegments>,
+        window: &[f64],
+    ) -> Option<f64> {
         ws.load(&self.config, window);
-        self.config
-            .median_mad_filter
-            .then(|| self.multiplier(ws, window, false))
+        self.config.median_mad_filter.then(|| {
+            held.filter(|segments| segments.holds(window)).map_or_else(
+                || Self::multiplier_by_selection(&self.config, ws),
+                |segments| segments.multiplier,
+            )
+        })
     }
 
     /// [`SstScorer::score_window`] through a held workspace: same bits, no
     /// allocation.
     pub fn score_window_in(&self, ws: &mut SstWorkspace, window: &[f64]) -> f64 {
-        let multiplier = self.load_filtered(ws, window);
+        let multiplier = self.load_filtered(ws, None, window);
         let raw = self.raw_score_loaded(ws);
         multiplier.map_or(raw, |m| raw * m)
     }
 
-    /// The exact bound on its own, through a held workspace: `false` only
-    /// when [`FastSst::score_window_in`] cannot reach `threshold`.
+    /// The exact bound on its own, through a held workspace and the sliding
+    /// state of the series `window` belongs to: `false` only when
+    /// [`FastSst::score_window_in`] cannot reach `threshold`.
     ///
     /// The filtered score is `raw · m` with `raw ∈ [0, 1]` (or NaN), so it
     /// cannot exceed the Eq. 11 multiplier `m` — six order statistics, known
-    /// before a single Lanczos step, and read off `ws`'s sorted segments
-    /// when `window` follows the last one asked about. A NaN multiplier, a
-    /// non-positive threshold or the filter switched off screens nothing.
-    pub fn may_reach_in(&self, ws: &mut SstWorkspace, window: &[f64], threshold: f64) -> bool {
-        !self.bound_in(ws, window).is_some_and(|m| m < threshold)
+    /// before a single Lanczos step, and read off `segments` when `window`
+    /// follows the last one asked about. A NaN multiplier, a non-positive
+    /// threshold or the filter switched off screens nothing.
+    pub fn may_reach_in(
+        &self,
+        ws: &mut SstWorkspace,
+        segments: &mut SlidingSegments,
+        window: &[f64],
+        threshold: f64,
+    ) -> bool {
+        !self
+            .bound_in(ws, segments, window)
+            .is_some_and(|m| m < threshold)
     }
 
     /// What [`FastSst::may_reach_in`] compares with its threshold: the
     /// Eq. 11 multiplier of `window`, `None` with the filter off.
-    pub fn bound_in(&self, ws: &mut SstWorkspace, window: &[f64]) -> Option<f64> {
+    pub fn bound_in(
+        &self,
+        ws: &mut SstWorkspace,
+        segments: &mut SlidingSegments,
+        window: &[f64],
+    ) -> Option<f64> {
         self.config
             .median_mad_filter
-            .then(|| self.multiplier(ws, window, true))
+            .then(|| self.slide_multiplier(ws, segments, window))
     }
 
     /// [`SstScorer::score_reaching`] through a held workspace: the Krylov
-    /// work runs only when [`FastSst::may_reach_in`] would answer `true`.
+    /// work runs only when the window's multiplier reaches `threshold`.
     pub fn score_reaching_in(
         &self,
         ws: &mut SstWorkspace,
         window: &[f64],
         threshold: f64,
     ) -> Option<f64> {
-        let multiplier = self.load_filtered(ws, window);
+        self.score_reaching_held(ws, None, window, threshold)
+    }
+
+    /// [`FastSst::score_reaching_in`], taking the multiplier from `held` when
+    /// the bound last saw `window`.
+    fn score_reaching_held(
+        &self,
+        ws: &mut SstWorkspace,
+        held: Option<&SlidingSegments>,
+        window: &[f64],
+        threshold: f64,
+    ) -> Option<f64> {
+        let multiplier = self.load_filtered(ws, held, window);
         if multiplier.is_some_and(|m| m < threshold) {
             return None;
         }
         let raw = self.raw_score_loaded(ws);
         let score = multiplier.map_or(raw, |m| raw * m);
         (score >= threshold).then_some(score)
+    }
+
+    /// The [`ReachingScorer`] of one series' walk: the bound slides
+    /// `segments`, and every score and bound goes through the scratch `ws`.
+    /// A stream worker lends its workspace and each key its own segments.
+    pub fn sliding<'a>(
+        &'a self,
+        ws: &'a mut SstWorkspace,
+        segments: &'a mut SlidingSegments,
+    ) -> impl ReachingScorer + 'a {
+        Sliding {
+            scorer: self,
+            ws,
+            segments,
+        }
+    }
+}
+
+/// [`FastSst::sliding`]'s handle.
+struct Sliding<'a> {
+    scorer: &'a FastSst,
+    ws: &'a mut SstWorkspace,
+    segments: &'a mut SlidingSegments,
+}
+
+impl ReachingScorer for Sliding<'_> {
+    fn may_reach(&mut self, window: &[f64], threshold: f64) -> bool {
+        self.scorer
+            .may_reach_in(self.ws, self.segments, window, threshold)
+    }
+
+    fn score_reaching(&mut self, window: &[f64], threshold: f64) -> Option<f64> {
+        self.scorer
+            .score_reaching_held(self.ws, Some(self.segments), window, threshold)
     }
 }
 
@@ -568,26 +643,31 @@ impl SstScorer for FastSst {
         HeldWorkspace {
             scorer: self,
             workspace: SstWorkspace::new(&self.config),
+            segments: SlidingSegments::new(&self.config),
         }
     }
 }
 
-/// [`FastSst`]'s run handle: the scorer plus the one workspace every bound
-/// and every score of the run goes through.
+/// [`FastSst`]'s run handle: the scorer, the one workspace every bound and
+/// every score of the run goes through, and the sliding state of the one
+/// series the run walks.
 struct HeldWorkspace<'a> {
     scorer: &'a FastSst,
     workspace: SstWorkspace,
+    segments: SlidingSegments,
 }
 
 impl ReachingScorer for HeldWorkspace<'_> {
     fn may_reach(&mut self, window: &[f64], threshold: f64) -> bool {
         self.scorer
-            .may_reach_in(&mut self.workspace, window, threshold)
+            .sliding(&mut self.workspace, &mut self.segments)
+            .may_reach(window, threshold)
     }
 
     fn score_reaching(&mut self, window: &[f64], threshold: f64) -> Option<f64> {
         self.scorer
-            .score_reaching_in(&mut self.workspace, window, threshold)
+            .sliding(&mut self.workspace, &mut self.segments)
+            .score_reaching(window, threshold)
     }
 }
 

@@ -42,17 +42,18 @@ pub mod stream;
 
 pub use classic::ClassicSst;
 pub use config::{EigSelection, SstConfig};
-pub use fast::{FastSst, SstWorkspace};
+pub use fast::{FastSst, SlidingSegments, SstWorkspace};
 pub use robust::RobustSst;
 pub use stream::StreamingSst;
 
-/// One detector run's, or one stream worker's, handle on a scorer: the two
+/// One detector run's, or one stream key's, handle on a scorer: the two
 /// questions a threshold detector asks of a window, answered through scratch
-/// the handle may own and reuse from window to window.
+/// the handle may own or borrow and reuse from window to window.
 ///
 /// A handle may also remember the last window `may_reach` saw, to answer
 /// faster when the next one overlaps it ([`FastSst`]'s keeps that window's
-/// two segments sorted and slides them). That is an economy, never a
+/// two segments sorted and slides them, in a [`SlidingSegments`] it owns
+/// for a run or borrows from a stream key). That is an economy, never a
 /// contract: any window may follow any other, of any series, and a held
 /// older window may be scored between two bounds; the answers are those of
 /// a fresh handle.
@@ -108,8 +109,8 @@ pub trait SstScorer {
         (score >= threshold).then_some(score)
     }
 
-    /// This scorer's [`ReachingScorer`] for one detector run or one stream
-    /// worker. Without a cheap bound every window is a candidate and
+    /// This scorer's [`ReachingScorer`] for one detector run, which walks one
+    /// series. Without a cheap bound every window is a candidate and
     /// [`SstScorer::score_reaching`] decides it.
     fn reaching_scorer(&self) -> impl ReachingScorer + '_ {
         Unscreened(move |window: &[f64], threshold| self.score_reaching(window, threshold))

@@ -4,20 +4,24 @@
 //! time it runs; a continuously running engine cannot afford either the
 //! re-slicing or the allocation. [`StreamingSst`] keeps the per-KPI window
 //! state resident between minutes: a rolling window of the last
-//! [`crate::SstConfig::window_len`] samples plus one reused contiguous scratch
-//! buffer — and nothing else. The kernel's scratch is *not* per-key state:
-//! a [`crate::SstWorkspace`] lives with the caller, one per stream worker,
+//! [`crate::SstConfig::window_len`] samples, handed to the scorer in place
+//! — and nothing else. The kernel's scratch is *not* per-key state: a
+//! [`crate::SstWorkspace`] lives with the caller, one per stream worker,
 //! and reaches the scorer through [`StreamingSst::fold_with`], so folding in
 //! a new minute costs at most one window score — the stream engine asks
 //! only the bound there and scores later, if its persistence rule still
 //! needs the window — and zero allocations at steady state
-//! (`tests/no_alloc.rs` counts them). The workspace also holds what the
-//! bound slides from, the last window it saw, and that too is the worker's,
-//! not the key's: a tick folds one sample into one key after another, so
-//! each bound there meets a stranger and sorts its two segments afresh, and
-//! only a re-prime (one key, window after window) slides. The plain
-//! [`StreamingSst::fold`] has no workspace to borrow and builds a throw-away
-//! one per scored window.
+//! (`tests/no_alloc.rs` counts them).
+//!
+//! What the bound slides from *is* per-key state, and the caller keeps it
+//! beside this one: a [`crate::SlidingSegments`] a key
+//! (`|s, w| s.may_reach_in(&mut ws, &mut segments, w, threshold)`). A tick
+//! folds one minute into one key after another, so state a worker shared
+//! would meet a stranger at every bound and sort both segments afresh; the
+//! key's own copy last saw the key's previous window, the one-minute
+//! predecessor of the next, and slides. It costs at most `2W` floats and a multiplier a key
+//! ([`crate::SlidingSegments::bytes_for`]). The plain [`StreamingSst::fold`]
+//! has no workspace to borrow and builds a throw-away one per scored window.
 //!
 //! Scores are **byte-identical** to batch: [`StreamingSst::fold`] hands the
 //! wrapped scorer the same `window_len` samples, in the same order, as
@@ -36,7 +40,6 @@ use std::collections::VecDeque;
 pub struct StreamingSst<S> {
     scorer: S,
     window: VecDeque<f64>,
-    scratch: Vec<f64>,
     folded: u64,
     scored: u64,
 }
@@ -48,7 +51,6 @@ impl<S: SstScorer> StreamingSst<S> {
         Self {
             scorer,
             window: VecDeque::with_capacity(w),
-            scratch: Vec::with_capacity(w),
             folded: 0,
             scored: 0,
         }
@@ -90,9 +92,9 @@ impl<S: SstScorer> StreamingSst<S> {
     /// [`StreamingSst::fold`] with the scoring left to the caller: `score`
     /// receives the wrapped scorer and the completed window and its answer
     /// is passed through. This is how a stream worker asks only the bound of
-    /// the completed window, through its own [`crate::SstWorkspace`] and
-    /// threshold (`|s, w| s.may_reach_in(&mut ws, w, threshold)`), and leaves
-    /// the score to its persistence rule.
+    /// the completed window, through its own [`crate::SstWorkspace`], the
+    /// key's [`crate::SlidingSegments`] and its threshold, and leaves the
+    /// score to its persistence rule.
     pub fn fold_with<R>(&mut self, value: f64, score: impl FnOnce(&S, &[f64]) -> R) -> Option<R> {
         let w = self.window_len();
         self.folded += 1;
@@ -103,10 +105,8 @@ impl<S: SstScorer> StreamingSst<S> {
         if self.window.len() < w {
             return None;
         }
-        self.scratch.clear();
-        self.scratch.extend(self.window.iter().copied());
         self.scored += 1;
-        Some(score(&self.scorer, &self.scratch))
+        Some(score(&self.scorer, self.window.make_contiguous()))
     }
 
     /// Discards the rolling window (e.g. after a backfill rewrote history

@@ -3,10 +3,12 @@
 //! A counting `#[global_allocator]` (per thread, so the harness cannot
 //! disturb it) watches 1,000 `score_window_in` / `may_reach_in` /
 //! `score_reaching_in` calls through one held [`SstWorkspace`] (the bounds
-//! slide their sorted segments from window to window), 1,000 more bounds
-//! that cannot slide (no window the successor of the last, a non-finite
-//! sample in some), 1,000 warm
-//! [`StreamingSst`] folds through the same workspace, and a deferred batch
+//! slide their [`SlidingSegments`] from window to window), 1,000 more
+//! bounds that cannot slide (no window the successor of the last, a
+//! non-finite sample in some), 1,000 warm
+//! [`StreamingSst`] folds through the same workspace, warm folds of four
+//! keys taken in turn, each bound sliding the key's own segments through
+//! the one workspace, and a deferred batch
 //! of folds through a scorer's run handle (the bound at each fold, the
 //! held candidates scored afterwards): after one warm-up call each, the
 //! count must stay at zero. The workspace also holds the η `ϕ`
@@ -15,7 +17,9 @@
 //! workspace-less convenience calls pay for one throw-away workspace and
 //! nothing per Lanczos step, QL solve or order statistic.
 
-use funnel_sst::{FastSst, ReachingScorer, SstConfig, SstScorer, SstWorkspace, StreamingSst};
+use funnel_sst::{
+    FastSst, ReachingScorer, SlidingSegments, SstConfig, SstScorer, SstWorkspace, StreamingSst,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -79,6 +83,7 @@ fn steady_state_scoring_performs_zero_allocations() {
         let values = series(1_000 + w);
         let scorer = FastSst::new(config.clone());
         let mut ws = SstWorkspace::new(&config);
+        let mut segments = SlidingSegments::new(&config);
         let windows = || values.windows(w).skip(1).take(1_000);
         assert_eq!(windows().count(), 1_000);
 
@@ -105,7 +110,7 @@ fn steady_state_scoring_performs_zero_allocations() {
         let mut candidates = 0;
         let bounded = allocations_in(|| {
             for win in windows() {
-                candidates += usize::from(scorer.may_reach_in(&mut ws, win, 0.5));
+                candidates += usize::from(scorer.may_reach_in(&mut ws, &mut segments, win, 0.5));
             }
         });
         assert_eq!(bounded, 0, "may_reach_in allocated (W = {w})");
@@ -126,8 +131,8 @@ fn steady_state_scoring_performs_zero_allocations() {
             for (i, win) in windows().enumerate() {
                 let backwards = &poisoned[1_000 - i..][..w];
                 fell_back += usize::from(backwards.iter().any(|x| !x.is_finite()));
-                std::hint::black_box(scorer.may_reach_in(&mut ws, backwards, 0.5));
-                std::hint::black_box(scorer.may_reach_in(&mut ws, win, 0.5));
+                std::hint::black_box(scorer.may_reach_in(&mut ws, &mut segments, backwards, 0.5));
+                std::hint::black_box(scorer.may_reach_in(&mut ws, &mut segments, win, 0.5));
             }
         });
         assert_eq!(
@@ -138,6 +143,43 @@ fn steady_state_scoring_performs_zero_allocations() {
             fell_back >= 100,
             "only {fell_back} windows held a non-finite sample"
         );
+
+        // What a stream worker does in one tick after another: fold a minute
+        // into each of several keys in turn, each bound sliding the key's
+        // own segments through the worker's one workspace.
+        const KEYS: usize = 4;
+        let mut keys: Vec<(StreamingSst<FastSst>, SlidingSegments)> = (0..KEYS)
+            .map(|_| {
+                (
+                    StreamingSst::new(scorer.clone()),
+                    SlidingSegments::new(&config),
+                )
+            })
+            .collect();
+        let rounds = values.len() / KEYS;
+        let value = |minute: usize, k: usize| values[(minute * KEYS + k) % values.len()];
+        let mut fold_round = |minute: usize, candidates: &mut usize| {
+            for (k, (rolling, segments)) in keys.iter_mut().enumerate() {
+                let bound = rolling.fold_with(value(minute, k), |s, win| {
+                    s.may_reach_in(&mut ws, segments, win, 0.5)
+                });
+                *candidates += usize::from(bound == Some(true));
+            }
+        };
+        let mut interleaved_candidates = 0;
+        for minute in 0..w {
+            fold_round(minute, &mut interleaved_candidates);
+        }
+        let interleaved = allocations_in(|| {
+            for minute in w..rounds {
+                fold_round(minute, &mut interleaved_candidates);
+            }
+        });
+        assert_eq!(
+            interleaved, 0,
+            "interleaved folds of {KEYS} keys allocated (W = {w})"
+        );
+        assert!(interleaved_candidates > 0);
 
         // What a deferring monitor does: ask the bound as each window
         // completes, score the held candidates later from their samples.

@@ -2,24 +2,30 @@
 //! selections it replaced.
 //!
 //! [`FastSst::bound_in`] keeps the last window's two raw segments sorted in
-//! the workspace, slides them when the next window is its one-minute
+//! a [`SlidingSegments`], slides them when the next window is its one-minute
 //! successor, and reads the multiplier off the order. The oracle is the path
 //! that stays shipped for `RobustSst` and for non-finite data:
 //! [`standardize_by_past`] then [`FilterFactors::from_segments`], six
 //! selections over a fresh copy. The properties run whole *series* through
-//! one held workspace, because what can go wrong is state: a sample that
-//! should have left a segment, a window mistaken for a successor, a score of
-//! an older window that moved what the next bound slides from.
+//! held state, because what can go wrong is state: a sample that should
+//! have left a segment, a window mistaken for a successor, a score of an
+//! older window that moved what the next bound slides from. One walk hands
+//! two series to one sliding state; the other gives each of several series
+//! its own, as a stream gives each key, folded round-robin a minute at a
+//! time through one shared scratch workspace, one series' history
+//! rewritten behind its frontier and its rolling window reset.
 //!
 //! Mutations this file was checked against (each fails it):
 //! comparing fewer than `W − 1` overlapping samples in the successor test
 //! (first and last four only), dropping the finite-ends / finite-statistics
-//! fallback, and storing the multiplier a score computed for an older window
-//! over the one the bound left.
+//! fallback, and a score taking the multiplier the bound left without
+//! checking that the segments describe the scored window.
 
 use funnel_sst::filter::FilterFactors;
 use funnel_sst::layout::standardize_by_past;
-use funnel_sst::{FastSst, ReachingScorer, SstConfig, SstScorer, SstWorkspace};
+use funnel_sst::{
+    FastSst, ReachingScorer, SlidingSegments, SstConfig, SstScorer, SstWorkspace, StreamingSst,
+};
 use proptest::prelude::*;
 
 /// The four window geometries of the issue (odd and even future), plus the
@@ -132,7 +138,8 @@ fn thresholds(m: f64) -> [f64; 11] {
 }
 
 /// Runs one scripted walk over two related series through one held
-/// workspace and one run handle, checking every answer against the oracle.
+/// workspace and sliding state and one run handle, checking every answer
+/// against the oracle.
 fn walk(c: &SstConfig, seed: u64) {
     let mut rng = Rng(seed | 1);
     let w = c.window_len();
@@ -157,6 +164,7 @@ fn walk(c: &SstConfig, seed: u64) {
 
     let fast = FastSst::new(c.clone());
     let mut ws = SstWorkspace::new(c);
+    let mut segments = SlidingSegments::new(c);
     let mut handle = fast.reaching_scorer();
     let (mut which, mut at) = (0, 0);
     for step in 0..130 {
@@ -181,6 +189,10 @@ fn walk(c: &SstConfig, seed: u64) {
                     let want = (score >= t).then_some(score).map(f64::to_bits);
                     let got = fast.score_reaching_in(&mut ws, older, t);
                     assert_eq!(got.map(f64::to_bits), want, "held score, step {}", step);
+                    let got = fast
+                        .sliding(&mut ws, &mut segments)
+                        .score_reaching(older, t);
+                    assert_eq!(got.map(f64::to_bits), want, "sliding score, step {}", step);
                     let got = handle.score_reaching(older, t);
                     assert_eq!(got.map(f64::to_bits), want, "handle score, step {}", step);
                 }
@@ -195,7 +207,7 @@ fn walk(c: &SstConfig, seed: u64) {
         let want = oracle(c, window);
         // Which of the two entry points meets the window first alternates.
         if step % 2 == 0 {
-            let got = fast.bound_in(&mut ws, window);
+            let got = fast.bound_in(&mut ws, &mut segments, window);
             assert_eq!(
                 got.map(f64::to_bits),
                 Some(want.to_bits()),
@@ -210,7 +222,7 @@ fn walk(c: &SstConfig, seed: u64) {
         for t in thresholds(want) {
             let screened = want < t;
             assert_eq!(
-                !fast.may_reach_in(&mut ws, window, t),
+                !fast.may_reach_in(&mut ws, &mut segments, window, t),
                 screened,
                 "step {} series {} at {} threshold {} multiplier {}",
                 step,
@@ -227,13 +239,91 @@ fn walk(c: &SstConfig, seed: u64) {
                 t
             );
         }
-        let got = fast.bound_in(&mut ws, window);
+        let got = fast.bound_in(&mut ws, &mut segments, window);
         assert_eq!(
             got.map(f64::to_bits),
             Some(want.to_bits()),
             "repeat, step {}",
             step
         );
+    }
+}
+
+/// The bound of each of `n` series' windows, and its score now and then,
+/// against the oracle, as a stream worker asks them: the series take turns
+/// a minute at a time, each with its own rolling window and sliding state,
+/// all through one scratch workspace. Midway one series' history is
+/// rewritten inside its current window (a late backfill), and its rolling
+/// window is reset and re-primed from `W − 1` minutes back, as the engine
+/// does: the first window after that shares `W − 1` minutes with the last
+/// one its state saw, but not their bits.
+fn interleaved(c: &SstConfig, seed: u64) {
+    let mut rng = Rng(seed | 1);
+    let w = c.window_len();
+    let len = w + 60;
+    let n = 2 + rng.below(3);
+    let mut all: Vec<Vec<f64>> = (0..n as u64)
+        .map(|k| series(len, (seed + k) % SHAPES, &mut rng))
+        .collect();
+    if rng.below(2) == 0 {
+        // Two keys of one quantized counter agree on most minutes.
+        all[1] = all[0].clone();
+        let at = rng.below(len);
+        all[1][at] += 1.0;
+    }
+    let fast = FastSst::new(c.clone());
+    let mut ws = SstWorkspace::new(c);
+    let mut rolling: Vec<StreamingSst<FastSst>> =
+        (0..n).map(|_| StreamingSst::new(fast.clone())).collect();
+    let mut segments: Vec<SlidingSegments> = (0..n).map(|_| SlidingSegments::new(c)).collect();
+    let mut next = vec![0; n];
+    let (victim, rewrite_at) = (rng.below(n), w + rng.below(len - w));
+    for minute in 0..len {
+        if minute == rewrite_at {
+            let at = minute - 1 - rng.below(w - 1);
+            all[victim][at] = if rng.below(2) == 0 {
+                SPECIALS[rng.below(SPECIALS.len())]
+            } else {
+                all[victim][at] + 1.0
+            };
+            rolling[victim].reset();
+            next[victim] = minute + 1 - w;
+        }
+        for k in 0..n {
+            while next[k] <= minute {
+                let end = next[k];
+                let segments = &mut segments[k];
+                let ws = &mut ws;
+                let score_older = rng.below(6) == 0;
+                let back = 1 + rng.below(8);
+                rolling[k].fold_with(all[k][end], |fast, window| {
+                    let want = oracle(c, window);
+                    let got = fast.bound_in(ws, segments, window);
+                    let place = format!("series {k} of {n}, window ending {end}");
+                    assert_eq!(got.map(f64::to_bits), Some(want.to_bits()), "{place}");
+                    for t in thresholds(want) {
+                        let mut sliding = fast.sliding(ws, segments);
+                        assert_eq!(!sliding.may_reach(window, t), want < t, "{place}, {t}");
+                    }
+                    // A held window scored between two bounds: the one the
+                    // bound just saw, or an older one.
+                    let from = if score_older {
+                        (end + 1 - w).saturating_sub(back)
+                    } else {
+                        end + 1 - w
+                    };
+                    let held = &all[k][from..from + w];
+                    let score = fast.raw_score(held) * oracle(c, held);
+                    let got = fast.sliding(ws, segments).score_reaching(held, 0.0);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        (score >= 0.0).then_some(score).map(f64::to_bits),
+                        "{place}, score of the window from {from}"
+                    );
+                });
+                next[k] += 1;
+            }
+        }
     }
 }
 
@@ -247,6 +337,16 @@ proptest! {
     fn sliding_bound_is_bit_identical_to_selection(seed in any::<u64>()) {
         for c in configs() {
             walk(&c, seed);
+        }
+    }
+
+    /// Every bound of several series walked round-robin, each through its
+    /// own sliding state and one shared workspace, is the oracle's bit for
+    /// bit, through a rewrite of one series' history and its reset.
+    #[test]
+    fn interleaved_series_slide_their_own_segments(seed in any::<u64>()) {
+        for c in configs() {
+            interleaved(&c, seed);
         }
     }
 }

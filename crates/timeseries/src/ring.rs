@@ -155,12 +155,13 @@ impl RingSeries {
         measured as f64 / (to - from) as f64
     }
 
-    /// Resident bytes attributed to this ring's window storage — a
-    /// deterministic accounting figure (capacity × per-bin cost), not an
-    /// allocator measurement, so memory-budget assertions reproduce
-    /// bit-for-bit across runs and platforms.
-    pub fn window_bytes(&self) -> usize {
-        self.capacity * (std::mem::size_of::<f64>() + std::mem::size_of::<bool>())
+    /// Resident bytes attributed to the window storage of a ring made with
+    /// `RingSeries::new(capacity)` — a deterministic accounting figure
+    /// (capacity × per-bin cost), not an allocator measurement, so
+    /// memory-budget assertions reproduce bit-for-bit across runs and
+    /// platforms.
+    pub fn bytes_for(capacity: usize) -> usize {
+        capacity.max(1) * (std::mem::size_of::<f64>() + std::mem::size_of::<bool>())
     }
 
     /// Offers a live measurement, mirroring `MetricStore::append`: the first
@@ -381,7 +382,7 @@ mod tests {
 
     #[test]
     fn window_bytes_is_capacity_proportional() {
-        let r = RingSeries::new(100);
-        assert_eq!(r.window_bytes(), 100 * 9);
+        assert_eq!(RingSeries::bytes_for(100), 100 * 9);
+        assert_eq!(RingSeries::bytes_for(0), 9, "a ring holds at least one bin");
     }
 }
