@@ -13,8 +13,10 @@
 //! carry one, whatever it scores. [`PersistenceRun`] therefore asks every
 //! window only the scorer's cheap exact bound
 //! ([`ReachingScorer::may_reach`]), holds the candidates unscored, and runs
-//! the kernel — oldest held window first — only while a declaration is still
-//! reachable. Events, counts and peaks are those of scoring every window.
+//! the kernel only once a declaration is reachable. An armed run then walks
+//! back from the newest held window, the only one that can complete a run,
+//! and stops at the first miss: one scored miss rules out every window
+//! behind it. Events, counts and peaks are those of scoring every window.
 //! Before either question goes to the scorer the pass's memory
 //! ([`crate::outcomes`]) is asked whether an earlier run over the same
 //! samples already put it; the answer is the same bits either way.
@@ -119,7 +121,9 @@ pub struct WindowTally {
     pub screened: u64,
     /// Candidates the scoring kernel was run for.
     pub scored: u64,
-    /// Candidates let go unscored because no declaration could rest on them.
+    /// Candidates let go unscored because no declaration could rest on them:
+    /// those held when a definite miss, a skip or the end arrives, and those
+    /// older than a held window that scored a miss.
     pub dropped: u64,
     /// Answers the run needed: a bound for every offered window, a score
     /// for every candidate a declaration could still rest on.
@@ -196,6 +200,37 @@ impl<R: ReachingScorer, H, O: Outcomes> ScoringPass<'_, R, H, O> {
             }
         }
     }
+
+    /// The score of the held window decided at `minute` when it reaches the
+    /// threshold, `None` when it misses: the memory's answer, or else the
+    /// kernel's, re-read from the source and recorded. A window its source no
+    /// longer retains counts as a miss, but is not remembered as one: nothing
+    /// was learnt about its samples.
+    fn score_at(&mut self, minute: MinuteBin) -> Option<f64>
+    where
+        H: WindowSource,
+    {
+        self.tally.asked += 1;
+        match self.outcomes.recall(minute) {
+            Outcome::Reached(score) => {
+                self.tally.reused += 1;
+                Some(score)
+            }
+            Outcome::Below => {
+                self.tally.reused += 1;
+                None
+            }
+            _ => {
+                self.tally.scored += 1;
+                self.held.window_at(minute).and_then(|window| {
+                    let reached = self.scorer.score_reaching(window, self.threshold);
+                    self.outcomes
+                        .record(minute, reached.map_or(Outcome::Below, Outcome::Reached));
+                    reached
+                })
+            }
+        }
+    }
 }
 
 /// The threshold → run-length → peak → declare → re-arm state machine, and
@@ -204,14 +239,22 @@ impl<R: ReachingScorer, H, O: Outcomes> ScoringPass<'_, R, H, O> {
 /// for which windows it needs scored — is written once.
 ///
 /// Each offered window is first asked the scorer's bound. A definite miss
-/// ends the run at once. A candidate is *held*: its score is computed —
-/// oldest held window first, re-checking after each result — only while a
-/// declaration is still reachable:
+/// ends the run at once. A candidate is *held*: its score is computed only
+/// once a declaration is reachable:
 ///
 /// * armed, a run of `len` hits followed by `pending` held candidates can
 ///   declare iff `len + pending ≥ persistence`;
 /// * disarmed (a declaration stands, no miss since), only a miss followed
 ///   by a full run can: `pending ≥ persistence + 1`.
+///
+/// Reachability is checked as each window is offered, so an armed run
+/// resolves at exactly `len + pending = persistence`, where only the newest
+/// held window can complete a run. Its held windows are scored newest
+/// first, down to the first miss: the hits after that miss become the run,
+/// and the candidates before it are dropped unscored, since no run through
+/// the miss exists. With no miss, the run declares on the newest window. A
+/// disarmed run needs the miss first, so it scores oldest first until one
+/// misses, then resolves armed.
 ///
 /// Whatever is held when a definite miss, a re-prime or the end of the
 /// series arrives is dropped unscored: no declaration was reachable among
@@ -264,11 +307,13 @@ impl PersistenceRun {
         }
         self.pending = self.pending.saturating_add(1);
         self.newest = minute;
-        let mut declared = None;
         while self.declaration_reachable() {
-            declared = self.score_oldest(pass).or(declared);
+            if self.armed {
+                return self.resolve_newest_first(pass);
+            }
+            self.score_oldest(pass);
         }
-        declared
+        None
     }
 
     /// A window that could not be scored (too little measured data): the
@@ -314,60 +359,58 @@ impl PersistenceRun {
         }
     }
 
-    /// Scores the oldest held candidate and feeds the result to the run. A
-    /// window its source no longer retains counts as a miss, but is not
-    /// remembered as one: nothing was learnt about its samples.
+    /// Scores the oldest held candidate of a disarmed run: a miss re-arms
+    /// it. A hit changes nothing a disarmed run reads.
     fn score_oldest<R: ReachingScorer, H: WindowSource, O: Outcomes>(
         &mut self,
         pass: &mut ScoringPass<'_, R, H, O>,
-    ) -> Option<ChangeEvent> {
+    ) {
         self.pending = self.pending.saturating_sub(1);
         let minute = self.newest.saturating_sub(u64::from(self.pending));
-        pass.tally.asked += 1;
-        let reached = match pass.outcomes.recall(minute) {
-            Outcome::Reached(score) => {
-                pass.tally.reused += 1;
-                Some(score)
-            }
-            Outcome::Below => {
-                pass.tally.reused += 1;
-                None
-            }
-            _ => {
-                pass.tally.scored += 1;
-                pass.held.window_at(minute).and_then(|window| {
-                    let reached = pass.scorer.score_reaching(window, pass.threshold);
-                    pass.outcomes
-                        .record(minute, reached.map_or(Outcome::Below, Outcome::Reached));
-                    reached
-                })
-            }
-        };
-        match reached {
-            Some(score) => self.hit(minute, score),
-            None => {
-                self.len = 0;
-                self.armed = true;
-                None
-            }
+        if pass.score_at(minute).is_none() {
+            self.len = 0;
+            self.armed = true;
         }
     }
 
-    /// A window decided at `minute` scored `score`, at or above threshold.
-    fn hit(&mut self, minute: MinuteBin, score: f64) -> Option<ChangeEvent> {
+    /// Resolves an armed run at `len + pending = persistence`, walking back
+    /// from the newest held window to the first miss. The hits after it
+    /// become the run; every held window before it is dropped unscored.
+    /// With no miss the run is complete and declares on the newest window.
+    ///
+    /// The peak is folded newest first, each older score on the left, which
+    /// keeps every operand where oldest-first `peak.max(score)` has it:
+    /// `f64::max` may return either zero of a `±0.0` tie, but is associative
+    /// in one build, so the bits are those of the oldest-first fold.
+    fn resolve_newest_first<R: ReachingScorer, H: WindowSource, O: Outcomes>(
+        &mut self,
+        pass: &mut ScoringPass<'_, R, H, O>,
+    ) -> Option<ChangeEvent> {
+        let held = std::mem::take(&mut self.pending);
+        let mut peak = 0.0;
+        for walked in 0..held {
+            let minute = self.newest.saturating_sub(u64::from(walked));
+            let Some(score) = pass.score_at(minute) else {
+                pass.tally.dropped += u64::from(held - walked - 1);
+                self.len = walked;
+                self.start = minute.saturating_add(1);
+                self.peak = peak;
+                return None;
+            };
+            peak = if walked == 0 { score } else { score.max(peak) };
+        }
         if self.len == 0 {
-            self.start = minute;
-            self.peak = score;
+            self.start = self
+                .newest
+                .saturating_sub(u64::from(held.saturating_sub(1)));
+            self.peak = peak;
         } else {
-            self.peak = self.peak.max(score);
+            self.peak = self.peak.max(peak);
         }
-        self.len = self.len.saturating_add(1);
-        if !self.armed || self.len < self.persistence {
-            return None;
-        }
+        self.len = self.len.saturating_add(held);
         self.armed = false;
         Some(ChangeEvent {
-            declared_at: minute,
+            declared_at: self.newest,
             first_exceeded_at: self.start,
             peak_score: self.peak,
         })

@@ -4,7 +4,8 @@
 //! One oracle: `eager_reference`, the loop as it shipped before the
 //! persistence rule planned its own scoring, every window scored on the
 //! spot. Every event is compared by its bits. `run` is checked on scripted
-//! scorers (bound and score chosen independently, or no bound), on `FastSst`
+//! scorers (bound and score chosen independently, or no bound, or `±0.0`
+//! hits at threshold 0), on `FastSst`
 //! at five thresholds and on CUSUM, MRLS and WoW; `decide` on the last four
 //! and on scripted cases of 0–159 windows, under masks with holes and
 //! partition-length gaps or none, `from` before, inside or past the span,
@@ -26,10 +27,15 @@
 //! start..start` (a bound the walk asked is asked again); (7) `candidates =
 //! start..last + 1` (a window the walk did not pass over taken for a
 //! candidate); (8) `ask_bound` answers a recalled `Below` as `Screened`; (9)
-//! `score_oldest` answers a recalled `Candidate` as a miss; (10) it records a
+//! `score_at` answers a recalled `Candidate` as a miss; (10) it records a
 //! held window its source no longer retains as `Below`; (11) a disarmed run
 //! deems a declaration reachable at `pending ≥ persistence`; (12)
-//! `skip_window` drops a disarmed run's held candidates unresolved. In
+//! `skip_window` drops a disarmed run's held candidates unresolved; (15) an
+//! armed run scores its held windows oldest first, as a disarmed one does
+//! (fails `a_candidate_miss_rules_out_its_whole_run`); (16)
+//! `resolve_newest_first` folds its peak as `peak.max(score)`, the older
+//! score on the right (fails `signed_zero_peaks_keep_the_eager_bits`); (17)
+//! it does not count the windows before a miss as dropped. In
 //! `outcomes.rs`: (13) the retained span moves on without clearing the tags
 //! it steps over; (14) `forget_from` keeps the scores.
 
@@ -512,6 +518,44 @@ proptest! {
             prop_assert_eq!(event_bits(&shipped.run(&series)), event_bits(&want));
         }
     }
+
+    /// At threshold 0.0 both zeros are hits, and `f64::max` may keep either
+    /// zero of a tie: a peak folded newest first must still carry the bits
+    /// of the eager loop's oldest-first fold, in `run` and in `decide`.
+    #[test]
+    fn signed_zero_peaks_keep_the_eager_bits(
+        seed in any::<u64>(),
+        persistence in 1usize..10,
+        windows in 0usize..120,
+    ) {
+        let mut next = xorshift(seed);
+        let mut kind = 0;
+        let steps = (0..windows)
+            .map(|_| {
+                if next() < 0.3 {
+                    kind = (next() * 5.0) as usize;
+                }
+                let either = if next() < 0.5 { 0.0 } else { -0.0 };
+                let score = match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => either,
+                    3 => -1.0,
+                    _ if next() < 0.2 => 0.5,
+                    _ => either,
+                };
+                step(f64::NAN, score)
+            })
+            .collect();
+        // No bound: every window is a candidate.
+        let scorer = Scripted::new(1, steps, false);
+        let series = scorer.series();
+        let mask = random_mask(&series, &mut next);
+        let c = coverage(&mask, 0.8, 7);
+        let froms = [START, START + windows as u64 / 2];
+        let at = format!("seed {seed}, persistence {persistence}");
+        assert_matches_eager(scorer, 0.0, persistence, &series, c, &froms, &at);
+    }
 }
 
 proptest! {
@@ -821,10 +865,38 @@ fn short_candidate_runs_cost_no_full_score() {
     let asked = (events.len(), bounds.len(), scores.len());
     assert_eq!(asked, (0, steps.len(), 0));
     // A run that does declare costs exactly its own windows: the three
-    // hits, not the definite misses around them.
+    // hits, not the definite misses around them, walked back from the one
+    // that completes the run.
     let (events, _, scores) = scripted_run(&[MISS, h, h, h, MISS, MISS]);
-    let hits = vec![START + 1, START + 2, START + 3];
+    let hits = vec![START + 3, START + 2, START + 1];
     assert_eq!((events.len(), scores), (1, hits));
+}
+
+#[test]
+fn a_candidate_miss_rules_out_its_whole_run() {
+    // `n` candidates in a row that all miss, at persistence `k`: every `k`th
+    // makes a declaration reachable, and its own miss rules out the `k − 1`
+    // held before it. The stretch costs ⌊n/k⌋ full scores, each of the
+    // newest held window; oldest first it cost n − k + 1.
+    for k in 1..8u64 {
+        for n in 0..4 * k {
+            let scorer = Scripted::new(1, vec![CANDIDATE_MISS; n as usize], true);
+            let (span, offer) = (START..START + n, |_| Then::Offer);
+            let (events, tally, _) = persistence_run(&scorer, k as usize, span, (), |_| 0, offer);
+            let newest: Vec<u64> = (1..=n / k).map(|i| START + i * k - 1).collect();
+            assert_eq!((events.len(), scorer.take_log().1), (0, newest), "{n}, {k}");
+            assert_eq!((tally.scored, tally.dropped), (n / k, n / k * (k - 1)));
+        }
+    }
+    // A miss among the held windows: those before it are never scored, and
+    // the hits after it carry on as the run, with their start and peak.
+    let (h, peak) = (hit(1.5), hit(4.0));
+    let (events, _, scores) = scripted_run(&[h, CANDIDATE_MISS, peak, h, h]);
+    assert_eq!(scores, [START + 2, START + 1, START + 4, START + 3]);
+    assert_eq!(
+        event_bits(&events),
+        [(START + 4, START + 2, 4f64.to_bits())]
+    );
 }
 
 #[test]
