@@ -93,15 +93,17 @@ fn in_any(path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p))
 }
 
-/// The ingestion-to-verdict hot path (L3 scope): four crates whole, and the
-/// agent replay loop, wire decoding, the collector and the store of
-/// `funnel-sim`. The same eight places carry the
-/// `#![deny(clippy::unwrap_used, …)]` line (a crate's `lib.rs`, or the file).
-pub const HOT_PATH: [&str; 8] = [
+/// The ingestion-to-verdict hot path (L3 scope): four crates whole, the
+/// one fan-out (`funnel-obs`), and the agent replay loop, wire decoding,
+/// the collector and the store of `funnel-sim`. The same nine places carry
+/// the `#![deny(clippy::unwrap_used, …)]` line (a crate's `lib.rs`, or the
+/// file).
+pub const HOT_PATH: [&str; 9] = [
     "crates/core/src/",
     "crates/did/src/",
     "crates/detect/src/",
     "crates/resilience/src/",
+    "crates/obs/src/parallel.rs",
     "crates/sim/src/agent.rs",
     "crates/sim/src/wire.rs",
     "crates/sim/src/collector.rs",

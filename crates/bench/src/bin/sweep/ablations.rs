@@ -121,9 +121,14 @@ pub struct AblationGrid(Vec<ScoredItem>);
 
 impl AblationGrid {
     /// Scores every unambiguous impact-set item of `meta`'s changes with
-    /// every scorer, `workers` items at a time.
+    /// every scorer, `workers` items at a time. Spans are read from a
+    /// snapshot of the materialized world.
     pub fn new(world: &World, meta: &CohortMeta, workers: usize) -> Self {
         let truth = GroundTruth::of(world);
+        let snapshot = world
+            .materialize()
+            .expect("every key of the world")
+            .snapshot();
         let mut spans = Vec::new();
         for &(change, _) in &meta.changes {
             let record = world.change_log().get(change).expect("logged");
@@ -133,7 +138,7 @@ impl AblationGrid {
                 let Some(actual) = truth.label(change, key) else {
                     continue;
                 };
-                let series = world.series(&key).expect("series exists");
+                let series = snapshot.get(&key).expect("series exists");
                 let from = record.minute.saturating_sub(2 * SPAN_W).max(series.start());
                 let to = record.minute + ASSESSMENT_MINUTES + 1;
                 spans.push((

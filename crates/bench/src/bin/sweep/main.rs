@@ -94,12 +94,13 @@ fn main() -> std::io::Result<()> {
 }
 
 /// Every paper grid's cells and contract, on cohorts truncated until a
-/// dev-profile `cargo test` can afford them; `sweep -- all` in CI is the
-/// full-size run. The three contract sweeps have no smaller form.
+/// dev-profile `cargo test` can afford them, and Table 3 at full size
+/// against its committed file; `sweep -- all` in CI is the full-size run of
+/// the rest. The three contract sweeps have no smaller form.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use funnel_bench::grid::check;
+    use funnel_bench::grid::{check, render};
 
     #[test]
     fn table1_and_fig5_hold_on_a_truncated_cohort() {
@@ -110,10 +111,17 @@ mod tests {
         check(&fig5::Fig5Grid(&outcomes));
     }
 
+    /// Full size, against the committed bytes: a week costs seconds, so
+    /// Tier-1 sees a Table 3 drift before CI's sweep does.
     #[test]
-    fn table3_holds_on_a_thin_week() {
-        let (world, meta) = deployment_week(SEED, 6);
-        check(&table3::Table3Grid(table3::assess_week(&world, &meta, 2)));
+    fn table3_renders_the_committed_file() {
+        let (world, meta) = deployment_week(SEED, table3::CHANGES_PER_DAY);
+        let week = table3::assess_week(&world, &meta, 2);
+        let (_, envelope) = render(&table3::Table3Grid(week));
+        let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results/BENCH_table3.json");
+        let committed = std::fs::read_to_string(committed).expect("the committed table");
+        assert_eq!(envelope, committed);
     }
 
     #[test]

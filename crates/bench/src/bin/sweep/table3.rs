@@ -22,7 +22,7 @@ use funnel_sim::world::World;
 pub const CHANGES_PER_DAY: usize = 60;
 /// The weekly precision below which "what the tool claims verifies" (§5:
 /// 98.21 %) no longer reads as reproduced. The five committed seeds span
-/// 0.84–0.91; ROADMAP item 2 is expected to raise both.
+/// 0.84–0.91; ROADMAP item 1 is expected to raise both.
 pub const MIN_WEEK_PRECISION: f64 = 0.8;
 
 /// What one day (or, summed, the week) of assessments came to.
@@ -49,12 +49,18 @@ impl std::iter::Sum for DayTally {
     }
 }
 
-/// Assesses every change of the week, `workers` days at a time.
+/// Assesses every change of the week, `workers` days at a time, against a
+/// snapshot of the materialized world.
 pub fn assess_week(world: &World, meta: &DeploymentMeta, workers: usize) -> Vec<DayTally> {
     let truth = GroundTruth::of(world);
     let mut config = FunnelConfig::paper_default();
     config.history_days = meta.history_days;
     let funnel = Funnel::new(config);
+    let snapshot = world
+        .materialize()
+        .expect("every key of the world")
+        .snapshot();
+    let kinds = |svc| world.kinds_of_service(svc).to_vec();
     fan_out(
         meta.days.iter().collect(),
         workers,
@@ -66,7 +72,10 @@ pub fn assess_week(world: &World, meta: &DeploymentMeta, workers: usize) -> Vec<
                 ..DayTally::default()
             };
             for &id in ids {
-                let assessment = funnel.assess_change(world, id).expect("assessable");
+                let record = world.change_log().get(id).expect("logged");
+                let assessment = funnel
+                    .assess_change_with(&snapshot, world.topology(), record, &kinds)
+                    .expect("assessable");
                 day.kpis += assessment.items.len();
                 day.with_impact += usize::from(assessment.has_impact());
                 for item in assessment.caused_items() {

@@ -4,9 +4,10 @@
 //! A table is a [`Grid`]: `cells()` lists the points, `run(cell)` turns one
 //! point into a typed row (asserting whatever must hold inside that cell),
 //! and `contract(rows)` asserts what only holds *across* rows and returns
-//! the envelope fields those checks established. [`run_grid`] does the rest:
-//! it prints the table and writes `results/BENCH_<name>.json`, both derived
-//! from the grid's single [`Column`] list, so the two can never disagree.
+//! the envelope fields those checks established. [`render`] does the rest:
+//! the table and the `results/BENCH_<name>.json` envelope, both derived
+//! from the grid's single [`Column`] list, so the two can never disagree;
+//! [`run_grid`] prints the one and writes the other.
 //!
 //! Nothing here reads a clock: every column is a pure function of the seed,
 //! which is what lets CI regenerate the committed tables and `git diff` them.
@@ -171,7 +172,28 @@ pub fn check<G: Grid>(grid: &G) -> (Vec<G::Row>, Vec<(&'static str, String)>) {
     (rows, fields)
 }
 
-/// [`check`]s the grid, prints the table and writes
+/// [`check`]s the grid and renders it, writing nothing: the text table and
+/// the `BENCH_<name>.json` envelope, in that order, both from the grid's
+/// one column list.
+///
+/// # Panics
+///
+/// As [`check`] does.
+pub fn render<G: Grid>(grid: &G) -> (String, String) {
+    let columns = grid.columns();
+    let keys: Vec<&str> = columns.iter().map(|c| c.key.as_str()).collect();
+    let (typed, fields) = check(grid);
+    let rows: Vec<Vec<Value>> = typed
+        .iter()
+        .map(|row| columns.iter().map(|c| (c.value)(row)).collect())
+        .collect();
+    (
+        render_table(&keys, &rows),
+        render_envelope(G::NAME, G::SEED, &fields, &keys, &rows),
+    )
+}
+
+/// [`render`]s the grid, prints the table and writes
 /// `results/BENCH_<name>.json`.
 ///
 /// # Errors
@@ -182,22 +204,12 @@ pub fn check<G: Grid>(grid: &G) -> (Vec<G::Row>, Vec<(&'static str, String)>) {
 ///
 /// As [`check`] does.
 pub fn run_grid<G: Grid>(grid: &G) -> std::io::Result<()> {
-    let columns = grid.columns();
-    let keys: Vec<&str> = columns.iter().map(|c| c.key.as_str()).collect();
-    let (typed, fields) = check(grid);
-    let rows: Vec<Vec<Value>> = typed
-        .iter()
-        .map(|row| columns.iter().map(|c| (c.value)(row)).collect())
-        .collect();
-
+    let (table, envelope) = render(grid);
     println!("{}\n", G::TITLE);
-    print!("{}", render_table(&keys, &rows));
+    print!("{table}");
     let path = PathBuf::from(format!("results/BENCH_{}.json", G::NAME));
     std::fs::create_dir_all("results")?;
-    std::fs::write(
-        &path,
-        render_envelope(G::NAME, G::SEED, &fields, &keys, &rows),
-    )?;
+    std::fs::write(&path, envelope)?;
     println!("\nwrote {}; every contract held.\n", path.display());
     Ok(())
 }

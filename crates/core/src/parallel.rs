@@ -8,13 +8,16 @@
 //! independent of every other, so the work is embarrassingly parallel. This
 //! module supplies the harness, in two layers:
 //!
-//! * [`fan_out`] — the primitive. A fixed pool of scoped worker threads
-//!   claims jobs from one indexed list a batch of consecutive indices at a
-//!   time (one short lock a batch; no channel, no queue that can grow),
-//!   builds its per-worker state once, and hands the results back in job
-//!   order. No work stealing, no runtime. The streaming engine's per-tick
-//!   scoring calls it directly, and so do the evaluation harness's
-//!   per-change cohort pass and the deployment week's per-day one.
+//! * [`fan_out`] — the primitive, re-exported from `funnel-obs` (which
+//!   owns the per-worker span flush it performs, and sits below
+//!   `funnel-sim`, whose `World::materialize` calls it too). A fixed pool
+//!   of scoped worker threads claims jobs from one indexed list a batch of
+//!   consecutive indices at a time (one short lock a batch; no channel, no
+//!   queue that can grow), builds its per-worker state once, and hands the
+//!   results back in job order. No work stealing, no runtime. The
+//!   streaming engine's per-tick scoring calls it directly, and so do the
+//!   evaluation harness's per-change cohort pass and the deployment week's
+//!   per-day one.
 //! * `assess_work_units` — the assessment form, which the batch pipeline,
 //!   re-assessment and the streaming completion path all call.
 //!   It runs `Funnel::assess_item` per unit and owns the assessment's one
@@ -56,9 +59,10 @@ use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::TimeSeries;
 use funnel_topology::change::SoftwareChange;
 use funnel_topology::impact::{Entity, ImpactSet};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+pub use funnel_obs::parallel::fan_out;
 
 /// One memoized control-group window: the fetched member series with their
 /// coverage masks, plus the group's mean coverage over the DiD periods.
@@ -77,74 +81,6 @@ pub(crate) fn control_level(entity: Entity) -> u8 {
         Entity::Server(_) => 0,
         Entity::Instance(_) | Entity::Service(_) => 1,
     }
-}
-
-/// Claims a worker makes over an evenly loaded run: enough that one slow
-/// batch (a unit that went on to DiD) cannot leave the other workers idle
-/// for long, few enough that claiming stays a rounding error.
-const CLAIMS_PER_WORKER: usize = 8;
-
-/// Runs `run_job` over every job on `workers` scoped threads and returns
-/// the results in job order: position `i` holds job `i`'s result.
-///
-/// Workers claim a batch of consecutive indices under one short lock, so a
-/// tick of a thousand cheap folds costs a few dozen claims, not a thousand
-/// messages. Each worker builds its state with `worker_state` once and,
-/// when `worker_span` names one, runs inside that span (indexed by worker)
-/// and flushes its span buffer before the thread exits.
-///
-/// One worker (or at most one job) runs inline on the calling thread, with
-/// no span, through the same two closures — serial and parallel callers
-/// cannot drift apart.
-pub fn fan_out<J: Send, W, R: Send>(
-    jobs: Vec<J>,
-    workers: usize,
-    worker_span: Option<funnel_obs::names::Name>,
-    worker_state: impl Fn() -> W + Sync,
-    run_job: impl Fn(&mut W, J) -> R + Sync,
-) -> Vec<R> {
-    let units = jobs.len();
-    let workers = workers.clamp(1, units.max(1));
-    if workers == 1 {
-        let mut state = worker_state();
-        return jobs
-            .into_iter()
-            .map(|job| run_job(&mut state, job))
-            .collect();
-    }
-
-    let batch = units.div_ceil(workers * CLAIMS_PER_WORKER).max(1);
-    let queue = Mutex::new(jobs.into_iter().enumerate());
-    let finished: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(units));
-    std::thread::scope(|scope| {
-        for worker_idx in 0..workers {
-            let (queue, finished, worker_state, run_job) =
-                (&queue, &finished, &worker_state, &run_job);
-            scope.spawn(move || {
-                let span = worker_span.map(|name| funnel_obs::span!(name, worker_idx));
-                let mut state = worker_state();
-                let mut results = Vec::new();
-                loop {
-                    let claimed: Vec<(usize, J)> = queue.lock().by_ref().take(batch).collect();
-                    if claimed.is_empty() {
-                        break;
-                    }
-                    for (index, job) in claimed {
-                        results.push((index, run_job(&mut state, job)));
-                    }
-                }
-                finished.lock().append(&mut results);
-                // Merge this worker's span buffer before the scoped thread
-                // exits — commutative merge, so flush order is unobservable.
-                drop(span);
-                funnel_obs::flush_thread();
-            });
-        }
-    });
-    // Which worker ran which job is scheduling-dependent; the index erases it.
-    let mut finished = finished.into_inner();
-    finished.sort_unstable_by_key(|(index, _)| *index);
-    finished.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Deterministically merges per-item results into the final report order.
@@ -249,6 +185,7 @@ mod tests {
     use funnel_sim::effect::{ChangeEffect, EffectScope};
     use funnel_sim::world::{SimConfig, World, WorldBuilder};
     use funnel_topology::change::{ChangeId, ChangeKind};
+    use parking_lot::Mutex;
     use std::collections::BTreeSet;
 
     fn shifted_world(delta: f64) -> (World, ChangeId) {
@@ -270,27 +207,6 @@ mod tests {
         config.assess.workers = workers;
         let assessment = Funnel::new(config).assess_change(world, change).unwrap();
         format!("{assessment:?}")
-    }
-
-    /// The primitive alone: job `i` yields `i * 2`.
-    fn doubled(units: usize, workers: usize) -> Vec<usize> {
-        fan_out((0..units).collect(), workers, None, || (), |(), i| i * 2)
-    }
-
-    #[test]
-    fn fan_out_results_are_complete_and_index_addressed() {
-        for workers in [1, 2, 3, 8, 64] {
-            let out = doubled(37, workers);
-            assert_eq!(out.len(), 37, "workers={workers}");
-            for (i, r) in out.iter().enumerate() {
-                assert_eq!(*r, i * 2, "workers={workers}: slot {i}");
-            }
-        }
-        // No units, and more workers than units.
-        assert!(doubled(0, 1).is_empty());
-        assert!(doubled(0, 8).is_empty());
-        assert_eq!(doubled(1, 8), vec![0]);
-        assert_eq!(doubled(3, 8), vec![0, 2, 4]);
     }
 
     #[test]

@@ -57,6 +57,9 @@ impl ItemOutcome {
 /// Evaluates `methods` on every change of the cohort, `workers` changes at
 /// a time. Deterministic given the world: the list is the same at any
 /// worker count.
+///
+/// Every item reads one snapshot of the materialized world, so each series
+/// is generated once however many items and control groups read it.
 pub fn evaluate_cohort(
     world: &World,
     meta: &CohortMeta,
@@ -68,6 +71,11 @@ pub fn evaluate_cohort(
     config.history_days = meta.history_days;
     let assessment_minutes = config.assessment_minutes;
     let funnel = Funnel::new(config);
+    let snapshot = world
+        .materialize()
+        .expect("every key of the world")
+        .snapshot();
+    let kinds = |svc| world.kinds_of_service(svc).to_vec();
 
     let per_change = fan_out(
         meta.changes.clone(),
@@ -75,17 +83,18 @@ pub fn evaluate_cohort(
         None,
         || -> Vec<MethodRunner> { methods.iter().map(|&m| MethodRunner::new(m)).collect() },
         |runners, (change, effecting)| {
+            let record = world.change_log().get(change).expect("logged");
             let assessment = funnel
-                .assess_change(world, change)
+                .assess_change_with(&snapshot, world.topology(), record, &kinds)
                 .expect("cohort changes assess cleanly");
-            let change_minute = world.change_log().get(change).expect("logged").minute;
+            let change_minute = record.minute;
             let mut outcomes = Vec::new();
             for item in &assessment.items {
                 let Some(actual) = truth.label(change, item.key) else {
                     continue;
                 };
                 let onset = truth.onset(change, item.key).unwrap_or(change_minute);
-                let series = world.series(&item.key).expect("series exists");
+                let series = snapshot.get(&item.key).expect("series exists");
                 for (&method, runner) in methods.iter().zip(runners.iter()) {
                     let declared_at = match method {
                         // Improved SST = FUNNEL's detector without the DiD
@@ -160,7 +169,7 @@ pub fn delays<'a>(outcomes: impl IntoIterator<Item = &'a ItemOutcome>) -> Vec<f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use funnel_sim::scenario::evaluation_world;
+    use funnel_sim::scenario::{deployment_week, evaluation_world};
 
     fn outcome(effecting: bool, actual: bool, predicted: bool, delay: Option<u64>) -> ItemOutcome {
         use funnel_sim::kpi::KpiKind;
@@ -202,6 +211,7 @@ mod tests {
     /// A trimmed cohort, once serially and once on three workers: the same
     /// list, and every method sees the same item universe. (What the list
     /// says of the methods is the table1 grid's contract, in `funnel-bench`.)
+    /// And the source switch behind it changes no assessment.
     #[test]
     fn trimmed_cohort_is_worker_invariant() {
         let (world, mut meta) = evaluation_world(3);
@@ -214,5 +224,34 @@ mod tests {
         assert!(of(Method::Funnel)
             .map(|o| (o.change, o.key, o.actual))
             .eq(of(Method::ImprovedSst).map(|o| (o.change, o.key, o.actual))));
+
+        // The pass reads a snapshot of the materialized world: each change
+        // assesses on it byte for byte as on the world, in a §4.1 cohort
+        // and in a deployment week.
+        let (cohort, meta) = evaluation_world(2015);
+        let cohort_changes = meta.changes.iter().take(8).map(|&(id, _)| id).collect();
+        let (week, week_meta) = deployment_week(2015, 6);
+        for (world, history_days, changes) in [
+            (cohort, meta.history_days, cohort_changes),
+            (week, week_meta.history_days, week_meta.days.concat()),
+        ] {
+            let mut config = FunnelConfig::paper_default();
+            config.history_days = history_days;
+            let funnel = Funnel::new(config);
+            let snapshot = world.materialize().expect("materialized").snapshot();
+            let kinds = |svc| world.kinds_of_service(svc).to_vec();
+            for id in changes {
+                let record = world.change_log().get(id).expect("logged");
+                let on_world = funnel.assess_change(&world, id).expect("assessed");
+                let on_snapshot = funnel
+                    .assess_change_with(&snapshot, world.topology(), record, &kinds)
+                    .expect("assessed");
+                assert_eq!(
+                    format!("{on_world:?}"),
+                    format!("{on_snapshot:?}"),
+                    "{id:?}"
+                );
+            }
+        }
     }
 }

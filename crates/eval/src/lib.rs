@@ -8,10 +8,10 @@
 //! * [`truth`] — the one join between an assessed item and the world's
 //!   ground truth: a real KPI change, none, or too faint to label.
 //! * [`cohort`] — runs a whole evaluation cohort against every method,
-//!   changes fanned out through `funnel_core::parallel::fan_out`, and
-//!   returns one flat list of item outcomes; Table 1 and the Fig. 5 delay
-//!   samples are folds over it (their median and CCDF are
-//!   `funnel_timeseries::stats` and a count).
+//!   changes fanned out through `funnel_core::parallel::fan_out` over a
+//!   snapshot of the materialized world, and returns one flat list of item
+//!   outcomes; Table 1 and the Fig. 5 delay samples are folds over it
+//!   (their median and CCDF are `funnel_timeseries::stats` and a count).
 //! * [`timing`] — single-thread per-window wall-clock measurement and the
 //!   "cores for one million KPIs" projection of Table 2.
 

@@ -22,6 +22,10 @@
 //!   [`SimClock`](clock::SimClock) for tests and a monotonic
 //!   [`WallClock`](clock::WallClock) behind the workspace's single
 //!   lint-suppressed `Instant::now` choke point.
+//! * **Fan-out** — [`parallel::fan_out`], the workspace's one pool of
+//!   scoped workers: it lives here because it opens and flushes each
+//!   worker's span buffer, and because `funnel-sim` needs it below
+//!   `funnel-core`.
 //! * **Reports** — [`ObsReport`]: the timeline summed over windows, as
 //!   sorted JSON plus a human summary, opt-in via the `FUNNEL_OBS` env var
 //!   ([`init_from_env`]).
@@ -37,6 +41,7 @@
 pub mod clock;
 pub mod metrics;
 pub mod names;
+pub mod parallel;
 pub mod report;
 pub mod span;
 pub mod timeline;

@@ -14,6 +14,7 @@ use crate::effect::{ChangeEffect, EffectScope, ExternalShock};
 use crate::kpi::{Aggregation, KpiKey, KpiKind};
 use crate::splitmix64;
 use crate::store::MetricStore;
+use funnel_obs::parallel::fan_out;
 use funnel_timeseries::generate::KpiGenerator;
 use funnel_timeseries::inject::{ChangeShape, InjectedChange};
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
@@ -22,7 +23,9 @@ use funnel_topology::impact::Entity;
 use funnel_topology::model::{InstanceId, ServiceId, Topology};
 use funnel_topology::naming::ServiceName;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 /// Simulation span and seed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -366,31 +369,15 @@ impl World {
 
     /// Generates the series for one KPI key over the full span, with all
     /// effects and shocks applied. Service keys aggregate their instances.
+    /// This is the definition every other reading of the world is compared
+    /// against: [`World::materialize`] must store exactly these bits.
     ///
     /// # Errors
     ///
     /// [`SimError::UnknownKey`] when the key does not exist in this world.
     pub fn series(&self, key: &KpiKey) -> Result<TimeSeries, SimError> {
         match key.entity {
-            Entity::Service(s) => {
-                let instances = self.topology.instances_of(s);
-                if instances.is_empty() {
-                    return Err(SimError::UnknownKey(*key));
-                }
-                if !self.kinds_of_service(s).contains(&key.kind) {
-                    return Err(SimError::UnknownKey(*key));
-                }
-                let members: Vec<TimeSeries> = instances
-                    .iter()
-                    .map(|i| self.series(&KpiKey::new(Entity::Instance(i.id), key.kind)))
-                    .collect::<Result<_, _>>()?;
-                let refs: Vec<&TimeSeries> = members.iter().collect();
-                let agg = match key.kind.aggregation() {
-                    Aggregation::Sum => TimeSeries::sum(&refs),
-                    Aggregation::Mean => TimeSeries::average(&refs),
-                };
-                agg.map_err(|_| SimError::UnknownKey(*key))
-            }
+            Entity::Service(_) => self.aggregate(key, |member| self.series(&member)),
             _ => {
                 let gen = self.generator(key)?;
                 let seed = entity_seed(self.config.seed, key.entity, key.kind);
@@ -401,6 +388,34 @@ impl World {
                 Ok(series)
             }
         }
+    }
+
+    /// The series of service key `key`: its instances' series of the same
+    /// kind, in [`Topology::instances_of`] order, folded by the kind's
+    /// [`Aggregation`]. `member` supplies each instance key's series,
+    /// generated or already held.
+    fn aggregate<M: Borrow<TimeSeries>>(
+        &self,
+        key: &KpiKey,
+        member: impl Fn(KpiKey) -> Result<M, SimError>,
+    ) -> Result<TimeSeries, SimError> {
+        let Entity::Service(service) = key.entity else {
+            return Err(SimError::UnknownKey(*key));
+        };
+        let instances = self.topology.instances_of(service);
+        if instances.is_empty() || !self.kinds_of_service(service).contains(&key.kind) {
+            return Err(SimError::UnknownKey(*key));
+        }
+        let members: Vec<M> = instances
+            .iter()
+            .map(|i| member(KpiKey::new(Entity::Instance(i.id), key.kind)))
+            .collect::<Result<_, _>>()?;
+        let refs: Vec<&TimeSeries> = members.iter().map(Borrow::borrow).collect();
+        let agg = match key.kind.aggregation() {
+            Aggregation::Sum => TimeSeries::sum(&refs),
+            Aggregation::Mean => TimeSeries::average(&refs),
+        };
+        agg.map_err(|_| SimError::UnknownKey(*key))
     }
 
     /// All injections (change effects + shocks) that land directly on a
@@ -615,16 +630,55 @@ impl World {
         keys
     }
 
-    /// Generates every key into a [`MetricStore`].
+    /// Generates every key into a [`MetricStore`], each series once: the
+    /// server and instance keys through [`fan_out`] on every core, then
+    /// each service key aggregated from the instance series already
+    /// generated (the same fold [`World::series`] runs). The store holds
+    /// exactly what [`World::series`] answers, key for key and bit for
+    /// bit, interned in [`World::all_keys`] order.
     ///
     /// # Errors
     ///
     /// Propagates generation errors (cannot happen for keys from
     /// [`World::all_keys`]).
     pub fn materialize(&self) -> Result<MetricStore, SimError> {
+        let keys = self.all_keys();
+        // `all_keys` lists the service keys last.
+        let first_service = keys
+            .iter()
+            .position(|key| matches!(key.entity, Entity::Service(_)))
+            .unwrap_or(keys.len());
+        let (generated, services) = keys.split_at(first_service);
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let mut series: Vec<TimeSeries> = fan_out(
+            generated.to_vec(),
+            workers,
+            None,
+            || (),
+            |(), key| self.series(&key),
+        )
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+        let held: BTreeMap<KpiKey, &TimeSeries> = generated.iter().copied().zip(&series).collect();
+        let aggregated: Vec<TimeSeries> = fan_out(
+            services.to_vec(),
+            workers,
+            None,
+            || (),
+            |(), key| {
+                self.aggregate(&key, |member| {
+                    held.get(&member)
+                        .copied()
+                        .ok_or(SimError::UnknownKey(member))
+                })
+            },
+        )
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+        series.extend(aggregated);
         let store = MetricStore::new();
-        for key in self.all_keys() {
-            store.insert(key, self.series(&key)?);
+        for (key, series) in keys.into_iter().zip(series) {
+            store.insert(key, series);
         }
         Ok(store)
     }
@@ -774,15 +828,63 @@ mod tests {
         assert!(matches!(err, SimError::ScopeKindMismatch { .. }));
     }
 
+    /// Every kind of injection at once: a dark launch whose effect also
+    /// reaches a related service, and an external shock on that service.
+    fn injected_world() -> World {
+        let mut b = WorldBuilder::new(SimConfig {
+            seed: 11,
+            start: 0,
+            duration: 600,
+        });
+        let web = b.add_service("prod.web", 4).unwrap();
+        let db = b.add_service("prod.db", 5).unwrap();
+        b.relate(web, db).unwrap();
+        let effect = ChangeEffect::none()
+            .with_level_shift(
+                KpiKind::PageViewResponseDelay,
+                EffectScope::TreatedInstances,
+                60.0,
+            )
+            .with_level_shift(
+                KpiKind::PageViewCount,
+                EffectScope::AffectedService(db),
+                -40.0,
+            );
+        let change = b
+            .deploy_change(ChangeKind::Upgrade, web, 2, 300, effect, "dark")
+            .unwrap();
+        b.add_shock(ExternalShock {
+            services: vec![db],
+            kind: KpiKind::AccessFailureCount,
+            shape: ChangeShape::LevelShift { delta: 200.0 },
+            onset: 400,
+        });
+        let w = b.build();
+        assert_eq!(w.change_log().get(change).unwrap().launch, LaunchMode::Dark);
+        w
+    }
+
     #[test]
     fn all_keys_and_materialize_cover_world() {
         let (w, _, _) = small_world();
-        let keys = w.all_keys();
         // 4 servers × 4 server kinds + 4 instances × 3 kinds + 1 service × 3.
-        assert_eq!(keys.len(), 16 + 12 + 3);
+        assert_eq!(w.all_keys().len(), 16 + 12 + 3);
+
+        // The store holds what `World::series` answers, bit for bit, every
+        // minute measured: a service folded from the wrong members, or in
+        // another order, moves some bit.
+        let w = injected_world();
+        let keys = w.all_keys();
         let store = w.materialize().unwrap();
+        assert_eq!(store.keys().len(), keys.len());
+        let bits = |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for key in &keys {
-            assert!(store.get(key).is_some(), "{key:?} missing");
+            let stored = store.get(key).expect("materialized");
+            let defined = w.series(key).unwrap();
+            assert_eq!(stored.start(), defined.start(), "{key:?}");
+            assert_eq!(bits(&stored), bits(&defined), "{key:?}");
+            let mask = store.mask(key).expect("a mask per key");
+            assert_eq!(mask.coverage(stored.start(), stored.end()), 1.0, "{key:?}");
         }
     }
 
