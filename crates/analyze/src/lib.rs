@@ -1,25 +1,30 @@
 //! `funnel-lint`: workspace-native static analysis for FUNNEL.
 //!
 //! FUNNEL's verdicts are bit-for-bit replayable under injected faults, and
-//! the invariants behind that claim are mechanical, not tribal. Clippy
-//! holds what it can say (`clippy.toml` bans the wall clock and the hashed
-//! collections; the hot path's `#![deny(clippy::unwrap_used, …)]` line bans
-//! panicking calls). This crate holds the rest: map indexing on the
-//! ingestion path, missing `#![forbid(unsafe_code)]`, order-sensitive f64
-//! folds, unwrapped filesystem I/O on the crash-recovery paths, notes on
-//! suppressions, and the interprocedural rules over a workspace call graph.
-//! It is a gate and keeps no ledger: any finding fails. Everything is
-//! hand-rolled over a small Rust lexer: no `syn`, no rustc plugin, no
-//! registry access required.
+//! the invariants behind that claim are mechanical, not tribal. The
+//! compiler holds what it can say: the workspace denies `unsafe_code`,
+//! `clippy.toml` bans the wall clock, thread identity and the hashed
+//! collections, and every crate root's `#![deny(clippy::unwrap_used, …)]`
+//! line bans panicking calls. This crate holds the rest, file by file: map
+//! indexing on the ingestion path, order-sensitive f64 folds, unwrapped
+//! filesystem I/O on the crash-recovery paths, the WAL journal before the
+//! store commit, and notes on suppressions. It is a gate and keeps no
+//! ledger: any finding fails. Everything is hand-rolled over a small Rust
+//! lexer: no `syn`, no rustc plugin, no registry access required.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
-pub mod graph;
 pub mod lexer;
 pub mod lints;
 pub mod scan;
-pub mod taint;
 
 use lints::Diagnostic;
 use scan::FileScan;
@@ -104,46 +109,25 @@ fn walk(root: &Path, dir: &Path, files: &mut BTreeMap<String, String>) -> std::i
     Ok(())
 }
 
-/// A full workspace analysis: findings plus the call graph they were
-/// computed over (kept for `--dump-graph` and the summary line).
-#[derive(Debug)]
-pub struct Analysis {
-    /// All findings, sorted by `(file, line, lint)`.
-    pub diagnostics: Vec<Diagnostic>,
-    /// The workspace call graph.
-    pub graph: graph::CallGraph,
-}
-
-/// Runs every lint over every file of `ws`.
-pub fn analyze(ws: &Workspace) -> std::io::Result<Analysis> {
+/// Runs every lint over every file of `ws`: all findings, sorted by
+/// `(file, line, lint)`.
+pub fn analyze(ws: &Workspace) -> std::io::Result<Vec<Diagnostic>> {
     Ok(analyze_sources(&ws.collect_files()?))
 }
 
-/// Runs the full analysis — per-file lints, the workspace call graph, and
-/// the interprocedural passes — over an explicit `(path, contents)` set.
-/// Files are sorted (and deduped, last wins) internally, so the result is
+/// Runs every lint over an explicit `(path, contents)` set. Files are
+/// sorted (and deduped, last wins) internally, so the result is
 /// byte-identical for any input ordering; the determinism tests feed this
 /// shuffled inputs to prove it.
-pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
+pub fn analyze_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
     let sorted: BTreeMap<&str, &str> = files
         .iter()
         .map(|(p, c)| (p.as_str(), c.as_str()))
         .collect();
-    let scans: Vec<(String, FileScan)> = sorted
-        .iter()
-        .map(|(p, c)| (p.to_string(), FileScan::of(c)))
-        .collect();
-    let mut out = Vec::new();
-    for (rel, scan) in &scans {
-        out.extend(lints::run_lints(rel, scan));
-    }
-    let graph = graph::build(&scans);
-    out.extend(taint::run_graph_lints(&graph, &scans));
-    out.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
-    Analysis {
-        diagnostics: out,
-        graph,
-    }
+    sorted
+        .into_iter()
+        .flat_map(|(path, contents)| analyze_file(path, contents))
+        .collect()
 }
 
 /// Runs every lint over one file given as `(relative path, contents)` —

@@ -1,18 +1,20 @@
 //! The lint registry and the per-file FUNNEL domain lints.
 //!
-//! What clippy can say, clippy holds (DESIGN.md §7): `clippy.toml` bans the
-//! wall clock and the hashed collections, and the hot path's
-//! `#![deny(clippy::unwrap_used, …)]` line bans the panicking calls. The
-//! per-file rules here are the ones it cannot say: map indexing on the hot
-//! path, `#![forbid(unsafe_code)]` on every crate root, float fold order,
-//! unwrapped filesystem I/O, and notes on suppressions. The passes are
+//! What the compiler can say, the compiler holds (DESIGN.md §7): the
+//! workspace denies `unsafe_code`, `clippy.toml` bans the wall clock,
+//! thread identity and the hashed collections, and every crate root's
+//! `#![deny(clippy::unwrap_used, …)]` line bans the panicking calls (with
+//! `clippy::indexing_slicing` on the core, sim and resilience roots). The
+//! rules here are the ones it cannot say: map indexing on the hot path,
+//! float fold order, unwrapped filesystem I/O, the journal before the store
+//! commit, and notes on suppressions. The passes are
 //! deliberately shallow — token patterns plus the [`FileScan`] structure —
 //! so `funnel-lint` runs wherever the workspace builds. Shallow means
 //! heuristic: false positives are expected and handled by inline
 //! `// funnel-lint: allow(<lint>)` suppressions, never by weakening
 //! the pass.
 
-use crate::scan::FileScan;
+use crate::scan::{FileScan, FnSpan};
 use std::collections::BTreeSet;
 
 /// Static description of one lint.
@@ -24,19 +26,17 @@ pub struct LintInfo {
     pub description: &'static str,
 }
 
-/// L3–L9 and L11, in order. L1 (wall clock) and L2 (hashed collections) are
-/// `clippy.toml`'s, and L3's panicking calls are the hot-path `deny` line's;
-/// there is no L10: the obs vocabulary is closed by the type
-/// `funnel_obs::names::Name`, not by a lint.
-pub const REGISTRY: [LintInfo; 8] = [
+/// L3, L5, L6, L9 and L11, in order. L1 (wall clock) and L2 (hashed
+/// collections) are `clippy.toml`'s, and L3's panicking calls are the crate
+/// roots' `deny` line's. L4 (`unsafe_code`) is a workspace lint, L7's panic
+/// sources are the `deny` line's and L8's nondeterminism sources
+/// `clippy.toml`'s. There is no L10: the obs vocabulary is closed by the
+/// type `funnel_obs::names::Name`, not by a lint.
+pub const REGISTRY: [LintInfo; 5] = [
     LintInfo {
         id: "panic-in-hot-path",
         description: "indexing a map (`m[&k]`) on the ingestion-to-verdict path panics on a \
                       missing key, and clippy's indexing_slicing does not see it; use .get()",
-    },
-    LintInfo {
-        id: "missing-forbid-unsafe",
-        description: "every non-shim crate root must carry #![forbid(unsafe_code)]",
     },
     LintInfo {
         id: "float-accumulation-order",
@@ -47,18 +47,6 @@ pub const REGISTRY: [LintInfo; 8] = [
         id: "fs-io-unwrap",
         description: "unwrap()/expect() on a filesystem I/O result turns a full disk, missing \
                       path, or permission error into a crash; propagate the io::Error with `?`",
-    },
-    LintInfo {
-        id: "panic-reachability",
-        description: "a fn marked `// funnel-lint: root` can transitively reach unwrap()/\
-                      expect()/panic!/indexing through the call graph; make the chain fallible \
-                      or suppress the source with a note (a marker no fn follows is a finding too)",
-    },
-    LintInfo {
-        id: "determinism-taint",
-        description: "a nondeterminism source (clock, hash iteration, thread identity, \
-                      unseeded RNG) flows along call edges into a report/serialization sink \
-                      without passing a sanctioned sanitizer",
     },
     LintInfo {
         id: "journal-before-commit",
@@ -95,9 +83,7 @@ fn in_any(path: &str, prefixes: &[&str]) -> bool {
 
 /// The ingestion-to-verdict hot path (L3 scope): four crates whole, the
 /// one fan-out (`funnel-obs`), and the agent replay loop, wire decoding,
-/// the collector and the store of `funnel-sim`. The same nine places carry
-/// the `#![deny(clippy::unwrap_used, …)]` line (a crate's `lib.rs`, or the
-/// file).
+/// the collector and the store of `funnel-sim`.
 pub const HOT_PATH: [&str; 9] = [
     "crates/core/src/",
     "crates/did/src/",
@@ -125,14 +111,6 @@ fn aggregation_code(path: &str) -> bool {
     )
 }
 
-/// Whether `path` is a crate root that must carry `#![forbid(unsafe_code)]`
-/// (L4 scope). Shim crates are excluded at the workspace-walk level.
-pub fn is_guarded_crate_root(path: &str) -> bool {
-    path == "src/lib.rs"
-        || (path.starts_with("crates/")
-            && (path.ends_with("/src/lib.rs") || path.ends_with("/src/main.rs")))
-}
-
 // ------------------------------------------------------------ the passes --
 
 /// Runs every lint on one file. `path` is workspace-relative with forward
@@ -140,9 +118,9 @@ pub fn is_guarded_crate_root(path: &str) -> bool {
 pub fn run_lints(path: &str, scan: &FileScan) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     lint_map_index(path, scan, &mut out);
-    lint_missing_forbid_unsafe(path, scan, &mut out);
     lint_float_accumulation_order(path, scan, &mut out);
     lint_fs_io_unwrap(path, scan, &mut out);
+    lint_journal_before_commit(path, scan, &mut out);
     lint_suppression_note(path, scan, &mut out);
     out.sort_by(|a, b| (a.line, a.lint).cmp(&(b.line, b.lint)));
     out
@@ -236,21 +214,6 @@ fn lint_map_index(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
             );
         }
     }
-}
-
-/// L4: every guarded crate root must carry `#![forbid(unsafe_code)]`.
-fn lint_missing_forbid_unsafe(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    if !is_guarded_crate_root(path) || scan.has_forbid_unsafe {
-        return;
-    }
-    emit(
-        out,
-        scan,
-        "missing-forbid-unsafe",
-        path,
-        1,
-        "crate root lacks #![forbid(unsafe_code)]".into(),
-    );
 }
 
 /// L5: `.sum::<f64>()` (and `+=` folds over hash containers) in
@@ -385,6 +348,112 @@ fn lint_fs_io_unwrap(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// Tokens that may consume a journal call's `Result` right after the
+/// closing paren.
+const RESULT_CHECKS: [&str; 7] = [
+    "is_err", "is_ok", "err", "ok", "map_err", "expect", "unwrap",
+];
+
+/// L9: in a fn that touches the ingest-hooks protocol and commits to the
+/// store, the WAL journal hook (`on_accepted_frame`) must be called before
+/// the first `commit` and its `Result` checked (`?`, a Result method, or an
+/// `if`/`match`/`while` condition), so that WAL ⊇ store holds at every
+/// crash point (DESIGN.md §10).
+fn lint_journal_before_commit(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
+    for f in &scan.fns {
+        if !mentions_hooks(scan, f) {
+            continue;
+        }
+        let Some(&commit) = calls_in(scan, f, "commit").first() else {
+            continue;
+        };
+        let journals = calls_in(scan, f, "on_accepted_frame");
+        let before: Vec<usize> = journals.iter().copied().filter(|&j| j < commit).collect();
+        let problem = if journals.is_empty() {
+            "commits to the store on an IngestHooks path without journaling \
+             (`on_accepted_frame`) first; a crash here loses the accepted frame"
+        } else if before.is_empty() {
+            "journals only *after* committing; the WAL must lexically precede the store \
+             commit so WAL ⊇ store holds at every crash point"
+        } else if !before.iter().any(|&j| journal_guarded(scan, j)) {
+            "ignores the journal hook's Result before committing; check it (`?`, \
+             `if …is_err()`, `match`) so a failed WAL write blocks the commit"
+        } else {
+            continue;
+        };
+        emit(
+            out,
+            scan,
+            "journal-before-commit",
+            path,
+            scan.code[commit].line,
+            format!("`{}` {problem}", f.name),
+        );
+    }
+}
+
+/// Whether `f`'s signature or body mentions the ingest-hooks protocol.
+fn mentions_hooks(scan: &FileScan, f: &FnSpan) -> bool {
+    scan.code[f.fn_tok..f.body_close]
+        .iter()
+        .any(|t| t.is_ident("hooks") || t.is_ident("IngestHooks") || t.is_ident("DurableHooks"))
+}
+
+/// Token indices of the `name(…)` calls in `f`'s body, in order: fns
+/// nested in the body are their own, and attributes are not calls.
+fn calls_in(scan: &FileScan, f: &FnSpan, name: &str) -> Vec<usize> {
+    let nested: Vec<(usize, usize)> = scan
+        .fns
+        .iter()
+        .filter(|g| g.fn_tok > f.fn_tok && g.body_close <= f.body_close)
+        .map(|g| (g.fn_tok, g.body_close))
+        .collect();
+    (f.body_open + 1..f.body_close)
+        .filter(|&i| {
+            scan.code[i].is_ident(name)
+                && scan.code.get(i + 1).is_some_and(|t| t.is_punct('('))
+                && !nested.iter().any(|&(a, b)| (a..=b).contains(&i))
+                && !scan.in_attr(i)
+        })
+        .collect()
+}
+
+/// Whether the journal call at token `tok` has its `Result` consumed: a
+/// `?` or a Result-inspecting method follows the closing paren, or the
+/// call sits inside an `if`/`match`/`while` condition within the same
+/// statement.
+fn journal_guarded(scan: &FileScan, tok: usize) -> bool {
+    let code = &scan.code;
+    let mut depth = 0usize;
+    let mut close = tok + 1;
+    while close < code.len() {
+        if code[close].is_punct('(') {
+            depth += 1;
+        } else if code[close].is_punct(')') {
+            depth -= 1;
+            if depth == 0 {
+                break;
+            }
+        }
+        close += 1;
+    }
+    if code.get(close + 1).is_some_and(|t| t.is_punct('?')) {
+        return true;
+    }
+    if code.get(close + 1).is_some_and(|t| t.is_punct('.'))
+        && code
+            .get(close + 2)
+            .is_some_and(|t| RESULT_CHECKS.iter().any(|m| t.is_ident(m)))
+    {
+        return true;
+    }
+    code[..tok]
+        .iter()
+        .rev()
+        .take_while(|t| !(t.is_punct(';') || t.is_punct('{') || t.is_punct('}')))
+        .any(|t| t.is_ident("if") || t.is_ident("match") || t.is_ident("while"))
+}
+
 /// L11: every inline suppression must say *why*. A bare
 /// `// funnel-lint: allow(x)` silences a lint with no reviewable
 /// justification; `// funnel-lint: allow(x): reason` leaves one. This pass
@@ -480,4 +549,68 @@ fn sorted_earlier_in_fn(scan: &FileScan, idx: usize) -> bool {
         .take(idx)
         .filter(|t| (f.start_line..=f.end_line).contains(&t.line))
         .any(|t| t.kind == crate::lexer::TokenKind::Ident && t.text.starts_with("sort"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn journal_findings(src: &str) -> Vec<Diagnostic> {
+        run_lints("crates/sim/src/agent.rs", &FileScan::of(src))
+            .into_iter()
+            .filter(|d| d.lint == "journal-before-commit")
+            .collect()
+    }
+
+    #[test]
+    fn journal_before_commit_protocol() {
+        let good = "pub fn drive(hooks: &mut H) {\n\
+                    if hooks.on_accepted_frame().is_err() { return; }\n\
+                    store.commit();\n}\n";
+        let missing = "pub fn drive(hooks: &mut H) {\n  store.commit();\n}\n";
+        let after = "pub fn drive(hooks: &mut H) {\n  store.commit();\n\
+                     if hooks.on_accepted_frame().is_err() { return; }\n}\n";
+        let unchecked = "pub fn drive(hooks: &mut H) {\n  hooks.on_accepted_frame();\n\
+                         store.commit();\n}\n";
+        for (src, expect) in [
+            (good, None),
+            (missing, Some("without journaling")),
+            (after, Some("only *after*")),
+            (unchecked, Some("ignores the journal")),
+        ] {
+            let l9 = journal_findings(src);
+            match expect {
+                None => assert!(l9.is_empty(), "false positive on: {src}\n{l9:?}"),
+                Some(frag) => {
+                    assert_eq!(l9.len(), 1, "missing finding on: {src}");
+                    assert!(l9[0].message.contains(frag), "got: {}", l9[0].message);
+                    assert_eq!(l9[0].context, "drive");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn question_mark_guards_the_journal() {
+        let l9 = journal_findings(
+            "pub fn drive(hooks: &mut H) -> R<()> {\n\
+             hooks.on_accepted_frame()?;\n  store.commit();\n  Ok(())\n}\n",
+        );
+        assert!(l9.is_empty(), "`?` must count as guarded: {l9:?}");
+    }
+
+    #[test]
+    fn a_nested_fn_keeps_its_own_calls() {
+        // The outer fn journals and commits in order; the commit inside the
+        // nested fn is the nested fn's, and it never mentions the hooks.
+        let l9 = journal_findings(
+            "pub fn drive(hooks: &mut H) -> R<()> {\n\
+             fn flush(store: &mut S) { store.commit(); }\n\
+             hooks.on_accepted_frame()?;\n  store.commit();\n  Ok(())\n}\n",
+        );
+        assert!(
+            l9.is_empty(),
+            "nested fn calls are not the outer fn's: {l9:?}"
+        );
+    }
 }

@@ -1,13 +1,11 @@
 //! The `funnel-lint` CLI.
 //!
 //! ```text
-//! cargo run -p funnel-analyze -- [--root DIR] [--dump-graph]
+//! cargo run -p funnel-analyze -- [--root DIR]
 //! ```
 //!
 //! Exit codes: 0 = no finding, 1 = usage or I/O error, 2 = at least one
 //! finding.
-
-#![forbid(unsafe_code)]
 
 use funnel_analyze::lints::REGISTRY;
 use funnel_analyze::{analyze, render_human, Workspace};
@@ -16,16 +14,13 @@ use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
-    dump_graph: bool,
 }
 
 fn usage() -> String {
     let mut s = String::from(
         "funnel-lint — FUNNEL's determinism/no-panic static analysis\n\n\
-         USAGE: funnel-lint [--root DIR] [--dump-graph]\n\n\
-         Prints every finding and exits 2 if there is one. --dump-graph prints the\n\
-         call graph the interprocedural lints ran over instead ([root] marks the fns\n\
-         carrying `// funnel-lint: root`).\n\n\
+         USAGE: funnel-lint [--root DIR]\n\n\
+         Prints every finding and exits 2 if there is one.\n\n\
          LINTS:\n",
     );
     for l in &REGISTRY {
@@ -37,13 +32,11 @@ fn usage() -> String {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        dump_graph: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--root" => args.root = PathBuf::from(it.next().ok_or("--root needs a value")?),
-            "--dump-graph" => args.dump_graph = true,
             "--help" | "-h" => {
                 print!("{}", usage());
                 std::process::exit(0);
@@ -63,7 +56,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let analysis = match analyze(&Workspace::at(&args.root)) {
+    let findings = match analyze(&Workspace::at(&args.root)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!(
@@ -74,21 +67,8 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.dump_graph {
-        print!("{}", analysis.graph.dump());
-        return ExitCode::SUCCESS;
-    }
-
-    let findings = &analysis.diagnostics;
-    let stats = &analysis.graph.stats;
-    print!("{}", render_human(findings));
-    println!(
-        "funnel-lint: {} finding(s); call graph: {} fns, {} calls resolved, {} unresolved",
-        findings.len(),
-        stats.nodes,
-        stats.resolved,
-        stats.unresolved
-    );
+    print!("{}", render_human(&findings));
+    println!("funnel-lint: {} finding(s)", findings.len());
     if findings.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -2,29 +2,20 @@
 //!
 //! Lints need just enough structure to be precise: which lines belong to
 //! `#[cfg(test)]` items or `#[test]` functions (panics there are fine),
-//! which function encloses a finding, whether the crate root carries
-//! `#![forbid(unsafe_code)]`, which lines carry an inline
-//! `funnel-lint: allow(...)` suppression, and which fns a
-//! `// funnel-lint: root` marker makes panic-reachability roots. The
-//! call-graph builder
-//! ([`crate::graph`]) additionally needs token-index spans per `fn`, the
-//! `impl`/`trait` block each method belongs to, and the token ranges
+//! which function encloses a finding, and which lines carry an inline
+//! `funnel-lint: allow(...)` suppression. The journal-before-commit pass
+//! additionally needs token-index spans per `fn` and the token ranges
 //! covered by attributes (so `#[cfg(feature = "x")]` never reads as a call
 //! to `cfg`).
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One `fn` item: name, line span, token-index span, and owning
-/// `impl`/`trait` block if any.
+/// One `fn` item: name, line span and token-index span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnSpan {
     /// The function's name.
     pub name: String,
-    /// The `impl` type or `trait` name this fn is defined under, if any —
-    /// `Collector` for `impl<'a> Collector<'a> { fn commit … }`,
-    /// `IngestHooks` for a trait's default method body.
-    pub owner: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub start_line: u32,
     /// 1-based line of the closing brace.
@@ -35,9 +26,6 @@ pub struct FnSpan {
     pub body_open: usize,
     /// Index of the body's closing `}` (or `code.len()` when unbalanced).
     pub body_close: usize,
-    /// Whether a `// funnel-lint: root` marker sits on this fn: L7 checks
-    /// that nothing it can reach panics.
-    pub is_root: bool,
 }
 
 /// One inline `funnel-lint: allow(...)` comment, with whatever explanatory
@@ -69,10 +57,6 @@ pub struct FileScan {
     /// Every `funnel-lint: allow` comment with its note status, in source
     /// order.
     pub suppression_sites: Vec<SuppressionSite>,
-    /// Lines of `// funnel-lint: root` markers that no `fn` item follows.
-    pub dangling_roots: Vec<u32>,
-    /// Whether the file carries an inner `#![forbid(unsafe_code)]`.
-    pub has_forbid_unsafe: bool,
     /// Inclusive token-index ranges covered by `#[…]` / `#![…]` attributes
     /// (from the `#` to the closing `]`).
     pub attr_ranges: Vec<(usize, usize)>,
@@ -117,16 +101,9 @@ impl FileScan {
 fn build(all: Vec<Token>) -> FileScan {
     let mut suppressions: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
     let mut suppression_sites = Vec::new();
-    // `(line, index of the next code token)` per root marker.
-    let mut root_markers: Vec<(u32, usize)> = Vec::new();
-    let mut code_seen = 0usize;
     for t in &all {
         if !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
-            code_seen += 1;
             continue;
-        }
-        if is_root_marker(&t.text) {
-            root_markers.push((t.line, code_seen));
         }
         let Some(site) = parse_suppression(t.line, &t.text) else {
             continue;
@@ -148,59 +125,14 @@ fn build(all: Vec<Token>) -> FileScan {
         .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
         .collect();
 
-    let has_forbid_unsafe = find_inner_forbid(&code);
-    let attr_ranges = scan_attr_ranges(&code);
-    let fns = scan_fns(&code);
-    let test_regions = scan_test_regions(&code);
-
-    let mut scan = FileScan {
+    FileScan {
+        attr_ranges: scan_attr_ranges(&code),
+        fns: scan_fns(&code),
+        test_regions: scan_test_regions(&code),
         code,
-        fns,
-        test_regions,
         suppressions,
         suppression_sites,
-        dangling_roots: Vec::new(),
-        has_forbid_unsafe,
-        attr_ranges,
-    };
-    // A marker binds to the item whose attributes and qualifiers it sits
-    // above, when that item is a `fn` with a body.
-    for (line, next) in root_markers {
-        let fn_tok = (next..scan.code.len())
-            .find(|&i| !scan.in_attr(i) && !is_fn_qualifier(&scan.code[i]))
-            .filter(|&i| scan.code[i].is_ident("fn"));
-        match scan.fns.iter_mut().find(|f| Some(f.fn_tok) == fn_tok) {
-            Some(f) => f.is_root = true,
-            None => scan.dangling_roots.push(line),
-        }
     }
-    scan
-}
-
-/// A plain line comment reading `// funnel-lint: root` (a note may follow).
-/// Doc comments never match, so prose may quote the marker.
-fn is_root_marker(comment: &str) -> bool {
-    comment
-        .strip_prefix("//")
-        .map(str::trim_start)
-        .and_then(|c| c.strip_prefix("funnel-lint:"))
-        .map(str::trim_start)
-        .and_then(|c| c.strip_prefix("root"))
-        .is_some_and(|tail| !tail.starts_with(|c: char| c.is_alphanumeric() || c == '_'))
-}
-
-/// Whether `t` may sit between an item's first token and its `fn` keyword:
-/// `pub`, `pub(crate)`, `pub(in …)`, `const`, `async`, `unsafe`,
-/// `extern "C"`.
-pub(crate) fn is_fn_qualifier(t: &Token) -> bool {
-    t.kind == TokenKind::Str
-        || t.is_punct('(')
-        || t.is_punct(')')
-        || (t.kind == TokenKind::Ident
-            && matches!(
-                t.text.as_str(),
-                "pub" | "const" | "async" | "unsafe" | "extern" | "crate" | "super" | "in"
-            ))
 }
 
 /// `funnel-lint: allow(a, b)` anywhere inside a comment, plus whether a
@@ -256,26 +188,6 @@ fn scan_attr_ranges(code: &[Token]) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Looks for `#![forbid(unsafe_code)]` among the file's inner attributes.
-fn find_inner_forbid(code: &[Token]) -> bool {
-    let mut i = 0;
-    while i + 2 < code.len() {
-        if code[i].is_punct('#') && code[i + 1].is_punct('!') && code[i + 2].is_punct('[') {
-            let end = matching_bracket(code, i + 2);
-            let body = &code[i + 3..end.min(code.len())];
-            if body.iter().any(|t| t.is_ident("forbid"))
-                && body.iter().any(|t| t.is_ident("unsafe_code"))
-            {
-                return true;
-            }
-            i = end + 1;
-        } else {
-            i += 1;
-        }
-    }
-    false
-}
-
 /// Index of the `]` matching the `[` at `open` (or `code.len()` if
 /// unbalanced — the scanner stays total on malformed input).
 fn matching_bracket(code: &[Token], open: usize) -> usize {
@@ -309,95 +221,10 @@ fn matching_brace(code: &[Token], open: usize) -> usize {
     code.len()
 }
 
-/// One `impl Type { … }`, `impl Trait for Type { … }`, or
-/// `trait Name { … }` block: the owner name lints and the call graph
-/// attribute contained fns to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct OwnerBlock {
-    name: String,
-    open: usize,
-    close: usize,
-}
-
-/// Finds every `impl`/`trait` block and the self-type (or trait) name it
-/// owns. For `impl Trait for Type` the owner is `Type`; generics and
-/// lifetimes are skipped; a malformed header is simply not an owner block.
-fn scan_owner_blocks(code: &[Token]) -> Vec<OwnerBlock> {
-    let mut blocks = Vec::new();
-    let mut i = 0;
-    while i < code.len() {
-        let kw_impl = code[i].is_ident("impl");
-        let kw_trait = code[i].is_ident("trait");
-        if !kw_impl && !kw_trait {
-            i += 1;
-            continue;
-        }
-        // Collect the last path-segment ident seen before the body `{`,
-        // restarting after `for` so `impl Trait for Type` yields `Type`.
-        // Generic argument lists are skipped wholesale (their type names
-        // are parameters, not the self type).
-        let mut j = i + 1;
-        let mut name: Option<String> = None;
-        let mut open = None;
-        let mut angle = 0usize;
-        while j < code.len() {
-            let t = &code[j];
-            if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') {
-                angle = angle.saturating_sub(1);
-            } else if angle == 0 {
-                if t.is_punct('{') {
-                    open = Some(j);
-                    break;
-                }
-                if t.is_punct(';') {
-                    break;
-                }
-                if t.is_ident("for") {
-                    name = None;
-                } else if t.kind == TokenKind::Ident
-                    && !matches!(
-                        t.text.as_str(),
-                        "dyn" | "where" | "pub" | "unsafe" | "Send" | "Sync"
-                    )
-                    && !t.text.is_empty()
-                {
-                    // `where` clauses end name collection: bounds name
-                    // other types.
-                    name = Some(t.text.clone());
-                }
-                if t.is_ident("where") {
-                    // Freeze whatever we have; skip to the `{`.
-                    while j < code.len() && !code[j].is_punct('{') && !code[j].is_punct(';') {
-                        j += 1;
-                    }
-                    if code.get(j).is_some_and(|t| t.is_punct('{')) {
-                        open = Some(j);
-                    }
-                    break;
-                }
-            }
-            j += 1;
-        }
-        let (Some(name), Some(open)) = (name, open) else {
-            i += 1;
-            continue;
-        };
-        let close = matching_brace(code, open);
-        blocks.push(OwnerBlock { name, open, close });
-        // Continue scanning *inside* the block too (nested impls are rare
-        // but legal); the innermost block wins at lookup time.
-        i = open + 1;
-    }
-    blocks
-}
-
 /// All `fn name … { … }` items. `fn` pointer types (`fn(u32) -> u32`) are
 /// skipped because no identifier follows the keyword; trait method
 /// declarations are skipped because `;` arrives before `{`.
 fn scan_fns(code: &[Token]) -> Vec<FnSpan> {
-    let owners = scan_owner_blocks(code);
     let mut fns = Vec::new();
     for i in 0..code.len() {
         if !code[i].is_ident("fn") {
@@ -425,20 +252,13 @@ fn scan_fns(code: &[Token]) -> Vec<FnSpan> {
         }
         let Some(open) = open else { continue };
         let close = matching_brace(code, open);
-        let owner = owners
-            .iter()
-            .filter(|b| (b.open..=b.close).contains(&i))
-            .min_by_key(|b| b.close - b.open)
-            .map(|b| b.name.clone());
         fns.push(FnSpan {
             name: name_tok.text.clone(),
-            owner,
             start_line: code[i].line,
             end_line: code.get(close).map_or(code[i].line, |t| t.line),
             fn_tok: i,
             body_open: open,
             body_close: close,
-            is_root: false,
         });
     }
     fns
@@ -521,24 +341,12 @@ mod tests {
     }
 
     #[test]
-    fn forbid_unsafe_detected() {
-        assert!(FileScan::of("#![forbid(unsafe_code)]\nfn x() {}").has_forbid_unsafe);
-        assert!(
-            FileScan::of("//! docs\n#![warn(missing_docs)]\n#![forbid(unsafe_code)]")
-                .has_forbid_unsafe
-        );
-        assert!(!FileScan::of("#![warn(missing_docs)]\nfn x() {}").has_forbid_unsafe);
-        // An *outer* attribute on an item must not count.
-        assert!(!FileScan::of("#[forbid(unsafe_code)]\nfn x() {}").has_forbid_unsafe);
-    }
-
-    #[test]
     fn suppression_comment_covers_its_line_and_the_next() {
-        let src = "// funnel-lint: allow(panic-in-hot-path, determinism-taint)\nlet x = m[&k];\nlet y = 2;\n";
+        let src = "// funnel-lint: allow(panic-in-hot-path, journal-before-commit)\nlet x = m[&k];\nlet y = 2;\n";
         let s = FileScan::of(src);
         assert!(s.suppressed(1, "panic-in-hot-path"));
         assert!(s.suppressed(2, "panic-in-hot-path"));
-        assert!(s.suppressed(2, "determinism-taint"));
+        assert!(s.suppressed(2, "journal-before-commit"));
         assert!(!s.suppressed(3, "panic-in-hot-path"));
         assert!(!s.suppressed(2, "fs-io-unwrap"));
     }
@@ -548,29 +356,6 @@ mod tests {
         let src = "#[cfg(test)]\nuse foo::bar;\nfn prod() {\n  body\n}\n";
         let s = FileScan::of(src);
         assert!(!s.in_test(4), "regions: {:?}", s.test_regions);
-    }
-
-    #[test]
-    fn impl_and_trait_owners_attach_to_methods() {
-        let src = "\
-impl<'a> Collector<'a> {\n  fn commit(&mut self) {}\n}\n\
-impl IngestHooks for DurableHooks {\n  fn on_accepted_frame(&mut self) {}\n}\n\
-trait IngestHooks {\n  fn hook(&self) { default() }\n}\n\
-fn free() {}\n";
-        let s = FileScan::of(src);
-        let owner_of = |name: &str| {
-            s.fns
-                .iter()
-                .find(|f| f.name == name)
-                .and_then(|f| f.owner.clone())
-        };
-        assert_eq!(owner_of("commit").as_deref(), Some("Collector"));
-        assert_eq!(
-            owner_of("on_accepted_frame").as_deref(),
-            Some("DurableHooks")
-        );
-        assert_eq!(owner_of("hook").as_deref(), Some("IngestHooks"));
-        assert_eq!(owner_of("free"), None);
     }
 
     #[test]
@@ -586,7 +371,7 @@ fn free() {}\n";
     fn suppression_notes_are_detected() {
         let src = "\
 // funnel-lint: allow(panic-in-hot-path): bound checked above\n\
-// funnel-lint: allow(determinism-taint)\n\
+// funnel-lint: allow(journal-before-commit)\n\
 // funnel-lint: allow(fs-io-unwrap) note: scratch dir always exists\n";
         let s = FileScan::of(src);
         assert_eq!(s.suppression_sites.len(), 3);
@@ -594,25 +379,6 @@ fn free() {}\n";
         assert!(!s.suppression_sites[1].has_note);
         assert!(s.suppression_sites[2].has_note);
         assert_eq!(s.suppression_sites[1].line, 2);
-    }
-
-    #[test]
-    fn root_markers_bind_to_the_next_fn_or_dangle() {
-        let src = "\
-// funnel-lint: root\n#[inline]\npub(crate) fn a() {}\n\
-/// Quoting `// funnel-lint: root` in docs marks nothing.\nfn b() {}\n\
-// funnel-lint: root\nstruct S;\n\
-// funnel-lint: rooted\nfn c() {}\n\
-trait T {\n  // funnel-lint: root\n  fn d();\n}\n";
-        let s = FileScan::of(src);
-        let roots: Vec<&str> = s
-            .fns
-            .iter()
-            .filter(|f| f.is_root)
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(roots, ["a"]);
-        assert_eq!(s.dangling_roots, [6, 11]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 // Hasher-ordered iteration feeding a report. The type itself is banned, so
-// the ban fires wherever the type is named.
+// the ban fires wherever the type is named, and its iterating methods too.
 use std::collections::HashMap; //~ clippy::disallowed_types
 
 pub fn render_totals(by_kpi: &HashMap<u32, f64>) -> String { //~ clippy::disallowed_types
@@ -7,7 +7,7 @@ pub fn render_totals(by_kpi: &HashMap<u32, f64>) -> String { //~ clippy::disallo
     for (k, v) in by_kpi {
         out.push_str(&format!("{k}: {v}\n"));
     }
-    for k in by_kpi.keys() {
+    for k in by_kpi.keys() { //~ clippy::disallowed_methods
         out.push_str(&format!("{k}\n"));
     }
     out

@@ -1,4 +1,4 @@
-//@file crates/sim/src/collector.rs
+//@path crates/sim/src/collector.rs
 pub fn ingest_frame(hooks: &mut dyn IngestHooks, store: &mut Store, frame: &[u8]) {
     store.commit(frame);
     let _ = hooks.on_accepted_frame(frame);

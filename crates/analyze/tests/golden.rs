@@ -1,12 +1,8 @@
 //! Golden-file tests: every fixture under `tests/fixtures/` is analyzed
 //! under the virtual workspace path declared on its first line
 //! (`//@path crates/...`), and the JSON diagnostics must match the
-//! checked-in `<name>.expected.json` byte for byte. Fixtures whose first
-//! line is `//@file crates/...` are multi-file bundles: each `//@file`
-//! directive starts a new virtual file, and the bundle goes through the
-//! full `analyze_sources` path (call graph, interprocedural lints)
-//! instead of the single-file lint set. The lexer
-//! edge-case fixture additionally has a full token dump golden
+//! checked-in `<name>.expected.json` byte for byte. The lexer edge-case
+//! fixture additionally has a full token dump golden
 //! (`lexer_edges.tokens.txt`).
 //!
 //! Regenerate expectations after an intentional change with:
@@ -15,25 +11,9 @@
 
 use funnel_analyze::lexer::lex;
 use funnel_analyze::lints::REGISTRY;
-use funnel_analyze::{analyze_file, analyze_sources, render_json};
+use funnel_analyze::{analyze_file, render_json};
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Splits a `//@file` bundle into its virtual files. Lines before the
-/// first directive are ignored (there are none in well-formed bundles).
-fn split_bundle(src: &str) -> Vec<(String, String)> {
-    let mut files: Vec<(String, String)> = Vec::new();
-    for line in src.lines() {
-        if let Some(path) = line.strip_prefix("//@file ") {
-            files.push((path.trim().to_string(), String::new()));
-        } else if let Some((_, body)) = files.last_mut() {
-            body.push_str(line);
-            body.push('\n');
-        }
-    }
-    assert!(!files.is_empty(), "bundle has no `//@file` directives");
-    files
-}
 
 fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -82,22 +62,13 @@ fn fixtures_match_expected_json() {
     let mut clean = 0usize;
     for fixture in &fixtures {
         let src = fs::read_to_string(fixture).expect("fixture readable");
-        let first = src.lines().next().unwrap_or("");
-        let diags = if first.starts_with("//@file ") {
-            analyze_sources(&split_bundle(&src)).diagnostics
-        } else {
-            let vpath = first
-                .strip_prefix("//@path ")
-                .unwrap_or_else(|| {
-                    panic!(
-                        "{}: first line must be `//@path …` or `//@file …`",
-                        fixture.display()
-                    )
-                })
-                .trim()
-                .to_string();
-            analyze_file(&vpath, &src)
-        };
+        let vpath = src
+            .lines()
+            .next()
+            .and_then(|l| l.strip_prefix("//@path "))
+            .unwrap_or_else(|| panic!("{}: first line must be `//@path …`", fixture.display()))
+            .trim();
+        let diags = analyze_file(vpath, &src);
         let got = render_json(&diags);
         let golden = fixture.with_extension("expected.json");
         check_golden(&golden, &got, &format!("fixture {}", fixture.display()));

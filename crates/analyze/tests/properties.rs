@@ -4,9 +4,8 @@
 //! The lexer and scanner sit in front of every lint, so they must be
 //! *total*: any byte soup — valid Rust or not — lexes and scans without
 //! panicking, and every span they report stays inside the input. The
-//! second half checks the ISSUE-level determinism contract end to end:
-//! analyzing the same virtual files in any order yields byte-identical
-//! call-graph dumps and findings.
+//! second half checks the determinism contract end to end: analyzing the
+//! same virtual files in any order yields byte-identical findings.
 
 use funnel_analyze::lexer::lex;
 use funnel_analyze::scan::FileScan;
@@ -96,10 +95,10 @@ proptest! {
     #[test]
     fn analysis_is_independent_of_file_order(rotation in 0usize..5, swap in 0usize..5) {
         let mut files: Vec<(String, String)> = vec![
-            ("crates/core/src/pipeline.rs", "// funnel-lint: root\npub fn assess_change() -> u32 { helper() }\n"),
-            ("crates/core/src/report.rs", "pub fn render_totals() -> String { stamp() }\n"),
-            ("crates/core/src/util.rs", "pub fn helper() -> u32 { inner().unwrap() }\nfn inner() -> Option<u32> { None }\n"),
-            ("crates/did/src/stamp.rs", "pub fn stamp() -> String { let _t = std::time::Instant::now(); String::new() }\n"),
+            ("crates/core/src/pipeline.rs", "pub fn assess_change(m: &BTreeMap<u32, u32>) -> u32 { m[&1] }\n"),
+            ("crates/core/src/report.rs", "pub fn total(v: &[f64]) -> f64 { v.iter().sum::<f64>() }\n"),
+            ("crates/core/src/util.rs", "// funnel-lint: allow(fs-io-unwrap)\npub fn helper() -> u32 { 0 }\n"),
+            ("crates/resilience/src/wal.rs", "pub fn open(p: &Path) { let _f = File::open(p).unwrap(); }\n"),
             ("crates/sim/src/collector.rs", "pub fn ingest(hooks: &mut H, store: &mut S) { store.commit(); let _ = hooks.on_accepted_frame(); }\n"),
         ]
         .into_iter()
@@ -107,17 +106,15 @@ proptest! {
         .collect();
 
         let canonical = analyze_sources(&files);
-        let canonical_dump = canonical.graph.dump();
-        let canonical_json = render_json(&canonical.diagnostics);
-        // The fixture workspace must actually exercise the graph lints,
-        // otherwise order-independence is vacuous.
-        assert!(!canonical.diagnostics.is_empty(), "fixture should fire");
+        let canonical_json = render_json(&canonical);
+        // Every file must fire, otherwise order-independence is vacuous.
+        let fired: std::collections::BTreeSet<&str> =
+            canonical.iter().map(|d| d.file.as_str()).collect();
+        assert_eq!(fired.len(), files.len(), "every file should fire: {canonical:?}");
 
         files.rotate_left(rotation);
         let other = (swap + 2) % files.len();
         files.swap(swap, other);
-        let permuted = analyze_sources(&files);
-        prop_assert_eq!(&permuted.graph.dump(), &canonical_dump);
-        prop_assert_eq!(&render_json(&permuted.diagnostics), &canonical_json);
+        prop_assert_eq!(&render_json(&analyze_sources(&files)), &canonical_json);
     }
 }

@@ -1,26 +1,41 @@
-//! The gate, end to end against the real workspace: HEAD must have no
-//! finding, and a deliberately injected violation must produce one.
-//! Overlays let these tests analyze the actual repo with one file's
-//! contents swapped, without touching disk.
+//! The gates on the tree, end to end against the real workspace.
 //!
-//! The rules clippy holds are checked here too. Each canary under
-//! `tests/clippy/` (the wall clock, hashed collections and panicking calls)
-//! goes through `clippy-driver` under the root `clippy.toml` and the
-//! hot-path deny line: a line ending in `//~ <lint>` must raise that lint,
-//! and nothing else may be raised. The eight hot-path roots must carry the
-//! deny line.
+//! funnel-lint: HEAD must have no finding, an injected violation must
+//! produce one, and the binary must say so in its exit code. Overlays let
+//! these tests analyze the actual repo with one file's contents swapped,
+//! without touching disk.
+//!
+//! The rules the compiler holds are checked here too. The tree must be
+//! clippy-clean under `-D warnings`. Each canary under `tests/clippy/` (the
+//! wall clock, hashed collections, panicking calls, panics below an entry
+//! point, thread identity and hash iteration) goes through `clippy-driver`
+//! under the root `clippy.toml` and the crate-root deny line: a line ending
+//! in `//~ <lint>` must raise that lint, and nothing else may be raised.
+//! Every non-shim crate root must carry the deny line, and every non-shim
+//! manifest the workspace lints that deny `unsafe_code`.
 
-use funnel_analyze::lints::{Diagnostic, HOT_PATH};
+use funnel_analyze::lints::Diagnostic;
 use funnel_analyze::{analyze, Workspace};
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-/// The hot path's panic ban. `rustfmt` lays it out over several lines in
-/// the source; the comparison ignores whitespace.
+/// The panic ban every non-shim `src/lib.rs` carries. `rustfmt` lays it
+/// out over several lines in the source; the comparison ignores whitespace.
 const DENY_LINE: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, \
                          clippy::unreachable, clippy::todo, clippy::unimplemented)]";
+
+/// The ingestion-to-verdict crates also ban slice indexing: the same line
+/// with `clippy::indexing_slicing` last.
+const DENY_LINE_INDEXING: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, \
+                                  clippy::panic, clippy::unreachable, clippy::todo, \
+                                  clippy::unimplemented, clippy::indexing_slicing)]";
+
+/// The crates whose roots carry [`DENY_LINE_INDEXING`]. The math kernels
+/// (linalg, sst, detect, did) index in tight loops over buffers they size
+/// themselves, and stay out.
+const INDEXING_ROOTS: [&str; 3] = ["core", "sim", "resilience"];
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -31,7 +46,7 @@ fn repo_root() -> PathBuf {
 }
 
 fn findings(ws: &Workspace) -> Vec<Diagnostic> {
-    analyze(ws).expect("workspace readable").diagnostics
+    analyze(ws).expect("workspace readable")
 }
 
 /// Whether `found` holds a finding of `lint` in `file` whose enclosing fn
@@ -46,83 +61,6 @@ fn fires(found: &[Diagnostic], lint: &str, file: &str, context: &str) -> bool {
 fn workspace_has_no_finding() {
     let all = findings(&Workspace::at(repo_root()));
     assert!(all.is_empty(), "HEAD must be clean: {all:#?}");
-}
-
-/// Inserts `stmt` at the top of the body of the fn whose signature starts
-/// with `sig`, so interprocedural canaries can hang off a real entry point.
-fn inject_into_fn(orig: &str, sig: &str, stmt: &str) -> String {
-    let at = orig.find(sig).expect("signature present");
-    let brace = at + orig[at..].find('{').expect("body opens") + 1;
-    format!("{}\n    {stmt}\n{}", &orig[..brace], &orig[brace..])
-}
-
-#[test]
-fn injected_panic_chain_from_recover_fails_the_gate() {
-    // L7 is interprocedural: the panic source lives in a helper, and only
-    // the call edge from the `recover` root makes it a finding.
-    let root = repo_root();
-    let target = "crates/resilience/src/recover.rs";
-    let orig = std::fs::read_to_string(root.join(target)).expect("recover module exists");
-    let body = inject_into_fn(&orig, "pub fn recover(", "_lint_canary_chain();");
-    let injected = format!(
-        "{body}\nfn _lint_canary_chain() {{ _lint_canary_panics(None); }}\n\
-         fn _lint_canary_panics(v: Option<u32>) {{ let _ = v.unwrap(); }}\n"
-    );
-    let found = findings(&Workspace::at(&root).overlay(target, &injected));
-    assert!(
-        fires(&found, "panic-reachability", target, "recover"),
-        "unwrap two calls below `recover` must trip L7: {found:#?}"
-    );
-
-    // The marker is what makes `recover` a root: without it the same chain
-    // is nobody's finding (the unwrap itself is clippy's `unwrap_used`).
-    let marked = "// funnel-lint: root\npub fn recover(";
-    assert!(injected.contains(marked), "recover carries the root marker");
-    let unmarked = injected.replace(marked, "pub fn recover(");
-    let found = findings(&Workspace::at(&root).overlay(target, &unmarked));
-    assert!(
-        !found.iter().any(|d| d.lint == "panic-reachability"),
-        "an unmarked fn is not a root: {found:#?}"
-    );
-}
-
-#[test]
-fn root_marker_without_a_fn_fails_the_gate() {
-    let root = repo_root();
-    let target = "crates/core/src/parallel.rs";
-    let orig = std::fs::read_to_string(root.join(target)).expect("parallel engine exists");
-    let ws = Workspace::at(&root).overlay(
-        target,
-        &format!("{orig}\n// funnel-lint: root\nconst _LINT_CANARY: u32 = 0;\n"),
-    );
-    let found = findings(&ws);
-    assert!(
-        fires(&found, "panic-reachability", target, "<file>"),
-        "a marker that marks nothing must be a finding: {found:#?}"
-    );
-}
-
-#[test]
-fn injected_taint_into_report_sink_fails_the_gate() {
-    // L8: the clock read sits in a private helper; the pub render fn is the
-    // sink the taint must flow into along the call edge.
-    let root = repo_root();
-    let target = "crates/core/src/report.rs";
-    let orig = std::fs::read_to_string(root.join(target)).expect("report module exists");
-    let injected = "\nfn _lint_canary_stamp() -> u64 {\n\
-                    \x20   let _ = std::time::Instant::now();\n\
-                    \x20   0\n\
-                    }\n\
-                    pub fn render_lint_canary() -> String {\n\
-                    \x20   let _ = _lint_canary_stamp();\n\
-                    \x20   String::new()\n\
-                    }\n";
-    let ws = Workspace::at(&root).overlay(target, &format!("{orig}{injected}"));
-    let found = findings(&ws);
-    assert!(
-        fires(&found, "determinism-taint", target, "render_lint_canary"),
-        "clock taint reaching a render sink must trip L8: {found:#?}"
-    );
 }
 
 #[test]
@@ -149,8 +87,8 @@ fn injected_commit_without_journal_fails_the_gate() {
     );
 }
 
-/// The actual binary, exactly as CI invokes it: flagless `funnel-lint`
-/// must exit 0 at HEAD and 2 on a tree with a finding.
+/// The actual binary, exactly as a developer invokes it: flagless
+/// `funnel-lint` must exit 0 at HEAD and 2 on a tree with a finding.
 #[test]
 fn binary_exit_codes() {
     let root = repo_root();
@@ -160,12 +98,16 @@ fn binary_exit_codes() {
         .expect("funnel-lint binary runs");
     assert!(status.success(), "gate must pass at HEAD: {status:?}");
 
-    // A scratch mini-workspace with one finding: a crate root without
-    // `#![forbid(unsafe_code)]`.
+    // A scratch mini-workspace with one finding: an f64 sum in aggregation
+    // code with no sort before it.
     let scratch = scratch_dir(line!());
     let src_dir = scratch.join("crates/did/src");
     std::fs::create_dir_all(&src_dir).expect("scratch tree");
-    std::fs::write(src_dir.join("lib.rs"), "fn t() {}\n").expect("scratch file");
+    std::fs::write(
+        src_dir.join("lib.rs"),
+        "pub fn total(v: &[f64]) -> f64 {\n    v.iter().sum::<f64>()\n}\n",
+    )
+    .expect("scratch file");
     let status = Command::new(env!("CARGO_BIN_EXE_funnel-lint"))
         .args(["--root", scratch.to_str().expect("utf8 scratch")])
         .status()
@@ -182,22 +124,170 @@ fn squash(s: &str) -> String {
     s.split_whitespace().collect()
 }
 
+/// The non-shim workspace members: `crates/<name>` for every directory
+/// with a manifest, except the vendored shims.
+fn member_crates() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(repo_root().join("crates"))
+        .expect("crates/ readable")
+        .map(|e| {
+            e.expect("readable entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name != "shims")
+        .filter(|name| {
+            repo_root()
+                .join("crates")
+                .join(name)
+                .join("Cargo.toml")
+                .is_file()
+        })
+        .collect();
+    names.sort();
+    assert!(
+        names.len() >= 10,
+        "the workspace lost its crates: {names:?}"
+    );
+    names
+}
+
 #[test]
-fn every_hot_path_root_carries_the_deny_line() {
+fn every_crate_root_carries_the_deny_line() {
     let root = repo_root();
-    for scope in HOT_PATH {
-        // A crate on the hot path carries the line on its root; a file, at
-        // its head.
-        let file = match scope.strip_suffix('/') {
-            Some(dir) => format!("{dir}/lib.rs"),
-            None => scope.to_string(),
+    let mut roots = vec![("src/lib.rs".to_string(), false)];
+    for name in member_crates() {
+        let lib = format!("crates/{name}/src/lib.rs");
+        if root.join(&lib).is_file() {
+            roots.push((lib, INDEXING_ROOTS.contains(&name.as_str())));
+        }
+    }
+    for (file, indexing) in roots {
+        let src = std::fs::read_to_string(root.join(&file)).expect("crate root readable");
+        let line = if indexing {
+            DENY_LINE_INDEXING
+        } else {
+            DENY_LINE
         };
-        let src = std::fs::read_to_string(root.join(&file)).expect("hot-path root exists");
         assert!(
-            squash(&src).contains(&squash(DENY_LINE)),
-            "{file} must carry `{DENY_LINE}`"
+            squash(&src).contains(&squash(line)),
+            "{file} must carry `{line}`"
         );
     }
+}
+
+#[test]
+fn every_member_opts_into_the_workspace_lints() {
+    let root = repo_root();
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let rust_lints = manifest
+        .split_once("[workspace.lints.rust]")
+        .expect("the root manifest has a [workspace.lints.rust] table")
+        .1;
+    let rust_lints = rust_lints.split("\n[").next().unwrap_or(rust_lints);
+    assert!(
+        rust_lints
+            .lines()
+            .any(|l| squash(l) == r#"unsafe_code="deny""#),
+        "the workspace must deny unsafe_code: {rust_lints}"
+    );
+    let mut manifests = vec!["Cargo.toml".to_string()];
+    manifests.extend(
+        member_crates()
+            .into_iter()
+            .map(|name| format!("crates/{name}/Cargo.toml")),
+    );
+    for rel in manifests {
+        let text = std::fs::read_to_string(root.join(&rel)).expect("manifest readable");
+        assert!(
+            squash(&text).contains("[lints]workspace=true"),
+            "{rel} must opt into the workspace lints with `[lints] workspace = true`"
+        );
+    }
+    // The one place allowed to write unsafe code is the counting allocator
+    // of the allocation test.
+    let exemptions: Vec<String> = ["allow", "expect"]
+        .iter()
+        .map(|level| format!("{level}(unsafe_code"))
+        .collect();
+    let mut exempt = Vec::new();
+    for top in ["src", "crates", "examples", "tests"] {
+        let mut files = Vec::new();
+        rust_files(&root.join(top), &mut files);
+        for file in files {
+            let text = squash(&std::fs::read_to_string(&file).expect("source readable"));
+            if exemptions.iter().any(|e| text.contains(e.as_str())) {
+                exempt.push(relative(&root, &file));
+            }
+        }
+    }
+    assert_eq!(exempt, ["crates/sst/tests/no_alloc.rs"]);
+}
+
+/// Every `.rs` file under `dir`, in sorted order, skipping build output
+/// and the vendored shims.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    let mut paths: Vec<PathBuf> = entries.map(|e| e.expect("readable entry").path()).collect();
+    paths.sort();
+    for path in paths {
+        let name = path.file_name().unwrap_or_default();
+        if path.is_dir() && name != "target" && name != "shims" {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+fn relative(root: &Path, file: &Path) -> String {
+    file.strip_prefix(root)
+        .unwrap_or(file)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// The durable layer is ingestion only: no resilience source or test names
+/// funnel-core.
+#[test]
+fn resilience_never_names_funnel_core() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/resilience/src"), &mut files);
+    rust_files(&root.join("crates/resilience/tests"), &mut files);
+    assert!(!files.is_empty(), "crates/resilience has sources");
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("source readable");
+        for (n, line) in (1..).zip(text.lines()) {
+            assert!(
+                !line.contains("funnel_core"),
+                "{}:{n} names funnel_core: {line}",
+                relative(&root, &file)
+            );
+        }
+    }
+}
+
+/// The whole tree, every target, under `-D warnings`: the bans of
+/// `clippy.toml`, the crate-root deny lines and the workspace lints. Its
+/// own target directory keeps it off the lock of the build running it.
+#[test]
+fn tree_is_clippy_clean() {
+    let root = repo_root();
+    let out = Command::new(env!("CARGO"))
+        .args(["clippy", "--offline", "--workspace", "--all-targets"])
+        .args(["--", "-D", "warnings"])
+        .env("CARGO_TARGET_DIR", root.join("target/clippy-gate"))
+        .current_dir(&root)
+        .output()
+        .expect("cargo clippy runs");
+    assert!(
+        out.status.success(),
+        "cargo clippy must pass:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 /// `(line, lint)` of every diagnostic with a lint name in rustc's JSON
@@ -224,9 +314,15 @@ fn retired_fixtures_fire_under_clippy() {
     let out_dir = scratch_dir(line!());
     std::fs::create_dir_all(&out_dir).expect("scratch dir");
     let canaries = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/clippy");
-    for name in ["l1_time_fire.rs", "l2_iter_fire.rs", "l3_panic_fire.rs"] {
+    for name in [
+        "l1_time_fire.rs",
+        "l2_iter_fire.rs",
+        "l3_panic_fire.rs",
+        "l7_reach_fire.rs",
+        "l8_taint_fire.rs",
+    ] {
         let src = format!(
-            "{DENY_LINE}\n{}",
+            "{DENY_LINE_INDEXING}\n{}",
             std::fs::read_to_string(canaries.join(name)).expect("canary readable")
         );
         let expected: BTreeSet<(u32, String)> = (1..)

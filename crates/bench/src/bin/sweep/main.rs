@@ -43,7 +43,8 @@ fn main() -> std::io::Result<()> {
     if wanted("table1") || wanted("fig5") {
         // One cohort pass, two folds.
         let (world, meta) = evaluation_world(SEED);
-        let outcomes = evaluate_cohort(&world, &meta, &Method::ALL, workers);
+        let outcomes =
+            evaluate_cohort(&world, &meta, &Method::ALL, workers).expect("the cohort evaluates");
         if wanted("table1") {
             run_grid(&table1::Table1Grid(&outcomes))?;
         }
@@ -106,7 +107,8 @@ mod tests {
     fn table1_and_fig5_hold_on_a_truncated_cohort() {
         let (world, mut meta) = evaluation_world(SEED);
         meta.changes.truncate(2);
-        let outcomes = evaluate_cohort(&world, &meta, &Method::ALL, 2);
+        let outcomes =
+            evaluate_cohort(&world, &meta, &Method::ALL, 2).expect("the cohort evaluates");
         check(&table1::Table1Grid(&outcomes));
         check(&fig5::Fig5Grid(&outcomes));
     }

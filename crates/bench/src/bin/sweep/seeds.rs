@@ -74,7 +74,8 @@ impl Grid for SeedsGrid {
     fn run(&self, &seed: &u64) -> SeedRow {
         let (world, mut meta) = evaluation_world(seed);
         meta.changes.truncate(self.cohort_changes);
-        let outcomes = evaluate_cohort(&world, &meta, &[Method::Funnel], self.workers);
+        let outcomes = evaluate_cohort(&world, &meta, &[Method::Funnel], self.workers)
+            .expect("the cohort evaluates");
         let mut values = Vec::new();
         for class in KpiClass::ALL {
             let of_class = || outcomes.iter().filter(|o| o.class == class);

@@ -1,7 +1,14 @@
 //! The [`grid`] runner behind the `sweep` binary, and the two constants the
 //! paper's tables share.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod grid;
 

@@ -67,7 +67,6 @@ impl Funnel {
 
 /// The shared diagnosis body behind [`Funnel::diagnose`] and the streaming
 /// engine's completion hook. Callers have already checked `enabled`.
-// funnel-lint: root
 pub(crate) fn diagnose_assessment(
     funnel: &Funnel,
     source: &impl KpiSource,

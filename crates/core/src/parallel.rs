@@ -45,10 +45,9 @@
 //!   for the lowest work-unit index.
 //!
 //! Nothing in this path reads the clock, iterates a hashed container, or
-//! panics — `clippy.toml` and the hot-path `deny` line gate this file
-//! as part of the ingestion-to-verdict hot path, and `Funnel::assess_item`
-//! is a root of its own, so the quarantine is a last resort rather than a
-//! licence.
+//! panics — `clippy.toml` and the crate root's `deny` line gate every
+//! line of it, `Funnel::assess_item` included, so the quarantine is a last
+//! resort rather than a licence.
 
 use crate::pipeline::{Funnel, FunnelError, ItemAssessment};
 use crate::quality::QualityIssue;
@@ -109,7 +108,6 @@ pub(crate) fn control_level(entity: Entity) -> u8 {
 /// let keys: Vec<_> = merge(reversed).iter().map(|i| i.key).collect();
 /// assert_eq!(keys, items.iter().map(|i| i.key).collect::<Vec<_>>());
 /// ```
-// funnel-lint: root
 pub fn merge(results: impl IntoIterator<Item = ItemAssessment>) -> Vec<ItemAssessment> {
     let by_key: BTreeMap<KpiKey, ItemAssessment> =
         results.into_iter().map(|item| (item.key, item)).collect();
@@ -131,7 +129,6 @@ pub fn merge(results: impl IntoIterator<Item = ItemAssessment>) -> Vec<ItemAsses
 ///
 /// Every unit runs even after one fails; the error returned is the one
 /// for the lowest work-unit index, whatever order the failures happened in.
-// funnel-lint: root
 pub(crate) fn assess_work_units<S: KpiSource + Sync>(
     funnel: &Funnel,
     source: &S,

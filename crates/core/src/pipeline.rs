@@ -317,7 +317,6 @@ impl Funnel {
     /// assert!(!assessment.items.is_empty());
     /// assert!(assessment.has_impact());
     /// ```
-    // funnel-lint: root
     pub fn assess_change(
         &self,
         world: &World,
@@ -345,7 +344,6 @@ impl Funnel {
     ///
     /// Propagates impact-set and missing-series failures; KPIs whose series
     /// exist are always assessed.
-    // funnel-lint: root
     pub fn assess_change_with(
         &self,
         source: &(impl KpiSource + Sync),
@@ -390,7 +388,6 @@ impl Funnel {
     /// # Errors
     ///
     /// Propagates impact-set identification and missing-series failures.
-    // funnel-lint: root
     pub fn assess_keys(
         &self,
         source: &(impl KpiSource + Sync),
@@ -469,7 +466,6 @@ impl Funnel {
     /// tempered by how much of the window was really measured. `table` is
     /// the assessment's shared control table; it only ever holds values
     /// derived from `source`, so it never changes the item.
-    // funnel-lint: root
     pub(crate) fn assess_item(
         &self,
         source: &impl KpiSource,

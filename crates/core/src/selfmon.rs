@@ -151,7 +151,6 @@ impl PipelineHealthReport {
 /// pipeline kept running" reads as a drop to zero rather than a shorter
 /// series. Returns an empty series when the snapshot has no windows at
 /// all.
-// funnel-lint: root
 pub fn timeline_series(report: &TimelineReport, name: &str) -> TimeSeries {
     let Some((start, end)) = snapshot_range(report) else {
         return TimeSeries::empty(0);
@@ -191,7 +190,6 @@ fn snapshot_range(report: &TimelineReport) -> Option<(MinuteBin, MinuteBin)> {
 /// A series shorter than one SST window scores no alerts: too little
 /// telemetry to judge. Records nothing itself, so analyzing a snapshot never
 /// perturbs a timeline.
-// funnel-lint: root
 pub fn run_selfmon(report: &TimelineReport) -> PipelineHealthReport {
     let scorer = FastSst::paper_default();
     let window_len = scorer.config().window_len();

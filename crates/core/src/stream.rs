@@ -635,7 +635,6 @@ impl StreamEngine {
     /// # Errors
     ///
     /// Propagates impact-set identification failures.
-    // funnel-lint: root
     pub fn track_change(
         &mut self,
         topology: &Topology,
@@ -671,7 +670,6 @@ impl StreamEngine {
     /// frames behind the tick watermark take the backfill path, and either
     /// way an accepted write marks the key dirty for the next tick. A
     /// refused one is counted in [`StreamStats::refused`].
-    // funnel-lint: root
     pub fn offer(&mut self, m: Measurement) {
         if !m.value.is_finite() {
             // The collector quarantines non-finite values before the store;
@@ -722,7 +720,6 @@ impl StreamEngine {
     /// across the worker pool, then complete every change whose assessment
     /// window closed. Never blocks and never panics; overload degrades to
     /// sheds the report names, not stalls.
-    // funnel-lint: root
     pub fn tick(&mut self, minute: MinuteBin) -> TickReport {
         // The tick minute is the stream's timeline window: pinned at this
         // single-threaded choke point before the span opens, so every

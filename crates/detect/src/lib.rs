@@ -24,7 +24,6 @@
 //! `W_FUNNEL = 34`, `W_MRLS = 32`, `W_CUSUM = 60` (§4.1).
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

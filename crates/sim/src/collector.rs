@@ -20,14 +20,6 @@
 //! existing replay entry points drive it with [`NoHooks`] and are
 //! behaviourally unchanged.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented
-)]
 #![expect(
     clippy::disallowed_types,
     reason = "point lookups only (instance -> service, service sizes); nothing iterates them"
@@ -296,7 +288,6 @@ impl<'a> Collector<'a> {
     /// Decides a raw frame's fate without mutating anything. Pure with
     /// respect to the collector: calling it twice on the same frame gives
     /// the same answer, and discarding the result leaves no trace.
-    // funnel-lint: root
     pub fn classify(&self, raw: &Bytes) -> Ingest {
         let decoded = match decode_frame(raw.clone()) {
             Ok(d) => d,
@@ -350,7 +341,6 @@ impl<'a> Collector<'a> {
     /// Applies a classified frame: counters for rejected fates, store
     /// appends + watermark advance + minute finalization for live frames,
     /// staging for backfill frames.
-    // funnel-lint: root
     pub fn commit(&mut self, ingest: Ingest) {
         match ingest {
             Ingest::Quarantined(minute) => {
@@ -504,7 +494,6 @@ impl<'a> Collector<'a> {
     /// [`Collector::classify`] + [`Collector::commit`] in one step — the
     /// shape recovery replay uses, where the durability seam is behind us.
     /// Returns whether the frame was accepted.
-    // funnel-lint: root
     pub fn ingest(&mut self, raw: &Bytes) -> bool {
         let ingest = self.classify(raw);
         let accepted = ingest.accepted();
@@ -563,7 +552,6 @@ impl<'a> Collector<'a> {
     /// (agent, minute) order, and emit the service aggregates the backfill
     /// completed. Drains the state; a checkpoint taken afterwards records a
     /// finished stream.
-    // funnel-lint: root
     pub fn finish(&mut self) {
         let store = self.store;
         store.write_batch(|w| {

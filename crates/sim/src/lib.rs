@@ -40,7 +40,15 @@
 //! bit-identical series.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod agent;
 pub mod collector;

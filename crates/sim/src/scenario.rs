@@ -46,6 +46,10 @@ pub struct CohortMeta {
 /// third one shaped as a ramp instead of a level shift), 72 carry none.
 /// Three of every four changes are dark launches. External shocks (which
 /// are *not* software-change impacts) hit several services during the day.
+#[expect(
+    clippy::expect_used,
+    reason = "a canned world is built from constants: a construction error is a bug in this file, and its tests build every world"
+)]
 pub fn evaluation_world(seed: u64) -> (World, CohortMeta) {
     let mut b = WorldBuilder::new(SimConfig::days(seed, 8));
     let mut services = Vec::new();
@@ -58,15 +62,15 @@ pub fn evaluation_world(seed: u64) -> (World, CohortMeta) {
     }
     // Relationship edges: every third service talks to its successor
     // (Fig. 4-style chains, giving some changes affected services).
-    for s in (0..18).step_by(3) {
-        b.relate(services[s], services[s + 1])
-            .expect("valid services");
+    for chain in services.chunks(3) {
+        if let [from, to, ..] = *chain {
+            b.relate(from, to).expect("valid services");
+        }
     }
 
     let eval_day_start = 7 * DAY;
     let mut changes = Vec::new();
-    for i in 0..144usize {
-        let svc = services[i % services.len()];
+    for (i, &svc) in services.iter().cycle().take(144).enumerate() {
         let minute = eval_day_start + (i as u64) * 9; // spread over the day
         let dark = i % 4 != 3; // 108 dark, 36 full (paper: 108 / 26)
         let n_instances = {
@@ -212,6 +216,10 @@ pub struct DeploymentMeta {
 /// 19 services, 7 history days, then 7 deployment days with
 /// `changes_per_day` changes each; ~4 % carry a KPI effect; one external
 /// shock lands per day as causality bait.
+#[expect(
+    clippy::expect_used,
+    reason = "a canned world is built from constants: a construction error is a bug in this file, and its tests build every world"
+)]
 pub fn deployment_week(seed: u64, changes_per_day: usize) -> (World, DeploymentMeta) {
     let mut b = WorldBuilder::new(SimConfig::days(seed, 14));
     let mut services = Vec::new();
@@ -222,18 +230,20 @@ pub fn deployment_week(seed: u64, changes_per_day: usize) -> (World, DeploymentM
                 .expect("unique names"),
         );
     }
-    for s in (0..18).step_by(4) {
-        b.relate(services[s], services[s + 1]).expect("valid");
+    for chain in services.chunks(4) {
+        if let [from, to, ..] = *chain {
+            b.relate(from, to).expect("valid");
+        }
     }
 
     let mut days = Vec::new();
     let mut counter = 0usize;
+    let mut rotation = services.iter().copied().cycle();
     for day in 0..7u64 {
         let day_start = (7 + day) * DAY;
         let mut ids = Vec::new();
         let spacing = (DAY - 120) / changes_per_day.max(1) as u64;
-        for c in 0..changes_per_day {
-            let svc = services[counter % services.len()];
+        for (c, svc) in (0..changes_per_day).zip(&mut rotation) {
             let minute = day_start + 60 + c as u64 * spacing;
             let has_effect = counter % 25 == 7; // 4 %
             let effect = if has_effect {
@@ -266,15 +276,17 @@ pub fn deployment_week(seed: u64, changes_per_day: usize) -> (World, DeploymentM
         // group, and a 60-minute DiD window dilutes the burst for full
         // launches).
         if day % 2 == 0 {
-            b.add_shock(ExternalShock {
-                services: vec![services[(day as usize * 3) % services.len()]],
-                kind: KpiKind::AccessFailureCount,
-                shape: ChangeShape::Spike {
-                    delta: 10.0,
-                    duration_minutes: 14,
-                },
-                onset: day_start + 400 + day * 37,
-            });
+            if let Some(&svc) = services.get((day as usize * 3) % services.len()) {
+                b.add_shock(ExternalShock {
+                    services: vec![svc],
+                    kind: KpiKind::AccessFailureCount,
+                    shape: ChangeShape::Spike {
+                        delta: 10.0,
+                        duration_minutes: 14,
+                    },
+                    onset: day_start + 400 + day * 37,
+                });
+            }
         }
         days.push(ids);
     }
@@ -292,6 +304,10 @@ pub fn deployment_week(seed: u64, changes_per_day: usize) -> (World, DeploymentM
 /// Returns the world, the class-A (saturated) and class-B (idle) server
 /// ids, and the configuration change id. The change swaps ~450 Mbit/s of
 /// NIC load from every class-A server onto class B.
+#[expect(
+    clippy::expect_used,
+    reason = "a canned world is built from constants: a construction error is a bug in this file, and its tests build every world"
+)]
 pub fn redis_world(seed: u64) -> (World, Vec<ServerId>, Vec<ServerId>, ChangeId) {
     let mut b = WorldBuilder::new(SimConfig::days(seed, 4));
     let svc = b.add_service("cache.redis-query", 12).expect("fresh world");
@@ -341,6 +357,10 @@ pub fn redis_world(seed: u64) -> (World, Vec<ServerId>, Vec<ServerId>, ChangeId)
 /// The upgrade breaks the anti-cheat JSON check on one device class, so
 /// ~45 % of genuinely human clicks get misclassified as cheats: the
 /// strongly seasonal effective-click count collapses immediately.
+#[expect(
+    clippy::expect_used,
+    reason = "a canned world is built from constants: a construction error is a bug in this file, and its tests build every world"
+)]
 pub fn ads_world(seed: u64) -> (World, ServiceId, ChangeId) {
     let mut b = WorldBuilder::new(SimConfig::days(seed, 8));
     let ads = b.add_service("ads.serving", 10).expect("fresh world");

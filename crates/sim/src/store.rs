@@ -23,15 +23,6 @@
 //! quarantined on the way in is counted once, by the collector
 //! ([`crate::agent::ReplayStats`]).
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented
-)]
-
 use crate::kpi::KpiKey;
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
@@ -386,7 +377,6 @@ impl MetricStore {
     /// the late value and the coverage mask gains the minute.
     ///
     /// Returns whether the measurement was accepted.
-    // funnel-lint: root
     pub fn backfill(&self, key: KpiKey, minute: MinuteBin, value: f64) -> bool {
         self.write_batch(|w| {
             let id = w.id_of(key);

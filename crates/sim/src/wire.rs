@@ -16,15 +16,6 @@
 //! anything: a frame damaged in flight is refused whole, so it cannot write
 //! a wrong value, or a key its agent does not own, into the store.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented
-)]
-
 use crate::fnv1a_words;
 use crate::kpi::{KpiKey, KpiKind};
 use bytes::{BufMut, Bytes, BytesMut};

@@ -483,9 +483,10 @@ impl World {
     pub fn noise_sigma(&self, key: &KpiKey) -> Result<f64, SimError> {
         match key.entity {
             Entity::Service(s) => {
-                let n = self.topology.instances_of(s).len().max(1) as f64;
                 let inst = self.topology.instances_of(s);
-                let member = KpiKey::new(Entity::Instance(inst[0].id), key.kind);
+                let n = inst.len().max(1) as f64;
+                let first = inst.first().ok_or(SimError::UnknownKey(*key))?;
+                let member = KpiKey::new(Entity::Instance(first.id), key.kind);
                 let sigma = self.noise_sigma(&member)?;
                 Ok(match key.kind.aggregation() {
                     Aggregation::Sum => sigma * n.sqrt(),

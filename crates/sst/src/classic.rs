@@ -28,6 +28,10 @@ impl ClassicSst {
     /// # Panics
     ///
     /// Panics when the configuration fails [`SstConfig::validate`].
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented panicking constructor for a config known good; fallible paths call `try_new`"
+    )]
     pub fn new(config: SstConfig) -> Self {
         Self::try_new(config).expect("invalid SST configuration")
     }

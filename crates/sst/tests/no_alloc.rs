@@ -17,6 +17,11 @@
 //! workspace-less convenience calls pay for one throw-away workspace and
 //! nothing per Lanczos step, QL solve or order statistic.
 
+#![expect(
+    unsafe_code,
+    reason = "a counting allocator implements the unsafe `GlobalAlloc` trait; the workspace denies unsafe code everywhere else"
+)]
+
 use funnel_sst::{
     FastSst, ReachingScorer, SlidingSegments, SstConfig, SstScorer, SstWorkspace, StreamingSst,
 };

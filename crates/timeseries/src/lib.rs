@@ -22,7 +22,14 @@
 //! instances, so every experiment in the workspace is reproducible.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod generate;
 pub mod inject;

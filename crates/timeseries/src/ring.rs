@@ -169,7 +169,6 @@ impl RingSeries {
     /// refused ([`RingWrite::Duplicate`] — first write wins); gaps
     /// forward-fill from the last value with only `minute` marked measured;
     /// and once the window exceeds capacity the oldest bins are evicted.
-    // funnel-lint: root
     pub fn push(&mut self, minute: MinuteBin, value: f64) -> RingWrite {
         if !self.anchored {
             self.start = minute;

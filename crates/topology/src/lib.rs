@@ -20,7 +20,14 @@
 //! KPI suffices (§3.1).
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod change;
 pub mod impact;

@@ -4,7 +4,14 @@
 //! tests can `use funnel_suite::...`. Library users should depend on the
 //! individual crates (most commonly [`funnel_core`]) directly.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub use funnel_core as core;
 pub use funnel_detect as detect;
