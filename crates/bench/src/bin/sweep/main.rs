@@ -1,4 +1,4 @@
-//! Every committed table: `sweep -- <name|all>`.
+//! Every committed table: `sweep -- <name|all>...`.
 //!
 //! The paper's tables and figures (`table1`, `fig5`, `table3`, `fig2`,
 //! `fig6`, `fig7`, `ablations`, and `seeds`, which re-reads Table 1 and
@@ -31,12 +31,13 @@ use funnel_sim::scenario::{deployment_week, evaluation_world};
 const GRIDS: &str = "table1 fig5 table3 fig2 fig6 fig7 ablations seeds partition stream fault";
 
 fn main() -> std::io::Result<()> {
-    let which = std::env::args().nth(1).unwrap_or_default();
-    if which != "all" && !GRIDS.split(' ').any(|grid| grid == which) {
-        eprintln!("usage: sweep <{}|all>", GRIDS.replace(' ', "|"));
+    let which: Vec<String> = std::env::args().skip(1).collect();
+    let known = |name: &String| name == "all" || GRIDS.split(' ').any(|grid| grid == name);
+    if which.is_empty() || !which.iter().all(known) {
+        eprintln!("usage: sweep <{}|all>...", GRIDS.replace(' ', "|"));
         std::process::exit(2);
     }
-    let wanted = |name: &str| which == "all" || which == name;
+    let wanted = |name: &str| which.iter().any(|w| w == "all" || w == name);
     // No table depends on it; only how long the cohort passes take does.
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -95,13 +96,25 @@ fn main() -> std::io::Result<()> {
 }
 
 /// Every paper grid's cells and contract, on cohorts truncated until a
-/// dev-profile `cargo test` can afford them, and Table 3 at full size
-/// against its committed file; `sweep -- all` in CI is the full-size run of
-/// the rest. The three contract sweeps have no smaller form.
+/// dev-profile `cargo test` can afford them; and the grids that cost
+/// seconds at full size — Table 3, the three case-study figures, the fault
+/// and stream sweeps — rendered against their committed files. CI's sweep
+/// step runs the rest at full size: `table1`, `fig5`, `ablations`, `seeds`
+/// and `partition`.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use funnel_bench::grid::{check, render};
+    use funnel_bench::grid::{check, render, Grid};
+
+    /// Renders `grid` at full size and compares the envelope with
+    /// `results/BENCH_<name>.json` byte for byte.
+    fn assert_renders_the_committed_file<G: Grid>(grid: &G) {
+        let (_, envelope) = render(grid);
+        let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("../../results/BENCH_{}.json", G::NAME));
+        let committed = std::fs::read_to_string(committed).expect("the committed table");
+        assert_eq!(envelope, committed, "{}", G::NAME);
+    }
 
     #[test]
     fn table1_and_fig5_hold_on_a_truncated_cohort() {
@@ -119,18 +132,24 @@ mod tests {
     fn table3_renders_the_committed_file() {
         let (world, meta) = deployment_week(SEED, table3::CHANGES_PER_DAY);
         let week = table3::assess_week(&world, &meta, 2);
-        let (_, envelope) = render(&table3::Table3Grid(week));
-        let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../results/BENCH_table3.json");
-        let committed = std::fs::read_to_string(committed).expect("the committed table");
-        assert_eq!(envelope, committed);
+        assert_renders_the_committed_file(&table3::Table3Grid(week));
     }
 
     #[test]
     fn the_case_study_figures_hold() {
-        check(&fig2::Fig2Grid::new());
-        check(&fig6::Fig6Grid::new());
-        check(&fig7::Fig7Grid);
+        assert_renders_the_committed_file(&fig2::Fig2Grid::new());
+        assert_renders_the_committed_file(&fig6::Fig6Grid::new());
+        assert_renders_the_committed_file(&fig7::Fig7Grid);
+    }
+
+    #[test]
+    fn the_fault_sweep_renders_the_committed_file() {
+        assert_renders_the_committed_file(&fault::FaultGrid(cohort::Cohort::new(SEED)));
+    }
+
+    #[test]
+    fn the_stream_sweep_renders_the_committed_file() {
+        assert_renders_the_committed_file(&stream::StreamGrid::new(SEED));
     }
 
     #[test]

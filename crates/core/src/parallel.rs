@@ -21,10 +21,11 @@
 //! * `assess_work_units` — the assessment form, which the batch pipeline,
 //!   re-assessment and the streaming completion path all call.
 //!   It runs `Funnel::assess_item` per unit and owns the assessment's one
-//!   control table, the worker spans, the error rule and the quarantine: a
-//!   unit whose assessment panics is caught and delivered `Inconclusive`
-//!   with [`QualityIssue::Quarantined`], so one poisoned KPI costs one
-//!   verdict and every other item is what a clean run delivers.
+//!   control table, each worker's item scratch (built once a call and lent
+//!   to every unit the worker claims), the worker spans, the error rule and
+//!   the quarantine: a unit whose assessment panics is caught and delivered
+//!   `Inconclusive` with [`QualityIssue::Quarantined`], so one poisoned KPI
+//!   costs one verdict and every other item is what a clean run delivers.
 //!
 //! What keeps the output independent of the worker count:
 //!
@@ -118,12 +119,17 @@ pub fn merge(results: impl IntoIterator<Item = ItemAssessment>) -> Vec<ItemAsses
 /// across `workers` threads when more than one is requested, and returns
 /// the items in merged (key-sorted) order.
 ///
+/// Each worker builds one item scratch and lends it to every unit it
+/// claims; no item's bits depend on what the scratch held before.
+///
 /// Each unit runs under [`catch_unwind`]: a unit whose assessment panics
 /// is delivered as [`QualityIssue::Quarantined`] and the others are
-/// untouched. A panic while a control window is being built leaves that
-/// window unbuilt in the shared table (the next unit to need it builds it),
-/// and built windows are pure functions of the read-only source, so an
-/// entry is at worst absent, never wrong.
+/// untouched. The panicking unit's worker gets a fresh scratch, so nothing
+/// a half-finished unit left in it reaches the next one. A panic while a
+/// control window is being built leaves that window unbuilt in the shared
+/// table (the next unit to need it builds it), and built windows are pure
+/// functions of the read-only source, so an entry is at worst absent,
+/// never wrong.
 ///
 /// # Errors
 ///
@@ -150,12 +156,15 @@ pub(crate) fn assess_work_units<S: KpiSource + Sync>(
         work.to_vec(),
         workers,
         Some(funnel_obs::names::SPAN_ASSESS_WORKER),
-        || (),
-        |(), key| {
+        || funnel.item_scratch(),
+        |scratch, key| {
             catch_unwind(AssertUnwindSafe(|| {
-                funnel.assess_item(source, change, impact_set, key, &table)
+                funnel.assess_item(source, change, impact_set, key, &table, scratch)
             }))
-            .unwrap_or_else(|_| Ok(funnel.unassessed_item(change, key, QualityIssue::Quarantined)))
+            .unwrap_or_else(|_| {
+                *scratch = funnel.item_scratch();
+                Ok(funnel.unassessed_item(change, key, QualityIssue::Quarantined))
+            })
         },
     );
     // One table, read once on the calling thread after the workers joined:

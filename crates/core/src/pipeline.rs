@@ -17,7 +17,7 @@ use funnel_did::groups::{DidAssessor, DidVerdict};
 use funnel_did::seasonal::SeasonalControl;
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::world::World;
-use funnel_sst::FastSst;
+use funnel_sst::{FastSst, SlidingSegments, SstWorkspace};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use funnel_topology::change::{ChangeId, LaunchMode, SoftwareChange};
@@ -253,6 +253,24 @@ pub(crate) fn treated_keys_for(impact_set: &ImpactSet, key: KpiKey) -> Vec<KpiKe
     }
 }
 
+/// What one worker lends every item it assesses in one fan-out call: the
+/// detector's run state (the SST workspace and the sliding segments of the
+/// Eq. 11 bound, lent through [`FastSst::sliding`]) and the buffer the
+/// quality screen selects in. Built once per worker by
+/// [`Funnel::item_scratch`], never per item.
+///
+/// Reuse is bit-safe. The workspace is scratch, rewritten by every score.
+/// The segments describe the last window the bound saw, and a window is
+/// taken for its successor only when every overlapping sample has its bits
+/// (`SlidingSegments`), so an item's first window, whatever series the
+/// segments last walked, sorts afresh or answers with the bits a fresh
+/// handle gives. The select buffer is cleared before each use.
+pub(crate) struct ItemScratch {
+    sst: SstWorkspace,
+    segments: SlidingSegments,
+    select: Vec<f64>,
+}
+
 /// The FUNNEL tool.
 #[derive(Debug, Clone)]
 pub struct Funnel {
@@ -294,6 +312,16 @@ impl Funnel {
     /// constructing a scorer, so they contain no panic-capable constructor.
     pub(crate) fn scorer(&self) -> &FastSst {
         &self.sst
+    }
+
+    /// A worker's [`ItemScratch`], sized for this configuration.
+    pub(crate) fn item_scratch(&self) -> ItemScratch {
+        let config = &self.config.sst;
+        ItemScratch {
+            sst: SstWorkspace::new(config),
+            segments: SlidingSegments::new(config),
+            select: Vec::with_capacity(config.window_len()),
+        }
     }
 
     /// Assesses a change recorded in a simulated [`World`].
@@ -465,7 +493,9 @@ impl Funnel {
     /// Assesses one impact-set KPI: detection, then causality, both
     /// tempered by how much of the window was really measured. `table` is
     /// the assessment's shared control table; it only ever holds values
-    /// derived from `source`, so it never changes the item.
+    /// derived from `source`, so it never changes the item. `scratch` is
+    /// the worker's, lent to item after item; no bit of the item depends
+    /// on what it held before.
     pub(crate) fn assess_item(
         &self,
         source: &impl KpiSource,
@@ -473,6 +503,7 @@ impl Funnel {
         impact_set: &ImpactSet,
         key: KpiKey,
         table: &ControlTable,
+        scratch: &mut ItemScratch,
     ) -> Result<ItemAssessment, FunnelError> {
         let _span = funnel_obs::span!(funnel_obs::names::SPAN_ASSESS_ITEM);
         let series = source.series(&key).ok_or(FunnelError::MissingSeries(key))?;
@@ -481,26 +512,35 @@ impl Funnel {
         let lo = from.max(series.start());
         let window = TimeSeries::new(lo, series.slice(lo, to).to_vec());
 
-        let coverage = source.coverage(&key, lo, to);
+        // Steps 2–3, partition-aware when the source tracks coverage. The
+        // mask is read once, into the gaps of `[lo, to)`: their total is
+        // the unmeasured share, a contiguous gap of at least
+        // `MIN_PARTITION_GAP` minutes marks the window as
+        // repairable-by-backfill, and any change point bordering such a gap
+        // is suppressed rather than scored (it is indistinguishable from
+        // the fill plateau's edge until the span heals). A source without a
+        // mask measured every minute. The detector asks only the windows
+        // this verdict rests on.
+        let mask = source.mask(&key);
+        let gaps = mask.as_ref().map(|mask| mask.gaps_in(lo, to));
+        let coverage = match &gaps {
+            Some(_) if to <= lo => 0.0,
+            Some(gaps) => {
+                let missing: u64 = gaps.iter().map(|&(s, e)| e - s).sum();
+                (to - lo - missing) as f64 / (to - lo) as f64
+            }
+            None => source.coverage(&key, lo, to),
+        };
         let quality = DataQuality {
             coverage,
-            report: assess_quality(&window),
+            report: assess_quality(window.values(), &mut scratch.select),
         };
         let adequate = coverage >= MIN_COVERAGE;
-
-        // Steps 2–3, partition-aware when the source tracks coverage: a
-        // contiguous gap of at least `MIN_PARTITION_GAP` minutes marks the
-        // window as repairable-by-backfill, and any change point bordering
-        // such a gap is suppressed rather than scored (it is
-        // indistinguishable from the fill plateau's edge until the span
-        // heals). A source without a mask measured every minute. The
-        // detector asks only the windows this verdict rests on.
-        let mask = source.mask(&key);
-        let partition_gapped = mask
+        let partition_gapped = gaps
             .as_ref()
-            .is_some_and(|mask| mask.longest_gap(lo, to) >= MIN_PARTITION_GAP);
-        let coverage = mask.as_ref().map(|mask| Coverage {
-            mask,
+            .is_some_and(|gaps| gaps.iter().any(|&(s, e)| e - s >= MIN_PARTITION_GAP));
+        let coverage = gaps.as_ref().map(|gaps| Coverage {
+            gaps,
             min_coverage: MIN_COVERAGE,
             min_gap: MIN_PARTITION_GAP,
         });
@@ -513,7 +553,12 @@ impl Funnel {
             self.config.persistence_minutes,
         )
         .recalling(source.outcomes(&key))
-        .decide(&window, coverage, change.minute);
+        .decide_in(
+            &mut self.sst.sliding(&mut scratch.sst, &mut scratch.segments),
+            &window,
+            coverage,
+            change.minute,
+        );
 
         let is_affected_service = matches!(key.entity, Entity::Service(s)
             if s != change.service && impact_set.affected_services.contains(&s));
@@ -540,7 +585,8 @@ impl Funnel {
                 },
             )
         } else if detection.is_some() {
-            match self.determine(source, change, impact_set, key, &series, mode, table) {
+            let own = (&series, mask.as_ref());
+            match self.determine(source, change, impact_set, key, own, mode, table) {
                 Ok((v, est)) => {
                     let verdict = if v.is_caused() {
                         Verdict::Caused
@@ -599,10 +645,11 @@ impl Funnel {
         })
     }
 
-    /// Steps 4–11: DiD against the appropriate control group.
+    /// Steps 4–11: DiD against the appropriate control group. `own` is the
+    /// item's series and mask as the source returned them.
     #[expect(
         clippy::too_many_arguments,
-        reason = "DiD needs the item (key, series, mode) and its assessment's change, impact set and controls"
+        reason = "DiD needs the item (key, series and mask, mode) and its assessment's change, impact set and controls"
     )]
     fn determine(
         &self,
@@ -610,10 +657,11 @@ impl Funnel {
         change: &SoftwareChange,
         impact_set: &ImpactSet,
         key: KpiKey,
-        series: &TimeSeries,
+        own: (&TimeSeries, Option<&CoverageMask>),
         mode: AssessmentMode,
         table: &ControlTable,
     ) -> Result<(DidVerdict, DidEstimate), DidError> {
+        let series = own.0;
         match mode {
             AssessmentMode::SeasonalHistory => {
                 let ctl = SeasonalControl::new(self.config.history_days);
@@ -662,15 +710,19 @@ impl Funnel {
                     })
                 } else {
                     // For the changed service's KPI the treated group is
-                    // the tinstances; server/instance items are their own
-                    // treated group.
-                    let treated_keys = treated_keys_for(impact_set, key);
-                    let treated: Vec<(TimeSeries, Option<CoverageMask>)> = treated_keys
-                        .iter()
-                        .filter_map(|k| source.series(k).map(|s| (s, source.mask(k))))
-                        .collect();
-                    let tr: Vec<(&TimeSeries, Option<&CoverageMask>)> =
-                        treated.iter().map(|(s, m)| (s, m.as_ref())).collect();
+                    // the tinstances, fetched here; a server or instance
+                    // item is its own treated group, already in hand.
+                    let fetched: Vec<(TimeSeries, Option<CoverageMask>)>;
+                    let tr: Vec<(&TimeSeries, Option<&CoverageMask>)> = match key.entity {
+                        Entity::Server(_) | Entity::Instance(_) => vec![own],
+                        Entity::Service(_) => {
+                            fetched = treated_keys_for(impact_set, key)
+                                .iter()
+                                .filter_map(|k| source.series(k).map(|s| (s, source.mask(k))))
+                                .collect();
+                            fetched.iter().map(|(s, m)| (s, m.as_ref())).collect()
+                        }
+                    };
                     let cr: Vec<(&TimeSeries, Option<&CoverageMask>)> = control_members
                         .iter()
                         .map(|(s, m)| (s, m.as_ref()))
@@ -869,6 +921,97 @@ mod tests {
             .expect("click item assessed");
         assert!(click_item.caused, "click collapse not attributed");
         assert_eq!(click_item.mode, AssessmentMode::SeasonalHistory);
+    }
+
+    /// Each key's item as `Debug` bytes.
+    type Items = std::collections::BTreeMap<KpiKey, String>;
+
+    /// [`Items`] assessed in `order` through one scratch, or through a
+    /// fresh one per item.
+    fn assess_in_order(
+        funnel: &Funnel,
+        source: &impl KpiSource,
+        change: &SoftwareChange,
+        impact_set: &ImpactSet,
+        order: &[KpiKey],
+        fresh: bool,
+    ) -> Items {
+        let table = ControlTable::new();
+        let mut scratch = funnel.item_scratch();
+        order
+            .iter()
+            .map(|&key| {
+                if fresh {
+                    scratch = funnel.item_scratch();
+                }
+                let item = funnel
+                    .assess_item(source, change, impact_set, key, &table, &mut scratch)
+                    .unwrap();
+                (key, format!("{item:?}"))
+            })
+            .collect()
+    }
+
+    /// `keys` in a seeded Fisher–Yates order.
+    fn shuffled(keys: &[KpiKey], seed: u64) -> Vec<KpiKey> {
+        let mut state = seed | 1;
+        let mut keys = keys.to_vec();
+        for i in (1..keys.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            keys.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        keys
+    }
+
+    /// One worker's scratch lent to every item of a change, in any order,
+    /// gives each item the bytes a fresh scratch gives it: on the world,
+    /// and on a store that lost frames (masks with gaps, windows skipped).
+    #[test]
+    fn a_reused_scratch_assesses_as_a_fresh_one_in_any_order() {
+        use funnel_sim::agent::{replay_with_faults, FaultPlan};
+        let (world, change) = dark_world(80.0);
+        let record = world.change_log().get(change).unwrap();
+        let store = funnel_sim::MetricStore::new();
+        let plan = FaultPlan {
+            seed: 5,
+            drop_frame_prob: 0.12,
+            ..FaultPlan::none()
+        };
+        replay_with_faults(&world, &store, 3, plan).unwrap();
+        let funnel = Funnel::paper_default();
+        let impact_set = identify_impact_set(world.topology(), record).unwrap();
+        let work = enumerate_work_units(&impact_set, record, &|svc| {
+            world.kinds_of_service(svc).to_vec()
+        });
+        let snapshot = store.snapshot();
+        let order_free = |source: &dyn Fn(&[KpiKey], bool) -> Items, at: &str| {
+            let want = source(&work, true);
+            assert_eq!(want.len(), work.len());
+            assert!(
+                want.values().any(|item| item.contains("detection: Some")),
+                "{at}"
+            );
+            let mut reversed = work.clone();
+            reversed.reverse();
+            assert_eq!(source(&reversed, false), want, "{at}, reversed");
+            for seed in [1, 2, 3, 2015] {
+                assert_eq!(
+                    source(&shuffled(&work, seed), false),
+                    want,
+                    "{at}, seed {seed}"
+                );
+            }
+        };
+        order_free(
+            &|order, fresh| assess_in_order(&funnel, &world, record, &impact_set, order, fresh),
+            "world",
+        );
+        order_free(
+            &|order, fresh| assess_in_order(&funnel, &snapshot, record, &impact_set, order, fresh),
+            "store",
+        );
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! *annotates* KPIs whose data looks untrustworthy, so the operations team
 //! can triage deliveries faster.
 
-use funnel_timeseries::series::TimeSeries;
-use funnel_timeseries::stats::{mad, median};
+use funnel_timeseries::stats::RobustSummary;
 
 /// Reasons a KPI's data may be untrustworthy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,9 +68,14 @@ const MIN_DISTINCT: usize = 4;
 /// sigmas.
 const GLITCH_SIGMAS: f64 = 50.0;
 
-/// Screens one KPI series.
-pub fn assess_quality(series: &TimeSeries) -> QualityReport {
-    let xs = series.values();
+/// Screens one KPI window, `xs`, selecting in `select` (cleared first; a
+/// worker lends the same buffer to every item it assesses).
+///
+/// The median and MAD come from one [`RobustSummary`], two selections. The
+/// distinct values are counted by bit pattern, as a sort and dedup of the
+/// bits would count them, but the scan stops at the `MIN_DISTINCT`th:
+/// `Quantized` asks only whether there are fewer.
+pub fn assess_quality(xs: &[f64], select: &mut Vec<f64>) -> QualityReport {
     let mut issues = Vec::new();
     if xs.is_empty() {
         return QualityReport {
@@ -79,8 +83,10 @@ pub fn assess_quality(series: &TimeSeries) -> QualityReport {
         };
     }
 
-    let med = median(xs);
-    let m = mad(xs);
+    let RobustSummary {
+        median: med,
+        mad: m,
+    } = RobustSummary::of_with(xs, select);
 
     if m <= CONSTANT_REL_MAD * med.abs().max(1.0) {
         issues.push(QualityIssue::Constant);
@@ -91,13 +97,11 @@ pub fn assess_quality(series: &TimeSeries) -> QualityReport {
         issues.push(QualityIssue::MostlyZero);
     }
 
-    if xs.len() >= 4 * MIN_DISTINCT {
-        let mut distinct: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        if distinct.len() < MIN_DISTINCT && !issues.contains(&QualityIssue::Constant) {
-            issues.push(QualityIssue::Quantized);
-        }
+    if xs.len() >= 4 * MIN_DISTINCT
+        && !issues.contains(&QualityIssue::Constant)
+        && fewer_distinct_than_min(xs, select)
+    {
+        issues.push(QualityIssue::Quantized);
     }
 
     if m > 0.0 {
@@ -110,16 +114,27 @@ pub fn assess_quality(series: &TimeSeries) -> QualityReport {
     QualityReport { issues }
 }
 
+/// Whether `xs` holds fewer than [`MIN_DISTINCT`] distinct bit patterns,
+/// keeping the ones seen so far in `seen` (cleared first).
+fn fewer_distinct_than_min(xs: &[f64], seen: &mut Vec<f64>) -> bool {
+    seen.clear();
+    for &x in xs {
+        if !seen.iter().any(|s| s.to_bits() == x.to_bits()) {
+            if seen.len() + 1 == MIN_DISTINCT {
+                return false;
+            }
+            seen.push(x);
+        }
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn series(values: Vec<f64>) -> TimeSeries {
-        TimeSeries::new(0, values)
-    }
-
     fn check(values: Vec<f64>) -> QualityReport {
-        assess_quality(&series(values))
+        assess_quality(&values, &mut Vec::new())
     }
 
     #[test]
@@ -165,5 +180,134 @@ mod tests {
     fn empty_series_is_constant() {
         let r = check(vec![]);
         assert_eq!(r.issues, vec![QualityIssue::Constant]);
+    }
+
+    /// The screen by its definition, as it was written before it selected:
+    /// median and MAD apart (three selections), and the distinct values
+    /// counted by sorting and deduplicating every bit pattern.
+    fn by_sorting(xs: &[f64]) -> QualityReport {
+        use funnel_timeseries::stats::{mad, median};
+        let mut issues = Vec::new();
+        if xs.is_empty() {
+            return QualityReport {
+                issues: vec![QualityIssue::Constant],
+            };
+        }
+        let med = median(xs);
+        let m = mad(xs);
+        if m <= CONSTANT_REL_MAD * med.abs().max(1.0) {
+            issues.push(QualityIssue::Constant);
+        }
+        let zeros = xs.iter().filter(|&&x| x == 0.0).count();
+        if zeros as f64 > ZERO_FRACTION * xs.len() as f64 {
+            issues.push(QualityIssue::MostlyZero);
+        }
+        if xs.len() >= 4 * MIN_DISTINCT {
+            let mut distinct: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            if distinct.len() < MIN_DISTINCT && !issues.contains(&QualityIssue::Constant) {
+                issues.push(QualityIssue::Quantized);
+            }
+        }
+        if m > 0.0 {
+            let worst = xs.iter().map(|x| (x - med).abs()).fold(0.0, f64::max);
+            if worst > GLITCH_SIGMAS * m {
+                issues.push(QualityIssue::GlitchOutliers);
+            }
+        }
+        QualityReport { issues }
+    }
+
+    /// Values that sit on an edge of some check: both zeros, the
+    /// non-finite ones, a glitch and a plain sample.
+    const EDGES: [f64; 8] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e7,
+        1.0,
+        -2.5,
+    ];
+
+    use proptest::prelude::*;
+
+    /// A seeded stream of samples: one in four an edge, the rest uniform in
+    /// `[-1000, 1000)`.
+    fn samples(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+            match state % 4 {
+                0 => EDGES[(state >> 3) as usize % EDGES.len()],
+                _ => 2000.0 * unit - 1000.0,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random windows, edges mixed in, of every length up to well
+        /// past `4 * MIN_DISTINCT`; the buffer is the dirty one a worker
+        /// lends from its previous item.
+        #[test]
+        fn the_screen_matches_its_sorting_definition(
+            seed in any::<u64>(),
+            len in 0usize..40,
+            dirty in 0usize..40,
+        ) {
+            let mut next = samples(seed);
+            let xs: Vec<f64> = (0..len).map(|_| next()).collect();
+            let mut select: Vec<f64> = (0..dirty).map(|_| next()).collect();
+            prop_assert_eq!(assess_quality(&xs, &mut select), by_sorting(&xs));
+        }
+
+        /// Windows of one to five distinct values, edges among them, at
+        /// lengths around `4 * MIN_DISTINCT`: where `Quantized` and
+        /// `Constant` turn.
+        #[test]
+        fn few_distinct_values_screen_as_sorting_does(
+            seed in any::<u64>(),
+            distinct in 1usize..6,
+            len in 4 * MIN_DISTINCT - 3..4 * MIN_DISTINCT + 4,
+            picks in prop::collection::vec(any::<prop::sample::Index>(), 4 * MIN_DISTINCT + 4),
+        ) {
+            let mut next = samples(seed);
+            let values: Vec<f64> = (0..distinct).map(|_| next()).collect();
+            let xs: Vec<f64> = picks[..len].iter().map(|i| values[i.index(distinct)]).collect();
+            prop_assert_eq!(assess_quality(&xs, &mut Vec::new()), by_sorting(&xs));
+        }
+    }
+
+    #[test]
+    fn named_windows_screen_as_sorting_does() {
+        let n = 4 * MIN_DISTINCT;
+        let signed_zeros: Vec<f64> = (0..n)
+            .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
+            .collect();
+        let windows = [
+            vec![7.0; n],
+            vec![0.0; n],
+            signed_zeros,
+            (0..n).map(|i| (i % 3) as f64).collect(),
+            (0..n).map(|i| (i % 4) as f64).collect(),
+            (0..n).map(|i| (i % 5) as f64).collect(),
+            (0..n - 1).map(|i| (i % 3) as f64).collect(),
+            (0..n).map(|i| EDGES[i % EDGES.len()]).collect(),
+            vec![f64::NAN; n],
+        ];
+        for xs in windows {
+            assert_eq!(
+                assess_quality(&xs, &mut Vec::new()),
+                by_sorting(&xs),
+                "{xs:?}"
+            );
+        }
     }
 }

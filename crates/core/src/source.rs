@@ -22,7 +22,10 @@ pub trait KpiSource {
     /// Fraction of `[from, to)` backed by real measurements for `key`.
     /// Sources that cannot degrade (a frozen [`World`]) report full
     /// coverage; the live [`MetricStore`] reports its coverage mask, so the
-    /// pipeline can tell measured data from substrate gap-fills.
+    /// pipeline can tell measured data from substrate gap-fills. A source
+    /// with a [`KpiSource::mask`] must answer what the mask says: an item
+    /// reads its own coverage off its mask's gaps, and asks this only of
+    /// keys it does not read the mask of (a control group's members).
     fn coverage(&self, key: &KpiKey, from: MinuteBin, to: MinuteBin) -> f64 {
         let _ = (key, from, to);
         1.0

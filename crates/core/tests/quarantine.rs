@@ -6,19 +6,24 @@
 //! treated server's series (see `poisoned/mod.rs`) and hold the rest of the
 //! delivery to the clean run's bytes at 1, 3 and 8 workers: once through
 //! the batch entry, once through `Funnel::reassess`. Without the
-//! `catch_unwind` the panic escapes and both fail.
+//! `catch_unwind` the panic escapes and both fail. A third panics a unit
+//! halfway through its detection, after it used its worker's scratch, and
+//! holds every later unit on that worker to the clean bytes.
 
 mod poisoned;
 
 use funnel_core::pipeline::{Funnel, ItemAssessment, Verdict};
 use funnel_core::quality::QualityIssue;
-use funnel_core::FunnelConfig;
+use funnel_core::{FunnelConfig, KpiSource};
+use funnel_detect::outcomes::{Outcome, Outcomes};
 use funnel_sim::agent::{replay_prefix, replay_with_faults};
 use funnel_sim::effect::{ChangeEffect, EffectScope};
 use funnel_sim::faults::{FaultPlan, HealMode, PartitionScope, PartitionWindow};
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::store::MetricStore;
 use funnel_sim::world::{SimConfig, World, WorldBuilder};
+use funnel_timeseries::mask::CoverageMask;
+use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use funnel_topology::change::{ChangeKind, SoftwareChange};
 use poisoned::Poisoned;
 
@@ -130,5 +135,70 @@ fn a_panicking_unit_leaves_the_reassessment_queue_as_firm() {
         // call has nothing left to re-run.
         let again = funnel.reassess(&mut got, &source, world.topology(), &record);
         assert_eq!(again, Ok(0));
+    }
+}
+
+/// `inner` with a memory that panics when the detector of `key` recalls
+/// its window decided at `minute`: the unit falls over halfway through
+/// its detection, after its worker's scratch has walked part of the series.
+struct PanicsMidDetection<S> {
+    inner: S,
+    key: KpiKey,
+    minute: MinuteBin,
+}
+
+struct PanicsAt(Option<MinuteBin>);
+
+impl Outcomes for PanicsAt {
+    fn recall(&self, minute: MinuteBin) -> Outcome {
+        assert_ne!(Some(minute), self.0, "poisoned window");
+        Outcome::Unknown
+    }
+
+    fn record(&mut self, _minute: MinuteBin, _outcome: Outcome) {}
+}
+
+impl<S: KpiSource> KpiSource for PanicsMidDetection<S> {
+    fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
+        self.inner.series(key)
+    }
+
+    fn coverage(&self, key: &KpiKey, from: MinuteBin, to: MinuteBin) -> f64 {
+        self.inner.coverage(key, from, to)
+    }
+
+    fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
+        self.inner.mask(key)
+    }
+
+    fn outcomes(&self, key: &KpiKey) -> impl Outcomes + '_ {
+        PanicsAt((*key == self.key).then_some(self.minute))
+    }
+}
+
+/// A unit that panics in the middle of its detection leaves its worker's
+/// scratch fit for the next unit: with one worker every later unit runs on
+/// that worker, and each still delivers the clean run's bytes.
+#[test]
+fn a_unit_that_panics_mid_detection_leaves_its_worker_able() {
+    let (world, record, _) = partitioned_world();
+    let kinds = |svc| world.kinds_of_service(svc).to_vec();
+    let clean = funnel(1)
+        .assess_change_with(&world, world.topology(), &record, &kinds)
+        .unwrap();
+    let source = PanicsMidDetection {
+        inner: &world,
+        key: poisoned::server_key(&clean.items),
+        minute: record.minute + 5,
+    };
+    assert!(clean
+        .items
+        .last()
+        .is_some_and(|item| item.key != source.key));
+    for workers in [1, 3, 8] {
+        let got = funnel(workers)
+            .assess_change_with(&source, world.topology(), &record, &kinds)
+            .unwrap();
+        only_quarantined(&clean.items, &got.items, source.key);
     }
 }

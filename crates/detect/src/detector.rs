@@ -25,11 +25,12 @@
 //! [`DetectorRunner::decide`] asks only the windows it rests on: a definite
 //! miss leaves the rule "no run, armed" whatever came before it, so the
 //! loop starts after the last one before the windows the verdict can read,
-//! and stops at the declaration it takes.
+//! and stops at the declaration it takes. [`DetectorRunner::decide_in`]
+//! asks through a scorer handle the caller keeps, so a worker deciding item
+//! after item builds its scorer's scratch once.
 
 use crate::outcomes::{Outcome, Outcomes};
 use funnel_sst::Unscreened;
-use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use std::ops::Range;
 
@@ -417,7 +418,7 @@ impl PersistenceRun {
     }
 }
 
-/// Which minutes of a series were really measured, and the two rules
+/// Which minutes of a series were not really measured, and the two rules
 /// [`DetectorRunner::decide`] draws from them.
 ///
 /// * A window with under `min_coverage` of its minutes measured is skipped,
@@ -435,14 +436,35 @@ impl PersistenceRun {
 ///   bordering it cannot be told from that step until backfill restores the
 ///   span. The persistence length is the gap to use: the shortest whose
 ///   plateau could fake the persistence rule.
+///
+/// The gaps are the mask's, listed once by whoever holds the mask
+/// (`CoverageMask::gaps_in` over a span covering the series): the pipeline
+/// reads an item's coverage fraction and partition flag off the same list.
 #[derive(Debug, Clone, Copy)]
 pub struct Coverage<'a> {
-    /// The measured minutes.
-    pub mask: &'a CoverageMask,
+    /// The maximal runs of unmeasured minutes, as half-open `(start, end)`
+    /// pairs in ascending order, over a span that covers the series; the
+    /// part outside the series is clipped away.
+    pub gaps: &'a [(MinuteBin, MinuteBin)],
     /// The fraction of measured minutes a window needs to be judged.
     pub min_coverage: f64,
     /// The shortest gap whose neighbourhood refuses a change point.
     pub min_gap: u64,
+}
+
+impl Coverage<'_> {
+    /// The gaps within `[from, to)`, each clipped to it. A maximal run over
+    /// a covering span, clipped, is a maximal run over the smaller one.
+    fn gaps_within(
+        &self,
+        from: MinuteBin,
+        to: MinuteBin,
+    ) -> impl Iterator<Item = (MinuteBin, MinuteBin)> + '_ {
+        self.gaps.iter().filter_map(move |&(s, e)| {
+            let (s, e) = (s.max(from), e.min(to));
+            (s < e).then_some((s, e))
+        })
+    }
 }
 
 /// What [`DetectorRunner::decide`] found.
@@ -501,20 +523,22 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
     /// change. After a declaration the runner re-arms once the score falls
     /// below threshold, so a single long-lived shift yields a single event.
     pub fn run(&self, series: &TimeSeries) -> Vec<ChangeEvent> {
-        self.run_observed(series, |_| false, 0, |_| false)
+        let mut scorer = self.scorer.reaching_scorer();
+        self.run_observed(&mut scorer, series, |_| false, 0, |_| false)
     }
 
     /// [`DetectorRunner::drive_windows`] under the detection span, with the
     /// run's counters written once.
     fn run_observed(
         &self,
+        scorer: &mut impl ReachingScorer,
         series: &TimeSeries,
         unmeasured: impl FnMut(MinuteBin) -> bool,
         reset_before: MinuteBin,
         stop: impl FnMut(&ChangeEvent) -> bool,
     ) -> Vec<ChangeEvent> {
         let _span = funnel_obs::span!(funnel_obs::names::SPAN_DETECT);
-        let (events, tally) = self.drive_windows(series, unmeasured, reset_before, stop);
+        let (events, tally) = self.drive_windows(scorer, series, unmeasured, reset_before, stop);
         tally.emit_counters();
         self.outcomes.run_ended(tally);
         funnel_obs::counter_add(
@@ -534,15 +558,17 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
         coverage: Option<Coverage<'_>>,
     ) -> impl Fn(MinuteBin) -> bool {
         let width = self.scorer.window_len();
-        let start = series.start();
+        let (start, end) = (series.start(), series.end());
         // O(1) per window: `measured[i]` counts the measured minutes among
         // the first `i` of the series.
         let min_coverage = coverage.map_or(0.0, |c| c.min_coverage);
         let measured: Option<Vec<u32>> = coverage.map(|c| {
+            let mut gaps = c.gaps_within(start, end).peekable();
             let mut count = 0;
             std::iter::once(0)
-                .chain((start..series.end()).map(|minute| {
-                    count += u32::from(c.mask.is_present(minute));
+                .chain((start..end).map(|minute| {
+                    while gaps.next_if(|&(_, e)| e <= minute).is_some() {}
+                    count += u32::from(gaps.peek().is_none_or(|&(s, _)| s > minute));
                     count
                 }))
                 .collect()
@@ -562,9 +588,7 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
     fn refusal_zones(&self, series: &TimeSeries, coverage: Coverage<'_>) -> Vec<Range<MinuteBin>> {
         let guard = self.scorer.window_len() as u64;
         coverage
-            .mask
-            .gaps_in(series.start(), series.end())
-            .into_iter()
+            .gaps_within(series.start(), series.end())
             .filter(|&(s, e)| e - s >= coverage.min_gap.max(1))
             .map(|(s, e)| s.saturating_sub(guard)..e + guard)
             .collect()
@@ -591,6 +615,22 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
         coverage: Option<Coverage<'_>>,
         from: MinuteBin,
     ) -> Decision {
+        self.decide_in(&mut self.scorer.reaching_scorer(), series, coverage, from)
+    }
+
+    /// [`DetectorRunner::decide`], asking through `scorer`: a handle of this
+    /// runner's scorer that the caller keeps from one series to the next. A
+    /// handle answers every window as a fresh one would
+    /// ([`ReachingScorer`]), so one that walked other series first decides
+    /// with the same bits; what it keeps is the scratch a fresh handle
+    /// would build.
+    pub fn decide_in(
+        &self,
+        scorer: &mut impl ReachingScorer,
+        series: &TimeSeries,
+        coverage: Option<Coverage<'_>>,
+        from: MinuteBin,
+    ) -> Decision {
         let zones = coverage.map_or_else(Vec::new, |c| self.refusal_zones(series, c));
         let refused = |event: &ChangeEvent| {
             zones
@@ -603,7 +643,7 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
             .map(|zone| zone.start)
             .fold(from, MinuteBin::min);
         let unmeasured = self.unmeasured(series, coverage);
-        let events = self.run_observed(series, unmeasured, limit, decisive);
+        let events = self.run_observed(scorer, series, unmeasured, limit, decisive);
         Decision {
             event: events.last().copied().filter(decisive),
             refused: events.iter().any(refused),
@@ -621,6 +661,7 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
     /// windows from the start on.
     fn drive_windows(
         &self,
+        scorer: &mut impl ReachingScorer,
         series: &TimeSeries,
         mut unmeasured: impl FnMut(MinuteBin) -> bool,
         reset_before: MinuteBin,
@@ -631,9 +672,8 @@ impl<S: WindowScorer, O: Outcomes> DetectorRunner<S, O> {
             width: self.scorer.window_len(),
         };
         let mut events = Vec::new();
-        let mut scorer = self.scorer.reaching_scorer();
         let mut pass = ScoringPass {
-            scorer: &mut scorer,
+            scorer,
             threshold: self.threshold,
             held: windows,
             outcomes: Scanned {
@@ -729,6 +769,7 @@ impl<O: Outcomes> Outcomes for Scanned<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use funnel_timeseries::mask::CoverageMask;
 
     /// Scores 1.0 whenever the window mean exceeds 5, else 0.
     struct MeanScorer;
@@ -825,18 +866,23 @@ mod tests {
         );
     }
 
-    /// Every minute of `0..len` measured but those in `hole`.
-    fn mask_without(len: usize, hole: Range<MinuteBin>) -> CoverageMask {
+    /// The gaps of `0..len` when every minute is measured but those in
+    /// `hole`.
+    fn gaps_without(len: usize, hole: Range<MinuteBin>) -> Vec<(MinuteBin, MinuteBin)> {
         let mut mask = CoverageMask::new(0);
         for minute in (0..len as u64).filter(|m| !hole.contains(m)) {
             mask.mark(minute);
         }
-        mask
+        mask.gaps_in(0, len as u64)
     }
 
-    fn coverage(mask: &CoverageMask, min_coverage: f64, min_gap: u64) -> Option<Coverage<'_>> {
+    fn coverage(
+        gaps: &[(MinuteBin, MinuteBin)],
+        min_coverage: f64,
+        min_gap: u64,
+    ) -> Option<Coverage<'_>> {
         Some(Coverage {
-            mask,
+            gaps,
             min_coverage,
             min_gap,
         })
@@ -845,11 +891,11 @@ mod tests {
     #[test]
     fn full_mask_decides_as_no_mask() {
         let series = step_series(10, 20);
-        let mask = CoverageMask::all_present(0, series.len());
+        let gaps = CoverageMask::all_present(0, series.len()).gaps_in(0, series.len() as u64);
         let r = DetectorRunner::new(MeanScorer, 0.5, 7);
         let unmasked = r.decide(&series, None, 0);
         assert!(unmasked.event.is_some());
-        assert_eq!(r.decide(&series, coverage(&mask, 0.8, 7), 0), unmasked);
+        assert_eq!(r.decide(&series, coverage(&gaps, 0.8, 7), 0), unmasked);
     }
 
     #[test]
@@ -857,9 +903,9 @@ mod tests {
         // Nothing was really measured: every window must be skipped and no
         // change declared, even though the (filled) values contain a step.
         let series = step_series(10, 20);
-        let mask = CoverageMask::new(0);
+        let gaps = CoverageMask::new(0).gaps_in(0, series.len() as u64);
         let r = DetectorRunner::new(MeanScorer, 0.5, 7);
-        let decision = r.decide(&series, coverage(&mask, 0.8, 7), 0);
+        let decision = r.decide(&series, coverage(&gaps, 0.8, 7), 0);
         assert_eq!((decision.event, decision.refused), (None, false));
     }
 
@@ -869,11 +915,11 @@ mod tests {
         // it (20..30): the step's change point borders the gap, so it is
         // indistinguishable from the fill plateau ending — refused.
         let series = step_series(30, 30);
-        let mask = mask_without(series.len(), 20..30);
+        let gaps = gaps_without(series.len(), 20..30);
         let r = DetectorRunner::new(MeanScorer, 0.5, 7);
-        let plain = r.decide(&series, coverage(&mask, 0.5, u64::MAX), 0);
+        let plain = r.decide(&series, coverage(&gaps, 0.5, u64::MAX), 0);
         assert!(plain.event.is_some() && !plain.refused);
-        let aware = r.decide(&series, coverage(&mask, 0.5, 7), 0);
+        let aware = r.decide(&series, coverage(&gaps, 0.5, 7), 0);
         assert_eq!((aware.event, aware.refused), (None, true));
     }
 
@@ -882,11 +928,11 @@ mod tests {
         // Gap at 5..15, step at minute 40: window-length guard (4) does not
         // reach the change point, so the event stands.
         let series = step_series(40, 30);
-        let mask = mask_without(series.len(), 5..15);
+        let gaps = gaps_without(series.len(), 5..15);
         let r = DetectorRunner::new(MeanScorer, 0.5, 7);
-        let aware = r.decide(&series, coverage(&mask, 0.5, 7), 0);
+        let aware = r.decide(&series, coverage(&gaps, 0.5, 7), 0);
         assert!(aware.event.is_some() && !aware.refused);
-        assert_eq!(aware, r.decide(&series, coverage(&mask, 0.5, u64::MAX), 0));
+        assert_eq!(aware, r.decide(&series, coverage(&gaps, 0.5, u64::MAX), 0));
     }
 
     #[test]
@@ -894,9 +940,9 @@ mod tests {
         // A 2-minute hole right before the step is ordinary frame loss, not
         // a partition: below min_gap, the event stands.
         let series = step_series(30, 30);
-        let mask = mask_without(series.len(), 27..29);
+        let gaps = gaps_without(series.len(), 27..29);
         let r = DetectorRunner::new(MeanScorer, 0.5, 7);
-        let aware = r.decide(&series, coverage(&mask, 0.5, 7), 0);
+        let aware = r.decide(&series, coverage(&gaps, 0.5, 7), 0);
         assert!(aware.event.is_some() && !aware.refused);
     }
 
@@ -907,8 +953,8 @@ mod tests {
         // the middle of that run: the declaration must come later than with
         // a full mask (the run restarts after the gap).
         let series = step_series(10, 30);
-        let full = CoverageMask::all_present(0, series.len());
-        let holed = mask_without(series.len(), 16..18);
+        let full = CoverageMask::all_present(0, series.len()).gaps_in(0, series.len() as u64);
+        let holed = gaps_without(series.len(), 16..18);
         let r = DetectorRunner::new(MeanScorer, 0.5, 7);
         let clean = r
             .decide(&series, coverage(&full, 0.95, 7), 0)

@@ -215,7 +215,7 @@ fn eager_run<S: WindowScorer>(
     threshold: f64,
     persistence: usize,
     series: &TimeSeries,
-    coverage: Option<Coverage<'_>>,
+    coverage: Option<&Masked<'_>>,
 ) -> (Vec<ChangeEvent>, Vec<ChangeEvent>) {
     let mut oracle = EagerRunner {
         reaching: |window: &[f64], threshold: f64| {
@@ -271,9 +271,35 @@ fn random_mask(series: &TimeSeries, next: &mut impl FnMut() -> f64) -> CoverageM
     mask
 }
 
-fn coverage(mask: &CoverageMask, min_coverage: f64, min_gap: u64) -> Coverage<'_> {
-    Coverage {
+/// A mask, the gaps `decide` reads off it, and the two thresholds. The
+/// gaps run past the series' end, as an assessment window's may when its
+/// series stops short: `decide` clips them.
+struct Masked<'a> {
+    mask: &'a CoverageMask,
+    gaps: Vec<(u64, u64)>,
+    min_coverage: f64,
+    min_gap: u64,
+}
+
+impl Masked<'_> {
+    fn coverage(&self) -> Coverage<'_> {
+        Coverage {
+            gaps: &self.gaps,
+            min_coverage: self.min_coverage,
+            min_gap: self.min_gap,
+        }
+    }
+}
+
+fn coverage<'a>(
+    series: &TimeSeries,
+    mask: &'a CoverageMask,
+    min_coverage: f64,
+    min_gap: u64,
+) -> Masked<'a> {
+    Masked {
         mask,
+        gaps: mask.gaps_in(series.start(), series.end() + 9),
         min_coverage,
         min_gap,
     }
@@ -286,7 +312,7 @@ fn assert_matches_eager<S: WindowScorer>(
     threshold: f64,
     persistence: usize,
     series: &TimeSeries,
-    coverage: Coverage<'_>,
+    coverage: &Masked<'_>,
     froms: &[u64],
     context: &str,
 ) -> usize {
@@ -298,7 +324,8 @@ fn assert_matches_eager<S: WindowScorer>(
             assert_eq!(events, event_bits(&want.0), "run: {context}");
         }
         for &from in froms {
-            let (got, masked) = (shipped.decide(series, coverage, from), coverage.is_some());
+            let got = shipped.decide(series, coverage.map(Masked::coverage), from);
+            let masked = coverage.is_some();
             let want = first_retained(&want, from);
             assert_eq!(decision_bits(got), want, "{from}, {masked}: {context}");
         }
@@ -327,7 +354,7 @@ impl Outcomes for Watched<'_> {
 fn check_case(
     scorer: &Scripted,
     persistence: usize,
-    coverage: Option<Coverage<'_>>,
+    coverage: Option<&Masked<'_>>,
     from: u64,
     memory: Option<&WindowOutcomes>,
 ) -> (Decision, usize) {
@@ -340,7 +367,7 @@ fn check_case(
         tally: Cell::default(),
     };
     let runner = DetectorRunner::new(scorer.fresh(), THRESHOLD, persistence).recalling(&watched);
-    let decision = runner.decide(&series, coverage, from);
+    let decision = runner.decide(&series, coverage.map(Masked::coverage), from);
     let (mut bounds, scores) = runner.scorer().take_log();
     prop_assert_eq!(decision_bits(decision), first_retained(&want, from));
 
@@ -551,10 +578,10 @@ proptest! {
         let scorer = Scripted::new(1, steps, false);
         let series = scorer.series();
         let mask = random_mask(&series, &mut next);
-        let c = coverage(&mask, 0.8, 7);
+        let c = coverage(&series, &mask, 0.8, 7);
         let froms = [START, START + windows as u64 / 2];
         let at = format!("seed {seed}, persistence {persistence}");
-        assert_matches_eager(scorer, 0.0, persistence, &series, c, &froms, &at);
+        assert_matches_eager(scorer, 0.0, persistence, &series, &c, &froms, &at);
     }
 }
 
@@ -585,13 +612,13 @@ proptest! {
         }
         let series = TimeSeries::new(START, values);
         let mask = random_mask(&series, &mut next);
-        let coverage = coverage(&mask, 0.8, 7);
+        let coverage = coverage(&series, &mask, 0.8, 7);
         let froms = [START, START + up as u64, START + down as u64];
         let mut declared = 0;
         for threshold in [0.5, 0.0, 2.5, -1.0, f64::NAN] {
             let scorer = SstDetector::fast(FastSst::new(SstConfig::paper_default()));
             let at = format!("seed {seed}, persistence {p}, threshold {threshold}");
-            declared += assert_matches_eager(scorer, threshold, p, &series, coverage, &froms, &at);
+            declared += assert_matches_eager(scorer, threshold, p, &series, &coverage, &froms, &at);
         }
         prop_assert!(declared > 0, "the scenario never declared: nothing was compared");
     }
@@ -619,7 +646,7 @@ proptest! {
         };
         let mask = random_mask(&series, &mut next);
         let min_coverage = [0.5, 0.75, 1.0][(next() * 3.0) as usize];
-        let coverage = coverage(&mask, min_coverage, 2 + (next() * 7.0) as u64);
+        let coverage = coverage(&series, &mask, min_coverage, 2 + (next() * 7.0) as u64);
         // The script's own answers for about half the windows, a few only
         // as candidates; retention may let the oldest go.
         let mut memory = WindowOutcomes::new((next() * 200.0) as usize);
@@ -632,7 +659,7 @@ proptest! {
             };
             memory.record(minute, outcome);
         }
-        for coverage in [Some(coverage), None] {
+        for coverage in [Some(&coverage), None] {
             for memory in [None, Some(&memory)] {
                 let (decision, scored) = check_case(&scorer, persistence, coverage, from, memory);
                 if windows == 0 {
@@ -706,8 +733,9 @@ proptest! {
         }
 
         // And through `decide`, which is how the pipeline reads it.
-        let mask = random_mask(&scorer.series(), &mut next);
-        check_case(&scorer, p, Some(coverage(&mask, 0.6, 4)), b, Some(&memory));
+        let series = scorer.series();
+        let mask = random_mask(&series, &mut next);
+        check_case(&scorer, p, Some(&coverage(&series, &mask, 0.6, 4)), b, Some(&memory));
     }
 
     /// Put, get, forget, retention, minutes below the start, a jump past the
@@ -770,7 +798,7 @@ fn bound_less_baselines_declare_what_the_eager_loop_declared() {
         .collect();
     let s = &TimeSeries::new(START, values);
     let mask = random_mask(s, &mut next);
-    let c = coverage(&mask, 0.8, 7);
+    let c = &coverage(s, &mask, 0.8, 7);
     let froms = &[START, START + 100, START + 150];
     let mut declared = [0; 3];
     for p in [1, 7] {
@@ -807,8 +835,8 @@ fn masked_case(steps: &[Step], mask_out: &[u64], from: u64) -> (Option<u64>, usi
     for i in (0..steps.len() as u64).filter(|i| !mask_out.contains(i)) {
         mask.mark(START + i);
     }
-    let coverage = Some(coverage(&mask, 0.5, u64::MAX));
-    let (decision, scored) = check_case(&scorer, 3, coverage, START + from, None);
+    let coverage = coverage(&scorer.series(), &mask, 0.5, u64::MAX);
+    let (decision, scored) = check_case(&scorer, 3, Some(&coverage), START + from, None);
     (decision.event.map(|e| e.declared_at - START), scored)
 }
 

@@ -13,7 +13,7 @@
 use crate::estimator::{did_estimate, DidError, DidEstimate};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
-use funnel_timeseries::stats::{mad, median};
+use funnel_timeseries::stats::RobustSummary;
 
 /// Configuration for a DiD assessment.
 #[derive(Debug, Clone, PartialEq)]
@@ -213,15 +213,18 @@ impl DidAssessor {
     ) -> Result<(DidVerdict, DidEstimate), DidError> {
         let est = if self.config.normalize {
             // Robust scale from the pooled pre-change cells: stable under a
-            // handful of contaminated baseline samples.
-            let mut baseline: Vec<f64> = control_pre
+            // handful of contaminated baseline samples. One summary, two
+            // selections.
+            let baseline: Vec<f64> = control_pre
                 .iter()
                 .chain(treated_pre.iter())
                 .copied()
                 .collect();
-            let center = median(&baseline);
-            let scale = mad(&baseline).max(1e-9);
-            baseline.clear();
+            let RobustSummary {
+                median: center,
+                mad,
+            } = RobustSummary::of(&baseline);
+            let scale = mad.max(1e-9);
             let norm =
                 |xs: &[f64]| -> Vec<f64> { xs.iter().map(|x| (x - center) / scale).collect() };
             did_estimate(

@@ -559,20 +559,22 @@ impl<'a> Collector<'a> {
                 self.finalize_minute(w, minute, accs);
             }
         });
-        // Backfill flush: healed-span frames enter historical bins in
-        // (agent, minute) order — deterministic regardless of how agent
-        // threads interleaved during the replay. Each record passes the
-        // same plausibility gate as live ingestion, and the store's own
-        // duplicate suppression (first write wins per real bin) guards
-        // against re-delivery races. One write lock per staged frame, as
-        // for a live one.
-        for ((agent, minute), records) in std::mem::take(&mut self.state.backfill_stage) {
-            store.write_batch(|w| self.backfill_frame(w, agent as usize, minute, &records));
-        }
-        // Service aggregates the backfill completed, ascending minute then
-        // (service, kind). Emitted through the backfill path too: their
-        // minute is historical for the (forward-filled) aggregate series.
+        // Backfill flush, one write batch: healed-span frames enter
+        // historical bins in (agent, minute) order — deterministic
+        // regardless of how agent threads interleaved during the replay.
+        // Each record passes the same plausibility gate as live ingestion,
+        // and the store's own duplicate suppression (first write wins per
+        // real bin) guards against re-delivery races. In one batch each
+        // key's forward fill is settled once, at the end, rather than after
+        // every late minute: a D-minute healed gap costs D bins, not D²/2.
         store.write_batch(|w| {
+            for ((agent, minute), records) in std::mem::take(&mut self.state.backfill_stage) {
+                self.backfill_frame(w, agent as usize, minute, &records);
+            }
+            // Service aggregates the backfill completed, ascending minute
+            // then (service, kind). Emitted through the backfill path too:
+            // their minute is historical for the (forward-filled) aggregate
+            // series.
             for (minute, accs) in std::mem::take(&mut self.state.partial) {
                 for ((svc, kind), mut cells) in accs {
                     if cells.len() != *self.service_sizes.get(&svc).unwrap_or(&0)

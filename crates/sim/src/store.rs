@@ -83,6 +83,11 @@ struct Slot {
     /// ([`MetricStore::cut_since`]): below it the series and the mask are
     /// what that cut saw. [`CLEAN`] when nothing was written since.
     dirty_from: MinuteBin,
+    /// The lowest and the highest minute written late in the write batch
+    /// under way, whose forward fills [`Slot::settle`] has yet to bring
+    /// up to date; `None` outside a batch and in a slot no late write
+    /// touched.
+    unsettled: Option<(MinuteBin, MinuteBin)>,
 }
 
 /// [`Slot::dirty_from`] of a slot no write has touched since the last cut.
@@ -128,8 +133,11 @@ impl Slot {
 
     /// A late write into a historical bin: accepted iff the bin holds no
     /// real measurement yet and does not predate the series anchor. The bin
-    /// and the forward-filled bins after it, up to the next real
-    /// measurement, take the value. Past the frontier it is a live append.
+    /// takes the value at once; the forward-filled bins after it, up to the
+    /// next real measurement, take it when the write batch ends
+    /// ([`Slot::settle`]), once for all the batch's late writes to this
+    /// slot. Past the frontier it is a live append. An accepted write
+    /// widens the slot's unsettled span to `minute`.
     fn fill_late(&mut self, minute: MinuteBin, value: f64) -> bool {
         let Held { series, mask } = held_for_write(&mut self.held, minute);
         mask.rebase(minute);
@@ -147,14 +155,39 @@ impl Slot {
                 return false;
             }
             series.set(minute, value);
-            let mut m = minute + 1;
-            while m < series.end() && !mask.is_present(m) {
-                series.set(m, value);
-                m += 1;
-            }
         }
         mask.mark(minute);
+        self.unsettled = Some(self.unsettled.map_or((minute, minute), |(lo, hi)| {
+            (lo.min(minute), hi.max(minute))
+        }));
         true
+    }
+
+    /// Brings the forward fills of the batch's late writes up to date:
+    /// from the lowest late minute on, every unmeasured bin takes the value
+    /// of the nearest measured bin before it, up to the first measured bin
+    /// past the highest late minute. That rule is the invariant every write
+    /// path keeps, so the bins come out as a forward fill after each write
+    /// would have left them — in one pass, however many late writes landed.
+    /// A gap an append filled in the same batch, from a value not yet
+    /// carried forward, is unmeasured too and lies before the append's own
+    /// measured bin, so the pass reaches it.
+    fn settle(&mut self) {
+        let (Some((lo, hi)), Some(held)) = (self.unsettled.take(), self.held.as_mut()) else {
+            return;
+        };
+        let Held { series, mask } = held;
+        let mut carry = None;
+        for minute in lo..series.end() {
+            if mask.is_present(minute) {
+                if minute > hi {
+                    break;
+                }
+                carry = series.at(minute);
+            } else if let Some(value) = carry {
+                series.set(minute, value);
+            }
+        }
     }
 }
 
@@ -180,6 +213,9 @@ pub(crate) struct Slab {
     // BTreeMap, not HashMap: this index is the only source of enumeration
     // order, and report and checkpoint bytes follow it.
     index: BTreeMap<KpiKey, KeyId>,
+    /// The slots a late write touched in the batch under way, each listed
+    /// once, settled when the batch ends ([`Slab::settle`]).
+    unsettled: Vec<KeyId>,
     /// The cut the slots' dirty marks count from; `None` before the first
     /// cut and after [`MetricStore::restore_entries`], which drops keys no
     /// mark remembers.
@@ -201,6 +237,7 @@ impl Slab {
             key,
             held: None,
             dirty_from: CLEAN,
+            unsettled: None,
         });
         self.index.insert(key, id);
         id
@@ -213,6 +250,7 @@ impl Slab {
             if let Some(slot) = self.slots.get_mut(id.as_index()) {
                 slot.held = Some(Held { series, mask });
                 slot.dirty_from = 0;
+                slot.unsettled = None;
             }
         }
     }
@@ -235,11 +273,27 @@ impl Slab {
             .is_some_and(|slot| slot.push_live(minute, value))
     }
 
-    /// [`MetricStore::backfill`] by id.
+    /// [`MetricStore::backfill`] by id: the bin now, its forward fill when
+    /// the batch ends.
     pub(crate) fn backfill_id(&mut self, id: KeyId, minute: MinuteBin, value: f64) -> bool {
-        self.slots
-            .get_mut(id.as_index())
-            .is_some_and(|slot| slot.fill_late(minute, value))
+        let Some(slot) = self.slots.get_mut(id.as_index()) else {
+            return false;
+        };
+        let first = slot.unsettled.is_none();
+        let accepted = slot.fill_late(minute, value);
+        if first && slot.unsettled.is_some() {
+            self.unsettled.push(id);
+        }
+        accepted
+    }
+
+    /// Settles every slot a late write touched in this batch, once each.
+    fn settle(&mut self) {
+        for id in self.unsettled.drain(..) {
+            if let Some(slot) = self.slots.get_mut(id.as_index()) {
+                slot.settle();
+            }
+        }
     }
 
     fn held(&self, key: &KpiKey) -> Option<&Held> {
@@ -342,9 +396,15 @@ impl MetricStore {
     /// Runs one batch of writes under the store's write lock, on the slab
     /// unshared: the first write after a snapshot that is still alive
     /// copies the slab here, and the snapshot keeps the old one. With no
-    /// snapshot alive this is the lock alone.
+    /// snapshot alive this is the lock alone. The forward fills of the
+    /// batch's late writes are settled before the lock is let go, so no
+    /// reader ever sees one pending.
     pub(crate) fn write_batch<R>(&self, batch: impl FnOnce(&mut Slab) -> R) -> R {
-        batch(Arc::make_mut(&mut self.slab.write()))
+        let mut guard = self.slab.write();
+        let slab = Arc::make_mut(&mut guard);
+        let result = batch(slab);
+        slab.settle();
+        result
     }
 
     /// Replaces the entire series for `key` (used by batch materialization).
@@ -744,5 +804,124 @@ mod tests {
         assert_eq!((series.start(), series.values()), (5, &[2.0][..]));
         assert_eq!(store.keys(), vec![key(1), key(2)]);
         assert_eq!(store.len(), 2);
+    }
+
+    /// The late write as it was defined before batches settled: the bin,
+    /// then at once every forward-filled bin after it up to the next real
+    /// measurement. The model the batched writes are held to.
+    fn fill_late_at_once(slot: &mut Slot, minute: MinuteBin, value: f64) -> bool {
+        let Held { series, mask } = held_for_write(&mut slot.held, minute);
+        mask.rebase(minute);
+        slot.dirty_from = slot
+            .dirty_from
+            .min(minute)
+            .min(series.end())
+            .min(mask.end());
+        if minute >= series.end() {
+            extend_to(series, minute, value);
+        } else {
+            if minute < series.start() || mask.is_present(minute) {
+                return false;
+            }
+            series.set(minute, value);
+            let mut m = minute + 1;
+            while m < series.end() && !mask.is_present(m) {
+                series.set(m, value);
+                m += 1;
+            }
+        }
+        mask.mark(minute);
+        true
+    }
+
+    /// Series start and value bits, mask start and bits.
+    type HeldBits = (MinuteBin, Vec<u64>, MinuteBin, Vec<bool>);
+
+    /// What one slot holds, by its bits, and its dirty mark.
+    fn slot_bits(slot: &Slot) -> (Option<HeldBits>, MinuteBin) {
+        let held = slot.held.as_ref().map(|h| {
+            let values = h.series.values().iter().map(|v| v.to_bits()).collect();
+            (
+                h.series.start(),
+                values,
+                h.mask.start(),
+                h.mask.bits().to_vec(),
+            )
+        });
+        (held, slot.dirty_from)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random appends and late writes over three keys, grouped into
+        /// write batches of one to eight, with a cut now and then: every
+        /// write is accepted or refused as the per-write model says, and
+        /// after every batch each key's series bits, mask bits and dirty
+        /// mark are the model's.
+        #[test]
+        fn batched_late_writes_settle_to_the_per_write_model(seed in any::<u64>()) {
+            let mut state = seed | 1;
+            let mut next = move |below: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % below
+            };
+            let store = MetricStore::new();
+            let mut model: Vec<Slot> = (0..3)
+                .map(|n| Slot { key: key(n), held: None, dirty_from: CLEAN, unsettled: None })
+                .collect();
+            for _ in 0..12 {
+                let batch: Vec<(bool, u32, MinuteBin, f64)> = (0..1 + next(8))
+                    .map(|_| {
+                        let value = next(1000) as f64 - 500.0;
+                        (next(3) == 0, next(3) as u32, 5 + next(60), value)
+                    })
+                    .collect();
+                let accepted = store.write_batch(|w| {
+                    batch
+                        .iter()
+                        .map(|&(live, n, minute, value)| {
+                            let id = w.id_of(key(n));
+                            if live {
+                                w.append_id(id, minute, value)
+                            } else {
+                                w.backfill_id(id, minute, value)
+                            }
+                        })
+                        .collect::<Vec<bool>>()
+                });
+                for (&(live, n, minute, value), got) in batch.iter().zip(accepted) {
+                    let slot = &mut model[n as usize];
+                    let want = if live {
+                        slot.push_live(minute, value)
+                    } else {
+                        fill_late_at_once(slot, minute, value)
+                    };
+                    prop_assert_eq!(got, want);
+                }
+                if next(4) == 0 {
+                    store.cut_since(None, |_| ());
+                    for slot in &mut model {
+                        slot.dirty_from = CLEAN;
+                    }
+                }
+                let slab = store.slab.read();
+                prop_assert!(slab.unsettled.is_empty());
+                for slot in &model {
+                    let stored = slab.index.get(&slot.key).map(|id| &slab.slots[id.as_index()]);
+                    match stored {
+                        Some(stored) => {
+                            prop_assert_eq!(slot_bits(stored), slot_bits(slot));
+                            prop_assert!(stored.unsettled.is_none());
+                        }
+                        None => prop_assert!(slot.held.is_none()),
+                    }
+                }
+            }
+        }
     }
 }

@@ -149,7 +149,6 @@ fn silent_drop_leaves_an_honest_gap() {
             .unwrap_or_else(|| panic!("{key:?} missing"));
         // The dark span is one contiguous gap, visible as such.
         assert_eq!(mask.gaps_in(0, DURATION as u64), vec![(80, 120)], "{key:?}");
-        assert_eq!(mask.longest_gap(0, DURATION as u64), 40, "{key:?}");
         // The series itself stays dense (forward-filled), never lying with
         // holes downstream code cannot represent.
         let stored = store.get(&key).unwrap();
@@ -177,7 +176,7 @@ fn bounded_queue_evicts_oldest_and_counts_losses() {
     let key = world
         .all_keys()
         .into_iter()
-        .find(|k| store.mask(k).is_some_and(|m| m.longest_gap(0, 240) > 0))
+        .find(|k| store.mask(k).is_some_and(|m| !m.gaps_in(0, 240).is_empty()))
         .expect("some key lost coverage");
     let mask = store.mask(&key).unwrap();
     assert_eq!(mask.gaps_in(0, DURATION as u64), vec![(80, 110)]);

@@ -141,18 +141,6 @@ impl CoverageMask {
         gaps
     }
 
-    /// Length in minutes of the longest contiguous run of missing bins in
-    /// `[from, to)` (0 = every minute measured). The signature a correlated
-    /// outage leaves behind: independent per-frame loss makes many short
-    /// gaps, a partition makes one long one.
-    pub fn longest_gap(&self, from: MinuteBin, to: MinuteBin) -> u64 {
-        self.gaps_in(from, to)
-            .into_iter()
-            .map(|(s, e)| e - s)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The raw presence bits, index 0 = [`CoverageMask::start`]. Together
     /// with the anchor this is the mask's full state — what a recovery
     /// checkpoint serializes ([`CoverageMask::from_bits`] is the inverse).
@@ -239,15 +227,12 @@ mod tests {
         }
         // Missing inside the mask: 12..15 and 18..20.
         assert_eq!(m.gaps_in(10, 21), vec![(12, 15), (18, 20)]);
-        assert_eq!(m.longest_gap(10, 21), 3);
         // Bins outside the mask count as missing (trailing gap).
         assert_eq!(m.gaps_in(10, 25), vec![(12, 15), (18, 20), (21, 25)]);
-        assert_eq!(m.longest_gap(10, 25), 4);
         // Range before the mask is all gap.
         assert_eq!(m.gaps_in(0, 10), vec![(0, 10)]);
         // Full coverage inside a measured run.
         assert_eq!(m.gaps_in(15, 18), Vec::<(u64, u64)>::new());
-        assert_eq!(m.longest_gap(15, 18), 0);
         // Degenerate range.
         assert_eq!(m.gaps_in(5, 5), Vec::<(u64, u64)>::new());
     }

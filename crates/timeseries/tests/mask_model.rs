@@ -75,10 +75,6 @@ proptest! {
 
         let gaps = mask.gaps_in(from, to);
         prop_assert_eq!(&gaps, &expected);
-        prop_assert_eq!(
-            mask.longest_gap(from, to),
-            expected.iter().map(|(s, e)| e - s).max().unwrap_or(0)
-        );
 
         // Structural invariants the downstream layers rely on: gaps are
         // disjoint, in range, ascending, maximal, and together with the

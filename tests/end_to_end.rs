@@ -483,7 +483,7 @@ fn shipped_detector_matches_the_eager_reference_on_the_golden_scenario() {
                 before(&all) > before(&want.events),
             );
             let coverage = Coverage {
-                mask: &mask,
+                gaps: &mask.gaps_in(window.start(), window.end()),
                 min_coverage,
                 min_gap,
             };
