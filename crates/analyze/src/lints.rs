@@ -6,8 +6,8 @@
 //! `#![deny(clippy::unwrap_used, …)]` line bans the panicking calls (with
 //! `clippy::indexing_slicing` on the core, sim and resilience roots). The
 //! rules here are the ones it cannot say: map indexing on the hot path,
-//! float fold order, unwrapped filesystem I/O, the journal before the store
-//! commit, and notes on suppressions. The passes are
+//! float fold order, the journal before the store commit, and notes on
+//! suppressions. The passes are
 //! deliberately shallow — token patterns plus the [`FileScan`] structure —
 //! so `funnel-lint` runs wherever the workspace builds. Shallow means
 //! heuristic: false positives are expected and handled by inline
@@ -26,13 +26,13 @@ pub struct LintInfo {
     pub description: &'static str,
 }
 
-/// L3, L5, L6, L9 and L11, in order. L1 (wall clock) and L2 (hashed
+/// L3, L5, L9 and L11, in order. L1 (wall clock) and L2 (hashed
 /// collections) are `clippy.toml`'s, and L3's panicking calls are the crate
-/// roots' `deny` line's. L4 (`unsafe_code`) is a workspace lint, L7's panic
-/// sources are the `deny` line's and L8's nondeterminism sources
-/// `clippy.toml`'s. There is no L10: the obs vocabulary is closed by the
+/// roots' `deny` line's. L4 (`unsafe_code`) is a workspace lint, L6's
+/// unwrapped filesystem results and L7's panic sources are the `deny`
+/// line's, and L8's nondeterminism sources `clippy.toml`'s. There is no L10: the obs vocabulary is closed by the
 /// type `funnel_obs::names::Name`, not by a lint.
-pub const REGISTRY: [LintInfo; 5] = [
+pub const REGISTRY: [LintInfo; 4] = [
     LintInfo {
         id: "panic-in-hot-path",
         description: "indexing a map (`m[&k]`) on the ingestion-to-verdict path panics on a \
@@ -42,11 +42,6 @@ pub const REGISTRY: [LintInfo; 5] = [
         id: "float-accumulation-order",
         description: "f64 sums over containers must fold in a documented stable order \
                       (sort first, or suppress with a note explaining why order is fixed)",
-    },
-    LintInfo {
-        id: "fs-io-unwrap",
-        description: "unwrap()/expect() on a filesystem I/O result turns a full disk, missing \
-                      path, or permission error into a crash; propagate the io::Error with `?`",
     },
     LintInfo {
         id: "journal-before-commit",
@@ -119,7 +114,6 @@ pub fn run_lints(path: &str, scan: &FileScan) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     lint_map_index(path, scan, &mut out);
     lint_float_accumulation_order(path, scan, &mut out);
-    lint_fs_io_unwrap(path, scan, &mut out);
     lint_journal_before_commit(path, scan, &mut out);
     lint_suppression_note(path, scan, &mut out);
     out.sort_by(|a, b| (a.line, a.lint).cmp(&(b.line, b.lint)));
@@ -292,62 +286,6 @@ fn lint_float_accumulation_order(path: &str, scan: &FileScan, out: &mut Vec<Diag
     }
 }
 
-/// Filesystem API names that root an I/O call chain (L6 scope).
-/// Deliberately tight: bare `write`, `open`, and `create` are too generic
-/// to key on, but `fs::…`, `File`, and `OpenOptions` cover the std entry
-/// points those generics reach the disk through.
-const FS_NAMES: [&str; 17] = [
-    "fs",
-    "File",
-    "OpenOptions",
-    "read_to_string",
-    "read_dir",
-    "create_dir",
-    "create_dir_all",
-    "remove_file",
-    "remove_dir",
-    "remove_dir_all",
-    "rename",
-    "canonicalize",
-    "metadata",
-    "symlink_metadata",
-    "set_len",
-    "sync_all",
-    "sync_data",
-];
-
-/// L6: `.unwrap()` / `.expect()` directly on a filesystem I/O result,
-/// anywhere outside tests. Crash recovery (DESIGN.md §10) leans on every
-/// durable-state path returning `io::Error` instead of panicking: a full
-/// disk or a torn file must surface as a degraded verdict, not a crash.
-fn lint_fs_io_unwrap(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    let code = &scan.code;
-    for i in 0..code.len() {
-        let t = &code[i];
-        if !(t.is_ident("unwrap") || t.is_ident("expect"))
-            || i == 0
-            || !code[i - 1].is_punct('.')
-            || !code.get(i + 1).is_some_and(|p| p.is_punct('('))
-        {
-            continue;
-        }
-        if let Some(name) = fs_chain_root(code, i - 1) {
-            emit(
-                out,
-                scan,
-                "fs-io-unwrap",
-                path,
-                t.line,
-                format!(
-                    "`.{}()` on a `{name}` filesystem result panics on I/O failure (full \
-                     disk, missing path, permissions); propagate the io::Error with `?`",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
 /// Tokens that may consume a journal call's `Result` right after the
 /// closing paren.
 const RESULT_CHECKS: [&str; 7] = [
@@ -476,28 +414,6 @@ fn lint_suppression_note(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>)
             ),
         });
     }
-}
-
-/// Walks the expression backwards from the `.` at `dot_idx` until a
-/// statement boundary (`;`, `{`, `}`, `=`) and returns the first ident in
-/// [`FS_NAMES`] — i.e. whether this `.unwrap()`/`.expect()` consumes a
-/// filesystem call's result. Bounded and shallow like every other pass;
-/// false positives go to inline suppressions.
-fn fs_chain_root(code: &[crate::lexer::Token], dot_idx: usize) -> Option<String> {
-    let mut j = dot_idx;
-    let mut steps = 0;
-    while j > 0 && steps < 40 {
-        j -= 1;
-        steps += 1;
-        let t = &code[j];
-        if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') || t.is_punct('=') {
-            return None;
-        }
-        if t.kind == crate::lexer::TokenKind::Ident && FS_NAMES.contains(&t.text.as_str()) {
-            return Some(t.text.clone());
-        }
-    }
-    None
 }
 
 /// If the `for` at `for_idx` iterates one of `names`, returns the iterated

@@ -348,7 +348,7 @@ mod tests {
         assert!(s.suppressed(2, "panic-in-hot-path"));
         assert!(s.suppressed(2, "journal-before-commit"));
         assert!(!s.suppressed(3, "panic-in-hot-path"));
-        assert!(!s.suppressed(2, "fs-io-unwrap"));
+        assert!(!s.suppressed(2, "float-accumulation-order"));
     }
 
     #[test]
@@ -372,7 +372,7 @@ mod tests {
         let src = "\
 // funnel-lint: allow(panic-in-hot-path): bound checked above\n\
 // funnel-lint: allow(journal-before-commit)\n\
-// funnel-lint: allow(fs-io-unwrap) note: scratch dir always exists\n";
+// funnel-lint: allow(float-accumulation-order) note: slice order is fixed\n";
         let s = FileScan::of(src);
         assert_eq!(s.suppression_sites.len(), 3);
         assert!(s.suppression_sites[0].has_note);

@@ -5,8 +5,8 @@
 
 /* outer /* nested fs::read(p).unwrap() panic!("x") */ still comment Instant::now() */
 fn docs() -> &'static str {
-    // fs::read(p).unwrap() in a line comment is inert; so is SystemTime.
-    let plain = "calls fs::read(p).unwrap() and panic!(\"quoted\") inside a string";
+    // fs::read(p).unwrap() and index[&k] in a line comment are inert; so is SystemTime.
+    let plain = "calls fs::read(p).unwrap(), index[&k] and panic!(\"quoted\") inside a string";
     let raw = r#"raw string with .expect("x") and "quotes" and Instant::now()"#;
     let fenced = r##"fence two: "# still inside "## ;
     let ch = '"';
@@ -17,6 +17,6 @@ fn docs() -> &'static str {
     "ok"
 }
 
-fn real_finding(p: &str) -> Vec<u8> {
-    std::fs::read(p).unwrap()
+fn real_finding(index: &BTreeMap<u32, u32>, k: u32) -> u32 {
+    index[&k]
 }

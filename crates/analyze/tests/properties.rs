@@ -97,8 +97,8 @@ proptest! {
         let mut files: Vec<(String, String)> = vec![
             ("crates/core/src/pipeline.rs", "pub fn assess_change(m: &BTreeMap<u32, u32>) -> u32 { m[&1] }\n"),
             ("crates/core/src/report.rs", "pub fn total(v: &[f64]) -> f64 { v.iter().sum::<f64>() }\n"),
-            ("crates/core/src/util.rs", "// funnel-lint: allow(fs-io-unwrap)\npub fn helper() -> u32 { 0 }\n"),
-            ("crates/resilience/src/wal.rs", "pub fn open(p: &Path) { let _f = File::open(p).unwrap(); }\n"),
+            ("crates/core/src/util.rs", "// funnel-lint: allow(float-accumulation-order)\npub fn helper() -> u32 { 0 }\n"),
+            ("crates/resilience/src/wal.rs", "pub fn open(segments: &BTreeMap<u64, u64>) -> u64 { segments[&0] }\n"),
             ("crates/sim/src/collector.rs", "pub fn ingest(hooks: &mut H, store: &mut S) { store.commit(); let _ = hooks.on_accepted_frame(); }\n"),
         ]
         .into_iter()

@@ -80,14 +80,17 @@ pub struct FunnelConfig {
     /// SST configuration (`ω = 9` ⇒ sliding window `W = 34` in the paper's
     /// evaluation; `ω = 5` for quick mitigation, `ω = 15` for precision).
     pub sst: SstConfig,
-    /// Declaration threshold on the filtered SST score.
+    /// Declaration threshold on the filtered SST score. Only its default is
+    /// used outside tests; it stays a field because the fleet benchmark
+    /// reads it to build its own detector.
     pub sst_threshold: f64,
     /// Persistence requirement in minutes before a change is declared
     /// (7 in the paper, §4.1) — separates level shifts/ramps from one-off
     /// events.
     pub persistence_minutes: usize,
-    /// DiD configuration (pre/post period length and α threshold; the
-    /// evaluation uses 60-minute periods, §4.1).
+    /// DiD configuration: field-less (the 60-minute periods of §4.1 and the
+    /// α threshold are `funnel_did::groups` constants). It stays because the
+    /// fleet benchmark builds `DidAssessor::new(config.did.clone())`.
     pub did: DidConfig,
     /// Days of history for the seasonal control group (30 in the paper's
     /// prototype; scenario worlds may carry less).
@@ -117,7 +120,7 @@ impl FunnelConfig {
             sst: SstConfig::paper_default(),
             sst_threshold: 0.5,
             persistence_minutes: funnel_detect::PERSISTENCE_MINUTES,
-            did: DidConfig::default(),
+            did: DidConfig,
             history_days: 30,
             assessment_minutes: 60,
             assess: AssessConfig::default(),
@@ -147,7 +150,7 @@ mod tests {
         let c = FunnelConfig::paper_default();
         assert_eq!(c.sst.window_len(), 34);
         assert_eq!(c.persistence_minutes, 7);
-        assert_eq!(c.did.period_minutes, 60);
+        assert_eq!(funnel_did::groups::PERIOD_MINUTES, 60);
         assert_eq!(c.assessment_minutes, 60);
         assert_eq!(c.warmup_minutes(), 34);
         assert_eq!(MIN_PARTITION_GAP, 7);

@@ -14,16 +14,16 @@
 use crate::parallel::control_level;
 use crate::pipeline::{
     control_keys_for, treated_keys_for, AssessmentMode, ChangeAssessment, Funnel, ItemAssessment,
-    Verdict,
 };
 use crate::report::describe_key;
 use crate::source::KpiSource;
 use funnel_detect::detector::WindowScorer;
 use funnel_detect::sst_adapter::SstDetector;
 use funnel_diag::{
-    diagnose_change, ChangeInput, ControlMember, DetectionInput, DiagReport, ItemInput, ItemVerdict,
+    diagnose_change, ChangeInput, ControlMember, DetectionInput, DiagReport, ItemInput,
 };
 use funnel_did::cache::ControlCache;
+use funnel_did::groups::PERIOD_MINUTES;
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_timeseries::series::MinuteBin;
 use funnel_timeseries::window::SlidingWindows;
@@ -33,11 +33,22 @@ use funnel_topology::impact::{Entity, ImpactSet};
 use funnel_topology::model::Topology;
 use funnel_topology::ZoneMap;
 
+/// Half-width, in minutes, of the SST score trace captured around the
+/// detection point for the evidence dossier. The trace re-scores only
+/// `2·TRACE_RADIUS + 1` windows, which is what keeps the whole pass cheap
+/// relative to assessment (the ledger row `diag.ms_per_change` beside
+/// `core.assess.ms_per_change` prices it).
+const TRACE_RADIUS: u64 = 15;
+
+/// Zone count for the contribution ranking's shard/zone dimension (servers
+/// are striped `server_id % ZONES`, matching the simulator's replay-shard
+/// striping).
+const ZONES: u32 = 4;
+
 impl Funnel {
-    /// Diagnoses a finished assessment: explains every `Caused` (and, when
-    /// [`funnel_diag::DiagConfig::include_inconclusive`] is set, every
-    /// `Inconclusive`) item with a population-bias check, a contribution
-    /// ranking, and an evidence dossier.
+    /// Diagnoses a finished assessment: explains every `Caused` item with a
+    /// population-bias check, a contribution ranking, and an evidence
+    /// dossier.
     ///
     /// Returns `None` when the stage is disabled
     /// ([`funnel_diag::DiagConfig::enabled`] is `false`, the default). The
@@ -76,21 +87,16 @@ pub(crate) fn diagnose_assessment(
     items: &[ItemAssessment],
 ) -> DiagReport {
     let _span = funnel_obs::span!(funnel_obs::names::SPAN_DIAG_CHANGE);
-    let cfg = &funnel.config().diagnose;
-    let period = funnel.config().did.period_minutes;
     // Dark-launch control pools are shared by every item at one
     // (entity level, KPI kind), exactly as in the DiD contrast — memoize
     // the member fetch the same way.
     let pools: ControlCache<(u8, KpiKind), Vec<ControlMember>> = ControlCache::new();
 
-    let selected = items.iter().filter(|item| {
-        item.verdict.is_caused() || (cfg.include_inconclusive && item.verdict.is_inconclusive())
-    });
-    let inputs: Vec<ItemInput> = selected
+    let inputs: Vec<ItemInput> = items
+        .iter()
+        .filter(|item| item.verdict.is_caused())
         .filter_map(|item| {
-            build_item_input(
-                funnel, source, topology, change, impact_set, item, &pools, period,
-            )
+            build_item_input(funnel, source, topology, change, impact_set, item, &pools)
         })
         .collect();
 
@@ -104,18 +110,13 @@ pub(crate) fn diagnose_assessment(
         description: change.description.clone(),
         items: inputs,
     };
-    diagnose_change(cfg, &input)
+    diagnose_change(&input)
 }
 
-/// Converts one assessed item into the diagnosis layer's input: identity,
-/// verdict context, DiD statistics, detection evidence, provenance, the
-/// SST score trace, and the treated/control pre-window samples the bias
-/// check compares. Items whose series vanished from the source (a pruned
+/// Converts one `Caused` item into the diagnosis layer's input: identity,
+/// DiD statistics, detection evidence, provenance, the SST score trace, and
+/// the treated/control pre-window samples the bias check compares. Items whose series vanished from the source (a pruned
 /// store) are skipped rather than guessed at.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "an item plus its assessment's source, topology, change, impact set, pools and period"
-)]
 fn build_item_input(
     funnel: &Funnel,
     source: &impl KpiSource,
@@ -124,18 +125,9 @@ fn build_item_input(
     impact_set: &ImpactSet,
     item: &ItemAssessment,
     pools: &ControlCache<(u8, KpiKind), Vec<ControlMember>>,
-    period: u64,
 ) -> Option<ItemInput> {
     let key = item.key;
     let series = source.series(&key)?;
-    let verdict = match item.verdict {
-        Verdict::Caused => ItemVerdict::Caused,
-        Verdict::Inconclusive { awaiting_backfill } => {
-            ItemVerdict::Inconclusive { awaiting_backfill }
-        }
-        // The selection filter never admits cleared items.
-        Verdict::NotCaused => return None,
-    };
     let entity_class = match key.entity {
         Entity::Server(_) => "server",
         Entity::Instance(_) => "instance",
@@ -147,7 +139,7 @@ fn build_item_input(
     };
     let est = item.did.as_ref().map(|(_, e)| e);
 
-    let pre_from = change.minute.saturating_sub(period);
+    let pre_from = change.minute.saturating_sub(PERIOD_MINUTES);
     let (treated_pre, treated_pre_coverage) =
         treated_pre_samples(source, impact_set, key, pre_from, change.minute);
     let control_members = match item.mode {
@@ -171,14 +163,14 @@ fn build_item_input(
             let mut members = Vec::new();
             for d in 1..=funnel.config().history_days as u64 {
                 let offset = d * MINUTES_PER_DAY as u64;
-                if change.minute < offset + period {
+                if change.minute < offset + PERIOD_MINUTES {
                     break;
                 }
                 let hist = change.minute - offset;
                 members.push(ControlMember {
                     label: format!("history:-{d}d"),
-                    pre: series.slice(hist - period, hist).to_vec(),
-                    coverage: source.coverage(&key, hist - period, hist),
+                    pre: series.slice(hist - PERIOD_MINUTES, hist).to_vec(),
+                    coverage: source.coverage(&key, hist - PERIOD_MINUTES, hist),
                 });
             }
             members
@@ -188,9 +180,8 @@ fn build_item_input(
     Some(ItemInput {
         label: describe_key(topology, &key),
         entity_class,
-        zone: zones_of(funnel, topology, key.entity),
+        zone: ZoneMap::striped(ZONES).of_entity(topology, key.entity),
         kind: key.kind.name().to_string(),
-        verdict,
         mode,
         alpha: est.map(|e| e.alpha),
         std_err: est.map(|e| e.std_err),
@@ -222,10 +213,6 @@ fn build_item_input(
     })
 }
 
-fn zones_of(funnel: &Funnel, topology: &Topology, entity: Entity) -> Option<u32> {
-    ZoneMap::striped(funnel.config().diagnose.zones).of_entity(topology, entity)
-}
-
 /// The treated group's pre-change samples, pooled exactly as the DiD
 /// contrast pools them: server/instance items are their own group, the
 /// changed service's item aggregates the tinstances.
@@ -255,10 +242,10 @@ fn treated_pre_samples(
 }
 
 /// Re-scores the item's assessment window with the pre-validated SST and
-/// keeps the `(decision minute, score)` pairs within
-/// [`funnel_diag::DiagConfig::trace_radius`] of the anchor (the declared
-/// detection minute, or the deployment minute when nothing was declared) —
-/// the "what did the detector see" panel of the evidence dossier.
+/// keeps the `(decision minute, score)` pairs within [`TRACE_RADIUS`] of
+/// the anchor (the declared detection minute, or the deployment minute when
+/// nothing was declared) — the "what did the detector see" panel of the
+/// evidence dossier.
 fn sst_trace(
     funnel: &Funnel,
     source: &impl KpiSource,
@@ -279,9 +266,8 @@ fn sst_trace(
         .as_ref()
         .map(|d| d.declared_at)
         .unwrap_or(change_minute);
-    let radius = funnel.config().diagnose.trace_radius;
     SlidingWindows::new(&window, width)
-        .filter(|w| w.decision_minute.abs_diff(anchor) <= radius)
+        .filter(|w| w.decision_minute.abs_diff(anchor) <= TRACE_RADIUS)
         .map(|w| (w.decision_minute, scorer.score(w.values)))
         .collect()
 }
@@ -338,7 +324,6 @@ mod tests {
         assert_eq!(report.items.len(), assessment.caused_items().count());
         assert!(!report.ranking.is_empty());
         for item in &report.items {
-            assert_eq!(item.verdict, "caused");
             assert_ne!(
                 item.bias.flag,
                 BiasFlag::PopulationMismatch,

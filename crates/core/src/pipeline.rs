@@ -13,7 +13,7 @@ use crate::source::KpiSource;
 use funnel_detect::detector::{ChangeEvent, Coverage, Decision, DetectorRunner};
 use funnel_detect::sst_adapter::SstDetector;
 use funnel_did::estimator::{DidError, DidEstimate};
-use funnel_did::groups::{DidAssessor, DidVerdict};
+use funnel_did::groups::{DidAssessor, DidVerdict, PERIOD_MINUTES};
 use funnel_did::seasonal::SeasonalControl;
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::world::World;
@@ -275,7 +275,6 @@ pub(crate) struct ItemScratch {
 #[derive(Debug, Clone)]
 pub struct Funnel {
     config: FunnelConfig,
-    assessor: DidAssessor,
     /// Pre-validated SST scorer: built (and config-checked) once in
     /// [`Funnel::new`] so the per-item detector path never constructs —
     /// and therefore never panics on — a scorer.
@@ -285,16 +284,11 @@ pub struct Funnel {
 impl Funnel {
     /// Creates the tool with an explicit configuration.
     pub fn new(config: FunnelConfig) -> Self {
-        let assessor = DidAssessor::new(config.did.clone());
         // Validate the SST config here, once: every later detector run
         // clones this pre-validated scorer, so the assessment hot path
         // contains no panic-capable constructor.
         let sst = FastSst::new(config.sst.clone());
-        Self {
-            config,
-            assessor,
-            sst,
-        }
+        Self { config, sst }
     }
 
     /// The paper's evaluation configuration.
@@ -665,7 +659,7 @@ impl Funnel {
         match mode {
             AssessmentMode::SeasonalHistory => {
                 let ctl = SeasonalControl::new(self.config.history_days);
-                ctl.assess(&self.assessor, series, change.minute)
+                ctl.assess(&DidAssessor, series, change.minute)
             }
             AssessmentMode::DarkLaunchControl => {
                 // Control keys mirror the treated entity's level (§3.2.4):
@@ -677,7 +671,7 @@ impl Funnel {
                 // minute would bias the contrast and `assess_masked` drops
                 // it — and the group's mean coverage over the DiD periods
                 // are built once in the assessment's shared table.
-                let period = self.config.did.period_minutes;
+                let period = PERIOD_MINUTES;
                 let did_from = change.minute.saturating_sub(period);
                 let did_to = change.minute + period + 1;
                 let group = table.get_or_insert_with((control_level(key.entity), key.kind), || {
@@ -727,7 +721,7 @@ impl Funnel {
                         .iter()
                         .map(|(s, m)| (s, m.as_ref()))
                         .collect();
-                    self.assessor.assess_masked(&tr, &cr, change.minute)
+                    DidAssessor.assess_masked(&tr, &cr, change.minute)
                 }
             }
         }
@@ -737,7 +731,7 @@ impl Funnel {
             // but keep the coverage complaint if the fallback also fails.
             if mode == AssessmentMode::DarkLaunchControl {
                 let ctl = SeasonalControl::new(self.config.history_days);
-                ctl.assess(&self.assessor, series, change.minute)
+                ctl.assess(&DidAssessor, series, change.minute)
                     .map_err(|fallback_err| {
                         if matches!(err, DidError::InsufficientCoverage { .. }) {
                             err

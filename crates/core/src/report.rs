@@ -89,53 +89,6 @@ pub fn render(topology: &Topology, assessment: &ChangeAssessment) -> String {
     out
 }
 
-/// The operator-facing roll-back recommendation for one change.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Recommendation {
-    /// No attributed KPI change: continue the roll-out.
-    RollForward,
-    /// Attributed KPI changes exist; `worst_alpha` is the largest |α| and
-    /// `kpis` the number of attributed KPIs. The operations team decides
-    /// whether the movement was *intended* (e.g. Fig. 6's load balancing)
-    /// — FUNNEL reports both positive and negative changes (§1).
-    Review {
-        /// Number of KPIs attributed to the change.
-        kpis: usize,
-        /// Largest |α| among them (normalized units).
-        worst_alpha: f64,
-    },
-}
-
-/// Summarizes an assessment into a recommendation, with attributed items
-/// ranked by |α| (most severe first).
-pub fn recommend(
-    assessment: &ChangeAssessment,
-) -> (Recommendation, Vec<&crate::pipeline::ItemAssessment>) {
-    let mut caused: Vec<_> = assessment.caused_items().collect();
-    caused.sort_by(|a, b| {
-        let alpha = |i: &crate::pipeline::ItemAssessment| {
-            i.did.as_ref().map(|(v, _)| v.alpha().abs()).unwrap_or(0.0)
-        };
-        alpha(b).total_cmp(&alpha(a))
-    });
-    if caused.is_empty() {
-        (Recommendation::RollForward, caused)
-    } else {
-        let worst = caused
-            .first()
-            .and_then(|i| i.did.as_ref())
-            .map(|(v, _)| v.alpha().abs())
-            .unwrap_or(0.0);
-        (
-            Recommendation::Review {
-                kpis: caused.len(),
-                worst_alpha: worst,
-            },
-            caused,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,63 +117,6 @@ mod tests {
         assert!(text.contains("CAUSED"), "{text}");
         assert!(text.contains("page_view_response_delay"), "{text}");
         assert!(text.contains("prod.report"), "{text}");
-    }
-
-    #[test]
-    fn recommendation_ranks_by_alpha() {
-        let mut b = WorldBuilder::new(SimConfig::days(6, 8));
-        let svc = b.add_service("prod.rank", 4).unwrap();
-        let effect = ChangeEffect::none()
-            .with_level_shift(
-                KpiKind::PageViewResponseDelay,
-                EffectScope::TreatedInstances,
-                90.0,
-            )
-            .with_level_shift(
-                KpiKind::AccessFailureCount,
-                EffectScope::TreatedInstances,
-                25.0,
-            );
-        let id = b
-            .deploy_change(ChangeKind::Upgrade, svc, 2, 7 * 1440 + 100, effect, "x")
-            .unwrap();
-        let world = b.build();
-        let a = Funnel::paper_default().assess_change(&world, id).unwrap();
-        let (rec, ranked) = recommend(&a);
-        match rec {
-            Recommendation::Review { kpis, worst_alpha } => {
-                assert_eq!(kpis, ranked.len());
-                assert!(worst_alpha > 2.0);
-            }
-            Recommendation::RollForward => panic!("impact missed"),
-        }
-        // Ranked by decreasing |α|.
-        let alphas: Vec<f64> = ranked
-            .iter()
-            .filter_map(|i| i.did.as_ref().map(|(v, _)| v.alpha().abs()))
-            .collect();
-        assert!(alphas.windows(2).all(|w| w[0] >= w[1]), "{alphas:?}");
-    }
-
-    #[test]
-    fn clean_change_recommends_roll_forward() {
-        let mut b = WorldBuilder::new(SimConfig::days(8, 8));
-        let svc = b.add_service("prod.clean", 4).unwrap();
-        let id = b
-            .deploy_change(
-                ChangeKind::ConfigChange,
-                svc,
-                2,
-                7 * 1440 + 100,
-                ChangeEffect::none(),
-                "noop",
-            )
-            .unwrap();
-        let world = b.build();
-        let a = Funnel::paper_default().assess_change(&world, id).unwrap();
-        let (rec, ranked) = recommend(&a);
-        assert_eq!(rec, Recommendation::RollForward);
-        assert!(ranked.is_empty());
     }
 
     #[test]

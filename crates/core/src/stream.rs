@@ -786,12 +786,16 @@ impl StreamEngine {
                 dirty: still_dirty,
             } = state;
             let to = ring.end().min(minute + 1);
-            let (lo, reprime) = if monitor.primed {
-                (monitor.next_minute.max(ring.start()), false)
+            let (lo, reprime) = if monitor.primed && monitor.next_minute >= ring.start() {
+                (monitor.next_minute, false)
             } else {
                 // Rewind far enough that every window ending at or after
                 // the first unfolded minute gets scored from a fully
-                // re-primed rolling window.
+                // re-primed rolling window. A monitor whose next minute the
+                // ring has already evicted (a key shed or unticked for
+                // longer than its ring holds) re-primes too: folding on
+                // from the ring's start would splice the samples before
+                // the eviction onto those after it.
                 let lo = monitor
                     .next_minute
                     .saturating_add(1)
@@ -1120,6 +1124,59 @@ mod tests {
         assert_eq!(offer(&mut engine, 18, 6.0), 3);
         assert_eq!(offer(&mut engine, 10, 7.0), 4, "evicted bin");
         assert_eq!(engine.stats().late_backfilled, 1);
+    }
+
+    #[test]
+    fn a_monitor_whose_next_minute_was_evicted_reprimes() {
+        // A noisy level is folded up to one tick; then a burst longer than
+        // the ring arrives at a shifted level before the next tick, so the
+        // ring evicts minutes the monitor never folded. Folding on from the
+        // ring's start would splice the old level onto the new one: the
+        // monitor would decide windows at minutes whose samples the ring
+        // never held together, and record what its bound said of them.
+        const CAPACITY: u64 = 30;
+        let mut config = FunnelConfig::paper_default();
+        config.sst = SstConfig::quick();
+        let width = config.sst.window_len() as u64;
+        let mut stream_cfg = StreamConfig::paired_with(&config);
+        stream_cfg.ring_capacity = CAPACITY as usize;
+        let mut engine = StreamEngine::new(config, stream_cfg, BTreeMap::new());
+        let key = KpiKey::new(Entity::Service(ServiceId(0)), KpiKind::PageViewCount);
+        let noise = |minute: u64| ((minute * 7919) % 13) as f64 / 6.0 - 1.0;
+        let level = |minute: u64, base: f64| Measurement {
+            key,
+            minute,
+            value: base + noise(minute),
+        };
+        for minute in 0..CAPACITY {
+            engine.offer(level(minute, 100.0));
+        }
+        let before = engine.tick(CAPACITY - 1);
+        assert_eq!(before.folds, CAPACITY);
+        let burst = CAPACITY..2 * CAPACITY + 6;
+        for minute in burst.clone() {
+            engine.offer(level(minute, 150.0));
+        }
+        let after = engine.tick(burst.end - 1);
+        assert_eq!(after.folds, CAPACITY, "folded from the ring's start");
+        assert!(after.detections.is_empty(), "{:?}", after.detections);
+
+        // Every window the monitor decided is one the ring holds whole.
+        let state = &engine.keys[&key];
+        let mut held = Vec::new();
+        let mut decided = 0;
+        for minute in burst {
+            if state.monitor.outcomes.recall(minute) != Outcome::Unknown {
+                decided += 1;
+                assert!(
+                    state
+                        .ring
+                        .copy_minutes_into(minute + 1 - width, minute + 1, &mut held),
+                    "decided the window at minute {minute}, which the ring never held"
+                );
+            }
+        }
+        assert_eq!(decided, CAPACITY + 1 - width);
     }
 
     #[test]

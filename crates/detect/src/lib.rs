@@ -20,8 +20,9 @@
 //! * [`delay`] — detection-delay accounting against ground-truth onsets
 //!   (paper §4.4).
 //!
-//! The paper's evaluation window widths are exposed as constants:
-//! `W_FUNNEL = 34`, `W_MRLS = 32`, `W_CUSUM = 60` (§4.1).
+//! The paper's evaluation window widths (§4.1) are `W_MRLS = 32` and
+//! `W_CUSUM = 60` here; FUNNEL's `W = 34` is
+//! `SstConfig::paper_default().window_len()`.
 
 #![deny(missing_docs)]
 #![deny(
@@ -52,8 +53,6 @@ pub use outcomes::{Outcome, Outcomes, WindowOutcomes};
 pub use sst_adapter::SstDetector;
 pub use wow::WowDetector;
 
-/// Sliding-window width used for FUNNEL in the paper's evaluation (§4.1).
-pub const W_FUNNEL: usize = 34;
 /// Sliding-window width used for MRLS in the paper's evaluation (§4.1).
 pub const W_MRLS: usize = 32;
 /// Sliding-window width used for CUSUM in the paper's evaluation (§4.1).

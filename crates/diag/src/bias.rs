@@ -9,7 +9,6 @@
 //! the arithmetic is flawless. The check is purely diagnostic — it
 //! annotates the verdict, it never changes it.
 
-use crate::config::DiagConfig;
 use crate::input::ItemInput;
 use funnel_timeseries::stats::{mad, median, stable_sum};
 
@@ -64,6 +63,20 @@ pub struct BiasCheck {
     pub coverage_divergence: f64,
 }
 
+/// Population-bias threshold on the median divergence between the treated
+/// entity's pre-window samples and the pooled control-pool pre-window
+/// samples, in units of the pool's MAD. Above it the item is flagged
+/// [`BiasFlag::PopulationMismatch`]: the control pool was not exchangeable
+/// with the treated entity *before* the change, so the DiD counterfactual
+/// rests on a shifted population (Lumos's bias stage).
+pub const MAX_MEDIAN_DIVERGENCE: f64 = 3.0;
+
+/// Population-bias threshold on |treated coverage − control coverage| over
+/// the pre window. Mirrors the DiD engine's `MAX_COVERAGE_DIVERGENCE`
+/// member-exclusion rule: a pool measured much more (or less) completely
+/// than the treated entity is contrasting fills against data.
+pub const MAX_COVERAGE_DIVERGENCE: f64 = 0.35;
+
 /// MAD floor keeping the divergence finite on constant pools, matching the
 /// robust-z floor in `funnel-timeseries`.
 const MAD_FLOOR: f64 = 1e-9;
@@ -74,7 +87,7 @@ const MAD_FLOOR: f64 = 1e-9;
 /// pre-window samples of every control member (pooling matches what the
 /// DiD estimator's control-pre cell sees). Divergence is measured in the
 /// pool's own MAD units so the threshold is scale-free across KPI kinds.
-pub fn bias_check(config: &DiagConfig, item: &ItemInput) -> BiasCheck {
+pub fn bias_check(item: &ItemInput) -> BiasCheck {
     let members = item.control_members.len();
     if members == 0 || item.treated_pre.is_empty() {
         return BiasCheck {
@@ -104,8 +117,8 @@ pub fn bias_check(config: &DiagConfig, item: &ItemInput) -> BiasCheck {
         stable_sum(item.control_members.iter().map(|m| m.coverage)) / members as f64;
     let coverage_divergence = (item.treated_pre_coverage - control_coverage).abs();
 
-    let mismatch = median_divergence > config.max_median_divergence
-        || coverage_divergence > config.max_coverage_divergence;
+    let mismatch =
+        median_divergence > MAX_MEDIAN_DIVERGENCE || coverage_divergence > MAX_COVERAGE_DIVERGENCE;
     BiasCheck {
         flag: if mismatch {
             BiasFlag::PopulationMismatch
@@ -126,7 +139,7 @@ pub fn bias_check(config: &DiagConfig, item: &ItemInput) -> BiasCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{ControlMember, ItemVerdict};
+    use crate::input::ControlMember;
 
     fn item(treated_pre: Vec<f64>, members: Vec<ControlMember>) -> ItemInput {
         ItemInput {
@@ -134,7 +147,6 @@ mod tests {
             entity_class: "instance",
             zone: Some(0),
             kind: "page_view_response_delay".into(),
-            verdict: ItemVerdict::Caused,
             mode: "dark_launch_control",
             alpha: Some(60.0),
             std_err: Some(1.0),
@@ -166,7 +178,7 @@ mod tests {
                 coverage: 1.0,
             })
             .collect();
-        let check = bias_check(&DiagConfig::default(), &item(noisy(180.0, 60), members));
+        let check = bias_check(&item(noisy(180.0, 60), members));
         assert_eq!(check.flag, BiasFlag::Clean);
         assert!(check.median_divergence < 1.0, "{check:?}");
     }
@@ -183,7 +195,7 @@ mod tests {
                 coverage: 1.0,
             })
             .collect();
-        let check = bias_check(&DiagConfig::default(), &item(noisy(180.0, 60), members));
+        let check = bias_check(&item(noisy(180.0, 60), members));
         assert_eq!(check.flag, BiasFlag::PopulationMismatch);
         assert!(check.median_divergence > 3.0, "{check:?}");
     }
@@ -197,14 +209,14 @@ mod tests {
                 coverage: 0.5,
             })
             .collect();
-        let check = bias_check(&DiagConfig::default(), &item(noisy(180.0, 60), members));
+        let check = bias_check(&item(noisy(180.0, 60), members));
         assert_eq!(check.flag, BiasFlag::PopulationMismatch);
         assert!(check.coverage_divergence > 0.35, "{check:?}");
     }
 
     #[test]
     fn empty_pool_reports_no_control() {
-        let check = bias_check(&DiagConfig::default(), &item(noisy(180.0, 60), Vec::new()));
+        let check = bias_check(&item(noisy(180.0, 60), Vec::new()));
         assert_eq!(check.flag, BiasFlag::NoControl);
         assert_eq!(check.members, 0);
     }
@@ -216,7 +228,7 @@ mod tests {
             pre: vec![100.0; 30],
             coverage: 1.0,
         }];
-        let check = bias_check(&DiagConfig::default(), &item(vec![100.0; 30], members));
+        let check = bias_check(&item(vec![100.0; 30], members));
         assert!(check.median_divergence.is_finite());
         assert_eq!(check.flag, BiasFlag::Clean);
     }

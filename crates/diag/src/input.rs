@@ -9,34 +9,6 @@
 
 use funnel_timeseries::series::MinuteBin;
 
-/// The verdict class of one diagnosed item, as decided by the assessment
-/// pipeline. Diagnosis never re-derives or overrides it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemVerdict {
-    /// The KPI change was attributed to the software change.
-    Caused,
-    /// The telemetry was too degraded to decide either way.
-    Inconclusive {
-        /// Whether a healed partition span could still upgrade the item.
-        awaiting_backfill: bool,
-    },
-}
-
-impl ItemVerdict {
-    /// The stable label serialized into the report.
-    pub fn label(self) -> &'static str {
-        match self {
-            ItemVerdict::Caused => "caused",
-            ItemVerdict::Inconclusive {
-                awaiting_backfill: true,
-            } => "inconclusive_awaiting_backfill",
-            ItemVerdict::Inconclusive {
-                awaiting_backfill: false,
-            } => "inconclusive",
-        }
-    }
-}
-
 /// One member of the control pool the item's counterfactual was built
 /// from, with its pre-window samples for the bias check.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,7 +33,9 @@ pub struct DetectionInput {
     pub peak_score: f64,
 }
 
-/// Everything the diagnosis pass needs to know about one assessed item.
+/// Everything the diagnosis pass needs to know about one assessed item: an
+/// item the pipeline found `Caused` (diagnosis never re-derives or
+/// overrides that verdict).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ItemInput {
     /// Operator-facing item identity ("instance prod.search#1 /
@@ -75,8 +49,6 @@ pub struct ItemInput {
     pub zone: Option<u32>,
     /// KPI kind name (snake_case).
     pub kind: String,
-    /// The pipeline's verdict for the item.
-    pub verdict: ItemVerdict,
     /// Which control group decided causality: "dark_launch_control" or
     /// "seasonal_history".
     pub mode: &'static str,

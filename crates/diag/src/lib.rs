@@ -41,7 +41,7 @@ pub mod report;
 
 pub use bias::{bias_check, BiasCheck, BiasFlag};
 pub use config::DiagConfig;
-pub use input::{ChangeInput, ControlMember, DetectionInput, ItemInput, ItemVerdict};
+pub use input::{ChangeInput, ControlMember, DetectionInput, ItemInput};
 pub use ranking::{rank_contributions, ContributionRow};
 pub use report::{DiagReport, Evidence, ItemDiagnosis, DEFAULT_PATH, SCHEMA_VERSION};
 
@@ -54,16 +54,15 @@ pub use report::{DiagReport, Evidence, ItemDiagnosis, DEFAULT_PATH, SCHEMA_VERSI
 /// sums, and no input — empty pools, constant series, non-finite
 /// statistics — can fault the pass (the crate root denies the panicking
 /// calls).
-pub fn diagnose_change(config: &DiagConfig, input: &ChangeInput) -> DiagReport {
+pub fn diagnose_change(input: &ChangeInput) -> DiagReport {
     let items = input
         .items
         .iter()
         .map(|item| report::ItemDiagnosis {
             label: item.label.clone(),
-            verdict: item.verdict.label().to_string(),
             mode: item.mode.to_string(),
             zone: item.zone,
-            bias: bias_check(config, item),
+            bias: bias_check(item),
             evidence: report::Evidence {
                 alpha: item.alpha,
                 std_err: item.std_err,
@@ -112,7 +111,7 @@ mod tests {
             description: "noop".into(),
             items: Vec::new(),
         };
-        let report = diagnose_change(&DiagConfig::on(), &input);
+        let report = diagnose_change(&input);
         assert_eq!(report.change_id, 3);
         assert!(report.items.is_empty());
         assert!(report.ranking.is_empty());
@@ -131,7 +130,6 @@ mod tests {
                 entity_class: "instance",
                 zone: Some(0),
                 kind: "k".into(),
-                verdict: ItemVerdict::Caused,
                 mode: "dark_launch_control",
                 alpha: Some(10.0),
                 std_err: Some(1.0),
@@ -157,7 +155,7 @@ mod tests {
                 }],
             }],
         };
-        let report = diagnose_change(&DiagConfig::on(), &input);
+        let report = diagnose_change(&input);
         assert_eq!(report.items.len(), 1);
         assert_eq!(report.items[0].evidence.detection_latency, Some(7));
         assert_eq!(report.items[0].bias.flag, BiasFlag::Clean);

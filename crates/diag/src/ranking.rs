@@ -1,13 +1,13 @@
 //! Contribution ranking: where does the regression concentrate?
 //!
 //! Lumos-style hierarchical drill-down, flattened to one deterministic
-//! table: every `Caused` item with an effect estimate is bucketed by
-//! `(entity class, zone, KPI kind)` and each bucket's share of the total
-//! |α| mass is reported. Operators read the top rows as "the regression
+//! table: every diagnosed (`Caused`) item with an effect estimate is
+//! bucketed by `(entity class, zone, KPI kind)` and each bucket's share of
+//! the total |α| mass is reported. Operators read the top rows as "the regression
 //! lives in *these* instances / *this* zone / *this* KPI" and drill into
 //! the per-item dossiers from there.
 
-use crate::input::{ItemInput, ItemVerdict};
+use crate::input::ItemInput;
 use funnel_timeseries::stats::stable_sum;
 use std::collections::BTreeMap;
 
@@ -39,9 +39,6 @@ pub struct ContributionRow {
 pub fn rank_contributions(items: &[ItemInput]) -> Vec<ContributionRow> {
     let mut buckets: BTreeMap<(String, String, String), (usize, Vec<f64>)> = BTreeMap::new();
     for item in items {
-        if item.verdict != ItemVerdict::Caused {
-            continue;
-        }
         let Some(alpha) = item.alpha else {
             continue;
         };
@@ -92,7 +89,6 @@ mod tests {
             entity_class,
             zone,
             kind: kind.into(),
-            verdict: ItemVerdict::Caused,
             mode: "dark_launch_control",
             alpha: Some(alpha),
             std_err: None,
@@ -142,13 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn non_caused_and_estimate_free_items_are_ignored() {
-        let mut inconclusive = caused("instance", Some(0), "k", 5.0);
-        inconclusive.verdict = ItemVerdict::Inconclusive {
-            awaiting_backfill: false,
-        };
+    fn estimate_free_items_are_ignored() {
         let mut no_alpha = caused("instance", Some(1), "k", 5.0);
         no_alpha.alpha = None;
-        assert!(rank_contributions(&[inconclusive, no_alpha]).is_empty());
+        assert!(rank_contributions(&[no_alpha]).is_empty());
     }
 }

@@ -61,9 +61,6 @@ pub struct Evidence {
 pub struct ItemDiagnosis {
     /// Operator-facing item identity.
     pub label: String,
-    /// Verdict label ("caused", "inconclusive",
-    /// "inconclusive_awaiting_backfill").
-    pub verdict: String,
     /// Control-group mode label.
     pub mode: String,
     /// The entity's zone under the configured striping, when it has one.
@@ -189,7 +186,7 @@ impl DiagReport {
             }
         }
         for item in &self.items {
-            let _ = writeln!(out, "  {} [{}]", item.label, item.verdict);
+            let _ = writeln!(out, "  {} [caused]", item.label);
             let b = &item.bias;
             let _ = writeln!(
                 out,
@@ -244,9 +241,8 @@ impl DiagReport {
 fn push_item(out: &mut String, item: &ItemDiagnosis) {
     out.push_str("{\"label\": ");
     push_str_json(out, &item.label);
-    out.push_str(", \"verdict\": ");
-    push_str_json(out, &item.verdict);
-    out.push_str(", \"mode\": ");
+    // Every diagnosed item is `Caused`; the key stays in schema 1.
+    out.push_str(", \"verdict\": \"caused\", \"mode\": ");
     push_str_json(out, &item.mode);
     out.push_str(", \"zone\": ");
     match item.zone {
@@ -420,7 +416,6 @@ mod tests {
             }],
             items: vec![ItemDiagnosis {
                 label: "instance prod.search#1 / page_view_response_delay".into(),
-                verdict: "caused".into(),
                 mode: "dark_launch_control".into(),
                 zone: Some(1),
                 bias: BiasCheck {

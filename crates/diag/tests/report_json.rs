@@ -10,7 +10,6 @@ use serde::Value;
 fn item(label: &str, alpha: Option<f64>, t_stat: Option<f64>) -> ItemDiagnosis {
     ItemDiagnosis {
         label: label.into(),
-        verdict: "caused".into(),
         mode: "dark_launch_control".into(),
         zone: alpha.map(|_| 1),
         bias: BiasCheck {

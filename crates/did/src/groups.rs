@@ -15,34 +15,26 @@ use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use funnel_timeseries::stats::RobustSummary;
 
-/// Configuration for a DiD assessment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DidConfig {
-    /// Length ω of each of the pre- and post-change periods, in minutes
-    /// (§3.2.4 uses the SST ω; the evaluation (§4.1) uses 60).
-    pub period_minutes: u64,
-    /// Declaration threshold on |α| in normalized units.
-    pub alpha_threshold: f64,
-    /// Whether to normalize all samples by the control pre-period's robust
-    /// scale (median/MAD). Disable only if samples are pre-normalized.
-    pub normalize: bool,
-    /// Largest allowed |pre-coverage − post-coverage| for one group member
-    /// in [`DidAssessor::assess_masked`]. A partition that darkened a
-    /// member for one side of the change only makes its contrast
-    /// fills-vs-data rather than data-vs-data; such members are excluded.
-    pub max_coverage_divergence: f64,
-}
+/// Length ω of each of the pre- and post-change periods, in minutes
+/// (§3.2.4 uses the SST ω; the evaluation (§4.1) uses 60).
+pub const PERIOD_MINUTES: u64 = 60;
 
-impl Default for DidConfig {
-    fn default() -> Self {
-        Self {
-            period_minutes: 60,
-            alpha_threshold: 2.0,
-            normalize: true,
-            max_coverage_divergence: 0.35,
-        }
-    }
-}
+/// Declaration threshold on |α| in normalized units: samples are normalized
+/// by the pooled pre-change cells' robust scale (median/MAD).
+pub const ALPHA_THRESHOLD: f64 = 2.0;
+
+/// Largest allowed |pre-coverage − post-coverage| for one group member in
+/// [`DidAssessor::assess_masked`]. A partition that darkened a member for
+/// one side of the change only makes its contrast fills-vs-data rather than
+/// data-vs-data; such members are excluded.
+pub const MAX_COVERAGE_DIVERGENCE: f64 = 0.35;
+
+/// Configuration for a DiD assessment: nothing is left to set (the period,
+/// threshold and coverage rule are the constants above). The type stays
+/// because the fleet benchmark builds its assessor with
+/// `DidAssessor::new(config.did.clone())`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DidConfig;
 
 /// The assessment outcome delivered to the operations team.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,19 +72,12 @@ impl DidVerdict {
 
 /// Dark-launch DiD assessor.
 #[derive(Debug, Clone, Default)]
-pub struct DidAssessor {
-    config: DidConfig,
-}
+pub struct DidAssessor;
 
 impl DidAssessor {
-    /// Creates an assessor with the given configuration.
-    pub fn new(config: DidConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &DidConfig {
-        &self.config
+    /// Creates an assessor; [`DidConfig`] carries nothing.
+    pub fn new(_config: DidConfig) -> Self {
+        Self
     }
 
     /// Assesses whether the KPI behaviour around `change_minute` differs
@@ -116,7 +101,7 @@ impl DidAssessor {
             change_minute,
             (treated.len() + control.len()) as u64,
         );
-        let w = self.config.period_minutes;
+        let w = PERIOD_MINUTES;
         let pre_from = change_minute.saturating_sub(w);
         let mut cells = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
         for s in treated {
@@ -134,7 +119,7 @@ impl DidAssessor {
     /// each group member carries its coverage mask (`None` = fully
     /// measured, e.g. batch-materialized history), and members whose
     /// pre-vs-post coverage over the assessment span diverges by more than
-    /// [`DidConfig::max_coverage_divergence`] are excluded before pooling.
+    /// [`MAX_COVERAGE_DIVERGENCE`] are excluded before pooling.
     ///
     /// The failure mode this prevents: a zone partition darkens some
     /// control instances for exactly the post-change period, so their
@@ -157,7 +142,7 @@ impl DidAssessor {
         control: &[(&TimeSeries, Option<&CoverageMask>)],
         change_minute: MinuteBin,
     ) -> Result<(DidVerdict, DidEstimate), DidError> {
-        let w = self.config.period_minutes;
+        let w = PERIOD_MINUTES;
         let pre_from = change_minute.saturating_sub(w);
         let divergence = |mask: Option<&CoverageMask>| -> f64 {
             match mask {
@@ -172,7 +157,6 @@ impl DidAssessor {
         fn filter<'a>(
             group: &[(&'a TimeSeries, Option<&CoverageMask>)],
             name: &'static str,
-            max_div: f64,
             divergence: &impl Fn(Option<&CoverageMask>) -> f64,
         ) -> Result<Vec<&'a TimeSeries>, DidError> {
             let mut kept = Vec::with_capacity(group.len());
@@ -180,22 +164,23 @@ impl DidAssessor {
             for &(series, mask) in group {
                 let d = divergence(mask);
                 best_div = best_div.min(d);
-                if d <= max_div {
+                if d <= MAX_COVERAGE_DIVERGENCE {
                     kept.push(series);
                 }
             }
             if kept.is_empty() && !group.is_empty() {
                 return Err(DidError::InsufficientCoverage {
                     group: name,
-                    required_pct: (100.0 * (1.0 - max_div)).round().clamp(0.0, 100.0) as u8,
+                    required_pct: (100.0 * (1.0 - MAX_COVERAGE_DIVERGENCE))
+                        .round()
+                        .clamp(0.0, 100.0) as u8,
                     got_pct: (100.0 * (1.0 - best_div)).round().clamp(0.0, 100.0) as u8,
                 });
             }
             Ok(kept)
         }
-        let max_div = self.config.max_coverage_divergence;
-        let treated = filter(treated, "treated", max_div, &divergence)?;
-        let control = filter(control, "control", max_div, &divergence)?;
+        let treated = filter(treated, "treated", &divergence)?;
+        let control = filter(control, "control", &divergence)?;
         self.assess(&treated, &control, change_minute)
     }
 
@@ -211,33 +196,28 @@ impl DidAssessor {
         control_pre: &[f64],
         control_post: &[f64],
     ) -> Result<(DidVerdict, DidEstimate), DidError> {
-        let est = if self.config.normalize {
-            // Robust scale from the pooled pre-change cells: stable under a
-            // handful of contaminated baseline samples. One summary, two
-            // selections.
-            let baseline: Vec<f64> = control_pre
-                .iter()
-                .chain(treated_pre.iter())
-                .copied()
-                .collect();
-            let RobustSummary {
-                median: center,
-                mad,
-            } = RobustSummary::of(&baseline);
-            let scale = mad.max(1e-9);
-            let norm =
-                |xs: &[f64]| -> Vec<f64> { xs.iter().map(|x| (x - center) / scale).collect() };
-            did_estimate(
-                &norm(treated_pre),
-                &norm(treated_post),
-                &norm(control_pre),
-                &norm(control_post),
-            )?
-        } else {
-            did_estimate(treated_pre, treated_post, control_pre, control_post)?
-        };
+        // Robust scale from the pooled pre-change cells: stable under a
+        // handful of contaminated baseline samples. One summary, two
+        // selections.
+        let baseline: Vec<f64> = control_pre
+            .iter()
+            .chain(treated_pre.iter())
+            .copied()
+            .collect();
+        let RobustSummary {
+            median: center,
+            mad,
+        } = RobustSummary::of(&baseline);
+        let scale = mad.max(1e-9);
+        let norm = |xs: &[f64]| -> Vec<f64> { xs.iter().map(|x| (x - center) / scale).collect() };
+        let est = did_estimate(
+            &norm(treated_pre),
+            &norm(treated_post),
+            &norm(control_pre),
+            &norm(control_post),
+        )?;
 
-        let verdict = if est.is_significant(self.config.alpha_threshold) {
+        let verdict = if est.is_significant(ALPHA_THRESHOLD) {
             DidVerdict::CausedBySoftwareChange {
                 alpha: est.alpha,
                 t_stat: est.t_stat,
@@ -281,10 +261,7 @@ mod tests {
         let control: Vec<TimeSeries> = (10..14)
             .map(|k| series(0, move |m| 100.0 + lcg_noise(k, m), 240))
             .collect();
-        let a = DidAssessor::new(DidConfig {
-            period_minutes: 60,
-            ..Default::default()
-        });
+        let a = DidAssessor;
         let tr: Vec<&TimeSeries> = treated.iter().collect();
         let cr: Vec<&TimeSeries> = control.iter().collect();
         let (v, est) = a.assess(&tr, &cr, change).unwrap();
@@ -303,7 +280,7 @@ mod tests {
         let control: Vec<TimeSeries> = (10..13)
             .map(|k| series(0, move |m| swing(m) + lcg_noise(k, m), 240))
             .collect();
-        let a = DidAssessor::default();
+        let a = DidAssessor;
         let tr: Vec<&TimeSeries> = treated.iter().collect();
         let cr: Vec<&TimeSeries> = control.iter().collect();
         let (v, _) = a.assess(&tr, &cr, change).unwrap();
@@ -319,7 +296,7 @@ mod tests {
             200,
         );
         let control = series(0, move |m| 50.0 + lcg_noise(2, m), 200);
-        let a = DidAssessor::default();
+        let a = DidAssessor;
         let (v, _) = a.assess(&[&treated], &[&control], change).unwrap();
         assert!(v.is_caused());
         assert!(v.alpha() < -0.5);
@@ -328,7 +305,7 @@ mod tests {
     #[test]
     fn empty_control_errors() {
         let treated = series(0, |_| 1.0, 200);
-        let a = DidAssessor::default();
+        let a = DidAssessor;
         let err = a.assess(&[&treated], &[], 100).unwrap_err();
         assert!(matches!(err, DidError::EmptyCell { .. }));
     }
@@ -348,7 +325,7 @@ mod tests {
             let c = series(0, move |m| scale * (10.0 + 0.1 * lcg_noise(4, m)), 200);
             (t, c)
         };
-        let a = DidAssessor::default();
+        let a = DidAssessor;
         let (t1, c1) = mk(1.0, 2.0);
         let (t2, c2) = mk(1000.0, 2000.0);
         let (v1, _) = a.assess(&[&t1], &[&c1], change).unwrap();
@@ -382,7 +359,7 @@ mod tests {
         }
         let full = CoverageMask::all_present(0, 240);
 
-        let a = DidAssessor::default();
+        let a = DidAssessor;
         let tr: Vec<(&TimeSeries, Option<&CoverageMask>)> =
             treated.iter().map(|s| (s, Some(&full))).collect();
         let cr = vec![(&honest, Some(&full)), (&frozen, Some(&frozen_mask))];
@@ -413,7 +390,7 @@ mod tests {
         for minute in 0..change {
             skewed.mark(minute);
         }
-        let a = DidAssessor::default();
+        let a = DidAssessor;
         let err = a
             .assess_masked(&[(&t, None)], &[(&c, Some(&skewed))], change)
             .unwrap_err();
@@ -439,7 +416,7 @@ mod tests {
         );
         let c = series(0, move |m| 100.0 + lcg_noise(6, m), 240);
         let full = CoverageMask::all_present(0, 240);
-        let a = DidAssessor::default();
+        let a = DidAssessor;
         let (vm, em) = a
             .assess_masked(&[(&t, Some(&full))], &[(&c, None)], change)
             .unwrap();
@@ -461,7 +438,7 @@ mod tests {
                 balanced.mark(minute);
             }
         }
-        let a = DidAssessor::default();
+        let a = DidAssessor;
         assert!(a
             .assess_masked(&[(&t, Some(&balanced))], &[(&c, Some(&balanced))], change)
             .is_ok());
@@ -482,7 +459,7 @@ mod tests {
             move |m| 50.0 + lcg_noise(39, m) + if m >= change { 3.0 } else { 0.0 },
             200,
         ));
-        let a = DidAssessor::default();
+        let a = DidAssessor;
         let cr: Vec<&TimeSeries> = controls.iter().collect();
         let (v, _) = a.assess(&[&treated], &cr, change).unwrap();
         // The hotspot pulls α slightly negative but dilution keeps it small.

@@ -9,7 +9,7 @@
 //! baseline contamination from earlier incidents (§1, §3.2.5).
 
 use crate::estimator::DidError;
-use crate::groups::{DidAssessor, DidVerdict};
+use crate::groups::{DidAssessor, DidVerdict, PERIOD_MINUTES};
 use crate::DidEstimate;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use funnel_timeseries::MINUTES_PER_DAY;
@@ -36,28 +36,10 @@ impl SeasonalControl {
         }
     }
 
-    /// Number of historical days that actually fit inside `series` for a
-    /// change at `change_minute` with period `w`.
-    pub fn available_days(&self, series: &TimeSeries, change_minute: MinuteBin, w: u64) -> u32 {
-        let mut days = 0;
-        for d in 1..=self.history_days as u64 {
-            let offset = d * MINUTES_PER_DAY as u64;
-            if change_minute < offset + w {
-                break;
-            }
-            let hist_change = change_minute - offset;
-            if hist_change.saturating_sub(w) < series.start() {
-                break;
-            }
-            days += 1;
-        }
-        days
-    }
-
-    /// Assesses the change at `change_minute` using `assessor`'s period
-    /// length and thresholds. The treated cells come from
-    /// `[change−ω, change)` / `[change, change+ω)` of `series`; the control
-    /// cells pool the same clock windows on each available historical day.
+    /// Assesses the change at `change_minute` over periods of
+    /// [`PERIOD_MINUTES`]. The treated cells come from `[change−ω, change)` /
+    /// `[change, change+ω)` of `series`; the control cells pool the same
+    /// clock windows on each available historical day.
     ///
     /// # Errors
     ///
@@ -68,7 +50,7 @@ impl SeasonalControl {
         series: &TimeSeries,
         change_minute: MinuteBin,
     ) -> Result<(DidVerdict, DidEstimate), DidError> {
-        let w = assessor.config().period_minutes;
+        let w = PERIOD_MINUTES;
         let treated_pre = series
             .slice(change_minute.saturating_sub(w), change_minute)
             .to_vec();
@@ -93,7 +75,6 @@ impl SeasonalControl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::groups::DidConfig;
 
     const DAY: u64 = MINUTES_PER_DAY as u64;
 
@@ -125,13 +106,6 @@ mod tests {
         TimeSeries::new(0, values)
     }
 
-    fn assessor() -> DidAssessor {
-        DidAssessor::new(DidConfig {
-            period_minutes: 60,
-            ..Default::default()
-        })
-    }
-
     #[test]
     fn seasonal_swing_alone_is_not_caused() {
         // The KPI swings ±400 daily; change deployed at a steep part of the
@@ -140,7 +114,7 @@ mod tests {
         let s = seasonal_series(10, None, 0.0);
         let change = 9 * DAY + 6 * 60; // 06:00 on day 9: steep rise
         let ctl = SeasonalControl::new(7);
-        let (v, est) = ctl.assess(&assessor(), &s, change).unwrap();
+        let (v, est) = ctl.assess(&DidAssessor, &s, change).unwrap();
         assert!(!v.is_caused(), "alpha {} t {}", est.alpha, est.t_stat);
     }
 
@@ -149,7 +123,7 @@ mod tests {
         let change = 9 * DAY + 6 * 60;
         let s = seasonal_series(10, Some(change), -300.0);
         let ctl = SeasonalControl::new(7);
-        let (v, est) = ctl.assess(&assessor(), &s, change).unwrap();
+        let (v, est) = ctl.assess(&DidAssessor, &s, change).unwrap();
         assert!(v.is_caused(), "alpha {} t {}", est.alpha, est.t_stat);
         assert!(v.alpha() < 0.0);
     }
@@ -158,17 +132,8 @@ mod tests {
     fn no_history_errors() {
         let s = seasonal_series(1, None, 0.0);
         let ctl = SeasonalControl::new(30);
-        let err = ctl.assess(&assessor(), &s, 12 * 60).unwrap_err();
+        let err = ctl.assess(&DidAssessor, &s, 12 * 60).unwrap_err();
         assert!(matches!(err, DidError::EmptyCell { .. }));
-    }
-
-    #[test]
-    fn available_days_counts_fitting_history() {
-        let s = seasonal_series(10, None, 0.0);
-        let ctl = SeasonalControl::new(30);
-        let days = ctl.available_days(&s, 9 * DAY + 6 * 60, 60);
-        assert!((8..=9).contains(&days), "days {days}");
-        assert_eq!(ctl.available_days(&s, 60, 60), 0);
     }
 
     #[test]
@@ -184,7 +149,7 @@ mod tests {
             s.values_mut()[idx] += 800.0;
         }
         let ctl = SeasonalControl::new(7);
-        let (v, est) = ctl.assess(&assessor(), &s, change).unwrap();
+        let (v, est) = ctl.assess(&DidAssessor, &s, change).unwrap();
         assert!(!v.is_caused(), "alpha {} t {}", est.alpha, est.t_stat);
     }
 }

@@ -56,6 +56,3 @@ pub use power::{dominant_eigenpair, top_eigenpairs};
 pub use svd::{svd, Svd};
 pub use symeig::{sym_eig, SymEig};
 pub use tridiag::{tridiag_eig, tridiag_eig_into, tridiag_eig_lockstep, TridiagEig, Tridiagonal};
-
-/// Convergence tolerance used across iterative routines (relative).
-pub const EPS: f64 = 1e-12;

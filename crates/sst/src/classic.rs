@@ -8,7 +8,7 @@
 //! form of Eq. 10). No robustness filter — this is the baseline whose noise
 //! sensitivity §3.2.2 fixes.
 
-use crate::config::SstConfig;
+use crate::config::{SstConfig, ETA};
 use crate::layout::{split, standardize_by_past};
 use crate::SstScorer;
 use funnel_linalg::hankel::HankelMatrix;
@@ -55,24 +55,16 @@ impl SstScorer for ClassicSst {
 
     fn score_window(&self, window: &[f64]) -> f64 {
         let c = &self.config;
-        let standardized;
-        let window = if c.standardize {
-            standardized = standardize_by_past(window, c.past_len());
-            &standardized[..]
-        } else {
-            window
-        };
-        let sw = split(c, window);
+        let window = standardize_by_past(window, c.past_len());
+        let sw = split(c, &window);
 
         // Past signal subspace via dense SVD of the Hankel matrix.
-        let b = HankelMatrix::new(sw.past, c.omega, c.delta);
+        let b = HankelMatrix::new(sw.past, c.omega, c.omega);
         let f = svd(&b.to_dense());
-        let eta = c.effective_eta();
 
         // Dominant future direction via power iteration on A·Aᵀ applied
         // implicitly.
-        let future_sig = &sw.future[c.rho..];
-        let a = HankelMatrix::new(future_sig, c.omega, c.gamma);
+        let a = HankelMatrix::new(sw.future, c.omega, c.omega);
         let (lambda, beta) = dominant_eigenpair(&a.gram_operator(), 1e-10);
         if lambda <= 0.0 || beta.is_empty() {
             return 0.0; // degenerate (e.g. constant) future segment
@@ -80,7 +72,7 @@ impl SstScorer for ClassicSst {
 
         // Discordance: 1 − Σ_j (β · u_j)².
         let mut proj_sq = 0.0;
-        for j in 0..eta {
+        for j in 0..ETA {
             let d: f64 = (0..c.omega).map(|i| f.u[(i, j)] * beta[i]).sum();
             proj_sq += d * d;
         }
@@ -175,8 +167,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid SST configuration")]
     fn invalid_config_rejected() {
-        let mut c = SstConfig::with_omega(3);
-        c.eta = 9;
-        let _ = ClassicSst::new(c);
+        let _ = ClassicSst::new(SstConfig::with_omega(2));
     }
 }

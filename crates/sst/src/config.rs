@@ -2,12 +2,20 @@
 //!
 //! The paper fixes most of SST's five parameters using the guidance of
 //! Idé–Tsuda and Mohammad–Nishida (§3.2.2–3.2.3): `ρ = 0`, `γ = δ = ω`,
-//! `η = 3`, and the Krylov dimension `k` from Eq. 14. That leaves only the
-//! sub-window length `ω`, which trades detection speed against precision
-//! ("for a service that needs quick mitigation … ω can be set to a small
-//! value such as 5; for … more precise assessment … a larger value such as
-//! 15"). FUNNEL's evaluation uses `ω = 9`, i.e. a sliding window of
-//! `W = 4ω − 2 = 34` one-minute samples.
+//! `η = 3`, and the Krylov dimension `k` from Eq. 14. Those are fixed here
+//! too ([`ETA`], [`KRYLOV_DIM`], and the segment lengths `2ω − 1`). That
+//! leaves only the sub-window length `ω`, which trades detection speed
+//! against precision ("for a service that needs quick mitigation … ω can be
+//! set to a small value such as 5; for … more precise assessment … a larger
+//! value such as 15"). FUNNEL's evaluation uses `ω = 9`, i.e. a sliding
+//! window of `W = 4ω − 2 = 34` one-minute samples.
+
+/// Signal-subspace dimension `η`: "3 or 4 is suitable … even when ω is on
+/// the order of 100"; the paper uses 3.
+pub const ETA: usize = 3;
+
+/// The Krylov dimension `k` of Eq. 14 for the odd [`ETA`]: `2η − 1`.
+pub const KRYLOV_DIM: usize = 2 * ETA - 1;
 
 /// Which extreme of the future Gram spectrum supplies the η test directions.
 ///
@@ -25,29 +33,21 @@ pub enum EigSelection {
 }
 
 /// Parameters shared by every SST variant.
+///
+/// Every window is robust-standardized by its past segment before the
+/// trajectory matrices are built (`layout::standardize_by_past`), which
+/// makes scores and filter factors comparable across KPIs of different
+/// magnitudes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SstConfig {
-    /// Sub-window (column) length `ω` of the Hankel trajectory matrices.
+    /// Sub-window (column) length `ω` of the Hankel trajectory matrices,
+    /// which is also the number of past (`δ`) and future (`γ`) columns.
     pub omega: usize,
-    /// Number of past columns `δ`; the paper sets `δ = ω` (IKA requires it).
-    pub delta: usize,
-    /// Number of future columns `γ`; the paper sets `γ = δ`.
-    pub gamma: usize,
-    /// Gap `ρ` between the candidate point and the first future column;
-    /// the paper sets `ρ = 0`.
-    pub rho: usize,
-    /// Signal-subspace dimension `η`; "3 or 4 is suitable … even when ω is
-    /// on the order of 100"; the paper uses 3.
-    pub eta: usize,
     /// Which future eigenvectors to test (see [`EigSelection`]).
     pub eig_selection: EigSelection,
     /// Whether to apply the median/MAD robustness filter of Eq. 11
     /// (disabled only by the ablation bench).
     pub median_mad_filter: bool,
-    /// Whether to robust-standardize each window (subtract median, divide by
-    /// MAD) before building trajectory matrices, making scores and filter
-    /// factors comparable across KPIs of different magnitudes.
-    pub standardize: bool,
 }
 
 impl SstConfig {
@@ -61,78 +61,43 @@ impl SstConfig {
         Self::with_omega(5)
     }
 
-    /// The "precise assessment" configuration (`ω = 15`).
-    pub fn precise() -> Self {
-        Self::with_omega(15)
-    }
-
     /// A configuration with the given `ω` and all other parameters at the
     /// paper's settings. Panics if `omega < 2`.
     pub fn with_omega(omega: usize) -> Self {
         assert!(omega >= 2, "omega must be at least 2");
         Self {
             omega,
-            delta: omega,
-            gamma: omega,
-            rho: 0,
-            eta: 3,
             eig_selection: EigSelection::Largest,
             median_mad_filter: true,
-            standardize: true,
         }
     }
 
-    /// The Krylov dimension `k` of Eq. 14: `2η` for even η, `2η − 1` for odd.
-    pub fn krylov_dim(&self) -> usize {
-        if self.eta.is_multiple_of(2) {
-            2 * self.eta
-        } else {
-            2 * self.eta - 1
-        }
-    }
-
-    /// Effective signal-subspace dimension, clamped to what an `ω`-dim space
-    /// can hold.
-    pub fn effective_eta(&self) -> usize {
-        self.eta.min(self.omega)
-    }
-
-    /// Number of samples the past segment spans: `ω + δ − 1`.
+    /// Number of samples each of the past and future segments spans:
+    /// `2ω − 1`.
     pub fn past_len(&self) -> usize {
-        self.omega + self.delta - 1
+        2 * self.omega - 1
     }
 
-    /// Number of samples the future segment spans: `ρ + γ + ω − 1`.
+    /// Number of samples the future segment spans, the past's `2ω − 1`.
     pub fn future_len(&self) -> usize {
-        self.rho + self.gamma + self.omega - 1
+        self.past_len()
     }
 
-    /// Total sliding-window width `W = past_len + future_len`
-    /// (`4ω − 2` at the paper's settings).
+    /// Total sliding-window width `W = past_len + future_len = 4ω − 2`.
     pub fn window_len(&self) -> usize {
         self.past_len() + self.future_len()
     }
 
-    /// Validates internal consistency (e.g. `η ≤ ω`, IKA's `δ = ω`).
+    /// Validates internal consistency: `ω` must hold [`ETA`] directions.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first violated
-    /// constraint.
+    /// Returns a human-readable description of the violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.omega < 2 {
-            return Err(format!("omega must be ≥ 2, got {}", self.omega));
-        }
-        if self.delta == 0 || self.gamma == 0 {
-            return Err("delta and gamma must be positive".into());
-        }
-        if self.eta == 0 {
-            return Err("eta must be positive".into());
-        }
-        if self.eta > self.omega {
+        if self.omega < ETA {
             return Err(format!(
-                "eta ({}) must not exceed omega ({})",
-                self.eta, self.omega
+                "omega ({}) must be at least eta ({ETA})",
+                self.omega
             ));
         }
         Ok(())
@@ -154,39 +119,22 @@ mod tests {
         let c = SstConfig::paper_default();
         assert_eq!(c.omega, 9);
         assert_eq!(c.window_len(), 34, "W_FUNNEL = 34 in §4.1");
-        assert_eq!(c.krylov_dim(), 5, "k = 2η−1 for η = 3");
+        assert_eq!(KRYLOV_DIM, 5, "k = 2η−1 for η = 3");
         assert_eq!(c.past_len(), 17);
         assert_eq!(c.future_len(), 17);
         assert!(c.validate().is_ok());
     }
 
     #[test]
-    fn krylov_dim_even_eta() {
-        let mut c = SstConfig::with_omega(9);
-        c.eta = 4;
-        assert_eq!(c.krylov_dim(), 8);
-    }
-
-    #[test]
     fn quick_and_precise_presets() {
         assert_eq!(SstConfig::quick().window_len(), 18);
-        assert_eq!(SstConfig::precise().window_len(), 58);
-    }
-
-    #[test]
-    fn rho_extends_future() {
-        let mut c = SstConfig::with_omega(5);
-        c.rho = 2;
-        assert_eq!(c.future_len(), 2 + 5 + 5 - 1);
+        assert_eq!(SstConfig::with_omega(15).window_len(), 58);
     }
 
     #[test]
     fn validation_catches_bad_eta() {
-        let mut c = SstConfig::with_omega(3);
-        c.eta = 4;
-        assert!(c.validate().is_err());
-        c.eta = 0;
-        assert!(c.validate().is_err());
+        assert!(SstConfig::with_omega(2).validate().is_err());
+        assert!(SstConfig::with_omega(3).validate().is_ok());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! [`crate::robust::RobustSst`], which is the oracle this module is tested
 //! against.
 
-use crate::config::{EigSelection, SstConfig};
+use crate::config::{EigSelection, SstConfig, ETA, KRYLOV_DIM};
 use crate::filter::FilterFactors;
 use crate::layout::standardize_by_past_into;
 use crate::{ReachingScorer, SstScorer};
@@ -50,7 +50,7 @@ use funnel_timeseries::stats::RobustSummary;
 /// `Clone + Sync` without interior mutability.
 #[derive(Debug, Clone)]
 pub struct SstWorkspace {
-    /// The window as scored: standardized, or copied as is.
+    /// The window as scored: robust-standardized by its past.
     window: Vec<f64>,
     /// Selection scratch of the order statistics (median, MAD), and where
     /// the bound merges its two sorted segments when the past is flat.
@@ -148,7 +148,7 @@ pub struct SlidingSegments {
     window: Vec<f64>,
     /// Its past segment, ascending by `total_cmp`.
     past: Vec<f64>,
-    /// Its future segment (gap included), likewise.
+    /// Its future segment, likewise.
     future: Vec<f64>,
     /// Its Eq. 11 multiplier.
     multiplier: f64,
@@ -205,43 +205,33 @@ impl SlidingSegments {
     /// `|z − median|` grows outward from the centre of each sorted segment.
     /// One non-finite value anywhere (`inf − inf`, `inf/inf` are NaN) breaks
     /// the order: `None`, and the caller selects.
-    fn multiplier_by_order(&self, standardize: bool, merged: &mut Vec<f64>) -> Option<f64> {
+    fn multiplier_by_order(&self, merged: &mut Vec<f64>) -> Option<f64> {
         let (past, future) = (&self.past[..], &self.future[..]);
         let ends = [past.first(), past.last(), future.first(), future.last()];
         if !ends.into_iter().flatten().all(|x| x.is_finite()) {
             return None;
         }
-        let (a, b) = if standardize {
-            // `standardize_by_past_into`'s centre and scale.
-            let raw = RobustSummary::of_sorted_by(past, |x| x);
-            let m = raw.median;
-            let mut s = raw.mad;
-            if s < 1e-9 {
-                merge_sorted(past, future, merged);
-                s = RobustSummary::of_sorted_by(merged, |x| x).mad;
-            }
-            let s = s.max(1e-9);
-            if !(m.is_finite() && s.is_finite()) {
-                return None;
-            }
-            let z = |x: f64| (x - m) / s;
-            let a = if past.len() % 2 == 1 {
-                // The median is a sample: it maps to `fl((m − m)/s)`, and the
-                // deviations from it are the raw ones over `s`.
-                RobustSummary {
-                    median: z(m),
-                    mad: raw.mad / s,
-                }
-            } else {
-                RobustSummary::of_sorted_by(past, z)
-            };
-            (a, RobustSummary::of_sorted_by(future, z))
-        } else {
-            (
-                RobustSummary::of_sorted_by(past, |x| x),
-                RobustSummary::of_sorted_by(future, |x| x),
-            )
+        // `standardize_by_past_into`'s centre and scale.
+        let raw = RobustSummary::of_sorted_by(past, |x| x);
+        let m = raw.median;
+        let mut s = raw.mad;
+        if s < 1e-9 {
+            merge_sorted(past, future, merged);
+            s = RobustSummary::of_sorted_by(merged, |x| x).mad;
+        }
+        let s = s.max(1e-9);
+        if !(m.is_finite() && s.is_finite()) {
+            return None;
+        }
+        let z = |x: f64| (x - m) / s;
+        // The past spans an odd `2ω − 1` samples, so its median is a sample:
+        // it maps to `fl((m − m)/s)`, and the deviations from it are the raw
+        // ones over `s`.
+        let a = RobustSummary {
+            median: z(m),
+            mad: raw.mad / s,
         };
+        let b = RobustSummary::of_sorted_by(future, z);
         [a.median, a.mad, b.median, b.mad]
             .into_iter()
             .all(f64::is_finite)
@@ -294,8 +284,7 @@ impl SstWorkspace {
     /// Allocates the buffers `config` needs.
     pub fn new(config: &SstConfig) -> Self {
         let c = config;
-        // The future-direction run is the larger of the two Lanczos runs.
-        let k = future_krylov_dim(c);
+        let k = krylov_dim(c);
         let tridiagonal = |k: usize, rows: usize| {
             Tridiagonal::new(vec![0.0; k], vec![0.0; k], vec![0.0; rows * k], vec![0; k])
         };
@@ -308,12 +297,12 @@ impl SstWorkspace {
             krylov: Krylov {
                 basis: vec![0.0; k * c.omega],
                 residual: vec![0.0; c.omega],
-                gram: vec![0.0; c.delta.max(c.gamma)],
+                gram: vec![0.0; c.omega],
             },
             future: tridiagonal(k, k),
-            dirs: vec![0.0; c.effective_eta() * c.omega],
-            lambdas: vec![0.0; c.effective_eta()],
-            phis: vec![tridiagonal(phi_krylov_dim(c), 1); c.effective_eta()],
+            dirs: vec![0.0; ETA * c.omega],
+            lambdas: vec![0.0; ETA],
+            phis: vec![tridiagonal(k, 1); ETA],
         }
     }
 
@@ -328,26 +317,16 @@ impl SstWorkspace {
         );
     }
 
-    /// Loads `window` for scoring under `c`: the robust-standardized copy,
-    /// or the samples as they are.
+    /// Loads `window` for scoring under `c`: the robust-standardized copy.
     fn load(&mut self, c: &SstConfig, window: &[f64]) {
         self.check(c, window);
-        if c.standardize {
-            standardize_by_past_into(window, c.past_len(), &mut self.select, &mut self.window);
-        } else {
-            self.window.copy_from_slice(window);
-        }
+        standardize_by_past_into(window, c.past_len(), &mut self.select, &mut self.window);
     }
 }
 
-/// Krylov dimension of the future-direction run.
-fn future_krylov_dim(c: &SstConfig) -> usize {
-    c.krylov_dim().max(c.effective_eta()).min(c.omega)
-}
-
-/// Krylov dimension of a `ϕ` run.
-fn phi_krylov_dim(c: &SstConfig) -> usize {
-    c.krylov_dim().min(c.omega)
+/// Krylov dimension of the future-direction run and of every `ϕ` run.
+fn krylov_dim(c: &SstConfig) -> usize {
+    KRYLOV_DIM.min(c.omega)
 }
 
 /// The IKA-accelerated SST scorer FUNNEL deploys online.
@@ -392,11 +371,10 @@ impl FastSst {
     /// `ws.lambdas` / `ws.dirs` and returns how many there are.
     fn future_directions(&self, ws: &mut SstWorkspace) -> usize {
         let c = &self.config;
-        let future_sig = &ws.window[c.past_len() + c.rho..];
-        let a = HankelMatrix::new(future_sig, c.omega, c.gamma);
+        let a = HankelMatrix::new(&ws.window[c.past_len()..], c.omega, c.omega);
         let t = &mut ws.future;
-        let steps = ws.krylov.decompose(&a, &ws.start, future_krylov_dim(c), t);
-        let eta = c.effective_eta().min(steps);
+        let steps = ws.krylov.decompose(&a, &ws.start, krylov_dim(c), t);
+        let eta = ETA.min(steps);
 
         let basis = &ws.krylov.basis;
         let dirs = ws.dirs.chunks_exact_mut(c.omega);
@@ -437,19 +415,18 @@ impl FastSst {
         }
         // Eq. 13 for each direction: `Lanczos(C, β_i, k)` into its own
         // `T_k`, then QL on all of them together.
-        let b = HankelMatrix::new(&ws.window[..c.past_len()], c.omega, c.delta);
+        let b = HankelMatrix::new(&ws.window[..c.past_len()], c.omega, c.omega);
         let phis = &mut ws.phis[..dirs];
         for (t, beta) in phis.iter_mut().zip(ws.dirs.chunks_exact(c.omega)) {
-            ws.krylov.tridiagonalize(&b, beta, phi_krylov_dim(c), 1, t);
+            ws.krylov.tridiagonalize(&b, beta, krylov_dim(c), 1, t);
         }
         tridiag_eig_lockstep(phis);
-        let eta = c.effective_eta();
         let mut num = 0.0;
         let mut den = 0.0;
         for (t, &lambda) in phis.iter().zip(&ws.lambdas) {
             // The first components of the top-η eigenvectors of `T_k`
             // approximate `β_i · u_j` (the Lanczos basis starts at `β_i`).
-            let proj_sq: f64 = t.order.iter().take(eta).map(|&j| t.z[j].powi(2)).sum();
+            let proj_sq: f64 = t.order.iter().take(ETA).map(|&j| t.z[j].powi(2)).sum();
             let phi = if t.d.is_empty() {
                 0.0
             } else {
@@ -490,7 +467,7 @@ impl FastSst {
         );
         segments.advance(window);
         segments.multiplier = segments
-            .multiplier_by_order(c.standardize, &mut ws.select)
+            .multiplier_by_order(&mut ws.select)
             .unwrap_or_else(|| {
                 ws.load(c, window);
                 Self::multiplier_by_selection(c, ws)
@@ -812,7 +789,7 @@ mod tests {
 
     #[test]
     fn quick_and_precise_configs_run() {
-        for c in [SstConfig::quick(), SstConfig::precise()] {
+        for c in [SstConfig::quick(), SstConfig::with_omega(15)] {
             let s = FastSst::new(c.clone());
             let w = lcg_window(&c, 1.0, 5.0, 1);
             let score = s.score_window(&w);

@@ -4,9 +4,9 @@
 //! candidate change point `x(t)` is the first sample of the future segment;
 //! the past trajectory matrix `B(t)` is built over the samples strictly
 //! before it (paper Eq. 1) and the future matrix `A(t)` over the samples
-//! from `x(t+ρ)` on (Eq. 3). With the paper's `ρ = 0, γ = δ = ω`, both
-//! segments span `2ω − 1` samples — exactly the windows Eq. 11's median/MAD
-//! filter compares.
+//! from `x(t+ρ)` on (Eq. 3). With `ρ = 0, γ = δ = ω`, fixed as in the
+//! paper, both segments span `2ω − 1` samples — exactly the windows Eq. 11's
+//! median/MAD filter compares.
 
 use crate::config::SstConfig;
 use funnel_timeseries::stats::RobustSummary;

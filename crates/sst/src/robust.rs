@@ -15,7 +15,7 @@
 //! [`crate::fast::FastSst`], which approximates the same quantities with
 //! Lanczos/QL.
 
-use crate::config::{EigSelection, SstConfig};
+use crate::config::{EigSelection, SstConfig, ETA};
 use crate::filter::apply_filter;
 use crate::layout::{split, standardize_by_past};
 use crate::SstScorer;
@@ -56,34 +56,25 @@ impl RobustSst {
     /// The raw (unfiltered) eigenvalue-weighted discordance of Eq. 9 for one
     /// window; exposed for the ablation bench and the fast-path tests.
     pub fn raw_score(&self, window: &[f64]) -> f64 {
-        let c = &self.config;
-        let standardized;
-        let window = if c.standardize {
-            standardized = standardize_by_past(window, c.past_len());
-            &standardized[..]
-        } else {
-            window
-        };
-        self.raw_score_prepared(window)
+        self.raw_score_prepared(&standardize_by_past(window, self.config.past_len()))
     }
 
     /// Raw score over an already-standardized window.
     fn raw_score_prepared(&self, window: &[f64]) -> f64 {
         let c = &self.config;
         let sw = split(c, window);
-        let eta = c.effective_eta();
 
         // Past signal subspace: top-η eigenvectors of B·Bᵀ.
-        let b = HankelMatrix::new(sw.past, c.omega, c.delta);
+        let b = HankelMatrix::new(sw.past, c.omega, c.omega);
         let eb = sym_eig(&b.to_dense().gram());
 
         // Future test directions per Eq. 8 and the selection policy.
-        let a = HankelMatrix::new(&sw.future[c.rho..], c.omega, c.gamma);
+        let a = HankelMatrix::new(sw.future, c.omega, c.omega);
         let ea = sym_eig(&a.to_dense().gram());
 
         let mut num = 0.0;
         let mut den = 0.0;
-        for i in 0..eta {
+        for i in 0..ETA {
             let (lambda, beta) = match c.eig_selection {
                 EigSelection::Largest => (ea.values[i], ea.vector(i)),
                 EigSelection::Smallest => (
@@ -93,7 +84,7 @@ impl RobustSst {
             };
             let lambda = lambda.max(0.0); // Gram is PSD up to round-off
             let mut proj_sq = 0.0;
-            for j in 0..eta {
+            for j in 0..ETA {
                 let d: f64 = (0..c.omega).map(|r| eb.vectors[(r, j)] * beta[r]).sum();
                 proj_sq += d * d;
             }
@@ -116,18 +107,12 @@ impl SstScorer for RobustSst {
 
     fn score_window(&self, window: &[f64]) -> f64 {
         let c = &self.config;
-        let standardized;
-        let window = if c.standardize {
-            standardized = standardize_by_past(window, c.past_len());
-            &standardized[..]
-        } else {
-            window
-        };
-        let raw = self.raw_score_prepared(window);
+        let window = standardize_by_past(window, c.past_len());
+        let raw = self.raw_score_prepared(&window);
         if !c.median_mad_filter {
             return raw;
         }
-        let sw = split(c, window);
+        let sw = split(c, &window);
         apply_filter(raw, sw.past, sw.future)
     }
 }

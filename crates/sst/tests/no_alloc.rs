@@ -83,7 +83,7 @@ fn series(len: usize) -> Vec<f64> {
 
 #[test]
 fn steady_state_scoring_performs_zero_allocations() {
-    for config in [SstConfig::paper_default(), SstConfig::precise()] {
+    for config in [SstConfig::paper_default(), SstConfig::with_omega(15)] {
         let w = config.window_len();
         let values = series(1_000 + w);
         let scorer = FastSst::new(config.clone());

@@ -4,6 +4,7 @@
 
 use funnel_linalg::matrix::Mat;
 use funnel_linalg::symeig::sym_eig;
+use funnel_sst::config::ETA;
 use funnel_sst::layout::{split, standardize_by_past};
 use funnel_sst::{FastSst, RobustSst, SstConfig, SstScorer};
 
@@ -25,11 +26,11 @@ fn hankel(signal: &[f64], omega: usize) -> Mat {
 fn oracle_raw_score(config: &SstConfig, window: &[f64]) -> f64 {
     let std = standardize_by_past(window, config.past_len());
     let sw = split(config, &std);
-    let eta = config.eta;
+    let eta = ETA;
 
     let b = hankel(sw.past, config.omega);
     let past = sym_eig(&b.gram());
-    let a = hankel(&sw.future[config.rho..], config.omega);
+    let a = hankel(sw.future, config.omega);
     let fut = sym_eig(&a.gram());
 
     let mut num = 0.0;

@@ -75,7 +75,7 @@ proptest! {
     /// their own window lengths.
     #[test]
     fn preset_window_lengths(seed in any::<u32>()) {
-        for c in [SstConfig::quick(), SstConfig::precise()] {
+        for c in [SstConfig::quick(), SstConfig::with_omega(15)] {
             let w: Vec<f64> = (0..c.window_len())
                 .map(|i| ((i as u32).wrapping_mul(seed | 1) % 1000) as f64)
                 .collect();

@@ -6,7 +6,9 @@
 //! tests dropped, `use` paths adjusted) of `linalg/{hankel,lanczos,tridiag}`,
 //! `timeseries::stats::{median, mad}`, `sst/{layout,filter,fast}` at the
 //! commit that introduced this file. It must never be "fixed" or tuned: it
-//! is the definition of the bits the fast path has to reproduce.
+//! is the definition of the bits the fast path has to reproduce. The one
+//! later edit reads `δ = γ = ω`, `ρ = 0`, `η = 3` and standardization where
+//! the copy read the `SstConfig` fields they replaced.
 
 #![expect(
     dead_code,
@@ -17,6 +19,10 @@ mod shipped {
     use funnel_linalg::matrix::{axpy, dot, normalize, Mat};
     use funnel_linalg::op::LinearOperator;
     use funnel_sst::{EigSelection, SstConfig};
+
+    /// `η` and the Krylov dimension `2η − 1` the copy read off `SstConfig`.
+    const ETA: usize = 3;
+    const KRYLOV_DIM: usize = 2 * ETA - 1;
 
     // ---- linalg/src/hankel.rs ------------------------------------------
 
@@ -522,20 +528,20 @@ mod shipped {
         /// computed via Lanczos on the *implicit* future Gram.
         fn future_directions(&self, future_sig: &[f64]) -> Vec<(f64, Vec<f64>)> {
             let c = &self.config;
-            let a = HankelMatrix::new(future_sig, c.omega, c.gamma);
+            let a = HankelMatrix::new(future_sig, c.omega, c.omega);
             let gram = a.gram_operator();
             // Deterministic full-support start vector.
             let start: Vec<f64> = (0..c.omega)
                 .map(|i| 1.0 + (i as f64) / c.omega as f64)
                 .collect();
-            let k = c.krylov_dim().max(c.effective_eta()).min(c.omega);
+            let k = KRYLOV_DIM.max(ETA.min(c.omega)).min(c.omega);
             let lz = lanczos(&gram, &start, k);
             if lz.steps() == 0 {
                 return Vec::new();
             }
             let eig = tridiag_eig(&lz.alpha, &lz.beta);
             let steps = lz.steps();
-            let eta = c.effective_eta().min(steps);
+            let eta = ETA.min(c.omega).min(steps);
 
             let pick = |rank_from_top: usize| -> (f64, Vec<f64>) {
                 let col = match c.eig_selection {
@@ -560,13 +566,13 @@ mod shipped {
         /// subspace, via `Lanczos(C, β_i, k)` and QL on `T_k`.
         fn phi(&self, past_gram: &GramOperator<'_>, beta: &[f64]) -> f64 {
             let c = &self.config;
-            let k = c.krylov_dim().min(c.omega);
+            let k = KRYLOV_DIM.min(c.omega);
             let lz = lanczos(past_gram, beta, k);
             if lz.steps() == 0 {
                 return 0.0;
             }
             let eig = tridiag_eig(&lz.alpha, &lz.beta);
-            let eta = c.effective_eta().min(lz.steps());
+            let eta = ETA.min(c.omega).min(lz.steps());
             // First components of the top-η eigenvectors of T_k approximate
             // β_i · u_j (the Lanczos basis starts at β_i).
             let proj_sq: f64 = (0..eta).map(|j| eig.vectors[(0, j)].powi(2)).sum();
@@ -577,22 +583,15 @@ mod shipped {
         /// robust-oracle comparison tests.
         pub fn raw_score(&self, window: &[f64]) -> f64 {
             let c = &self.config;
-            let standardized;
-            let window = if c.standardize {
-                standardized = standardize_by_past(window, c.past_len());
-                &standardized[..]
-            } else {
-                window
-            };
-            self.raw_score_prepared(window)
+            self.raw_score_prepared(&standardize_by_past(window, c.past_len()))
         }
 
         fn raw_score_prepared(&self, window: &[f64]) -> f64 {
             let c = &self.config;
             let sw = split(c, window);
-            let b = HankelMatrix::new(sw.past, c.omega, c.delta);
+            let b = HankelMatrix::new(sw.past, c.omega, c.omega);
             let past_gram = b.gram_operator();
-            let dirs = self.future_directions(&sw.future[c.rho..]);
+            let dirs = self.future_directions(sw.future);
             if dirs.is_empty() {
                 return 0.0;
             }
@@ -614,13 +613,7 @@ mod shipped {
     impl FastSst {
         pub fn score_window(&self, window: &[f64]) -> f64 {
             let c = &self.config;
-            let standardized;
-            let window = if c.standardize {
-                standardized = standardize_by_past(window, c.past_len());
-                &standardized[..]
-            } else {
-                window
-            };
+            let window = &standardize_by_past(window, c.past_len())[..];
             let raw = self.raw_score_prepared(window);
             if !c.median_mad_filter {
                 return raw;
@@ -637,26 +630,14 @@ use proptest::prelude::*;
 /// Every configuration axis the kernels branch on.
 fn configs() -> Vec<SstConfig> {
     let base = SstConfig::paper_default;
-    let mut out = vec![base(), SstConfig::quick(), SstConfig::precise()];
+    let mut out = vec![base(), SstConfig::quick(), SstConfig::with_omega(15)];
     let mut c = base();
     c.eig_selection = EigSelection::Smallest;
     out.push(c);
     let mut c = base();
-    c.rho = 2;
-    out.push(c);
-    for eta in [1, 4] {
-        let mut c = base();
-        c.eta = eta;
-        out.push(c);
-    }
-    let mut c = base();
     c.median_mad_filter = false;
     out.push(c);
-    let mut c = base();
-    c.standardize = false;
-    out.push(c);
     let mut c = SstConfig::quick();
-    c.standardize = false;
     c.median_mad_filter = false;
     out.push(c);
     out

@@ -28,34 +28,16 @@ use funnel_sst::{
 };
 use proptest::prelude::*;
 
-/// The four window geometries of the issue (odd and even future), plus the
-/// two branches they leave cold: unstandardized, and an even past.
+/// The three window geometries of the paper's `ω` (quick, evaluation,
+/// precise).
 fn configs() -> Vec<SstConfig> {
-    let mut out = vec![
-        SstConfig::quick(),
-        SstConfig::paper_default(),
-        SstConfig::precise(),
-    ];
-    let mut c = SstConfig::paper_default();
-    c.rho = 1;
-    out.push(c);
-    let mut c = SstConfig::quick();
-    c.standardize = false;
-    out.push(c);
-    let mut c = SstConfig::quick();
-    c.delta = c.omega + 1;
-    out.push(c);
-    out
+    [5, 9, 15].into_iter().map(SstConfig::with_omega).collect()
 }
 
 /// The multiplier as shipped before the segments slid.
 fn oracle(c: &SstConfig, window: &[f64]) -> f64 {
     let p = c.past_len();
-    let loaded = if c.standardize {
-        standardize_by_past(window, p)
-    } else {
-        window.to_vec()
-    };
+    let loaded = standardize_by_past(window, p);
     FilterFactors::from_segments(&loaded[..p], &loaded[p..]).multiplier()
 }
 

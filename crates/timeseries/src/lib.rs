@@ -49,6 +49,3 @@ pub use window::SlidingWindows;
 
 /// Number of minutes in a day; seasonal profiles repeat with this period.
 pub const MINUTES_PER_DAY: usize = 24 * 60;
-
-/// Number of minutes in a week; day-of-week effects repeat with this period.
-pub const MINUTES_PER_WEEK: usize = 7 * MINUTES_PER_DAY;

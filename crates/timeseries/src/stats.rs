@@ -176,12 +176,6 @@ impl RobustSummary {
     }
 }
 
-/// Robust z-score of `x` against a window summary: `(x - median) / MAD`,
-/// with a MAD floor of `1e-9` to keep constant windows finite.
-pub fn robust_zscore(x: f64, summary: RobustSummary) -> f64 {
-    (x - summary.median) / summary.mad.max(1e-9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,14 +226,6 @@ mod tests {
         // median = 3, deviations = [2,1,0,1,2], MAD = 1.
         assert_eq!(mad(&[1.0, 2.0, 3.0, 4.0, 5.0]), 1.0);
         assert_eq!(mad(&[5.0; 6]), 0.0);
-    }
-
-    #[test]
-    fn robust_zscore_floors_mad() {
-        let s = RobustSummary::of(&[1.0, 1.0, 1.0]);
-        assert_eq!(s.mad, 0.0);
-        assert!(robust_zscore(2.0, s).is_finite());
-        assert!(robust_zscore(2.0, s) > 1e6);
     }
 
     #[test]

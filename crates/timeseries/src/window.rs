@@ -35,15 +35,6 @@ impl<'a> SlidingWindows<'a> {
             next_end: width,
         }
     }
-
-    /// Number of windows that will be yielded in total.
-    pub fn count_total(&self) -> usize {
-        if self.width == 0 || self.series.len() < self.width {
-            0
-        } else {
-            self.series.len() - self.width + 1
-        }
-    }
 }
 
 impl<'a> Iterator for SlidingWindows<'a> {
@@ -82,20 +73,11 @@ mod tests {
     fn short_series_yields_nothing() {
         let s = TimeSeries::new(0, vec![1.0, 2.0]);
         assert_eq!(SlidingWindows::new(&s, 3).count(), 0);
-        assert_eq!(SlidingWindows::new(&s, 3).count_total(), 0);
     }
 
     #[test]
     fn zero_width_yields_nothing() {
         let s = TimeSeries::new(0, vec![1.0, 2.0]);
         assert_eq!(SlidingWindows::new(&s, 0).count(), 0);
-    }
-
-    #[test]
-    fn count_total_matches_iteration() {
-        let s = TimeSeries::new(0, (0..50).map(|i| i as f64).collect());
-        let w = SlidingWindows::new(&s, 34);
-        assert_eq!(w.count_total(), 17);
-        assert_eq!(w.count(), 17);
     }
 }

@@ -104,22 +104,6 @@ impl ChangeLog {
         &self.changes
     }
 
-    /// Changes deployed within `[from, to)`.
-    pub fn in_window(&self, from: MinuteBin, to: MinuteBin) -> Vec<&SoftwareChange> {
-        self.changes
-            .iter()
-            .filter(|c| c.minute >= from && c.minute < to)
-            .collect()
-    }
-
-    /// Changes on a given service, in log order.
-    pub fn for_service(&self, service: ServiceId) -> Vec<&SoftwareChange> {
-        self.changes
-            .iter()
-            .filter(|c| c.service == service)
-            .collect()
-    }
-
     /// Number of recorded changes.
     pub fn len(&self) -> usize {
         self.changes.len()
@@ -235,9 +219,6 @@ mod tests {
         assert_eq!(id1, ChangeId(1));
         assert_eq!(log.len(), 2);
         assert_eq!(log.get(id1).unwrap().kind, ChangeKind::ConfigChange);
-        assert_eq!(log.for_service(ServiceId(1)).len(), 1);
-        assert_eq!(log.in_window(0, 150).len(), 1);
-        assert_eq!(log.in_window(100, 201).len(), 2);
         assert!(log.get(ChangeId(9)).is_none());
     }
 
@@ -245,7 +226,7 @@ mod tests {
     fn empty_log() {
         let log = ChangeLog::new();
         assert!(log.is_empty());
-        assert!(log.in_window(0, u64::MAX).is_empty());
+        assert!(log.all().is_empty());
     }
 
     fn change(

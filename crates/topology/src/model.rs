@@ -182,11 +182,6 @@ impl Topology {
             .ok_or(TopologyError::UnknownService(id))
     }
 
-    /// Looks a service up by name.
-    pub fn service_by_name(&self, name: &ServiceName) -> Option<ServiceId> {
-        self.name_index.get(name).copied()
-    }
-
     /// The hostname of a server.
     ///
     /// # Errors
@@ -223,14 +218,6 @@ impl Topology {
             .copied()
             .filter(|i| i.service == service)
             .collect()
-    }
-
-    /// Services directly related to `service`.
-    pub fn related_services(&self, service: ServiceId) -> Vec<ServiceId> {
-        self.relations
-            .get(&service)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
     }
 
     /// Services reachable from `service` over relationship edges (excluding
@@ -296,10 +283,9 @@ mod tests {
         let _i2 = t.add_instance(web, s2).unwrap();
         t.relate(web, idx).unwrap();
 
-        assert_eq!(t.service_by_name(&name("search.web")), Some(web));
         assert_eq!(t.instance(i1).unwrap().server, s1);
         assert_eq!(t.instances_of(web).len(), 2);
-        assert_eq!(t.related_services(web), vec![idx]);
+        assert_eq!(t.affected_services(web), vec![idx]);
         assert_eq!(t.server_service(s1), Some(web));
         assert_eq!(t.server_hostname(s2).unwrap(), "host-2");
     }
@@ -359,6 +345,6 @@ mod tests {
         let mut t = Topology::new();
         let a = t.add_service(name("a")).unwrap();
         t.relate(a, a).unwrap();
-        assert!(t.related_services(a).is_empty());
+        assert!(t.affected_services(a).is_empty());
     }
 }

@@ -65,18 +65,6 @@ impl ServiceName {
     pub fn leaf(&self) -> &str {
         self.0.rsplit('.').next().unwrap_or(&self.0)
     }
-
-    /// Whether `self` is a strict ancestor of `other` in the hierarchy.
-    pub fn is_ancestor_of(&self, other: &ServiceName) -> bool {
-        other.0.len() > self.0.len()
-            && other.0.starts_with(&self.0)
-            && other.0.as_bytes()[self.0.len()] == b'.'
-    }
-
-    /// Whether the two names share the same top-level product segment.
-    pub fn same_product(&self, other: &ServiceName) -> bool {
-        self.segments().next() == other.segments().next()
-    }
 }
 
 impl std::fmt::Display for ServiceName {
@@ -118,29 +106,5 @@ mod tests {
         assert_eq!(n.parent().unwrap().as_str(), "search.web");
         assert_eq!(n.parent().unwrap().parent().unwrap().as_str(), "search");
         assert_eq!(n.parent().unwrap().parent().unwrap().parent(), None);
-    }
-
-    #[test]
-    fn ancestry() {
-        let root = ServiceName::parse("search").unwrap();
-        let mid = ServiceName::parse("search.web").unwrap();
-        let leaf = ServiceName::parse("search.web.frontend").unwrap();
-        let other = ServiceName::parse("search-engine.web").unwrap();
-        assert!(root.is_ancestor_of(&mid));
-        assert!(root.is_ancestor_of(&leaf));
-        assert!(mid.is_ancestor_of(&leaf));
-        assert!(!leaf.is_ancestor_of(&mid));
-        assert!(!root.is_ancestor_of(&root.clone()));
-        // Prefix without a dot boundary is not ancestry.
-        assert!(!root.is_ancestor_of(&other));
-    }
-
-    #[test]
-    fn same_product_compares_top_segment() {
-        let a = ServiceName::parse("ads.click").unwrap();
-        let b = ServiceName::parse("ads.render").unwrap();
-        let c = ServiceName::parse("search.web").unwrap();
-        assert!(a.same_product(&b));
-        assert!(!a.same_product(&c));
     }
 }

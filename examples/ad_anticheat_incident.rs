@@ -14,7 +14,7 @@ use funnel_suite::sim::kpi::{KpiKey, KpiKind};
 use funnel_suite::sim::scenario::ads_world;
 use funnel_suite::topology::impact::Entity;
 
-fn main() {
+pub fn main() {
     let (world, ads, change) = ads_world(42);
     let record = world.change_log().get(change).expect("logged");
     println!(

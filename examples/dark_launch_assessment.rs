@@ -24,7 +24,7 @@ use funnel_suite::timeseries::inject::ChangeShape;
 use funnel_suite::topology::change::ChangeKind;
 use funnel_suite::topology::impact::Entity;
 
-fn main() {
+pub fn main() {
     let mut b = WorldBuilder::new(SimConfig::days(7, 8));
     let svc_buggy = b.add_service("pay.gateway", 8).expect("fresh");
     let svc_shocked = b.add_service("pay.ledger", 8).expect("fresh");

@@ -22,7 +22,7 @@ use funnel_suite::sim::LiveFeed;
 use funnel_suite::topology::change::ChangeKind;
 use funnel_suite::topology::impact::Entity;
 
-fn main() {
+pub fn main() {
     // A service with a memory leak introduced at minute 240.
     let mut b = WorldBuilder::new(SimConfig {
         seed: 3,

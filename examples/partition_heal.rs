@@ -35,7 +35,7 @@ use funnel_suite::sim::world::{SimConfig, WorldBuilder};
 use funnel_suite::sim::MetricStore;
 use funnel_suite::topology::change::ChangeKind;
 
-fn main() {
+pub fn main() {
     // A one-service world with a harmful dark launch at day 7, 09:00.
     let mut b = WorldBuilder::new(SimConfig::days(31, 8));
     let svc = b.add_service("prod.search", 6).expect("fresh");

@@ -12,7 +12,7 @@ use funnel_suite::sim::kpi::KpiKind;
 use funnel_suite::sim::world::{SimConfig, WorldBuilder};
 use funnel_suite::topology::change::ChangeKind;
 
-fn main() {
+pub fn main() {
     // 1. Build a small world: one web service, six instances, eight days of
     //    telemetry (seven of history + the deployment day).
     let mut builder = WorldBuilder::new(SimConfig::days(42, 8));

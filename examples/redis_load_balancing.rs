@@ -14,7 +14,7 @@ use funnel_suite::sim::scenario::redis_world;
 use funnel_suite::timeseries::stats::mean;
 use funnel_suite::topology::impact::Entity;
 
-fn main() {
+pub fn main() {
     let (world, class_a, class_b, change) = redis_world(6);
     let minute = world.change_log().get(change).expect("logged").minute;
 

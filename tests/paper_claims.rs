@@ -70,7 +70,7 @@ fn quick_config_faster_than_precise() {
         let mut s = gen.generate(100, 250, seed);
         InjectedChange::level_shift(onset, 25.0).apply(&mut s, true);
         let mut delays = Vec::new();
-        for config in [SstConfig::quick(), SstConfig::precise()] {
+        for config in [SstConfig::quick(), SstConfig::with_omega(15)] {
             let runner = DetectorRunner::new(SstDetector::fast(FastSst::new(config)), 0.5, 7);
             let events = runner.run(&s);
             delays.push(detection_delay(&events, onset).minutes());
