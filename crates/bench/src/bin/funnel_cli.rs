@@ -13,7 +13,10 @@
 use funnel_core::pipeline::Funnel;
 use funnel_core::report;
 use funnel_core::FunnelConfig;
-use funnel_sim::spec::{ChangeKindSpec, ChangeSpec, EffectSpec, ScopeSpec, ServiceSpec, WorldSpec};
+use funnel_sim::spec::WorldSpec;
+
+/// The starter scenario `spec-template` prints and `demo` assesses.
+const SPEC_TEMPLATE: &str = include_str!("spec_template.json");
 
 fn main() {
     funnel_obs::init_from_env();
@@ -22,10 +25,7 @@ fn main() {
         Some("demo") => demo(),
         Some("assess") => assess(&args[1..]),
         Some("spec-template") => {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&template_spec()).expect("spec serializes")
-            );
+            print!("{SPEC_TEMPLATE}");
             0
         }
         _ => {
@@ -44,37 +44,9 @@ fn main() {
     std::process::exit(code);
 }
 
-fn template_spec() -> WorldSpec {
-    WorldSpec {
-        seed: 42,
-        days: 8,
-        services: vec![ServiceSpec {
-            name: "shop.web".into(),
-            instances: 6,
-            extra_kinds: vec![],
-        }],
-        relations: vec![],
-        changes: vec![ChangeSpec {
-            service: "shop.web".into(),
-            kind: ChangeKindSpec::Upgrade,
-            targets: 2,
-            day: 7,
-            minute_of_day: 540,
-            description: "shop.web v2.3.1".into(),
-            effects: vec![EffectSpec {
-                kpi: "page_view_response_delay".into(),
-                scope: ScopeSpec::TreatedInstances,
-                delta: 80.0,
-                ramp_minutes: 0,
-                delay_minutes: 0,
-            }],
-        }],
-        shocks: vec![],
-    }
-}
-
 fn demo() -> i32 {
-    let spec = template_spec();
+    let spec: WorldSpec =
+        serde_json::from_str(SPEC_TEMPLATE).expect("the built-in template parses");
     run_spec(&spec, None, 7)
 }
 
@@ -181,5 +153,47 @@ fn run_spec(spec: &WorldSpec, only_change: Option<usize>, history_days: u32) -> 
         3
     } else {
         0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SPEC_TEMPLATE;
+    use funnel_sim::spec::{
+        ChangeKindSpec, ChangeSpec, EffectSpec, ScopeSpec, ServiceSpec, WorldSpec,
+    };
+
+    #[test]
+    fn spec_template_parses_to_the_starter_spec_and_builds() {
+        let spec: WorldSpec = serde_json::from_str(SPEC_TEMPLATE).expect("template parses");
+        let starter = WorldSpec {
+            seed: 42,
+            days: 8,
+            services: vec![ServiceSpec {
+                name: "shop.web".into(),
+                instances: 6,
+                extra_kinds: vec![],
+            }],
+            relations: vec![],
+            changes: vec![ChangeSpec {
+                service: "shop.web".into(),
+                kind: ChangeKindSpec::Upgrade,
+                targets: 2,
+                day: 7,
+                minute_of_day: 540,
+                description: "shop.web v2.3.1".into(),
+                effects: vec![EffectSpec {
+                    kpi: "page_view_response_delay".into(),
+                    scope: ScopeSpec::TreatedInstances,
+                    delta: 80.0,
+                    ramp_minutes: 0,
+                    delay_minutes: 0,
+                }],
+            }],
+            shocks: vec![],
+        };
+        assert_eq!(spec, starter);
+        let built = spec.build().expect("the template builds a world");
+        assert_eq!(built.changes.len(), 1);
     }
 }

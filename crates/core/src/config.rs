@@ -23,16 +23,6 @@ impl AssessConfig {
         Self { workers: 1 }
     }
 
-    /// One worker per available CPU.
-    pub fn auto() -> Self {
-        Self { workers: 0 }
-    }
-
-    /// An explicit worker count (`0` = auto).
-    pub fn with_workers(workers: usize) -> Self {
-        Self { workers }
-    }
-
     /// The concrete thread count to use: `workers`, or the machine's
     /// available parallelism when `workers` is `0` (falling back to 1 if
     /// the platform cannot report it).
@@ -164,8 +154,8 @@ mod tests {
     #[test]
     fn assess_config_constructors() {
         assert_eq!(AssessConfig::default(), AssessConfig::serial());
-        assert_eq!(AssessConfig::auto().workers, 0);
-        assert!(AssessConfig::auto().effective_workers() >= 1);
-        assert_eq!(AssessConfig::with_workers(8).effective_workers(), 8);
+        // `0` is one worker per available CPU, never none.
+        assert!(AssessConfig { workers: 0 }.effective_workers() >= 1);
+        assert_eq!(AssessConfig { workers: 8 }.effective_workers(), 8);
     }
 }

@@ -7,7 +7,7 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "Table 2 is a clock reading: this module and obs's Clock own the wall clock"
+    reason = "Table 2 is a clock reading: this module and obs's clock::now_ns own the wall clock"
 )]
 
 use crate::methods::{Method, MethodRunner};

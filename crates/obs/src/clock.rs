@@ -17,27 +17,10 @@ use std::time::Instant;
 static SIM_MODE: AtomicBool = AtomicBool::new(false);
 static SIM_NOW_NS: AtomicU64 = AtomicU64::new(0);
 
-/// A monotonic nanosecond clock.
-pub trait Clock {
-    /// Nanoseconds since this clock's epoch.
-    fn now_ns(&self) -> u64;
-}
-
-/// The real monotonic clock. All readings share one process-wide epoch so
-/// they are comparable across threads.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WallClock;
-
-impl Clock for WallClock {
-    fn now_ns(&self) -> u64 {
-        wall_ns()
-    }
-}
-
 /// Deterministic test clock: a global counter advanced explicitly. While
 /// [`SimClock::install`]ed, every span duration is a pure function of the
 /// test's `advance_ns` calls — no wall-clock reads happen at all.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug)]
 pub struct SimClock;
 
 impl SimClock {
@@ -63,12 +46,6 @@ impl SimClock {
     }
 }
 
-impl Clock for SimClock {
-    fn now_ns(&self) -> u64 {
-        SIM_NOW_NS.load(Ordering::Relaxed)
-    }
-}
-
 /// The globally-selected clock: sim time when a [`SimClock`] is installed,
 /// wall time otherwise. Span guards read this.
 #[inline]
@@ -86,7 +63,7 @@ pub fn now_ns() -> u64 {
 /// write-only from the pipeline's point of view).
 #[expect(
     clippy::disallowed_methods,
-    reason = "the documented Clock choke point: profiling only, never read by scoring"
+    reason = "the documented clock choke point: profiling only, never read by scoring"
 )]
 fn wall_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -99,13 +76,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wall_clock_is_monotonic() {
-        let a = WallClock.now_ns();
-        let b = WallClock.now_ns();
-        assert!(b >= a);
-    }
-
-    #[test]
     fn sim_clock_is_deterministic() {
         let _g = crate::test_guard();
         SimClock::install();
@@ -113,7 +83,6 @@ mod tests {
         SimClock::advance_ns(40);
         SimClock::advance_ns(2);
         assert_eq!(now_ns(), 42);
-        assert_eq!(SimClock.now_ns(), 42);
         SimClock::set_ns(7);
         assert_eq!(now_ns(), 7);
         SimClock::uninstall();

@@ -18,10 +18,10 @@
 //!   [`Histogram`]s, every write filed under a one-minute window of the
 //!   [`timeline`], the one store. Snapshots serialize with byte-stable key
 //!   ordering.
-//! * **Clock** — a [`Clock`](clock::Clock) trait with a deterministic
-//!   [`SimClock`](clock::SimClock) for tests and a monotonic
-//!   [`WallClock`](clock::WallClock) behind the workspace's single
-//!   lint-suppressed `Instant::now` choke point.
+//! * **Clock** — [`clock::now_ns`], monotonic wall time read at the
+//!   workspace's single lint-suppressed `Instant::now` choke point, or sim
+//!   time while a deterministic [`SimClock`](clock::SimClock) is installed
+//!   for tests.
 //! * **Fan-out** — [`parallel::fan_out`], the workspace's one pool of
 //!   scoped workers: it lives here because it opens and flushes each
 //!   worker's span buffer, and because `funnel-sim` needs it below

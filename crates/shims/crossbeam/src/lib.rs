@@ -1,318 +1,7 @@
-//! Offline stand-in for `crossbeam`.
-//!
-//! Provides the `channel` module subset this workspace uses: MPMC
-//! bounded/unbounded channels with crossbeam's disconnect semantics,
-//! built on `std::sync::{Mutex, Condvar}`. See `crates/shims/README.md`
-//! for why external crates are vendored.
+//! Offline stand-in for `crossbeam`, kept empty: no source in the workspace
+//! names it, only the `funnel-core` and `funnel-sim` manifests still list the
+//! dependency. Removing those lines rewrites both lock files, so the crate
+//! stays as an empty package until that edit (ROADMAP 3(g)) deletes it. See
+//! `crates/shims/README.md` for why external crates are vendored.
 
 #![forbid(unsafe_code)]
-
-/// Multi-producer multi-consumer channels.
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
-
-    struct Shared<T> {
-        queue: Mutex<VecDeque<T>>,
-        capacity: Option<usize>,
-        senders: AtomicUsize,
-        receivers: AtomicUsize,
-        not_empty: Condvar,
-        not_full: Condvar,
-    }
-
-    /// The sending half; clonable.
-    pub struct Sender<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// The receiving half; clonable.
-    pub struct Receiver<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// Error returned by [`Sender::send`] when every receiver is gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Sender::try_send`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The channel is at capacity; the message is handed back.
-        Full(T),
-        /// Every receiver is gone; the message is handed back.
-        Disconnected(T),
-    }
-
-    /// Error returned by [`Receiver::recv`] when the stream has ended.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// Nothing queued right now.
-        Empty,
-        /// Nothing queued and every sender is gone.
-        Disconnected,
-    }
-
-    /// A channel holding at most `capacity` undelivered messages.
-    pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-        with_capacity(Some(capacity))
-    }
-
-    /// A channel with no capacity bound.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_capacity(None)
-    }
-
-    fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            capacity,
-            senders: AtomicUsize::new(1),
-            receivers: AtomicUsize::new(1),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        });
-        (
-            Sender {
-                shared: Arc::clone(&shared),
-            },
-            Receiver { shared },
-        )
-    }
-
-    impl<T> Shared<T> {
-        fn is_full(&self, len: usize) -> bool {
-            self.capacity.is_some_and(|c| len >= c)
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Blocking send; waits while the channel is full.
-        ///
-        /// # Errors
-        ///
-        /// [`SendError`] when every receiver has been dropped.
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if self.shared.receivers.load(Ordering::SeqCst) == 0 {
-                    return Err(SendError(msg));
-                }
-                if !self.shared.is_full(queue.len()) {
-                    queue.push_back(msg);
-                    self.shared.not_empty.notify_one();
-                    return Ok(());
-                }
-                queue = self
-                    .shared
-                    .not_full
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        }
-
-        /// Non-blocking send.
-        ///
-        /// # Errors
-        ///
-        /// [`TrySendError::Disconnected`] when every receiver is gone,
-        /// [`TrySendError::Full`] when the channel is at capacity.
-        pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if self.shared.receivers.load(Ordering::SeqCst) == 0 {
-                return Err(TrySendError::Disconnected(msg));
-            }
-            if self.shared.is_full(queue.len()) {
-                return Err(TrySendError::Full(msg));
-            }
-            queue.push_back(msg);
-            self.shared.not_empty.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocking receive; waits while the channel is empty.
-        ///
-        /// # Errors
-        ///
-        /// [`RecvError`] when the channel is empty and every sender is gone.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(msg) = queue.pop_front() {
-                    self.shared.not_full.notify_one();
-                    return Ok(msg);
-                }
-                if self.shared.senders.load(Ordering::SeqCst) == 0 {
-                    return Err(RecvError);
-                }
-                queue = self
-                    .shared
-                    .not_empty
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        }
-
-        /// Non-blocking receive.
-        ///
-        /// # Errors
-        ///
-        /// [`TryRecvError::Empty`] when nothing is queued,
-        /// [`TryRecvError::Disconnected`] at end of stream.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(msg) = queue.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(msg);
-            }
-            if self.shared.senders.load(Ordering::SeqCst) == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            Err(TryRecvError::Empty)
-        }
-
-        /// Number of messages currently queued.
-        pub fn len(&self) -> usize {
-            self.shared
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .len()
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.shared.senders.fetch_add(1, Ordering::SeqCst);
-            Self {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.shared.receivers.fetch_add(1, Ordering::SeqCst);
-            Self {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Hold the lock so waiters never miss the wake-up.
-                let _guard = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                self.shared.not_empty.notify_all();
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            if self.shared.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
-                let _guard = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                self.shared.not_full.notify_all();
-            }
-        }
-    }
-
-    impl<T> std::fmt::Debug for Sender<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("Sender { .. }")
-        }
-    }
-
-    impl<T> std::fmt::Debug for Receiver<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("Receiver { .. }")
-        }
-    }
-
-    impl<T> std::fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    impl std::fmt::Display for RecvError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("receiving on an empty and disconnected channel")
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::channel::{bounded, unbounded, TryRecvError, TrySendError};
-
-    #[test]
-    fn bounded_blocks_and_preserves_order() {
-        let (tx, rx) = bounded::<u32>(2);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert!(matches!(tx.try_send(3), Err(TrySendError::Full(3))));
-        let t = std::thread::spawn(move || tx.send(3).unwrap());
-        assert_eq!(rx.recv().unwrap(), 1);
-        t.join().unwrap();
-        assert_eq!(rx.recv().unwrap(), 2);
-        assert_eq!(rx.recv().unwrap(), 3);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn recv_unblocks_when_senders_drop() {
-        let (tx, rx) = unbounded::<u32>();
-        let tx2 = tx.clone();
-        drop(tx);
-        let t = std::thread::spawn(move || rx.recv());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        drop(tx2);
-        assert!(t.join().unwrap().is_err());
-    }
-
-    #[test]
-    fn try_send_disconnected_when_receiver_gone() {
-        let (tx, rx) = bounded::<u32>(4);
-        drop(rx);
-        assert!(matches!(tx.try_send(7), Err(TrySendError::Disconnected(7))));
-        assert!(tx.send(7).is_err());
-    }
-
-    #[test]
-    fn multi_producer_delivers_everything() {
-        let (tx, rx) = bounded::<u32>(4);
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    for j in 0..100 {
-                        tx.send(i * 100 + j).unwrap();
-                    }
-                })
-            })
-            .collect();
-        drop(tx);
-        let mut got = Vec::new();
-        while let Ok(v) = rx.recv() {
-            got.push(v);
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(got.len(), 400);
-    }
-}

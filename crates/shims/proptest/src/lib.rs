@@ -1,9 +1,9 @@
 //! Offline stand-in for `proptest`.
 //!
 //! Implements the subset this workspace's property tests use: the
-//! [`proptest!`] macro, range and collection strategies, `any::<T>()`, a
-//! small regex-literal string strategy, `prop::sample::Index`, and the
-//! `prop_assert*`/`prop_assume!` macros. Each test runs a configurable
+//! [`proptest!`] macro, range and collection strategies, `any::<T>()` for
+//! the integer types and `bool` the tests draw, `prop::sample::Index`, and
+//! the `prop_assert*`/`prop_assume!` macros. Each test runs a configurable
 //! number of deterministically seeded cases (seeded from the test's module
 //! path, so failures reproduce); there is no shrinking. See
 //! `crates/shims/README.md` for why external crates are vendored.
@@ -60,7 +60,7 @@ pub mod test_runner {
                 let mut z = sm;
                 z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-                s_assign(word, z ^ (z >> 31));
+                *word = z ^ (z >> 31);
             }
             Self { s }
         }
@@ -92,15 +92,10 @@ pub mod test_runner {
             ((self.next_u64() as u128 * bound as u128) >> 64) as u64
         }
     }
-
-    fn s_assign(slot: &mut u64, v: u64) {
-        *slot = v;
-    }
 }
 
 pub mod strategy {
-    //! The [`Strategy`] trait and implementations for ranges and string
-    //! regex literals.
+    //! The [`Strategy`] trait and its implementations for ranges.
 
     use crate::test_runner::TestRng;
     use std::ops::Range;
@@ -112,13 +107,6 @@ pub mod strategy {
 
         /// Draws one value.
         fn generate(&self, rng: &mut TestRng) -> Self::Value;
-    }
-
-    impl<S: Strategy + ?Sized> Strategy for &S {
-        type Value = S::Value;
-        fn generate(&self, rng: &mut TestRng) -> Self::Value {
-            (**self).generate(rng)
-        }
     }
 
     impl Strategy for Range<f64> {
@@ -147,125 +135,6 @@ pub mod strategy {
         )*};
     }
     uint_range_strategy!(u8, u16, u32, u64, usize);
-
-    macro_rules! int_range_strategy {
-        ($($t:ty),*) => {$(
-            impl Strategy for Range<$t> {
-                type Value = $t;
-                fn generate(&self, rng: &mut TestRng) -> $t {
-                    assert!(self.start < self.end, "empty integer range strategy");
-                    let span = (self.end as i128 - self.start as i128) as u64;
-                    (self.start as i128 + rng.below(span) as i128) as $t
-                }
-            }
-        )*};
-    }
-    int_range_strategy!(i8, i16, i32, i64, isize);
-
-    /// String strategy from a regex-literal subset: sequences of literal
-    /// characters and `[...]` classes (with `a-z` ranges), each optionally
-    /// quantified by `{n}`, `{m,n}`, `?`, `*`, or `+`.
-    impl Strategy for &'static str {
-        type Value = String;
-        fn generate(&self, rng: &mut TestRng) -> String {
-            generate_from_pattern(self, rng)
-        }
-    }
-
-    struct Atom {
-        choices: Vec<char>,
-        min: usize,
-        max: usize,
-    }
-
-    fn parse_pattern(pattern: &str) -> Vec<Atom> {
-        let chars: Vec<char> = pattern.chars().collect();
-        let mut atoms = Vec::new();
-        let mut i = 0;
-        while i < chars.len() {
-            let mut choices = Vec::new();
-            match chars[i] {
-                '[' => {
-                    i += 1;
-                    while i < chars.len() && chars[i] != ']' {
-                        if i + 2 < chars.len() && chars[i + 1] == '-' && chars[i + 2] != ']' {
-                            let (lo, hi) = (chars[i], chars[i + 2]);
-                            assert!(lo <= hi, "bad class range in {pattern}");
-                            for c in lo..=hi {
-                                choices.push(c);
-                            }
-                            i += 3;
-                        } else {
-                            choices.push(chars[i]);
-                            i += 1;
-                        }
-                    }
-                    assert!(i < chars.len(), "unterminated class in {pattern}");
-                    i += 1; // ']'
-                }
-                '\\' => {
-                    assert!(i + 1 < chars.len(), "dangling escape in {pattern}");
-                    choices.push(chars[i + 1]);
-                    i += 2;
-                }
-                c => {
-                    choices.push(c);
-                    i += 1;
-                }
-            }
-            let (min, max) = if i < chars.len() {
-                match chars[i] {
-                    '{' => {
-                        let close = chars[i..]
-                            .iter()
-                            .position(|&c| c == '}')
-                            .expect("unterminated quantifier")
-                            + i;
-                        let body: String = chars[i + 1..close].iter().collect();
-                        i = close + 1;
-                        match body.split_once(',') {
-                            Some((lo, hi)) => (
-                                lo.trim().parse().expect("bad quantifier"),
-                                hi.trim().parse().expect("bad quantifier"),
-                            ),
-                            None => {
-                                let n = body.trim().parse().expect("bad quantifier");
-                                (n, n)
-                            }
-                        }
-                    }
-                    '?' => {
-                        i += 1;
-                        (0, 1)
-                    }
-                    '*' => {
-                        i += 1;
-                        (0, 8)
-                    }
-                    '+' => {
-                        i += 1;
-                        (1, 8)
-                    }
-                    _ => (1, 1),
-                }
-            } else {
-                (1, 1)
-            };
-            atoms.push(Atom { choices, min, max });
-        }
-        atoms
-    }
-
-    fn generate_from_pattern(pattern: &str, rng: &mut TestRng) -> String {
-        let mut out = String::new();
-        for atom in parse_pattern(pattern) {
-            let count = atom.min + rng.below((atom.max - atom.min + 1) as u64) as usize;
-            for _ in 0..count {
-                out.push(atom.choices[rng.below(atom.choices.len() as u64) as usize]);
-            }
-        }
-        out
-    }
 }
 
 pub mod arbitrary {
@@ -290,20 +159,11 @@ pub mod arbitrary {
             }
         )*};
     }
-    arbitrary_uint!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+    arbitrary_uint!(u8, u32, u64);
 
     impl Arbitrary for bool {
         fn arbitrary(rng: &mut TestRng) -> bool {
             rng.next_u64() & 1 == 1
-        }
-    }
-
-    impl Arbitrary for f64 {
-        fn arbitrary(rng: &mut TestRng) -> f64 {
-            // Finite, symmetric around zero, wide dynamic range.
-            let mag = (rng.unit_f64() * 600.0) - 300.0;
-            let sign = if rng.next_u64() & 1 == 1 { 1.0 } else { -1.0 };
-            sign * 10f64.powf(mag / 100.0)
         }
     }
 
@@ -542,17 +402,6 @@ mod tests {
         fn assume_skips_but_test_completes(n in 0u64..10) {
             prop_assume!(n % 2 == 0);
             prop_assert!(n % 2 == 0);
-        }
-
-        #[test]
-        fn string_pattern_subset(s in "[a-z][a-z0-9_-]{0,6}") {
-            prop_assert!(!s.is_empty() && s.len() <= 7);
-            let first = s.chars().next().unwrap();
-            prop_assert!(first.is_ascii_lowercase());
-            prop_assert!(s.chars().all(|c| c.is_ascii_lowercase()
-                || c.is_ascii_digit()
-                || c == '_'
-                || c == '-'));
         }
 
         #[test]

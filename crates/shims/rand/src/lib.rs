@@ -2,7 +2,7 @@
 //!
 //! Provides the subset this workspace uses: a deterministic
 //! [`rngs::StdRng`] seeded via [`SeedableRng::seed_from_u64`], the
-//! [`Rng`] core trait, and [`RngExt::random`] for uniform primitives.
+//! [`Rng`] core trait, and [`RngExt::random`] for uniform `f64` and `u64`.
 //! The generator is xoshiro256++ with a splitmix64 seed expansion, so
 //! every stream is fully reproducible from its seed. See
 //! `crates/shims/README.md` for why external crates are vendored.
@@ -33,40 +33,10 @@ impl Standard for u64 {
     }
 }
 
-impl Standard for u32 {
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 32) as u32
-    }
-}
-
-impl Standard for u8 {
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 56) as u8
-    }
-}
-
-impl Standard for usize {
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() as usize
-    }
-}
-
-impl Standard for bool {
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
 impl Standard for f64 {
     fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
         // 53 high bits → uniform in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl Standard for f32 {
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
 

@@ -1,11 +1,11 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Derives the shim `serde::Serialize`/`serde::Deserialize` traits (which
-//! round-trip through an owned `serde::Value` tree) by parsing the item's
-//! token stream directly — `syn`/`quote` are unavailable offline. Supported
-//! shapes are exactly what this workspace uses: named/tuple/unit structs
-//! and enums with unit, tuple, and struct variants; the `#[serde(default)]`
-//! field attribute and `#[serde(rename_all = "snake_case")]` container
+//! Derives the shim `serde::Deserialize` trait (which reads an owned
+//! `serde::Value` tree) by parsing the item's token stream directly —
+//! `syn`/`quote` are unavailable offline. Supported shapes are exactly what
+//! this workspace reads: structs with named fields and enums with unit,
+//! one-field tuple and struct variants; the `#[serde(default)]` field
+//! attribute and the `#[serde(rename_all = "snake_case")]` container
 //! attribute. Generics are not supported. See `crates/shims/README.md`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
@@ -19,9 +19,7 @@ struct Item {
 
 #[derive(Debug)]
 enum ItemKind {
-    NamedStruct(Vec<Field>),
-    TupleStruct(usize),
-    UnitStruct,
+    Struct(Vec<Field>),
     Enum(Vec<Variant>),
 }
 
@@ -40,7 +38,7 @@ struct Variant {
 #[derive(Debug)]
 enum Shape {
     Unit,
-    Tuple(usize),
+    Newtype,
     Struct(Vec<Field>),
 }
 
@@ -48,15 +46,6 @@ enum Shape {
 struct Attrs {
     rename_snake: bool,
     default: bool,
-}
-
-/// Derives the shim `serde::Serialize`.
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_serialize(&item)
-        .parse()
-        .expect("generated Serialize impl parses")
 }
 
 /// Derives the shim `serde::Deserialize`.
@@ -194,31 +183,12 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     fields
 }
 
-fn count_tuple_fields(stream: TokenStream) -> usize {
+/// Whether a tuple body holds exactly one field (a trailing comma allowed).
+fn is_one_field(stream: TokenStream) -> bool {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    let mut count = 0;
-    let mut pending = false;
-    let mut angle: i32 = 0;
-    for t in &tokens {
-        match t {
-            TokenTree::Punct(p) if p.as_char() == '<' => {
-                angle += 1;
-                pending = true;
-            }
-            TokenTree::Punct(p) if p.as_char() == '>' => angle -= 1,
-            TokenTree::Punct(p) if p.as_char() == ',' && angle == 0 => {
-                if pending {
-                    count += 1;
-                }
-                pending = false;
-            }
-            _ => pending = true,
-        }
-    }
-    if pending {
-        count += 1;
-    }
-    count
+    let mut i = 0;
+    skip_type(&tokens, &mut i);
+    i > 0 && i == tokens.len()
 }
 
 fn parse_variants(stream: TokenStream) -> Vec<Variant> {
@@ -232,7 +202,11 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
         let shape = match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 i += 1;
-                Shape::Tuple(count_tuple_fields(g.stream()))
+                assert!(
+                    is_one_field(g.stream()),
+                    "serde shim derive: tuple variant `{name}` must hold exactly one field"
+                );
+                Shape::Newtype
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 i += 1;
@@ -240,13 +214,6 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
             }
             _ => Shape::Unit,
         };
-        if i < tokens.len() && is_punct(&tokens[i], '=') {
-            // Explicit discriminant: skip to the separating comma.
-            i += 1;
-            while i < tokens.len() && !is_punct(&tokens[i], ',') {
-                i += 1;
-            }
-        }
         if i < tokens.len() && is_punct(&tokens[i], ',') {
             i += 1;
         }
@@ -269,13 +236,9 @@ fn parse_item(input: TokenStream) -> Item {
     let kind = match kw.as_str() {
         "struct" => match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                ItemKind::NamedStruct(parse_named_fields(g.stream()))
+                ItemKind::Struct(parse_named_fields(g.stream()))
             }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                ItemKind::TupleStruct(count_tuple_fields(g.stream()))
-            }
-            Some(t) if is_punct(t, ';') => ItemKind::UnitStruct,
-            _ => panic!("serde shim derive: unsupported struct body for `{name}`"),
+            _ => panic!("serde shim derive: `{name}` needs named fields"),
         },
         "enum" => match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
@@ -317,118 +280,17 @@ fn variant_key(item: &Item, variant: &Variant) -> String {
 
 // ------------------------------------------------------------- generation
 
-fn gen_serialize(item: &Item) -> String {
-    let name = &item.name;
-    let body = match &item.kind {
-        ItemKind::NamedStruct(fields) => {
-            let mut s = String::from(
-                "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                 ::std::vec::Vec::new();\n",
-            );
-            for f in fields {
-                s.push_str(&format!(
-                    "__fields.push((\"{0}\".to_string(), \
-                     ::serde::Serialize::serialize(&self.{0})));\n",
-                    f.name
-                ));
-            }
-            s.push_str("::serde::Value::Object(__fields)");
-            s
-        }
-        ItemKind::TupleStruct(1) => "::serde::Serialize::serialize(&self.0)".to_string(),
-        ItemKind::TupleStruct(n) => {
-            let mut s = String::from(
-                "let mut __items: ::std::vec::Vec<::serde::Value> = ::std::vec::Vec::new();\n",
-            );
-            for idx in 0..*n {
-                s.push_str(&format!(
-                    "__items.push(::serde::Serialize::serialize(&self.{idx}));\n"
-                ));
-            }
-            s.push_str("::serde::Value::Array(__items)");
-            s
-        }
-        ItemKind::UnitStruct => "::serde::Value::Null".to_string(),
-        ItemKind::Enum(variants) => {
-            let mut s = String::from("match self {\n");
-            for v in variants {
-                let key = variant_key(item, v);
-                match &v.shape {
-                    Shape::Unit => s.push_str(&format!(
-                        "{name}::{v} => ::serde::Value::Str(\"{key}\".to_string()),\n",
-                        v = v.name
-                    )),
-                    Shape::Tuple(1) => s.push_str(&format!(
-                        "{name}::{v}(__f0) => {{\n\
-                         let mut __outer: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n\
-                         __outer.push((\"{key}\".to_string(), ::serde::Serialize::serialize(__f0)));\n\
-                         ::serde::Value::Object(__outer)\n\
-                         }}\n",
-                        v = v.name
-                    )),
-                    Shape::Tuple(n) => {
-                        let binders: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                        let mut arm = format!("{name}::{v}({}) => {{\n", binders.join(", "), v = v.name);
-                        arm.push_str(
-                            "let mut __items: ::std::vec::Vec<::serde::Value> = ::std::vec::Vec::new();\n",
-                        );
-                        for b in &binders {
-                            arm.push_str(&format!(
-                                "__items.push(::serde::Serialize::serialize({b}));\n"
-                            ));
-                        }
-                        arm.push_str(
-                            "let mut __outer: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-                        );
-                        arm.push_str(&format!(
-                            "__outer.push((\"{key}\".to_string(), ::serde::Value::Array(__items)));\n"
-                        ));
-                        arm.push_str("::serde::Value::Object(__outer)\n}\n");
-                        s.push_str(&arm);
-                    }
-                    Shape::Struct(fields) => {
-                        let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                        let mut arm = format!(
-                            "{name}::{v} {{ {binds} }} => {{\n",
-                            v = v.name,
-                            binds = names.join(", ")
-                        );
-                        arm.push_str(
-                            "let mut __inner: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-                        );
-                        for f in &names {
-                            arm.push_str(&format!(
-                                "__inner.push((\"{f}\".to_string(), ::serde::Serialize::serialize({f})));\n"
-                            ));
-                        }
-                        arm.push_str(
-                            "let mut __outer: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-                        );
-                        arm.push_str(&format!(
-                            "__outer.push((\"{key}\".to_string(), ::serde::Value::Object(__inner)));\n"
-                        ));
-                        arm.push_str("::serde::Value::Object(__outer)\n}\n");
-                        s.push_str(&arm);
-                    }
-                }
-            }
-            s.push_str("}\n");
-            s
-        }
-    };
-    format!(
-        "impl ::serde::Serialize for {name} {{\n\
-         fn serialize(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
-    )
-}
-
 fn gen_named_field_inits(fields: &[Field], obj: &str, ty: &str) -> String {
     let mut s = String::new();
     for f in fields {
         let missing = if f.default {
             "::std::default::Default::default()".to_string()
         } else {
-            format!("::serde::Deserialize::missing(\"{ty}::{f}\")?", f = f.name)
+            format!(
+                "return ::std::result::Result::Err(::serde::Error::custom(\
+                 \"missing field `{ty}::{f}`\"))",
+                f = f.name
+            )
         };
         s.push_str(&format!(
             "{f}: match ::serde::find_field({obj}, \"{f}\") {{\n\
@@ -444,7 +306,7 @@ fn gen_named_field_inits(fields: &[Field], obj: &str, ty: &str) -> String {
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
-        ItemKind::NamedStruct(fields) => {
+        ItemKind::Struct(fields) => {
             let inits = gen_named_field_inits(fields, "__obj", name);
             format!(
                 "let __obj = __v.as_object().ok_or_else(|| \
@@ -452,86 +314,51 @@ fn gen_deserialize(item: &Item) -> String {
                  ::std::result::Result::Ok({name} {{\n{inits}}})"
             )
         }
-        ItemKind::TupleStruct(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__v)?))")
-        }
-        ItemKind::TupleStruct(n) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::Deserialize::deserialize(&__arr[{k}])?"))
-                .collect();
-            format!(
-                "let __arr = __v.as_array().ok_or_else(|| \
-                 ::serde::Error::custom(\"expected array for {name}\"))?;\n\
-                 if __arr.len() != {n} {{\n\
-                 return ::std::result::Result::Err(::serde::Error::custom(\
-                 \"wrong tuple arity for {name}\"));\n}}\n\
-                 ::std::result::Result::Ok({name}({elems}))",
-                elems = elems.join(", ")
-            )
-        }
-        ItemKind::UnitStruct => format!("::std::result::Result::Ok({name})"),
         ItemKind::Enum(variants) => {
+            // Unit variants are bare strings; the others are one-entry
+            // objects `{"Variant": payload}`.
             let mut unit_arms = String::new();
-            for v in variants.iter().filter(|v| matches!(v.shape, Shape::Unit)) {
-                unit_arms.push_str(&format!(
-                    "\"{key}\" => ::std::result::Result::Ok({name}::{v}),\n",
-                    key = variant_key(item, v),
-                    v = v.name
-                ));
-            }
             let mut tagged_arms = String::new();
             for v in variants {
                 let key = variant_key(item, v);
-                let arm = match &v.shape {
-                    Shape::Unit => format!(
+                match &v.shape {
+                    Shape::Unit => unit_arms.push_str(&format!(
                         "\"{key}\" => ::std::result::Result::Ok({name}::{v}),\n",
                         v = v.name
-                    ),
-                    Shape::Tuple(1) => format!(
+                    )),
+                    Shape::Newtype => tagged_arms.push_str(&format!(
                         "\"{key}\" => ::std::result::Result::Ok({name}::{v}(\
                          ::serde::Deserialize::deserialize(__payload)?)),\n",
                         v = v.name
-                    ),
-                    Shape::Tuple(n) => {
-                        let elems: Vec<String> = (0..*n)
-                            .map(|k| format!("::serde::Deserialize::deserialize(&__arr[{k}])?"))
-                            .collect();
-                        format!(
-                            "\"{key}\" => {{\n\
-                             let __arr = __payload.as_array().ok_or_else(|| \
-                             ::serde::Error::custom(\"expected array payload for {name}::{v}\"))?;\n\
-                             if __arr.len() != {n} {{\n\
-                             return ::std::result::Result::Err(::serde::Error::custom(\
-                             \"wrong payload arity for {name}::{v}\"));\n}}\n\
-                             ::std::result::Result::Ok({name}::{v}({elems}))\n}}\n",
-                            v = v.name,
-                            elems = elems.join(", ")
-                        )
-                    }
+                    )),
                     Shape::Struct(fields) => {
                         let inits = gen_named_field_inits(fields, "__inner", name);
-                        format!(
+                        tagged_arms.push_str(&format!(
                             "\"{key}\" => {{\n\
                              let __inner = __payload.as_object().ok_or_else(|| \
                              ::serde::Error::custom(\"expected object payload for {name}::{v}\"))?;\n\
                              ::std::result::Result::Ok({name}::{v} {{\n{inits}}})\n}}\n",
                             v = v.name
-                        )
+                        ));
                     }
-                };
-                tagged_arms.push_str(&arm);
+                }
             }
+            let tagged = if tagged_arms.is_empty() {
+                String::new()
+            } else {
+                format!(
+                    "if let ::std::option::Option::Some([(__tag, __payload)]) = __v.as_object() {{\n\
+                     return match __tag.as_str() {{\n{tagged_arms}\
+                     _ => ::std::result::Result::Err(::serde::Error::custom(\
+                     \"unknown variant for {name}\")),\n}};\n}}\n"
+                )
+            };
             format!(
                 "if let ::std::option::Option::Some(__s) = __v.as_str() {{\n\
                  return match __s {{\n{unit_arms}\
-                 __other => ::std::result::Result::Err(::serde::Error::custom(\
-                 \"unknown variant for {name}\")),\n}};\n}}\n\
-                 if let ::std::option::Option::Some(__obj) = __v.as_object() {{\n\
-                 if __obj.len() == 1 {{\n\
-                 let __payload = &__obj[0].1;\n\
-                 return match __obj[0].0.as_str() {{\n{tagged_arms}\
                  _ => ::std::result::Result::Err(::serde::Error::custom(\
-                 \"unknown variant for {name}\")),\n}};\n}}\n}}\n\
+                 \"unknown variant for {name}\")),\n}};\n}}\n\
+                 {tagged}\
                  ::std::result::Result::Err(::serde::Error::custom(\
                  \"unsupported encoding for enum {name}\"))"
             )

@@ -1,15 +1,15 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! A recursive-descent JSON parser and printer over the shim
-//! [`serde::Value`] tree, exposing the handful of entry points this
-//! workspace uses (`from_str`, `to_string`, `to_string_pretty`). See
-//! `crates/shims/README.md` for why external crates are vendored.
+//! A recursive-descent JSON parser into the shim [`serde::Value`] tree,
+//! exposing the one entry point this workspace uses, [`from_str`]. Nothing
+//! in the workspace prints through serde; its JSON writers format by hand.
+//! See `crates/shims/README.md` for why external crates are vendored.
 
 #![forbid(unsafe_code)]
 
 use std::fmt;
 
-use serde::{Deserialize, Number, Serialize, Value};
+use serde::{Deserialize, Number, Value};
 
 /// JSON error (parse or data-model mismatch), with byte offset for parse
 /// failures.
@@ -37,123 +37,6 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub fn from_str<T: Deserialize>(input: &str) -> Result<T> {
     let value = parse_value_complete(input)?;
     T::deserialize(&value).map_err(Error::from)
-}
-
-/// Serializes `value` as compact JSON.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.serialize(), None, 0);
-    Ok(out)
-}
-
-/// Serializes `value` as pretty-printed JSON (two-space indent).
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.serialize(), Some(2), 0);
-    Ok(out)
-}
-
-// ------------------------------------------------------------- printing
-
-fn write_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_number(out: &mut String, n: &Number) {
-    match n {
-        Number::U(u) => out.push_str(&u.to_string()),
-        Number::I(i) => out.push_str(&i.to_string()),
-        Number::F(f) => {
-            if !f.is_finite() {
-                // Real serde_json refuses non-finite floats; emitting null
-                // keeps the printer infallible and matches common practice.
-                out.push_str("null");
-            } else {
-                let text = format!("{f}");
-                let looks_integral = !text.contains(['.', 'e', 'E']);
-                out.push_str(&text);
-                if looks_integral {
-                    // Keep float-ness visible so a re-parse yields a float.
-                    out.push_str(".0");
-                }
-            }
-        }
-    }
-}
-
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Num(n) => write_number(out, n),
-        Value::Str(s) => write_escaped(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                    if indent.is_none() {
-                        // compact: no space after comma, matching serde_json
-                    }
-                }
-                write_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            write_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_indent(out, indent, depth + 1);
-                write_escaped(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            write_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
 }
 
 // -------------------------------------------------------------- parsing
@@ -444,15 +327,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn floats_stay_floats_across_round_trip() {
-        let s = to_string(&40.0f64).unwrap();
-        assert_eq!(s, "40.0");
-        let back: f64 = from_str(&s).unwrap();
-        assert_eq!(back, 40.0);
-    }
-
-    #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
+    #[derive(serde::Deserialize, Debug, PartialEq)]
     struct Doc {
         name: String,
         count: u64,
@@ -462,18 +337,18 @@ mod tests {
     }
 
     #[test]
-    fn typed_round_trip_compact_and_pretty() {
+    fn typed_parse_reads_compact_and_pretty_text() {
         let doc = Doc {
             name: "svc \"edge\"\n".to_string(),
             count: 12,
             ratio: 0.25,
             labels: vec!["a".into(), "b".into()],
         };
-        let compact = to_string(&doc).unwrap();
-        let pretty = to_string_pretty(&doc).unwrap();
-        assert!(pretty.contains('\n'));
-        assert_eq!(from_str::<Doc>(&compact).unwrap(), doc);
-        assert_eq!(from_str::<Doc>(&pretty).unwrap(), doc);
+        let compact = r#"{"name":"svc \"edge\"\n","count":12,"ratio":0.25,"labels":["a","b"]}"#;
+        let pretty = "{\n  \"name\": \"svc \\\"edge\\\"\\n\",\n  \"count\": 12,\n  \
+                      \"ratio\": 0.25,\n  \"labels\": [\n    \"a\",\n    \"b\"\n  ]\n}";
+        assert_eq!(from_str::<Doc>(compact).unwrap(), doc);
+        assert_eq!(from_str::<Doc>(pretty).unwrap(), doc);
     }
 
     #[test]

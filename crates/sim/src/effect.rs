@@ -9,10 +9,9 @@
 use crate::kpi::KpiKind;
 use funnel_timeseries::inject::ChangeShape;
 use funnel_topology::model::ServiceId;
-use serde::{Deserialize, Serialize};
 
 /// Which treated entities one KPI effect lands on.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EffectScope {
     /// The KPI of every treated instance (and hence the changed service's
     /// aggregate).
@@ -29,7 +28,7 @@ pub enum EffectScope {
 }
 
 /// One KPI perturbation caused by a software change.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KpiEffect {
     /// Which KPI moves.
     pub kind: KpiKind,
@@ -45,7 +44,7 @@ pub struct KpiEffect {
 
 /// The full KPI footprint of one software change (empty = a change with no
 /// performance impact, the common case).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChangeEffect {
     /// Individual KPI perturbations.
     pub effects: Vec<KpiEffect>,
@@ -101,7 +100,7 @@ impl ChangeEffect {
 }
 
 /// A non-software confounder: hits all entities of the scoped services.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExternalShock {
     /// Services whose entities are hit (instances, their servers, and the
     /// service aggregate).

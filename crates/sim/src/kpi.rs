@@ -10,10 +10,9 @@
 
 use funnel_timeseries::generate::KpiClass;
 use funnel_topology::impact::Entity;
-use serde::{Deserialize, Serialize};
 
 /// Every KPI kind the simulator produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum KpiKind {
     // ---- server KPIs (collected by the agent from system logs) ----
     /// CPU utilization percentage of a server.
@@ -39,7 +38,7 @@ pub enum KpiKind {
 }
 
 /// How instance KPIs aggregate into the service KPI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregation {
     /// Service value = sum of instance values (counts).
     Sum,
@@ -166,7 +165,7 @@ impl std::fmt::Display for KpiKind {
 }
 
 /// A fully-qualified KPI: entity + kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KpiKey {
     /// The server/instance/service the KPI belongs to.
     pub entity: Entity,

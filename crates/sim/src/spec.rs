@@ -1,8 +1,8 @@
 //! Declarative world specifications.
 //!
 //! A [`WorldSpec`] is a plain-data description of a scenario — topology,
-//! software changes, effects, shocks — that serializes with serde, so
-//! downstream users can keep scenarios as JSON/TOML files and replay them
+//! software changes, effects, shocks — that reads from JSON with serde, so
+//! downstream users can keep scenarios as JSON files and replay them
 //! through FUNNEL without writing builder code:
 //!
 //! ```
@@ -43,11 +43,11 @@ use crate::world::{SimConfig, SimError, World, WorldBuilder};
 use funnel_timeseries::inject::ChangeShape;
 use funnel_timeseries::MINUTES_PER_DAY;
 use funnel_topology::change::{ChangeId, ChangeKind};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::collections::BTreeMap;
 
 /// One service.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 pub struct ServiceSpec {
     /// Hierarchical dotted name.
     pub name: String,
@@ -60,7 +60,7 @@ pub struct ServiceSpec {
 }
 
 /// Change kinds, serde-friendly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum ChangeKindSpec {
     /// A software upgrade.
@@ -70,7 +70,7 @@ pub enum ChangeKindSpec {
 }
 
 /// Effect scopes, serde-friendly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum ScopeSpec {
     /// All treated instances (and hence the changed service aggregate).
@@ -80,7 +80,7 @@ pub enum ScopeSpec {
 }
 
 /// One KPI effect of a change.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct EffectSpec {
     /// KPI kind name (see [`KpiKind::name`]).
     pub kpi: String,
@@ -98,7 +98,7 @@ pub struct EffectSpec {
 }
 
 /// One software change.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct ChangeSpec {
     /// Target service name.
     pub service: String,
@@ -120,7 +120,7 @@ pub struct ChangeSpec {
 }
 
 /// One external (non-software) shock.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct ShockSpec {
     /// Affected service names.
     pub services: Vec<String>,
@@ -138,7 +138,7 @@ pub struct ShockSpec {
 }
 
 /// A complete scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct WorldSpec {
     /// Master seed.
     pub seed: u64,

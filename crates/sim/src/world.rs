@@ -22,13 +22,12 @@ use funnel_topology::change::{ChangeId, ChangeKind, ChangeLog, LaunchMode};
 use funnel_topology::impact::Entity;
 use funnel_topology::model::{InstanceId, ServiceId, Topology};
 use funnel_topology::naming::ServiceName;
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 
 /// Simulation span and seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Master seed; every generated series derives its own seed from this.
     pub seed: u64,
@@ -95,7 +94,7 @@ impl From<funnel_topology::model::TopologyError> for SimError {
 }
 
 /// One ground-truth impacted item: software change × KPI key.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroundTruthItem {
     /// The causing change.
     pub change: ChangeId,

@@ -167,6 +167,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid SST configuration")]
     fn invalid_config_rejected() {
-        let _ = ClassicSst::new(SstConfig::with_omega(2));
+        let _ = ClassicSst::new(SstConfig {
+            omega: 2,
+            ..SstConfig::paper_default()
+        });
     }
 }

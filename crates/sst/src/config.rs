@@ -62,9 +62,9 @@ impl SstConfig {
     }
 
     /// A configuration with the given `ω` and all other parameters at the
-    /// paper's settings. Panics if `omega < 2`.
+    /// paper's settings. Panics if `omega < ETA`, which no scorer accepts.
     pub fn with_omega(omega: usize) -> Self {
-        assert!(omega >= 2, "omega must be at least 2");
+        assert!(omega >= ETA, "omega must be at least eta ({ETA})");
         Self {
             omega,
             eig_selection: EigSelection::Largest,
@@ -133,13 +133,17 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_eta() {
-        assert!(SstConfig::with_omega(2).validate().is_err());
-        assert!(SstConfig::with_omega(3).validate().is_ok());
+        let bad = SstConfig {
+            omega: 2,
+            ..SstConfig::paper_default()
+        };
+        assert!(bad.validate().is_err());
+        assert!(SstConfig::with_omega(ETA).validate().is_ok());
     }
 
     #[test]
-    #[should_panic(expected = "omega must be at least 2")]
+    #[should_panic(expected = "omega must be at least eta (3)")]
     fn with_omega_rejects_tiny() {
-        let _ = SstConfig::with_omega(1);
+        let _ = SstConfig::with_omega(ETA - 1);
     }
 }

@@ -18,7 +18,6 @@ use crate::series::{MinuteBin, TimeSeries};
 use crate::MINUTES_PER_DAY;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Standard normal sample via Box–Muller (rand's core crate does not ship a
 /// normal distribution; this keeps the dependency surface minimal).
@@ -30,7 +29,7 @@ pub fn gaussian(rng: &mut impl Rng) -> f64 {
 }
 
 /// The paper's three KPI character classes (§4.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KpiClass {
     /// Strong time-of-day / day-of-week pattern.
     Seasonal,
@@ -61,7 +60,7 @@ impl std::fmt::Display for KpiClass {
 /// `daily_amplitude`, and damped on weekends by `weekend_factor` (days 5 and
 /// 6 of each 7-day cycle). It multiplies a generator's base level, so a
 /// profile value of `1.0` means "at base level".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeasonalProfile {
     /// Minute of day (0..1440) at which traffic peaks.
     pub peak_minute_of_day: u32,
@@ -108,7 +107,7 @@ impl SeasonalProfile {
 }
 
 /// Configuration for one synthetic KPI stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KpiGenerator {
     /// Character class (selects the default shape parameters).
     pub class: KpiClass,

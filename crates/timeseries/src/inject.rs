@@ -8,10 +8,9 @@
 //! ground-truth change start for detection-delay measurement (§4.4).
 
 use crate::series::{MinuteBin, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 /// The shape of an injected behaviour change.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChangeShape {
     /// Instantaneous shift by `delta` (absolute units), persisting to the end
     /// of the series.
@@ -75,7 +74,7 @@ impl ChangeShape {
 }
 
 /// A change applied to a series at a specific onset minute.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectedChange {
     /// Absolute minute at which the change starts (the ground-truth change
     /// start `c` of §4.4).

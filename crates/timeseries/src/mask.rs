@@ -9,13 +9,12 @@
 //! and to report `Inconclusive` instead of over-trusting filled data.
 
 use crate::series::MinuteBin;
-use serde::{Deserialize, Serialize};
 
 /// Which minutes of a dense series hold real measurements.
 ///
 /// The mask is anchored at an absolute minute like a
 /// [`crate::series::TimeSeries`]; bins outside the mask count as missing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoverageMask {
     start: MinuteBin,
     present: Vec<bool>,

@@ -5,8 +5,6 @@
 //! such a series as a dense `Vec<f64>` anchored at an absolute minute index,
 //! so series from different entities can be aligned by wall-clock minute.
 
-use serde::{Deserialize, Serialize};
-
 /// Absolute minute index since the simulation epoch.
 ///
 /// The paper bins KPIs into one-minute intervals; a `MinuteBin` identifies
@@ -18,7 +16,7 @@ pub type MinuteBin = u64;
 /// Invariant: `values[i]` is the measurement for minute `start + i`.
 /// Gaps are not represented; the collection substrate fills every minute
 /// (missing agent reports are interpolated upstream in `funnel-sim`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     start: MinuteBin,
     values: Vec<f64>,

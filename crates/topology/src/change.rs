@@ -9,14 +9,13 @@
 
 use crate::model::{InstanceId, ServiceId};
 use funnel_timeseries::series::MinuteBin;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a software change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChangeId(pub u32);
 
 /// The two studied change kinds (§2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChangeKind {
     /// A software upgrade (possibly bundling several features/fixes;
     /// FUNNEL assesses the upgrade as a whole).
@@ -27,7 +26,7 @@ pub enum ChangeKind {
 }
 
 /// How the change was rolled out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaunchMode {
     /// Dark launching: deployed to a strict subset of the service's
     /// instances first, leaving cinstances as a live control group.
@@ -39,7 +38,7 @@ pub enum LaunchMode {
 }
 
 /// One logged software change.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoftwareChange {
     /// Log id.
     pub id: ChangeId,
@@ -60,7 +59,7 @@ pub struct SoftwareChange {
 }
 
 /// Append-only change log with time- and service-scoped queries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ChangeLog {
     changes: Vec<SoftwareChange>,
 }

@@ -11,11 +11,10 @@
 
 use crate::change::SoftwareChange;
 use crate::model::{InstanceId, ServerId, ServiceId, Topology, TopologyError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Anything a KPI can be attached to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Entity {
     /// A physical server.
     Server(ServerId),
@@ -26,7 +25,7 @@ pub enum Entity {
 }
 
 /// The impact set and control group of one software change.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImpactSet {
     /// Instances the change was deployed on.
     pub tinstances: Vec<InstanceId>,

@@ -7,19 +7,18 @@
 //! that the operations team knows (§3.1, Fig. 4).
 
 use crate::naming::ServiceName;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifier of a service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServiceId(pub u32);
 
 /// Identifier of a server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServerId(pub u32);
 
 /// Identifier of an instance (one service process on one server).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstanceId(pub u32);
 
 /// Errors from topology construction and queries.
@@ -68,7 +67,7 @@ impl std::fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// One service process on one server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Instance {
     /// The instance's id.
     pub id: InstanceId,
@@ -80,7 +79,7 @@ pub struct Instance {
 
 /// The full registry: services, servers, instances, and the service
 /// relationship graph.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     services: Vec<ServiceName>,
     servers: Vec<String>,

@@ -7,10 +7,8 @@
 //! simulator uses to wire default request relationships (a child service
 //! talks to its parent and siblings unless told otherwise).
 
-use serde::{Deserialize, Serialize};
-
 /// A dotted hierarchical service name, e.g. `search.web.frontend`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServiceName(String);
 
 impl ServiceName {

@@ -31,6 +31,19 @@ fn build(sizes: &[usize], relate: &[bool]) -> Topology {
     t
 }
 
+/// The characters a service-name segment may hold; its first is one of
+/// the 26 letters.
+const SEGMENT_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_-";
+
+/// A segment from drawn indices into [`SEGMENT_CHARS`].
+fn segment(picks: &[usize]) -> String {
+    picks
+        .iter()
+        .enumerate()
+        .map(|(k, &p)| char::from(SEGMENT_CHARS[if k == 0 { p % 26 } else { p }]))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -108,7 +121,13 @@ proptest! {
 
     /// Service names round-trip through parse/display.
     #[test]
-    fn names_roundtrip(segs in prop::collection::vec("[a-z][a-z0-9_-]{0,6}", 1..5)) {
+    fn names_roundtrip(
+        picks in prop::collection::vec(
+            prop::collection::vec(0..SEGMENT_CHARS.len(), 1..8),
+            1..5,
+        ),
+    ) {
+        let segs: Vec<String> = picks.iter().map(|p| segment(p)).collect();
         let joined = segs.join(".");
         let name = ServiceName::parse(&joined).unwrap();
         prop_assert_eq!(name.to_string(), joined);
