@@ -1,16 +1,17 @@
-//! `funnel-lint`: workspace-native static analysis for FUNNEL.
+//! `funnel-lint`: the two FUNNEL invariants the compiler cannot say.
 //!
 //! FUNNEL's verdicts are bit-for-bit replayable under injected faults, and
 //! the invariants behind that claim are mechanical, not tribal. The
-//! compiler holds what it can say: the workspace denies `unsafe_code`,
-//! `clippy.toml` bans the wall clock, thread identity and the hashed
-//! collections, and every crate root's `#![deny(clippy::unwrap_used, …)]`
-//! line bans panicking calls. This crate holds the rest, file by file: map
-//! indexing on the ingestion path, order-sensitive f64 folds, unwrapped
-//! filesystem I/O on the crash-recovery paths, the WAL journal before the
-//! store commit, and notes on suppressions. It is a gate and keeps no
-//! ledger: any finding fails. Everything is hand-rolled over a small Rust
-//! lexer: no `syn`, no rustc plugin, no registry access required.
+//! compiler holds what it can say: the workspace denies `unsafe_code` and
+//! `clippy::iter_over_hash_type`, `clippy.toml` bans the wall clock,
+//! thread identity and the hashed collections, and every crate root's
+//! `#![deny(clippy::unwrap_used, …)]` line bans panicking calls and, with
+//! them, unwrapped filesystem I/O. This crate holds the rest, file by
+//! file: map indexing on the ingestion path, and the WAL journal before
+//! the store commit. It is a Tier-1 test (`tests/workspace_gate.rs`), not
+//! a binary, and keeps no ledger: any finding fails. Everything is
+//! hand-rolled over a small Rust lexer: no `syn`, no rustc plugin, no
+//! registry access required.
 
 #![warn(missing_docs)]
 #![deny(
@@ -117,7 +118,7 @@ pub fn analyze(ws: &Workspace) -> std::io::Result<Vec<Diagnostic>> {
 
 /// Runs every lint over an explicit `(path, contents)` set. Files are
 /// sorted (and deduped, last wins) internally, so the result is
-/// byte-identical for any input ordering; the determinism tests feed this
+/// identical for any input ordering; the determinism tests feed this
 /// shuffled inputs to prove it.
 pub fn analyze_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
     let sorted: BTreeMap<&str, &str> = files
@@ -137,54 +138,6 @@ pub fn analyze_file(rel_path: &str, contents: &str) -> Vec<Diagnostic> {
     lints::run_lints(rel_path, &FileScan::of(contents))
 }
 
-/// Renders findings as a JSON array (stable field order, sorted input).
-/// Hand-rolled for the same no-external-deps reason as everything else.
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[\n");
-    for (i, d) in diags.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"lint\":{},\"file\":{},\"line\":{},\"context\":{},\"message\":{}}}{}\n",
-            json_str(d.lint),
-            json_str(&d.file),
-            d.line,
-            json_str(&d.context),
-            json_str(&d.message),
-            if i + 1 == diags.len() { "" } else { "," }
-        ));
-    }
-    out.push(']');
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders findings as human-readable `file:line` diagnostics.
-pub fn render_human(diags: &[Diagnostic]) -> String {
-    let mut out = String::new();
-    for d in diags {
-        out.push_str(&format!(
-            "[{}] {}:{} (in {}) — {}\n",
-            d.lint, d.file, d.line, d.context, d.message
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,11 +151,6 @@ mod tests {
         assert!(!analyzable("crates/analyze/tests/fixtures/l1.rs"));
         assert!(!analyzable("crates/bench/benches/sweep.rs"));
         assert!(!analyzable("crates/core/src/data.txt"));
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Item/block scanning on top of the token stream.
 //!
 //! Lints need just enough structure to be precise: which lines belong to
-//! `#[cfg(test)]` items or `#[test]` functions (panics there are fine),
-//! which function encloses a finding, and which lines carry an inline
-//! `funnel-lint: allow(...)` suppression. The journal-before-commit pass
-//! additionally needs token-index spans per `fn` and the token ranges
+//! `#[cfg(test)]` items or `#[test]` functions (map indexing there is
+//! fine) and which function encloses a finding. The journal-before-commit
+//! pass additionally needs token-index spans per `fn` and the token ranges
 //! covered by attributes (so `#[cfg(feature = "x")]` never reads as a call
 //! to `cfg`).
 
 use crate::lexer::{lex, Token, TokenKind};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// One `fn` item: name, line span and token-index span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,20 +26,6 @@ pub struct FnSpan {
     pub body_close: usize,
 }
 
-/// One inline `funnel-lint: allow(...)` comment, with whatever explanatory
-/// note follows the closing paren — the raw material of the
-/// suppression-hygiene lint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuppressionSite {
-    /// 1-based line of the comment.
-    pub line: u32,
-    /// The lint ids listed inside `allow(...)`.
-    pub lints: Vec<String>,
-    /// Whether a non-empty note follows the `allow(...)` — either
-    /// `allow(x): why it is safe` or `allow(x) note: why`.
-    pub has_note: bool,
-}
-
 /// Everything the lint passes need to know about one file.
 #[derive(Debug)]
 pub struct FileScan {
@@ -52,11 +36,6 @@ pub struct FileScan {
     /// Line ranges (inclusive) covered by `#[cfg(test)]` items or
     /// `#[test]`-attributed functions.
     pub test_regions: Vec<(u32, u32)>,
-    /// Lines on which findings of the named lints are suppressed.
-    pub suppressions: BTreeMap<u32, BTreeSet<String>>,
-    /// Every `funnel-lint: allow` comment with its note status, in source
-    /// order.
-    pub suppression_sites: Vec<SuppressionSite>,
     /// Inclusive token-index ranges covered by `#[…]` / `#![…]` attributes
     /// (from the `#` to the closing `]`).
     pub attr_ranges: Vec<(usize, usize)>,
@@ -65,7 +44,16 @@ pub struct FileScan {
 impl FileScan {
     /// Lexes and scans `source`.
     pub fn of(source: &str) -> Self {
-        build(lex(source))
+        let code: Vec<Token> = lex(source)
+            .into_iter()
+            .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
+            .collect();
+        Self {
+            attr_ranges: scan_attr_ranges(&code),
+            fns: scan_fns(&code),
+            test_regions: scan_test_regions(&code),
+            code,
+        }
     }
 
     /// Whether `line` falls inside test-only code.
@@ -73,13 +61,6 @@ impl FileScan {
         self.test_regions
             .iter()
             .any(|&(a, b)| (a..=b).contains(&line))
-    }
-
-    /// Whether a `funnel-lint: allow(lint)` comment covers `line`.
-    pub fn suppressed(&self, line: u32, lint: &str) -> bool {
-        self.suppressions
-            .get(&line)
-            .is_some_and(|set| set.contains(lint))
     }
 
     /// The innermost function containing `line`, if any.
@@ -96,70 +77,6 @@ impl FileScan {
             .iter()
             .any(|&(a, b)| (a..=b).contains(&idx))
     }
-}
-
-fn build(all: Vec<Token>) -> FileScan {
-    let mut suppressions: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
-    let mut suppression_sites = Vec::new();
-    for t in &all {
-        if !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
-            continue;
-        }
-        let Some(site) = parse_suppression(t.line, &t.text) else {
-            continue;
-        };
-        for lint in &site.lints {
-            // A suppression covers its own line and the next one, so it
-            // works both inline and as a standalone comment above.
-            suppressions.entry(t.line).or_default().insert(lint.clone());
-            suppressions
-                .entry(t.line + 1)
-                .or_default()
-                .insert(lint.clone());
-        }
-        suppression_sites.push(site);
-    }
-
-    let code: Vec<Token> = all
-        .into_iter()
-        .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-        .collect();
-
-    FileScan {
-        attr_ranges: scan_attr_ranges(&code),
-        fns: scan_fns(&code),
-        test_regions: scan_test_regions(&code),
-        code,
-        suppressions,
-        suppression_sites,
-    }
-}
-
-/// `funnel-lint: allow(a, b)` anywhere inside a comment, plus whether a
-/// note follows the closing paren.
-fn parse_suppression(line: u32, comment: &str) -> Option<SuppressionSite> {
-    let idx = comment.find("funnel-lint:")?;
-    let rest = &comment[idx + "funnel-lint:".len()..];
-    let rest = rest.trim_start();
-    let args = rest.strip_prefix("allow(")?;
-    let close = args.find(')')?;
-    let lints: Vec<String> = args[..close]
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    // `allow(x): why` or `allow(x) note: why` — anything non-empty after
-    // the paren (modulo leading punctuation) counts as the note.
-    let tail = args[close + 1..]
-        .trim_start()
-        .trim_start_matches([':', '-', '—'])
-        .trim();
-    let has_note = !tail.is_empty();
-    Some(SuppressionSite {
-        line,
-        lints,
-        has_note,
-    })
 }
 
 /// Inclusive token ranges of `#[…]` / `#![…]` attributes.
@@ -341,17 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn suppression_comment_covers_its_line_and_the_next() {
-        let src = "// funnel-lint: allow(panic-in-hot-path, journal-before-commit)\nlet x = m[&k];\nlet y = 2;\n";
-        let s = FileScan::of(src);
-        assert!(s.suppressed(1, "panic-in-hot-path"));
-        assert!(s.suppressed(2, "panic-in-hot-path"));
-        assert!(s.suppressed(2, "journal-before-commit"));
-        assert!(!s.suppressed(3, "panic-in-hot-path"));
-        assert!(!s.suppressed(2, "float-accumulation-order"));
-    }
-
-    #[test]
     fn attr_before_use_does_not_eat_following_block() {
         let src = "#[cfg(test)]\nuse foo::bar;\nfn prod() {\n  body\n}\n";
         let s = FileScan::of(src);
@@ -365,20 +271,6 @@ mod tests {
         assert!(s.code[f.fn_tok].is_ident("fn"));
         assert!(s.code[f.body_open].is_punct('{'));
         assert!(s.code[f.body_close].is_punct('}'));
-    }
-
-    #[test]
-    fn suppression_notes_are_detected() {
-        let src = "\
-// funnel-lint: allow(panic-in-hot-path): bound checked above\n\
-// funnel-lint: allow(journal-before-commit)\n\
-// funnel-lint: allow(float-accumulation-order) note: slice order is fixed\n";
-        let s = FileScan::of(src);
-        assert_eq!(s.suppression_sites.len(), 3);
-        assert!(s.suppression_sites[0].has_note);
-        assert!(!s.suppression_sites[1].has_note);
-        assert!(s.suppression_sites[2].has_note);
-        assert_eq!(s.suppression_sites[1].line, 2);
     }
 
     #[test]

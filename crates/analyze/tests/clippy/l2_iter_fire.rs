@@ -1,15 +1,14 @@
 // Hasher-ordered iteration feeding a report. The type itself is banned, so
-// the ban fires wherever the type is named, and its iterating methods too.
+// the ban fires wherever the type is named, its iterating methods too, and
+// so does a `for` loop over one.
 use std::collections::HashMap; //~ clippy::disallowed_types
 
 pub fn render_totals(by_kpi: &HashMap<u32, f64>) -> String { //~ clippy::disallowed_types
     let mut out = String::new();
-    for (k, v) in by_kpi {
+    for (k, v) in by_kpi { //~ clippy::iter_over_hash_type
         out.push_str(&format!("{k}: {v}\n"));
     }
-    for k in by_kpi.keys() { //~ clippy::disallowed_methods
-        out.push_str(&format!("{k}\n"));
-    }
+    out.extend(by_kpi.keys().map(|k| format!("{k}\n"))); //~ clippy::disallowed_methods
     out
 }
 

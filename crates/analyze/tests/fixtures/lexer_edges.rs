@@ -18,5 +18,5 @@ fn docs() -> &'static str {
 }
 
 fn real_finding(index: &BTreeMap<u32, u32>, k: u32) -> u32 {
-    index[&k]
+    index[&k] //~ panic-in-hot-path
 }

@@ -5,11 +5,11 @@
 //! *total*: any byte soup — valid Rust or not — lexes and scans without
 //! panicking, and every span they report stays inside the input. The
 //! second half checks the determinism contract end to end: analyzing the
-//! same virtual files in any order yields byte-identical findings.
+//! same virtual files in any order yields identical findings.
 
+use funnel_analyze::analyze_sources;
 use funnel_analyze::lexer::lex;
 use funnel_analyze::scan::FileScan;
-use funnel_analyze::{analyze_sources, render_json};
 use proptest::prelude::*;
 
 /// Shared invariant check: lexing and scanning complete (no panic) and all
@@ -38,12 +38,12 @@ fn assert_front_end_invariants(src: &str) {
     // Query surface is total too.
     for line in 0..=lines.max(1) {
         let _ = scan.in_test(line);
-        let _ = scan.suppressed(line, "panic-in-hot-path");
+        let _ = scan.enclosing_fn(line);
     }
 }
 
 /// Rust-flavored fragments: dense in the constructs the scanner tracks
-/// (fn items, impl blocks, attributes, strings, comments, suppressions),
+/// (fn items, impl blocks, attributes, strings, comments, fixture marks),
 /// including deliberately unbalanced ones.
 const FRAGMENTS: [&str; 24] = [
     "fn ",
@@ -60,7 +60,7 @@ const FRAGMENTS: [&str; 24] = [
     "r#\"raw \" inside\"#",
     "'c'",
     "'static ",
-    "// funnel-lint: allow(panic-in-hot-path)\n",
+    "//~ panic-in-hot-path\n",
     "// line comment fn fake() {\n",
     "/* block comment {",
     "*/",
@@ -96,8 +96,8 @@ proptest! {
     fn analysis_is_independent_of_file_order(rotation in 0usize..5, swap in 0usize..5) {
         let mut files: Vec<(String, String)> = vec![
             ("crates/core/src/pipeline.rs", "pub fn assess_change(m: &BTreeMap<u32, u32>) -> u32 { m[&1] }\n"),
-            ("crates/core/src/report.rs", "pub fn total(v: &[f64]) -> f64 { v.iter().sum::<f64>() }\n"),
-            ("crates/core/src/util.rs", "// funnel-lint: allow(float-accumulation-order)\npub fn helper() -> u32 { 0 }\n"),
+            ("crates/detect/src/report.rs", "pub fn first(by_key: BTreeMap<u32, f64>) -> f64 { by_key[&0] }\n"),
+            ("crates/resilience/src/checkpoint.rs", "fn cut(hooks: &mut H, store: &mut S) -> R<()> { store.commit(); hooks.on_accepted_frame()?; Ok(()) }\n"),
             ("crates/resilience/src/wal.rs", "pub fn open(segments: &BTreeMap<u64, u64>) -> u64 { segments[&0] }\n"),
             ("crates/sim/src/collector.rs", "pub fn ingest(hooks: &mut H, store: &mut S) { store.commit(); let _ = hooks.on_accepted_frame(); }\n"),
         ]
@@ -106,7 +106,6 @@ proptest! {
         .collect();
 
         let canonical = analyze_sources(&files);
-        let canonical_json = render_json(&canonical);
         // Every file must fire, otherwise order-independence is vacuous.
         let fired: std::collections::BTreeSet<&str> =
             canonical.iter().map(|d| d.file.as_str()).collect();
@@ -115,6 +114,6 @@ proptest! {
         files.rotate_left(rotation);
         let other = (swap + 2) % files.len();
         files.swap(swap, other);
-        prop_assert_eq!(&render_json(&analyze_sources(&files)), &canonical_json);
+        prop_assert_eq!(&analyze_sources(&files), &canonical);
     }
 }

@@ -1,16 +1,16 @@
 //! The gates on the tree, end to end against the real workspace.
 //!
-//! funnel-lint: HEAD must have no finding, an injected violation must
-//! produce one, and the binary must say so in its exit code. Overlays let
-//! these tests analyze the actual repo with one file's contents swapped,
-//! without touching disk.
+//! funnel-lint: HEAD must have no finding, and an injected violation of
+//! either rule must produce one. Overlays let these tests analyze the
+//! actual repo with one file's contents swapped, without touching disk.
 //!
 //! The rules the compiler holds are checked here too. The tree must be
 //! clippy-clean under `-D warnings`. Each canary under `tests/clippy/` (the
-//! wall clock, hashed collections, panicking calls, panics below an entry
-//! point, thread identity and hash iteration) goes through `clippy-driver`
-//! under the root `clippy.toml` and the crate-root deny line: a line ending
-//! in `//~ <lint>` must raise that lint, and nothing else may be raised.
+//! wall clock, hashed collections and folds over them, panicking calls,
+//! panics below an entry point, thread identity and hash iteration) goes
+//! through `clippy-driver` under the root `clippy.toml`, the workspace's
+//! clippy levels and the crate-root deny line: a line ending in
+//! `//~ <lint>` must raise that lint, and nothing else may be raised.
 //! Every non-shim crate root must carry the deny line, and every non-shim
 //! manifest the workspace lints that deny `unsafe_code`.
 
@@ -87,33 +87,22 @@ fn injected_commit_without_journal_fails_the_gate() {
     );
 }
 
-/// The actual binary, exactly as a developer invokes it: flagless
-/// `funnel-lint` must exit 0 at HEAD and 2 on a tree with a finding.
 #[test]
-fn binary_exit_codes() {
+fn injected_map_index_fails_the_gate() {
+    // L3: indexing a map on the hot path panics on a missing key, and
+    // clippy's indexing_slicing does not flag it.
     let root = repo_root();
-    let status = Command::new(env!("CARGO_BIN_EXE_funnel-lint"))
-        .args(["--root", root.to_str().expect("utf8 root")])
-        .status()
-        .expect("funnel-lint binary runs");
-    assert!(status.success(), "gate must pass at HEAD: {status:?}");
-
-    // A scratch mini-workspace with one finding: an f64 sum in aggregation
-    // code with no sort before it.
-    let scratch = scratch_dir(line!());
-    let src_dir = scratch.join("crates/did/src");
-    std::fs::create_dir_all(&src_dir).expect("scratch tree");
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        "pub fn total(v: &[f64]) -> f64 {\n    v.iter().sum::<f64>()\n}\n",
-    )
-    .expect("scratch file");
-    let status = Command::new(env!("CARGO_BIN_EXE_funnel-lint"))
-        .args(["--root", scratch.to_str().expect("utf8 scratch")])
-        .status()
-        .expect("funnel-lint binary runs");
-    assert_eq!(status.code(), Some(2), "a finding must exit 2");
-    std::fs::remove_dir_all(&scratch).ok();
+    let target = "crates/sim/src/store.rs";
+    let orig = std::fs::read_to_string(root.join(target)).expect("store module exists");
+    let injected = "\nfn _lint_canary_lookup(by_key: &BTreeMap<u64, u64>, k: u64) -> u64 {\n\
+                    \x20   by_key[&k]\n\
+                    }\n";
+    let ws = Workspace::at(&root).overlay(target, &format!("{orig}{injected}"));
+    let found = findings(&ws);
+    assert!(
+        fires(&found, "panic-in-hot-path", target, "_lint_canary_lookup"),
+        "map indexing on the hot path must trip L3: {found:#?}"
+    );
 }
 
 fn scratch_dir(line: u32) -> PathBuf {
@@ -306,6 +295,28 @@ fn raised(json: &str) -> BTreeSet<(u32, String)> {
         .collect()
 }
 
+/// The root manifest's `[workspace.lints.clippy]` table as rustc flags
+/// (`-D clippy::iter_over_hash_type`, …): every member opts into these
+/// levels, so a canary meets them too.
+fn workspace_clippy_levels(manifest: &str) -> Vec<String> {
+    let table = manifest
+        .split_once("[workspace.lints.clippy]")
+        .expect("the root manifest has a [workspace.lints.clippy] table")
+        .1;
+    let table = table.split("\n[").next().unwrap_or(table);
+    let mut flags = Vec::new();
+    for (lint, level) in table.lines().filter_map(|l| l.split_once('=')) {
+        let flag = match level.trim().trim_matches('"') {
+            "deny" => "-D",
+            "warn" => "-W",
+            other => panic!("unexpected level {other} for {lint}"),
+        };
+        flags.extend([flag.to_string(), format!("clippy::{}", lint.trim())]);
+    }
+    assert!(!flags.is_empty(), "no workspace clippy level: {table}");
+    flags
+}
+
 #[test]
 fn retired_fixtures_fire_under_clippy() {
     let root = repo_root();
@@ -314,10 +325,14 @@ fn retired_fixtures_fire_under_clippy() {
     let out_dir = scratch_dir(line!());
     std::fs::create_dir_all(&out_dir).expect("scratch dir");
     let canaries = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/clippy");
+    let levels = workspace_clippy_levels(
+        &std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest"),
+    );
     for name in [
         "l1_time_fire.rs",
         "l2_iter_fire.rs",
         "l3_panic_fire.rs",
+        "l5_hash_fold_fire.rs",
         "l7_reach_fire.rs",
         "l8_taint_fire.rs",
     ] {
@@ -333,6 +348,7 @@ fn retired_fixtures_fire_under_clippy() {
         let mut child = Command::new(&driver)
             .args(["-", "--edition", "2021", "--test", "--crate-name", "canary"])
             .args(["--emit=metadata", "--error-format=json", "-D", "warnings"])
+            .args(&levels)
             .arg("--out-dir")
             .arg(&out_dir)
             .env("CLIPPY_CONF_DIR", &root)

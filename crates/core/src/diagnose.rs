@@ -235,7 +235,7 @@ fn treated_pre_samples(
     let coverage = if coverages.is_empty() {
         0.0
     } else {
-        // funnel-lint: allow(float-accumulation-order): Vec built in sorted treated-key order, no hashed container
+        // Summed in index order: the Vec is built in sorted treated-key order.
         coverages.iter().sum::<f64>() / coverages.len() as f64
     };
     (samples, coverage)

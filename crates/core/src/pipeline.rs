@@ -682,7 +682,7 @@ impl Funnel {
                         control_keys
                             .iter()
                             .map(|k| source.coverage(k, did_from, did_to))
-                            // funnel-lint: allow(float-accumulation-order): Vec built in sorted impact-set order, no hashed container
+                            // Summed in index order: the Vec is built in sorted impact-set order.
                             .sum::<f64>()
                             / control_keys.len() as f64
                     };

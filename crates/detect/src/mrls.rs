@@ -160,7 +160,7 @@ fn column_residual(h: &Mat, basis: &Mat, j: usize) -> f64 {
             *r -= proj * basis[(i, b)];
         }
     }
-    // funnel-lint: allow(float-accumulation-order): fold over a Vec in fixed index order, not a hashed container
+    // Summed over a Vec in fixed index order.
     resid.iter().map(|r| r * r).sum::<f64>().sqrt()
 }
 

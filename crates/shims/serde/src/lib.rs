@@ -79,20 +79,64 @@ pub fn find_field<'v>(entries: &'v [(String, Value)], key: &str) -> Option<&'v V
     entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// Deserialization error.
+/// Refuses an object key that names none of `fields`: a misspelt optional
+/// field must fail, not silently take its default.
+pub fn refuse_unknown(entries: &[(String, Value)], fields: &[&str], ty: &str) -> Result<(), Error> {
+    match entries.iter().find(|(k, _)| !fields.contains(&k.as_str())) {
+        Some((key, _)) => Err(Error::custom(format!(
+            "unknown field of {ty}, expected one of: {}",
+            fields.join(", ")
+        ))
+        .in_field(key)),
+        None => Ok(()),
+    }
+}
+
+/// Deserialization error: a message and the path of the value it is about
+/// (`changes[3].delay_minute`), built outward as the error propagates.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error(String);
+pub struct Error {
+    path: String,
+    msg: String,
+}
 
 impl Error {
     /// Builds an error from any message.
     pub fn custom(msg: impl fmt::Display) -> Self {
-        Error(msg.to_string())
+        Error {
+            path: String::new(),
+            msg: msg.to_string(),
+        }
+    }
+
+    /// Places the error under the object key `key`.
+    pub fn in_field(self, key: &str) -> Self {
+        self.within(key.to_string())
+    }
+
+    /// Places the error under array element `index`.
+    pub fn in_element(self, index: usize) -> Self {
+        self.within(format!("[{index}]"))
+    }
+
+    fn within(mut self, segment: String) -> Self {
+        let sep = if self.path.is_empty() || self.path.starts_with('[') {
+            ""
+        } else {
+            "."
+        };
+        self.path = format!("{segment}{sep}{}", self.path);
+        self
     }
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        if self.path.is_empty() {
+            f.write_str(&self.msg)
+        } else {
+            write!(f, "{}: {}", self.path, self.msg)
+        }
     }
 }
 
@@ -163,7 +207,8 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             .as_array()
             .ok_or_else(|| Error::custom("expected array"))?
             .iter()
-            .map(T::deserialize)
+            .enumerate()
+            .map(|(i, v)| T::deserialize(v).map_err(|e| e.in_element(i)))
             .collect()
     }
 }
@@ -171,7 +216,10 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
     fn deserialize(value: &Value) -> Result<Self, Error> {
         match value.as_array() {
-            Some([a, b]) => Ok((A::deserialize(a)?, B::deserialize(b)?)),
+            Some([a, b]) => Ok((
+                A::deserialize(a).map_err(|e| e.in_element(0))?,
+                B::deserialize(b).map_err(|e| e.in_element(1))?,
+            )),
             _ => Err(Error::custom("expected a 2-element array")),
         }
     }
@@ -284,6 +332,30 @@ mod tests {
         // Missing non-default field is an error.
         let bad = object(&[("id", num(1))]);
         assert!(Plain::deserialize(&bad).is_err());
+    }
+
+    #[test]
+    fn derived_types_refuse_unknown_keys_with_their_path() {
+        let typo = Value::Array(vec![
+            object(&[("id", num(1)), ("name", text("a"))]),
+            object(&[("id", num(2)), ("nmae", text("b"))]),
+        ]);
+        assert_eq!(
+            Vec::<Plain>::deserialize(&typo).unwrap_err().to_string(),
+            "[1].nmae: unknown field of Plain, expected one of: id, name, tags"
+        );
+        let region = object(&[(
+            "Region",
+            object(&[("x", num(0)), ("y", num(1)), ("z", num(2))]),
+        )]);
+        assert_eq!(
+            Shape::deserialize(&region).unwrap_err().to_string(),
+            "Region.z: unknown field of Shape::Region, expected one of: x, y"
+        );
+        // A value of the wrong type keeps its path too.
+        let pair = Value::Array(vec![text("k"), text("nine")]);
+        let err = <(String, u64)>::deserialize(&pair).unwrap_err().to_string();
+        assert!(err.starts_with("[1]: expected u64"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! this workspace reads: structs with named fields and enums with unit,
 //! one-field tuple and struct variants; the `#[serde(default)]` field
 //! attribute and the `#[serde(rename_all = "snake_case")]` container
-//! attribute. Generics are not supported. See `crates/shims/README.md`.
+//! attribute. Unlike real serde's default, a key that names no field is
+//! refused (as under `#[serde(deny_unknown_fields)]`), so a misspelt
+//! optional field fails instead of taking its default; every error carries
+//! the path of the value it is about. Generics are not supported. See
+//! `crates/shims/README.md`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -280,38 +284,52 @@ fn variant_key(item: &Item, variant: &Variant) -> String {
 
 // ------------------------------------------------------------- generation
 
-fn gen_named_field_inits(fields: &[Field], obj: &str, ty: &str) -> String {
-    let mut s = String::new();
+/// Statements that read `fields` out of the object `obj` and return
+/// `ty { … }`: a key that names no field is refused, and a missing field
+/// takes its default or fails. `outer` is appended to every error (the
+/// enclosing variant's `.in_field(…)`, or nothing).
+fn gen_named_fields(fields: &[Field], obj: &str, ty: &str, outer: &str) -> String {
+    let names: Vec<String> = fields.iter().map(|f| format!("\"{}\"", f.name)).collect();
+    let refused = if outer.is_empty() {
+        String::new()
+    } else {
+        format!(".map_err(|__e| __e{outer})")
+    };
+    let mut inits = String::new();
     for f in fields {
         let missing = if f.default {
             "::std::default::Default::default()".to_string()
         } else {
             format!(
                 "return ::std::result::Result::Err(::serde::Error::custom(\
-                 \"missing field `{ty}::{f}`\"))",
+                 \"missing field `{ty}::{f}`\"){outer})",
                 f = f.name
             )
         };
-        s.push_str(&format!(
+        inits.push_str(&format!(
             "{f}: match ::serde::find_field({obj}, \"{f}\") {{\n\
-             ::std::option::Option::Some(__x) => ::serde::Deserialize::deserialize(__x)?,\n\
+             ::std::option::Option::Some(__x) => ::serde::Deserialize::deserialize(__x)\
+             .map_err(|__e| __e.in_field(\"{f}\"){outer})?,\n\
              ::std::option::Option::None => {missing},\n\
              }},\n",
             f = f.name
         ));
     }
-    s
+    format!(
+        "::serde::refuse_unknown({obj}, &[{}], \"{ty}\"){refused}?;\n\
+         ::std::result::Result::Ok({ty} {{\n{inits}}})",
+        names.join(", ")
+    )
 }
 
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
         ItemKind::Struct(fields) => {
-            let inits = gen_named_field_inits(fields, "__obj", name);
+            let read = gen_named_fields(fields, "__obj", name, "");
             format!(
                 "let __obj = __v.as_object().ok_or_else(|| \
-                 ::serde::Error::custom(\"expected object for {name}\"))?;\n\
-                 ::std::result::Result::Ok({name} {{\n{inits}}})"
+                 ::serde::Error::custom(\"expected object for {name}\"))?;\n{read}"
             )
         }
         ItemKind::Enum(variants) => {
@@ -328,17 +346,23 @@ fn gen_deserialize(item: &Item) -> String {
                     )),
                     Shape::Newtype => tagged_arms.push_str(&format!(
                         "\"{key}\" => ::std::result::Result::Ok({name}::{v}(\
-                         ::serde::Deserialize::deserialize(__payload)?)),\n",
+                         ::serde::Deserialize::deserialize(__payload)\
+                         .map_err(|__e| __e.in_field(\"{key}\"))?)),\n",
                         v = v.name
                     )),
                     Shape::Struct(fields) => {
-                        let inits = gen_named_field_inits(fields, "__inner", name);
+                        let ctor = format!("{name}::{}", v.name);
+                        let read = gen_named_fields(
+                            fields,
+                            "__inner",
+                            &ctor,
+                            &format!(".in_field(\"{key}\")"),
+                        );
                         tagged_arms.push_str(&format!(
                             "\"{key}\" => {{\n\
                              let __inner = __payload.as_object().ok_or_else(|| \
-                             ::serde::Error::custom(\"expected object payload for {name}::{v}\"))?;\n\
-                             ::std::result::Result::Ok({name}::{v} {{\n{inits}}})\n}}\n",
-                            v = v.name
+                             ::serde::Error::custom(\"expected object payload for {ctor}\"))?;\n\
+                             {read}\n}}\n"
                         ));
                     }
                 }

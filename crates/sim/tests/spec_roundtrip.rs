@@ -1,5 +1,6 @@
-//! JSON parse tests for the declarative world spec.
+//! JSON parse tests for the declarative world spec and the fault plan.
 
+use funnel_sim::faults::FaultPlan;
 use funnel_sim::spec::*;
 
 fn demo_json() -> &'static str {
@@ -66,5 +67,48 @@ fn built_world_assessable_end_to_end() {
     assert!(
         a.has_impact(),
         "the 40-unit failure surge should be attributed"
+    );
+}
+
+/// The message of a parse that must fail.
+fn refusal<T: serde::Deserialize + std::fmt::Debug>(json: &str) -> String {
+    serde_json::from_str::<T>(json)
+        .expect_err("a misspelt key must be refused")
+        .to_string()
+}
+
+#[test]
+fn a_misspelt_spec_field_is_refused_with_its_path() {
+    // `ramp_minutes` is optional, so a typo used to take its default.
+    let typo = demo_json().replace(r#""ramp_minutes": 30"#, r#""ramp_minute": 30"#);
+    let err = refusal::<WorldSpec>(&typo);
+    assert!(
+        err.starts_with("changes[0].effects[1].ramp_minute: unknown field of EffectSpec"),
+        "{err}"
+    );
+    let top = demo_json().replacen(r#""seed": 11"#, r#""sed": 11"#, 1);
+    assert!(refusal::<WorldSpec>(&top).starts_with("sed: unknown field"));
+}
+
+#[test]
+fn a_misspelt_fault_plan_field_is_refused_with_its_path() {
+    let err = refusal::<FaultPlan>(r#"{"seed": 5, "drop_frames_prob": 0.25}"#);
+    assert!(
+        err.starts_with("drop_frames_prob: unknown field of FaultPlan"),
+        "{err}"
+    );
+    let nested = refusal::<FaultPlan>(
+        r#"{"partitions": [
+            {"scope": "Collector", "start": 2, "duration": 2, "heal": "SilentDrop"},
+            {"scope": {"Zone": {"zone": 1, "zones": 3}}, "start": 10, "duration": 5,
+             "heal": {"StaggeredCatchUp": {"queue": 8, "per_minutes": 2}}}
+        ]}"#,
+    );
+    assert!(
+        nested.starts_with(
+            "partitions[1].heal.StaggeredCatchUp.per_minutes: \
+             unknown field of HealMode::StaggeredCatchUp"
+        ),
+        "{nested}"
     );
 }

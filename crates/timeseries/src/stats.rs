@@ -38,7 +38,7 @@ pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
-    // funnel-lint: allow(float-accumulation-order): slice order is the caller's
+    // Summed in slice order, which is the caller's.
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
@@ -49,7 +49,7 @@ pub fn population_std(xs: &[f64]) -> f64 {
         return 0.0;
     }
     let m = mean(xs);
-    // funnel-lint: allow(float-accumulation-order): slice order is the caller's
+    // Summed in slice order, which is the caller's.
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
