@@ -35,3 +35,17 @@ fn a_misspelt_field_in_the_template_fails_assess_with_its_path() {
         "{stderr}"
     );
 }
+
+#[test]
+fn a_repeated_field_in_the_template_fails_assess_with_its_path() {
+    let template = include_str!("../src/bin/spec_template.json");
+    // The first of two `delta`s used to win: 0.0, an effect of nothing.
+    let twice = template.replace(r#""delta": 80.0"#, r#""delta": 0.0, "delta": 80.0"#);
+    assert_ne!(twice, template, "the template names delta");
+    let (code, stderr) = assess(&twice, "twice");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("changes[0].effects[0].delta: duplicate field of EffectSpec"),
+        "{stderr}"
+    );
+}

@@ -161,7 +161,7 @@ fn put_key(out: &mut Vec<u8>, key: KpiKey) {
 
 fn put_accs(out: &mut Vec<u8>, accs: &MinuteAccs) {
     put_u64(out, accs.len() as u64);
-    for (&(service, kind), cells) in accs {
+    for ((service, kind), cells) in accs.iter() {
         put_u32(out, service.0);
         out.push(kind.tag());
         put_u64(out, cells.len() as u64);

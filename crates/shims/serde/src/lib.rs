@@ -74,22 +74,30 @@ impl Value {
     }
 }
 
-/// Looks up a field in an object's entry list (first match wins).
+/// Looks up a field in an object's entry list (first match wins; derived
+/// types refuse a repeated key first, see [`refuse_unknown`]).
 pub fn find_field<'v>(entries: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
     entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// Refuses an object key that names none of `fields`: a misspelt optional
-/// field must fail, not silently take its default.
+/// Refuses an object key that names none of `fields`, and a key given
+/// twice: a misspelt optional field must fail, not silently take its
+/// default, and of `"delta": 0.0, "delta": 80.0` neither value may win
+/// silently.
 pub fn refuse_unknown(entries: &[(String, Value)], fields: &[&str], ty: &str) -> Result<(), Error> {
-    match entries.iter().find(|(k, _)| !fields.contains(&k.as_str())) {
-        Some((key, _)) => Err(Error::custom(format!(
-            "unknown field of {ty}, expected one of: {}",
-            fields.join(", ")
-        ))
-        .in_field(key)),
-        None => Ok(()),
+    for (at, (key, _)) in entries.iter().enumerate() {
+        if !fields.contains(&key.as_str()) {
+            return Err(Error::custom(format!(
+                "unknown field of {ty}, expected one of: {}",
+                fields.join(", ")
+            ))
+            .in_field(key));
+        }
+        if entries.iter().take(at).any(|(earlier, _)| earlier == key) {
+            return Err(Error::custom(format!("duplicate field of {ty}")).in_field(key));
+        }
     }
+    Ok(())
 }
 
 /// Deserialization error: a message and the path of the value it is about
@@ -356,6 +364,27 @@ mod tests {
         let pair = Value::Array(vec![text("k"), text("nine")]);
         let err = <(String, u64)>::deserialize(&pair).unwrap_err().to_string();
         assert!(err.starts_with("[1]: expected u64"), "{err}");
+    }
+
+    #[test]
+    fn derived_types_refuse_a_repeated_key_with_its_path() {
+        let twice = Value::Array(vec![object(&[
+            ("id", num(1)),
+            ("name", text("a")),
+            ("id", num(2)),
+        ])]);
+        assert_eq!(
+            Vec::<Plain>::deserialize(&twice).unwrap_err().to_string(),
+            "[0].id: duplicate field of Plain"
+        );
+        let region = object(&[(
+            "Region",
+            object(&[("x", num(0)), ("y", num(1)), ("y", num(1))]),
+        )]);
+        assert_eq!(
+            Shape::deserialize(&region).unwrap_err().to_string(),
+            "Region.y: duplicate field of Shape::Region"
+        );
     }
 
     #[test]

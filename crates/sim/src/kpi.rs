@@ -128,6 +128,10 @@ impl KpiKind {
         }
     }
 
+    /// How many kinds there are: every [`KpiKind::tag`] is below it, and
+    /// the tags run in the kinds' order.
+    pub const COUNT: usize = 8;
+
     /// Stable numeric tag for the wire format.
     pub fn tag(self) -> u8 {
         match self {
@@ -212,6 +216,11 @@ mod tests {
             assert_eq!(KpiKind::from_tag(kind.tag()), Some(*kind));
         }
         assert_eq!(KpiKind::from_tag(200), None);
+        let kinds: Vec<KpiKind> = (0..KpiKind::COUNT as u8)
+            .map(|tag| KpiKind::from_tag(tag).unwrap())
+            .collect();
+        assert!(kinds.is_sorted(), "tags run in the kinds' order");
+        assert_eq!(KpiKind::from_tag(KpiKind::COUNT as u8), None);
     }
 
     #[test]
