@@ -138,7 +138,7 @@ impl AblationGrid {
                 let Some(actual) = truth.label(change, key) else {
                     continue;
                 };
-                let series = snapshot.get(&key).expect("series exists");
+                let (series, _) = snapshot.held(&key).expect("series exists");
                 let from = record.minute.saturating_sub(2 * SPAN_W).max(series.start());
                 let to = record.minute + ASSESSMENT_MINUTES + 1;
                 spans.push((

@@ -32,11 +32,13 @@
 //! * **Contention-free reads** — workers share a read-only
 //!   [`KpiSource`]. For live stores, callers pass a
 //!   [`StoreSnapshot`](funnel_sim::store::StoreSnapshot)
-//!   (`MetricStore::snapshot()`), so the hot loop never takes a lock.
+//!   (`MetricStore::snapshot()`), so the hot loop never takes a lock and
+//!   never copies a series: the snapshot lends them in place.
 //! * **One control table per assessment** — every treated item of the same
 //!   (group level, KPI kind) contrasts against the same control-group
-//!   windows; the table builds each exactly once and shares it by `&`
-//!   across the workers (see [`funnel_did::cache`]), so even its hit and
+//!   windows; the table builds each exactly once (of members borrowed
+//!   from the source where it lends them) and shares it by `&` across the
+//!   workers (see [`funnel_did::cache`]), so even its hit and
 //!   miss counts are the same at any worker count and under any schedule.
 //! * **Deterministic merge** — which worker ran which unit is scheduling-
 //!   dependent; results are re-ordered by job index, and [`merge`] re-keys
@@ -59,19 +61,25 @@ use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::TimeSeries;
 use funnel_topology::change::SoftwareChange;
 use funnel_topology::impact::{Entity, ImpactSet};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 pub use funnel_obs::parallel::fan_out;
 
-/// One memoized control-group window: the fetched member series with their
-/// coverage masks, plus the group's mean coverage over the DiD periods.
-pub(crate) type ControlGroupWindow = (Vec<(TimeSeries, Option<CoverageMask>)>, f64);
+/// One memoized control-group window: the member series with their
+/// coverage masks, as the source `'s` lends or builds them, plus the
+/// group's mean coverage over the DiD periods.
+pub(crate) type ControlGroupWindow<'s> = (
+    Vec<(Cow<'s, TimeSeries>, Option<Cow<'s, CoverageMask>>)>,
+    f64,
+);
 
-/// The control-group windows of one assessment, keyed by which control pool
-/// the treated entity contrasts against (see [`control_level`]) and the KPI
-/// kind. Shared by `&` across the workers; each window is built once.
-pub(crate) type ControlTable = ControlCache<(u8, KpiKind), ControlGroupWindow>;
+/// The control-group windows of one assessment over the source `'s`, keyed
+/// by which control pool the treated entity contrasts against (see
+/// [`control_level`]) and the KPI kind. Shared by `&` across the workers;
+/// each window is built once.
+pub(crate) type ControlTable<'s> = ControlCache<(u8, KpiKind), ControlGroupWindow<'s>>;
 
 /// Which control pool a treated entity's DiD contrast draws from: `0` for
 /// server-level items (cservers), `1` for instance- and service-level items
@@ -260,7 +268,7 @@ mod tests {
     }
 
     impl KpiSource for Missing<'_> {
-        fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
+        fn series(&self, key: &KpiKey) -> Option<Cow<'_, TimeSeries>> {
             self.asked.lock().insert(*key);
             if self.missing.contains(key) {
                 return None;

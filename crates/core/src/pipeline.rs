@@ -490,13 +490,13 @@ impl Funnel {
     /// derived from `source`, so it never changes the item. `scratch` is
     /// the worker's, lent to item after item; no bit of the item depends
     /// on what it held before.
-    pub(crate) fn assess_item(
+    pub(crate) fn assess_item<'s>(
         &self,
-        source: &impl KpiSource,
+        source: &'s impl KpiSource,
         change: &SoftwareChange,
         impact_set: &ImpactSet,
         key: KpiKey,
-        table: &ControlTable,
+        table: &ControlTable<'s>,
         scratch: &mut ItemScratch,
     ) -> Result<ItemAssessment, FunnelError> {
         let _span = funnel_obs::span!(funnel_obs::names::SPAN_ASSESS_ITEM);
@@ -579,7 +579,7 @@ impl Funnel {
                 },
             )
         } else if detection.is_some() {
-            let own = (&series, mask.as_ref());
+            let own = (&*series, mask.as_deref());
             match self.determine(source, change, impact_set, key, own, mode, table) {
                 Ok((v, est)) => {
                     let verdict = if v.is_caused() {
@@ -645,15 +645,15 @@ impl Funnel {
         clippy::too_many_arguments,
         reason = "DiD needs the item (key, series and mask, mode) and its assessment's change, impact set and controls"
     )]
-    fn determine(
+    fn determine<'s>(
         &self,
-        source: &impl KpiSource,
+        source: &'s impl KpiSource,
         change: &SoftwareChange,
         impact_set: &ImpactSet,
         key: KpiKey,
         own: (&TimeSeries, Option<&CoverageMask>),
         mode: AssessmentMode,
-        table: &ControlTable,
+        table: &ControlTable<'s>,
     ) -> Result<(DidVerdict, DidEstimate), DidError> {
         let series = own.0;
         match mode {
@@ -686,7 +686,7 @@ impl Funnel {
                             .sum::<f64>()
                             / control_keys.len() as f64
                     };
-                    let members: Vec<(TimeSeries, Option<CoverageMask>)> = control_keys
+                    let members = control_keys
                         .iter()
                         .filter_map(|k| source.series(k).map(|s| (s, source.mask(k))))
                         .collect();
@@ -706,7 +706,7 @@ impl Funnel {
                     // For the changed service's KPI the treated group is
                     // the tinstances, fetched here; a server or instance
                     // item is its own treated group, already in hand.
-                    let fetched: Vec<(TimeSeries, Option<CoverageMask>)>;
+                    let fetched: Vec<_>;
                     let tr: Vec<(&TimeSeries, Option<&CoverageMask>)> = match key.entity {
                         Entity::Server(_) | Entity::Instance(_) => vec![own],
                         Entity::Service(_) => {
@@ -714,12 +714,12 @@ impl Funnel {
                                 .iter()
                                 .filter_map(|k| source.series(k).map(|s| (s, source.mask(k))))
                                 .collect();
-                            fetched.iter().map(|(s, m)| (s, m.as_ref())).collect()
+                            fetched.iter().map(|(s, m)| (&**s, m.as_deref())).collect()
                         }
                     };
                     let cr: Vec<(&TimeSeries, Option<&CoverageMask>)> = control_members
                         .iter()
-                        .map(|(s, m)| (s, m.as_ref()))
+                        .map(|(s, m)| (&**s, m.as_deref()))
                         .collect();
                     DidAssessor.assess_masked(&tr, &cr, change.minute)
                 }

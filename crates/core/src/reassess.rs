@@ -84,6 +84,7 @@ mod tests {
     use funnel_timeseries::mask::CoverageMask;
     use funnel_timeseries::series::{MinuteBin, TimeSeries};
     use funnel_topology::change::{ChangeId, ChangeKind};
+    use std::borrow::Cow;
 
     /// A dark-launch world where a partition darkens the treated zone right
     /// across the change minute, healing by staggered catch-up later.
@@ -249,16 +250,19 @@ mod tests {
     }
 
     impl KpiSource for HealedButMissing<'_> {
-        fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
-            self.inner.get(key).filter(|_| *key != self.missing)
+        fn series(&self, key: &KpiKey) -> Option<Cow<'_, TimeSeries>> {
+            self.inner
+                .get(key)
+                .filter(|_| *key != self.missing)
+                .map(Cow::Owned)
         }
 
         fn coverage(&self, _: &KpiKey, _: MinuteBin, _: MinuteBin) -> f64 {
             1.0
         }
 
-        fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
-            self.inner.mask(key)
+        fn mask(&self, key: &KpiKey) -> Option<Cow<'_, CoverageMask>> {
+            self.inner.mask(key).map(Cow::Owned)
         }
     }
 

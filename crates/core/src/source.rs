@@ -4,8 +4,9 @@
 //! live [`MetricStore`] (deployment), or a [`StoreSnapshot`] — a frozen,
 //! lock-free view of a live store, the preferred source when fanning an
 //! assessment across workers ([`crate::parallel`]): every worker reads the
-//! same instant of the store without ever touching its locks. All expose
-//! the same contract: a dense one-minute series per KPI key.
+//! same instant of the store without ever touching its locks, and reads it
+//! in place. All expose the same contract: a dense one-minute series per
+//! KPI key.
 
 use funnel_detect::outcomes::Outcomes;
 use funnel_sim::kpi::KpiKey;
@@ -13,11 +14,18 @@ use funnel_sim::store::{MetricStore, StoreSnapshot};
 use funnel_sim::world::World;
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
+use std::borrow::Cow;
 
 /// A provider of KPI series.
+///
+/// Series and masks come back as [`Cow`]s: a source that holds them
+/// immutably for as long as it is borrowed (a [`StoreSnapshot`]) lends
+/// them, and one that must build them or read them from behind a lock
+/// (a [`World`], a live [`MetricStore`], the streaming engine's rings)
+/// hands out owned values. The two read the same.
 pub trait KpiSource {
     /// The full series for `key`, if the key exists.
-    fn series(&self, key: &KpiKey) -> Option<TimeSeries>;
+    fn series(&self, key: &KpiKey) -> Option<Cow<'_, TimeSeries>>;
 
     /// Fraction of `[from, to)` backed by real measurements for `key`.
     /// Sources that cannot degrade (a frozen [`World`]) report full
@@ -38,7 +46,7 @@ pub trait KpiSource {
     /// contiguous partition-length gap flags an item for post-backfill
     /// re-assessment, while the same minutes lost as scattered frames do
     /// not.
-    fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
+    fn mask(&self, key: &KpiKey) -> Option<Cow<'_, CoverageMask>> {
         let _ = key;
         None
     }
@@ -55,42 +63,46 @@ pub trait KpiSource {
     }
 }
 
+/// Generates the series on every call.
 impl KpiSource for World {
-    fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
-        World::series(self, key).ok()
+    fn series(&self, key: &KpiKey) -> Option<Cow<'_, TimeSeries>> {
+        World::series(self, key).ok().map(Cow::Owned)
     }
 }
 
+/// Copies out from behind the store's lock: a writer may change the
+/// series as soon as the read ends.
 impl KpiSource for MetricStore {
-    fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
-        self.get(key)
+    fn series(&self, key: &KpiKey) -> Option<Cow<'_, TimeSeries>> {
+        self.get(key).map(Cow::Owned)
     }
 
     fn coverage(&self, key: &KpiKey, from: MinuteBin, to: MinuteBin) -> f64 {
         MetricStore::coverage(self, key, from, to)
     }
 
-    fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
-        MetricStore::mask(self, key)
+    fn mask(&self, key: &KpiKey) -> Option<Cow<'_, CoverageMask>> {
+        MetricStore::mask(self, key).map(Cow::Owned)
     }
 }
 
+/// Lends from the frozen slab: no read copies anything.
 impl KpiSource for StoreSnapshot {
-    fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
-        self.get(key)
+    fn series(&self, key: &KpiKey) -> Option<Cow<'_, TimeSeries>> {
+        self.held(key).map(|(series, _)| Cow::Borrowed(series))
     }
 
     fn coverage(&self, key: &KpiKey, from: MinuteBin, to: MinuteBin) -> f64 {
         StoreSnapshot::coverage(self, key, from, to)
     }
 
-    fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
-        StoreSnapshot::mask(self, key)
+    fn mask(&self, key: &KpiKey) -> Option<Cow<'_, CoverageMask>> {
+        self.held(key).map(|(_, mask)| Cow::Borrowed(mask))
     }
 }
 
 impl<T: KpiSource + ?Sized> KpiSource for &T {
-    fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
+    fn series(&self, key: &KpiKey) -> Option<Cow<'_, TimeSeries>> {
         (**self).series(key)
     }
 
@@ -98,7 +110,7 @@ impl<T: KpiSource + ?Sized> KpiSource for &T {
         (**self).coverage(key, from, to)
     }
 
-    fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
+    fn mask(&self, key: &KpiKey) -> Option<Cow<'_, CoverageMask>> {
         (**self).mask(key)
     }
 
@@ -110,10 +122,14 @@ impl<T: KpiSource + ?Sized> KpiSource for &T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FunnelConfig;
+    use crate::stream::{StreamConfig, StreamEngine};
     use funnel_sim::kpi::KpiKind;
+    use funnel_sim::live::LiveFeed;
     use funnel_sim::world::{SimConfig, WorldBuilder};
     use funnel_topology::impact::Entity;
     use funnel_topology::model::ServerId;
+    use std::collections::BTreeMap;
 
     #[test]
     fn world_and_store_agree() {
@@ -178,5 +194,65 @@ mod tests {
         // The snapshot is frozen: later appends do not reach it.
         store.append(key, 4, 9.0);
         assert_eq!(KpiSource::coverage(&snap, &key, 0, 5), 0.4);
+    }
+
+    #[test]
+    fn a_snapshot_lends_what_every_other_source_reads_alike() {
+        let mut b = WorldBuilder::new(SimConfig {
+            seed: 4,
+            start: 0,
+            duration: 90,
+        });
+        b.add_service("prod.t", 2).unwrap();
+        let world = b.build();
+        let store = world.materialize().unwrap();
+        // A key the world does not know, with two forward-filled minutes.
+        let gapped = KpiKey::new(Entity::Server(ServerId(99)), KpiKind::CpuUtilization);
+        store.append(gapped, 10, 1.0);
+        store.append(gapped, 13, 2.0);
+        let snap = store.snapshot();
+        let config = FunnelConfig::paper_default();
+        let stream = StreamConfig::paired_with(&config);
+        let mut engine = StreamEngine::new(config, stream, BTreeMap::new());
+        for (_, batch) in LiveFeed::from_store(&store).arrivals() {
+            for &m in batch {
+                engine.offer(m);
+            }
+        }
+        let rings = engine.ring_view();
+
+        let keys = snap.keys();
+        assert!(keys.len() > 2 && keys.contains(&gapped));
+        for key in keys {
+            let (Some(series), Some(mask)) =
+                (KpiSource::series(&snap, &key), KpiSource::mask(&snap, &key))
+            else {
+                panic!("{key:?} is held");
+            };
+            assert!(matches!(series, Cow::Borrowed(_)), "{key:?}: a copy");
+            assert!(matches!(mask, Cow::Borrowed(_)), "{key:?}: a copy");
+            assert_eq!(Some(&*series), snap.get(&key).as_ref(), "{key:?}");
+            assert_eq!(Some(&*mask), snap.mask(&key).as_ref(), "{key:?}");
+
+            assert_eq!(
+                KpiSource::series(&store, &key).as_deref(),
+                Some(&*series),
+                "{key:?}"
+            );
+            assert_eq!(
+                KpiSource::mask(&store, &key).as_deref(),
+                Some(&*mask),
+                "{key:?}"
+            );
+            assert_eq!(rings.series(&key).as_deref(), Some(&*series), "{key:?}");
+            assert_eq!(rings.mask(&key).as_deref(), Some(&*mask), "{key:?}");
+            let generated = KpiSource::series(&world, &key);
+            if key == gapped {
+                assert!(generated.is_none());
+            } else {
+                assert_eq!(generated.as_deref(), Some(&*series), "{key:?}");
+            }
+            assert!(KpiSource::mask(&world, &key).is_none());
+        }
     }
 }

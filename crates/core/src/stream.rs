@@ -96,6 +96,7 @@ use funnel_topology::change::{ChangeId, SoftwareChange};
 use funnel_topology::impact::{identify_impact_set, Entity, ImpactSet};
 use funnel_topology::model::{ServiceId, Topology};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 
 /// Seed of the shed-rank mixer. Same tick + same keys → the same shed set,
@@ -323,7 +324,8 @@ struct TrackedChange {
 
 /// A [`KpiSource`] view over the engine's rings, handed to the batch
 /// assessment code at due time. While nothing relevant was evicted the
-/// views are byte-identical to the unbounded store's series and masks.
+/// views are byte-identical to the unbounded store's series and masks. A
+/// ring is not contiguous, so each read builds its series and mask.
 struct RingView<'a> {
     keys: &'a BTreeMap<KpiKey, KeyState>,
     /// The summed tallies of the detector runs made over this view.
@@ -352,8 +354,8 @@ impl Outcomes for Remembered<'_> {
 impl KpiSource for RingView<'_> {
     // A key's first measurement creates its record, so a ring in the map
     // is never empty.
-    fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
-        Some(self.keys.get(key)?.ring.to_series())
+    fn series(&self, key: &KpiKey) -> Option<Cow<'_, TimeSeries>> {
+        Some(Cow::Owned(self.keys.get(key)?.ring.to_series()))
     }
 
     fn coverage(&self, key: &KpiKey, from: MinuteBin, to: MinuteBin) -> f64 {
@@ -362,8 +364,8 @@ impl KpiSource for RingView<'_> {
             .map_or(0.0, |state| state.ring.coverage(from, to))
     }
 
-    fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
-        Some(self.keys.get(key)?.ring.to_mask())
+    fn mask(&self, key: &KpiKey) -> Option<Cow<'_, CoverageMask>> {
+        Some(Cow::Owned(self.keys.get(key)?.ring.to_mask()))
     }
 
     fn outcomes(&self, key: &KpiKey) -> impl Outcomes + '_ {
@@ -595,6 +597,15 @@ impl StreamEngine {
     /// The last tick minute processed.
     pub fn watermark(&self) -> Option<MinuteBin> {
         self.watermark
+    }
+
+    /// The rings as the source a completing change reads.
+    #[cfg(test)]
+    pub(crate) fn ring_view(&self) -> impl KpiSource + '_ {
+        RingView {
+            keys: &self.keys,
+            runs: Mutex::new(WindowTally::default()),
+        }
     }
 
     /// KPI keys with resident ring state.

@@ -26,6 +26,7 @@ use funnel_timeseries::series::TimeSeries;
 use funnel_topology::change::{ChangeId, ChangeKind};
 use funnel_topology::impact::{identify_impact_set, Entity};
 use funnel_topology::model::ServiceId;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A dark-launch regression over a fleet large enough for a control pool.
@@ -119,8 +120,8 @@ struct MapSource {
 }
 
 impl KpiSource for MapSource {
-    fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
-        self.series.get(key).cloned()
+    fn series(&self, key: &KpiKey) -> Option<Cow<'_, TimeSeries>> {
+        self.series.get(key).map(Cow::Borrowed)
     }
 }
 

@@ -13,6 +13,7 @@ use funnel_sim::kpi::KpiKey;
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use funnel_topology::impact::Entity;
+use std::borrow::Cow;
 
 /// `inner` with `key`'s series poisoned; every other read passes through.
 pub struct Poisoned<S> {
@@ -21,7 +22,7 @@ pub struct Poisoned<S> {
 }
 
 impl<S: KpiSource> KpiSource for Poisoned<S> {
-    fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
+    fn series(&self, key: &KpiKey) -> Option<Cow<'_, TimeSeries>> {
         assert!(*key != self.key, "poisoned work unit {key:?}");
         self.inner.series(key)
     }
@@ -30,7 +31,7 @@ impl<S: KpiSource> KpiSource for Poisoned<S> {
         self.inner.coverage(key, from, to)
     }
 
-    fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
+    fn mask(&self, key: &KpiKey) -> Option<Cow<'_, CoverageMask>> {
         self.inner.mask(key)
     }
 }

@@ -26,6 +26,7 @@ use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use funnel_topology::change::{ChangeKind, SoftwareChange};
 use poisoned::Poisoned;
+use std::borrow::Cow;
 
 const SHARDS: usize = 3;
 
@@ -159,7 +160,7 @@ impl Outcomes for PanicsAt {
 }
 
 impl<S: KpiSource> KpiSource for PanicsMidDetection<S> {
-    fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
+    fn series(&self, key: &KpiKey) -> Option<Cow<'_, TimeSeries>> {
         self.inner.series(key)
     }
 
@@ -167,7 +168,7 @@ impl<S: KpiSource> KpiSource for PanicsMidDetection<S> {
         self.inner.coverage(key, from, to)
     }
 
-    fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
+    fn mask(&self, key: &KpiKey) -> Option<Cow<'_, CoverageMask>> {
         self.inner.mask(key)
     }
 

@@ -131,8 +131,8 @@ pub fn evaluate_cohort(
                     continue;
                 };
                 let onset = truth.onset(change, item.key).unwrap_or(change_minute);
-                let series = snapshot
-                    .get(&item.key)
+                let (series, _) = snapshot
+                    .held(&item.key)
                     .ok_or(FunnelError::MissingSeries(item.key))?;
                 for (&method, runner) in methods.iter().zip(runners.iter()) {
                     let declared_at = match method {

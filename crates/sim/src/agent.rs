@@ -43,7 +43,9 @@ pub struct ReplayStats {
     /// Unique wire frames the collector accepted (dropped, duplicate, and
     /// quarantined frames excluded).
     pub frames: usize,
-    /// Individual measurements ingested (before aggregation).
+    /// Individual measurements of live frames the store took (before
+    /// aggregation); a record the store refused, its bin measured
+    /// already, is not counted.
     pub records: usize,
     /// Minutes replayed.
     pub minutes: usize,

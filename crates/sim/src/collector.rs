@@ -77,7 +77,7 @@ struct Cell {
 /// out. Only cells with entries count: [`MinuteAccs::iter`], `len`,
 /// equality and `Debug` see a table as the map of its non-empty cells. The
 /// collector builds a live minute's table *dense*, every cell of its world
-/// at its [`cell_index`], so that a record finds its cell by index; and it
+/// at its `cell_index`, so that a record finds its cell by index; and it
 /// reuses a finalized minute's table, cells emptied and their vectors kept,
 /// for a later minute. A table read from a checkpoint holds only its
 /// non-empty cells, found by binary search.
@@ -638,14 +638,21 @@ impl<'a> Collector<'a> {
                 continue;
             }
             *last = rec.value;
-            self.stats.records += 1;
-            let taken = w.append_id(id, frame.minute, rec.value);
-            // A cell counts each instance once. A record whose bin held a
-            // measurement already (a key the frame repeats) was counted
-            // with it. One the store passed over for its forward fill (a
-            // delayed frame) is a measurement still, but enters only if
-            // its instance is not in the cell yet; a record the store took
-            // opened its bin, so it cannot be.
+            // A record behind its key's frontier over a forward fill (a
+            // delayed frame inside the horizon) takes the late path, which
+            // replaces the fill and settles the fills behind it; one whose
+            // bin holds a measurement (a key the frame repeats) is refused
+            // on either path, first write wins.
+            let taken = w.append_id(id, frame.minute, rec.value)
+                || (!w.measured(id, frame.minute) && w.backfill_id(id, frame.minute, rec.value));
+            if taken {
+                self.stats.records += 1;
+            }
+            // A cell counts each instance once. A refused record whose bin
+            // held a measurement was counted with it. One the store could
+            // not place (before its series' anchor) is a measurement still,
+            // but enters only if its instance is not in the cell yet; a
+            // record the store took opened its bin, so it cannot be.
             if let (Entity::Instance(i), Some(cell)) = (rec.key.entity, cell) {
                 if taken {
                     accs.push(cell, (i.0, rec.value));
@@ -916,6 +923,8 @@ mod tests {
         // Agent 0 sends instance 0 twice and instance 1 not at all; agent
         // 1's next frame moves past minute 0, which finalizes one short.
         assert!(c.ingest(&encode_frame(0, 0, &[rec(0, 10.0), rec(0, 10.0)])));
+        // The store took the first of the two; only it counts as taken.
+        assert_eq!(c.stats().records, 1);
         assert!(c.ingest(&encode_frame(3, 1, &[])));
         let mut partial = MinuteAccs::new();
         partial.insert((ServiceId(0), kind), vec![(0, 10.0)]);
@@ -951,10 +960,11 @@ mod tests {
         assert!(c.ingest(&encode_frame(2, 1, &[rec(1, 4.0)])));
         assert!(c.ingest(&encode_frame(1, 1, &[rec(1, 3.0), rec(1, 9.0)])));
         c.finish();
-        // The store keeps its fill, first write wins; the minute's
-        // aggregate counts the delayed value, once.
+        // The delayed value replaces the fill and its repeat is refused,
+        // first write wins; the minute's aggregate counts it, once.
         let values = |key| store.get(&key).map(|s| (s.start(), s.values().to_vec()));
-        assert_eq!(values(key(1)), Some((0, vec![2.0, 2.0, 4.0])));
+        assert_eq!(values(key(1)), Some((0, vec![2.0, 3.0, 4.0])));
+        assert!(store.mask(&key(1)).is_some_and(|m| m.is_present(1)));
         let service = KpiKey::new(Entity::Service(ServiceId(0)), kind);
         assert_eq!(values(service), Some((0, vec![3.0, 4.0])));
     }

@@ -591,7 +591,8 @@ impl MetricStore {
 ///
 /// Accessors mirror the store's read API but never touch a lock: the
 /// snapshot holds the slab as it was behind an `Arc`, and a later writer
-/// copies the slab before touching it. This is the
+/// copies the slab before touching it. [`StoreSnapshot::held`] lends a
+/// key's series and mask in place; `get` and `mask` copy them. This is the
 /// view the batch pipeline hands its worker threads — every worker reads
 /// the same bytes regardless of scheduling, which is one half of the
 /// byte-identical-reports guarantee (the other half is the deterministic
@@ -602,14 +603,20 @@ pub struct StoreSnapshot {
 }
 
 impl StoreSnapshot {
+    /// The series and coverage mask of `key`, read in place: the snapshot
+    /// is immutable, so nothing needs copying for as long as it lives.
+    pub fn held(&self, key: &KpiKey) -> Option<(&TimeSeries, &CoverageMask)> {
+        self.slab.held(key).map(|h| (&h.series, &h.mask))
+    }
+
     /// A full copy of the series for `key`.
     pub fn get(&self, key: &KpiKey) -> Option<TimeSeries> {
-        self.slab.held(key).map(|h| h.series.clone())
+        self.held(key).map(|(series, _)| series.clone())
     }
 
     /// A copy of the coverage mask for `key`.
     pub fn mask(&self, key: &KpiKey) -> Option<CoverageMask> {
-        self.slab.held(key).map(|h| h.mask.clone())
+        self.held(key).map(|(_, mask)| mask.clone())
     }
 
     /// Fraction of `[from, to)` that held real measurements for `key` at

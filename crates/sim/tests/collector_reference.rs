@@ -15,8 +15,10 @@
 //! of their own: the states are compared by `Debug`, which a map prints as
 //! its entries in key order. It must never be "fixed" or tuned: it is the
 //! definition of the store contents, counters and collector state the fast
-//! path has to reproduce. It carries one mend, its lines marked `mended`:
-//! a service cell counts each instance once.
+//! path has to reproduce. It carries mends, their lines marked `mended`: a
+//! service cell counts each instance once, a live record behind its key's
+//! frontier over a forward fill takes the late path, and `records` counts
+//! only the records the store took.
 
 #![expect(
     clippy::disallowed_types,
@@ -322,8 +324,13 @@ mod shipped {
                             continue;
                         }
                         self.last_values.insert(rec.key, rec.value);
-                        self.stats.records += 1;
-                        let taken = self.store.append(rec.key, frame.minute, rec.value); // mended
+                        // mended: a record behind the frontier over a fill takes the late path
+                        let taken = self.store.append(rec.key, frame.minute, rec.value)
+                            || (!self.store.measured(rec.key, frame.minute)
+                                && self.store.backfill(rec.key, frame.minute, rec.value));
+                        if taken {
+                            self.stats.records += 1; // mended: only records the store took
+                        }
                         if let Entity::Instance(i) = rec.key.entity {
                             if let Some(&svc) = self.instance_service.get(&i.0) {
                                 // mended: a record the store refused enters unless its bin

@@ -29,6 +29,7 @@
 //! This is the worked example behind `OPERATORS.md` and the CI
 //! `Diag example` step.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use funnel_suite::core::pipeline::{ChangeAssessment, Funnel};
@@ -100,8 +101,8 @@ struct MapSource {
 }
 
 impl KpiSource for MapSource {
-    fn series(&self, key: &KpiKey) -> Option<TimeSeries> {
-        self.series.get(key).cloned()
+    fn series(&self, key: &KpiKey) -> Option<Cow<'_, TimeSeries>> {
+        self.series.get(key).map(Cow::Borrowed)
     }
 }
 
