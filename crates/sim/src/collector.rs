@@ -643,8 +643,9 @@ impl<'a> Collector<'a> {
             // replaces the fill and settles the fills behind it; one whose
             // bin holds a measurement (a key the frame repeats) is refused
             // on either path, first write wins.
-            let taken = w.append_id(id, frame.minute, rec.value)
-                || (!w.measured(id, frame.minute) && w.backfill_id(id, frame.minute, rec.value));
+            let appended = w.append_id(id, frame.minute, rec.value);
+            let measured = !appended && w.measured(id, frame.minute);
+            let taken = appended || (!measured && w.backfill_id(id, frame.minute, rec.value));
             if taken {
                 self.stats.records += 1;
             }
@@ -656,7 +657,7 @@ impl<'a> Collector<'a> {
             if let (Entity::Instance(i), Some(cell)) = (rec.key.entity, cell) {
                 if taken {
                     accs.push(cell, (i.0, rec.value));
-                } else if !w.measured(id, frame.minute) {
+                } else if !measured {
                     accs.push_once(cell, (i.0, rec.value));
                 }
             }

@@ -78,6 +78,12 @@ impl CoverageMask {
         self.present[idx] = true;
     }
 
+    /// Appends `n` measured minutes at [`CoverageMask::end`]: `n` calls of
+    /// [`CoverageMask::mark`] on the next minute, in one extension.
+    pub fn extend_present(&mut self, n: usize) {
+        self.present.resize(self.present.len() + n, true);
+    }
+
     /// Whether `minute` holds a real measurement.
     pub fn is_present(&self, minute: MinuteBin) -> bool {
         if minute < self.start {
@@ -206,6 +212,24 @@ mod tests {
         let m = CoverageMask::all_present(5, 10);
         assert_eq!(m.coverage(5, 15), 1.0);
         assert_eq!(m.present_in(5, 15), 10);
+    }
+
+    #[test]
+    fn extend_present_marks_the_next_minutes() {
+        let mut marked = CoverageMask::new(4);
+        marked.mark(5);
+        let mut extended = marked.clone();
+        for minute in 6..9 {
+            marked.mark(minute);
+        }
+        extended.extend_present(3);
+        extended.extend_present(0);
+        assert_eq!(extended, marked);
+        assert_eq!(extended.end(), 9);
+        assert!(!extended.is_present(4) && extended.is_present(8));
+        let mut empty = CoverageMask::new(10);
+        empty.extend_present(2);
+        assert_eq!(empty, CoverageMask::all_present(10, 2));
     }
 
     #[test]

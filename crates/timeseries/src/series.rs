@@ -87,6 +87,12 @@ impl TimeSeries {
         self.values.push(value);
     }
 
+    /// Appends the measurements for the next `values.len()` minutes, oldest
+    /// first: [`TimeSeries::push`] for a whole run at once.
+    pub fn extend_from_slice(&mut self, values: &[f64]) {
+        self.values.extend_from_slice(values);
+    }
+
     /// Overwrites the value at absolute minute `bin` (backfill of a healed
     /// telemetry gap). Returns `false` when `bin` lies outside the series —
     /// the caller must extend via [`TimeSeries::push`] instead.
@@ -313,6 +319,23 @@ mod tests {
         assert_eq!(s.at(10), Some(1.0));
         assert_eq!(s.at(12), Some(3.0));
         assert_eq!(s.at(13), None);
+    }
+
+    #[test]
+    fn extend_from_slice_appends_a_run_like_pushes() {
+        let mut pushed = TimeSeries::new(7, vec![1.0]);
+        let mut extended = pushed.clone();
+        for v in [2.0, -0.0, 4.5] {
+            pushed.push(v);
+        }
+        extended.extend_from_slice(&[2.0, -0.0, 4.5]);
+        extended.extend_from_slice(&[]);
+        assert_eq!(extended.end(), 11);
+        let bits = |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&extended), bits(&pushed));
+        let mut empty = TimeSeries::empty(3);
+        empty.extend_from_slice(&[9.0, 8.0]);
+        assert_eq!((empty.start(), empty.values()), (3, &[9.0, 8.0][..]));
     }
 
     #[test]
