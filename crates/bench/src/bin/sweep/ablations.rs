@@ -151,7 +151,6 @@ impl AblationGrid {
         Self(fan_out(
             spans,
             workers,
-            None,
             scorers,
             |scorers, (actual, change_at, values)| ScoredItem {
                 actual,

@@ -76,7 +76,7 @@ impl Grid for Fig7Grid {
             .expect("click KPI in impact set");
         let series = world.series(&clicks).expect("exists");
         let truth = GroundTruth::of(&world);
-        let declared = item.detection.filter(|_| item.caused);
+        let declared = item.detection.filter(|_| item.verdict.is_caused());
         let row = Fig7Row {
             impact_set_kpis: assessment.items.len(),
             flagged: assessment.caused_items().count(),

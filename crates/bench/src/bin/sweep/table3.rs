@@ -64,7 +64,6 @@ pub fn assess_week(world: &World, meta: &DeploymentMeta, workers: usize) -> Vec<
     fan_out(
         meta.days.iter().collect(),
         workers,
-        None,
         || (),
         |(), ids: &Vec<_>| {
             let mut day = DayTally {

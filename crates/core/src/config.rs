@@ -44,7 +44,10 @@ impl Default for AssessConfig {
 /// before its verdict is trusted. Below it the item is reported
 /// `Inconclusive` rather than attributed (or cleared) on interpolated data,
 /// and a dark-launch control group that falls below it is abandoned for the
-/// seasonal history.
+/// seasonal history. A partition-gapped window must reach it again, through
+/// collector backfill, before
+/// [`Funnel::reassess`](crate::pipeline::Funnel::reassess) re-runs the item:
+/// a re-run below it would only come back `Inconclusive` again.
 pub const MIN_COVERAGE: f64 = 0.8;
 
 /// Shortest contiguous coverage gap (in minutes) treated as a network
@@ -55,12 +58,6 @@ pub const MIN_COVERAGE: f64 = 0.8;
 /// re-assessment. The persistence length: the shortest gap that could
 /// single-handedly fake the 7-minute rule.
 pub const MIN_PARTITION_GAP: u64 = funnel_detect::PERSISTENCE_MINUTES as u64;
-
-/// Coverage fraction a previously partition-gapped assessment window must
-/// reach, via collector backfill, before
-/// [`Funnel::reassess`](crate::pipeline::Funnel::reassess) re-runs the item
-/// for a firm verdict.
-pub const REASSESS_COVERAGE: f64 = 0.8;
 
 /// What the deployed tool leaves to set, with the paper's defaults: the
 /// settings some caller gives a second value. The coverage and

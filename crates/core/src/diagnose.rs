@@ -86,7 +86,6 @@ pub(crate) fn diagnose_assessment(
     impact_set: &ImpactSet,
     items: &[ItemAssessment],
 ) -> DiagReport {
-    let _span = funnel_obs::span!(funnel_obs::names::SPAN_DIAG_CHANGE);
     // Dark-launch control pools are shared by every item at one
     // (entity level, KPI kind), exactly as in the DiD contrast — memoize
     // the member fetch the same way.

@@ -43,7 +43,7 @@
 //! let funnel = Funnel::paper_default();
 //! let assessment = funnel.assess_change(&world, change).unwrap();
 //! // The broken upgrade's click collapse is detected and attributed:
-//! assert!(assessment.items.iter().any(|i| i.caused));
+//! assert!(assessment.items.iter().any(|i| i.verdict.is_caused()));
 //! ```
 
 #![deny(missing_docs)]

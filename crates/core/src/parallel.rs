@@ -163,7 +163,6 @@ pub(crate) fn assess_work_units<S: KpiSource + Sync>(
     let results = fan_out(
         work.to_vec(),
         workers,
-        Some(funnel_obs::names::SPAN_ASSESS_WORKER),
         || funnel.item_scratch(),
         |scratch, key| {
             catch_unwind(AssertUnwindSafe(|| {

@@ -107,11 +107,8 @@ pub struct ItemAssessment {
     pub did: Option<(DidVerdict, DidEstimate)>,
     /// Which control group was used.
     pub mode: AssessmentMode,
-    /// Final verdict: a KPI change exists *and* it is attributed to the
-    /// software change. (`false` also for [`Verdict::Inconclusive`]; check
-    /// [`ItemAssessment::verdict`] to distinguish.)
-    pub caused: bool,
-    /// The coverage-aware verdict.
+    /// The coverage-aware verdict: [`Verdict::is_caused`] when a KPI change
+    /// exists *and* is attributed to the software change.
     pub verdict: Verdict,
     /// Telemetry coverage and data-quality screening for this item.
     pub quality: DataQuality,
@@ -134,12 +131,12 @@ pub struct ChangeAssessment {
 impl ChangeAssessment {
     /// Items whose KPI change was attributed to the software change.
     pub fn caused_items(&self) -> impl Iterator<Item = &ItemAssessment> {
-        self.items.iter().filter(|i| i.caused)
+        self.items.iter().filter(|i| i.verdict.is_caused())
     }
 
     /// Whether the software change had any attributed KPI impact.
     pub fn has_impact(&self) -> bool {
-        self.items.iter().any(|i| i.caused)
+        self.items.iter().any(|i| i.verdict.is_caused())
     }
 
     /// Items whose telemetry was too degraded to decide either way.
@@ -464,13 +461,11 @@ impl Funnel {
         key: KpiKey,
         issue: QualityIssue,
     ) -> ItemAssessment {
-        funnel_obs::counter_add(funnel_obs::names::VERDICT_INCONCLUSIVE, change.minute, 1);
         ItemAssessment {
             key,
             detection: None,
             did: None,
             mode: AssessmentMode::SeasonalHistory,
-            caused: false,
             verdict: Verdict::Inconclusive {
                 awaiting_backfill: false,
             },
@@ -620,19 +615,19 @@ impl Funnel {
         // the cursor pinned by the single-threaded assessment entry, so
         // every thread writes the same window.
         let verdict_counter = match verdict {
-            Verdict::Caused => funnel_obs::names::VERDICT_CAUSED,
-            Verdict::NotCaused => funnel_obs::names::VERDICT_NOT_CAUSED,
-            Verdict::Inconclusive { .. } => funnel_obs::names::VERDICT_INCONCLUSIVE,
+            Verdict::Caused => Some(funnel_obs::names::VERDICT_CAUSED),
+            Verdict::NotCaused => Some(funnel_obs::names::VERDICT_NOT_CAUSED),
+            Verdict::Inconclusive { .. } => None,
         };
-        let tl_window = funnel_obs::timeline::current_window();
-        funnel_obs::counter_add(verdict_counter, tl_window, 1);
+        if let Some(name) = verdict_counter {
+            funnel_obs::counter_add(name, funnel_obs::timeline::current_window(), 1);
+        }
 
         Ok(ItemAssessment {
             key,
             detection,
             did,
             mode,
-            caused: verdict.is_caused(),
             verdict,
             quality,
             window: (lo, to),
@@ -792,7 +787,7 @@ mod tests {
         let item = a
             .items
             .iter()
-            .find(|i| i.caused && matches!(i.key.entity, Entity::Instance(_)))
+            .find(|i| i.verdict.is_caused() && matches!(i.key.entity, Entity::Instance(_)))
             .unwrap();
         assert_eq!(item.mode, AssessmentMode::DarkLaunchControl);
         assert!(item.detection.is_some());
@@ -864,13 +859,13 @@ mod tests {
         // coverage threshold — those items are Inconclusive instead.
         for item in &a.items {
             assert!(
-                !(item.caused && item.quality.coverage < MIN_COVERAGE),
+                !(item.verdict.is_caused() && item.quality.coverage < MIN_COVERAGE),
                 "{:?} attributed on {:.0}% coverage",
                 item.key,
                 item.quality.coverage * 100.0
             );
             if item.verdict.is_inconclusive() {
-                assert!(!item.caused);
+                assert!(!item.verdict.is_caused());
             }
         }
         // 40% frame loss leaves most windows under the threshold.
@@ -913,7 +908,10 @@ mod tests {
             .iter()
             .find(|i| i.key == KpiKey::new(Entity::Service(ads), KpiKind::EffectiveClickCount))
             .expect("click item assessed");
-        assert!(click_item.caused, "click collapse not attributed");
+        assert!(
+            click_item.verdict.is_caused(),
+            "click collapse not attributed"
+        );
         assert_eq!(click_item.mode, AssessmentMode::SeasonalHistory);
     }
 

@@ -14,7 +14,7 @@
 //! function of it, and calling [`Funnel::reassess`] on that assessment
 //! carries on where the crashed process stopped.
 
-use crate::config::REASSESS_COVERAGE;
+use crate::config::MIN_COVERAGE;
 use crate::pipeline::{ChangeAssessment, Funnel, FunnelError};
 use crate::source::KpiSource;
 use funnel_sim::kpi::KpiKey;
@@ -23,7 +23,7 @@ use funnel_topology::model::Topology;
 
 impl Funnel {
     /// Re-runs every `awaiting_backfill` item of `assessment` whose window
-    /// coverage in `source` has reached [`REASSESS_COVERAGE`] and replaces
+    /// coverage in `source` has reached [`MIN_COVERAGE`] and replaces
     /// those items in place, returning how many it replaced. The re-runs go
     /// through the same fan-out/merge engine as the batch pipeline
     /// ([`Funnel::assess_keys`]), so a large post-heal backlog clears at the
@@ -44,15 +44,12 @@ impl Funnel {
         change: &SoftwareChange,
     ) -> Result<usize, FunnelError> {
         funnel_obs::timeline::set_window(change.minute);
-        let _span = funnel_obs::span!(funnel_obs::names::SPAN_REASSESS);
         if assessment.change != change.id {
             return Ok(0);
         }
         let healed: Vec<KpiKey> = assessment
             .awaiting_backfill_items()
-            .filter(|item| {
-                source.coverage(&item.key, item.window.0, item.window.1) >= REASSESS_COVERAGE
-            })
+            .filter(|item| source.coverage(&item.key, item.window.0, item.window.1) >= MIN_COVERAGE)
             .map(|item| item.key)
             .collect();
         if healed.is_empty() {

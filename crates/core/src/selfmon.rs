@@ -259,7 +259,7 @@ mod tests {
         // A partition at minute 60 silences ingest entirely.
         let ingest = (0..60).map(|m| (names::FRAMES_INGESTED.as_str(), m, 500));
         // Keep the snapshot range anchored past the silence.
-        let ticks = (0..120).map(|m| (names::STREAM_TICKS.as_str(), m, 1));
+        let ticks = (0..120).map(|m| (names::STREAM_LATE_BACKFILLED.as_str(), m, 1));
         let report = synthetic_report(ingest.chain(ticks));
         let health = run_selfmon(&report);
         let ingest = &health.series[0];

@@ -740,21 +740,14 @@ impl StreamEngine {
         let _span = funnel_obs::span!(names::SPAN_STREAM_TICK);
         self.watermark = Some(self.watermark.map_or(minute, |w| w.max(minute)));
         self.stats.ticks += 1;
-        funnel_obs::counter_add(names::STREAM_TICKS, minute, 1);
 
         let (dirty, plans) = self.plan_scoring(minute);
         self.stats.peak_dirty = self.stats.peak_dirty.max(dirty);
-        let lag = plans
-            .iter()
-            .map(|(_, p)| (minute + 1).saturating_sub(p.lo))
-            .max()
-            .unwrap_or(0);
-        funnel_obs::histogram_record(names::STREAM_WATERMARK_LAG, minute, lag);
 
         let (admitted, shed) = shed_policy(self.config.tick_budget, minute, plans);
         self.apply_sheds(minute, &shed);
 
-        let (folds, detections) = self.run_scoring(minute, &admitted);
+        let (folds, detections) = self.run_scoring(&admitted);
         self.stats.folds += folds;
         for d in &detections {
             self.stats.detections += 1;
@@ -854,11 +847,7 @@ impl StreamEngine {
     /// Scores the admitted keys (in key order) through the shared fan-out,
     /// one SST workspace per worker; detections come back in key order at
     /// any worker count.
-    fn run_scoring(
-        &mut self,
-        minute: MinuteBin,
-        admitted: &[(KpiKey, ScorePlan)],
-    ) -> (u64, Vec<StreamDetection>) {
+    fn run_scoring(&mut self, admitted: &[(KpiKey, ScorePlan)]) -> (u64, Vec<StreamDetection>) {
         if admitted.is_empty() {
             return (0, Vec::new());
         }
@@ -866,7 +855,6 @@ impl StreamEngine {
         let scorer_config = &self.funnel.config().sst;
         let width = scorer_config.window_len();
         let scorer = self.funnel.scorer();
-        funnel_obs::histogram_record(names::STREAM_QUEUE_DEPTH, minute, admitted.len() as u64);
 
         // Each admitted key's record split into its ring and its monitor,
         // disjoint and in key order: the map iterates sorted, and the plans
@@ -886,7 +874,6 @@ impl StreamEngine {
         let scored = parallel::fan_out(
             jobs,
             self.config.workers,
-            None,
             // Per worker: the SST workspace, and the buffer held windows are
             // copied out of the rings through.
             || (SstWorkspace::new(scorer_config), Vec::with_capacity(width)),

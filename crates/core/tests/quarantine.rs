@@ -76,7 +76,7 @@ fn only_quarantined(clean: &[ItemAssessment], got: &[ItemAssessment], poisoned: 
                     awaiting_backfill: false
                 }
             );
-            assert!(!got.caused);
+            assert!(!got.verdict.is_caused());
             assert_eq!(got.quality.report.issues, vec![QualityIssue::Quarantined]);
         } else {
             assert_eq!(format!("{got:?}"), format!("{want:?}"));

@@ -708,7 +708,7 @@ fn replayed_store_streams_to_the_batch_verdicts() {
     let (world, change) = live_world(6, 0.0);
     let (got, _, batch) = stream_replayed_store(&world, change);
     assert_eq!(format!("{:?}", got.items), batch, "streaming != batch");
-    let caused = got.items.iter().filter(|i| i.caused).count();
+    let caused = got.items.iter().filter(|i| i.verdict.is_caused()).count();
     assert_eq!(
         caused, 0,
         "clean change wrongly attributed: {:?}",

@@ -12,7 +12,8 @@
 //! * [`outcomes`] — [`WindowOutcomes`], the memory one run records its
 //!   scorer's answers in and a later run over the same samples recalls them
 //!   from instead of asking again.
-//! * [`sst_adapter`] — wraps the `funnel-sst` scorers as [`WindowScorer`]s.
+//! * [`sst_adapter`] — [`SstDetector`], the deployed `funnel-sst` scorer as
+//!   a [`WindowScorer`].
 //! * [`cusum`] — the CUmulative SUM detector used by MERCURY
 //!   (SIGCOMM 2010), the paper's "long detection delay" baseline.
 //! * [`mrls`] — Multiscale Robust Local Subspace, the PRISM (CoNEXT 2011)
@@ -40,7 +41,6 @@ pub mod detector;
 pub mod mrls;
 pub mod outcomes;
 pub mod sst_adapter;
-pub mod wow;
 
 pub use cusum::CusumDetector;
 pub use delay::{detection_delay, DelayOutcome};
@@ -51,7 +51,6 @@ pub use detector::{
 pub use mrls::MrlsDetector;
 pub use outcomes::{Outcome, Outcomes, WindowOutcomes};
 pub use sst_adapter::SstDetector;
-pub use wow::WowDetector;
 
 /// Sliding-window width used for MRLS in the paper's evaluation (§4.1).
 pub const W_MRLS: usize = 32;

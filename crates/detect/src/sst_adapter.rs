@@ -1,54 +1,25 @@
-//! Adapters exposing the `funnel-sst` scorers as [`WindowScorer`]s.
+//! The adapter exposing the deployed `funnel-sst` scorer as a
+//! [`WindowScorer`].
 
 use crate::detector::{ReachingScorer, WindowScorer};
-use funnel_sst::{ClassicSst, FastSst, RobustSst, SstScorer};
+use funnel_sst::{FastSst, SstScorer};
 
-/// Newtype adapter: any SST scorer as a [`WindowScorer`].
+/// The detector FUNNEL deploys: IKA-accelerated robust SST ([`FastSst`]) as
+/// a [`WindowScorer`]. The exact scorers (`RobustSst`, `ClassicSst`) stay in
+/// `funnel-sst`, as its property oracle and the ablations' exact scorer.
 #[derive(Debug, Clone)]
-pub struct SstDetector<S> {
-    inner: S,
-    name: &'static str,
+pub struct SstDetector {
+    inner: FastSst,
 }
 
-impl SstDetector<FastSst> {
-    /// The detector FUNNEL deploys: IKA-accelerated robust SST.
+impl SstDetector {
+    /// Wraps `inner`.
     pub fn fast(inner: FastSst) -> Self {
-        Self {
-            inner,
-            name: "FUNNEL-SST",
-        }
+        Self { inner }
     }
 }
 
-impl SstDetector<RobustSst> {
-    /// Exact robust SST (the "Improved SST" row of Table 1 when run without
-    /// DiD).
-    pub fn robust(inner: RobustSst) -> Self {
-        Self {
-            inner,
-            name: "Improved-SST",
-        }
-    }
-}
-
-impl SstDetector<ClassicSst> {
-    /// Classic SST (pre-§3.2.2 formulation).
-    pub fn classic(inner: ClassicSst) -> Self {
-        Self {
-            inner,
-            name: "Classic-SST",
-        }
-    }
-}
-
-impl<S> SstDetector<S> {
-    /// The wrapped scorer.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: SstScorer> WindowScorer for SstDetector<S> {
+impl WindowScorer for SstDetector {
     fn window_len(&self) -> usize {
         self.inner.config().window_len()
     }
@@ -58,7 +29,7 @@ impl<S: SstScorer> WindowScorer for SstDetector<S> {
     }
 
     fn name(&self) -> &'static str {
-        self.name
+        "FUNNEL-SST"
     }
 
     fn reaching_scorer(&self) -> impl ReachingScorer + '_ {
@@ -95,17 +66,11 @@ mod tests {
 
     #[test]
     fn quiet_series_stays_quiet() {
-        let scorer = SstDetector::robust(RobustSst::new(SstConfig::paper_default()));
+        let scorer = SstDetector::fast(FastSst::new(SstConfig::paper_default()));
         let v: Vec<f64> = (0..80)
             .map(|i| 10.0 + 0.2 * ((i as f64) * 0.8).sin())
             .collect();
         let runner = DetectorRunner::new(scorer, 0.5, 3);
         assert!(runner.run(&TimeSeries::new(0, v)).is_empty());
-    }
-
-    #[test]
-    fn classic_adapter_exposes_config_width() {
-        let scorer = SstDetector::classic(ClassicSst::new(SstConfig::quick()));
-        assert_eq!(scorer.window_len(), SstConfig::quick().window_len());
     }
 }

@@ -6,7 +6,7 @@
 //! spot. Every event is compared by its bits. `run` is checked on scripted
 //! scorers (bound and score chosen independently, or no bound, or `±0.0`
 //! hits at threshold 0), on `FastSst`
-//! at five thresholds and on CUSUM, MRLS and WoW; `decide` on the last four
+//! at five thresholds and on CUSUM and MRLS; `decide` on the last three
 //! and on scripted cases of 0–159 windows, under masks with holes and
 //! partition-length gaps or none, `from` before, inside or past the span,
 //! with `()` or a random `WindowOutcomes` for a memory. A decision is the
@@ -50,7 +50,6 @@ use funnel_detect::detector::{
 use funnel_detect::mrls::MrlsDetector;
 use funnel_detect::outcomes::{Outcome, Outcomes, WindowOutcomes};
 use funnel_detect::sst_adapter::SstDetector;
-use funnel_detect::wow::WowDetector;
 use funnel_sst::{FastSst, SstConfig};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::TimeSeries;
@@ -800,14 +799,13 @@ fn bound_less_baselines_declare_what_the_eager_loop_declared() {
     let mask = random_mask(s, &mut next);
     let c = &coverage(s, &mask, 0.8, 7);
     let froms = &[START, START + 100, START + 150];
-    let mut declared = [0; 3];
+    let mut declared = [0; 2];
     for p in [1, 7] {
         let context = |name: &str| format!("{name}, persistence {p}");
         let cusum = CusumDetector::with_params(30, 15, 0.5, Some(16));
-        let (mrls, wow) = (MrlsDetector::new(16), WowDetector::new(60, 20));
+        let mrls = MrlsDetector::new(16);
         declared[0] += assert_matches_eager(cusum, 0.9, p, s, c, froms, &context("cusum"));
         declared[1] += assert_matches_eager(mrls, 0.3, p, s, c, froms, &context("mrls"));
-        declared[2] += assert_matches_eager(wow, 0.05, p, s, c, froms, &context("wow"));
     }
     let compared = declared.iter().all(|&n| n > 0);
     assert!(compared, "a baseline never declared: {declared:?}");

@@ -115,7 +115,6 @@ pub fn evaluate_cohort(
     let per_change = fan_out(
         meta.changes.clone(),
         workers,
-        None,
         || -> Vec<MethodRunner> { methods.iter().map(|&m| MethodRunner::new(m)).collect() },
         |runners, (change, effecting)| -> Result<Vec<ItemOutcome>, FunnelError> {
             let record = world
@@ -161,7 +160,7 @@ pub fn evaluate_cohort(
                         class: item.key.kind.class(),
                         actual,
                         predicted: if method == Method::Funnel {
-                            item.caused
+                            item.verdict.is_caused()
                         } else {
                             declared_at.is_some()
                         },

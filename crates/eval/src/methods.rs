@@ -76,7 +76,7 @@ impl Method {
 /// applied by the cohort driver on top of this).
 pub enum MethodRunner {
     /// SST-based (FUNNEL / improved SST).
-    Sst(DetectorRunner<SstDetector<FastSst>>),
+    Sst(DetectorRunner<SstDetector>),
     /// CUSUM.
     Cusum(DetectorRunner<CusumDetector>),
     /// MRLS.

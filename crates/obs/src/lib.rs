@@ -264,14 +264,14 @@ mod tests {
             for worker in 0..4u64 {
                 scope.spawn(move || {
                     for _ in 0..3 {
-                        let _span = span!(names::SPAN_ASSESS_WORKER, worker);
+                        let _span = span!(names::SPAN_ASSESS_CHANGE, worker);
                     }
                     flush_thread();
                 });
             }
         });
         let report = snapshot();
-        let stat = &report.spans[names::SPAN_ASSESS_WORKER.as_str()];
+        let stat = &report.spans[names::SPAN_ASSESS_CHANGE.as_str()];
         assert_eq!(stat.count, 12);
         assert_eq!(stat.min_index, 0, "merge keeps the lowest worker index");
         reset();
@@ -301,7 +301,7 @@ mod tests {
                         );
                         gauge_set(names::WORK_UNITS_TOTAL, window, 10 * window + worker);
                         {
-                            let _outer = span!(names::SPAN_ASSESS_WORKER, worker + window);
+                            let _outer = span!(names::SPAN_ASSESS_CHANGE, worker + window);
                             let _inner = span!(names::SPAN_ASSESS_ITEM, worker + window);
                         }
                         drop(span!(names::SPAN_ASSESS_ITEM, 100 + worker + window));
@@ -345,7 +345,7 @@ mod tests {
             .insert(names::DID_CONTROL_POOL_SIZE.as_str(), pool);
         expected
             .spans
-            .insert(names::SPAN_ASSESS_WORKER.as_str(), workers);
+            .insert(names::SPAN_ASSESS_CHANGE.as_str(), workers);
         expected
             .spans
             .insert(names::SPAN_ASSESS_ITEM.as_str(), items);

@@ -3,9 +3,9 @@
 //! Every instrumentation site takes a [`Name`], and a `Name` can only be
 //! made here, so the full vocabulary of `obs_report.json` is enumerable at
 //! compile time, greppable, and documented in one place. Naming
-//! convention: `<stage>.<what>` with the stage
-//! prefixes `collector`, `detect`, `did`, `assess`, `wal`, `recover`,
-//! `reassess`, `stream`, `diag`, `collect`, and `timeline`.
+//! convention: `<stage>.<what>` with the stage prefixes `collector`,
+//! `detect`, `did`, `assess`, `stream`, `collect`, and `timeline`. Every
+//! name has a reader outside its own tests (`tests/obs_readers.rs`).
 
 /// A declared metric or span name: what [`crate::span!`],
 /// [`crate::counter_add`], [`crate::gauge_set`] and
@@ -25,12 +25,12 @@ impl Name {
     }
 }
 
-/// Declares the constants and, for the test below, the list of them.
+/// Declares the constants and the list of them.
 macro_rules! names {
     ($($(#[$doc:meta])* $ident:ident = $value:literal;)*) => {
         $($(#[$doc])* pub const $ident: Name = Name($value);)*
-        #[cfg(test)]
-        const ALL: &[Name] = &[$($ident),*];
+        /// Every declared name, in declaration order.
+        pub const ALL: &[Name] = &[$($ident),*];
     };
 }
 
@@ -42,8 +42,6 @@ names! {
     /// Frames that failed to decode (or carried an unknown agent) and were
     /// quarantined.
     FRAMES_QUARANTINED = "collector.frames_quarantined";
-    /// Late frames routed to the backfill stage instead of live ingestion.
-    FRAMES_BACKFILLED = "collector.frames_backfilled";
 
     /// Change points the detector runner declared (before gap suppression)
     /// over the windows it asked: an item's run asks only the windows its
@@ -72,11 +70,7 @@ names! {
     VERDICT_CAUSED = "assess.verdict_caused";
     /// Items assessed `NotCaused`.
     VERDICT_NOT_CAUSED = "assess.verdict_not_caused";
-    /// Items assessed `Inconclusive` (either flavour).
-    VERDICT_INCONCLUSIVE = "assess.verdict_inconclusive";
 
-    /// Ticks the streaming engine processed.
-    STREAM_TICKS = "stream.ticks";
     /// Re-scores dropped by the deterministic shedding policy under overload.
     STREAM_SHED = "stream.shed";
     /// Late frames folded into a retained ring window via backfill.
@@ -102,14 +96,6 @@ names! {
     DID_CONTROL_POOL_SIZE = "did.control_pool_size";
     /// Work-unit queue depth at fan-out time, one sample per assessment.
     WORK_QUEUE_DEPTH = "assess.work_queue_depth";
-    /// Size in bytes of each WAL segment at sealing time (or at recovery scan
-    /// for the unsealed tail segment).
-    WAL_SEGMENT_BYTES = "wal.segment_bytes";
-    /// Scoring job-queue depth sampled as each tick fans out.
-    STREAM_QUEUE_DEPTH = "stream.queue_depth";
-    /// Minutes between the tick watermark and the oldest un-scored dirty
-    /// window at the top of each tick.
-    STREAM_WATERMARK_LAG = "stream.watermark_lag";
 
     // ----------------------------------------------------------- span paths --
 
@@ -117,22 +103,14 @@ names! {
     SPAN_ASSESS_CHANGE = "assess.change";
     /// One impact-set item (detection + causality + verdict).
     SPAN_ASSESS_ITEM = "assess.item";
-    /// One worker thread's lifetime inside the fan-out.
-    SPAN_ASSESS_WORKER = "assess.worker";
     /// One detector run over an assessment window.
     SPAN_DETECT = "detect.sst";
     /// One DiD causality determination.
     SPAN_DID = "did.assess";
     /// One agent → collector replay.
     SPAN_COLLECT_REPLAY = "collect.replay";
-    /// One re-assessment batch over healed windows.
-    SPAN_REASSESS = "reassess.run";
-    /// One crash-recovery replay: checkpoint restore + WAL-tail re-ingestion.
-    SPAN_RECOVER_REPLAY = "recover.replay";
     /// One streaming tick (shed → score → due assessments).
     SPAN_STREAM_TICK = "stream.tick";
-    /// One whole-change diagnosis pass (bias checks + ranking + dossiers).
-    SPAN_DIAG_CHANGE = "diag.change";
 }
 
 #[cfg(test)]

@@ -11,7 +11,6 @@
 //! Nothing here reads the clock, iterates a hashed container, or panics —
 //! `clippy.toml` and the crate root's `deny` line gate it.
 
-use crate::names::Name;
 use parking_lot::Mutex;
 
 /// Claims a worker makes over an evenly loaded run: enough that one slow
@@ -24,17 +23,15 @@ const CLAIMS_PER_WORKER: usize = 8;
 ///
 /// Workers claim a batch of consecutive indices under one short lock, so a
 /// tick of a thousand cheap folds costs a few dozen claims, not a thousand
-/// messages. Each worker builds its state with `worker_state` once and,
-/// when `worker_span` names one, runs inside that span (indexed by worker)
-/// and flushes its span buffer before the thread exits.
+/// messages. Each worker builds its state with `worker_state` once and
+/// flushes its obs buffer before the thread exits.
 ///
-/// One worker (or at most one job) runs inline on the calling thread, with
-/// no span, through the same two closures — serial and parallel callers
-/// cannot drift apart.
+/// One worker (or at most one job) runs inline on the calling thread,
+/// through the same two closures — serial and parallel callers cannot
+/// drift apart.
 pub fn fan_out<J: Send, W, R: Send>(
     jobs: Vec<J>,
     workers: usize,
-    worker_span: Option<Name>,
     worker_state: impl Fn() -> W + Sync,
     run_job: impl Fn(&mut W, J) -> R + Sync,
 ) -> Vec<R> {
@@ -52,11 +49,10 @@ pub fn fan_out<J: Send, W, R: Send>(
     let queue = Mutex::new(jobs.into_iter().enumerate());
     let finished: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(units));
     std::thread::scope(|scope| {
-        for worker_idx in 0..workers {
+        for _ in 0..workers {
             let (queue, finished, worker_state, run_job) =
                 (&queue, &finished, &worker_state, &run_job);
             scope.spawn(move || {
-                let span = worker_span.map(|name| crate::span!(name, worker_idx));
                 let mut state = worker_state();
                 let mut results = Vec::new();
                 loop {
@@ -69,9 +65,8 @@ pub fn fan_out<J: Send, W, R: Send>(
                     }
                 }
                 finished.lock().append(&mut results);
-                // Merge this worker's span buffer before the scoped thread
-                // exits — commutative merge, so flush order is unobservable.
-                drop(span);
+                // Merge this worker's buffer before the scoped thread exits
+                // — commutative merge, so flush order is unobservable.
                 crate::flush_thread();
             });
         }
@@ -88,7 +83,7 @@ mod tests {
 
     /// The primitive alone: job `i` yields `i * 2`.
     fn doubled(units: usize, workers: usize) -> Vec<usize> {
-        fan_out((0..units).collect(), workers, None, || (), |(), i| i * 2)
+        fan_out((0..units).collect(), workers, || (), |(), i| i * 2)
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl Drop for SpanGuard {
 /// ```
 /// use funnel_obs::{names, span};
 /// let _span = span!(names::SPAN_ASSESS_ITEM);
-/// let _tagged = span!(names::SPAN_ASSESS_WORKER, 3);
+/// let _tagged = span!(names::SPAN_DETECT, 3);
 /// ```
 #[macro_export]
 macro_rules! span {

@@ -339,7 +339,7 @@ mod tests {
         let mut h = Histogram::new();
         h.record(900);
         data.histograms
-            .insert((crate::names::STREAM_QUEUE_DEPTH.as_str(), 2), h);
+            .insert((crate::names::WORK_QUEUE_DEPTH.as_str(), 2), h);
         let mut s = StageStat::empty();
         s.observe(1000, 3);
         data.spans.insert(

@@ -796,19 +796,6 @@ impl CheckpointStore {
         })
     }
 
-    /// Writes `checkpoint` as a chain of its own — one base segment, one
-    /// manifest — and prunes, returning the manifest's path.
-    ///
-    /// # Errors
-    ///
-    /// [`ResilienceError::Io`] on filesystem failure.
-    pub fn write(&mut self, checkpoint: &Checkpoint) -> Result<PathBuf, ResilienceError> {
-        let records = checkpoint.entries.iter().map(|(k, s, m)| (*k, 0, s, m));
-        self.buf.clear();
-        let hash = put_segment(&mut self.buf, measure(records.clone()), records);
-        self.finish_cut(true, hash, checkpoint.wal, &checkpoint.collector, None)
-    }
-
     /// One cut of `store` at a commit boundary: a segment of what was
     /// written since this writer's last cut — or a base, when there is no
     /// such cut to continue or the chain would outgrow twice the store —
@@ -1012,6 +999,16 @@ mod tests {
         }
     }
 
+    /// Writes `checkpoint` as a chain of its own: a whole cut of a store
+    /// that holds its entries. Returns the manifest's path.
+    fn write(checkpoints: &mut CheckpointStore, checkpoint: &Checkpoint) -> PathBuf {
+        let store = MetricStore::new();
+        store.restore_entries(checkpoint.entries.iter().cloned());
+        checkpoints
+            .cut(checkpoint.wal, &store, &checkpoint.collector, None)
+            .unwrap()
+    }
+
     /// The files a directory holds, by name.
     fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         fs::read_dir(dir)
@@ -1032,7 +1029,7 @@ mod tests {
         ] {
             let dir = tmp_dir(tag);
             let mut store = CheckpointStore::open(&dir).unwrap();
-            store.write(&checkpoint).unwrap();
+            write(&mut store, &checkpoint);
             let names: Vec<String> = files(&dir).into_keys().collect();
             assert_eq!(names, ["ckpt-00000000.bin", "seg-00000000.bin"]);
             let recovered = CheckpointStore::latest_valid(&dir).unwrap().unwrap();
@@ -1044,10 +1041,10 @@ mod tests {
     #[test]
     fn any_flipped_header_bit_is_rejected_in_both_file_kinds() {
         let dir = tmp_dir("header");
-        CheckpointStore::open(&dir)
-            .unwrap()
-            .write(&sample_checkpoint())
-            .unwrap();
+        write(
+            &mut CheckpointStore::open(&dir).unwrap(),
+            &sample_checkpoint(),
+        );
         let files = files(&dir);
         let manifest = &files["ckpt-00000000.bin"];
         let segment = &files["seg-00000000.bin"];
@@ -1081,7 +1078,7 @@ mod tests {
         assert!(CheckpointStore::latest_valid(&dir).unwrap().is_none());
         // The numbering still moves past it.
         let mut store = CheckpointStore::open(&dir).unwrap();
-        let path = store.write(&sample_checkpoint()).unwrap();
+        let path = write(&mut store, &sample_checkpoint());
         assert_eq!(path, dir.join(manifest_name(4)));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1105,7 +1102,7 @@ mod tests {
     fn a_version_2_manifest_is_rejected_not_misread() {
         let dir = tmp_dir("v2-source");
         let mut store = CheckpointStore::open(&dir).unwrap();
-        let now = fs::read(store.write(&sample_checkpoint()).unwrap()).unwrap();
+        let now = fs::read(write(&mut store, &sample_checkpoint())).unwrap();
         let _ = fs::remove_dir_all(&dir);
         // The same manifest as version 2 wrote it.
         let (frames, rest) = now[HEADER_LEN..].split_at(8);
@@ -1492,8 +1489,8 @@ mod tests {
     }
 
     /// A chain is only continued from the cut it ends in: a restore, a cut
-    /// taken by another writer, or a stand-alone [`CheckpointStore::write`]
-    /// in between all make the next cut a base.
+    /// taken by another writer, or a cut of another store in between all
+    /// make the next cut a base.
     #[test]
     fn a_cut_that_cannot_continue_the_chain_starts_a_new_one() {
         let dir = tmp_dir("heads");
@@ -1541,9 +1538,9 @@ mod tests {
             point(&store, 4)
         );
 
-        // A stand-alone checkpoint is a chain of its own.
+        // A cut of another store is a chain of its own.
         store.append(key(2), 1, 2.0);
-        checkpoints.write(&sample_checkpoint()).unwrap();
+        write(&mut checkpoints, &sample_checkpoint());
         cut(&mut checkpoints, &store, 6, None);
         assert_eq!(chain_len(&dir, 6), 1);
         assert_eq!(

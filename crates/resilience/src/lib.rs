@@ -34,8 +34,7 @@
 //!   implementation that writes both during live ingestion
 //!   ([`recover::DurableHooks`]), the seeded kill switch the chaos
 //!   harness uses to tear either mid-write ([`recover::Kill`]), and
-//!   [`recover::recover`] itself: checkpoint restore + WAL-tail replay
-//!   under the `recover.replay` span.
+//!   [`recover::recover`] itself: checkpoint restore + WAL-tail replay.
 //!
 //! Every durable byte — WAL record, checkpoint segment, manifest — is
 //! under one content hash, [`fnv1a_words`], checked before the bytes it

@@ -239,8 +239,7 @@ pub struct Recovered {
 }
 
 /// Rebuilds the durable state after a crash: newest valid checkpoint +
-/// WAL-tail replay through the live classify/commit path, under the
-/// `recover.replay` span.
+/// WAL-tail replay through the live classify/commit path.
 ///
 /// # Errors
 ///
@@ -255,7 +254,6 @@ pub fn recover(
     horizon: u64,
     options: &DurableOptions,
 ) -> Result<Recovered, ResilienceError> {
-    let span = funnel_obs::span!(funnel_obs::names::SPAN_RECOVER_REPLAY);
     let checkpoint = CheckpointStore::latest_valid(&options.checkpoint_dir)?;
     let cursor = checkpoint.as_ref().map_or(WalCursor::START, |c| c.wal);
     let scan = wal::scan(&options.wal_dir, cursor)?;
@@ -277,7 +275,6 @@ pub fn recover(
         collector.finish();
     }
     let (state, _stats) = collector.into_parts();
-    drop(span);
     funnel_obs::flush_thread();
 
     Ok(Recovered {

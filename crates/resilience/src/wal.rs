@@ -15,8 +15,7 @@
 //! hashes to the stored value. A crash mid-append therefore leaves
 //! a *torn tail* that scanning detects and discards cleanly; the agent
 //! replay protocol re-sends the lost frame on resume. Segments roll over
-//! at a byte threshold, and every sealed segment's size is recorded into
-//! the `wal.segment_bytes` histogram.
+//! at a byte threshold.
 //!
 //! A position in the log is a [`WalCursor`]: how many frames lie before
 //! it, and the segment and byte offset its next record starts at. Every
@@ -181,12 +180,6 @@ pub struct WalWriter {
     segment_limit: u64,
     seq: u64,
     written: u64,
-    /// Data minute of the most recent frame appended, peeked from the wire
-    /// header — attributes segment-seal events to a timeline window. At
-    /// more than one agent shard the frame→segment assignment depends on
-    /// channel interleaving, so `wal.*` timeline windows are only
-    /// run-to-run stable at shards=1 (aggregate totals are always stable).
-    last_minute: u64,
     /// The current segment, opened for append by the first record written
     /// to it and kept until the segment seals (or a torn write simulates
     /// the process dying with it).
@@ -233,7 +226,6 @@ impl WalWriter {
             segment_limit,
             seq,
             written,
-            last_minute: 0,
             file: None,
             record: Vec::new(),
         })
@@ -262,11 +254,6 @@ impl WalWriter {
         file.write_all(&self.record)?;
         self.written += self.record.len() as u64;
         if self.written >= self.segment_limit {
-            funnel_obs::histogram_record(
-                funnel_obs::names::WAL_SEGMENT_BYTES,
-                self.last_minute,
-                self.written,
-            );
             self.seq += 1;
             self.written = 0;
         } else {
@@ -283,9 +270,6 @@ impl WalWriter {
     ///
     /// [`ResilienceError::Io`] on filesystem failure.
     pub fn append_frame(&mut self, raw: &Bytes) -> Result<(), ResilienceError> {
-        if let Some(minute) = funnel_sim::wire::peek_minute(raw) {
-            self.last_minute = minute;
-        }
         self.append_record(FRAME_RECORD, raw.as_ref())
     }
 
@@ -406,11 +390,6 @@ pub fn scan(dir: &Path, from: WalCursor) -> Result<WalScan, ResilienceError> {
         skip = 0;
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
-        funnel_obs::histogram_record(
-            funnel_obs::names::WAL_SEGMENT_BYTES,
-            funnel_obs::timeline::current_window(),
-            len,
-        );
         let decoded = decode_records(&buf);
         if decoded.torn {
             if seqs.last() != Some(&seq) {

@@ -169,12 +169,15 @@ impl Drop for Scratch {
     }
 }
 
-/// Writes `checkpoint` as a chain of its own into `dir` and returns the
-/// bytes of its segment and of its manifest.
+/// Writes `checkpoint` as a chain of its own into `dir`, a whole cut of a
+/// store that holds its entries, and returns the bytes of its segment and
+/// of its manifest.
 fn written_files(dir: &Scratch, checkpoint: &Checkpoint) -> (Vec<u8>, Vec<u8>) {
+    let store = MetricStore::new();
+    store.restore_entries(checkpoint.entries.iter().cloned());
     let manifest = CheckpointStore::open(dir.path())
         .unwrap()
-        .write(checkpoint)
+        .cut(checkpoint.wal, &store, &checkpoint.collector, None)
         .unwrap();
     let segment = manifest.with_file_name("seg-00000000.bin");
     (fs::read(segment).unwrap(), fs::read(manifest).unwrap())

@@ -22,7 +22,7 @@
 
 use crate::agent::ReplayStats;
 use crate::kpi::{Aggregation, KpiKey, KpiKind};
-use crate::store::{KeyId, MetricStore, Slab};
+use crate::store::{KeyId, MetricStore, Slab, StoreWrite};
 use crate::wire::{decode_frame, WireFrame, WireRecord};
 use crate::world::World;
 use bytes::Bytes;
@@ -518,7 +518,6 @@ impl<'a> Collector<'a> {
                 self.stats.frames += 1;
                 funnel_obs::counter_add(funnel_obs::names::FRAMES_INGESTED, frame.minute, 1);
                 self.stats.backfilled_frames += 1;
-                funnel_obs::counter_add(funnel_obs::names::FRAMES_BACKFILLED, frame.minute, 1);
                 self.state
                     .backfill_stage
                     .insert((frame.agent_id, frame.minute), frame.records);
@@ -638,15 +637,13 @@ impl<'a> Collector<'a> {
                 continue;
             }
             *last = rec.value;
-            // A record behind its key's frontier over a forward fill (a
-            // delayed frame inside the horizon) takes the late path, which
-            // replaces the fill and settles the fills behind it; one whose
-            // bin holds a measurement (a key the frame repeats) is refused
-            // on either path, first write wins.
-            let appended = w.append_id(id, frame.minute, rec.value);
-            let measured = !appended && w.measured(id, frame.minute);
-            let taken = appended || (!measured && w.backfill_id(id, frame.minute, rec.value));
-            if taken {
+            // A late write: a record behind its key's frontier over a
+            // forward fill (a delayed frame inside the horizon) replaces the
+            // fill, and the batch settles the fills behind it; one whose bin
+            // holds a measurement (a key the frame repeats) is refused, first
+            // write wins.
+            let write = w.write_id(id, frame.minute, rec.value, true);
+            if write == StoreWrite::Taken {
                 self.stats.records += 1;
             }
             // A cell counts each instance once. A refused record whose bin
@@ -655,10 +652,10 @@ impl<'a> Collector<'a> {
             // but enters only if its instance is not in the cell yet; a
             // record the store took opened its bin, so it cannot be.
             if let (Entity::Instance(i), Some(cell)) = (rec.key.entity, cell) {
-                if taken {
-                    accs.push(cell, (i.0, rec.value));
-                } else if !measured {
-                    accs.push_once(cell, (i.0, rec.value));
+                match write {
+                    StoreWrite::Taken => accs.push(cell, (i.0, rec.value)),
+                    StoreWrite::Refused => accs.push_once(cell, (i.0, rec.value)),
+                    StoreWrite::Measured => {}
                 }
             }
         }
@@ -751,7 +748,7 @@ impl<'a> Collector<'a> {
             let value = aggregate(cell.key.1, &mut cell.entries);
             cell.entries.clear();
             let id = self.aggregate_id(w, cell.key);
-            w.append_id(id, minute, value);
+            w.write_id(id, minute, value, false);
             self.stats.aggregates += 1;
         }
         // Every cell is empty now: a dense table serves a later minute.
@@ -797,7 +794,7 @@ impl<'a> Collector<'a> {
                     }
                     let value = aggregate(cell.key.1, &mut cell.entries);
                     let id = self.aggregate_id(w, cell.key);
-                    if w.backfill_id(id, minute, value) {
+                    if w.write_id(id, minute, value, true) == StoreWrite::Taken {
                         self.stats.backfilled_aggregates += 1;
                     }
                 }
@@ -820,8 +817,8 @@ impl<'a> Collector<'a> {
                 }
                 continue;
             }
-            let taken = w.backfill_id(id, minute, rec.value);
-            if taken {
+            let write = w.write_id(id, minute, rec.value, true);
+            if write == StoreWrite::Taken {
                 self.stats.backfilled_records += 1;
             } else {
                 self.stats.backfill_rejected_records += 1;
@@ -829,7 +826,7 @@ impl<'a> Collector<'a> {
             // The live rule: a measured bin was counted, and a delayed
             // live frame may have counted this instance already.
             if let (Entity::Instance(i), Some(cell)) = (rec.key.entity, cell) {
-                if taken || !w.measured(id, minute) {
+                if write != StoreWrite::Measured {
                     self.state
                         .partial
                         .entry(minute)

@@ -63,6 +63,20 @@ impl KeyId {
     }
 }
 
+/// What became of one write ([`Slab::write_id`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StoreWrite {
+    /// The bin took the value: staged, appended or filled late.
+    Taken,
+    /// Refused: the bin already held a real measurement, staged or in its
+    /// series — first write wins.
+    Measured,
+    /// Refused for another reason: an append behind the series end over a
+    /// forward fill, a late write before the series anchor, or an id this
+    /// store never handed out.
+    Refused,
+}
+
 /// What a slot holds once its key has data.
 #[derive(Debug, Clone)]
 struct Held {
@@ -108,28 +122,49 @@ fn held_for_write(held: &mut Option<Held>, minute: MinuteBin) -> &mut Held {
 }
 
 impl Slot {
-    /// A live append: grows the series to `minute`, repeating the last
-    /// value across any gap, and marks only `minute` itself as measured.
-    /// Returns `false` for a late measurement of an already-filled minute
-    /// (first write wins, as in the real store), which changes nothing.
-    /// The next minute of a held key is staged instead ([`Slab::append_id`]);
-    /// this is the write every other append takes.
-    fn push_live(&mut self, minute: MinuteBin, value: f64) -> bool {
-        let held = held_for_write(&mut self.held, minute);
-        let end = held.series.end();
+    /// Writes `value` at `minute`: the one write every path takes, a live
+    /// append (`late == false`) or a late write. Past the series end either
+    /// kind grows the series to `minute`, repeating the last value across
+    /// any gap, and marks only `minute` itself as measured. Behind the end
+    /// a bin that holds a real measurement refuses either kind, first write
+    /// wins as in the real store, and so does any bin an append reaches;
+    /// such a refusal changes nothing. A late write lands in an unmeasured
+    /// bin that does not predate the series anchor. The bin takes the value
+    /// at once; the forward-filled bins after it, up to the next real
+    /// measurement, take it when the write batch ends ([`Slot::settle`]),
+    /// once for all the batch's late writes to this slot, so such a write
+    /// widens the slot's unsettled span to `minute`. The next minute of a
+    /// held key is staged instead ([`Slab::write_id`]).
+    fn write(&mut self, minute: MinuteBin, value: f64, late: bool) -> StoreWrite {
+        let Held { series, mask } = held_for_write(&mut self.held, minute);
+        let end = series.end();
         if minute < end {
-            return false;
+            if mask.is_present(minute) {
+                return StoreWrite::Measured;
+            }
+            if !late {
+                return StoreWrite::Refused;
+            }
         }
-        held.mask.rebase(minute);
-        // The gap fill, the value and the mask bits all land at or past
+        mask.rebase(minute);
+        // Lowered before a late write is judged: one refused before the
+        // anchor may still have re-anchored an empty mask. Past the end,
+        // the gap fill, the value and the mask bits all land at or past
         // where series and mask ended.
-        let from = end.min(held.mask.end());
-        if from < self.dirty_from {
-            self.dirty_from = from;
+        self.dirty_from = self.dirty_from.min(minute).min(end).min(mask.end());
+        if minute >= end {
+            extend_to(series, minute, value);
+        } else {
+            if minute < series.start() {
+                return StoreWrite::Refused;
+            }
+            series.set(minute, value);
+            self.unsettled = Some(self.unsettled.map_or((minute, minute), |(lo, hi)| {
+                (lo.min(minute), hi.max(minute))
+            }));
         }
-        extend_to(&mut held.series, minute, value);
-        held.mask.mark(minute);
-        true
+        mask.mark(minute);
+        StoreWrite::Taken
     }
 
     /// The minute this slot's series ends at, if an in-order append may be
@@ -160,38 +195,6 @@ impl Slot {
         }
         series.extend_from_slice(run.get(..n).unwrap_or_default());
         mask.extend_present(n);
-    }
-
-    /// A late write into a historical bin: accepted iff the bin holds no
-    /// real measurement yet and does not predate the series anchor. The bin
-    /// takes the value at once; the forward-filled bins after it, up to the
-    /// next real measurement, take it when the write batch ends
-    /// ([`Slot::settle`]), once for all the batch's late writes to this
-    /// slot. Past the frontier it is a live append. An accepted write
-    /// widens the slot's unsettled span to `minute`.
-    fn fill_late(&mut self, minute: MinuteBin, value: f64) -> bool {
-        let Held { series, mask } = held_for_write(&mut self.held, minute);
-        mask.rebase(minute);
-        // Lowered before the write is judged: a refused write may still
-        // have re-anchored an empty mask.
-        self.dirty_from = self
-            .dirty_from
-            .min(minute)
-            .min(series.end())
-            .min(mask.end());
-        if minute >= series.end() {
-            extend_to(series, minute, value);
-        } else {
-            if minute < series.start() || mask.is_present(minute) {
-                return false;
-            }
-            series.set(minute, value);
-        }
-        mask.mark(minute);
-        self.unsettled = Some(self.unsettled.map_or((minute, minute), |(lo, hi)| {
-            (lo.min(minute), hi.max(minute))
-        }));
-        true
     }
 
     /// Brings the forward fills of the batch's late writes up to date:
@@ -325,26 +328,41 @@ impl Slab {
         self.slots.get(id.as_index()).map(|slot| slot.key)
     }
 
-    /// [`MetricStore::append`] by id. Returns whether the measurement was
-    /// accepted (`false`: late, ignored). The next minute of a key that
-    /// holds data, as a collector writes nearly every record, is staged in
-    /// the open block: one cell, no gap to fill, no anchor to move. Any
-    /// other append seals the slot's staged run first.
-    pub(crate) fn append_id(&mut self, id: KeyId, minute: MinuteBin, value: f64) -> bool {
+    /// Writes `value` at `id`'s `minute`, a live append or a late write
+    /// ([`Slot::write`]), and says what became of it. Either kind tries the
+    /// open block first: the next minute of a key that holds data, as a
+    /// collector writes nearly every record, is staged — one cell, no gap
+    /// to fill, no anchor to move. Any other write seals the slot's staged
+    /// run, so a staged bin answers as measured, and writes the slot; a
+    /// late write it takes behind the series end is settled when the batch
+    /// ends.
+    pub(crate) fn write_id(
+        &mut self,
+        id: KeyId,
+        minute: MinuteBin,
+        value: f64,
+        late: bool,
+    ) -> StoreWrite {
         let i = id.as_index();
         let Some(slot) = self.slots.get(i) else {
-            return false;
+            return StoreWrite::Refused;
         };
         if let Some(end) = slot.stage_from() {
             let staged = self.block.staged.get(i).map_or(0, |&n| u64::from(n));
             if minute == end + staged && self.stage(i, minute, value) {
-                return true;
+                return StoreWrite::Taken;
             }
         }
         self.seal_slot(i);
-        self.slots
-            .get_mut(i)
-            .is_some_and(|slot| slot.push_live(minute, value))
+        let Some(slot) = self.slots.get_mut(i) else {
+            return StoreWrite::Refused;
+        };
+        let settled = slot.unsettled.is_none();
+        let write = slot.write(minute, value, late);
+        if settled && slot.unsettled.is_some() {
+            self.unsettled.push(id);
+        }
+        write
     }
 
     /// Stages `value` as slot `i`'s minute `minute`, the one after its
@@ -400,33 +418,6 @@ impl Slab {
         }
         self.block.staged.fill(0);
         self.block.open = false;
-    }
-
-    /// Whether `id`'s bin at `minute` holds a real measurement, staged or
-    /// in its series.
-    pub(crate) fn measured(&self, id: KeyId, minute: MinuteBin) -> bool {
-        let i = id.as_index();
-        let Some(held) = self.slots.get(i).and_then(|slot| slot.held.as_ref()) else {
-            return false;
-        };
-        let end = held.series.end();
-        let staged = self.block.staged.get(i).map_or(0, |&n| u64::from(n));
-        held.mask.is_present(minute) || (end..end + staged).contains(&minute)
-    }
-
-    /// [`MetricStore::backfill`] by id: the bin now, its forward fill when
-    /// the batch ends.
-    pub(crate) fn backfill_id(&mut self, id: KeyId, minute: MinuteBin, value: f64) -> bool {
-        self.seal_slot(id.as_index());
-        let Some(slot) = self.slots.get_mut(id.as_index()) else {
-            return false;
-        };
-        let first = slot.unsettled.is_none();
-        let accepted = slot.fill_late(minute, value);
-        if first && slot.unsettled.is_some() {
-            self.unsettled.push(id);
-        }
-        accepted
     }
 
     /// Settles every slot a late write touched in this batch, once each.
@@ -583,7 +574,7 @@ impl MetricStore {
     pub fn append(&self, key: KpiKey, minute: MinuteBin, value: f64) {
         self.write_batch(|w| {
             let id = w.id_of(key);
-            w.append_id(id, minute, value);
+            w.write_id(id, minute, value, false);
         });
     }
 
@@ -599,7 +590,7 @@ impl MetricStore {
     pub fn backfill(&self, key: KpiKey, minute: MinuteBin, value: f64) -> bool {
         self.write_batch(|w| {
             let id = w.id_of(key);
-            w.backfill_id(id, minute, value)
+            w.write_id(id, minute, value, true) == StoreWrite::Taken
         })
     }
 
@@ -966,8 +957,8 @@ mod tests {
             assert_eq!((w.id_of(key(0)), w.id_of(key(1))), (a, b));
             assert_eq!(w.key_of(b), Some(key(1)));
             // The emptied slot starts over at its next write.
-            assert!(w.append_id(b, 5, 2.0));
-            assert!(!w.append_id(b, 4, 7.0));
+            assert_eq!(w.write_id(b, 5, 2.0, false), StoreWrite::Taken);
+            assert_eq!(w.write_id(b, 4, 7.0, false), StoreWrite::Refused);
         });
         let series = store.get(&key(1)).unwrap();
         assert_eq!((series.start(), series.values()), (5, &[2.0][..]));
@@ -1005,18 +996,20 @@ mod tests {
         let store = MetricStore::new();
         store.write_batch(|w| {
             let id = w.id_of(key(0));
-            assert!(w.append_id(id, 3, 1.0));
-            assert!(w.append_id(id, 4, 2.0));
+            assert_eq!(w.write_id(id, 3, 1.0, false), StoreWrite::Taken);
+            assert_eq!(w.write_id(id, 4, 2.0, false), StoreWrite::Taken);
             assert_eq!(
                 w.block.staged.get(id.as_index()),
                 Some(&1),
                 "minute 4 is staged"
             );
-            assert!(w.measured(id, 3) && w.measured(id, 4));
-            assert!(!w.measured(id, 2) && !w.measured(id, 5));
-            // First write wins, on both paths, and the run stays staged.
-            assert!(!w.append_id(id, 4, 99.0));
-            assert!(!w.backfill_id(id, 4, 99.0));
+            // First write wins on both paths, over a staged bin and a
+            // sealed one; a bin before the anchor is refused otherwise.
+            for late in [false, true] {
+                assert_eq!(w.write_id(id, 4, 99.0, late), StoreWrite::Measured);
+                assert_eq!(w.write_id(id, 3, 99.0, late), StoreWrite::Measured);
+                assert_eq!(w.write_id(id, 2, 99.0, late), StoreWrite::Refused);
+            }
         });
         assert_eq!(store.get(&key(0)).unwrap().values(), &[1.0, 2.0]);
         assert_eq!(
@@ -1028,8 +1021,11 @@ mod tests {
     /// The late write as it was defined before batches settled: the bin,
     /// then at once every forward-filled bin after it up to the next real
     /// measurement. The model the batched writes are held to.
-    fn fill_late_at_once(slot: &mut Slot, minute: MinuteBin, value: f64) -> bool {
+    fn fill_late_at_once(slot: &mut Slot, minute: MinuteBin, value: f64) -> StoreWrite {
         let Held { series, mask } = held_for_write(&mut slot.held, minute);
+        if mask.is_present(minute) && minute < series.end() {
+            return StoreWrite::Measured;
+        }
         mask.rebase(minute);
         slot.dirty_from = slot
             .dirty_from
@@ -1039,8 +1035,8 @@ mod tests {
         if minute >= series.end() {
             extend_to(series, minute, value);
         } else {
-            if minute < series.start() || mask.is_present(minute) {
-                return false;
+            if minute < series.start() {
+                return StoreWrite::Refused;
             }
             series.set(minute, value);
             let mut m = minute + 1;
@@ -1050,7 +1046,7 @@ mod tests {
             }
         }
         mask.mark(minute);
-        true
+        StoreWrite::Taken
     }
 
     /// Series start and value bits, mask start and bits.
@@ -1077,7 +1073,7 @@ mod tests {
 
         /// Random appends and late writes over three keys, grouped into
         /// write batches of one to eight, with a cut now and then: every
-        /// write is accepted or refused as the per-write model says, and
+        /// write is taken or refused, and why, as the per-write model says, and
         /// after every batch each key's series bits, mask bits and dirty
         /// mark are the model's.
         #[test]
@@ -1100,23 +1096,19 @@ mod tests {
                         (next(3) == 0, next(3) as u32, 5 + next(60), value)
                     })
                     .collect();
-                let accepted = store.write_batch(|w| {
+                let outcomes = store.write_batch(|w| {
                     batch
                         .iter()
                         .map(|&(live, n, minute, value)| {
                             let id = w.id_of(key(n));
-                            if live {
-                                w.append_id(id, minute, value)
-                            } else {
-                                w.backfill_id(id, minute, value)
-                            }
+                            w.write_id(id, minute, value, !live)
                         })
-                        .collect::<Vec<bool>>()
+                        .collect::<Vec<StoreWrite>>()
                 });
-                for (&(live, n, minute, value), got) in batch.iter().zip(accepted) {
+                for (&(live, n, minute, value), got) in batch.iter().zip(outcomes) {
                     let slot = &mut model[n as usize];
                     let want = if live {
-                        slot.push_live(minute, value)
+                        slot.write(minute, value, false)
                     } else {
                         fill_late_at_once(slot, minute, value)
                     };
@@ -1152,9 +1144,9 @@ mod tests {
         /// re-anchored by an empty insert or replaced by a short series,
         /// and the clock jumps past the block. Between batches come reads
         /// (`get`, `mask`, `coverage`, a snapshot of every slot) and cuts.
-        /// Every write is accepted or refused as the model says, `measured`
-        /// answers as the model's mask inside the batch, every read is the
-        /// model's, and after a snapshot each slot's bits and dirty mark are.
+        /// Every write is taken or refused, and why (a staged bin counts as
+        /// measured), as the model says; every read is the model's, and
+        /// after a snapshot each slot's bits and dirty mark are.
         #[test]
         fn staged_appends_read_as_the_per_write_model(seed in any::<u64>()) {
             let mut state = seed | 1;
@@ -1187,8 +1179,9 @@ mod tests {
                     slot.held = Some(Held { series, mask });
                     slot.dirty_from = 0;
                 }
-                // (live, key, minute, value), each drawn against the model
-                // as the batch's writes before it leave it.
+                // Each write is drawn against the model as the batch's
+                // writes before it leave it; the store's outcome and the
+                // model's, side by side.
                 let writes = store.write_batch(|w| {
                     let mut writes = Vec::new();
                     for slot in model.iter_mut() {
@@ -1203,26 +1196,19 @@ mod tests {
                                 _ => continue,
                             };
                             let id = w.id_of(slot.key);
-                            let got = if live {
-                                w.append_id(id, minute, value)
-                            } else {
-                                w.backfill_id(id, minute, value)
-                            };
+                            let got = w.write_id(id, minute, value, !live);
                             let want = if live {
-                                slot.push_live(minute, value)
+                                slot.write(minute, value, false)
                             } else {
                                 fill_late_at_once(slot, minute, value)
                             };
-                            let probe = clock.saturating_sub(next(80));
-                            let measured = slot.held.as_ref().is_some_and(|h| h.mask.is_present(probe));
-                            writes.push((got, want, w.measured(id, probe), measured));
+                            writes.push((got, want));
                         }
                     }
                     writes
                 });
-                for (got, want, measured, model_measured) in writes {
+                for (got, want) in writes {
                     prop_assert_eq!(got, want);
-                    prop_assert_eq!(measured, model_measured);
                 }
                 let open = store.slab.read().block.open;
                 let slot = &model[next(model.len() as u64) as usize];

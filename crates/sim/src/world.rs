@@ -653,7 +653,6 @@ impl World {
         let mut series: Vec<TimeSeries> = fan_out(
             generated.to_vec(),
             workers,
-            None,
             || (),
             |(), key| self.series(&key),
         )
@@ -663,7 +662,6 @@ impl World {
         let aggregated: Vec<TimeSeries> = fan_out(
             services.to_vec(),
             workers,
-            None,
             || (),
             |(), key| {
                 self.aggregate(&key, |member| {

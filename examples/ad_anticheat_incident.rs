@@ -46,7 +46,10 @@ pub fn main() {
         AssessmentMode::SeasonalHistory,
         "full launch ⇒ seasonal control"
     );
-    assert!(item.caused, "the collapse is the upgrade's fault");
+    assert!(
+        item.verdict.is_caused(),
+        "the collapse is the upgrade's fault"
+    );
     if let Some((verdict, estimate)) = &item.did {
         println!(
             "seasonal DiD: α = {:+.1} normalized units (t = {:+.1}) over {} samples",

@@ -109,7 +109,7 @@ fn main() {
         .items
         .iter()
         .filter(|i| i.verdict.is_inconclusive())
-        .all(|i| !i.caused));
+        .all(|i| !i.verdict.is_caused()));
 
     println!(
         "\nall attributions rest on >= {:.0}% measured data.",

@@ -123,7 +123,7 @@ pub fn main() {
         assessment.change.0,
         assessment.emitted_at,
         assessment.items.len(),
-        assessment.items.iter().filter(|i| i.caused).count(),
+        assessment.items.iter().filter(|i| i.verdict.is_caused()).count(),
         assessment.detection_latency.map_or(-1, |m| m as i64),
     );
     for key in &treated {
@@ -132,7 +132,10 @@ pub fn main() {
             .iter()
             .find(|i| i.key == *key)
             .expect("treated server is a work unit");
-        assert!(item.caused, "leak on {key:?} not attributed: {item:?}");
+        assert!(
+            item.verdict.is_caused(),
+            "leak on {key:?} not attributed: {item:?}"
+        );
     }
     println!("\nleak caught mid-ramp on the live stream and attributed to the change.");
 }

@@ -93,7 +93,9 @@ pub fn main() {
     // The outage must not be guessed at: awaiting items exist and none of
     // them was attributed or cleared.
     assert!(awaiting > 0, "the open partition blocked nothing?");
-    assert!(assessment.awaiting_backfill_items().all(|i| !i.caused));
+    assert!(assessment
+        .awaiting_backfill_items()
+        .all(|i| !i.verdict.is_caused()));
     // And against the still-dark store, nothing has healed to re-run.
     let topology = world.topology();
     let rerun = funnel.reassess(&mut assessment, &interim_store, topology, record);

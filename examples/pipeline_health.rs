@@ -36,7 +36,7 @@ use funnel_suite::topology::change::{ChangeId, ChangeKind};
 const PARTITION_START: u64 = 6 * 1440;
 const PARTITION_MINUTES: u64 = 240;
 
-fn build_world() -> (World, ChangeId) {
+pub(crate) fn build_world() -> (World, ChangeId) {
     let mut b = WorldBuilder::new(SimConfig::days(29, 8));
     let svc = b.add_service("prod.health", 6).expect("fresh");
     let regression = ChangeEffect::none().with_level_shift(
@@ -59,7 +59,7 @@ fn build_world() -> (World, ChangeId) {
 
 /// Replays the fleet under `plan` and assesses the change, all with
 /// windowed telemetry recording; returns the run's timeline snapshot.
-fn instrumented_run(
+pub(crate) fn instrumented_run(
     world: &World,
     change: ChangeId,
     plan: FaultPlan,

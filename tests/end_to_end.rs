@@ -222,7 +222,7 @@ fn pipeline_is_deterministic() {
     assert_eq!(a1.items.len(), a2.items.len());
     for (x, y) in a1.items.iter().zip(a2.items.iter()) {
         assert_eq!(x.key, y.key);
-        assert_eq!(x.caused, y.caused);
+        assert_eq!(x.verdict.is_caused(), y.verdict.is_caused());
         assert_eq!(
             x.detection.map(|d| d.declared_at),
             y.detection.map(|d| d.declared_at)
@@ -258,7 +258,7 @@ fn store_backed_assessment_matches_world_backed() {
     assert_eq!(from_world.items.len(), from_store.items.len());
     for (a, b) in from_world.items.iter().zip(from_store.items.iter()) {
         assert_eq!(a.key, b.key);
-        assert_eq!(a.caused, b.caused);
+        assert_eq!(a.verdict.is_caused(), b.verdict.is_caused());
     }
 }
 
