@@ -6,8 +6,7 @@
 //!
 //! * the metric-store entries (per-KPI series + coverage masks),
 //! * the collector's in-flight state ([`CollectorState`]: per-agent
-//!   watermarks, dedup memory, pending minutes, backfill stage, partial
-//!   aggregates), and
+//!   watermarks, dedup memory, pending minutes, partial aggregates), and
 //! * the WAL position of the snapshot ([`WalCursor`]: the frames it
 //!   covers and the segment and offset the next one starts at), so
 //!   recovery reads and replays only the WAL tail past it.
@@ -54,7 +53,7 @@ use crate::{fnv1a_words, numbered_files, ResilienceError};
 use funnel_sim::collector::{CollectorState, MinuteAccs};
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::store::{CutId, MetricStore};
-use funnel_sim::wire::{key_from_bytes, key_to_bytes, WireRecord};
+use funnel_sim::wire::{key_from_bytes, key_to_bytes};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
 use funnel_topology::model::ServiceId;
@@ -63,12 +62,14 @@ use std::fs;
 use std::io::{ErrorKind, Read};
 use std::path::{Path, PathBuf};
 
-/// Manifest magic: "FNLCKPT" + format version 4. Version 1 was a single
+/// Manifest magic: "FNLCKPT" + format version 5. Version 1 was a single
 /// file holding the whole store, version 2 a manifest that opened with a
-/// bare frame count where this one has a [`WalCursor`], version 3 this
-/// manifest followed by a re-assessment queue; each fails this check and is
-/// skipped like any other unusable manifest, never misread.
-pub const MAGIC: [u8; 8] = *b"FNLCKPT4";
+/// bare frame count where this one has a [`WalCursor`], version 3 the
+/// version-4 manifest followed by a re-assessment queue, version 4 this
+/// manifest with the collector's backfill stage before its partial
+/// aggregates; each fails this check and is skipped like any other unusable
+/// manifest, never misread.
+pub const MAGIC: [u8; 8] = *b"FNLCKPT5";
 
 /// Segment magic.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"FNLCSEG2";
@@ -195,16 +196,6 @@ fn put_state(out: &mut Vec<u8>, state: &CollectorState) {
         put_u64(out, minute);
         put_u64(out, *frames as u64);
         put_accs(out, accs);
-    }
-    put_u64(out, state.backfill_stage.len() as u64);
-    for (&(agent, minute), records) in &state.backfill_stage {
-        put_u32(out, agent);
-        put_u64(out, minute);
-        put_u64(out, records.len() as u64);
-        for record in records {
-            put_key(out, record.key);
-            put_f64(out, record.value);
-        }
     }
     put_u64(out, state.partial.len() as u64);
     for (&minute, accs) in &state.partial {
@@ -575,20 +566,6 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, ResilienceError> {
         let frames = r.u64()? as usize;
         let accs = r.accs()?;
         collector.pending.insert(minute, (frames, accs));
-    }
-    let stage_count = r.count(20)?;
-    collector.backfill_stage = BTreeMap::new();
-    for _ in 0..stage_count {
-        let agent = r.u32()?;
-        let minute = r.u64()?;
-        let records = r.count(14)?;
-        let mut vec = Vec::with_capacity(records);
-        for _ in 0..records {
-            let key = r.key()?;
-            let value = r.f64()?;
-            vec.push(WireRecord { key, value });
-        }
-        collector.backfill_stage.insert((agent, minute), vec);
     }
     let partial_count = r.count(16)?;
     collector.partial = BTreeMap::new();
@@ -981,9 +958,6 @@ mod tests {
         accs.insert((ServiceId(1), KpiKind::PageViewCount), vec![(7, 123.0)]);
         collector.pending.insert(41, (1, accs.clone()));
         collector.partial.insert(12, accs);
-        collector
-            .backfill_stage
-            .insert((1, 30), vec![WireRecord { key, value: 9.5 }]);
         Checkpoint {
             wal: WalCursor {
                 frames: 42,
@@ -1094,23 +1068,46 @@ mod tests {
         rejected_by_its_magic("v1", &old);
     }
 
-    /// Version 2: today's manifest but for a bare frame count where the
-    /// cursor is, and an empty re-assessment queue (two zero counts) after
-    /// the collector state, so its hash validates and only the magic tells
-    /// it apart.
+    /// The sample's manifest, partial aggregates left out, as version 4
+    /// wrote it: today's payload with an empty backfill stage (a zero
+    /// count) before the empty partial map (another) that closes it.
+    fn version_4_payload() -> Vec<u8> {
+        let mut checkpoint = sample_checkpoint();
+        checkpoint.collector.partial.clear();
+        let dir = tmp_dir("v4-source");
+        let now = fs::read(write(
+            &mut CheckpointStore::open(&dir).unwrap(),
+            &checkpoint,
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        [&now.unwrap()[HEADER_LEN..], &[0; 8]].concat()
+    }
+
+    /// Frames `payload` under `magic` with a hash that validates.
+    fn framed(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+        let mut old = magic.to_vec();
+        old.extend_from_slice(&fnv1a_words(payload).to_le_bytes());
+        old.extend_from_slice(payload);
+        old
+    }
+
+    /// Version 2: the version-4 manifest but for a bare frame count where
+    /// the cursor is, and an empty re-assessment queue (two zero counts)
+    /// after the collector state, so its hash validates and only the magic
+    /// tells it apart.
     #[test]
     fn a_version_2_manifest_is_rejected_not_misread() {
-        let dir = tmp_dir("v2-source");
-        let mut store = CheckpointStore::open(&dir).unwrap();
-        let now = fs::read(write(&mut store, &sample_checkpoint())).unwrap();
-        let _ = fs::remove_dir_all(&dir);
-        // The same manifest as version 2 wrote it.
-        let (frames, rest) = now[HEADER_LEN..].split_at(8);
+        let v4 = version_4_payload();
+        let (frames, rest) = v4.split_at(8);
         let payload = [frames, &rest[16..], &[0; 16]].concat();
-        let mut old = b"FNLCKPT2".to_vec();
-        old.extend_from_slice(&fnv1a_words(&payload).to_le_bytes());
-        old.extend_from_slice(&payload);
-        rejected_by_its_magic("v2", &old);
+        rejected_by_its_magic("v2", &framed(b"FNLCKPT2", &payload));
+    }
+
+    /// Version 4: today's manifest with the backfill stage the collector
+    /// no longer keeps.
+    #[test]
+    fn a_version_4_manifest_is_rejected_not_misread() {
+        rejected_by_its_magic("v4", &framed(b"FNLCKPT4", &version_4_payload()));
     }
 
     fn key(n: u32) -> KpiKey {

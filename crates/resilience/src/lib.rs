@@ -22,7 +22,7 @@
 //!   byte-identical segments.
 //! * [`checkpoint`] — the periodic recovery point: the metric-store
 //!   entries and the collector's in-flight state (watermarks, dedup memory,
-//!   pending minutes, backfill stage). On
+//!   pending minutes, partial aggregates). On
 //!   disk it is a chain — a base segment plus one delta segment per cut,
 //!   each holding what was written since the cut before, under a small
 //!   manifest — so a cut costs what changed, not what is stored. Every

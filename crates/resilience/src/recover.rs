@@ -566,7 +566,7 @@ mod tests {
     }
 
     /// A version-3 manifest is skipped, never misread: beside an older
-    /// version-4 one, recovery rests on that one; alone, it leaves no
+    /// version-5 one, recovery rests on that one; alone, it leaves no
     /// checkpoint and recovery replays the whole WAL.
     #[test]
     fn a_version_3_manifest_is_skipped_and_recovery_falls_back() {
@@ -586,15 +586,15 @@ mod tests {
 
         let dir = &options.checkpoint_dir;
         let manifest = |seq: u64| dir.join(format!("ckpt-{seq:08}.bin"));
-        let v4 = crate::numbered_files(dir, "ckpt-", ".bin").unwrap();
-        let newest = *v4.last().expect("a cadence-50 run cuts");
+        let v5 = crate::numbered_files(dir, "ckpt-", ".bin").unwrap();
+        let newest = *v5.last().expect("a cadence-50 run cuts");
         let bytes = fs::read(manifest(newest)).unwrap();
         let cursor = decode_manifest(&bytes).unwrap().wal;
         fs::write(manifest(newest + 1), as_version_3(&bytes)).unwrap();
         let found = CheckpointStore::latest_valid(dir).unwrap().unwrap();
         assert_eq!(found.wal, cursor);
 
-        for seq in v4 {
+        for seq in v5 {
             fs::remove_file(manifest(seq)).unwrap();
         }
         assert!(CheckpointStore::latest_valid(dir).unwrap().is_none());

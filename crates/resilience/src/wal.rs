@@ -273,8 +273,9 @@ impl WalWriter {
         self.append_record(FRAME_RECORD, raw.as_ref())
     }
 
-    /// Appends the end-of-stream marker: recovery runs `finish()` (final
-    /// minute flush + backfill) only when this record is present.
+    /// Appends the end-of-stream marker: recovery runs `finish()` (the
+    /// pending minutes and the aggregates backfill completed) only when
+    /// this record is present.
     ///
     /// # Errors
     ///

@@ -36,7 +36,6 @@ use funnel_sim::collector::{CollectorState, MinuteAccs};
 use funnel_sim::fnv1a_words;
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::store::MetricStore;
-use funnel_sim::wire::WireRecord;
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::TimeSeries;
 use funnel_topology::impact::Entity;
@@ -127,13 +126,6 @@ fn checkpoint_from(
         } else {
             collector.partial.insert(minute, accs);
         }
-        collector.backfill_stage.insert(
-            (id % 7, minute),
-            vec![WireRecord {
-                key: key(id as u8, id, i),
-                value,
-            }],
-        );
     }
     Checkpoint {
         wal,

@@ -49,7 +49,8 @@ pub struct ReplayStats {
     pub records: usize,
     /// Minutes replayed.
     pub minutes: usize,
-    /// Service-aggregate measurements produced by the collector.
+    /// Service aggregates of finalized minutes the store took; one whose
+    /// bin was measured or filled already is not counted.
     pub aggregates: usize,
     /// Frames the fault schedule dropped before delivery.
     pub dropped_frames: usize,
@@ -83,9 +84,9 @@ pub struct ReplayStats {
     /// dark with no buffering (silent drop), evicted from a full agent-side
     /// queue, or still queued when the replay ended inside the window.
     pub partition_lost_frames: usize,
-    /// Late frames from a healed partition routed to the collector's
-    /// backfill stage (their minute lay behind the sending agent's own
-    /// watermark by more than the reorder horizon).
+    /// Late frames from a healed partition written into historical bins
+    /// (their minute lay behind the sending agent's own watermark by more
+    /// than the reorder horizon).
     pub backfilled_frames: usize,
     /// Individual measurements written into historical bins by backfill.
     pub backfilled_records: usize,

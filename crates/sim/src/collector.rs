@@ -12,18 +12,20 @@
 //! 2. [`IngestHooks::on_accepted_frame`] — the durability seam: a WAL can
 //!    append the raw bytes *before* the store changes, so a crash between
 //!    append and commit replays the frame instead of losing it.
-//! 3. [`Collector::commit`] — apply the classified frame: store appends,
-//!    watermark advance, minute finalization.
+//! 3. [`Collector::commit`] — apply the classified frame in one write
+//!    batch: a live frame's records, watermark advance and minute
+//!    finalization; a healed partition's backfill frame into its historical
+//!    bins. Every record of an accepted frame is decided and counted there
+//!    (taken, refused or invalid); no collector state holds it afterwards.
 //!
-//! The split preserves the exact semantics of the original inline loop
-//! (same counters, same ordering, same byte-identical aggregates); the
-//! existing replay entry points drive it with [`NoHooks`] and are
-//! behaviourally unchanged.
+//! [`Collector::finish`] ends a stream: it finalizes the minutes still
+//! pending and completes the service aggregates a backfill filled in. The
+//! replay entry points drive the protocol with [`NoHooks`].
 
 use crate::agent::ReplayStats;
 use crate::kpi::{Aggregation, KpiKey, KpiKind};
 use crate::store::{KeyId, MetricStore, Slab, StoreWrite};
-use crate::wire::{decode_frame, WireFrame, WireRecord};
+use crate::wire::{decode_frame, WireFrame};
 use crate::world::World;
 use bytes::Bytes;
 use funnel_timeseries::series::MinuteBin;
@@ -144,14 +146,6 @@ impl MinuteAccs {
         }
     }
 
-    /// Moves every entry of `entries` to the end of `key`'s cell.
-    fn append(&mut self, key: CellKey, entries: &mut Vec<(u32, f64)>) {
-        let at = self.position(key);
-        if let Some(cell) = self.cells.get_mut(at) {
-            cell.entries.append(entries);
-        }
-    }
-
     /// Sets `key`'s cell to `entries`, whatever it held.
     pub fn insert(&mut self, key: CellKey, entries: Vec<(u32, f64)>) {
         let at = self.position(key);
@@ -210,12 +204,9 @@ pub struct CollectorState {
     /// Minutes awaiting finalization: how many agents reported the minute,
     /// plus the per-service aggregation cells collected so far.
     pub pending: BTreeMap<u64, (usize, MinuteAccs)>,
-    /// Late frames from healed partitions, staged keyed by (agent, minute):
-    /// a BTreeMap so the end-of-stream flush walks them in deterministic
-    /// (agent, minute) order no matter how the agent threads interleaved.
-    pub backfill_stage: BTreeMap<(u32, u64), Vec<WireRecord>>,
-    /// Aggregation cells of finalized-but-incomplete minutes, kept (not
-    /// discarded) so a healed span's backfilled cells can complete them.
+    /// Aggregation cells of finalized-but-incomplete minutes, and the cells
+    /// backfill frames brought, kept so that a healed span can complete
+    /// them at [`Collector::finish`].
     pub partial: BTreeMap<u64, MinuteAccs>,
 }
 
@@ -226,7 +217,6 @@ impl CollectorState {
             watermarks: vec![None; shards],
             seen: vec![BTreeSet::new(); shards],
             pending: BTreeMap::new(),
-            backfill_stage: BTreeMap::new(),
             partial: BTreeMap::new(),
         }
     }
@@ -242,8 +232,9 @@ pub enum Ingest {
     /// watermark, participates in minute finalization.
     Live(WireFrame),
     /// A healed partition's late frame (its minute lies behind the sending
-    /// agent's own watermark by more than the reorder horizon): staged for
-    /// the deterministic end-of-stream backfill flush.
+    /// agent's own watermark by more than the reorder horizon): written
+    /// into its historical bins at commit, its service cells parked in
+    /// `partial` for [`Collector::finish`].
     Backfill(WireFrame),
     /// A re-delivery of a minute this agent already sent: suppressed.
     /// Carries the re-delivered minute.
@@ -490,9 +481,9 @@ impl<'a> Collector<'a> {
         Ingest::Live(decoded)
     }
 
-    /// Applies a classified frame: counters for rejected fates, store
-    /// appends + watermark advance + minute finalization for live frames,
-    /// staging for backfill frames.
+    /// Applies a classified frame: counters for rejected fates; for an
+    /// accepted one, one write batch that decides and counts every record,
+    /// with the watermark advance and minute finalization of a live frame.
     pub fn commit(&mut self, ingest: Ingest) {
         match ingest {
             Ingest::Quarantined(minute) => {
@@ -518,9 +509,8 @@ impl<'a> Collector<'a> {
                 self.stats.frames += 1;
                 funnel_obs::counter_add(funnel_obs::names::FRAMES_INGESTED, frame.minute, 1);
                 self.stats.backfilled_frames += 1;
-                self.state
-                    .backfill_stage
-                    .insert((frame.agent_id, frame.minute), frame.records);
+                let store = self.store;
+                store.write_batch(|w| self.backfill_frame(w, &frame));
             }
             Ingest::Live(frame) => {
                 // One write lock for the frame: its records, then whatever
@@ -639,7 +629,7 @@ impl<'a> Collector<'a> {
             *last = rec.value;
             // A late write: a record behind its key's frontier over a
             // forward fill (a delayed frame inside the horizon) replaces the
-            // fill, and the batch settles the fills behind it; one whose bin
+            // fill, and the store settles the fills behind it; one whose bin
             // holds a measurement (a key the frame repeats) is refused, first
             // write wins.
             let write = w.write_id(id, frame.minute, rec.value, true);
@@ -736,20 +726,21 @@ impl<'a> Collector<'a> {
             }
             // Only aggregate when every instance reported; keep partial
             // minutes around — a partition heal may still backfill the
-            // missing cells.
+            // missing cells, which may be there already: each instance
+            // enters once.
             if cell.entries.len() != self.service_size(cell.key.0) {
-                self.state
-                    .partial
-                    .entry(minute)
-                    .or_default()
-                    .append(cell.key, &mut cell.entries);
+                let partial = self.state.partial.entry(minute).or_default();
+                for entry in cell.entries.drain(..) {
+                    partial.push_once(cell.key, entry);
+                }
                 continue;
             }
             let value = aggregate(cell.key.1, &mut cell.entries);
             cell.entries.clear();
             let id = self.aggregate_id(w, cell.key);
-            w.write_id(id, minute, value, false);
-            self.stats.aggregates += 1;
+            if w.write_id(id, minute, value, false) == StoreWrite::Taken {
+                self.stats.aggregates += 1;
+            }
         }
         // Every cell is empty now: a dense table serves a later minute.
         if accs.cells.len() == self.aggregate_ids.len() {
@@ -757,29 +748,14 @@ impl<'a> Collector<'a> {
         }
     }
 
-    /// End-of-stream flush: finalize every still-pending minute, merge the
-    /// staged backfill frames into historical bins in deterministic
-    /// (agent, minute) order, and emit the service aggregates the backfill
-    /// completed. Drains the state; a checkpoint taken afterwards records a
-    /// finished stream.
+    /// End of stream: finalize every still-pending minute, then emit the
+    /// service aggregates that backfilled cells completed. Drains the
+    /// state; a checkpoint taken afterwards records a finished stream.
     pub fn finish(&mut self) {
         let store = self.store;
         store.write_batch(|w| {
             for (minute, (_, accs)) in std::mem::take(&mut self.state.pending) {
                 self.finalize_minute(w, minute, accs);
-            }
-        });
-        // Backfill flush, one write batch: healed-span frames enter
-        // historical bins in (agent, minute) order — deterministic
-        // regardless of how agent threads interleaved during the replay.
-        // Each record passes the same plausibility gate as live ingestion,
-        // and the store's own duplicate suppression (first write wins per
-        // real bin) guards against re-delivery races. In one batch each
-        // key's forward fill is settled once, at the end, rather than after
-        // every late minute: a D-minute healed gap costs D bins, not D²/2.
-        store.write_batch(|w| {
-            for ((agent, minute), records) in std::mem::take(&mut self.state.backfill_stage) {
-                self.backfill_frame(w, agent as usize, minute, &records);
             }
             // Service aggregates the backfill completed, ascending minute
             // then (service, kind). Emitted through the backfill path too:
@@ -802,9 +778,11 @@ impl<'a> Collector<'a> {
         });
     }
 
-    /// One staged backfill frame into the store's historical bins and the
-    /// partial aggregates it may complete.
-    fn backfill_frame(&mut self, w: &mut Slab, agent: usize, minute: u64, records: &[WireRecord]) {
+    /// A backfill frame into the store's historical bins, past the live
+    /// plausibility gate, and its instance records into the partial cells
+    /// that [`Collector::finish`] completes.
+    fn backfill_frame(&mut self, w: &mut Slab, frame: &WireFrame) {
+        let (agent, minute, records) = (frame.agent_id as usize, frame.minute, &frame.records);
         let mut unknown_agent = Vec::new();
         let layout = self.layouts.get_mut(agent).unwrap_or(&mut unknown_agent);
         for (pos, rec) in records.iter().enumerate() {
@@ -865,7 +843,7 @@ impl<'a> Collector<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::encode_frame;
+    use crate::wire::{encode_frame, WireRecord};
     use crate::world::{SimConfig, WorldBuilder};
     use funnel_topology::model::InstanceId;
 
@@ -992,6 +970,30 @@ mod tests {
         assert!(c.ingest(&encode_frame(0, 1, &[rec(1, 7.0)])));
         assert!(c.state().pending.is_empty());
         assert!(c.state().partial.is_empty());
+    }
+
+    /// A backfill frame is written when it is committed, so a record for
+    /// a key no live record has written yet is stored and anchors the key,
+    /// before a later live minute can, and that minute fills the gap
+    /// behind it.
+    #[test]
+    fn a_backfilled_record_anchors_a_key_no_live_record_wrote() {
+        let world = tiny_world();
+        let store = MetricStore::new();
+        let mut c = Collector::for_world(&world, &store, 1, 0);
+        let key = KpiKey::new(Entity::Instance(InstanceId(0)), KpiKind::PageViewCount);
+        let frame = |minute, value| encode_frame(minute, 0, &[WireRecord { key, value }]);
+        assert!(c.ingest(&encode_frame(5, 0, &[])));
+        assert!(matches!(c.classify(&frame(2, 1.0)), Ingest::Backfill(_)));
+        assert!(c.ingest(&frame(2, 1.0)));
+        assert_eq!(c.stats().backfilled_records, 1);
+        assert!(c.ingest(&frame(6, 4.0)));
+        c.finish();
+        assert_eq!(c.stats().backfill_rejected_records, 0);
+        let series = store.get(&key).map(|s| (s.start(), s.values().to_vec()));
+        assert_eq!(series, Some((2, vec![1.0, 1.0, 1.0, 1.0, 4.0])));
+        let mask = store.mask(&key).map(|m| (m.start(), m.bits().to_vec()));
+        assert_eq!(mask, Some((2, vec![true, false, false, false, true])));
     }
 
     #[test]

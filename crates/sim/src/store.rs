@@ -97,10 +97,9 @@ struct Slot {
     /// ([`MetricStore::cut_since`]): below it the series and the mask are
     /// what that cut saw. [`CLEAN`] when nothing was written since.
     dirty_from: MinuteBin,
-    /// The lowest and the highest minute written late in the write batch
-    /// under way, whose forward fills [`Slot::settle`] has yet to bring
-    /// up to date; `None` outside a batch and in a slot no late write
-    /// touched.
+    /// The lowest and the highest minute written late since the last seal
+    /// ([`Slab::seal`]), whose forward fills [`Slot::settle`] has yet to
+    /// bring up to date; `None` in a slot no late write touched since.
     unsettled: Option<(MinuteBin, MinuteBin)>,
 }
 
@@ -131,8 +130,8 @@ impl Slot {
     /// such a refusal changes nothing. A late write lands in an unmeasured
     /// bin that does not predate the series anchor. The bin takes the value
     /// at once; the forward-filled bins after it, up to the next real
-    /// measurement, take it when the write batch ends ([`Slot::settle`]),
-    /// once for all the batch's late writes to this slot, so such a write
+    /// measurement, take it at the next seal ([`Slot::settle`]), once for
+    /// all the late writes to this slot since the last one, so such a write
     /// widens the slot's unsettled span to `minute`. The next minute of a
     /// held key is staged instead ([`Slab::write_id`]).
     fn write(&mut self, minute: MinuteBin, value: f64, late: bool) -> StoreWrite {
@@ -197,15 +196,15 @@ impl Slot {
         mask.extend_present(n);
     }
 
-    /// Brings the forward fills of the batch's late writes up to date:
-    /// from the lowest late minute on, every unmeasured bin takes the value
-    /// of the nearest measured bin before it, up to the first measured bin
-    /// past the highest late minute. That rule is the invariant every write
-    /// path keeps, so the bins come out as a forward fill after each write
-    /// would have left them — in one pass, however many late writes landed.
-    /// A gap an append filled in the same batch, from a value not yet
-    /// carried forward, is unmeasured too and lies before the append's own
-    /// measured bin, so the pass reaches it.
+    /// Brings the forward fills of the late writes since the last seal up
+    /// to date: from the lowest late minute on, every unmeasured bin takes
+    /// the value of the nearest measured bin before it, up to the first
+    /// measured bin past the highest late minute. That rule is the
+    /// invariant every write path keeps, so the bins come out as a forward
+    /// fill after each write would have left them — in one pass, however
+    /// many late writes landed. A gap an append filled since, from a value
+    /// not yet carried forward, is unmeasured too and lies before the
+    /// append's own measured bin, so the pass reaches it.
     fn settle(&mut self) {
         let (Some((lo, hi)), Some(held)) = (self.unsettled.take(), self.held.as_mut()) else {
             return;
@@ -272,8 +271,8 @@ pub(crate) struct Slab {
     // BTreeMap, not HashMap: this index is the only source of enumeration
     // order, and report and checkpoint bytes follow it.
     index: BTreeMap<KpiKey, KeyId>,
-    /// The slots a late write touched in the batch under way, each listed
-    /// once, settled when the batch ends ([`Slab::settle`]).
+    /// The slots a late write touched since the last seal, each listed
+    /// once, settled by the next ([`Slab::seal`]).
     unsettled: Vec<KeyId>,
     /// The cut the slots' dirty marks count from; `None` before the first
     /// cut and after [`MetricStore::restore_entries`], which drops keys no
@@ -313,7 +312,6 @@ impl Slab {
             if let Some(slot) = self.slots.get_mut(id.as_index()) {
                 slot.held = Some(Held { series, mask });
                 slot.dirty_from = 0;
-                slot.unsettled = None;
             }
         }
     }
@@ -334,8 +332,8 @@ impl Slab {
     /// collector writes nearly every record, is staged — one cell, no gap
     /// to fill, no anchor to move. Any other write seals the slot's staged
     /// run, so a staged bin answers as measured, and writes the slot; a
-    /// late write it takes behind the series end is settled when the batch
-    /// ends.
+    /// late write it takes behind the series end is settled by the next
+    /// seal.
     pub(crate) fn write_id(
         &mut self,
         id: KeyId,
@@ -405,23 +403,26 @@ impl Slab {
         }
     }
 
-    /// Moves every staged run into its series and closes the block, before
-    /// any read, cut or `hold`.
-    fn seal(&mut self) {
-        if !self.block.open {
-            return;
-        }
-        for (i, (slot, &n)) in self.slots.iter_mut().zip(&self.block.staged).enumerate() {
-            if n > 0 {
-                slot.seal(&self.block, i, n);
-            }
-        }
-        self.block.staged.fill(0);
-        self.block.open = false;
+    /// Whether anything written waits for a seal: minutes staged in the
+    /// open block, or forward fills behind a late write.
+    fn pending(&self) -> bool {
+        self.block.open || !self.unsettled.is_empty()
     }
 
-    /// Settles every slot a late write touched in this batch, once each.
-    fn settle(&mut self) {
+    /// Moves every staged run into its series, closes the block and
+    /// settles every slot a late write touched since the last seal, once
+    /// each: before any read, cut or `hold`, so nothing pending reaches a
+    /// reader.
+    fn seal(&mut self) {
+        if self.block.open {
+            for (i, (slot, &n)) in self.slots.iter_mut().zip(&self.block.staged).enumerate() {
+                if n > 0 {
+                    slot.seal(&self.block, i, n);
+                }
+            }
+            self.block.staged.fill(0);
+            self.block.open = false;
+        }
         for id in self.unsettled.drain(..) {
             if let Some(slot) = self.slots.get_mut(id.as_index()) {
                 slot.settle();
@@ -529,29 +530,25 @@ impl MetricStore {
     /// Runs one batch of writes under the store's write lock, on the slab
     /// unshared: the first write after a snapshot that is still alive
     /// copies the slab here, and the snapshot keeps the old one. With no
-    /// snapshot alive this is the lock alone. The forward fills of the
-    /// batch's late writes are settled before the lock is let go, so no
-    /// reader ever sees one pending. Staged appends stay in the open block
-    /// across batches; a reader seals them ([`MetricStore::read`]).
+    /// snapshot alive this is the lock alone. What the batch leaves pending
+    /// (staged appends, the forward fills behind late writes) stays so
+    /// across batches; a reader seals it ([`MetricStore::read`]).
     pub(crate) fn write_batch<R>(&self, batch: impl FnOnce(&mut Slab) -> R) -> R {
         let mut guard = self.slab.write();
-        let slab = Arc::make_mut(&mut guard);
-        let result = batch(slab);
-        slab.settle();
-        result
+        batch(Arc::make_mut(&mut guard))
     }
 
-    /// Runs `read` on the slab with nothing staged: under the read lock
-    /// while the block is closed, else under the write lock, once the block
-    /// is sealed — a reader racing a writer waits for it as a write would.
+    /// Runs `read` on the slab with nothing pending: under the read lock
+    /// while nothing is, else under the write lock, once the slab is
+    /// sealed — a reader racing a writer waits for it as a write would.
     fn read<R>(&self, read: impl FnOnce(&Arc<Slab>) -> R) -> R {
         let guard = self.slab.read();
-        if !guard.block.open {
+        if !guard.pending() {
             return read(&guard);
         }
         drop(guard);
         let mut guard = self.slab.write();
-        if guard.block.open {
+        if guard.pending() {
             Arc::make_mut(&mut guard).seal();
         }
         read(&guard)
@@ -597,8 +594,9 @@ impl MetricStore {
     /// An immutable point-in-time view of every series and coverage mask —
     /// the read handle the parallel assessment engine fans out over.
     ///
-    /// Taking one seals the minutes staged since the last read into their
-    /// series, then clones the `Arc`: the snapshot shares the store's slab,
+    /// Taking one seals what was written since the last read (staged
+    /// minutes, the fills behind late writes) into the series, then clones
+    /// the `Arc`: the snapshot shares the store's slab,
     /// and the copy is paid by the first write batch that arrives while a
     /// snapshot is still alive — never when nobody writes, and once however
     /// many snapshots were taken in between. Every accessor is lock-free, so N
@@ -638,8 +636,8 @@ impl MetricStore {
     /// caller's chain ends in; when it is not the store's last cut (or
     /// there is none) the cut is whole ([`StoreCut::is_whole`]). Marking is
     /// a write: a snapshot alive at the cut costs the slab copy any write
-    /// after it would. The cut seals the open block first, which lowers the
-    /// dirty marks of the minutes it moves.
+    /// after it would. The cut seals the slab first, which lowers the dirty
+    /// marks of the minutes the open block moves.
     pub fn cut_since<R>(
         &self,
         since: Option<CutId>,
@@ -706,7 +704,8 @@ impl MetricStore {
         &self,
         entries: impl IntoIterator<Item = (KpiKey, TimeSeries, CoverageMask)>,
     ) {
-        // `hold` seals the block, dropping what the emptied slots staged.
+        // `hold` seals, dropping what the emptied slots staged or left to
+        // settle.
         self.write_batch(|slab| {
             for slot in &mut slab.slots {
                 slot.held = None;
@@ -1018,9 +1017,9 @@ mod tests {
         );
     }
 
-    /// The late write as it was defined before batches settled: the bin,
-    /// then at once every forward-filled bin after it up to the next real
-    /// measurement. The model the batched writes are held to.
+    /// The late write as it was defined before fills were settled in one
+    /// pass: the bin, then at once every forward-filled bin after it up to
+    /// the next real measurement. The model the batched writes are held to.
     fn fill_late_at_once(slot: &mut Slot, minute: MinuteBin, value: f64) -> StoreWrite {
         let Held { series, mask } = held_for_write(&mut slot.held, minute);
         if mask.is_present(minute) && minute < series.end() {

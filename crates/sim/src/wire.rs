@@ -150,15 +150,6 @@ pub fn encode_frame(minute: MinuteBin, agent_id: u32, records: &[WireRecord]) ->
     buf.freeze()
 }
 
-/// Reads just the minute header from an encoded frame without decoding
-/// the payload — `None` if the buffer is too short to carry one. Used by
-/// observers (WAL sealing, timeline attribution) that need the frame's
-/// data minute but must not pay a full decode.
-pub fn peek_minute(raw: &Bytes) -> Option<MinuteBin> {
-    let header: [u8; 8] = raw.as_ref().get(..8)?.try_into().ok()?;
-    Some(u64::from_le_bytes(header))
-}
-
 /// The `minute, agent_id, count` header, if `raw` is long enough to hold it.
 fn header(raw: &[u8]) -> Option<(MinuteBin, u32, u32)> {
     let (minute, rest) = raw.split_first_chunk::<8>()?;
@@ -271,17 +262,6 @@ mod tests {
         let d = decode_frame(frame).unwrap();
         assert_eq!(d.minute, 1);
         assert!(d.records.is_empty());
-    }
-
-    #[test]
-    fn peek_minute_reads_header_only() {
-        let frame = encode_frame(777, 42, &sample_records());
-        assert_eq!(peek_minute(&frame), Some(777));
-        let cut = frame.slice(0..5);
-        assert_eq!(peek_minute(&cut), None);
-        // A frame that will fail full decode still yields its minute.
-        let torn = frame.slice(0..10);
-        assert_eq!(peek_minute(&torn), Some(777));
     }
 
     #[test]

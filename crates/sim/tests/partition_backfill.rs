@@ -65,7 +65,7 @@ fn buffered_burst_heal_recovers_the_full_span() {
     assert_eq!(stats.partition_lost_frames, 0);
     // Whole-collector burst arrives in minute order before the heal
     // minute's live frame, so it flows through the live path — no frame
-    // needs the historical backfill stage.
+    // needs the historical backfill path.
     assert_eq!(stats.backfilled_frames, 0);
     // Every key matches direct generation exactly, with full coverage.
     for key in world.all_keys() {
@@ -107,7 +107,7 @@ fn staggered_catch_up_backfills_historic_bins_exactly() {
     assert_eq!(stats.partition_lost_frames, 0);
     assert!(
         stats.backfilled_frames > 0,
-        "staggered heal never exercised the backfill stage"
+        "staggered heal never exercised the backfill path"
     );
     assert!(stats.backfilled_records > 0);
     assert_eq!(stats.backfill_rejected_records, 0);
