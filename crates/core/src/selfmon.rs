@@ -43,9 +43,6 @@ use funnel_timeseries::series::{MinuteBin, TimeSeries};
 /// Schema version of the [`PipelineHealthReport`] JSON document.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// Default artifact path for [`PipelineHealthReport::write_json`].
-pub const DEFAULT_HEALTH_PATH: &str = "results/pipeline_health.json";
-
 /// The timeline counters the self-monitor watches, each one SST run: the
 /// three whose behaviour changes map onto the pipeline's failure modes. A
 /// collector partition dents `collector.frames_ingested`, a decode/agent

@@ -97,7 +97,7 @@ use funnel_topology::impact::{identify_impact_set, Entity, ImpactSet};
 use funnel_topology::model::{ServiceId, Topology};
 use parking_lot::Mutex;
 use std::borrow::Cow;
-use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Seed of the shed-rank mixer. Same tick + same keys → the same shed set,
 /// on every machine, at every worker count.
@@ -303,6 +303,54 @@ struct KeyState {
     dirty: bool,
 }
 
+/// The engine's keys in ascending order, each beside its record, and a
+/// cursor just past the key last offered.
+///
+/// Every caller offers key-sorted batches (a [`LiveFeed`](funnel_sim::live::LiveFeed)
+/// minute), so the key an offer asks for is nearly always the cursor's, or
+/// the one before it again (a late measurement of a key, then its live
+/// one). Any other is found by binary search, and a key offered for the
+/// first time is inserted where the order puts it. A tick walks the table by
+/// index; a completing change looks its keys up by binary search.
+#[derive(Default)]
+struct KeyTable {
+    keys: Vec<KpiKey>,
+    /// `states[i]` is `keys[i]`'s.
+    states: Vec<KeyState>,
+    /// One past the index of the key last offered.
+    cursor: usize,
+}
+
+impl KeyTable {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn get(&self, key: &KpiKey) -> Option<&KeyState> {
+        self.states.get(self.keys.binary_search(key).ok()?)
+    }
+
+    /// The record of `key`, made by `new` if it has none: tried at the
+    /// cursor first, then searched for. The cursor moves past it.
+    fn offered(&mut self, key: KpiKey, new: impl FnOnce() -> KeyState) -> Option<&mut KeyState> {
+        let cursor = self.cursor;
+        let found = if self.keys.get(cursor) == Some(&key) {
+            Ok(cursor)
+        } else if cursor > 0 && self.keys.get(cursor - 1) == Some(&key) {
+            Ok(cursor - 1)
+        } else {
+            self.keys.binary_search(&key)
+        };
+        let at = found.unwrap_or_else(|at| {
+            self.keys.insert(at, key);
+            self.states.insert(at, new());
+            at
+        });
+        self.cursor = at + 1;
+        self.states.get_mut(at)
+    }
+}
+
 /// A change under streaming assessment.
 struct TrackedChange {
     record: SoftwareChange,
@@ -327,7 +375,7 @@ struct TrackedChange {
 /// views are byte-identical to the unbounded store's series and masks. A
 /// ring is not contiguous, so each read builds its series and mask.
 struct RingView<'a> {
-    keys: &'a BTreeMap<KpiKey, KeyState>,
+    keys: &'a KeyTable,
     /// The summed tallies of the detector runs made over this view.
     runs: Mutex<WindowTally>,
 }
@@ -352,7 +400,7 @@ impl Outcomes for Remembered<'_> {
 }
 
 impl KpiSource for RingView<'_> {
-    // A key's first measurement creates its record, so a ring in the map
+    // A key's first measurement creates its record, so a ring in the table
     // is never empty.
     fn series(&self, key: &KpiKey) -> Option<Cow<'_, TimeSeries>> {
         Some(Cow::Owned(self.keys.get(key)?.ring.to_series()))
@@ -401,9 +449,9 @@ fn shed_rank(tick: MinuteBin, key: KpiKey) -> u64 {
 fn shed_policy(
     budget: u64,
     minute: MinuteBin,
-    plans: Vec<(KpiKey, ScorePlan)>,
-) -> (Vec<(KpiKey, ScorePlan)>, Vec<KpiKey>) {
-    let total: u64 = plans.iter().map(|(_, p)| p.cost).sum();
+    plans: Vec<ScorePlan>,
+) -> (Vec<ScorePlan>, Vec<KpiKey>) {
+    let total: u64 = plans.iter().map(|p| p.cost).sum();
     if budget == 0 || total <= budget {
         return (plans, Vec::new());
     }
@@ -411,10 +459,10 @@ fn shed_policy(
     let mut ranked: Vec<(u8, u64, usize, u64)> = plans
         .iter()
         .enumerate()
-        .map(|(i, (key, plan))| {
+        .map(|(i, plan)| {
             (
-                shed_class(key.entity),
-                shed_rank(minute, *key),
+                shed_class(plan.key.entity),
+                shed_rank(minute, plan.key),
                 i,
                 plan.cost,
             )
@@ -438,18 +486,21 @@ fn shed_policy(
     }
     let mut admitted = Vec::with_capacity(paid);
     let mut shed = Vec::with_capacity(plans.len() - paid);
-    for ((key, plan), admit) in plans.into_iter().zip(admit) {
+    for (plan, admit) in plans.into_iter().zip(admit) {
         if admit {
-            admitted.push((key, plan));
+            admitted.push(plan);
         } else {
-            shed.push(key);
+            shed.push(plan.key);
         }
     }
     (admitted, shed)
 }
 
-/// One scoring assignment: fold ring minutes `[lo, to)` into the monitor.
+/// One scoring assignment: fold ring minutes `[lo, to)` into the monitor
+/// of `key`, at index `at` of the key table.
 struct ScorePlan {
+    at: usize,
+    key: KpiKey,
     lo: MinuteBin,
     to: MinuteBin,
     /// Reset the rolling window before folding (re-prime after backfill).
@@ -488,7 +539,6 @@ impl WindowSource for RingWindows<'_> {
 fn score_key(
     monitor: &mut KeyMonitor,
     plan: &ScorePlan,
-    key: KpiKey,
     ring: &RingSeries,
     worker: &mut (SstWorkspace, Vec<f64>),
     scorer: &FastSst,
@@ -534,7 +584,7 @@ fn score_key(
         });
         if let Some(Some(event)) = declared {
             detections.push(StreamDetection {
-                key,
+                key: plan.key,
                 declared_at: event.declared_at,
                 first_exceeded_at: event.first_exceeded_at,
                 peak_score: event.peak_score,
@@ -553,7 +603,7 @@ pub struct StreamEngine {
     funnel: Funnel,
     config: StreamConfig,
     service_kinds: BTreeMap<ServiceId, Vec<KpiKind>>,
-    keys: BTreeMap<KpiKey, KeyState>,
+    keys: KeyTable,
     watermark: Option<MinuteBin>,
     changes: Vec<TrackedChange>,
     stats: StreamStats,
@@ -572,7 +622,7 @@ impl StreamEngine {
             funnel: Funnel::new(funnel),
             config,
             service_kinds,
-            keys: BTreeMap::new(),
+            keys: KeyTable::default(),
             watermark: None,
             changes: Vec::new(),
             stats: StreamStats::default(),
@@ -688,19 +738,20 @@ impl StreamEngine {
             self.stats.refused += 1;
             return;
         }
-        let state = match self.keys.entry(m.key) {
-            Entry::Occupied(state) => state.into_mut(),
-            Entry::Vacant(slot) => slot.insert(KeyState {
-                ring: RingSeries::new(self.config.ring_capacity),
-                // Folds start at the ring's anchor: this first minute.
-                monitor: KeyMonitor::new(
-                    self.funnel.scorer().clone(),
-                    m.minute,
-                    self.funnel.config().persistence_minutes,
-                    self.funnel.windows_per_assessment(),
-                ),
-                dirty: false,
-            }),
+        let (funnel, capacity) = (&self.funnel, self.config.ring_capacity);
+        let Some(state) = self.keys.offered(m.key, || KeyState {
+            ring: RingSeries::new(capacity),
+            // Folds start at the ring's anchor: this first minute.
+            monitor: KeyMonitor::new(
+                funnel.scorer().clone(),
+                m.minute,
+                funnel.config().persistence_minutes,
+                funnel.windows_per_assessment(),
+            ),
+            dirty: false,
+        }) else {
+            // The table hands back the record it found or made.
+            return;
         };
         let late = self.watermark.is_some_and(|w| m.minute <= w);
         let write = if late {
@@ -778,11 +829,13 @@ impl StreamEngine {
 
     /// Plans the fold range for every dirty key and counts them; the plans
     /// come out in key order. Pure bookkeeping; no scoring happens here.
-    fn plan_scoring(&mut self, minute: MinuteBin) -> (usize, Vec<(KpiKey, ScorePlan)>) {
+    fn plan_scoring(&mut self, minute: MinuteBin) -> (usize, Vec<ScorePlan>) {
         let window = self.funnel.config().sst.window_len() as u64;
         let mut dirty = 0;
         let mut plans = Vec::new();
-        for (&key, state) in self.keys.iter_mut().filter(|(_, state)| state.dirty) {
+        let table = &mut self.keys;
+        let keyed = table.keys.iter().zip(&mut table.states).enumerate();
+        for (at, (&key, state)) in keyed.filter(|(_, (_, state))| state.dirty) {
             dirty += 1;
             let KeyState {
                 ring,
@@ -813,15 +866,14 @@ impl StreamEngine {
                 *still_dirty = ring.end() > minute + 1;
                 continue;
             }
-            plans.push((
+            plans.push(ScorePlan {
+                at,
                 key,
-                ScorePlan {
-                    lo,
-                    to,
-                    reprime,
-                    cost: to - lo,
-                },
-            ));
+                lo,
+                to,
+                reprime,
+                cost: to - lo,
+            });
         }
         (dirty, plans)
     }
@@ -847,7 +899,7 @@ impl StreamEngine {
     /// Scores the admitted keys (in key order) through the shared fan-out,
     /// one SST workspace per worker; detections come back in key order at
     /// any worker count.
-    fn run_scoring(&mut self, admitted: &[(KpiKey, ScorePlan)]) -> (u64, Vec<StreamDetection>) {
+    fn run_scoring(&mut self, admitted: &[ScorePlan]) -> (u64, Vec<StreamDetection>) {
         if admitted.is_empty() {
             return (0, Vec::new());
         }
@@ -857,18 +909,20 @@ impl StreamEngine {
         let scorer = self.funnel.scorer();
 
         // Each admitted key's record split into its ring and its monitor,
-        // disjoint and in key order: the map iterates sorted, and the plans
-        // are walked beside it.
+        // disjoint and in key order: the plans carry their table indices,
+        // ascending, and are walked beside the states.
         let mut plans = admitted.iter().peekable();
-        let jobs: Vec<(KpiKey, &mut KeyMonitor, &ScorePlan, &RingSeries)> = self
+        let jobs: Vec<(&mut KeyMonitor, &ScorePlan, &RingSeries)> = self
             .keys
+            .states
             .iter_mut()
-            .filter_map(|(key, state)| {
-                let (_, plan) = plans.next_if(|(planned, _)| planned == key)?;
+            .enumerate()
+            .filter_map(|(at, state)| {
+                let plan = plans.next_if(|plan| plan.at == at)?;
                 // Clean once this plan is folded, unless the ring already
                 // holds minutes past the tick.
                 state.dirty = plan.to < state.ring.end();
-                Some((*key, &mut state.monitor, plan, &state.ring))
+                Some((&mut state.monitor, plan, &state.ring))
             })
             .collect();
         let scored = parallel::fan_out(
@@ -877,8 +931,8 @@ impl StreamEngine {
             // Per worker: the SST workspace, and the buffer held windows are
             // copied out of the rings through.
             || (SstWorkspace::new(scorer_config), Vec::with_capacity(width)),
-            |worker, (key, monitor, plan, ring)| {
-                score_key(monitor, plan, key, ring, worker, scorer, threshold)
+            |worker, (monitor, plan, ring)| {
+                score_key(monitor, plan, ring, worker, scorer, threshold)
             },
         );
         let (mut folds, mut detections) = (0, Vec::new());
@@ -1037,7 +1091,9 @@ mod tests {
     fn shed_policy_admits_by_class_then_rank_and_returns_key_order() {
         use funnel_topology::model::{InstanceId, ServerId};
         const MINUTE: MinuteBin = 90;
-        let plan = |cost| ScorePlan {
+        let plan = |key, cost| ScorePlan {
+            at: 0,
+            key,
             lo: 0,
             to: cost,
             reprime: false,
@@ -1049,22 +1105,22 @@ mod tests {
         let services = [ServiceId(4), ServiceId(1)].map(|s| KpiKey::new(Entity::Service(s), kpi));
         let servers = [7, 2, 5].map(|s| KpiKey::new(Entity::Server(ServerId(s)), kpi));
         let instances = [3, 8].map(|i| KpiKey::new(Entity::Instance(InstanceId(i)), kpi));
-        let mut plans: Vec<(KpiKey, ScorePlan)> = services
+        let mut plans: Vec<ScorePlan> = services
             .iter()
-            .map(|&k| (k, plan(3)))
-            .chain(servers.iter().chain(&instances).map(|&k| (k, plan(1))))
+            .map(|&k| plan(k, 3))
+            .chain(servers.iter().chain(&instances).map(|&k| plan(k, 1)))
             .collect();
-        plans.sort_unstable_by_key(|(key, _)| *key);
-        let all: Vec<KpiKey> = plans.iter().map(|(key, _)| *key).collect();
+        plans.sort_unstable_by_key(|plan| plan.key);
+        let all: Vec<KpiKey> = plans.iter().map(|plan| plan.key).collect();
         let by_rank = |keys: &[KpiKey]| {
             let mut keys = keys.to_vec();
             keys.sort_unstable_by_key(|&key| shed_rank(MINUTE, key));
             keys
         };
         let run = |budget| {
-            let plans = plans.iter().map(|(key, p)| (*key, plan(p.cost))).collect();
+            let plans = plans.iter().map(|p| plan(p.key, p.cost)).collect();
             let (admitted, shed) = shed_policy(budget, MINUTE, plans);
-            let admitted: Vec<KpiKey> = admitted.into_iter().map(|(key, _)| key).collect();
+            let admitted: Vec<KpiKey> = admitted.into_iter().map(|plan| plan.key).collect();
             assert!(admitted.is_sorted(), "admitted in key order");
             assert!(shed.is_sorted(), "shed sorted");
             let mut both = [admitted.clone(), shed.clone()].concat();
@@ -1160,7 +1216,7 @@ mod tests {
         assert!(after.detections.is_empty(), "{:?}", after.detections);
 
         // Every window the monitor decided is one the ring holds whole.
-        let state = &engine.keys[&key];
+        let state = engine.keys.get(&key).unwrap();
         let mut held = Vec::new();
         let mut decided = 0;
         for minute in burst {

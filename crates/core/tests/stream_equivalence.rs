@@ -39,7 +39,7 @@ use funnel_sst::{FastSst, SstConfig};
 use funnel_topology::change::{ChangeId, ChangeKind};
 use funnel_topology::impact::Entity;
 use funnel_topology::model::ServiceId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const DURATION: u64 = 2880;
 const CHANGE_MINUTE: u64 = 1700;
@@ -714,4 +714,88 @@ fn replayed_store_streams_to_the_batch_verdicts() {
         "clean change wrongly attributed: {:?}",
         got.items
     );
+}
+
+#[test]
+fn the_order_of_a_minutes_offers_moves_no_report() {
+    // A late feed puts a key's late minute beside its live one in a batch,
+    // and a key first heard mid-stream sorts between two existing keys: the
+    // engine's key table meets its cursor, the step back for the same key,
+    // the search and the ordered insert. Offered in key order, reversed or
+    // shuffled, each minute must give the same reports.
+    let (world, change) = shifted_world();
+    let feed = LiveFeed::from_store(&world.materialize().unwrap()).with_late(3, 20, 7);
+    let mut batches: Vec<(u64, Vec<Measurement>)> =
+        feed.arrivals().map(|(m, b)| (m, b.to_vec())).collect();
+    let keys: BTreeSet<KpiKey> = batches.iter().flat_map(|(_, b)| b).map(|m| m.key).collect();
+    let instance = keys
+        .iter()
+        .find(|key| matches!(key.entity, Entity::Instance(_)))
+        .unwrap()
+        .entity;
+    let newcomer = KpiKey::new(instance, KpiKind::EffectiveClickCount);
+    assert!(!keys.contains(&newcomer));
+    assert!(keys.range(..newcomer).next().is_some() && keys.range(newcomer..).next().is_some());
+    for (minute, batch) in &mut batches {
+        if *minute >= DURATION / 2 {
+            let value = 40.0 + (*minute % 7) as f64;
+            batch.push(Measurement {
+                key: newcomer,
+                minute: *minute,
+                value,
+            });
+            batch.sort_by(|a, b| a.key.cmp(&b.key).then(a.minute.cmp(&b.minute)));
+        }
+    }
+    assert!(
+        batches
+            .iter()
+            .any(|(_, b)| b.windows(2).any(|pair| pair[0].key == pair[1].key)),
+        "no batch holds a key twice"
+    );
+
+    let run = |order: &dyn Fn(u64, &mut [Measurement])| {
+        let funnel_cfg = test_config(1);
+        let stream_cfg = stream_config(&funnel_cfg);
+        let record = world.change_log().get(change).unwrap().clone();
+        let mut engine = StreamEngine::new(funnel_cfg, stream_cfg, service_kinds(&world));
+        engine.track_change(world.topology(), record).unwrap();
+        let mut reports = Vec::new();
+        for (minute, batch) in &batches {
+            let mut batch = batch.clone();
+            order(*minute, &mut batch);
+            for m in batch {
+                engine.offer(m);
+            }
+            reports.push(format!("{:?}", engine.tick(*minute)));
+        }
+        assert_eq!(engine.key_count(), keys.len() + 1);
+        (reports, engine.stats())
+    };
+    let (sorted, stats) = run(&|_, _| {});
+    assert_eq!(
+        sorted
+            .iter()
+            .filter(|r| r.contains("StreamAssessment"))
+            .count(),
+        1,
+        "the change completes"
+    );
+    assert!(stats.late_backfilled > 0);
+    let reversed = run(&|_, batch| batch.reverse());
+    let shuffled = run(&|minute, batch| {
+        // Fisher–Yates, seeded by the minute.
+        let mut state = minute;
+        for i in (1..batch.len()).rev() {
+            state = funnel_sim::splitmix64(state);
+            batch.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+    });
+    for (name, (reports, got)) in [("reversed", reversed), ("shuffled", shuffled)] {
+        assert_eq!(got, stats, "{name}");
+        assert_eq!(reports.len(), sorted.len());
+        for (minute, (a, b)) in sorted.iter().zip(&reports).enumerate() {
+            assert!(a == b, "{name}: report {minute} differs");
+        }
+    }
 }

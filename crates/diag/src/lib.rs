@@ -43,7 +43,7 @@ pub use bias::{bias_check, BiasCheck, BiasFlag};
 pub use config::DiagConfig;
 pub use input::{ChangeInput, ControlMember, DetectionInput, ItemInput};
 pub use ranking::{rank_contributions, ContributionRow};
-pub use report::{DiagReport, Evidence, ItemDiagnosis, DEFAULT_PATH, SCHEMA_VERSION};
+pub use report::{DiagReport, Evidence, ItemDiagnosis, SCHEMA_VERSION};
 
 /// Diagnoses one pre-digested change assessment: bias-checks every item,
 /// ranks contributions, and assembles the evidence dossiers into a

@@ -13,9 +13,6 @@ use crate::ranking::ContributionRow;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// The default report path the examples and CI smoke write to.
-pub const DEFAULT_PATH: &str = "results/diag_report.json";
-
 /// Schema version stamped into every diagnosis report.
 pub const SCHEMA_VERSION: u32 = 1;
 

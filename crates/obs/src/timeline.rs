@@ -43,9 +43,6 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// straight back into the detector.
 pub const WINDOW_MINUTES: u64 = 1;
 
-/// The default timeline path the examples and sweeps write to.
-pub const DEFAULT_TIMELINE_PATH: &str = "results/obs_timeline.json";
-
 /// Parent label for spans opened with no enclosing span on the thread.
 pub const ROOT: &str = "";
 

@@ -27,9 +27,6 @@ use std::path::Path;
 /// `traceEvents` key, which viewers require).
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// The default trace path the examples and sweeps write to.
-pub const DEFAULT_TRACE_PATH: &str = "results/trace.json";
-
 /// Microseconds per one-minute timeline window.
 const WINDOW_US: u64 = 60_000_000;
 

@@ -144,14 +144,15 @@ impl RingSeries {
         if to <= from {
             return 0.0;
         }
-        let mut measured = 0usize;
+        // Only the retained part of the range is walked.
         let lo = from.max(self.start);
-        for (i, &p) in self.present.iter().enumerate() {
-            let minute = self.start + i as u64;
-            if minute >= lo && minute < to && p {
-                measured += 1;
-            }
-        }
+        let hi = to.min(self.end());
+        let measured = if hi > lo {
+            let bins = (lo - self.start) as usize..(hi - self.start) as usize;
+            self.present.range(bins).filter(|&&p| p).count()
+        } else {
+            0
+        };
         measured as f64 / (to - from) as f64
     }
 
@@ -377,6 +378,33 @@ mod tests {
         assert_eq!(s.len(), m.len());
         assert_eq!(m.bits(), &[true, false, false, true]);
         assert_eq!(r.coverage(2, 6), 0.5);
+    }
+
+    #[test]
+    fn coverage_counts_only_the_retained_part_of_the_range() {
+        // Every bin's presence, counted over the whole ring: what coverage
+        // walked before it walked the range alone.
+        let walked = |r: &RingSeries, from: MinuteBin, to: MinuteBin| {
+            let measured = (0..r.len() as u64)
+                .filter(|&i| (from..to).contains(&(r.start() + i)) && r.is_present(r.start() + i))
+                .count();
+            measured as f64 / (to - from) as f64
+        };
+        let mut r = RingSeries::new(6);
+        assert_eq!(r.coverage(0, 4), 0.0, "unanchored");
+        for m in [3, 4, 7, 9, 10, 12] {
+            r.push(m, m as f64);
+        }
+        assert_eq!((r.start(), r.end()), (7, 13));
+        for from in 0..16 {
+            for to in from + 1..18 {
+                assert_eq!(r.coverage(from, to), walked(&r, from, to), "[{from}, {to})");
+            }
+            assert_eq!(r.coverage(from, from), 0.0);
+        }
+        assert_eq!(r.coverage(7, 13), 4.0 / 6.0);
+        assert_eq!(r.coverage(0, 7), 0.0, "evicted");
+        assert_eq!(r.coverage(13, 20), 0.0, "past the frontier");
     }
 
     #[test]

@@ -118,19 +118,24 @@ impl RobustSummary {
 
     /// The summary of `map(x)` over `sorted`, read off the order instead of
     /// selected: the bits [`RobustSummary::of`] returns for the mapped
-    /// values, whenever they are finite.
+    /// values.
     ///
     /// `sorted` ascends by [`f64::total_cmp`] and `map` is non-decreasing
     /// over it in the same order, so the mapped order statistics are the
     /// maps of the raw ones and the median comes from the one or two central
-    /// elements. The deviations from it then grow outward on either side of
-    /// the centre, and the MAD is the middle of the merge of those two runs:
-    /// `len / 2 + 1` steps, `map` applied to about half the elements. A NaN
-    /// or an infinity (in `sorted`, or made by `map`: `inf − inf`) voids the
-    /// ordering argument; the walk then still ends, on a value the caller
-    /// must not use. It cannot tell, so it must check: whenever the median
-    /// and MAD returned are both finite and `sorted`'s two ends are, they are
-    /// the selected ones.
+    /// elements. The deviations from it grow outward on either side of the
+    /// centre, so the `len / 2 + 1` smallest of them sit at consecutive
+    /// indices: the MAD is read off the ends of that run, and a halving
+    /// search finds where it starts, mapping about `2·log₂ len` elements.
+    ///
+    /// The promise: when `map` yields no NaN over `sorted` and the median
+    /// returned is finite, the median and MAD are [`RobustSummary::of`]'s
+    /// bits (a tail `map` overflows to ±∞ keeps its place in the order; the
+    /// MAD is then +∞ where more than half the deviations are). A NaN, in
+    /// `sorted` or made by `map` (`inf − inf`), or an infinite median voids
+    /// the ordering argument; the search then still ends, on a value the
+    /// caller must not use. A caller whose `sorted` has finite ends and
+    /// whose `map` cannot make a NaN of a finite value checks the median.
     pub fn of_sorted_by(sorted: &[f64], map: impl Fn(f64) -> f64) -> Self {
         let n = sorted.len();
         if n == 0 {
@@ -141,38 +146,38 @@ impl RobustSummary {
         }
         let mid = n / 2;
         let odd = n % 2 == 1;
-        let upper = map(sorted[mid]);
         let median = if odd {
-            upper
+            map(sorted[mid])
         } else {
-            (map(sorted[mid - 1]) + upper) / 2.0
+            (map(sorted[mid - 1]) + map(sorted[mid])) / 2.0
         };
         let deviation = |i: usize| (map(sorted[i]) - median).abs();
-        // The next unmerged element on each side, and its deviation.
-        let (mut below, mut above) = (mid, mid);
-        let mut left = if mid > 0 { deviation(mid - 1) } else { 0.0 };
-        let mut right = (upper - median).abs();
-        let (mut lo, mut hi) = (0.0, 0.0);
-        for _ in 0..=mid {
-            lo = hi;
-            if below > 0 && (above == n || left < right) {
-                hi = left;
-                below -= 1;
-                if below > 0 {
-                    left = deviation(below - 1);
-                }
+        // The run of `mid + 1` smallest deviations is `[at, at + mid]`, with
+        // `at` in `[0, n − 1 − mid]`. Past the right start, the element just
+        // left of the run deviates less than the run's right end: as `at`
+        // grows, `deviation(at − 1)` shrinks toward the centre and
+        // `deviation(at + mid)` grows away from it, so that test splits the
+        // range once.
+        let (mut at, mut last) = (0, n - 1 - mid);
+        while at < last {
+            let probe = last - (last - at) / 2;
+            if deviation(probe - 1) < deviation(probe + mid) {
+                last = probe - 1;
             } else {
-                hi = right;
-                above += 1;
-                if above < n {
-                    right = deviation(above);
-                }
+                at = probe;
             }
         }
-        Self {
-            median,
-            mad: if odd { hi } else { (lo + hi) / 2.0 },
-        }
+        // Each half of the run is largest at its outer end.
+        let (left, right) = (deviation(at), deviation(at + mid));
+        let top = left.max(right);
+        let mad = if odd {
+            top
+        } else if left < right {
+            (left.max(deviation(at + mid - 1)) + top) / 2.0
+        } else {
+            (right.max(deviation(at + 1)) + top) / 2.0
+        };
+        Self { median, mad }
     }
 }
 
@@ -228,25 +233,101 @@ mod tests {
         assert_eq!(mad(&[5.0; 6]), 0.0);
     }
 
+    /// One input for [`RobustSummary::of_sorted_by`]: samples with heavy
+    /// ties, signed zeros and far outliers, and a non-decreasing affine map.
+    #[derive(Debug, Clone)]
+    struct SortedCase {
+        xs: Vec<f64>,
+        map: Affine,
+    }
+
+    /// `x ↦ (x − shift) / scale` (the bound's standardization) or
+    /// `x ↦ scale·x + shift`; a tiny or huge `scale` overflows the tails.
+    #[derive(Debug, Clone, Copy)]
+    enum Affine {
+        Standardize { shift: f64, scale: f64 },
+        Stretch { scale: f64, shift: f64 },
+    }
+
+    impl Affine {
+        fn apply(self, x: f64) -> f64 {
+            match self {
+                Affine::Standardize { shift, scale } => (x - shift) / scale,
+                Affine::Stretch { scale, shift } => scale * x + shift,
+            }
+        }
+    }
+
+    struct SortedCases;
+
+    impl proptest::strategy::Strategy for SortedCases {
+        type Value = SortedCase;
+        fn generate(&self, rng: &mut proptest::test_runner::TestRng) -> SortedCase {
+            const TIES: [f64; 8] = [0.0, -0.0, 1.0, 4.0, -1.0, 2.5, 4.0, 7.5];
+            const OUTLIERS: [f64; 4] = [1e300, -1e300, f64::MAX, -f64::MAX];
+            let len = rng.below(65) as usize;
+            // Fewer distinct tie values, more ties.
+            let palette = 1 + rng.below(TIES.len() as u64) as usize;
+            let xs = (0..len)
+                .map(|_| match rng.below(16) {
+                    0 => OUTLIERS[rng.below(4) as usize],
+                    1..=4 => rng.unit_f64() * 200.0 - 100.0,
+                    _ => TIES[rng.below(palette as u64) as usize],
+                })
+                .collect();
+            let scales = [1.0, 0.3, 1e-9, 1e300, 1e-300];
+            let scale = scales[rng.below(scales.len() as u64) as usize];
+            let shift = TIES[rng.below(TIES.len() as u64) as usize];
+            let map = if rng.below(2) == 0 {
+                Affine::Standardize { shift, scale }
+            } else {
+                Affine::Stretch { scale, shift }
+            };
+            SortedCase { xs, map }
+        }
+    }
+
+    /// Where [`RobustSummary::of_sorted_by`]'s doc promises agreement, its
+    /// bits are the selected ones.
+    fn assert_sorted_summary_selects(xs: &[f64], map: impl Fn(f64) -> f64 + Copy) -> bool {
+        let mut sorted = xs.to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        let mapped: Vec<f64> = xs.iter().copied().map(map).collect();
+        let got = RobustSummary::of_sorted_by(&sorted, map);
+        if mapped.iter().any(|y| y.is_nan()) || !got.median.is_finite() {
+            return false;
+        }
+        let want = RobustSummary::of(&mapped);
+        assert_eq!(got.median.to_bits(), want.median.to_bits(), "{xs:?}");
+        assert_eq!(got.mad.to_bits(), want.mad.to_bits(), "{xs:?}");
+        true
+    }
+
     #[test]
-    fn sorted_summary_matches_selection() {
+    fn sorted_summary_matches_selection_on_fixed_inputs() {
         let odd = [9.0, 1.0, 4.0, 4.0, 2.0, -0.0, 0.0];
         let even = [9.0, 1.0, 4.0, 4.0, 2.0, 7.5];
-        for xs in [&odd[..], &even[..], &[3.0][..], &[][..]] {
-            let mut sorted = xs.to_vec();
-            sorted.sort_unstable_by(f64::total_cmp);
-            assert_eq!(
-                RobustSummary::of_sorted_by(&sorted, |x| x),
-                RobustSummary::of(xs)
-            );
-            let map = |x: f64| (x - 4.0) / 0.3;
-            let mapped: Vec<f64> = xs.iter().copied().map(map).collect();
-            let (got, want) = (
-                RobustSummary::of_sorted_by(&sorted, map),
-                RobustSummary::of(&mapped),
-            );
-            assert_eq!(got.median.to_bits(), want.median.to_bits());
-            assert_eq!(got.mad.to_bits(), want.mad.to_bits());
+        let tails = [-1e300, 1.0, 2.0, 3.0, 1e300, 4.0];
+        for xs in [&odd[..], &even[..], &tails[..], &[3.0][..], &[][..]] {
+            assert!(assert_sorted_summary_selects(xs, |x| x));
+            assert!(assert_sorted_summary_selects(xs, |x| (x - 4.0) / 0.3));
+        }
+        // The tails overflow to ±∞, the median and MAD stay finite.
+        assert!(assert_sorted_summary_selects(&tails, |x| (x - 2.0) / 1e-9));
+        let mut sorted = tails;
+        sorted.sort_unstable_by(f64::total_cmp);
+        assert!(RobustSummary::of_sorted_by(&sorted, |x| (x - 2.0) / 1e-9)
+            .mad
+            .is_finite());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn sorted_summary_matches_selection(case in SortedCases) {
+            let SortedCase { xs, map } = case;
+            proptest::prop_assume!(assert_sorted_summary_selects(&xs, |x| map.apply(x)));
         }
     }
 

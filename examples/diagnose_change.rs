@@ -11,7 +11,7 @@
 //!    and 8 assessment workers;
 //! 3. **explanatory** — every `Caused` item gets a population-bias check,
 //!    a contribution ranking, and an evidence dossier, written to
-//!    `results/diag_report.json` and rendered for the operator.
+//!    `diag_report.json` and rendered for the operator.
 //!
 //! Part 2 is the bias check earning its keep: the same regression assessed
 //! twice against hand-built telemetry, once with an honest control pool
@@ -26,15 +26,18 @@
 //! cargo run --release --example diagnose_change
 //! ```
 //!
-//! This is the worked example behind `OPERATORS.md` and the CI
-//! `Diag example` step.
+//! This is the worked example behind `OPERATORS.md`. Run as an example it
+//! writes `results/diag_report.json`, the committed file;
+//! `tests/examples.rs` runs it into a temporary directory and compares the
+//! report with that file.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::path::Path;
 
 use funnel_suite::core::pipeline::{ChangeAssessment, Funnel};
 use funnel_suite::core::{DiagConfig, FunnelConfig, KpiSource};
-use funnel_suite::diag::{BiasFlag, DiagReport, DEFAULT_PATH};
+use funnel_suite::diag::{BiasFlag, DiagReport};
 use funnel_suite::sim::agent::replay_with_faults;
 use funnel_suite::sim::effect::{ChangeEffect, EffectScope};
 use funnel_suite::sim::faults::FaultPlan;
@@ -192,6 +195,11 @@ fn bias_demo(control_level: f64) -> (World, ChangeId, MapSource) {
 }
 
 fn main() {
+    run(Path::new("results"));
+}
+
+/// Both parts, writing part 1's diagnosis report into `dir`.
+pub(crate) fn run(dir: &Path) {
     // ---- Part 1: the chaos scenario, diagnosed -------------------------
     let (world, change) = build_world();
     let store = MetricStore::new();
@@ -225,8 +233,9 @@ fn main() {
     }
     println!("diagnosis byte-identical at 1/3/8 workers; assessment unchanged by the stage");
 
-    report.write_json(DEFAULT_PATH).expect("write report");
-    println!("wrote {DEFAULT_PATH}\n");
+    let path = dir.join("diag_report.json");
+    report.write_json(&path).expect("write report");
+    println!("wrote {}\n", path.display());
     print!("{}", report.render());
     assert!(!report.items.is_empty(), "chaos run must diagnose items");
     assert_eq!(

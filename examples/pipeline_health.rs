@@ -5,26 +5,31 @@
 //!
 //! 1. **A healthy day.** A full fleet replay (agents → collector → store)
 //!    followed by a batch assessment runs with windowed telemetry on. The
-//!    per-minute timeline (`results/obs_timeline.json`) and the Chrome
-//!    trace-event export (`results/trace.json`, loadable in
-//!    `chrome://tracing` or Perfetto) are written, and the self-monitor
-//!    confirms every watched pipeline series is change-free.
+//!    per-minute timeline (`obs_timeline.json`) and the Chrome trace-event
+//!    export (`trace.json`, loadable in `chrome://tracing` or Perfetto) are
+//!    written, and the self-monitor confirms every watched pipeline series
+//!    is change-free.
 //! 2. **An incident.** The same fleet replays through a 4-hour collector
 //!    partition (every shard dark, nothing buffered). No extra monitoring
 //!    code exists for this: the self-monitor feeds the pipeline's own
 //!    `collector.frames_ingested` timeline to the same SST + persistence
 //!    detector the paper aims at customer KPIs, and declares the ingest
-//!    collapse within minutes of the fault — the
-//!    `results/pipeline_health.json` verdict.
+//!    collapse within minutes of the fault — the `pipeline_health.json`
+//!    verdict.
 //!
 //! ```bash
 //! cargo run --release --example pipeline_health
 //! ```
+//!
+//! Run as an example it writes its three files into `results/`, where
+//! `pipeline_health.json` is committed (the trace and the timeline carry
+//! wall-clock span times and are git-ignored); `tests/examples.rs` runs it
+//! into a temporary directory and compares the verdict with the committed
+//! file.
 
 use funnel_suite::core::pipeline::Funnel;
-use funnel_suite::core::selfmon::{run_selfmon, DEFAULT_HEALTH_PATH};
-use funnel_suite::obs::timeline::DEFAULT_TIMELINE_PATH;
-use funnel_suite::obs::trace::{write_chrome_trace, DEFAULT_TRACE_PATH};
+use funnel_suite::core::selfmon::run_selfmon;
+use funnel_suite::obs::trace::write_chrome_trace;
 use funnel_suite::sim::agent::replay_with_faults;
 use funnel_suite::sim::effect::{ChangeEffect, EffectScope};
 use funnel_suite::sim::faults::{FaultPlan, HealMode, PartitionScope, PartitionWindow};
@@ -32,6 +37,7 @@ use funnel_suite::sim::kpi::KpiKind;
 use funnel_suite::sim::world::{SimConfig, World, WorldBuilder};
 use funnel_suite::sim::MetricStore;
 use funnel_suite::topology::change::{ChangeId, ChangeKind};
+use std::path::Path;
 
 const PARTITION_START: u64 = 6 * 1440;
 const PARTITION_MINUTES: u64 = 240;
@@ -87,6 +93,12 @@ pub(crate) fn instrumented_run(
 
 fn main() {
     funnel_suite::obs::init_from_env();
+    run(Path::new("results"));
+}
+
+/// Both acts, writing the healthy day's timeline and trace and the
+/// incident's verdict into `dir`.
+pub(crate) fn run(dir: &Path) {
     funnel_suite::obs::enable();
     let (world, change) = build_world();
 
@@ -99,16 +111,19 @@ fn main() {
         !timeline.counters.is_empty() && !timeline.spans.is_empty(),
         "instrumented run recorded no counter series or no spans"
     );
-    timeline
-        .write_json(DEFAULT_TIMELINE_PATH)
-        .expect("write timeline");
-    write_chrome_trace(&timeline, DEFAULT_TRACE_PATH).expect("write trace");
+    let (timeline_path, trace_path) = (dir.join("obs_timeline.json"), dir.join("trace.json"));
+    timeline.write_json(&timeline_path).expect("write timeline");
+    write_chrome_trace(&timeline, &trace_path).expect("write trace");
     println!(
         "  {} telemetry records across {} minute windows",
         timeline.records(),
         timeline.windows()
     );
-    println!("  wrote {DEFAULT_TIMELINE_PATH} and {DEFAULT_TRACE_PATH}");
+    println!(
+        "  wrote {} and {}",
+        timeline_path.display(),
+        trace_path.display()
+    );
     let healthy = run_selfmon(&timeline);
     for s in &healthy.series {
         println!(
@@ -138,10 +153,11 @@ fn main() {
         !incident.healthy(),
         "the partition went undetected: {incident:?}"
     );
+    let health_path = dir.join("pipeline_health.json");
     incident
-        .write_json(DEFAULT_HEALTH_PATH)
+        .write_json(&health_path)
         .expect("write health report");
-    println!("  wrote {DEFAULT_HEALTH_PATH}");
+    println!("  wrote {}", health_path.display());
     let ingest = incident
         .series
         .iter()
